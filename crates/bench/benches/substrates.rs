@@ -77,6 +77,44 @@ fn bench_flownet(c: &mut Criterion) {
             assert_eq!(n, 200);
         })
     });
+    // The paper cells' reducer launch wave: 1,600 fetch launches at one
+    // instant on 100 nodes, each queueing a chunk towards every source and
+    // then asking for the next completion, as `launch_fetch` + `arm_net` do.
+    // The first 100 launches open the 10,000 persistent pair flows; the other
+    // 1,500 only queue behind them. Then the whole shuffle drains.
+    c.bench_function("flownet_fetch_wave_100x100", |b| {
+        const NODES: usize = 100;
+        b.iter(|| {
+            let mut net: FlowNet<u32> = FlowNet::new();
+            let links = |net: &mut FlowNet<u32>, cap: f64| -> Vec<_> {
+                (0..NODES).map(|_| net.add_link(cap)).collect()
+            };
+            let store = links(&mut net, 2e9);
+            let up = links(&mut net, 4e9);
+            let down = links(&mut net, 4e9);
+            let mut flows = vec![None; NODES * NODES];
+            for reducer in 0..16 * NODES {
+                let dst = reducer % NODES;
+                net.start_batch();
+                for src in 0..NODES {
+                    let f = *flows[src * NODES + dst].get_or_insert_with(|| {
+                        let path = vec![store[src], up[src], down[dst]];
+                        net.open_flow(SimTime::ZERO, path, false)
+                    });
+                    // Sizes differ by source so the drain has many instants.
+                    let bytes = Bytes(1e6 + 1e3 * src as f64);
+                    net.push_chunk(SimTime::ZERO, f, bytes, reducer as u32);
+                }
+                net.end_batch();
+                criterion::black_box(net.next_event());
+            }
+            let mut n = 0;
+            while let Some(t) = net.next_event() {
+                n += net.poll(t).len();
+            }
+            assert_eq!(n, 16 * NODES * NODES);
+        })
+    });
 }
 
 fn bench_ssd(c: &mut Criterion) {

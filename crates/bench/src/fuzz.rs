@@ -8,7 +8,8 @@
 //! six cheap independently-implemented oracles:
 //!
 //! 1. **waterfill** — the incremental max–min solver's rates equal a
-//!    from-scratch progressive-filling pass, audited live during the run
+//!    from-scratch progressive-filling pass, and its memoised next
+//!    completion equals a fresh scan, audited live during the run
 //!    (`FlowNet::audit_waterfill` via `Driver::run_audited`).
 //! 2. **conserve** — bytes are conserved across every shuffle: reduce-side
 //!    fetch totals equal the producing stage's output bytes, including when

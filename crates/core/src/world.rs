@@ -843,10 +843,12 @@ impl SimWorld {
     }
 
     /// Rough engine heap footprint: the dense arenas that grow with the job
-    /// (tasks, trace log, shuffle bucket matrices). Self-profiling only —
-    /// not a substitute for a real allocator hook.
+    /// (tasks, trace log, shuffle bucket matrices, the flow network's slab
+    /// and chunk queues). Self-profiling only — not a substitute for a real
+    /// allocator hook.
     pub fn heap_estimate_bytes(&self) -> u64 {
         let tasks = self.tasks.heap_bytes();
+        let net = self.net.heap_bytes();
         let trace = self
             .tracer
             .as_ref()
@@ -858,7 +860,7 @@ impl SimWorld {
             .filter_map(|j| j.shuffle_out.as_ref().or(j.shuffle_in.as_ref()))
             .map(|s| s.buckets.heap_bytes())
             .sum();
-        (tasks + trace + shuffle) as u64
+        (tasks + net + trace + shuffle) as u64
     }
 
     pub fn take_output(&mut self) -> Option<JobOutput> {
@@ -884,7 +886,8 @@ impl SimWorld {
     /// Cheap cross-checks of live engine state against independent
     /// reimplementations, for the differential-fuzz harness (DESIGN.md
     /// §4.13). Currently: the incremental water-filling allocation vs a
-    /// from-scratch progressive-filling pass over the same active flows.
+    /// from-scratch progressive-filling pass over the same active flows, and
+    /// the network's memoised next completion vs a fresh scan.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
         self.net.audit_waterfill()
     }

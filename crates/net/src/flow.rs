@@ -13,11 +13,18 @@
 //! per-(source,destination) traffic of many reduce tasks into one flow and
 //! uses chunk tags to learn when each task's piece has been delivered,
 //! keeping the event count linear in tasks rather than tasks × nodes.
+//!
+//! Flows live in a dense slab (DESIGN.md §4.3): three parallel slot vectors
+//! — [`Hot`] (what every event scans), [`Path`] (what a recompute walks) and
+//! [`Cold`] (what a push or a completion touches) — plus an id→slot table.
+//! The active lists hold slots in ascending flow-id order, so every walk has
+//! the iteration order an id-keyed map would give it.
 
 use memres_des::sim::Gen;
 use memres_des::time::{SimTime, NANOS_PER_SEC};
 use memres_des::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::mem::size_of;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
@@ -26,24 +33,71 @@ pub struct LinkId(pub u32);
 pub struct FlowId(pub u64);
 
 struct Chunk<T> {
-    /// FIFO flows: undelivered bytes of this chunk. Shared (processor-
-    /// sharing) flows: the absolute virtual-time target — the value of the
-    /// flow's `ps_drained` accumulator at which this member completes.
-    remaining: f64,
+    /// FIFO flows: this chunk's bytes as pushed; the live remainder of the
+    /// *front* chunk is [`Hot::head`]. Shared (processor-sharing) flows: the
+    /// absolute virtual-time target — the value of the flow's `ps_drained`
+    /// accumulator at which this member completes.
+    bytes: f64,
     tag: T,
 }
 
-struct Flow<T> {
-    links: Vec<LinkId>,
-    queue: VecDeque<Chunk<T>>,
+/// Per-slot state every event reads: the next-completion scan and the water-
+/// filling pass touch nothing else, nor does `advance` for a FIFO flow that
+/// completes no chunk, so they walk one contiguous array.
+struct Hot {
     rate: f64,
-    /// Remove the flow automatically when its queue drains.
-    auto_close: bool,
+    /// Real bytes the flow must still move to deliver its front chunk: the
+    /// front chunk's undelivered bytes (FIFO), or `k ×` the front member's
+    /// virtual-time distance with `k` members queued (shared). `head / rate`
+    /// is the flow's next completion either way. 0 while idle.
+    head: f64,
     /// Processor-sharing semantics: the flow's allocated rate is divided
     /// evenly among its queued chunks ("members") instead of draining FIFO.
     /// Used for rack-level aggregate flows where each chunk stands for one
     /// collapsed per-pair transfer (DESIGN.md, rack aggregation).
     shared: bool,
+    /// Remove the flow automatically when its queue drains.
+    auto_close: bool,
+}
+
+/// Paths this short are stored in the slot; the fabric's longest (store link
+/// + NIC, rack uplink, core, rack downlink, NIC) is six links.
+const INLINE_PATH: usize = 6;
+
+/// The links a flow crosses.
+enum Path {
+    Inline {
+        len: u8,
+        links: [LinkId; INLINE_PATH],
+    },
+    Heap(Box<[LinkId]>),
+}
+
+impl Path {
+    fn new(path: Vec<LinkId>) -> Path {
+        if path.len() > INLINE_PATH {
+            return Path::Heap(path.into_boxed_slice());
+        }
+        let mut links = [LinkId(0); INLINE_PATH];
+        links[..path.len()].copy_from_slice(&path);
+        Path::Inline {
+            len: path.len() as u8,
+            links,
+        }
+    }
+
+    fn links(&self) -> &[LinkId] {
+        match self {
+            Path::Inline { len, links } => &links[..*len as usize],
+            Path::Heap(links) => links,
+        }
+    }
+}
+
+/// Per-slot state only a push, a completion or a close touches.
+struct Cold<T> {
+    id: u64,
+    queue: VecDeque<Chunk<T>>,
     /// Shared flows: cumulative per-member virtual bytes drained this active
     /// period. A member inserted when the accumulator reads `v` completes
     /// when it reaches `v + bytes`; advancing by `dt` at aggregate rate `R`
@@ -57,9 +111,21 @@ struct Flow<T> {
     period_bytes: f64,
 }
 
+impl<T> Cold<T> {
+    /// [`Hot::head`] of a shared flow.
+    fn shared_need(&self) -> f64 {
+        self.queue.front().map_or(0.0, |head| {
+            (head.bytes - self.ps_drained).max(0.0) * self.queue.len() as f64
+        })
+    }
+}
+
 struct Link {
     capacity: f64,
 }
+
+/// `slot_of` entry of a closed flow.
+const NO_SLOT: u32 = u32::MAX;
 
 /// A chunk delivery notification.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -70,33 +136,52 @@ pub struct Delivered<T> {
 
 pub struct FlowNet<T> {
     links: Vec<Link>,
-    flows: BTreeMap<u64, Flow<T>>,
-    next_flow: u64,
+    /// The slab: slot `s` of a flow is `hot[s]`, `paths[s]`, `cold[s]`.
+    /// Slots of closed flows are reused, so the slab is as long as the most
+    /// flows ever open at once.
+    hot: Vec<Hot>,
+    paths: Vec<Path>,
+    cold: Vec<Cold<T>>,
+    free: Vec<u32>,
+    /// Slot of every flow id handed out so far ([`NO_SLOT`] once closed):
+    /// ids are never reused, so a stale [`FlowId`] cannot reach the flow that
+    /// took over its slot. Its length is the next id.
+    slot_of: Vec<u32>,
     last: SimTime,
     gen: Gen,
     delivered: Vec<Delivered<T>>,
     /// Count of rate recomputations (exposed for perf assertions in tests).
     pub recomputes: u64,
-    /// Batch mode marker: the engine brackets each event-dispatch round so a
-    /// burst of flow operations settles in one recompute at `end_batch`.
-    in_batch: bool,
+    /// Count of next-completion scans over the active set, i.e. of
+    /// [`FlowNet::next_event`] calls the memo could not answer.
+    pub next_scans: u64,
     /// Rates are stale; the next rate-dependent query recomputes them. All
     /// mutations landing at the same `SimTime` therefore coalesce into a
     /// single water-filling pass, and mutations that leave the active-flow
     /// set unchanged (e.g. queueing behind an already-active flow) never
     /// trigger one.
     dirty: bool,
-    /// Ids of flows with queued bytes, ascending (fixes the iteration order
-    /// of `advance` and the freeze order of the water-filling pass).
-    active: Vec<u64>,
-    /// Per-link ascending ids of active flows crossing it — the water-
-    /// filling pass freezes a bottleneck's flows without scanning the whole
-    /// active set.
-    flows_on_link: Vec<Vec<u64>>,
+    /// Memoised [`FlowNet::next_event`] answer. The scan reads `last`, the
+    /// active set and each active flow's `rate` and `head`, so the memo is
+    /// dropped exactly where one of those changes: a recompute (which every
+    /// change to the active set or a capacity forces through `dirty`), an
+    /// `advance` over `dt > 0`, and a push on a shared flow (its `head`
+    /// scales with the member count). A chunk queued behind an active FIFO
+    /// flow at the same instant changes none of them.
+    next_memo: Option<Option<SimTime>>,
+    /// Slots of flows with queued bytes, in ascending flow-id order (fixes
+    /// the iteration order of `advance` and the freeze order of the water-
+    /// filling pass).
+    active: Vec<u32>,
+    /// Per-link slots of active flows crossing it, ascending flow id — the
+    /// water-filling pass freezes a bottleneck's flows without scanning the
+    /// whole active set.
+    flows_on_link: Vec<Vec<u32>>,
     /// Scratch buffers reused across recomputes (no per-call allocation).
     scratch_remaining: Vec<f64>,
     scratch_unfrozen: Vec<u32>,
-    scratch_emptied: Vec<u64>,
+    scratch_live: Vec<u32>,
+    scratch_emptied: Vec<u32>,
     /// Optional trace sink: flow activations/drains become `flow_start` /
     /// `flow_end` events (DESIGN.md §4.11). `None` costs nothing.
     tracer: Option<memres_trace::SharedSink>,
@@ -112,18 +197,23 @@ impl<T> FlowNet<T> {
     pub fn new() -> Self {
         FlowNet {
             links: Vec::new(),
-            flows: BTreeMap::new(),
-            next_flow: 0,
+            hot: Vec::new(),
+            paths: Vec::new(),
+            cold: Vec::new(),
+            free: Vec::new(),
+            slot_of: Vec::new(),
             last: SimTime::ZERO,
             gen: Gen::default(),
             delivered: Vec::new(),
             recomputes: 0,
-            in_batch: false,
+            next_scans: 0,
             dirty: false,
+            next_memo: None,
             active: Vec::new(),
             flows_on_link: Vec::new(),
             scratch_remaining: Vec::new(),
             scratch_unfrozen: Vec::new(),
+            scratch_live: Vec::new(),
             scratch_emptied: Vec::new(),
             tracer: None,
         }
@@ -134,17 +224,15 @@ impl<T> FlowNet<T> {
         self.tracer = Some(sink);
     }
 
-    /// Defer rate recomputation across a burst of flow operations (e.g. a
-    /// fetch task opening chunks to a hundred sources, or the engine
-    /// bracketing one event-dispatch round). Must be paired with
-    /// [`FlowNet::end_batch`]. Recomputation is lazy regardless — the batch
-    /// marker only makes the coalescing point explicit.
-    pub fn start_batch(&mut self) {
-        self.in_batch = true;
-    }
+    /// Open a burst of flow operations (the engine brackets each fetch-task
+    /// launch, which queues chunks towards a hundred sources). Must be paired
+    /// with [`FlowNet::end_batch`], which is where the burst settles;
+    /// recomputation is lazy regardless, so opening one is a marker only.
+    pub fn start_batch(&mut self) {}
 
+    /// Settle the burst in one recompute and publish it with one generation
+    /// bump, which is what retires the `NetWake` armed before it.
     pub fn end_batch(&mut self) {
-        self.in_batch = false;
         if self.dirty {
             self.settle();
             self.gen.bump();
@@ -160,38 +248,68 @@ impl<T> FlowNet<T> {
         }
     }
 
-    /// Mark flow `id` active: index it on its links and in the active list.
-    fn activate(&mut self, id: u64) {
-        let links = &self.flows[&id].links;
-        for l in links {
-            let list = &mut self.flows_on_link[l.0 as usize];
-            let pos = list.partition_point(|&x| x < id);
-            list.insert(pos, id);
+    /// Slot of an open flow.
+    fn slot(&self, flow: FlowId) -> Option<usize> {
+        let slot = *self.slot_of.get(usize::try_from(flow.0).ok()?)?;
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    /// Insert `slot` into `list`, which is ordered by flow id.
+    fn insert_by_id(list: &mut Vec<u32>, cold: &[Cold<T>], slot: u32) {
+        let id = cold[slot as usize].id;
+        let before = |&x: &u32| cold[x as usize].id < id;
+        // Flows mostly activate in the order they were opened: try the end
+        // before paying a binary search's scattered reads.
+        let pos = if list.last().is_none_or(before) {
+            list.len()
+        } else {
+            list.partition_point(before)
+        };
+        list.insert(pos, slot);
+    }
+
+    /// Remove `slot` from `list`, which is ordered by flow id.
+    fn remove_by_id(list: &mut Vec<u32>, cold: &[Cold<T>], slot: u32) {
+        let id = cold[slot as usize].id;
+        let pos = list.partition_point(|&x| cold[x as usize].id < id);
+        debug_assert!(list.get(pos) == Some(&slot), "flow missing from index");
+        list.remove(pos);
+    }
+
+    /// Mark the flow in `slot` active: index it on its links and in the
+    /// active list.
+    fn activate(&mut self, slot: usize) {
+        for l in self.paths[slot].links() {
+            Self::insert_by_id(
+                &mut self.flows_on_link[l.0 as usize],
+                &self.cold,
+                slot as u32,
+            );
         }
-        let pos = self.active.partition_point(|&x| x < id);
-        self.active.insert(pos, id);
+        Self::insert_by_id(&mut self.active, &self.cold, slot as u32);
         self.dirty = true;
     }
 
-    /// Remove flow `id` (crossing `links`) from the active indexes.
-    fn deactivate_indexed(
-        active: &mut Vec<u64>,
-        flows_on_link: &mut [Vec<u64>],
-        id: u64,
-        links: &[LinkId],
-    ) {
-        for l in links {
-            let list = &mut flows_on_link[l.0 as usize];
-            let pos = list.partition_point(|&x| x < id);
-            debug_assert!(list.get(pos) == Some(&id), "flow missing from link index");
-            list.remove(pos);
+    /// Remove the flow in `slot` from the active indexes.
+    fn deactivate(&mut self, slot: usize) {
+        for l in self.paths[slot].links() {
+            Self::remove_by_id(
+                &mut self.flows_on_link[l.0 as usize],
+                &self.cold,
+                slot as u32,
+            );
         }
-        let pos = active.partition_point(|&x| x < id);
-        debug_assert!(
-            active.get(pos) == Some(&id),
-            "flow missing from active list"
-        );
-        active.remove(pos);
+        Self::remove_by_id(&mut self.active, &self.cold, slot as u32);
+        self.hot[slot].rate = 0.0;
+        self.dirty = true;
+    }
+
+    /// Give the slot of a closed (and already inactive) flow back.
+    fn release(&mut self, slot: usize) {
+        let cold = &mut self.cold[slot];
+        self.slot_of[cold.id as usize] = NO_SLOT;
+        cold.queue = VecDeque::new();
+        self.free.push(slot as u32);
     }
 
     pub fn gen(&self) -> Gen {
@@ -249,23 +367,37 @@ impl<T> FlowNet<T> {
             assert!((l.0 as usize) < self.links.len(), "unknown link {l:?}");
         }
         self.advance(now);
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.flows.insert(
-            id.0,
-            Flow {
-                links,
-                queue: VecDeque::new(),
-                rate: 0.0,
-                auto_close,
-                shared,
-                ps_drained: 0.0,
-                active_since: now,
-                period_bytes: 0.0,
-            },
-        );
+        let id = self.slot_of.len() as u64;
         // An empty flow does not consume bandwidth; no recompute needed yet.
-        id
+        let hot = Hot {
+            rate: 0.0,
+            head: 0.0,
+            shared,
+            auto_close,
+        };
+        let path = Path::new(links);
+        let cold = Cold {
+            id,
+            queue: VecDeque::new(),
+            ps_drained: 0.0,
+            active_since: now,
+            period_bytes: 0.0,
+        };
+        let slot = if let Some(slot) = self.free.pop() {
+            let s = slot as usize;
+            self.hot[s] = hot;
+            self.paths[s] = path;
+            self.cold[s] = cold;
+            slot
+        } else {
+            assert!(self.hot.len() < NO_SLOT as usize, "flow slab full");
+            self.hot.push(hot);
+            self.paths.push(path);
+            self.cold.push(cold);
+            self.hot.len() as u32 - 1
+        };
+        self.slot_of.push(slot);
+        FlowId(id)
     }
 
     /// Enqueue `bytes` on a flow; the `tag` comes back via [`FlowNet::poll`] when the
@@ -274,9 +406,8 @@ impl<T> FlowNet<T> {
         let bytes = bytes.get();
         assert!(bytes >= 0.0 && bytes.is_finite());
         self.advance(now);
-        let f = self
-            .flows
-            .get_mut(&flow.0)
+        let slot = self
+            .slot(flow)
             // Callers hold a FlowId from open_flow; close_flow invalidates
             // it. A miss is engine corruption, not recoverable state.
             // lint:allow(panic): FlowId handles come from open_flow
@@ -286,39 +417,37 @@ impl<T> FlowNet<T> {
             self.gen.bump();
             return;
         }
-        let was_idle = f.queue.is_empty();
-        if f.shared {
+        let hot = &mut self.hot[slot];
+        let cold = &mut self.cold[slot];
+        let was_idle = cold.queue.is_empty();
+        if hot.shared {
             if was_idle {
                 // Fresh active period: reset the virtual clock so targets
                 // stay small and float precision stays uniform per period.
-                f.ps_drained = 0.0;
+                cold.ps_drained = 0.0;
             }
             // Member target in virtual time; sorted ascending, ties FIFO.
-            let target = f.ps_drained + bytes;
-            let at = f.queue.partition_point(|c| c.remaining <= target);
-            f.queue.insert(
-                at,
-                Chunk {
-                    remaining: target,
-                    tag,
-                },
-            );
+            let target = cold.ps_drained + bytes;
+            let at = cold.queue.partition_point(|c| c.bytes <= target);
+            cold.queue.insert(at, Chunk { bytes: target, tag });
+            hot.head = cold.shared_need();
+            self.next_memo = None;
         } else {
-            f.queue.push_back(Chunk {
-                remaining: bytes,
-                tag,
-            });
+            if was_idle {
+                hot.head = bytes;
+            }
+            cold.queue.push_back(Chunk { bytes, tag });
         }
         if was_idle {
-            f.active_since = now;
-            f.period_bytes = bytes;
-            self.activate(flow.0);
+            cold.active_since = now;
+            cold.period_bytes = bytes;
+            self.activate(slot);
             if let Some(tr) = &self.tracer {
                 tr.borrow_mut()
                     .emit(now, memres_trace::TraceEvent::FlowStart { flow: flow.0 });
             }
         } else {
-            f.period_bytes += bytes;
+            cold.period_bytes += bytes;
         }
         self.gen.bump();
     }
@@ -326,15 +455,16 @@ impl<T> FlowNet<T> {
     /// Drop a flow and any undelivered chunks (returns their tags).
     pub fn close_flow(&mut self, now: SimTime, flow: FlowId) -> Vec<T> {
         self.advance(now);
-        let Some(f) = self.flows.remove(&flow.0) else {
+        let Some(slot) = self.slot(flow) else {
             return Vec::new();
         };
-        if !f.queue.is_empty() {
-            Self::deactivate_indexed(&mut self.active, &mut self.flows_on_link, flow.0, &f.links);
-            self.dirty = true;
+        let queue = std::mem::take(&mut self.cold[slot].queue);
+        if !queue.is_empty() {
+            self.deactivate(slot);
         }
+        self.release(slot);
         self.gen.bump();
-        f.queue.into_iter().map(|c| c.tag).collect()
+        queue.into_iter().map(|c| c.tag).collect()
     }
 
     pub fn active_flows(&self) -> usize {
@@ -355,17 +485,17 @@ impl<T> FlowNet<T> {
             return;
         }
         self.settle();
+        self.next_memo = None;
         let mut emptied = std::mem::take(&mut self.scratch_emptied);
         emptied.clear();
-        for i in 0..self.active.len() {
-            let id = self.active[i];
-            // lint:allow(panic): `active` ids are inserted/removed in lockstep with `flows`
-            let f = self.flows.get_mut(&id).expect("active flow exists");
-            if f.rate <= 0.0 {
+        for &slot in &self.active {
+            let hot = &mut self.hot[slot as usize];
+            if hot.rate <= 0.0 {
                 continue;
             }
-            let mut budget = f.rate * dt;
-            if f.shared {
+            let mut budget = hot.rate * dt;
+            if hot.shared {
+                let f = &mut self.cold[slot as usize];
                 // Processor sharing in virtual time: `k` members advance in
                 // lockstep at rate/k each, so moving the front member to its
                 // target costs `k * (target - ps_drained)` real bytes. Members
@@ -373,16 +503,16 @@ impl<T> FlowNet<T> {
                 // keep draining zero-need heads even once the budget is spent.
                 while let Some(head) = f.queue.front() {
                     let k = f.queue.len() as f64;
-                    let need = (head.remaining - f.ps_drained).max(0.0) * k;
+                    let need = (head.bytes - f.ps_drained).max(0.0) * k;
                     // Tolerance: a member whose remainder is within rounding
                     // noise of the budget counts as delivered.
                     if need <= budget + 1e-6 {
                         budget = (budget - need).max(0.0);
-                        f.ps_drained = f.ps_drained.max(head.remaining);
-                        // lint:allow(panic): front_mut() matched just above.
+                        f.ps_drained = f.ps_drained.max(head.bytes);
+                        // lint:allow(panic): front() matched just above.
                         let c = f.queue.pop_front().expect("front() was Some");
                         self.delivered.push(Delivered {
-                            flow: FlowId(id),
+                            flow: FlowId(f.id),
                             tag: c.tag,
                         });
                     } else {
@@ -390,57 +520,52 @@ impl<T> FlowNet<T> {
                         break;
                     }
                 }
-            } else {
-                while budget > 0.0 {
-                    let Some(head) = f.queue.front_mut() else {
-                        break;
-                    };
-                    // Tolerance: a chunk whose remainder is within rounding noise
-                    // of the budget counts as delivered.
-                    if head.remaining <= budget + 1e-6 {
-                        budget -= head.remaining;
-                        // lint:allow(panic): front_mut() matched just above.
-                        let c = f.queue.pop_front().unwrap();
-                        self.delivered.push(Delivered {
-                            flow: FlowId(id),
-                            tag: c.tag,
-                        });
-                    } else {
-                        head.remaining -= budget;
-                        budget = 0.0;
-                    }
+                hot.head = f.shared_need();
+                if f.queue.is_empty() {
+                    emptied.push(slot);
                 }
+                continue;
             }
-            if f.queue.is_empty() {
-                emptied.push(id);
+            while budget > 0.0 {
+                // Tolerance: a chunk whose remainder is within rounding noise
+                // of the budget counts as delivered.
+                if hot.head > budget + 1e-6 {
+                    hot.head -= budget;
+                    break;
+                }
+                budget -= hot.head;
+                let f = &mut self.cold[slot as usize];
+                // lint:allow(panic): an active flow has a queued front chunk, and `head` is its remainder
+                let c = f.queue.pop_front().expect("active flow has a front chunk");
+                self.delivered.push(Delivered {
+                    flow: FlowId(f.id),
+                    tag: c.tag,
+                });
+                let Some(next) = f.queue.front() else {
+                    hot.head = 0.0;
+                    emptied.push(slot);
+                    break;
+                };
+                hot.head = next.bytes;
             }
         }
-        for &id in &emptied {
-            // lint:allow(panic): `emptied` collected from `flows` this call.
-            let f = self.flows.get_mut(&id).expect("emptied flow exists");
-            f.rate = 0.0;
+        for &slot in &emptied {
+            let slot = slot as usize;
             if let Some(tr) = &self.tracer {
+                let f = &self.cold[slot];
                 tr.borrow_mut().emit(
                     self.last,
                     memres_trace::TraceEvent::FlowEnd {
-                        flow: id,
+                        flow: f.id,
                         bytes: Bytes(f.period_bytes),
                         dur: self.last.since(f.active_since),
                     },
                 );
             }
-            let auto_close = f.auto_close;
-            let links = std::mem::take(&mut f.links);
-            Self::deactivate_indexed(&mut self.active, &mut self.flows_on_link, id, &links);
-            if auto_close {
-                self.flows.remove(&id);
-            } else {
-                // lint:allow(panic): same entry the take() above came from.
-                self.flows.get_mut(&id).unwrap().links = links;
+            self.deactivate(slot);
+            if self.hot[slot].auto_close {
+                self.release(slot);
             }
-        }
-        if !emptied.is_empty() {
-            self.dirty = true;
         }
         self.scratch_emptied = emptied;
     }
@@ -449,76 +574,80 @@ impl<T> FlowNet<T> {
     /// set, driven by the per-link index and reusing scratch buffers.
     fn do_recompute(&mut self) {
         self.recomputes += 1;
-        let nl = self.links.len();
-        self.scratch_remaining.clear();
-        self.scratch_remaining
-            .extend(self.links.iter().map(|l| l.capacity));
-        self.scratch_unfrozen.clear();
-        self.scratch_unfrozen
-            .extend(self.flows_on_link.iter().map(|v| v.len() as u32));
+        self.next_memo = None;
+        let FlowNet {
+            links,
+            hot,
+            paths,
+            active,
+            flows_on_link,
+            scratch_remaining: remaining,
+            scratch_unfrozen: unfrozen,
+            scratch_live: live,
+            ..
+        } = self;
+        remaining.clear();
+        remaining.extend(links.iter().map(|l| l.capacity));
+        unfrozen.clear();
+        unfrozen.extend(flows_on_link.iter().map(|v| v.len() as u32));
+        // Only links that still carry an unfrozen flow can be a bottleneck;
+        // kept in ascending index order so ties break as a full scan would.
+        live.clear();
+        live.extend((0..links.len() as u32).filter(|&i| unfrozen[i as usize] > 0));
         // Sentinel: unfrozen active flows carry a negative rate until the
         // water-filling pass freezes them.
-        for i in 0..self.active.len() {
-            let id = self.active[i];
-            // lint:allow(panic): `active` ids mirror `flows` membership.
-            self.flows.get_mut(&id).expect("active flow exists").rate = -1.0;
+        for &slot in active.iter() {
+            hot[slot as usize].rate = -1.0;
         }
-        // Each iteration saturates at least one link, so <= nl iterations;
+        // Each iteration saturates at least one link, so <= links iterations;
         // each link's flow list is scanned at most once as a bottleneck.
         loop {
             // Find the bottleneck link: the smallest per-flow fair share.
             let mut best: Option<(usize, f64)> = None;
-            for i in 0..nl {
-                let n = self.scratch_unfrozen[i];
+            live.retain(|&i| {
+                let i = i as usize;
+                let n = unfrozen[i];
                 if n == 0 {
-                    continue;
+                    return false;
                 }
-                let share = self.scratch_remaining[i].max(0.0) / n as f64;
+                let share = remaining[i].max(0.0) / n as f64;
                 if best.is_none_or(|(_, s)| share < s) {
                     best = Some((i, share));
                 }
-            }
+                true
+            });
             let Some((bottleneck, share)) = best else {
                 break;
             };
             // Freeze every unfrozen flow crossing the bottleneck at `share`
             // (ascending flow id, like the pre-index implementation).
-            for idx in 0..self.flows_on_link[bottleneck].len() {
-                let id = self.flows_on_link[bottleneck][idx];
-                // lint:allow(panic): flows_on_link mirrors `flows` via activate/deactivate_indexed
-                let f = self.flows.get_mut(&id).expect("indexed flow exists");
-                if f.rate >= 0.0 {
+            for &slot in &flows_on_link[bottleneck] {
+                let h = &mut hot[slot as usize];
+                if h.rate >= 0.0 {
                     continue;
                 }
-                f.rate = share;
-                for l in &f.links {
+                h.rate = share;
+                for l in paths[slot as usize].links() {
                     let li = l.0 as usize;
-                    self.scratch_remaining[li] -= share;
-                    self.scratch_unfrozen[li] -= 1;
+                    remaining[li] -= share;
+                    unfrozen[li] -= 1;
                 }
             }
         }
     }
 
-    /// Instant of the next chunk completion, or `None` when idle. Scans only
-    /// active flows (idle persistent flows cost nothing).
-    pub fn next_event(&mut self) -> Option<SimTime> {
-        self.settle();
+    /// From-scratch scan for the next chunk completion. Scans only active
+    /// flows (idle persistent flows cost nothing).
+    fn scan_next(&self) -> Option<SimTime> {
         let mut best: Option<f64> = None;
-        for &id in &self.active {
-            let f = &self.flows[&id];
-            if f.rate <= 0.0 {
+        for &slot in &self.active {
+            let h = &self.hot[slot as usize];
+            if h.rate <= 0.0 {
                 continue;
             }
-            if let Some(head) = f.queue.front() {
-                let dt = if f.shared {
-                    (head.remaining - f.ps_drained).max(0.0) * f.queue.len() as f64 / f.rate
-                } else {
-                    head.remaining / f.rate
-                };
-                if best.is_none_or(|b| dt < b) {
-                    best = Some(dt);
-                }
+            let dt = h.head / h.rate;
+            if best.is_none_or(|b| dt < b) {
+                best = Some(dt);
             }
         }
         best.map(|dt| {
@@ -529,6 +658,19 @@ impl<T> FlowNet<T> {
                 SimTime::from_nanos(self.last.as_nanos() + ns.ceil() as u64)
             }
         })
+    }
+
+    /// Instant of the next chunk completion, or `None` when idle. Memoised:
+    /// asking again before anything the scan reads has changed is O(1).
+    pub fn next_event(&mut self) -> Option<SimTime> {
+        self.settle();
+        if let Some(at) = self.next_memo {
+            return at;
+        }
+        self.next_scans += 1;
+        let at = self.scan_next();
+        self.next_memo = Some(at);
+        at
     }
 
     /// Advance to `now` and take the deliveries that are due.
@@ -543,7 +685,7 @@ impl<T> FlowNet<T> {
     /// Current rate of a flow in bytes/sec (0 while idle). Test hook.
     pub fn flow_rate(&mut self, flow: FlowId) -> Option<f64> {
         self.settle();
-        self.flows.get(&flow.0).map(|f| f.rate)
+        self.slot(flow).map(|s| self.hot[s].rate)
     }
 
     /// Aggregate allocated rate crossing `link` right now, bytes/sec — the
@@ -554,32 +696,58 @@ impl<T> FlowNet<T> {
         self.settle();
         self.flows_on_link
             .get(link.0 as usize)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|id| self.flows.get(id))
-                    .map(|f| f.rate)
-                    .sum()
-            })
+            .map(|slots| slots.iter().map(|&s| self.hot[s as usize].rate).sum())
             .unwrap_or(0.0)
+    }
+
+    /// Heap bytes held right now: the slab, the chunk queues and the active
+    /// indexes, by capacity (for `SimWorld::heap_estimate_bytes`).
+    pub fn heap_bytes(&self) -> usize {
+        let slab = self.hot.capacity() * size_of::<Hot>()
+            + self.paths.capacity() * size_of::<Path>()
+            + self.cold.capacity() * size_of::<Cold<T>>();
+        let queues: usize = self
+            .cold
+            .iter()
+            .map(|f| f.queue.capacity() * size_of::<Chunk<T>>())
+            .sum();
+        let spilled_paths: usize = self
+            .paths
+            .iter()
+            .map(|p| match p {
+                Path::Inline { .. } => 0,
+                Path::Heap(links) => links.len() * size_of::<LinkId>(),
+            })
+            .sum();
+        let on_link: usize = self.flows_on_link.iter().map(Vec::capacity).sum();
+        let slots = self.free.capacity() + self.slot_of.capacity() + self.active.capacity();
+        slab + queues
+            + spilled_paths
+            + (on_link + slots) * size_of::<u32>()
+            + self.flows_on_link.capacity() * size_of::<Vec<u32>>()
+            + self.delivered.capacity() * size_of::<Delivered<T>>()
     }
 
     /// Differential audit: recompute the whole allocation by textbook
     /// progressive filling — no per-link index, no scratch reuse, no
     /// incremental state — and compare against the incremental solver's
     /// current rates. Max–min fair rates are unique, so any disagreement
-    /// beyond float noise is an engine bug. Returns a description of the
-    /// first mismatch (fuzz oracle 1; see DESIGN.md §4.13).
+    /// beyond float noise is an engine bug. Also rescans for the next
+    /// completion and compares it, bit for bit, with the memoised answer if
+    /// one is held. Returns a description of the first mismatch (fuzz oracle
+    /// 1; see DESIGN.md §4.13).
     pub fn audit_waterfill(&mut self) -> Result<(), String> {
         self.settle();
         let caps: Vec<f64> = self.links.iter().map(|l| l.capacity).collect();
         let mut remaining = caps.clone();
         let mut count = vec![0u32; caps.len()];
-        for &id in &self.active {
-            for l in &self.flows[&id].links {
+        for &slot in &self.active {
+            for l in self.paths[slot as usize].links() {
                 count[l.0 as usize] += 1;
             }
         }
-        let mut want: BTreeMap<u64, f64> = self.active.iter().map(|&id| (id, -1.0)).collect();
+        // Wanted rate per active flow, in `active` order.
+        let mut want = vec![-1.0f64; self.active.len()];
         loop {
             let mut best: Option<(usize, f64)> = None;
             for i in 0..caps.len() {
@@ -594,8 +762,8 @@ impl<T> FlowNet<T> {
             let Some((bottleneck, share)) = best else {
                 break;
             };
-            for (&id, rate) in want.iter_mut() {
-                let path = &self.flows[&id].links;
+            for (rate, &slot) in want.iter_mut().zip(&self.active) {
+                let path = self.paths[slot as usize].links();
                 if *rate >= 0.0 || !path.iter().any(|l| l.0 as usize == bottleneck) {
                     continue;
                 }
@@ -606,14 +774,25 @@ impl<T> FlowNet<T> {
                 }
             }
         }
-        for (&id, &w) in &want {
-            let got = self.flows[&id].rate;
+        for (&w, &slot) in want.iter().zip(&self.active) {
+            let got = self.hot[slot as usize].rate;
             if (got - w).abs() > 1e-9 * w.max(1.0) {
                 return Err(format!(
-                    "waterfill mismatch: flow {id} incremental rate {got} \
+                    "waterfill mismatch: flow {} incremental rate {got} \
                      vs from-scratch {w} ({} active flows, {} links)",
+                    self.cold[slot as usize].id,
                     self.active.len(),
                     caps.len()
+                ));
+            }
+        }
+        if let Some(memo) = self.next_memo {
+            let fresh = self.scan_next();
+            if memo != fresh {
+                return Err(format!(
+                    "next-completion memo is stale: holds {memo:?}, a fresh scan of \
+                     {} active flows gives {fresh:?}",
+                    self.active.len()
                 ));
             }
         }
@@ -771,6 +950,147 @@ mod tests {
         net.push_chunk(SimTime::ZERO, f, Bytes(50.0), 2);
         assert_eq!(net.flow_rate(f), Some(100.0));
         assert_eq!(net.recomputes, before, "no-op mutation must not recompute");
+    }
+
+    /// Ask, apply `op`, ask again: did the second `next_event` have to
+    /// rescan? Either way its answer must be what a fresh scan gives.
+    fn rescans(net: &mut FlowNet<u32>, op: impl FnOnce(&mut FlowNet<u32>)) -> bool {
+        net.next_event();
+        let before = net.next_scans;
+        op(net);
+        let got = net.next_event();
+        assert_eq!(got, net.scan_next(), "memoised answer differs from a scan");
+        net.next_scans > before
+    }
+
+    #[test]
+    fn same_instant_push_behind_active_fifo_flow_does_not_rescan() {
+        let mut net: FlowNet<u32> = FlowNet::new();
+        let l = net.add_link(100.0);
+        let f = net.open_flow(SimTime::ZERO, vec![l], false);
+        net.push_chunk(SimTime::ZERO, f, Bytes(50.0), 1);
+        let at = net.next_event();
+        assert!(!rescans(&mut net, |n| n.push_chunk(
+            SimTime::ZERO,
+            f,
+            Bytes(50.0),
+            2
+        )));
+        // Neither does asking twice, a zero-byte chunk, or opening a flow
+        // that carries nothing yet.
+        assert!(!rescans(&mut net, |_| ()));
+        assert!(!rescans(&mut net, |n| n.push_chunk(
+            SimTime::ZERO,
+            f,
+            Bytes(0.0),
+            3
+        )));
+        assert!(!rescans(&mut net, |n| {
+            n.open_flow(SimTime::ZERO, vec![l], true);
+        }));
+        assert_eq!(net.next_event(), at);
+    }
+
+    #[test]
+    fn memo_is_dropped_by_every_change_the_scan_reads() {
+        let mut net: FlowNet<u32> = FlowNet::new();
+        let l = net.add_link(100.0);
+        let fifo = net.open_flow(SimTime::ZERO, vec![l], false);
+        let shared = net.open_shared_flow(SimTime::ZERO, vec![l], false);
+        // Activations.
+        assert!(rescans(&mut net, |n| n.push_chunk(
+            SimTime::ZERO,
+            fifo,
+            Bytes(80.0),
+            1
+        )));
+        assert!(rescans(&mut net, |n| n.push_chunk(
+            SimTime::ZERO,
+            shared,
+            Bytes(40.0),
+            2
+        )));
+        // A member joining a shared flow moves its head's completion.
+        assert!(rescans(&mut net, |n| n.push_chunk(
+            SimTime::ZERO,
+            shared,
+            Bytes(40.0),
+            3
+        )));
+        assert!(rescans(&mut net, |n| n.set_link_capacity(
+            SimTime::ZERO,
+            l,
+            50.0
+        )));
+        // Time passing: heads shrink and the clock the answer is relative to
+        // moves, even when nothing completes.
+        assert!(rescans(&mut net, |n| {
+            assert!(n.poll(SimTime::from_secs_f64(0.1)).is_empty());
+        }));
+        assert!(rescans(&mut net, |n| {
+            n.close_flow(SimTime::from_secs_f64(0.1), shared);
+        }));
+        // Closing an idle flow changes nothing the scan reads.
+        let idle = net.open_flow(SimTime::from_secs_f64(0.1), vec![l], false);
+        assert!(!rescans(&mut net, |n| {
+            n.close_flow(SimTime::from_secs_f64(0.1), idle);
+        }));
+    }
+
+    #[test]
+    fn slot_reuse_never_aliases_flow_ids() {
+        use memres_trace::{TraceConfig, TraceEvent};
+        let sink = memres_trace::shared(TraceConfig::full());
+        let mut net: FlowNet<u32> = FlowNet::new();
+        net.set_tracer(sink.clone());
+        let l = net.add_link(100.0);
+        let a = net.open_flow(SimTime::ZERO, vec![l], true);
+        net.push_chunk(SimTime::ZERO, a, Bytes(100.0), 1);
+        let t1 = SimTime::from_secs_f64(1.0);
+        assert_eq!(net.poll(t1), vec![Delivered { flow: a, tag: 1 }]);
+        // `a` auto-closed; `b` takes over its slot under a fresh id.
+        let b = net.open_flow(t1, vec![l], true);
+        assert_eq!((a, b), (FlowId(0), FlowId(1)));
+        assert_eq!(net.hot.len(), 1, "the freed slot is reused");
+        assert_eq!(net.flow_rate(a), None);
+        assert!(net.close_flow(t1, a).is_empty());
+        net.push_chunk(t1, b, Bytes(100.0), 2);
+        assert_eq!(net.flow_rate(b), Some(100.0), "closing `a` again hit `b`");
+        let t2 = SimTime::from_secs_f64(2.0);
+        assert_eq!(net.poll(t2), vec![Delivered { flow: b, tag: 2 }]);
+        assert!(net.close_flow(t2, b).is_empty());
+        assert!(net.close_flow(t2, FlowId(7)).is_empty(), "never opened");
+        let flows: Vec<(bool, u64)> = sink
+            .borrow()
+            .events()
+            .iter()
+            .map(|e| match e.ev {
+                TraceEvent::FlowStart { flow } => (true, flow),
+                TraceEvent::FlowEnd { flow, .. } => (false, flow),
+                ref other => panic!("unexpected trace event {other:?}"),
+            })
+            .collect();
+        assert_eq!(flows, vec![(true, 0), (false, 0), (true, 1), (false, 1)]);
+    }
+
+    #[test]
+    fn long_paths_spill_out_of_the_slot() {
+        // The slot sizes DESIGN.md §4.3 states (the slab must not outgrow
+        // the map it replaced: `peak_heap_mb` is a bounded metric).
+        assert_eq!((size_of::<Hot>(), size_of::<Path>()), (24, 32));
+        assert_eq!(size_of::<Cold<u32>>(), 64);
+        // Seven links: one more than a slot holds inline.
+        let mut net: FlowNet<u32> = FlowNet::new();
+        let links: Vec<LinkId> = (1..=7).map(|i| net.add_link(i as f64 * 10.0)).collect();
+        let inline_only = net.heap_bytes();
+        let f = net.open_flow(SimTime::ZERO, links.clone(), true);
+        net.push_chunk(SimTime::ZERO, f, Bytes(10.0), 1);
+        assert_eq!(net.flow_rate(f), Some(10.0));
+        for &l in &links {
+            assert_eq!(net.link_rate(l), 10.0);
+        }
+        assert!(net.heap_bytes() >= inline_only + 7 * size_of::<LinkId>());
+        assert_eq!(drain(&mut net).len(), 1);
     }
 
     #[test]
@@ -950,12 +1270,18 @@ mod proptests {
         let (kind, a, b, bytes, dt) = op;
         let now = SimTime::from_secs_f64(*now_secs);
         match kind % 4 {
-            // Arrival: open an auto-close flow over 1-2 links, queue a chunk.
+            // Arrival: open an auto-close flow over 1-2 links (every other
+            // one processor-shared), queue a chunk.
             0 => {
                 let mut path = vec![a.index(links.len()), b.index(links.len())];
                 path.sort_unstable();
                 path.dedup();
-                let f = net.open_flow(now, path.iter().map(|&i| links[i]).collect(), true);
+                let on: Vec<LinkId> = path.iter().map(|&i| links[i]).collect();
+                let f = if kind / 4 == 0 {
+                    net.open_flow(now, on, true)
+                } else {
+                    net.open_shared_flow(now, on, true)
+                };
                 net.push_chunk(now, f, Bytes(*bytes), f.0 as u32);
                 shadow.push((f, path, 1));
             }
@@ -1000,14 +1326,17 @@ mod proptests {
     }
 
     proptest! {
-        /// After EVERY event in a random arrival/departure/advance/capacity
-        /// sequence, the incremental recompute's rates equal an independent
-        /// from-scratch water-filling to within 1e-9.
+        /// After EVERY event in a random arrival/extra-chunk/departure/
+        /// advance/capacity sequence over FIFO and shared flows, the
+        /// incremental recompute's rates equal an independent from-scratch
+        /// water-filling to within 1e-9, and `next_event` — asked after
+        /// every event, so it answers from the memo whenever the event left
+        /// one standing — equals a from-scratch scan bit for bit.
         #[test]
         fn incremental_recompute_matches_scratch_waterfill(
             caps0 in proptest::collection::vec(1.0f64..100.0, 1..5),
             ops in proptest::collection::vec(
-                (0u8..4, any::<proptest::sample::Index>(), any::<proptest::sample::Index>(),
+                (0u8..8, any::<proptest::sample::Index>(), any::<proptest::sample::Index>(),
                  1.0f64..100.0, 0.001f64..0.05),
                 1..30,
             ),
@@ -1019,6 +1348,8 @@ mod proptests {
             let mut now = 0.0f64;
             for op in &ops {
                 apply_op(&mut net, &mut caps, &mut shadow, &links, op, &mut now);
+                let memoised = net.next_event();
+                prop_assert_eq!(memoised, net.scan_next(), "stale next-completion memo");
                 let paths: Vec<Vec<usize>> = shadow.iter().map(|(_, p, _)| p.clone()).collect();
                 let want = scratch_waterfill(&caps, &paths);
                 for ((f, _, _), w) in shadow.iter().zip(want.iter()) {
@@ -1037,7 +1368,7 @@ mod proptests {
         fn link_rates_never_exceed_capacity(
             caps0 in proptest::collection::vec(1.0f64..100.0, 1..5),
             ops in proptest::collection::vec(
-                (0u8..4, any::<proptest::sample::Index>(), any::<proptest::sample::Index>(),
+                (0u8..8, any::<proptest::sample::Index>(), any::<proptest::sample::Index>(),
                  1.0f64..100.0, 0.001f64..0.05),
                 1..30,
             ),
