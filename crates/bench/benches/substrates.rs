@@ -18,8 +18,7 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// 1e6-event push/pop through both queue implementations: the calendar
-/// (default) against the legacy binary heap it replaced. Pushes use a
+/// 1e6-event push/pop through the calendar queue. Pushes use a
 /// pseudo-random spread over a wide horizon, the access pattern the
 /// calendar's bucket sizing has to absorb.
 fn bench_event_queue_1m(c: &mut Criterion) {
@@ -27,15 +26,6 @@ fn bench_event_queue_1m(c: &mut Criterion) {
     c.bench_function("calendar_push_pop_1m", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
-            for i in 0..N {
-                q.push(SimTime(i.wrapping_mul(6364136223846793005) % (N * 64)), i);
-            }
-            while q.pop().is_some() {}
-        })
-    });
-    c.bench_function("heap_push_pop_1m", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::heap();
             for i in 0..N {
                 q.push(SimTime(i.wrapping_mul(6364136223846793005) % (N * 64)), i);
             }
@@ -95,7 +85,6 @@ fn bench_flownet(c: &mut Criterion) {
             let mut flows = vec![None; NODES * NODES];
             for reducer in 0..16 * NODES {
                 let dst = reducer % NODES;
-                net.start_batch();
                 for src in 0..NODES {
                     let f = *flows[src * NODES + dst].get_or_insert_with(|| {
                         let path = vec![store[src], up[src], down[dst]];

@@ -18,9 +18,10 @@
 //! typo can't burn hours of experiments first.
 //!
 //! `bench` times the simulator itself (host wall-clock) on the mid-size
-//! Fig 7a/8a cells and, with `--json DIR`, writes `DIR/bench.json` — the
-//! machine-readable before/after record used by performance PRs. It runs
-//! at paper scale (100 nodes) by default; pass `--smoke` for a quick CI run.
+//! Fig 7a/8a cells and, with `--json DIR`, writes `DIR/bench.json`. It is a
+//! single-shot quick look — the repeated, bounded performance record is
+//! `benchmark/`. It runs at paper scale (100 nodes) by default; pass
+//! `--smoke` for a quick CI run.
 //!
 //! `trace <cell>` re-runs one bench cell with full event tracing and, with
 //! `--json DIR`, writes `DIR/<cell>.trace.json` (Chrome trace-event form,
@@ -35,10 +36,9 @@
 //! byte-deterministic. `--slow-ssd F` injects an SSD degradation (speed
 //! factor F) one simulated second in — the known-regression fixture.
 //!
-//! `diff <a> <b> [--threshold X]` joins two runs into a ranked regression
-//! report: either two `report` output directories (time-series join +
-//! critical-path attribution of what moved) or two `BENCH_*.json` baseline
-//! files (per-record `sim_job_s`). Exit 1 when run B regressed past the
+//! `diff <a> <b> [--threshold X]` joins two `report` output directories
+//! into a ranked regression report (time-series join + critical-path
+//! attribution of what moved). Exit 1 when run B regressed past the
 //! threshold (default 5%).
 //!
 //! `fuzz` is the differential fuzzer (DESIGN.md §4.13):
@@ -94,7 +94,7 @@ fn usage() -> String {
          targets: {} fig14a fig14b faults-abort bench scale all\n\
          \u{20}        trace <cell> | explain <cell> | report <cell> [--slow-ssd F],\n\
          \u{20}        cell one of: {}\n\
-         \u{20}      repro diff <a> <b> [--threshold X]   (two report dirs or two BENCH_*.json)\n\
+         \u{20}      repro diff <a> <b> [--threshold X]   (two `repro report --json` dirs)\n\
          \u{20}      repro fuzz --seed-range A..B [--budget N] [--json DIR] [--inject-defect]\n\
          \u{20}      repro fuzz --replay '<spec>'",
         ALL_TARGETS.join(" "),
@@ -205,9 +205,8 @@ fn fuzz_main(args: &[String]) -> i32 {
 }
 
 /// `repro diff <a> <b> [--threshold X]` — regression diff of two runs.
-/// `<a>`/`<b>` are either two `repro report --json` output directories or
-/// two benchmark baseline JSON files (`.json` suffix on both). Returns the
-/// process exit code: 1 when run B regressed past the threshold.
+/// `<a>`/`<b>` are two `repro report --json` output directories. Returns
+/// the process exit code: 1 when run B regressed past the threshold.
 fn diff_main(args: &[String]) -> i32 {
     let mut paths: Vec<String> = Vec::new();
     let mut threshold = 0.05f64;
@@ -224,10 +223,13 @@ fn diff_main(args: &[String]) -> i32 {
         }
         i += 1;
     }
-    let [a, b] = paths.as_slice() else {
-        eprintln!("error: diff takes exactly two runs (report dirs or BENCH_*.json files)");
-        eprintln!("{}", usage());
-        return 2;
+    let (a, b) = match paths.as_slice() {
+        [a, b] if !(a.ends_with(".json") && b.ends_with(".json")) => (a, b),
+        _ => {
+            eprintln!("error: diff takes exactly two report directories (not JSON files)");
+            eprintln!("{}", usage());
+            return 2;
+        }
     };
     if !(0.0..=10.0).contains(&threshold) {
         usage_error("--threshold", "a float in [0, 10]");
@@ -240,18 +242,8 @@ fn diff_main(args: &[String]) -> i32 {
         })
     };
 
-    if a.ends_with(".json") && b.ends_with(".json") {
-        let d = report::diff_bench_json(a, &read(a), b, &read(b), threshold);
-        if d.rows.is_empty() {
-            eprintln!("error: no shared sim_job_s records between {a} and {b}");
-            return 2;
-        }
-        print!("{}", d.render());
-        return i32::from(d.regressed());
-    }
-
-    // Report-directory mode: every `<cell>.timeseries.csv` present in A is
-    // diffed against the same cell in B (sorted, so output order is stable).
+    // Every `<cell>.timeseries.csv` present in A is diffed against the same
+    // cell in B (sorted, so output order is stable).
     let mut cells: Vec<String> = match std::fs::read_dir(a) {
         Ok(entries) => entries
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
@@ -305,7 +297,6 @@ fn main() {
     }
     let mut setup = ex::Setup::paper();
     let mut smoke = false;
-    let mut baseline = false;
     let mut json_dir: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     // `(subcommand, cell)` pairs for `trace`/`explain`/`report <cell>`.
@@ -329,7 +320,6 @@ fn main() {
                 setup = ex::Setup::smoke();
                 smoke = true;
             }
-            "--baseline" => baseline = true,
             "--slow-ssd" => {
                 i += 1;
                 let f: f64 = operand(&args, i, "--slow-ssd", "a speed factor in (0, 1]")
@@ -422,41 +412,28 @@ fn main() {
             "faults" => job_aborted |= emit(&ex::faults(setup), &json_dir),
             "faults-abort" => job_aborted |= emit(&ex::faults_abort(setup), &json_dir),
             "scale" => {
-                // `--smoke` runs only the CI-sized cell; `--baseline` turns
-                // the scale optimizations off (where feasible) for the
-                // before/after record in BENCH_6.json.
+                // `--smoke` runs only the CI-sized cell.
                 let mut records = Vec::new();
                 for c in scale::selected(smoke) {
-                    if baseline && !scale::baseline_feasible(c.name) {
-                        eprintln!(
-                            "skipping {} baseline: per-node flows at {} nodes are \
-                             infeasible (see DESIGN.md, rack aggregation)",
-                            c.name, c.workers
-                        );
-                        continue;
-                    }
-                    let t0 = std::time::Instant::now();
-                    let r = scale::run(c, setup.seed, baseline);
-                    eprintln!("[{} took {:.1}s]", c.name, t0.elapsed().as_secs_f64());
+                    let r = scale::run(c, setup.seed);
+                    eprintln!("[{} took {:.1}s]", c.name, r.wall_s);
                     records.push(r);
                 }
-                println!("{}", scale::table(&records, baseline).render());
+                println!("{}", scale::table(&records).render());
                 if let Some(dir) = &json_dir {
                     std::fs::create_dir_all(dir).expect("create json dir");
-                    let suffix = if baseline { "scale_baseline" } else { "scale" };
-                    let path = format!("{dir}/{suffix}.json");
+                    let path = format!("{dir}/scale.json");
                     let mut f = std::fs::File::create(&path).expect("create json file");
-                    let _ = writeln!(f, "{}", scale::to_json(setup.seed, baseline, &records));
+                    let _ = writeln!(f, "{}", scale::to_json(setup.seed, &records));
                     eprintln!("wrote {path}");
                 }
             }
             "bench" => {
-                let records = perf::suite_baseline(setup, baseline);
+                let records = perf::suite(setup);
                 println!("{}", perf::table(&records).render());
                 if let Some(dir) = &json_dir {
                     std::fs::create_dir_all(dir).expect("create json dir");
-                    let suffix = if baseline { "bench_baseline" } else { "bench" };
-                    let path = format!("{dir}/{suffix}.json");
+                    let path = format!("{dir}/bench.json");
                     let mut f = std::fs::File::create(&path).expect("create json file");
                     let _ = writeln!(f, "{}", perf::to_json(setup, &records));
                     eprintln!("wrote {path}");

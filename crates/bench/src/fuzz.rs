@@ -2,8 +2,8 @@
 //! oracles (DESIGN.md §4.13).
 //!
 //! A [`FuzzSpec`] is a compact, text-encodable point in the engine's config
-//! space: cluster topology, workload shape, store/scheduler/queue choices,
-//! fault plan and executor threading. [`FuzzSpec::generate`] derives one
+//! space: cluster topology, workload shape, store/scheduler choices, fault
+//! plan and executor threading. [`FuzzSpec::generate`] derives one
 //! deterministically from a seed; [`check`] runs it and holds the engine to
 //! six cheap independently-implemented oracles:
 //!
@@ -19,7 +19,7 @@
 //! 4. **fault-equiv** — a faulted run that completes produces output equal
 //!    to the fault-free run (lineage recovery is lossless).
 //! 5. **export-determinism** — `job_json`/`tasks_csv` are byte-identical
-//!    across 1-vs-N executor threads and calendar-vs-legacy event queue.
+//!    across 1-vs-N executor threads.
 //! 6. **stream-isolation / stream-conserve** — a two-tenant job stream
 //!    derived from the same spec (DESIGN.md §4.14) retires every arrival,
 //!    each job's output equals its isolated single-job run (concurrent
@@ -100,7 +100,6 @@ pub struct FuzzSpec {
     pub sched: SchedKind,
     /// `rack_agg_threshold` (`u32::MAX` encodes as `off`).
     pub agg: u32,
-    pub legacy: bool,
     pub threads: u32,
     pub trace: bool,
     pub elb: bool,
@@ -168,8 +167,12 @@ impl FuzzSpec {
                 SchedKind::Fifo
             },
             agg,
-            legacy: next() % 2 == 0,
-            threads: 1 + (next() % 3) as u32,
+            threads: {
+                // One draw discarded: it fed the retired `legacy` queue axis,
+                // and skipping it would shift every later field of every seed.
+                next();
+                1 + (next() % 3) as u32
+            },
             trace: next() % 2 == 0,
             elb: next() % 4 == 0,
             cad: next() % 4 == 0,
@@ -232,7 +235,6 @@ impl FuzzSpec {
             },
             task_jitter: self.jitter_pct as f64 / 100.0,
             seed: self.seed,
-            legacy_event_queue: self.legacy,
             rack_agg_threshold: self.agg,
             ..EngineConfig::default()
         }
@@ -342,7 +344,7 @@ impl FuzzSpec {
         let _ = write!(
             s,
             "{SPEC_VERSION} seed={} workers={} racks={} cores={} store={} input={} \
-             sched={} agg={} legacy={} threads={} trace={} elb={} cad={} jitter={} \
+             sched={} agg={} threads={} trace={} elb={} cad={} jitter={} \
              wl={} rows={} keys={} parts={} reducers={} faults={} defect={}",
             self.seed,
             self.workers,
@@ -367,7 +369,6 @@ impl FuzzSpec {
             } else {
                 self.agg.to_string()
             },
-            self.legacy as u8,
             self.threads,
             self.trace as u8,
             self.elb as u8,
@@ -450,7 +451,6 @@ impl FuzzSpec {
                         intval()? as u32
                     }
                 }
-                "legacy" => spec.legacy = boolval()?,
                 "threads" => spec.threads = intval()? as u32,
                 "trace" => spec.trace = boolval()?,
                 "elb" => spec.elb = boolval()?,
@@ -474,10 +474,10 @@ impl FuzzSpec {
             }
             seen.push(key);
         }
-        const REQUIRED: [&str; 21] = [
-            "seed", "workers", "racks", "cores", "store", "input", "sched", "agg", "legacy",
-            "threads", "trace", "elb", "cad", "jitter", "wl", "rows", "keys", "parts", "reducers",
-            "faults", "defect",
+        const REQUIRED: [&str; 20] = [
+            "seed", "workers", "racks", "cores", "store", "input", "sched", "agg", "threads",
+            "trace", "elb", "cad", "jitter", "wl", "rows", "keys", "parts", "reducers", "faults",
+            "defect",
         ];
         for r in REQUIRED {
             if !seen.contains(&r) {
@@ -621,20 +621,10 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
         }
     }
 
-    // Oracle 5: exports are byte-identical across executor-thread counts
-    // and across the two event-queue implementations.
+    // Oracle 5: exports are byte-identical across executor-thread counts.
     let base_json = export::job_json(&clean_m);
     let base_csv = export::tasks_csv(&clean_m);
-    let mut variants: Vec<(&'static str, FuzzSpec)> = Vec::new();
-    let mut flipped_queue = spec.clone();
-    flipped_queue.legacy = !spec.legacy;
-    variants.push(("calendar-vs-legacy queue", flipped_queue));
-    if spec.threads != 1 {
-        let mut one_thread = spec.clone();
-        one_thread.threads = 1;
-        variants.push(("1-vs-N executor threads", one_thread));
-    }
-    for (what, v) in variants {
+    for (what, v) in export_variants(spec) {
         let (_, m, _) = run_spec(&v, budget, None)
             .map_err(|e| Failure::new("export-determinism", format!("{what}: {e}")))?;
         if export::job_json(&m) != base_json || export::tasks_csv(&m) != base_csv {
@@ -702,6 +692,15 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
     Ok(())
 }
 
+/// Oracle 5's re-runs of `spec`, each of which must reproduce the clean
+/// run's exports byte for byte. Never empty, or the oracle is vacuous: the
+/// executor-thread count always has another side to flip to (1 → 4, N → 1).
+fn export_variants(spec: &FuzzSpec) -> Vec<(&'static str, FuzzSpec)> {
+    let mut flipped = spec.clone();
+    flipped.threads = if spec.threads == 1 { 4 } else { 1 };
+    vec![("1-vs-N executor threads", flipped)]
+}
+
 /// Shrink candidates, most-impactful first. Each is one simplification of
 /// `spec`; the minimizer keeps a candidate only when the same oracle still
 /// fails on it.
@@ -726,7 +725,6 @@ fn shrink_candidates(spec: &FuzzSpec) -> Vec<FuzzSpec> {
     push(&|s| s.racks = (s.racks / 2).max(1));
     push(&|s| s.jitter_pct = 0);
     push(&|s| s.trace = false);
-    push(&|s| s.legacy = false);
     push(&|s| s.elb = false);
     push(&|s| s.cad = false);
     push(&|s| s.sched = SchedKind::Fifo);
@@ -815,7 +813,7 @@ pub fn run_range(
 
 /// Machine-readable summary (written as `fuzz.json` by `repro fuzz --json`).
 pub fn to_json(outcomes: &[Outcome], budget: u64) -> String {
-    use crate::json::escape;
+    use memres_des::json::escape;
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"budget\": {budget},");
     let _ = writeln!(out, "  \"seeds\": {},", outcomes.len());
@@ -873,12 +871,47 @@ mod tests {
     }
 
     #[test]
+    fn seeds_generate_the_same_points_as_before_the_legacy_axis_was_retired() {
+        // The replay lines `FuzzSpec::generate` produced for these seeds
+        // when the spec still carried a `legacy=` token, with that token
+        // removed: every other field of every seed must be unchanged.
+        for (seed, line) in [
+            (0, "v1 seed=0 workers=8 racks=1 cores=3 store=lustre-shared input=hdfs sched=fifo agg=4096 threads=3 trace=1 elb=1 cad=0 jitter=18 wl=grep rows=1387 keys=26 parts=12 reducers=5 faults=2 defect=0"),
+            (7, "v1 seed=7 workers=9 racks=2 cores=2 store=ram input=hdfs sched=fifo agg=16 threads=3 trace=0 elb=0 cad=0 jitter=22 wl=grep rows=314 keys=5 parts=4 reducers=5 faults=1 defect=0"),
+            (42, "v1 seed=42 workers=18 racks=2 cores=2 store=ssd input=lustre sched=fifo agg=off threads=3 trace=1 elb=0 cad=0 jitter=27 wl=grep rows=323 keys=35 parts=8 reducers=2 faults=0 defect=0"),
+        ] {
+            assert_eq!(FuzzSpec::generate(seed).encode(), line);
+        }
+        // The retired key is rejected like any unknown key.
+        let with_legacy = FuzzSpec::generate(0)
+            .encode()
+            .replace(" threads=", " legacy=0 threads=");
+        assert!(FuzzSpec::parse(&with_legacy).is_err());
+    }
+
+    #[test]
+    fn export_determinism_always_has_a_variant_to_compare() {
+        for threads in 1..=4 {
+            let mut spec = FuzzSpec::generate(3);
+            spec.threads = threads;
+            let variants = export_variants(&spec);
+            assert!(
+                !variants.is_empty(),
+                "oracle 5 vacuous at threads={threads}"
+            );
+            for (_, v) in variants {
+                assert_ne!(v.threads, threads);
+                assert_eq!(v.threads == 1, threads != 1, "1 -> N, N -> 1");
+                v.validate().expect("variant stays valid");
+            }
+        }
+    }
+
+    #[test]
     fn generated_specs_cover_the_config_space() {
         let specs: Vec<FuzzSpec> = (0..64).map(FuzzSpec::generate).collect();
         assert!(specs.iter().any(|s| s.agg == u32::MAX));
         assert!(specs.iter().any(|s| s.agg == 0));
-        assert!(specs.iter().any(|s| s.legacy));
-        assert!(specs.iter().any(|s| !s.legacy));
         assert!(specs.iter().any(|s| s.faults > 0));
         assert!(specs.iter().any(|s| s.wl == WorkloadKind::GroupBy));
         assert!(specs.iter().any(|s| s.wl == WorkloadKind::Grep));

@@ -9,7 +9,6 @@
 
 pub mod experiments;
 pub mod fuzz;
-pub mod json;
 pub mod perf;
 pub mod report;
 pub mod scale;
@@ -96,7 +95,7 @@ impl Table {
 
     /// Machine-readable dump for EXPERIMENTS.md tooling (pretty JSON).
     pub fn to_json(&self) -> String {
-        use crate::json::{escape, num};
+        use memres_des::json::{escape, num};
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"id\": \"{}\",", escape(self.id));
         let _ = writeln!(out, "  \"title\": \"{}\",", escape(&self.title));

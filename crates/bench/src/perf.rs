@@ -3,14 +3,14 @@
 //! Times the *simulator itself* (host wall-clock, not simulated seconds) on
 //! the mid-size Fig 7a / Fig 8a GroupBy cells, the repository's hottest
 //! end-to-end paths: tens of thousands of shuffle flows through the max–min
-//! fair network plus the real-partition executor. The JSON output is the
-//! baseline/after evidence for performance PRs (see EXPERIMENTS.md
+//! fair network plus the real-partition executor. A smoke-able quick look:
+//! the repository's performance record is `benchmark/` (see EXPERIMENTS.md
 //! "Performance").
 
 use crate::experiments::Setup;
-use crate::json::{escape, num};
 use crate::Table;
 use memres_core::prelude::*;
+use memres_des::json::{escape, num};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -82,7 +82,7 @@ pub fn cell(
     ))
 }
 
-fn time_run(
+pub(crate) fn time_run(
     name: &'static str,
     spec: memres_cluster::ClusterSpec,
     cfg: EngineConfig,
@@ -103,32 +103,21 @@ fn time_run(
 /// The mid-size Fig 7a / Fig 8a cells (400 GB and 600 GB paper-scale,
 /// shrunk by `setup.scale` like every other experiment).
 pub fn suite(setup: Setup) -> Vec<PerfRecord> {
-    suite_baseline(setup, false)
-}
-
-/// Same cells with `baseline = true` re-running on the legacy binary-heap
-/// event queue with rack aggregation disabled — the before/after record in
-/// BENCH_6.json. (At 100 nodes the aggregation threshold is never crossed,
-/// so the paper cells isolate the queue swap.)
-pub fn suite_baseline(setup: Setup, baseline: bool) -> Vec<PerfRecord> {
     CELL_NAMES
         .iter()
         .map(|name| {
-            let (spec, mut cfg, gb) = cell(setup, name).expect("suite cell must resolve");
-            if baseline {
-                cfg = cfg
-                    .with_legacy_event_queue()
-                    .with_rack_agg_threshold(u32::MAX);
-            }
+            let (spec, cfg, gb) = cell(setup, name).expect("suite cell must resolve");
             time_run(name, spec, cfg, &gb)
         })
         .collect()
 }
 
-pub fn table(records: &[PerfRecord]) -> Table {
+/// A `wall_s / sim_job_s / events / events_per_s / heap_mb` table with one
+/// row per record (shared by `repro bench` and `repro scale`).
+pub(crate) fn records_table(id: &'static str, title: &str, records: &[PerfRecord]) -> Table {
     let mut t = Table::new(
-        "bench",
-        "engine wall-clock (host seconds) on mid-size Fig 7a/8a cells",
+        id,
+        title,
         &["wall_s", "sim_job_s", "events", "events_per_s", "heap_mb"],
     );
     for r in records {
@@ -143,6 +132,15 @@ pub fn table(records: &[PerfRecord]) -> Table {
             ],
         );
     }
+    t
+}
+
+pub fn table(records: &[PerfRecord]) -> Table {
+    let mut t = records_table(
+        "bench",
+        "engine wall-clock (host seconds) on mid-size Fig 7a/8a cells",
+        records,
+    );
     let total: f64 = records.iter().map(|r| r.wall_s).sum();
     t.note(format!("total wall-clock {total:.3}s"));
     t
@@ -155,6 +153,13 @@ pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
     let _ = writeln!(out, "  \"target\": \"bench\",");
     let _ = writeln!(out, "  \"scale\": {},", num(setup.scale));
     let _ = writeln!(out, "  \"seed\": {},", setup.seed);
+    write_runs(&mut out, records);
+    out
+}
+
+/// The `"runs": [...]` array and `"total_wall_s"` tail of a perf-record
+/// JSON document, closing the object `out` opened.
+pub(crate) fn write_runs(out: &mut String, records: &[PerfRecord]) {
     out.push_str("  \"runs\": [");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
@@ -177,7 +182,6 @@ pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
     out.push_str("],\n");
     let total: f64 = records.iter().map(|r| r.wall_s).sum();
     let _ = write!(out, "  \"total_wall_s\": {}\n}}", num(total));
-    out
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! with the time-series metrics plane on, and export the sampled telemetry
 //! as OpenMetrics text, a long-format `timeseries.csv`, a self-contained
 //! HTML dashboard, and a `bucket,seconds` attribution CSV; then join two
-//! such exports (or two BENCH_*.json baseline files) into a ranked
-//! regression report with per-layer attribution (DESIGN.md §4.16).
+//! such exports into a ranked regression report with per-layer attribution
+//! (DESIGN.md §4.16).
 //!
 //! All report bytes are built here as strings; writing them to disk is the
 //! `repro` binary's job — the workspace's designated I/O seam.
@@ -93,158 +93,6 @@ pub fn diff_reports(
     diff::diff_runs(name_a, ts_a, attrib_a, name_b, ts_b, attrib_b, threshold)
 }
 
-/// Extract `(path, sim_job_s)` rows from a `BENCH_*.json` / `bench.json`
-/// baseline file. The path is the brace/bracket key stack joined with `/`
-/// plus the record's `"name"` field (e.g. `paper_cells/after/fig8a_600gb_ssd`),
-/// so the same cell appearing under `before` and `after` stays distinct.
-/// Hand-rolled line scanner over our own pretty-printed emitter's output —
-/// unknown lines are skipped, never a parse error.
-pub fn parse_bench_sim_times(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut stack: Vec<String> = Vec::new();
-    let mut pending_name: Option<String> = None;
-    for line in json.lines() {
-        let t = line.trim().trim_end_matches(',');
-        // Closers first: `}` / `]` (possibly `},`) pop the key stack.
-        if t == "}" || t == "]" {
-            stack.pop();
-            continue;
-        }
-        let Some((key, val)) = t.split_once(':') else {
-            // `{` / `[` openers without a key (top level, array elements).
-            if t == "{" || t == "[" {
-                stack.push(String::new());
-            }
-            continue;
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        let val = val.trim();
-        if val == "{" || val == "[" {
-            stack.push(key);
-            pending_name = None;
-        } else if key == "name" {
-            pending_name = Some(val.trim_matches('"').to_string());
-        } else if key == "sim_job_s" {
-            if let (Some(name), Ok(v)) = (&pending_name, val.parse::<f64>()) {
-                let path: Vec<&str> = stack
-                    .iter()
-                    .filter(|s| !s.is_empty())
-                    .map(String::as_str)
-                    .collect();
-                out.push((format!("{}/{}", path.join("/"), name), v));
-            }
-        }
-    }
-    out
-}
-
-/// Regression diff between two benchmark baseline JSON files, keyed on the
-/// deterministic `sim_job_s` of every named record present in both.
-pub struct BenchDiff {
-    pub name_a: String,
-    pub name_b: String,
-    pub threshold: f64,
-    /// `(path, sim_a, sim_b)` for records present in both files, ranked by
-    /// relative slowdown, worst first.
-    pub rows: Vec<(String, f64, f64)>,
-    /// Record paths present in only one of the two files (informational).
-    pub only_a: Vec<String>,
-    pub only_b: Vec<String>,
-}
-
-impl BenchDiff {
-    /// Relative change of one row's simulated job time.
-    fn rel(a: f64, b: f64) -> f64 {
-        (b - a) / f64::max(a.abs(), 1e-12)
-    }
-
-    /// Did any shared record slow down past the threshold?
-    pub fn regressed(&self) -> bool {
-        self.rows
-            .iter()
-            .any(|&(_, a, b)| a > 0.0 && b > a * (1.0 + self.threshold))
-    }
-
-    /// Human-readable ranked report (same shape as `DiffReport::render`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "bench diff: {} -> {}", self.name_a, self.name_b);
-        let _ = writeln!(
-            out,
-            "sim_job_s per record (threshold {:.2}%):",
-            self.threshold * 100.0
-        );
-        for (path, a, b) in &self.rows {
-            let mark = if *a > 0.0 && *b > *a * (1.0 + self.threshold) {
-                "  REGRESSED"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "  {:<44} {:>12.6} -> {:>12.6}  ({:+.2}%){mark}",
-                path,
-                a,
-                b,
-                Self::rel(*a, *b) * 100.0
-            );
-        }
-        for p in &self.only_a {
-            let _ = writeln!(out, "  {p:<44} only in {}", self.name_a);
-        }
-        for p in &self.only_b {
-            let _ = writeln!(out, "  {p:<44} only in {}", self.name_b);
-        }
-        let _ = writeln!(
-            out,
-            "verdict: {}",
-            if self.regressed() { "REGRESSED" } else { "ok" }
-        );
-        out
-    }
-}
-
-/// Diff two benchmark baseline JSON files (`BENCH_*.json` / `bench.json`).
-pub fn diff_bench_json(
-    name_a: &str,
-    json_a: &str,
-    name_b: &str,
-    json_b: &str,
-    threshold: f64,
-) -> BenchDiff {
-    let a = parse_bench_sim_times(json_a);
-    let b = parse_bench_sim_times(json_b);
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
-    let mut only_a = Vec::new();
-    for (path, va) in &a {
-        match b.iter().find(|(p, _)| p == path) {
-            Some(&(_, vb)) => rows.push((path.clone(), *va, vb)),
-            None => only_a.push(path.clone()),
-        }
-    }
-    let only_b: Vec<String> = b
-        .iter()
-        .filter(|(p, _)| !a.iter().any(|(q, _)| q == p))
-        .map(|(p, _)| p.clone())
-        .collect();
-    rows.sort_by(|x, y| {
-        let rx = BenchDiff::rel(x.1, x.2);
-        let ry = BenchDiff::rel(y.1, y.2);
-        ry.partial_cmp(&rx)
-            // lint:allow(float-order): rel is finite by construction; ties broken by path
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| x.0.cmp(&y.0))
-    });
-    BenchDiff {
-        name_a: name_a.to_string(),
-        name_b: name_b.to_string(),
-        threshold,
-        rows,
-        only_a,
-        only_b,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,52 +164,5 @@ mod tests {
         let text = d.render();
         assert!(text.contains("verdict: REGRESSED"));
         assert!(text.contains("layer storage"));
-    }
-
-    #[test]
-    fn bench_json_parser_reads_nested_records() {
-        let json = r#"{
-  "issue": 9,
-  "paper_cells": {
-    "before": [
-      {
-        "name": "cell_x",
-        "wall_s": 1.5,
-        "sim_job_s": 4.25,
-        "events": 10
-      }
-    ],
-    "after": [
-      {
-        "name": "cell_x",
-        "sim_job_s": 4.5
-      }
-    ]
-  }
-}"#;
-        let rows = parse_bench_sim_times(json);
-        assert_eq!(
-            rows,
-            vec![
-                ("paper_cells/before/cell_x".to_string(), 4.25),
-                ("paper_cells/after/cell_x".to_string(), 4.5),
-            ]
-        );
-    }
-
-    #[test]
-    fn bench_json_diff_flags_slowdown() {
-        let a = "{\n  \"cells\": [\n    {\n      \"name\": \"c\",\n      \"sim_job_s\": 10.0\n    }\n  ]\n}";
-        let b = "{\n  \"cells\": [\n    {\n      \"name\": \"c\",\n      \"sim_job_s\": 12.0\n    }\n  ]\n}";
-        let d = diff_bench_json("a.json", a, "b.json", b, 0.05);
-        assert!(d.regressed());
-        assert!(d.render().contains("REGRESSED"));
-        // Within threshold: ok.
-        let d2 = diff_bench_json("a.json", a, "b.json", b, 0.5);
-        assert!(!d2.regressed());
-        // Self-diff: ok and byte-stable.
-        let d3 = diff_bench_json("a.json", a, "a.json", a, 0.05);
-        assert!(!d3.regressed());
-        assert_eq!(d3.rows, vec![("cells/c".to_string(), 10.0, 10.0)]);
     }
 }

@@ -108,7 +108,6 @@ fn conservation_holds_across_the_rack_agg_boundary() {
         s.store = fuzz::StoreKind::Ram;
         s.input = fuzz::InputKind::Hdfs;
         s.sched = fuzz::SchedKind::Fifo;
-        s.legacy = false;
         s.threads = 1;
         s.trace = false;
         s.elb = false;

@@ -49,11 +49,23 @@ fn unknown_target_exits_two_before_running_anything() {
     assert!(stderr.contains("unknown target 'bogus-target'"));
     // Nothing ran: the valid target listed first produced no table.
     assert!(!String::from_utf8_lossy(&out.stdout).contains("table1"));
+
+    // A retired flag is an unknown target like any other.
+    let out = repro(&["--baseline", "bench"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown target '--baseline'"), "{stderr}");
+    assert!(out.stdout.is_empty(), "bench ran before the rejection");
 }
 
 #[test]
 fn no_targets_exits_two_with_usage() {
     let out = repro(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: repro"));
+
+    // `diff` joins two report directories; two JSON files are a usage error.
+    let out = repro(&["diff", "a.json", "b.json"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: repro"));
 }

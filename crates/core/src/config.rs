@@ -207,10 +207,6 @@ pub struct EngineConfig {
     /// engine then holds no sink at all and emission sites cost one
     /// `Option` test.
     pub trace: memres_trace::TraceConfig,
-    /// Run on the legacy `BinaryHeap` event calendar instead of the bucketed
-    /// calendar queue. Baseline mode for perf comparisons only; both
-    /// calendars pop in identical (time, seq) order.
-    pub legacy_event_queue: bool,
     /// Shuffle fetches between a rack pair collapse into one rack-level
     /// aggregate flow when `(workers / racks)^2` — the concurrent per-pair
     /// flow count of an all-to-all shuffle wave — exceeds this threshold
@@ -246,7 +242,6 @@ impl Default for EngineConfig {
             faults: None,
             recovery: RecoveryConfig::default(),
             trace: memres_trace::TraceConfig::off(),
-            legacy_event_queue: false,
             rack_agg_threshold: 4096,
             defect: None,
             metrics: None,
@@ -302,18 +297,6 @@ impl EngineConfig {
     /// Record a full structured event trace of the run (DESIGN.md §4.11).
     pub fn with_trace(mut self) -> Self {
         self.trace = memres_trace::TraceConfig::full();
-        self
-    }
-
-    /// Record tracing at an explicit level.
-    pub fn with_trace_level(mut self, level: memres_trace::TraceLevel) -> Self {
-        self.trace = memres_trace::TraceConfig { level };
-        self
-    }
-
-    /// Run on the legacy `BinaryHeap` event calendar (baseline mode).
-    pub fn with_legacy_event_queue(mut self) -> Self {
-        self.legacy_event_queue = true;
         self
     }
 

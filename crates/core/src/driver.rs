@@ -11,7 +11,7 @@ use crate::rdd::{Action, Rdd};
 use crate::tenancy::{FinishedJob, StreamSpec};
 use crate::world::{Ev, JobOutput, SimWorld};
 use memres_cluster::ClusterSpec;
-use memres_des::sim::Simulation;
+use memres_des::sim::{Outbox, Simulation};
 use memres_des::time::SimTime;
 
 pub struct Driver {
@@ -35,9 +35,6 @@ impl Driver {
         cfg.validate(spec.workers)?;
         let world = SimWorld::new(spec, cfg);
         let mut sim = Simulation::new(world);
-        if sim.model.cfg.legacy_event_queue {
-            sim.use_legacy_queue();
-        }
         sim.max_steps = 500_000_000;
         if sim.model.cfg.speed_sigma > 0.0 {
             let period = sim.model.cfg.speed_resample;
@@ -77,45 +74,21 @@ impl Driver {
     }
 
     /// Run `action` on `rdd` to completion; returns the result and the
-    /// job's task-level metrics.
+    /// job's task-level metrics. Panics where [`Driver::run_audited`] errs.
     pub fn run(&mut self, rdd: &Rdd, action: Action) -> (JobOutput, JobMetrics) {
-        let plan = self.plan(rdd, action);
-        let start = self.sim.now();
-        // Submit via a synthetic event turn.
-        let mut out = memres_des::Outbox::standalone(start);
-        self.sim.model.submit_job(start, plan, &mut out);
-        self.sim.drain_outbox(out);
-        while !self.sim.model.job_done {
-            assert!(
-                self.sim.step(),
-                "simulation drained before job completion (deadlock?)"
-            );
-        }
-        let fin = self
-            .sim
-            .model
-            .take_finished()
-            .expect("job finished without result");
-        (fin.output, fin.metrics)
+        self.run_audited(rdd, action, 0)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Run a multi-tenant job stream to completion: seed the arrival
     /// process, drive the simulation until every arrival has been admitted,
     /// executed and retired, and return the finished jobs in completion
     /// order. Feed the result to [`crate::tenancy::TenantSlo::compute`] for
-    /// per-tenant queueing-delay / latency / slowdown summaries.
+    /// per-tenant queueing-delay / latency / slowdown summaries. Panics
+    /// where [`Driver::run_stream_audited`] errs.
     pub fn run_stream(&mut self, spec: StreamSpec) -> Vec<FinishedJob> {
-        let start = self.sim.now();
-        let mut out = memres_des::Outbox::standalone(start);
-        self.sim.model.start_stream(start, spec, &mut out);
-        self.sim.drain_outbox(out);
-        while !self.sim.model.job_done {
-            assert!(
-                self.sim.step(),
-                "simulation drained before stream completion (deadlock?)"
-            );
-        }
-        self.sim.model.drain_finished()
+        self.run_stream_audited(spec, 0)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Convenience: run and return only the metrics.
@@ -134,37 +107,9 @@ impl Driver {
         spec: StreamSpec,
         audit_every: u64,
     ) -> Result<Vec<FinishedJob>, String> {
-        let start = self.sim.now();
-        let mut out = memres_des::Outbox::standalone(start);
-        self.sim.model.start_stream(start, spec, &mut out);
-        self.sim.drain_outbox(out);
-        let mut since_audit = 0u64;
-        while !self.sim.model.job_done {
-            match self.sim.try_step() {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Err(
-                        "simulation drained before stream completion (deadlock?)".to_string()
-                    )
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "event budget exhausted (max_steps={}) before stream completion",
-                        e.max_steps
-                    ))
-                }
-            }
-            since_audit += 1;
-            if audit_every > 0 && since_audit >= audit_every {
-                since_audit = 0;
-                self.sim.model.audit_invariants().map_err(|e| {
-                    format!(
-                        "audit failed at t={:.6}s: {e}",
-                        self.sim.now().as_secs_f64()
-                    )
-                })?;
-            }
-        }
+        self.drive("stream", audit_every, |world, start, out| {
+            world.start_stream(start, spec, out)
+        })?;
         Ok(self.sim.model.drain_finished())
     }
 
@@ -174,7 +119,7 @@ impl Driver {
     /// events the live engine state is cross-checked against independent
     /// reimplementations ([`SimWorld::audit_invariants`]) — the fuzz
     /// harness's entry point (DESIGN.md §4.13). `audit_every == 0` disables
-    /// the periodic audits but keeps the non-panicking error paths.
+    /// the audits but keeps the non-panicking error paths.
     pub fn run_audited(
         &mut self,
         rdd: &Rdd,
@@ -182,35 +127,9 @@ impl Driver {
         audit_every: u64,
     ) -> Result<(JobOutput, JobMetrics), String> {
         let plan = self.plan(rdd, action);
-        let start = self.sim.now();
-        let mut out = memres_des::Outbox::standalone(start);
-        self.sim.model.submit_job(start, plan, &mut out);
-        self.sim.drain_outbox(out);
-        let mut since_audit = 0u64;
-        while !self.sim.model.job_done {
-            match self.sim.try_step() {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Err("simulation drained before job completion (deadlock?)".to_string())
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "event budget exhausted (max_steps={}) before job completion",
-                        e.max_steps
-                    ))
-                }
-            }
-            since_audit += 1;
-            if audit_every > 0 && since_audit >= audit_every {
-                since_audit = 0;
-                self.sim.model.audit_invariants().map_err(|e| {
-                    format!(
-                        "audit failed at t={:.6}s: {e}",
-                        self.sim.now().as_secs_f64()
-                    )
-                })?;
-            }
-        }
+        self.drive("job", audit_every, |world, start, out| {
+            world.submit_job(start, plan, out)
+        })?;
         if audit_every > 0 {
             self.sim
                 .model
@@ -223,6 +142,50 @@ impl Driver {
             .take_finished()
             .ok_or_else(|| "job finished without result".to_string())?;
         Ok((fin.output, fin.metrics))
+    }
+
+    /// The one drive loop behind every `run*` entry point: `submit` seeds
+    /// the world through a synthetic event turn, then the simulation steps
+    /// until the world reports `job_done`, auditing every `audit_every`
+    /// events (0 = never). `what` names the unit of work in error messages.
+    fn drive(
+        &mut self,
+        what: &str,
+        audit_every: u64,
+        submit: impl FnOnce(&mut SimWorld, SimTime, &mut Outbox<Ev>),
+    ) -> Result<(), String> {
+        let start = self.sim.now();
+        let mut out = Outbox::standalone(start);
+        submit(&mut self.sim.model, start, &mut out);
+        self.sim.drain_outbox(out);
+        let mut since_audit = 0u64;
+        while !self.sim.model.job_done {
+            match self.sim.try_step() {
+                Ok(true) => {}
+                Ok(false) => {
+                    return Err(format!(
+                        "simulation drained before {what} completion (deadlock?)"
+                    ))
+                }
+                Err(e) => {
+                    return Err(format!(
+                        "event budget exhausted (max_steps={}) before {what} completion",
+                        e.max_steps
+                    ))
+                }
+            }
+            since_audit += 1;
+            if audit_every > 0 && since_audit >= audit_every {
+                since_audit = 0;
+                self.sim.model.audit_invariants().map_err(|e| {
+                    format!(
+                        "audit failed at t={:.6}s: {e}",
+                        self.sim.now().as_secs_f64()
+                    )
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// Cap the event budget for subsequent runs (the fuzz harness lowers
@@ -241,11 +204,6 @@ impl Driver {
     /// tracing is off). See DESIGN.md §4.11.
     pub fn take_trace(&mut self) -> Vec<memres_trace::TimedEvent> {
         self.sim.model.take_trace()
-    }
-
-    /// Number of trace events buffered (without draining them).
-    pub fn trace_len(&self) -> usize {
-        self.sim.model.trace_len()
     }
 
     /// The time-series recorder accumulated so far (`None` when

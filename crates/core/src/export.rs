@@ -4,6 +4,7 @@
 
 use crate::metrics::{JobMetrics, Phase};
 use crate::tenancy::{FinishedJob, TenantSlo};
+use memres_des::json::num;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -55,30 +56,17 @@ pub fn phases_csv(metrics: &JobMetrics) -> String {
     out
 }
 
-/// Format a float the way JSON expects: finite, with a decimal point so the
-/// value round-trips as a float (matches serde_json's Ryu output closely
-/// enough for downstream tooling and byte-stable for identical inputs).
-fn json_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "non-finite value in metrics JSON");
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
 /// Full job metrics as pretty JSON (hand-rolled — the build environment has
 /// no registry access, so serde is not available).
 pub fn job_json(metrics: &JobMetrics) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"job\": {},", metrics.job);
-    let _ = writeln!(out, "  \"started_at\": {},", json_f64(metrics.started_at));
-    let _ = writeln!(out, "  \"finished_at\": {},", json_f64(metrics.finished_at));
+    let _ = writeln!(out, "  \"started_at\": {},", num(metrics.started_at));
+    let _ = writeln!(out, "  \"finished_at\": {},", num(metrics.finished_at));
     let _ = writeln!(
         out,
         "  \"queue_delay_mean\": {},",
-        json_f64(metrics.mean_queue_delay())
+        num(metrics.mean_queue_delay())
     );
     out.push_str("  \"tasks\": [");
     for (i, t) in metrics.tasks.iter().enumerate() {
@@ -99,14 +87,14 @@ pub fn job_json(metrics: &JobMetrics) -> String {
             format!("{:?}", t.phase),
             t.index,
             t.node,
-            json_f64(t.queued_at),
-            json_f64(t.launched_at),
-            json_f64(t.finished_at),
-            json_f64(t.duration()),
-            json_f64(t.input_bytes),
-            json_f64(t.output_bytes),
+            num(t.queued_at),
+            num(t.launched_at),
+            num(t.finished_at),
+            num(t.duration()),
+            num(t.input_bytes),
+            num(t.output_bytes),
             format!("{:?}", t.locality),
-            json_f64(t.queue_delay()),
+            num(t.queue_delay()),
         );
     }
     if !metrics.tasks.is_empty() {
@@ -128,7 +116,7 @@ pub fn job_json(metrics: &JobMetrics) -> String {
     let _ = writeln!(out, "    \"blocks_lost\": {},", r.blocks_lost);
     let _ = writeln!(out, "    \"blacklisted_nodes\": {},", r.blacklisted_nodes);
     let _ = writeln!(out, "    \"ssd_degradations\": {},", r.ssd_degradations);
-    let _ = writeln!(out, "    \"wasted_secs\": {},", json_f64(r.wasted_secs));
+    let _ = writeln!(out, "    \"wasted_secs\": {},", num(r.wasted_secs));
     let _ = writeln!(out, "    \"aborted_jobs\": {}", r.aborted_jobs);
     out.push_str("  }\n}");
     out
@@ -235,11 +223,11 @@ pub fn tenant_slo_json(slos: &[TenantSlo], names: &[String], slowdown: &[f64]) -
             names.get(i).map(|n| n.as_str()).unwrap_or(""),
             s.jobs,
             s.aborted,
-            json_f64(s.mean_queue_delay),
-            json_f64(s.mean_latency),
-            json_f64(s.p50_latency),
-            json_f64(s.p99_latency),
-            json_f64(slowdown.get(i).copied().unwrap_or(1.0)),
+            num(s.mean_queue_delay),
+            num(s.mean_latency),
+            num(s.p50_latency),
+            num(s.p99_latency),
+            num(slowdown.get(i).copied().unwrap_or(1.0)),
         );
     }
     if !slos.is_empty() {

@@ -108,6 +108,39 @@ struct Task {
     ghost: bool,
 }
 
+impl Task {
+    /// A freshly queued task of `kind`: pending, unplaced, first attempt, no
+    /// placement preference. The one `Task` literal — push sites set only
+    /// the fields their flavour changes (prefs/pinning, twin, ghost).
+    fn new(job: u32, stage: u32, kind: TaskKind, now: SimTime) -> Task {
+        Task {
+            job,
+            stage,
+            kind,
+            state: TState::Pending,
+            node: u32::MAX,
+            queued_at: now,
+            launched_at: now,
+            compute_dur: SimDuration::ZERO,
+            pipelined: !matches!(kind, TaskKind::Fetch { .. }),
+            pending_io: 0,
+            finish_scheduled: false,
+            input_bytes: 0.0,
+            output_bytes: 0.0,
+            records_est: 0,
+            records_out: None,
+            locality: TaskLocality::Any,
+            prefs: Vec::new(),
+            pinned: false,
+            twin: None,
+            is_speculative: false,
+            attempt: 0,
+            doomed: None,
+            ghost: false,
+        }
+    }
+}
+
 /// SoA task arena (DESIGN.md, scale-out engine): every per-task field lives
 /// in its own flat `Vec` indexed by task id. The hot scheduling scans
 /// (dispatch, crash handling, stale-completion filtering) each touch one or
@@ -550,7 +583,7 @@ struct PendingChain {
     data: Option<Arc<[Record]>>,
     speed: f64,
     /// Lineage recovery: evaluate this synthesized source→stage chain
-    /// instead of `plan.stages[stage]` (see `launch_recovered_compute`).
+    /// instead of `plan.stages[stage]` (see `recovery_stage`).
     stage_override: Option<Arc<StagePlan>>,
 }
 
@@ -595,7 +628,6 @@ pub struct SimWorld {
     jobs: Vec<JobRun>,
     job_seq: u32,
     pub job_done: bool,
-    last_output: Option<JobOutput>,
     /// Multi-tenant stream state (`None` for single-job submissions).
     stream: Option<StreamState>,
     /// Completed/aborted jobs awaiting collection by the driver.
@@ -797,7 +829,6 @@ impl SimWorld {
             jobs: Vec::new(),
             job_seq: 0,
             job_done: false,
-            last_output: None,
             stream: None,
             finished: VecDeque::new(),
         };
@@ -837,11 +868,6 @@ impl SimWorld {
             .unwrap_or_default()
     }
 
-    /// Number of trace events currently held (0 when off).
-    pub fn trace_len(&self) -> usize {
-        self.tracer.as_ref().map(|t| t.borrow().len()).unwrap_or(0)
-    }
-
     /// Rough engine heap footprint: the dense arenas that grow with the job
     /// (tasks, trace log, shuffle bucket matrices, the flow network's slab
     /// and chunk queues). Self-profiling only — not a substitute for a real
@@ -861,10 +887,6 @@ impl SimWorld {
             .map(|s| s.buckets.heap_bytes())
             .sum();
         (tasks + net + trace + shuffle) as u64
-    }
-
-    pub fn take_output(&mut self) -> Option<JobOutput> {
-        self.last_output.take()
     }
 
     /// Pop the oldest completed job (stream mode collects these as they
@@ -890,11 +912,6 @@ impl SimWorld {
     /// the network's memoised next completion vs a fresh scan.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
         self.net.audit_waterfill()
-    }
-
-    /// Final CAD dispatch interval (diagnostics).
-    pub fn cad_interval_secs(&self) -> f64 {
-        self.cad_interval.as_secs_f64()
     }
 
     fn speed(&self, node: u32) -> f64 {
@@ -1560,40 +1577,16 @@ impl SimWorld {
         let mut created: Vec<u32> = Vec::new();
         for i in 0..nparts {
             let id = self.tasks.len() as u32;
-            let (kind, prefs, pipelined) = if is_fetch {
-                (TaskKind::Fetch { reducer: i as u32 }, Vec::new(), false)
+            let kind = if is_fetch {
+                TaskKind::Fetch { reducer: i as u32 }
             } else {
-                (
-                    TaskKind::Compute { part: i as u32 },
-                    self.compute_prefs(stage, idx, i as u32),
-                    true,
-                )
+                TaskKind::Compute { part: i as u32 }
             };
-            self.tasks.push(Task {
-                job: self.jobs[ji].id,
-                stage: idx as u32,
-                kind,
-                state: TState::Pending,
-                node: u32::MAX,
-                queued_at: now,
-                launched_at: now,
-                compute_dur: SimDuration::ZERO,
-                pipelined,
-                pending_io: 0,
-                finish_scheduled: false,
-                input_bytes: 0.0,
-                output_bytes: 0.0,
-                records_est: 0,
-                records_out: None,
-                locality: TaskLocality::Any,
-                prefs,
-                pinned: false,
-                twin: None,
-                is_speculative: false,
-                attempt: 0,
-                doomed: None,
-                ghost: false,
-            });
+            let mut t = Task::new(self.jobs[ji].id, idx as u32, kind, now);
+            if !is_fetch {
+                t.prefs = self.compute_prefs(stage, i as u32);
+            }
+            self.tasks.push(t);
             created.push(id);
         }
         self.trace(
@@ -1631,7 +1624,7 @@ impl SimWorld {
     }
 
     /// Preferred nodes for a compute task: HDFS replicas or the cache home.
-    fn compute_prefs(&self, stage: &StagePlan, _idx: usize, part: u32) -> Vec<u32> {
+    fn compute_prefs(&self, stage: &StagePlan, part: u32) -> Vec<u32> {
         match &stage.input {
             StageInput::Dataset { rdd, .. } => {
                 let placed = &self.placed[rdd][part as usize];
@@ -2001,31 +1994,10 @@ impl SimWorld {
         let dup = self.tasks.len() as u32;
         let kind = self.tasks.kind[straggler as usize];
         let stage = self.tasks.stage[straggler as usize];
-        self.tasks.push(Task {
-            job: self.tasks.job[straggler as usize],
-            stage,
-            kind,
-            state: TState::Pending,
-            node: u32::MAX,
-            queued_at: now,
-            launched_at: now,
-            compute_dur: SimDuration::ZERO,
-            pipelined: true,
-            pending_io: 0,
-            finish_scheduled: false,
-            input_bytes: 0.0,
-            output_bytes: 0.0,
-            records_est: 0,
-            records_out: None,
-            locality: TaskLocality::Any,
-            prefs: Vec::new(),
-            pinned: false,
-            twin: Some(straggler),
-            is_speculative: true,
-            attempt: 0,
-            doomed: None,
-            ghost: false,
-        });
+        let mut t = Task::new(self.tasks.job[straggler as usize], stage, kind, now);
+        t.twin = Some(straggler);
+        t.is_speculative = true;
+        self.tasks.push(t);
         self.tasks.twin[straggler as usize] = Some(dup);
         self.trace(
             now,
@@ -2101,36 +2073,38 @@ impl SimWorld {
         let stage = &plan.stages[stage_idx];
 
         // Resolve input: bytes, records, data, the I/O to issue, locality.
+        // A cached partition lost with its node is rebuilt from lineage: the
+        // task reads the original dataset partition again and evaluates the
+        // recovery stage in place of its own.
+        let mut stage_override = None;
         let (in_bytes, in_records, data, io_plan, locality) = match &stage.input {
             StageInput::Dataset { rdd, .. } => self.dataset_input(*rdd, part, node),
-            StageInput::Cached { rdd } => {
-                match self.blockmgr.try_partition(*rdd, part) {
-                    Some((bytes, records, data, home)) => {
-                        let (io, locality) = if home == node {
-                            (IoPlan::None, TaskLocality::NodeLocal)
-                        } else {
-                            (IoPlan::NetOnly { src: home, bytes }, TaskLocality::Remote)
-                        };
-                        (bytes, records, data, io, locality)
-                    }
-                    // Lost with its node: rebuild it from lineage.
-                    None => {
-                        self.launch_recovered_compute(now, task, node, part, *rdd, out);
-                        return;
-                    }
+            StageInput::Cached { rdd } => match self.blockmgr.try_partition(*rdd, part) {
+                Some((bytes, records, data, home)) => {
+                    let (io, locality) = if home == node {
+                        (IoPlan::None, TaskLocality::NodeLocal)
+                    } else {
+                        (IoPlan::NetOnly { src: home, bytes }, TaskLocality::Remote)
+                    };
+                    (bytes, records, data, io, locality)
                 }
-            }
+                None => {
+                    let (rec_stage, source) = self.recovery_stage(task, &plan, stage, *rdd, part);
+                    stage_override = Some(rec_stage);
+                    self.dataset_input(source, part, node)
+                }
+            },
             StageInput::Shuffle(_) => unreachable!("fetch tasks use launch_fetch"),
         };
 
         let speed = self.speed(node);
         let deferred = data.is_some();
+        self.tasks.input_bytes[task as usize] = in_bytes;
+        self.tasks.locality[task as usize] = locality;
         if deferred {
             // Real partition: the UDF chain is a pure function of the shared
             // input — defer it so the dispatch round can evaluate all such
             // chains on the worker pool, then commit in launch order.
-            self.tasks.input_bytes[task as usize] = in_bytes;
-            self.tasks.locality[task as usize] = locality;
             self.pending_chains.push(PendingChain {
                 task,
                 plan: plan.clone(),
@@ -2141,26 +2115,13 @@ impl SimWorld {
                 in_records,
                 data,
                 speed,
-                stage_override: None,
+                stage_override,
             });
         } else {
             // Synthetic partition: size-model arithmetic only, run inline.
-            let (dur, out_bytes, out_records, out_data, snaps) =
-                run_narrow_chain(stage, in_bytes, in_records, None, speed);
-            let dur = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
-            {
-                let i = task as usize;
-                self.tasks.compute_dur[i] = dur;
-                self.tasks.input_bytes[i] = in_bytes;
-                self.tasks.output_bytes[i] = out_bytes;
-                self.tasks.records_est[i] = out_records;
-                self.tasks.records_out[i] = out_data;
-                self.tasks.locality[i] = locality;
-            }
-            for (rdd, bytes, records, snapshot) in snaps {
-                self.blockmgr
-                    .insert(rdd, part, node, Bytes(bytes), records, snapshot);
-            }
+            let stage = stage_override.as_deref().unwrap_or(stage);
+            let chain = run_narrow_chain(stage, in_bytes, in_records, None, speed);
+            self.commit_chain(task, part, node, chain);
         }
 
         self.issue_io_plan(now, task, node, in_bytes, io_plan, out);
@@ -2294,23 +2255,20 @@ impl SimWorld {
 
     /// Lineage-based recovery (§II-C "lost partitions can be recovered by
     /// recomputing from the lineage"): a compute task found its cached input
-    /// partition gone (node crash / executor memory loss). Re-derive it by
-    /// running the recorded source→cache recipe concatenated with the
-    /// stage's own chain, reading the original dataset partition again. The
-    /// cache point inside the combined chain re-materializes the partition
-    /// at the recomputing node.
-    fn launch_recovered_compute(
+    /// partition gone (node crash / executor memory loss). Synthesize the
+    /// stage that re-derives it — the recorded source→cache recipe
+    /// concatenated with the stage's own chain, rooted at the original
+    /// dataset — and return it with the source RDD to read. The cache point
+    /// inside the combined chain re-materializes the partition at the
+    /// recomputing node.
+    fn recovery_stage(
         &mut self,
-        now: SimTime,
         task: u32,
-        node: u32,
-        part: u32,
+        plan: &JobPlan,
+        stage: &StagePlan,
         rdd: RddId,
-        out: &mut Outbox<Ev>,
-    ) {
-        let plan = self.plan_of(task);
-        let stage_idx = self.tasks.stage[task as usize] as usize;
-        let stage = &plan.stages[stage_idx];
+        part: u32,
+    ) -> (Arc<StagePlan>, RddId) {
         let Some(spec) = plan.recovery.get(&rdd) else {
             // lint:allow(panic): unrecoverable by design: a cache below a shuffle has no per-partition lineage; dying loudly beats silently wrong output
             panic!(
@@ -2321,7 +2279,6 @@ impl SimWorld {
         if let Some(r) = self.metrics.recovery(self.tasks.job[task as usize]) {
             r.recomputed_partitions += 1;
         }
-
         // Combined chain: recipe steps, the cache point, then the stage's
         // own steps (stage cache points shift past the recipe prefix).
         let prefix = spec.steps.len();
@@ -2329,7 +2286,8 @@ impl SimWorld {
         steps.extend(stage.steps.iter().cloned());
         let mut cache_points = vec![(spec.cache_step, rdd)];
         cache_points.extend(stage.cache_points.iter().map(|&(i, r)| (i + prefix, r)));
-        let rec_stage = Arc::new(StagePlan {
+        self.ensure_placed(spec.source, &spec.dataset);
+        let rec_stage = StagePlan {
             input: StageInput::Dataset {
                 rdd: spec.source,
                 dataset: spec.dataset.clone(),
@@ -2337,51 +2295,23 @@ impl SimWorld {
             steps,
             cache_points,
             shuffle_out: stage.shuffle_out,
-        });
-        let source = spec.source;
-        let dataset = spec.dataset.clone();
-        self.ensure_placed(source, &dataset);
-        let (in_bytes, in_records, data, io_plan, locality) =
-            self.dataset_input(source, part, node);
+        };
+        (Arc::new(rec_stage), spec.source)
+    }
 
-        let speed = self.speed(node);
-        let deferred = data.is_some();
-        if deferred {
-            self.tasks.input_bytes[task as usize] = in_bytes;
-            self.tasks.locality[task as usize] = locality;
-            self.pending_chains.push(PendingChain {
-                task,
-                plan: plan.clone(),
-                stage: stage_idx,
-                part,
-                node,
-                in_bytes,
-                in_records,
-                data,
-                speed,
-                stage_override: Some(rec_stage),
-            });
-        } else {
-            let (dur, out_bytes, out_records, out_data, snaps) =
-                run_narrow_chain(&rec_stage, in_bytes, in_records, None, speed);
-            let dur = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
-            {
-                let i = task as usize;
-                self.tasks.compute_dur[i] = dur;
-                self.tasks.input_bytes[i] = in_bytes;
-                self.tasks.output_bytes[i] = out_bytes;
-                self.tasks.records_est[i] = out_records;
-                self.tasks.records_out[i] = out_data;
-                self.tasks.locality[i] = locality;
-            }
-            for (r, bytes, records, snapshot) in snaps {
-                self.blockmgr
-                    .insert(r, part, node, Bytes(bytes), records, snapshot);
-            }
-        }
-        self.issue_io_plan(now, task, node, in_bytes, io_plan, out);
-        if !deferred {
-            self.maybe_schedule_finish(now, task, out);
+    /// Write one evaluated chain into the task arena and insert its cache
+    /// snapshots: the single commit path for inline (synthetic) and deferred
+    /// (real-partition) chains.
+    fn commit_chain(&mut self, task: u32, part: u32, node: u32, chain: ChainOut) {
+        let (dur, out_bytes, out_records, out_data, snaps) = chain;
+        let i = task as usize;
+        self.tasks.compute_dur[i] = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
+        self.tasks.output_bytes[i] = out_bytes;
+        self.tasks.records_est[i] = out_records;
+        self.tasks.records_out[i] = out_data;
+        for (rdd, bytes, records, snapshot) in snaps {
+            self.blockmgr
+                .insert(rdd, part, node, Bytes(bytes), records, snapshot);
         }
     }
 
@@ -2437,19 +2367,8 @@ impl SimWorld {
                 })
                 .collect()
         };
-        for (j, (dur, out_bytes, out_records, out_data, snaps)) in jobs.iter().zip(results) {
-            let dur = dur.mul_f64(self.jitter(j.task)) + self.cfg.spark.task_overhead;
-            {
-                let i = j.task as usize;
-                self.tasks.compute_dur[i] = dur;
-                self.tasks.output_bytes[i] = out_bytes;
-                self.tasks.records_est[i] = out_records;
-                self.tasks.records_out[i] = out_data;
-            }
-            for (rdd, bytes, records, snapshot) in snaps {
-                self.blockmgr
-                    .insert(rdd, j.part, j.node, Bytes(bytes), records, snapshot);
-            }
+        for (j, chain) in jobs.iter().zip(results) {
+            self.commit_chain(j.task, j.part, j.node, chain);
             self.maybe_schedule_finish(now, j.task, out);
         }
     }
@@ -2624,87 +2543,47 @@ impl SimWorld {
         }
 
         match self.cfg.shuffle {
-            ShuffleStore::Local(_) | ShuffleStore::LustreLocal if aggregated => {
-                self.net.start_batch();
-                let dst_rack = self.fabric.rack_index(NodeId(node)) as u32;
-                for (src_rack, &b) in per_source.iter().enumerate() {
+            ShuffleStore::Local(_) | ShuffleStore::LustreLocal => {
+                let lustre_local = matches!(self.cfg.shuffle, ShuffleStore::LustreLocal);
+                // Flow endpoints are racks when aggregated, nodes otherwise
+                // (`per_source` is indexed the same way).
+                let dst = if aggregated {
+                    self.fabric.rack_index(NodeId(node)) as u32
+                } else {
+                    node
+                };
+                let tag = self.net_tag(task);
+                let inflate = |raw: f64| inflate_for_requests(Bytes(raw * compress), req, oh);
+                for (src, &b) in per_source.iter().enumerate() {
                     if b <= 0.0 {
                         continue;
                     }
-                    let tag = self.net_tag(task);
-                    match self.cfg.shuffle {
-                        ShuffleStore::Local(_) => {
-                            let wire = inflate_for_requests(Bytes(b * compress), req, oh);
-                            self.tasks.pending_io[task as usize] += 1;
-                            let f = self.rack_fetch_flow(now, task, src_rack as u32, dst_rack, 0);
-                            self.net.push_chunk(now, f, wire, tag);
-                        }
-                        ShuffleStore::LustreLocal => {
+                    // Wire bytes served from the source's store or server
+                    // page cache (kind 0) and from the OSSes (kind 1).
+                    let (cached, oss) = if !lustre_local {
+                        (inflate(b), Bytes::ZERO)
+                    } else {
+                        let sh = self.job_of(task).shuffle_in.as_ref().unwrap(); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+                        if aggregated {
                             // Split the rack total by the byte-weighted
                             // cached share of its member nodes.
-                            let cached_raw = {
-                                let sh = self.job_of(task).shuffle_in.as_ref().unwrap(); // lint:allow(panic): fetch completions only arrive for stages whose input is that shuffle
-                                (src_rack..workers as usize)
-                                    .step_by(racks)
-                                    .map(|i| {
-                                        sh.buckets.get(i, reducer as usize) * sh.cached_frac[i]
-                                    })
-                                    .sum::<f64>()
-                            };
-                            let cached =
-                                inflate_for_requests(Bytes(cached_raw * compress), req, oh);
-                            let oss =
-                                inflate_for_requests(Bytes((b - cached_raw) * compress), req, oh);
-                            if cached.is_positive() {
-                                self.tasks.pending_io[task as usize] += 1;
-                                let f =
-                                    self.rack_fetch_flow(now, task, src_rack as u32, dst_rack, 0);
-                                self.net.push_chunk(now, f, cached, tag);
-                            }
-                            if oss.is_positive() {
-                                self.tasks.pending_io[task as usize] += 1;
-                                let f =
-                                    self.rack_fetch_flow(now, task, src_rack as u32, dst_rack, 1);
-                                self.net.push_chunk(now, f, oss, tag);
-                            }
+                            let cached_raw = (src..workers as usize)
+                                .step_by(racks)
+                                .map(|i| sh.buckets.get(i, reducer as usize) * sh.cached_frac[i])
+                                .sum::<f64>();
+                            (inflate(cached_raw), inflate(b - cached_raw))
+                        } else {
+                            let wire = inflate(b);
+                            let cached = wire * sh.cached_frac[src];
+                            (cached, wire - cached)
                         }
-                        _ => unreachable!(),
-                    }
-                }
-                self.net.end_batch();
-                self.arm_net(out);
-            }
-            ShuffleStore::Local(_) | ShuffleStore::LustreLocal => {
-                self.net.start_batch();
-                for (i, &b) in per_source.iter().enumerate() {
-                    if b <= 0.0 {
-                        continue;
-                    }
-                    let wire = inflate_for_requests(Bytes(b * compress), req, oh);
-                    let tag = self.net_tag(task);
-                    match self.cfg.shuffle {
-                        ShuffleStore::Local(_) => {
+                    };
+                    for (kind, wire) in [(0u8, cached), (1, oss)] {
+                        if wire.is_positive() {
                             self.tasks.pending_io[task as usize] += 1;
-                            let f = self.fetch_flow(now, task, i as u32, node, 0);
+                            let f = self.fetch_flow(now, task, src as u32, dst, kind);
                             self.net.push_chunk(now, f, wire, tag);
                         }
-                        ShuffleStore::LustreLocal => {
-                            let frac =
-                                self.job_of(task).shuffle_in.as_ref().unwrap().cached_frac[i]; // lint:allow(panic): fetch completions only arrive for stages whose input is that shuffle
-                            let cached = wire * frac;
-                            let oss = wire - cached;
-                            if cached.is_positive() {
-                                self.tasks.pending_io[task as usize] += 1;
-                                let f = self.fetch_flow(now, task, i as u32, node, 0);
-                                self.net.push_chunk(now, f, cached, tag);
-                            }
-                            if oss.is_positive() {
-                                self.tasks.pending_io[task as usize] += 1;
-                                let f = self.fetch_flow(now, task, i as u32, node, 1);
-                                self.net.push_chunk(now, f, oss, tag);
-                            }
-                        }
-                        _ => unreachable!(),
                     }
                 }
                 self.net.end_batch();
@@ -2725,106 +2604,44 @@ impl SimWorld {
         self.maybe_schedule_finish(now, task, out);
     }
 
+    /// Persistent fetch flow for `(src, dst, kind)` of the shuffle `task`
+    /// reads, opened on first use. Kind 0 is served by the source's store
+    /// (or Lustre server page cache), kind 1 by the OSSes through the Lustre
+    /// pipe ("repetitive data movement"). In an aggregated shuffle `src` and
+    /// `dst` are racks and the flow is processor-shared: concurrent reducers
+    /// behind it split its bandwidth evenly — the split the collapsed
+    /// per-node flows would converge to under water-filling. A shuffle is
+    /// aggregated or not for its whole life, so the two key spaces never mix.
     fn fetch_flow(&mut self, now: SimTime, task: u32, src: u32, dst: u32, kind: u8) -> FlowId {
         let key = (src, dst, kind);
-        if let Some(&f) = self
-            .job_of(task)
-            .shuffle_in
-            .as_ref()
-            .unwrap() // lint:allow(panic): fetch_flow is reached only from fetch paths, which require shuffle_in
-            .fetch_flows
-            .get(&key)
-        {
+        let ji = self.job_index_of(task);
+        let sh = self.jobs[ji].shuffle_in.as_mut().unwrap(); // lint:allow(panic): fetch_flow is reached only from fetch paths, which require shuffle_in
+        if let Some(&f) = sh.fetch_flows.get(&key) {
             return f;
         }
-        let mut path = match (self.cfg.shuffle, kind) {
-            // Store-served: the source's store read bandwidth + the fabric.
-            (ShuffleStore::Local(_), _) => {
-                let mut p = vec![self.store_read_links[src as usize]];
-                p.extend(
-                    self.fabric
-                        .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))),
-                );
-                p
+        let f = if sh.aggregated {
+            let mut path = self.fabric.rack_aggregate_path(src as usize, dst as usize);
+            if kind == 1 {
+                path.insert(0, self.fabric.lustre_pipe());
             }
-            // Lustre-local, cached at the server: server page-cache read +
-            // fabric (same per-node serving capability as a local store).
-            (ShuffleStore::LustreLocal, 0) => {
-                let mut p = vec![self.store_read_links[src as usize]];
-                p.extend(
-                    self.fabric
-                        .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))),
-                );
-                p
-            }
-            // Lustre-local, not cached: OSS → server → destination
-            // ("repetitive data movement"): the Lustre pipe, the server NIC,
-            // and the destination NIC all constrain the transfer.
-            (ShuffleStore::LustreLocal, _) => {
-                let mut p = vec![self.fabric.lustre_pipe()];
-                p.extend(
-                    self.fabric
-                        .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))),
-                );
-                p
-            }
-            _ => unreachable!("fetch_flow not used for LustreShared"),
+            path.dedup();
+            self.net.open_shared_flow(now, path, false)
+        } else {
+            // The serving side (store read bandwidth, or the Lustre pipe),
+            // then the server and destination NICs across the fabric.
+            let mut path = vec![if kind == 0 {
+                self.store_read_links[src as usize]
+            } else {
+                self.fabric.lustre_pipe()
+            }];
+            path.extend(
+                self.fabric
+                    .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))),
+            );
+            path.dedup();
+            self.net.open_flow(now, path, false)
         };
-        path.dedup();
-        if path.is_empty() {
-            // Loopback: still bounded by the local store's read bandwidth.
-            path = vec![self.store_read_links[src as usize]];
-        }
-        let f = self.net.open_flow(now, path, false);
-        self.job_of_mut(task)
-            .shuffle_in
-            .as_mut()
-            .unwrap() // lint:allow(panic): fetch_flow is reached only from fetch paths, which require shuffle_in
-            .fetch_flows
-            .insert(key, f);
-        f
-    }
-
-    /// Persistent aggregate flow for all fetch traffic from `src_rack`
-    /// into `dst_rack`. Shares the `(src, dst, kind)` key space with
-    /// `fetch_flow`; an aggregated shuffle never opens per-node flows, so
-    /// the keys cannot collide. The flow is processor-shared: concurrent
-    /// reducers behind it split its bandwidth evenly — the split the
-    /// collapsed per-node flows would converge to under water-filling.
-    fn rack_fetch_flow(
-        &mut self,
-        now: SimTime,
-        task: u32,
-        src_rack: u32,
-        dst_rack: u32,
-        kind: u8,
-    ) -> FlowId {
-        let key = (src_rack, dst_rack, kind);
-        if let Some(&f) = self
-            .job_of(task)
-            .shuffle_in
-            .as_ref()
-            .unwrap() // lint:allow(panic): rack_fetch_flow is reached only from fetch paths, which require shuffle_in
-            .fetch_flows
-            .get(&key)
-        {
-            return f;
-        }
-        let mut path = self
-            .fabric
-            .rack_aggregate_path(src_rack as usize, dst_rack as usize);
-        if kind == 1 {
-            // OSS-served share: the Lustre pipe constrains it too.
-            path.insert(0, self.fabric.lustre_pipe());
-        }
-        path.dedup();
-        let f = self.net.open_shared_flow(now, path, false);
-        self.job_of_mut(task)
-            .shuffle_in
-            .as_mut()
-            .unwrap() // lint:allow(panic): rack_fetch_flow is reached only from fetch paths, which require shuffle_in
-            .fetch_flows
-            .insert(key, f);
+        sh.fetch_flows.insert(key, f);
         f
     }
 
@@ -3152,31 +2969,12 @@ impl SimWorld {
                 node = repl;
             }
             let id = self.tasks.len() as u32;
-            self.tasks.push(Task {
-                job: job_id,
-                stage: stage_idx as u32,
-                kind: TaskKind::Store { producer: p },
-                state: TState::Pending,
-                node: u32::MAX,
-                queued_at: now,
-                launched_at: now,
-                compute_dur: SimDuration::ZERO,
-                pipelined: true,
-                pending_io: 0,
-                finish_scheduled: false,
-                input_bytes: 0.0,
-                output_bytes: 0.0,
-                records_est: 0,
-                records_out: None,
-                locality: TaskLocality::NodeLocal,
-                prefs: vec![node],
-                pinned: true,
-                twin: None,
-                is_speculative: false,
-                attempt: 0,
-                doomed: None,
-                ghost: false,
-            });
+            let kind = TaskKind::Store { producer: p };
+            let mut t = Task::new(job_id, stage_idx as u32, kind, now);
+            t.locality = TaskLocality::NodeLocal;
+            t.prefs = vec![node];
+            t.pinned = true;
+            self.tasks.push(t);
             created.push(id);
         }
         for &id in &created {
@@ -3204,7 +3002,6 @@ impl SimWorld {
         let workers = self.spec.workers as usize;
         match self.cfg.shuffle {
             ShuffleStore::Local(dev) => {
-                self.net.start_batch();
                 for n in 0..workers {
                     let fs = if dev == StoreDevice::Ssd {
                         &self.ssd_fs[n]
@@ -3545,7 +3342,6 @@ impl SimWorld {
             reduced: None,
             aborted: true,
         };
-        self.last_output = Some(output.clone());
         let metrics = self.metrics.finish_job(id, now);
         self.note_job_latency(job.tenant, job.arrived, now);
         self.finished.push_back(FinishedJob {
@@ -3784,31 +3580,11 @@ impl SimWorld {
                 }
             }
             let id = self.tasks.len() as u32;
-            self.tasks.push(Task {
-                job: job_id,
-                stage,
-                kind,
-                state: TState::Pending,
-                node: u32::MAX,
-                queued_at: now,
-                launched_at: now,
-                compute_dur: SimDuration::ZERO,
-                pipelined: true,
-                pending_io: 0,
-                finish_scheduled: false,
-                input_bytes: 0.0,
-                output_bytes: 0.0,
-                records_est: 0,
-                records_out: None,
-                locality: TaskLocality::Any,
-                prefs: vec![repl],
-                pinned: true,
-                twin: None,
-                is_speculative: false,
-                attempt: 0,
-                doomed: None,
-                ghost: true,
-            });
+            let mut t = Task::new(job_id, stage, kind, now);
+            t.prefs = vec![repl];
+            t.pinned = true;
+            t.ghost = true;
+            self.tasks.push(t);
             created.push(id);
         }
         self.trace(
@@ -3934,7 +3710,6 @@ impl SimWorld {
                 }
             }
         };
-        self.last_output = Some(output.clone());
         let metrics = self.metrics.finish_job(job.id, now);
         self.note_job_latency(job.tenant, job.arrived, now);
         self.finished.push_back(FinishedJob {

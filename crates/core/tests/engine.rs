@@ -410,26 +410,6 @@ fn rack_aggregation_preserves_results_and_collapses_flows() {
 }
 
 #[test]
-fn legacy_event_queue_is_byte_identical() {
-    // The calendar queue's pop order is the heap's total order: identical
-    // simulated timings on an end-to-end job, not just in the differential
-    // proptest.
-    let mk = |legacy: bool| {
-        let mut cfg = EngineConfig::default().homogeneous();
-        if legacy {
-            cfg = cfg.with_legacy_event_queue();
-        }
-        let mut d = driver(cfg);
-        let m = d.run_for_metrics(&groupby_synthetic(128.0), Action::Count);
-        (m.job_time(), d.engine_steps())
-    };
-    let (t_cal, e_cal) = mk(false);
-    let (t_heap, e_heap) = mk(true);
-    assert_eq!(t_cal.to_bits(), t_heap.to_bits(), "sim time must not move");
-    assert_eq!(e_cal, e_heap, "event count must not move");
-}
-
-#[test]
 fn try_new_rejects_degenerate_spec_and_config() {
     // Degenerate topologies the fuzz generator can emit must be structured
     // errors at construction, never mid-sim panics.

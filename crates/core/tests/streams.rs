@@ -144,28 +144,18 @@ fn stream_jobs_match_isolated_runs_byte_for_byte() {
 }
 
 #[test]
-fn stream_replay_is_byte_identical_across_threads_and_queues() {
-    // Satellite of the determinism suite (PR-3/PR-6): the interleaved
-    // multi-job run must serialize identically across executor_threads
-    // 1 vs 4 and the calendar vs legacy event queue.
-    let run = |threads: usize, legacy: bool| {
-        let mut cfg = base_cfg().with_executor_threads(threads);
-        if legacy {
-            cfg = cfg.with_legacy_event_queue();
-        }
+fn stream_replay_is_byte_identical_across_threads() {
+    // Satellite of the determinism suite (PR-3): the interleaved multi-job
+    // run must serialize identically across executor_threads 1 vs 4.
+    let run = |threads: usize| {
+        let cfg = base_cfg().with_executor_threads(threads);
         let mut d = Driver::new(memres_cluster::tiny(6), cfg);
         let finished = d.run_stream(stream_spec(InterJobPolicy::FairShare, 42));
         render(&finished, 2)
     };
-    let baseline = run(1, false);
-    assert!(!baseline.is_empty());
-    for (threads, legacy) in [(4, false), (1, true), (4, true)] {
-        assert_eq!(
-            baseline,
-            run(threads, legacy),
-            "stream bytes diverged at threads={threads} legacy={legacy}"
-        );
-    }
+    let one = run(1);
+    assert!(!one.is_empty());
+    assert_eq!(one, run(4), "stream bytes diverged at threads=4");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Minimal JSON emission helpers.
 //!
 //! The build environment has no registry access, so serde_json is not
-//! available; the handful of JSON documents this crate writes (table dumps,
-//! perf records) are built with these two functions instead.
+//! available; every JSON document the workspace writes (metric and trace
+//! exports, table dumps, perf records) is built with these two functions.
 
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {
@@ -23,8 +23,9 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Render an f64 as a JSON number (non-finite values become `null`, matching
-/// serde_json's behaviour for f64).
+/// Render an f64 as a JSON number: `Display` plus a trailing `.0` for
+/// integral values, so it round-trips as a float and is byte-stable for
+/// identical inputs. Non-finite values become `null`, matching serde_json.
 pub fn num(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();

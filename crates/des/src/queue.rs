@@ -1,21 +1,18 @@
 //! The event calendar: a time-ordered priority queue with FIFO tie-breaking.
 //!
-//! Two interchangeable implementations sit behind [`EventQueue`]:
+//! [`EventQueue`] is a bucketed calendar queue: fixed-width time buckets
+//! spanning one "year" of `nbuckets` slots, each bucket an ascending
+//! `(time, seq)` run popped from the front, with a sorted overflow tier
+//! (binary heap) for events beyond the current year. The structure resizes
+//! itself on load factor and re-estimates its bucket width from the
+//! inter-quartile spread of buffered event times, so both dense
+//! same-instant storms and sparse far-future timers stay O(1)-ish.
 //!
-//! * **Calendar** (default) — a bucketed calendar queue: fixed-width time
-//!   buckets spanning one "year" of `nbuckets` slots, each bucket an
-//!   ascending `(time, seq)` run popped from the front, with a sorted
-//!   overflow tier (binary heap) for events beyond the current year. The
-//!   structure resizes itself on load factor and re-estimates its bucket
-//!   width from the inter-quartile spread of buffered event times, so both
-//!   dense same-instant storms and sparse far-future timers stay O(1)-ish.
-//! * **Heap** (legacy) — the original `BinaryHeap`, kept for baseline
-//!   benchmarking (`EngineConfig::legacy_event_queue`) and as the oracle the
-//!   calendar is differentially tested against.
-//!
-//! Both pop in exactly ascending `(time, seq)` order; events scheduled at
+//! It pops in exactly ascending `(time, seq)` order; events scheduled at
 //! the same instant pop in insertion order, which keeps simulations
-//! deterministic. The two implementations are pop-for-pop identical.
+//! deterministic. A plain `BinaryHeap` over the same entries is the
+//! test-only oracle the calendar is differentially checked against
+//! (`calendar_matches_heap`).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -49,14 +46,15 @@ impl<E> Ord for Entry<E> {
 const MIN_BUCKETS: usize = 64;
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// The bucketed calendar tier. Invariants:
+/// Time-ordered event queue. Events scheduled at the same instant pop in
+/// insertion order, which keeps simulations deterministic. Invariants:
 ///
 /// * every buffered entry has `slot(time) >= base_slot`;
 /// * entries with `slot(time) < year_limit` live in `buckets[slot & mask]`,
 ///   the rest in `overflow`;
 /// * `year_limit - base-of-year == nbuckets`, so each bucket holds at most
 ///   one distinct slot and its deque is ascending in `(time, seq)`.
-struct Calendar<E> {
+pub struct EventQueue<E> {
     buckets: Vec<VecDeque<Entry<E>>>,
     mask: u64,
     /// Nanoseconds per slot (>= 1).
@@ -69,11 +67,19 @@ struct Calendar<E> {
     in_year: usize,
     overflow: BinaryHeap<Entry<E>>,
     len: usize,
+    /// Insertion counter: the FIFO tie-break among equal times.
+    seq: u64,
 }
 
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    pub fn new() -> Self {
+        EventQueue {
             buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
             mask: (MIN_BUCKETS - 1) as u64,
             width: 1 << 10,
@@ -82,6 +88,7 @@ impl<E> Calendar<E> {
             in_year: 0,
             overflow: BinaryHeap::new(),
             len: 0,
+            seq: 0,
         }
     }
 
@@ -90,8 +97,14 @@ impl<E> Calendar<E> {
         t.as_nanos() / self.width
     }
 
-    fn push(&mut self, entry: Entry<E>) {
-        let s = self.slot_of(entry.time);
+    pub fn push(&mut self, time: SimTime, event: E) {
+        let entry = Entry {
+            time,
+            seq: self.seq,
+            event,
+        };
+        self.seq += 1;
+        let s = self.slot_of(time);
         if self.len == 0 {
             // Re-anchor an empty calendar on the incoming event: cheap, and
             // it makes backward time jumps after a full drain free.
@@ -132,7 +145,7 @@ impl<E> Calendar<E> {
         self.in_year += 1;
     }
 
-    fn pop(&mut self) -> Option<Entry<E>> {
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
         }
@@ -149,7 +162,7 @@ impl<E> Calendar<E> {
                     // safe; it also re-estimates the width for the survivors.
                     self.rebuild(self.buckets.len() / 2);
                 }
-                return Some(e);
+                return Some((e.time, e.event));
             }
             // Empty bucket: advance the cursor. `in_year > 0` guarantees a
             // nonempty bucket strictly before `year_limit`.
@@ -158,7 +171,7 @@ impl<E> Calendar<E> {
         }
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
@@ -173,6 +186,24 @@ impl<E> Calendar<E> {
             s += 1;
         }
         unreachable!("in_year > 0 but no bucket holds an entry");
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Calendar health for engine self-stats (DESIGN.md §4.16).
+    pub fn stats(&self) -> QueueStats {
+        QueueStats {
+            buckets: self.buckets.len(),
+            width_nanos: self.width,
+            in_year: self.in_year,
+            overflow: self.overflow.len(),
+        }
     }
 
     /// All buckets drained: begin a new year at the earliest overflow event
@@ -254,101 +285,6 @@ fn estimate_width<E>(sorted: &[Entry<E>]) -> u64 {
     (span / (n as u64 / 2).max(1)).max(1)
 }
 
-enum Imp<E> {
-    Calendar(Calendar<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
-/// Time-ordered event queue. Events scheduled at the same instant pop in
-/// insertion order, which keeps simulations deterministic.
-pub struct EventQueue<E> {
-    imp: Imp<E>,
-    seq: u64,
-    len: usize,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// The default calendar-queue implementation.
-    pub fn new() -> Self {
-        EventQueue {
-            imp: Imp::Calendar(Calendar::new()),
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    /// The legacy `BinaryHeap` implementation: the baseline for perf
-    /// comparisons and the oracle for differential tests. Pop order is
-    /// identical to [`EventQueue::new`].
-    pub fn heap() -> Self {
-        EventQueue {
-            imp: Imp::Heap(BinaryHeap::new()),
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
-        let entry = Entry { time, seq, event };
-        match &mut self.imp {
-            Imp::Calendar(c) => c.push(entry),
-            Imp::Heap(h) => h.push(entry),
-        }
-    }
-
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = match &mut self.imp {
-            Imp::Calendar(c) => c.pop(),
-            Imp::Heap(h) => h.pop(),
-        }?;
-        self.len -= 1;
-        Some((e.time, e.event))
-    }
-
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            Imp::Calendar(c) => c.peek_time(),
-            Imp::Heap(h) => h.peek().map(|e| e.time),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Calendar health for engine self-stats (DESIGN.md §4.16). The legacy
-    /// heap reports zero buckets and everything in the overflow tier.
-    pub fn stats(&self) -> QueueStats {
-        match &self.imp {
-            Imp::Calendar(c) => QueueStats {
-                buckets: c.buckets.len(),
-                width_nanos: c.width,
-                in_year: c.in_year,
-                overflow: c.overflow.len(),
-            },
-            Imp::Heap(h) => QueueStats {
-                buckets: 0,
-                width_nanos: 0,
-                in_year: 0,
-                overflow: h.len(),
-            },
-        }
-    }
-}
-
 /// Calendar-queue health snapshot: bucket count, slot width, and how the
 /// buffered events split between the in-year buckets and the overflow heap.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -359,51 +295,74 @@ pub struct QueueStats {
     pub overflow: usize,
 }
 
+/// The reference the calendar is differentially tested against: a plain
+/// `BinaryHeap` over the same `(time, seq)`-ordered entries.
+#[cfg(test)]
+struct HeapOracle<E> {
+    heap: BinaryHeap<Entry<E>>,
+    seq: u64,
+}
+
+#[cfg(test)]
+impl<E> HeapOracle<E> {
+    fn new() -> Self {
+        HeapOracle {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Entry { time, seq, event });
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both() -> [EventQueue<&'static str>; 2] {
-        [EventQueue::new(), EventQueue::heap()]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(SimTime(30), "c");
-            q.push(SimTime(10), "a");
-            q.push(SimTime(20), "b");
-            assert_eq!(q.pop(), Some((SimTime(10), "a")));
-            assert_eq!(q.pop(), Some((SimTime(20), "b")));
-            assert_eq!(q.pop(), Some((SimTime(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime(30), "c");
+        q.push(SimTime(10), "a");
+        q.push(SimTime(20), "b");
+        assert_eq!(q.pop(), Some((SimTime(10), "a")));
+        assert_eq!(q.pop(), Some((SimTime(20), "b")));
+        assert_eq!(q.pop(), Some((SimTime(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn fifo_among_equal_times() {
-        for imp in [EventQueue::new, EventQueue::heap] {
-            let mut q = imp();
-            for i in 0..100 {
-                q.push(SimTime(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((SimTime(5), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(SimTime(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
     }
 
     #[test]
     fn peek_matches_pop() {
-        for imp in [EventQueue::new, EventQueue::heap] {
-            let mut q = imp();
-            q.push(SimTime(7), ());
-            assert_eq!(q.peek_time(), Some(SimTime(7)));
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime(7), ());
+        assert_eq!(q.peek_time(), Some(SimTime(7)));
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -468,7 +427,7 @@ mod tests {
         // re-estimate width = 1. Then grow again with spread times and check
         // the queue still pops in exact (time, seq) order against the heap.
         let mut cal = EventQueue::new();
-        let mut heap = EventQueue::heap();
+        let mut heap = HeapOracle::new();
         for i in 0..4_096u64 {
             // Most events early and spread; a cluster of late stragglers.
             let t = if i % 16 == 0 { 9_999_999 } else { i * 631 };
@@ -538,7 +497,7 @@ mod proptests {
         }
 
         /// Differential: the calendar queue pops in exactly the same order
-        /// as the legacy BinaryHeap on interleaved push/pop streams mixing
+        /// as the `BinaryHeap` oracle on interleaved push/pop streams mixing
         /// clustered, spread, and far-future times.
         #[test]
         fn calendar_matches_heap(
@@ -546,7 +505,7 @@ mod proptests {
                 (0u64..5_000, 0u8..4, any::<bool>()), 1..400)
         ) {
             let mut cal = EventQueue::new();
-            let mut heap = EventQueue::heap();
+            let mut heap = HeapOracle::new();
             for (i, &(t, scale, pop)) in ops.iter().enumerate() {
                 // Scale stretches times across regimes: same-instant storms,
                 // microsecond clusters, and far-future outliers.

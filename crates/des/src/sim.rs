@@ -21,7 +21,7 @@ pub struct EngineStats {
     pub steps: u64,
     /// Events buffered on the calendar.
     pub queue_len: usize,
-    /// Calendar-queue health, when the calendar implementation is in use.
+    /// Calendar-queue health.
     pub queue: crate::queue::QueueStats,
 }
 
@@ -144,16 +144,6 @@ impl<M: Model> Simulation<M> {
     /// lenient-clamp regression test turns it off.
     pub fn set_strict_schedule(&mut self, strict: bool) {
         self.strict = strict;
-    }
-
-    /// Swap in the legacy `BinaryHeap` event calendar (baseline mode for
-    /// perf comparisons). Must be called before any event is scheduled.
-    pub fn use_legacy_queue(&mut self) {
-        assert!(
-            self.queue.is_empty(),
-            "queue implementation must be chosen before scheduling events"
-        );
-        self.queue = EventQueue::heap();
     }
 
     pub fn now(&self) -> SimTime {

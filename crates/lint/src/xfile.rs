@@ -15,7 +15,7 @@
 //!   `fn kind` (the events.jsonl `type` field) and `fn payload` in
 //!   `crates/trace/src/export.rs` (the argument body both the Perfetto and
 //!   the events.jsonl exporter embed).
-//! * **`cell-smoke`** — every repro cell family with a checked-in baseline
+//! * **`cell-smoke`** — every repro cell family the gate smokes
 //!   (`bench`, `scale`, `faults`, `tenants`, `trace`, `fuzz`, `report`,
 //!   `diff`) is invoked by `scripts/check.sh`, and the trace cell the gate
 //!   pins is still a member of `CELL_NAMES` in `crates/bench/src/perf.rs`.
@@ -49,8 +49,8 @@ const CHECK_SH: &str = "scripts/check.sh";
 const METRICS_CATALOG: &str = "crates/metrics/src/catalog.rs";
 const METRICS_EXPORT: &str = "crates/metrics/src/export.rs";
 
-/// The repro cell families `scripts/check.sh` must smoke (each has a
-/// checked-in baseline or golden artifact the gate compares against).
+/// The repro cell families `scripts/check.sh` must smoke (each is a CLI
+/// surface whose output shape or determinism the gate checks).
 pub const SMOKED_FAMILIES: [&str; 8] = [
     "bench", "scale", "faults", "tenants", "trace", "fuzz", "report", "diff",
 ];
@@ -465,7 +465,7 @@ fn check_cell_smoke(load: &mut dyn FnMut(&str) -> Option<String>, diags: &mut Ve
         diags.push(missing_file(PERF, RULE_CELL_SMOKE));
         return;
     };
-    // Every baselined family is driven through a `repro` invocation.
+    // Every family is driven through a `repro` invocation.
     let repro_lines: Vec<&str> = check_sh
         .lines()
         .filter(|l| l.contains("repro") && !l.trim_start().starts_with('#'))
@@ -481,8 +481,8 @@ fn check_cell_smoke(load: &mut dyn FnMut(&str) -> Option<String>, diags: &mut Ve
                 1,
                 RULE_CELL_SMOKE,
                 format!(
-                    "cell family `{family}` has a checked-in baseline but no \
-                     `repro … {family}` smoke invocation in scripts/check.sh"
+                    "cell family `{family}` has no `repro … {family}` smoke \
+                     invocation in scripts/check.sh"
                 ),
             ));
         }

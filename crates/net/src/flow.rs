@@ -224,14 +224,11 @@ impl<T> FlowNet<T> {
         self.tracer = Some(sink);
     }
 
-    /// Open a burst of flow operations (the engine brackets each fetch-task
-    /// launch, which queues chunks towards a hundred sources). Must be paired
-    /// with [`FlowNet::end_batch`], which is where the burst settles;
-    /// recomputation is lazy regardless, so opening one is a marker only.
-    pub fn start_batch(&mut self) {}
-
-    /// Settle the burst in one recompute and publish it with one generation
-    /// bump, which is what retires the `NetWake` armed before it.
+    /// Close a burst of flow operations (the engine calls this after each
+    /// fetch-task launch, which queues chunks towards a hundred sources):
+    /// recomputation is lazy, so the burst settles here in one recompute and
+    /// is published with one generation bump, which is what retires the
+    /// `NetWake` armed before it.
     pub fn end_batch(&mut self) {
         if self.dirty {
             self.settle();

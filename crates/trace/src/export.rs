@@ -5,17 +5,7 @@
 
 use crate::analyze::{attempts, Outcome};
 use crate::{TimedEvent, TraceEvent};
-
-/// Deterministic JSON float: `Display` plus a trailing `.0` for integral
-/// values (mirrors `memres-core::export::json_f64`).
-fn num_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
+use memres_des::json::num;
 
 /// Microsecond timestamp with fixed 3-decimal nanosecond fraction — integer
 /// math only, so the rendering is byte-stable everywhere.
@@ -85,7 +75,7 @@ fn payload(ev: &TraceEvent) -> String {
         TraceEvent::FlowStart { flow } => format!("\"flow\":{flow}"),
         TraceEvent::FlowEnd { flow, bytes, dur } => format!(
             "\"flow\":{flow},\"bytes\":{},\"dur_ns\":{}",
-            num_f64(bytes.get()),
+            num(bytes.get()),
             dur.as_nanos()
         ),
         TraceEvent::LockAcquire { file, client } => {
@@ -94,7 +84,7 @@ fn payload(ev: &TraceEvent) -> String {
         TraceEvent::LockRelease { file } => format!("\"file\":{file}"),
         TraceEvent::LockRevoke { file, dirty_bytes } => format!(
             "\"file\":{file},\"dirty_bytes\":{}",
-            num_f64(dirty_bytes.get())
+            num(dirty_bytes.get())
         ),
         TraceEvent::LockWaitStart { task } => format!("\"task\":{task}"),
         TraceEvent::LockWaitEnd { task } => format!("\"task\":{task}"),
