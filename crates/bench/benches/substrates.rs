@@ -2,6 +2,7 @@
 //! sharing, max-min fair allocation, SSD fluid model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use memres_core::prelude::*;
 use memres_des::{Bytes, EventQueue, PsResource, SimTime};
 use memres_net::FlowNet;
 use memres_storage::{Device, Op, Ssd, SsdConfig};
@@ -106,6 +107,25 @@ fn bench_flownet(c: &mut Criterion) {
     });
 }
 
+fn bench_real_shuffle(c: &mut Criterion) {
+    // The real-record path outside `benchmark/`: 1 M generated pairs over
+    // 20 k keys, 16 map partitions hash-partitioned to 8 reducers and
+    // grouped, through `Driver` (UDF chain, partition and aggregation on the
+    // executor pool; the simulated substrates do next to nothing).
+    let records = memres_workloads::datagen::kv_pairs(1_000_000, 20_000, 1);
+    let rdd = Rdd::source(Dataset::from_records(records, 16))
+        .map("genKV", SizeModel::scan(), |r| r)
+        .group_by_key(Some(8), 1e9);
+    c.bench_function("real_shuffle_1m_records", |b| {
+        b.iter(|| {
+            let cfg = EngineConfig::default().homogeneous();
+            let mut driver = Driver::new(memres_cluster::tiny(8), cfg);
+            let (out, _) = driver.run(&rdd, Action::Count);
+            assert_eq!(out.count, 20_000);
+        })
+    });
+}
+
 fn bench_ssd(c: &mut Criterion) {
     c.bench_function("ssd_sustained_writes", |b| {
         b.iter(|| {
@@ -128,6 +148,7 @@ criterion_group!(
     bench_event_queue_1m,
     bench_ps,
     bench_flownet,
+    bench_real_shuffle,
     bench_ssd
 );
 criterion_main!(benches);

@@ -1,0 +1,620 @@
+//! The executor: everything that touches a record.
+//!
+//! `world.rs` is the simulation's single kernel thread and its rule is that
+//! it never hashes, clones, moves or aggregates a record. Whatever does is
+//! captured at task launch as a [`Pending`] entry and evaluated here — a
+//! pure function of the entry, so [`evaluate`] may spread a dispatch round's
+//! entries over a host-thread pool — and the world only commits the handles
+//! that come back, in launch order. Two kinds of work exist: a compute
+//! task's UDF chain ([`run_narrow_chain`]) and a reducer's aggregation of
+//! its fetched segments ([`aggregate`]); either ends by hash-partitioning
+//! its output ([`partition`]) when it feeds a real shuffle. Each record is
+//! hashed once and moved once per side of the shuffle, and every output
+//! `Vec` is allocated at its exact final capacity.
+
+// Bucket, group and table indices are minted in this module from lengths it
+// just computed; an out-of-range access would be a bug here, not a
+// recoverable condition (same waiver, same reason, as `world.rs`).
+#![allow(clippy::indexing_slicing)]
+
+use crate::dag::{JobPlan, StagePlan};
+use crate::rdd::{RddId, ShuffleAgg};
+use crate::value::{record_bytes, Record, Value};
+use memres_des::time::SimDuration;
+use std::borrow::Cow;
+use std::sync::Arc;
+
+/// Real rows a chain leaves behind.
+pub(crate) enum RealOut {
+    /// A shared slice: final-stage output, or input passed straight through.
+    Rows(Arc<[Record]>),
+    /// Hash-partitioned for the produced shuffle, one bucket per reducer.
+    Buckets(Vec<Bucket>),
+}
+
+/// Per-record work captured at task launch and evaluated off the kernel
+/// thread (possibly on a worker pool — see [`evaluate`]). Evaluation is a
+/// pure function of this struct — the plan is captured here because worker
+/// threads cannot borrow `SimWorld` — and `SimWorld::flush_pending` commits
+/// the results in launch order.
+pub(crate) struct Pending {
+    pub task: u32,
+    pub plan: Arc<JobPlan>,
+    pub stage: usize,
+    /// Reducer count of the produced shuffle when it carries real rows: the
+    /// evaluation ends by hash-partitioning its own output.
+    pub partition: Option<u32>,
+    pub work: Work,
+}
+
+pub(crate) enum Work {
+    /// A compute task's UDF chain over its shared input partition.
+    Chain {
+        part: u32,
+        node: u32,
+        in_bytes: f64,
+        in_records: u64,
+        data: Arc<[Record]>,
+        speed: f64,
+        /// Lineage recovery: evaluate this synthesized source→stage chain
+        /// instead of `plan.stages[stage]` (see `recovery_stage`).
+        stage_override: Option<Arc<StagePlan>>,
+    },
+    /// A reducer's aggregation of its fetched segments (taken out of
+    /// `node_real` in gather order) followed by the stage's narrow steps.
+    Reduce {
+        reducer: u32,
+        agg: ShuffleAgg,
+        segments: Vec<Vec<Record>>,
+    },
+}
+
+/// What [`run_narrow_chain`] produces: (compute seconds, output bytes,
+/// output records, real output, cache snapshots).
+pub(crate) type ChainOut = (
+    SimDuration,
+    f64,
+    u64,
+    Option<RealOut>,
+    Vec<(RddId, f64, u64, Option<Arc<[Record]>>)>,
+);
+
+/// Rows mid-chain: the shared input until a step produces its own vector.
+enum Rows {
+    Shared(Arc<[Record]>),
+    Owned(Vec<Record>),
+}
+
+impl Rows {
+    /// A shared view for a cache snapshot; an owned vector becomes shared in
+    /// place, so later snapshots and the output reuse the one allocation.
+    fn share(&mut self) -> Arc<[Record]> {
+        let shared = match std::mem::replace(self, Rows::Owned(Vec::new())) {
+            Rows::Shared(a) => a,
+            Rows::Owned(v) => v.into(),
+        };
+        *self = Rows::Shared(shared.clone());
+        shared
+    }
+
+    /// The evaluation's real output: hash-partitioned when it feeds a real
+    /// shuffle (owned rows are moved into their buckets, shared ones cloned),
+    /// a shared slice otherwise.
+    fn finish(self, partitioning: Option<u32>) -> RealOut {
+        match (partitioning, self) {
+            (Some(r), Rows::Owned(v)) => RealOut::Buckets(partition(Cow::Owned(v), r)),
+            (Some(r), Rows::Shared(a)) => RealOut::Buckets(partition(Cow::Borrowed(&a), r)),
+            (None, Rows::Owned(v)) => RealOut::Rows(v.into()),
+            (None, Rows::Shared(a)) => RealOut::Rows(a),
+        }
+    }
+}
+
+impl Pending {
+    /// Runs on a pool worker; consumes the entry's record payload.
+    fn eval(&mut self) -> ChainOut {
+        let stage = &self.plan.stages[self.stage];
+        match &mut self.work {
+            Work::Chain {
+                in_bytes,
+                in_records,
+                data,
+                speed,
+                stage_override,
+                ..
+            } => run_narrow_chain(
+                stage_override.as_deref().unwrap_or(stage),
+                *in_bytes,
+                *in_records,
+                Some(data.clone()),
+                *speed,
+                self.partition,
+            ),
+            Work::Reduce { agg, segments, .. } => {
+                let (mut rows, mut bytes) = aggregate(agg, std::mem::take(segments));
+                for step in &stage.steps {
+                    rows = step.apply(rows);
+                }
+                if !stage.steps.is_empty() {
+                    bytes = rows.iter().map(record_bytes).sum();
+                }
+                (
+                    SimDuration::ZERO,
+                    bytes as f64,
+                    rows.len() as u64,
+                    Some(Rows::Owned(rows).finish(self.partition)),
+                    Vec::new(),
+                )
+            }
+        }
+    }
+}
+
+/// Apply a stage's narrow chain. Returns (compute seconds, output bytes,
+/// output records, real output, cache snapshots).
+///
+/// Zero-copy contract: the shared input is never deep-copied. A chain with
+/// no steps passes the input `Arc` straight through (placement, caching and
+/// task output all share one allocation), every cache snapshot is a
+/// reference bump of the value at that point, and a step's own output is
+/// moved — into the next step, and at the end into the shuffle buckets when
+/// `partitioning` names the produced shuffle's reducer count.
+pub(crate) fn run_narrow_chain(
+    stage: &StagePlan,
+    in_bytes: f64,
+    in_records: u64,
+    data: Option<Arc<[Record]>>,
+    speed: f64,
+    partitioning: Option<u32>,
+) -> ChainOut {
+    let mut secs = 0.0;
+    let mut bytes = in_bytes;
+    let mut records = in_records;
+    let mut real: Option<Rows> = data.map(Rows::Shared);
+    let mut snaps = Vec::new();
+    for (cp_idx, rdd) in &stage.cache_points {
+        if *cp_idx == 0 {
+            snaps.push((*rdd, bytes, records, real.as_mut().map(Rows::share)));
+        }
+    }
+    for (i, step) in stage.steps.iter().enumerate() {
+        secs += bytes / (step.size.compute_rate * speed);
+        match real.take() {
+            Some(rows) => {
+                let out = match rows {
+                    Rows::Shared(a) => step.apply_slice(&a),
+                    Rows::Owned(v) => step.apply(v),
+                };
+                bytes = out.iter().map(record_bytes).sum::<u64>() as f64;
+                records = out.len() as u64;
+                real = Some(Rows::Owned(out));
+            }
+            None => {
+                bytes *= step.size.bytes_factor;
+                records = ((records as f64) * step.size.records_factor).round() as u64;
+            }
+        }
+        for (cp_idx, rdd) in &stage.cache_points {
+            if *cp_idx == i + 1 {
+                snaps.push((*rdd, bytes, records, real.as_mut().map(Rows::share)));
+            }
+        }
+    }
+    (
+        SimDuration::from_secs_f64(secs),
+        bytes,
+        records,
+        real.map(|rows| rows.finish(partitioning)),
+        snaps,
+    )
+}
+
+/// Evaluate every entry — on `threads` scoped workers when that is more
+/// than one — and return the results in entry order. One shared cursor hands
+/// each worker a disjoint (entry, result slot) pair; a UDF panic on a worker
+/// propagates out of the scope when it joins.
+pub(crate) fn evaluate(pending: &mut [Pending], threads: usize) -> Vec<ChainOut> {
+    let mut results: Vec<Option<ChainOut>> = pending.iter().map(|_| None).collect();
+    if threads <= 1 {
+        for (entry, slot) in pending.iter_mut().zip(&mut results) {
+            *slot = Some(entry.eval());
+        }
+    } else {
+        let queue = std::sync::Mutex::new(pending.iter_mut().zip(&mut results));
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| loop {
+                    // Held only across `next()`, which cannot panic.
+                    let next = queue.lock().expect("work queue poisoned").next();
+                    let Some((entry, slot)) = next else { break };
+                    *slot = Some(entry.eval());
+                });
+            }
+        });
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("the queue hands out every entry before the scope joins"))
+        .collect()
+}
+
+/// One reducer's share of a producer's output.
+pub(crate) struct Bucket {
+    pub rows: Vec<Record>,
+    /// `record_bytes` total of `rows`.
+    pub bytes: u64,
+}
+
+/// Hash-partition `rows` over `reducers` buckets, preserving row order
+/// inside each bucket. Owned rows are moved, borrowed (shared) rows cloned.
+fn partition(rows: Cow<'_, [Record]>, reducers: u32) -> Vec<Bucket> {
+    let dest: Vec<u32> = rows
+        .iter()
+        .map(|(k, _)| (k.stable_hash() % reducers as u64) as u32)
+        .collect();
+    let mut counts = vec![0usize; reducers as usize];
+    for &d in &dest {
+        counts[d as usize] += 1;
+    }
+    let mut buckets: Vec<Bucket> = counts
+        .into_iter()
+        .map(|n| Bucket {
+            rows: Vec::with_capacity(n),
+            bytes: 0,
+        })
+        .collect();
+    let mut fill = |rec: Record, d: u32| {
+        let b = &mut buckets[d as usize];
+        b.bytes += record_bytes(&rec);
+        b.rows.push(rec);
+    };
+    match rows {
+        Cow::Owned(v) => v.into_iter().zip(dest).for_each(|(r, d)| fill(r, d)),
+        Cow::Borrowed(s) => s.iter().zip(dest).for_each(|(r, d)| fill(r.clone(), d)),
+    }
+    buckets
+}
+
+/// Insertion-ordered key index, `memres_des::DetMap`-style: a dense group
+/// vector in first-appearance order (the only thing ever iterated) plus an
+/// open-addressing probe table into it. Keys are probed by a caller-supplied
+/// hash and confirmed by [`Value::same_key`], so two keys whose hashes
+/// collide stay two groups.
+struct KeyIndex {
+    /// `(hash, key)` per group.
+    groups: Vec<(u64, Value)>,
+    /// `group + 1` per occupied slot, 0 when empty; power-of-two length.
+    table: Vec<u32>,
+}
+
+impl KeyIndex {
+    fn new() -> Self {
+        KeyIndex {
+            groups: Vec::new(),
+            table: vec![0; 16],
+        }
+    }
+
+    /// First probe slot of `hash`. Multiplicative mixing takes the *high*
+    /// bits: every key of one reducer shares `hash % reducers`, so the low
+    /// bits of a bucket's hashes carry almost no information.
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.table.len().trailing_zeros();
+        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    fn free_slot(&self, hash: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(hash);
+        while self.table[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Group number of `key`; a first appearance appends a group (cloning
+    /// the key once per group, never per record).
+    fn group_of(&mut self, hash: u64, key: &Value) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(hash);
+        while self.table[i] != 0 {
+            let g = self.table[i] as usize - 1;
+            let (h, k) = &self.groups[g];
+            if *h == hash && k.same_key(key) {
+                return g;
+            }
+            i = (i + 1) & mask;
+        }
+        self.groups.push((hash, key.clone()));
+        // 2^32 distinct keys in one reducer would need >190 GB of records.
+        let n = u32::try_from(self.groups.len()).expect("under 2^32 groups per reducer");
+        if self.groups.len() * 2 <= self.table.len() {
+            self.table[i] = n;
+        } else {
+            // Half full: double the table and re-seat every group (the new
+            // one included) from its stored hash.
+            self.table = vec![0; self.table.len() * 2];
+            for g in 0..n {
+                let slot = self.free_slot(self.groups[g as usize].0);
+                self.table[slot] = g + 1;
+            }
+        }
+        n as usize - 1
+    }
+}
+
+/// Aggregate one reducer's fetched `segments`, consumed in gather order
+/// (segment by segment, rows in order) without concatenating them. Returns
+/// the groups in ascending `stable_hash` order — first appearance breaking
+/// ties — and the `record_bytes` total of that output.
+fn aggregate(agg: &ShuffleAgg, segments: Vec<Vec<Record>>) -> (Vec<Record>, u64) {
+    aggregate_with(agg, segments, Value::stable_hash)
+}
+
+fn aggregate_with(
+    agg: &ShuffleAgg,
+    segments: Vec<Vec<Record>>,
+    hash: impl Fn(&Value) -> u64,
+) -> (Vec<Record>, u64) {
+    let mut index = KeyIndex::new();
+    let (values, value_bytes): (Vec<Value>, u64) = match agg {
+        ShuffleAgg::ReduceByKey(f) => {
+            // Left fold per key in gather order, straight into the group.
+            let mut acc: Vec<Value> = Vec::new();
+            for (k, v) in segments.into_iter().flatten() {
+                let g = index.group_of(hash(&k), &k);
+                if g == acc.len() {
+                    acc.push(v);
+                } else {
+                    let a = std::mem::replace(&mut acc[g], Value::Null);
+                    acc[g] = f(a, v);
+                }
+            }
+            let bytes = acc.iter().map(Value::approx_bytes).sum();
+            (acc, bytes)
+        }
+        ShuffleAgg::GroupByKey => {
+            // Count pass (the one hash per record), then fill exact lists.
+            let mut group: Vec<u32> = Vec::with_capacity(segments.iter().map(Vec::len).sum());
+            let mut counts: Vec<usize> = Vec::new();
+            for (k, _) in segments.iter().flatten() {
+                let g = index.group_of(hash(k), k);
+                if g == counts.len() {
+                    counts.push(0);
+                }
+                counts[g] += 1;
+                group.push(g as u32);
+            }
+            let mut lists: Vec<Vec<Value>> = counts.into_iter().map(Vec::with_capacity).collect();
+            let mut bytes = 16 * lists.len() as u64;
+            for ((_, v), g) in segments.into_iter().flatten().zip(group) {
+                bytes += v.approx_bytes();
+                lists[g as usize].push(v);
+            }
+            (lists.into_iter().map(Value::list).collect(), bytes)
+        }
+    };
+    let key_bytes: u64 = index.groups.iter().map(|(_, k)| k.approx_bytes()).sum();
+    let mut out: Vec<(u64, Record)> = index
+        .groups
+        .into_iter()
+        .zip(values)
+        .map(|((h, k), v)| (h, (k, v)))
+        .collect();
+    // Stable: equal hashes keep first-appearance order.
+    out.sort_by_key(|&(h, _)| h);
+    (
+        out.into_iter().map(|(_, rec)| rec).collect(),
+        key_bytes + value_bytes,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-PR-14 aggregation, kept verbatim as the differential oracle:
+    /// a `BTreeMap` keyed by `stable_hash` alone over the gathered rows.
+    fn apply_agg_oracle(agg: &ShuffleAgg, records: Vec<Record>) -> Vec<Record> {
+        use std::collections::BTreeMap;
+        let mut groups: BTreeMap<u64, (Value, Vec<Value>)> = BTreeMap::new();
+        for (k, v) in records {
+            groups
+                .entry(k.stable_hash())
+                .or_insert_with(|| (k.clone(), Vec::new()))
+                .1
+                .push(v);
+        }
+        match agg {
+            ShuffleAgg::GroupByKey => groups
+                .into_values()
+                .map(|(k, vs)| (k, Value::list(vs)))
+                .collect(),
+            ShuffleAgg::ReduceByKey(f) => groups
+                .into_values()
+                .map(|(k, vs)| {
+                    let folded = vs.into_iter().reduce(|a, b| f(a, b)).unwrap();
+                    (k, folded)
+                })
+                .collect(),
+        }
+    }
+
+    /// The pre-PR-14 `producer_finished` bucketing, kept as the oracle: per
+    /// record a hash, a clone, a push, and an `f64` byte accumulation.
+    fn partition_oracle(recs: &[Record], reducers: u32) -> Vec<(Vec<Record>, f64)> {
+        let mut out: Vec<(Vec<Record>, f64)> = vec![(Vec::new(), 0.0); reducers as usize];
+        for rec in recs {
+            let b = &mut out[(rec.0.stable_hash() % reducers as u64) as usize];
+            b.1 += record_bytes(rec) as f64;
+            b.0.push(rec.clone());
+        }
+        out
+    }
+
+    /// Order-sensitive fold, so any change of fold order shows.
+    fn fold() -> ShuffleAgg {
+        ShuffleAgg::ReduceByKey(Arc::new(|a, b| {
+            Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64()))
+        }))
+    }
+
+    fn key(kind: u8, k: u64) -> Value {
+        match kind % 3 {
+            0 => Value::I64(k as i64 - 7),
+            1 => Value::str(format!("key-{k}")),
+            _ => Value::F64(k as f64 * 0.25 - 2.0),
+        }
+    }
+
+    /// `n` records over `keys` distinct keys; `skew` > 1 piles them onto
+    /// the low keys.
+    fn records(rng: &mut u64, n: usize, kind: u8, keys: u64, skew: i32) -> Vec<Record> {
+        (0..n)
+            .map(|_| {
+                *rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = (*rng >> 11) as f64 / (1u64 << 53) as f64;
+                let k = (u.powi(skew) * keys as f64) as u64;
+                (key(kind, k), Value::I64((*rng >> 40) as i64))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Partition + aggregate against the pre-PR-14 oracles: bucket rows
+        /// and byte totals, then group order, value order inside every
+        /// list, fold order and output bytes, for every reducer.
+        #[test]
+        fn partition_and_aggregate_match_the_oracles(
+            kind in 0u8..3,
+            keys in 1u64..40,
+            skew in 1i32..4,
+            reducers in 1u32..=7,
+            producers in 1usize..=5,
+            max_rows in 0usize..80,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = seed;
+            let mut segments: Vec<Vec<Vec<Record>>> = vec![Vec::new(); reducers as usize];
+            let mut gathered: Vec<Vec<Record>> = vec![Vec::new(); reducers as usize];
+            for p in 0..producers {
+                let rows = records(&mut rng, (max_rows + p) % (max_rows + 1), kind, keys, skew);
+                let want = partition_oracle(&rows, reducers);
+                // Odd producers go through the shared (cloning) arm.
+                let got = if p % 2 == 0 {
+                    partition(Cow::Owned(rows), reducers)
+                } else {
+                    partition(Cow::Borrowed(&rows), reducers)
+                };
+                prop_assert_eq!(got.len(), want.len());
+                for (r, (b, (rows, bytes))) in got.into_iter().zip(want).enumerate() {
+                    prop_assert_eq!(&b.rows, &rows);
+                    prop_assert_eq!(b.rows.capacity(), rows.len());
+                    prop_assert_eq!(b.bytes as f64, bytes);
+                    gathered[r].extend(rows);
+                    segments[r].push(b.rows);
+                }
+            }
+            for (segs, flat) in segments.into_iter().zip(gathered) {
+                for agg in [ShuffleAgg::GroupByKey, fold()] {
+                    let want = apply_agg_oracle(&agg, flat.clone());
+                    let (got, bytes) = aggregate(&agg, segs.clone());
+                    prop_assert_eq!(bytes, want.iter().map(record_bytes).sum::<u64>());
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_keep_distinct_keys_apart() {
+        // Regression: grouping by `stable_hash` alone folded every key whose
+        // 64-bit hash collided under the first one seen. With a constant
+        // hash *all* keys collide: N keys must still give N groups, in
+        // first-appearance order (the tie-break among equal hashes).
+        let n = 40i64;
+        let rows: Vec<Record> = (0..3 * n)
+            .map(|i| (Value::I64((i * 7) % n), Value::I64(i)))
+            .collect();
+        let first_seen: Vec<Value> = rows.iter().take(n as usize).map(|r| r.0.clone()).collect();
+        let segments = vec![rows[..50].to_vec(), rows[50..].to_vec()];
+        let (grouped, bytes) = aggregate_with(&ShuffleAgg::GroupByKey, segments.clone(), |_| 9);
+        let keys: Vec<Value> = grouped.iter().map(|r| r.0.clone()).collect();
+        assert_eq!(keys, first_seen);
+        assert_eq!(bytes, grouped.iter().map(record_bytes).sum::<u64>());
+        for (k, vs) in &grouped {
+            let want: Vec<Value> = rows
+                .iter()
+                .filter(|r| r.0 == *k)
+                .map(|r| r.1.clone())
+                .collect();
+            assert_eq!(vs.as_list(), want, "values of {k} in gather order");
+        }
+        let (reduced, _) = aggregate_with(&fold(), segments, |_| 9);
+        assert_eq!(reduced.len(), n as usize);
+        // The real hash gives the same groups, merely reordered.
+        let (real, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows]);
+        assert_eq!(real.len(), n as usize);
+    }
+
+    #[test]
+    fn nan_keys_group_by_encoding() {
+        // `same_key` compares what `stable_hash` hashes (the bit pattern),
+        // so NaN keys still form one group and -0.0 stays apart from 0.0.
+        let rows = vec![
+            (Value::F64(f64::NAN), Value::I64(1)),
+            (Value::F64(0.0), Value::I64(2)),
+            (Value::F64(f64::NAN), Value::I64(3)),
+            (Value::F64(-0.0), Value::I64(4)),
+        ];
+        let (out, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows]);
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn empty_inputs() {
+        let (out, bytes) = aggregate(&ShuffleAgg::GroupByKey, vec![Vec::new(), Vec::new()]);
+        assert!(out.is_empty());
+        assert_eq!(bytes, 0);
+        let buckets = partition(Cow::Owned(Vec::new()), 3);
+        assert_eq!(buckets.len(), 3);
+        assert!(buckets.iter().all(|b| b.rows.is_empty() && b.bytes == 0));
+    }
+
+    #[test]
+    fn run_narrow_chain_synthetic_factors() {
+        use crate::rdd::{NarrowKind, NarrowStep, SizeModel};
+        let stage = crate::dag::StagePlan {
+            input: crate::dag::StageInput::Cached {
+                rdd: crate::rdd::RddId(0),
+            },
+            steps: vec![
+                Arc::new(NarrowStep {
+                    name: "half".into(),
+                    kind: NarrowKind::Map(Arc::new(|r| r)),
+                    size: SizeModel::new(0.5, 1.0, 100.0),
+                }),
+                Arc::new(NarrowStep {
+                    name: "double".into(),
+                    kind: NarrowKind::Map(Arc::new(|r| r)),
+                    size: SizeModel::new(2.0, 1.0, 100.0),
+                }),
+            ],
+            cache_points: vec![],
+            shuffle_out: None,
+        };
+        let (dur, bytes, records, real, snaps) =
+            run_narrow_chain(&stage, 1000.0, 10, None, 1.0, None);
+        assert!((bytes - 1000.0).abs() < 1e-9, "0.5 then 2.0 round-trips");
+        assert_eq!(records, 10);
+        assert!(real.is_none());
+        assert!(snaps.is_empty());
+        // time = 1000/100 + 500/100 = 15s at speed 1.
+        assert!((dur.as_secs_f64() - 15.0).abs() < 1e-9);
+    }
+}

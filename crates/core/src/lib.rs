@@ -36,6 +36,7 @@ pub mod blockmgr;
 pub mod config;
 pub mod dag;
 pub mod driver;
+mod executor;
 pub mod export;
 pub mod faults;
 pub mod metrics;

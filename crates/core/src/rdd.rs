@@ -336,7 +336,12 @@ impl Dataset {
     /// Materialized dataset from real records, split into `partitions`.
     pub fn from_records(records: Vec<Record>, partitions: usize) -> Dataset {
         assert!(partitions > 0);
-        let mut parts: Vec<Vec<Record>> = (0..partitions).map(|_| Vec::new()).collect();
+        // Round-robin fills no partition past `ceil(len / partitions)`:
+        // sized once, never regrown.
+        let per_part = records.len().div_ceil(partitions);
+        let mut parts: Vec<Vec<Record>> = (0..partitions)
+            .map(|_| Vec::with_capacity(per_part))
+            .collect();
         for (i, r) in records.into_iter().enumerate() {
             parts
                 .get_mut(i % partitions)

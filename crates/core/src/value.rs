@@ -99,6 +99,26 @@ impl Value {
         h.finish()
     }
 
+    /// Key equality over the encoding [`Value::stable_hash`] hashes: floats
+    /// compare by bit pattern, so a NaN key equals itself and `-0.0` differs
+    /// from `0.0` — exactly the keys whose hashes can differ. Shuffle
+    /// grouping confirms a hash match with this.
+    pub(crate) fn same_key(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::F64(a), Value::F64(b)) => a.to_bits() == b.to_bits(),
+            (Value::VecF64(a), Value::VecF64(b)) => {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b.iter())
+                        .all(|(x, y)| x.to_bits() == y.to_bits())
+            }
+            (Value::List(a), Value::List(b)) => {
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.same_key(y))
+            }
+            _ => self == other,
+        }
+    }
+
     fn hash_into(&self, h: &mut Fnv) {
         match self {
             Value::Null => h.write(&[0]),

@@ -31,11 +31,12 @@ use crate::blockmgr::BlockMgr;
 use crate::config::{Defect, EngineConfig, InputSource, SchedulerKind, ShuffleStore, StoreDevice};
 use crate::dag::build_plan;
 use crate::dag::{JobPlan, ShuffleInSpec, StageInput, StagePlan};
+use crate::executor::{evaluate, run_narrow_chain, ChainOut, Pending, RealOut, Work};
 use crate::faults::FaultKind;
 use crate::metrics::{MetricsSink, Phase, TaskLocality, TaskMetric};
-use crate::rdd::{Action, Dataset, RddId, ShuffleAgg};
+use crate::rdd::{Action, Dataset, RddId};
 use crate::tenancy::{FinishedJob, InterJobPolicy, StreamSpec};
-use crate::value::{record_bytes, Record, Value};
+use crate::value::{Record, Value};
 use memres_cluster::{ClusterSpec, NodeId, SpeedModel, SpeedSampler};
 use memres_des::sim::{EngineStats, Gen, Model, Outbox};
 use memres_des::stats::LogHistogram;
@@ -87,7 +88,7 @@ struct Task {
     input_bytes: f64,
     output_bytes: f64,
     records_est: u64,
-    records_out: Option<Arc<[Record]>>,
+    records_out: Option<Box<RealOut>>,
     locality: TaskLocality,
     /// Preferred nodes (HDFS replicas / cache location). Empty = any.
     prefs: Vec<u32>,
@@ -147,7 +148,7 @@ impl Task {
 /// two fields of many tasks, so at 10⁶ tasks they walk dense homogeneous
 /// arrays instead of striding over ~130-byte task structs. [`Task`] survives
 /// as the push-site constructor — the arena scatters it on insert — and
-/// `Arc<[Record]>` payloads are shared exactly as before.
+/// real-record payloads ([`RealOut`]) are moved, never copied.
 #[derive(Default)]
 struct TaskArena {
     job: Vec<u32>,
@@ -164,7 +165,9 @@ struct TaskArena {
     input_bytes: Vec<f64>,
     output_bytes: Vec<f64>,
     records_est: Vec<u64>,
-    records_out: Vec<Option<Arc<[Record]>>>,
+    /// Real output of an evaluated chain, from its commit to the task's
+    /// finish (boxed: synthetic tasks pay one null pointer).
+    records_out: Vec<Option<Box<RealOut>>>,
     locality: Vec<TaskLocality>,
     prefs: Vec<Vec<u32>>,
     pinned: Vec<bool>,
@@ -266,7 +269,7 @@ impl TaskArena {
             + self.input_bytes.capacity() * size_of::<f64>()
             + self.output_bytes.capacity() * size_of::<f64>()
             + self.records_est.capacity() * size_of::<u64>()
-            + self.records_out.capacity() * size_of::<Option<Arc<[Record]>>>()
+            + self.records_out.capacity() * size_of::<Option<Box<RealOut>>>()
             + self.locality.capacity() * size_of::<TaskLocality>()
             + self.prefs.capacity() * size_of::<Vec<u32>>()
             + self
@@ -454,8 +457,14 @@ struct ShuffleState {
     /// Fetches ride rack-pair aggregate flows instead of per-node flows
     /// (decided once at creation from `EngineConfig::rack_agg_threshold`).
     aggregated: bool,
-    /// Materialized buckets (real-data jobs): node → reducer → records.
-    node_real: Option<Vec<Vec<Vec<Record>>>>,
+    /// Materialized buckets (real-data jobs): node → reducer → the
+    /// *segments* deposited there, one per finished producer, each still the
+    /// producer's own bucket allocation. A reducer gathers them node
+    /// ascending, deposit order within a node.
+    node_real: Option<Vec<Vec<Vec<Vec<Record>>>>>,
+    /// Real aggregation per reducer: evaluated once, at the reducer's first
+    /// launch; consumed once, at its successful finish.
+    reduced: Vec<Reduced>,
     /// Per-node aggregated store file ids.
     local_files: Vec<Option<FileId>>,
     lustre_files: Vec<Option<LustreFile>>,
@@ -484,6 +493,9 @@ impl ShuffleState {
             buckets: ShuffleBuckets::new(workers, reducers, real),
             aggregated,
             node_real: real.then(|| vec![vec![Vec::new(); reducers as usize]; workers]),
+            reduced: (0..if real { reducers } else { 0 })
+                .map(|_| Reduced::Unlaunched)
+                .collect(),
             local_files: vec![None; workers],
             lustre_files: vec![None; workers],
             cached_frac: vec![0.0; workers],
@@ -565,37 +577,18 @@ struct PlacedPart {
     lustre: Option<LustreFile>,
 }
 
-/// A real-partition UDF chain captured at task launch and evaluated off the
-/// critical path (possibly on a worker pool — see
-/// [`SimWorld::flush_pending_chains`]). Everything needed by
-/// [`run_narrow_chain`] is either `Copy` or a shared `Arc`, so evaluation is
-/// a pure function of this struct.
-struct PendingChain {
-    task: u32,
-    /// The owning job's plan, captured at launch — chain evaluation happens
-    /// on worker threads where `SimWorld` cannot be borrowed.
-    plan: Arc<JobPlan>,
-    stage: usize,
-    part: u32,
-    node: u32,
-    in_bytes: f64,
-    in_records: u64,
-    data: Option<Arc<[Record]>>,
-    speed: f64,
-    /// Lineage recovery: evaluate this synthesized source→stage chain
-    /// instead of `plan.stages[stage]` (see `recovery_stage`).
-    stage_override: Option<Arc<StagePlan>>,
+/// Where one reducer's real aggregation stands (see `ShuffleState::reduced`).
+enum Reduced {
+    /// No attempt of this reducer has launched; its segments still sit in
+    /// `node_real`.
+    Unlaunched,
+    /// Evaluation is queued for this round's flush — or the result has been
+    /// consumed by the attempt that finished.
+    Taken,
+    /// Evaluated: (output bytes, output records, output rows), parked until
+    /// an attempt finishes. A retry finds it here and reuses it.
+    Parked(f64, u64, RealOut),
 }
-
-/// What [`run_narrow_chain`] produces: (compute seconds, output bytes,
-/// output records, real output, cache snapshots).
-type ChainOut = (
-    SimDuration,
-    f64,
-    u64,
-    Option<Arc<[Record]>>,
-    Vec<(RddId, f64, u64, Option<Arc<[Record]>>)>,
-);
 
 /// Completed-job result.
 #[derive(Clone, Debug)]
@@ -664,10 +657,11 @@ pub struct SimWorld {
     hdfs_files: DetMap<RddId, HdfsFile>,
     pub blockmgr: BlockMgr,
     next_shuffle_file: u64,
-    /// Real-partition chains launched this dispatch round, evaluated (maybe
-    /// in parallel) and committed in launch order at the end of the round.
-    pending_chains: Vec<PendingChain>,
-    /// Resolved host worker-thread count for chain evaluation.
+    /// Record-level work of the tasks launched this dispatch round,
+    /// evaluated (maybe in parallel) and committed in launch order at the
+    /// end of the round.
+    pending: Vec<Pending>,
+    /// Resolved host worker-thread count for evaluating `pending`.
     executor_threads: usize,
 
     // Fault & recovery state (DESIGN.md §4.9).
@@ -800,7 +794,7 @@ impl SimWorld {
             hdfs_files: DetMap::new(),
             blockmgr: BlockMgr::default(),
             next_shuffle_file: SHUFFLE_FILE_BASE,
-            pending_chains: Vec::new(),
+            pending: Vec::new(),
             executor_threads: resolve_executor_threads(&cfg),
             node_up: vec![true; workers],
             blacklisted: vec![false; workers],
@@ -1814,7 +1808,7 @@ impl SimWorld {
             return;
         }
         // Fast exit: with nothing pending and speculation off, no pass can
-        // launch anything (`pending_chains` is always empty between rounds),
+        // launch anything (`pending` is always empty between rounds),
         // so the scan below would only re-derive "blocked" for every node.
         if self.tasks.pending == 0 && self.cfg.speculation.is_none() {
             return;
@@ -1924,7 +1918,7 @@ impl SimWorld {
                 }
             }
         }
-        self.flush_pending_chains(now, out);
+        self.flush_pending(now, out);
         if let Some(r) = earliest_retry {
             // lint:allow(event-past): delay-scheduling retry times are queued_at + wait, in the future of the dispatch that set them
             out.at(r, Ev::Dispatch);
@@ -2101,33 +2095,38 @@ impl SimWorld {
         let deferred = data.is_some();
         self.tasks.input_bytes[task as usize] = in_bytes;
         self.tasks.locality[task as usize] = locality;
-        if deferred {
-            // Real partition: the UDF chain is a pure function of the shared
-            // input — defer it so the dispatch round can evaluate all such
-            // chains on the worker pool, then commit in launch order.
-            self.pending_chains.push(PendingChain {
+        if let Some(data) = data {
+            // Real partition: the UDF chain (and the partitioning of its
+            // output) is a pure function of the shared input — defer it so
+            // the dispatch round can evaluate all such work on the worker
+            // pool, then commit in launch order.
+            let partition = self.real_partitioning(task);
+            self.pending.push(Pending {
                 task,
                 plan: plan.clone(),
                 stage: stage_idx,
-                part,
-                node,
-                in_bytes,
-                in_records,
-                data,
-                speed,
-                stage_override,
+                partition,
+                work: Work::Chain {
+                    part,
+                    node,
+                    in_bytes,
+                    in_records,
+                    data,
+                    speed,
+                    stage_override,
+                },
             });
         } else {
             // Synthetic partition: size-model arithmetic only, run inline.
             let stage = stage_override.as_deref().unwrap_or(stage);
-            let chain = run_narrow_chain(stage, in_bytes, in_records, None, speed);
+            let chain = run_narrow_chain(stage, in_bytes, in_records, None, speed, None);
             self.commit_chain(task, part, node, chain);
         }
 
         self.issue_io_plan(now, task, node, in_bytes, io_plan, out);
 
         // A deferred chain has no compute duration yet; its commit in
-        // `flush_pending_chains` schedules the finish instead.
+        // `flush_pending` schedules the finish instead.
         if !deferred {
             self.maybe_schedule_finish(now, task, out);
         }
@@ -2308,68 +2307,49 @@ impl SimWorld {
         self.tasks.compute_dur[i] = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
         self.tasks.output_bytes[i] = out_bytes;
         self.tasks.records_est[i] = out_records;
-        self.tasks.records_out[i] = out_data;
+        self.tasks.records_out[i] = out_data.map(Box::new);
         for (rdd, bytes, records, snapshot) in snaps {
             self.blockmgr
                 .insert(rdd, part, node, Bytes(bytes), records, snapshot);
         }
     }
 
-    /// Evaluate every real-partition chain captured this dispatch round and
-    /// commit the results in launch order.
+    /// Reducer count to hash-partition `task`'s output over: set when its
+    /// job is producing a shuffle that carries real rows.
+    fn real_partitioning(&self, task: u32) -> Option<u32> {
+        let sh = self.job_of(task).shuffle_out.as_ref()?;
+        sh.node_real.is_some().then_some(sh.reducers)
+    }
+
+    /// Evaluate the record-level work captured this dispatch round and commit
+    /// the results in launch order.
     ///
     /// Determinism does not depend on the thread count: placement decisions
-    /// already happened sequentially, [`run_narrow_chain`] is a pure function
-    /// of each [`PendingChain`], and commits (task fields, cache-snapshot
-    /// inserts, finish events) are applied in the exact order the tasks were
-    /// launched. `MEMRES_THREADS=1` and a 16-thread pool produce
+    /// already happened sequentially, evaluating a [`Pending`] entry is a pure
+    /// function of it, and commits (task fields, cache-snapshot inserts, parked
+    /// reducer results, finish events) are applied in the exact order the
+    /// tasks were launched. `MEMRES_THREADS=1` and a 16-thread pool produce
     /// byte-identical metrics.
-    fn flush_pending_chains(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
-        if self.pending_chains.is_empty() {
+    fn flush_pending(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
+        if self.pending.is_empty() {
             return;
         }
-        let jobs = std::mem::take(&mut self.pending_chains);
-        let n = jobs.len();
-        let threads = self.executor_threads.min(n);
-        let eval = |j: &PendingChain| {
-            let stage = j
-                .stage_override
-                .as_deref()
-                .unwrap_or(&j.plan.stages[j.stage]);
-            run_narrow_chain(stage, j.in_bytes, j.in_records, j.data.clone(), j.speed)
-        };
-        let results: Vec<ChainOut> = if threads <= 1 {
-            jobs.iter().map(eval).collect()
-        } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            let slots: Vec<Mutex<Option<ChainOut>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let r = eval(&jobs[i]);
-                        // lint:allow(panic): a poisoned slot means a UDF panicked on a worker thread; propagating is the only sound option
-                        *slots[i].lock().expect("chain slot poisoned") = Some(r);
-                    });
+        let mut jobs = std::mem::take(&mut self.pending);
+        let threads = self.executor_threads.min(jobs.len());
+        let results = evaluate(&mut jobs, threads);
+        for (job, chain) in jobs.into_iter().zip(results) {
+            match job.work {
+                Work::Chain { part, node, .. } => {
+                    self.commit_chain(job.task, part, node, chain);
+                    self.maybe_schedule_finish(now, job.task, out);
                 }
-            });
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("chain slot poisoned") // lint:allow(panic): a poisoned slot means a UDF panicked on a worker thread; propagating is the only sound option
-                        .expect("chain evaluated") // lint:allow(panic): every chain launched this round was evaluated before the launch-order commit
-                })
-                .collect()
-        };
-        for (j, chain) in jobs.iter().zip(results) {
-            self.commit_chain(j.task, j.part, j.node, chain);
-            self.maybe_schedule_finish(now, j.task, out);
+                Work::Reduce { reducer, .. } => {
+                    let (_, bytes, records, rows, _) = chain;
+                    let rows = rows.expect("real reduce output"); // lint:allow(panic): Work::Reduce always evaluates to real rows
+                    let sh = self.job_of_mut(job.task).shuffle_in.as_mut().unwrap(); // lint:allow(panic): a reduce is queued by a fetch launch, whose stage input is that shuffle
+                    sh.reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
+                }
+            }
         }
     }
 
@@ -2483,6 +2463,7 @@ impl SimWorld {
         let plan = self.plan_of(task);
         let stage_idx = self.tasks.stage[task as usize] as usize;
         let stage = &plan.stages[stage_idx];
+        self.queue_reduce(task, reducer, &plan, stage_idx);
 
         // Bucket sizes and shuffle spec. Above the rack-aggregation
         // threshold, per-node deposits fold into per-source-rack totals and
@@ -2531,6 +2512,7 @@ impl SimWorld {
             ((total / 64.0).max(1.0)) as u64,
             None,
             speed,
+            None,
         );
         dur += chain_dur;
         let dur = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
@@ -2602,6 +2584,44 @@ impl SimWorld {
             }
         }
         self.maybe_schedule_finish(now, task, out);
+    }
+
+    /// Real rows: the first launch of `reducer` takes its segments out of
+    /// `node_real` in gather order (the shuffle barrier guarantees they are
+    /// complete) and queues their aggregation for this round's flush. A
+    /// retry finds the result parked and queues nothing, so the aggregation
+    /// runs once per reducer however many attempts it takes.
+    fn queue_reduce(&mut self, task: u32, reducer: u32, plan: &Arc<JobPlan>, stage: usize) {
+        let sh = self
+            .job_of_mut(task)
+            .shuffle_in
+            .as_mut()
+            .expect("fetch without shuffle"); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+        let Some(real) = sh.node_real.as_mut() else {
+            return; // synthetic shuffle: sizes only
+        };
+        let slot = &mut sh.reduced[reducer as usize];
+        if !matches!(slot, Reduced::Unlaunched) {
+            return;
+        }
+        *slot = Reduced::Taken;
+        let segments = real
+            .iter_mut()
+            .flat_map(|node| std::mem::take(&mut node[reducer as usize]))
+            .collect();
+        let agg = sh.spec.agg.clone();
+        let partition = self.real_partitioning(task);
+        self.pending.push(Pending {
+            task,
+            plan: plan.clone(),
+            stage,
+            partition,
+            work: Work::Reduce {
+                reducer,
+                agg,
+                segments,
+            },
+        });
     }
 
     /// Persistent fetch flow for `(src, dst, kind)` of the shuffle `task`
@@ -2821,7 +2841,7 @@ impl SimWorld {
             TaskKind::Compute { .. } if !ghost => self.producer_finished(task, node),
             TaskKind::Store { .. } => self.store_finished(now, task),
             TaskKind::Fetch { reducer } if !ghost => {
-                self.fetch_aggregate(task, reducer);
+                self.adopt_reduced(task, reducer);
                 self.producer_finished(task, node);
             }
             _ => {}
@@ -2845,18 +2865,21 @@ impl SimWorld {
         if !has_shuffle {
             return;
         }
-        let records = self.tasks.records_out[task as usize].take();
+        let real_out = self.tasks.records_out[task as usize].take();
         let job = self.job_of_mut(task);
         job.intermediate[node as usize] += out_bytes;
         let sh = job.shuffle_out.as_mut().expect("producer without shuffle"); // lint:allow(panic): producer completions only arrive for stages with a produced shuffle
-        let r = sh.reducers as usize;
-        match (records, &mut sh.node_real) {
-            (Some(recs), Some(real)) => {
-                for rec in recs.iter() {
-                    let bucket = (rec.0.stable_hash() % r as u64) as usize;
-                    sh.buckets
-                        .add(node as usize, bucket, record_bytes(rec) as f64);
-                    real[node as usize][bucket].push(rec.clone());
+        match (real_out.map(|b| *b), &mut sh.node_real) {
+            // O(reducers): each bucket — already partitioned, sized and
+            // summed on the pool — lands as one segment, by handle. Its byte
+            // total is an integer sum, so adding it once equals the
+            // per-record `f64` accumulation it replaces bit for bit.
+            (Some(RealOut::Buckets(buckets)), Some(real)) => {
+                for (r, bucket) in buckets.into_iter().enumerate() {
+                    sh.buckets.add(node as usize, r, bucket.bytes as f64);
+                    if !bucket.rows.is_empty() {
+                        real[node as usize][r].push(bucket.rows);
+                    }
                 }
             }
             _ => sh.buckets.add_uniform(node as usize, out_bytes),
@@ -2900,38 +2923,26 @@ impl SimWorld {
         }
     }
 
-    /// Real-data aggregation of a fetched bucket.
-    fn fetch_aggregate(&mut self, task: u32, reducer: u32) {
-        let plan = self.plan_of(task);
-        let stage_idx = self.tasks.stage[task as usize] as usize;
-        let gathered = {
-            let job = self.job_of_mut(task);
-            let Some(real) = job.shuffle_in.as_mut().and_then(|sh| sh.node_real.as_mut()) else {
-                return;
-            };
-            let mut gathered: Vec<Record> = Vec::new();
-            for node_buckets in real.iter_mut() {
-                gathered.append(&mut node_buckets[reducer as usize]);
-            }
-            gathered
-        };
-        let agg = self
-            .job_of(task)
+    /// Hand a finishing fetch task its reducer's parked aggregation. The
+    /// three fields are written here, after the task's metric was recorded,
+    /// because that record (and every export built on it) pins the
+    /// size-model `output_bytes` set at launch.
+    fn adopt_reduced(&mut self, task: u32, reducer: u32) {
+        let Some(slot) = self
+            .job_of_mut(task)
             .shuffle_in
-            .as_ref()
-            // lint:allow(panic): fetch finish runs on a stage whose input is that shuffle
-            .unwrap()
-            .spec
-            .agg
-            .clone();
-        let mut recs = apply_agg(&agg, gathered);
-        for step in &plan.stages[stage_idx].steps {
-            recs = step.apply(recs);
-        }
+            .as_mut()
+            .and_then(|sh| sh.reduced.get_mut(reducer as usize))
+        else {
+            return; // synthetic shuffle: sizes only
+        };
+        let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
+            unreachable!("fetch task finished before its reducer was evaluated");
+        };
         let i = task as usize;
-        self.tasks.records_est[i] = recs.len() as u64;
-        self.tasks.output_bytes[i] = recs.iter().map(record_bytes).sum::<u64>() as f64;
-        self.tasks.records_out[i] = Some(recs.into());
+        self.tasks.output_bytes[i] = bytes;
+        self.tasks.records_est[i] = records;
+        self.tasks.records_out[i] = Some(Box::new(rows));
     }
 
     fn advance_phase(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
@@ -3333,8 +3344,7 @@ impl SimWorld {
         }
         {
             let tasks = &self.tasks;
-            self.pending_chains
-                .retain(|c| tasks.job[c.task as usize] != id);
+            self.pending.retain(|c| tasks.job[c.task as usize] != id);
         }
         let output = JobOutput {
             count: 0,
@@ -3662,43 +3672,38 @@ impl SimWorld {
                 aborted: false,
             },
         );
+        // The final tasks' shared output slices, in task order; only
+        // `Collect` copies records out of them.
         let mut count = 0u64;
-        let mut records: Vec<Record> = Vec::new();
-        let mut have_real = true;
+        let mut slices: Vec<&[Record]> = Vec::new();
         for &t in &job.final_tasks {
             let i = t as usize;
             count += self.tasks.records_est[i];
-            match &self.tasks.records_out[i] {
-                Some(r) => records.extend(r.iter().cloned()),
-                None => have_real = false,
+            if let Some(RealOut::Rows(r)) = self.tasks.records_out[i].as_deref() {
+                slices.push(r);
             }
         }
+        let have_real = slices.len() == job.final_tasks.len();
+        let real_count = slices.iter().map(|s| s.len() as u64).sum();
         let output = match &job.plan.action {
             Action::Count => JobOutput {
-                count: if have_real {
-                    records.len() as u64
-                } else {
-                    count
-                },
+                count: if have_real { real_count } else { count },
                 records: None,
                 reduced: None,
                 aborted: false,
             },
             Action::Collect => JobOutput {
-                count: if have_real {
-                    records.len() as u64
-                } else {
-                    count
-                },
-                records: have_real.then_some(records),
+                count: if have_real { real_count } else { count },
+                records: have_real.then(|| slices.concat()),
                 reduced: None,
                 aborted: false,
             },
             Action::Reduce(f) => {
                 let reduced = have_real.then(|| {
-                    records
-                        .into_iter()
-                        .map(|(_, v)| v)
+                    slices
+                        .iter()
+                        .flat_map(|s| s.iter())
+                        .map(|(_, v)| v.clone())
                         .reduce(|a, b| f(a, b))
                         .unwrap_or(Value::Null)
                 });
@@ -3752,88 +3757,6 @@ fn effective_read_bw(fs: &LocalFs, dev: StoreDevice) -> f64 {
     let cache_frac = (CACHE / stored).clamp(0.0, 1.0);
     let mem_bw = 3.0e9;
     1.0 / (cache_frac / mem_bw + (1.0 - cache_frac) / dev_bw)
-}
-
-/// Apply a stage's narrow chain. Returns (compute seconds, output bytes,
-/// output records, real output, cache snapshots).
-///
-/// Zero-copy contract: the shared input is never deep-copied. A chain with
-/// no steps passes the input `Arc` straight through (placement, caching and
-/// task output all share one allocation), and every cache snapshot is a
-/// reference bump of the value at that point.
-fn run_narrow_chain(
-    stage: &StagePlan,
-    in_bytes: f64,
-    in_records: u64,
-    data: Option<Arc<[Record]>>,
-    speed: f64,
-) -> ChainOut {
-    let mut secs = 0.0;
-    let mut bytes = in_bytes;
-    let mut records = in_records;
-    let mut real: Option<Arc<[Record]>> = data;
-    let mut snaps = Vec::new();
-    for (cp_idx, rdd) in &stage.cache_points {
-        if *cp_idx == 0 {
-            snaps.push((*rdd, bytes, records, real.clone()));
-        }
-    }
-    for (i, step) in stage.steps.iter().enumerate() {
-        secs += bytes / (step.size.compute_rate * speed);
-        match &real {
-            Some(recs) => {
-                let out = step.apply_slice(recs);
-                bytes = out.iter().map(record_bytes).sum::<u64>() as f64;
-                records = out.len() as u64;
-                real = Some(out.into());
-            }
-            None => {
-                bytes *= step.size.bytes_factor;
-                records = ((records as f64) * step.size.records_factor).round() as u64;
-            }
-        }
-        for (cp_idx, rdd) in &stage.cache_points {
-            if *cp_idx == i + 1 {
-                snaps.push((*rdd, bytes, records, real.clone()));
-            }
-        }
-    }
-    (
-        SimDuration::from_secs_f64(secs),
-        bytes,
-        records,
-        real,
-        snaps,
-    )
-}
-
-fn apply_agg(agg: &ShuffleAgg, records: Vec<Record>) -> Vec<Record> {
-    use std::collections::BTreeMap;
-    // Deterministic output ordering via the stable key hash.
-    let mut groups: BTreeMap<u64, (Value, Vec<Value>)> = BTreeMap::new();
-    for (k, v) in records {
-        groups
-            .entry(k.stable_hash())
-            .or_insert_with(|| (k.clone(), Vec::new()))
-            .1
-            .push(v);
-    }
-    match agg {
-        ShuffleAgg::GroupByKey => groups
-            .into_values()
-            .map(|(k, vs)| (k, Value::list(vs)))
-            .collect(),
-        ShuffleAgg::ReduceByKey(f) => groups
-            .into_values()
-            .map(|(k, vs)| {
-                let folded = vs
-                    .into_iter()
-                    .reduce(|a, b| f(a, b))
-                    .expect("nonempty group"); // lint:allow(panic): group_by_key materializes at least one row per emitted key by construction
-                (k, folded)
-            })
-            .collect(),
-    }
 }
 
 impl Model for SimWorld {
@@ -4091,61 +4014,6 @@ mod tests {
         assert!(!w.elb_declines(0, 1));
     }
 
-    #[test]
-    fn apply_agg_groups_and_reduces() {
-        use crate::rdd::ShuffleAgg;
-        let recs = vec![
-            (Value::I64(1), Value::I64(10)),
-            (Value::I64(2), Value::I64(20)),
-            (Value::I64(1), Value::I64(30)),
-        ];
-        let grouped = apply_agg(&ShuffleAgg::GroupByKey, recs.clone());
-        assert_eq!(grouped.len(), 2);
-        let total: usize = grouped.iter().map(|(_, v)| v.as_list().len()).sum();
-        assert_eq!(total, 3);
-        let reduced = apply_agg(
-            &ShuffleAgg::ReduceByKey(Arc::new(|a, b| Value::I64(a.as_i64() + b.as_i64()))),
-            recs,
-        );
-        let m: std::collections::HashMap<i64, i64> = reduced
-            .into_iter()
-            .map(|(k, v)| (k.as_i64(), v.as_i64()))
-            .collect();
-        assert_eq!(m[&1], 40);
-        assert_eq!(m[&2], 20);
-    }
-
-    #[test]
-    fn run_narrow_chain_synthetic_factors() {
-        use crate::rdd::{NarrowKind, NarrowStep, SizeModel};
-        let stage = crate::dag::StagePlan {
-            input: crate::dag::StageInput::Cached {
-                rdd: crate::rdd::RddId(0),
-            },
-            steps: vec![
-                Arc::new(NarrowStep {
-                    name: "half".into(),
-                    kind: NarrowKind::Map(Arc::new(|r| r)),
-                    size: SizeModel::new(0.5, 1.0, 100.0),
-                }),
-                Arc::new(NarrowStep {
-                    name: "double".into(),
-                    kind: NarrowKind::Map(Arc::new(|r| r)),
-                    size: SizeModel::new(2.0, 1.0, 100.0),
-                }),
-            ],
-            cache_points: vec![],
-            shuffle_out: None,
-        };
-        let (dur, bytes, records, real, snaps) = run_narrow_chain(&stage, 1000.0, 10, None, 1.0);
-        assert!((bytes - 1000.0).abs() < 1e-9, "0.5 then 2.0 round-trips");
-        assert_eq!(records, 10);
-        assert!(real.is_none());
-        assert!(snaps.is_empty());
-        // time = 1000/100 + 500/100 = 15s at speed 1.
-        assert!((dur.as_secs_f64() - 15.0).abs() < 1e-9);
-    }
-
     fn placed_plan(parts: usize) -> crate::dag::JobPlan {
         let recs: Vec<crate::value::Record> = (0..256)
             .map(|i| (crate::value::Value::I64(i), crate::value::Value::I64(i)))
@@ -4155,6 +4023,50 @@ mod tests {
             crate::rdd::Action::Count,
             &Default::default(),
         )
+    }
+
+    #[test]
+    fn real_producer_finish_moves_bucket_handles() {
+        // The kernel thread never touches a record: once the dispatch round
+        // has flushed, a running real compute task holds its output already
+        // hash-partitioned, and finishing it hands those very allocations
+        // to the shuffle as segments — O(reducers) moves, no copy.
+        use crate::rdd::{Dataset, Rdd, SizeModel};
+        let recs: Vec<Record> = (0..256).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        let rdd = Rdd::source(Dataset::from_records(recs, 4))
+            .map("id", SizeModel::scan(), |r| r)
+            .group_by_key(Some(3), 1e9);
+        let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, plan, &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        let task = (0..w.tasks.len())
+            .find(|&i| w.tasks.state[i] == TState::Running)
+            .expect("dispatch launched the computes");
+        let node = w.tasks.node[task] as usize;
+        let Some(RealOut::Buckets(buckets)) = w.tasks.records_out[task].as_deref() else {
+            panic!("the flush must leave the output partitioned");
+        };
+        assert_eq!(buckets.len(), 3);
+        let handles: Vec<(usize, *const Record)> = buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.rows.is_empty())
+            .map(|(r, b)| (r, b.rows.as_ptr()))
+            .collect();
+        assert!(!handles.is_empty());
+        w.producer_finished(task as u32, node as u32);
+        assert!(w.tasks.records_out[task].is_none());
+        let sh = w.jobs[0]
+            .shuffle_out
+            .as_ref()
+            .expect("stage feeds a shuffle");
+        let real = sh.node_real.as_ref().expect("real rows");
+        for (r, ptr) in handles {
+            let segment = real[node][r].last().expect("one segment per bucket");
+            assert_eq!(segment.as_ptr(), ptr, "bucket {r} was copied, not moved");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use memres_cluster::tiny;
 use memres_core::export;
 use memres_core::prelude::*;
 use memres_des::time::SimDuration;
+use memres_trace::{TaskClass, TimedEvent, TraceEvent};
 
 const KEYS: i64 = 97;
 const RECORDS: i64 = 4000;
@@ -29,8 +30,12 @@ fn records() -> Vec<Record> {
 /// size model stretches every phase so mid-phase fault times are easy to
 /// hit from measured clean-run timings.
 fn groupby_job() -> Rdd {
-    Rdd::source(Dataset::from_records(records(), 8))
-        .map("work", SizeModel::new(1.0, 1.0, 2e6), |r| r)
+    groupby_job_over(8, 2e6)
+}
+
+fn groupby_job_over(partitions: usize, compute_rate: f64) -> Rdd {
+    Rdd::source(Dataset::from_records(records(), partitions))
+        .map("work", SizeModel::new(1.0, 1.0, compute_rate), |r| r)
         .group_by_key(Some(4), 1e9)
 }
 
@@ -130,6 +135,131 @@ fn any_single_fault_preserves_output() {
             }
         }
     }
+}
+
+/// `groupby_job` plus a post-shuffle UDF that tallies what it sees: one per
+/// call in the high half, the group's value count in the low half. The
+/// reduce side (aggregation + post-shuffle steps) is evaluated once per
+/// reducer, at its first launch, and reused by every retry — so however the
+/// job is disturbed the UDF sees each of the `KEYS` groups exactly once,
+/// holding all `RECORDS` values between them ([`SEEN_ONCE`]).
+fn counted_groupby_job(
+    partitions: usize,
+    compute_rate: f64,
+) -> (Rdd, std::sync::Arc<std::sync::atomic::AtomicU64>) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let calls = std::sync::Arc::new(AtomicU64::new(0));
+    let seen = calls.clone();
+    let rdd = groupby_job_over(partitions, compute_rate).map("seen", SizeModel::scan(), move |r| {
+        seen.fetch_add(1 << 32 | r.1.as_list().len() as u64, Ordering::Relaxed);
+        r
+    });
+    (rdd, calls)
+}
+
+const SEEN_ONCE: u64 = (KEYS as u64) << 32 | RECORDS as u64;
+
+/// Run the counted job traced; returns (output, post-shuffle UDF tally,
+/// trace) so a case can prove its fault hit what it aimed at.
+fn run_counted(
+    cfg: EngineConfig,
+    partitions: usize,
+    compute_rate: f64,
+) -> (JobOutput, u64, Vec<TimedEvent>) {
+    let (rdd, calls) = counted_groupby_job(partitions, compute_rate);
+    let mut d = Driver::new(tiny(4), cfg.with_trace());
+    let (out, _) = d.run(&rdd, Action::Count);
+    let calls = calls.load(std::sync::atomic::Ordering::Relaxed);
+    (out, calls, d.take_trace())
+}
+
+/// Tasks of `class` that a `TaskRetried` event names.
+fn retried_of_class(trace: &[TimedEvent], class: TaskClass) -> usize {
+    let of_class: std::collections::HashSet<u32> = trace
+        .iter()
+        .filter_map(|e| match e.ev {
+            TraceEvent::TaskLaunched { task, class: c, .. } if c == class => Some(task),
+            _ => None,
+        })
+        .collect();
+    trace
+        .iter()
+        .filter(
+            |e| matches!(e.ev, TraceEvent::TaskRetried { task, .. } if of_class.contains(&task)),
+        )
+        .count()
+}
+
+#[test]
+fn disturbed_reducers_aggregate_once_and_keep_the_count() {
+    let (clean, clean_calls, _) = run_counted(base_cfg(), 8, 2e6);
+    assert_eq!(clean.count, KEYS as u64);
+    assert_eq!(clean_calls, SEEN_ONCE);
+    let (_, cm) = run_with(base_cfg());
+    let horizon = cm.job_time();
+    let mid_shuffle = SimDuration::from_secs_f64(horizon * shuffle_mid_frac(&cm));
+    // Launches are numbered from 1: 8 computes, 8 flushes, then the fetches.
+    let second_fetch =
+        (cm.tasks_in(Phase::Compute).count() + cm.tasks_in(Phase::Storing).count()) as u64 + 2;
+
+    let cases = [
+        FaultKind::TaskFail {
+            nth_launch: second_fetch,
+        },
+        FaultKind::FetchFail { src: 0 },
+        FaultKind::NodeCrash {
+            node: 1,
+            restart: None,
+        },
+    ];
+    for kind in cases {
+        let at = match kind {
+            FaultKind::TaskFail { .. } => SimDuration::ZERO,
+            _ => mid_shuffle,
+        };
+        let plan = FaultPlan::new().after(at, kind);
+        for threads in [1, 4] {
+            let cfg = base_cfg()
+                .with_faults(plan.clone())
+                .with_executor_threads(threads);
+            let (out, calls, trace) = run_counted(cfg, 8, 2e6);
+            assert!(!out.aborted, "{kind:?}: job aborted");
+            assert_eq!(out.count, clean.count, "{kind:?}: count diverged");
+            assert!(
+                retried_of_class(&trace, TaskClass::Fetch) >= 1,
+                "{kind:?}: the fault must disturb a running fetch task"
+            );
+            assert_eq!(
+                calls, SEEN_ONCE,
+                "{kind:?} at {threads} threads: a retried reducer re-ran its aggregation"
+            );
+        }
+    }
+}
+
+#[test]
+fn speculated_producers_deposit_once() {
+    // Speculation duplicates compute tasks only (`maybe_speculate` never
+    // twins a fetch task), so what it can disturb is the map side: both
+    // copies partition their output on the pool, only the winner's buckets
+    // may land in the shuffle, and every reducer still aggregates once.
+    let cfg = EngineConfig {
+        speed_sigma: 0.6,
+        seed: 4,
+        ..EngineConfig::default()
+    }
+    .with_speculation();
+    // Three waves of compute-bound tasks on 8 slots: the slow nodes'
+    // last-wave tasks straggle past idle slots.
+    let (out, calls, trace) = run_counted(cfg, 24, 2e4);
+    assert!(
+        trace
+            .iter()
+            .any(|e| matches!(e.ev, TraceEvent::Speculate { .. })),
+        "the skewed cluster must trigger speculation"
+    );
+    assert_eq!(out.count, KEYS as u64);
+    assert_eq!(calls, SEEN_ONCE, "a losing copy's buckets were deposited");
 }
 
 #[test]

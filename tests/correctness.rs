@@ -136,3 +136,71 @@ fn deterministic_end_to_end() {
     };
     assert_eq!(run(), run());
 }
+
+/// Order-sensitive digest of a collected output: group order, value order
+/// inside every list and every folded value all feed it.
+fn collect_digest(records: &[Record]) -> u64 {
+    Value::list(
+        records
+            .iter()
+            .map(|(k, v)| Value::list(vec![k.clone(), v.clone()]))
+            .collect(),
+    )
+    .stable_hash()
+}
+
+#[test]
+fn collect_output_is_pinned_at_every_thread_count() {
+    // Digests captured at commit 036a44c (before shuffle partitioning and
+    // aggregation moved to the executor pool): the exact `Collect` output
+    // of a groupByKey, an order-sensitive reduceByKey and a two-shuffle
+    // pipeline must not move, whatever the pool size.
+    let kv = |parts| {
+        Rdd::source(Dataset::from_records(
+            datagen::kv_pairs(5000, 97, 11),
+            parts,
+        ))
+    };
+    let jobs: Vec<(&str, Rdd, usize, u64)> = vec![
+        (
+            "group_by_key",
+            kv(7).group_by_key(Some(5), 1e9),
+            97,
+            0xde6c_50c3_557f_4118,
+        ),
+        (
+            "reduce_by_key",
+            kv(6).reduce_by_key(Some(4), 1e9, 1.0, |a, b| {
+                Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64()))
+            }),
+            97,
+            0xc8a4_d198_827a_cd3b,
+        ),
+        (
+            "two_shuffles",
+            Rdd::source(Dataset::from_records(datagen::kv_pairs(200, 10, 5), 4))
+                .group_by_key(Some(4), 1e9)
+                .map("size-key", SizeModel::scan(), |(_, v)| {
+                    (Value::I64(v.as_list().len() as i64), Value::I64(1))
+                })
+                .group_by_key(Some(2), 1e9),
+            6,
+            0x5d8b_98d2_10f9_15c5,
+        ),
+    ];
+    for (name, rdd, len, digest) in &jobs {
+        for threads in [1, 2, 4] {
+            let cfg = EngineConfig::default()
+                .homogeneous()
+                .with_executor_threads(threads);
+            let (out, _) = Driver::new(tiny(4), cfg).run(rdd, Action::Collect);
+            let recs = out.records.expect("real job collects");
+            assert_eq!(recs.len(), *len, "{name} at {threads} threads");
+            assert_eq!(
+                collect_digest(&recs),
+                *digest,
+                "{name} at {threads} threads: Collect output moved"
+            );
+        }
+    }
+}
