@@ -105,6 +105,64 @@ fn bench_flownet(c: &mut Criterion) {
             assert_eq!(n, 16 * NODES * NODES);
         })
     });
+    // One fixed cost by name: 20,000 active flows, every other one drains in
+    // the same `advance`. Retirement is one compaction pass per link list,
+    // where removing the 10,000 one at a time moved ~10⁸ list entries.
+    c.bench_function("flownet_retire_10k_flows_one_instant", |b| {
+        const NICS: usize = 100;
+        const FLOWS: usize = 20_000;
+        b.iter(|| {
+            let mut net: FlowNet<u32> = FlowNet::new();
+            let core = net.add_link(1e9);
+            let nics: Vec<_> = (0..NICS).map(|_| net.add_link(1e9)).collect();
+            for i in 0..FLOWS {
+                let f = net.open_flow(SimTime::ZERO, vec![core, nics[i % NICS]], true);
+                let bytes = if i % 2 == 0 { 1e3 } else { 1e9 };
+                net.push_chunk(SimTime::ZERO, f, Bytes(bytes), i as u32);
+            }
+            let first = net.next_event().expect("20,000 active flows");
+            assert_eq!(net.poll(first).len(), FLOWS / 2);
+            assert_eq!(net.active_flows(), FLOWS / 2);
+        })
+    });
+}
+
+/// The other fixed cost by name: every `Dispatch` under `FairShare` orders
+/// the resident jobs by running tasks. Two tenants' Grep jobs, two resident
+/// at a time, keep ~6,000 cheap tasks in the arena, so the run is dispatch-
+/// bound; the order reads per-job counts, where it used to scan the arena.
+fn bench_fair_share(c: &mut Criterion) {
+    use memres_core::{ArrivalProcess, InterJobPolicy, StreamSpec, TenantSpec};
+    use memres_des::units::GB;
+    use memres_workloads::Grep;
+    use std::sync::Arc;
+    c.bench_function("fair_share_order_6k_tasks", |b| {
+        b.iter(|| {
+            let tenant = |name: &str, gap: f64| {
+                TenantSpec::new(
+                    name,
+                    2,
+                    ArrivalProcess::Periodic { period_secs: gap },
+                    Arc::new(|_| {
+                        let job = Grep::new(96.0 * GB);
+                        (job.build(), job.action())
+                    }),
+                )
+            };
+            let stream = StreamSpec::new(
+                vec![tenant("a", 1.0), tenant("b", 1.5)],
+                InterJobPolicy::FairShare,
+                1,
+            )
+            .with_max_concurrent(2);
+            let cfg = EngineConfig {
+                input: InputSource::Lustre,
+                ..EngineConfig::default()
+            };
+            let mut driver = Driver::new(memres_cluster::hyperion().scaled_workers(50), cfg);
+            assert_eq!(driver.run_stream(stream).len(), 4);
+        })
+    });
 }
 
 fn bench_real_shuffle(c: &mut Criterion) {
@@ -148,6 +206,7 @@ criterion_group!(
     bench_event_queue_1m,
     bench_ps,
     bench_flownet,
+    bench_fair_share,
     bench_real_shuffle,
     bench_ssd
 );

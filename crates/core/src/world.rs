@@ -178,6 +178,9 @@ struct TaskArena {
     ghost: Vec<bool>,
     /// Tasks currently in `TState::Pending` — dispatch early-exits on zero.
     pending: usize,
+    /// Tasks currently in `TState::Running`, by owning job id (job ids are
+    /// minted densely) — what the fair-share order reads per dispatch.
+    running: Vec<u32>,
 }
 
 impl TaskArena {
@@ -191,6 +194,9 @@ impl TaskArena {
 
     fn push(&mut self, t: Task) {
         debug_assert_eq!(t.state, TState::Pending, "tasks are born pending");
+        if self.running.len() <= t.job as usize {
+            self.running.resize(t.job as usize + 1, 0);
+        }
         self.job.push(t.job);
         self.stage.push(t.stage);
         self.kind.push(t.kind);
@@ -217,12 +223,30 @@ impl TaskArena {
         self.pending += 1;
     }
 
-    /// The only state-transition path: keeps the pending count exact.
+    /// The only state-transition path: keeps the pending count and the
+    /// per-job running counts exact.
     fn set_state(&mut self, id: u32, s: TState) {
         let cur = &mut self.state[id as usize];
         self.pending -= (*cur == TState::Pending) as usize;
         self.pending += (s == TState::Pending) as usize;
+        let running = &mut self.running[self.job[id as usize] as usize];
+        *running -= (*cur == TState::Running) as u32;
+        *running += (s == TState::Running) as u32;
         *cur = s;
+    }
+
+    /// Check one job's [`TaskArena::running`] count against an arena scan.
+    fn audit_running(&self, job: u32) -> Result<(), String> {
+        let scanned = (0..self.len())
+            .filter(|&i| self.job[i] == job && self.state[i] == TState::Running)
+            .count() as u32;
+        let kept = self.running[job as usize];
+        if kept != scanned {
+            return Err(format!(
+                "job {job}: running count {kept}, the arena holds {scanned}"
+            ));
+        }
+        Ok(())
     }
 
     fn clear(&mut self) {
@@ -250,6 +274,7 @@ impl TaskArena {
         self.doomed.clear();
         self.ghost.clear();
         self.pending = 0;
+        self.running.clear();
     }
 
     /// Heap charged to the arena's flat arrays (self-profiling).
@@ -283,6 +308,7 @@ impl TaskArena {
             + self.attempt.capacity() * size_of::<u32>()
             + self.doomed.capacity() * size_of::<Option<u32>>()
             + self.ghost.capacity()
+            + self.running.capacity() * size_of::<u32>()
     }
 }
 
@@ -448,6 +474,10 @@ impl ShuffleBuckets {
     }
 }
 
+/// [`ShuffleState::fetch_flows`] entry of a `(src, dst, kind)` no fetch has
+/// used yet.
+const UNOPENED: FlowId = FlowId(u64::MAX);
+
 /// Intermediate-data state between a producing stage and its fetch stage.
 struct ShuffleState {
     reducers: u32,
@@ -475,23 +505,30 @@ struct ShuffleState {
     flush_done: bool,
     /// Fetch tasks whose MDS op finished while flushes were outstanding.
     waiting_for_flush: Vec<u32>,
-    /// (src,dst,kind 0=store/cached,1=oss-path) → persistent fetch flow.
-    fetch_flows: DetMap<(u32, u32, u8), FlowId>,
+    /// Persistent fetch flows, directly indexed (a reducer launch looks one
+    /// up per source and kind; nothing iterates them but the release at the
+    /// shuffle's end): row `dst * 2 + kind` — kind 0 = store/cached, 1 = OSS
+    /// path — holds one entry per source, endpoints being racks when
+    /// `aggregated` and nodes otherwise. A row stays empty until the first
+    /// reducer lands on `dst`, so the table grows with the destinations
+    /// used, not with endpoints².
+    fetch_flows: Vec<Vec<FlowId>>,
 }
 
 impl ShuffleState {
+    /// `racks` is `Some` when fetches ride rack-pair aggregate flows.
     fn new(
         reducers: u32,
         spec: ShuffleInSpec,
         workers: usize,
         real: bool,
-        aggregated: bool,
+        racks: Option<usize>,
     ) -> Self {
         ShuffleState {
             reducers,
             spec,
             buckets: ShuffleBuckets::new(workers, reducers, real),
-            aggregated,
+            aggregated: racks.is_some(),
             node_real: real.then(|| vec![vec![Vec::new(); reducers as usize]; workers]),
             reduced: (0..if real { reducers } else { 0 })
                 .map(|_| Reduced::Unlaunched)
@@ -502,7 +539,7 @@ impl ShuffleState {
             flush_pending: 0,
             flush_done: false,
             waiting_for_flush: Vec::new(),
-            fetch_flows: DetMap::new(),
+            fetch_flows: vec![Vec::new(); 2 * racks.unwrap_or(workers)],
         }
     }
 }
@@ -901,10 +938,16 @@ impl SimWorld {
 
     /// Cheap cross-checks of live engine state against independent
     /// reimplementations, for the differential-fuzz harness (DESIGN.md
-    /// §4.13). Currently: the incremental water-filling allocation vs a
-    /// from-scratch progressive-filling pass over the same active flows, and
-    /// the network's memoised next completion vs a fresh scan.
+    /// §4.13): the incremental water-filling allocation vs a from-scratch
+    /// progressive-filling pass over the same active flows, the network's
+    /// memoised next completion vs a fresh scan, its active indexes vs a
+    /// rebuild from the slab, and every resident job's running-task count
+    /// vs an arena scan.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
+        let tasks = &self.tasks;
+        self.jobs
+            .iter()
+            .try_for_each(|j| tasks.audit_running(j.id))?;
         self.net.audit_waterfill()
     }
 
@@ -1491,15 +1534,14 @@ impl SimWorld {
         let stage = &plan.stages[idx];
         let is_last = idx + 1 == plan.stages.len();
 
-        // Move the produced shuffle (if any) into consuming position.
-        {
+        // Move the produced shuffle (if any) into consuming position; the
+        // one consumed by the stage that produced it is done with.
+        if matches!(stage.input, StageInput::Shuffle(_)) {
             let job = &mut self.jobs[ji];
-            if matches!(stage.input, StageInput::Shuffle(_)) {
-                job.shuffle_in = job.shuffle_out.take();
-                assert!(
-                    job.shuffle_in.is_some(),
-                    "fetch stage without produced shuffle"
-                );
+            let produced = job.shuffle_out.take();
+            assert!(produced.is_some(), "fetch stage without produced shuffle");
+            if let Some(consumed) = std::mem::replace(&mut job.shuffle_in, produced) {
+                self.release_fetch_flows(now, &consumed, out);
             }
         }
 
@@ -1557,8 +1599,9 @@ impl SimWorld {
                     )
                     && per_rack * per_rack > self.cfg.rack_agg_threshold as u64
             };
+            let racks = aggregated.then_some(self.spec.racks as usize);
             self.jobs[ji].shuffle_out =
-                Some(ShuffleState::new(reducers, spec, workers, real, aggregated));
+                Some(ShuffleState::new(reducers, spec, workers, real, racks));
         }
 
         // Declare cache points so partially-cached RDDs are not reused.
@@ -1756,51 +1799,43 @@ impl SimWorld {
     /// Inter-job dispatch order (DESIGN.md §4.14). Single-job runs and the
     /// FIFO policy serve jobs in admission order; fair-share orders by
     /// fewest running tasks; capacity first serves tenants still below
-    /// their guaranteed slot count.
+    /// their guaranteed slot count. The running-task counts are the arena's
+    /// incremental ones, so a dispatch costs O(resident jobs), not O(tasks).
     fn job_order(&self) -> Vec<usize> {
         let n = self.jobs.len();
         let mut order: Vec<usize> = (0..n).collect();
         if n <= 1 {
             return order;
         }
-        let Some(policy) = self.stream.as_ref().map(|s| s.spec.policy.clone()) else {
+        let Some(policy) = self.stream.as_ref().map(|s| &s.spec.policy) else {
             return order;
         };
+        let running = |ji: usize| self.tasks.running[self.jobs[ji].id as usize];
+        debug_assert!(self
+            .jobs
+            .iter()
+            .all(|j| self.tasks.audit_running(j.id).is_ok()));
         match policy {
-            InterJobPolicy::Fifo => order,
-            InterJobPolicy::FairShare | InterJobPolicy::Capacity { .. } => {
-                // Running-task counts per resident job, by arena scan (the
-                // arena only ever holds the resident set's tasks).
-                let mut running = vec![0u32; n];
-                for i in 0..self.tasks.len() {
-                    if self.tasks.state[i] == TState::Running {
-                        let id = self.tasks.job[i];
-                        if let Some(ji) = self.jobs.iter().position(|j| j.id == id) {
-                            running[ji] += 1;
-                        }
+            InterJobPolicy::Fifo => {}
+            InterJobPolicy::FairShare => order.sort_by_key(|&ji| (running(ji), ji)),
+            InterJobPolicy::Capacity { guarantees } => {
+                let mut tenant_running: Vec<u32> = Vec::new();
+                for (ji, j) in self.jobs.iter().enumerate() {
+                    let t = j.tenant as usize;
+                    if tenant_running.len() <= t {
+                        tenant_running.resize(t + 1, 0);
                     }
+                    tenant_running[t] += running(ji);
                 }
-                if let InterJobPolicy::Capacity { guarantees } = &policy {
-                    let mut tenant_running: Vec<u32> = Vec::new();
-                    for (ji, j) in self.jobs.iter().enumerate() {
-                        let t = j.tenant as usize;
-                        if tenant_running.len() <= t {
-                            tenant_running.resize(t + 1, 0);
-                        }
-                        tenant_running[t] += running[ji];
-                    }
-                    order.sort_by_key(|&ji| {
-                        let t = self.jobs[ji].tenant as usize;
-                        let g = guarantees.get(t).copied().unwrap_or(0);
-                        let deficit = tenant_running.get(t).copied().unwrap_or(0) < g;
-                        (!deficit, running[ji], ji)
-                    });
-                } else {
-                    order.sort_by_key(|&ji| (running[ji], ji));
-                }
-                order
+                order.sort_by_key(|&ji| {
+                    let t = self.jobs[ji].tenant as usize;
+                    let g = guarantees.get(t).copied().unwrap_or(0);
+                    let deficit = tenant_running.get(t).copied().unwrap_or(0) < g;
+                    (!deficit, running(ji), ji)
+                });
             }
         }
+        order
     }
 
     fn dispatch(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
@@ -2460,7 +2495,8 @@ impl SimWorld {
         } else {
             1.0
         };
-        let plan = self.plan_of(task);
+        let ji = self.job_index_of(task);
+        let plan = self.jobs[ji].plan.clone();
         let stage_idx = self.tasks.stage[task as usize] as usize;
         let stage = &plan.stages[stage_idx];
         self.queue_reduce(task, reducer, &plan, stage_idx);
@@ -2470,39 +2506,31 @@ impl SimWorld {
         // the fetch rides one aggregate flow per rack pair (indexed by rack
         // in `per_source`); below it, exact per-node flows as always.
         let racks = self.spec.racks as usize;
-        let (per_source, total, agg_rate, out_factor, aggregated) = {
-            let sh = self
-                .job_of(task)
-                .shuffle_in
-                .as_ref()
-                .expect("fetch without shuffle"); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
-            let per: Vec<f64> = if sh.aggregated {
-                let mut rack_bytes = vec![0.0; racks];
-                for i in 0..workers as usize {
-                    rack_bytes[i % racks] += sh.buckets.get(i, reducer as usize);
+        let sh = self.jobs[ji]
+            .shuffle_in
+            .as_ref()
+            .expect("fetch without shuffle"); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+        let per_source: Vec<f64> = if sh.aggregated {
+            let mut rack_bytes = vec![0.0; racks];
+            for i in 0..workers as usize {
+                rack_bytes[i % racks] += sh.buckets.get(i, reducer as usize);
+            }
+            if self.cfg.defect == Some(Defect::DropAggBytes) {
+                // Injected defect (fuzz-oracle demo, DESIGN.md §4.13):
+                // lose the last rack's fold entirely.
+                if let Some(b) = rack_bytes.last_mut() {
+                    *b = 0.0;
                 }
-                if self.cfg.defect == Some(Defect::DropAggBytes) {
-                    // Injected defect (fuzz-oracle demo, DESIGN.md §4.13):
-                    // lose the last rack's fold entirely.
-                    if let Some(b) = rack_bytes.last_mut() {
-                        *b = 0.0;
-                    }
-                }
-                rack_bytes
-            } else {
-                (0..workers as usize)
-                    .map(|i| sh.buckets.get(i, reducer as usize))
-                    .collect()
-            };
-            let total: f64 = per.iter().sum();
-            (
-                per,
-                total,
-                sh.spec.fetch_rate,
-                sh.spec.out_factor,
-                sh.aggregated,
-            )
+            }
+            rack_bytes
+        } else {
+            (0..workers as usize)
+                .map(|i| sh.buckets.get(i, reducer as usize))
+                .collect()
         };
+        let total: f64 = per_source.iter().sum();
+        let (agg_rate, out_factor, aggregated) =
+            (sh.spec.fetch_rate, sh.spec.out_factor, sh.aggregated);
 
         let speed = self.speed(node);
         let mut dur = SimDuration::from_secs_f64(total / (agg_rate * speed));
@@ -2545,7 +2573,7 @@ impl SimWorld {
                     let (cached, oss) = if !lustre_local {
                         (inflate(b), Bytes::ZERO)
                     } else {
-                        let sh = self.job_of(task).shuffle_in.as_ref().unwrap(); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+                        let sh = self.jobs[ji].shuffle_in.as_ref().unwrap(); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
                         if aggregated {
                             // Split the rack total by the byte-weighted
                             // cached share of its member nodes.
@@ -2563,7 +2591,7 @@ impl SimWorld {
                     for (kind, wire) in [(0u8, cached), (1, oss)] {
                         if wire.is_positive() {
                             self.tasks.pending_io[task as usize] += 1;
-                            let f = self.fetch_flow(now, task, src as u32, dst, kind);
+                            let f = self.fetch_flow(now, ji, src as u32, dst, kind);
                             self.net.push_chunk(now, f, wire, tag);
                         }
                     }
@@ -2624,22 +2652,27 @@ impl SimWorld {
         });
     }
 
-    /// Persistent fetch flow for `(src, dst, kind)` of the shuffle `task`
-    /// reads, opened on first use. Kind 0 is served by the source's store
-    /// (or Lustre server page cache), kind 1 by the OSSes through the Lustre
-    /// pipe ("repetitive data movement"). In an aggregated shuffle `src` and
-    /// `dst` are racks and the flow is processor-shared: concurrent reducers
-    /// behind it split its bandwidth evenly — the split the collapsed
-    /// per-node flows would converge to under water-filling. A shuffle is
-    /// aggregated or not for its whole life, so the two key spaces never mix.
-    fn fetch_flow(&mut self, now: SimTime, task: u32, src: u32, dst: u32, kind: u8) -> FlowId {
-        let key = (src, dst, kind);
-        let ji = self.job_index_of(task);
+    /// Persistent fetch flow for `(src, dst, kind)` of the shuffle resident
+    /// job `ji` is reading: one indexed load once opened, opened on first
+    /// use. Kind 0 is served by the source's store (or Lustre server page
+    /// cache), kind 1 by the OSSes through the Lustre pipe ("repetitive data
+    /// movement"). In an aggregated shuffle `src` and `dst` are racks and the
+    /// flow is processor-shared: concurrent reducers behind it split its
+    /// bandwidth evenly — the split the collapsed per-node flows would
+    /// converge to under water-filling. A shuffle is aggregated or not for
+    /// its whole life, so its table is indexed one way throughout.
+    fn fetch_flow(&mut self, now: SimTime, ji: usize, src: u32, dst: u32, kind: u8) -> FlowId {
         let sh = self.jobs[ji].shuffle_in.as_mut().unwrap(); // lint:allow(panic): fetch_flow is reached only from fetch paths, which require shuffle_in
-        if let Some(&f) = sh.fetch_flows.get(&key) {
-            return f;
+        let endpoints = sh.fetch_flows.len() / 2;
+        let row = &mut sh.fetch_flows[dst as usize * 2 + kind as usize];
+        if row.is_empty() {
+            row.resize(endpoints, UNOPENED);
         }
-        let f = if sh.aggregated {
+        let entry = &mut row[src as usize];
+        if *entry != UNOPENED {
+            return *entry;
+        }
+        *entry = if sh.aggregated {
             let mut path = self.fabric.rack_aggregate_path(src as usize, dst as usize);
             if kind == 1 {
                 path.insert(0, self.fabric.lustre_pipe());
@@ -2661,8 +2694,23 @@ impl SimWorld {
             path.dedup();
             self.net.open_flow(now, path, false)
         };
-        sh.fetch_flows.insert(key, f);
-        f
+        *entry
+    }
+
+    /// Give back the persistent fetch flows of a shuffle nothing will read
+    /// again: its fetch stage is over, or its job is leaving. They are idle
+    /// unless a failed or aborted attempt left chunks in flight, and closing
+    /// an idle flow only frees its slot; closing one that still carries
+    /// chunks drops them and retires the armed `NetWake`, so the net is
+    /// re-armed here.
+    fn release_fetch_flows(&mut self, now: SimTime, sh: &ShuffleState, out: &mut Outbox<Ev>) {
+        let armed = self.net.gen();
+        for &f in sh.fetch_flows.iter().flatten().filter(|&&f| f != UNOPENED) {
+            self.net.close_flow(now, f);
+        }
+        if self.net.gen() != armed {
+            self.arm_net(out);
+        }
     }
 
     // ---------------- completion plumbing ----------------
@@ -3322,6 +3370,9 @@ impl SimWorld {
             },
         );
         let job = self.jobs.remove(ji);
+        if let Some(sh) = &job.shuffle_in {
+            self.release_fetch_flows(now, sh, out);
+        }
         // Retire the aborted job's tasks. Running ones hand their slot back
         // (the stale-completion filter drops their in-flight IO); queue
         // entries die with the JobRun.
@@ -3665,6 +3716,9 @@ impl SimWorld {
 
     fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
         let job = self.jobs.remove(ji);
+        if let Some(sh) = &job.shuffle_in {
+            self.release_fetch_flows(now, sh, out);
+        }
         self.trace(
             now,
             TE::JobEnd {
@@ -4067,6 +4121,46 @@ mod tests {
             let segment = real[node][r].last().expect("one segment per bucket");
             assert_eq!(segment.as_ptr(), ptr, "bucket {r} was copied, not moved");
         }
+    }
+
+    #[test]
+    fn fetch_flow_rows_exist_only_for_destinations_that_launched_a_reducer() {
+        // Aggregation off at 1,000 nodes: the table is indexed by node pairs
+        // and must grow one `workers`-long row per (destination, kind) a
+        // reducer actually lands on — never workers² entries up front.
+        use crate::rdd::{Dataset, Rdd, SizeModel};
+        let workers = 1000;
+        let cfg = EngineConfig::default().with_rack_agg_threshold(u32::MAX);
+        let mut w = SimWorld::new(tiny(workers), cfg);
+        let recs: Vec<Record> = (0..64).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        let rdd = Rdd::source(Dataset::from_records(recs, 4))
+            .map("id", SizeModel::scan(), |r| r)
+            .group_by_key(Some(3), 1e9);
+        let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, plan, &mut out);
+        w.jobs[0].shuffle_in = w.jobs[0].shuffle_out.take();
+        let table = |w: &SimWorld| {
+            let rows = &w.jobs[0]
+                .shuffle_in
+                .as_ref()
+                .expect("moved above")
+                .fetch_flows;
+            let entries: Vec<FlowId> = rows.iter().flatten().copied().collect();
+            let opened = entries.iter().copied().filter(|&f| f != UNOPENED).collect();
+            (entries.len(), opened)
+        };
+        assert_eq!(table(&w), (0, Vec::new()));
+        let a = w.fetch_flow(SimTime::ZERO, 0, 3, 7, 0);
+        let b = w.fetch_flow(SimTime::ZERO, 0, 5, 7, 0);
+        let c = w.fetch_flow(SimTime::ZERO, 0, 3, 9, 1);
+        assert_eq!(
+            w.fetch_flow(SimTime::ZERO, 0, 3, 7, 0),
+            a,
+            "persistent: opened once"
+        );
+        assert_eq!(table(&w), (2 * workers as usize, vec![a, b, c]));
+        assert_eq!(w.net.open_flows(), 3);
     }
 
     #[test]

@@ -15,6 +15,8 @@ use memres_core::prelude::*;
 use memres_core::{
     ArrivalProcess, FinishedJob, InterJobPolicy, JobFactory, StreamSpec, TenantSlo, TenantSpec,
 };
+use memres_des::time::SimDuration;
+use memres_trace::TraceEvent;
 use std::sync::Arc;
 
 /// Tenant A: a shuffle-heavy wordcount, parameterized by `k` so each job in
@@ -217,4 +219,128 @@ fn capacity_policy_and_admission_cap_honour_guarantees() {
     let mut d = Driver::new(memres_cluster::tiny(4), base_cfg());
     let finished = d.run_stream(spec);
     assert_eq!(finished.len(), 2, "trace shorter than `jobs` truncates");
+}
+
+#[test]
+fn departed_jobs_give_their_fetch_flows_back() {
+    // Regression: a job's persistent (src, dst, kind) fetch flows were never
+    // closed, so every job of a stream left them in the flow slab for good.
+    // Now a departing job releases them and later jobs reuse the slots: six
+    // jobs, two resident at a time, need no more slots than two jobs do.
+    let mut per_job = 0;
+    for k in 0..6 {
+        let mut solo = Driver::new(memres_cluster::tiny(6), base_cfg());
+        let (rdd, action) = wordcount(k);
+        solo.run(&rdd, action);
+        assert_eq!(solo.world().net.open_flows(), 0, "job {k} left flows open");
+        per_job = per_job.max(solo.world().net.slab_len());
+    }
+    assert!(
+        per_job > 0,
+        "the wordcount shuffle fetches over the network"
+    );
+    let spec = StreamSpec::new(
+        vec![TenantSpec::new(
+            "wordcount",
+            6,
+            ArrivalProcess::Periodic { period_secs: 0.01 },
+            Arc::new(wordcount),
+        )],
+        InterJobPolicy::Fifo,
+        3,
+    )
+    .with_max_concurrent(2);
+    let mut d = Driver::new(memres_cluster::tiny(6), base_cfg());
+    assert_eq!(d.run_stream(spec).len(), 6);
+    let net = &d.world().net;
+    assert_eq!(net.open_flows(), 0, "the drained stream left flows open");
+    assert!(
+        net.slab_len() <= 2 * per_job,
+        "slab grew to {} slots; two resident jobs need at most {}",
+        net.slab_len(),
+        2 * per_job
+    );
+}
+
+/// Three waves of compute-bound tasks per job, so slow nodes' last-wave
+/// tasks straggle past idle slots and get speculated.
+fn heavy_groupby(k: u32) -> (Rdd, Action) {
+    let recs: Vec<Record> = (0..2000)
+        .map(|i| (Value::I64((i * 31 + k as i64) % 53), Value::I64(i)))
+        .collect();
+    let rdd = Rdd::source(Dataset::from_records(recs, 24))
+        .map("work", SizeModel::new(1.0, 1.0, 2e4), |r| r)
+        .group_by_key(Some(4), 1e9);
+    (rdd, Action::Count)
+}
+
+#[test]
+fn fair_share_order_survives_retries_twins_and_a_crash() {
+    // The fair-share order reads per-job running counts kept at
+    // `TaskArena::set_state`; the order the arena scan used to give is the
+    // reference. Auditing after every event compares the two at each
+    // dispatch (debug builds also assert it inside `job_order`), over a run
+    // that exercises every state transition: doomed attempts re-queued,
+    // speculation twins launched and lost, a node crash failing its running
+    // tasks.
+    let spec = || {
+        StreamSpec::new(
+            vec![
+                TenantSpec::new(
+                    "a",
+                    2,
+                    ArrivalProcess::Periodic { period_secs: 0.05 },
+                    Arc::new(heavy_groupby),
+                ),
+                TenantSpec::new(
+                    "b",
+                    2,
+                    ArrivalProcess::Periodic { period_secs: 0.07 },
+                    Arc::new(heavy_groupby),
+                ),
+            ],
+            InterJobPolicy::FairShare,
+            5,
+        )
+    };
+    let cfg = || {
+        EngineConfig {
+            speed_sigma: 0.6,
+            seed: 4,
+            ..EngineConfig::default()
+        }
+        .with_speculation()
+        .with_trace()
+    };
+    let mut clean = Driver::new(memres_cluster::tiny(4), cfg());
+    let finished = clean.run_stream_audited(spec(), 1).expect("clean stream");
+    let horizon = finished
+        .iter()
+        .map(|j| j.finished)
+        .max()
+        .expect("four jobs")
+        .as_secs_f64();
+
+    let plan = FaultPlan::new()
+        .after(SimDuration::ZERO, FaultKind::TaskFail { nth_launch: 5 })
+        .after(
+            SimDuration::from_secs_f64(horizon * 0.3),
+            FaultKind::NodeCrash {
+                node: 1,
+                restart: Some(SimDuration::from_secs_f64(horizon * 0.2)),
+            },
+        );
+    let mut d = Driver::new(memres_cluster::tiny(4), cfg().with_faults(plan));
+    let finished = d.run_stream_audited(spec(), 1).expect("audited stream");
+    assert_eq!(finished.len(), 4);
+    assert!(finished.iter().all(|j| !j.output.aborted));
+    let trace = d.take_trace();
+    let saw = |what: fn(&TraceEvent) -> bool| trace.iter().any(|e| what(&e.ev));
+    assert!(saw(|e| matches!(e, TraceEvent::TaskRetried { .. })));
+    assert!(saw(|e| matches!(e, TraceEvent::Speculate { .. })));
+    assert!(saw(|e| matches!(e, TraceEvent::NodeDown { .. })));
+    // The jobs overlapped, so the order was a choice between resident jobs.
+    assert!(finished.iter().any(|a| finished
+        .iter()
+        .any(|b| b.id != a.id && b.admitted < a.finished && a.admitted < b.finished)));
 }

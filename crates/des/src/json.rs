@@ -27,14 +27,25 @@ pub fn escape(s: &str) -> String {
 /// integral values, so it round-trips as a float and is byte-stable for
 /// identical inputs. Non-finite values become `null`, matching serde_json.
 pub fn num(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+    Num(v).to_string()
+}
+
+/// [`num`] as a `Display` adapter: exporters `write!` it straight into their
+/// buffer instead of building a `String` per number.
+pub struct Num(pub f64);
+
+impl std::fmt::Display for Num {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let v = self.0;
+        if !v.is_finite() {
+            f.write_str("null")
+        } else if v.fract() == 0.0 {
+            // `Display` for f64 never uses an exponent, so an integral value
+            // is the one rendering without a '.'.
+            write!(f, "{v}.0")
+        } else {
+            write!(f, "{v}")
+        }
     }
 }
 
@@ -55,5 +66,8 @@ mod tests {
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
         assert_eq!(num(2.0), "2.0");
+        assert_eq!(num(-0.0), "-0.0");
+        assert_eq!(num(1e300), format!("1{}.0", "0".repeat(300)));
+        assert_eq!(num(1e-7), "0.0000001");
     }
 }

@@ -182,6 +182,11 @@ pub struct FlowNet<T> {
     scratch_unfrozen: Vec<u32>,
     scratch_live: Vec<u32>,
     scratch_emptied: Vec<u32>,
+    scratch_crossings: Vec<u64>,
+    /// Retire flows through the one-at-a-time oracle instead (the proptest's
+    /// reference net).
+    #[cfg(test)]
+    one_at_a_time: bool,
     /// Optional trace sink: flow activations/drains become `flow_start` /
     /// `flow_end` events (DESIGN.md §4.11). `None` costs nothing.
     tracer: Option<memres_trace::SharedSink>,
@@ -215,6 +220,9 @@ impl<T> FlowNet<T> {
             scratch_unfrozen: Vec::new(),
             scratch_live: Vec::new(),
             scratch_emptied: Vec::new(),
+            scratch_crossings: Vec::new(),
+            #[cfg(test)]
+            one_at_a_time: false,
             tracer: None,
         }
     }
@@ -265,14 +273,6 @@ impl<T> FlowNet<T> {
         list.insert(pos, slot);
     }
 
-    /// Remove `slot` from `list`, which is ordered by flow id.
-    fn remove_by_id(list: &mut Vec<u32>, cold: &[Cold<T>], slot: u32) {
-        let id = cold[slot as usize].id;
-        let pos = list.partition_point(|&x| cold[x as usize].id < id);
-        debug_assert!(list.get(pos) == Some(&slot), "flow missing from index");
-        list.remove(pos);
-    }
-
     /// Mark the flow in `slot` active: index it on its links and in the
     /// active list.
     fn activate(&mut self, slot: usize) {
@@ -287,16 +287,97 @@ impl<T> FlowNet<T> {
         self.dirty = true;
     }
 
-    /// Remove the flow in `slot` from the active indexes.
+    /// Remove `gone` from `list` in one compaction pass. Both are ordered by
+    /// flow id and every slot of `gone` is in `list`, so the pass is a merge
+    /// that compares slots only: it starts at the first departure and, once
+    /// the last one is passed, moves the tail down in one copy — for a single
+    /// departure, exactly a `Vec::remove`.
+    fn remove_sorted(list: &mut Vec<u32>, cold: &[Cold<T>], gone: impl IntoIterator<Item = u32>) {
+        let mut gone = gone.into_iter();
+        let mut next = gone.next();
+        let Some(first) = next else {
+            return;
+        };
+        let id = cold[first as usize].id;
+        let len = list.len();
+        let mut read = list.partition_point(|&x| cold[x as usize].id < id);
+        let mut write = read;
+        while let Some(slot) = next {
+            let kept = list[read]; // out of bounds: a departure `list` never held
+            read += 1;
+            if kept == slot {
+                next = gone.next();
+            } else {
+                list[write] = kept;
+                write += 1;
+            }
+        }
+        list.copy_within(read.., write);
+        list.truncate(write + len - read);
+        debug_assert!(
+            list.is_sorted_by_key(|&slot| cold[slot as usize].id),
+            "retirement broke id order"
+        );
+    }
+
+    /// Take `emptied` — slots of active flows, in ascending flow-id order —
+    /// out of the active indexes: one compaction pass over each link list
+    /// they touch and one over `active`, however many flows drained in the
+    /// interval. The only removal path; [`FlowNet::close_flow`] retires a
+    /// batch of one.
+    fn retire(&mut self, emptied: &[u32]) {
+        if emptied.is_empty() {
+            return;
+        }
+        #[cfg(test)]
+        if self.one_at_a_time {
+            for &slot in emptied {
+                self.deactivate(slot as usize);
+            }
+            return;
+        }
+        // One `link << 32 | position in emptied` key per link crossing:
+        // sorted, each link's departures are contiguous and still in
+        // ascending flow-id order.
+        let mut crossings = std::mem::take(&mut self.scratch_crossings);
+        crossings.clear();
+        for (i, &slot) in emptied.iter().enumerate() {
+            self.hot[slot as usize].rate = 0.0;
+            for l in self.paths[slot as usize].links() {
+                crossings.push((l.0 as u64) << 32 | i as u64);
+            }
+        }
+        crossings.sort_unstable();
+        for on_link in crossings.chunk_by(|a, b| a >> 32 == b >> 32) {
+            Self::remove_sorted(
+                &mut self.flows_on_link[(on_link[0] >> 32) as usize],
+                &self.cold,
+                on_link.iter().map(|&c| emptied[c as u32 as usize]),
+            );
+        }
+        Self::remove_sorted(&mut self.active, &self.cold, emptied.iter().copied());
+        self.scratch_crossings = crossings;
+        self.dirty = true;
+    }
+
+    /// The pre-PR-15 retirement, kept as the differential oracle: a binary
+    /// search and a `Vec::remove` per index, one flow at a time.
+    #[cfg(test)]
     fn deactivate(&mut self, slot: usize) {
+        fn remove_by_id<T>(list: &mut Vec<u32>, cold: &[Cold<T>], slot: u32) {
+            let id = cold[slot as usize].id;
+            let pos = list.partition_point(|&x| cold[x as usize].id < id);
+            assert!(list.get(pos) == Some(&slot), "flow missing from index");
+            list.remove(pos);
+        }
         for l in self.paths[slot].links() {
-            Self::remove_by_id(
+            remove_by_id(
                 &mut self.flows_on_link[l.0 as usize],
                 &self.cold,
                 slot as u32,
             );
         }
-        Self::remove_by_id(&mut self.active, &self.cold, slot as u32);
+        remove_by_id(&mut self.active, &self.cold, slot as u32);
         self.hot[slot].rate = 0.0;
         self.dirty = true;
     }
@@ -449,23 +530,44 @@ impl<T> FlowNet<T> {
         self.gen.bump();
     }
 
-    /// Drop a flow and any undelivered chunks (returns their tags).
+    /// Drop a flow and any undelivered chunks (returns their tags). Closing
+    /// an idle flow only gives its slot back: nothing the clock, a rate or an
+    /// armed wake depends on changes, so it neither advances nor bumps the
+    /// generation.
     pub fn close_flow(&mut self, now: SimTime, flow: FlowId) -> Vec<T> {
+        let Some(slot) = self.slot(flow) else {
+            return Vec::new();
+        };
+        if self.cold[slot].queue.is_empty() {
+            self.release(slot);
+            return Vec::new();
+        }
         self.advance(now);
+        self.gen.bump();
+        // The advance may have delivered the rest, and auto-closed the flow.
         let Some(slot) = self.slot(flow) else {
             return Vec::new();
         };
         let queue = std::mem::take(&mut self.cold[slot].queue);
         if !queue.is_empty() {
-            self.deactivate(slot);
+            self.retire(&[slot as u32]);
         }
         self.release(slot);
-        self.gen.bump();
         queue.into_iter().map(|c| c.tag).collect()
     }
 
     pub fn active_flows(&self) -> usize {
         self.active.len()
+    }
+
+    /// Flows open right now, idle persistent ones included.
+    pub fn open_flows(&self) -> usize {
+        self.hot.len() - self.free.len()
+    }
+
+    /// Slots in the slab: the most flows ever open at once.
+    pub fn slab_len(&self) -> usize {
+        self.hot.len()
     }
 
     /// Advance fluid state to `now`, harvesting chunk completions along the
@@ -546,6 +648,7 @@ impl<T> FlowNet<T> {
                 hot.head = next.bytes;
             }
         }
+        self.retire(&emptied);
         for &slot in &emptied {
             let slot = slot as usize;
             if let Some(tr) = &self.tracer {
@@ -559,7 +662,6 @@ impl<T> FlowNet<T> {
                     },
                 );
             }
-            self.deactivate(slot);
             if self.hot[slot].auto_close {
                 self.release(slot);
             }
@@ -725,15 +827,41 @@ impl<T> FlowNet<T> {
             + self.delivered.capacity() * size_of::<Delivered<T>>()
     }
 
+    /// What batched retirement must preserve, against a rebuild from the
+    /// slab: `active` is exactly the flows with queued chunks in ascending id
+    /// order, and each link list is what walking it along every path gives.
+    fn audit_indexes(&self) -> Result<(), String> {
+        let queued = |&slot: &u32| !self.cold[slot as usize].queue.is_empty();
+        let mut active: Vec<u32> = (0..self.cold.len() as u32).filter(queued).collect();
+        active.sort_by_key(|&slot| self.cold[slot as usize].id);
+        let mut on_link = vec![Vec::new(); self.links.len()];
+        for &slot in &active {
+            for l in self.paths[slot as usize].links() {
+                on_link[l.0 as usize].push(slot);
+            }
+        }
+        if active != self.active || on_link != self.flows_on_link {
+            return Err(format!(
+                "active indexes drifted from the slab: {} flows have queued chunks, \
+                 the active list holds {}",
+                active.len(),
+                self.active.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Differential audit: recompute the whole allocation by textbook
     /// progressive filling — no per-link index, no scratch reuse, no
     /// incremental state — and compare against the incremental solver's
     /// current rates. Max–min fair rates are unique, so any disagreement
     /// beyond float noise is an engine bug. Also rescans for the next
     /// completion and compares it, bit for bit, with the memoised answer if
-    /// one is held. Returns a description of the first mismatch (fuzz oracle
-    /// 1; see DESIGN.md §4.13).
+    /// one is held, and checks the active indexes against a rebuild from the
+    /// slab ([`FlowNet::audit_indexes`]). Returns a description of the first
+    /// mismatch (fuzz oracle 1; see DESIGN.md §4.13).
     pub fn audit_waterfill(&mut self) -> Result<(), String> {
+        self.audit_indexes()?;
         self.settle();
         let caps: Vec<f64> = self.links.iter().map(|l| l.capacity).collect();
         let mut remaining = caps.clone();
@@ -1322,7 +1450,114 @@ mod proptests {
         }
     }
 
+    /// One op of the retirement-oracle sequence, applied to `net` and its
+    /// own record of open flows `(id, auto_close, queued chunks)`. Unlike
+    /// [`apply_op`] it keeps persistent flows around idle (so they reactivate
+    /// and get closed idle) and can step far enough for many flows to drain
+    /// in one `advance`. Returns what the op delivered.
+    fn retire_op(
+        net: &mut FlowNet<u32>,
+        links: &[LinkId],
+        open: &mut Vec<(FlowId, bool, usize)>,
+        op: &Op,
+        now_secs: &mut f64,
+    ) -> Vec<Delivered<u32>> {
+        let (kind, a, b, bytes, dt) = op;
+        let now = SimTime::from_secs_f64(*now_secs);
+        match kind % 5 {
+            0 => {
+                // Now and then the same link twice: the flow is listed twice.
+                let path = vec![links[a.index(links.len())], links[b.index(links.len())]];
+                let auto_close = kind / 10 == 0;
+                let f = if (kind / 5) % 2 == 0 {
+                    net.open_flow(now, path, auto_close)
+                } else {
+                    net.open_shared_flow(now, path, auto_close)
+                };
+                net.push_chunk(now, f, Bytes(*bytes), f.0 as u32);
+                open.push((f, auto_close, 1));
+            }
+            1 if !open.is_empty() => {
+                let i = a.index(open.len());
+                let e = &mut open[i];
+                net.push_chunk(now, e.0, Bytes(*bytes), e.0 .0 as u32);
+                e.2 += 1;
+            }
+            2 if !open.is_empty() => {
+                let (f, _, queued) = open.swap_remove(a.index(open.len()));
+                assert_eq!(net.close_flow(now, f).len(), queued);
+            }
+            3 => {
+                // Every fourth step is long enough to drain most of the net.
+                *now_secs += dt * if b.index(4) == 0 { 200.0 } else { 1.0 };
+                let got = net.poll(SimTime::from_secs_f64(*now_secs));
+                for d in &got {
+                    let i = open.iter().position(|e| e.0 == d.flow).expect("open flow");
+                    open[i].2 -= 1;
+                    if open[i].2 == 0 && open[i].1 {
+                        open.swap_remove(i);
+                    }
+                }
+                return got;
+            }
+            4 => net.set_link_capacity(now, links[a.index(links.len())], 1.0 + *bytes),
+            _ => {}
+        }
+        Vec::new()
+    }
+
     proptest! {
+        /// Batched retirement is the one-at-a-time oracle, observably and
+        /// internally: after EVERY op of a random open/push/advance/close/
+        /// capacity sequence over FIFO, shared, auto-close and persistent
+        /// flows, both nets hold the same `active` list, the same list on
+        /// every link, the same free list (so the same slot for the next
+        /// flow), bit-identical rates, the same recompute count, generation
+        /// and next completion, and have delivered the same tags in the same
+        /// order; at the end their `FlowStart`/`FlowEnd` traces match.
+        #[test]
+        fn batched_retirement_matches_one_at_a_time_oracle(
+            caps in proptest::collection::vec(1.0f64..100.0, 1..5),
+            ops in proptest::collection::vec(
+                (0u8..20, any::<proptest::sample::Index>(), any::<proptest::sample::Index>(),
+                 1.0f64..100.0, 0.001f64..0.05),
+                1..60,
+            ),
+        ) {
+            use memres_trace::TraceConfig;
+            let mut nets = [FlowNet::<u32>::new(), FlowNet::new()];
+            nets[1].one_at_a_time = true;
+            let sinks = [TraceConfig::full(), TraceConfig::full()].map(memres_trace::shared);
+            let mut opens = [Vec::new(), Vec::new()];
+            let mut clocks = [0.0f64; 2];
+            let mut links = Vec::new();
+            for (net, sink) in nets.iter_mut().zip(&sinks) {
+                net.set_tracer(sink.clone());
+                links = caps.iter().map(|&c| net.add_link(c)).collect();
+            }
+            for op in &ops {
+                let [got, want] = [0, 1].map(|i| {
+                    retire_op(&mut nets[i], &links, &mut opens[i], op, &mut clocks[i])
+                });
+                prop_assert_eq!(got, want, "delivery order");
+                let [net, oracle] = &mut nets;
+                prop_assert_eq!(net.next_event(), oracle.next_event());
+                prop_assert_eq!(&net.active, &oracle.active);
+                prop_assert_eq!(&net.flows_on_link, &oracle.flows_on_link);
+                prop_assert_eq!(&net.free, &oracle.free);
+                prop_assert_eq!(&net.slot_of, &oracle.slot_of);
+                prop_assert_eq!(net.recomputes, oracle.recomputes);
+                prop_assert_eq!(net.gen(), oracle.gen());
+                let rates = |n: &FlowNet<u32>| -> Vec<u64> {
+                    n.hot.iter().map(|h| h.rate.to_bits()).collect()
+                };
+                prop_assert_eq!(rates(net), rates(oracle));
+                prop_assert_eq!(net.audit_waterfill(), Ok(()));
+            }
+            let [got, want] = sinks.map(|s| format!("{:?}", s.borrow().events()));
+            prop_assert_eq!(got, want, "flow trace");
+        }
+
         /// After EVERY event in a random arrival/extra-chunk/departure/
         /// advance/capacity sequence over FIFO and shared flows, the
         /// incremental recompute's rates equal an independent from-scratch

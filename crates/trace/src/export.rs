@@ -2,113 +2,127 @@
 //! (Perfetto-loadable). Pure string builders — writing the bytes to disk is
 //! the bench layer's job (the workspace's designated I/O seam), so this
 //! crate stays free of host I/O and passes the determinism linter untouched.
+//! Every event is written straight into one pre-sized buffer.
 
 use crate::analyze::{attempts, Outcome};
 use crate::{TimedEvent, TraceEvent};
-use memres_des::json::num;
+use memres_des::json::Num;
+use std::fmt::{self, Write as _};
 
 /// Microsecond timestamp with fixed 3-decimal nanosecond fraction — integer
 /// math only, so the rendering is byte-stable everywhere.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+fn us(ns: u64) -> impl fmt::Display {
+    fmt::from_fn(move |f| write!(f, "{}.{:03}", ns / 1_000, ns % 1_000))
 }
 
 /// The event's payload as JSON object members (no braces), fixed key order.
-fn payload(ev: &TraceEvent) -> String {
-    match *ev {
-        TraceEvent::JobArrived { job, tenant } | TraceEvent::JobAdmitted { job, tenant } => {
-            format!("\"job\":{job},\"tenant\":{tenant}")
+fn payload(ev: &TraceEvent) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        match *ev {
+            TraceEvent::JobArrived { job, tenant } | TraceEvent::JobAdmitted { job, tenant } => {
+                write!(f, "\"job\":{job},\"tenant\":{tenant}")
+            }
+            TraceEvent::JobStart { job } => write!(f, "\"job\":{job}"),
+            TraceEvent::JobEnd { job, aborted } => {
+                write!(f, "\"job\":{job},\"aborted\":{aborted}")
+            }
+            TraceEvent::StageStart { stage, tasks } => {
+                write!(f, "\"stage\":{stage},\"tasks\":{tasks}")
+            }
+            TraceEvent::TaskQueued {
+                task,
+                stage,
+                class,
+                attempt,
+            } => write!(
+                f,
+                "\"task\":{task},\"stage\":{stage},\"class\":\"{}\",\"attempt\":{attempt}",
+                class.name()
+            ),
+            TraceEvent::TaskLaunched {
+                task,
+                node,
+                class,
+                attempt,
+                queue_delay,
+                speculative,
+            } => write!(
+                f,
+                "\"task\":{task},\"node\":{node},\"class\":\"{}\",\"attempt\":{attempt},\"queue_delay_ns\":{},\"speculative\":{speculative}",
+                class.name(),
+                queue_delay.as_nanos()
+            ),
+            TraceEvent::TaskFinished {
+                task,
+                node,
+                class,
+                attempt,
+                ghost,
+            } => write!(
+                f,
+                "\"task\":{task},\"node\":{node},\"class\":\"{}\",\"attempt\":{attempt},\"ghost\":{ghost}",
+                class.name()
+            ),
+            TraceEvent::TaskRetried {
+                task,
+                node,
+                attempt,
+                wasted,
+                backoff,
+            } => write!(
+                f,
+                "\"task\":{task},\"node\":{node},\"attempt\":{attempt},\"wasted_ns\":{},\"backoff_ns\":{}",
+                wasted.as_nanos(),
+                backoff.as_nanos()
+            ),
+            TraceEvent::DelayWait { node, until } => {
+                write!(f, "\"node\":{node},\"until_ns\":{}", until.as_nanos())
+            }
+            TraceEvent::ElbDecline { node } => write!(f, "\"node\":{node}"),
+            TraceEvent::CadGate { node, until } => {
+                write!(f, "\"node\":{node},\"until_ns\":{}", until.as_nanos())
+            }
+            TraceEvent::Speculate { task, twin } => write!(f, "\"task\":{task},\"twin\":{twin}"),
+            TraceEvent::FlowStart { flow } => write!(f, "\"flow\":{flow}"),
+            TraceEvent::FlowEnd { flow, bytes, dur } => write!(
+                f,
+                "\"flow\":{flow},\"bytes\":{},\"dur_ns\":{}",
+                Num(bytes.get()),
+                dur.as_nanos()
+            ),
+            TraceEvent::LockAcquire { file, client } => {
+                write!(f, "\"file\":{file},\"client\":{client}")
+            }
+            TraceEvent::LockRelease { file } => write!(f, "\"file\":{file}"),
+            TraceEvent::LockRevoke { file, dirty_bytes } => write!(
+                f,
+                "\"file\":{file},\"dirty_bytes\":{}",
+                Num(dirty_bytes.get())
+            ),
+            TraceEvent::LockWaitStart { task } => write!(f, "\"task\":{task}"),
+            TraceEvent::LockWaitEnd { task } => write!(f, "\"task\":{task}"),
+            TraceEvent::LockWaitFor { task, dur } => {
+                write!(f, "\"task\":{task},\"dur_ns\":{}", dur.as_nanos())
+            }
+            TraceEvent::GcStart { node }
+            | TraceEvent::GcEnd { node }
+            | TraceEvent::BufFull { node }
+            | TraceEvent::BufDrained { node } => write!(f, "\"node\":{node}"),
+            TraceEvent::FaultInjected { kind, node } => {
+                write!(f, "\"fault\":\"{kind}\",\"node\":{node}")
+            }
+            TraceEvent::NodeDown { node }
+            | TraceEvent::NodeUp { node }
+            | TraceEvent::Blacklisted { node } => write!(f, "\"node\":{node}"),
+            TraceEvent::BlocksLost { node, blocks } => {
+                write!(f, "\"node\":{node},\"blocks\":{blocks}")
+            }
+            TraceEvent::Rehost { from, to } => write!(f, "\"from\":{from},\"to\":{to}"),
+            TraceEvent::GhostsSpawned { node, count } => {
+                write!(f, "\"node\":{node},\"count\":{count}")
+            }
         }
-        TraceEvent::JobStart { job } => format!("\"job\":{job}"),
-        TraceEvent::JobEnd { job, aborted } => format!("\"job\":{job},\"aborted\":{aborted}"),
-        TraceEvent::StageStart { stage, tasks } => format!("\"stage\":{stage},\"tasks\":{tasks}"),
-        TraceEvent::TaskQueued {
-            task,
-            stage,
-            class,
-            attempt,
-        } => format!(
-            "\"task\":{task},\"stage\":{stage},\"class\":\"{}\",\"attempt\":{attempt}",
-            class.name()
-        ),
-        TraceEvent::TaskLaunched {
-            task,
-            node,
-            class,
-            attempt,
-            queue_delay,
-            speculative,
-        } => format!(
-            "\"task\":{task},\"node\":{node},\"class\":\"{}\",\"attempt\":{attempt},\"queue_delay_ns\":{},\"speculative\":{speculative}",
-            class.name(),
-            queue_delay.as_nanos()
-        ),
-        TraceEvent::TaskFinished {
-            task,
-            node,
-            class,
-            attempt,
-            ghost,
-        } => format!(
-            "\"task\":{task},\"node\":{node},\"class\":\"{}\",\"attempt\":{attempt},\"ghost\":{ghost}",
-            class.name()
-        ),
-        TraceEvent::TaskRetried {
-            task,
-            node,
-            attempt,
-            wasted,
-            backoff,
-        } => format!(
-            "\"task\":{task},\"node\":{node},\"attempt\":{attempt},\"wasted_ns\":{},\"backoff_ns\":{}",
-            wasted.as_nanos(),
-            backoff.as_nanos()
-        ),
-        TraceEvent::DelayWait { node, until } => {
-            format!("\"node\":{node},\"until_ns\":{}", until.as_nanos())
-        }
-        TraceEvent::ElbDecline { node } => format!("\"node\":{node}"),
-        TraceEvent::CadGate { node, until } => {
-            format!("\"node\":{node},\"until_ns\":{}", until.as_nanos())
-        }
-        TraceEvent::Speculate { task, twin } => format!("\"task\":{task},\"twin\":{twin}"),
-        TraceEvent::FlowStart { flow } => format!("\"flow\":{flow}"),
-        TraceEvent::FlowEnd { flow, bytes, dur } => format!(
-            "\"flow\":{flow},\"bytes\":{},\"dur_ns\":{}",
-            num(bytes.get()),
-            dur.as_nanos()
-        ),
-        TraceEvent::LockAcquire { file, client } => {
-            format!("\"file\":{file},\"client\":{client}")
-        }
-        TraceEvent::LockRelease { file } => format!("\"file\":{file}"),
-        TraceEvent::LockRevoke { file, dirty_bytes } => format!(
-            "\"file\":{file},\"dirty_bytes\":{}",
-            num(dirty_bytes.get())
-        ),
-        TraceEvent::LockWaitStart { task } => format!("\"task\":{task}"),
-        TraceEvent::LockWaitEnd { task } => format!("\"task\":{task}"),
-        TraceEvent::LockWaitFor { task, dur } => {
-            format!("\"task\":{task},\"dur_ns\":{}", dur.as_nanos())
-        }
-        TraceEvent::GcStart { node }
-        | TraceEvent::GcEnd { node }
-        | TraceEvent::BufFull { node }
-        | TraceEvent::BufDrained { node } => format!("\"node\":{node}"),
-        TraceEvent::FaultInjected { kind, node } => {
-            format!("\"fault\":\"{kind}\",\"node\":{node}")
-        }
-        TraceEvent::NodeDown { node }
-        | TraceEvent::NodeUp { node }
-        | TraceEvent::Blacklisted { node } => format!("\"node\":{node}"),
-        TraceEvent::BlocksLost { node, blocks } => {
-            format!("\"node\":{node},\"blocks\":{blocks}")
-        }
-        TraceEvent::Rehost { from, to } => format!("\"from\":{from},\"to\":{to}"),
-        TraceEvent::GhostsSpawned { node, count } => {
-            format!("\"node\":{node},\"count\":{count}")
-        }
-    }
+    })
 }
 
 /// Node lane an event renders on in the timeline (0 when not node-scoped).
@@ -137,15 +151,17 @@ fn lane(ev: &TraceEvent) -> u32 {
 /// One JSON object per line, in emission order: the compact machine-readable
 /// form consumed by downstream tooling and the determinism tests.
 pub fn events_jsonl(events: &[TimedEvent]) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(events.len() * 96);
     for e in events {
-        out.push_str(&format!(
-            "{{\"at_ns\":{},\"seq\":{},\"type\":\"{}\",{}}}\n",
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(
+            out,
+            "{{\"at_ns\":{},\"seq\":{},\"type\":\"{}\",{}}}",
             e.at.as_nanos(),
             e.seq,
             e.ev.kind(),
             payload(&e.ev)
-        ));
+        );
     }
     out
 }
@@ -154,21 +170,27 @@ pub fn events_jsonl(events: &[TimedEvent]) -> String {
 /// for Perfetto / `chrome://tracing`. Task attempts become complete ("X")
 /// events on a per-node lane; everything else becomes an instant ("i").
 pub fn chrome_trace_json(events: &[TimedEvent]) -> String {
-    let mut rows: Vec<String> = Vec::new();
+    let mut out = String::with_capacity(events.len() * 128 + 64);
+    out.push_str("{\"traceEvents\":[");
+    // Rows are joined by ",\n": each row opens with the separator.
+    let mut sep = "\n";
     for a in attempts(events) {
-        let name = match a.outcome {
-            Outcome::Completed => a.class.name().to_string(),
-            Outcome::Failed => format!("{}.failed", a.class.name()),
-            Outcome::Ghost => format!("{}.ghost", a.class.name()),
+        let outcome = match a.outcome {
+            Outcome::Completed => "",
+            Outcome::Failed => ".failed",
+            Outcome::Ghost => ".ghost",
         };
-        rows.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"task\":{},\"attempt\":{}}}}}",
+        let _ = write!(
+            out,
+            "{sep}{{\"name\":\"{}{outcome}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"task\":{},\"attempt\":{}}}}}",
+            a.class.name(),
             us(a.start.as_nanos()),
             us(a.dur().as_nanos()),
             a.node,
             a.task,
             a.attempt
-        ));
+        );
+        sep = ",\n";
     }
     for e in events {
         if matches!(
@@ -177,16 +199,16 @@ pub fn chrome_trace_json(events: &[TimedEvent]) -> String {
         ) {
             continue; // rendered as the "X" rows above
         }
-        rows.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{{}}}}}",
+        let _ = write!(
+            out,
+            "{sep}{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{{}}}}}",
             e.ev.kind(),
             us(e.at.as_nanos()),
             lane(&e.ev),
             payload(&e.ev)
-        ));
+        );
+        sep = ",\n";
     }
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(&rows.join(",\n"));
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
 }
@@ -271,9 +293,9 @@ mod tests {
 
     #[test]
     fn timestamps_render_with_fixed_nanosecond_fraction() {
-        assert_eq!(us(0), "0.000");
-        assert_eq!(us(999), "0.999");
-        assert_eq!(us(1_000), "1.000");
-        assert_eq!(us(1_234_567), "1234.567");
+        assert_eq!(us(0).to_string(), "0.000");
+        assert_eq!(us(999).to_string(), "0.999");
+        assert_eq!(us(1_000).to_string(), "1.000");
+        assert_eq!(us(1_234_567).to_string(), "1234.567");
     }
 }
