@@ -49,6 +49,25 @@ fn bench_ps(c: &mut Criterion) {
             assert_eq!(n, 1000);
         })
     });
+    // The storing phase of a Lustre-local cell: 2,000 MDS requests land on
+    // one instant, each followed by the owner re-reading the next completion
+    // (`submit_mds` + `arm_lustre`); then the server drains. The storm sweeps
+    // nothing; each completion step is one pass over a dense list.
+    c.bench_function("ps_same_instant_storm_2k", |b| {
+        b.iter(|| {
+            let mut ps = PsResource::new(1e5);
+            let t = SimTime::from_secs_f64(1.0);
+            for i in 0..2000u32 {
+                ps.add(t, 3.0 + (i % 7) as f64, i);
+                criterion::black_box(ps.next_completion());
+            }
+            let mut n = 0;
+            while let Some(t) = ps.next_completion() {
+                n += ps.poll(t).len();
+            }
+            assert_eq!(n, 2000);
+        })
+    });
 }
 
 fn bench_flownet(c: &mut Criterion) {
@@ -103,6 +122,40 @@ fn bench_flownet(c: &mut Criterion) {
                 n += net.poll(t).len();
             }
             assert_eq!(n, 16 * NODES * NODES);
+        })
+    });
+    // One reducer launch by name: 200 chunks under one tag, one towards each
+    // of a destination's persistent fetch flows (100 sources x store and OSS
+    // side), handed over in one `push_chunks` and settled by `end_batch`. The
+    // first of the 16 launches wakes the 200 flows, the others queue behind
+    // them.
+    c.bench_function("flownet_fetch_launch_200_chunks", |b| {
+        const SOURCES: usize = 100;
+        b.iter(|| {
+            let mut net: FlowNet<u32> = FlowNet::new();
+            let pipe = net.add_link(50e9);
+            let down = net.add_link(4e9);
+            let chunks: Vec<_> = (0..SOURCES)
+                .flat_map(|src| {
+                    let store = net.add_link(2e9);
+                    let up = net.add_link(4e9);
+                    [vec![store, up, down], vec![pipe, up, down]].map(|path| {
+                        let f = net.open_flow(SimTime::ZERO, path, false);
+                        net.reserve_chunks(f, 16);
+                        (f, Bytes(1e6 + 1e3 * src as f64))
+                    })
+                })
+                .collect();
+            for reducer in 0..16 {
+                net.push_chunks(SimTime::ZERO, reducer, &chunks);
+                net.end_batch();
+                criterion::black_box(net.next_event());
+            }
+            let mut n = 0;
+            while let Some(t) = net.next_event() {
+                n += net.poll(t).len();
+            }
+            assert_eq!(n, 16 * 2 * SOURCES);
         })
     });
     // One fixed cost by name: 20,000 active flows, every other one drains in

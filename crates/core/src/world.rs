@@ -183,6 +183,35 @@ struct TaskArena {
     running: Vec<u32>,
 }
 
+/// Make the same `Vec` call on every per-task array of a [`TaskArena`].
+macro_rules! each_task_array {
+    ($arena:expr, $call:ident($($arg:expr),*)) => {
+        $arena.job.$call($($arg),*);
+        $arena.stage.$call($($arg),*);
+        $arena.kind.$call($($arg),*);
+        $arena.state.$call($($arg),*);
+        $arena.node.$call($($arg),*);
+        $arena.queued_at.$call($($arg),*);
+        $arena.launched_at.$call($($arg),*);
+        $arena.compute_dur.$call($($arg),*);
+        $arena.pipelined.$call($($arg),*);
+        $arena.pending_io.$call($($arg),*);
+        $arena.finish_scheduled.$call($($arg),*);
+        $arena.input_bytes.$call($($arg),*);
+        $arena.output_bytes.$call($($arg),*);
+        $arena.records_est.$call($($arg),*);
+        $arena.records_out.$call($($arg),*);
+        $arena.locality.$call($($arg),*);
+        $arena.prefs.$call($($arg),*);
+        $arena.pinned.$call($($arg),*);
+        $arena.twin.$call($($arg),*);
+        $arena.is_speculative.$call($($arg),*);
+        $arena.attempt.$call($($arg),*);
+        $arena.doomed.$call($($arg),*);
+        $arena.ghost.$call($($arg),*);
+    };
+}
+
 impl TaskArena {
     fn len(&self) -> usize {
         self.state.len()
@@ -190,6 +219,12 @@ impl TaskArena {
 
     fn contains(&self, id: u32) -> bool {
         (id as usize) < self.state.len()
+    }
+
+    /// Make room for `n` more tasks: a stage grows each array once, to
+    /// exactly what it needs, instead of doubling its way there.
+    fn reserve(&mut self, n: usize) {
+        each_task_array!(self, reserve_exact(n));
     }
 
     fn push(&mut self, t: Task) {
@@ -250,29 +285,7 @@ impl TaskArena {
     }
 
     fn clear(&mut self) {
-        self.job.clear();
-        self.stage.clear();
-        self.kind.clear();
-        self.state.clear();
-        self.node.clear();
-        self.queued_at.clear();
-        self.launched_at.clear();
-        self.compute_dur.clear();
-        self.pipelined.clear();
-        self.pending_io.clear();
-        self.finish_scheduled.clear();
-        self.input_bytes.clear();
-        self.output_bytes.clear();
-        self.records_est.clear();
-        self.records_out.clear();
-        self.locality.clear();
-        self.prefs.clear();
-        self.pinned.clear();
-        self.twin.clear();
-        self.is_speculative.clear();
-        self.attempt.clear();
-        self.doomed.clear();
-        self.ghost.clear();
+        each_task_array!(self, clear());
         self.pending = 0;
         self.running.clear();
     }
@@ -573,10 +586,16 @@ struct JobRun {
     /// unlocks) another tenant's steal decisions.
     last_local_launch: SimTime,
     /// Completed compute-task durations of this job's current stage
-    /// (speculation baseline's straggler threshold).
-    stage_durs: Vec<f64>,
+    /// (speculation baseline's straggler threshold is a multiple of their
+    /// median). Bucket counts do not depend on recording order, so this is
+    /// the histogram a rebuild from the list of durations would give. Kept
+    /// only when speculation is on.
+    stage_durs: Option<LogHistogram>,
     /// Per-node intermediate bytes deposited by this job (ELB signal).
     intermediate: Vec<f64>,
+    /// Every Lustre shuffle file this job has written, deleted when it
+    /// leaves (a consumed shuffle's state is dropped long before).
+    lustre_files: Vec<LustreFile>,
     // Per-job pending-task queues: the inter-job scheduler picks which job a
     // free slot serves; these serve the intra-job pick exactly as before.
     prefs_q: Vec<VecDeque<u32>>,
@@ -654,6 +673,16 @@ pub struct SimWorld {
     pub metrics: MetricsSink,
 
     tasks: TaskArena,
+    /// Scratch of `launch_fetch`: the `(flow, wire bytes)` pairs of one
+    /// reducer launch, handed to the network in one `push_chunks`.
+    fetch_chunks: Vec<(FlowId, Bytes)>,
+    /// An attempt was abandoned with I/O possibly in flight (failed attempt,
+    /// aborted job, speculation copy outliving its job); it drains as stale
+    /// completions, so an idle cluster may have busy substrates until an
+    /// audit next finds them drained.
+    abandoned_io: bool,
+    /// Scratch of `dispatch`: the job order and the candidate nodes.
+    dispatch_scratch: (Vec<usize>, Vec<u32>),
     /// Concurrently resident jobs, in admission order.
     jobs: Vec<JobRun>,
     job_seq: u32,
@@ -857,6 +886,9 @@ impl SimWorld {
             speeds,
             metrics: MetricsSink::default(),
             tasks: TaskArena::default(),
+            fetch_chunks: Vec::new(),
+            abandoned_io: false,
+            dispatch_scratch: Default::default(),
             jobs: Vec::new(),
             job_seq: 0,
             job_done: false,
@@ -942,13 +974,47 @@ impl SimWorld {
     /// progressive-filling pass over the same active flows, the network's
     /// memoised next completion vs a fresh scan, its active indexes vs a
     /// rebuild from the slab, and every resident job's running-task count
-    /// vs an arena scan.
+    /// vs an arena scan; with no job resident, the quiescence oracle.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
         let tasks = &self.tasks;
         self.jobs
             .iter()
             .try_for_each(|j| tasks.audit_running(j.id))?;
-        self.net.audit_waterfill()
+        self.net.audit_waterfill()?;
+        if self.jobs.is_empty() {
+            self.audit_departed()
+                .map_err(|e| format!("no job resident, but {e}"))?;
+            match self.audit_drained() {
+                Ok(()) => self.abandoned_io = false,
+                Err(e) if !self.abandoned_io => return Err(format!("no job resident, but {e}")),
+                Err(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Quiescence oracle (DESIGN.md §4.13), what departed jobs must not hold
+    /// even if an abandoned attempt's I/O is still in flight (which keeps
+    /// flows *active*): an idle open flow, a DLM lock on a file they wrote.
+    fn audit_departed(&self) -> Result<(), String> {
+        let idle = self.net.open_flows() - self.net.active_flows();
+        if idle != 0 {
+            return Err(format!("{idle} idle flows are open"));
+        }
+        self.lustre.audit_unlocked()
+    }
+
+    /// Quiescence oracle, the rest: no flow carries bytes and no request is
+    /// in or undelivered by the Lustre MDS, a memory channel or a device.
+    /// Excused while `abandoned_io` is set; passing clears it.
+    fn audit_drained(&self) -> Result<(), String> {
+        let active = self.net.active_flows();
+        if active != 0 {
+            return Err(format!("{active} flows carry bytes"));
+        }
+        self.lustre.audit_idle()?;
+        let mut mounts = self.ram_fs.iter().chain(&self.ssd_fs).enumerate();
+        mounts.try_for_each(|(i, fs)| fs.audit_idle().map_err(|e| format!("mount {i}: {e}")))
     }
 
     fn speed(&self, node: u32) -> f64 {
@@ -1106,7 +1172,8 @@ impl SimWorld {
             shuffle_out: None,
             final_tasks: Vec::new(),
             last_local_launch: now,
-            stage_durs: Vec::new(),
+            stage_durs: None,
+            lustre_files: Vec::new(),
             intermediate: vec![0.0; workers],
             prefs_q: (0..workers).map(|_| VecDeque::new()).collect(),
             no_pref_q: VecDeque::new(),
@@ -1611,7 +1678,8 @@ impl SimWorld {
 
         // Create the stage's tasks.
         let is_fetch = matches!(stage.input, StageInput::Shuffle(_));
-        let mut created: Vec<u32> = Vec::new();
+        let mut created: Vec<u32> = Vec::with_capacity(nparts);
+        self.tasks.reserve(nparts);
         for i in 0..nparts {
             let id = self.tasks.len() as u32;
             let kind = if is_fetch {
@@ -1653,7 +1721,7 @@ impl SimWorld {
                 job.final_tasks = created.clone();
             }
             job.last_local_launch = now;
-            job.stage_durs.clear();
+            job.stage_durs = self.cfg.speculation.map(|_| LogHistogram::new());
         }
         self.enqueue_pending(ji, &created);
         self.rotate = self.rotate.wrapping_add(1);
@@ -1801,14 +1869,15 @@ impl SimWorld {
     /// fewest running tasks; capacity first serves tenants still below
     /// their guaranteed slot count. The running-task counts are the arena's
     /// incremental ones, so a dispatch costs O(resident jobs), not O(tasks).
-    fn job_order(&self) -> Vec<usize> {
+    fn job_order(&self, order: &mut Vec<usize>) {
         let n = self.jobs.len();
-        let mut order: Vec<usize> = (0..n).collect();
+        order.clear();
+        order.extend(0..n);
         if n <= 1 {
-            return order;
+            return;
         }
         let Some(policy) = self.stream.as_ref().map(|s| &s.spec.policy) else {
-            return order;
+            return;
         };
         let running = |ji: usize| self.tasks.running[self.jobs[ji].id as usize];
         debug_assert!(self
@@ -1835,7 +1904,6 @@ impl SimWorld {
                 });
             }
         }
-        order
     }
 
     fn dispatch(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
@@ -1853,7 +1921,8 @@ impl SimWorld {
         let mut earliest_retry: Option<SimTime> = None;
         // The inter-job policy orders which resident job a free slot serves;
         // within a job, pick() is unchanged.
-        let order = self.job_order();
+        let (mut order, mut cands) = std::mem::take(&mut self.dispatch_scratch);
+        self.job_order(&mut order);
         // Two-phase rounds: first every node claims its locality-preferred
         // (or preference-free) tasks, one slot per pass; only then may the
         // FIFO path steal tasks that prefer other nodes.
@@ -1863,12 +1932,11 @@ impl SimWorld {
         // snapshot is a superset of what the full `0..workers` scan would
         // visit — in the same order — and the in-loop guards skip the rest.
         let start = self.rotate % workers;
-        let cands: Vec<u32> = self
-            .avail
-            .range(start..)
-            .chain(self.avail.range(..start))
-            .copied()
-            .collect();
+        cands.clear();
+        cands.extend(self.avail.range(start..).chain(self.avail.range(..start)));
+        // Per job, its stragglers as of this dispatch (`maybe_speculate`).
+        let speculating = self.cfg.speculation.is_some();
+        let mut stragglers = vec![None; if speculating { order.len() } else { 0 }];
         for allow_steal in [false, true] {
             self.dispatch_round += 1;
             let round = self.dispatch_round;
@@ -1924,7 +1992,9 @@ impl SimWorld {
                                 break;
                             }
                             Ok(None) => {
-                                if allow_steal && self.maybe_speculate(now, ji, node, out) {
+                                if allow_steal
+                                    && self.maybe_speculate(now, ji, node, &mut stragglers, out)
+                                {
                                     node_launched = true;
                                     break;
                                 }
@@ -1963,6 +2033,7 @@ impl SimWorld {
         // it so the next slot-freeing or node-recovery event re-dispatches.
         self.dispatch_starved =
             self.tasks.pending > 0 && cands.is_empty() && earliest_retry.is_none();
+        self.dispatch_scratch = (order, cands);
     }
 
     /// CAD only gates nodes whose store device actually shows congestion
@@ -1982,11 +2053,15 @@ impl SimWorld {
     /// LATE-style speculation (baseline, §VIII related work): when a slot
     /// idles and a running compute task has exceeded `multiplier` × the
     /// median completed duration, launch a duplicate here; first copy wins.
+    /// `stragglers[ji]` is the job's tasks past that threshold, found once
+    /// per dispatch: nothing finishes during one, and a task it launches has
+    /// run for no time at all.
     fn maybe_speculate(
         &mut self,
         now: SimTime,
         ji: usize,
         node: u32,
+        stragglers: &mut [Option<Vec<(f64, u32)>>],
         out: &mut Outbox<Ev>,
     ) -> bool {
         let Some(spec) = self.cfg.speculation else {
@@ -1996,24 +2071,33 @@ impl SimWorld {
         if !matches!(job.phase, RunPhase::Stage(_)) {
             return false;
         }
-        if job.stage_durs.len() < spec.min_completed {
+        let Some(durs) = job.stage_durs.as_ref() else {
+            return false;
+        };
+        if durs.count() < spec.min_completed as u64 {
             return false;
         }
-        let median = LogHistogram::from_values(&job.stage_durs).median();
-        let threshold = median * spec.multiplier;
-        // Longest-elapsed running, unduplicated compute task not on `node`.
+        let tasks = &self.tasks;
+        let late = stragglers[ji].get_or_insert_with(|| {
+            let threshold = durs.median() * spec.multiplier;
+            let elapsed = |tid: u32| now.since(tasks.launched_at[tid as usize]).as_secs_f64();
+            job.stage_tasks
+                .iter()
+                .filter(|&&tid| {
+                    tasks.state[tid as usize] == TState::Running
+                        && matches!(tasks.kind[tid as usize], TaskKind::Compute { .. })
+                })
+                .map(|&tid| (elapsed(tid), tid))
+                .filter(|&(elapsed, _)| elapsed > threshold)
+                .collect()
+        });
+        // Longest-elapsed unduplicated one not on `node`; the first on ties.
         let mut best: Option<(f64, u32)> = None;
-        for &tid in &job.stage_tasks {
-            let i = tid as usize;
-            if self.tasks.state[i] != TState::Running
-                || self.tasks.twin[i].is_some()
-                || self.tasks.node[i] == node
-                || !matches!(self.tasks.kind[i], TaskKind::Compute { .. })
+        for &(elapsed, tid) in late.iter() {
+            if tasks.twin[tid as usize].is_none()
+                && tasks.node[tid as usize] != node
+                && best.is_none_or(|(e, _)| elapsed > e)
             {
-                continue;
-            }
-            let elapsed = now.since(self.tasks.launched_at[i]).as_secs_f64();
-            if elapsed > threshold && best.is_none_or(|(e, _)| elapsed > e) {
                 best = Some((elapsed, tid));
             }
         }
@@ -2468,13 +2552,15 @@ impl SimWorld {
     fn node_lustre_file(&mut self, task: u32, node: u32) -> LustreFile {
         let ji = self.job_index_of(task);
         let next = &mut self.next_shuffle_file;
-        let sh = self.jobs[ji]
+        let job = &mut self.jobs[ji];
+        let sh = job
             .shuffle_out
             .as_mut()
             .expect("store without produced shuffle"); // lint:allow(panic): a storing task exists only for a stage that produced a shuffle
         *sh.lustre_files[node as usize].get_or_insert_with(|| {
             let f = LustreFile(*next);
             *next += 1;
+            job.lustre_files.push(f);
             f
         })
     }
@@ -2564,6 +2650,8 @@ impl SimWorld {
                 };
                 let tag = self.net_tag(task);
                 let inflate = |raw: f64| inflate_for_requests(Bytes(raw * compress), req, oh);
+                let mut chunks = std::mem::take(&mut self.fetch_chunks);
+                chunks.clear();
                 for (src, &b) in per_source.iter().enumerate() {
                     if b <= 0.0 {
                         continue;
@@ -2591,11 +2679,12 @@ impl SimWorld {
                     for (kind, wire) in [(0u8, cached), (1, oss)] {
                         if wire.is_positive() {
                             self.tasks.pending_io[task as usize] += 1;
-                            let f = self.fetch_flow(now, ji, src as u32, dst, kind);
-                            self.net.push_chunk(now, f, wire, tag);
+                            chunks.push((self.fetch_flow(now, ji, src as u32, dst, kind), wire));
                         }
                     }
                 }
+                self.net.push_chunks(now, tag, &chunks);
+                self.fetch_chunks = chunks;
                 self.net.end_batch();
                 self.arm_net(out);
             }
@@ -2692,7 +2781,14 @@ impl SimWorld {
                     .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))),
             );
             path.dedup();
-            self.net.open_flow(now, path, false)
+            let flow = self.net.open_flow(now, path, false);
+            // A node-to-node flow queues one chunk per reducer running on
+            // the destination node (a capacity hint: a retry can queue behind
+            // a failed attempt's). Rack-aggregated flows serve a whole rack
+            // and are left to grow.
+            self.net
+                .reserve_chunks(flow, self.spec.cores_per_node as usize);
+            flow
         };
         *entry
     }
@@ -2710,6 +2806,23 @@ impl SimWorld {
         }
         if self.net.gen() != armed {
             self.arm_net(out);
+        }
+    }
+
+    /// A departing job gives back what its shuffles hold in the substrates:
+    /// the fetch flows of the one it was reading, and every Lustre file it
+    /// wrote — deleting one releases its writer's DLM lock and the client
+    /// cache it pins. A delete retires the armed `LustreWake`, so the MDS is
+    /// re-armed for the other residents.
+    fn release_shuffle_state(&mut self, now: SimTime, job: &JobRun, out: &mut Outbox<Ev>) {
+        if let Some(sh) = &job.shuffle_in {
+            self.release_fetch_flows(now, sh, out);
+        }
+        if !job.lustre_files.is_empty() {
+            for &f in &job.lustre_files {
+                self.lustre.delete(f);
+            }
+            self.arm_lustre(out);
         }
     }
 
@@ -2853,7 +2966,9 @@ impl SimWorld {
             let d = now
                 .since(self.tasks.launched_at[task as usize])
                 .as_secs_f64();
-            self.job_of_mut(task).stage_durs.push(d);
+            if let Some(durs) = &mut self.job_of_mut(task).stage_durs {
+                durs.record(d);
+            }
         }
 
         let phase = match kind {
@@ -3014,7 +3129,8 @@ impl SimWorld {
     fn start_storing(&mut self, now: SimTime, ji: usize, stage_idx: usize, out: &mut Outbox<Ev>) {
         let producers = self.jobs[ji].stage_tasks.clone();
         let job_id = self.jobs[ji].id;
-        let mut created = Vec::new();
+        let mut created = Vec::with_capacity(producers.len());
+        self.tasks.reserve(producers.len());
         for &p in &producers {
             // A flush is pinned to its producer's node; if that node died or
             // was blacklisted since, the re-hosted rows flush at the
@@ -3211,6 +3327,7 @@ impl SimWorld {
         attribute: bool,
         out: &mut Outbox<Ev>,
     ) {
+        self.abandoned_io = true;
         let node = self.tasks.node[task as usize];
         let wasted = now
             .since(self.tasks.launched_at[task as usize])
@@ -3369,10 +3486,9 @@ impl SimWorld {
                 aborted: true,
             },
         );
+        self.abandoned_io = true;
         let job = self.jobs.remove(ji);
-        if let Some(sh) = &job.shuffle_in {
-            self.release_fetch_flows(now, sh, out);
-        }
+        self.release_shuffle_state(now, &job, out);
         // Retire the aborted job's tasks. Running ones hand their slot back
         // (the stale-completion filter drops their in-flight IO); queue
         // entries die with the JobRun.
@@ -3634,6 +3750,7 @@ impl SimWorld {
             return;
         }
         let mut created = Vec::with_capacity(ghosts.len());
+        self.tasks.reserve(ghosts.len());
         for (stage, kind) in ghosts {
             if matches!(kind, TaskKind::Compute { .. }) {
                 if let Some(rec) = self.metrics.recovery(job_id) {
@@ -3716,9 +3833,8 @@ impl SimWorld {
 
     fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
         let job = self.jobs.remove(ji);
-        if let Some(sh) = &job.shuffle_in {
-            self.release_fetch_flows(now, sh, out);
-        }
+        self.abandoned_io |= self.tasks.running[job.id as usize] > 0;
+        self.release_shuffle_state(now, &job, out);
         self.trace(
             now,
             TE::JobEnd {

@@ -462,3 +462,112 @@ fn run_audited_matches_run_and_passes_waterfill_audit() {
     assert_eq!(out_a.count, out_b.count);
     assert_eq!(m_a.job_time().to_bits(), m_b.job_time().to_bits());
 }
+
+#[test]
+fn quiescence_oracle_holds_on_every_shuffle_store_and_catches_leaks() {
+    // Two audited jobs back to back per store: after each, no flow is open,
+    // no request sits in the MDS, a memory channel or a device, and no DLM
+    // lock is held. The Lustre stores are the failing-then-passing case: a
+    // job's shuffle files used to stay locked by their writers, with their
+    // cache grant pinned, for as long as the world lived.
+    for shuffle in [
+        ShuffleStore::Local(StoreDevice::RamDisk),
+        ShuffleStore::Local(StoreDevice::Ssd),
+        ShuffleStore::LustreLocal,
+        ShuffleStore::LustreShared,
+    ] {
+        let mut d = driver(
+            EngineConfig {
+                input: InputSource::Lustre,
+                shuffle,
+                ..EngineConfig::default()
+            }
+            .homogeneous(),
+        );
+        for _ in 0..2 {
+            d.run_audited(&groupby_synthetic(256.0), Action::Count, 64)
+                .unwrap_or_else(|e| panic!("{shuffle:?}: {e}"));
+        }
+        // One pass over the MDS request list per clock move at most: a
+        // same-instant storm of requests sweeps nothing.
+        assert!(d.world().lustre.mds_sweeps() <= d.engine_steps() + 2);
+        // Teeth: each kind of leftover is reported.
+        let now = d.now();
+        let w = d.world_mut();
+        let link = w.net.add_link(1e9);
+        let leaked = w.net.open_flow(now, vec![link], false);
+        let err = w.audit_invariants().expect_err("an idle flow left open");
+        assert!(err.contains("1 idle flows are open"), "{err}");
+        w.net.close_flow(now, leaked);
+        w.lustre.submit_mds(now, 1.0, 0);
+        let err = w
+            .audit_invariants()
+            .expect_err("an MDS request left behind");
+        assert!(err.contains("the MDS holds 1 requests"), "{err}");
+    }
+}
+
+#[test]
+fn quiescence_oracle_keeps_watching_after_an_abandoned_attempt() {
+    // A failed attempt may leave I/O in flight past the end of its job, so
+    // busy substrates are then no finding — but what a departed job must
+    // never hold (an idle flow, a DLM lock) still is, and once an audit
+    // finds the substrates drained the whole oracle is back on.
+    let plan = FaultPlan::new().after(SimDuration::ZERO, FaultKind::TaskFail { nth_launch: 3 });
+    let mut d = driver(
+        EngineConfig {
+            input: InputSource::Lustre,
+            shuffle: ShuffleStore::LustreLocal,
+            ..EngineConfig::default()
+        }
+        .homogeneous()
+        .with_faults(plan),
+    );
+    let (_, m) = d
+        .run_audited(&groupby_synthetic(256.0), Action::Count, 64)
+        .expect("faulted run");
+    assert!(m.recovery.tasks_retried >= 1, "{:?}", m.recovery);
+    let now = d.now();
+    let w = d.world_mut();
+    let link = w.net.add_link(1e9);
+    let leaked = w.net.open_flow(now, vec![link], false);
+    let err = w.audit_invariants().expect_err("an idle flow left open");
+    assert!(err.contains("1 idle flows are open"), "{err}");
+    w.net.close_flow(now, leaked);
+    // Drained: this audit passes and clears the latch, so the next leftover
+    // request is reported again.
+    w.audit_invariants().expect("drained");
+    w.lustre.submit_mds(now, 1.0, 0);
+    let err = w
+        .audit_invariants()
+        .expect_err("an MDS request left behind");
+    assert!(err.contains("the MDS holds 1 requests"), "{err}");
+}
+
+#[test]
+fn a_departed_jobs_lustre_shuffle_files_do_not_slow_the_next_job() {
+    // Deleting a job's Lustre shuffle files at departure is a model change
+    // for job streams over a Lustre shuffle: the client-cache grant they
+    // pinned (1 GB of each client's 1.5 GB here) is free again, so the
+    // second of two back-to-back jobs runs as it would on a fresh world
+    // instead of writing through to the OSSes.
+    let run = |d: &mut Driver| {
+        let (_, m) = d.run(&groupby_synthetic(4096.0), Action::Count);
+        m.job_time()
+    };
+    for shuffle in [ShuffleStore::LustreLocal, ShuffleStore::LustreShared] {
+        let cfg = EngineConfig {
+            input: InputSource::Lustre,
+            shuffle,
+            ..EngineConfig::default()
+        }
+        .homogeneous();
+        let mut d = driver(cfg);
+        let fresh = run(&mut d);
+        let second = run(&mut d);
+        assert!(
+            (second - fresh).abs() <= 1e-9 * fresh,
+            "{shuffle:?}: {fresh} on a fresh world, {second} after another job"
+        );
+    }
+}

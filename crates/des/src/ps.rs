@@ -9,29 +9,48 @@
 //! (`add`, `cancel`, `set_capacity`, `poll`), the owner re-reads
 //! `next_completion()` + `gen()` and schedules a wake event; stale wakes are
 //! dropped by comparing generations.
+//!
+//! Eager and dense (DESIGN.md §4.1): a clock move subtracts the drained work
+//! from every job in one pass per completion step; a call at the instant the
+//! server already stands at touches no job, so a same-instant storm is O(1)
+//! per call.
 
 use crate::sim::Gen;
 use crate::time::{SimTime, NANOS_PER_SEC};
-use std::collections::BTreeMap;
 
 /// Handle to a job inside a [`PsResource`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobKey(pub u64);
 
 struct Job<T> {
+    key: u64,
     remaining: f64,
     tag: T,
 }
 
+/// A remainder at or below this is finished, whatever step left it there.
+const DONE: f64 = 1e-9;
+
 pub struct PsResource<T> {
     capacity: f64,
-    jobs: BTreeMap<u64, Job<T>>,
+    /// In-flight jobs in ascending key order: keys only ascend, so `add` is
+    /// a push.
+    jobs: Vec<Job<T>>,
+    /// Smallest `remaining` in `jobs` (`INFINITY` when empty); `f64::min` is
+    /// exact, so kept incrementally it has the bits a fold would give.
+    min_remaining: f64,
+    /// A job at or below [`DONE`] may sit in `jobs`: every pass harvests
+    /// those, so only an `add` of `0 < work <= DONE` leaves one behind.
+    unharvested: bool,
     next_key: u64,
     last: SimTime,
     gen: Gen,
     completed: Vec<(JobKey, T)>,
     /// Total work completed since construction (for utilization accounting).
     pub work_done: f64,
+    /// Passes over the job list so far (for perf assertions in tests): one
+    /// per completion step or partial drain, none at an unchanged instant.
+    pub sweeps: u64,
 }
 
 impl<T> PsResource<T> {
@@ -39,12 +58,15 @@ impl<T> PsResource<T> {
         assert!(capacity >= 0.0 && capacity.is_finite());
         PsResource {
             capacity,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
+            min_remaining: f64::INFINITY,
+            unharvested: false,
             next_key: 0,
             last: SimTime::ZERO,
             gen: Gen::default(),
             completed: Vec::new(),
             work_done: 0.0,
+            sweeps: 0,
         }
     }
 
@@ -63,76 +85,64 @@ impl<T> PsResource<T> {
 
     /// Outstanding (unfinished) work across all jobs.
     pub fn backlog(&self) -> f64 {
-        // lint:allow(float-order): DetMap::values() iterates in insertion order (R1), so the accumulation order is deterministic
-        self.jobs.values().map(|j| j.remaining).sum()
+        // Ascending key order: a fixed accumulation order.
+        self.jobs.iter().map(|j| j.remaining).sum()
     }
 
-    /// Move any numerically finished jobs (remaining ~ 0 after float
-    /// subtraction) to the completed list. Without this sweep a job that hits
-    /// exactly 0.0 in the partial-drain branch would never be harvested and
-    /// `next_completion` would return the same instant forever.
-    fn harvest_zero(&mut self) {
-        let done: Vec<u64> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.remaining <= 1e-9)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in done {
-            let j = self.jobs.remove(&k).expect("job vanished");
-            self.completed.push((JobKey(k), j.tag));
-        }
+    /// The one pass, in key order: drain `drained` from every job and account
+    /// it, move the jobs left at or below `limit` to the completed list, note
+    /// the smallest remainder among the rest. A completion step (`residue`)
+    /// also credits a finished job's rounding leftover as work done.
+    fn sweep(&mut self, drained: f64, limit: f64, residue: bool) {
+        self.sweeps += 1;
+        let work_done = &mut self.work_done;
+        let mut min = f64::INFINITY;
+        let done = self.jobs.extract_if(.., |j| {
+            j.remaining -= drained;
+            let done = j.remaining <= limit;
+            *work_done += if done && residue {
+                drained + j.remaining.max(0.0)
+            } else {
+                drained
+            };
+            if !done {
+                min = min.min(j.remaining);
+            }
+            done
+        });
+        self.completed.extend(done.map(|j| (JobKey(j.key), j.tag)));
+        self.min_remaining = min;
     }
 
     /// Advance the fluid state to `now`, moving finished jobs to the
     /// completed list. Completions within the interval are processed exactly,
-    /// in shortest-remaining order.
+    /// in shortest-remaining order. Leaves no job at or below [`DONE`] (one
+    /// at exactly 0.0 would pin `next_completion` to the same instant
+    /// forever): a completion step's survivors are above its larger
+    /// tolerance, a partial drain harvests as it goes.
     fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last, "PsResource clock went backwards");
-        self.harvest_zero();
+        if self.unharvested {
+            self.unharvested = false;
+            self.sweep(0.0, DONE, false);
+        }
         let mut cur = self.last;
         while cur < now && !self.jobs.is_empty() && self.capacity > 0.0 {
-            let n = self.jobs.len() as f64;
-            let per_job_rate = self.capacity / n;
-            // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
-            let min_rem = self
-                .jobs
-                .values()
-                .map(|j| j.remaining)
-                .fold(f64::INFINITY, f64::min);
+            let per_job_rate = self.capacity / self.jobs.len() as f64;
+            let min_rem = self.min_remaining;
             let dt_to_first = min_rem / per_job_rate; // seconds
             let avail = now.since(cur).as_secs_f64();
             if dt_to_first <= avail {
                 // Drain min_rem from every job; harvest the finished ones.
-                let drained = min_rem;
                 cur = add_secs(cur, dt_to_first).min(now);
-                let keys: Vec<u64> = self.jobs.keys().copied().collect();
-                for k in keys {
-                    let done = {
-                        let j = self.jobs.get_mut(&k).unwrap();
-                        j.remaining -= drained;
-                        j.remaining <= drained * 1e-9 + 1e-6
-                    };
-                    if done {
-                        let j = self.jobs.remove(&k).unwrap();
-                        self.work_done += drained + j.remaining.max(0.0);
-                        self.completed.push((JobKey(k), j.tag));
-                    } else {
-                        self.work_done += drained;
-                    }
-                }
+                self.sweep(min_rem, min_rem * 1e-9 + 1e-6, true);
             } else {
                 // No completion before `now`: drain partially and stop.
-                let drained = per_job_rate * avail;
-                for j in self.jobs.values_mut() {
-                    j.remaining -= drained;
-                    self.work_done += drained;
-                }
+                self.sweep(per_job_rate * avail, DONE, false);
                 cur = now;
             }
         }
         self.last = now;
-        self.harvest_zero();
     }
 
     /// Submit `work` units. Zero-work jobs complete immediately.
@@ -145,13 +155,13 @@ impl<T> PsResource<T> {
         if work == 0.0 {
             self.completed.push((key, tag));
         } else {
-            self.jobs.insert(
-                key.0,
-                Job {
-                    remaining: work,
-                    tag,
-                },
-            );
+            self.unharvested |= work <= DONE;
+            self.min_remaining = self.min_remaining.min(work);
+            self.jobs.push(Job {
+                key: key.0,
+                remaining: work,
+                tag,
+            });
         }
         key
     }
@@ -159,7 +169,11 @@ impl<T> PsResource<T> {
     /// Remove a job before completion; returns its tag if it was in flight.
     pub fn cancel(&mut self, now: SimTime, key: JobKey) -> Option<T> {
         self.advance(now);
-        let j = self.jobs.remove(&key.0)?;
+        let at = self.jobs.binary_search_by_key(&key.0, |j| j.key).ok()?;
+        let j = self.jobs.remove(at);
+        if j.remaining <= self.min_remaining {
+            self.sweep(0.0, DONE, false); // drains nothing: finds the new minimum
+        }
         self.gen.bump();
         Some(j.tag)
     }
@@ -194,13 +208,7 @@ impl<T> PsResource<T> {
             return None;
         }
         let n = self.jobs.len() as f64;
-        // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
-        let min_rem = self
-            .jobs
-            .values()
-            .map(|j| j.remaining)
-            .fold(f64::INFINITY, f64::min);
-        Some(add_secs(self.last, min_rem * n / self.capacity))
+        Some(add_secs(self.last, self.min_remaining * n / self.capacity))
     }
 }
 
@@ -210,6 +218,197 @@ fn add_secs(t: SimTime, secs: f64) -> SimTime {
         SimTime::FAR_FUTURE
     } else {
         SimTime::from_nanos(t.as_nanos() + ns.ceil() as u64)
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The `BTreeMap` server the dense one replaced, kept verbatim as the
+    //! differential oracle of `dense_ps_matches_btreemap_oracle`: a harvest
+    //! sweep before and after every advance, a `min` fold per step and per
+    //! `next_completion`, a key `Vec` and a `get_mut`/`remove` per job.
+    use super::{add_secs, Gen, JobKey, SimTime};
+    use std::collections::BTreeMap;
+
+    struct Job<T> {
+        remaining: f64,
+        tag: T,
+    }
+
+    pub struct BTreePs<T> {
+        capacity: f64,
+        jobs: BTreeMap<u64, Job<T>>,
+        next_key: u64,
+        last: SimTime,
+        gen: Gen,
+        pub completed: Vec<(JobKey, T)>,
+        /// Total work completed since construction (for utilization accounting).
+        pub work_done: f64,
+    }
+
+    impl<T> BTreePs<T> {
+        pub fn new(capacity: f64) -> Self {
+            assert!(capacity >= 0.0 && capacity.is_finite());
+            BTreePs {
+                capacity,
+                jobs: BTreeMap::new(),
+                next_key: 0,
+                last: SimTime::ZERO,
+                gen: Gen::default(),
+                completed: Vec::new(),
+                work_done: 0.0,
+            }
+        }
+
+        pub fn gen(&self) -> Gen {
+            self.gen
+        }
+
+        /// Number of in-flight jobs.
+        pub fn load(&self) -> usize {
+            self.jobs.len()
+        }
+
+        /// Outstanding (unfinished) work across all jobs.
+        pub fn backlog(&self) -> f64 {
+            self.jobs.values().map(|j| j.remaining).sum()
+        }
+
+        /// Move any numerically finished jobs (remaining ~ 0 after float
+        /// subtraction) to the completed list. Without this sweep a job that hits
+        /// exactly 0.0 in the partial-drain branch would never be harvested and
+        /// `next_completion` would return the same instant forever.
+        fn harvest_zero(&mut self) {
+            let done: Vec<u64> = self
+                .jobs
+                .iter()
+                .filter(|(_, j)| j.remaining <= 1e-9)
+                .map(|(&k, _)| k)
+                .collect();
+            for k in done {
+                let j = self.jobs.remove(&k).expect("job vanished");
+                self.completed.push((JobKey(k), j.tag));
+            }
+        }
+
+        /// Advance the fluid state to `now`, moving finished jobs to the
+        /// completed list. Completions within the interval are processed exactly,
+        /// in shortest-remaining order.
+        fn advance(&mut self, now: SimTime) {
+            debug_assert!(now >= self.last, "BTreePs clock went backwards");
+            self.harvest_zero();
+            let mut cur = self.last;
+            while cur < now && !self.jobs.is_empty() && self.capacity > 0.0 {
+                let n = self.jobs.len() as f64;
+                let per_job_rate = self.capacity / n;
+                // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
+                let min_rem = self
+                    .jobs
+                    .values()
+                    .map(|j| j.remaining)
+                    .fold(f64::INFINITY, f64::min);
+                let dt_to_first = min_rem / per_job_rate; // seconds
+                let avail = now.since(cur).as_secs_f64();
+                if dt_to_first <= avail {
+                    // Drain min_rem from every job; harvest the finished ones.
+                    let drained = min_rem;
+                    cur = add_secs(cur, dt_to_first).min(now);
+                    let keys: Vec<u64> = self.jobs.keys().copied().collect();
+                    for k in keys {
+                        let done = {
+                            let j = self.jobs.get_mut(&k).unwrap();
+                            j.remaining -= drained;
+                            j.remaining <= drained * 1e-9 + 1e-6
+                        };
+                        if done {
+                            let j = self.jobs.remove(&k).unwrap();
+                            self.work_done += drained + j.remaining.max(0.0);
+                            self.completed.push((JobKey(k), j.tag));
+                        } else {
+                            self.work_done += drained;
+                        }
+                    }
+                } else {
+                    // No completion before `now`: drain partially and stop.
+                    let drained = per_job_rate * avail;
+                    for j in self.jobs.values_mut() {
+                        j.remaining -= drained;
+                        self.work_done += drained;
+                    }
+                    cur = now;
+                }
+            }
+            self.last = now;
+            self.harvest_zero();
+        }
+
+        /// Submit `work` units. Zero-work jobs complete immediately.
+        pub fn add(&mut self, now: SimTime, work: f64, tag: T) -> JobKey {
+            assert!(work >= 0.0 && work.is_finite());
+            self.advance(now);
+            self.gen.bump();
+            let key = JobKey(self.next_key);
+            self.next_key += 1;
+            if work == 0.0 {
+                self.completed.push((key, tag));
+            } else {
+                self.jobs.insert(
+                    key.0,
+                    Job {
+                        remaining: work,
+                        tag,
+                    },
+                );
+            }
+            key
+        }
+
+        /// Remove a job before completion; returns its tag if it was in flight.
+        pub fn cancel(&mut self, now: SimTime, key: JobKey) -> Option<T> {
+            self.advance(now);
+            let j = self.jobs.remove(&key.0)?;
+            self.gen.bump();
+            Some(j.tag)
+        }
+
+        /// Change the shared capacity (e.g. SSD entering garbage collection).
+        pub fn set_capacity(&mut self, now: SimTime, capacity: f64) {
+            assert!(capacity >= 0.0 && capacity.is_finite());
+            self.advance(now);
+            if (capacity - self.capacity).abs() > f64::EPSILON {
+                self.capacity = capacity;
+                self.gen.bump();
+            }
+        }
+
+        /// Advance to `now` and drain the completions that are due.
+        pub fn poll(&mut self, now: SimTime) -> Vec<(JobKey, T)> {
+            self.advance(now);
+            if !self.completed.is_empty() {
+                self.gen.bump();
+            }
+            std::mem::take(&mut self.completed)
+        }
+
+        /// Instant at which [`BTreePs::poll`] will next return something:
+        /// the already-due completions' harvest time when any are pending,
+        /// otherwise the next in-flight completion. `None` when idle or stalled.
+        pub fn next_completion(&self) -> Option<SimTime> {
+            if !self.completed.is_empty() {
+                return Some(self.last);
+            }
+            if self.jobs.is_empty() || self.capacity <= 0.0 {
+                return None;
+            }
+            let n = self.jobs.len() as f64;
+            // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
+            let min_rem = self
+                .jobs
+                .values()
+                .map(|j| j.remaining)
+                .fold(f64::INFINITY, f64::min);
+            Some(add_secs(self.last, min_rem * n / self.capacity))
+        }
     }
 }
 
@@ -323,6 +522,26 @@ mod tests {
         ps.add(SimTime::ZERO, 1.0, 0u32);
         assert_ne!(ps.gen(), g0);
     }
+
+    #[test]
+    fn same_instant_storm_performs_no_sweep() {
+        // The storing phase of a Lustre-local job lands 1,600 MDS requests
+        // on one instant; none of them may walk the job list.
+        let mut ps = PsResource::new(1e6);
+        let t = SimTime::from_secs_f64(1.0);
+        ps.add(t, 1e3, 0u32);
+        let before = ps.sweeps;
+        for i in 1..=10_000u32 {
+            ps.add(t, 1e3 + i as f64, i);
+            assert!(ps.next_completion().is_some());
+        }
+        assert!(ps.poll(t).is_empty());
+        assert_eq!(ps.sweeps, before, "a same-instant call swept the jobs");
+        // One pass per completion step once time moves.
+        let at = ps.next_completion().unwrap();
+        assert_eq!(ps.poll(at).len(), 1);
+        assert_eq!(ps.sweeps, before + 1);
+    }
 }
 
 #[cfg(test)]
@@ -331,6 +550,72 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
+        /// The dense server is the `BTreeMap` one, to the bit: after EVERY op
+        /// of a random add / cancel / set_capacity (0 and back) / poll /
+        /// next_completion sequence — repeated instants, equal works, zero
+        /// works, works in `(0, 1e-9]`, polls at and just before the announced
+        /// completion — both hold the same undelivered completions in the
+        /// same order, announce the same next completion, and agree on `gen`,
+        /// `load`, `backlog` and `work_done`.
+        #[test]
+        fn dense_ps_matches_btreemap_oracle(
+            cap0 in 1.0f64..50.0,
+            ops in proptest::collection::vec(
+                (0u8..12, 0u8..8, 1e-3f64..100.0, 0.0f64..2.0, any::<proptest::sample::Index>()),
+                1..80,
+            ),
+        ) {
+            let mut ps = PsResource::new(cap0);
+            let mut oracle = super::oracle::BTreePs::new(cap0);
+            let mut now = SimTime::ZERO;
+            let mut keys = 0u64;
+            for (kind, shape, x, dt, pick) in &ops {
+                // Two ops in three land on the instant of the one before.
+                if shape % 3 == 0 {
+                    now += crate::time::SimDuration::from_secs_f64(*dt);
+                }
+                match kind {
+                    0..=4 => {
+                        let work = match shape {
+                            0 => 0.0,
+                            1 => x * 1e-11, // (0, 1e-9]
+                            2 | 3 => 10.0,  // ties
+                            _ => *x,
+                        };
+                        prop_assert_eq!(ps.add(now, work, keys), oracle.add(now, work, keys));
+                        keys += 1;
+                    }
+                    5 | 6 if keys > 0 => {
+                        let key = JobKey(pick.index(keys as usize) as u64);
+                        prop_assert_eq!(ps.cancel(now, key), oracle.cancel(now, key));
+                    }
+                    7 | 8 => {
+                        let cap = if *shape < 3 { 0.0 } else { *x };
+                        ps.set_capacity(now, cap);
+                        oracle.set_capacity(now, cap);
+                    }
+                    9 => prop_assert_eq!(ps.poll(now), oracle.poll(now)),
+                    _ => {
+                        // Step to the announced completion, as the owner's
+                        // wake event does — or one nanosecond short of it,
+                        // where a partial drain leaves a remainder below the
+                        // harvest threshold.
+                        if let Some(at) = ps.next_completion() {
+                            let short = SimTime::from_nanos(at.as_nanos().saturating_sub(1));
+                            now = if *kind == 11 { short.max(now) } else { at };
+                            prop_assert_eq!(ps.poll(now), oracle.poll(now));
+                        }
+                    }
+                }
+                prop_assert_eq!(&ps.completed, &oracle.completed);
+                prop_assert_eq!(ps.next_completion(), oracle.next_completion());
+                prop_assert_eq!(ps.gen(), oracle.gen());
+                prop_assert_eq!(ps.load(), oracle.load());
+                prop_assert_eq!(ps.backlog().to_bits(), oracle.backlog().to_bits());
+                prop_assert_eq!(ps.work_done.to_bits(), oracle.work_done.to_bits());
+            }
+        }
+
         /// Work conservation: with constant capacity and no idle periods the
         /// total completion time of a batch equals total_work / capacity.
         #[test]

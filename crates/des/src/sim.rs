@@ -122,6 +122,8 @@ pub struct Simulation<M: Model> {
     now: SimTime,
     steps: u64,
     strict: bool,
+    /// The outbox buffer, kept between events so a turn allocates nothing.
+    outbox: Vec<(SimTime, M::Event)>,
     /// Hard cap on processed events; guards against runaway event storms.
     pub max_steps: u64,
 }
@@ -134,6 +136,7 @@ impl<M: Model> Simulation<M> {
             now: SimTime::ZERO,
             steps: 0,
             strict: strict_default(),
+            outbox: Vec::new(),
             max_steps: u64::MAX,
         }
     }
@@ -210,13 +213,14 @@ impl<M: Model> Simulation<M> {
         let mut out = Outbox {
             now: self.now,
             strict: self.strict,
-            items: Vec::new(),
+            items: std::mem::take(&mut self.outbox),
         };
         self.model.handle(self.now, event, &mut out);
-        for (t, e) in out.items {
+        for (t, e) in out.items.drain(..) {
             // lint:allow(event-past): Outbox::at already asserted/clamped every item against the turn's now
             self.queue.push(t, e);
         }
+        self.outbox = out.items;
         if self.model.wants_engine_stats() {
             let stats = EngineStats {
                 steps: self.steps,

@@ -20,7 +20,7 @@
 //!   invariant holds via a `lint:allow` annotation.
 //! * **R5 `event-past`** (v2) — every event-scheduling callsite
 //!   (`Outbox::at`, `Simulation::schedule`, `queue.push`, flow opens,
-//!   `push_chunk`) must derive its timestamp from `now` *syntactically*:
+//!   `push_chunk(s)`) must derive its timestamp from `now` *syntactically*:
 //!   the first argument starts with `now`/`self.now`, clamps with
 //!   `.max(now)`, or is a local provably bound from / guarded against
 //!   `now` earlier in the same function. Anything else needs a justified
@@ -405,12 +405,13 @@ fn local_derives_from_now(toks: &[Tok], structure: &Structure, call: usize, name
 /// Method names that schedule events (rule R5). `push` additionally
 /// requires the receiver ident `queue` (`self.queue.push(t, e)`): plain
 /// `Vec::push` is not a scheduling call.
-const SCHEDULING_CALLEES: [&str; 5] = [
+const SCHEDULING_CALLEES: [&str; 6] = [
     "at",
     "schedule",
     "open_flow",
     "open_shared_flow",
     "push_chunk",
+    "push_chunks",
 ];
 
 /// Collect the first argument of the call whose `(` is at token `open`.

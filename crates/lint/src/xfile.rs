@@ -16,8 +16,8 @@
 //!   `crates/trace/src/export.rs` (the argument body both the Perfetto and
 //!   the events.jsonl exporter embed).
 //! * **`cell-smoke`** — every repro cell family the gate smokes
-//!   (`bench`, `scale`, `faults`, `tenants`, `trace`, `fuzz`, `report`,
-//!   `diff`) is invoked by `scripts/check.sh`, and the trace cell the gate
+//!   (`bench`, `scale`, `faults`, `baselines`, `tenants`, `trace`, `fuzz`,
+//!   `report`, `diff`) is invoked by `scripts/check.sh`, and the trace cell the gate
 //!   pins is still a member of `CELL_NAMES` in `crates/bench/src/perf.rs`.
 //! * **`exhaustive-metrics`** — every series name in the metrics catalog
 //!   (`ALL_NAMES` in `crates/metrics/src/catalog.rs`) appears in both
@@ -51,8 +51,16 @@ const METRICS_EXPORT: &str = "crates/metrics/src/export.rs";
 
 /// The repro cell families `scripts/check.sh` must smoke (each is a CLI
 /// surface whose output shape or determinism the gate checks).
-pub const SMOKED_FAMILIES: [&str; 8] = [
-    "bench", "scale", "faults", "tenants", "trace", "fuzz", "report", "diff",
+pub const SMOKED_FAMILIES: [&str; 9] = [
+    "bench",
+    "scale",
+    "faults",
+    "baselines",
+    "tenants",
+    "trace",
+    "fuzz",
+    "report",
+    "diff",
 ];
 
 /// Run every cross-file check, loading file contents through `load`.

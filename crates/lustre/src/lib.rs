@@ -483,6 +483,30 @@ impl Lustre {
         self.gen
     }
 
+    /// Quiescence audit (DESIGN.md §4.13): with no job resident, every file a
+    /// client wrote — and so holds a DLM lock on — has been deleted with its
+    /// job, whatever requests an abandoned attempt left in flight.
+    pub fn audit_unlocked(&self) -> Result<(), String> {
+        match self.files.iter().find(|(_, f)| f.writer.is_some()) {
+            Some((file, f)) => Err(format!("{file:?} is still locked by {:?}", f.writer)),
+            None => Ok(()),
+        }
+    }
+
+    /// Quiescence audit: the MDS holds no request and no undelivered
+    /// completion.
+    pub fn audit_idle(&self) -> Result<(), String> {
+        if self.mds.load() != 0 || self.mds.next_completion().is_some() {
+            return Err(format!("the MDS holds {} requests", self.mds.load()));
+        }
+        Ok(())
+    }
+
+    /// Passes over the MDS request list so far ([`PsResource::sweeps`]).
+    pub fn mds_sweeps(&self) -> u64 {
+        self.mds.sweeps
+    }
+
     /// Outstanding metadata operations (contention diagnostic).
     pub fn mds_backlog(&self) -> f64 {
         self.mds.backlog()

@@ -60,6 +60,37 @@ struct Hot {
     auto_close: bool,
 }
 
+/// Running minimum of `head / rate` over the flows offered to it: the time
+/// to the next chunk completion. A minimum of exact quotients does not depend
+/// on the order they are offered in, so the water-filling pass (freeze order),
+/// `advance` and a scan (both flow-id order) all give the same bits.
+#[derive(Default)]
+struct Soonest(Option<f64>);
+
+impl Soonest {
+    fn offer(&mut self, flow: &Hot) {
+        if flow.rate <= 0.0 {
+            return;
+        }
+        let dt = flow.head / flow.rate;
+        if self.0.is_none_or(|best| dt < best) {
+            self.0 = Some(dt);
+        }
+    }
+
+    /// The instant `self` seconds after `last`, rounded up to the clock.
+    fn instant(self, last: SimTime) -> Option<SimTime> {
+        self.0.map(|dt| {
+            let ns = dt * NANOS_PER_SEC as f64;
+            if ns >= (u64::MAX - last.as_nanos()) as f64 {
+                SimTime::FAR_FUTURE
+            } else {
+                SimTime::from_nanos(last.as_nanos() + ns.ceil() as u64)
+            }
+        })
+    }
+}
+
 /// Paths this short are stored in the slot; the fabric's longest (store link
 /// + NIC, rack uplink, core, rack downlink, NIC) is six links.
 const INLINE_PATH: usize = 6;
@@ -153,7 +184,8 @@ pub struct FlowNet<T> {
     /// Count of rate recomputations (exposed for perf assertions in tests).
     pub recomputes: u64,
     /// Count of next-completion scans over the active set, i.e. of
-    /// [`FlowNet::next_event`] calls the memo could not answer.
+    /// [`FlowNet::next_event`] calls the memo could not answer: the first
+    /// after a member joined an active shared flow.
     pub next_scans: u64,
     /// Rates are stale; the next rate-dependent query recomputes them. All
     /// mutations landing at the same `SimTime` therefore coalesce into a
@@ -161,13 +193,14 @@ pub struct FlowNet<T> {
     /// set unchanged (e.g. queueing behind an already-active flow) never
     /// trigger one.
     dirty: bool,
-    /// Memoised [`FlowNet::next_event`] answer. The scan reads `last`, the
-    /// active set and each active flow's `rate` and `head`, so the memo is
-    /// dropped exactly where one of those changes: a recompute (which every
-    /// change to the active set or a capacity forces through `dirty`), an
-    /// `advance` over `dt > 0`, and a push on a shared flow (its `head`
-    /// scales with the member count). A chunk queued behind an active FIFO
-    /// flow at the same instant changes none of them.
+    /// Memoised [`FlowNet::next_event`] answer. It depends on `last`, the
+    /// active set and each active flow's `rate` and `head`, and the two
+    /// passes that change those refill it as they go ([`Soonest`]): a
+    /// recompute (which every change to the active set or a capacity forces
+    /// through `dirty`) and an `advance` over `dt > 0` that drains no flow. A
+    /// push on a shared flow (its `head` scales with the member count) only
+    /// drops it; a chunk queued behind an active FIFO flow at the same
+    /// instant changes none of them.
     next_memo: Option<Option<SimTime>>,
     /// Slots of flows with queued bytes, in ascending flow-id order (fixes
     /// the iteration order of `advance` and the freeze order of the water-
@@ -273,8 +306,8 @@ impl<T> FlowNet<T> {
         list.insert(pos, slot);
     }
 
-    /// Mark the flow in `slot` active: index it on its links and in the
-    /// active list.
+    /// Put a flow that just received its first chunk into the active
+    /// indexes. The only activation path.
     fn activate(&mut self, slot: usize) {
         for l in self.paths[slot].links() {
             Self::insert_by_id(
@@ -479,55 +512,86 @@ impl<T> FlowNet<T> {
     }
 
     /// Enqueue `bytes` on a flow; the `tag` comes back via [`FlowNet::poll`] when the
-    /// chunk has been fully delivered.
-    pub fn push_chunk(&mut self, now: SimTime, flow: FlowId, bytes: Bytes, tag: T) {
-        let bytes = bytes.get();
-        assert!(bytes >= 0.0 && bytes.is_finite());
+    /// chunk has been fully delivered. A batch of one.
+    pub fn push_chunk(&mut self, now: SimTime, flow: FlowId, bytes: Bytes, tag: T)
+    where
+        T: Clone,
+    {
+        self.push_chunks(now, tag, &[(flow, bytes)]);
+    }
+
+    /// Enqueue one chunk per `(flow, bytes)` pair, all carrying `tag` — a
+    /// reducer launch queueing its piece towards every source. Observably
+    /// the pushes one after another, at the cost of one: the clock advances
+    /// once, and the rates, the memo and the generation are invalidated once.
+    /// Flows woken from idle are activated one by one — a first activation
+    /// is an append.
+    pub fn push_chunks(&mut self, now: SimTime, tag: T, chunks: &[(FlowId, Bytes)])
+    where
+        T: Clone,
+    {
         self.advance(now);
-        let slot = self
-            .slot(flow)
-            // Callers hold a FlowId from open_flow; close_flow invalidates
-            // it. A miss is engine corruption, not recoverable state.
-            // lint:allow(panic): FlowId handles come from open_flow
-            .expect("push_chunk on unknown flow");
-        if bytes == 0.0 {
-            self.delivered.push(Delivered { flow, tag });
-            self.gen.bump();
+        if chunks.is_empty() {
             return;
         }
-        let hot = &mut self.hot[slot];
-        let cold = &mut self.cold[slot];
-        let was_idle = cold.queue.is_empty();
-        if hot.shared {
+        for &(flow, bytes) in chunks {
+            let bytes = bytes.get();
+            assert!(bytes >= 0.0 && bytes.is_finite());
+            let slot = self
+                .slot(flow)
+                // Callers hold a FlowId from open_flow; close_flow invalidates
+                // it. A miss is engine corruption, not recoverable state.
+                // lint:allow(panic): FlowId handles come from open_flow
+                .expect("push_chunk on unknown flow");
+            let tag = tag.clone();
+            if bytes == 0.0 {
+                self.delivered.push(Delivered { flow, tag });
+                continue;
+            }
+            let hot = &mut self.hot[slot];
+            let cold = &mut self.cold[slot];
+            let was_idle = cold.queue.is_empty();
+            if hot.shared {
+                if was_idle {
+                    // Fresh active period: reset the virtual clock so targets
+                    // stay small and float precision stays uniform per period.
+                    cold.ps_drained = 0.0;
+                }
+                // Member target in virtual time; sorted ascending, ties FIFO.
+                let target = cold.ps_drained + bytes;
+                let at = cold.queue.partition_point(|c| c.bytes <= target);
+                cold.queue.insert(at, Chunk { bytes: target, tag });
+                hot.head = cold.shared_need();
+                self.next_memo = None;
+            } else {
+                if was_idle {
+                    hot.head = bytes;
+                }
+                cold.queue.push_back(Chunk { bytes, tag });
+            }
             if was_idle {
-                // Fresh active period: reset the virtual clock so targets
-                // stay small and float precision stays uniform per period.
-                cold.ps_drained = 0.0;
+                cold.active_since = now;
+                cold.period_bytes = bytes;
+                self.activate(slot);
+                if let Some(tr) = &self.tracer {
+                    tr.borrow_mut()
+                        .emit(now, memres_trace::TraceEvent::FlowStart { flow: flow.0 });
+                }
+            } else {
+                cold.period_bytes += bytes;
             }
-            // Member target in virtual time; sorted ascending, ties FIFO.
-            let target = cold.ps_drained + bytes;
-            let at = cold.queue.partition_point(|c| c.bytes <= target);
-            cold.queue.insert(at, Chunk { bytes: target, tag });
-            hot.head = cold.shared_need();
-            self.next_memo = None;
-        } else {
-            if was_idle {
-                hot.head = bytes;
-            }
-            cold.queue.push_back(Chunk { bytes, tag });
-        }
-        if was_idle {
-            cold.active_since = now;
-            cold.period_bytes = bytes;
-            self.activate(slot);
-            if let Some(tr) = &self.tracer {
-                tr.borrow_mut()
-                    .emit(now, memres_trace::TraceEvent::FlowStart { flow: flow.0 });
-            }
-        } else {
-            cold.period_bytes += bytes;
         }
         self.gen.bump();
+    }
+
+    /// Size the chunk queue of an open flow for the most chunks it will hold
+    /// at once, when the caller knows (a persistent fetch flow holds one per
+    /// task slot of its destination): the queue is then allocated once, not
+    /// regrown on the way there.
+    pub fn reserve_chunks(&mut self, flow: FlowId, chunks: usize) {
+        if let Some(slot) = self.slot(flow) {
+            self.cold[slot].queue.reserve_exact(chunks);
+        }
     }
 
     /// Drop a flow and any undelivered chunks (returns their tags). Closing
@@ -587,6 +651,8 @@ impl<T> FlowNet<T> {
         self.next_memo = None;
         let mut emptied = std::mem::take(&mut self.scratch_emptied);
         emptied.clear();
+        // Soonest completion among the flows this interval leaves queued.
+        let mut next = Soonest::default();
         for &slot in &self.active {
             let hot = &mut self.hot[slot as usize];
             if hot.rate <= 0.0 {
@@ -622,9 +688,12 @@ impl<T> FlowNet<T> {
                 hot.head = f.shared_need();
                 if f.queue.is_empty() {
                     emptied.push(slot);
+                } else {
+                    next.offer(hot);
                 }
                 continue;
             }
+            let mut queued = true;
             while budget > 0.0 {
                 // Tolerance: a chunk whose remainder is within rounding noise
                 // of the budget counts as delivered.
@@ -640,13 +709,21 @@ impl<T> FlowNet<T> {
                     flow: FlowId(f.id),
                     tag: c.tag,
                 });
-                let Some(next) = f.queue.front() else {
+                let Some(front) = f.queue.front() else {
                     hot.head = 0.0;
                     emptied.push(slot);
+                    queued = false;
                     break;
                 };
-                hot.head = next.bytes;
+                hot.head = front.bytes;
             }
+            if queued {
+                next.offer(hot);
+            }
+        }
+        if emptied.is_empty() {
+            // Same flows at the same rates: what the loop saw is the answer.
+            self.next_memo = Some(next.instant(self.last));
         }
         self.retire(&emptied);
         for &slot in &emptied {
@@ -673,7 +750,6 @@ impl<T> FlowNet<T> {
     /// set, driven by the per-link index and reusing scratch buffers.
     fn do_recompute(&mut self) {
         self.recomputes += 1;
-        self.next_memo = None;
         let FlowNet {
             links,
             hot,
@@ -685,6 +761,7 @@ impl<T> FlowNet<T> {
             scratch_live: live,
             ..
         } = self;
+        let mut next = Soonest::default();
         remaining.clear();
         remaining.extend(links.iter().map(|l| l.capacity));
         unfrozen.clear();
@@ -726,6 +803,7 @@ impl<T> FlowNet<T> {
                     continue;
                 }
                 h.rate = share;
+                next.offer(h);
                 for l in paths[slot as usize].links() {
                     let li = l.0 as usize;
                     remaining[li] -= share;
@@ -733,30 +811,17 @@ impl<T> FlowNet<T> {
                 }
             }
         }
+        self.next_memo = Some(next.instant(self.last));
     }
 
     /// From-scratch scan for the next chunk completion. Scans only active
     /// flows (idle persistent flows cost nothing).
     fn scan_next(&self) -> Option<SimTime> {
-        let mut best: Option<f64> = None;
+        let mut next = Soonest::default();
         for &slot in &self.active {
-            let h = &self.hot[slot as usize];
-            if h.rate <= 0.0 {
-                continue;
-            }
-            let dt = h.head / h.rate;
-            if best.is_none_or(|b| dt < b) {
-                best = Some(dt);
-            }
+            next.offer(&self.hot[slot as usize]);
         }
-        best.map(|dt| {
-            let ns = dt * NANOS_PER_SEC as f64;
-            if ns >= (u64::MAX - self.last.as_nanos()) as f64 {
-                SimTime::FAR_FUTURE
-            } else {
-                SimTime::from_nanos(self.last.as_nanos() + ns.ceil() as u64)
-            }
-        })
+        next.instant(self.last)
     }
 
     /// Instant of the next chunk completion, or `None` when idle. Memoised:
@@ -1117,44 +1182,57 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_dropped_by_every_change_the_scan_reads() {
+    fn memo_follows_every_change_the_scan_reads() {
+        // `rescans` holds every answer against a fresh scan. The water-
+        // filling pass and `advance` refill the memo where they invalidate
+        // it, so of all the changes the scan reads only a member joining an
+        // active shared flow — its head moves, no rate does — costs a scan.
         let mut net: FlowNet<u32> = FlowNet::new();
         let l = net.add_link(100.0);
         let fifo = net.open_flow(SimTime::ZERO, vec![l], false);
         let shared = net.open_shared_flow(SimTime::ZERO, vec![l], false);
+        let at = |net: &mut FlowNet<u32>| net.next_event().expect("a flow is active");
         // Activations.
-        assert!(rescans(&mut net, |n| n.push_chunk(
+        assert!(!rescans(&mut net, |n| n.push_chunk(
             SimTime::ZERO,
             fifo,
             Bytes(80.0),
             1
         )));
-        assert!(rescans(&mut net, |n| n.push_chunk(
+        let fifo_alone = at(&mut net);
+        assert!(!rescans(&mut net, |n| n.push_chunk(
             SimTime::ZERO,
             shared,
-            Bytes(40.0),
+            Bytes(30.0),
             2
         )));
+        let two_flows = at(&mut net);
+        assert!(two_flows != fifo_alone);
         // A member joining a shared flow moves its head's completion.
         assert!(rescans(&mut net, |n| n.push_chunk(
             SimTime::ZERO,
             shared,
-            Bytes(40.0),
+            Bytes(30.0),
             3
         )));
-        assert!(rescans(&mut net, |n| n.set_link_capacity(
+        let two_members = at(&mut net);
+        assert!(two_members > two_flows);
+        assert!(!rescans(&mut net, |n| n.set_link_capacity(
             SimTime::ZERO,
             l,
             50.0
         )));
+        let slower = at(&mut net);
+        assert!(slower > two_members);
         // Time passing: heads shrink and the clock the answer is relative to
         // moves, even when nothing completes.
-        assert!(rescans(&mut net, |n| {
+        assert!(!rescans(&mut net, |n| {
             assert!(n.poll(SimTime::from_secs_f64(0.1)).is_empty());
         }));
-        assert!(rescans(&mut net, |n| {
+        assert!(!rescans(&mut net, |n| {
             n.close_flow(SimTime::from_secs_f64(0.1), shared);
         }));
+        assert!(at(&mut net) != slower);
         // Closing an idle flow changes nothing the scan reads.
         let idle = net.open_flow(SimTime::from_secs_f64(0.1), vec![l], false);
         assert!(!rescans(&mut net, |n| {
@@ -1506,6 +1584,86 @@ mod proptests {
         Vec::new()
     }
 
+    /// One op of the batched-push sequence, applied to `net` and its own
+    /// record of open flows `(id, auto_close, undelivered chunks)`: like
+    /// [`retire_op`], but flows may be opened and left idle, and a push is a
+    /// whole launch — up to six chunks under one tag, zero-byte ones and
+    /// repeated flows among them — handed over in one `push_chunks` when
+    /// `batched`, chunk by chunk otherwise. Returns what the op delivered.
+    fn launch_op(
+        net: &mut FlowNet<u32>,
+        links: &[LinkId],
+        open: &mut Vec<(FlowId, bool, usize)>,
+        (tag, op): (u32, &Op),
+        now_secs: &mut f64,
+        batched: bool,
+    ) -> Vec<Delivered<u32>> {
+        let (kind, a, b, bytes, dt) = op;
+        let now = SimTime::from_secs_f64(*now_secs);
+        match kind % 5 {
+            0 => {
+                let path = vec![links[a.index(links.len())], links[b.index(links.len())]];
+                let auto_close = kind / 10 == 0;
+                let f = if (kind / 5) % 2 == 0 {
+                    net.open_flow(now, path, auto_close)
+                } else {
+                    net.open_shared_flow(now, path, auto_close)
+                };
+                open.push((f, auto_close, 0));
+            }
+            1 | 2 if !open.is_empty() => {
+                let n = open.len();
+                let stride = b.index(n) + 1;
+                let chunks: Vec<(FlowId, Bytes)> = (0..1 + a.index(6))
+                    .map(|i| {
+                        let e = &mut open[(a.index(n) + i * stride) % n];
+                        e.2 += 1;
+                        let zero = (i + *kind as usize).is_multiple_of(4);
+                        (
+                            e.0,
+                            Bytes(if zero {
+                                0.0
+                            } else {
+                                bytes * (i + 1) as f64 / 2.0
+                            }),
+                        )
+                    })
+                    .collect();
+                if batched {
+                    net.push_chunks(now, tag, &chunks);
+                } else {
+                    for &(f, bytes) in &chunks {
+                        net.push_chunk(now, f, bytes, tag);
+                    }
+                }
+            }
+            3 => {
+                *now_secs += dt * if b.index(4) == 0 { 200.0 } else { 1.0 };
+                let got = net.poll(SimTime::from_secs_f64(*now_secs));
+                for d in &got {
+                    // A zero-byte chunk can outlive the flow it was pushed on.
+                    let Some(i) = open.iter().position(|e| e.0 == d.flow) else {
+                        continue;
+                    };
+                    open[i].2 -= 1;
+                    if open[i].2 == 0 && open[i].1 {
+                        open.swap_remove(i);
+                    }
+                }
+                return got;
+            }
+            4 if kind / 10 == 0 => {
+                net.set_link_capacity(now, links[a.index(links.len())], 1.0 + *bytes)
+            }
+            4 if !open.is_empty() => {
+                let (f, _, queued) = open.swap_remove(a.index(open.len()));
+                assert!(net.close_flow(now, f).len() <= queued);
+            }
+            _ => {}
+        }
+        Vec::new()
+    }
+
     proptest! {
         /// Batched retirement is the one-at-a-time oracle, observably and
         /// internally: after EVERY op of a random open/push/advance/close/
@@ -1552,6 +1710,58 @@ mod proptests {
                     n.hot.iter().map(|h| h.rate.to_bits()).collect()
                 };
                 prop_assert_eq!(rates(net), rates(oracle));
+                prop_assert_eq!(net.audit_waterfill(), Ok(()));
+            }
+            let [got, want] = sinks.map(|s| format!("{:?}", s.borrow().events()));
+            prop_assert_eq!(got, want, "flow trace");
+        }
+
+        /// A launch handed over in one `push_chunks` is the same launch
+        /// pushed chunk by chunk: after EVERY op of a random open / launch /
+        /// advance / close / capacity sequence over FIFO and shared flows —
+        /// idle and active targets, zero-byte chunks, a flow named twice in
+        /// one launch — both nets hold the same `active` list and link lists,
+        /// bit-identical heads and rates, the same recompute count and next
+        /// completion, a generation that moved iff the other's did, and have
+        /// delivered the same tags in the same order; at the end their
+        /// `FlowStart`/`FlowEnd` traces match.
+        #[test]
+        fn batched_push_matches_one_at_a_time(
+            caps in proptest::collection::vec(1.0f64..100.0, 1..5),
+            ops in proptest::collection::vec(
+                (0u8..20, any::<proptest::sample::Index>(), any::<proptest::sample::Index>(),
+                 1.0f64..100.0, 0.001f64..0.05),
+                1..60,
+            ),
+        ) {
+            use memres_trace::TraceConfig;
+            let mut nets = [FlowNet::<u32>::new(), FlowNet::new()];
+            let sinks = [TraceConfig::full(), TraceConfig::full()].map(memres_trace::shared);
+            let mut opens = [Vec::new(), Vec::new()];
+            let mut clocks = [0.0f64; 2];
+            let mut links = Vec::new();
+            for (net, sink) in nets.iter_mut().zip(&sinks) {
+                net.set_tracer(sink.clone());
+                links = caps.iter().map(|&c| net.add_link(c)).collect();
+            }
+            for (tag, op) in ops.iter().enumerate() {
+                let gens = [nets[0].gen(), nets[1].gen()];
+                let [got, want] = [0, 1].map(|i| {
+                    let op = (tag as u32, op);
+                    launch_op(&mut nets[i], &links, &mut opens[i], op, &mut clocks[i], i == 0)
+                });
+                prop_assert_eq!(got, want, "delivery order");
+                let [net, oracle] = &mut nets;
+                prop_assert_eq!(net.gen() != gens[0], oracle.gen() != gens[1], "staleness");
+                prop_assert_eq!(net.next_event(), oracle.next_event());
+                prop_assert_eq!(&net.active, &oracle.active);
+                prop_assert_eq!(&net.flows_on_link, &oracle.flows_on_link);
+                prop_assert_eq!(&net.delivered, &oracle.delivered);
+                prop_assert_eq!(net.recomputes, oracle.recomputes);
+                let hot = |n: &FlowNet<u32>| -> Vec<(u64, u64)> {
+                    n.hot.iter().map(|h| (h.head.to_bits(), h.rate.to_bits())).collect()
+                };
+                prop_assert_eq!(hot(net), hot(oracle));
                 prop_assert_eq!(net.audit_waterfill(), Ok(()));
             }
             let [got, want] = sinks.map(|s| format!("{:?}", s.borrow().events()));

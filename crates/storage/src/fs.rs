@@ -436,6 +436,23 @@ impl LocalFs {
         self.gen
     }
 
+    /// Quiescence audit (DESIGN.md §4.13): with no job resident the memory
+    /// channel holds no request and no undelivered completion, no user
+    /// operation is outstanding, and the device carries nothing but the page
+    /// cache's own write-back.
+    pub fn audit_idle(&self) -> Result<(), String> {
+        let is_flush = |s: &&SubOp| matches!(s, SubOp::Flush);
+        let flushing = self.subs.values().filter(is_flush).count();
+        let (mem, dev) = (self.mem.load(), self.device.queue_depth());
+        let users = self.subs.len() - flushing + self.read_join.len() + self.done.len();
+        if mem == 0 && self.mem.next_completion().is_none() && users == 0 && dev == flushing {
+            return Ok(());
+        }
+        Err(format!(
+            "{mem} memory and {dev} device requests ({flushing} write-back), {users} user operations"
+        ))
+    }
+
     /// Cache-resident bytes of a file (test/diagnostic hook).
     pub fn cached_bytes(&self, file: FileId) -> f64 {
         self.cache.as_ref().map_or(0.0, |c| c.resident_of(file))

@@ -12,8 +12,8 @@
 #   3. cargo clippy     — full workspace, all targets.
 #   4. cargo test       — full workspace.
 #   5. smokes           — release-build repro runs per cell family (bench,
-#                         scale, faults, tenants, trace, report, diff,
-#                         fuzz): each ran and produced well-formed,
+#                         scale, faults, baselines, tenants, trace, report,
+#                         diff, fuzz): each ran and produced well-formed,
 #                         deterministic output. The cell-smoke lint rule
 #                         cross-checks that this list never silently loses
 #                         a family. One real-data example (quickstart) is
@@ -67,6 +67,18 @@ cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" faul
 test -s "$out/faults.json" || { echo "faults.json missing or empty"; exit 1; }
 grep -q '"tasks_retried"' "$out/faults.json" || { echo "faults.json malformed"; exit 1; }
 echo "ok: $out/faults.json"
+
+echo "== baselines smoke (LATE speculation path) =="
+# The speculation baseline (EXPERIMENTS.md "baseline-late"): four rows, and
+# duplicating stragglers must not lengthen the job it is meant to shorten.
+cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" baselines >/dev/null
+test -s "$out/baseline-late.json" || { echo "baseline-late.json missing or empty"; exit 1; }
+test "$(grep -c '"label"' "$out/baseline-late.json")" -eq 4 || { echo "baseline-late.json: expected four rows"; exit 1; }
+job_s() { grep "\"label\": \"$1\"" "$out/baseline-late.json" | sed 's/.*"values": \[\([0-9.]*\),.*/\1/'; }
+awk -v late="$(job_s 'LATE speculation')" -v plain="$(job_s 'plain spark')" \
+  'BEGIN { exit !(late > 0 && late <= plain) }' \
+  || { echo "LATE speculation is slower than plain spark"; exit 1; }
+echo "ok: $out/baseline-late.json (LATE <= plain)"
 
 echo "== tenants smoke (multi-tenant stream SLOs) =="
 # The two-tenant stream cells (DESIGN.md 4.14): per-tenant SLOs under each

@@ -185,3 +185,39 @@ fn table1_and_plans_render() {
     assert!(plans.contains("ShuffleMapTasks"));
     assert!(plans.contains("Logistic Regression"));
 }
+
+#[test]
+fn late_speculation_duplicates_the_pinned_stragglers() {
+    // The LATE row of `repro baselines` at smoke scale, traced: which tasks
+    // get a twin, and in which order, is pinned from the engine that rebuilt
+    // the median from every completed duration and scanned every task of the
+    // stage for every idle slot. The incremental histogram and the
+    // once-per-dispatch straggler list must pick exactly these.
+    use memres::core::{Driver, EngineConfig, InputSource, SchedulerKind, ShuffleStore};
+    use memres::core::{StoreDevice, TraceEvent};
+    use memres::workloads::GroupBy;
+    let cfg = EngineConfig {
+        input: InputSource::Lustre,
+        shuffle: ShuffleStore::Local(StoreDevice::Ssd),
+        scheduler: SchedulerKind::Fifo,
+        seed: setup().seed,
+        speed_sigma: 0.35,
+        ..EngineConfig::default()
+    }
+    .with_speculation()
+    .with_trace();
+    let gb = GroupBy::new(setup().bytes(1000.0));
+    let mut d = Driver::new(setup().cluster(), cfg);
+    d.run(&gb.build(), gb.action());
+    let twins: Vec<(u32, u32)> = d
+        .take_trace()
+        .iter()
+        .filter_map(|e| match e.ev {
+            TraceEvent::Speculate { task, twin } => Some((task, twin)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(twins, PINNED_TWINS);
+}
+
+const PINNED_TWINS: [(u32, u32); 5] = [(231, 320), (242, 321), (267, 322), (277, 323), (287, 324)];
