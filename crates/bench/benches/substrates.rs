@@ -1,5 +1,6 @@
-//! Microbenchmarks of the substrate hot paths: event calendar, processor
-//! sharing, max-min fair allocation, SSD fluid model.
+//! Microbenchmarks of the substrate hot paths: event queue, dispatch
+//! candidate set, processor sharing, max-min fair allocation, SSD fluid
+//! model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memres_core::prelude::*;
@@ -8,7 +9,7 @@ use memres_net::FlowNet;
 use memres_storage::{Device, Op, Ssd, SsdConfig};
 
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_10k", |b| {
+    c.bench_function("queue_push_pop_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
             for i in 0..10_000u64 {
@@ -19,18 +20,83 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// 1e6-event push/pop through the calendar queue. Pushes use a
-/// pseudo-random spread over a wide horizon, the access pattern the
-/// calendar's bucket sizing has to absorb.
+/// 1e6-event push/pop through the event queue. Pushes use a pseudo-random
+/// spread over a wide horizon: every one goes through the ordered tier.
 fn bench_event_queue_1m(c: &mut Criterion) {
     const N: u64 = 1_000_000;
-    c.bench_function("calendar_push_pop_1m", |b| {
+    c.bench_function("queue_push_pop_1m", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
             for i in 0..N {
                 q.push(SimTime(i.wrapping_mul(6364136223846793005) % (N * 64)), i);
             }
             while q.pop().is_some() {}
+        })
+    });
+}
+
+/// The traffic recorded on `scale_1k_100k`, 100,000 events of it: tasks
+/// launch in waves (a wave's finishes all pushed at one dispatch, here at
+/// one equal future time), the queue's length swings between 16 and 16 k
+/// every wave, and of the 2.5 pushes per task one — 40 % — is the
+/// `out.immediately(Ev::Dispatch)` of its finish, at exactly the instant
+/// just popped; every other finish also arms a storage wake-up at a time
+/// of its own.
+fn bench_event_queue_waves(c: &mut Criterion) {
+    const WAVES: [u64; 3] = [16_000, 16_000, 8_000];
+    c.bench_function("queue_wave_traffic_100k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            let mut now = SimTime::ZERO;
+            // Stragglers: what the queue holds between waves.
+            for i in 0..16u64 {
+                q.push(SimTime::FAR_FUTURE, i);
+            }
+            let mut handled = 0u64;
+            for (w, tasks) in WAVES.into_iter().enumerate() {
+                let finish = SimTime(now.as_nanos() + 3_000_000_000);
+                for i in 0..tasks {
+                    q.push(finish, i);
+                }
+                // Drain the wave: finishes, their dispatches, the wake-ups.
+                while q.len() > 16 {
+                    let (at, tag) = q.pop().expect("wave events are queued");
+                    now = at;
+                    handled += 1;
+                    if at == finish && tag < tasks {
+                        q.push(now, u64::MAX); // the finish's Dispatch
+                        if tag % 2 == 0 {
+                            let wake = 1_000 + tag * 37 + w as u64;
+                            q.push(SimTime(now.as_nanos() + wake), u64::MAX - 1);
+                        }
+                    }
+                }
+            }
+            assert_eq!(handled, 100_000);
+        })
+    });
+}
+
+/// A storing tail on 2,000 nodes whose speeds differ: 64,000 producers, as
+/// many pinned store tasks that run out node by node, 256 reducers. Every
+/// finish fires a `Dispatch`; with the idle nodes parked each one looks at
+/// a node or two, not at the idle rest of the cluster twice.
+fn bench_dispatch_storing_tail(c: &mut Criterion) {
+    let spec = memres_cluster::hyperion().scaled_workers(2_000);
+    let cfg = EngineConfig {
+        input: InputSource::Lustre,
+        ..EngineConfig::default()
+    };
+    let gb = memres_workloads::GroupBy::new(64_000.0 * 32.0 * memres_des::units::MB)
+        .with_split(32.0 * memres_des::units::MB)
+        .with_reducers(256);
+    c.bench_function("dispatch_storing_tail_2k_nodes", |b| {
+        b.iter(|| {
+            let mut driver = Driver::new(spec.clone(), cfg.clone());
+            let (out, m) = driver.run(&gb.build(), gb.action());
+            assert!(!out.aborted);
+            let visits = driver.world().dispatch_visits;
+            assert!(visits <= 8 * m.tasks.len() as u64, "{visits} visits");
         })
     });
 }
@@ -257,6 +323,8 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_event_queue_1m,
+    bench_event_queue_waves,
+    bench_dispatch_storing_tail,
     bench_ps,
     bench_flownet,
     bench_fair_share,

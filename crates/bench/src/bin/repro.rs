@@ -17,6 +17,12 @@
 //! Unknown targets are rejected up front (exit 2) with the usage line, so a
 //! typo can't burn hours of experiments first.
 //!
+//! `scale` runs the scale-out family (1k–10k nodes, up to 4 M producers;
+//! `--smoke` its CI-sized cell) and `<scale-cell>` — `scale_smoke`,
+//! `scale_1k_100k`, `scale_4k_1m`, `scale_10k_1m`, `scale_10k_4m` — that
+//! cell alone; with `--json DIR` they write `DIR/scale.json` and
+//! `DIR/<scale-cell>.json`. Neither is part of `all`.
+//!
 //! `bench` times the simulator itself (host wall-clock) on the mid-size
 //! Fig 7a/8a cells and, with `--json DIR`, writes `DIR/bench.json`. It is a
 //! single-shot quick look — the repeated, bounded performance record is
@@ -85,6 +91,7 @@ fn valid_target(t: &str) -> bool {
         || t == "fig14a"
         || t == "fig14b"
         || t == "faults-abort"
+        || scale::cell(t).is_some()
         || ALL_TARGETS.contains(&t)
 }
 
@@ -92,12 +99,14 @@ fn usage() -> String {
     format!(
         "usage: repro [--smoke] [--scale X] [--seed N] [--json DIR] <target>...\n\
          targets: {} fig14a fig14b faults-abort bench scale all\n\
+         \u{20}        {} (one scale cell alone)\n\
          \u{20}        trace <cell> | explain <cell> | report <cell> [--slow-ssd F],\n\
          \u{20}        cell one of: {}\n\
          \u{20}      repro diff <a> <b> [--threshold X]   (two `repro report --json` dirs)\n\
          \u{20}      repro fuzz --seed-range A..B [--budget N] [--json DIR] [--inject-defect]\n\
          \u{20}      repro fuzz --replay '<spec>'",
         ALL_TARGETS.join(" "),
+        scale::SCALE_CELLS.map(|c| c.name).join(" "),
         perf::CELL_NAMES.join(" ")
     )
 }
@@ -411,18 +420,20 @@ fn main() {
             "baselines" => job_aborted |= emit(&ex::baseline_speculation(setup), &json_dir),
             "faults" => job_aborted |= emit(&ex::faults(setup), &json_dir),
             "faults-abort" => job_aborted |= emit(&ex::faults_abort(setup), &json_dir),
-            "scale" => {
-                // `--smoke` runs only the CI-sized cell.
+            family if family == "scale" || scale::cell(family).is_some() => {
+                // The family (`--smoke`: only the CI-sized cell), or the one
+                // cell named.
+                let cells = scale::cell(family).map_or_else(|| scale::selected(smoke), |c| vec![c]);
                 let mut records = Vec::new();
-                for c in scale::selected(smoke) {
+                for c in cells {
                     let r = scale::run(c, setup.seed);
-                    eprintln!("[{} took {:.1}s]", c.name, r.wall_s);
+                    eprintln!("[{} took {:.1}s]", c.name, r.perf.wall_s);
                     records.push(r);
                 }
                 println!("{}", scale::table(&records).render());
                 if let Some(dir) = &json_dir {
                     std::fs::create_dir_all(dir).expect("create json dir");
-                    let path = format!("{dir}/scale.json");
+                    let path = format!("{dir}/{family}.json");
                     let mut f = std::fs::File::create(&path).expect("create json file");
                     let _ = writeln!(f, "{}", scale::to_json(setup.seed, &records));
                     eprintln!("wrote {path}");
@@ -523,11 +534,16 @@ mod tests {
         for t in ["all", "bench", "scale", "fig14a", "fig14b"] {
             assert!(valid_target(t), "{t}");
         }
+        for c in scale::SCALE_CELLS {
+            assert!(valid_target(c.name), "{}", c.name);
+        }
     }
 
     #[test]
     fn typos_are_invalid() {
-        for t in ["fig5", "figure5a", "fault", "", "tables", "benchh"] {
+        for t in [
+            "fig5", "figure5a", "fault", "", "tables", "benchh", "scale_2k",
+        ] {
             assert!(!valid_target(t), "'{t}' should be rejected");
         }
     }
@@ -539,5 +555,6 @@ mod tests {
             assert!(u.contains(t), "usage is missing {t}");
         }
         assert!(u.contains("bench scale all"));
+        assert!(u.contains("scale_smoke scale_1k_100k"));
     }
 }

@@ -28,6 +28,10 @@ pub struct PerfRecord {
     pub heap_bytes: u64,
 }
 
+/// The table columns every perf record fills, in [`PerfRecord::row`] order.
+pub(crate) const RECORD_COLUMNS: [&str; 5] =
+    ["wall_s", "sim_job_s", "events", "events_per_s", "heap_mb"];
+
 impl PerfRecord {
     /// Engine throughput: simulation events per host wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
@@ -36,6 +40,17 @@ impl PerfRecord {
         } else {
             0.0
         }
+    }
+
+    /// This record's [`RECORD_COLUMNS`] values.
+    pub(crate) fn row(&self) -> Vec<f64> {
+        vec![
+            self.wall_s,
+            self.sim_s,
+            self.events as f64,
+            self.events_per_sec(),
+            self.heap_bytes as f64 / (1024.0 * 1024.0),
+        ]
     }
 }
 
@@ -82,22 +97,25 @@ pub fn cell(
     ))
 }
 
+/// Time one run; the driver comes back with it for whatever else the
+/// caller reads off the finished world.
 pub(crate) fn time_run(
     name: &'static str,
     spec: memres_cluster::ClusterSpec,
     cfg: EngineConfig,
     gb: &memres_workloads::GroupBy,
-) -> PerfRecord {
+) -> (PerfRecord, Driver, JobMetrics) {
     let t0 = Instant::now();
     let mut d = Driver::new(spec, cfg);
     let m = d.run_for_metrics(&gb.build(), gb.action());
-    PerfRecord {
+    let record = PerfRecord {
         name,
         wall_s: t0.elapsed().as_secs_f64(),
         sim_s: m.job_time(),
         events: d.engine_steps(),
         heap_bytes: d.heap_estimate_bytes(),
-    }
+    };
+    (record, d, m)
 }
 
 /// The mid-size Fig 7a / Fig 8a cells (400 GB and 600 GB paper-scale,
@@ -107,40 +125,20 @@ pub fn suite(setup: Setup) -> Vec<PerfRecord> {
         .iter()
         .map(|name| {
             let (spec, cfg, gb) = cell(setup, name).expect("suite cell must resolve");
-            time_run(name, spec, cfg, &gb)
+            time_run(name, spec, cfg, &gb).0
         })
         .collect()
 }
 
-/// A `wall_s / sim_job_s / events / events_per_s / heap_mb` table with one
-/// row per record (shared by `repro bench` and `repro scale`).
-pub(crate) fn records_table(id: &'static str, title: &str, records: &[PerfRecord]) -> Table {
-    let mut t = Table::new(
-        id,
-        title,
-        &["wall_s", "sim_job_s", "events", "events_per_s", "heap_mb"],
-    );
-    for r in records {
-        t.row(
-            r.name,
-            vec![
-                r.wall_s,
-                r.sim_s,
-                r.events as f64,
-                r.events_per_sec(),
-                r.heap_bytes as f64 / (1024.0 * 1024.0),
-            ],
-        );
-    }
-    t
-}
-
 pub fn table(records: &[PerfRecord]) -> Table {
-    let mut t = records_table(
+    let mut t = Table::new(
         "bench",
         "engine wall-clock (host seconds) on mid-size Fig 7a/8a cells",
-        records,
+        &RECORD_COLUMNS,
     );
+    for r in records {
+        t.row(r.name, r.row());
+    }
     let total: f64 = records.iter().map(|r| r.wall_s).sum();
     t.note(format!("total wall-clock {total:.3}s"));
     t
@@ -153,21 +151,28 @@ pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
     let _ = writeln!(out, "  \"target\": \"bench\",");
     let _ = writeln!(out, "  \"scale\": {},", num(setup.scale));
     let _ = writeln!(out, "  \"seed\": {},", setup.seed);
-    write_runs(&mut out, records);
+    write_runs(&mut out, records.iter().map(|r| (r, String::new())));
     out
 }
 
 /// The `"runs": [...]` array and `"total_wall_s"` tail of a perf-record
-/// JSON document, closing the object `out` opened.
-pub(crate) fn write_runs(out: &mut String, records: &[PerfRecord]) {
+/// JSON document, closing the object `out` opened. Each record comes with
+/// the `, "key": value` members its family adds to the shared ones (none
+/// for `repro bench`).
+pub(crate) fn write_runs<'a>(
+    out: &mut String,
+    records: impl Iterator<Item = (&'a PerfRecord, String)>,
+) {
     out.push_str("  \"runs\": [");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
+    let (mut total, mut any) = (0.0, false);
+    for (r, more) in records {
+        if any {
             out.push(',');
         }
+        any = true;
         let _ = write!(
             out,
-            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}}}",
+            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}{more}}}",
             escape(r.name),
             num(r.wall_s),
             num(r.sim_s),
@@ -175,12 +180,12 @@ pub(crate) fn write_runs(out: &mut String, records: &[PerfRecord]) {
             num(r.events_per_sec()),
             r.heap_bytes
         );
+        total += r.wall_s;
     }
-    if !records.is_empty() {
+    if any {
         out.push_str("\n  ");
     }
     out.push_str("],\n");
-    let total: f64 = records.iter().map(|r| r.wall_s).sum();
     let _ = write!(out, "  \"total_wall_s\": {}\n}}", num(total));
 }
 

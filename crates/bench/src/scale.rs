@@ -1,23 +1,30 @@
-//! Scale-out cells: `repro scale [--smoke] [--json DIR]`.
+//! Scale-out cells: `repro scale [--smoke] [--json DIR]`, or one of them
+//! alone by name (`repro scale_10k_4m`).
 //!
 //! Where `repro bench` times the paper-scale cells (100 nodes), this family
 //! pushes the engine to 100× that — thousands of nodes, hundreds of
 //! thousands to millions of tasks — and reports engine throughput
-//! (simulation events per host second) and the rough peak-heap estimate.
+//! (simulation events per host second), the rough peak-heap estimate, and
+//! where the host time went: user and system CPU seconds and minor page
+//! faults of the run (at these sizes memory is time — a third of the 4 M
+//! cell is the kernel faulting the task arena in, invisible in `wall_s`
+//! alone), and how many candidate nodes `dispatch` visited.
 //! The workload is the synthetic GroupBy DAG from `memres-workloads` with
-//! no real records, so every byte of cost is engine bookkeeping: the
-//! calendar event queue, rack-level flow aggregation, and the SoA task
-//! arena are exactly what these cells exercise (DESIGN.md "Scaling the
-//! engine 100× past the paper").
+//! no real records, so every byte of cost is engine bookkeeping: the event
+//! queue, the dispatch candidate set, rack-level flow aggregation, and the
+//! SoA task arena are exactly what these cells exercise (DESIGN.md "Scaling
+//! the engine 100× past the paper").
 
 use crate::perf::{self, PerfRecord};
 use crate::Table;
 use memres_core::prelude::*;
+use memres_des::json::num;
 use memres_des::units::MB;
 use std::fmt::Write as _;
 
-/// One synthetic scale cell: nominal node and task counts are in the name;
-/// exact producer/reducer counts below.
+/// One synthetic scale cell: nominal node and task counts are in the name
+/// (the task count names the producers; [`ScaleCell::tasks`] is what the
+/// engine creates); exact producer/reducer counts below.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleCell {
     pub name: &'static str,
@@ -32,10 +39,12 @@ impl ScaleCell {
         self.producers as f64 * self.split_mb * MB
     }
 
-    /// Total tasks the job creates (producers + reducers + one store task
-    /// per node in the flush phase).
+    /// Total tasks the job creates: the producers, one store task per
+    /// *producer* in the flush phase (each flushes its producer's output,
+    /// pinned to the node that ran it — so a node's share of the storing
+    /// phase is `producers / workers` tasks, not one), and the reducers.
     pub fn tasks(&self) -> u64 {
-        self.producers + self.reducers as u64 + self.workers as u64
+        2 * self.producers + self.reducers as u64
     }
 }
 
@@ -96,13 +105,59 @@ fn config(seed: u64) -> EngineConfig {
     .homogeneous()
 }
 
+/// One timed cell: the shared perf record plus where its host time went.
+#[derive(Clone, Debug)]
+pub struct ScaleRecord {
+    pub perf: PerfRecord,
+    /// CPU seconds of the run in user mode and in the kernel. Their sum can
+    /// exceed `wall_s` by a tick or two (1/100 s resolution).
+    pub user_s: f64,
+    pub sys_s: f64,
+    /// Minor page faults of the run: first touches of fresh heap pages.
+    pub minor_faults: u64,
+    /// Candidate nodes `dispatch` looked for work on
+    /// (`SimWorld::dispatch_visits`).
+    pub dispatch_visits: u64,
+}
+
+/// This process's cumulative `(minflt, utime, stime)` from
+/// `/proc/self/stat`, the times in clock ticks of 1/100 s (the Linux
+/// `USER_HZ` on every supported target); zeros where there is no procfs.
+fn proc_self_stat() -> (u64, u64, u64) {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // Fields after the parenthesised command name: minflt is the 10th of the
+    // line and utime, stime the 14th and 15th — 0-based 7, 11 and 12 here.
+    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let fields: Vec<u64> = after
+        .split_whitespace()
+        .map(|f| f.parse().unwrap_or(0))
+        .collect();
+    let at = |i: usize| fields.get(i).copied().unwrap_or(0);
+    (at(7), at(11), at(12))
+}
+
 /// Run one cell.
-pub fn run(c: ScaleCell, seed: u64) -> PerfRecord {
+pub fn run(c: ScaleCell, seed: u64) -> ScaleRecord {
     let spec = memres_cluster::hyperion().scaled_workers(c.workers);
     let gb = memres_workloads::GroupBy::new(c.input_bytes())
         .with_split(c.split_mb * MB)
         .with_reducers(c.reducers);
-    perf::time_run(c.name, spec, config(seed), &gb)
+    let (faults0, user0, sys0) = proc_self_stat();
+    let (perf, driver, metrics) = perf::time_run(c.name, spec, config(seed), &gb);
+    let (faults1, user1, sys1) = proc_self_stat();
+    assert_eq!(
+        metrics.tasks.len() as u64,
+        c.tasks(),
+        "{} ran a different number of tasks than ScaleCell::tasks() states",
+        c.name
+    );
+    ScaleRecord {
+        perf,
+        user_s: (user1 - user0) as f64 / 100.0,
+        sys_s: (sys1 - sys0) as f64 / 100.0,
+        minor_faults: faults1 - faults0,
+        dispatch_visits: driver.world().dispatch_visits,
+    }
 }
 
 /// The cells a given invocation runs: the smoke cell alone under
@@ -115,21 +170,45 @@ pub fn selected(smoke: bool) -> Vec<ScaleCell> {
         .collect()
 }
 
-pub fn table(records: &[PerfRecord]) -> Table {
-    perf::records_table(
+pub fn table(records: &[ScaleRecord]) -> Table {
+    let mut columns = perf::RECORD_COLUMNS.to_vec();
+    columns.extend(["user_s", "sys_s", "minor_faults", "dispatch_visits"]);
+    let mut t = Table::new(
         "scale",
         "scale cells: engine throughput at 100x paper scale",
-        records,
-    )
+        &columns,
+    );
+    for r in records {
+        let mut row = r.perf.row();
+        row.extend([
+            r.user_s,
+            r.sys_s,
+            r.minor_faults as f64,
+            r.dispatch_visits as f64,
+        ]);
+        t.row(r.perf.name, row);
+    }
+    t
 }
 
 /// Machine-readable record: `{"target", "seed", "runs": [...],
-/// "total_wall_s"}`.
-pub fn to_json(seed: u64, records: &[PerfRecord]) -> String {
+/// "total_wall_s"}`, each run with the shared perf members plus `user_s`,
+/// `sys_s`, `minor_faults` and `dispatch_visits`.
+pub fn to_json(seed: u64, records: &[ScaleRecord]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"target\": \"scale\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
-    perf::write_runs(&mut out, records);
+    let runs = records.iter().map(|r| {
+        let more = format!(
+            ", \"user_s\": {}, \"sys_s\": {}, \"minor_faults\": {}, \"dispatch_visits\": {}",
+            num(r.user_s),
+            num(r.sys_s),
+            r.minor_faults,
+            r.dispatch_visits
+        );
+        (&r.perf, more)
+    });
+    perf::write_runs(&mut out, runs);
     out
 }
 
@@ -170,24 +249,51 @@ mod tests {
 
     #[test]
     fn smoke_cell_runs_and_aggregates() {
+        // `run` itself asserts the task count `ScaleCell::tasks` states.
         let c = cell("scale_smoke").unwrap();
+        assert_eq!(c.tasks(), 1_536 + 1_536 + 512);
         let r = run(c, 1);
-        assert!(r.events > 0 && r.sim_s > 0.0);
-        assert!(r.heap_bytes > 0);
+        assert!(r.perf.events > 0 && r.perf.sim_s > 0.0);
+        assert!(r.perf.heap_bytes > 0);
+        // Every launch and every finish may cost a visit or two; a count
+        // that grows with dispatches x idle nodes is the 4 M-task cliff.
+        assert!(r.dispatch_visits > 0 && r.dispatch_visits <= r.perf.events);
+    }
+
+    #[test]
+    fn proc_self_stat_reads_this_process() {
+        let (faults, user, sys) = proc_self_stat();
+        // A test binary that got this far has faulted pages in and spent
+        // time; all three are cumulative.
+        assert!(faults > 0);
+        let again = proc_self_stat();
+        assert!(again.0 >= faults && again.1 >= user && again.2 >= sys);
     }
 
     #[test]
     fn json_shape() {
-        let r = PerfRecord {
-            name: "scale_smoke",
-            wall_s: 0.5,
-            sim_s: 10.0,
-            events: 5000,
-            heap_bytes: 1024,
+        let r = ScaleRecord {
+            perf: PerfRecord {
+                name: "scale_smoke",
+                wall_s: 0.5,
+                sim_s: 10.0,
+                events: 5000,
+                heap_bytes: 1024,
+            },
+            user_s: 0.25,
+            sys_s: 0.125,
+            minor_faults: 77,
+            dispatch_visits: 4321,
         };
-        let j = to_json(1, &[r]);
+        let j = to_json(1, std::slice::from_ref(&r));
         assert!(j.contains("\"target\": \"scale\""));
         assert!(j.contains("\"events_per_s\": 10000.0"));
+        assert!(j.contains(
+            "\"heap_bytes\": 1024, \"user_s\": 0.25, \"sys_s\": 0.125, \"minor_faults\": 77, \"dispatch_visits\": 4321}"
+        ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let t = table(&[r]);
+        assert_eq!(t.column("sys_s"), vec![0.125]);
+        assert_eq!(t.column("dispatch_visits"), vec![4321.0]);
     }
 }

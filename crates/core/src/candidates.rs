@@ -1,0 +1,254 @@
+//! The dispatch candidate set (DESIGN.md §4.12): which nodes a `Dispatch`
+//! has to visit.
+//!
+//! [`NodeSet`] is one bit per worker — insert, remove and membership are a
+//! shift and a mask where the `BTreeSet` it replaces paid a tree insert and
+//! a tree remove per task, and a walk in ascending order touches
+//! `workers / 64` words. [`Candidates`] splits the nodes that could accept a
+//! launch into the ones a visit might launch on and the ones *parked* after
+//! a visit found nothing they may run.
+
+// Node ids are minted by the cluster spec and every set is sized to it at
+// construction; an out-of-range id would be an engine bug.
+#![allow(clippy::indexing_slicing)]
+
+/// Every *available* node — up, not blacklisted, at least one free slot — is
+/// in exactly one of the two sets, and no other node is in either.
+/// `dispatch` walks `live` alone.
+///
+/// A node is parked when a steal-round visit launched nothing on it, and
+/// only in runs where a visit that launches nothing has no other effect
+/// (`SimWorld::visits_are_pure`). It stays available — a parked node is why
+/// pending work is *not* starved — and returns to `live` when something
+/// could make a visit launch: its own slots or liveness change
+/// ([`Candidates::set_available`]), or a task becomes runnable on it
+/// ([`Candidates::unpark`], [`Candidates::unpark_all`]).
+pub(crate) struct Candidates {
+    live: NodeSet,
+    parked: NodeSet,
+}
+
+impl Candidates {
+    /// Every one of `workers` nodes available and live.
+    pub fn all(workers: u32) -> Self {
+        let mut live = NodeSet::new(workers as usize);
+        (0..workers).for_each(|n| live.insert(n));
+        Candidates {
+            live,
+            parked: NodeSet::new(workers as usize),
+        }
+    }
+
+    /// Nodes that could accept a launch, parked or not.
+    pub fn available(&self) -> usize {
+        self.live.len() + self.parked.len()
+    }
+
+    /// How many of them are parked.
+    pub fn parked(&self) -> usize {
+        self.parked.len()
+    }
+
+    pub fn is_live(&self, node: u32) -> bool {
+        self.live.contains(node)
+    }
+
+    pub fn is_parked(&self, node: u32) -> bool {
+        self.parked.contains(node)
+    }
+
+    /// Append the live nodes to `out` in rotation order: ascending from
+    /// node `start`, then wrapping to the ones below it.
+    pub fn live_rotated(&self, start: u32, out: &mut Vec<u32>) {
+        self.live.extend_rotated(start, out);
+    }
+
+    /// Record whether `node` can accept a launch after a change to its free
+    /// slots, liveness or blacklist status; an available node is live again.
+    pub fn set_available(&mut self, node: u32, available: bool) {
+        self.parked.remove(node);
+        if available {
+            self.live.insert(node);
+        } else {
+            self.live.remove(node);
+        }
+    }
+
+    /// A visit to live `node` launched nothing and had no other effect.
+    pub fn park(&mut self, node: u32) {
+        if self.live.remove(node) {
+            self.parked.insert(node);
+        }
+    }
+
+    /// A task became runnable on `node` alone (a pinned task).
+    pub fn unpark(&mut self, node: u32) {
+        if self.parked.remove(node) {
+            self.live.insert(node);
+        }
+    }
+
+    /// A task any node may run became runnable.
+    pub fn unpark_all(&mut self) {
+        self.live.absorb(&mut self.parked);
+    }
+}
+
+struct NodeSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl NodeSet {
+    /// The empty set over nodes `0..n`.
+    pub fn new(n: usize) -> Self {
+        NodeSet {
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    pub fn insert(&mut self, node: u32) {
+        let (w, bit) = (node as usize / 64, 1u64 << (node % 64));
+        self.len += (self.words[w] & bit == 0) as usize;
+        self.words[w] |= bit;
+    }
+
+    /// True when `node` was a member.
+    pub fn remove(&mut self, node: u32) -> bool {
+        let (w, bit) = (node as usize / 64, 1u64 << (node % 64));
+        let was = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        self.len -= was as usize;
+        was
+    }
+
+    pub fn contains(&self, node: u32) -> bool {
+        self.words[node as usize / 64] & (1u64 << (node % 64)) != 0
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Append the members to `out` in rotation order: ascending from
+    /// `start`, then wrapping to the ones below it.
+    fn extend_rotated(&self, start: u32, out: &mut Vec<u32>) {
+        if self.len == 0 {
+            return;
+        }
+        let from = out.len();
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        let below = out[from..].partition_point(|&n| n < start);
+        out[from..].rotate_left(below);
+    }
+
+    /// Move every member of `other` into this set, leaving `other` empty.
+    /// The two must be disjoint sets over the same nodes.
+    pub fn absorb(&mut self, other: &mut NodeSet) {
+        if other.len == 0 {
+            return;
+        }
+        for (mine, theirs) in self.words.iter_mut().zip(&mut other.words) {
+            debug_assert_eq!(*mine & *theirs, 0, "absorbing an overlapping set");
+            *mine |= std::mem::take(theirs);
+        }
+        self.len += std::mem::take(&mut other.len);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn rotated(s: &NodeSet, start: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        s.extend_rotated(start, &mut out);
+        out
+    }
+
+    #[test]
+    fn insert_remove_contains_and_len() {
+        let mut s = NodeSet::new(130);
+        assert_eq!(s.len(), 0);
+        [0, 64, 129, 64].into_iter().for_each(|n| s.insert(n));
+        assert_eq!(s.len(), 3);
+        assert!(s.contains(129) && !s.contains(128));
+        assert!(s.remove(64));
+        assert!(!s.remove(64), "no longer a member");
+        assert_eq!(s.len(), 2);
+        assert_eq!(rotated(&s, 0), vec![0, 129]);
+    }
+
+    #[test]
+    fn rotation_order_matches_the_btreeset_walk_it_replaces() {
+        // Every start, on sizes around the word boundaries.
+        for n in [1u32, 5, 63, 64, 65, 128, 200] {
+            let mut s = NodeSet::new(n as usize);
+            let mut reference = BTreeSet::new();
+            for i in (0..n).filter(|i| i % 3 != 1 || i % 7 == 0) {
+                s.insert(i);
+                reference.insert(i);
+            }
+            for start in 0..n {
+                let want: Vec<u32> = reference
+                    .range(start..)
+                    .chain(reference.range(..start))
+                    .copied()
+                    .collect();
+                assert_eq!(rotated(&s, start), want, "n={n} start={start}");
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_keep_each_available_node_in_exactly_one_set() {
+        let mut c = Candidates::all(70);
+        assert_eq!((c.parked(), c.available()), (0, 70));
+        c.park(3);
+        c.park(69);
+        c.park(3);
+        assert_eq!((c.parked(), c.available()), (2, 70));
+        assert!(c.is_parked(3) && !c.is_live(3) && c.is_live(4));
+        // Out of slots: in neither set, parked or not; parking it is a no-op.
+        c.set_available(3, false);
+        c.set_available(4, false);
+        c.park(4);
+        c.unpark(4);
+        assert_eq!((c.parked(), c.available()), (1, 68));
+        assert!(!c.is_live(3) && !c.is_parked(3));
+        // A slot change un-parks; so does a task pinned there, or anywhere.
+        c.set_available(3, true);
+        assert!(c.is_live(3));
+        c.unpark(69);
+        assert!(c.is_live(69) && c.parked() == 0);
+        c.park(10);
+        c.park(11);
+        c.unpark_all();
+        assert_eq!((c.parked(), c.available()), (0, 69));
+        let mut live = Vec::new();
+        c.live_rotated(68, &mut live);
+        assert_eq!(live.len(), 69);
+        assert_eq!(live[..3], [68, 69, 0]);
+    }
+
+    #[test]
+    fn absorb_moves_every_member() {
+        let mut a = NodeSet::new(100);
+        let mut b = NodeSet::new(100);
+        a.insert(3);
+        b.insert(70);
+        b.insert(99);
+        a.absorb(&mut b);
+        assert_eq!(rotated(&a, 0), vec![3, 70, 99]);
+        assert_eq!(a.len(), 3);
+        assert!(b.len() == 0 && rotated(&b, 0).is_empty());
+    }
+}

@@ -185,6 +185,9 @@ impl Driver {
                 })?;
             }
         }
+        // What is still queued is a few timers; the buffers that held the
+        // job's widest task wave need not outlive it.
+        self.sim.shrink_queue();
         Ok(())
     }
 

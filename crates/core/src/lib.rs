@@ -33,6 +33,7 @@
 //! ```
 
 pub mod blockmgr;
+mod candidates;
 pub mod config;
 pub mod dag;
 pub mod driver;

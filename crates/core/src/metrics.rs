@@ -252,6 +252,14 @@ impl MetricsSink {
         self.active.iter_mut().find(|m| m.job == job)
     }
 
+    /// Make room for `n` more task records of `job`: the engine creates a
+    /// stage's tasks together, and each that finishes leaves one record.
+    pub fn reserve(&mut self, job: u32, n: usize) {
+        if let Some(jm) = self.job_mut(job) {
+            jm.tasks.reserve_exact(n);
+        }
+    }
+
     pub fn record(&mut self, m: TaskMetric) {
         if let Some(jm) = self.job_mut(m.job) {
             jm.tasks.push(m);

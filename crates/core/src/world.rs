@@ -28,6 +28,7 @@
 #![allow(clippy::indexing_slicing)]
 
 use crate::blockmgr::BlockMgr;
+use crate::candidates::Candidates;
 use crate::config::{Defect, EngineConfig, InputSource, SchedulerKind, ShuffleStore, StoreDevice};
 use crate::dag::build_plan;
 use crate::dag::{JobPlan, ShuffleInSpec, StageInput, StagePlan};
@@ -48,7 +49,7 @@ use memres_metrics::Recorder;
 use memres_net::{inflate_for_requests, Endpoint, Fabric, FlowId, FlowNet, LinkId};
 use memres_storage::{CacheConfig, FileId, LocalFs, RamDisk, Ssd, SsdConfig};
 use memres_trace::TraceEvent as TE;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// File-id name spaces on the per-node filesystems / Lustre.
@@ -69,6 +70,9 @@ enum TState {
     Running,
     Done,
 }
+
+/// [`Task::pin`] of a task that may run anywhere.
+const UNPINNED: u32 = u32::MAX;
 
 struct Task {
     /// Owning job id (multi-tenant streams keep several jobs resident).
@@ -92,8 +96,11 @@ struct Task {
     locality: TaskLocality,
     /// Preferred nodes (HDFS replicas / cache location). Empty = any.
     prefs: Vec<u32>,
-    /// Pinned tasks run only on `prefs[0]` (storing phase).
-    pinned: bool,
+    /// The only node a pinned task may run on (storing phase: a flush runs
+    /// where its producer ran), [`UNPINNED`] otherwise. Kept beside `prefs`
+    /// (empty for a pinned task) so the storing phase's one task per
+    /// producer costs no allocation each.
+    pin: u32,
     /// Speculative-execution twin (LATE baseline): the other copy's id.
     twin: Option<u32>,
     /// True for the duplicate copy of a speculated task.
@@ -101,9 +108,11 @@ struct Task {
     /// Attempt number; bumped on every failure so stale completion events
     /// from an earlier attempt are dropped.
     attempt: u32,
-    /// The injected-fault engine marked this attempt to fail at the moment
-    /// it would have finished (the whole duration becomes wasted work).
-    doomed: Option<u32>,
+    /// The injected-fault engine marked the running attempt to fail at the
+    /// moment it would have finished (the whole duration becomes wasted
+    /// work). Set at launch, cleared when the attempt fails; completions of
+    /// earlier attempts never get as far as reading it.
+    doomed: bool,
     /// Recovery ghost: charges compute/IO time for redone work after a node
     /// crash but deposits nothing (the lost rows were already re-hosted).
     ghost: bool,
@@ -112,7 +121,7 @@ struct Task {
 impl Task {
     /// A freshly queued task of `kind`: pending, unplaced, first attempt, no
     /// placement preference. The one `Task` literal — push sites set only
-    /// the fields their flavour changes (prefs/pinning, twin, ghost).
+    /// the fields their flavour changes (prefs/pin, twin, ghost).
     fn new(job: u32, stage: u32, kind: TaskKind, now: SimTime) -> Task {
         Task {
             job,
@@ -132,11 +141,11 @@ impl Task {
             records_out: None,
             locality: TaskLocality::Any,
             prefs: Vec::new(),
-            pinned: false,
+            pin: UNPINNED,
             twin: None,
             is_speculative: false,
             attempt: 0,
-            doomed: None,
+            doomed: false,
             ghost: false,
         }
     }
@@ -170,11 +179,11 @@ struct TaskArena {
     records_out: Vec<Option<Box<RealOut>>>,
     locality: Vec<TaskLocality>,
     prefs: Vec<Vec<u32>>,
-    pinned: Vec<bool>,
+    pin: Vec<u32>,
     twin: Vec<Option<u32>>,
     is_speculative: Vec<bool>,
     attempt: Vec<u32>,
-    doomed: Vec<Option<u32>>,
+    doomed: Vec<bool>,
     ghost: Vec<bool>,
     /// Tasks currently in `TState::Pending` — dispatch early-exits on zero.
     pending: usize,
@@ -203,7 +212,7 @@ macro_rules! each_task_array {
         $arena.records_out.$call($($arg),*);
         $arena.locality.$call($($arg),*);
         $arena.prefs.$call($($arg),*);
-        $arena.pinned.$call($($arg),*);
+        $arena.pin.$call($($arg),*);
         $arena.twin.$call($($arg),*);
         $arena.is_speculative.$call($($arg),*);
         $arena.attempt.$call($($arg),*);
@@ -249,7 +258,7 @@ impl TaskArena {
         self.records_out.push(t.records_out);
         self.locality.push(t.locality);
         self.prefs.push(t.prefs);
-        self.pinned.push(t.pinned);
+        self.pin.push(t.pin);
         self.twin.push(t.twin);
         self.is_speculative.push(t.is_speculative);
         self.attempt.push(t.attempt);
@@ -315,11 +324,11 @@ impl TaskArena {
                 .iter()
                 .map(|p| p.capacity() * size_of::<u32>())
                 .sum::<usize>()
-            + self.pinned.capacity()
+            + self.pin.capacity() * size_of::<u32>()
             + self.twin.capacity() * size_of::<Option<u32>>()
             + self.is_speculative.capacity()
             + self.attempt.capacity() * size_of::<u32>()
-            + self.doomed.capacity() * size_of::<Option<u32>>()
+            + self.doomed.capacity()
             + self.ghost.capacity()
             + self.running.capacity() * size_of::<u32>()
     }
@@ -695,11 +704,17 @@ pub struct SimWorld {
     // Scheduling state.
     free_slots: Vec<u32>,
     /// Nodes currently able to accept a launch (up, not blacklisted, at
-    /// least one free slot). Kept in sync by `note_slot_change`; `dispatch`
-    /// walks this set instead of scanning every worker — the win that makes
-    /// 10k-node cells tractable. A `BTreeSet` keeps rotation order
-    /// deterministic.
-    avail: BTreeSet<u32>,
+    /// least one free slot), kept in sync by `note_slot_change`, less the
+    /// ones parked because a visit would find nothing they may run.
+    /// `dispatch` walks the live ones, in rotation order, instead of
+    /// scanning every worker — what makes 10k-node cells tractable.
+    cands: Candidates,
+    /// Nodes `dispatch` looked for work on, over the world's lifetime
+    /// (visits cut short by a node being down, full or already blocked this
+    /// round are not counted). A test hook in the style of
+    /// `FlowNet::next_scans`: it must grow with launches and finishes, not
+    /// with dispatches × idle nodes.
+    pub dispatch_visits: u64,
     /// Per-node "blocked this pass" stamp; a node is blocked when its entry
     /// equals `dispatch_round`. Replaces a fresh `vec![false; workers]`
     /// allocation per dispatch phase.
@@ -846,7 +861,8 @@ impl SimWorld {
         let recorder = cfg.metrics.map(Recorder::new);
         let mut w = SimWorld {
             free_slots: vec![spec.cores_per_node; workers],
-            avail: (0..workers as u32).collect(),
+            cands: Candidates::all(spec.workers),
+            dispatch_visits: 0,
             blocked_stamp: vec![0; workers],
             dispatch_round: 0,
             rotate: 0,
@@ -973,13 +989,15 @@ impl SimWorld {
     /// §4.13): the incremental water-filling allocation vs a from-scratch
     /// progressive-filling pass over the same active flows, the network's
     /// memoised next completion vs a fresh scan, its active indexes vs a
-    /// rebuild from the slab, and every resident job's running-task count
-    /// vs an arena scan; with no job resident, the quiescence oracle.
+    /// rebuild from the slab, every resident job's running-task count vs an
+    /// arena scan, and the dispatch candidate set vs the nodes and queues it
+    /// summarises; with no job resident, the quiescence oracle.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
         let tasks = &self.tasks;
         self.jobs
             .iter()
             .try_for_each(|j| tasks.audit_running(j.id))?;
+        self.audit_candidates()?;
         self.net.audit_waterfill()?;
         if self.jobs.is_empty() {
             self.audit_departed()
@@ -988,6 +1006,40 @@ impl SimWorld {
                 Ok(()) => self.abandoned_io = false,
                 Err(e) if !self.abandoned_io => return Err(format!("no job resident, but {e}")),
                 Err(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// The candidate-set invariant (DESIGN.md §4.12): the live and the
+    /// parked nodes are exactly the available ones, each in one set, and no
+    /// parked node has a pending task it may run — one queued for it in some
+    /// job's `prefs_q`, or one any node may take from a `no_pref_q` or (the
+    /// runs that park are FIFO) a `waiting_q`. A parked node with work is a
+    /// launch that never happens.
+    fn audit_candidates(&self) -> Result<(), String> {
+        let c = &self.cands;
+        if c.parked() > 0 && !self.visits_are_pure() {
+            return Err("nodes are parked in a run whose dispatch visits have effects".into());
+        }
+        let pending = |q: &VecDeque<u32>| {
+            q.iter()
+                .any(|&t| self.tasks.state[t as usize] == TState::Pending)
+        };
+        let any_job = |has: &dyn Fn(&JobRun) -> bool| self.jobs.iter().any(has);
+        let for_any_node = any_job(&|j| pending(&j.no_pref_q) || pending(&j.waiting_q));
+        for node in 0..self.spec.workers {
+            let (live, parked, available) =
+                (c.is_live(node), c.is_parked(node), self.is_available(node));
+            if (live && parked) || (live || parked) != available {
+                return Err(format!(
+                    "node {node}: candidate {live}, parked {parked}, available {available}"
+                ));
+            }
+            if parked && (for_any_node || any_job(&|j| pending(&j.prefs_q[node as usize]))) {
+                return Err(format!(
+                    "node {node} is parked with a pending task it may run"
+                ));
             }
         }
         Ok(())
@@ -1397,8 +1449,7 @@ impl SimWorld {
         );
         self.last_sample_steps = es.steps;
         rec.sample("engine_queue_len", None, now, es.queue_len as f64);
-        rec.sample("engine_queue_overflow", None, now, es.queue.overflow as f64);
-        rec.sample("engine_queue_buckets", None, now, es.queue.buckets as f64);
+        rec.sample("engine_queue_lane", None, now, es.queue.lane as f64);
 
         // Network: utilization = allocated max–min-fair rate / capacity.
         rec.sample(
@@ -1679,7 +1730,16 @@ impl SimWorld {
         // Create the stage's tasks.
         let is_fetch = matches!(stage.input, StageInput::Shuffle(_));
         let mut created: Vec<u32> = Vec::with_capacity(nparts);
-        self.tasks.reserve(nparts);
+        // A stage that writes a shuffle is followed by one store task per
+        // task of its own and then by the shuffle's reducers: room for all
+        // three now, while the arrays are small, is one growth instead of
+        // three that each copy everything before them.
+        let job = &self.jobs[ji];
+        let followers = job
+            .shuffle_out
+            .as_ref()
+            .map_or(0, |sh| nparts + sh.reducers as usize);
+        self.reserve_tasks(job.id, nparts + followers);
         for i in 0..nparts {
             let id = self.tasks.len() as u32;
             let kind = if is_fetch {
@@ -1728,6 +1788,14 @@ impl SimWorld {
         out.immediately(Ev::Dispatch);
     }
 
+    /// Make room for the `n` tasks `job` is about to create, in the arena
+    /// and in the job's metrics: each array grows once, to exactly what it
+    /// needs, instead of doubling its way there.
+    fn reserve_tasks(&mut self, job: u32, n: usize) {
+        self.tasks.reserve(n);
+        self.metrics.reserve(job, n);
+    }
+
     /// Preferred nodes for a compute task: HDFS replicas or the cache home.
     fn compute_prefs(&self, stage: &StagePlan, part: u32) -> Vec<u32> {
         match &stage.input {
@@ -1748,15 +1816,21 @@ impl SimWorld {
         }
     }
 
+    /// Make pending tasks runnable: the one way into a job's queues (but
+    /// for `repin_pinned_off`), and so where parked nodes learn of new work.
     fn enqueue_pending(&mut self, ji: usize, ids: &[u32]) {
         let tasks = &self.tasks;
         let job = &mut self.jobs[ji];
         for &id in ids {
-            let prefs = &tasks.prefs[id as usize];
-            if tasks.pinned[id as usize] {
-                job.prefs_q[prefs[0] as usize].push_back(id);
+            let pin = tasks.pin[id as usize];
+            if pin != UNPINNED {
+                job.prefs_q[pin as usize].push_back(id);
+                self.cands.unpark(pin);
                 continue;
             }
+            // Preferred or not, under FIFO any node may end up running it.
+            self.cands.unpark_all();
+            let prefs = &tasks.prefs[id as usize];
             if prefs.is_empty() {
                 job.no_pref_q.push_back(id);
             } else {
@@ -1851,17 +1925,32 @@ impl SimWorld {
         }
     }
 
-    /// Re-index `node` in the availability set after any change to its
-    /// free slots, liveness, or blacklist status. Every mutation site of
-    /// those three must call this, or `dispatch` will skip (or revisit) the
-    /// node.
-    fn note_slot_change(&mut self, node: u32) {
+    /// Whether `node` can accept a launch: the membership rule of `cands`.
+    fn is_available(&self, node: u32) -> bool {
         let i = node as usize;
-        if self.node_up[i] && !self.blacklisted[i] && self.free_slots[i] > 0 {
-            self.avail.insert(node);
-        } else {
-            self.avail.remove(&node);
-        }
+        self.node_up[i] && !self.blacklisted[i] && self.free_slots[i] > 0
+    }
+
+    /// Re-index `node` in the candidate set after any change to its free
+    /// slots, liveness, or blacklist status. Every mutation site of those
+    /// three must call this, or `dispatch` will skip (or revisit) the node.
+    fn note_slot_change(&mut self, node: u32) {
+        self.cands.set_available(node, self.is_available(node));
+    }
+
+    /// Whether a dispatch visit that launches nothing has no other effect,
+    /// so that a node may be parked instead of visited again. Four
+    /// mechanisms act per visit, launch or no launch: an ELB decline and a
+    /// CAD gate each emit a trace event (and CAD a `DispatchNode` wake-up),
+    /// delay scheduling hands back the retry time that re-arms `Dispatch`,
+    /// and whether speculation duplicates a straggler onto the node depends
+    /// on the time of the visit. With all four off — a property of the run,
+    /// not a setting — a visit is `pick` finding nothing, for every job.
+    fn visits_are_pure(&self) -> bool {
+        matches!(self.cfg.scheduler, SchedulerKind::Fifo)
+            && self.cfg.elb.is_none()
+            && self.cfg.cad.is_none()
+            && self.cfg.speculation.is_none()
     }
 
     /// Inter-job dispatch order (DESIGN.md §4.14). Single-job runs and the
@@ -1933,7 +2022,10 @@ impl SimWorld {
         // visit — in the same order — and the in-loop guards skip the rest.
         let start = self.rotate % workers;
         cands.clear();
-        cands.extend(self.avail.range(start..).chain(self.avail.range(..start)));
+        self.cands.live_rotated(start, &mut cands);
+        // A parked node is available all the same (see `dispatch_starved`).
+        let none_available = self.cands.available() == 0;
+        let park = self.visits_are_pure();
         // Per job, its stragglers as of this dispatch (`maybe_speculate`).
         let speculating = self.cfg.speculation.is_some();
         let mut stragglers = vec![None; if speculating { order.len() } else { 0 }];
@@ -1951,6 +2043,7 @@ impl SimWorld {
                     {
                         continue;
                     }
+                    self.dispatch_visits += 1;
                     let mut node_launched = false;
                     for &ji in &order {
                         let storing = matches!(self.jobs[ji].phase, RunPhase::Storing(_));
@@ -2016,6 +2109,12 @@ impl SimWorld {
                         launched_any = true;
                     } else {
                         self.blocked_stamp[node as usize] = round;
+                        if allow_steal && park {
+                            // No job has anything this node may run, and
+                            // until one does (or its slots change) a visit
+                            // would only find that out again.
+                            self.cands.park(node);
+                        }
                     }
                 }
                 if !launched_any {
@@ -2028,11 +2127,12 @@ impl SimWorld {
             // lint:allow(event-past): delay-scheduling retry times are queued_at + wait, in the future of the dispatch that set them
             out.at(r, Ev::Dispatch);
         }
-        // Bugfix (DESIGN.md §4.14): with pending work, an empty availability
-        // snapshot, and no delay-retry wake, nothing re-arms dispatch. Flag
-        // it so the next slot-freeing or node-recovery event re-dispatches.
+        // Bugfix (DESIGN.md §4.14): with pending work, no available node as
+        // the pass began, and no delay-retry wake, nothing re-arms dispatch.
+        // Flag it so the next slot-freeing or node-recovery event
+        // re-dispatches.
         self.dispatch_starved =
-            self.tasks.pending > 0 && cands.is_empty() && earliest_retry.is_none();
+            self.tasks.pending > 0 && none_available && earliest_retry.is_none();
         self.dispatch_scratch = (order, cands);
     }
 
@@ -2148,9 +2248,7 @@ impl SimWorld {
             self.tasks.set_state(task, TState::Running);
             self.tasks.node[i] = node;
             self.tasks.launched_at[i] = now;
-            if doomed {
-                self.tasks.doomed[i] = Some(self.tasks.attempt[i]);
-            }
+            self.tasks.doomed[i] = doomed;
         }
         {
             let i = task as usize;
@@ -2909,7 +3007,7 @@ impl SimWorld {
         // An attempt doomed by the fault plan dies at the instant it would
         // have completed: the full duration becomes wasted work and the task
         // re-queues (or the job aborts at the attempt limit).
-        if !lost && self.tasks.doomed[task as usize] == Some(attempt) {
+        if !lost && self.tasks.doomed[task as usize] {
             self.fail_task(now, task, SimDuration::ZERO, true, out);
             return;
         }
@@ -3130,7 +3228,7 @@ impl SimWorld {
         let producers = self.jobs[ji].stage_tasks.clone();
         let job_id = self.jobs[ji].id;
         let mut created = Vec::with_capacity(producers.len());
-        self.tasks.reserve(producers.len());
+        self.reserve_tasks(job_id, producers.len());
         for &p in &producers {
             // A flush is pinned to its producer's node; if that node died or
             // was blacklisted since, the re-hosted rows flush at the
@@ -3147,8 +3245,7 @@ impl SimWorld {
             let kind = TaskKind::Store { producer: p };
             let mut t = Task::new(job_id, stage_idx as u32, kind, now);
             t.locality = TaskLocality::NodeLocal;
-            t.prefs = vec![node];
-            t.pinned = true;
+            t.pin = node;
             self.tasks.push(t);
             created.push(id);
         }
@@ -3372,9 +3469,12 @@ impl SimWorld {
         {
             let i = task as usize;
             self.tasks.set_state(task, TState::Pending);
+            // Pending again, it is runnable wherever a queue still holds an
+            // entry of its earlier attempt — before any requeue.
+            self.cands.unpark_all();
             self.tasks.node[i] = u32::MAX;
             self.tasks.attempt[i] += 1;
-            self.tasks.doomed[i] = None;
+            self.tasks.doomed[i] = false;
             self.tasks.pending_io[i] = 0;
             self.tasks.finish_scheduled[i] = false;
             self.tasks.records_out[i] = None;
@@ -3400,20 +3500,17 @@ impl SimWorld {
         }
         // Drop dead/blacklisted nodes from the task's preferences; a pinned
         // task left with nowhere to go re-pins to the replacement.
-        let keep: Vec<u32> = self.tasks.prefs[task as usize]
-            .iter()
-            .copied()
-            .filter(|&n| self.node_up[n as usize] && !self.blacklisted[n as usize])
-            .collect();
-        if self.tasks.pinned[task as usize] && keep.is_empty() {
+        let usable = |n: u32| self.node_up[n as usize] && !self.blacklisted[n as usize];
+        let pin = self.tasks.pin[task as usize];
+        if pin == UNPINNED {
+            self.tasks.prefs[task as usize].retain(|&n| usable(n));
+        } else if !usable(pin) {
             let Some(repl) = self.replacement_node() else {
                 let ji = self.job_index_of(task);
                 self.abort_job(now, ji, out);
                 return;
             };
-            self.tasks.prefs[task as usize] = vec![repl];
-        } else {
-            self.tasks.prefs[task as usize] = keep;
+            self.tasks.pin[task as usize] = repl;
         }
         self.trace(
             now,
@@ -3457,17 +3554,15 @@ impl SimWorld {
         };
         let mut moved = Vec::new();
         for i in 0..self.tasks.len() {
-            if self.tasks.state[i] == TState::Pending
-                && self.tasks.pinned[i]
-                && self.tasks.prefs[i].first() == Some(&node)
-            {
-                self.tasks.prefs[i] = vec![repl];
+            if self.tasks.state[i] == TState::Pending && self.tasks.pin[i] == node {
+                self.tasks.pin[i] = repl;
                 moved.push(i as u32);
             }
         }
         for id in moved {
             let ji = self.job_index_of(id);
             self.jobs[ji].prefs_q[repl as usize].push_back(id);
+            self.cands.unpark(repl);
         }
     }
 
@@ -3750,7 +3845,7 @@ impl SimWorld {
             return;
         }
         let mut created = Vec::with_capacity(ghosts.len());
-        self.tasks.reserve(ghosts.len());
+        self.reserve_tasks(job_id, ghosts.len());
         for (stage, kind) in ghosts {
             if matches!(kind, TaskKind::Compute { .. }) {
                 if let Some(rec) = self.metrics.recovery(job_id) {
@@ -3759,8 +3854,7 @@ impl SimWorld {
             }
             let id = self.tasks.len() as u32;
             let mut t = Task::new(job_id, stage, kind, now);
-            t.prefs = vec![repl];
-            t.pinned = true;
+            t.pin = repl;
             t.ghost = true;
             self.tasks.push(t);
             created.push(id);
@@ -4362,6 +4456,126 @@ mod tests {
         );
     }
 
+    /// A world whose one job has launched everything it has: both tasks of
+    /// `placed_plan(2)` run, and every node with a slot left has been
+    /// visited in the steal round, found nothing, and been parked.
+    fn world_with_idle_nodes_parked() -> SimWorld {
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, placed_plan(2), &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert_eq!(w.tasks.pending, 0, "both tasks launched");
+        assert_eq!(
+            w.cands.parked(),
+            w.cands.available(),
+            "every visited node launched or parked"
+        );
+        assert!(w.cands.parked() >= 2, "idle nodes are parked");
+        w.audit_invariants().expect("parked with nothing to run");
+        w
+    }
+
+    /// Queue one more store task of job 0, pinned to `node`.
+    fn push_pinned_store(w: &mut SimWorld, node: u32) -> u32 {
+        let id = w.tasks.len() as u32;
+        let kind = TaskKind::Store { producer: 0 };
+        let mut t = Task::new(w.jobs[0].id, 0, kind, SimTime::ZERO);
+        t.pin = node;
+        w.tasks.push(t);
+        w.jobs[0].remaining += 1;
+        w.enqueue_pending(0, &[id]);
+        id
+    }
+
+    #[test]
+    fn a_parked_node_is_visited_again_only_when_it_could_launch() {
+        let mut w = world_with_idle_nodes_parked();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        let parked: Vec<u32> = (0..4).filter(|&n| w.cands.is_parked(n)).collect();
+        // More dispatches with nothing new: nobody is visited.
+        let visits = w.dispatch_visits;
+        w.tasks.pending += 1; // as if a task sat out a retry backoff
+        w.dispatch(SimTime::ZERO, &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        w.tasks.pending -= 1;
+        assert_eq!(w.dispatch_visits, visits, "parked nodes were rescanned");
+        assert!(
+            !w.dispatch_starved,
+            "a parked node is available: pending work is not starved of nodes"
+        );
+        // A task pinned to one of them wakes that one alone ...
+        let (first, second) = (parked[0], parked[1]);
+        push_pinned_store(&mut w, first);
+        assert!(w.cands.is_live(first) && w.cands.is_parked(second));
+        w.audit_invariants()
+            .expect("the pinned task's node is live");
+        // ... a slot change wakes its own node ...
+        w.note_slot_change(second);
+        assert!(w.cands.is_live(second));
+        // ... and a task anyone may run wakes them all.
+        w.cands.park(second);
+        let id = w.tasks.len() as u32;
+        let kind = TaskKind::Compute { part: 0 };
+        w.tasks
+            .push(Task::new(w.jobs[0].id, 0, kind, SimTime::ZERO));
+        w.enqueue_pending(0, &[id]);
+        assert_eq!(w.cands.parked(), 0);
+        w.audit_invariants().expect("nobody is parked");
+    }
+
+    #[test]
+    fn work_repinned_onto_a_parked_node_unparks_it() {
+        // `repin_pinned_off` is the second way into a `prefs_q`: a flush
+        // pinned to a node that dies moves to the replacement node — node 0,
+        // parked here — without passing through `enqueue_pending`. Without
+        // the un-park there the flush sits on a node no dispatch visits.
+        // (In a crash that also kills running attempts, `fail_task` happens
+        // to wake everyone first; the audit holds this site to the rule on
+        // its own.)
+        let mut w = world_with_idle_nodes_parked();
+        let victim = (1..4)
+            .find(|&n| w.cands.is_parked(n))
+            .expect("a parked node besides node 0");
+        let id = push_pinned_store(&mut w, victim);
+        w.cands.park(0);
+        w.node_up[victim as usize] = false;
+        w.free_slots[victim as usize] = 0;
+        w.note_slot_change(victim);
+        w.repin_pinned_off(victim);
+        assert_eq!(w.tasks.pin[id as usize], 0, "re-pinned to the replacement");
+        assert!(w.cands.is_live(0), "the replacement node must wake");
+        w.audit_invariants().expect("no parked node has work");
+        // Teeth: the same state with node 0 parked is what the audit is for.
+        w.cands.park(0);
+        let err = w.audit_invariants().expect_err("node 0 parked with work");
+        assert!(
+            err.contains("node 0 is parked with a pending task"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn runs_whose_visits_have_effects_park_nobody() {
+        // ELB, CAD, delay scheduling and speculation each do something per
+        // visit, launch or not; with any of them on, every available node
+        // stays a candidate.
+        let wait = SimDuration::from_secs_f64(10.0);
+        for cfg in [
+            EngineConfig::default().with_elb(),
+            EngineConfig::default().with_cad(),
+            EngineConfig::default().with_delay_scheduling(wait),
+            EngineConfig::default().with_speculation(),
+        ] {
+            let mut w = SimWorld::new(tiny(4), cfg);
+            assert!(!w.visits_are_pure());
+            let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+            w.submit_job(SimTime::ZERO, placed_plan(2), &mut out);
+            w.dispatch(SimTime::ZERO, &mut out);
+            assert_eq!(w.cands.parked(), 0);
+            w.audit_invariants().expect("nobody parked");
+        }
+    }
+
     #[test]
     fn blacklisted_node_restart_rejoins_and_redispatches() {
         // Regression (dispatch wedge bugfix, recovery side): a fully
@@ -4381,10 +4595,7 @@ mod tests {
         Model::handle(&mut w, t1, Ev::NodeRestart { node: 2 }, &mut out2);
         assert!(!w.blacklisted[2]);
         assert!(!w.dispatch_starved);
-        assert!(
-            w.avail.contains(&2),
-            "node 2 re-entered the availability set"
-        );
+        assert!(w.cands.is_live(2), "node 2 re-entered the candidate set");
         assert!(
             out2.into_items()
                 .iter()

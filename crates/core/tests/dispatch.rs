@@ -1,0 +1,195 @@
+//! The dispatch candidate set (DESIGN.md §4.12), from outside the engine:
+//! parking idle nodes changes how many nodes a `Dispatch` looks at, never
+//! what it launches, where, or when.
+
+#![allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+
+use memres_cluster::{hyperion, tiny};
+use memres_core::prelude::*;
+use memres_des::time::SimDuration;
+use memres_des::units::MB;
+
+/// Synthetic GroupBy: `parts` producers of 32 MB, as many store tasks, then
+/// `reducers` fetch tasks.
+fn groupby(parts: usize, reducers: u32) -> Rdd {
+    Rdd::source(Dataset::synthetic(
+        parts as f64 * 32.0 * MB,
+        32.0 * MB,
+        100.0,
+    ))
+    .map("gen", SizeModel::new(1.0, 1.0, 2e8), |r| r)
+    .group_by_key(Some(reducers), 1e9)
+}
+
+fn lustre_fifo() -> EngineConfig {
+    EngineConfig {
+        input: InputSource::Lustre,
+        scheduler: SchedulerKind::Fifo,
+        ..EngineConfig::default()
+    }
+}
+
+#[test]
+fn storing_tail_visits_grow_with_launches_not_with_idle_nodes() {
+    // 512 nodes whose speeds differ, so their pinned store tasks — 32 each
+    // for 16 slots — run out at different times: for the tail of the
+    // storing phase most of the cluster idles with nothing it may run while
+    // `Dispatch` keeps firing, once per finish.
+    // Walking the idle nodes each time (twice: one pass per round) is what
+    // made `scale_10k_4m` visit 1.1 G candidates for 8 M tasks.
+    let workers = 512;
+    let parts = workers * 16 * 2;
+    let mut d = Driver::new(hyperion().scaled_workers(workers as u32), lustre_fifo());
+    let (out, m) = d
+        .run_audited(&groupby(parts, 64), Action::Count, 1_009)
+        .expect("audited run");
+    assert!(!out.aborted);
+    assert_eq!(m.tasks.len(), 2 * parts + 64);
+    // Fault-free: every task launched once and finished once.
+    let launches_and_finishes = 2 * m.tasks.len() as u64;
+    let visits = d.world().dispatch_visits;
+    assert!(
+        visits <= 4 * launches_and_finishes,
+        "{visits} candidate visits for {} tasks: dispatch is rescanning idle nodes",
+        m.tasks.len()
+    );
+    // The tail is real: the first node to run out of flushes idles for a
+    // good part of the phase while the last one works through its own.
+    let mut done_at = vec![0.0f64; workers];
+    for t in m.tasks_in(Phase::Storing) {
+        done_at[t.node as usize] = done_at[t.node as usize].max(t.finished_at);
+    }
+    let began = m
+        .tasks_in(Phase::Storing)
+        .map(|t| t.launched_at)
+        .fold(f64::INFINITY, f64::min);
+    let first = done_at.iter().copied().fold(f64::INFINITY, f64::min);
+    let last = done_at.iter().copied().fold(0.0, f64::max);
+    assert!(
+        last - first > 0.2 * (last - began),
+        "no storing tail: nodes ran out of flushes between {first} and {last}, from {began}"
+    );
+}
+
+#[test]
+fn flushes_repinned_by_a_crash_wake_the_idle_replacement() {
+    // Node 0 is down while the producers run, so it owns no flush; back up
+    // during the storing phase it is visited, finds nothing pinned to it,
+    // and is parked. Then node 2 dies with flushes still queued (12 of them
+    // for its 2 slots): they re-pin to node 0, which must be live again by
+    // the next `Dispatch` or they sit on a node nobody visits and the job
+    // never ends. (Two things un-park it: the attempts that died with node 2
+    // turning pending again, and `repin_pinned_off` itself — the unit test
+    // `work_repinned_onto_a_parked_node_unparks_it` takes the latter alone.)
+    let cfg = |plan: FaultPlan| lustre_fifo().homogeneous().with_faults(plan);
+    let job = groupby(36, 4);
+    let node0_down = |back_after: f64| {
+        let kind = FaultKind::NodeCrash {
+            node: 0,
+            restart: Some(SimDuration::from_secs_f64(back_after)),
+        };
+        FaultPlan::new().after(SimDuration::from_millis(1), kind)
+    };
+    // Without node 0 for the whole job: when do node 2's flushes launch?
+    let (_, m) = Driver::new(tiny(4), cfg(node0_down(1e6))).run(&job, Action::Count);
+    let mut waves: Vec<f64> = m
+        .tasks_in(Phase::Storing)
+        .filter(|t| t.node == 2)
+        .map(|t| t.launched_at - m.started_at)
+        .collect();
+    waves.dedup();
+    assert!(waves.len() >= 4, "node 2 flushes in {} waves", waves.len());
+    assert!(waves.windows(2).all(|w| w[0] < w[1]));
+    // Node 0 returns between the first two waves, node 2 dies between the
+    // next two — with at least one more wave of its flushes still queued.
+    let back_at = (waves[0] + waves[1]) / 2.0;
+    let crash_at = (waves[1] + waves[2]) / 2.0;
+    let crash = FaultKind::NodeCrash {
+        node: 2,
+        restart: None,
+    };
+    let plan = node0_down(back_at - 1e-3).after(SimDuration::from_secs_f64(crash_at), crash);
+    let mut d = Driver::new(tiny(4), cfg(plan));
+    let (out, m) = d
+        .run_audited(&job, Action::Count, 1)
+        .expect("the re-pinned flushes must run");
+    assert!(!out.aborted);
+    assert_eq!((m.recovery.node_crashes, m.recovery.node_restarts), (2, 1));
+    let rehosted = m
+        .tasks_in(Phase::Storing)
+        .filter(|t| t.node == 0 && t.launched_at - m.started_at >= crash_at)
+        .count();
+    assert!(
+        rehosted >= 2,
+        "{rehosted} flushes ran on the replacement node"
+    );
+}
+
+/// The paper's GroupBy shape: generated 256 MB splits, one reducer per slot.
+fn paper_groupby(total_gb: f64) -> Rdd {
+    Rdd::source(Dataset::generated(
+        total_gb * 1024.0 * MB,
+        256.0 * MB,
+        100.0,
+    ))
+    .map("genKV", SizeModel::new(1.0, 1.0, 900.0e6), |r| r)
+    .group_by_key(None, 1.0e9)
+}
+
+/// FNV-1a over the JSONL event log — every event, field and timestamp of
+/// the run feeds it — and how often `marker` occurs in the log.
+fn trace_digest(cfg: EngineConfig, job: &Rdd, marker: &str) -> (u64, usize) {
+    let mut d = Driver::new(hyperion().scaled_workers(8), cfg.with_trace());
+    let (out, _) = d.run(job, Action::Count);
+    assert!(!out.aborted);
+    let jsonl = memres_trace::export::events_jsonl(&d.take_trace());
+    let digest = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (digest, jsonl.matches(marker).count())
+}
+
+#[test]
+fn traces_are_pinned_with_and_without_the_mechanisms_that_forbid_parking() {
+    // Digests captured at commit 45bf5f3 (dispatch walking a `BTreeSet` of
+    // every available node): the exact event log — each launch with its node
+    // and instant, each ELB decline, delay wait and speculative duplicate —
+    // must not move, in runs that park idle nodes (plain FIFO) and in the
+    // four kinds of run that must not, because a visit there does something
+    // even when it launches nothing. The marker counts show the mechanism
+    // at work in its run; CAD leaves no event of its own at this size, but
+    // spaces the flushes out: same job, same store, and its log is not
+    // `fifo_ssd`'s.
+    let wait = SimDuration::from_millis(300);
+    let ssd = EngineConfig {
+        shuffle: ShuffleStore::Local(StoreDevice::Ssd),
+        ..lustre_fifo()
+    };
+    let skewed = EngineConfig {
+        speed_sigma: 0.35,
+        ..ssd.clone()
+    };
+    let delay = EngineConfig::default().with_delay_scheduling(wait);
+    let (small, large) = (paper_groupby(40.0), paper_groupby(120.0));
+    let placed = groupby(8 * 16 * 3, 48);
+    #[rustfmt::skip]
+    let cases: Vec<(&str, EngineConfig, &Rdd, &str, u64, usize)> = vec![
+        ("fifo", lustre_fifo(), &small, "task_launched", 0x1520_9dde_4359_3e8c, 448),
+        ("fifo_ssd", ssd.clone(), &large, "task_launched", 0x88e1_864b_5ffe_c76d, 1088),
+        ("fifo_hdfs", EngineConfig::default(), &placed, "task_launched", 0x9c6c_7dcf_e9e5_3c60, 816),
+        ("elb", ssd.clone().with_elb(), &small, "elb_decline", 0x9282_3c25_6526_5a8e, 362),
+        ("cad", ssd.with_cad(), &large, "task_launched", 0x283c_0de3_e8db_634a, 1088),
+        ("delay", delay, &placed, "delay_wait", 0x53ff_beaa_b576_9ab3, 1069),
+        ("speculation", skewed.with_speculation(), &small, "speculate", 0x1851_d8d6_279e_c5f7, 7),
+    ];
+    for (name, cfg, job, marker, digest, count) in cases {
+        let got = trace_digest(cfg, job, marker);
+        assert_eq!(
+            got,
+            (digest, count),
+            "{name}: trace moved (got {:#018x}, {} x {marker})",
+            got.0,
+            got.1
+        );
+    }
+}

@@ -1,18 +1,22 @@
 //! The event calendar: a time-ordered priority queue with FIFO tie-breaking.
 //!
-//! [`EventQueue`] is a bucketed calendar queue: fixed-width time buckets
-//! spanning one "year" of `nbuckets` slots, each bucket an ascending
-//! `(time, seq)` run popped from the front, with a sorted overflow tier
-//! (binary heap) for events beyond the current year. The structure resizes
-//! itself on load factor and re-estimates its bucket width from the
-//! inter-quartile spread of buffered event times, so both dense
-//! same-instant storms and sparse far-future timers stay O(1)-ish.
+//! [`EventQueue`] pops in exactly ascending `(time, seq)` order — events
+//! scheduled at the same instant pop in insertion order, which keeps
+//! simulations deterministic — from two tiers sized to the traffic a
+//! simulation produces. The **same-instant lane** is a plain FIFO of events
+//! pushed at exactly the time of the last pop (`Outbox::immediately`: two
+//! fifths or more of all pushes), which need no ordering structure and
+//! store no key; the **ordered tier**, a `BinaryHeap` keyed on
+//! `(time, seq)`, takes the rest. A heap, not a bucketed calendar queue,
+//! whose O(1) is for evenly spread times: this traffic comes in task waves
+//! that swing the length by three orders of magnitude, and on recorded
+//! push/pop sequences the heap behind the lane costs half of what a
+//! self-resizing calendar does (DESIGN.md §4.1).
 //!
-//! It pops in exactly ascending `(time, seq)` order; events scheduled at
-//! the same instant pop in insertion order, which keeps simulations
-//! deterministic. A plain `BinaryHeap` over the same entries is the
-//! test-only oracle the calendar is differentially checked against
-//! (`calendar_matches_heap`).
+//! Times need not be monotone: a push earlier than the last pop is legal
+//! (the simulation loop clamps to `now`; the queue does not rely on it).
+//! `proptests::matches_heap_oracle` checks every operation against a plain
+//! heap without a lane.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -42,33 +46,23 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Smallest and largest bucket counts the calendar will resize between.
-const MIN_BUCKETS: usize = 64;
-const MAX_BUCKETS: usize = 1 << 20;
-
-/// Time-ordered event queue. Events scheduled at the same instant pop in
-/// insertion order, which keeps simulations deterministic. Invariants:
+/// Time-ordered event queue. Invariants:
 ///
-/// * every buffered entry has `slot(time) >= base_slot`;
-/// * entries with `slot(time) < year_limit` live in `buckets[slot & mask]`,
-///   the rest in `overflow`;
-/// * `year_limit - base-of-year == nbuckets`, so each bucket holds at most
-///   one distinct slot and its deque is ascending in `(time, seq)`.
+/// * every `lane` entry's time is `lane_time`, and the lane is in push
+///   order;
+/// * every `ordered` entry at `lane_time` was pushed before the lane's
+///   first entry (an empty lane may open at any time — nothing already
+///   buffered can be younger than it — and while it holds entries a push at
+///   `lane_time` can only join it), so on a tie the ordered tier pops first;
+/// * while the lane is empty, `lane_time` is the time of the last pop.
 pub struct EventQueue<E> {
-    buckets: Vec<VecDeque<Entry<E>>>,
-    mask: u64,
-    /// Nanoseconds per slot (>= 1).
-    width: u64,
-    /// Cursor: no buffered entry is earlier than this slot.
-    base_slot: u64,
-    /// First slot beyond the current year; fixed until the year drains.
-    year_limit: u64,
-    /// Entries currently in `buckets` (the rest are in `overflow`).
-    in_year: usize,
-    overflow: BinaryHeap<Entry<E>>,
-    len: usize,
-    /// Insertion counter: the FIFO tie-break among equal times.
-    seq: u64,
+    ordered: BinaryHeap<Entry<E>>,
+    lane: VecDeque<E>,
+    lane_time: SimTime,
+    /// Pushes that went through the ordered tier (the lane served the rest),
+    /// which makes it the FIFO tie-break of the next one. Public as a test
+    /// hook in the style of `FlowNet::next_scans`.
+    pub ordered_pushes: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -80,223 +74,79 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
-            mask: (MIN_BUCKETS - 1) as u64,
-            width: 1 << 10,
-            base_slot: 0,
-            year_limit: MIN_BUCKETS as u64,
-            in_year: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
-            seq: 0,
+            ordered: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            lane_time: SimTime::ZERO,
+            ordered_pushes: 0,
         }
-    }
-
-    #[inline]
-    fn slot_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.width
     }
 
     pub fn push(&mut self, time: SimTime, event: E) {
-        let entry = Entry {
+        if time == self.lane_time {
+            self.lane.push_back(event);
+            return;
+        }
+        self.ordered.push(Entry {
             time,
-            seq: self.seq,
+            seq: self.ordered_pushes,
             event,
-        };
-        self.seq += 1;
-        let s = self.slot_of(time);
-        if self.len == 0 {
-            // Re-anchor an empty calendar on the incoming event: cheap, and
-            // it makes backward time jumps after a full drain free.
-            self.base_slot = s;
-            self.year_limit = s + self.buckets.len() as u64;
-        }
-        self.len += 1;
-        if s < self.base_slot {
-            // An event earlier than the cursor (never produced by the
-            // simulation loop, which clamps to `now`, but the queue contract
-            // allows it). Re-anchor and redistribute everything.
-            self.insert(entry);
-            self.rebuild(self.buckets.len());
-            return;
-        }
-        self.insert(entry);
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.buckets.len() * 2);
-        }
-    }
-
-    /// Place one entry in its tier. Requires `len` already counted.
-    fn insert(&mut self, entry: Entry<E>) {
-        let s = self.slot_of(entry.time);
-        if s < self.base_slot || s >= self.year_limit {
-            self.overflow.push(entry);
-            return;
-        }
-        let b = &mut self.buckets[(s & self.mask) as usize];
-        let key = (entry.time, entry.seq);
-        // Monotone (time, seq) pushes — the common case — land at the back.
-        if b.back().is_none_or(|e| (e.time, e.seq) < key) {
-            b.push_back(entry);
-        } else {
-            let at = b.partition_point(|e| (e.time, e.seq) < key);
-            b.insert(at, entry);
-        }
-        self.in_year += 1;
+        });
+        self.ordered_pushes += 1;
     }
 
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
+        // On a tie the ordered tier goes first: its entry is the older push.
+        let ordered_first = |e: &Entry<E>| e.time <= self.lane_time;
+        if !self.lane.is_empty() && !self.ordered.peek().is_some_and(ordered_first) {
+            return self.lane.pop_front().map(|e| (self.lane_time, e));
         }
-        if self.in_year == 0 {
-            self.start_year_at_overflow_min();
+        let e = self.ordered.pop()?;
+        if self.lane.is_empty() {
+            self.lane_time = e.time;
         }
-        loop {
-            let b = &mut self.buckets[(self.base_slot & self.mask) as usize];
-            if let Some(e) = b.pop_front() {
-                self.in_year -= 1;
-                self.len -= 1;
-                if self.len * 8 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
-                    // Popping never reorders, so rebuilding after the pop is
-                    // safe; it also re-estimates the width for the survivors.
-                    self.rebuild(self.buckets.len() / 2);
-                }
-                return Some((e.time, e.event));
-            }
-            // Empty bucket: advance the cursor. `in_year > 0` guarantees a
-            // nonempty bucket strictly before `year_limit`.
-            self.base_slot += 1;
-            debug_assert!(self.base_slot < self.year_limit, "year lost entries");
-        }
+        Some((e.time, e.event))
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.in_year == 0 {
-            return self.overflow.peek().map(|e| e.time);
-        }
-        let mut s = self.base_slot;
-        while s < self.year_limit {
-            if let Some(e) = self.buckets[(s & self.mask) as usize].front() {
-                return Some(e.time);
-            }
-            s += 1;
-        }
-        unreachable!("in_year > 0 but no bucket holds an entry");
+        let lane = (!self.lane.is_empty()).then_some(self.lane_time);
+        lane.into_iter()
+            .chain(self.ordered.peek().map(|e| e.time))
+            .min()
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.ordered.len() + self.lane.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ordered.is_empty() && self.lane.is_empty()
     }
 
-    /// Calendar health for engine self-stats (DESIGN.md §4.16).
+    /// Give back the capacity a past peak left behind (between jobs: a
+    /// handful of timers in buffers sized for the last job's widest wave).
+    pub fn shrink_to_fit(&mut self) {
+        self.ordered.shrink_to_fit();
+        self.lane.shrink_to_fit();
+    }
+
+    /// How the buffered events split between the tiers (DESIGN.md §4.16).
     pub fn stats(&self) -> QueueStats {
         QueueStats {
-            buckets: self.buckets.len(),
-            width_nanos: self.width,
-            in_year: self.in_year,
-            overflow: self.overflow.len(),
-        }
-    }
-
-    /// All buckets drained: begin a new year at the earliest overflow event
-    /// and migrate everything that falls inside it.
-    fn start_year_at_overflow_min(&mut self) {
-        let first = self
-            .overflow
-            .peek()
-            .map(|e| self.slot_of(e.time))
-            .expect("len > 0 with empty buckets implies overflow entries");
-        self.base_slot = first;
-        self.year_limit = first + self.buckets.len() as u64;
-        while let Some(e) = self.overflow.peek() {
-            if self.slot_of(e.time) >= self.year_limit {
-                break;
-            }
-            let e = self.overflow.pop().expect("peeked entry exists");
-            // Heap pops ascend in (time, seq), so these land at bucket backs.
-            self.insert(e);
-        }
-    }
-
-    /// Redistribute everything across `new_nbuckets` buckets, re-anchoring
-    /// the cursor at the earliest entry and re-estimating the slot width
-    /// from the inter-quartile spread of buffered times.
-    fn rebuild(&mut self, new_nbuckets: usize) {
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.extend(b.drain(..));
-        }
-        all.extend(std::mem::take(&mut self.overflow).into_vec());
-        all.sort_unstable_by_key(|e| (e.time, e.seq));
-
-        let n = new_nbuckets.clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if self.buckets.len() != n {
-            self.buckets = (0..n).map(|_| VecDeque::new()).collect();
-            self.mask = (n - 1) as u64;
-        }
-        self.width = estimate_width(&all);
-        self.in_year = 0;
-        self.base_slot = all.first().map_or(0, |e| self.slot_of(e.time));
-        self.year_limit = self.base_slot + n as u64;
-        for e in all {
-            // Sorted order: in-bucket inserts are all back-pushes.
-            self.insert(e);
+            lane: self.lane.len(),
+            ordered: self.ordered.len(),
         }
     }
 }
 
-/// Fallback slot width when the buffered times carry no usable spread:
-/// fewer than four samples, or an inter-quartile span of ~0 (a same-instant
-/// event storm). Matches the width a fresh calendar starts with.
-const DEFAULT_WIDTH: u64 = 1 << 10;
-
-/// Slot width from the inter-quartile time spread: the central half of the
-/// events should occupy about half the buckets, leaving the rest of the year
-/// for the tails. Far-future sentinels (e.g. `SimTime::FAR_FUTURE` timers)
-/// sit outside the quartiles and fall to the overflow tier instead of
-/// stretching the width.
-///
-/// When the quartiles coincide (all times clustered in one instant — common
-/// right after a shrink rebuild from a near-empty queue), the spread carries
-/// no information; `span / k` would pin the width to 1 ns and every later
-/// push lands years ahead of the cursor, forcing worst-case bucket scans and
-/// overflow churn until the next rebuild. Fall back to the default width
-/// instead — the width only affects scan cost, never pop order, so the
-/// clamp is behavior-neutral (see the `calendar_matches_heap` proptest).
-fn estimate_width<E>(sorted: &[Entry<E>]) -> u64 {
-    let n = sorted.len();
-    if n < 4 {
-        return DEFAULT_WIDTH;
-    }
-    let q1 = sorted[n / 4].time.as_nanos();
-    let q3 = sorted[(3 * n) / 4].time.as_nanos();
-    let span = q3.saturating_sub(q1);
-    if span == 0 {
-        return DEFAULT_WIDTH;
-    }
-    (span / (n as u64 / 2).max(1)).max(1)
-}
-
-/// Calendar-queue health snapshot: bucket count, slot width, and how the
-/// buffered events split between the in-year buckets and the overflow heap.
+/// Events waiting in each tier (`lane + ordered == len()`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    pub buckets: usize,
-    pub width_nanos: u64,
-    pub in_year: usize,
-    pub overflow: usize,
+    pub lane: usize,
+    pub ordered: usize,
 }
 
-/// The reference the calendar is differentially tested against: a plain
-/// `BinaryHeap` over the same `(time, seq)`-ordered entries.
+/// The reference the queue is differentially tested against: a plain
+/// `BinaryHeap` over `(time, seq)`-ordered entries, no lane.
 #[cfg(test)]
 struct HeapOracle<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -320,6 +170,10 @@ impl<E> HeapOracle<E> {
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
     }
 
     fn len(&self) -> usize {
@@ -366,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_sentinels_stay_in_overflow() {
+    fn far_future_sentinels_pop_last() {
         let mut q = EventQueue::new();
         q.push(SimTime::FAR_FUTURE, u32::MAX);
         for i in 0..1000u32 {
@@ -379,9 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn grows_and_shrinks_through_load() {
+    fn stays_ordered_through_load() {
         let mut q = EventQueue::new();
-        // Enough events to force several calendar rebuilds both ways.
         for i in 0..50_000u64 {
             q.push(SimTime(i * 7919 % 65_536), i);
         }
@@ -393,65 +246,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 50_000);
-    }
-
-    #[test]
-    fn clustered_times_fall_back_to_default_width() {
-        // All samples in one instant: the inter-quartile span is 0 and the
-        // estimator must return the default width, not degenerate to 1 ns.
-        let entries: Vec<Entry<u32>> = (0..64)
-            .map(|i| Entry {
-                time: SimTime(5_000),
-                seq: i,
-                event: 0,
-            })
-            .collect();
-        assert_eq!(estimate_width(&entries), DEFAULT_WIDTH);
-        // A genuine spread still estimates from the quartiles.
-        let spread: Vec<Entry<u32>> = (0..64)
-            .map(|i| Entry {
-                time: SimTime(i * 1_000_000),
-                seq: i,
-                event: 0,
-            })
-            .collect();
-        let w = estimate_width(&spread);
-        assert!(w > 1, "spread times should not pin the width to 1");
-        assert_ne!(w, DEFAULT_WIDTH, "estimator should use the real spread");
-    }
-
-    #[test]
-    fn shrink_on_clustered_survivors_then_grow_stays_ordered() {
-        // Fill well past a grow rebuild, then drain until the shrink rebuild
-        // fires with only same-instant survivors — the case that used to
-        // re-estimate width = 1. Then grow again with spread times and check
-        // the queue still pops in exact (time, seq) order against the heap.
-        let mut cal = EventQueue::new();
-        let mut heap = HeapOracle::new();
-        for i in 0..4_096u64 {
-            // Most events early and spread; a cluster of late stragglers.
-            let t = if i % 16 == 0 { 9_999_999 } else { i * 631 };
-            cal.push(SimTime(t), i);
-            heap.push(SimTime(t), i);
-        }
-        // Drain down to the same-instant cluster: forces shrink rebuilds
-        // whose survivors all share t = 9_999_999.
-        for _ in 0..3_840 {
-            assert_eq!(cal.pop(), heap.pop());
-        }
-        // Grow again from the degenerate state with spread times.
-        for i in 0..4_096u64 {
-            let t = 10_000_000 + i * 977;
-            cal.push(SimTime(t), 100_000 + i);
-            heap.push(SimTime(t), 100_000 + i);
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if b.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]
@@ -468,12 +262,179 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(3), 999)));
         assert_eq!(q.pop(), Some((SimTime(1_000_050), 50)));
     }
+
+    #[test]
+    fn same_instant_pushes_do_no_ordered_tier_work() {
+        let mut q = EventQueue::new();
+        q.push(SimTime(10), 0u32);
+        q.push(SimTime(20), 1);
+        assert_eq!(q.pop(), Some((SimTime(10), 0)));
+        assert_eq!(q.ordered_pushes, 2);
+        // `Outbox::immediately` traffic: pushed at exactly the instant just
+        // popped, drained before the clock moves.
+        for i in 100..1_100 {
+            q.push(SimTime(10), i);
+        }
+        assert_eq!(q.len(), 1_001);
+        assert_eq!(
+            q.stats(),
+            QueueStats {
+                lane: 1_000,
+                ordered: 1
+            }
+        );
+        assert_eq!(q.peek_time(), Some(SimTime(10)));
+        for i in 100..1_100 {
+            assert_eq!(q.pop(), Some((SimTime(10), i)));
+            // A handler scheduling its follow-up at once: still the lane.
+            if i % 100 == 0 {
+                q.push(SimTime(10), i + 10_000);
+            }
+        }
+        for i in (100..1_100).filter(|i| i % 100 == 0) {
+            assert_eq!(q.pop(), Some((SimTime(10), i + 10_000)));
+        }
+        let ordered = QueueStats {
+            lane: 0,
+            ordered: 1,
+        };
+        assert_eq!(
+            (q.ordered_pushes, q.stats()),
+            (2, ordered),
+            "the lane touched the ordered tier"
+        );
+        assert_eq!(q.pop(), Some((SimTime(20), 1)));
+    }
+
+    #[test]
+    fn lane_yields_to_older_ordered_entries_of_the_same_instant() {
+        let mut q = EventQueue::new();
+        for tag in ["a", "b", "c"] {
+            q.push(SimTime(5), tag);
+        }
+        assert_eq!(q.pop(), Some((SimTime(5), "a")));
+        // Pushed at the instant just popped, but after "b" and "c".
+        q.push(SimTime(5), "d");
+        assert_eq!(
+            q.stats(),
+            QueueStats {
+                lane: 1,
+                ordered: 2
+            }
+        );
+        assert_eq!(q.pop(), Some((SimTime(5), "b")));
+        q.push(SimTime(5), "e");
+        assert_eq!(q.pop(), Some((SimTime(5), "c")));
+        assert_eq!(q.pop(), Some((SimTime(5), "d")));
+        assert_eq!(q.pop(), Some((SimTime(5), "e")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn backward_push_while_the_lane_holds_entries() {
+        let mut q = EventQueue::new();
+        q.push(SimTime(100), "first");
+        assert_eq!(q.pop(), Some((SimTime(100), "first")));
+        q.push(SimTime(100), "lane-1");
+        // Earlier than the last pop, with the lane occupied: it must come
+        // out first, and the lane must keep collecting its own instant
+        // afterwards (not the earlier one) or "late" would overtake "lane-2".
+        q.push(SimTime(40), "early");
+        assert_eq!(q.peek_time(), Some(SimTime(40)));
+        assert_eq!(q.pop(), Some((SimTime(40), "early")));
+        q.push(SimTime(100), "lane-2");
+        q.push(SimTime(40), "late");
+        assert_eq!(q.pop(), Some((SimTime(40), "late")));
+        assert_eq!(q.pop(), Some((SimTime(100), "lane-1")));
+        assert_eq!(q.pop(), Some((SimTime(100), "lane-2")));
+        assert_eq!(q.pop(), None);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The queue under test and the oracle, fed the same operations; every
+    /// operation checks that they still agree on `len` and `peek_time`.
+    struct Pair {
+        q: EventQueue<u64>,
+        oracle: HeapOracle<u64>,
+        tag: u64,
+        last_pop: SimTime,
+    }
+
+    impl Pair {
+        fn agree(&self) -> Result<(), String> {
+            let (q, oracle) = (&self.q, &self.oracle);
+            let s = q.stats();
+            if q.len() != oracle.len()
+                || q.is_empty() != (oracle.len() == 0)
+                || s.lane + s.ordered != oracle.len()
+            {
+                return Err(format!("len {} ({s:?}) vs {}", q.len(), oracle.len()));
+            }
+            if q.peek_time() != oracle.peek_time() {
+                return Err(format!(
+                    "peek {:?} vs {:?}",
+                    q.peek_time(),
+                    oracle.peek_time()
+                ));
+            }
+            Ok(())
+        }
+
+        fn push(&mut self, t: SimTime) -> Result<(), String> {
+            self.q.push(t, self.tag);
+            self.oracle.push(t, self.tag);
+            self.tag += 1;
+            self.agree()
+        }
+
+        fn pop(&mut self) -> Result<(), String> {
+            let (got, want) = (self.q.pop(), self.oracle.pop());
+            if got != want {
+                return Err(format!("popped {got:?}, the oracle {want:?}"));
+            }
+            if let Some((t, _)) = got {
+                self.last_pop = t;
+            }
+            self.agree()
+        }
+
+        /// One generated operation: the traffic a simulation produces.
+        fn apply(&mut self, kind: u8, a: u64, b: u64) -> Result<(), String> {
+            let last = self.last_pop.as_nanos();
+            match kind {
+                // A handler's `immediately` burst at the instant just popped
+                // (into an empty lane, or behind one that is not).
+                0 | 1 => (0..1 + b % 6).try_for_each(|_| self.push(SimTime(last))),
+                // A task wave: thousands of completions at one future time.
+                2 => {
+                    let at = SimTime(last.saturating_add(1 + a * 1_000));
+                    (0..b).try_for_each(|_| self.push(at))
+                }
+                // Drain to near-empty; the operations after it refill.
+                3 => {
+                    while self.q.len() > (b % 17) as usize {
+                        self.pop()?;
+                    }
+                    Ok(())
+                }
+                // Earlier than the last pop: legal per the queue contract,
+                // also while the lane holds entries.
+                4 => self.push(SimTime(last.saturating_sub(1 + a))),
+                5 => self.push(SimTime::FAR_FUTURE),
+                // Random times across regimes: same-instant storms,
+                // microsecond clusters, far-future outliers.
+                6 => self.push(SimTime(a / 100)),
+                7 => self.push(SimTime(a * 1_000_003)),
+                8 => self.push(SimTime(a.saturating_mul(u64::MAX / 5_000))),
+                _ => (0..1 + b % 4).try_for_each(|_| self.pop()),
+            }
+        }
+    }
 
     proptest! {
         /// Popped times are a non-decreasing sequence, and every pushed
@@ -496,39 +457,30 @@ mod proptests {
             prop_assert!(seen.into_iter().all(|s| s));
         }
 
-        /// Differential: the calendar queue pops in exactly the same order
-        /// as the `BinaryHeap` oracle on interleaved push/pop streams mixing
-        /// clustered, spread, and far-future times.
+        /// Differential: the queue pops in exactly the order of the
+        /// `BinaryHeap` oracle, with `len` and `peek_time` agreeing after
+        /// every operation, on interleaved streams of [`Pair::apply`]'s
+        /// operations.
         #[test]
-        fn calendar_matches_heap(
-            ops in proptest::collection::vec(
-                (0u64..5_000, 0u8..4, any::<bool>()), 1..400)
+        fn matches_heap_oracle(
+            ops in proptest::collection::vec((0u8..10, 0u64..5_000, 0u64..4_000), 1..120)
         ) {
-            let mut cal = EventQueue::new();
-            let mut heap = HeapOracle::new();
-            for (i, &(t, scale, pop)) in ops.iter().enumerate() {
-                // Scale stretches times across regimes: same-instant storms,
-                // microsecond clusters, and far-future outliers.
-                let t = match scale {
-                    0 => t / 100,
-                    1 => t,
-                    2 => t * 1_000_003,
-                    _ => t.saturating_mul(u64::MAX / 5_000),
-                };
-                cal.push(SimTime(t), i);
-                heap.push(SimTime(t), i);
-                if pop {
-                    prop_assert_eq!(cal.pop(), heap.pop());
-                }
+            let mut pair = Pair {
+                q: EventQueue::new(),
+                oracle: HeapOracle::new(),
+                tag: 0,
+                last_pop: SimTime::ZERO,
+            };
+            for (i, &(kind, a, b)) in ops.iter().enumerate() {
+                let r = pair.apply(kind, a, b);
+                prop_assert!(r.is_ok(), "op {i} {:?}: {r:?}", (kind, a, b));
             }
-            loop {
-                let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                if b.is_none() {
-                    break;
-                }
+            while !pair.q.is_empty() {
+                let r = pair.pop();
+                prop_assert!(r.is_ok(), "final drain: {r:?}");
             }
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(pair.q.pop(), None);
+            prop_assert_eq!(pair.oracle.len(), 0);
         }
     }
 }

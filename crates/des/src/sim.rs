@@ -12,16 +12,16 @@ use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Engine self-observation snapshot handed to models that opt in via
-/// [`Model::wants_engine_stats`]: processed-event count and calendar health
-/// (DESIGN.md §4.16). Taken after the current event's outbox has been
-/// drained onto the calendar, so `queue` reflects the post-event state.
+/// [`Model::wants_engine_stats`]: processed-event count and event-queue
+/// occupancy (DESIGN.md §4.16). Taken after the current event's outbox has
+/// been drained onto the calendar, so `queue` reflects the post-event state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events processed so far (monotone).
     pub steps: u64,
     /// Events buffered on the calendar.
     pub queue_len: usize,
-    /// Calendar-queue health.
+    /// How they split between the queue's two tiers.
     pub queue: crate::queue::QueueStats,
 }
 
@@ -180,6 +180,12 @@ impl<M: Model> Simulation<M> {
         for (t, e) in out.into_items() {
             self.queue.push(t.max(self.now), e);
         }
+    }
+
+    /// Release the calendar's spare capacity (see
+    /// [`EventQueue::shrink_to_fit`]); for a driver to call between jobs.
+    pub fn shrink_queue(&mut self) {
+        self.queue.shrink_to_fit();
     }
 
     /// Process a single event. Returns `false` when the calendar is empty.

@@ -23,12 +23,11 @@ pub struct SeriesDef {
 
 /// Every registered series name. Keep this list in sync with [`def`] and
 /// with the exporter lists in `export.rs` (lint rule `exhaustive-metrics`).
-pub const ALL_NAMES: [&str; 25] = [
+pub const ALL_NAMES: [&str; 24] = [
     "engine_events_total",
     "engine_events_per_sample",
     "engine_queue_len",
-    "engine_queue_overflow",
-    "engine_queue_buckets",
+    "engine_queue_lane",
     "net_active_flows",
     "net_rack_up_util",
     "net_rack_down_util",
@@ -79,13 +78,12 @@ pub fn def(name: &str) -> Option<SeriesDef> {
             "Events processed since the previous sample",
         ),
         "engine_queue_len" => d("des", "events", None, "Events buffered on the calendar"),
-        "engine_queue_overflow" => d(
+        "engine_queue_lane" => d(
             "des",
             "events",
             None,
-            "Events in the calendar's overflow tier",
+            "Buffered events due at the current instant (the queue's same-instant lane)",
         ),
-        "engine_queue_buckets" => d("des", "buckets", None, "Calendar bucket count"),
         "net_active_flows" => d(
             "net",
             "flows",

@@ -13,12 +13,11 @@ use crate::{Recorder, Series};
 /// `exhaustive-metrics` cross-file lint checks this list against
 /// `catalog::ALL_NAMES` — adding a gauge without listing it here fails the
 /// gate.
-pub const OPENMETRICS_SERIES: [&str; 25] = [
+pub const OPENMETRICS_SERIES: [&str; 24] = [
     "engine_events_total",
     "engine_events_per_sample",
     "engine_queue_len",
-    "engine_queue_overflow",
-    "engine_queue_buckets",
+    "engine_queue_lane",
     "net_active_flows",
     "net_rack_up_util",
     "net_rack_down_util",
@@ -43,12 +42,11 @@ pub const OPENMETRICS_SERIES: [&str; 25] = [
 
 /// Series the CSV exporter knows how to emit (same lint contract as
 /// [`OPENMETRICS_SERIES`]).
-pub const CSV_SERIES: [&str; 25] = [
+pub const CSV_SERIES: [&str; 24] = [
     "engine_events_total",
     "engine_events_per_sample",
     "engine_queue_len",
-    "engine_queue_overflow",
-    "engine_queue_buckets",
+    "engine_queue_lane",
     "net_active_flows",
     "net_rack_up_util",
     "net_rack_down_util",

@@ -55,12 +55,20 @@ echo "ok: $out/bench.json"
 
 echo "== scale smoke (JSON) =="
 # The CI-sized scale cell (192 nodes, past the rack-aggregation threshold)
-# must complete and process events.
+# must complete and process events, without rescanning idle nodes.
 cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" scale >/dev/null
 test -s "$out/scale.json" || { echo "scale.json missing or empty"; exit 1; }
 grep -q '"name": "scale_smoke"' "$out/scale.json" || { echo "scale_smoke did not run"; exit 1; }
 if grep -q '"events": 0,' "$out/scale.json"; then echo "scale_smoke processed no events"; exit 1; fi
-echo "ok: $out/scale.json"
+# Dispatch must look at a node or two per event, not rescan the idle ones:
+# on this cell it visits about half a candidate per event, and a visit count
+# above the event count is the 4 M-task cliff coming back (EXPERIMENTS.md
+# "PR 17") on a cell CI can afford.
+field() { grep '"name": "scale_smoke"' "$out/scale.json" | sed "s/.*\"$1\": \([0-9]*\).*/\1/"; }
+awk -v visits="$(field dispatch_visits)" -v events="$(field events)" \
+  'BEGIN { exit !(visits > 0 && visits <= events) }' \
+  || { echo "scale_smoke: $(field dispatch_visits) dispatch visits for $(field events) events"; exit 1; }
+echo "ok: $out/scale.json ($(field dispatch_visits) dispatch visits / $(field events) events)"
 
 echo "== fault smoke (JSON) =="
 cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" faults >/dev/null

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Sampling profiler for a release binary of this repo, for hosts without
 # `perf`: a SIGPROF timer and `backtrace()` in an LD_PRELOAD shim, resolved
-# against `nm -C`. Prints, per function, the share of samples it is the leaf
-# of (self) and the share it is anywhere on the stack of (inclusive).
+# against `nm -C`. Prints the command's user and system CPU seconds and its
+# page-fault count (`getrusage` as it exits: on the scale cells a third of
+# the time is the kernel faulting memory in, which no sample names), then,
+# per function, the share of samples it is the leaf of (self) and the share
+# it is anywhere on the stack of (inclusive).
 #
 #   scripts/profile.sh [--hz N] [--top N] [--grep REGEX] [--callers REGEX] -- COMMAND [ARGS...]
 #   scripts/profile.sh -- benchmark/target/release/memres-benchmark \
@@ -36,6 +39,7 @@ cat > "$work/prof.c" <<'EOF'
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 
 #define DEPTH 48
@@ -76,6 +80,12 @@ __attribute__((destructor)) static void dump(void) {
     char line[1024];
     while (fgets(line, sizeof line, maps)) fprintf(out, "M %s", line);
     fclose(maps);
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) == 0)
+        fprintf(out, "R %ld.%06ld %ld.%06ld %ld %ld\n",
+                (long)ru.ru_utime.tv_sec, (long)ru.ru_utime.tv_usec,
+                (long)ru.ru_stime.tv_sec, (long)ru.ru_stime.tv_usec,
+                ru.ru_minflt, ru.ru_majflt);
     int n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
     for (int i = 0; i < n; i++) {
         fputc('S', out);
@@ -96,10 +106,12 @@ python3 - "$work/samples" "$top" "$pat" "$callers" <<'EOF'
 import bisect, collections, re, subprocess, sys
 path, top, pat, callee = sys.argv[1], int(sys.argv[2]), re.compile(sys.argv[3]), sys.argv[4]
 # `base`: load bias of each object, the lowest address any segment maps at.
-maps, base, samples, dropped = [], {}, [], False
+maps, base, samples, dropped, usage = [], {}, [], False, None
 for line in open(path):
     f = line.split()
-    if line.startswith("M "):
+    if line.startswith("R "):
+        usage = f[1:]
+    elif line.startswith("M "):
         if len(f) >= 7 and f[6].startswith("/"):
             lo, hi = (int(x, 16) for x in f[1].split("-"))
             base[f[6]] = min(base.get(f[6], lo), lo)
@@ -138,6 +150,9 @@ for stack in samples:
     if callee:
         callers.update({(n, up) for n, up in zip(names, names[1:]) if re.search(callee, n)})
 total = max(1, sum(self_.values()))
+if usage:
+    print("user %.2f s, sys %.2f s, %s minor + %s major page faults" %
+          (float(usage[0]), float(usage[1]), usage[2], usage[3]))
 print("%d samples%s" % (total, " (buffer full: later samples dropped)" if dropped else ""))
 print("%7s %7s  function" % ("self%", "incl%"))
 shown = [n for n, _ in incl.most_common() if pat.search(n)][:top]
