@@ -23,6 +23,35 @@ fn clean_target_exits_zero() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("table1"));
 }
 
+/// The byte-identity check every behaviour-preserving change runs: the whole
+/// stdout of `repro --smoke all` (every figure table at smoke scale; timings
+/// go to stderr) against the checked-in capture.
+#[test]
+fn smoke_all_stdout_is_pinned() {
+    let golden = include_str!("golden/smoke_all.stdout");
+    let out = repro(&["--smoke", "all"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    if stdout == golden {
+        return;
+    }
+    let (got, want) = (stdout.lines(), golden.lines());
+    let line = got.zip(want).take_while(|(g, w)| g == w).count();
+    panic!(
+        "`repro --smoke all` stdout differs from tests/golden/smoke_all.stdout at line {}:\n  \
+         got:  {:?}\n  want: {:?}\n\
+         A deliberate model change re-captures the file in the same commit \
+         (`repro --smoke all > crates/bench/tests/golden/smoke_all.stdout`).",
+        line + 1,
+        stdout.lines().nth(line),
+        golden.lines().nth(line),
+    );
+}
+
 #[test]
 fn aborted_job_exits_one() {
     let out = repro(&["--smoke", "faults-abort"]);
