@@ -224,7 +224,7 @@ pub(crate) fn evaluate(pending: &mut [Pending], threads: usize) -> Vec<ChainOut>
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| loop {
-                    // Held only across `next()`, which cannot panic.
+                    // lint:allow(panic): the lock is held only across `next()`, which cannot panic, so no worker ever poisons it
                     let next = queue.lock().expect("work queue poisoned").next();
                     let Some((entry, slot)) = next else { break };
                     *slot = Some(entry.eval());
@@ -234,6 +234,7 @@ pub(crate) fn evaluate(pending: &mut [Pending], threads: usize) -> Vec<ChainOut>
     }
     results
         .into_iter()
+        // lint:allow(panic): the cursor hands out every (entry, slot) pair and a worker that panicked mid-entry has already propagated out of the scope
         .map(|r| r.expect("the queue hands out every entry before the scope joins"))
         .collect()
 }
@@ -326,7 +327,7 @@ impl KeyIndex {
             i = (i + 1) & mask;
         }
         self.groups.push((hash, key.clone()));
-        // 2^32 distinct keys in one reducer would need >190 GB of records.
+        // lint:allow(panic): 2^32 distinct keys in one reducer would need >190 GB of records
         let n = u32::try_from(self.groups.len()).expect("under 2^32 groups per reducer");
         if self.groups.len() * 2 <= self.table.len() {
             self.table[i] = n;

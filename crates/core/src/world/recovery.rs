@@ -1,0 +1,684 @@
+//! Fault handling and recovery (DESIGN.md §4.9).
+
+#![allow(clippy::indexing_slicing)]
+
+use super::*;
+
+impl SimWorld {
+    /// Schedule every fault of the configured plan, once, relative to the
+    /// first job submission. `TaskFail` faults become doomed launch ordinals
+    /// consumed by [`SimWorld::launch`]; everything else fires as an event.
+    pub(super) fn arm_faults(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
+        if self.faults_armed {
+            return;
+        }
+        self.faults_armed = true;
+        let Some(plan) = self.cfg.faults.clone() else {
+            return;
+        };
+        for (idx, ev) in plan.events.iter().enumerate() {
+            match ev.kind {
+                FaultKind::TaskFail { nth_launch } => self.doomed_launches.push(nth_launch),
+                _ => out.at(now + ev.after, Ev::Fault { idx }),
+            }
+        }
+        self.doomed_launches.sort_unstable();
+    }
+
+    /// Lineage-based recovery (§II-C "lost partitions can be recovered by
+    /// recomputing from the lineage"): a compute task found its cached input
+    /// partition gone (node crash / executor memory loss). Synthesize the
+    /// stage that re-derives it — the recorded source→cache recipe
+    /// concatenated with the stage's own chain, rooted at the original
+    /// dataset — and return it with the source RDD to read. The cache point
+    /// inside the combined chain re-materializes the partition at the
+    /// recomputing node.
+    pub(super) fn recovery_stage(
+        &mut self,
+        task: u32,
+        plan: &JobPlan,
+        stage: &StagePlan,
+        rdd: RddId,
+        part: u32,
+    ) -> (Arc<StagePlan>, RddId) {
+        let Some(spec) = plan.recovery.get(&rdd) else {
+            // lint:allow(panic): unrecoverable by design: a cache below a shuffle has no per-partition lineage; dying loudly beats silently wrong output
+            panic!(
+                "cached partition {part} of {rdd:?} lost with no lineage recipe — \
+                 a cache fed through a shuffle cannot be rebuilt in this model"
+            );
+        };
+        if let Some(r) = self.metrics.recovery(self.tasks.job[task as usize]) {
+            r.recomputed_partitions += 1;
+        }
+        // Combined chain: recipe steps, the cache point, then the stage's
+        // own steps (stage cache points shift past the recipe prefix).
+        let prefix = spec.steps.len();
+        let mut steps = spec.steps.clone();
+        steps.extend(stage.steps.iter().cloned());
+        let mut cache_points = vec![(spec.cache_step, rdd)];
+        cache_points.extend(stage.cache_points.iter().map(|&(i, r)| (i + prefix, r)));
+        self.ensure_placed(spec.source, &spec.dataset);
+        let rec_stage = StagePlan {
+            input: StageInput::Dataset {
+                rdd: spec.source,
+                dataset: spec.dataset.clone(),
+            },
+            steps,
+            cache_points,
+            shuffle_out: stage.shuffle_out,
+        };
+        (Arc::new(rec_stage), spec.source)
+    }
+
+    // ---------------- fault handling & recovery ----------------
+
+    /// First live, non-blacklisted node: the deterministic re-host target
+    /// for pinned work and re-hosted shuffle rows.
+    pub(super) fn replacement_node(&self) -> Option<u32> {
+        (0..self.spec.workers).find(|&n| self.node_up[n as usize] && !self.blacklisted[n as usize])
+    }
+
+    /// Fail a running attempt: account the wasted work, reset the task to
+    /// Pending with a bumped attempt number (orphaning any in-flight I/O and
+    /// finish events of the old attempt), then re-queue it — after `backoff`
+    /// if nonzero. `attribute` counts the failure against the node for
+    /// blacklisting; crash- and fetch-induced failures don't.
+    pub(super) fn fail_task(
+        &mut self,
+        now: SimTime,
+        task: u32,
+        backoff: SimDuration,
+        attribute: bool,
+        out: &mut Outbox<Ev>,
+    ) {
+        self.abandoned_io = true;
+        let node = self.tasks.node[task as usize];
+        let wasted = now
+            .since(self.tasks.launched_at[task as usize])
+            .as_secs_f64();
+        if let Some(rec) = self.metrics.recovery(self.tasks.job[task as usize]) {
+            rec.wasted_secs += wasted;
+            rec.tasks_retried += 1;
+        }
+        self.trace(
+            now,
+            TE::TaskRetried {
+                task,
+                node,
+                attempt: self.tasks.attempt[task as usize],
+                wasted: now.since(self.tasks.launched_at[task as usize]),
+                backoff,
+            },
+        );
+        if self.node_up[node as usize] {
+            self.free_slots[node as usize] += 1;
+            self.note_slot_change(node);
+            // A failed flush abandons its partial output: reclaim the space.
+            if matches!(self.tasks.kind[task as usize], TaskKind::Store { .. }) {
+                if let ShuffleStore::Local(dev) = self.cfg.shuffle {
+                    let file = self
+                        .job_of(task)
+                        .shuffle_out
+                        .as_ref()
+                        .and_then(|sh| sh.local_files[node as usize]);
+                    if let Some(file) = file {
+                        let bytes = self.tasks.output_bytes[task as usize];
+                        let fs = if dev == StoreDevice::Ssd {
+                            &mut self.ssd_fs[node as usize]
+                        } else {
+                            &mut self.ram_fs[node as usize]
+                        };
+                        fs.truncate(file, Bytes(bytes));
+                    }
+                }
+            }
+        }
+        {
+            let i = task as usize;
+            self.tasks.set_state(task, TState::Pending);
+            // Pending again, it is runnable wherever a queue still holds an
+            // entry of its earlier attempt — before any requeue.
+            self.cands.unpark_all();
+            self.tasks.node[i] = u32::MAX;
+            self.tasks.attempt[i] += 1;
+            self.tasks.doomed[i] = false;
+            self.tasks.pending_io[i] = 0;
+            self.tasks.finish_scheduled[i] = false;
+            self.tasks.records_out[i] = None;
+            self.tasks.compute_dur[i] = SimDuration::ZERO;
+            self.tasks.queued_at[i] = now;
+        }
+        if self.tasks.attempt[task as usize] >= self.cfg.recovery.max_task_attempts {
+            let ji = self.job_index_of(task);
+            self.abort_job(now, ji, out);
+            return;
+        }
+        if attribute && self.node_up[node as usize] && !self.blacklisted[node as usize] {
+            self.node_fail_counts[node as usize] += 1;
+            if self.node_fail_counts[node as usize] >= self.cfg.recovery.blacklist_after {
+                self.blacklisted[node as usize] = true;
+                self.note_slot_change(node);
+                if let Some(rec) = self.metrics.recovery(self.tasks.job[task as usize]) {
+                    rec.blacklisted_nodes += 1;
+                }
+                self.trace(now, TE::Blacklisted { node });
+                self.repin_pinned_off(node);
+            }
+        }
+        // Drop dead/blacklisted nodes from the task's preferences; a pinned
+        // task left with nowhere to go re-pins to the replacement.
+        let usable = |n: u32| self.node_up[n as usize] && !self.blacklisted[n as usize];
+        let pin = self.tasks.pin[task as usize];
+        if pin == UNPINNED {
+            self.tasks.prefs[task as usize].retain(|&n| usable(n));
+        } else if !usable(pin) {
+            let Some(repl) = self.replacement_node() else {
+                let ji = self.job_index_of(task);
+                self.abort_job(now, ji, out);
+                return;
+            };
+            self.tasks.pin[task as usize] = repl;
+        }
+        self.trace(
+            now,
+            TE::TaskQueued {
+                task,
+                stage: self.tasks.stage[task as usize],
+                class: Self::trace_class(self.tasks.kind[task as usize]),
+                attempt: self.tasks.attempt[task as usize],
+            },
+        );
+        if backoff > SimDuration::ZERO {
+            out.after(
+                backoff,
+                Ev::Requeue {
+                    task,
+                    job: self.tasks.job[task as usize],
+                },
+            );
+            // Bugfix (DESIGN.md §4.14): the backoff requeue is the only
+            // slot-freeing path that does not schedule a Dispatch. If the
+            // last dispatch pass starved (no available node, no retry wake),
+            // the freed slot must re-arm dispatch or pending work wedges
+            // until an unrelated event happens along.
+            if self.dispatch_starved && self.node_up[node as usize] {
+                self.dispatch_starved = false;
+                out.immediately(Ev::Dispatch);
+            }
+        } else {
+            let ji = self.job_index_of(task);
+            self.enqueue_pending(ji, &[task]);
+            out.immediately(Ev::Dispatch);
+        }
+    }
+
+    /// Re-pin pending pinned tasks away from a dead/blacklisted node. Their
+    /// queue entries on the old node are left behind; dispatch never visits
+    /// that node, and `pick` tolerates duplicates.
+    pub(super) fn repin_pinned_off(&mut self, node: u32) {
+        let Some(repl) = self.replacement_node() else {
+            return;
+        };
+        let mut moved = Vec::new();
+        for i in 0..self.tasks.len() {
+            if self.tasks.state[i] == TState::Pending && self.tasks.pin[i] == node {
+                self.tasks.pin[i] = repl;
+                moved.push(i as u32);
+            }
+        }
+        for id in moved {
+            let ji = self.job_index_of(id);
+            self.jobs[ji].prefs_q[repl as usize].push_back(id);
+            self.cands.unpark(repl);
+        }
+    }
+
+    /// Give up on one job: a task exhausted its attempt budget or no live
+    /// node remains. Mirrors Spark's job abort after repeated task failure.
+    /// Other resident jobs keep running.
+    pub(super) fn abort_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
+        let id = self.jobs[ji].id;
+        if let Some(rec) = self.metrics.recovery(id) {
+            rec.aborted_jobs += 1;
+        }
+        self.trace(
+            now,
+            TE::JobEnd {
+                job: id,
+                aborted: true,
+            },
+        );
+        self.abandoned_io = true;
+        let job = self.jobs.remove(ji);
+        self.release_shuffle_state(now, &job, out);
+        // Retire the aborted job's tasks. Running ones hand their slot back
+        // (the stale-completion filter drops their in-flight IO); queue
+        // entries die with the JobRun.
+        for i in 0..self.tasks.len() {
+            if self.tasks.job[i] != id {
+                continue;
+            }
+            match self.tasks.state[i] {
+                TState::Pending => self.tasks.set_state(i as u32, TState::Done),
+                TState::Running => {
+                    let node = self.tasks.node[i];
+                    self.tasks.set_state(i as u32, TState::Done);
+                    if node != u32::MAX && self.node_up[node as usize] {
+                        self.free_slots[node as usize] += 1;
+                        self.note_slot_change(node);
+                    }
+                }
+                TState::Done => {}
+            }
+        }
+        {
+            let tasks = &self.tasks;
+            self.pending.retain(|c| tasks.job[c.task as usize] != id);
+        }
+        let output = JobOutput {
+            count: 0,
+            records: None,
+            reduced: None,
+            aborted: true,
+        };
+        let metrics = self.metrics.finish_job(id, now);
+        self.note_job_latency(job.tenant, job.arrived, now);
+        self.finished.push_back(FinishedJob {
+            id,
+            tenant: job.tenant,
+            arrived: job.arrived,
+            admitted: job.admitted,
+            finished: now,
+            output,
+            metrics,
+        });
+        if self.jobs.is_empty() {
+            self.tasks.clear();
+        }
+        self.on_job_departure(now, job.tenant, out);
+        self.job_done = self.jobs.is_empty() && self.stream_drained();
+        if self.job_done {
+            // Tear the stream down so the driver can submit again later.
+            self.stream = None;
+        }
+    }
+
+    /// A node dies: its slots, running work, cached partitions and (for a
+    /// node-local store) deposited intermediate rows are gone. Running tasks
+    /// re-queue; lost rows are re-hosted at a replacement node and the work
+    /// that produced them is redone as time-only ghost tasks, so the job's
+    /// output matches a fault-free run while the recovery time is charged in
+    /// full.
+    pub(super) fn node_crash(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        restart: Option<SimDuration>,
+        out: &mut Outbox<Ev>,
+    ) {
+        if !self.node_up[node as usize] {
+            return;
+        }
+        self.metrics.recovery_all(|r| r.node_crashes += 1);
+        self.node_up[node as usize] = false;
+        self.trace(now, TE::NodeDown { node });
+        let lost = self.blockmgr.drop_node(node);
+        let n_lost = lost.len() as u64;
+        self.metrics.recovery_all(|r| r.blocks_lost += n_lost);
+        if !lost.is_empty() {
+            self.trace(
+                now,
+                TE::BlocksLost {
+                    node,
+                    blocks: lost.len() as u64,
+                },
+            );
+        }
+        if let Some(d) = restart {
+            out.after(d, Ev::NodeRestart { node });
+        }
+        // Fail everything running there (node_up is already false, so
+        // fail_task won't hand slots back to the dead node).
+        let running: Vec<u32> = (0..self.tasks.len())
+            .filter(|&i| self.tasks.state[i] == TState::Running && self.tasks.node[i] == node)
+            .map(|i| i as u32)
+            .collect();
+        for id in running {
+            // A failure can abort the owning job, retiring its siblings (and,
+            // when it was the last resident job, clearing the whole arena).
+            if id as usize >= self.tasks.len() || self.tasks.state[id as usize] != TState::Running {
+                continue;
+            }
+            self.fail_task(now, id, SimDuration::ZERO, false, out);
+        }
+        self.free_slots[node as usize] = 0;
+        self.note_slot_change(node);
+        if self.jobs.is_empty() {
+            return;
+        }
+        let Some(repl) = self.replacement_node() else {
+            // No live node left: every resident job dies with the cluster.
+            while !self.jobs.is_empty() {
+                self.abort_job(now, 0, out);
+            }
+            return;
+        };
+        self.repin_pinned_off(node);
+        // Fetch tasks mid-pull from the dead node retry with backoff (the
+        // shared Lustre store serves every byte from the OSSes — nothing to
+        // retry there beyond the reducers that died with the node).
+        if !matches!(self.cfg.shuffle, ShuffleStore::LustreShared) {
+            self.fail_fetches_from(now, node, out);
+            if self.jobs.is_empty() {
+                return;
+            }
+        }
+        let local_store = matches!(self.cfg.shuffle, ShuffleStore::Local(_));
+        for job in &mut self.jobs {
+            // Rows of the shuffle being produced live in executor memory or
+            // the node-local store: re-host them. Rows already consumed from
+            // Lustre survive the crash on the OSSes.
+            if let Some(sh) = job.shuffle_out.as_mut() {
+                Self::move_shuffle_rows(sh, node as usize, repl as usize);
+            }
+            if let Some(sh) = job.shuffle_in.as_mut() {
+                if local_store {
+                    Self::move_shuffle_rows(sh, node as usize, repl as usize);
+                } else {
+                    // Server page cache died with the node; refetches stream
+                    // from the OSSes instead.
+                    sh.cached_frac[node as usize] = 0.0;
+                }
+            }
+            job.intermediate[repl as usize] += job.intermediate[node as usize];
+            job.intermediate[node as usize] = 0.0;
+        }
+        self.trace(
+            now,
+            TE::Rehost {
+                from: node,
+                to: repl,
+            },
+        );
+        for ji in 0..self.jobs.len() {
+            self.spawn_crash_ghosts(now, ji, node, repl, local_store);
+        }
+        out.immediately(Ev::Dispatch);
+    }
+
+    /// Fail every running fetch task currently pulling rows from `src`.
+    pub(super) fn fail_fetches_from(&mut self, now: SimTime, src: u32, out: &mut Outbox<Ev>) {
+        let victims: Vec<u32> = (0..self.tasks.len())
+            .filter(|&i| {
+                self.tasks.state[i] == TState::Running
+                    && matches!(self.tasks.kind[i], TaskKind::Fetch { reducer }
+                        if self
+                            .jobs
+                            .iter()
+                            .find(|j| j.id == self.tasks.job[i])
+                            .and_then(|j| j.shuffle_in.as_ref())
+                            .map(|sh| sh.buckets.get(src as usize, reducer as usize) > 0.0)
+                            .unwrap_or(false))
+            })
+            .map(|i| i as u32)
+            .collect();
+        for id in victims {
+            // A prior failure may have aborted the owning job (or cleared
+            // the arena entirely) — skip stale victims.
+            if id as usize >= self.tasks.len() || self.tasks.state[id as usize] != TState::Running {
+                continue;
+            }
+            let att = self.tasks.attempt[id as usize].min(8);
+            let backoff = self
+                .cfg
+                .recovery
+                .fetch_backoff
+                .mul_f64(2f64.powi(att as i32));
+            if let Some(rec) = self.metrics.recovery(self.tasks.job[id as usize]) {
+                rec.failed_fetches += 1;
+                rec.fetch_retries += 1;
+            }
+            self.fail_task(now, id, backoff, false, out);
+        }
+    }
+
+    /// Redo the dead node's finished producer work as time-only ghosts
+    /// pinned to the replacement: recompute ghosts for its compute tasks of
+    /// the stage feeding the live shuffle, and re-flush ghosts for its store
+    /// tasks when the store died with the node.
+    pub(super) fn spawn_crash_ghosts(
+        &mut self,
+        now: SimTime,
+        ji: usize,
+        node: u32,
+        repl: u32,
+        local_store: bool,
+    ) {
+        let job_id = self.jobs[ji].id;
+        let (producing_stage, has_shuffle_out) = {
+            let job = &self.jobs[ji];
+            let producing = match job.phase {
+                RunPhase::Stage(idx) => {
+                    if job.plan.stages[idx].has_shuffle_output() {
+                        Some(idx as u32)
+                    } else if matches!(job.plan.stages[idx].input, StageInput::Shuffle(_))
+                        && idx > 0
+                    {
+                        // Fetch phase: the consumed rows came from stage idx-1.
+                        Some(idx as u32 - 1)
+                    } else {
+                        None
+                    }
+                }
+                RunPhase::Storing(idx) => Some(idx as u32),
+            };
+            (producing, job.shuffle_out.is_some())
+        };
+        let mut ghosts: Vec<(u32, TaskKind)> = Vec::new();
+        for i in 0..self.tasks.len() {
+            if self.tasks.state[i] != TState::Done
+                || self.tasks.node[i] != node
+                || self.tasks.job[i] != job_id
+            {
+                continue;
+            }
+            match self.tasks.kind[i] {
+                TaskKind::Compute { .. } if Some(self.tasks.stage[i]) == producing_stage => {
+                    ghosts.push((self.tasks.stage[i], self.tasks.kind[i]));
+                }
+                TaskKind::Store { .. } if has_shuffle_out && local_store => {
+                    ghosts.push((self.tasks.stage[i], self.tasks.kind[i]));
+                }
+                _ => {}
+            }
+        }
+        if ghosts.is_empty() {
+            return;
+        }
+        let mut created = Vec::with_capacity(ghosts.len());
+        self.reserve_tasks(job_id, ghosts.len());
+        for (stage, kind) in ghosts {
+            if matches!(kind, TaskKind::Compute { .. }) {
+                if let Some(rec) = self.metrics.recovery(job_id) {
+                    rec.recomputed_partitions += 1;
+                }
+            }
+            let id = self.tasks.len() as u32;
+            let mut t = Task::new(job_id, stage, kind, now);
+            t.pin = repl;
+            t.ghost = true;
+            self.tasks.push(t);
+            created.push(id);
+        }
+        self.trace(
+            now,
+            TE::GhostsSpawned {
+                node,
+                count: created.len() as u32,
+            },
+        );
+        for &id in &created {
+            self.trace(
+                now,
+                TE::TaskQueued {
+                    task: id,
+                    stage: self.tasks.stage[id as usize],
+                    class: Self::trace_class(self.tasks.kind[id as usize]),
+                    attempt: 0,
+                },
+            );
+        }
+        self.jobs[ji].remaining += created.len();
+        self.enqueue_pending(ji, &created);
+    }
+
+    /// Apply a scheduled fault-plan event.
+    pub(super) fn apply_fault(&mut self, now: SimTime, idx: usize, out: &mut Outbox<Ev>) {
+        let Some(kind) = self
+            .cfg
+            .faults
+            .as_ref()
+            .and_then(|p| p.events.get(idx))
+            .map(|e| e.kind)
+        else {
+            return;
+        };
+        self.trace(
+            now,
+            TE::FaultInjected {
+                kind: kind.label(),
+                node: kind.node().unwrap_or(u32::MAX),
+            },
+        );
+        match kind {
+            FaultKind::NodeCrash { node, restart } => self.node_crash(now, node, restart, out),
+            FaultKind::BlockLoss { node } => {
+                // Executor memory loss: cached partitions evaporate, the
+                // node itself keeps running. Lineage rebuilds them on demand.
+                let lost = self.blockmgr.drop_node(node);
+                let n_lost = lost.len() as u64;
+                self.metrics.recovery_all(|r| r.blocks_lost += n_lost);
+            }
+            FaultKind::SsdDegrade { node, factor } => {
+                self.metrics.recovery_all(|r| r.ssd_degradations += 1);
+                self.ssd_fs[node as usize].degrade_device(now, factor);
+                self.arm_fs(node, true, out);
+                if let ShuffleStore::Local(StoreDevice::Ssd) = self.cfg.shuffle {
+                    let bw = effective_read_bw(&self.ssd_fs[node as usize], StoreDevice::Ssd);
+                    let link = self.store_read_links[node as usize];
+                    self.net.set_link_capacity(now, link, bw.max(1.0));
+                    self.arm_net(out);
+                }
+            }
+            FaultKind::FetchFail { src } => self.fail_fetches_from(now, src, out),
+            // Consumed at launch via `doomed_launches`.
+            FaultKind::TaskFail { .. } => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{
+        placed_plan, push_pinned_store, world, world_with_idle_nodes_parked,
+    };
+    use super::*;
+
+    #[test]
+    fn starved_dispatch_rearms_when_backoff_frees_a_slot() {
+        // Regression (dispatch wedge bugfix): with every slot busy and no
+        // delay-retry wake, a dispatch pass records starvation; a failing
+        // task's freed slot must then re-arm dispatch — the backoff requeue
+        // path schedules no Dispatch of its own.
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, placed_plan(64), &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert_eq!(w.free_slots.iter().sum::<u32>(), 0, "cluster saturated");
+        assert!(w.tasks.pending > 0, "more tasks than slots");
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert!(
+            w.dispatch_starved,
+            "empty availability + no retry = starved"
+        );
+        let victim = (0..w.tasks.len())
+            .find(|&i| w.tasks.state[i] == TState::Running)
+            .expect("saturated cluster has running tasks") as u32;
+        let t1 = SimTime::from_secs_f64(1.0);
+        let mut out2 = memres_des::Outbox::standalone(t1);
+        w.fail_task(
+            t1,
+            victim,
+            SimDuration::from_secs_f64(2.0),
+            false,
+            &mut out2,
+        );
+        assert!(!w.dispatch_starved);
+        assert!(
+            out2.into_items()
+                .iter()
+                .any(|(_, e)| matches!(e, Ev::Dispatch)),
+            "freed slot must schedule a dispatch"
+        );
+    }
+
+    #[test]
+    fn work_repinned_onto_a_parked_node_unparks_it() {
+        // `repin_pinned_off` is the second way into a `prefs_q`: a flush
+        // pinned to a node that dies moves to the replacement node — node 0,
+        // parked here — without passing through `enqueue_pending`. Without
+        // the un-park there the flush sits on a node no dispatch visits.
+        // (In a crash that also kills running attempts, `fail_task` happens
+        // to wake everyone first; the audit holds this site to the rule on
+        // its own.)
+        let mut w = world_with_idle_nodes_parked();
+        let victim = (1..4)
+            .find(|&n| w.cands.is_parked(n))
+            .expect("a parked node besides node 0");
+        let id = push_pinned_store(&mut w, victim);
+        w.cands.park(0);
+        w.node_up[victim as usize] = false;
+        w.free_slots[victim as usize] = 0;
+        w.note_slot_change(victim);
+        w.repin_pinned_off(victim);
+        assert_eq!(w.tasks.pin[id as usize], 0, "re-pinned to the replacement");
+        assert!(w.cands.is_live(0), "the replacement node must wake");
+        w.audit_invariants().expect("no parked node has work");
+        // Teeth: the same state with node 0 parked is what the audit is for.
+        w.cands.park(0);
+        let err = w.audit_invariants().expect_err("node 0 parked with work");
+        assert!(
+            err.contains("node 0 is parked with a pending task"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn blacklisted_node_restart_rejoins_and_redispatches() {
+        // Regression (dispatch wedge bugfix, recovery side): a fully
+        // blacklisted cluster starves dispatch; restarting a live-but-
+        // blacklisted executor clears the blacklist and re-arms it.
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, placed_plan(8), &mut out);
+        for n in 0..w.spec.workers {
+            w.blacklisted[n as usize] = true;
+            w.note_slot_change(n);
+        }
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert!(w.dispatch_starved, "fully blacklisted cluster starves");
+        let t1 = SimTime::from_secs_f64(1.0);
+        let mut out2 = memres_des::Outbox::standalone(t1);
+        Model::handle(&mut w, t1, Ev::NodeRestart { node: 2 }, &mut out2);
+        assert!(!w.blacklisted[2]);
+        assert!(!w.dispatch_starved);
+        assert!(w.cands.is_live(2), "node 2 re-entered the candidate set");
+        assert!(
+            out2.into_items()
+                .iter()
+                .any(|(_, e)| matches!(e, Ev::Dispatch)),
+            "blacklist clear must schedule a dispatch"
+        );
+    }
+}

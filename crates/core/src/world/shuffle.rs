@@ -1,0 +1,916 @@
+//! The shuffle service (paper §IV-B).
+
+#![allow(clippy::indexing_slicing)]
+
+use super::*;
+
+/// Deposited intermediate bytes, logically `[node][reducer]`. The dense
+/// matrix is exact and is used whenever real records flow or the matrix is
+/// small (paper cells: at most 2^20 entries, always dense, bit-identical to
+/// the historical `Vec<Vec<f64>>`). Huge synthetic shuffles switch to the
+/// uniform variant: hash partitioning spreads each producer's output evenly
+/// across reducers, so a per-node total loses nothing while cutting
+/// O(workers x reducers) heap to O(workers).
+pub(super) enum ShuffleBuckets {
+    Dense {
+        reducers: u32,
+        m: Vec<Vec<f64>>,
+    },
+    Uniform {
+        reducers: u32,
+        node_totals: Vec<f64>,
+    },
+}
+
+impl ShuffleBuckets {
+    /// Largest node x reducer product that still gets the dense matrix.
+    const DENSE_LIMIT: usize = 1 << 20;
+
+    pub(super) fn new(workers: usize, reducers: u32, real: bool) -> Self {
+        if real || workers.saturating_mul(reducers as usize) <= Self::DENSE_LIMIT {
+            ShuffleBuckets::Dense {
+                reducers,
+                m: vec![vec![0.0; reducers as usize]; workers],
+            }
+        } else {
+            ShuffleBuckets::Uniform {
+                reducers,
+                node_totals: vec![0.0; workers],
+            }
+        }
+    }
+
+    pub(super) fn get(&self, node: usize, reducer: usize) -> f64 {
+        match self {
+            ShuffleBuckets::Dense { m, .. } => m[node][reducer],
+            ShuffleBuckets::Uniform {
+                reducers,
+                node_totals,
+            } => node_totals[node] / *reducers as f64,
+        }
+    }
+
+    /// Targeted deposit. Real-record hashing only happens in the dense arm
+    /// (the constructor forces dense when `real`); the uniform arm folds the
+    /// bytes into the node total, preserving conservation.
+    pub(super) fn add(&mut self, node: usize, reducer: usize, bytes: f64) {
+        match self {
+            ShuffleBuckets::Dense { m, .. } => m[node][reducer] += bytes,
+            ShuffleBuckets::Uniform { node_totals, .. } => node_totals[node] += bytes,
+        }
+    }
+
+    /// Deposit `total` bytes spread evenly over every reducer (synthetic
+    /// producers model hash partitioning as a perfectly even split).
+    pub(super) fn add_uniform(&mut self, node: usize, total: f64) {
+        match self {
+            ShuffleBuckets::Dense { reducers, m } => {
+                let per = total / *reducers as f64;
+                for b in m[node].iter_mut() {
+                    *b += per;
+                }
+            }
+            ShuffleBuckets::Uniform { node_totals, .. } => node_totals[node] += total,
+        }
+    }
+
+    /// Recovery re-hosting: move every deposited byte of `dead` onto `repl`.
+    pub(super) fn move_node(&mut self, dead: usize, repl: usize) {
+        match self {
+            ShuffleBuckets::Dense { reducers, m } => {
+                let row = std::mem::replace(&mut m[dead], vec![0.0; *reducers as usize]);
+                for (b, bytes) in row.into_iter().enumerate() {
+                    m[repl][b] += bytes;
+                }
+            }
+            ShuffleBuckets::Uniform { node_totals, .. } => {
+                let moved = std::mem::take(&mut node_totals[dead]);
+                node_totals[repl] += moved;
+            }
+        }
+    }
+
+    pub(super) fn heap_bytes(&self) -> usize {
+        match self {
+            ShuffleBuckets::Dense { m, .. } => {
+                m.iter().map(|r| r.capacity() * 8).sum::<usize>()
+                    + m.capacity() * std::mem::size_of::<Vec<f64>>()
+            }
+            ShuffleBuckets::Uniform { node_totals, .. } => node_totals.capacity() * 8,
+        }
+    }
+}
+
+/// [`ShuffleState::fetch_flows`] entry of a `(src, dst, kind)` no fetch has
+/// used yet.
+pub(super) const UNOPENED: FlowId = FlowId(u64::MAX);
+
+/// Intermediate-data state between a producing stage and its fetch stage.
+pub(super) struct ShuffleState {
+    pub(super) reducers: u32,
+    pub(super) spec: ShuffleInSpec,
+    /// [node][reducer] → intermediate bytes deposited.
+    pub(super) buckets: ShuffleBuckets,
+    /// Fetches ride rack-pair aggregate flows instead of per-node flows
+    /// (decided once at creation from `EngineConfig::rack_agg_threshold`).
+    pub(super) aggregated: bool,
+    /// Materialized buckets (real-data jobs): node → reducer → the
+    /// *segments* deposited there, one per finished producer, each still the
+    /// producer's own bucket allocation. A reducer gathers them node
+    /// ascending, deposit order within a node.
+    pub(super) node_real: Option<Vec<Vec<Vec<Vec<Record>>>>>,
+    /// Real aggregation per reducer: evaluated once, at the reducer's first
+    /// launch; consumed once, at its successful finish.
+    pub(super) reduced: Vec<Reduced>,
+    /// Per-node aggregated store file ids.
+    pub(super) local_files: Vec<Option<FileId>>,
+    pub(super) lustre_files: Vec<Option<LustreFile>>,
+    /// Cached fraction per source node file at fetch start (Lustre-local).
+    pub(super) cached_frac: Vec<f64>,
+    /// Lustre-shared: outstanding revocation flushes gating all fetches.
+    pub(super) flush_pending: usize,
+    pub(super) flush_done: bool,
+    /// Fetch tasks whose MDS op finished while flushes were outstanding.
+    pub(super) waiting_for_flush: Vec<u32>,
+    /// Persistent fetch flows, directly indexed (a reducer launch looks one
+    /// up per source and kind; nothing iterates them but the release at the
+    /// shuffle's end): row `dst * 2 + kind` — kind 0 = store/cached, 1 = OSS
+    /// path — holds one entry per source, endpoints being racks when
+    /// `aggregated` and nodes otherwise. A row stays empty until the first
+    /// reducer lands on `dst`, so the table grows with the destinations
+    /// used, not with endpoints².
+    pub(super) fetch_flows: Vec<Vec<FlowId>>,
+}
+
+impl ShuffleState {
+    /// `racks` is `Some` when fetches ride rack-pair aggregate flows.
+    pub(super) fn new(
+        reducers: u32,
+        spec: ShuffleInSpec,
+        workers: usize,
+        real: bool,
+        racks: Option<usize>,
+    ) -> Self {
+        ShuffleState {
+            reducers,
+            spec,
+            buckets: ShuffleBuckets::new(workers, reducers, real),
+            aggregated: racks.is_some(),
+            node_real: real.then(|| vec![vec![Vec::new(); reducers as usize]; workers]),
+            reduced: (0..if real { reducers } else { 0 })
+                .map(|_| Reduced::Unlaunched)
+                .collect(),
+            local_files: vec![None; workers],
+            lustre_files: vec![None; workers],
+            cached_frac: vec![0.0; workers],
+            flush_pending: 0,
+            flush_done: false,
+            waiting_for_flush: Vec::new(),
+            fetch_flows: vec![Vec::new(); 2 * racks.unwrap_or(workers)],
+        }
+    }
+}
+
+/// Where one reducer's real aggregation stands (see `ShuffleState::reduced`).
+pub(super) enum Reduced {
+    /// No attempt of this reducer has launched; its segments still sit in
+    /// `node_real`.
+    Unlaunched,
+    /// Evaluation is queued for this round's flush — or the result has been
+    /// consumed by the attempt that finished.
+    Taken,
+    /// Evaluated: (output bytes, output records, output rows), parked until
+    /// an attempt finishes. A retry finds it here and reuses it.
+    Parked(f64, u64, RealOut),
+}
+
+/// Effective serving-read bandwidth of a shuffle store, mixing page-cache
+/// hits with device reads (harmonic mean), GC-aware for SSDs.
+pub(super) fn effective_read_bw(fs: &LocalFs, dev: StoreDevice) -> f64 {
+    let dev_bw = fs.device().current_read_bandwidth();
+    if dev == StoreDevice::RamDisk {
+        return dev_bw;
+    }
+    let stored = fs.used().max(1.0);
+    const CACHE: f64 = 6.0 * 1024.0 * 1024.0 * 1024.0;
+    let cache_frac = (CACHE / stored).clamp(0.0, 1.0);
+    let mem_bw = 3.0e9;
+    1.0 / (cache_frac / mem_bw + (1.0 - cache_frac) / dev_bw)
+}
+
+impl SimWorld {
+    /// Reducer count to hash-partition `task`'s output over: set when its
+    /// job is producing a shuffle that carries real rows.
+    pub(super) fn real_partitioning(&self, task: u32) -> Option<u32> {
+        let sh = self.job_of(task).shuffle_out.as_ref()?;
+        sh.node_real.is_some().then_some(sh.reducers)
+    }
+
+    /// CAD only gates nodes whose store device actually shows congestion
+    /// (a deep write queue); throttling healthy nodes would idle them.
+    pub(super) fn cad_gates(&self, node: u32) -> bool {
+        match self.cfg.shuffle {
+            ShuffleStore::Local(StoreDevice::Ssd) => {
+                self.ssd_fs[node as usize].device_queue_depth() >= 4
+            }
+            ShuffleStore::Local(StoreDevice::RamDisk) => {
+                self.ram_fs[node as usize].device_queue_depth() >= 4
+            }
+            _ => true,
+        }
+    }
+
+    pub(super) fn launch_store(
+        &mut self,
+        now: SimTime,
+        task: u32,
+        node: u32,
+        producer: u32,
+        out: &mut Outbox<Ev>,
+    ) {
+        let bytes = self.tasks.output_bytes[producer as usize];
+        let speed = self.speed(node);
+        // Partition + Java-serialization cost of the flush (Spark 0.7 era).
+        let cpu = SimDuration::from_secs_f64(bytes / (300.0e6 * speed)).mul_f64(self.jitter(task))
+            + self.cfg.spark.task_overhead;
+        {
+            let i = task as usize;
+            self.tasks.compute_dur[i] = cpu;
+            self.tasks.input_bytes[i] = bytes;
+            self.tasks.output_bytes[i] = bytes;
+        }
+        match self.cfg.shuffle {
+            ShuffleStore::Local(dev) => {
+                let file = self.node_store_file(task, node);
+                if bytes > 0.0 {
+                    let ssd = dev == StoreDevice::Ssd;
+                    let tag = self.io_tag(task);
+                    let fs = if ssd {
+                        &mut self.ssd_fs[node as usize]
+                    } else {
+                        &mut self.ram_fs[node as usize]
+                    };
+                    assert!(
+                        fs.free() >= bytes,
+                        "shuffle store on node {node} out of space — the paper's \
+                         RAMDisk-backed store tops out at ~1.2 TB aggregate"
+                    );
+                    self.tasks.pending_io[task as usize] += 1;
+                    fs.write(now, file, Bytes(bytes), tag);
+                    self.arm_fs(node, ssd, out);
+                }
+            }
+            ShuffleStore::LustreLocal | ShuffleStore::LustreShared => {
+                let file = self.node_lustre_file(task, node);
+                let tag = self.io_tag(task);
+                let wplan = self.lustre.append(now, NodeId(node), file, Bytes(bytes));
+                self.tasks.pending_io[task as usize] += 1;
+                self.lustre.submit_mds(now, wplan.mds_ops, tag);
+                self.arm_lustre(out);
+                if wplan.oss_bytes > 0.0 {
+                    let tag = self.net_tag(task);
+                    self.tasks.pending_io[task as usize] += 1;
+                    let path = self
+                        .fabric
+                        .path(Endpoint::Node(NodeId(node)), Endpoint::Lustre);
+                    let f = self.net.open_flow(now, path, true);
+                    let wire = wplan.oss_bytes / self.lustre.config().write_efficiency;
+                    self.net.push_chunk(now, f, Bytes(wire), tag);
+                    self.arm_net(out);
+                }
+            }
+        }
+        self.maybe_schedule_finish(now, task, out);
+    }
+
+    pub(super) fn node_store_file(&mut self, task: u32, node: u32) -> FileId {
+        let ji = self.job_index_of(task);
+        let next = &mut self.next_shuffle_file;
+        let sh = self.jobs[ji]
+            .shuffle_out
+            .as_mut()
+            .expect("store without produced shuffle"); // lint:allow(panic): a storing task exists only for a stage that produced a shuffle
+        *sh.local_files[node as usize].get_or_insert_with(|| {
+            let f = FileId(*next);
+            *next += 1;
+            f
+        })
+    }
+
+    pub(super) fn node_lustre_file(&mut self, task: u32, node: u32) -> LustreFile {
+        let ji = self.job_index_of(task);
+        let next = &mut self.next_shuffle_file;
+        let job = &mut self.jobs[ji];
+        let sh = job
+            .shuffle_out
+            .as_mut()
+            .expect("store without produced shuffle"); // lint:allow(panic): a storing task exists only for a stage that produced a shuffle
+        *sh.lustre_files[node as usize].get_or_insert_with(|| {
+            let f = LustreFile(*next);
+            *next += 1;
+            job.lustre_files.push(f);
+            f
+        })
+    }
+
+    pub(super) fn launch_fetch(
+        &mut self,
+        now: SimTime,
+        task: u32,
+        node: u32,
+        reducer: u32,
+        out: &mut Outbox<Ev>,
+    ) {
+        let workers = self.spec.workers;
+        let req = self.cfg.spark.reducer_max_bytes_in_flight;
+        let oh = self.cfg.spark.per_request_overhead_bytes;
+        let compress = if self.cfg.spark.shuffle_compress {
+            self.cfg.spark.shuffle_compress_ratio
+        } else {
+            1.0
+        };
+        let ji = self.job_index_of(task);
+        let plan = self.jobs[ji].plan.clone();
+        let stage_idx = self.tasks.stage[task as usize] as usize;
+        let stage = &plan.stages[stage_idx];
+        self.queue_reduce(task, reducer, &plan, stage_idx);
+
+        // Bucket sizes and shuffle spec. Above the rack-aggregation
+        // threshold, per-node deposits fold into per-source-rack totals and
+        // the fetch rides one aggregate flow per rack pair (indexed by rack
+        // in `per_source`); below it, exact per-node flows as always.
+        let racks = self.spec.racks as usize;
+        let sh = self.jobs[ji]
+            .shuffle_in
+            .as_ref()
+            .expect("fetch without shuffle"); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+        let per_source: Vec<f64> = if sh.aggregated {
+            let mut rack_bytes = vec![0.0; racks];
+            for i in 0..workers as usize {
+                rack_bytes[i % racks] += sh.buckets.get(i, reducer as usize);
+            }
+            if self.cfg.defect == Some(Defect::DropAggBytes) {
+                // Injected defect (fuzz-oracle demo, DESIGN.md §4.13):
+                // lose the last rack's fold entirely.
+                if let Some(b) = rack_bytes.last_mut() {
+                    *b = 0.0;
+                }
+            }
+            rack_bytes
+        } else {
+            (0..workers as usize)
+                .map(|i| sh.buckets.get(i, reducer as usize))
+                .collect()
+        };
+        let total: f64 = per_source.iter().sum();
+        let (agg_rate, out_factor, aggregated) =
+            (sh.spec.fetch_rate, sh.spec.out_factor, sh.aggregated);
+
+        let speed = self.speed(node);
+        let mut dur = SimDuration::from_secs_f64(total / (agg_rate * speed));
+        let (chain_dur, out_bytes, out_records, _, _) = run_narrow_chain(
+            stage,
+            total * out_factor,
+            ((total / 64.0).max(1.0)) as u64,
+            None,
+            speed,
+            None,
+        );
+        dur += chain_dur;
+        let dur = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
+        {
+            let i = task as usize;
+            self.tasks.compute_dur[i] = dur;
+            self.tasks.input_bytes[i] = total;
+            self.tasks.output_bytes[i] = out_bytes;
+            self.tasks.records_est[i] = out_records;
+        }
+
+        match self.cfg.shuffle {
+            ShuffleStore::Local(_) | ShuffleStore::LustreLocal => {
+                let lustre_local = matches!(self.cfg.shuffle, ShuffleStore::LustreLocal);
+                // Flow endpoints are racks when aggregated, nodes otherwise
+                // (`per_source` is indexed the same way).
+                let dst = if aggregated {
+                    self.fabric.rack_index(NodeId(node)) as u32
+                } else {
+                    node
+                };
+                let tag = self.net_tag(task);
+                let inflate = |raw: f64| inflate_for_requests(Bytes(raw * compress), req, oh);
+                let mut chunks = std::mem::take(&mut self.fetch_chunks);
+                chunks.clear();
+                for (src, &b) in per_source.iter().enumerate() {
+                    if b <= 0.0 {
+                        continue;
+                    }
+                    // Wire bytes served from the source's store or server
+                    // page cache (kind 0) and from the OSSes (kind 1).
+                    let (cached, oss) = if !lustre_local {
+                        (inflate(b), Bytes::ZERO)
+                    } else {
+                        let sh = self.jobs[ji].shuffle_in.as_ref().unwrap(); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+                        if aggregated {
+                            // Split the rack total by the byte-weighted
+                            // cached share of its member nodes.
+                            let cached_raw = (src..workers as usize)
+                                .step_by(racks)
+                                .map(|i| sh.buckets.get(i, reducer as usize) * sh.cached_frac[i])
+                                .sum::<f64>();
+                            (inflate(cached_raw), inflate(b - cached_raw))
+                        } else {
+                            let wire = inflate(b);
+                            let cached = wire * sh.cached_frac[src];
+                            (cached, wire - cached)
+                        }
+                    };
+                    for (kind, wire) in [(0u8, cached), (1, oss)] {
+                        if wire.is_positive() {
+                            self.tasks.pending_io[task as usize] += 1;
+                            chunks.push((self.fetch_flow(now, ji, src as u32, dst, kind), wire));
+                        }
+                    }
+                }
+                self.net.push_chunks(now, tag, &chunks);
+                self.fetch_chunks = chunks;
+                self.net.end_batch();
+                self.arm_net(out);
+            }
+            ShuffleStore::LustreShared => {
+                // Metadata storm: per-file lock ops at the MDS, plus the
+                // revocation bookkeeping share; then an OSS read gated on the
+                // mass flush (see `lustre_shared_transfer`).
+                let ops = workers as f64 * self.lustre.config().ops_lock
+                    + self.lustre.config().ops_revoke;
+                let tag = self.io_tag(task);
+                self.tasks.pending_io[task as usize] += 2; // mds + data
+                self.lustre.submit_mds(now, ops, tag);
+                self.arm_lustre(out);
+            }
+        }
+        self.maybe_schedule_finish(now, task, out);
+    }
+
+    /// Real rows: the first launch of `reducer` takes its segments out of
+    /// `node_real` in gather order (the shuffle barrier guarantees they are
+    /// complete) and queues their aggregation for this round's flush. A
+    /// retry finds the result parked and queues nothing, so the aggregation
+    /// runs once per reducer however many attempts it takes.
+    pub(super) fn queue_reduce(
+        &mut self,
+        task: u32,
+        reducer: u32,
+        plan: &Arc<JobPlan>,
+        stage: usize,
+    ) {
+        let sh = self
+            .job_of_mut(task)
+            .shuffle_in
+            .as_mut()
+            .expect("fetch without shuffle"); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+        let Some(real) = sh.node_real.as_mut() else {
+            return; // synthetic shuffle: sizes only
+        };
+        let slot = &mut sh.reduced[reducer as usize];
+        if !matches!(slot, Reduced::Unlaunched) {
+            return;
+        }
+        *slot = Reduced::Taken;
+        let segments = real
+            .iter_mut()
+            .flat_map(|node| std::mem::take(&mut node[reducer as usize]))
+            .collect();
+        let agg = sh.spec.agg.clone();
+        let partition = self.real_partitioning(task);
+        self.pending.push(Pending {
+            task,
+            plan: plan.clone(),
+            stage,
+            partition,
+            work: Work::Reduce {
+                reducer,
+                agg,
+                segments,
+            },
+        });
+    }
+
+    /// Persistent fetch flow for `(src, dst, kind)` of the shuffle resident
+    /// job `ji` is reading: one indexed load once opened, opened on first
+    /// use. Kind 0 is served by the source's store (or Lustre server page
+    /// cache), kind 1 by the OSSes through the Lustre pipe ("repetitive data
+    /// movement"). In an aggregated shuffle `src` and `dst` are racks and the
+    /// flow is processor-shared: concurrent reducers behind it split its
+    /// bandwidth evenly — the split the collapsed per-node flows would
+    /// converge to under water-filling. A shuffle is aggregated or not for
+    /// its whole life, so its table is indexed one way throughout.
+    pub(super) fn fetch_flow(
+        &mut self,
+        now: SimTime,
+        ji: usize,
+        src: u32,
+        dst: u32,
+        kind: u8,
+    ) -> FlowId {
+        let sh = self.jobs[ji].shuffle_in.as_mut().unwrap(); // lint:allow(panic): fetch_flow is reached only from fetch paths, which require shuffle_in
+        let endpoints = sh.fetch_flows.len() / 2;
+        let row = &mut sh.fetch_flows[dst as usize * 2 + kind as usize];
+        if row.is_empty() {
+            row.resize(endpoints, UNOPENED);
+        }
+        let entry = &mut row[src as usize];
+        if *entry != UNOPENED {
+            return *entry;
+        }
+        *entry = if sh.aggregated {
+            let mut path = self.fabric.rack_aggregate_path(src as usize, dst as usize);
+            if kind == 1 {
+                path.insert(0, self.fabric.lustre_pipe());
+            }
+            path.dedup();
+            self.net.open_shared_flow(now, path, false)
+        } else {
+            // The serving side (store read bandwidth, or the Lustre pipe),
+            // then the server and destination NICs across the fabric.
+            let mut path = vec![if kind == 0 {
+                self.store_read_links[src as usize]
+            } else {
+                self.fabric.lustre_pipe()
+            }];
+            path.extend(
+                self.fabric
+                    .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))),
+            );
+            path.dedup();
+            let flow = self.net.open_flow(now, path, false);
+            // A node-to-node flow queues one chunk per reducer running on
+            // the destination node (a capacity hint: a retry can queue behind
+            // a failed attempt's). Rack-aggregated flows serve a whole rack
+            // and are left to grow.
+            self.net
+                .reserve_chunks(flow, self.spec.cores_per_node as usize);
+            flow
+        };
+        *entry
+    }
+
+    /// Give back the persistent fetch flows of a shuffle nothing will read
+    /// again: its fetch stage is over, or its job is leaving. They are idle
+    /// unless a failed or aborted attempt left chunks in flight, and closing
+    /// an idle flow only frees its slot; closing one that still carries
+    /// chunks drops them and retires the armed `NetWake`, so the net is
+    /// re-armed here.
+    pub(super) fn release_fetch_flows(
+        &mut self,
+        now: SimTime,
+        sh: &ShuffleState,
+        out: &mut Outbox<Ev>,
+    ) {
+        let armed = self.net.gen();
+        for &f in sh.fetch_flows.iter().flatten().filter(|&&f| f != UNOPENED) {
+            self.net.close_flow(now, f);
+        }
+        if self.net.gen() != armed {
+            self.arm_net(out);
+        }
+    }
+
+    /// A departing job gives back what its shuffles hold in the substrates:
+    /// the fetch flows of the one it was reading, and every Lustre file it
+    /// wrote — deleting one releases its writer's DLM lock and the client
+    /// cache it pins. A delete retires the armed `LustreWake`, so the MDS is
+    /// re-armed for the other residents.
+    pub(super) fn release_shuffle_state(
+        &mut self,
+        now: SimTime,
+        job: &JobRun,
+        out: &mut Outbox<Ev>,
+    ) {
+        if let Some(sh) = &job.shuffle_in {
+            self.release_fetch_flows(now, sh, out);
+        }
+        if !job.lustre_files.is_empty() {
+            for &f in &job.lustre_files {
+                self.lustre.delete(f);
+            }
+            self.arm_lustre(out);
+        }
+    }
+
+    /// A task that may deposit intermediate data for a produced shuffle.
+    pub(super) fn producer_finished(&mut self, task: u32, node: u32) {
+        let out_bytes = self.tasks.output_bytes[task as usize];
+        let stage_idx = self.tasks.stage[task as usize] as usize;
+        let has_shuffle = self.job_of(task).plan.stages[stage_idx].has_shuffle_output();
+        if !has_shuffle {
+            return;
+        }
+        let real_out = self.tasks.records_out[task as usize].take();
+        let job = self.job_of_mut(task);
+        job.intermediate[node as usize] += out_bytes;
+        let sh = job.shuffle_out.as_mut().expect("producer without shuffle"); // lint:allow(panic): producer completions only arrive for stages with a produced shuffle
+        match (real_out.map(|b| *b), &mut sh.node_real) {
+            // O(reducers): each bucket — already partitioned, sized and
+            // summed on the pool — lands as one segment, by handle. Its byte
+            // total is an integer sum, so adding it once equals the
+            // per-record `f64` accumulation it replaces bit for bit.
+            (Some(RealOut::Buckets(buckets)), Some(real)) => {
+                for (r, bucket) in buckets.into_iter().enumerate() {
+                    sh.buckets.add(node as usize, r, bucket.bytes as f64);
+                    if !bucket.rows.is_empty() {
+                        real[node as usize][r].push(bucket.rows);
+                    }
+                }
+            }
+            _ => sh.buckets.add_uniform(node as usize, out_bytes),
+        }
+    }
+
+    /// Hand a finishing fetch task its reducer's parked aggregation. The
+    /// three fields are written here, after the task's metric was recorded,
+    /// because that record (and every export built on it) pins the
+    /// size-model `output_bytes` set at launch.
+    pub(super) fn adopt_reduced(&mut self, task: u32, reducer: u32) {
+        let Some(slot) = self
+            .job_of_mut(task)
+            .shuffle_in
+            .as_mut()
+            .and_then(|sh| sh.reduced.get_mut(reducer as usize))
+        else {
+            return; // synthetic shuffle: sizes only
+        };
+        let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
+            unreachable!("fetch task finished before its reducer was evaluated");
+        };
+        let i = task as usize;
+        self.tasks.output_bytes[i] = bytes;
+        self.tasks.records_est[i] = records;
+        self.tasks.records_out[i] = Some(Box::new(rows));
+    }
+
+    /// Freeze serving-side state before the fetch stage starts: store
+    /// read-link capacities (LocalStore), cached fractions (Lustre-local),
+    /// and the mass revocation flush (Lustre-shared).
+    pub(super) fn prepare_fetch_serving(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
+        let workers = self.spec.workers as usize;
+        match self.cfg.shuffle {
+            ShuffleStore::Local(dev) => {
+                for n in 0..workers {
+                    let fs = if dev == StoreDevice::Ssd {
+                        &self.ssd_fs[n]
+                    } else {
+                        &self.ram_fs[n]
+                    };
+                    let bw = effective_read_bw(fs, dev);
+                    self.net
+                        .set_link_capacity(now, self.store_read_links[n], bw.max(1.0));
+                }
+                self.net.end_batch();
+                self.arm_net(out);
+            }
+            ShuffleStore::LustreLocal => {
+                let files: Vec<Option<LustreFile>> = self.jobs[ji]
+                    .shuffle_out
+                    .as_ref()
+                    .unwrap() // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
+                    .lustre_files
+                    .clone();
+                for (n, f) in files.iter().enumerate() {
+                    let frac = f.map(|lf| self.lustre.cached_fraction(lf)).unwrap_or(0.0);
+                    // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
+                    self.jobs[ji].shuffle_out.as_mut().unwrap().cached_frac[n] = frac;
+                }
+            }
+            ShuffleStore::LustreShared => {
+                // "Forcing all the intermediate data to be flushed to the
+                // OSSes around the same time" — revoke every node file now.
+                let files: Vec<(u32, LustreFile)> = self.jobs[ji]
+                    .shuffle_out
+                    .as_ref()
+                    .unwrap() // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
+                    .lustre_files
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(n, f)| f.map(|lf| (n as u32, lf)))
+                    .collect();
+                let mut pending = 0;
+                for (n, lf) in files {
+                    let dirty = self.lustre.revoke(now, lf);
+                    if dirty > 0.0 {
+                        pending += 1;
+                        let path = self
+                            .fabric
+                            .path(Endpoint::Node(NodeId(n)), Endpoint::Lustre);
+                        let f = self.net.open_flow(now, path, true);
+                        let wire = dirty / self.lustre.config().write_efficiency;
+                        self.net.push_chunk(now, f, Bytes(wire), NetTag::Flush);
+                    }
+                }
+                let sh = self.jobs[ji].shuffle_out.as_mut().unwrap(); // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
+                sh.flush_pending = pending;
+                sh.flush_done = pending == 0;
+                self.arm_net(out);
+            }
+        }
+    }
+
+    /// A Lustre-shared fetch task is transfer-eligible (its MDS ops are done
+    /// AND the mass flush finished): schedule the OSS read one revocation
+    /// round trip out. The flow itself opens when [`Ev::LustreSharedRead`]
+    /// fires, so the flow network's clock never runs ahead of sim time
+    /// (other resident jobs keep mutating it inside the latency window).
+    pub(super) fn lustre_shared_transfer(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
+        let start = now + self.lustre.config().revoke_latency;
+        self.trace(
+            now,
+            TE::LockWaitFor {
+                task,
+                dur: self.lustre.config().revoke_latency,
+            },
+        );
+        out.at(
+            start,
+            Ev::LustreSharedRead {
+                task,
+                attempt: self.tasks.attempt[task as usize],
+                job: self.tasks.job[task as usize],
+            },
+        );
+    }
+
+    /// The deferred OSS read of [`SimWorld::lustre_shared_transfer`].
+    pub(super) fn lustre_shared_read(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
+        let node = self.tasks.node[task as usize];
+        let total = self.tasks.input_bytes[task as usize];
+        let compress = if self.cfg.spark.shuffle_compress {
+            self.cfg.spark.shuffle_compress_ratio
+        } else {
+            1.0
+        };
+        let wire = inflate_for_requests(
+            Bytes(total * compress),
+            self.cfg.spark.reducer_max_bytes_in_flight,
+            self.cfg.spark.per_request_overhead_bytes,
+        );
+        let path = self
+            .fabric
+            .path(Endpoint::Lustre, Endpoint::Node(NodeId(node)));
+        let f = self.net.open_flow(now, path, true);
+        let tag = self.net_tag(task);
+        self.net.push_chunk(now, f, wire, tag);
+        self.arm_net(out);
+    }
+
+    pub(super) fn on_flush_progress(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
+        // Flush chunks carry no job identity; attribute the progress to the
+        // first resident job (admission order) still waiting on a flush —
+        // flush counts are per-job, so order within the set is immaterial.
+        let Some(sh) = self.jobs.iter_mut().find_map(|job| {
+            job.shuffle_in
+                .as_mut()
+                .or(job.shuffle_out.as_mut())
+                .filter(|sh| sh.flush_pending > 0)
+        }) else {
+            return;
+        };
+        sh.flush_pending -= 1;
+        if sh.flush_pending == 0 && !sh.flush_done {
+            sh.flush_done = true;
+            let waiting = std::mem::take(&mut sh.waiting_for_flush);
+            for task in waiting {
+                self.trace(now, TE::LockWaitEnd { task });
+                self.lustre_shared_transfer(now, task, out);
+            }
+        }
+    }
+
+    /// Move every deposited row of `dead` to `repl` in one shuffle state:
+    /// recovery re-hosts the data, and ghost tasks recharge the time it took
+    /// to produce it. The dead node's store file is forgotten, so relaunched
+    /// fetches read from the replacement.
+    pub(super) fn move_shuffle_rows(sh: &mut ShuffleState, dead: usize, repl: usize) {
+        sh.buckets.move_node(dead, repl);
+        if let Some(real) = sh.node_real.as_mut() {
+            let moved = std::mem::replace(&mut real[dead], vec![Vec::new(); sh.reducers as usize]);
+            for (b, mut recs) in moved.into_iter().enumerate() {
+                real[repl][b].append(&mut recs);
+            }
+        }
+        sh.local_files[dead] = None;
+        sh.cached_frac[dead] = 0.0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::world;
+    use super::*;
+    use crate::config::EngineConfig;
+    use memres_cluster::tiny;
+
+    #[test]
+    fn effective_read_bw_blends_cache_and_device() {
+        use memres_storage::{CacheConfig, LocalFs, RamDisk};
+        // RAMDisk store: always the device rate.
+        let fs = LocalFs::new(Box::new(RamDisk::new(5e9, 4e9)), 1e12, None);
+        assert_eq!(effective_read_bw(&fs, StoreDevice::RamDisk), 5e9);
+        // SSD store with little data: cache-dominated (≈ mem speed).
+        let mut ssd_fs = LocalFs::new(
+            Box::new(Ssd::new(SsdConfig::hyperion())),
+            1e12,
+            Some(CacheConfig::hyperion()),
+        );
+        ssd_fs.preload(FileId(1), Bytes(1e9)); // 1 GB stored, fully cacheable
+        let hot = effective_read_bw(&ssd_fs, StoreDevice::Ssd);
+        assert!(hot > 2.0e9, "mostly cached: {hot}");
+        // With far more data than cache: near device read speed.
+        ssd_fs.preload(FileId(2), Bytes(500e9));
+        let cold = effective_read_bw(&ssd_fs, StoreDevice::Ssd);
+        assert!(cold < 700e6, "mostly device: {cold}");
+        assert!(cold >= 500e6, "never below device rate: {cold}");
+    }
+
+    #[test]
+    fn real_producer_finish_moves_bucket_handles() {
+        // The kernel thread never touches a record: once the dispatch round
+        // has flushed, a running real compute task holds its output already
+        // hash-partitioned, and finishing it hands those very allocations
+        // to the shuffle as segments — O(reducers) moves, no copy.
+        use crate::rdd::{Dataset, Rdd, SizeModel};
+        let recs: Vec<Record> = (0..256).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        let rdd = Rdd::source(Dataset::from_records(recs, 4))
+            .map("id", SizeModel::scan(), |r| r)
+            .group_by_key(Some(3), 1e9);
+        let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, plan, &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        let task = (0..w.tasks.len())
+            .find(|&i| w.tasks.state[i] == TState::Running)
+            .expect("dispatch launched the computes");
+        let node = w.tasks.node[task] as usize;
+        let Some(RealOut::Buckets(buckets)) = w.tasks.records_out[task].as_deref() else {
+            panic!("the flush must leave the output partitioned");
+        };
+        assert_eq!(buckets.len(), 3);
+        let handles: Vec<(usize, *const Record)> = buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.rows.is_empty())
+            .map(|(r, b)| (r, b.rows.as_ptr()))
+            .collect();
+        assert!(!handles.is_empty());
+        w.producer_finished(task as u32, node as u32);
+        assert!(w.tasks.records_out[task].is_none());
+        let sh = w.jobs[0]
+            .shuffle_out
+            .as_ref()
+            .expect("stage feeds a shuffle");
+        let real = sh.node_real.as_ref().expect("real rows");
+        for (r, ptr) in handles {
+            let segment = real[node][r].last().expect("one segment per bucket");
+            assert_eq!(segment.as_ptr(), ptr, "bucket {r} was copied, not moved");
+        }
+    }
+
+    #[test]
+    fn fetch_flow_rows_exist_only_for_destinations_that_launched_a_reducer() {
+        // Aggregation off at 1,000 nodes: the table is indexed by node pairs
+        // and must grow one `workers`-long row per (destination, kind) a
+        // reducer actually lands on — never workers² entries up front.
+        use crate::rdd::{Dataset, Rdd, SizeModel};
+        let workers = 1000;
+        let cfg = EngineConfig::default().with_rack_agg_threshold(u32::MAX);
+        let mut w = SimWorld::new(tiny(workers), cfg);
+        let recs: Vec<Record> = (0..64).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        let rdd = Rdd::source(Dataset::from_records(recs, 4))
+            .map("id", SizeModel::scan(), |r| r)
+            .group_by_key(Some(3), 1e9);
+        let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, plan, &mut out);
+        w.jobs[0].shuffle_in = w.jobs[0].shuffle_out.take();
+        let table = |w: &SimWorld| {
+            let rows = &w.jobs[0]
+                .shuffle_in
+                .as_ref()
+                .expect("moved above")
+                .fetch_flows;
+            let entries: Vec<FlowId> = rows.iter().flatten().copied().collect();
+            let opened = entries.iter().copied().filter(|&f| f != UNOPENED).collect();
+            (entries.len(), opened)
+        };
+        assert_eq!(table(&w), (0, Vec::new()));
+        let a = w.fetch_flow(SimTime::ZERO, 0, 3, 7, 0);
+        let b = w.fetch_flow(SimTime::ZERO, 0, 5, 7, 0);
+        let c = w.fetch_flow(SimTime::ZERO, 0, 3, 9, 1);
+        assert_eq!(
+            w.fetch_flow(SimTime::ZERO, 0, 3, 7, 0),
+            a,
+            "persistent: opened once"
+        );
+        assert_eq!(table(&w), (2 * workers as usize, vec![a, b, c]));
+        assert_eq!(w.net.open_flows(), 3);
+    }
+}

@@ -15,9 +15,10 @@
 //!   measurement layer. Simulated time is `SimTime`; randomness is seeded.
 //! * **R3 `io`** — no filesystem or network access (`std::fs`, `std::net`)
 //!   outside the designated `bench` and `scripts` layers.
-//! * **R4 `panic`** — `unwrap()`/`expect()`/`panic!` in the recovery/fault
-//!   paths and fuzz-driven substrate hot paths must justify why the
-//!   invariant holds via a `lint:allow` annotation.
+//! * **R4 `panic`** — `unwrap()`/`expect()`/`panic!` in the engine kernel
+//!   (recovery/fault paths included) and the fuzz-driven substrate hot paths
+//!   must justify why the invariant holds via a `lint:allow` annotation. The
+//!   guarded set is a list of path prefixes ([`PANIC_GUARDED_PATHS`]).
 //! * **R5 `event-past`** (v2) — every event-scheduling callsite
 //!   (`Outbox::at`, `Simulation::schedule`, `queue.push`, flow opens,
 //!   `push_chunk(s)`) must derive its timestamp from `now` *syntactically*:
@@ -135,18 +136,24 @@ pub const SIM_CRATES: [&str; 9] = [
     "trace",
 ];
 
-/// `(crate, file)` pairs where a bare panic turns an injected fault or a
-/// hot-loop bookkeeping slip into a crashed process (rule R4): the
-/// recovery/fault paths of `memres-core`, plus the substrate hot paths the
-/// differential fuzzer drives hardest (flow bookkeeping, device queues,
-/// the Lustre lock/cache state machine).
-pub const PANIC_GUARDED_FILES: [(&str, &str); 6] = [
-    ("core", "world.rs"),
-    ("core", "faults.rs"),
-    ("core", "dag.rs"),
-    ("net", "flow.rs"),
-    ("storage", "device.rs"),
-    ("lustre", "lib.rs"),
+/// Workspace-relative path prefixes under which a bare panic turns an
+/// injected fault or a hot-loop bookkeeping slip into a crashed process
+/// (rule R4): the engine kernel of `memres-core` — `world.rs`, every module
+/// under `world/`, and the two that were split out of it earlier — its
+/// fault and planning paths, plus the substrate hot paths the differential
+/// fuzzer drives hardest (flow bookkeeping, device queues, the Lustre
+/// lock/cache state machine). Matching is by prefix, so code that moves to a
+/// new `world/` module stays under the rule without an edit here.
+pub const PANIC_GUARDED_PATHS: [&str; 9] = [
+    "crates/core/src/world.rs",
+    "crates/core/src/world/",
+    "crates/core/src/candidates.rs",
+    "crates/core/src/executor.rs",
+    "crates/core/src/faults.rs",
+    "crates/core/src/dag.rs",
+    "crates/net/src/flow.rs",
+    "crates/storage/src/device.rs",
+    "crates/lustre/src/lib.rs",
 ];
 
 /// Files that *define* the time/bytes newtypes: the `.0` accesses inside
@@ -160,8 +167,9 @@ pub const UNIT_DEFINING_FILES: [&str; 2] = ["crates/des/src/time.rs", "crates/de
 ///   the measurement layer that *must* read the host clock and write JSON,
 ///   and this tool itself).
 /// * `tests/`, `benches/` anywhere — exempt (test code may index fixtures).
-/// * `crates/<sim>/src/` — R1 + R2 + R3 + R5 + R6 + R7; plus R4 for the
-///   recovery-path files; minus R6 for the newtype-defining files.
+/// * `crates/<sim>/src/` — R1 + R2 + R3 + R5 + R6 + R7; plus R4 under the
+///   [`PANIC_GUARDED_PATHS`] prefixes; minus R6 for the newtype-defining
+///   files.
 /// * umbrella `src/` and `examples/` — R2 + R3 (not simulation-visible,
 ///   but still deterministic-by-default).
 pub fn rules_for(rel: &str) -> RuleSet {
@@ -187,9 +195,8 @@ pub fn rules_for(rel: &str) -> RuleSet {
             return RuleSet::none();
         }
         if SIM_CRATES.contains(&krate) {
-            let file = rel.rsplit('/').next().unwrap_or("");
             let mut r = RuleSet::sim();
-            r.panic = PANIC_GUARDED_FILES.contains(&(krate, file));
+            r.panic = PANIC_GUARDED_PATHS.iter().any(|p| rel.starts_with(p));
             r.time_units = !UNIT_DEFINING_FILES.contains(&rel);
             return r;
         }
@@ -1441,6 +1448,19 @@ mod tests {
         let r = rules_for("crates/core/src/world.rs");
         assert!(r.hash && r.clock && r.io && r.panic);
         assert!(r.event_past && r.time_units && r.float_order);
+        // R4 follows the engine kernel by path prefix, not by file name.
+        for rel in [
+            "crates/core/src/world/sched.rs",
+            "crates/core/src/world/not_written_yet.rs",
+            "crates/core/src/candidates.rs",
+            "crates/core/src/executor.rs",
+        ] {
+            assert!(rules_for(rel).panic, "{rel} must be panic-guarded");
+        }
+        assert!(
+            !rules_for("crates/net/src/world.rs").panic,
+            "by path, not name"
+        );
         let r = rules_for("crates/core/src/metrics.rs");
         assert!(r.hash && !r.panic && r.time_units);
         let r = rules_for("crates/net/src/flow.rs");

@@ -327,3 +327,32 @@ fn deleted_allow_reexposes_event_past() {
          them must fire: {d:?}"
     );
 }
+
+// --------------------------------------------------------------- panic
+
+/// R4 follows the engine kernel into its `world/` modules: a bare
+/// `.unwrap()` seeded into one is caught, where a rule keyed on the file
+/// name `world.rs` would have let it through.
+#[test]
+fn bare_unwrap_in_a_world_module_fires_panic() {
+    let rel = "crates/core/src/world/sched.rs";
+    let src = read(rel);
+    let rules = rules_for(rel);
+    assert!(rules.panic, "world/ modules must carry the panic rule");
+    let d = scan_source(rel, &src, rules);
+    assert!(d.is_empty(), "real sched.rs must lint clean: {d:?}");
+    let at = src
+        .find("impl SimWorld {")
+        .expect("an impl block in sched.rs");
+    let mutated = format!(
+        "{}fn seeded(x: Option<u32>) -> u32 {{\n    x.unwrap()\n}}\n\n{}",
+        &src[..at],
+        &src[at..]
+    );
+    let d = scan_source(rel, &mutated, rules);
+    assert!(
+        d.iter()
+            .any(|d| d.rule == "panic" && d.message.contains("unwrap")),
+        "seeded unwrap must fire: {d:?}"
+    );
+}

@@ -46,6 +46,19 @@ fn workspace_lints_clean() {
         files.iter().any(|f| f.ends_with("core/src/world.rs")),
         "walk found no engine sources — wrong root? {root:?}"
     );
+    // The engine kernel is split over `world/`; its modules must be walked,
+    // and under the panic rule (R4 matches by path prefix).
+    let kernel: Vec<&String> = files
+        .iter()
+        .filter(|f| f.starts_with("crates/core/src/world/"))
+        .collect();
+    assert!(!kernel.is_empty(), "walk found no `world/` module");
+    for rel in kernel {
+        assert!(
+            rules_for(rel).panic,
+            "{rel} is scanned without the panic rule"
+        );
+    }
 
     let mut diags: Vec<Diagnostic> = Vec::new();
     for rel in &files {
