@@ -1,16 +1,177 @@
-//! The dispatch candidate set (DESIGN.md §4.12): which nodes a `Dispatch`
-//! has to visit.
+//! Per-node scheduling state and the dispatch candidate set over it
+//! (DESIGN.md §4.12): which nodes can take a launch, and which of those a
+//! `Dispatch` has to visit.
 //!
-//! [`NodeSet`] is one bit per worker — insert, remove and membership are a
-//! shift and a mask where the `BTreeSet` it replaces paid a tree insert and
-//! a tree remove per task, and a walk in ascending order touches
-//! `workers / 64` words. [`Candidates`] splits the nodes that could accept a
-//! launch into the ones a visit might launch on and the ones *parked* after
-//! a visit found nothing they may run.
+//! [`Nodes`] owns the state — free slots, liveness, blacklist, failure
+//! counts — behind mutators that re-index the node they touch, so the
+//! candidate set cannot drift from it. [`NodeSet`] is one bit per worker —
+//! insert, remove and membership are a shift and a mask where the `BTreeSet`
+//! it replaces paid a tree insert and a tree remove per task, and a walk in
+//! ascending order touches `workers / 64` words. [`Candidates`] splits the
+//! nodes that could accept a launch into the ones a visit might launch on
+//! and the ones *parked* after a visit found nothing they may run.
 
 // Node ids are minted by the cluster spec and every set is sized to it at
 // construction; an out-of-range id would be an engine bug.
 #![allow(clippy::indexing_slicing)]
+
+/// Per-node scheduling state with its candidate index. A node is
+/// *available* — can accept a launch — when it is up, not blacklisted and
+/// has a free slot; every mutator below re-derives that for the node it
+/// changed, which is the whole of what used to be a call-site discipline.
+pub(crate) struct Nodes {
+    cores: u32,
+    free_slots: Vec<u32>,
+    /// Per-node liveness; crashed nodes get no dispatch and release no slots.
+    up: Vec<bool>,
+    /// Nodes excluded from scheduling after repeated task failures.
+    blacklisted: Vec<bool>,
+    /// Task-attributed failures per node (drives blacklisting).
+    fail_counts: Vec<u32>,
+    /// The available nodes, less the ones parked because a visit would find
+    /// nothing they may run. `dispatch` walks the live ones, in rotation
+    /// order, instead of scanning every worker — what makes 10k-node cells
+    /// tractable.
+    index: Candidates,
+}
+
+impl Nodes {
+    /// `workers` nodes, all up with `cores` free slots each.
+    pub fn new(workers: u32, cores: u32) -> Self {
+        let n = workers as usize;
+        Nodes {
+            cores,
+            free_slots: vec![cores; n],
+            up: vec![true; n],
+            blacklisted: vec![false; n],
+            fail_counts: vec![0; n],
+            index: Candidates::all(workers),
+        }
+    }
+
+    pub fn is_up(&self, node: u32) -> bool {
+        self.up[node as usize]
+    }
+
+    /// Up and not blacklisted: may be given work, slots permitting.
+    pub fn usable(&self, node: u32) -> bool {
+        self.up[node as usize] && !self.blacklisted[node as usize]
+    }
+
+    /// Whether `node` can accept a launch: the membership rule of the index.
+    pub fn available(&self, node: u32) -> bool {
+        self.usable(node) && self.free_slots[node as usize] > 0
+    }
+
+    /// First usable node: the deterministic re-host target for pinned work
+    /// and re-hosted shuffle rows.
+    pub fn replacement(&self) -> Option<u32> {
+        (0..self.up.len() as u32).find(|&n| self.usable(n))
+    }
+
+    /// Occupied slots over the nodes that are up.
+    pub fn busy_slots(&self) -> u32 {
+        let busy = |n: usize| self.cores - self.free_slots[n];
+        (0..self.up.len()).filter(|&n| self.up[n]).map(busy).sum()
+    }
+
+    /// The candidate sets, to read.
+    pub fn index(&self) -> &Candidates {
+        &self.index
+    }
+
+    fn reindex(&mut self, node: u32) {
+        self.index.set_available(node, self.available(node));
+    }
+
+    /// A task launched on `node`.
+    pub fn take_slot(&mut self, node: u32) {
+        self.free_slots[node as usize] -= 1;
+        self.reindex(node);
+    }
+
+    /// A task left `node`, which is up.
+    pub fn free_slot(&mut self, node: u32) {
+        self.free_slots[node as usize] += 1;
+        self.reindex(node);
+    }
+
+    /// `node` dies: down, with no slot to give.
+    pub fn crash(&mut self, node: u32) {
+        self.up[node as usize] = false;
+        self.free_slots[node as usize] = 0;
+        self.reindex(node);
+    }
+
+    /// Restart `node`'s executor. A crashed node comes back with every slot
+    /// free; a live but blacklisted one is cleared (the fresh process starts
+    /// with a clean fault record); either way its failure count resets.
+    /// `Some(was_down)`, or `None` for a node in good standing (no change).
+    pub fn restart(&mut self, node: u32) -> Option<bool> {
+        let i = node as usize;
+        let was_down = !self.up[i];
+        if was_down {
+            self.up[i] = true;
+            self.free_slots[i] = self.cores;
+        } else if self.blacklisted[i] {
+            self.blacklisted[i] = false;
+        } else {
+            return None;
+        }
+        self.fail_counts[i] = 0;
+        self.reindex(node);
+        Some(was_down)
+    }
+
+    pub fn blacklist(&mut self, node: u32) {
+        self.blacklisted[node as usize] = true;
+        self.reindex(node);
+    }
+
+    /// Count a task failure against `node` if it is usable; true when that
+    /// was its `limit`-th and the node is now blacklisted.
+    pub fn blame(&mut self, node: u32, limit: u32) -> bool {
+        if !self.usable(node) {
+            return false;
+        }
+        self.fail_counts[node as usize] += 1;
+        let out = self.fail_counts[node as usize] >= limit;
+        if out {
+            self.blacklist(node);
+        }
+        out
+    }
+
+    /// See [`Candidates::park`].
+    pub fn park(&mut self, node: u32) {
+        self.index.park(node);
+    }
+
+    /// See [`Candidates::unpark`].
+    pub fn unpark(&mut self, node: u32) {
+        self.index.unpark(node);
+    }
+
+    /// See [`Candidates::unpark_all`].
+    pub fn unpark_all(&mut self) {
+        self.index.unpark_all();
+    }
+
+    /// The index invariant: the live and the parked nodes are exactly the
+    /// available ones, each in one set.
+    pub fn audit(&self) -> Result<(), String> {
+        for node in 0..self.up.len() as u32 {
+            let (live, parked) = (self.index.is_live(node), self.index.is_parked(node));
+            let available = self.available(node);
+            if (live && parked) || (live || parked) != available {
+                return Err(format!(
+                    "node {node}: candidate {live}, parked {parked}, available {available}"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Every *available* node — up, not blacklisted, at least one free slot — is
 /// in exactly one of the two sets, and no other node is in either.
@@ -20,8 +181,8 @@
 /// only in runs where a visit that launches nothing has no other effect
 /// (`SimWorld::visits_are_pure`). It stays available — a parked node is why
 /// pending work is *not* starved — and returns to `live` when something
-/// could make a visit launch: its own slots or liveness change
-/// ([`Candidates::set_available`]), or a task becomes runnable on it
+/// could make a visit launch: its own slots or liveness change (any
+/// [`Nodes`] mutator), or a task becomes runnable on it
 /// ([`Candidates::unpark`], [`Candidates::unpark_all`]).
 pub(crate) struct Candidates {
     live: NodeSet,
@@ -65,7 +226,7 @@ impl Candidates {
 
     /// Record whether `node` can accept a launch after a change to its free
     /// slots, liveness or blacklist status; an available node is live again.
-    pub fn set_available(&mut self, node: u32, available: bool) {
+    fn set_available(&mut self, node: u32, available: bool) {
         self.parked.remove(node);
         if available {
             self.live.insert(node);
@@ -250,5 +411,72 @@ mod tests {
         assert_eq!(rotated(&a, 0), vec![3, 70, 99]);
         assert_eq!(a.len(), 3);
         assert!(b.len() == 0 && rotated(&b, 0).is_empty());
+    }
+
+    #[test]
+    fn restart_and_blame_follow_the_executor_life_cycle() {
+        let mut n = Nodes::new(3, 2);
+        assert_eq!(n.restart(1), None, "in good standing: nothing to do");
+        // The second attributed failure blacklists; later ones are not counted.
+        assert!(!n.blame(1, 2) && n.blame(1, 2) && !n.blame(1, 2));
+        assert!(n.is_up(1) && !n.usable(1) && !n.available(1));
+        assert_eq!(n.replacement(), Some(0));
+        assert_eq!(n.restart(1), Some(false), "cleared, was not down");
+        assert!(n.available(1) && !n.blame(1, 2), "failure count reset");
+        n.take_slot(0);
+        n.take_slot(2);
+        n.crash(0);
+        assert_eq!((n.busy_slots(), n.replacement()), (1, Some(1)));
+        assert_eq!(n.restart(0), Some(true));
+        assert_eq!(n.busy_slots(), 1, "back with every slot free");
+        n.audit().expect("index in sync");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The audit as a property: after any sequence of mutators the
+            /// live and parked sets are disjoint and together exactly the
+            /// nodes that are up, not blacklisted and have a free slot —
+            /// checked against a model kept beside the real thing.
+            #[test]
+            fn index_follows_every_mutator(
+                ops in proptest::collection::vec((0u8..9, 0u32..70), 1..300)
+            ) {
+                const CORES: u32 = 2;
+                let mut nodes = Nodes::new(70, CORES);
+                // (up, blacklisted, free) per node.
+                let mut model = vec![(true, false, CORES); 70];
+                for (op, n) in ops {
+                    let m = &mut model[n as usize];
+                    match op {
+                        0 if m.0 && !m.1 && m.2 > 0 => { nodes.take_slot(n); m.2 -= 1; }
+                        1 if m.0 && m.2 < CORES => { nodes.free_slot(n); m.2 += 1; }
+                        2 => { nodes.crash(n); m.0 = false; m.2 = 0; }
+                        3 => {
+                            let changed = nodes.restart(n);
+                            prop_assert_eq!(changed, (!m.0 || m.1).then_some(!m.0));
+                            if !m.0 { *m = (true, m.1, CORES); } else { m.1 = false; }
+                        }
+                        4 => { nodes.blacklist(n); m.1 = true; }
+                        5 => nodes.park(n),
+                        6 => nodes.unpark(n),
+                        7 => nodes.unpark_all(),
+                        _ => {}
+                    }
+                    prop_assert_eq!(nodes.audit(), Ok(()));
+                    let c = nodes.index();
+                    for (i, &(up, bl, free)) in model.iter().enumerate() {
+                        let (live, parked) = (c.is_live(i as u32), c.is_parked(i as u32));
+                        prop_assert!(!(live && parked), "node {} in both sets", i);
+                        prop_assert_eq!(live || parked, up && !bl && free > 0, "node {}", i);
+                    }
+                    let want = model.iter().filter(|m| m.0 && !m.1 && m.2 > 0).count();
+                    prop_assert_eq!(c.available(), want);
+                }
+            }
+        }
     }
 }

@@ -28,7 +28,7 @@
 #![allow(clippy::indexing_slicing)]
 
 use crate::blockmgr::BlockMgr;
-use crate::candidates::Candidates;
+use crate::candidates::Nodes;
 use crate::config::{Defect, EngineConfig, InputSource, SchedulerKind, ShuffleStore, StoreDevice};
 use crate::dag::build_plan;
 use crate::dag::{JobPlan, ShuffleInSpec, StageInput, StagePlan};
@@ -228,13 +228,9 @@ pub struct SimWorld {
     finished: VecDeque<FinishedJob>,
 
     // Scheduling state.
-    free_slots: Vec<u32>,
-    /// Nodes currently able to accept a launch (up, not blacklisted, at
-    /// least one free slot), kept in sync by `note_slot_change`, less the
-    /// ones parked because a visit would find nothing they may run.
-    /// `dispatch` walks the live ones, in rotation order, instead of
-    /// scanning every worker — what makes 10k-node cells tractable.
-    cands: Candidates,
+    /// Per-node slots, liveness and blacklist, with the dispatch candidate
+    /// index they imply.
+    nodes: Nodes,
     /// Nodes `dispatch` looked for work on, over the world's lifetime
     /// (visits cut short by a node being down, full or already blocked this
     /// round are not counted). A test hook in the style of
@@ -272,12 +268,6 @@ pub struct SimWorld {
     executor_threads: usize,
 
     // Fault & recovery state (DESIGN.md §4.9).
-    /// Per-node liveness; crashed nodes get no dispatch and release no slots.
-    node_up: Vec<bool>,
-    /// Nodes excluded from scheduling after repeated task failures.
-    blacklisted: Vec<bool>,
-    /// Task-attributed failures per node (drives blacklisting).
-    node_fail_counts: Vec<u32>,
     /// Global task-launch counter (the `TaskFail { nth_launch }` clock).
     launch_count: u64,
     /// Sorted launch ordinals doomed to fail (from the fault plan).
@@ -386,8 +376,7 @@ impl SimWorld {
         let tracer = cfg.trace.enabled().then(|| memres_trace::shared(cfg.trace));
         let recorder = cfg.metrics.map(Recorder::new);
         let mut w = SimWorld {
-            free_slots: vec![spec.cores_per_node; workers],
-            cands: Candidates::all(spec.workers),
+            nodes: Nodes::new(spec.workers, spec.cores_per_node),
             dispatch_visits: 0,
             blocked_stamp: vec![0; workers],
             dispatch_round: 0,
@@ -404,9 +393,6 @@ impl SimWorld {
             next_shuffle_file: SHUFFLE_FILE_BASE,
             pending: Vec::new(),
             executor_threads: resolve_executor_threads(&cfg),
-            node_up: vec![true; workers],
-            blacklisted: vec![false; workers],
-            node_fail_counts: vec![0; workers],
             launch_count: 0,
             doomed_launches: Vec::new(),
             faults_armed: false,
@@ -523,7 +509,8 @@ impl SimWorld {
         self.jobs
             .iter()
             .try_for_each(|j| tasks.audit_running(j.id))?;
-        self.audit_candidates()?;
+        self.nodes.audit()?;
+        self.audit_parked()?;
         self.net.audit_waterfill()?;
         if self.jobs.is_empty() {
             self.audit_departed()
@@ -885,8 +872,7 @@ impl SimWorld {
             .doomed_launches
             .binary_search(&self.launch_count)
             .is_ok();
-        self.free_slots[node as usize] -= 1;
-        self.note_slot_change(node);
+        self.nodes.take_slot(node);
         {
             let i = task as usize;
             self.tasks.set_state(task, TState::Running);
@@ -1060,8 +1046,7 @@ impl SimWorld {
                 self.tasks.ghost[i],
             )
         };
-        self.free_slots[node as usize] += 1;
-        self.note_slot_change(node);
+        self.nodes.free_slot(node);
         if lost {
             // The losing speculation copy: its whole duration was duplicated
             // work, so the trace marks it ghost (retry-waste in attribution).
@@ -1185,8 +1170,8 @@ impl SimWorld {
             // was blacklisted since, the re-hosted rows flush at the
             // replacement instead.
             let mut node = self.tasks.node[p as usize];
-            if !self.node_up[node as usize] || self.blacklisted[node as usize] {
-                let Some(repl) = self.replacement_node() else {
+            if !self.nodes.usable(node) {
+                let Some(repl) = self.nodes.replacement() else {
                     self.abort_job(now, ji, out);
                     return;
                 };
@@ -1220,7 +1205,7 @@ impl SimWorld {
 
     fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
         let job = self.jobs.remove(ji);
-        self.abandoned_io |= self.tasks.running[job.id as usize] > 0;
+        self.abandoned_io |= self.tasks.running(job.id) > 0;
         self.release_shuffle_state(now, &job, out);
         self.trace(
             now,
@@ -1406,28 +1391,19 @@ impl Model for SimWorld {
             }
             Ev::Fault { idx } => self.apply_fault(now, idx, out),
             Ev::NodeRestart { node } => {
-                if !self.node_up[node as usize] {
-                    self.node_up[node as usize] = true;
-                    self.free_slots[node as usize] = self.spec.cores_per_node;
-                    self.note_slot_change(node);
-                    self.node_fail_counts[node as usize] = 0;
+                // A node that was down is back; one that was blacklisted has
+                // its slots eligible again. Either way re-arm dispatch —
+                // without this, a fully-blacklisted cluster wedges even
+                // after every executor recovers.
+                let Some(was_down) = self.nodes.restart(node) else {
+                    return;
+                };
+                if was_down {
                     self.metrics.recovery_all(|r| r.node_restarts += 1);
-                    self.trace(now, TE::NodeUp { node });
-                    self.dispatch_starved = false;
-                    out.immediately(Ev::Dispatch);
-                } else if self.blacklisted[node as usize] {
-                    // Restarting a live-but-blacklisted executor clears the
-                    // blacklist (the fresh process starts with a clean fault
-                    // record); its slots become eligible again, so re-arm
-                    // dispatch — without this, a fully-blacklisted cluster
-                    // wedges even after every executor recovers.
-                    self.blacklisted[node as usize] = false;
-                    self.node_fail_counts[node as usize] = 0;
-                    self.note_slot_change(node);
-                    self.trace(now, TE::NodeUp { node });
-                    self.dispatch_starved = false;
-                    out.immediately(Ev::Dispatch);
                 }
+                self.trace(now, TE::NodeUp { node });
+                self.dispatch_starved = false;
+                out.immediately(Ev::Dispatch);
             }
             Ev::JobArrival { tenant, k } => self.on_job_arrival(now, tenant, k, out),
             Ev::LustreSharedRead { task, attempt, job } => {
@@ -1530,13 +1506,13 @@ mod tests {
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, placed_plan(2), &mut out);
         w.dispatch(SimTime::ZERO, &mut out);
-        assert_eq!(w.tasks.pending, 0, "both tasks launched");
+        assert_eq!(w.tasks.pending(), 0, "both tasks launched");
         assert_eq!(
-            w.cands.parked(),
-            w.cands.available(),
+            w.nodes.index().parked(),
+            w.nodes.index().available(),
             "every visited node launched or parked"
         );
-        assert!(w.cands.parked() >= 2, "idle nodes are parked");
+        assert!(w.nodes.index().parked() >= 2, "idle nodes are parked");
         w.audit_invariants().expect("parked with nothing to run");
         w
     }

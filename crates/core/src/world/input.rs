@@ -221,7 +221,7 @@ impl SimWorld {
                     Locality::RackLocal => TaskLocality::RackLocal,
                     Locality::Remote => TaskLocality::Remote,
                 };
-                if !self.node_up[src.index()] {
+                if !self.nodes.is_up(src.0) {
                     // Preferred replica host is down: read any live replica.
                     // (With every replica down we still charge the read to
                     // the dead host's store — input durability is assumed.)
@@ -230,7 +230,7 @@ impl SimWorld {
                         .locations(b)
                         .iter()
                         .copied()
-                        .find(|n| self.node_up[n.index()])
+                        .find(|n| self.nodes.is_up(n.0))
                     {
                         src = up;
                         locality = if src.0 == node {

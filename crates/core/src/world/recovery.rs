@@ -73,12 +73,6 @@ impl SimWorld {
 
     // ---------------- fault handling & recovery ----------------
 
-    /// First live, non-blacklisted node: the deterministic re-host target
-    /// for pinned work and re-hosted shuffle rows.
-    pub(super) fn replacement_node(&self) -> Option<u32> {
-        (0..self.spec.workers).find(|&n| self.node_up[n as usize] && !self.blacklisted[n as usize])
-    }
-
     /// Fail a running attempt: account the wasted work, reset the task to
     /// Pending with a bumped attempt number (orphaning any in-flight I/O and
     /// finish events of the old attempt), then re-queue it — after `backoff`
@@ -111,9 +105,8 @@ impl SimWorld {
                 backoff,
             },
         );
-        if self.node_up[node as usize] {
-            self.free_slots[node as usize] += 1;
-            self.note_slot_change(node);
+        if self.nodes.is_up(node) {
+            self.nodes.free_slot(node);
             // A failed flush abandons its partial output: reclaim the space.
             if matches!(self.tasks.kind[task as usize], TaskKind::Store { .. }) {
                 if let ShuffleStore::Local(dev) = self.cfg.shuffle {
@@ -139,7 +132,7 @@ impl SimWorld {
             self.tasks.set_state(task, TState::Pending);
             // Pending again, it is runnable wherever a queue still holds an
             // entry of its earlier attempt — before any requeue.
-            self.cands.unpark_all();
+            self.nodes.unpark_all();
             self.tasks.node[i] = u32::MAX;
             self.tasks.attempt[i] += 1;
             self.tasks.doomed[i] = false;
@@ -154,26 +147,21 @@ impl SimWorld {
             self.abort_job(now, ji, out);
             return;
         }
-        if attribute && self.node_up[node as usize] && !self.blacklisted[node as usize] {
-            self.node_fail_counts[node as usize] += 1;
-            if self.node_fail_counts[node as usize] >= self.cfg.recovery.blacklist_after {
-                self.blacklisted[node as usize] = true;
-                self.note_slot_change(node);
-                if let Some(rec) = self.metrics.recovery(self.tasks.job[task as usize]) {
-                    rec.blacklisted_nodes += 1;
-                }
-                self.trace(now, TE::Blacklisted { node });
-                self.repin_pinned_off(node);
+        if attribute && self.nodes.blame(node, self.cfg.recovery.blacklist_after) {
+            if let Some(rec) = self.metrics.recovery(self.tasks.job[task as usize]) {
+                rec.blacklisted_nodes += 1;
             }
+            self.trace(now, TE::Blacklisted { node });
+            self.repin_pinned_off(node);
         }
         // Drop dead/blacklisted nodes from the task's preferences; a pinned
         // task left with nowhere to go re-pins to the replacement.
-        let usable = |n: u32| self.node_up[n as usize] && !self.blacklisted[n as usize];
         let pin = self.tasks.pin[task as usize];
         if pin == UNPINNED {
-            self.tasks.prefs[task as usize].retain(|&n| usable(n));
-        } else if !usable(pin) {
-            let Some(repl) = self.replacement_node() else {
+            let nodes = &self.nodes;
+            self.tasks.prefs[task as usize].retain(|&n| nodes.usable(n));
+        } else if !self.nodes.usable(pin) {
+            let Some(repl) = self.nodes.replacement() else {
                 let ji = self.job_index_of(task);
                 self.abort_job(now, ji, out);
                 return;
@@ -202,7 +190,7 @@ impl SimWorld {
             // last dispatch pass starved (no available node, no retry wake),
             // the freed slot must re-arm dispatch or pending work wedges
             // until an unrelated event happens along.
-            if self.dispatch_starved && self.node_up[node as usize] {
+            if self.dispatch_starved && self.nodes.is_up(node) {
                 self.dispatch_starved = false;
                 out.immediately(Ev::Dispatch);
             }
@@ -217,7 +205,7 @@ impl SimWorld {
     /// queue entries on the old node are left behind; dispatch never visits
     /// that node, and `pick` tolerates duplicates.
     pub(super) fn repin_pinned_off(&mut self, node: u32) {
-        let Some(repl) = self.replacement_node() else {
+        let Some(repl) = self.nodes.replacement() else {
             return;
         };
         let mut moved = Vec::new();
@@ -230,7 +218,7 @@ impl SimWorld {
         for id in moved {
             let ji = self.job_index_of(id);
             self.jobs[ji].prefs_q[repl as usize].push_back(id);
-            self.cands.unpark(repl);
+            self.nodes.unpark(repl);
         }
     }
 
@@ -264,9 +252,8 @@ impl SimWorld {
                 TState::Running => {
                     let node = self.tasks.node[i];
                     self.tasks.set_state(i as u32, TState::Done);
-                    if node != u32::MAX && self.node_up[node as usize] {
-                        self.free_slots[node as usize] += 1;
-                        self.note_slot_change(node);
+                    if node != u32::MAX && self.nodes.is_up(node) {
+                        self.nodes.free_slot(node);
                     }
                 }
                 TState::Done => {}
@@ -317,11 +304,11 @@ impl SimWorld {
         restart: Option<SimDuration>,
         out: &mut Outbox<Ev>,
     ) {
-        if !self.node_up[node as usize] {
+        if !self.nodes.is_up(node) {
             return;
         }
         self.metrics.recovery_all(|r| r.node_crashes += 1);
-        self.node_up[node as usize] = false;
+        self.nodes.crash(node);
         self.trace(now, TE::NodeDown { node });
         let lost = self.blockmgr.drop_node(node);
         let n_lost = lost.len() as u64;
@@ -338,7 +325,7 @@ impl SimWorld {
         if let Some(d) = restart {
             out.after(d, Ev::NodeRestart { node });
         }
-        // Fail everything running there (node_up is already false, so
+        // Fail everything running there (the node is already down, so
         // fail_task won't hand slots back to the dead node).
         let running: Vec<u32> = (0..self.tasks.len())
             .filter(|&i| self.tasks.state[i] == TState::Running && self.tasks.node[i] == node)
@@ -352,12 +339,10 @@ impl SimWorld {
             }
             self.fail_task(now, id, SimDuration::ZERO, false, out);
         }
-        self.free_slots[node as usize] = 0;
-        self.note_slot_change(node);
         if self.jobs.is_empty() {
             return;
         }
-        let Some(repl) = self.replacement_node() else {
+        let Some(repl) = self.nodes.replacement() else {
             // No live node left: every resident job dies with the cluster.
             while !self.jobs.is_empty() {
                 self.abort_job(now, 0, out);
@@ -595,8 +580,8 @@ mod tests {
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, placed_plan(64), &mut out);
         w.dispatch(SimTime::ZERO, &mut out);
-        assert_eq!(w.free_slots.iter().sum::<u32>(), 0, "cluster saturated");
-        assert!(w.tasks.pending > 0, "more tasks than slots");
+        assert_eq!(w.nodes.index().available(), 0, "cluster saturated");
+        assert!(w.tasks.pending() > 0, "more tasks than slots");
         w.dispatch(SimTime::ZERO, &mut out);
         assert!(
             w.dispatch_starved,
@@ -634,19 +619,17 @@ mod tests {
         // its own.)
         let mut w = world_with_idle_nodes_parked();
         let victim = (1..4)
-            .find(|&n| w.cands.is_parked(n))
+            .find(|&n| w.nodes.index().is_parked(n))
             .expect("a parked node besides node 0");
         let id = push_pinned_store(&mut w, victim);
-        w.cands.park(0);
-        w.node_up[victim as usize] = false;
-        w.free_slots[victim as usize] = 0;
-        w.note_slot_change(victim);
+        w.nodes.park(0);
+        w.nodes.crash(victim);
         w.repin_pinned_off(victim);
         assert_eq!(w.tasks.pin[id as usize], 0, "re-pinned to the replacement");
-        assert!(w.cands.is_live(0), "the replacement node must wake");
+        assert!(w.nodes.index().is_live(0), "the replacement node must wake");
         w.audit_invariants().expect("no parked node has work");
         // Teeth: the same state with node 0 parked is what the audit is for.
-        w.cands.park(0);
+        w.nodes.park(0);
         let err = w.audit_invariants().expect_err("node 0 parked with work");
         assert!(
             err.contains("node 0 is parked with a pending task"),
@@ -663,17 +646,19 @@ mod tests {
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, placed_plan(8), &mut out);
         for n in 0..w.spec.workers {
-            w.blacklisted[n as usize] = true;
-            w.note_slot_change(n);
+            w.nodes.blacklist(n);
         }
         w.dispatch(SimTime::ZERO, &mut out);
         assert!(w.dispatch_starved, "fully blacklisted cluster starves");
         let t1 = SimTime::from_secs_f64(1.0);
         let mut out2 = memres_des::Outbox::standalone(t1);
         Model::handle(&mut w, t1, Ev::NodeRestart { node: 2 }, &mut out2);
-        assert!(!w.blacklisted[2]);
+        assert!(w.nodes.usable(2));
         assert!(!w.dispatch_starved);
-        assert!(w.cands.is_live(2), "node 2 re-entered the candidate set");
+        assert!(
+            w.nodes.index().is_live(2),
+            "node 2 re-entered the candidate set"
+        );
         assert!(
             out2.into_items()
                 .iter()

@@ -115,11 +115,8 @@ impl SimWorld {
             .sum();
         rec.sample("core_resident_partition_bytes", None, now, resident_bytes);
         rec.sample("core_task_arena_tasks", None, now, self.tasks.len() as f64);
-        rec.sample("core_tasks_pending", None, now, self.tasks.pending as f64);
-        let busy: u32 = (0..self.spec.workers as usize)
-            .filter(|&n| self.node_up[n])
-            .map(|n| self.spec.cores_per_node - self.free_slots[n])
-            .sum();
+        rec.sample("core_tasks_pending", None, now, self.tasks.pending() as f64);
+        let busy = self.nodes.busy_slots();
         rec.sample("core_busy_slots", None, now, busy as f64);
         rec.sample("core_resident_jobs", None, now, self.jobs.len() as f64);
 

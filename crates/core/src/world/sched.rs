@@ -14,11 +14,11 @@ impl SimWorld {
             let pin = tasks.pin[id as usize];
             if pin != UNPINNED {
                 job.prefs_q[pin as usize].push_back(id);
-                self.cands.unpark(pin);
+                self.nodes.unpark(pin);
                 continue;
             }
             // Preferred or not, under FIFO any node may end up running it.
-            self.cands.unpark_all();
+            self.nodes.unpark_all();
             let prefs = &tasks.prefs[id as usize];
             if prefs.is_empty() {
                 job.no_pref_q.push_back(id);
@@ -114,19 +114,6 @@ impl SimWorld {
         }
     }
 
-    /// Whether `node` can accept a launch: the membership rule of `cands`.
-    pub(super) fn is_available(&self, node: u32) -> bool {
-        let i = node as usize;
-        self.node_up[i] && !self.blacklisted[i] && self.free_slots[i] > 0
-    }
-
-    /// Re-index `node` in the candidate set after any change to its free
-    /// slots, liveness, or blacklist status. Every mutation site of those
-    /// three must call this, or `dispatch` will skip (or revisit) the node.
-    pub(super) fn note_slot_change(&mut self, node: u32) {
-        self.cands.set_available(node, self.is_available(node));
-    }
-
     /// Whether a dispatch visit that launches nothing has no other effect,
     /// so that a node may be parked instead of visited again. Four
     /// mechanisms act per visit, launch or no launch: an ELB decline and a
@@ -157,7 +144,7 @@ impl SimWorld {
         let Some(policy) = self.stream.as_ref().map(|s| &s.spec.policy) else {
             return;
         };
-        let running = |ji: usize| self.tasks.running[self.jobs[ji].id as usize];
+        let running = |ji: usize| self.tasks.running(self.jobs[ji].id);
         debug_assert!(self
             .jobs
             .iter()
@@ -191,7 +178,7 @@ impl SimWorld {
         // Fast exit: with nothing pending and speculation off, no pass can
         // launch anything (`pending` is always empty between rounds),
         // so the scan below would only re-derive "blocked" for every node.
-        if self.tasks.pending == 0 && self.cfg.speculation.is_none() {
+        if self.tasks.pending() == 0 && self.cfg.speculation.is_none() {
             return;
         }
         let workers = self.spec.workers;
@@ -211,9 +198,9 @@ impl SimWorld {
         // visit — in the same order — and the in-loop guards skip the rest.
         let start = self.rotate % workers;
         cands.clear();
-        self.cands.live_rotated(start, &mut cands);
+        self.nodes.index().live_rotated(start, &mut cands);
         // A parked node is available all the same (see `dispatch_starved`).
-        let none_available = self.cands.available() == 0;
+        let none_available = self.nodes.index().available() == 0;
         let park = self.visits_are_pure();
         // Per job, its stragglers as of this dispatch (`maybe_speculate`).
         let speculating = self.cfg.speculation.is_some();
@@ -224,12 +211,7 @@ impl SimWorld {
             loop {
                 let mut launched_any = false;
                 for &node in &cands {
-                    if !self.node_up[node as usize] || self.blacklisted[node as usize] {
-                        continue;
-                    }
-                    if self.blocked_stamp[node as usize] == round
-                        || self.free_slots[node as usize] == 0
-                    {
+                    if !self.nodes.available(node) || self.blocked_stamp[node as usize] == round {
                         continue;
                     }
                     self.dispatch_visits += 1;
@@ -302,7 +284,7 @@ impl SimWorld {
                             // No job has anything this node may run, and
                             // until one does (or its slots change) a visit
                             // would only find that out again.
-                            self.cands.park(node);
+                            self.nodes.park(node);
                         }
                     }
                 }
@@ -321,7 +303,7 @@ impl SimWorld {
         // Flag it so the next slot-freeing or node-recovery event
         // re-dispatches.
         self.dispatch_starved =
-            self.tasks.pending > 0 && none_available && earliest_retry.is_none();
+            self.tasks.pending() > 0 && none_available && earliest_retry.is_none();
         self.dispatch_scratch = (order, cands);
     }
 
@@ -444,14 +426,14 @@ impl SimWorld {
         }
     }
 
-    /// The candidate-set invariant (DESIGN.md §4.12): the live and the
-    /// parked nodes are exactly the available ones, each in one set, and no
+    /// The parking invariant (DESIGN.md §4.12; `Nodes::audit` holds the
+    /// other half, that the candidates are exactly the available nodes): no
     /// parked node has a pending task it may run — one queued for it in some
     /// job's `prefs_q`, or one any node may take from a `no_pref_q` or (the
     /// runs that park are FIFO) a `waiting_q`. A parked node with work is a
     /// launch that never happens.
-    pub(super) fn audit_candidates(&self) -> Result<(), String> {
-        let c = &self.cands;
+    pub(super) fn audit_parked(&self) -> Result<(), String> {
+        let c = self.nodes.index();
         if c.parked() > 0 && !self.visits_are_pure() {
             return Err("nodes are parked in a run whose dispatch visits have effects".into());
         }
@@ -461,21 +443,15 @@ impl SimWorld {
         };
         let any_job = |has: &dyn Fn(&JobRun) -> bool| self.jobs.iter().any(has);
         let for_any_node = any_job(&|j| pending(&j.no_pref_q) || pending(&j.waiting_q));
-        for node in 0..self.spec.workers {
-            let (live, parked, available) =
-                (c.is_live(node), c.is_parked(node), self.is_available(node));
-            if (live && parked) || (live || parked) != available {
-                return Err(format!(
-                    "node {node}: candidate {live}, parked {parked}, available {available}"
-                ));
-            }
-            if parked && (for_any_node || any_job(&|j| pending(&j.prefs_q[node as usize]))) {
-                return Err(format!(
-                    "node {node} is parked with a pending task it may run"
-                ));
-            }
+        let with_work = (0..self.spec.workers).find(|&node| {
+            c.is_parked(node) && (for_any_node || any_job(&|j| pending(&j.prefs_q[node as usize])))
+        });
+        match with_work {
+            Some(node) => Err(format!(
+                "node {node} is parked with a pending task it may run"
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -552,13 +528,17 @@ mod tests {
     fn a_parked_node_is_visited_again_only_when_it_could_launch() {
         let mut w = world_with_idle_nodes_parked();
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
-        let parked: Vec<u32> = (0..4).filter(|&n| w.cands.is_parked(n)).collect();
+        let parked: Vec<u32> = (0..4).filter(|&n| w.nodes.index().is_parked(n)).collect();
         // More dispatches with nothing new: nobody is visited.
         let visits = w.dispatch_visits;
-        w.tasks.pending += 1; // as if a task sat out a retry backoff
+        // A pending task in no queue, as if it sat out a retry backoff.
+        let waiting = w.tasks.len() as u32;
+        let kind = TaskKind::Compute { part: 0 };
+        w.tasks
+            .push(Task::new(w.jobs[0].id, 0, kind, SimTime::ZERO));
         w.dispatch(SimTime::ZERO, &mut out);
         w.dispatch(SimTime::ZERO, &mut out);
-        w.tasks.pending -= 1;
+        w.tasks.set_state(waiting, TState::Done);
         assert_eq!(w.dispatch_visits, visits, "parked nodes were rescanned");
         assert!(
             !w.dispatch_starved,
@@ -567,20 +547,20 @@ mod tests {
         // A task pinned to one of them wakes that one alone ...
         let (first, second) = (parked[0], parked[1]);
         push_pinned_store(&mut w, first);
-        assert!(w.cands.is_live(first) && w.cands.is_parked(second));
+        assert!(w.nodes.index().is_live(first) && w.nodes.index().is_parked(second));
         w.audit_invariants()
             .expect("the pinned task's node is live");
         // ... a slot change wakes its own node ...
-        w.note_slot_change(second);
-        assert!(w.cands.is_live(second));
+        w.nodes.take_slot(second);
+        assert!(w.nodes.index().is_live(second));
         // ... and a task anyone may run wakes them all.
-        w.cands.park(second);
+        w.nodes.park(second);
         let id = w.tasks.len() as u32;
         let kind = TaskKind::Compute { part: 0 };
         w.tasks
             .push(Task::new(w.jobs[0].id, 0, kind, SimTime::ZERO));
         w.enqueue_pending(0, &[id]);
-        assert_eq!(w.cands.parked(), 0);
+        assert_eq!(w.nodes.index().parked(), 0);
         w.audit_invariants().expect("nobody is parked");
     }
 
@@ -601,7 +581,7 @@ mod tests {
             let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
             w.submit_job(SimTime::ZERO, placed_plan(2), &mut out);
             w.dispatch(SimTime::ZERO, &mut out);
-            assert_eq!(w.cands.parked(), 0);
+            assert_eq!(w.nodes.index().parked(), 0);
             w.audit_invariants().expect("nobody parked");
         }
     }
