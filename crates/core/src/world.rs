@@ -29,7 +29,7 @@
 
 use crate::blockmgr::BlockMgr;
 use crate::candidates::Nodes;
-use crate::config::{Defect, EngineConfig, InputSource, SchedulerKind, ShuffleStore, StoreDevice};
+use crate::config::{Defect, EngineConfig, InputSource, ShuffleStore, StoreDevice};
 use crate::dag::build_plan;
 use crate::dag::{JobPlan, ShuffleInSpec, StageInput, StagePlan};
 use crate::executor::{evaluate, run_narrow_chain, ChainOut, Pending, RealOut, Work};
@@ -40,7 +40,6 @@ use crate::tenancy::{FinishedJob, InterJobPolicy, StreamSpec};
 use crate::value::{Record, Value};
 use memres_cluster::{ClusterSpec, NodeId, SpeedModel, SpeedSampler};
 use memres_des::sim::{EngineStats, Gen, Model, Outbox};
-use memres_des::stats::LogHistogram;
 use memres_des::time::{SimDuration, SimTime};
 use memres_des::{Bytes, DetMap};
 use memres_hdfs::{BlockId, Hdfs, HdfsConfig, HdfsFile, Locality};
@@ -62,6 +61,7 @@ mod tasks;
 
 use admission::StreamState;
 use input::PlacedPart;
+use sched::{Cad, DispatchState, JobQueues};
 use shuffle::{effective_read_bw, Reduced, ShuffleState};
 use tasks::{TState, Task, TaskArena, TaskKind, UNPINNED};
 
@@ -159,26 +159,13 @@ struct JobRun {
     /// Shuffle being produced by the current stage.
     shuffle_out: Option<ShuffleState>,
     final_tasks: Vec<u32>,
-    /// Delay scheduling state: instant of this job's last locality-preferred
-    /// launch. Per-job so one tenant's local progress never suppresses (or
-    /// unlocks) another tenant's steal decisions.
-    last_local_launch: SimTime,
-    /// Completed compute-task durations of this job's current stage
-    /// (speculation baseline's straggler threshold is a multiple of their
-    /// median). Bucket counts do not depend on recording order, so this is
-    /// the histogram a rebuild from the list of durations would give. Kept
-    /// only when speculation is on.
-    stage_durs: Option<LogHistogram>,
     /// Per-node intermediate bytes deposited by this job (ELB signal).
     intermediate: Vec<f64>,
     /// Every Lustre shuffle file this job has written, deleted when it
     /// leaves (a consumed shuffle's state is dropped long before).
     lustre_files: Vec<LustreFile>,
-    // Per-job pending-task queues: the inter-job scheduler picks which job a
-    // free slot serves; these serve the intra-job pick exactly as before.
-    prefs_q: Vec<VecDeque<u32>>,
-    no_pref_q: VecDeque<u32>,
-    waiting_q: VecDeque<u32>,
+    /// Pending-task queues and scheduling clocks.
+    queues: JobQueues,
 }
 
 /// Completed-job result.
@@ -216,8 +203,6 @@ pub struct SimWorld {
     /// completions, so an idle cluster may have busy substrates until an
     /// audit next finds them drained.
     abandoned_io: bool,
-    /// Scratch of `dispatch`: the job order and the candidate nodes.
-    dispatch_scratch: (Vec<usize>, Vec<u32>),
     /// Concurrently resident jobs, in admission order.
     jobs: Vec<JobRun>,
     job_seq: u32,
@@ -237,24 +222,8 @@ pub struct SimWorld {
     /// `FlowNet::next_scans`: it must grow with launches and finishes, not
     /// with dispatches × idle nodes.
     pub dispatch_visits: u64,
-    /// Per-node "blocked this pass" stamp; a node is blocked when its entry
-    /// equals `dispatch_round`. Replaces a fresh `vec![false; workers]`
-    /// allocation per dispatch phase.
-    blocked_stamp: Vec<u64>,
-    dispatch_round: u64,
-    rotate: u32,
-    /// True when the last dispatch pass found pending tasks but zero
-    /// available nodes and no delay-retry wake scheduled; the next
-    /// slot-freeing or node-recovery event must re-issue `Dispatch` or the
-    /// job wedges (DESIGN.md §4.14 bugfix).
-    dispatch_starved: bool,
-    // CAD state.
-    cad_interval: SimDuration,
-    cad_allowed: Vec<SimTime>,
-    /// Dedup guard: the DispatchNode wake already scheduled per node.
-    cad_wake_at: Vec<SimTime>,
-    cad_ref_avg: Option<f64>,
-    cad_window: VecDeque<f64>,
+    sched: DispatchState,
+    cad: Cad,
     /// Dataset placements by source RDD id.
     placed: DetMap<RddId, Vec<PlacedPart>>,
     hdfs_files: DetMap<RddId, HdfsFile>,
@@ -378,15 +347,8 @@ impl SimWorld {
         let mut w = SimWorld {
             nodes: Nodes::new(spec.workers, spec.cores_per_node),
             dispatch_visits: 0,
-            blocked_stamp: vec![0; workers],
-            dispatch_round: 0,
-            rotate: 0,
-            dispatch_starved: false,
-            cad_interval: SimDuration::ZERO,
-            cad_allowed: vec![SimTime::ZERO; workers],
-            cad_wake_at: vec![SimTime::ZERO; workers],
-            cad_ref_avg: None,
-            cad_window: VecDeque::new(),
+            sched: DispatchState::new(workers),
+            cad: Cad::new(workers),
             placed: DetMap::new(),
             hdfs_files: DetMap::new(),
             blockmgr: BlockMgr::default(),
@@ -416,7 +378,6 @@ impl SimWorld {
             tasks: TaskArena::default(),
             fetch_chunks: Vec::new(),
             abandoned_io: false,
-            dispatch_scratch: Default::default(),
             jobs: Vec::new(),
             job_seq: 0,
             job_done: false,
@@ -681,13 +642,7 @@ impl SimWorld {
         self.metrics.begin_job(id, now);
         self.trace(now, TE::JobStart { job: id });
         if self.jobs.is_empty() {
-            // CAD's congestion estimate is a cluster-wide signal; reset it
-            // only when the cluster goes from idle to busy, not when a job
-            // joins an already-loaded resident set.
-            self.cad_interval = SimDuration::ZERO;
-            self.cad_allowed.iter_mut().for_each(|t| *t = SimTime::ZERO);
-            self.cad_ref_avg = None;
-            self.cad_window.clear();
+            self.cad.reset();
         }
         let workers = self.spec.workers as usize;
         self.jobs.push(JobRun {
@@ -702,13 +657,9 @@ impl SimWorld {
             shuffle_in: None,
             shuffle_out: None,
             final_tasks: Vec::new(),
-            last_local_launch: now,
-            stage_durs: None,
             lustre_files: Vec::new(),
             intermediate: vec![0.0; workers],
-            prefs_q: (0..workers).map(|_| VecDeque::new()).collect(),
-            no_pref_q: VecDeque::new(),
-            waiting_q: VecDeque::new(),
+            queues: JobQueues::new(workers, now),
         });
         let ji = self.jobs.len() - 1;
         self.start_stage(now, ji, 0, out);
@@ -796,7 +747,6 @@ impl SimWorld {
 
         // Create the stage's tasks.
         let is_fetch = matches!(stage.input, StageInput::Shuffle(_));
-        let mut created: Vec<u32> = Vec::with_capacity(nparts);
         // A stage that writes a shuffle is followed by one store task per
         // task of its own and then by the shuffle's reducers: room for all
         // three now, while the arrays are small, is one growth instead of
@@ -807,8 +757,8 @@ impl SimWorld {
             .as_ref()
             .map_or(0, |sh| nparts + sh.reducers as usize);
         self.reserve_tasks(job.id, nparts + followers);
+        let first = self.tasks.len() as u32;
         for i in 0..nparts {
-            let id = self.tasks.len() as u32;
             let kind = if is_fetch {
                 TaskKind::Fetch { reducer: i as u32 }
             } else {
@@ -819,8 +769,8 @@ impl SimWorld {
                 t.prefs = self.compute_prefs(stage, i as u32);
             }
             self.tasks.push(t);
-            created.push(id);
         }
+        let created = first..self.tasks.len() as u32;
         self.trace(
             now,
             TE::StageStart {
@@ -828,30 +778,18 @@ impl SimWorld {
                 tasks: created.len() as u32,
             },
         );
-        for &id in &created {
-            self.trace(
-                now,
-                TE::TaskQueued {
-                    task: id,
-                    stage: idx as u32,
-                    class: Self::trace_class(self.tasks.kind[id as usize]),
-                    attempt: 0,
-                },
-            );
-        }
         {
             let job = &mut self.jobs[ji];
             job.phase = RunPhase::Stage(idx);
             job.remaining = created.len();
-            job.stage_tasks = created.clone();
+            job.stage_tasks = created.clone().collect();
             if is_last {
-                job.final_tasks = created.clone();
+                job.final_tasks = created.clone().collect();
             }
-            job.last_local_launch = now;
-            job.stage_durs = self.cfg.speculation.map(|_| LogHistogram::new());
+            job.queues.begin_stage(now, self.cfg.speculation.is_some());
         }
-        self.enqueue_pending(ji, &created);
-        self.rotate = self.rotate.wrapping_add(1);
+        self.queue_tasks(now, ji, created);
+        self.sched.rotate();
         out.immediately(Ev::Dispatch);
     }
 
@@ -1088,9 +1026,7 @@ impl SimWorld {
             let d = now
                 .since(self.tasks.launched_at[task as usize])
                 .as_secs_f64();
-            if let Some(durs) = &mut self.job_of_mut(task).stage_durs {
-                durs.record(d);
-            }
+            self.job_of_mut(task).queues.record_compute(d);
         }
 
         let phase = match kind {
@@ -1124,7 +1060,13 @@ impl SimWorld {
         // rows were already re-hosted when their node crashed.
         match kind {
             TaskKind::Compute { .. } if !ghost => self.producer_finished(task, node),
-            TaskKind::Store { .. } => self.store_finished(now, task),
+            TaskKind::Store { .. } => {
+                if let Some(cad) = &self.cfg.cad {
+                    let launched = self.tasks.launched_at[task as usize];
+                    self.cad
+                        .observe_flush(cad, now.since(launched).as_secs_f64());
+                }
+            }
             TaskKind::Fetch { reducer } if !ghost => {
                 self.adopt_reduced(task, reducer);
                 self.producer_finished(task, node);
@@ -1163,8 +1105,8 @@ impl SimWorld {
     fn start_storing(&mut self, now: SimTime, ji: usize, stage_idx: usize, out: &mut Outbox<Ev>) {
         let producers = self.jobs[ji].stage_tasks.clone();
         let job_id = self.jobs[ji].id;
-        let mut created = Vec::with_capacity(producers.len());
         self.reserve_tasks(job_id, producers.len());
+        let first = self.tasks.len() as u32;
         for &p in &producers {
             // A flush is pinned to its producer's node; if that node died or
             // was blacklisted since, the re-hosted rows flush at the
@@ -1177,29 +1119,16 @@ impl SimWorld {
                 };
                 node = repl;
             }
-            let id = self.tasks.len() as u32;
             let kind = TaskKind::Store { producer: p };
             let mut t = Task::new(job_id, stage_idx as u32, kind, now);
             t.locality = TaskLocality::NodeLocal;
             t.pin = node;
             self.tasks.push(t);
-            created.push(id);
-        }
-        for &id in &created {
-            self.trace(
-                now,
-                TE::TaskQueued {
-                    task: id,
-                    stage: stage_idx as u32,
-                    class: memres_trace::TaskClass::Store,
-                    attempt: 0,
-                },
-            );
         }
         let job = &mut self.jobs[ji];
         job.phase = RunPhase::Storing(stage_idx);
-        job.remaining = created.len();
-        self.enqueue_pending(ji, &created);
+        job.remaining = producers.len();
+        self.queue_tasks(now, ji, first..self.tasks.len() as u32);
         out.immediately(Ev::Dispatch);
     }
 
@@ -1385,7 +1314,7 @@ impl Model for SimWorld {
                     && self.tasks.state[task as usize] == TState::Pending
                 {
                     let ji = self.job_index_of(task);
-                    self.enqueue_pending(ji, &[task]);
+                    self.enqueue_pending(ji, [task]);
                     out.immediately(Ev::Dispatch);
                 }
             }
@@ -1402,7 +1331,7 @@ impl Model for SimWorld {
                     self.metrics.recovery_all(|r| r.node_restarts += 1);
                 }
                 self.trace(now, TE::NodeUp { node });
-                self.dispatch_starved = false;
+                self.sched.take_starved();
                 out.immediately(Ev::Dispatch);
             }
             Ev::JobArrival { tenant, k } => self.on_job_arrival(now, tenant, k, out),
@@ -1525,7 +1454,7 @@ mod tests {
         t.pin = node;
         w.tasks.push(t);
         w.jobs[0].remaining += 1;
-        w.enqueue_pending(0, &[id]);
+        w.enqueue_pending(0, [id]);
         id
     }
 }

@@ -171,6 +171,11 @@ impl SimWorld {
         self.try_admissions(now, out);
     }
 
+    /// The stream's inter-job dispatch policy (none for single-job runs).
+    pub(super) fn inter_job_policy(&self) -> Option<&InterJobPolicy> {
+        self.stream.as_ref().map(|s| &s.spec.policy)
+    }
+
     /// True when no further jobs can arrive or be admitted.
     pub(super) fn stream_drained(&self) -> bool {
         self.stream

@@ -168,15 +168,7 @@ impl SimWorld {
             };
             self.tasks.pin[task as usize] = repl;
         }
-        self.trace(
-            now,
-            TE::TaskQueued {
-                task,
-                stage: self.tasks.stage[task as usize],
-                class: Self::trace_class(self.tasks.kind[task as usize]),
-                attempt: self.tasks.attempt[task as usize],
-            },
-        );
+        self.trace_queued(now, task);
         if backoff > SimDuration::ZERO {
             out.after(
                 backoff,
@@ -190,20 +182,20 @@ impl SimWorld {
             // last dispatch pass starved (no available node, no retry wake),
             // the freed slot must re-arm dispatch or pending work wedges
             // until an unrelated event happens along.
-            if self.dispatch_starved && self.nodes.is_up(node) {
-                self.dispatch_starved = false;
+            if self.nodes.is_up(node) && self.sched.take_starved() {
                 out.immediately(Ev::Dispatch);
             }
         } else {
             let ji = self.job_index_of(task);
-            self.enqueue_pending(ji, &[task]);
+            self.enqueue_pending(ji, [task]);
             out.immediately(Ev::Dispatch);
         }
     }
 
-    /// Re-pin pending pinned tasks away from a dead/blacklisted node. Their
-    /// queue entries on the old node are left behind; dispatch never visits
-    /// that node, and `pick` tolerates duplicates.
+    /// Re-pin pending pinned tasks away from a dead/blacklisted node and
+    /// queue them there. Their queue entries on the old node are left
+    /// behind; dispatch never visits that node, and `pick` tolerates
+    /// duplicates.
     pub(super) fn repin_pinned_off(&mut self, node: u32) {
         let Some(repl) = self.nodes.replacement() else {
             return;
@@ -217,8 +209,7 @@ impl SimWorld {
         }
         for id in moved {
             let ji = self.job_index_of(id);
-            self.jobs[ji].prefs_q[repl as usize].push_back(id);
-            self.nodes.unpark(repl);
+            self.enqueue_pending(ji, [id]);
         }
     }
 
@@ -481,20 +472,18 @@ impl SimWorld {
         if ghosts.is_empty() {
             return;
         }
-        let mut created = Vec::with_capacity(ghosts.len());
         self.reserve_tasks(job_id, ghosts.len());
+        let created = self.tasks.len() as u32..(self.tasks.len() + ghosts.len()) as u32;
         for (stage, kind) in ghosts {
             if matches!(kind, TaskKind::Compute { .. }) {
                 if let Some(rec) = self.metrics.recovery(job_id) {
                     rec.recomputed_partitions += 1;
                 }
             }
-            let id = self.tasks.len() as u32;
             let mut t = Task::new(job_id, stage, kind, now);
             t.pin = repl;
             t.ghost = true;
             self.tasks.push(t);
-            created.push(id);
         }
         self.trace(
             now,
@@ -503,19 +492,8 @@ impl SimWorld {
                 count: created.len() as u32,
             },
         );
-        for &id in &created {
-            self.trace(
-                now,
-                TE::TaskQueued {
-                    task: id,
-                    stage: self.tasks.stage[id as usize],
-                    class: Self::trace_class(self.tasks.kind[id as usize]),
-                    attempt: 0,
-                },
-            );
-        }
         self.jobs[ji].remaining += created.len();
-        self.enqueue_pending(ji, &created);
+        self.queue_tasks(now, ji, created);
     }
 
     /// Apply a scheduled fault-plan event.
@@ -565,55 +543,14 @@ impl SimWorld {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{
-        placed_plan, push_pinned_store, world, world_with_idle_nodes_parked,
-    };
-    use super::*;
-
-    #[test]
-    fn starved_dispatch_rearms_when_backoff_frees_a_slot() {
-        // Regression (dispatch wedge bugfix): with every slot busy and no
-        // delay-retry wake, a dispatch pass records starvation; a failing
-        // task's freed slot must then re-arm dispatch — the backoff requeue
-        // path schedules no Dispatch of its own.
-        let mut w = world();
-        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
-        w.submit_job(SimTime::ZERO, placed_plan(64), &mut out);
-        w.dispatch(SimTime::ZERO, &mut out);
-        assert_eq!(w.nodes.index().available(), 0, "cluster saturated");
-        assert!(w.tasks.pending() > 0, "more tasks than slots");
-        w.dispatch(SimTime::ZERO, &mut out);
-        assert!(
-            w.dispatch_starved,
-            "empty availability + no retry = starved"
-        );
-        let victim = (0..w.tasks.len())
-            .find(|&i| w.tasks.state[i] == TState::Running)
-            .expect("saturated cluster has running tasks") as u32;
-        let t1 = SimTime::from_secs_f64(1.0);
-        let mut out2 = memres_des::Outbox::standalone(t1);
-        w.fail_task(
-            t1,
-            victim,
-            SimDuration::from_secs_f64(2.0),
-            false,
-            &mut out2,
-        );
-        assert!(!w.dispatch_starved);
-        assert!(
-            out2.into_items()
-                .iter()
-                .any(|(_, e)| matches!(e, Ev::Dispatch)),
-            "freed slot must schedule a dispatch"
-        );
-    }
+    use super::super::tests::{push_pinned_store, world_with_idle_nodes_parked};
 
     #[test]
     fn work_repinned_onto_a_parked_node_unparks_it() {
-        // `repin_pinned_off` is the second way into a `prefs_q`: a flush
+        // `repin_pinned_off` queues work outside any stage start: a flush
         // pinned to a node that dies moves to the replacement node — node 0,
-        // parked here — without passing through `enqueue_pending`. Without
-        // the un-park there the flush sits on a node no dispatch visits.
+        // parked here. Without the un-park of its enqueue the flush sits on
+        // a node no dispatch visits.
         // (In a crash that also kills running attempts, `fail_task` happens
         // to wake everyone first; the audit holds this site to the rule on
         // its own.)
@@ -634,36 +571,6 @@ mod tests {
         assert!(
             err.contains("node 0 is parked with a pending task"),
             "{err}"
-        );
-    }
-
-    #[test]
-    fn blacklisted_node_restart_rejoins_and_redispatches() {
-        // Regression (dispatch wedge bugfix, recovery side): a fully
-        // blacklisted cluster starves dispatch; restarting a live-but-
-        // blacklisted executor clears the blacklist and re-arms it.
-        let mut w = world();
-        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
-        w.submit_job(SimTime::ZERO, placed_plan(8), &mut out);
-        for n in 0..w.spec.workers {
-            w.nodes.blacklist(n);
-        }
-        w.dispatch(SimTime::ZERO, &mut out);
-        assert!(w.dispatch_starved, "fully blacklisted cluster starves");
-        let t1 = SimTime::from_secs_f64(1.0);
-        let mut out2 = memres_des::Outbox::standalone(t1);
-        Model::handle(&mut w, t1, Ev::NodeRestart { node: 2 }, &mut out2);
-        assert!(w.nodes.usable(2));
-        assert!(!w.dispatch_starved);
-        assert!(
-            w.nodes.index().is_live(2),
-            "node 2 re-entered the candidate set"
-        );
-        assert!(
-            out2.into_items()
-                .iter()
-                .any(|(_, e)| matches!(e, Ev::Dispatch)),
-            "blacklist clear must schedule a dispatch"
         );
     }
 }

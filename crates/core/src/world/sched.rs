@@ -1,19 +1,264 @@
 //! Dispatch policy: which task a free slot gets.
+//!
+//! Everything between "a slot is free" and [`SimWorld::launch`]: the
+//! inter-job order (FIFO / fair-share / capacity, DESIGN.md §4.14), delay
+//! scheduling's per-job queues and clock (paper §V), the Enhanced Load
+//! Balancer's decline (§VI-A), Congestion-Aware Dispatching's per-node
+//! interval (§VI-B, [`Cad`]), LATE speculation (§VIII baseline) and the
+//! two-phase `dispatch` round that applies them over the candidate nodes.
 
-#![allow(clippy::indexing_slicing)]
+use super::tasks::{TState, Task, TaskArena, TaskKind, UNPINNED};
+use super::{Ev, JobRun, RunPhase, SimWorld};
+use crate::config::{CadConfig, ElbConfig, SchedulerKind};
+use crate::tenancy::InterJobPolicy;
+use memres_des::sim::Outbox;
+use memres_des::stats::LogHistogram;
+use memres_des::time::{SimDuration, SimTime};
+use memres_trace::TraceEvent as TE;
+use std::collections::VecDeque;
 
-use super::*;
+/// CAD's controller (§VI-B): one dispatch interval for the cluster, grown
+/// and unwound by the feedback in [`Cad::observe_flush`], and per node the
+/// instant its next ShuffleMapTask may start.
+pub(super) struct Cad {
+    interval: SimDuration,
+    allowed: Vec<SimTime>,
+    /// Dedup guard: the `DispatchNode` wake already scheduled per node.
+    wake_at: Vec<SimTime>,
+    /// Healthy baseline: the average the first time the window was half full.
+    ref_avg: Option<f64>,
+    window: VecDeque<f64>,
+}
+
+impl Cad {
+    pub(super) fn new(workers: usize) -> Self {
+        Cad {
+            interval: SimDuration::ZERO,
+            allowed: vec![SimTime::ZERO; workers],
+            wake_at: vec![SimTime::ZERO; workers],
+            ref_avg: None,
+            window: VecDeque::new(),
+        }
+    }
+
+    /// Forget the congestion estimate. It is a cluster-wide signal: reset it
+    /// only when the cluster goes from idle to busy, not when a job joins an
+    /// already-loaded resident set.
+    pub(super) fn reset(&mut self) {
+        self.interval = SimDuration::ZERO;
+        self.allowed.iter_mut().for_each(|t| *t = SimTime::ZERO);
+        self.ref_avg = None;
+        self.window.clear();
+    }
+
+    /// CAD feedback (§VI-B): watch the running average of completed
+    /// ShuffleMapTask times against the *healthy baseline* (the first
+    /// half-full window). While the average sits `jump_factor`× above the
+    /// baseline, every further completion adds `step` to the dispatch
+    /// interval — integral-controller behaviour that keeps throttling until
+    /// the device recovers; when the average falls back toward the baseline
+    /// the interval unwinds at the same rate.
+    pub(super) fn observe_flush(&mut self, cfg: &CadConfig, secs: f64) {
+        self.window.push_back(secs);
+        if self.window.len() > cfg.window {
+            self.window.pop_front();
+        }
+        if self.window.len() < cfg.window / 2 {
+            return;
+        }
+        let avg = self.window.iter().sum::<f64>() / self.window.len() as f64;
+        match self.ref_avg {
+            None => self.ref_avg = Some(avg),
+            Some(baseline) if avg > baseline * cfg.jump_factor => {
+                // Anti-windup: one healthy task-time of spacing already
+                // drops the write queue to a handful; wider gaps would
+                // idle the device instead of easing GC.
+                let cap = SimDuration::from_secs_f64(baseline);
+                self.interval = (self.interval + cfg.step).min(cap);
+            }
+            Some(_) => self.interval = self.interval - cfg.step,
+        }
+    }
+
+    /// Note that a wake-up for `node` at `at` is wanted; true when none is
+    /// scheduled yet, and the caller must schedule it.
+    fn arm(&mut self, node: u32, at: SimTime) -> bool {
+        let armed = std::mem::replace(&mut self.wake_at[node as usize], at);
+        armed != at
+    }
+
+    /// `Some((until, arm))` while `node` must still sit out its interval at
+    /// `now`; `arm` as in [`Cad::arm`].
+    fn gate(&mut self, node: u32, now: SimTime) -> Option<(SimTime, bool)> {
+        let until = self.allowed[node as usize];
+        (now < until).then(|| (until, self.arm(node, until)))
+    }
+
+    /// A ShuffleMapTask launched on `node`: with a non-zero interval the
+    /// node's next may start at `now + interval` (returned as in
+    /// [`Cad::gate`]).
+    fn launched(&mut self, node: u32, now: SimTime) -> Option<(SimTime, bool)> {
+        (self.interval > SimDuration::ZERO).then(|| {
+            let until = now + self.interval;
+            self.allowed[node as usize] = until;
+            (until, self.arm(node, until))
+        })
+    }
+}
+
+/// ELB (§VI-A): `node` holds more than `threshold ×` the cluster-average
+/// intermediate data of the depositing job.
+pub(super) fn elb_over_threshold(elb: ElbConfig, intermediate: &[f64], node: u32) -> bool {
+    let total: f64 = intermediate.iter().sum();
+    if total <= 0.0 {
+        return false;
+    }
+    let avg = total / intermediate.len() as f64;
+    intermediate[node as usize] > avg * elb.threshold
+}
+
+/// One job's pending-task queues and the clocks delay scheduling and
+/// speculation read. The inter-job policy picks which job a free slot
+/// serves; these serve the intra-job pick. Entries are never removed when a
+/// task leaves `Pending` some other way, so `pick` skips stale ones.
+pub(super) struct JobQueues {
+    prefs_q: Vec<VecDeque<u32>>,
+    no_pref_q: VecDeque<u32>,
+    waiting_q: VecDeque<u32>,
+    /// Delay scheduling state: instant of this job's last locality-preferred
+    /// launch. Per-job so one tenant's local progress never suppresses (or
+    /// unlocks) another tenant's steal decisions.
+    last_local_launch: SimTime,
+    /// Completed compute-task durations of this job's current stage
+    /// (speculation baseline's straggler threshold is a multiple of their
+    /// median). Bucket counts do not depend on recording order, so this is
+    /// the histogram a rebuild from the list of durations would give. Kept
+    /// only when speculation is on.
+    stage_durs: Option<LogHistogram>,
+}
+
+impl JobQueues {
+    pub(super) fn new(workers: usize, now: SimTime) -> Self {
+        JobQueues {
+            prefs_q: (0..workers).map(|_| VecDeque::new()).collect(),
+            no_pref_q: VecDeque::new(),
+            waiting_q: VecDeque::new(),
+            last_local_launch: now,
+            stage_durs: None,
+        }
+    }
+
+    /// A stage starts at `now`: the delay clock re-anchors there.
+    pub(super) fn begin_stage(&mut self, now: SimTime, speculating: bool) {
+        self.last_local_launch = now;
+        self.stage_durs = speculating.then(LogHistogram::new);
+    }
+
+    /// A compute task of the current stage ran for `secs`.
+    pub(super) fn record_compute(&mut self, secs: f64) {
+        if let Some(durs) = &mut self.stage_durs {
+            durs.record(secs);
+        }
+    }
+
+    /// Pick the next task for a free slot on `node`; `Err(retry)` when delay
+    /// scheduling is holding tasks for locality. With `allow_steal = false`
+    /// only locality-preferred (or preference-free) tasks are returned, so a
+    /// dispatch round assigns local work before anything is stolen.
+    fn pick(
+        &mut self,
+        tasks: &TaskArena,
+        scheduler: SchedulerKind,
+        now: SimTime,
+        node: u32,
+        allow_steal: bool,
+    ) -> Result<Option<u32>, SimTime> {
+        let pending = |t: u32| tasks.state[t as usize] == TState::Pending;
+        while let Some(cand) = self.prefs_q[node as usize].pop_front() {
+            if pending(cand) {
+                self.last_local_launch = now;
+                return Ok(Some(cand));
+            }
+        }
+        while let Some(cand) = self.no_pref_q.pop_front() {
+            if pending(cand) {
+                return Ok(Some(cand));
+            }
+        }
+        if !allow_steal {
+            return Ok(None);
+        }
+        while let Some(&cand) = self.waiting_q.front() {
+            if pending(cand) {
+                if let SchedulerKind::Delay { wait } = scheduler {
+                    // Spark semantics: go remote only after `wait` with no
+                    // locality-preferred launch anywhere in this job's stage
+                    // (per-job: another tenant's local launches must not
+                    // reset this job's delay clock).
+                    let expires = self.last_local_launch + wait;
+                    if now < expires {
+                        return Err(expires);
+                    }
+                }
+                self.waiting_q.pop_front();
+                return Ok(Some(cand));
+            }
+            self.waiting_q.pop_front();
+        }
+        Ok(None)
+    }
+}
+
+/// `dispatch`'s state between calls: where the node rotation stands, the
+/// per-round "blocked" stamps, whether the last pass starved, and scratch.
+pub(super) struct DispatchState {
+    rotate: u32,
+    /// Per-node "blocked this pass" stamp; a node is blocked when its entry
+    /// equals `round`. Replaces a fresh `vec![false; workers]` allocation
+    /// per dispatch phase.
+    blocked_stamp: Vec<u64>,
+    round: u64,
+    /// True when the last dispatch pass found pending tasks but zero
+    /// available nodes and no delay-retry wake scheduled; the next
+    /// slot-freeing or node-recovery event must re-issue `Dispatch` or the
+    /// job wedges (DESIGN.md §4.14 bugfix).
+    starved: bool,
+    /// The job order and the candidate nodes of one pass.
+    scratch: (Vec<usize>, Vec<u32>),
+}
+
+impl DispatchState {
+    pub(super) fn new(workers: usize) -> Self {
+        DispatchState {
+            rotate: 0,
+            blocked_stamp: vec![0; workers],
+            round: 0,
+            starved: false,
+            scratch: Default::default(),
+        }
+    }
+
+    /// A stage started: the next pass begins its walk one node further on.
+    pub(super) fn rotate(&mut self) {
+        self.rotate = self.rotate.wrapping_add(1);
+    }
+
+    /// Read and clear the starved flag: the caller re-arms dispatch.
+    pub(super) fn take_starved(&mut self) -> bool {
+        std::mem::take(&mut self.starved)
+    }
+}
 
 impl SimWorld {
-    /// Make pending tasks runnable: the one way into a job's queues (but
-    /// for `repin_pinned_off`), and so where parked nodes learn of new work.
-    pub(super) fn enqueue_pending(&mut self, ji: usize, ids: &[u32]) {
+    /// Make pending tasks runnable: the one way into a job's queues, and so
+    /// where parked nodes learn of new work.
+    pub(super) fn enqueue_pending(&mut self, ji: usize, ids: impl IntoIterator<Item = u32>) {
         let tasks = &self.tasks;
-        let job = &mut self.jobs[ji];
-        for &id in ids {
+        let q = &mut self.jobs[ji].queues;
+        for id in ids {
             let pin = tasks.pin[id as usize];
             if pin != UNPINNED {
-                job.prefs_q[pin as usize].push_back(id);
+                q.prefs_q[pin as usize].push_back(id);
                 self.nodes.unpark(pin);
                 continue;
             }
@@ -21,96 +266,47 @@ impl SimWorld {
             self.nodes.unpark_all();
             let prefs = &tasks.prefs[id as usize];
             if prefs.is_empty() {
-                job.no_pref_q.push_back(id);
+                q.no_pref_q.push_back(id);
             } else {
                 for &n in prefs {
-                    job.prefs_q[n as usize].push_back(id);
+                    q.prefs_q[n as usize].push_back(id);
                 }
-                job.waiting_q.push_back(id);
+                q.waiting_q.push_back(id);
             }
         }
     }
 
-    // ---------------- dispatch ----------------
+    /// Announce tasks just pushed or about to run again: trace `TaskQueued`
+    /// for each, then make them runnable.
+    pub(super) fn queue_tasks(&mut self, now: SimTime, ji: usize, ids: std::ops::Range<u32>) {
+        ids.clone().for_each(|id| self.trace_queued(now, id));
+        self.enqueue_pending(ji, ids);
+    }
+
+    pub(super) fn trace_queued(&self, now: SimTime, task: u32) {
+        let i = task as usize;
+        self.trace(
+            now,
+            TE::TaskQueued {
+                task,
+                stage: self.tasks.stage[i],
+                class: Self::trace_class(self.tasks.kind[i]),
+                attempt: self.tasks.attempt[i],
+            },
+        );
+    }
 
     /// ELB (§VI-A): while a stage is depositing intermediate data, stop
     /// assigning tasks to nodes holding more than `threshold ×` the cluster
     /// average.
-    pub(super) fn elb_declines(&self, ji: usize, node: u32) -> bool {
-        let Some(elb) = self.cfg.elb else {
-            return false;
-        };
-        let job = &self.jobs[ji];
+    fn elb_declines(&self, job: &JobRun, node: u32) -> bool {
         let depositing = match job.phase {
             RunPhase::Stage(idx) => job.plan.stages[idx].has_shuffle_output(),
             _ => false,
         };
-        if !depositing {
-            return false;
-        }
-        let total: f64 = job.intermediate.iter().sum();
-        if total <= 0.0 {
-            return false;
-        }
-        let avg = total / self.spec.workers as f64;
-        job.intermediate[node as usize] > avg * elb.threshold
-    }
-
-    /// Pick the next task for a free slot on `node`; `Err(retry)` when delay
-    /// scheduling is holding tasks for locality. With `allow_steal = false`
-    /// only locality-preferred (or preference-free) tasks are returned, so a
-    /// dispatch round assigns local work before anything is stolen.
-    pub(super) fn pick(
-        &mut self,
-        now: SimTime,
-        ji: usize,
-        node: u32,
-        allow_steal: bool,
-    ) -> Result<Option<u32>, Option<SimTime>> {
-        let tasks = &self.tasks;
-        let job = &mut self.jobs[ji];
-        while let Some(&cand) = job.prefs_q[node as usize].front() {
-            job.prefs_q[node as usize].pop_front();
-            if tasks.state[cand as usize] == TState::Pending {
-                job.last_local_launch = now;
-                return Ok(Some(cand));
-            }
-        }
-        while let Some(&cand) = job.no_pref_q.front() {
-            job.no_pref_q.pop_front();
-            if tasks.state[cand as usize] == TState::Pending {
-                return Ok(Some(cand));
-            }
-        }
-        if !allow_steal {
-            return Ok(None);
-        }
-        loop {
-            let Some(&cand) = job.waiting_q.front() else {
-                return Ok(None);
-            };
-            if tasks.state[cand as usize] != TState::Pending {
-                job.waiting_q.pop_front();
-                continue;
-            }
-            match self.cfg.scheduler {
-                SchedulerKind::Fifo => {
-                    job.waiting_q.pop_front();
-                    return Ok(Some(cand));
-                }
-                SchedulerKind::Delay { wait } => {
-                    // Spark semantics: go remote only after `wait` with no
-                    // locality-preferred launch anywhere in this job's stage
-                    // (per-job: another tenant's local launches must not
-                    // reset this job's delay clock).
-                    let expires = job.last_local_launch + wait;
-                    if now >= expires {
-                        job.waiting_q.pop_front();
-                        return Ok(Some(cand));
-                    }
-                    return Err(Some(expires));
-                }
-            }
+        match self.cfg.elb {
+            Some(elb) if depositing => elb_over_threshold(elb, &job.intermediate, node),
+            _ => false,
         }
     }
 
@@ -122,7 +318,7 @@ impl SimWorld {
     /// and whether speculation duplicates a straggler onto the node depends
     /// on the time of the visit. With all four off — a property of the run,
     /// not a setting — a visit is `pick` finding nothing, for every job.
-    pub(super) fn visits_are_pure(&self) -> bool {
+    fn visits_are_pure(&self) -> bool {
         matches!(self.cfg.scheduler, SchedulerKind::Fifo)
             && self.cfg.elb.is_none()
             && self.cfg.cad.is_none()
@@ -134,14 +330,14 @@ impl SimWorld {
     /// fewest running tasks; capacity first serves tenants still below
     /// their guaranteed slot count. The running-task counts are the arena's
     /// incremental ones, so a dispatch costs O(resident jobs), not O(tasks).
-    pub(super) fn job_order(&self, order: &mut Vec<usize>) {
+    fn job_order(&self, order: &mut Vec<usize>) {
         let n = self.jobs.len();
         order.clear();
         order.extend(0..n);
         if n <= 1 {
             return;
         }
-        let Some(policy) = self.stream.as_ref().map(|s| &s.spec.policy) else {
+        let Some(policy) = self.inter_job_policy() else {
             return;
         };
         let running = |ji: usize| self.tasks.running(self.jobs[ji].id);
@@ -181,12 +377,11 @@ impl SimWorld {
         if self.tasks.pending() == 0 && self.cfg.speculation.is_none() {
             return;
         }
-        let workers = self.spec.workers;
         let cad_some = self.cfg.cad.is_some();
         let mut earliest_retry: Option<SimTime> = None;
         // The inter-job policy orders which resident job a free slot serves;
         // within a job, pick() is unchanged.
-        let (mut order, mut cands) = std::mem::take(&mut self.dispatch_scratch);
+        let (mut order, mut cands) = std::mem::take(&mut self.sched.scratch);
         self.job_order(&mut order);
         // Two-phase rounds: first every node claims its locality-preferred
         // (or preference-free) tasks, one slot per pass; only then may the
@@ -196,62 +391,62 @@ impl SimWorld {
         // slots; completions never interleave with dispatch), so the
         // snapshot is a superset of what the full `0..workers` scan would
         // visit — in the same order — and the in-loop guards skip the rest.
-        let start = self.rotate % workers;
+        let start = self.sched.rotate % self.spec.workers;
         cands.clear();
         self.nodes.index().live_rotated(start, &mut cands);
-        // A parked node is available all the same (see `dispatch_starved`).
+        // A parked node is available all the same (see `starved`).
         let none_available = self.nodes.index().available() == 0;
         let park = self.visits_are_pure();
         // Per job, its stragglers as of this dispatch (`maybe_speculate`).
         let speculating = self.cfg.speculation.is_some();
         let mut stragglers = vec![None; if speculating { order.len() } else { 0 }];
         for allow_steal in [false, true] {
-            self.dispatch_round += 1;
-            let round = self.dispatch_round;
+            self.sched.round += 1;
+            let round = self.sched.round;
             loop {
                 let mut launched_any = false;
                 for &node in &cands {
-                    if !self.nodes.available(node) || self.blocked_stamp[node as usize] == round {
+                    if !self.nodes.available(node)
+                        || self.sched.blocked_stamp[node as usize] == round
+                    {
                         continue;
                     }
                     self.dispatch_visits += 1;
                     let mut node_launched = false;
                     for &ji in &order {
-                        let storing = matches!(self.jobs[ji].phase, RunPhase::Storing(_));
-                        let cad_on = storing && cad_some;
-                        if self.elb_declines(ji, node) {
+                        let job = &self.jobs[ji];
+                        let cad_on = cad_some && matches!(job.phase, RunPhase::Storing(_));
+                        if self.elb_declines(job, node) {
                             self.trace(now, TE::ElbDecline { node });
                             continue; // another job may still use this node
                         }
-                        if cad_on && self.cad_gates(node) {
-                            let allowed = self.cad_allowed[node as usize];
-                            if now < allowed {
-                                if self.cad_wake_at[node as usize] != allowed {
-                                    self.cad_wake_at[node as usize] = allowed;
-                                    self.trace(
-                                        now,
-                                        TE::CadGate {
-                                            node,
-                                            until: allowed,
-                                        },
-                                    );
-                                    out.at(allowed, Ev::DispatchNode { node });
+                        if cad_on && self.store_congested(node) {
+                            if let Some((until, arm)) = self.cad.gate(node, now) {
+                                if arm {
+                                    self.trace(now, TE::CadGate { node, until });
+                                    // lint:allow(event-past): `Cad::gate` returns `until` only while `now < until`
+                                    out.at(until, Ev::DispatchNode { node });
                                 }
                                 continue;
                             }
                         }
-                        match self.pick(now, ji, node, allow_steal) {
+                        let q = &mut self.jobs[ji].queues;
+                        match q.pick(&self.tasks, self.cfg.scheduler, now, node, allow_steal) {
                             Ok(Some(task)) => {
                                 self.launch(now, task, node, out);
                                 node_launched = true;
-                                if cad_on && self.cad_interval > SimDuration::ZERO {
-                                    let allowed = now + self.cad_interval;
-                                    self.cad_allowed[node as usize] = allowed;
-                                    if self.cad_wake_at[node as usize] != allowed {
-                                        self.cad_wake_at[node as usize] = allowed;
-                                        out.at(allowed, Ev::DispatchNode { node });
+                                let spaced = if cad_on {
+                                    self.cad.launched(node, now)
+                                } else {
+                                    None
+                                };
+                                if let Some((until, arm)) = spaced {
+                                    if arm {
+                                        // lint:allow(event-past): `Cad::launched` returns `now` plus a positive interval
+                                        out.at(until, Ev::DispatchNode { node });
                                     }
-                                    self.blocked_stamp[node as usize] = round; // one per interval
+                                    self.sched.blocked_stamp[node as usize] = round;
+                                    // one per interval
                                 }
                                 break;
                             }
@@ -266,11 +461,9 @@ impl SimWorld {
                                 // job in policy order may.
                             }
                             Err(retry) => {
-                                if let Some(r) = retry {
-                                    self.trace(now, TE::DelayWait { node, until: r });
-                                    earliest_retry =
-                                        Some(earliest_retry.map_or(r, |e: SimTime| e.min(r)));
-                                }
+                                self.trace(now, TE::DelayWait { node, until: retry });
+                                earliest_retry =
+                                    Some(earliest_retry.map_or(retry, |e| e.min(retry)));
                                 // Delay scheduling holds only this job's
                                 // steals; another job may still launch here.
                             }
@@ -279,7 +472,7 @@ impl SimWorld {
                     if node_launched {
                         launched_any = true;
                     } else {
-                        self.blocked_stamp[node as usize] = round;
+                        self.sched.blocked_stamp[node as usize] = round;
                         if allow_steal && park {
                             // No job has anything this node may run, and
                             // until one does (or its slots change) a visit
@@ -302,9 +495,8 @@ impl SimWorld {
         // the pass began, and no delay-retry wake, nothing re-arms dispatch.
         // Flag it so the next slot-freeing or node-recovery event
         // re-dispatches.
-        self.dispatch_starved =
-            self.tasks.pending() > 0 && none_available && earliest_retry.is_none();
-        self.dispatch_scratch = (order, cands);
+        self.sched.starved = self.tasks.pending() > 0 && none_available && earliest_retry.is_none();
+        self.sched.scratch = (order, cands);
     }
 
     /// LATE-style speculation (baseline, §VIII related work): when a slot
@@ -313,7 +505,7 @@ impl SimWorld {
     /// `stragglers[ji]` is the job's tasks past that threshold, found once
     /// per dispatch: nothing finishes during one, and a task it launches has
     /// run for no time at all.
-    pub(super) fn maybe_speculate(
+    fn maybe_speculate(
         &mut self,
         now: SimTime,
         ji: usize,
@@ -328,7 +520,7 @@ impl SimWorld {
         if !matches!(job.phase, RunPhase::Stage(_)) {
             return false;
         }
-        let Some(durs) = job.stage_durs.as_ref() else {
+        let Some(durs) = job.queues.stage_durs.as_ref() else {
             return false;
         };
         if durs.count() < spec.min_completed as u64 {
@@ -376,54 +568,9 @@ impl SimWorld {
                 twin: dup,
             },
         );
-        self.trace(
-            now,
-            TE::TaskQueued {
-                task: dup,
-                stage,
-                class: Self::trace_class(kind),
-                attempt: 0,
-            },
-        );
+        self.trace_queued(now, dup);
         self.launch(now, dup, node, out);
         true
-    }
-
-    /// CAD feedback (§VI-B): watch the running average of completed
-    /// ShuffleMapTask times against the *healthy baseline* (the first full
-    /// window). While the average sits `jump_factor`× above the baseline,
-    /// every further completion adds `step` to the dispatch interval —
-    /// integral-controller behaviour that keeps throttling until the device
-    /// recovers; when the average falls back toward the baseline the
-    /// interval unwinds at the same rate.
-    pub(super) fn store_finished(&mut self, now: SimTime, task: u32) {
-        let Some(cad) = self.cfg.cad else { return };
-        let dur = now
-            .since(self.tasks.launched_at[task as usize])
-            .as_secs_f64();
-        self.cad_window.push_back(dur);
-        if self.cad_window.len() > cad.window {
-            self.cad_window.pop_front();
-        }
-        if self.cad_window.len() < cad.window / 2 {
-            return;
-        }
-        let avg = self.cad_window.iter().sum::<f64>() / self.cad_window.len() as f64;
-        match self.cad_ref_avg {
-            None => self.cad_ref_avg = Some(avg),
-            Some(baseline) => {
-                if avg > baseline * cad.jump_factor {
-                    self.cad_interval += cad.step;
-                    // Anti-windup: one healthy task-time of spacing already
-                    // drops the write queue to a handful; wider gaps would
-                    // idle the device instead of easing GC.
-                    let cap = SimDuration::from_secs_f64(baseline);
-                    self.cad_interval = self.cad_interval.min(cap);
-                } else {
-                    self.cad_interval = self.cad_interval - cad.step;
-                }
-            }
-        }
     }
 
     /// The parking invariant (DESIGN.md §4.12; `Nodes::audit` holds the
@@ -441,12 +588,10 @@ impl SimWorld {
             q.iter()
                 .any(|&t| self.tasks.state[t as usize] == TState::Pending)
         };
-        let any_job = |has: &dyn Fn(&JobRun) -> bool| self.jobs.iter().any(has);
-        let for_any_node = any_job(&|j| pending(&j.no_pref_q) || pending(&j.waiting_q));
-        let with_work = (0..self.spec.workers).find(|&node| {
-            c.is_parked(node) && (for_any_node || any_job(&|j| pending(&j.prefs_q[node as usize])))
-        });
-        match with_work {
+        let any_job = |has: &dyn Fn(&JobQueues) -> bool| self.jobs.iter().any(|j| has(&j.queues));
+        let for_any_node = any_job(&|q| pending(&q.no_pref_q) || pending(&q.waiting_q));
+        let has_work = |node: u32| for_any_node || any_job(&|q| pending(&q.prefs_q[node as usize]));
+        match (0..self.spec.workers).find(|&node| c.is_parked(node) && has_work(node)) {
             Some(node) => Err(format!(
                 "node {node} is parked with a pending task it may run"
             )),
@@ -457,10 +602,133 @@ impl SimWorld {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{placed_plan, push_pinned_store, world_with_idle_nodes_parked};
+    use super::super::tests::{
+        placed_plan, push_pinned_store, world, world_with_idle_nodes_parked,
+    };
     use super::*;
     use crate::config::EngineConfig;
     use memres_cluster::tiny;
+    use memres_des::sim::Model;
+    use std::sync::Arc;
+
+    fn pick(
+        w: &mut SimWorld,
+        now: SimTime,
+        ji: usize,
+        node: u32,
+        steal: bool,
+    ) -> Result<Option<u32>, SimTime> {
+        let q = &mut w.jobs[ji].queues;
+        q.pick(&w.tasks, w.cfg.scheduler, now, node, steal)
+    }
+
+    /// Feed `n` flush completions of `secs` each.
+    fn flushes(cad: &mut Cad, cfg: &CadConfig, n: usize, secs: f64) {
+        (0..n).for_each(|_| cad.observe_flush(cfg, secs));
+    }
+
+    #[test]
+    fn cad_baseline_is_the_first_half_full_window() {
+        let cfg = CadConfig::default(); // window 32, 2x jump, 50 ms step
+        let mut cad = Cad::new(2);
+        flushes(&mut cad, &cfg, 15, 1.0);
+        assert_eq!(cad.ref_avg, None, "under half a window: no estimate yet");
+        cad.observe_flush(&cfg, 1.0);
+        assert_eq!(cad.ref_avg, Some(1.0));
+        // Slow completions below the jump factor never move the interval,
+        // and the baseline is not re-learnt.
+        flushes(&mut cad, &cfg, 16, 1.5);
+        assert_eq!((cad.ref_avg, cad.interval), (Some(1.0), SimDuration::ZERO));
+        assert_eq!(cad.window.len(), 32);
+        cad.observe_flush(&cfg, 1.5);
+        assert_eq!(cad.window.len(), 32, "the window slides");
+    }
+
+    #[test]
+    fn cad_interval_integrates_up_to_one_healthy_task_time_and_unwinds() {
+        let cfg = CadConfig::default();
+        let mut cad = Cad::new(2);
+        flushes(&mut cad, &cfg, 16, 1.0);
+        // A 10x jump: the window average is past 2x the baseline from the
+        // third slow completion on ((16 + 3·10) / 19 = 2.4; the second makes
+        // it exactly 2), and every completion from there adds one step.
+        flushes(&mut cad, &cfg, 2, 10.0);
+        assert_eq!(cad.interval, SimDuration::ZERO);
+        flushes(&mut cad, &cfg, 3, 10.0);
+        assert_eq!(cad.interval, cfg.step.mul_f64(3.0));
+        // Anti-windup: capped at one healthy task time (the 1 s baseline).
+        flushes(&mut cad, &cfg, 40, 10.0);
+        assert_eq!(cad.interval, SimDuration::from_secs(1));
+        // Recovery: once the window average is back under 2x the baseline
+        // the interval unwinds one step per completion, down to zero.
+        flushes(&mut cad, &cfg, 31, 1.0);
+        let before = cad.interval;
+        cad.observe_flush(&cfg, 1.0);
+        assert_eq!(cad.interval, before - cfg.step);
+        flushes(&mut cad, &cfg, 40, 1.0);
+        assert_eq!(cad.interval, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn cad_gates_a_node_for_one_interval_and_arms_each_wake_once() {
+        let cfg = CadConfig::default();
+        let mut cad = Cad::new(2);
+        let t = SimTime::from_secs_f64;
+        assert_eq!(cad.launched(0, t(1.0)), None, "no interval: no spacing");
+        assert_eq!(cad.gate(0, t(1.0)), None);
+        flushes(&mut cad, &cfg, 16, 1.0);
+        flushes(&mut cad, &cfg, 5, 10.0);
+        assert_eq!(cad.interval, cfg.step.mul_f64(3.0));
+        let until = t(1.0) + cad.interval;
+        assert_eq!(cad.launched(0, t(1.0)), Some((until, true)));
+        assert_eq!(
+            cad.gate(0, t(1.1)),
+            Some((until, false)),
+            "wake already armed"
+        );
+        assert_eq!(cad.gate(1, t(1.1)), None, "per node");
+        assert_eq!(cad.gate(0, until), None, "open again at `until`");
+        // Reset (idle -> busy) forgets the estimate and re-opens every node.
+        assert_eq!(cad.launched(1, t(2.0)), Some((t(2.0) + cad.interval, true)));
+        cad.reset();
+        assert_eq!((cad.interval, cad.ref_avg), (SimDuration::ZERO, None));
+        assert!(cad.window.is_empty());
+        assert_eq!(cad.gate(1, t(2.0)), None);
+    }
+
+    #[test]
+    fn cad_resets_only_when_the_cluster_goes_from_idle_to_busy() {
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        let admit = |w: &mut SimWorld, id, out: &mut Outbox<Ev>| {
+            w.admit_job(
+                SimTime::ZERO,
+                id,
+                0,
+                SimTime::ZERO,
+                Arc::new(placed_plan(2)),
+                out,
+            )
+        };
+        w.cad.ref_avg = Some(1.0);
+        admit(&mut w, 1, &mut out);
+        assert_eq!(w.cad.ref_avg, None, "idle -> busy");
+        w.cad.ref_avg = Some(1.0);
+        admit(&mut w, 2, &mut out);
+        assert_eq!(w.cad.ref_avg, Some(1.0), "joining a loaded cluster");
+    }
+
+    #[test]
+    fn elb_predicate_on_a_hand_built_vector() {
+        let elb = ElbConfig::default(); // 1.25x
+        let skewed = [100.0, 10.0, 10.0, 10.0]; // average 32.5
+        assert!(elb_over_threshold(elb, &skewed, 0));
+        assert!(!elb_over_threshold(elb, &skewed, 1));
+        // Exactly at the threshold is not over it; nothing deposited never is.
+        assert!(!elb_over_threshold(elb, &[5.0, 3.0], 0));
+        assert!(elb_over_threshold(elb, &[5.0 + 1e-9, 3.0], 0));
+        assert!(!elb_over_threshold(elb, &[0.0, 0.0], 0));
+    }
 
     #[test]
     fn elb_declines_only_over_threshold_nodes() {
@@ -475,8 +743,11 @@ mod tests {
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, plan, &mut out);
         w.jobs[0].intermediate = vec![100.0, 10.0, 10.0, 10.0];
-        assert!(w.elb_declines(0, 0), "node 0 holds >1.25x the average");
-        assert!(!w.elb_declines(0, 1));
+        assert!(
+            w.elb_declines(&w.jobs[0], 0),
+            "node 0 holds >1.25x the average"
+        );
+        assert!(!w.elb_declines(&w.jobs[0], 1));
     }
 
     #[test]
@@ -496,32 +767,33 @@ mod tests {
             Arc::new(placed_plan(8)),
             &mut out,
         );
-        assert_eq!(w.jobs[0].last_local_launch, SimTime::ZERO);
+        assert_eq!(w.jobs[0].queues.last_local_launch, SimTime::ZERO);
         // A locality-preferred pick for job 0 at t=2 advances its clock.
         let node = w.jobs[0]
+            .queues
             .prefs_q
             .iter()
             .position(|q| !q.is_empty())
             .expect("placed input yields locality prefs") as u32;
         let t2 = SimTime::from_secs_f64(2.0);
-        assert!(matches!(w.pick(t2, 0, node, false), Ok(Some(_))));
-        assert_eq!(w.jobs[0].last_local_launch, t2);
+        assert!(matches!(pick(&mut w, t2, 0, node, false), Ok(Some(_))));
+        assert_eq!(w.jobs[0].queues.last_local_launch, t2);
         // A second tenant admitted at t=5 anchors at ITS stage start.
         let t5 = SimTime::from_secs_f64(5.0);
         w.admit_job(t5, 2, 1, t5, Arc::new(placed_plan(8)), &mut out);
-        assert_eq!(w.jobs[1].last_local_launch, t5);
+        assert_eq!(w.jobs[1].queues.last_local_launch, t5);
         assert_eq!(
-            w.jobs[0].last_local_launch, t2,
+            w.jobs[0].queues.last_local_launch, t2,
             "other job's clock untouched"
         );
         // Force both jobs onto the steal path: each reports its own expiry.
         for ji in 0..2 {
-            w.jobs[ji].prefs_q.iter_mut().for_each(|q| q.clear());
-            w.jobs[ji].no_pref_q.clear();
+            w.jobs[ji].queues.prefs_q.iter_mut().for_each(|q| q.clear());
+            w.jobs[ji].queues.no_pref_q.clear();
         }
         let t6 = SimTime::from_secs_f64(6.0);
-        assert_eq!(w.pick(t6, 0, 0, true), Err(Some(t2 + wait)));
-        assert_eq!(w.pick(t6, 1, 0, true), Err(Some(t5 + wait)));
+        assert_eq!(pick(&mut w, t6, 0, 0, true), Err(t2 + wait));
+        assert_eq!(pick(&mut w, t6, 1, 0, true), Err(t5 + wait));
     }
 
     #[test]
@@ -541,7 +813,7 @@ mod tests {
         w.tasks.set_state(waiting, TState::Done);
         assert_eq!(w.dispatch_visits, visits, "parked nodes were rescanned");
         assert!(
-            !w.dispatch_starved,
+            !w.sched.starved,
             "a parked node is available: pending work is not starved of nodes"
         );
         // A task pinned to one of them wakes that one alone ...
@@ -559,7 +831,7 @@ mod tests {
         let kind = TaskKind::Compute { part: 0 };
         w.tasks
             .push(Task::new(w.jobs[0].id, 0, kind, SimTime::ZERO));
-        w.enqueue_pending(0, &[id]);
+        w.enqueue_pending(0, [id]);
         assert_eq!(w.nodes.index().parked(), 0);
         w.audit_invariants().expect("nobody is parked");
     }
@@ -584,5 +856,70 @@ mod tests {
             assert_eq!(w.nodes.index().parked(), 0);
             w.audit_invariants().expect("nobody parked");
         }
+    }
+
+    #[test]
+    fn starved_dispatch_rearms_when_backoff_frees_a_slot() {
+        // Regression (dispatch wedge bugfix): with every slot busy and no
+        // delay-retry wake, a dispatch pass records starvation; a failing
+        // task's freed slot must then re-arm dispatch — the backoff requeue
+        // path schedules no Dispatch of its own.
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, placed_plan(64), &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert_eq!(w.nodes.index().available(), 0, "cluster saturated");
+        assert!(w.tasks.pending() > 0, "more tasks than slots");
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert!(w.sched.starved, "empty availability + no retry = starved");
+        let victim = (0..w.tasks.len())
+            .find(|&i| w.tasks.state[i] == TState::Running)
+            .expect("saturated cluster has running tasks") as u32;
+        let t1 = SimTime::from_secs_f64(1.0);
+        let mut out2 = memres_des::Outbox::standalone(t1);
+        w.fail_task(
+            t1,
+            victim,
+            SimDuration::from_secs_f64(2.0),
+            false,
+            &mut out2,
+        );
+        assert!(!w.sched.starved);
+        assert!(
+            out2.into_items()
+                .iter()
+                .any(|(_, e)| matches!(e, Ev::Dispatch)),
+            "freed slot must schedule a dispatch"
+        );
+    }
+
+    #[test]
+    fn blacklisted_node_restart_rejoins_and_redispatches() {
+        // Regression (dispatch wedge bugfix, recovery side): a fully
+        // blacklisted cluster starves dispatch; restarting a live-but-
+        // blacklisted executor clears the blacklist and re-arms it.
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, placed_plan(8), &mut out);
+        for n in 0..w.spec.workers {
+            w.nodes.blacklist(n);
+        }
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert!(w.sched.starved, "fully blacklisted cluster starves");
+        let t1 = SimTime::from_secs_f64(1.0);
+        let mut out2 = memres_des::Outbox::standalone(t1);
+        Model::handle(&mut w, t1, Ev::NodeRestart { node: 2 }, &mut out2);
+        assert!(w.nodes.usable(2));
+        assert!(!w.sched.starved);
+        assert!(
+            w.nodes.index().is_live(2),
+            "node 2 re-entered the candidate set"
+        );
+        assert!(
+            out2.into_items()
+                .iter()
+                .any(|(_, e)| matches!(e, Ev::Dispatch)),
+            "blacklist clear must schedule a dispatch"
+        );
     }
 }

@@ -208,7 +208,7 @@ impl SimWorld {
 
     /// CAD only gates nodes whose store device actually shows congestion
     /// (a deep write queue); throttling healthy nodes would idle them.
-    pub(super) fn cad_gates(&self, node: u32) -> bool {
+    pub(super) fn store_congested(&self, node: u32) -> bool {
         match self.cfg.shuffle {
             ShuffleStore::Local(StoreDevice::Ssd) => {
                 self.ssd_fs[node as usize].device_queue_depth() >= 4
