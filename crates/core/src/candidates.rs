@@ -80,6 +80,12 @@ impl Nodes {
         &self.index
     }
 
+    /// The candidate sets, to park and un-park in: neither changes which
+    /// nodes are available, so neither can break the invariant.
+    pub fn index_mut(&mut self) -> &mut Candidates {
+        &mut self.index
+    }
+
     fn reindex(&mut self, node: u32) {
         self.index.set_available(node, self.available(node));
     }
@@ -142,21 +148,6 @@ impl Nodes {
         out
     }
 
-    /// See [`Candidates::park`].
-    pub fn park(&mut self, node: u32) {
-        self.index.park(node);
-    }
-
-    /// See [`Candidates::unpark`].
-    pub fn unpark(&mut self, node: u32) {
-        self.index.unpark(node);
-    }
-
-    /// See [`Candidates::unpark_all`].
-    pub fn unpark_all(&mut self) {
-        self.index.unpark_all();
-    }
-
     /// The index invariant: the live and the parked nodes are exactly the
     /// available ones, each in one set.
     pub fn audit(&self) -> Result<(), String> {
@@ -191,7 +182,7 @@ pub(crate) struct Candidates {
 
 impl Candidates {
     /// Every one of `workers` nodes available and live.
-    pub fn all(workers: u32) -> Self {
+    fn all(workers: u32) -> Self {
         let mut live = NodeSet::new(workers as usize);
         (0..workers).for_each(|n| live.insert(n));
         Candidates {
@@ -461,9 +452,9 @@ mod tests {
                             if !m.0 { *m = (true, m.1, CORES); } else { m.1 = false; }
                         }
                         4 => { nodes.blacklist(n); m.1 = true; }
-                        5 => nodes.park(n),
-                        6 => nodes.unpark(n),
-                        7 => nodes.unpark_all(),
+                        5 => nodes.index_mut().park(n),
+                        6 => nodes.index_mut().unpark(n),
+                        7 => nodes.index_mut().unpark_all(),
                         _ => {}
                     }
                     prop_assert_eq!(nodes.audit(), Ok(()));

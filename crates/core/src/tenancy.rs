@@ -82,6 +82,23 @@ impl ArrivalProcess {
         }
     }
 
+    /// Offsets from stream start of the arrivals known when the stream
+    /// starts, in arrival order: every one of an open-loop tenant's `jobs`
+    /// (cumulative gaps), as many as a trace holds, and a closed-loop
+    /// tenant's first (its later ones chain off departures, see
+    /// [`ArrivalProcess::think`]).
+    pub fn upfront_offsets(&self, seed: u64, tenant: u32, jobs: u32) -> Vec<SimDuration> {
+        if let ArrivalProcess::Trace(_) = self {
+            return (0..jobs).map_while(|k| self.trace_offset(k)).collect();
+        }
+        let gaps = (0..jobs).map_while(|k| self.open_gap(seed, tenant, k));
+        gaps.scan(SimDuration::ZERO, |at, gap| {
+            *at += gap;
+            Some(*at)
+        })
+        .collect()
+    }
+
     /// Closed-loop think time (completion → next arrival), if any.
     pub fn think(&self) -> Option<SimDuration> {
         match self {
@@ -291,6 +308,30 @@ mod tests {
         assert_eq!(p.trace_offset(1), Some(SimDuration::from_secs_f64(2.5)));
         assert_eq!(p.trace_offset(2), None);
         assert_eq!(p.open_gap(1, 0, 0), None);
+    }
+
+    #[test]
+    fn upfront_offsets_are_what_each_process_knows_at_stream_start() {
+        let secs = SimDuration::from_secs_f64;
+        let periodic = ArrivalProcess::Periodic { period_secs: 2.0 };
+        assert_eq!(
+            periodic.upfront_offsets(1, 0, 3),
+            [secs(2.0), secs(4.0), secs(6.0)]
+        );
+        let open = ArrivalProcess::OpenExp { mean_secs: 10.0 };
+        let gap = |k| open.open_gap(7, 1, k).unwrap();
+        assert_eq!(
+            open.upfront_offsets(7, 1, 3),
+            [gap(0), gap(0) + gap(1), gap(0) + gap(1) + gap(2)]
+        );
+        // Closed loop: the first only; nothing for a tenant with no jobs.
+        let closed = ArrivalProcess::Closed { think_secs: 4.0 };
+        assert_eq!(closed.upfront_offsets(1, 0, 5), [SimDuration::ZERO]);
+        assert!(closed.upfront_offsets(1, 0, 0).is_empty());
+        // A trace shorter than `jobs` truncates; a longer one is cut at `jobs`.
+        let trace = ArrivalProcess::Trace(vec![0.0, 2.5, 9.0]);
+        assert_eq!(trace.upfront_offsets(1, 0, 5).len(), 3);
+        assert_eq!(trace.upfront_offsets(1, 0, 2), [secs(0.0), secs(2.5)]);
     }
 
     #[test]

@@ -29,24 +29,21 @@
 
 use crate::blockmgr::BlockMgr;
 use crate::candidates::Nodes;
-use crate::config::{Defect, EngineConfig, InputSource, ShuffleStore, StoreDevice};
-use crate::dag::build_plan;
-use crate::dag::{JobPlan, ShuffleInSpec, StageInput, StagePlan};
-use crate::executor::{evaluate, run_narrow_chain, ChainOut, Pending, RealOut, Work};
-use crate::faults::FaultKind;
+use crate::config::EngineConfig;
+use crate::dag::{JobPlan, StageInput};
+use crate::executor::{evaluate, ChainOut, Pending, RealOut, Work};
 use crate::metrics::{MetricsSink, Phase, TaskLocality, TaskMetric};
-use crate::rdd::{Action, Dataset, RddId};
-use crate::tenancy::{FinishedJob, InterJobPolicy, StreamSpec};
+use crate::rdd::Action;
+use crate::tenancy::FinishedJob;
 use crate::value::{Record, Value};
 use memres_cluster::{ClusterSpec, NodeId, SpeedModel, SpeedSampler};
 use memres_des::sim::{EngineStats, Gen, Model, Outbox};
 use memres_des::time::{SimDuration, SimTime};
-use memres_des::{Bytes, DetMap};
-use memres_hdfs::{BlockId, Hdfs, HdfsConfig, HdfsFile, Locality};
-use memres_lustre::{Lustre, LustreConfig, LustreFile};
-use memres_metrics::Recorder;
-use memres_net::{inflate_for_requests, Endpoint, Fabric, FlowId, FlowNet, LinkId};
-use memres_storage::{CacheConfig, FileId, LocalFs, RamDisk, Ssd, SsdConfig};
+use memres_des::Bytes;
+use memres_hdfs::{Hdfs, HdfsConfig};
+use memres_lustre::{Lustre, LustreConfig};
+use memres_net::{Endpoint, Fabric, FlowNet};
+use memres_storage::{CacheConfig, LocalFs, RamDisk, Ssd, SsdConfig};
 use memres_trace::TraceEvent as TE;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -60,15 +57,12 @@ mod shuffle;
 mod tasks;
 
 use admission::StreamState;
-use input::PlacedPart;
+use input::Inputs;
+use recovery::Faults;
+use sampler::Sampler;
 use sched::{Cad, DispatchState, JobQueues};
-use shuffle::{effective_read_bw, Reduced, ShuffleState};
-use tasks::{TState, Task, TaskArena, TaskKind, UNPINNED};
-
-/// File-id name spaces on the per-node filesystems / Lustre.
-const HDFS_BLOCK_BASE: u64 = 1 << 40;
-const SHUFFLE_FILE_BASE: u64 = 1 << 41;
-const LUSTRE_INPUT_BASE: u64 = 1 << 42;
+use shuffle::{JobShuffle, ShuffleService};
+use tasks::{TState, Task, TaskArena, TaskKind};
 
 /// Network transfer tags.
 #[derive(Clone, Copy, Debug)]
@@ -154,16 +148,9 @@ struct JobRun {
     /// Tasks of the currently running stage (the storing phase flushes their
     /// outputs).
     stage_tasks: Vec<u32>,
-    /// Shuffle feeding the current fetch stage.
-    shuffle_in: Option<ShuffleState>,
-    /// Shuffle being produced by the current stage.
-    shuffle_out: Option<ShuffleState>,
+    /// The shuffles this job reads and writes, and what it deposited where.
+    shuffle: JobShuffle,
     final_tasks: Vec<u32>,
-    /// Per-node intermediate bytes deposited by this job (ELB signal).
-    intermediate: Vec<f64>,
-    /// Every Lustre shuffle file this job has written, deleted when it
-    /// leaves (a consumed shuffle's state is dropped long before).
-    lustre_files: Vec<LustreFile>,
     /// Pending-task queues and scheduling clocks.
     queues: JobQueues,
 }
@@ -184,7 +171,6 @@ pub struct SimWorld {
     pub cfg: EngineConfig,
     pub net: FlowNet<NetTag>,
     pub fabric: Fabric,
-    store_read_links: Vec<LinkId>,
     /// Per-node RAMDisk mount (HDFS blocks + RAMDisk shuffle store).
     ram_fs: Vec<LocalFs>,
     /// Per-node SSD mount (SSD shuffle store).
@@ -193,77 +179,52 @@ pub struct SimWorld {
     pub hdfs: Hdfs,
     speeds: SpeedSampler,
     pub metrics: MetricsSink,
+    pub blockmgr: BlockMgr,
 
     tasks: TaskArena,
-    /// Scratch of `launch_fetch`: the `(flow, wire bytes)` pairs of one
-    /// reducer launch, handed to the network in one `push_chunks`.
-    fetch_chunks: Vec<(FlowId, Bytes)>,
-    /// An attempt was abandoned with I/O possibly in flight (failed attempt,
-    /// aborted job, speculation copy outliving its job); it drains as stale
-    /// completions, so an idle cluster may have busy substrates until an
-    /// audit next finds them drained.
-    abandoned_io: bool,
     /// Concurrently resident jobs, in admission order.
     jobs: Vec<JobRun>,
     job_seq: u32,
     pub job_done: bool,
-    /// Multi-tenant stream state (`None` for single-job submissions).
-    stream: Option<StreamState>,
     /// Completed/aborted jobs awaiting collection by the driver.
     finished: VecDeque<FinishedJob>,
-
-    // Scheduling state.
-    /// Per-node slots, liveness and blacklist, with the dispatch candidate
-    /// index they imply.
-    nodes: Nodes,
-    /// Nodes `dispatch` looked for work on, over the world's lifetime
-    /// (visits cut short by a node being down, full or already blocked this
-    /// round are not counted). A test hook in the style of
-    /// `FlowNet::next_scans`: it must grow with launches and finishes, not
-    /// with dispatches × idle nodes.
-    pub dispatch_visits: u64,
-    sched: DispatchState,
-    cad: Cad,
-    /// Dataset placements by source RDD id.
-    placed: DetMap<RddId, Vec<PlacedPart>>,
-    hdfs_files: DetMap<RddId, HdfsFile>,
-    pub blockmgr: BlockMgr,
-    next_shuffle_file: u64,
     /// Record-level work of the tasks launched this dispatch round,
     /// evaluated (maybe in parallel) and committed in launch order at the
     /// end of the round.
     pending: Vec<Pending>,
     /// Resolved host worker-thread count for evaluating `pending`.
     executor_threads: usize,
-
-    // Fault & recovery state (DESIGN.md §4.9).
-    /// Global task-launch counter (the `TaskFail { nth_launch }` clock).
-    launch_count: u64,
-    /// Sorted launch ordinals doomed to fail (from the fault plan).
-    doomed_launches: Vec<u64>,
-    /// The fault plan is armed once, at the first job submission.
-    faults_armed: bool,
-
     /// Structured event log (DESIGN.md §4.11). `None` when tracing is off,
     /// so every emission site costs one `Option` test and nothing else.
     tracer: Option<memres_trace::SharedSink>,
 
-    // Time-series metrics plane (DESIGN.md §4.16).
-    /// Sample accumulator; `None` when `cfg.metrics` is off, so the sampler
-    /// event is never scheduled and gauge collection costs nothing.
-    recorder: Option<Recorder>,
-    /// The sampler chain is armed once, at the first submission (mirrors
-    /// `faults_armed`); the leftover chained event survives back-to-back
-    /// jobs on one world, and this guard prevents duplicate chains.
-    metrics_armed: bool,
-    /// Latest engine self-stats snapshot (pushed by `observe_engine`).
-    engine_stats: EngineStats,
-    /// Engine step count at the previous sample (events-per-sample delta).
-    last_sample_steps: u64,
-    /// Per-tenant cumulative finished-job latency, grown on demand (the
-    /// `tenant_slo_burn_secs` base; resident/queued job ages are added at
-    /// sample time).
-    tenant_latency_acc: Vec<f64>,
+    // One field per seam; each type's fields are private to its module.
+    /// Per-node slots, liveness and blacklist, with the dispatch candidate
+    /// index they imply (`candidates.rs`).
+    nodes: Nodes,
+    /// `dispatch`'s rotation, stamps and starved flag (`world/sched.rs`).
+    sched: DispatchState,
+    /// The CAD controller (`world/sched.rs`).
+    cad: Cad,
+    /// Nodes `dispatch` looked for work on, over the world's lifetime
+    /// (visits cut short by a node being down, full or already blocked this
+    /// round are not counted). A test hook in the style of
+    /// `FlowNet::next_scans`: it must grow with launches and finishes, not
+    /// with dispatches × idle nodes.
+    pub dispatch_visits: u64,
+    /// Shuffle-service state: serving links, file-id mint, scratch
+    /// (`world/shuffle.rs`).
+    shuffle: ShuffleService,
+    /// Dataset placements (`world/input.rs`).
+    inputs: Inputs,
+    /// Fault-plan and abandoned-work bookkeeping (`world/recovery.rs`).
+    faults: Faults,
+    /// Multi-tenant stream state, `None` for single-job submissions
+    /// (`world/admission.rs`).
+    stream: Option<StreamState>,
+    /// The time-series metrics plane's recorder and sampler state
+    /// (`world/sampler.rs`).
+    sampler: Sampler,
 }
 
 /// Worker threads for real-partition execution: explicit config wins, then
@@ -293,7 +254,7 @@ impl SimWorld {
         // Effective HDFS DataNode read throughput per node (tmpfs bandwidth
         // discounted by protocol/checksum/deserialization costs).
         let ram_read = 3.0e9;
-        let store_read_links = (0..workers).map(|_| net.add_link(ram_read)).collect();
+        let shuffle = ShuffleService::new(&mut net, workers, ram_read);
         let ram_fs = (0..workers)
             .map(|_| {
                 LocalFs::new(
@@ -343,32 +304,24 @@ impl SimWorld {
         };
         let speeds = SpeedSampler::new(speed_model, spec.workers, cfg.seed);
         let tracer = cfg.trace.enabled().then(|| memres_trace::shared(cfg.trace));
-        let recorder = cfg.metrics.map(Recorder::new);
         let mut w = SimWorld {
             nodes: Nodes::new(spec.workers, spec.cores_per_node),
-            dispatch_visits: 0,
             sched: DispatchState::new(workers),
             cad: Cad::new(workers),
-            placed: DetMap::new(),
-            hdfs_files: DetMap::new(),
+            dispatch_visits: 0,
+            inputs: Inputs::default(),
+            faults: Faults::default(),
+            stream: None,
+            sampler: Sampler::new(cfg.metrics),
             blockmgr: BlockMgr::default(),
-            next_shuffle_file: SHUFFLE_FILE_BASE,
             pending: Vec::new(),
             executor_threads: resolve_executor_threads(&cfg),
-            launch_count: 0,
-            doomed_launches: Vec::new(),
-            faults_armed: false,
             tracer,
-            recorder,
-            metrics_armed: false,
-            engine_stats: EngineStats::default(),
-            last_sample_steps: 0,
-            tenant_latency_acc: Vec::new(),
             spec,
             cfg,
             net,
             fabric,
-            store_read_links,
+            shuffle,
             ram_fs,
             ssd_fs,
             lustre,
@@ -376,12 +329,9 @@ impl SimWorld {
             speeds,
             metrics: MetricsSink::default(),
             tasks: TaskArena::default(),
-            fetch_chunks: Vec::new(),
-            abandoned_io: false,
             jobs: Vec::new(),
             job_seq: 0,
             job_done: false,
-            stream: None,
             finished: VecDeque::new(),
         };
         if let Some(t) = &w.tracer {
@@ -432,12 +382,7 @@ impl SimWorld {
             .as_ref()
             .map(|t| t.borrow().len() * std::mem::size_of::<memres_trace::TimedEvent>())
             .unwrap_or(0);
-        let shuffle: usize = self
-            .jobs
-            .iter()
-            .filter_map(|j| j.shuffle_out.as_ref().or(j.shuffle_in.as_ref()))
-            .map(|s| s.buckets.heap_bytes())
-            .sum();
+        let shuffle: usize = self.jobs.iter().map(|j| j.shuffle.heap_bytes()).sum();
         (tasks + net + trace + shuffle) as u64
     }
 
@@ -476,11 +421,9 @@ impl SimWorld {
         if self.jobs.is_empty() {
             self.audit_departed()
                 .map_err(|e| format!("no job resident, but {e}"))?;
-            match self.audit_drained() {
-                Ok(()) => self.abandoned_io = false,
-                Err(e) if !self.abandoned_io => return Err(format!("no job resident, but {e}")),
-                Err(_) => {}
-            }
+            self.faults
+                .judge_drained(self.audit_drained())
+                .map_err(|e| format!("no job resident, but {e}"))?;
         }
         Ok(())
     }
@@ -498,7 +441,7 @@ impl SimWorld {
 
     /// Quiescence oracle, the rest: no flow carries bytes and no request is
     /// in or undelivered by the Lustre MDS, a memory channel or a device.
-    /// Excused while `abandoned_io` is set; passing clears it.
+    /// Excused while abandoned I/O may be in flight (`Faults::judge_drained`).
     fn audit_drained(&self) -> Result<(), String> {
         let active = self.net.active_flows();
         if active != 0 {
@@ -547,10 +490,6 @@ impl SimWorld {
         &mut self.jobs[ji]
     }
 
-    fn plan_of(&self, task: u32) -> Arc<JobPlan> {
-        self.job_of(task).plan.clone()
-    }
-
     // ---------------- wake plumbing ----------------
 
     fn arm_net(&mut self, out: &mut Outbox<Ev>) {
@@ -560,12 +499,23 @@ impl SimWorld {
         }
     }
 
-    fn arm_fs(&self, node: u32, ssd: bool, out: &mut Outbox<Ev>) {
-        let fs = if ssd {
-            &self.ssd_fs[node as usize]
+    /// `node`'s SSD mount, or its RAMDisk mount.
+    fn fs(&self, node: u32, ssd: bool) -> &LocalFs {
+        let mounts = if ssd { &self.ssd_fs } else { &self.ram_fs };
+        &mounts[node as usize]
+    }
+
+    fn fs_mut(&mut self, node: u32, ssd: bool) -> &mut LocalFs {
+        let mounts = if ssd {
+            &mut self.ssd_fs
         } else {
-            &self.ram_fs[node as usize]
+            &mut self.ram_fs
         };
+        &mut mounts[node as usize]
+    }
+
+    fn arm_fs(&self, node: u32, ssd: bool, out: &mut Outbox<Ev>) {
+        let fs = self.fs(node, ssd);
         if let Some(t) = fs.next_event() {
             // lint:allow(event-past): LocalFs::next_event returns device completions at/after the subsystem clock, which trails now
             out.at(
@@ -583,6 +533,53 @@ impl SimWorld {
         if let Some(t) = self.lustre.next_event() {
             // lint:allow(event-past): Lustre::next_event returns MDS/OSS completions at/after the subsystem clock, which trails now
             out.at(t, Ev::LustreWake(self.lustre.gen()));
+        }
+    }
+
+    // ---------------- one-shot transfers ----------------
+
+    /// A one-shot transfer: an auto-close flow from `src` to `dst` carrying
+    /// `bytes`. The caller arms the net.
+    fn send_once(&mut self, now: SimTime, src: Endpoint, dst: Endpoint, bytes: Bytes, tag: NetTag) {
+        let flow = self.net.open_flow(now, self.fabric.path(src, dst), true);
+        self.net.push_chunk(now, flow, bytes, tag);
+    }
+
+    /// A one-shot transfer that `task` waits for.
+    fn task_transfer(
+        &mut self,
+        now: SimTime,
+        task: u32,
+        (src, dst): (Endpoint, Endpoint),
+        bytes: Bytes,
+        out: &mut Outbox<Ev>,
+    ) {
+        self.tasks.pending_io[task as usize] += 1;
+        self.send_once(now, src, dst, bytes, self.net_tag(task));
+        self.arm_net(out);
+    }
+
+    /// Metadata operations at the Lustre MDS that `task` waits for.
+    fn submit_mds(&mut self, now: SimTime, task: u32, ops: f64, out: &mut Outbox<Ev>) {
+        self.tasks.pending_io[task as usize] += 1;
+        self.lustre.submit_mds(now, ops, self.io_tag(task));
+        self.arm_lustre(out);
+    }
+
+    /// One Lustre read or write of `task`: its metadata ops at the MDS, then
+    /// the `oss` transfer (endpoints, wire bytes) if any bytes go to or come
+    /// from the OSSes rather than a client cache.
+    fn lustre_io(
+        &mut self,
+        now: SimTime,
+        task: u32,
+        mds_ops: f64,
+        oss: Option<((Endpoint, Endpoint), f64)>,
+        out: &mut Outbox<Ev>,
+    ) {
+        self.submit_mds(now, task, mds_ops, out);
+        if let Some((ends, wire)) = oss {
+            self.task_transfer(now, task, ends, Bytes(wire), out);
         }
     }
 
@@ -654,11 +651,8 @@ impl SimWorld {
             phase: RunPhase::Stage(0),
             remaining: 0,
             stage_tasks: Vec::new(),
-            shuffle_in: None,
-            shuffle_out: None,
+            shuffle: JobShuffle::new(workers),
             final_tasks: Vec::new(),
-            lustre_files: Vec::new(),
-            intermediate: vec![0.0; workers],
             queues: JobQueues::new(workers, now),
         });
         let ji = self.jobs.len() - 1;
@@ -670,75 +664,20 @@ impl SimWorld {
         let stage = &plan.stages[idx];
         let is_last = idx + 1 == plan.stages.len();
 
-        // Move the produced shuffle (if any) into consuming position; the
-        // one consumed by the stage that produced it is done with.
-        if matches!(stage.input, StageInput::Shuffle(_)) {
-            let job = &mut self.jobs[ji];
-            let produced = job.shuffle_out.take();
-            assert!(produced.is_some(), "fetch stage without produced shuffle");
-            if let Some(consumed) = std::mem::replace(&mut job.shuffle_in, produced) {
-                self.release_fetch_flows(now, &consumed, out);
-            }
-        }
-
         // Resolve partition count + place datasets.
         let nparts = match &stage.input {
-            StageInput::Dataset { rdd, dataset } => {
-                self.ensure_placed(*rdd, dataset);
-                self.placed[rdd].len()
-            }
+            StageInput::Dataset { rdd, dataset } => self.ensure_placed(*rdd, dataset),
             StageInput::Cached { rdd } => self.blockmgr.partition_count(*rdd),
-            StageInput::Shuffle(_) => {
-                self.jobs[ji].shuffle_in.as_ref().unwrap().reducers as usize // lint:allow(panic): build_plan emits a Shuffle input only after a shuffle-out stage, which installed shuffle_in at the phase switch
-            }
+            StageInput::Shuffle(_) => self.begin_fetch_stage(now, ji, out),
         };
         assert!(nparts > 0, "stage with zero partitions");
 
-        // Create the produced-shuffle state if this stage writes one.
-        if let Some(requested) = stage.shuffle_out {
-            // Spark guidance: default reduce-side parallelism ~ total cores.
-            let reducers = requested
-                .or(self.cfg.spark.default_parallelism)
-                .unwrap_or((nparts as u32).min(self.spec.total_slots()))
-                .max(1);
-            let spec = match &plan.stages[idx + 1].input {
-                StageInput::Shuffle(s) => s.clone(),
-                _ => unreachable!("stage after a shuffle output must consume it"),
-            };
-            let real = match &stage.input {
-                StageInput::Dataset { rdd, .. } => {
-                    self.placed[rdd].iter().all(|p| p.data.is_some())
-                }
-                StageInput::Cached { rdd } => self.blockmgr.is_real(*rdd),
-                StageInput::Shuffle(_) => {
-                    self.jobs[ji]
-                        .shuffle_in
-                        .as_ref()
-                        // lint:allow(panic): build_plan emits a Shuffle input only after a shuffle-out stage, which installed shuffle_in at the phase switch
-                        .unwrap()
-                        .node_real
-                        .is_some()
-                }
-            };
-            let workers = self.spec.workers as usize;
-            // Rack aggregation kicks in when the per-rack-pair concurrent
-            // flow count (per_rack producers x per_rack consumers) exceeds
-            // the threshold; u32::MAX disables it outright. Only the
-            // store-served paths aggregate — LustreShared traffic already
-            // funnels through one pipe.
-            let aggregated = {
-                let per_rack = workers as u64 / self.spec.racks.max(1) as u64;
-                self.cfg.rack_agg_threshold != u32::MAX
-                    && matches!(
-                        self.cfg.shuffle,
-                        ShuffleStore::Local(_) | ShuffleStore::LustreLocal
-                    )
-                    && per_rack * per_rack > self.cfg.rack_agg_threshold as u64
-            };
-            let racks = aggregated.then_some(self.spec.racks as usize);
-            self.jobs[ji].shuffle_out =
-                Some(ShuffleState::new(reducers, spec, workers, real, racks));
-        }
+        // Create the produced-shuffle state if this stage writes one. It is
+        // followed by one store task per task of this stage and then by the
+        // shuffle's reducers.
+        let followers = stage.shuffle_out.map_or(0, |requested| {
+            nparts + self.open_shuffle(ji, &plan, idx, nparts, requested) as usize
+        });
 
         // Declare cache points so partially-cached RDDs are not reused.
         for (_, rdd) in &stage.cache_points {
@@ -747,16 +686,9 @@ impl SimWorld {
 
         // Create the stage's tasks.
         let is_fetch = matches!(stage.input, StageInput::Shuffle(_));
-        // A stage that writes a shuffle is followed by one store task per
-        // task of its own and then by the shuffle's reducers: room for all
-        // three now, while the arrays are small, is one growth instead of
-        // three that each copy everything before them.
-        let job = &self.jobs[ji];
-        let followers = job
-            .shuffle_out
-            .as_ref()
-            .map_or(0, |sh| nparts + sh.reducers as usize);
-        self.reserve_tasks(job.id, nparts + followers);
+        // Room for the followers too, now, while the arrays are small, is one
+        // growth instead of three that each copy everything before them.
+        self.reserve_tasks(self.jobs[ji].id, nparts + followers);
         let first = self.tasks.len() as u32;
         for i in 0..nparts {
             let kind = if is_fetch {
@@ -805,34 +737,25 @@ impl SimWorld {
 
     fn launch(&mut self, now: SimTime, task: u32, node: u32, out: &mut Outbox<Ev>) {
         debug_assert_eq!(self.tasks.state[task as usize], TState::Pending);
-        self.launch_count += 1;
-        let doomed = self
-            .doomed_launches
-            .binary_search(&self.launch_count)
-            .is_ok();
+        let doomed = self.faults.next_launch_is_doomed();
         self.nodes.take_slot(node);
-        {
-            let i = task as usize;
-            self.tasks.set_state(task, TState::Running);
-            self.tasks.node[i] = node;
-            self.tasks.launched_at[i] = now;
-            self.tasks.doomed[i] = doomed;
-        }
-        {
-            let i = task as usize;
-            self.trace(
-                now,
-                TE::TaskLaunched {
-                    task,
-                    node,
-                    class: Self::trace_class(self.tasks.kind[i]),
-                    attempt: self.tasks.attempt[i],
-                    queue_delay: now.since(self.tasks.queued_at[i]),
-                    speculative: self.tasks.is_speculative[i],
-                },
-            );
-        }
-        match self.tasks.kind[task as usize] {
+        let i = task as usize;
+        self.tasks.set_state(task, TState::Running);
+        self.tasks.node[i] = node;
+        self.tasks.launched_at[i] = now;
+        self.tasks.doomed[i] = doomed;
+        self.trace(
+            now,
+            TE::TaskLaunched {
+                task,
+                node,
+                class: Self::trace_class(self.tasks.kind[i]),
+                attempt: self.tasks.attempt[i],
+                queue_delay: now.since(self.tasks.queued_at[i]),
+                speculative: self.tasks.is_speculative[i],
+            },
+        );
+        match self.tasks.kind[i] {
             TaskKind::Compute { part } => self.launch_compute(now, task, node, part, out),
             TaskKind::Store { producer } => self.launch_store(now, task, node, producer, out),
             TaskKind::Fetch { reducer } => self.launch_fetch(now, task, node, reducer, out),
@@ -880,8 +803,7 @@ impl SimWorld {
                 Work::Reduce { reducer, .. } => {
                     let (_, bytes, records, rows, _) = chain;
                     let rows = rows.expect("real reduce output"); // lint:allow(panic): Work::Reduce always evaluates to real rows
-                    let sh = self.job_of_mut(job.task).shuffle_in.as_mut().unwrap(); // lint:allow(panic): a reduce is queued by a fetch launch, whose stage input is that shuffle
-                    sh.reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
+                    self.park_reduced(job.task, reducer, bytes, records, rows);
                 }
             }
         }
@@ -985,22 +907,8 @@ impl SimWorld {
             )
         };
         self.nodes.free_slot(node);
-        if lost {
-            // The losing speculation copy: its whole duration was duplicated
-            // work, so the trace marks it ghost (retry-waste in attribution).
-            self.trace(
-                now,
-                TE::TaskFinished {
-                    task,
-                    node,
-                    class: Self::trace_class(kind),
-                    attempt,
-                    ghost: true,
-                },
-            );
-            out.immediately(Ev::Dispatch);
-            return;
-        }
+        // The losing speculation copy: its whole duration was duplicated
+        // work, so the trace marks it ghost (retry-waste in attribution).
         self.trace(
             now,
             TE::TaskFinished {
@@ -1008,9 +916,13 @@ impl SimWorld {
                 node,
                 class: Self::trace_class(kind),
                 attempt,
-                ghost,
+                ghost: ghost || lost,
             },
         );
+        if lost {
+            out.immediately(Ev::Dispatch);
+            return;
+        }
         // If a speculative copy won, it replaces the original everywhere the
         // job refers to it (storing pins, final-task outputs).
         if self.tasks.is_speculative[task as usize] {
@@ -1022,11 +934,10 @@ impl SimWorld {
                 }
             }
         }
+        let ran = now.since(self.tasks.launched_at[task as usize]);
         if matches!(kind, TaskKind::Compute { .. }) {
-            let d = now
-                .since(self.tasks.launched_at[task as usize])
-                .as_secs_f64();
-            self.job_of_mut(task).queues.record_compute(d);
+            let queues = &mut self.job_of_mut(task).queues;
+            queues.record_compute(ran.as_secs_f64());
         }
 
         let phase = match kind {
@@ -1062,9 +973,7 @@ impl SimWorld {
             TaskKind::Compute { .. } if !ghost => self.producer_finished(task, node),
             TaskKind::Store { .. } => {
                 if let Some(cad) = &self.cfg.cad {
-                    let launched = self.tasks.launched_at[task as usize];
-                    self.cad
-                        .observe_flush(cad, now.since(launched).as_secs_f64());
+                    self.cad.observe_flush(cad, ran.as_secs_f64());
                 }
             }
             TaskKind::Fetch { reducer } if !ghost => {
@@ -1134,7 +1043,9 @@ impl SimWorld {
 
     fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
         let job = self.jobs.remove(ji);
-        self.abandoned_io |= self.tasks.running(job.id) > 0;
+        if self.tasks.running(job.id) > 0 {
+            self.faults.abandon_io();
+        }
         self.release_shuffle_state(now, &job, out);
         self.trace(
             now,
@@ -1156,56 +1067,23 @@ impl SimWorld {
         }
         let have_real = slices.len() == job.final_tasks.len();
         let real_count = slices.iter().map(|s| s.len() as u64).sum();
-        let output = match &job.plan.action {
-            Action::Count => JobOutput {
-                count: if have_real { real_count } else { count },
-                records: None,
-                reduced: None,
-                aborted: false,
-            },
-            Action::Collect => JobOutput {
-                count: if have_real { real_count } else { count },
-                records: have_real.then(|| slices.concat()),
-                reduced: None,
-                aborted: false,
-            },
+        let shown = if have_real { real_count } else { count };
+        let (count, records, reduced) = match &job.plan.action {
+            Action::Count => (shown, None, None),
+            Action::Collect => (shown, have_real.then(|| slices.concat()), None),
             Action::Reduce(f) => {
-                let reduced = have_real.then(|| {
-                    slices
-                        .iter()
-                        .flat_map(|s| s.iter())
-                        .map(|(_, v)| v.clone())
-                        .reduce(|a, b| f(a, b))
-                        .unwrap_or(Value::Null)
-                });
-                JobOutput {
-                    count,
-                    records: None,
-                    reduced,
-                    aborted: false,
-                }
+                let values = slices.iter().flat_map(|s| s.iter()).map(|(_, v)| v.clone());
+                let fold = || values.reduce(|a, b| f(a, b)).unwrap_or(Value::Null);
+                (count, None, have_real.then(fold))
             }
         };
-        let metrics = self.metrics.finish_job(job.id, now);
-        self.note_job_latency(job.tenant, job.arrived, now);
-        self.finished.push_back(FinishedJob {
-            id: job.id,
-            tenant: job.tenant,
-            arrived: job.arrived,
-            admitted: job.admitted,
-            finished: now,
-            output,
-            metrics,
-        });
-        if self.jobs.is_empty() {
-            self.tasks.clear();
-        }
-        self.on_job_departure(now, job.tenant, out);
-        self.job_done = self.jobs.is_empty() && self.stream_drained();
-        if self.job_done {
-            // Tear the stream down so the driver can submit again later.
-            self.stream = None;
-        }
+        let output = JobOutput {
+            count,
+            records,
+            reduced,
+            aborted: false,
+        };
+        self.job_departed(now, &job, output, out);
     }
 }
 
@@ -1234,36 +1112,17 @@ impl Model for SimWorld {
                 self.arm_net(out);
             }
             Ev::FsWake { node, ssd, gen } => {
-                let fs = if ssd {
-                    &self.ssd_fs[node as usize]
-                } else {
-                    &self.ram_fs[node as usize]
-                };
-                if !gen.is_current(fs.gen()) {
+                if !gen.is_current(self.fs(node, ssd).gen()) {
                     return;
                 }
-                let fs = if ssd {
-                    &mut self.ssd_fs[node as usize]
-                } else {
-                    &mut self.ram_fs[node as usize]
-                };
-                let done = fs.poll(now);
+                let done = self.fs_mut(node, ssd).poll(now);
                 for d in done {
                     let (task, attempt, job) = Self::unpack_io_tag(d.tag);
                     self.task_io_done(now, task, attempt, job, out);
                 }
                 self.arm_fs(node, ssd, out);
-                // Keep the store-serving link in sync with SSD GC state.
                 if ssd {
-                    if let ShuffleStore::Local(StoreDevice::Ssd) = self.cfg.shuffle {
-                        let bw = effective_read_bw(&self.ssd_fs[node as usize], StoreDevice::Ssd);
-                        let link = self.store_read_links[node as usize];
-                        let cur = self.net.link_capacity(link);
-                        if (bw - cur).abs() / cur > 0.05 {
-                            self.net.set_link_capacity(now, link, bw.max(1.0));
-                            self.arm_net(out);
-                        }
-                    }
+                    self.sync_ssd_read_link(now, node, false, out);
                 }
             }
             Ev::LustreWake(gen) => {
@@ -1278,28 +1137,8 @@ impl Model for SimWorld {
                     if self.completion_is_stale(task, attempt, job) {
                         continue;
                     }
-                    let is_shared_fetch = matches!(self.cfg.shuffle, ShuffleStore::LustreShared)
-                        && matches!(self.tasks.kind[task as usize], TaskKind::Fetch { .. });
                     self.task_io_done(now, task, attempt, job, out);
-                    if is_shared_fetch {
-                        let ready = self
-                            .job_of(task)
-                            .shuffle_in
-                            .as_ref()
-                            .map(|sh| sh.flush_done)
-                            .unwrap_or(true);
-                        if ready {
-                            self.lustre_shared_transfer(now, task, out);
-                        } else {
-                            self.trace(now, TE::LockWaitStart { task });
-                            self.job_of_mut(task)
-                                .shuffle_in
-                                .as_mut()
-                                .unwrap() // lint:allow(panic): flush gating runs only during a fetch stage, which has shuffle_in
-                                .waiting_for_flush
-                                .push(task);
-                        }
-                    }
+                    self.lustre_shared_gate(now, task, out);
                 }
                 self.arm_lustre(out);
             }
@@ -1319,21 +1158,7 @@ impl Model for SimWorld {
                 }
             }
             Ev::Fault { idx } => self.apply_fault(now, idx, out),
-            Ev::NodeRestart { node } => {
-                // A node that was down is back; one that was blacklisted has
-                // its slots eligible again. Either way re-arm dispatch —
-                // without this, a fully-blacklisted cluster wedges even
-                // after every executor recovers.
-                let Some(was_down) = self.nodes.restart(node) else {
-                    return;
-                };
-                if was_down {
-                    self.metrics.recovery_all(|r| r.node_restarts += 1);
-                }
-                self.trace(now, TE::NodeUp { node });
-                self.sched.take_starved();
-                out.immediately(Ev::Dispatch);
-            }
+            Ev::NodeRestart { node } => self.node_restart(now, node, out),
             Ev::JobArrival { tenant, k } => self.on_job_arrival(now, tenant, k, out),
             Ev::LustreSharedRead { task, attempt, job } => {
                 // The task may have failed or its job departed during the
@@ -1349,24 +1174,16 @@ impl Model for SimWorld {
                     out.after(SimDuration::from_secs_f64(p), Ev::SpeedResample);
                 }
             }
-            Ev::MetricsSample => {
-                if let Some(interval) = self.recorder.as_ref().map(|r| r.interval()) {
-                    self.sample_metrics(now);
-                    // Always chain: the driver stops stepping at job_done,
-                    // so the tail tick dies with the run (or picks sampling
-                    // back up if another job is submitted on this world).
-                    out.after(interval, Ev::MetricsSample);
-                }
-            }
+            Ev::MetricsSample => self.sample_metrics(now, out),
         }
     }
 
     fn wants_engine_stats(&self) -> bool {
-        self.recorder.is_some()
+        self.recorder().is_some()
     }
 
     fn observe_engine(&mut self, stats: EngineStats) {
-        self.engine_stats = stats;
+        self.sampler.observe_engine(stats);
     }
 }
 

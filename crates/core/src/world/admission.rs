@@ -1,98 +1,123 @@
-//! Multi-tenant stream admission (DESIGN.md §4.14).
+//! Admission (DESIGN.md §4.14): how a job arrives at, enters and leaves the
+//! resident set. Single-job submissions enter through `SimWorld::admit_job`
+//! directly; a multi-tenant stream feeds it from [`StreamState`] — seeded
+//! arrivals, FIFO admission under a residency cap, closed-loop chaining at
+//! departure — and every job, finished or aborted, leaves through
+//! `job_departed`.
 
-#![allow(clippy::indexing_slicing)]
-
-use super::*;
+use super::{Ev, JobOutput, JobRun, SimWorld};
+use crate::dag::build_plan;
+use crate::tenancy::{FinishedJob, InterJobPolicy, JobFactory, StreamSpec};
+use memres_des::sim::Outbox;
+use memres_des::time::{SimDuration, SimTime};
+use memres_trace::TraceEvent as TE;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One arrived-but-not-yet-admitted job in a multi-tenant stream.
-pub(super) struct PendingAdmission {
-    pub(super) id: u32,
-    pub(super) tenant: u32,
-    pub(super) k: u32,
-    pub(super) arrived: SimTime,
+struct PendingAdmission {
+    id: u32,
+    tenant: u32,
+    k: u32,
+    arrived: SimTime,
 }
 
 /// Multi-tenant stream bookkeeping (DESIGN.md §4.14).
 pub(super) struct StreamState {
-    pub(super) spec: StreamSpec,
+    spec: StreamSpec,
     /// Arrivals scheduled (or chained, for closed-loop) but not yet fired.
-    pub(super) outstanding_arrivals: usize,
+    outstanding_arrivals: usize,
     /// Arrived jobs waiting for an admission slot, FIFO.
-    pub(super) queued: VecDeque<PendingAdmission>,
+    queued: VecDeque<PendingAdmission>,
     /// Per-tenant count of arrivals scheduled so far (closed-loop tenants
     /// chain the next one at job departure).
-    pub(super) fired: Vec<u32>,
+    fired: Vec<u32>,
+}
+
+impl StreamState {
+    /// Begin `spec`: its state, and the arrivals known now as `(offset from
+    /// stream start, tenant, k)` in scheduling order. Open-loop and trace
+    /// arrivals are all known upfront; closed-loop tenants fire their first
+    /// arrival immediately and chain the next one `think` after each job
+    /// departs.
+    fn start(spec: StreamSpec) -> (Self, Vec<(SimDuration, u32, u32)>) {
+        let mut upfront = Vec::new();
+        let mut fired = Vec::with_capacity(spec.tenants.len());
+        for (tenant, ts) in (0u32..).zip(&spec.tenants) {
+            let offsets = ts.arrival.upfront_offsets(spec.seed, tenant, ts.jobs);
+            fired.push(offsets.len() as u32);
+            upfront.extend((0u32..).zip(offsets).map(|(k, off)| (off, tenant, k)));
+        }
+        let stream = StreamState {
+            spec,
+            outstanding_arrivals: upfront.len(),
+            queued: VecDeque::new(),
+            fired,
+        };
+        (stream, upfront)
+    }
+
+    /// Job `id`, `tenant`'s `k`-th, arrived at `now`: it queues for admission.
+    fn arrived(&mut self, id: u32, tenant: u32, k: u32, now: SimTime) {
+        self.outstanding_arrivals = self.outstanding_arrivals.saturating_sub(1);
+        let arrived = now;
+        self.queued.push_back(PendingAdmission {
+            id,
+            tenant,
+            k,
+            arrived,
+        });
+    }
+
+    /// The next job to admit — FIFO — and its tenant's job factory, if the
+    /// `resident` jobs leave room under the concurrency cap.
+    fn admit_next(&mut self, resident: usize) -> Option<(PendingAdmission, JobFactory)> {
+        if resident >= self.spec.max_concurrent.unwrap_or(usize::MAX) {
+            return None;
+        }
+        let pa = self.queued.pop_front()?;
+        let make = self.spec.tenants[pa.tenant as usize].make.clone();
+        Some((pa, make))
+    }
+
+    /// A job of `tenant` finished or aborted: a closed-loop tenant with jobs
+    /// left chains its next arrival, `(think time, k)`.
+    fn departed(&mut self, tenant: u32) -> Option<(SimDuration, u32)> {
+        let ts = &self.spec.tenants[tenant as usize];
+        let think = ts.arrival.think()?;
+        let k = self.fired[tenant as usize];
+        (k < ts.jobs).then(|| {
+            self.fired[tenant as usize] += 1;
+            self.outstanding_arrivals += 1;
+            (think, k)
+        })
+    }
+
+    /// True when no further jobs can arrive or be admitted.
+    fn drained(&self) -> bool {
+        self.outstanding_arrivals == 0 && self.queued.is_empty()
+    }
 }
 
 impl SimWorld {
-    // ---------------- multi-tenant streams (DESIGN.md §4.14) ----------------
-
-    /// Begin a multi-tenant job stream. Open-loop and trace arrivals are
-    /// scheduled upfront (cumulative gaps from `now`); closed-loop tenants
-    /// fire their first arrival immediately and chain the next one `think`
-    /// after each job departs. Admission is FIFO under `max_concurrent`;
-    /// the configured [`InterJobPolicy`] orders *dispatch*, not admission.
+    /// Begin a multi-tenant job stream (see [`StreamState::start`] for when
+    /// its jobs arrive). Admission is FIFO under `max_concurrent`; the
+    /// configured [`InterJobPolicy`] orders *dispatch*, not admission.
     pub fn start_stream(&mut self, now: SimTime, spec: StreamSpec, out: &mut Outbox<Ev>) {
         assert!(
             self.jobs.is_empty() && self.stream.is_none(),
             "a stream starts on an idle world"
         );
-        let mut outstanding = 0usize;
-        let mut fired = vec![0u32; spec.tenants.len()];
-        for (t, ts) in spec.tenants.iter().enumerate() {
-            let tenant = t as u32;
-            match &ts.arrival {
-                crate::tenancy::ArrivalProcess::Trace(offsets) => {
-                    let n = (ts.jobs as usize).min(offsets.len());
-                    for k in 0..n {
-                        let off = ts
-                            .arrival
-                            .trace_offset(k as u32)
-                            .expect("trace offset in range"); // lint:allow(panic): k < trace length by construction
-                        out.at(
-                            now + off,
-                            Ev::JobArrival {
-                                tenant,
-                                k: k as u32,
-                            },
-                        );
-                    }
-                    fired[t] = n as u32;
-                    outstanding += n;
-                }
-                crate::tenancy::ArrivalProcess::Closed { .. } => {
-                    if ts.jobs > 0 {
-                        out.at(now, Ev::JobArrival { tenant, k: 0 });
-                        fired[t] = 1;
-                        outstanding += 1;
-                    }
-                }
-                _ => {
-                    let mut at = now;
-                    for k in 0..ts.jobs {
-                        let gap = ts
-                            .arrival
-                            .open_gap(spec.seed, tenant, k)
-                            .expect("open-loop arrival gap"); // lint:allow(panic): open-loop arms always yield a gap
-                        at += gap;
-                        out.at(at, Ev::JobArrival { tenant, k });
-                    }
-                    fired[t] = ts.jobs;
-                    outstanding += ts.jobs as usize;
-                }
-            }
+        let (stream, upfront) = StreamState::start(spec);
+        for &(off, tenant, k) in &upfront {
+            out.at(now + off, Ev::JobArrival { tenant, k });
         }
-        self.job_done = outstanding == 0;
-        if outstanding > 0 {
+        self.job_done = upfront.is_empty();
+        if !upfront.is_empty() {
             // Sample across the whole stream, including pre-admission gaps.
             self.arm_metrics(out);
         }
-        self.stream = Some(StreamState {
-            spec,
-            outstanding_arrivals: outstanding,
-            queued: VecDeque::new(),
-            fired,
-        });
+        self.stream = Some(stream);
     }
 
     pub(super) fn on_job_arrival(
@@ -108,34 +133,22 @@ impl SimWorld {
         self.job_seq += 1;
         let id = self.job_seq;
         self.trace(now, TE::JobArrived { job: id, tenant });
-        let stream = self.stream.as_mut().expect("stream checked above"); // lint:allow(panic): guarded at function entry
-        stream.outstanding_arrivals = stream.outstanding_arrivals.saturating_sub(1);
-        stream.queued.push_back(PendingAdmission {
-            id,
-            tenant,
-            k,
-            arrived: now,
-        });
+        if let Some(stream) = &mut self.stream {
+            stream.arrived(id, tenant, k, now);
+        }
         self.try_admissions(now, out);
     }
 
     /// Admit queued jobs FIFO while under the concurrency cap. The job's
     /// plan is built at admission time so cached RDDs materialized by
     /// earlier jobs are visible, exactly as sequential submission sees them.
-    pub(super) fn try_admissions(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
+    fn try_admissions(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
         loop {
-            let Some(stream) = self.stream.as_ref() else {
+            let resident = self.jobs.len();
+            let next = self.stream.as_mut().and_then(|s| s.admit_next(resident));
+            let Some((pa, make)) = next else {
                 return;
             };
-            let cap = stream.spec.max_concurrent.unwrap_or(usize::MAX);
-            if self.jobs.len() >= cap || stream.queued.is_empty() {
-                return;
-            }
-            let pa = self
-                .stream
-                .as_mut()
-                .and_then(|s| s.queued.pop_front())
-                .expect("non-empty admit queue"); // lint:allow(panic): emptiness checked above
             self.trace(
                 now,
                 TE::JobAdmitted {
@@ -143,32 +156,47 @@ impl SimWorld {
                     tenant: pa.tenant,
                 },
             );
-            let make = self
-                .stream
-                .as_ref()
-                .map(|s| s.spec.tenants[pa.tenant as usize].make.clone())
-                .expect("stream present"); // lint:allow(panic): guarded at loop entry
             let (rdd, action) = make(pa.k);
             let plan = build_plan(&rdd, action, &self.blockmgr.materialized());
             self.admit_job(now, pa.id, pa.tenant, pa.arrived, Arc::new(plan), out);
         }
     }
 
-    /// Stream bookkeeping when a job finishes or aborts: chain the owning
-    /// tenant's next closed-loop arrival and pull in queued admissions.
-    pub(super) fn on_job_departure(&mut self, now: SimTime, tenant: u32, out: &mut Outbox<Ev>) {
-        if let Some(stream) = self.stream.as_mut() {
-            let ts = &stream.spec.tenants[tenant as usize];
-            if let Some(think) = ts.arrival.think() {
-                let k = stream.fired[tenant as usize];
-                if k < ts.jobs {
-                    stream.fired[tenant as usize] += 1;
-                    stream.outstanding_arrivals += 1;
-                    out.at(now + think, Ev::JobArrival { tenant, k });
-                }
-            }
+    /// The end of every job's life, finished or aborted (`job` is already
+    /// out of the resident set): hand `output` and the job's metrics to the
+    /// driver, chain the owning tenant's next closed-loop arrival, pull in
+    /// queued admissions, and settle whether the run is over.
+    pub(super) fn job_departed(
+        &mut self,
+        now: SimTime,
+        job: &JobRun,
+        output: JobOutput,
+        out: &mut Outbox<Ev>,
+    ) {
+        let metrics = self.metrics.finish_job(job.id, now);
+        self.sampler.note_job_latency(job.tenant, job.arrived, now);
+        self.finished.push_back(FinishedJob {
+            id: job.id,
+            tenant: job.tenant,
+            arrived: job.arrived,
+            admitted: job.admitted,
+            finished: now,
+            output,
+            metrics,
+        });
+        if self.jobs.is_empty() {
+            self.tasks.clear();
+        }
+        let tenant = job.tenant;
+        if let Some((think, k)) = self.stream.as_mut().and_then(|s| s.departed(tenant)) {
+            out.at(now + think, Ev::JobArrival { tenant, k });
         }
         self.try_admissions(now, out);
+        self.job_done = self.jobs.is_empty() && self.stream.as_ref().is_none_or(|s| s.drained());
+        if self.job_done {
+            // Tear the stream down so the driver can submit again later.
+            self.stream = None;
+        }
     }
 
     /// The stream's inter-job dispatch policy (none for single-job runs).
@@ -176,10 +204,92 @@ impl SimWorld {
         self.stream.as_ref().map(|s| &s.spec.policy)
     }
 
-    /// True when no further jobs can arrive or be admitted.
-    pub(super) fn stream_drained(&self) -> bool {
-        self.stream
-            .as_ref()
-            .is_none_or(|s| s.outstanding_arrivals == 0 && s.queued.is_empty())
+    /// Tenants of the running stream (single-job runs count as one tenant).
+    pub(super) fn tenant_count(&self) -> usize {
+        self.stream.as_ref().map_or(1, |s| s.spec.tenants.len())
+    }
+
+    /// Jobs of `tenant` waiting for admission, and their summed age at `now`.
+    pub(super) fn queued_jobs_of(&self, tenant: u32, now: SimTime) -> (usize, f64) {
+        let queued = self.stream.iter().flat_map(|s| &s.queued);
+        let ages = queued
+            .filter(|p| p.tenant == tenant)
+            .map(|p| now.since(p.arrived).as_secs_f64());
+        ages.fold((0, 0.0), |(n, sum), age| (n + 1, sum + age))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rdd::{Action, Dataset, Rdd};
+    use crate::tenancy::{ArrivalProcess, TenantSpec};
+
+    fn tenant(jobs: u32, arrival: ArrivalProcess) -> TenantSpec {
+        let make: JobFactory = Arc::new(|_| {
+            let rdd = Rdd::source(Dataset::generated(1e6, 1e5, 10.0));
+            (rdd, Action::Count)
+        });
+        TenantSpec::new("t", jobs, arrival, make)
+    }
+
+    fn stream(tenants: Vec<TenantSpec>) -> StreamSpec {
+        StreamSpec::new(tenants, InterJobPolicy::Fifo, 7)
+    }
+
+    #[test]
+    fn admission_is_fifo_under_the_concurrency_cap() {
+        let periodic = ArrivalProcess::Periodic { period_secs: 1.0 };
+        let spec = stream(vec![tenant(2, periodic.clone()), tenant(1, periodic)]);
+        let (mut s, upfront) = StreamState::start(spec.with_max_concurrent(2));
+        let secs = SimDuration::from_secs;
+        assert_eq!(
+            upfront,
+            vec![(secs(1), 0, 0), (secs(2), 0, 1), (secs(1), 1, 0)],
+            "every open-loop arrival is known upfront, tenant by tenant"
+        );
+        assert!(s.admit_next(0).is_none(), "nothing has arrived yet");
+        for (id, &(off, tenant, k)) in (1u32..).zip(&upfront) {
+            s.arrived(id, tenant, k, SimTime::ZERO + off);
+        }
+        assert!(!s.drained(), "three jobs queued");
+        let admitted = |s: &mut StreamState, resident| s.admit_next(resident).map(|(pa, _)| pa.id);
+        assert_eq!(admitted(&mut s, 0), Some(1));
+        assert_eq!(admitted(&mut s, 1), Some(2));
+        assert_eq!(admitted(&mut s, 2), None, "at the cap: job 3 waits");
+        assert!(!s.drained());
+        assert_eq!(s.departed(0), None, "open-loop tenants chain nothing");
+        assert_eq!(admitted(&mut s, 1), Some(3), "a departure makes room");
+        assert!(s.drained(), "nothing outstanding, nothing queued");
+    }
+
+    #[test]
+    fn closed_loop_chaining_stops_at_the_tenants_job_count() {
+        let think = SimDuration::from_secs(4);
+        let closed = ArrivalProcess::Closed { think_secs: 4.0 };
+        let (mut s, upfront) = StreamState::start(stream(vec![tenant(3, closed.clone())]));
+        assert_eq!(upfront, vec![(SimDuration::ZERO, 0, 0)], "only the first");
+        let mut id = 0;
+        let mut run_one = |s: &mut StreamState, k: u32| {
+            id += 1;
+            s.arrived(id, 0, k, SimTime::ZERO);
+            assert!(!s.drained(), "job {k} is queued");
+            assert!(s.admit_next(0).is_some());
+        };
+        run_one(&mut s, 0);
+        assert!(
+            s.drained(),
+            "between a closed-loop job's admission and its departure"
+        );
+        assert_eq!(s.departed(0), Some((think, 1)));
+        assert!(!s.drained(), "the chained arrival is outstanding");
+        run_one(&mut s, 1);
+        assert_eq!(s.departed(0), Some((think, 2)));
+        run_one(&mut s, 2);
+        assert_eq!(s.departed(0), None, "three jobs configured, three fired");
+        assert!(s.drained());
+        // A tenant with no jobs fires nothing at all.
+        let (s, upfront) = StreamState::start(stream(vec![tenant(0, closed)]));
+        assert!(upfront.is_empty() && s.drained());
     }
 }

@@ -1,20 +1,53 @@
-//! Input placement and compute-task launch.
+//! Input: where a dataset's partitions are placed (HDFS blocks on RAMDisk,
+//! Lustre files, or generated in memory), which nodes a compute task
+//! prefers and what it reads from where (paper §V: input locality), and the
+//! launch of a compute task over it.
 
-#![allow(clippy::indexing_slicing)]
+use super::{Ev, SimWorld};
+use crate::config::InputSource;
+use crate::dag::{StageInput, StagePlan};
+use crate::executor::{run_narrow_chain, Pending, Work};
+use crate::metrics::TaskLocality;
+use crate::rdd::{Dataset, RddId};
+use crate::value::Record;
+use memres_cluster::NodeId;
+use memres_des::sim::Outbox;
+use memres_des::time::SimTime;
+use memres_des::{Bytes, DetMap};
+use memres_hdfs::{BlockId, Locality};
+use memres_lustre::LustreFile;
+use memres_net::Endpoint;
+use memres_storage::FileId;
+use std::sync::Arc;
 
-use super::*;
+/// File-id name spaces on the per-node filesystems / Lustre.
+const HDFS_BLOCK_BASE: u64 = 1 << 40;
+const LUSTRE_INPUT_BASE: u64 = 1 << 42;
 
-pub(super) struct PlacedPart {
-    pub(super) bytes: f64,
-    pub(super) records: u64,
+struct PlacedPart {
+    bytes: f64,
+    records: u64,
     /// Shared view of the source partition's records — placing a dataset and
     /// launching tasks over it never copies record data.
-    pub(super) data: Option<Arc<[Record]>>,
-    pub(super) hdfs_block: Option<BlockId>,
-    pub(super) lustre: Option<LustreFile>,
+    data: Option<Arc<[Record]>>,
+    hdfs_block: Option<BlockId>,
+    lustre: Option<LustreFile>,
 }
 
-pub(super) enum IoPlan {
+/// Dataset placements by source RDD id.
+#[derive(Default)]
+pub(super) struct Inputs {
+    placed: DetMap<RddId, Vec<PlacedPart>>,
+}
+
+impl Inputs {
+    /// Whether every partition of placed dataset `rdd` carries real records.
+    pub(super) fn is_real(&self, rdd: RddId) -> bool {
+        self.placed[&rdd].iter().all(|p| p.data.is_some())
+    }
+}
+
+enum IoPlan {
     None,
     HdfsRead { block: BlockId, src: NodeId },
     LustreRead { file: LustreFile },
@@ -22,36 +55,17 @@ pub(super) enum IoPlan {
 }
 
 impl SimWorld {
-    pub(super) fn ensure_placed(&mut self, rdd: RddId, dataset: &Arc<Dataset>) {
-        if self.placed.contains_key(&rdd) {
-            return;
-        }
-        if dataset.generated {
-            // In-memory generated input: no storage backing at all.
-            let parts = dataset
-                .partitions
-                .iter()
-                .map(|p| PlacedPart {
-                    bytes: p.bytes,
-                    records: p.records,
-                    data: p.data.clone(),
-                    hdfs_block: None,
-                    lustre: None,
-                })
-                .collect();
-            self.placed.insert(rdd, parts);
-            return;
+    /// Place `dataset` on its backing store, once. Returns its partition
+    /// count.
+    pub(super) fn ensure_placed(&mut self, rdd: RddId, dataset: &Arc<Dataset>) -> usize {
+        if let Some(parts) = self.inputs.placed.get(&rdd) {
+            return parts.len();
         }
         let workers = self.spec.workers;
+        // In-memory generated input: no storage backing at all.
+        let backing = (!dataset.generated).then_some(self.cfg.input);
+        let mut hdfs_file = None;
         let mut parts = Vec::with_capacity(dataset.partitions.len());
-        let hdfs_file = match self.cfg.input {
-            InputSource::HdfsRamDisk => {
-                let f = self.hdfs.new_file();
-                self.hdfs_files.insert(rdd, f);
-                Some(f)
-            }
-            InputSource::Lustre => None,
-        };
         for (i, p) in dataset.partitions.iter().enumerate() {
             let mut placed = PlacedPart {
                 bytes: p.bytes,
@@ -60,8 +74,9 @@ impl SimWorld {
                 hdfs_block: None,
                 lustre: None,
             };
-            match self.cfg.input {
-                InputSource::HdfsRamDisk => {
+            match backing {
+                None => {}
+                Some(InputSource::HdfsRamDisk) => {
                     // Pseudo-random block placement (what an ingested corpus
                     // looks like): node block counts become Poisson-spread,
                     // which is what strict locality scheduling then amplifies.
@@ -81,18 +96,15 @@ impl SimWorld {
                         locs.push(NodeId(r));
                     }
                     locs.dedup();
-                    let b = self.hdfs.place_block_at(
-                        hdfs_file.expect("hdfs file"), // lint:allow(panic): the HdfsRamDisk arm above created this file before placing blocks
-                        Bytes(p.bytes),
-                        locs.clone(),
-                    );
+                    let file = *hdfs_file.get_or_insert_with(|| self.hdfs.new_file());
+                    let b = self.hdfs.place_block_at(file, Bytes(p.bytes), locs.clone());
                     for n in locs {
                         self.ram_fs[n.index()]
                             .preload(FileId(HDFS_BLOCK_BASE + b.0), Bytes(p.bytes));
                     }
                     placed.hdfs_block = Some(b);
                 }
-                InputSource::Lustre => {
+                Some(InputSource::Lustre) => {
                     let lf = LustreFile(LUSTRE_INPUT_BASE + ((rdd.0 as u64) << 24) + i as u64);
                     self.lustre.create_external(lf, p.bytes);
                     placed.lustre = Some(lf);
@@ -100,15 +112,15 @@ impl SimWorld {
             }
             parts.push(placed);
         }
-        self.placed.insert(rdd, parts);
+        self.inputs.placed.insert(rdd, parts);
+        dataset.partitions.len()
     }
 
     /// Preferred nodes for a compute task: HDFS replicas or the cache home.
     pub(super) fn compute_prefs(&self, stage: &StagePlan, part: u32) -> Vec<u32> {
         match &stage.input {
             StageInput::Dataset { rdd, .. } => {
-                let placed = &self.placed[rdd][part as usize];
-                match placed.hdfs_block {
+                match self.inputs.placed[rdd][part as usize].hdfs_block {
                     Some(b) => self.hdfs.locations(b).iter().map(|n| n.0).collect(),
                     // Lustre input: uniformly distant — no preference (§V-A).
                     None => Vec::new(),
@@ -131,7 +143,7 @@ impl SimWorld {
         part: u32,
         out: &mut Outbox<Ev>,
     ) {
-        let plan = self.plan_of(task);
+        let plan = self.job_of(task).plan.clone();
         let stage_idx = self.tasks.stage[task as usize] as usize;
         let stage = &plan.stages[stage_idx];
 
@@ -203,13 +215,13 @@ impl SimWorld {
 
     /// Input description for a dataset-rooted compute task (also used when
     /// rebuilding a lost cached partition from lineage).
-    pub(super) fn dataset_input(
+    fn dataset_input(
         &self,
         rdd: RddId,
         part: u32,
         node: u32,
     ) -> (f64, u64, Option<Arc<[Record]>>, IoPlan, TaskLocality) {
-        let placed = &self.placed[&rdd][part as usize];
+        let placed = &self.inputs.placed[&rdd][part as usize];
         let bytes = placed.bytes;
         let records = placed.records;
         let data = placed.data.clone();
@@ -261,7 +273,7 @@ impl SimWorld {
     }
 
     /// Issue the input I/O of a compute task against the substrates.
-    pub(super) fn issue_io_plan(
+    fn issue_io_plan(
         &mut self,
         now: SimTime,
         task: u32,
@@ -270,53 +282,28 @@ impl SimWorld {
         io_plan: IoPlan,
         out: &mut Outbox<Ev>,
     ) {
+        let here = Endpoint::Node(NodeId(node));
         match io_plan {
             IoPlan::None => {}
-            IoPlan::HdfsRead { block, src } => {
+            IoPlan::HdfsRead { block, src } if src.0 == node => {
                 let file = FileId(HDFS_BLOCK_BASE + block.0);
-                if src.0 == node {
-                    let tag = self.io_tag(task);
-                    self.tasks.pending_io[task as usize] += 1;
-                    self.ram_fs[node as usize].read(now, file, Bytes(in_bytes), tag);
-                    self.arm_fs(node, false, out);
-                } else {
-                    let tag = self.net_tag(task);
-                    self.tasks.pending_io[task as usize] += 1;
-                    let path = self
-                        .fabric
-                        .path(Endpoint::Node(src), Endpoint::Node(NodeId(node)));
-                    let f = self.net.open_flow(now, path, true);
-                    self.net.push_chunk(now, f, Bytes(in_bytes), tag);
-                    self.arm_net(out);
-                }
+                let tag = self.io_tag(task);
+                self.tasks.pending_io[task as usize] += 1;
+                self.ram_fs[node as usize].read(now, file, Bytes(in_bytes), tag);
+                self.arm_fs(node, false, out);
+            }
+            IoPlan::HdfsRead { src, .. } => {
+                self.task_transfer(now, task, (Endpoint::Node(src), here), Bytes(in_bytes), out);
             }
             IoPlan::LustreRead { file } => {
-                let tag = self.io_tag(task);
                 let rplan = self.lustre.read(now, NodeId(node), file, Bytes(in_bytes));
-                self.tasks.pending_io[task as usize] += 1;
-                self.lustre.submit_mds(now, rplan.mds_ops, tag);
-                self.arm_lustre(out);
-                if rplan.oss_bytes > 0.0 {
-                    let tag = self.net_tag(task);
-                    self.tasks.pending_io[task as usize] += 1;
-                    let path = self
-                        .fabric
-                        .path(Endpoint::Lustre, Endpoint::Node(NodeId(node)));
-                    let f = self.net.open_flow(now, path, true);
-                    let wire = rplan.oss_bytes + self.lustre.config().read_overhead_bytes;
-                    self.net.push_chunk(now, f, Bytes(wire), tag);
-                    self.arm_net(out);
-                }
+                let wire = rplan.oss_bytes + self.lustre.config().read_overhead_bytes;
+                let oss = (rplan.oss_bytes > 0.0).then_some(((Endpoint::Lustre, here), wire));
+                self.lustre_io(now, task, rplan.mds_ops, oss, out);
             }
             IoPlan::NetOnly { src, bytes } => {
-                let tag = self.net_tag(task);
-                self.tasks.pending_io[task as usize] += 1;
-                let path = self
-                    .fabric
-                    .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(node)));
-                let f = self.net.open_flow(now, path, true);
-                self.net.push_chunk(now, f, Bytes(bytes), tag);
-                self.arm_net(out);
+                let src = Endpoint::Node(NodeId(src));
+                self.task_transfer(now, task, (src, here), Bytes(bytes), out);
             }
         }
     }

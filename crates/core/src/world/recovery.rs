@@ -1,28 +1,84 @@
-//! Fault handling and recovery (DESIGN.md §4.9).
+//! Fault handling and recovery (DESIGN.md §4.9): how a failure is undone.
+//!
+//! The fault plan's events (`apply_fault`), a failed attempt's way back to
+//! the queues (`fail_task`), a node's death and return (`node_crash`,
+//! `node_restart`: re-pinning, re-hosted shuffle rows, time-only ghost
+//! tasks), a job's abort, and the lineage recipe that rebuilds a lost
+//! cached partition (`recovery_stage`).
 
-#![allow(clippy::indexing_slicing)]
+use super::tasks::{TState, Task, TaskKind, UNPINNED};
+use super::{Ev, JobOutput, RunPhase, SimWorld};
+use crate::dag::{JobPlan, StageInput, StagePlan};
+use crate::faults::FaultKind;
+use crate::rdd::RddId;
+use memres_des::sim::Outbox;
+use memres_des::time::{SimDuration, SimTime};
+use memres_trace::TraceEvent as TE;
+use std::sync::Arc;
 
-use super::*;
+/// Fault-plan and abandoned-work bookkeeping.
+#[derive(Default)]
+pub(super) struct Faults {
+    /// Global task-launch counter (the `TaskFail { nth_launch }` clock).
+    launch_count: u64,
+    /// Sorted launch ordinals doomed to fail (from the fault plan).
+    doomed_launches: Vec<u64>,
+    /// The fault plan is armed once, at the first job submission.
+    armed: bool,
+    /// An attempt was abandoned with I/O possibly in flight (failed attempt,
+    /// aborted job, speculation copy outliving its job); it drains as stale
+    /// completions, so an idle cluster may have busy substrates until an
+    /// audit next finds them drained.
+    abandoned_io: bool,
+}
+
+impl Faults {
+    /// Count one task launch; true when the fault plan dooms it.
+    pub(super) fn next_launch_is_doomed(&mut self) -> bool {
+        self.launch_count += 1;
+        self.doomed_launches
+            .binary_search(&self.launch_count)
+            .is_ok()
+    }
+
+    /// An attempt was abandoned with I/O possibly in flight.
+    pub(super) fn abandon_io(&mut self) {
+        self.abandoned_io = true;
+    }
+
+    /// Judge the "every substrate is drained" half of the quiescence oracle:
+    /// excused while abandoned I/O may still be in flight; passing clears
+    /// the excuse.
+    pub(super) fn judge_drained(&mut self, drained: Result<(), String>) -> Result<(), String> {
+        match drained {
+            Err(e) if !self.abandoned_io => Err(e),
+            Err(_) => Ok(()),
+            Ok(()) => {
+                self.abandoned_io = false;
+                Ok(())
+            }
+        }
+    }
+}
 
 impl SimWorld {
     /// Schedule every fault of the configured plan, once, relative to the
     /// first job submission. `TaskFail` faults become doomed launch ordinals
     /// consumed by [`SimWorld::launch`]; everything else fires as an event.
     pub(super) fn arm_faults(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
-        if self.faults_armed {
+        if std::mem::replace(&mut self.faults.armed, true) {
             return;
         }
-        self.faults_armed = true;
-        let Some(plan) = self.cfg.faults.clone() else {
+        let Some(plan) = &self.cfg.faults else {
             return;
         };
         for (idx, ev) in plan.events.iter().enumerate() {
             match ev.kind {
-                FaultKind::TaskFail { nth_launch } => self.doomed_launches.push(nth_launch),
+                FaultKind::TaskFail { nth_launch } => self.faults.doomed_launches.push(nth_launch),
                 _ => out.at(now + ev.after, Ev::Fault { idx }),
             }
         }
-        self.doomed_launches.sort_unstable();
+        self.faults.doomed_launches.sort_unstable();
     }
 
     /// Lineage-based recovery (§II-C "lost partitions can be recovered by
@@ -86,7 +142,7 @@ impl SimWorld {
         attribute: bool,
         out: &mut Outbox<Ev>,
     ) {
-        self.abandoned_io = true;
+        self.faults.abandon_io();
         let node = self.tasks.node[task as usize];
         let wasted = now
             .since(self.tasks.launched_at[task as usize])
@@ -107,24 +163,8 @@ impl SimWorld {
         );
         if self.nodes.is_up(node) {
             self.nodes.free_slot(node);
-            // A failed flush abandons its partial output: reclaim the space.
             if matches!(self.tasks.kind[task as usize], TaskKind::Store { .. }) {
-                if let ShuffleStore::Local(dev) = self.cfg.shuffle {
-                    let file = self
-                        .job_of(task)
-                        .shuffle_out
-                        .as_ref()
-                        .and_then(|sh| sh.local_files[node as usize]);
-                    if let Some(file) = file {
-                        let bytes = self.tasks.output_bytes[task as usize];
-                        let fs = if dev == StoreDevice::Ssd {
-                            &mut self.ssd_fs[node as usize]
-                        } else {
-                            &mut self.ram_fs[node as usize]
-                        };
-                        fs.truncate(file, Bytes(bytes));
-                    }
-                }
+                self.abandon_store_output(task, node);
             }
         }
         {
@@ -132,7 +172,7 @@ impl SimWorld {
             self.tasks.set_state(task, TState::Pending);
             // Pending again, it is runnable wherever a queue still holds an
             // entry of its earlier attempt — before any requeue.
-            self.nodes.unpark_all();
+            self.nodes.index_mut().unpark_all();
             self.tasks.node[i] = u32::MAX;
             self.tasks.attempt[i] += 1;
             self.tasks.doomed[i] = false;
@@ -196,7 +236,7 @@ impl SimWorld {
     /// queue them there. Their queue entries on the old node are left
     /// behind; dispatch never visits that node, and `pick` tolerates
     /// duplicates.
-    pub(super) fn repin_pinned_off(&mut self, node: u32) {
+    fn repin_pinned_off(&mut self, node: u32) {
         let Some(repl) = self.nodes.replacement() else {
             return;
         };
@@ -228,7 +268,7 @@ impl SimWorld {
                 aborted: true,
             },
         );
-        self.abandoned_io = true;
+        self.faults.abandon_io();
         let job = self.jobs.remove(ji);
         self.release_shuffle_state(now, &job, out);
         // Retire the aborted job's tasks. Running ones hand their slot back
@@ -260,26 +300,7 @@ impl SimWorld {
             reduced: None,
             aborted: true,
         };
-        let metrics = self.metrics.finish_job(id, now);
-        self.note_job_latency(job.tenant, job.arrived, now);
-        self.finished.push_back(FinishedJob {
-            id,
-            tenant: job.tenant,
-            arrived: job.arrived,
-            admitted: job.admitted,
-            finished: now,
-            output,
-            metrics,
-        });
-        if self.jobs.is_empty() {
-            self.tasks.clear();
-        }
-        self.on_job_departure(now, job.tenant, out);
-        self.job_done = self.jobs.is_empty() && self.stream_drained();
-        if self.job_done {
-            // Tear the stream down so the driver can submit again later.
-            self.stream = None;
-        }
+        self.job_departed(now, &job, output, out);
     }
 
     /// A node dies: its slots, running work, cached partitions and (for a
@@ -288,7 +309,7 @@ impl SimWorld {
     /// that produced them is redone as time-only ghost tasks, so the job's
     /// output matches a fault-free run while the recovery time is charged in
     /// full.
-    pub(super) fn node_crash(
+    fn node_crash(
         &mut self,
         now: SimTime,
         node: u32,
@@ -344,32 +365,13 @@ impl SimWorld {
         // Fetch tasks mid-pull from the dead node retry with backoff (the
         // shared Lustre store serves every byte from the OSSes — nothing to
         // retry there beyond the reducers that died with the node).
-        if !matches!(self.cfg.shuffle, ShuffleStore::LustreShared) {
+        if self.fetches_pull_from_nodes() {
             self.fail_fetches_from(now, node, out);
             if self.jobs.is_empty() {
                 return;
             }
         }
-        let local_store = matches!(self.cfg.shuffle, ShuffleStore::Local(_));
-        for job in &mut self.jobs {
-            // Rows of the shuffle being produced live in executor memory or
-            // the node-local store: re-host them. Rows already consumed from
-            // Lustre survive the crash on the OSSes.
-            if let Some(sh) = job.shuffle_out.as_mut() {
-                Self::move_shuffle_rows(sh, node as usize, repl as usize);
-            }
-            if let Some(sh) = job.shuffle_in.as_mut() {
-                if local_store {
-                    Self::move_shuffle_rows(sh, node as usize, repl as usize);
-                } else {
-                    // Server page cache died with the node; refetches stream
-                    // from the OSSes instead.
-                    sh.cached_frac[node as usize] = 0.0;
-                }
-            }
-            job.intermediate[repl as usize] += job.intermediate[node as usize];
-            job.intermediate[node as usize] = 0.0;
-        }
+        self.rehost_shuffle_rows(node, repl);
         self.trace(
             now,
             TE::Rehost {
@@ -378,13 +380,29 @@ impl SimWorld {
             },
         );
         for ji in 0..self.jobs.len() {
-            self.spawn_crash_ghosts(now, ji, node, repl, local_store);
+            self.spawn_crash_ghosts(now, ji, node, repl);
         }
         out.immediately(Ev::Dispatch);
     }
 
+    /// A crashed node comes back (empty memory, disk intact), or a live but
+    /// blacklisted executor is restarted and its slots are eligible again.
+    /// Either way re-arm dispatch — without this, a fully-blacklisted
+    /// cluster wedges even after every executor recovers.
+    pub(super) fn node_restart(&mut self, now: SimTime, node: u32, out: &mut Outbox<Ev>) {
+        let Some(was_down) = self.nodes.restart(node) else {
+            return;
+        };
+        if was_down {
+            self.metrics.recovery_all(|r| r.node_restarts += 1);
+        }
+        self.trace(now, TE::NodeUp { node });
+        self.sched.take_starved();
+        out.immediately(Ev::Dispatch);
+    }
+
     /// Fail every running fetch task currently pulling rows from `src`.
-    pub(super) fn fail_fetches_from(&mut self, now: SimTime, src: u32, out: &mut Outbox<Ev>) {
+    fn fail_fetches_from(&mut self, now: SimTime, src: u32, out: &mut Outbox<Ev>) {
         let victims: Vec<u32> = (0..self.tasks.len())
             .filter(|&i| {
                 self.tasks.state[i] == TState::Running
@@ -393,9 +411,7 @@ impl SimWorld {
                             .jobs
                             .iter()
                             .find(|j| j.id == self.tasks.job[i])
-                            .and_then(|j| j.shuffle_in.as_ref())
-                            .map(|sh| sh.buckets.get(src as usize, reducer as usize) > 0.0)
-                            .unwrap_or(false))
+                            .is_some_and(|j| j.shuffle.fetches_from(src, reducer)))
             })
             .map(|i| i as u32)
             .collect();
@@ -423,14 +439,8 @@ impl SimWorld {
     /// pinned to the replacement: recompute ghosts for its compute tasks of
     /// the stage feeding the live shuffle, and re-flush ghosts for its store
     /// tasks when the store died with the node.
-    pub(super) fn spawn_crash_ghosts(
-        &mut self,
-        now: SimTime,
-        ji: usize,
-        node: u32,
-        repl: u32,
-        local_store: bool,
-    ) {
+    fn spawn_crash_ghosts(&mut self, now: SimTime, ji: usize, node: u32, repl: u32) {
+        let local_store = self.store_is_node_local();
         let job_id = self.jobs[ji].id;
         let (producing_stage, has_shuffle_out) = {
             let job = &self.jobs[ji];
@@ -449,7 +459,7 @@ impl SimWorld {
                 }
                 RunPhase::Storing(idx) => Some(idx as u32),
             };
-            (producing, job.shuffle_out.is_some())
+            (producing, job.shuffle.is_writing())
         };
         let mut ghosts: Vec<(u32, TaskKind)> = Vec::new();
         for i in 0..self.tasks.len() {
@@ -527,12 +537,7 @@ impl SimWorld {
                 self.metrics.recovery_all(|r| r.ssd_degradations += 1);
                 self.ssd_fs[node as usize].degrade_device(now, factor);
                 self.arm_fs(node, true, out);
-                if let ShuffleStore::Local(StoreDevice::Ssd) = self.cfg.shuffle {
-                    let bw = effective_read_bw(&self.ssd_fs[node as usize], StoreDevice::Ssd);
-                    let link = self.store_read_links[node as usize];
-                    self.net.set_link_capacity(now, link, bw.max(1.0));
-                    self.arm_net(out);
-                }
+                self.sync_ssd_read_link(now, node, true, out);
             }
             FaultKind::FetchFail { src } => self.fail_fetches_from(now, src, out),
             // Consumed at launch via `doomed_launches`.
@@ -559,14 +564,14 @@ mod tests {
             .find(|&n| w.nodes.index().is_parked(n))
             .expect("a parked node besides node 0");
         let id = push_pinned_store(&mut w, victim);
-        w.nodes.park(0);
+        w.nodes.index_mut().park(0);
         w.nodes.crash(victim);
         w.repin_pinned_off(victim);
         assert_eq!(w.tasks.pin[id as usize], 0, "re-pinned to the replacement");
         assert!(w.nodes.index().is_live(0), "the replacement node must wake");
         w.audit_invariants().expect("no parked node has work");
         // Teeth: the same state with node 0 parked is what the audit is for.
-        w.nodes.park(0);
+        w.nodes.index_mut().park(0);
         let err = w.audit_invariants().expect_err("node 0 parked with work");
         assert!(
             err.contains("node 0 is parked with a pending task"),

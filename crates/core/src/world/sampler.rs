@@ -1,24 +1,50 @@
-//! Time-series metrics sampler (DESIGN.md §4.16).
+//! The time-series metrics plane's sampler (DESIGN.md §4.16): a periodic
+//! `MetricsSample` event that snapshots every layer's gauges into the
+//! recorder.
 
-#![allow(clippy::indexing_slicing)]
+use super::{Ev, NetTag, SimWorld};
+use memres_cluster::NodeId;
+use memres_des::sim::{EngineStats, Outbox};
+use memres_des::time::SimTime;
+use memres_metrics::{MetricsConfig, Recorder};
+use memres_net::{FlowNet, LinkId};
 
-use super::*;
+pub(super) struct Sampler {
+    /// Sample accumulator; `None` when `cfg.metrics` is off, so the sampler
+    /// event is never scheduled and gauge collection costs nothing.
+    recorder: Option<Recorder>,
+    /// The sampler chain is armed once, at the first submission (mirrors
+    /// the fault plan's arming); the leftover chained event survives
+    /// back-to-back jobs on one world, and this guard prevents duplicate
+    /// chains.
+    armed: bool,
+    /// Latest engine self-stats snapshot (pushed by `observe_engine`).
+    engine_stats: EngineStats,
+    /// Engine step count at the previous sample (events-per-sample delta).
+    last_sample_steps: u64,
+    /// Per-tenant cumulative finished-job latency, grown on demand (the
+    /// `tenant_slo_burn_secs` base; resident/queued job ages are added at
+    /// sample time).
+    tenant_latency_acc: Vec<f64>,
+}
 
-impl SimWorld {
-    // ---------------- time-series metrics plane (DESIGN.md §4.16) ----------------
-
-    /// Start the periodic sampler chain, once. The first sample fires
-    /// immediately (t = submission time); each handler firing chains the
-    /// next tick. The chain is never torn down — the driver stops stepping
-    /// at `job_done`, so a leftover tick is harmless, and on back-to-back
-    /// submissions the surviving chain keeps sampling (this guard prevents
-    /// a duplicate chain from doubling the sample rate).
-    pub(super) fn arm_metrics(&mut self, out: &mut Outbox<Ev>) {
-        if self.metrics_armed || self.recorder.is_none() {
-            return;
+impl Sampler {
+    pub(super) fn new(metrics: Option<MetricsConfig>) -> Self {
+        Sampler {
+            recorder: metrics.map(Recorder::new),
+            armed: false,
+            engine_stats: EngineStats::default(),
+            last_sample_steps: 0,
+            tenant_latency_acc: Vec::new(),
         }
-        self.metrics_armed = true;
-        out.immediately(Ev::MetricsSample);
+    }
+
+    pub(super) fn recorder(&self) -> Option<&Recorder> {
+        self.recorder.as_ref()
+    }
+
+    pub(super) fn observe_engine(&mut self, stats: EngineStats) {
+        self.engine_stats = stats;
     }
 
     /// Fold one finished (or aborted) job's latency into its tenant's
@@ -33,24 +59,40 @@ impl SimWorld {
         }
         self.tenant_latency_acc[t] += now.since(arrived).as_secs_f64();
     }
+}
 
-    /// Snapshot every layer's gauges into the recorder. Called only from the
-    /// `MetricsSample` event, so all reads happen at a deterministic sim
-    /// time regardless of executor thread count.
-    pub(super) fn sample_metrics(&mut self, now: SimTime) {
-        let Some(mut rec) = self.recorder.take() else {
+impl SimWorld {
+    /// Start the periodic sampler chain, once. The first sample fires
+    /// immediately (t = submission time); each handler firing chains the
+    /// next tick. The chain is never torn down — the driver stops stepping
+    /// at `job_done`, so a leftover tick is harmless, and on back-to-back
+    /// submissions the surviving chain keeps sampling (this guard prevents
+    /// a duplicate chain from doubling the sample rate).
+    pub(super) fn arm_metrics(&mut self, out: &mut Outbox<Ev>) {
+        if self.sampler.armed || self.sampler.recorder.is_none() {
+            return;
+        }
+        self.sampler.armed = true;
+        out.immediately(Ev::MetricsSample);
+    }
+
+    /// Snapshot every layer's gauges into the recorder and chain the next
+    /// tick. Called only from the `MetricsSample` event, so all reads happen
+    /// at a deterministic sim time regardless of executor thread count.
+    pub(super) fn sample_metrics(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
+        let Some(mut rec) = self.sampler.recorder.take() else {
             return;
         };
         // Engine self-stats (pushed by `observe_engine` after every step).
-        let es = self.engine_stats;
+        let es = self.sampler.engine_stats;
         rec.sample("engine_events_total", None, now, es.steps as f64);
         rec.sample(
             "engine_events_per_sample",
             None,
             now,
-            es.steps.saturating_sub(self.last_sample_steps) as f64,
+            es.steps.saturating_sub(self.sampler.last_sample_steps) as f64,
         );
-        self.last_sample_steps = es.steps;
+        self.sampler.last_sample_steps = es.steps;
         rec.sample("engine_queue_len", None, now, es.queue_len as f64);
         rec.sample("engine_queue_lane", None, now, es.queue.lane as f64);
 
@@ -122,47 +164,32 @@ impl SimWorld {
 
         // Tenancy: per-tenant queue/occupancy/burn (single-job runs report
         // one tenant, 0, so the export shape is uniform).
-        let tenants = self
-            .stream
-            .as_ref()
-            .map(|s| s.spec.tenants.len())
-            .unwrap_or(1);
-        for t in 0..tenants as u32 {
-            let queued = self
-                .stream
-                .as_ref()
-                .map(|s| s.queued.iter().filter(|p| p.tenant == t).count())
-                .unwrap_or(0);
+        for t in 0..self.tenant_count() as u32 {
+            let (queued, queued_age) = self.queued_jobs_of(t, now);
             rec.sample("tenant_queued_jobs", Some(t), now, queued as f64);
             let running = self.jobs.iter().filter(|j| j.tenant == t).count();
             rec.sample("tenant_running_jobs", Some(t), now, running as f64);
-            let mut burn = self
-                .tenant_latency_acc
-                .get(t as usize)
-                .copied()
-                .unwrap_or(0.0);
+            let acc = &self.sampler.tenant_latency_acc;
+            let mut burn = acc.get(t as usize).copied().unwrap_or(0.0);
             burn += self
                 .jobs
                 .iter()
                 .filter(|j| j.tenant == t)
                 .map(|j| now.since(j.arrived).as_secs_f64())
                 .sum::<f64>();
-            if let Some(s) = self.stream.as_ref() {
-                burn += s
-                    .queued
-                    .iter()
-                    .filter(|p| p.tenant == t)
-                    .map(|p| now.since(p.arrived).as_secs_f64())
-                    .sum::<f64>();
-            }
+            burn += queued_age;
             rec.sample("tenant_slo_burn_secs", Some(t), now, burn);
         }
         rec.tick();
-        self.recorder = Some(rec);
+        // Always chain: the driver stops stepping at job_done, so the tail
+        // tick dies with the run (or picks sampling back up if another job
+        // is submitted on this world).
+        out.after(rec.interval(), Ev::MetricsSample);
+        self.sampler.recorder = Some(rec);
     }
 
     /// The sample accumulator (None when `cfg.metrics` is off).
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
+        self.sampler.recorder()
     }
 }

@@ -259,11 +259,11 @@ impl SimWorld {
             let pin = tasks.pin[id as usize];
             if pin != UNPINNED {
                 q.prefs_q[pin as usize].push_back(id);
-                self.nodes.unpark(pin);
+                self.nodes.index_mut().unpark(pin);
                 continue;
             }
             // Preferred or not, under FIFO any node may end up running it.
-            self.nodes.unpark_all();
+            self.nodes.index_mut().unpark_all();
             let prefs = &tasks.prefs[id as usize];
             if prefs.is_empty() {
                 q.no_pref_q.push_back(id);
@@ -305,7 +305,7 @@ impl SimWorld {
             _ => false,
         };
         match self.cfg.elb {
-            Some(elb) if depositing => elb_over_threshold(elb, &job.intermediate, node),
+            Some(elb) if depositing => elb_over_threshold(elb, job.shuffle.intermediate(), node),
             _ => false,
         }
     }
@@ -477,7 +477,7 @@ impl SimWorld {
                             // No job has anything this node may run, and
                             // until one does (or its slots change) a visit
                             // would only find that out again.
-                            self.nodes.park(node);
+                            self.nodes.index_mut().park(node);
                         }
                     }
                 }
@@ -742,7 +742,9 @@ mod tests {
         );
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, plan, &mut out);
-        w.jobs[0].intermediate = vec![100.0, 10.0, 10.0, 10.0];
+        for (node, bytes) in [100.0, 10.0, 10.0, 10.0].into_iter().enumerate() {
+            w.jobs[0].shuffle.deposit(node as u32, bytes, None);
+        }
         assert!(
             w.elb_declines(&w.jobs[0], 0),
             "node 0 holds >1.25x the average"
@@ -826,7 +828,7 @@ mod tests {
         w.nodes.take_slot(second);
         assert!(w.nodes.index().is_live(second));
         // ... and a task anyone may run wakes them all.
-        w.nodes.park(second);
+        w.nodes.index_mut().park(second);
         let id = w.tasks.len() as u32;
         let kind = TaskKind::Compute { part: 0 };
         w.tasks

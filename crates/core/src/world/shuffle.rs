@@ -1,8 +1,33 @@
-//! The shuffle service (paper §IV-B).
+//! The shuffle service: the paper's §IV-B design space in one file.
+//!
+//! Where a job's intermediate data lives and how its reducers get it is the
+//! configured [`ShuffleStore`] — a node-local store on RAMDisk or SSD,
+//! Lustre with node-local files, or Lustre shared — and every branch on it
+//! is here: the flush of a producer's output (`launch_store`), the freeze of
+//! serving-side state between the storing phase and the fetch stage
+//! (`prepare_fetch_serving`), a reducer's fetch (`launch_fetch`, and for
+//! Lustre-shared the MDS gate, the mass-flush gate and the deferred OSS
+//! read), what a node crash takes with it, and what a departing job gives
+//! back. A fourth store is an arm in each of those and nowhere else.
 
-#![allow(clippy::indexing_slicing)]
+use super::tasks::TaskKind;
+use super::{Ev, JobRun, NetTag, SimWorld};
+use crate::config::{Defect, ShuffleStore, StoreDevice};
+use crate::dag::{JobPlan, ShuffleInSpec, StageInput};
+use crate::executor::{run_narrow_chain, Pending, RealOut, Work};
+use crate::value::Record;
+use memres_cluster::NodeId;
+use memres_des::sim::Outbox;
+use memres_des::time::{SimDuration, SimTime};
+use memres_des::Bytes;
+use memres_lustre::LustreFile;
+use memres_net::{inflate_for_requests, Endpoint, FlowId, FlowNet, LinkId};
+use memres_storage::{FileId, LocalFs};
+use memres_trace::TraceEvent as TE;
+use std::sync::Arc;
 
-use super::*;
+/// File ids of node-local store files and Lustre shuffle files.
+const SHUFFLE_FILE_BASE: u64 = 1 << 41;
 
 /// Deposited intermediate bytes, logically `[node][reducer]`. The dense
 /// matrix is exact and is used whenever real records flow or the matrix is
@@ -11,7 +36,7 @@ use super::*;
 /// uniform variant: hash partitioning spreads each producer's output evenly
 /// across reducers, so a per-node total loses nothing while cutting
 /// O(workers x reducers) heap to O(workers).
-pub(super) enum ShuffleBuckets {
+enum ShuffleBuckets {
     Dense {
         reducers: u32,
         m: Vec<Vec<f64>>,
@@ -26,7 +51,7 @@ impl ShuffleBuckets {
     /// Largest node x reducer product that still gets the dense matrix.
     const DENSE_LIMIT: usize = 1 << 20;
 
-    pub(super) fn new(workers: usize, reducers: u32, real: bool) -> Self {
+    fn new(workers: usize, reducers: u32, real: bool) -> Self {
         if real || workers.saturating_mul(reducers as usize) <= Self::DENSE_LIMIT {
             ShuffleBuckets::Dense {
                 reducers,
@@ -40,7 +65,7 @@ impl ShuffleBuckets {
         }
     }
 
-    pub(super) fn get(&self, node: usize, reducer: usize) -> f64 {
+    fn get(&self, node: usize, reducer: usize) -> f64 {
         match self {
             ShuffleBuckets::Dense { m, .. } => m[node][reducer],
             ShuffleBuckets::Uniform {
@@ -53,7 +78,7 @@ impl ShuffleBuckets {
     /// Targeted deposit. Real-record hashing only happens in the dense arm
     /// (the constructor forces dense when `real`); the uniform arm folds the
     /// bytes into the node total, preserving conservation.
-    pub(super) fn add(&mut self, node: usize, reducer: usize, bytes: f64) {
+    fn add(&mut self, node: usize, reducer: usize, bytes: f64) {
         match self {
             ShuffleBuckets::Dense { m, .. } => m[node][reducer] += bytes,
             ShuffleBuckets::Uniform { node_totals, .. } => node_totals[node] += bytes,
@@ -62,7 +87,7 @@ impl ShuffleBuckets {
 
     /// Deposit `total` bytes spread evenly over every reducer (synthetic
     /// producers model hash partitioning as a perfectly even split).
-    pub(super) fn add_uniform(&mut self, node: usize, total: f64) {
+    fn add_uniform(&mut self, node: usize, total: f64) {
         match self {
             ShuffleBuckets::Dense { reducers, m } => {
                 let per = total / *reducers as f64;
@@ -75,7 +100,7 @@ impl ShuffleBuckets {
     }
 
     /// Recovery re-hosting: move every deposited byte of `dead` onto `repl`.
-    pub(super) fn move_node(&mut self, dead: usize, repl: usize) {
+    fn move_node(&mut self, dead: usize, repl: usize) {
         match self {
             ShuffleBuckets::Dense { reducers, m } => {
                 let row = std::mem::replace(&mut m[dead], vec![0.0; *reducers as usize]);
@@ -90,7 +115,7 @@ impl ShuffleBuckets {
         }
     }
 
-    pub(super) fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         match self {
             ShuffleBuckets::Dense { m, .. } => {
                 m.iter().map(|r| r.capacity() * 8).sum::<usize>()
@@ -103,35 +128,35 @@ impl ShuffleBuckets {
 
 /// [`ShuffleState::fetch_flows`] entry of a `(src, dst, kind)` no fetch has
 /// used yet.
-pub(super) const UNOPENED: FlowId = FlowId(u64::MAX);
+const UNOPENED: FlowId = FlowId(u64::MAX);
 
 /// Intermediate-data state between a producing stage and its fetch stage.
-pub(super) struct ShuffleState {
-    pub(super) reducers: u32,
-    pub(super) spec: ShuffleInSpec,
+struct ShuffleState {
+    reducers: u32,
+    spec: ShuffleInSpec,
     /// [node][reducer] → intermediate bytes deposited.
-    pub(super) buckets: ShuffleBuckets,
+    buckets: ShuffleBuckets,
     /// Fetches ride rack-pair aggregate flows instead of per-node flows
     /// (decided once at creation from `EngineConfig::rack_agg_threshold`).
-    pub(super) aggregated: bool,
+    aggregated: bool,
     /// Materialized buckets (real-data jobs): node → reducer → the
     /// *segments* deposited there, one per finished producer, each still the
     /// producer's own bucket allocation. A reducer gathers them node
     /// ascending, deposit order within a node.
-    pub(super) node_real: Option<Vec<Vec<Vec<Vec<Record>>>>>,
+    node_real: Option<Vec<Vec<Vec<Vec<Record>>>>>,
     /// Real aggregation per reducer: evaluated once, at the reducer's first
     /// launch; consumed once, at its successful finish.
-    pub(super) reduced: Vec<Reduced>,
+    reduced: Vec<Reduced>,
     /// Per-node aggregated store file ids.
-    pub(super) local_files: Vec<Option<FileId>>,
-    pub(super) lustre_files: Vec<Option<LustreFile>>,
+    local_files: Vec<Option<FileId>>,
+    lustre_files: Vec<Option<LustreFile>>,
     /// Cached fraction per source node file at fetch start (Lustre-local).
-    pub(super) cached_frac: Vec<f64>,
+    cached_frac: Vec<f64>,
     /// Lustre-shared: outstanding revocation flushes gating all fetches.
-    pub(super) flush_pending: usize,
-    pub(super) flush_done: bool,
+    flush_pending: usize,
+    flush_done: bool,
     /// Fetch tasks whose MDS op finished while flushes were outstanding.
-    pub(super) waiting_for_flush: Vec<u32>,
+    waiting_for_flush: Vec<u32>,
     /// Persistent fetch flows, directly indexed (a reducer launch looks one
     /// up per source and kind; nothing iterates them but the release at the
     /// shuffle's end): row `dst * 2 + kind` — kind 0 = store/cached, 1 = OSS
@@ -139,12 +164,12 @@ pub(super) struct ShuffleState {
     /// `aggregated` and nodes otherwise. A row stays empty until the first
     /// reducer lands on `dst`, so the table grows with the destinations
     /// used, not with endpoints².
-    pub(super) fetch_flows: Vec<Vec<FlowId>>,
+    fetch_flows: Vec<Vec<FlowId>>,
 }
 
 impl ShuffleState {
     /// `racks` is `Some` when fetches ride rack-pair aggregate flows.
-    pub(super) fn new(
+    fn new(
         reducers: u32,
         spec: ShuffleInSpec,
         workers: usize,
@@ -172,7 +197,7 @@ impl ShuffleState {
 }
 
 /// Where one reducer's real aggregation stands (see `ShuffleState::reduced`).
-pub(super) enum Reduced {
+enum Reduced {
     /// No attempt of this reducer has launched; its segments still sit in
     /// `node_real`.
     Unlaunched,
@@ -184,9 +209,139 @@ pub(super) enum Reduced {
     Parked(f64, u64, RealOut),
 }
 
+impl ShuffleState {
+    /// Move every deposited row of `dead` to `repl`: recovery re-hosts the
+    /// data, and ghost tasks recharge the time it took to produce it. The
+    /// dead node's store file is forgotten, so relaunched fetches read from
+    /// the replacement.
+    fn move_rows(&mut self, dead: usize, repl: usize) {
+        self.buckets.move_node(dead, repl);
+        if let Some(real) = self.node_real.as_mut() {
+            let moved =
+                std::mem::replace(&mut real[dead], vec![Vec::new(); self.reducers as usize]);
+            for (b, mut recs) in moved.into_iter().enumerate() {
+                real[repl][b].append(&mut recs);
+            }
+        }
+        self.local_files[dead] = None;
+        self.cached_frac[dead] = 0.0;
+    }
+}
+
+/// One job's shuffles: the one its current stage reads, the one it writes,
+/// and what it has deposited where.
+pub(super) struct JobShuffle {
+    /// Shuffle feeding the current fetch stage.
+    reading: Option<ShuffleState>,
+    /// Shuffle being produced by the current stage.
+    writing: Option<ShuffleState>,
+    /// Per-node intermediate bytes deposited by this job (ELB signal).
+    intermediate: Vec<f64>,
+    /// Every Lustre shuffle file this job has written, deleted when it
+    /// leaves (a consumed shuffle's state is dropped long before).
+    lustre_files: Vec<LustreFile>,
+}
+
+impl JobShuffle {
+    pub(super) fn new(workers: usize) -> Self {
+        JobShuffle {
+            reading: None,
+            writing: None,
+            intermediate: vec![0.0; workers],
+            lustre_files: Vec::new(),
+        }
+    }
+
+    pub(super) fn intermediate(&self) -> &[f64] {
+        &self.intermediate
+    }
+
+    pub(super) fn is_writing(&self) -> bool {
+        self.writing.is_some()
+    }
+
+    /// Heap of the live bucket matrix (self-profiling).
+    pub(super) fn heap_bytes(&self) -> usize {
+        let live = self.writing.as_ref().or(self.reading.as_ref());
+        live.map_or(0, |s| s.buckets.heap_bytes())
+    }
+
+    /// Whether `reducer` of the shuffle being read pulls bytes from `src`.
+    pub(super) fn fetches_from(&self, src: u32, reducer: u32) -> bool {
+        let bytes = |sh: &ShuffleState| sh.buckets.get(src as usize, reducer as usize);
+        self.reading.as_ref().is_some_and(|sh| bytes(sh) > 0.0)
+    }
+
+    /// The shuffle this job's fetch stage reads.
+    fn reading(&mut self) -> &mut ShuffleState {
+        // lint:allow(panic): reached from fetch-task paths only, and a fetch stage starts (`begin_fetch_stage`) by installing the shuffle its predecessor wrote
+        self.reading
+            .as_mut()
+            .expect("fetch without a shuffle to read")
+    }
+
+    /// The shuffle this job's current stage writes.
+    fn writing(&mut self) -> &mut ShuffleState {
+        // lint:allow(panic): reached for the producers, store tasks and storing-to-fetch switch of a stage whose plan writes a shuffle, which `open_shuffle` created when the stage started
+        self.writing
+            .as_mut()
+            .expect("producer without a shuffle to write")
+    }
+
+    /// A producer finished at `node` with `bytes` of output for the shuffle
+    /// being written (`real`: its rows, already hash-partitioned).
+    pub(super) fn deposit(&mut self, node: u32, bytes: f64, real: Option<RealOut>) {
+        self.intermediate[node as usize] += bytes;
+        let sh = self.writing();
+        match (real, &mut sh.node_real) {
+            // O(reducers): each bucket — already partitioned, sized and
+            // summed on the pool — lands as one segment, by handle. Its byte
+            // total is an integer sum, so adding it once equals the
+            // per-record `f64` accumulation it replaces bit for bit.
+            (Some(RealOut::Buckets(buckets)), Some(rows)) => {
+                for (r, bucket) in buckets.into_iter().enumerate() {
+                    sh.buckets.add(node as usize, r, bucket.bytes as f64);
+                    if !bucket.rows.is_empty() {
+                        rows[node as usize][r].push(bucket.rows);
+                    }
+                }
+            }
+            _ => sh.buckets.add_uniform(node as usize, bytes),
+        }
+    }
+}
+
+/// The service's own state: the per-node links fetches are served through,
+/// the file-id mint, and scratch.
+pub(super) struct ShuffleService {
+    /// Per-node store read bandwidth, as a link at the head of every fetch
+    /// path served from that node's store.
+    read_links: Vec<LinkId>,
+    next_file: u64,
+    /// Scratch of `launch_fetch`: the `(flow, wire bytes)` pairs of one
+    /// reducer launch, handed to the network in one `push_chunks`.
+    fetch_chunks: Vec<(FlowId, Bytes)>,
+}
+
+impl ShuffleService {
+    /// Adds one serving link of `read_bw` per worker to `net`.
+    pub(super) fn new(net: &mut FlowNet<NetTag>, workers: usize, read_bw: f64) -> Self {
+        ShuffleService {
+            read_links: (0..workers).map(|_| net.add_link(read_bw)).collect(),
+            next_file: SHUFFLE_FILE_BASE,
+            fetch_chunks: Vec::new(),
+        }
+    }
+
+    fn mint_file(&mut self) -> u64 {
+        self.next_file += 1;
+        self.next_file - 1
+    }
+}
+
 /// Effective serving-read bandwidth of a shuffle store, mixing page-cache
 /// hits with device reads (harmonic mean), GC-aware for SSDs.
-pub(super) fn effective_read_bw(fs: &LocalFs, dev: StoreDevice) -> f64 {
+fn effective_read_bw(fs: &LocalFs, dev: StoreDevice) -> f64 {
     let dev_bw = fs.device().current_read_bandwidth();
     if dev == StoreDevice::RamDisk {
         return dev_bw;
@@ -199,26 +354,139 @@ pub(super) fn effective_read_bw(fs: &LocalFs, dev: StoreDevice) -> f64 {
 }
 
 impl SimWorld {
-    /// Reducer count to hash-partition `task`'s output over: set when its
-    /// job is producing a shuffle that carries real rows.
-    pub(super) fn real_partitioning(&self, task: u32) -> Option<u32> {
-        let sh = self.job_of(task).shuffle_out.as_ref()?;
-        sh.node_real.is_some().then_some(sh.reducers)
+    // ---------------- what the rest of the engine asks ----------------
+
+    /// Whether intermediate data lives on the node that produced it, and so
+    /// dies with it.
+    pub(super) fn store_is_node_local(&self) -> bool {
+        matches!(self.cfg.shuffle, ShuffleStore::Local(_))
+    }
+
+    /// Whether reducers pull from the nodes that produced the data (the
+    /// shared Lustre store serves every byte from the OSSes instead).
+    pub(super) fn fetches_pull_from_nodes(&self) -> bool {
+        !matches!(self.cfg.shuffle, ShuffleStore::LustreShared)
     }
 
     /// CAD only gates nodes whose store device actually shows congestion
     /// (a deep write queue); throttling healthy nodes would idle them.
     pub(super) fn store_congested(&self, node: u32) -> bool {
         match self.cfg.shuffle {
-            ShuffleStore::Local(StoreDevice::Ssd) => {
-                self.ssd_fs[node as usize].device_queue_depth() >= 4
-            }
-            ShuffleStore::Local(StoreDevice::RamDisk) => {
-                self.ram_fs[node as usize].device_queue_depth() >= 4
+            ShuffleStore::Local(dev) => {
+                self.fs(node, dev == StoreDevice::Ssd).device_queue_depth() >= 4
             }
             _ => true,
         }
     }
+
+    /// Reducer count to hash-partition `task`'s output over: set when its
+    /// job is producing a shuffle that carries real rows.
+    pub(super) fn real_partitioning(&self, task: u32) -> Option<u32> {
+        let sh = self.job_of(task).shuffle.writing.as_ref()?;
+        sh.node_real.is_some().then_some(sh.reducers)
+    }
+
+    // ---------------- a shuffle's life ----------------
+
+    /// Stage `idx` of job `ji` writes a shuffle over `nparts` producers:
+    /// create its state. Returns the reducer count.
+    pub(super) fn open_shuffle(
+        &mut self,
+        ji: usize,
+        plan: &JobPlan,
+        idx: usize,
+        nparts: usize,
+        requested: Option<u32>,
+    ) -> u32 {
+        // Spark guidance: default reduce-side parallelism ~ total cores.
+        let reducers = requested
+            .or(self.cfg.spark.default_parallelism)
+            .unwrap_or((nparts as u32).min(self.spec.total_slots()))
+            .max(1);
+        let spec = match &plan.stages[idx + 1].input {
+            StageInput::Shuffle(s) => s.clone(),
+            _ => unreachable!("stage after a shuffle output must consume it"),
+        };
+        let real = match &plan.stages[idx].input {
+            StageInput::Dataset { rdd, .. } => self.inputs.is_real(*rdd),
+            StageInput::Cached { rdd } => self.blockmgr.is_real(*rdd),
+            StageInput::Shuffle(_) => self.jobs[ji].shuffle.reading().node_real.is_some(),
+        };
+        let workers = self.spec.workers as usize;
+        // Rack aggregation kicks in when the per-rack-pair concurrent
+        // flow count (per_rack producers x per_rack consumers) exceeds
+        // the threshold; u32::MAX disables it outright. Only the
+        // store-served paths aggregate — LustreShared traffic already
+        // funnels through one pipe.
+        let aggregated = {
+            let per_rack = workers as u64 / self.spec.racks.max(1) as u64;
+            self.cfg.rack_agg_threshold != u32::MAX
+                && self.fetches_pull_from_nodes()
+                && per_rack * per_rack > self.cfg.rack_agg_threshold as u64
+        };
+        let racks = aggregated.then_some(self.spec.racks as usize);
+        self.jobs[ji].shuffle.writing =
+            Some(ShuffleState::new(reducers, spec, workers, real, racks));
+        reducers
+    }
+
+    /// A fetch stage of job `ji` starts: the shuffle it produced moves into
+    /// consuming position, and the one consumed by the stage that produced
+    /// it is done with. Returns the reducer count.
+    pub(super) fn begin_fetch_stage(
+        &mut self,
+        now: SimTime,
+        ji: usize,
+        out: &mut Outbox<Ev>,
+    ) -> usize {
+        let sh = &mut self.jobs[ji].shuffle;
+        let produced = sh.writing.take();
+        assert!(produced.is_some(), "fetch stage without produced shuffle");
+        if let Some(consumed) = std::mem::replace(&mut sh.reading, produced) {
+            self.release_fetch_flows(now, &consumed, out);
+        }
+        self.jobs[ji].shuffle.reading().reducers as usize
+    }
+
+    /// Give back the persistent fetch flows of a shuffle nothing will read
+    /// again: its fetch stage is over, or its job is leaving. They are idle
+    /// unless a failed or aborted attempt left chunks in flight, and closing
+    /// an idle flow only frees its slot; closing one that still carries
+    /// chunks drops them and retires the armed `NetWake`, so the net is
+    /// re-armed here.
+    fn release_fetch_flows(&mut self, now: SimTime, sh: &ShuffleState, out: &mut Outbox<Ev>) {
+        let armed = self.net.gen();
+        for &f in sh.fetch_flows.iter().flatten().filter(|&&f| f != UNOPENED) {
+            self.net.close_flow(now, f);
+        }
+        if self.net.gen() != armed {
+            self.arm_net(out);
+        }
+    }
+
+    /// A departing job gives back what its shuffles hold in the substrates:
+    /// the fetch flows of the one it was reading, and every Lustre file it
+    /// wrote — deleting one releases its writer's DLM lock and the client
+    /// cache it pins. A delete retires the armed `LustreWake`, so the MDS is
+    /// re-armed for the other residents.
+    pub(super) fn release_shuffle_state(
+        &mut self,
+        now: SimTime,
+        job: &JobRun,
+        out: &mut Outbox<Ev>,
+    ) {
+        if let Some(sh) = &job.shuffle.reading {
+            self.release_fetch_flows(now, sh, out);
+        }
+        if !job.shuffle.lustre_files.is_empty() {
+            for &f in &job.shuffle.lustre_files {
+                self.lustre.delete(f);
+            }
+            self.arm_lustre(out);
+        }
+    }
+
+    // ---------------- storing phase ----------------
 
     pub(super) fn launch_store(
         &mut self,
@@ -239,78 +507,156 @@ impl SimWorld {
             self.tasks.input_bytes[i] = bytes;
             self.tasks.output_bytes[i] = bytes;
         }
+        let ji = self.job_index_of(task);
+        let (job, svc) = (&mut self.jobs[ji], &mut self.shuffle);
         match self.cfg.shuffle {
             ShuffleStore::Local(dev) => {
-                let file = self.node_store_file(task, node);
+                let files = &mut job.shuffle.writing().local_files;
+                let file = *files[node as usize].get_or_insert_with(|| FileId(svc.mint_file()));
                 if bytes > 0.0 {
                     let ssd = dev == StoreDevice::Ssd;
                     let tag = self.io_tag(task);
-                    let fs = if ssd {
-                        &mut self.ssd_fs[node as usize]
-                    } else {
-                        &mut self.ram_fs[node as usize]
-                    };
+                    let fs = self.fs_mut(node, ssd);
                     assert!(
                         fs.free() >= bytes,
                         "shuffle store on node {node} out of space — the paper's \
                          RAMDisk-backed store tops out at ~1.2 TB aggregate"
                     );
-                    self.tasks.pending_io[task as usize] += 1;
                     fs.write(now, file, Bytes(bytes), tag);
+                    self.tasks.pending_io[task as usize] += 1;
                     self.arm_fs(node, ssd, out);
                 }
             }
             ShuffleStore::LustreLocal | ShuffleStore::LustreShared => {
-                let file = self.node_lustre_file(task, node);
-                let tag = self.io_tag(task);
+                let sh = &mut job.shuffle;
+                let file = match sh.writing().lustre_files[node as usize] {
+                    Some(f) => f,
+                    None => {
+                        let f = LustreFile(svc.mint_file());
+                        sh.writing().lustre_files[node as usize] = Some(f);
+                        sh.lustre_files.push(f);
+                        f
+                    }
+                };
                 let wplan = self.lustre.append(now, NodeId(node), file, Bytes(bytes));
-                self.tasks.pending_io[task as usize] += 1;
-                self.lustre.submit_mds(now, wplan.mds_ops, tag);
-                self.arm_lustre(out);
-                if wplan.oss_bytes > 0.0 {
-                    let tag = self.net_tag(task);
-                    self.tasks.pending_io[task as usize] += 1;
-                    let path = self
-                        .fabric
-                        .path(Endpoint::Node(NodeId(node)), Endpoint::Lustre);
-                    let f = self.net.open_flow(now, path, true);
-                    let wire = wplan.oss_bytes / self.lustre.config().write_efficiency;
-                    self.net.push_chunk(now, f, Bytes(wire), tag);
-                    self.arm_net(out);
-                }
+                let wire = wplan.oss_bytes / self.lustre.config().write_efficiency;
+                let oss = (wplan.oss_bytes > 0.0)
+                    .then_some(((Endpoint::Node(NodeId(node)), Endpoint::Lustre), wire));
+                self.lustre_io(now, task, wplan.mds_ops, oss, out);
             }
         }
         self.maybe_schedule_finish(now, task, out);
     }
 
-    pub(super) fn node_store_file(&mut self, task: u32, node: u32) -> FileId {
-        let ji = self.job_index_of(task);
-        let next = &mut self.next_shuffle_file;
-        let sh = self.jobs[ji]
-            .shuffle_out
-            .as_mut()
-            .expect("store without produced shuffle"); // lint:allow(panic): a storing task exists only for a stage that produced a shuffle
-        *sh.local_files[node as usize].get_or_insert_with(|| {
-            let f = FileId(*next);
-            *next += 1;
-            f
-        })
+    /// A failed flush abandons its partial output: reclaim the space in the
+    /// node-local store (`node` is up).
+    pub(super) fn abandon_store_output(&mut self, task: u32, node: u32) {
+        let ShuffleStore::Local(dev) = self.cfg.shuffle else {
+            return;
+        };
+        let sh = self.job_of(task).shuffle.writing.as_ref();
+        if let Some(file) = sh.and_then(|sh| sh.local_files[node as usize]) {
+            let bytes = self.tasks.output_bytes[task as usize];
+            self.fs_mut(node, dev == StoreDevice::Ssd)
+                .truncate(file, Bytes(bytes));
+        }
     }
 
-    pub(super) fn node_lustre_file(&mut self, task: u32, node: u32) -> LustreFile {
-        let ji = self.job_index_of(task);
-        let next = &mut self.next_shuffle_file;
-        let job = &mut self.jobs[ji];
-        let sh = job
-            .shuffle_out
-            .as_mut()
-            .expect("store without produced shuffle"); // lint:allow(panic): a storing task exists only for a stage that produced a shuffle
-        *sh.lustre_files[node as usize].get_or_insert_with(|| {
-            let f = LustreFile(*next);
-            *next += 1;
-            job.lustre_files.push(f);
-            f
-        })
+    /// A task that may deposit intermediate data for a produced shuffle.
+    pub(super) fn producer_finished(&mut self, task: u32, node: u32) {
+        let out_bytes = self.tasks.output_bytes[task as usize];
+        let stage_idx = self.tasks.stage[task as usize] as usize;
+        let has_shuffle = self.job_of(task).plan.stages[stage_idx].has_shuffle_output();
+        if !has_shuffle {
+            return;
+        }
+        let real_out = self.tasks.records_out[task as usize].take();
+        let sh = &mut self.job_of_mut(task).shuffle;
+        sh.deposit(node, out_bytes, real_out.map(|b| *b));
+    }
+
+    /// Freeze serving-side state before the fetch stage starts: store
+    /// read-link capacities (LocalStore), cached fractions (Lustre-local),
+    /// and the mass revocation flush (Lustre-shared).
+    pub(super) fn prepare_fetch_serving(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
+        let workers = self.spec.workers;
+        match self.cfg.shuffle {
+            ShuffleStore::Local(dev) => {
+                for n in 0..workers {
+                    let bw = effective_read_bw(self.fs(n, dev == StoreDevice::Ssd), dev);
+                    let link = self.shuffle.read_links[n as usize];
+                    self.net.set_link_capacity(now, link, bw.max(1.0));
+                }
+                self.net.end_batch();
+                self.arm_net(out);
+            }
+            ShuffleStore::LustreLocal => {
+                let sh = self.jobs[ji].shuffle.writing();
+                for (frac, file) in sh.cached_frac.iter_mut().zip(&sh.lustre_files) {
+                    *frac = file.map_or(0.0, |lf| self.lustre.cached_fraction(lf));
+                }
+            }
+            ShuffleStore::LustreShared => {
+                // "Forcing all the intermediate data to be flushed to the
+                // OSSes around the same time" — revoke every node file now.
+                let files = self.jobs[ji].shuffle.writing().lustre_files.clone();
+                let mut pending = 0;
+                for (n, lf) in files.iter().enumerate() {
+                    let dirty = lf.map_or(0.0, |lf| self.lustre.revoke(now, lf));
+                    if dirty > 0.0 {
+                        pending += 1;
+                        let wire = dirty / self.lustre.config().write_efficiency;
+                        let src = Endpoint::Node(NodeId(n as u32));
+                        self.send_once(now, src, Endpoint::Lustre, Bytes(wire), NetTag::Flush);
+                    }
+                }
+                let sh = self.jobs[ji].shuffle.writing();
+                sh.flush_pending = pending;
+                sh.flush_done = pending == 0;
+                self.arm_net(out);
+            }
+        }
+    }
+
+    /// Keep `node`'s store-serving link in sync with its SSD (GC state, an
+    /// injected degradation): re-rate it when the effective read bandwidth
+    /// has moved by more than 5 % of the link's capacity, or at all events
+    /// when `force`d.
+    pub(super) fn sync_ssd_read_link(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        force: bool,
+        out: &mut Outbox<Ev>,
+    ) {
+        let ShuffleStore::Local(StoreDevice::Ssd) = self.cfg.shuffle else {
+            return;
+        };
+        let bw = effective_read_bw(self.fs(node, true), StoreDevice::Ssd);
+        let link = self.shuffle.read_links[node as usize];
+        let cur = self.net.link_capacity(link);
+        if force || (bw - cur).abs() / cur > 0.05 {
+            self.net.set_link_capacity(now, link, bw.max(1.0));
+            self.arm_net(out);
+        }
+    }
+
+    // ---------------- fetch stage ----------------
+
+    /// Wire bytes of `raw` fetched bytes: compressed if configured, then
+    /// inflated by the per-request overhead.
+    fn fetch_wire(&self) -> impl Fn(f64) -> Bytes {
+        let spark = &self.cfg.spark;
+        let (req, oh) = (
+            spark.reducer_max_bytes_in_flight,
+            spark.per_request_overhead_bytes,
+        );
+        let compress = if spark.shuffle_compress {
+            spark.shuffle_compress_ratio
+        } else {
+            1.0
+        };
+        move |raw| inflate_for_requests(Bytes(raw * compress), req, oh)
     }
 
     pub(super) fn launch_fetch(
@@ -322,13 +668,6 @@ impl SimWorld {
         out: &mut Outbox<Ev>,
     ) {
         let workers = self.spec.workers;
-        let req = self.cfg.spark.reducer_max_bytes_in_flight;
-        let oh = self.cfg.spark.per_request_overhead_bytes;
-        let compress = if self.cfg.spark.shuffle_compress {
-            self.cfg.spark.shuffle_compress_ratio
-        } else {
-            1.0
-        };
         let ji = self.job_index_of(task);
         let plan = self.jobs[ji].plan.clone();
         let stage_idx = self.tasks.stage[task as usize] as usize;
@@ -340,10 +679,7 @@ impl SimWorld {
         // the fetch rides one aggregate flow per rack pair (indexed by rack
         // in `per_source`); below it, exact per-node flows as always.
         let racks = self.spec.racks as usize;
-        let sh = self.jobs[ji]
-            .shuffle_in
-            .as_ref()
-            .expect("fetch without shuffle"); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+        let sh = self.jobs[ji].shuffle.reading();
         let per_source: Vec<f64> = if sh.aggregated {
             let mut rack_bytes = vec![0.0; racks];
             for i in 0..workers as usize {
@@ -397,8 +733,8 @@ impl SimWorld {
                     node
                 };
                 let tag = self.net_tag(task);
-                let inflate = |raw: f64| inflate_for_requests(Bytes(raw * compress), req, oh);
-                let mut chunks = std::mem::take(&mut self.fetch_chunks);
+                let inflate = self.fetch_wire();
+                let mut chunks = std::mem::take(&mut self.shuffle.fetch_chunks);
                 chunks.clear();
                 for (src, &b) in per_source.iter().enumerate() {
                     if b <= 0.0 {
@@ -409,7 +745,7 @@ impl SimWorld {
                     let (cached, oss) = if !lustre_local {
                         (inflate(b), Bytes::ZERO)
                     } else {
-                        let sh = self.jobs[ji].shuffle_in.as_ref().unwrap(); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+                        let sh = self.jobs[ji].shuffle.reading();
                         if aggregated {
                             // Split the rack total by the byte-weighted
                             // cached share of its member nodes.
@@ -432,20 +768,19 @@ impl SimWorld {
                     }
                 }
                 self.net.push_chunks(now, tag, &chunks);
-                self.fetch_chunks = chunks;
+                self.shuffle.fetch_chunks = chunks;
                 self.net.end_batch();
                 self.arm_net(out);
             }
             ShuffleStore::LustreShared => {
                 // Metadata storm: per-file lock ops at the MDS, plus the
                 // revocation bookkeeping share; then an OSS read gated on the
-                // mass flush (see `lustre_shared_transfer`).
+                // mass flush (see `lustre_shared_transfer`), counted now so
+                // the MDS completion alone cannot finish the task.
                 let ops = workers as f64 * self.lustre.config().ops_lock
                     + self.lustre.config().ops_revoke;
-                let tag = self.io_tag(task);
-                self.tasks.pending_io[task as usize] += 2; // mds + data
-                self.lustre.submit_mds(now, ops, tag);
-                self.arm_lustre(out);
+                self.tasks.pending_io[task as usize] += 1;
+                self.submit_mds(now, task, ops, out);
             }
         }
         self.maybe_schedule_finish(now, task, out);
@@ -456,18 +791,8 @@ impl SimWorld {
     /// complete) and queues their aggregation for this round's flush. A
     /// retry finds the result parked and queues nothing, so the aggregation
     /// runs once per reducer however many attempts it takes.
-    pub(super) fn queue_reduce(
-        &mut self,
-        task: u32,
-        reducer: u32,
-        plan: &Arc<JobPlan>,
-        stage: usize,
-    ) {
-        let sh = self
-            .job_of_mut(task)
-            .shuffle_in
-            .as_mut()
-            .expect("fetch without shuffle"); // lint:allow(panic): fetch tasks are launched from a stage whose input is that shuffle
+    fn queue_reduce(&mut self, task: u32, reducer: u32, plan: &Arc<JobPlan>, stage: usize) {
+        let sh = self.job_of_mut(task).shuffle.reading();
         let Some(real) = sh.node_real.as_mut() else {
             return; // synthetic shuffle: sizes only
         };
@@ -495,6 +820,38 @@ impl SimWorld {
         });
     }
 
+    /// The aggregation queued by `queue_reduce` came back from the pool:
+    /// park it until an attempt of `task`'s reducer finishes.
+    pub(super) fn park_reduced(
+        &mut self,
+        task: u32,
+        reducer: u32,
+        bytes: f64,
+        records: u64,
+        rows: RealOut,
+    ) {
+        let sh = self.job_of_mut(task).shuffle.reading();
+        sh.reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
+    }
+
+    /// Hand a finishing fetch task its reducer's parked aggregation. The
+    /// three fields are written here, after the task's metric was recorded,
+    /// because that record (and every export built on it) pins the
+    /// size-model `output_bytes` set at launch.
+    pub(super) fn adopt_reduced(&mut self, task: u32, reducer: u32) {
+        let sh = self.job_of_mut(task).shuffle.reading();
+        let Some(slot) = sh.reduced.get_mut(reducer as usize) else {
+            return; // synthetic shuffle: sizes only
+        };
+        let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
+            unreachable!("fetch task finished before its reducer was evaluated");
+        };
+        let i = task as usize;
+        self.tasks.output_bytes[i] = bytes;
+        self.tasks.records_est[i] = records;
+        self.tasks.records_out[i] = Some(Box::new(rows));
+    }
+
     /// Persistent fetch flow for `(src, dst, kind)` of the shuffle resident
     /// job `ji` is reading: one indexed load once opened, opened on first
     /// use. Kind 0 is served by the source's store (or Lustre server page
@@ -504,15 +861,8 @@ impl SimWorld {
     /// bandwidth evenly — the split the collapsed per-node flows would
     /// converge to under water-filling. A shuffle is aggregated or not for
     /// its whole life, so its table is indexed one way throughout.
-    pub(super) fn fetch_flow(
-        &mut self,
-        now: SimTime,
-        ji: usize,
-        src: u32,
-        dst: u32,
-        kind: u8,
-    ) -> FlowId {
-        let sh = self.jobs[ji].shuffle_in.as_mut().unwrap(); // lint:allow(panic): fetch_flow is reached only from fetch paths, which require shuffle_in
+    fn fetch_flow(&mut self, now: SimTime, ji: usize, src: u32, dst: u32, kind: u8) -> FlowId {
+        let sh = self.jobs[ji].shuffle.reading();
         let endpoints = sh.fetch_flows.len() / 2;
         let row = &mut sh.fetch_flows[dst as usize * 2 + kind as usize];
         if row.is_empty() {
@@ -533,7 +883,7 @@ impl SimWorld {
             // The serving side (store read bandwidth, or the Lustre pipe),
             // then the server and destination NICs across the fabric.
             let mut path = vec![if kind == 0 {
-                self.store_read_links[src as usize]
+                self.shuffle.read_links[src as usize]
             } else {
                 self.fabric.lustre_pipe()
             }];
@@ -554,163 +904,23 @@ impl SimWorld {
         *entry
     }
 
-    /// Give back the persistent fetch flows of a shuffle nothing will read
-    /// again: its fetch stage is over, or its job is leaving. They are idle
-    /// unless a failed or aborted attempt left chunks in flight, and closing
-    /// an idle flow only frees its slot; closing one that still carries
-    /// chunks drops them and retires the armed `NetWake`, so the net is
-    /// re-armed here.
-    pub(super) fn release_fetch_flows(
-        &mut self,
-        now: SimTime,
-        sh: &ShuffleState,
-        out: &mut Outbox<Ev>,
-    ) {
-        let armed = self.net.gen();
-        for &f in sh.fetch_flows.iter().flatten().filter(|&&f| f != UNOPENED) {
-            self.net.close_flow(now, f);
-        }
-        if self.net.gen() != armed {
-            self.arm_net(out);
-        }
-    }
+    // ---------------- Lustre-shared: the two gates and the read ----------------
 
-    /// A departing job gives back what its shuffles hold in the substrates:
-    /// the fetch flows of the one it was reading, and every Lustre file it
-    /// wrote — deleting one releases its writer's DLM lock and the client
-    /// cache it pins. A delete retires the armed `LustreWake`, so the MDS is
-    /// re-armed for the other residents.
-    pub(super) fn release_shuffle_state(
-        &mut self,
-        now: SimTime,
-        job: &JobRun,
-        out: &mut Outbox<Ev>,
-    ) {
-        if let Some(sh) = &job.shuffle_in {
-            self.release_fetch_flows(now, sh, out);
-        }
-        if !job.lustre_files.is_empty() {
-            for &f in &job.lustre_files {
-                self.lustre.delete(f);
-            }
-            self.arm_lustre(out);
-        }
-    }
-
-    /// A task that may deposit intermediate data for a produced shuffle.
-    pub(super) fn producer_finished(&mut self, task: u32, node: u32) {
-        let out_bytes = self.tasks.output_bytes[task as usize];
-        let stage_idx = self.tasks.stage[task as usize] as usize;
-        let has_shuffle = self.job_of(task).plan.stages[stage_idx].has_shuffle_output();
-        if !has_shuffle {
+    /// A Lustre completion for `task` was just counted. For a Lustre-shared
+    /// fetch task it is the MDS storm finishing: the OSS read may start once
+    /// the mass flush has finished too.
+    pub(super) fn lustre_shared_gate(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
+        let fetch = matches!(self.tasks.kind[task as usize], TaskKind::Fetch { .. });
+        if self.fetches_pull_from_nodes() || !fetch {
             return;
         }
-        let real_out = self.tasks.records_out[task as usize].take();
-        let job = self.job_of_mut(task);
-        job.intermediate[node as usize] += out_bytes;
-        let sh = job.shuffle_out.as_mut().expect("producer without shuffle"); // lint:allow(panic): producer completions only arrive for stages with a produced shuffle
-        match (real_out.map(|b| *b), &mut sh.node_real) {
-            // O(reducers): each bucket — already partitioned, sized and
-            // summed on the pool — lands as one segment, by handle. Its byte
-            // total is an integer sum, so adding it once equals the
-            // per-record `f64` accumulation it replaces bit for bit.
-            (Some(RealOut::Buckets(buckets)), Some(real)) => {
-                for (r, bucket) in buckets.into_iter().enumerate() {
-                    sh.buckets.add(node as usize, r, bucket.bytes as f64);
-                    if !bucket.rows.is_empty() {
-                        real[node as usize][r].push(bucket.rows);
-                    }
-                }
-            }
-            _ => sh.buckets.add_uniform(node as usize, out_bytes),
-        }
-    }
-
-    /// Hand a finishing fetch task its reducer's parked aggregation. The
-    /// three fields are written here, after the task's metric was recorded,
-    /// because that record (and every export built on it) pins the
-    /// size-model `output_bytes` set at launch.
-    pub(super) fn adopt_reduced(&mut self, task: u32, reducer: u32) {
-        let Some(slot) = self
-            .job_of_mut(task)
-            .shuffle_in
-            .as_mut()
-            .and_then(|sh| sh.reduced.get_mut(reducer as usize))
-        else {
-            return; // synthetic shuffle: sizes only
-        };
-        let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
-            unreachable!("fetch task finished before its reducer was evaluated");
-        };
-        let i = task as usize;
-        self.tasks.output_bytes[i] = bytes;
-        self.tasks.records_est[i] = records;
-        self.tasks.records_out[i] = Some(Box::new(rows));
-    }
-
-    /// Freeze serving-side state before the fetch stage starts: store
-    /// read-link capacities (LocalStore), cached fractions (Lustre-local),
-    /// and the mass revocation flush (Lustre-shared).
-    pub(super) fn prepare_fetch_serving(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
-        let workers = self.spec.workers as usize;
-        match self.cfg.shuffle {
-            ShuffleStore::Local(dev) => {
-                for n in 0..workers {
-                    let fs = if dev == StoreDevice::Ssd {
-                        &self.ssd_fs[n]
-                    } else {
-                        &self.ram_fs[n]
-                    };
-                    let bw = effective_read_bw(fs, dev);
-                    self.net
-                        .set_link_capacity(now, self.store_read_links[n], bw.max(1.0));
-                }
-                self.net.end_batch();
-                self.arm_net(out);
-            }
-            ShuffleStore::LustreLocal => {
-                let files: Vec<Option<LustreFile>> = self.jobs[ji]
-                    .shuffle_out
-                    .as_ref()
-                    .unwrap() // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
-                    .lustre_files
-                    .clone();
-                for (n, f) in files.iter().enumerate() {
-                    let frac = f.map(|lf| self.lustre.cached_fraction(lf)).unwrap_or(0.0);
-                    // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
-                    self.jobs[ji].shuffle_out.as_mut().unwrap().cached_frac[n] = frac;
-                }
-            }
-            ShuffleStore::LustreShared => {
-                // "Forcing all the intermediate data to be flushed to the
-                // OSSes around the same time" — revoke every node file now.
-                let files: Vec<(u32, LustreFile)> = self.jobs[ji]
-                    .shuffle_out
-                    .as_ref()
-                    .unwrap() // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
-                    .lustre_files
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(n, f)| f.map(|lf| (n as u32, lf)))
-                    .collect();
-                let mut pending = 0;
-                for (n, lf) in files {
-                    let dirty = self.lustre.revoke(now, lf);
-                    if dirty > 0.0 {
-                        pending += 1;
-                        let path = self
-                            .fabric
-                            .path(Endpoint::Node(NodeId(n)), Endpoint::Lustre);
-                        let f = self.net.open_flow(now, path, true);
-                        let wire = dirty / self.lustre.config().write_efficiency;
-                        self.net.push_chunk(now, f, Bytes(wire), NetTag::Flush);
-                    }
-                }
-                let sh = self.jobs[ji].shuffle_out.as_mut().unwrap(); // lint:allow(panic): the LustreLocal flush runs while the producing stage's shuffle_out exists
-                sh.flush_pending = pending;
-                sh.flush_done = pending == 0;
-                self.arm_net(out);
-            }
+        let ji = self.job_index_of(task);
+        if self.jobs[ji].shuffle.reading().flush_done {
+            self.lustre_shared_transfer(now, task, out);
+        } else {
+            self.trace(now, TE::LockWaitStart { task });
+            let sh = self.jobs[ji].shuffle.reading();
+            sh.waiting_for_flush.push(task);
         }
     }
 
@@ -719,7 +929,7 @@ impl SimWorld {
     /// round trip out. The flow itself opens when [`Ev::LustreSharedRead`]
     /// fires, so the flow network's clock never runs ahead of sim time
     /// (other resident jobs keep mutating it inside the latency window).
-    pub(super) fn lustre_shared_transfer(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
+    fn lustre_shared_transfer(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
         let start = now + self.lustre.config().revoke_latency;
         self.trace(
             now,
@@ -741,23 +951,9 @@ impl SimWorld {
     /// The deferred OSS read of [`SimWorld::lustre_shared_transfer`].
     pub(super) fn lustre_shared_read(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
         let node = self.tasks.node[task as usize];
-        let total = self.tasks.input_bytes[task as usize];
-        let compress = if self.cfg.spark.shuffle_compress {
-            self.cfg.spark.shuffle_compress_ratio
-        } else {
-            1.0
-        };
-        let wire = inflate_for_requests(
-            Bytes(total * compress),
-            self.cfg.spark.reducer_max_bytes_in_flight,
-            self.cfg.spark.per_request_overhead_bytes,
-        );
-        let path = self
-            .fabric
-            .path(Endpoint::Lustre, Endpoint::Node(NodeId(node)));
-        let f = self.net.open_flow(now, path, true);
-        let tag = self.net_tag(task);
-        self.net.push_chunk(now, f, wire, tag);
+        let wire = self.fetch_wire()(self.tasks.input_bytes[task as usize]);
+        let dst = Endpoint::Node(NodeId(node));
+        self.send_once(now, Endpoint::Lustre, dst, wire, self.net_tag(task));
         self.arm_net(out);
     }
 
@@ -766,9 +962,10 @@ impl SimWorld {
         // first resident job (admission order) still waiting on a flush —
         // flush counts are per-job, so order within the set is immaterial.
         let Some(sh) = self.jobs.iter_mut().find_map(|job| {
-            job.shuffle_in
+            let sh = &mut job.shuffle;
+            sh.reading
                 .as_mut()
-                .or(job.shuffle_out.as_mut())
+                .or(sh.writing.as_mut())
                 .filter(|sh| sh.flush_pending > 0)
         }) else {
             return;
@@ -784,29 +981,42 @@ impl SimWorld {
         }
     }
 
-    /// Move every deposited row of `dead` to `repl` in one shuffle state:
-    /// recovery re-hosts the data, and ghost tasks recharge the time it took
-    /// to produce it. The dead node's store file is forgotten, so relaunched
-    /// fetches read from the replacement.
-    pub(super) fn move_shuffle_rows(sh: &mut ShuffleState, dead: usize, repl: usize) {
-        sh.buckets.move_node(dead, repl);
-        if let Some(real) = sh.node_real.as_mut() {
-            let moved = std::mem::replace(&mut real[dead], vec![Vec::new(); sh.reducers as usize]);
-            for (b, mut recs) in moved.into_iter().enumerate() {
-                real[repl][b].append(&mut recs);
+    // ---------------- crash recovery ----------------
+
+    /// `dead` crashed: re-host at `repl` what every resident job's shuffles
+    /// held there. Rows of a shuffle being produced live in executor memory
+    /// or the node-local store; rows being consumed from Lustre survive the
+    /// crash on the OSSes, but the server page cache died with the node, so
+    /// refetches stream from the OSSes instead.
+    pub(super) fn rehost_shuffle_rows(&mut self, dead: u32, repl: u32) {
+        let local_store = self.store_is_node_local();
+        let (dead, repl) = (dead as usize, repl as usize);
+        for job in &mut self.jobs {
+            let sh = &mut job.shuffle;
+            if let Some(writing) = sh.writing.as_mut() {
+                writing.move_rows(dead, repl);
             }
+            match sh.reading.as_mut() {
+                Some(reading) if local_store => reading.move_rows(dead, repl),
+                Some(reading) => reading.cached_frac[dead] = 0.0,
+                None => {}
+            }
+            sh.intermediate[repl] += sh.intermediate[dead];
+            sh.intermediate[dead] = 0.0;
         }
-        sh.local_files[dead] = None;
-        sh.cached_frac[dead] = 0.0;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tasks::TState;
     use super::super::tests::world;
     use super::*;
     use crate::config::EngineConfig;
+    use crate::rdd::Action;
+    use crate::value::Value;
     use memres_cluster::tiny;
+    use memres_storage::{Ssd, SsdConfig};
 
     #[test]
     fn effective_read_bw_blends_cache_and_device() {
@@ -863,10 +1073,7 @@ mod tests {
         assert!(!handles.is_empty());
         w.producer_finished(task as u32, node as u32);
         assert!(w.tasks.records_out[task].is_none());
-        let sh = w.jobs[0]
-            .shuffle_out
-            .as_ref()
-            .expect("stage feeds a shuffle");
+        let sh = w.jobs[0].shuffle.writing();
         let real = sh.node_real.as_ref().expect("real rows");
         for (r, ptr) in handles {
             let segment = real[node][r].last().expect("one segment per bucket");
@@ -890,13 +1097,10 @@ mod tests {
         let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, plan, &mut out);
-        w.jobs[0].shuffle_in = w.jobs[0].shuffle_out.take();
+        w.jobs[0].shuffle.reading = w.jobs[0].shuffle.writing.take();
         let table = |w: &SimWorld| {
-            let rows = &w.jobs[0]
-                .shuffle_in
-                .as_ref()
-                .expect("moved above")
-                .fetch_flows;
+            let sh = w.jobs[0].shuffle.reading.as_ref();
+            let rows = &sh.expect("moved above").fetch_flows;
             let entries: Vec<FlowId> = rows.iter().flatten().copied().collect();
             let opened = entries.iter().copied().filter(|&f| f != UNOPENED).collect();
             (entries.len(), opened)
