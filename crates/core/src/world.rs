@@ -71,8 +71,8 @@ pub enum NetTag {
     /// `job` let completions of failed attempts / finished jobs drain as
     /// no-ops instead of corrupting a relaunched task.
     TaskIo { task: u32, attempt: u32, job: u32 },
-    /// Lustre-shared revocation flush chunk.
-    Flush,
+    /// Lustre-shared revocation flush chunk of job `job`'s mass flush.
+    Flush { job: u32 },
 }
 
 /// Events of the simulated world.
@@ -1097,17 +1097,18 @@ impl Model for SimWorld {
                     return;
                 }
                 let delivered = self.net.poll(now);
-                let mut flushed = 0u32;
+                // Flush chunks are credited after the task I/O of the same poll.
+                let mut flushed = Vec::new();
                 for d in delivered {
                     match d.tag {
                         NetTag::TaskIo { task, attempt, job } => {
                             self.task_io_done(now, task, attempt, job, out)
                         }
-                        NetTag::Flush => flushed += 1,
+                        NetTag::Flush { job } => flushed.push(job),
                     }
                 }
-                for _ in 0..flushed {
-                    self.on_flush_progress(now, out);
+                for job in flushed {
+                    self.on_flush_progress(now, job, out);
                 }
                 self.arm_net(out);
             }

@@ -599,6 +599,7 @@ impl SimWorld {
             ShuffleStore::LustreShared => {
                 // "Forcing all the intermediate data to be flushed to the
                 // OSSes around the same time" — revoke every node file now.
+                let job = self.jobs[ji].id;
                 let files = self.jobs[ji].shuffle.writing().lustre_files.clone();
                 let mut pending = 0;
                 for (n, lf) in files.iter().enumerate() {
@@ -607,7 +608,8 @@ impl SimWorld {
                         pending += 1;
                         let wire = dirty / self.lustre.config().write_efficiency;
                         let src = Endpoint::Node(NodeId(n as u32));
-                        self.send_once(now, src, Endpoint::Lustre, Bytes(wire), NetTag::Flush);
+                        let tag = NetTag::Flush { job };
+                        self.send_once(now, src, Endpoint::Lustre, Bytes(wire), tag);
                     }
                 }
                 let sh = self.jobs[ji].shuffle.writing();
@@ -957,17 +959,21 @@ impl SimWorld {
         self.arm_net(out);
     }
 
-    pub(super) fn on_flush_progress(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
-        // Flush chunks carry no job identity; attribute the progress to the
-        // first resident job (admission order) still waiting on a flush —
-        // flush counts are per-job, so order within the set is immaterial.
-        let Some(sh) = self.jobs.iter_mut().find_map(|job| {
-            let sh = &mut job.shuffle;
-            sh.reading
-                .as_mut()
-                .or(sh.writing.as_mut())
-                .filter(|sh| sh.flush_pending > 0)
-        }) else {
+    /// One chunk of job `owner`'s mass flush reached the OSSes; the last
+    /// one opens the gate its reducers wait at. A chunk that outlives its
+    /// job (aborted mid-flush) is nobody's progress.
+    pub(super) fn on_flush_progress(&mut self, now: SimTime, owner: u32, out: &mut Outbox<Ev>) {
+        let Some(job) = self.jobs.iter_mut().find(|j| j.id == owner) else {
+            return;
+        };
+        // The flush starts as the storing phase ends and the fetch stage
+        // starts in the same event, so the flushed shuffle is being read.
+        let Some(sh) = job
+            .shuffle
+            .reading
+            .as_mut()
+            .filter(|sh| sh.flush_pending > 0)
+        else {
             return;
         };
         sh.flush_pending -= 1;

@@ -344,3 +344,115 @@ fn fair_share_order_survives_retries_twins_and_a_crash() {
         .iter()
         .any(|b| b.id != a.id && b.admitted < a.finished && a.admitted < b.finished)));
 }
+
+/// A synthetic GroupBy over `gb` GB of generated input, 8 reducers.
+fn synthetic_groupby(gb: f64) -> JobFactory {
+    Arc::new(move |_| {
+        let rdd = Rdd::source(Dataset::generated(gb * 1e9, 64e6, 100.0))
+            .map("genKV", SizeModel::new(1.0, 1.0, 2e8), |r| r)
+            .group_by_key(Some(8), 1e9);
+        (rdd, Action::Count)
+    })
+}
+
+/// What the trace shows of one job's storing → fetch switch under the
+/// Lustre-shared store: its revocation-flush flows (each opened right after
+/// the `LockRevoke` of a node file) and the reducers queued right after them.
+#[derive(Default)]
+struct FetchSwitch {
+    flush_flows: Vec<u64>,
+    reducers: Vec<u32>,
+}
+
+#[test]
+fn lustre_shared_flush_progress_is_credited_to_the_job_that_owns_it() {
+    // Two Lustre-shared jobs resident at once, 6 GB admitted at 0 s and 2 GB
+    // at 4 s, so that their mass flushes overlap. Each job's reducers wait
+    // for *its own* flush. Crediting a finished flush chunk to "the first
+    // resident job still waiting on a flush" (the big one, admitted first)
+    // swapped the gates: the small job's reducers left the lock wait at the
+    // instant the big job's flows ended, and the big job's at the small's.
+    let tenant = |name: &str, at: f64, gb: f64| {
+        let arrival = ArrivalProcess::Trace(vec![at]);
+        TenantSpec::new(name, 1, arrival, synthetic_groupby(gb))
+    };
+    let spec = StreamSpec::new(
+        vec![tenant("big", 0.0, 6.0), tenant("small", 4.0, 2.0)],
+        InterJobPolicy::FairShare,
+        3,
+    );
+    let cfg = EngineConfig {
+        shuffle: ShuffleStore::LustreShared,
+        ..base_cfg()
+    }
+    .with_trace();
+    let mut d = Driver::new(memres_cluster::tiny(8), cfg);
+    let finished = d.run_stream_audited(spec, 1).expect("audited stream");
+    assert_eq!(finished.len(), 2);
+    assert!(finished.iter().all(|j| !j.output.aborted));
+    let trace = d.take_trace();
+
+    // One `FetchSwitch` per job, in the order the switches happened.
+    let mut switches: Vec<FetchSwitch> = Vec::new();
+    let mut cur = FetchSwitch::default();
+    // Revocation, flush-flow opens and the fetch stage's start all happen
+    // inside one event (the job's last store task finishing), so nothing
+    // else interleaves between a `LockRevoke` and the `StageStart`.
+    let (mut revoking, mut in_fetch_stage) = (false, false);
+    for e in &trace {
+        match e.ev {
+            TraceEvent::LockRevoke { .. } => revoking = true,
+            TraceEvent::FlowStart { flow } if revoking => cur.flush_flows.push(flow),
+            TraceEvent::StageStart { stage: 1, .. } => (revoking, in_fetch_stage) = (false, true),
+            TraceEvent::TaskQueued { task, stage: 1, .. } if in_fetch_stage => {
+                cur.reducers.push(task)
+            }
+            _ if in_fetch_stage => {
+                switches.push(std::mem::take(&mut cur));
+                in_fetch_stage = false;
+            }
+            _ => {}
+        }
+    }
+
+    let at = |what: &dyn Fn(&TraceEvent) -> bool| {
+        let times = trace.iter().filter(|e| what(&e.ev)).map(|e| e.at);
+        times.max()
+    };
+    let flush_end = |s: &FetchSwitch| {
+        let own = |e: &TraceEvent| matches!(e, TraceEvent::FlowEnd { flow, .. } if s.flush_flows.contains(flow));
+        at(&own).expect("the job flushed dirty data")
+    };
+    let flushed_bytes = |s: &FetchSwitch| -> f64 {
+        let bytes = trace.iter().filter_map(|e| match e.ev {
+            TraceEvent::FlowEnd { flow, bytes, .. } if s.flush_flows.contains(&flow) => {
+                Some(bytes.get())
+            }
+            _ => None,
+        });
+        bytes.sum()
+    };
+    switches.sort_by(|a, b| flushed_bytes(a).total_cmp(&flushed_bytes(b)));
+    let [small, big] = switches.as_slice() else {
+        panic!("two jobs, two switches: found {}", switches.len());
+    };
+    assert_eq!((small.reducers.len(), big.reducers.len()), (8, 8));
+    assert!(flushed_bytes(big) > 2.0 * flushed_bytes(small));
+    // The scenario is the one intended: every reducer of both jobs was
+    // already waiting when the first of the two flushes ended.
+    let all_waiting = at(&|e| matches!(e, TraceEvent::LockWaitStart { .. }));
+    assert!(all_waiting.expect("reducers waited") < flush_end(small).min(flush_end(big)));
+
+    for job in [small, big] {
+        let released = |e: &TraceEvent| matches!(e, TraceEvent::LockWaitEnd { task } if job.reducers.contains(task));
+        assert_eq!(
+            at(&released).expect("its reducers waited on the flush"),
+            flush_end(job),
+            "reducers leave the lock wait when their own job's last flush flow ends"
+        );
+    }
+    assert!(
+        flush_end(small) < flush_end(big),
+        "the small job's gate opens strictly before the big job's flush completes"
+    );
+}
