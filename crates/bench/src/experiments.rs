@@ -82,14 +82,26 @@ impl Setup {
 
     /// The compute-centric configuration: Lustre input, immediate dispatch.
     pub fn lustre_cfg(&self) -> EngineConfig {
+        self.cell_cfg(RAMDISK)
+    }
+
+    /// The configuration every paper GroupBy cell starts from — the figures
+    /// here, `repro bench`/`trace`/`report`, the scale family and the tenant
+    /// streams: Lustre input (held fixed; §IV-B varies the store), immediate
+    /// FIFO dispatch, this set-up's seed, intermediate data on `shuffle`.
+    pub fn cell_cfg(&self, shuffle: ShuffleStore) -> EngineConfig {
         EngineConfig {
             input: InputSource::Lustre,
-            shuffle: ShuffleStore::Local(StoreDevice::RamDisk),
+            shuffle,
             scheduler: SchedulerKind::Fifo,
             ..self.base()
         }
     }
 }
+
+/// The two node-local stores of [`Setup::cell_cfg`].
+pub const RAMDISK: ShuffleStore = ShuffleStore::Local(StoreDevice::RamDisk);
+pub const SSD: ShuffleStore = ShuffleStore::Local(StoreDevice::Ssd);
 
 fn run(spec: ClusterSpec, cfg: EngineConfig, rdd: &Rdd, action: Action) -> JobMetrics {
     let mut d = Driver::new(spec, cfg);
@@ -223,18 +235,6 @@ pub fn fig5b(setup: Setup) -> Table {
 
 // ---------------------------------------------------------------- Fig 7
 
-fn groupby_cfg(setup: Setup, shuffle: ShuffleStore) -> EngineConfig {
-    EngineConfig {
-        input: InputSource::Lustre, // input source held fixed; §IV-B varies the store
-        shuffle,
-        scheduler: SchedulerKind::Fifo,
-        ..EngineConfig {
-            seed: setup.seed,
-            ..EngineConfig::default()
-        }
-    }
-}
-
 /// GroupBy job time with intermediate data on HDFS(RAMDisk) vs
 /// Lustre-local vs Lustre-shared.
 pub fn fig7a(setup: Setup) -> Table {
@@ -256,19 +256,19 @@ pub fn fig7a(setup: Setup) -> Table {
         let gb = GroupBy::new(setup.bytes(gb_in));
         let ram = run(
             spec.clone(),
-            groupby_cfg(setup, ShuffleStore::Local(StoreDevice::RamDisk)),
+            setup.cell_cfg(RAMDISK),
             &gb.build(),
             gb.action(),
         );
         let ll = run(
             spec.clone(),
-            groupby_cfg(setup, ShuffleStore::LustreLocal),
+            setup.cell_cfg(ShuffleStore::LustreLocal),
             &gb.build(),
             gb.action(),
         );
         let ls = run(
             spec.clone(),
-            groupby_cfg(setup, ShuffleStore::LustreShared),
+            setup.cell_cfg(ShuffleStore::LustreShared),
             &gb.build(),
             gb.action(),
         );
@@ -315,13 +315,13 @@ pub fn fig7b(setup: Setup) -> Table {
         let gb = GroupBy::new(setup.bytes(gb_in));
         let ll = run(
             spec.clone(),
-            groupby_cfg(setup, ShuffleStore::LustreLocal),
+            setup.cell_cfg(ShuffleStore::LustreLocal),
             &gb.build(),
             gb.action(),
         );
         let ls = run(
             spec.clone(),
-            groupby_cfg(setup, ShuffleStore::LustreShared),
+            setup.cell_cfg(ShuffleStore::LustreShared),
             &gb.build(),
             gb.action(),
         );
@@ -350,18 +350,6 @@ pub fn fig7b(setup: Setup) -> Table {
 
 // ---------------------------------------------------------------- Fig 8
 
-fn store_cfg(setup: Setup, dev: StoreDevice) -> EngineConfig {
-    EngineConfig {
-        input: InputSource::Lustre,
-        shuffle: ShuffleStore::Local(dev),
-        scheduler: SchedulerKind::Fifo,
-        ..EngineConfig {
-            seed: setup.seed,
-            ..EngineConfig::default()
-        }
-    }
-}
-
 pub const FIG8_SIZES: [f64; 8] = [100.0, 300.0, 500.0, 600.0, 700.0, 900.0, 1200.0, 1500.0];
 
 /// GroupBy job time: intermediate data on RAMDisk vs SSD.
@@ -376,16 +364,11 @@ pub fn fig8a(setup: Setup) -> Table {
         let gb = GroupBy::new(setup.bytes(gb_in));
         let ram = run(
             spec.clone(),
-            store_cfg(setup, StoreDevice::RamDisk),
+            setup.cell_cfg(RAMDISK),
             &gb.build(),
             gb.action(),
         );
-        let ssd = run(
-            spec.clone(),
-            store_cfg(setup, StoreDevice::Ssd),
-            &gb.build(),
-            gb.action(),
-        );
+        let ssd = run(spec.clone(), setup.cell_cfg(SSD), &gb.build(), gb.action());
         t.row(
             format!("{gb_in:.0} GB"),
             vec![
@@ -412,12 +395,7 @@ pub fn fig8b(setup: Setup) -> Table {
     let spec = setup.cluster();
     for gb_in in FIG8_SIZES {
         let gb = GroupBy::new(setup.bytes(gb_in));
-        let m = run(
-            spec.clone(),
-            store_cfg(setup, StoreDevice::Ssd),
-            &gb.build(),
-            gb.action(),
-        );
+        let m = run(spec.clone(), setup.cell_cfg(SSD), &gb.build(), gb.action());
         t.row(
             format!("{gb_in:.0} GB"),
             vec![
@@ -444,12 +422,7 @@ pub fn fig8c(setup: Setup) -> Table {
     let spec = setup.cluster();
     for gb_in in [500.0, 900.0, 1200.0, 1500.0] {
         let gb = GroupBy::new(setup.bytes(gb_in));
-        let m = run(
-            spec.clone(),
-            store_cfg(setup, StoreDevice::Ssd),
-            &gb.build(),
-            gb.action(),
-        );
+        let m = run(spec.clone(), setup.cell_cfg(SSD), &gb.build(), gb.action());
         let (min, mean, max) = m.duration_spread(Phase::Storing);
         t.row(
             format!("{gb_in:.0} GB"),
@@ -469,12 +442,7 @@ pub fn fig8d(setup: Setup) -> Table {
     );
     let spec = setup.cluster();
     let gb = GroupBy::new(setup.bytes(1500.0));
-    let m = run(
-        spec,
-        store_cfg(setup, StoreDevice::Ssd),
-        &gb.build(),
-        gb.action(),
-    );
+    let m = run(spec, setup.cell_cfg(SSD), &gb.build(), gb.action());
     let mut tasks: Vec<(f64, f64)> = m
         .tasks_in(Phase::Storing)
         .map(|x| (x.launched_at, x.duration()))
@@ -512,10 +480,7 @@ pub fn fig9a(setup: Setup) -> Table {
         let no_delay = EngineConfig {
             input: InputSource::HdfsRamDisk,
             scheduler: SchedulerKind::Fifo,
-            ..EngineConfig {
-                seed: setup.seed,
-                ..EngineConfig::default()
-            }
+            ..setup.base()
         };
         let f = run(spec.clone(), no_delay, &grep.build(), grep.action());
         let d = run(spec.clone(), setup.hdfs_cfg(), &grep.build(), grep.action());
@@ -548,10 +513,7 @@ pub fn fig9b(setup: Setup) -> Table {
             input: InputSource::HdfsRamDisk,
             scheduler: SchedulerKind::Fifo,
             input_replication: 2,
-            ..EngineConfig {
-                seed: setup.seed,
-                ..EngineConfig::default()
-            }
+            ..setup.base()
         };
         let (f, _) = run_lr(spec.clone(), no_delay, &lr);
         let (d, _) = run_lr(spec.clone(), setup.hdfs_cfg_replicated(), &lr);
@@ -580,10 +542,7 @@ pub fn fig10(setup: Setup) -> Table {
     let cfg = EngineConfig {
         input: InputSource::HdfsRamDisk,
         scheduler: SchedulerKind::Fifo,
-        ..EngineConfig {
-            seed: setup.seed,
-            ..EngineConfig::default()
-        }
+        ..setup.base()
     };
     let mut add = |name: &str, m: &JobMetrics| {
         for (label, local) in [("local", true), ("remote", false)] {
@@ -656,13 +615,8 @@ fn fig12(setup: Setup, data: bool) -> Table {
         // reducer count keeps the (irrelevant) shuffle phase cheap.
         let gb = GroupBy::new(total).with_split(256.0 * MB).with_reducers(64);
         let cfg = EngineConfig {
-            input: InputSource::Lustre,
-            scheduler: SchedulerKind::Fifo,
             speed_sigma: 0.25,
-            ..EngineConfig {
-                seed: setup.seed,
-                ..EngineConfig::default()
-            }
+            ..setup.cell_cfg(RAMDISK)
         };
         let m = run(spec, cfg, &gb.build(), gb.action());
         // Drop the trailing overflow bucket: the CDF is over real nodes.
@@ -719,7 +673,7 @@ pub fn fig13a(setup: Setup) -> Table {
     let mut improvements = Vec::new();
     for gb_in in [400.0, 700.0, 1000.0, 1200.0, 1500.0] {
         let gb = GroupBy::new(setup.bytes(gb_in));
-        let base = store_cfg(setup, StoreDevice::Ssd);
+        let base = setup.cell_cfg(SSD);
         let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action());
         let elb = run(spec.clone(), base.with_elb(), &gb.build(), gb.action());
         let imp = improvement_pct(plain.job_time(), elb.job_time());
@@ -762,7 +716,7 @@ pub fn fig13b(setup: Setup) -> Table {
     let mut shuffle_imps = Vec::new();
     for gb_in in [400.0, 800.0, 1200.0] {
         let gb = GroupBy::new(setup.bytes(gb_in));
-        let mut base = store_cfg(setup, StoreDevice::RamDisk);
+        let mut base = setup.cell_cfg(RAMDISK);
         base.spark.reducer_max_bytes_in_flight = 128.0 * 1024.0;
         let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action());
         let elb = run(spec.clone(), base.with_elb(), &gb.build(), gb.action());
@@ -815,7 +769,7 @@ pub fn fig14(setup: Setup) -> (Table, Table) {
     let mut store_imps = Vec::new();
     for gb_in in [400.0, 700.0, 1000.0, 1200.0, 1500.0] {
         let gb = GroupBy::new(setup.bytes(gb_in));
-        let base = store_cfg(setup, StoreDevice::Ssd);
+        let base = setup.cell_cfg(SSD);
         let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action());
         let cad = run(spec.clone(), base.with_cad(), &gb.build(), gb.action());
         let jimp = improvement_pct(plain.job_time(), cad.job_time());
@@ -864,7 +818,7 @@ pub fn ablation_elb_threshold(setup: Setup) -> Table {
     );
     let spec = setup.cluster();
     let gb = GroupBy::new(setup.bytes(1000.0));
-    let base = store_cfg(setup, StoreDevice::Ssd);
+    let base = setup.cell_cfg(SSD);
     let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action()).job_time();
     t.row("no ELB".to_string(), vec![plain, 0.0]);
     for threshold in [1.1, 1.25, 1.5, 2.0] {
@@ -891,7 +845,7 @@ pub fn ablation_cad_step(setup: Setup) -> Table {
     );
     let spec = setup.cluster();
     let gb = GroupBy::new(setup.bytes(1200.0));
-    let base = store_cfg(setup, StoreDevice::Ssd);
+    let base = setup.cell_cfg(SSD);
     let plain =
         run(spec.clone(), base.clone(), &gb.build(), gb.action()).phase_time(Phase::Storing);
     t.row("no CAD".to_string(), vec![plain, 0.0]);
@@ -923,10 +877,7 @@ pub fn ablation_delay_wait(setup: Setup) -> Table {
     let fifo = EngineConfig {
         input: InputSource::HdfsRamDisk,
         scheduler: SchedulerKind::Fifo,
-        ..EngineConfig {
-            seed: setup.seed,
-            ..EngineConfig::default()
-        }
+        ..setup.base()
     };
     let base = run(spec.clone(), fifo.clone(), &grep.build(), grep.action()).job_time();
     t.row("fifo (no wait)".to_string(), vec![base, 0.0]);
@@ -1112,7 +1063,7 @@ pub fn baseline_speculation(setup: Setup) -> Table {
     let gb = GroupBy::new(setup.bytes(1000.0));
     let base = EngineConfig {
         speed_sigma: 0.35,
-        ..store_cfg(setup, StoreDevice::Ssd)
+        ..setup.cell_cfg(SSD)
     };
     for (name, cfg) in [
         ("plain spark", base.clone()),

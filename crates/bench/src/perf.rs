@@ -83,16 +83,9 @@ pub fn cell(
         "fig8a_600gb_ssd" => (600.0, ShuffleStore::Local(StoreDevice::Ssd)),
         _ => return None,
     };
-    let cfg = EngineConfig {
-        input: InputSource::Lustre,
-        shuffle,
-        scheduler: SchedulerKind::Fifo,
-        seed: setup.seed,
-        ..EngineConfig::default()
-    };
     Some((
         setup.cluster(),
-        cfg,
+        setup.cell_cfg(shuffle),
         memres_workloads::GroupBy::new(setup.bytes(gb)),
     ))
 }

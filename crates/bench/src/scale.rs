@@ -15,6 +15,7 @@
 //! SoA task arena are exactly what these cells exercise (DESIGN.md "Scaling
 //! the engine 100× past the paper").
 
+use crate::experiments::{Setup, RAMDISK};
 use crate::perf::{self, PerfRecord};
 use crate::Table;
 use memres_core::prelude::*;
@@ -93,16 +94,13 @@ pub fn cell(name: &str) -> Option<ScaleCell> {
 }
 
 fn config(seed: u64) -> EngineConfig {
-    EngineConfig {
-        input: InputSource::Lustre,
-        shuffle: ShuffleStore::Local(StoreDevice::RamDisk),
-        scheduler: SchedulerKind::Fifo,
-        seed,
-        ..EngineConfig::default()
-    }
-    // Homogeneous nodes: no periodic SpeedResample events, so the event
-    // count measures job structure, not sampling cadence.
-    .homogeneous()
+    // The cells fix their own sizes, so only the seed of the set-up matters.
+    let setup = Setup { scale: 1.0, seed };
+    setup
+        .cell_cfg(RAMDISK)
+        // Homogeneous nodes: no periodic SpeedResample events, so the event
+        // count measures job structure, not sampling cadence.
+        .homogeneous()
 }
 
 /// One timed cell: the shared perf record plus where its host time went.

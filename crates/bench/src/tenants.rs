@@ -18,7 +18,7 @@
 //! genuinely overlap at every `--scale`: tenant A submits every quarter of an
 //! isolated job time, tenant B with exponential gaps at 30% of it.
 
-use crate::experiments::Setup;
+use crate::experiments::{Setup, SSD};
 use crate::{improvement_pct, ratio, Table};
 use memres_cluster::ClusterSpec;
 use memres_core::prelude::*;
@@ -51,15 +51,7 @@ fn grep_tenant(setup: Setup) -> JobFactory {
 /// Shared store/input shape: Lustre input, SSD shuffle store — the
 /// configuration where ELB and CAD matter (Fig 13/14).
 fn base_cfg(setup: Setup) -> EngineConfig {
-    EngineConfig {
-        input: InputSource::Lustre,
-        shuffle: ShuffleStore::Local(StoreDevice::Ssd),
-        scheduler: SchedulerKind::Fifo,
-        ..EngineConfig {
-            seed: setup.seed,
-            ..EngineConfig::default()
-        }
-    }
+    setup.cell_cfg(SSD)
 }
 
 /// Mean isolated job time per tenant under `cfg` — the slowdown
