@@ -12,19 +12,32 @@
 //!   each producing task's in-memory output to the shuffle store, pinned to
 //!   the node that produced it. CAD throttles their dispatch.
 //! * The next stage's **fetch tasks (shuffling phase)** move intermediate
-//!   data according to the configured [`ShuffleStore`] strategy, then
-//!   aggregate and run their own narrow chain.
+//!   data according to the configured [`crate::config::ShuffleStore`]
+//!   strategy, then aggregate and run their own narrow chain.
 //!
 //! All byte movement is charged to the substrate models: the flow-level
 //! fabric, per-node `LocalFs` mounts (RAMDisk and SSD), the Lustre model
 //! with its DLM, and the HDFS block map.
+//!
+//! This file holds the world itself — [`Ev`], [`NetTag`], `JobRun`,
+//! [`SimWorld`] and its construction, the wake and transfer plumbing, a
+//! job's life-cycle, task launch and completion, the invariant audit and the
+//! event dispatch (`handle`). Each decision the engine makes lives in a
+//! child module that owns its state (DESIGN.md §3.1): `tasks` (the task
+//! arena), `sched` (which task a free slot gets: delay scheduling, ELB, CAD,
+//! LATE, the inter-job order), `shuffle` (the §IV-B design space: where
+//! intermediate data lives and how reducers get it), `recovery` (how a
+//! failure is undone), `admission` and `sampler` (job streams, the metrics
+//! plane) and `input` (placement and the compute-task launch). A child sees
+//! this file's private items; this file cannot see a child's private fields,
+//! so a seam's state is touched only in its own file.
 
 // The engine state is a set of dense arenas (stages, tasks, flows, nodes)
 // whose indices are minted by this module and never escape it; `arr[id]` is
 // the idiom throughout and each out-of-range access would be an engine bug,
 // not a recoverable condition. Bounds-checked alternatives at ~190 sites
 // would bury the scheduling logic, so the crate-level `indexing_slicing`
-// warning is waived for this file only.
+// warning is waived for this file and its child modules only.
 #![allow(clippy::indexing_slicing)]
 
 use crate::blockmgr::BlockMgr;

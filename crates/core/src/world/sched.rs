@@ -300,14 +300,14 @@ impl SimWorld {
     /// assigning tasks to nodes holding more than `threshold ×` the cluster
     /// average.
     fn elb_declines(&self, job: &JobRun, node: u32) -> bool {
+        let Some(elb) = self.cfg.elb else {
+            return false;
+        };
         let depositing = match job.phase {
             RunPhase::Stage(idx) => job.plan.stages[idx].has_shuffle_output(),
             _ => false,
         };
-        match self.cfg.elb {
-            Some(elb) if depositing => elb_over_threshold(elb, job.shuffle.intermediate(), node),
-            _ => false,
-        }
+        depositing && elb_over_threshold(elb, job.shuffle.intermediate(), node)
     }
 
     /// Whether a dispatch visit that launches nothing has no other effect,
@@ -445,8 +445,8 @@ impl SimWorld {
                                         // lint:allow(event-past): `Cad::launched` returns `now` plus a positive interval
                                         out.at(until, Ev::DispatchNode { node });
                                     }
+                                    // One per interval.
                                     self.sched.blocked_stamp[node as usize] = round;
-                                    // one per interval
                                 }
                                 break;
                             }

@@ -126,6 +126,19 @@ impl ShuffleBuckets {
     }
 }
 
+/// Where one reducer's real aggregation stands (see `ShuffleState::reduced`).
+enum Reduced {
+    /// No attempt of this reducer has launched; its segments still sit in
+    /// `node_real`.
+    Unlaunched,
+    /// Evaluation is queued for this round's flush — or the result has been
+    /// consumed by the attempt that finished.
+    Taken,
+    /// Evaluated: (output bytes, output records, output rows), parked until
+    /// an attempt finishes. A retry finds it here and reuses it.
+    Parked(f64, u64, RealOut),
+}
+
 /// [`ShuffleState::fetch_flows`] entry of a `(src, dst, kind)` no fetch has
 /// used yet.
 const UNOPENED: FlowId = FlowId(u64::MAX);
@@ -194,22 +207,7 @@ impl ShuffleState {
             fetch_flows: vec![Vec::new(); 2 * racks.unwrap_or(workers)],
         }
     }
-}
 
-/// Where one reducer's real aggregation stands (see `ShuffleState::reduced`).
-enum Reduced {
-    /// No attempt of this reducer has launched; its segments still sit in
-    /// `node_real`.
-    Unlaunched,
-    /// Evaluation is queued for this round's flush — or the result has been
-    /// consumed by the attempt that finished.
-    Taken,
-    /// Evaluated: (output bytes, output records, output rows), parked until
-    /// an attempt finishes. A retry finds it here and reuses it.
-    Parked(f64, u64, RealOut),
-}
-
-impl ShuffleState {
     /// Move every deposited row of `dead` to `repl`: recovery re-hosts the
     /// data, and ghost tasks recharge the time it took to produce it. The
     /// dead node's store file is forgotten, so relaunched fetches read from

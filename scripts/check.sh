@@ -9,16 +9,20 @@
 #                         determinism/discipline violations (R1–R7 plus the
 #                         cross-file exhaustiveness checks) before the far
 #                         costlier clippy/test/bench stages spin up.
-#   3. cargo clippy     — full workspace, all targets.
-#   4. cargo test       — full workspace.
-#   5. smokes           — release-build repro runs per cell family (bench,
+#   3. file sizes       — no file under crates/core/src over 1,500 lines, so
+#                         the engine cannot quietly grow back into one file
+#                         (it was 4,606; DESIGN.md 3.1); prints the crate's
+#                         code-line count for the record.
+#   4. cargo clippy     — full workspace, all targets.
+#   5. cargo test       — full workspace.
+#   6. smokes           — release-build repro runs per cell family (bench,
 #                         scale, faults, baselines, tenants, trace, report,
 #                         diff, fuzz): each ran and produced well-formed,
 #                         deterministic output. The cell-smoke lint rule
 #                         cross-checks that this list never silently loses
 #                         a family. One real-data example (quickstart) is
 #                         compared across executor thread counts.
-#   6. benchmark smoke  — benchmark/run.sh --quick: one checked run of each
+#   7. benchmark smoke  — benchmark/run.sh --quick: one checked run of each
 #                         of the seven benchmark workloads against
 #                         benchmark/expected.json, the only pinned sim-time
 #                         baseline.
@@ -39,6 +43,19 @@ if ! cargo run -q -p memres-lint -- --json > "$lint_json"; then
   exit 1
 fi
 echo "ok: clean ($lint_json)"
+
+echo "== core file sizes (no file over 1,500 lines) =="
+# Code lines: non-blank, non-comment, above the file's first #[cfg(test)].
+code_lines=0
+while IFS= read -r f; do
+  lines="$(wc -l < "$f")"
+  if [ "$lines" -gt 1500 ]; then
+    echo "$f has $lines lines (limit 1,500): split it along a seam, see DESIGN.md 3.1"; exit 1
+  fi
+  n="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { l = $0; sub(/^[[:space:]]+/, "", l); if (l != "" && l !~ /^\/\//) c++ } END { print c + 0 }' "$f")"
+  code_lines=$((code_lines + n))
+done < <(find crates/core/src -name '*.rs' | sort)
+echo "ok: crates/core/src is $code_lines code lines, largest file $(find crates/core/src -name '*.rs' -exec wc -l {} + | sort -n | tail -2 | head -1 | awk '{ print $2 " (" $1 " lines)" }')"
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
