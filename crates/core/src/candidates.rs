@@ -49,16 +49,19 @@ impl Nodes {
         }
     }
 
+    #[inline]
     pub fn is_up(&self, node: u32) -> bool {
         self.up[node as usize]
     }
 
     /// Up and not blacklisted: may be given work, slots permitting.
+    #[inline]
     pub fn usable(&self, node: u32) -> bool {
         self.up[node as usize] && !self.blacklisted[node as usize]
     }
 
     /// Whether `node` can accept a launch: the membership rule of the index.
+    #[inline]
     pub fn available(&self, node: u32) -> bool {
         self.usable(node) && self.free_slots[node as usize] > 0
     }
@@ -76,27 +79,32 @@ impl Nodes {
     }
 
     /// The candidate sets, to read.
+    #[inline]
     pub fn index(&self) -> &Candidates {
         &self.index
     }
 
     /// The candidate sets, to park and un-park in: neither changes which
     /// nodes are available, so neither can break the invariant.
+    #[inline]
     pub fn index_mut(&mut self) -> &mut Candidates {
         &mut self.index
     }
 
+    #[inline]
     fn reindex(&mut self, node: u32) {
         self.index.set_available(node, self.available(node));
     }
 
     /// A task launched on `node`.
+    #[inline]
     pub fn take_slot(&mut self, node: u32) {
         self.free_slots[node as usize] -= 1;
         self.reindex(node);
     }
 
     /// A task left `node`, which is up.
+    #[inline]
     pub fn free_slot(&mut self, node: u32) {
         self.free_slots[node as usize] += 1;
         self.reindex(node);

@@ -15,8 +15,8 @@
 //! memory-resident reuse LR exploits across iterations.
 
 // Lineage chains are dense arenas indexed by `RddId`s this module mints
-// root-first; as in world.rs, `arr[id]` is the idiom and a miss is an engine
-// bug. The crate-level `indexing_slicing` warning is waived for this file.
+// root-first; as in world.rs and its `world/` modules, `arr[id]` is the idiom
+// and a miss is an engine bug. The crate-level `indexing_slicing` warning is waived for this file.
 #![allow(clippy::indexing_slicing)]
 
 use crate::rdd::{Action, Dataset, NarrowStep, Rdd, RddId, RddOp, ShuffleAgg};

@@ -1,7 +1,8 @@
 //! The executor: everything that touches a record.
 //!
-//! `world.rs` is the simulation's single kernel thread and its rule is that
-//! it never hashes, clones, moves or aggregates a record. Whatever does is
+//! The world (`world.rs` and its `world/` modules) is the simulation's single
+//! kernel thread and its rule is that it never hashes, clones, moves or
+//! aggregates a record. Whatever does is
 //! captured at task launch as a [`Pending`] entry and evaluated here — a
 //! pure function of the entry, so [`evaluate`] may spread a dispatch round's
 //! entries over a host-thread pool — and the world only commits the handles
@@ -14,7 +15,8 @@
 
 // Bucket, group and table indices are minted in this module from lengths it
 // just computed; an out-of-range access would be a bug here, not a
-// recoverable condition (same waiver, same reason, as `world.rs`).
+// recoverable condition (same waiver, same reason, as `world.rs` and the
+// modules under `world/`).
 #![allow(clippy::indexing_slicing)]
 
 use crate::dag::{JobPlan, StagePlan};

@@ -465,11 +465,13 @@ impl SimWorld {
         mounts.try_for_each(|(i, fs)| fs.audit_idle().map_err(|e| format!("mount {i}: {e}")))
     }
 
+    #[inline]
     fn speed(&self, node: u32) -> f64 {
         self.speeds.factor(NodeId(node))
     }
 
     /// Deterministic per-task compute jitter in [1-j, 1+j].
+    #[inline]
     fn jitter(&self, task: u32) -> f64 {
         let j = self.cfg.task_jitter;
         if j <= 0.0 {
@@ -486,6 +488,7 @@ impl SimWorld {
     /// Resident-set index of the job owning `task`. Completions are
     /// stale-filtered (`completion_is_stale`) before dereferencing, so a
     /// live event implies the owning job is resident.
+    #[inline]
     fn job_index_of(&self, task: u32) -> usize {
         let id = self.tasks.job[task as usize];
         self.jobs
@@ -494,10 +497,12 @@ impl SimWorld {
             .expect("task of non-resident job") // lint:allow(panic): stale-filtered above
     }
 
+    #[inline]
     fn job_of(&self, task: u32) -> &JobRun {
         &self.jobs[self.job_index_of(task)]
     }
 
+    #[inline]
     fn job_of_mut(&mut self, task: u32) -> &mut JobRun {
         let ji = self.job_index_of(task);
         &mut self.jobs[ji]
@@ -513,11 +518,13 @@ impl SimWorld {
     }
 
     /// `node`'s SSD mount, or its RAMDisk mount.
+    #[inline]
     fn fs(&self, node: u32, ssd: bool) -> &LocalFs {
         let mounts = if ssd { &self.ssd_fs } else { &self.ram_fs };
         &mounts[node as usize]
     }
 
+    #[inline]
     fn fs_mut(&mut self, node: u32, ssd: bool) -> &mut LocalFs {
         let mounts = if ssd {
             &mut self.ssd_fs
@@ -602,6 +609,7 @@ impl SimWorld {
     /// each for attempt and job: enough to tell any live completion from a
     /// stale one (a tag only collides after 65536 wrapped attempts *while*
     /// the original request is still in flight, which cannot happen).
+    #[inline]
     fn io_tag(&self, task: u32) -> u64 {
         task as u64
             | ((self.tasks.attempt[task as usize] as u64 & 0xffff) << 32)
@@ -617,6 +625,7 @@ impl SimWorld {
     }
 
     /// The network-side equivalent of [`SimWorld::io_tag`].
+    #[inline]
     fn net_tag(&self, task: u32) -> NetTag {
         NetTag::TaskIo {
             task,

@@ -34,6 +34,7 @@ pub(super) struct Faults {
 
 impl Faults {
     /// Count one task launch; true when the fault plan dooms it.
+    #[inline]
     pub(super) fn next_launch_is_doomed(&mut self) -> bool {
         self.launch_count += 1;
         self.doomed_launches

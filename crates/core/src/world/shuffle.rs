@@ -250,6 +250,7 @@ impl JobShuffle {
         }
     }
 
+    #[inline]
     pub(super) fn intermediate(&self) -> &[f64] {
         &self.intermediate
     }

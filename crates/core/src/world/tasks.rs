@@ -162,26 +162,31 @@ impl Task {
 }
 
 impl TaskArena {
+    #[inline]
     pub(super) fn len(&self) -> usize {
         self.state.len()
     }
 
+    #[inline]
     pub(super) fn contains(&self, id: u32) -> bool {
         (id as usize) < self.state.len()
     }
 
     /// Tasks currently pending, over every resident job.
+    #[inline]
     pub(super) fn pending(&self) -> usize {
         self.pending
     }
 
     /// Tasks of `job` currently running.
+    #[inline]
     pub(super) fn running(&self, job: u32) -> u32 {
         self.running[job as usize]
     }
 
     /// The only state-transition path: keeps the pending count and the
     /// per-job running counts exact.
+    #[inline]
     pub(super) fn set_state(&mut self, id: u32, s: TState) {
         let cur = &mut self.state[id as usize];
         self.pending -= (*cur == TState::Pending) as usize;
