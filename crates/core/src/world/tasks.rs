@@ -23,13 +23,27 @@ pub(super) enum TState {
 /// [`Task::pin`] of a task that may run anywhere.
 pub(super) const UNPINNED: u32 = u32::MAX;
 
-/// The per-task fields, written once: [`Task`] holds one of each, and
-/// [`TaskArena`] a flat `Vec` of each with the whole-arena operations that
-/// must touch every array (`reserve`, `push`, `clear`, `heap_bytes`).
+/// The per-task fields, written once, each with the value a freshly queued
+/// task has: [`Task`] holds one of each, and [`TaskArena`] a flat `Vec` of
+/// each with the whole-arena operations that must touch every array
+/// (`reserve`, `push`, `clear`, `heap_bytes`).
 macro_rules! task_fields {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
+    (
+        fn new($($arg:ident: $argty:ty),*);
+        $($(#[$doc:meta])* $field:ident: $ty:ty = $fresh:expr,)*
+    ) => {
         pub(super) struct Task {
             $($(#[$doc])* pub(super) $field: $ty,)*
+        }
+
+        impl Task {
+            /// A freshly queued task of `kind`: pending, unplaced, first
+            /// attempt, no placement preference. The one `Task` literal —
+            /// push sites set only the fields their flavour changes
+            /// (prefs/pin, twin, ghost).
+            pub(super) fn new($($arg: $argty),*) -> Task {
+                Task { $($field: $fresh,)* }
+            }
         }
 
         /// SoA task arena (DESIGN.md, scale-out engine): every per-task field lives
@@ -83,82 +97,50 @@ macro_rules! task_fields {
 }
 
 task_fields! {
+    fn new(job: u32, stage: u32, kind: TaskKind, now: SimTime);
     /// Owning job id (multi-tenant streams keep several jobs resident).
-    job: u32,
-    stage: u32,
-    kind: TaskKind,
-    state: TState,
-    node: u32,
-    queued_at: SimTime,
-    launched_at: SimTime,
-    compute_dur: SimDuration,
+    job: u32 = job,
+    stage: u32 = stage,
+    kind: TaskKind = kind,
+    state: TState = TState::Pending,
+    node: u32 = u32::MAX,
+    queued_at: SimTime = now,
+    launched_at: SimTime = now,
+    compute_dur: SimDuration = SimDuration::ZERO,
     /// Pipelined tasks finish at max(io_done, launch+compute); non-pipelined
     /// (fetch) tasks start computing only after all their data lands.
-    pipelined: bool,
-    pending_io: u32,
-    finish_scheduled: bool,
-    input_bytes: f64,
-    output_bytes: f64,
-    records_est: u64,
+    pipelined: bool = !matches!(kind, TaskKind::Fetch { .. }),
+    pending_io: u32 = 0,
+    finish_scheduled: bool = false,
+    input_bytes: f64 = 0.0,
+    output_bytes: f64 = 0.0,
+    records_est: u64 = 0,
     /// Real output of an evaluated chain, from its commit to the task's
     /// finish (boxed: synthetic tasks pay one null pointer).
-    records_out: Option<Box<RealOut>>,
-    locality: TaskLocality,
+    records_out: Option<Box<RealOut>> = None,
+    locality: TaskLocality = TaskLocality::Any,
     /// Preferred nodes (HDFS replicas / cache location). Empty = any.
-    prefs: Vec<u32>,
+    prefs: Vec<u32> = Vec::new(),
     /// The only node a pinned task may run on (storing phase: a flush runs
     /// where its producer ran), [`UNPINNED`] otherwise. Kept beside `prefs`
     /// (empty for a pinned task) so the storing phase's one task per
     /// producer costs no allocation each.
-    pin: u32,
+    pin: u32 = UNPINNED,
     /// Speculative-execution twin (LATE baseline): the other copy's id.
-    twin: Option<u32>,
+    twin: Option<u32> = None,
     /// True for the duplicate copy of a speculated task.
-    is_speculative: bool,
+    is_speculative: bool = false,
     /// Attempt number; bumped on every failure so stale completion events
     /// from an earlier attempt are dropped.
-    attempt: u32,
+    attempt: u32 = 0,
     /// The injected-fault engine marked the running attempt to fail at the
     /// moment it would have finished (the whole duration becomes wasted
     /// work). Set at launch, cleared when the attempt fails; completions of
     /// earlier attempts never get as far as reading it.
-    doomed: bool,
+    doomed: bool = false,
     /// Recovery ghost: charges compute/IO time for redone work after a node
     /// crash but deposits nothing (the lost rows were already re-hosted).
-    ghost: bool,
-}
-
-impl Task {
-    /// A freshly queued task of `kind`: pending, unplaced, first attempt, no
-    /// placement preference. The one `Task` literal — push sites set only
-    /// the fields their flavour changes (prefs/pin, twin, ghost).
-    pub(super) fn new(job: u32, stage: u32, kind: TaskKind, now: SimTime) -> Task {
-        Task {
-            job,
-            stage,
-            kind,
-            state: TState::Pending,
-            node: u32::MAX,
-            queued_at: now,
-            launched_at: now,
-            compute_dur: SimDuration::ZERO,
-            pipelined: !matches!(kind, TaskKind::Fetch { .. }),
-            pending_io: 0,
-            finish_scheduled: false,
-            input_bytes: 0.0,
-            output_bytes: 0.0,
-            records_est: 0,
-            records_out: None,
-            locality: TaskLocality::Any,
-            prefs: Vec::new(),
-            pin: UNPINNED,
-            twin: None,
-            is_speculative: false,
-            attempt: 0,
-            doomed: false,
-            ghost: false,
-        }
-    }
+    ghost: bool = false,
 }
 
 impl TaskArena {
