@@ -149,11 +149,11 @@ impl Nodes {
             return false;
         }
         self.fail_counts[node as usize] += 1;
-        let out = self.fail_counts[node as usize] >= limit;
-        if out {
+        let reached = self.fail_counts[node as usize] >= limit;
+        if reached {
             self.blacklist(node);
         }
-        out
+        reached
     }
 
     /// The index invariant: the live and the parked nodes are exactly the

@@ -60,12 +60,11 @@ impl StreamState {
     /// Job `id`, `tenant`'s `k`-th, arrived at `now`: it queues for admission.
     fn arrived(&mut self, id: u32, tenant: u32, k: u32, now: SimTime) {
         self.outstanding_arrivals = self.outstanding_arrivals.saturating_sub(1);
-        let arrived = now;
         self.queued.push_back(PendingAdmission {
             id,
             tenant,
             k,
-            arrived,
+            arrived: now,
         });
     }
 

@@ -267,8 +267,9 @@ impl JobShuffle {
 
     /// Whether `reducer` of the shuffle being read pulls bytes from `src`.
     pub(super) fn fetches_from(&self, src: u32, reducer: u32) -> bool {
-        let bytes = |sh: &ShuffleState| sh.buckets.get(src as usize, reducer as usize);
-        self.reading.as_ref().is_some_and(|sh| bytes(sh) > 0.0)
+        let (src, reducer) = (src as usize, reducer as usize);
+        let reading = self.reading.as_ref();
+        reading.is_some_and(|sh| sh.buckets.get(src, reducer) > 0.0)
     }
 
     /// The shuffle this job's fetch stage reads.
@@ -333,8 +334,9 @@ impl ShuffleService {
     }
 
     fn mint_file(&mut self) -> u64 {
+        let id = self.next_file;
         self.next_file += 1;
-        self.next_file - 1
+        id
     }
 }
 

@@ -46,16 +46,17 @@ echo "ok: clean ($lint_json)"
 
 echo "== core file sizes (no file over 1,500 lines) =="
 # Code lines: non-blank, non-comment, above the file's first #[cfg(test)].
-code_lines=0
+code_lines=0; largest=0; largest_file=""
 while IFS= read -r f; do
   lines="$(wc -l < "$f")"
   if [ "$lines" -gt 1500 ]; then
     echo "$f has $lines lines (limit 1,500): split it along a seam, see DESIGN.md 3.1"; exit 1
   fi
+  if [ "$lines" -gt "$largest" ]; then largest="$lines"; largest_file="$f"; fi
   n="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { l = $0; sub(/^[[:space:]]+/, "", l); if (l != "" && l !~ /^\/\//) c++ } END { print c + 0 }' "$f")"
   code_lines=$((code_lines + n))
 done < <(find crates/core/src -name '*.rs' | sort)
-echo "ok: crates/core/src is $code_lines code lines, largest file $(find crates/core/src -name '*.rs' -exec wc -l {} + | sort -n | tail -2 | head -1 | awk '{ print $2 " (" $1 " lines)" }')"
+echo "ok: crates/core/src is $code_lines code lines, largest file $largest_file ($largest lines)"
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
