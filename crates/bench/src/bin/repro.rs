@@ -1,11 +1,9 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! Usage:
-//!   repro [--smoke] [--scale X] [--json DIR] `<target>`...
-//!   targets: table1 plans fig5a fig5b fig7a fig7b fig8a fig8b fig8c fig8d
-//!            fig9a fig9b fig10 fig12a fig12b fig13a fig13b fig14 ablations
-//!            baselines faults faults-abort tenants bench trace `<cell>`
-//!            explain `<cell>` all
+//!   repro [--smoke] [--scale X] [--seed N] [--json DIR] `<target>`...
+//!   targets: the rows of [`TARGETS`], `all` (the rows marked so), a cell
+//!            name, `trace <cell>`, `explain <cell>`, `report <cell>`
 //!
 //! `tenants` runs the multi-tenant job-stream cells (DESIGN.md §4.14): two
 //! tenants under a seeded arrival process with per-tenant queueing delay,
@@ -17,25 +15,22 @@
 //! Unknown targets are rejected up front (exit 2) with the usage line, so a
 //! typo can't burn hours of experiments first.
 //!
-//! `scale` runs the scale-out family (1k–10k nodes, up to 4 M producers;
-//! `--smoke` its CI-sized cell) and `<scale-cell>` — `scale_smoke`,
-//! `scale_1k_100k`, `scale_4k_1m`, `scale_10k_1m`, `scale_10k_4m` — that
-//! cell alone; with `--json DIR` they write `DIR/scale.json` and
-//! `DIR/<scale-cell>.json`. Neither is part of `all`.
+//! `bench`, `scale` and `<cell>` time the simulator itself (host wall-clock)
+//! on rows of the cell table (`memres_workloads::cells::CELLS`): `bench` the
+//! mid-size Fig 7a/8a cells (paper scale, 100 nodes, by default; `--smoke`
+//! for a quick CI run), `scale` the scale-out family (1k–10k nodes, up to
+//! 4 M producers; `--smoke` its CI-sized cell), and any cell name that cell
+//! alone. With `--json DIR` they write `DIR/bench.json`, `DIR/scale.json`
+//! and `DIR/<cell>.json`. These are single-shot quick looks — the repeated,
+//! bounded performance record is `benchmark/`. None is part of `all`.
 //!
-//! `bench` times the simulator itself (host wall-clock) on the mid-size
-//! Fig 7a/8a cells and, with `--json DIR`, writes `DIR/bench.json`. It is a
-//! single-shot quick look — the repeated, bounded performance record is
-//! `benchmark/`. It runs at paper scale (100 nodes) by default; pass
-//! `--smoke` for a quick CI run.
-//!
-//! `trace <cell>` re-runs one bench cell with full event tracing and, with
+//! `trace <cell>` re-runs one cell with full event tracing and, with
 //! `--json DIR`, writes `DIR/<cell>.trace.json` (Chrome trace-event form,
 //! loadable in Perfetto) plus `DIR/<cell>.events.jsonl` (compact log).
 //! `explain <cell>` prints the critical-path attribution table and the
 //! top straggler attempts instead (see DESIGN.md §4.11).
 //!
-//! `report <cell>` re-runs one bench cell with the sim-time periodic
+//! `report <cell>` re-runs one cell with the sim-time periodic
 //! sampler on (DESIGN.md §4.16) and, with `--json DIR`, writes
 //! `DIR/<cell>.openmetrics`, `DIR/<cell>.timeseries.csv`,
 //! `DIR/<cell>.dashboard.html` and `DIR/<cell>.attrib.csv`. All four are
@@ -55,59 +50,119 @@
 //! reproducer and printed as a `--replay` line. Exit 1 on any failure.
 
 use memres_bench::experiments as ex;
-use memres_bench::{fuzz, perf, report, scale, tenants, trace, Table};
+use memres_bench::{fuzz, report, tenants, timing, trace, Table};
+use memres_workloads::cells::{self, Cell, Setup, Size};
 use std::io::Write;
 
-/// Every runnable target, in `all` order (`bench` is opt-in, not in `all`).
-const ALL_TARGETS: [&str; 22] = [
-    "table1",
-    "plans",
-    "fig5a",
-    "fig5b",
-    "fig7a",
-    "fig7b",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig8d",
-    "fig9a",
-    "fig9b",
-    "fig10",
-    "fig12a",
-    "fig12b",
-    "fig13a",
-    "fig13b",
-    "fig14",
-    "ablations",
-    "baselines",
-    "faults",
-    "tenants",
+/// What running a target produces.
+enum Run {
+    /// Figure tables, printed and (with `--json`) written one file each.
+    Tables(fn(Setup) -> Vec<Table>),
+    Text(fn(Setup) -> String),
+    /// Timed runs of the cells this selects; the flag is whether `--smoke`
+    /// was given.
+    Timed(fn(&Cell, bool) -> bool),
+}
+
+struct Target {
+    name: &'static str,
+    /// Whether `all` runs it (the timed targets and the negative control
+    /// are opt-in).
+    in_all: bool,
+    run: Run,
+}
+
+const fn tables(name: &'static str, in_all: bool, f: fn(Setup) -> Vec<Table>) -> Target {
+    let run = Run::Tables(f);
+    Target { name, in_all, run }
+}
+
+fn fig14(setup: Setup) -> Vec<Table> {
+    let (a, b) = ex::fig14(setup);
+    vec![a, b]
+}
+
+/// Every runnable target, in `all` order; `all`, validation, `usage()` and
+/// dispatch all read this table.
+const TARGETS: [Target; 27] = [
+    tables("table1", true, |_| vec![ex::table1()]),
+    Target {
+        name: "plans",
+        in_all: true,
+        run: Run::Text(ex::plans),
+    },
+    tables("fig5a", true, |s| vec![ex::fig5a(s)]),
+    tables("fig5b", true, |s| vec![ex::fig5b(s)]),
+    tables("fig7a", true, |s| vec![ex::fig7a(s)]),
+    tables("fig7b", true, |s| vec![ex::fig7b(s)]),
+    tables("fig8a", true, |s| vec![ex::fig8a(s)]),
+    tables("fig8b", true, |s| vec![ex::fig8b(s)]),
+    tables("fig8c", true, |s| vec![ex::fig8c(s)]),
+    tables("fig8d", true, |s| vec![ex::fig8d(s)]),
+    tables("fig9a", true, |s| vec![ex::fig9a(s)]),
+    tables("fig9b", true, |s| vec![ex::fig9b(s)]),
+    tables("fig10", true, |s| vec![ex::fig10(s)]),
+    tables("fig12a", true, |s| vec![ex::fig12a(s)]),
+    tables("fig12b", true, |s| vec![ex::fig12b(s)]),
+    tables("fig13a", true, |s| vec![ex::fig13a(s)]),
+    tables("fig13b", true, |s| vec![ex::fig13b(s)]),
+    tables("fig14", true, fig14),
+    tables("ablations", true, |s| {
+        vec![
+            ex::ablation_elb_threshold(s),
+            ex::ablation_cad_step(s),
+            ex::ablation_delay_wait(s),
+        ]
+    }),
+    tables("baselines", true, |s| vec![ex::baseline_speculation(s)]),
+    tables("faults", true, |s| vec![ex::faults(s)]),
+    tables("tenants", true, |s| {
+        vec![
+            tenants::policies(s),
+            tenants::elb_interleaved(s),
+            tenants::cad_starvation(s),
+        ]
+    }),
+    // Either half of Fig 14 prints both: one sweep fills the two tables.
+    tables("fig14a", false, fig14),
+    tables("fig14b", false, fig14),
+    tables("faults-abort", false, |s| vec![ex::faults_abort(s)]),
+    Target {
+        name: "bench",
+        in_all: false,
+        run: Run::Timed(|c, _| matches!(c.size, Size::Paper { .. })),
+    },
+    Target {
+        name: "scale",
+        in_all: false,
+        // The family (`--smoke`: only the CI-sized cell).
+        run: Run::Timed(|c, smoke| {
+            matches!(c.size, Size::Fixed { .. }) && (c.name == cells::SCALE_SMOKE) == smoke
+        }),
+    },
 ];
 
+fn find_target(name: &str) -> Option<&'static Target> {
+    TARGETS.iter().find(|t| t.name == name)
+}
+
 fn valid_target(t: &str) -> bool {
-    t == "all"
-        || t == "bench"
-        || t == "scale"
-        || t == "fig14a"
-        || t == "fig14b"
-        || t == "faults-abort"
-        || scale::cell(t).is_some()
-        || ALL_TARGETS.contains(&t)
+    t == "all" || find_target(t).is_some() || cells::find(t).is_some()
 }
 
 fn usage() -> String {
+    let names = |it: &mut dyn Iterator<Item = &'static str>| it.collect::<Vec<_>>().join(" ");
     format!(
         "usage: repro [--smoke] [--scale X] [--seed N] [--json DIR] <target>...\n\
-         targets: {} fig14a fig14b faults-abort bench scale all\n\
-         \u{20}        {} (one scale cell alone)\n\
+         targets: {} all\n\
+         \u{20}        <cell> (time that cell alone)\n\
          \u{20}        trace <cell> | explain <cell> | report <cell> [--slow-ssd F],\n\
          \u{20}        cell one of: {}\n\
          \u{20}      repro diff <a> <b> [--threshold X]   (two `repro report --json` dirs)\n\
          \u{20}      repro fuzz --seed-range A..B [--budget N] [--json DIR] [--inject-defect]\n\
          \u{20}      repro fuzz --replay '<spec>'",
-        ALL_TARGETS.join(" "),
-        scale::SCALE_CELLS.map(|c| c.name).join(" "),
-        perf::CELL_NAMES.join(" ")
+        names(&mut TARGETS.iter().map(|t| t.name)),
+        names(&mut cells::CELLS.iter().map(|c| c.name)),
     )
 }
 
@@ -304,21 +359,20 @@ fn main() {
     if args.first().map(String::as_str) == Some("diff") {
         std::process::exit(diff_main(&args[1..]));
     }
-    let mut setup = ex::Setup::paper();
+    let mut setup = Setup::paper();
     let mut smoke = false;
     let mut json_dir: Option<String> = None;
-    let mut targets: Vec<String> = Vec::new();
+    let mut targets: Vec<&str> = Vec::new();
     // `(subcommand, cell)` pairs for `trace`/`explain`/`report <cell>`.
-    let mut cell_cmds: Vec<(String, String)> = Vec::new();
+    let mut cell_cmds: Vec<(&str, &str)> = Vec::new();
     let mut slow_ssd: Option<f64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             cmd @ ("trace" | "explain" | "report") => {
-                let cmd = cmd.to_string();
                 i += 1;
-                let cell = operand(&args, i, &cmd, "a cell name").to_string();
-                if !perf::CELL_NAMES.contains(&cell.as_str()) {
+                let cell = operand(&args, i, cmd, "a cell name");
+                if cells::find(cell).is_none() {
                     eprintln!("error: unknown cell '{cell}'");
                     eprintln!("{}", usage());
                     std::process::exit(2);
@@ -326,7 +380,7 @@ fn main() {
                 cell_cmds.push((cmd, cell));
             }
             "--smoke" => {
-                setup = ex::Setup::smoke();
+                setup = Setup::smoke();
                 smoke = true;
             }
             "--slow-ssd" => {
@@ -341,9 +395,15 @@ fn main() {
             }
             "--scale" => {
                 i += 1;
-                setup.scale = operand(&args, i, "--scale", "a float")
+                // 100 is the scale family's 10,000 nodes; NaN fails both
+                // comparisons.
+                let what = "a float in (0, 100]";
+                setup.scale = operand(&args, i, "--scale", what)
                     .parse()
-                    .unwrap_or_else(|_| usage_error("--scale", "a float"));
+                    .unwrap_or_else(|_| usage_error("--scale", what));
+                if !(setup.scale > 0.0 && setup.scale <= 100.0) {
+                    usage_error("--scale", what);
+                }
             }
             "--seed" => {
                 i += 1;
@@ -355,7 +415,7 @@ fn main() {
                 i += 1;
                 json_dir = Some(operand(&args, i, "--json", "a directory").to_string());
             }
-            other => targets.push(other.to_string()),
+            other => targets.push(other),
         }
         i += 1;
     }
@@ -365,7 +425,7 @@ fn main() {
     }
     // Reject unknown targets before running anything: a typo at position N
     // must not cost N-1 experiments of wasted wall-clock first.
-    let unknown: Vec<&String> = targets.iter().filter(|t| !valid_target(t)).collect();
+    let unknown: Vec<&&str> = targets.iter().filter(|t| !valid_target(t)).collect();
     if !unknown.is_empty() {
         for t in unknown {
             eprintln!("error: unknown target '{t}'");
@@ -373,23 +433,33 @@ fn main() {
         eprintln!("{}", usage());
         std::process::exit(2);
     }
-    if targets.iter().any(|t| t == "all") {
-        targets = ALL_TARGETS.iter().map(|s| s.to_string()).collect();
+    if targets.contains(&"all") {
+        targets = TARGETS
+            .iter()
+            .filter(|t| t.in_all)
+            .map(|t| t.name)
+            .collect();
     }
 
-    // Render a table (and its JSON, when requested); report whether any run
-    // inside it aborted so main can turn that into a non-zero exit code.
-    let emit = |t: &Table, json_dir: &Option<String>| -> bool {
-        println!("{}", t.render());
-        if let Some(dir) = json_dir {
+    let write_json = |name: &str, json: String| {
+        if let Some(dir) = &json_dir {
             std::fs::create_dir_all(dir).expect("create json dir");
-            let path = format!("{dir}/{}.json", t.id);
+            let path = format!("{dir}/{name}.json");
             let mut f = std::fs::File::create(&path).expect("create json file");
-            let _ = writeln!(f, "{}", t.to_json());
+            let _ = writeln!(f, "{json}");
             eprintln!("wrote {path}");
         }
-        t.try_column("aborted_jobs")
-            .is_some_and(|col| col.iter().any(|&v| v > 0.0))
+    };
+    // Time `selected`, print the table and write `<name>.json`.
+    let timed = |name: &'static str, selected: Vec<&Cell>| {
+        let mut records = Vec::new();
+        for c in selected {
+            let r = timing::run(c, setup);
+            eprintln!("[{} took {:.1}s]", c.name, r.wall_s);
+            records.push(r);
+        }
+        println!("{}", timing::table(name, &records).render());
+        write_json(name, timing::to_json(name, setup, &records));
     };
 
     // An aborted job means the experiment did not actually reproduce the
@@ -397,82 +467,36 @@ fn main() {
     // a table cell nobody greps.
     let mut job_aborted = false;
 
-    for target in &targets {
+    for name in &targets {
         let start = std::time::Instant::now();
-        match target.as_str() {
-            "table1" => job_aborted |= emit(&ex::table1(), &json_dir),
-            "plans" => println!("{}", ex::plans(setup)),
-            "fig5a" => job_aborted |= emit(&ex::fig5a(setup), &json_dir),
-            "fig5b" => job_aborted |= emit(&ex::fig5b(setup), &json_dir),
-            "fig7a" => job_aborted |= emit(&ex::fig7a(setup), &json_dir),
-            "fig7b" => job_aborted |= emit(&ex::fig7b(setup), &json_dir),
-            "fig8a" => job_aborted |= emit(&ex::fig8a(setup), &json_dir),
-            "fig8b" => job_aborted |= emit(&ex::fig8b(setup), &json_dir),
-            "fig8c" => job_aborted |= emit(&ex::fig8c(setup), &json_dir),
-            "fig8d" => job_aborted |= emit(&ex::fig8d(setup), &json_dir),
-            "fig9a" => job_aborted |= emit(&ex::fig9a(setup), &json_dir),
-            "fig9b" => job_aborted |= emit(&ex::fig9b(setup), &json_dir),
-            "fig10" => job_aborted |= emit(&ex::fig10(setup), &json_dir),
-            "fig12a" => job_aborted |= emit(&ex::fig12a(setup), &json_dir),
-            "fig12b" => job_aborted |= emit(&ex::fig12b(setup), &json_dir),
-            "fig13a" => job_aborted |= emit(&ex::fig13a(setup), &json_dir),
-            "fig13b" => job_aborted |= emit(&ex::fig13b(setup), &json_dir),
-            "baselines" => job_aborted |= emit(&ex::baseline_speculation(setup), &json_dir),
-            "faults" => job_aborted |= emit(&ex::faults(setup), &json_dir),
-            "faults-abort" => job_aborted |= emit(&ex::faults_abort(setup), &json_dir),
-            family if family == "scale" || scale::cell(family).is_some() => {
-                // The family (`--smoke`: only the CI-sized cell), or the one
-                // cell named.
-                let cells = scale::cell(family).map_or_else(|| scale::selected(smoke), |c| vec![c]);
-                let mut records = Vec::new();
-                for c in cells {
-                    let r = scale::run(c, setup.seed);
-                    eprintln!("[{} took {:.1}s]", c.name, r.perf.wall_s);
-                    records.push(r);
-                }
-                println!("{}", scale::table(&records).render());
-                if let Some(dir) = &json_dir {
-                    std::fs::create_dir_all(dir).expect("create json dir");
-                    let path = format!("{dir}/{family}.json");
-                    let mut f = std::fs::File::create(&path).expect("create json file");
-                    let _ = writeln!(f, "{}", scale::to_json(setup.seed, &records));
-                    eprintln!("wrote {path}");
+        match find_target(name).map(|t| (t.name, &t.run)) {
+            Some((_, Run::Tables(f))) => {
+                for t in f(setup) {
+                    println!("{}", t.render());
+                    write_json(t.id, t.to_json());
+                    job_aborted |= t
+                        .try_column("aborted_jobs")
+                        .is_some_and(|col| col.iter().any(|&v| v > 0.0));
                 }
             }
-            "bench" => {
-                let records = perf::suite(setup);
-                println!("{}", perf::table(&records).render());
-                if let Some(dir) = &json_dir {
-                    std::fs::create_dir_all(dir).expect("create json dir");
-                    let path = format!("{dir}/bench.json");
-                    let mut f = std::fs::File::create(&path).expect("create json file");
-                    let _ = writeln!(f, "{}", perf::to_json(setup, &records));
-                    eprintln!("wrote {path}");
-                }
+            Some((_, Run::Text(f))) => println!("{}", f(setup)),
+            Some((name, Run::Timed(select))) => {
+                timed(
+                    name,
+                    cells::CELLS.iter().filter(|c| select(c, smoke)).collect(),
+                );
             }
-            "ablations" => {
-                job_aborted |= emit(&ex::ablation_elb_threshold(setup), &json_dir);
-                job_aborted |= emit(&ex::ablation_cad_step(setup), &json_dir);
-                job_aborted |= emit(&ex::ablation_delay_wait(setup), &json_dir);
+            None => {
+                let cell = cells::find(name).expect("validated above: a target or a cell");
+                timed(cell.name, vec![cell]);
             }
-            "tenants" => {
-                job_aborted |= emit(&tenants::policies(setup), &json_dir);
-                job_aborted |= emit(&tenants::elb_interleaved(setup), &json_dir);
-                job_aborted |= emit(&tenants::cad_starvation(setup), &json_dir);
-            }
-            "fig14" | "fig14a" | "fig14b" => {
-                let (a, b) = ex::fig14(setup);
-                job_aborted |= emit(&a, &json_dir);
-                job_aborted |= emit(&b, &json_dir);
-            }
-            other => unreachable!("target '{other}' passed validation but has no handler"),
         }
-        eprintln!("[{target} took {:.1}s]", start.elapsed().as_secs_f64());
+        eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f64());
     }
 
     for (cmd, cell) in &cell_cmds {
         let start = std::time::Instant::now();
-        if cmd == "report" {
+        if *cmd == "report" {
             let run = report::run_cell(setup, cell, slow_ssd).expect("cell validated above");
             println!(
                 "report {}: {} sampler ticks over {:.3}s simulated job time",
@@ -501,7 +525,7 @@ fn main() {
         }
         let run = trace::run_cell(setup, cell).expect("cell validated above");
         println!("{}", trace::report(&run, 5));
-        if cmd == "trace" {
+        if *cmd == "trace" {
             if let Some(dir) = &json_dir {
                 std::fs::create_dir_all(dir).expect("create json dir");
                 let tj = format!("{dir}/{cell}.trace.json");
@@ -527,34 +551,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_all_target_is_valid() {
-        for t in ALL_TARGETS {
-            assert!(valid_target(t), "{t}");
+    fn the_target_table_is_the_command_line_and_the_docs() {
+        let (usage, readme) = (usage(), include_str!("../../../../README.md"));
+        let names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+        for (i, t) in names.iter().enumerate() {
+            assert!(!names[i + 1..].contains(t), "target {t} is listed twice");
+            assert!(cells::find(t).is_none(), "{t} is also a cell name");
         }
-        for t in ["all", "bench", "scale", "fig14a", "fig14b"] {
-            assert!(valid_target(t), "{t}");
+        for name in names.into_iter().chain(cells::CELLS.map(|c| c.name)) {
+            assert!(valid_target(name), "{name}");
+            assert!(usage.contains(name), "usage is missing {name}");
+            assert!(
+                readme.contains(&format!("`{name}`")),
+                "README is missing `{name}`"
+            );
         }
-        for c in scale::SCALE_CELLS {
-            assert!(valid_target(c.name), "{}", c.name);
+        for word in ["all", "trace", "explain", "report", "diff", "fuzz"] {
+            assert!(usage.contains(word), "usage is missing {word}");
+            assert!(
+                readme.contains(&format!("`{word}")),
+                "README is missing `{word}`"
+            );
         }
-    }
-
-    #[test]
-    fn typos_are_invalid() {
+        assert!(valid_target("all"));
+        assert_eq!(TARGETS.iter().filter(|t| t.in_all).count(), 22);
         for t in [
             "fig5", "figure5a", "fault", "", "tables", "benchh", "scale_2k",
         ] {
             assert!(!valid_target(t), "'{t}' should be rejected");
         }
-    }
-
-    #[test]
-    fn usage_lists_every_target() {
-        let u = usage();
-        for t in ALL_TARGETS {
-            assert!(u.contains(t), "usage is missing {t}");
-        }
-        assert!(u.contains("bench scale all"));
-        assert!(u.contains("scale_smoke scale_1k_100k"));
     }
 }

@@ -3,122 +3,73 @@
 //! Every function runs real engine jobs on the simulated Hyperion cluster
 //! and reports the series the corresponding figure plots. `Setup::paper()`
 //! reproduces the full 100-node, TB-scale sweeps; `Setup::smoke()` shrinks
-//! both cluster and data proportionally for tests and Criterion benches.
+//! both cluster and data proportionally for tests. Each figure builds its
+//! runs through one helper per benchmark ([`groupby`], [`grep`], [`lr`]) and
+//! computes its notes from the columns of the table it just filled.
 
 use crate::{improvement_pct, ratio, Table};
-use memres_cluster::{hyperion, ClusterSpec};
+use memres_cluster::ClusterSpec;
 use memres_core::prelude::*;
-use memres_core::rdd::Action;
 use memres_des::stats::Cdf;
 use memres_des::time::SimDuration;
 use memres_des::units::{GB, MB};
+use memres_workloads::cells::{Setup, RAMDISK, SSD};
 use memres_workloads::{Grep, GroupBy, LogisticRegression};
-
-#[derive(Clone, Copy, Debug)]
-pub struct Setup {
-    /// Fraction of the paper's cluster and data sizes (1.0 = Hyperion).
-    pub scale: f64,
-    pub seed: u64,
-}
-
-impl Setup {
-    pub fn paper() -> Setup {
-        Setup {
-            scale: 1.0,
-            seed: 1,
-        }
-    }
-
-    /// ~8-node cluster with proportionally shrunk data: same mechanisms,
-    /// seconds-fast.
-    pub fn smoke() -> Setup {
-        Setup {
-            scale: 0.08,
-            seed: 1,
-        }
-    }
-
-    pub fn cluster(&self) -> ClusterSpec {
-        let workers = ((100.0 * self.scale).round() as u32).max(4);
-        hyperion().scaled_workers(workers)
-    }
-
-    fn cluster_n(&self, workers: u32) -> ClusterSpec {
-        hyperion().scaled_workers(workers)
-    }
-
-    /// Scale a paper-quoted data size.
-    pub fn bytes(&self, gb: f64) -> f64 {
-        gb * GB * self.scale
-    }
-
-    fn base(&self) -> EngineConfig {
-        EngineConfig {
-            seed: self.seed,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// `hdfs_cfg` with 2-way input replication: affordable for the smaller
-    /// compute-bound LR dataset, and what gives locality scheduling any
-    /// placement choice.
-    pub fn hdfs_cfg_replicated(&self) -> EngineConfig {
-        EngineConfig {
-            input_replication: 2,
-            ..self.hdfs_cfg()
-        }
-    }
-
-    /// The data-centric configuration: HDFS on RAMDisk, delay scheduling
-    /// (Spark's default locality wait), local RAMDisk shuffle store.
-    pub fn hdfs_cfg(&self) -> EngineConfig {
-        EngineConfig {
-            input: InputSource::HdfsRamDisk,
-            shuffle: ShuffleStore::Local(StoreDevice::RamDisk),
-            ..self.base()
-        }
-        .with_delay_scheduling(SimDuration::from_secs(3))
-    }
-
-    /// The compute-centric configuration: Lustre input, immediate dispatch.
-    pub fn lustre_cfg(&self) -> EngineConfig {
-        self.cell_cfg(RAMDISK)
-    }
-
-    /// The configuration every paper GroupBy cell starts from — the figures
-    /// here, `repro bench`/`trace`/`report`, the scale family and the tenant
-    /// streams: Lustre input (held fixed; §IV-B varies the store), immediate
-    /// FIFO dispatch, this set-up's seed, intermediate data on `shuffle`.
-    pub fn cell_cfg(&self, shuffle: ShuffleStore) -> EngineConfig {
-        EngineConfig {
-            input: InputSource::Lustre,
-            shuffle,
-            scheduler: SchedulerKind::Fifo,
-            ..self.base()
-        }
-    }
-}
-
-/// The two node-local stores of [`Setup::cell_cfg`].
-pub const RAMDISK: ShuffleStore = ShuffleStore::Local(StoreDevice::RamDisk);
-pub const SSD: ShuffleStore = ShuffleStore::Local(StoreDevice::Ssd);
 
 fn run(spec: ClusterSpec, cfg: EngineConfig, rdd: &Rdd, action: Action) -> JobMetrics {
     let mut d = Driver::new(spec, cfg);
     d.run_for_metrics(rdd, action)
 }
 
-/// Run the 3-iteration LR benchmark; returns summed job metrics time and the
-/// per-iteration times.
-fn run_lr(spec: ClusterSpec, cfg: EngineConfig, lr: &LogisticRegression) -> (f64, Vec<f64>) {
-    let (points, iter, action) = lr.build();
-    let mut d = Driver::new(spec, cfg);
-    let mut times = Vec::new();
-    for _ in 0..lr.iterations {
-        let m = d.run_for_metrics(&iter(&points), action.clone());
-        times.push(m.job_time());
-    }
-    (times.iter().sum(), times)
+/// The synthetic GroupBy of `gb` paper-quoted GB on the set-up's cluster,
+/// once per configuration.
+fn groupby<const N: usize>(setup: Setup, gb: f64, cfgs: [EngineConfig; N]) -> [JobMetrics; N] {
+    let job = GroupBy::new(setup.bytes(gb));
+    cfgs.map(|cfg| run(setup.cluster(), cfg, &job.build(), job.action()))
+}
+
+/// Grep over `gb` paper-quoted GB in `split_mb` MB splits, once per
+/// configuration.
+fn grep<const N: usize>(
+    setup: Setup,
+    gb: f64,
+    split_mb: f64,
+    cfgs: [EngineConfig; N],
+) -> [JobMetrics; N] {
+    let job = Grep::new(setup.bytes(gb)).with_split(split_mb * MB);
+    cfgs.map(|cfg| run(setup.cluster(), cfg, &job.build(), job.action()))
+}
+
+/// The 3-iteration LR benchmark over `gb` paper-quoted GB, once per
+/// configuration: the summed job time of the iterations.
+fn lr<const N: usize>(setup: Setup, gb: f64, split_mb: f64, cfgs: [EngineConfig; N]) -> [f64; N] {
+    let lr = LogisticRegression::new(setup.bytes(gb)).with_split(split_mb * MB);
+    cfgs.map(|cfg| {
+        let (points, iter, action) = lr.build();
+        let mut d = Driver::new(setup.cluster(), cfg);
+        (0..lr.iterations)
+            .map(|_| d.run_for_metrics(&iter(&points), action.clone()).job_time())
+            .sum()
+    })
+}
+
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len().max(1) as f64
+}
+
+/// `column` of the rows whose size (the figure's `sizes`, in row order) is
+/// at least `from_gb`.
+fn column_from(t: &Table, column: &str, sizes: &[f64], from_gb: f64) -> Vec<f64> {
+    let rows = sizes.iter().zip(t.column(column));
+    rows.filter(|(&gb, _)| gb >= from_gb)
+        .map(|(_, v)| v)
+        .collect()
+}
+
+/// Per-row improvement of column `new` over column `base`.
+fn improvements(t: &Table, base: &str, new: &str) -> Vec<f64> {
+    let pairs = t.column(base).into_iter().zip(t.column(new));
+    pairs.map(|(b, n)| improvement_pct(b, n)).collect()
 }
 
 // ---------------------------------------------------------------- Table I
@@ -170,38 +121,22 @@ pub fn fig5a(setup: Setup) -> Table {
             "ratio-128",
         ],
     );
-    let spec = setup.cluster();
-    let mut ratios32 = Vec::new();
-    let mut lustre_gain = Vec::new();
     for gb_in in [50.0, 100.0, 200.0] {
-        let bytes = setup.bytes(gb_in);
         let mut vals = Vec::new();
-        let mut by_split = Vec::new();
-        for split in [32.0 * MB, 128.0 * MB] {
-            let grep = Grep::new(bytes).with_split(split);
-            let h = run(spec.clone(), setup.hdfs_cfg(), &grep.build(), grep.action());
-            let l = run(
-                spec.clone(),
-                setup.lustre_cfg(),
-                &grep.build(),
-                grep.action(),
-            );
-            vals.push(h.job_time());
-            vals.push(l.job_time());
-            vals.push(ratio(l.job_time(), h.job_time()));
-            by_split.push(l.job_time());
+        for split_mb in [32.0, 128.0] {
+            let cfgs = [setup.hdfs_cfg(), setup.lustre_cfg()];
+            let [h, l] = grep(setup, gb_in, split_mb, cfgs).map(|m| m.job_time());
+            vals.extend([h, l, ratio(l, h)]);
         }
-        ratios32.push(vals[2]);
-        lustre_gain.push(improvement_pct(by_split[0], by_split[1]));
         t.row(format!("{gb_in:.0} GB"), vals);
     }
-    let avg_ratio = ratios32.iter().sum::<f64>() / ratios32.len() as f64;
-    let avg_gain = lustre_gain.iter().sum::<f64>() / lustre_gain.len() as f64;
     t.note(format!(
-        "Lustre/HDFS at 32 MB split: {avg_ratio:.1}x (paper: up to 5.7x)"
+        "Lustre/HDFS at 32 MB split: {:.1}x (paper: up to 5.7x)",
+        mean(&t.column("ratio-32"))
     ));
     t.note(format!(
-        "Lustre 32->128 MB split improvement: {avg_gain:.1}% (paper: 15.9%)"
+        "Lustre 32->128 MB split improvement: {:.1}% (paper: 15.9%)",
+        mean(&improvements(&t, "lustre-32", "lustre-128"))
     ));
     t
 }
@@ -215,20 +150,15 @@ pub fn fig5b(setup: Setup) -> Table {
         "LR total time over 3 iterations (s): HDFS vs Lustre input",
         &["hdfs-32", "lustre-32", "lustre-gain-%"],
     );
-    let spec = setup.cluster();
-    let mut gains = Vec::new();
     // LR is compute-bound; the paper sizes it for ~a wave of tasks.
     for gb_in in [30.0, 48.0, 60.0] {
-        let lr = LogisticRegression::new(setup.bytes(gb_in)).with_split(32.0 * MB);
-        let (h, _) = run_lr(spec.clone(), setup.hdfs_cfg_replicated(), &lr);
-        let (l, _) = run_lr(spec.clone(), setup.lustre_cfg(), &lr);
-        let gain = improvement_pct(h, l);
-        gains.push(gain);
-        t.row(format!("{gb_in:.0} GB"), vec![h, l, gain]);
+        let cfgs = [setup.hdfs_cfg_replicated(), setup.lustre_cfg()];
+        let [h, l] = lr(setup, gb_in, 32.0, cfgs);
+        t.row(format!("{gb_in:.0} GB"), vec![h, l, improvement_pct(h, l)]);
     }
-    let avg = gains.iter().sum::<f64>() / gains.len() as f64;
     t.note(format!(
-        "Lustre outperforms HDFS(+delay scheduling) by {avg:.1}% (paper: 12.7%)"
+        "Lustre outperforms HDFS(+delay scheduling) by {:.1}% (paper: 12.7%)",
+        mean(&t.column("lustre-gain-%"))
     ));
     t
 }
@@ -249,49 +179,26 @@ pub fn fig7a(setup: Setup) -> Table {
             "LS/LL",
         ],
     );
-    let spec = setup.cluster();
-    let mut ll_ram = Vec::new();
-    let mut ls_ll = Vec::new();
     for gb_in in [100.0, 200.0, 400.0, 800.0, 1200.0] {
-        let gb = GroupBy::new(setup.bytes(gb_in));
-        let ram = run(
-            spec.clone(),
-            setup.cell_cfg(RAMDISK),
-            &gb.build(),
-            gb.action(),
-        );
-        let ll = run(
-            spec.clone(),
-            setup.cell_cfg(ShuffleStore::LustreLocal),
-            &gb.build(),
-            gb.action(),
-        );
-        let ls = run(
-            spec.clone(),
-            setup.cell_cfg(ShuffleStore::LustreShared),
-            &gb.build(),
-            gb.action(),
-        );
-        ll_ram.push(ratio(ll.job_time(), ram.job_time()));
-        ls_ll.push(ratio(ls.job_time(), ll.job_time()));
+        let stores = [
+            RAMDISK,
+            ShuffleStore::LustreLocal,
+            ShuffleStore::LustreShared,
+        ];
+        let cfgs = stores.map(|s| setup.cell_cfg(s));
+        let [ram, ll, ls] = groupby(setup, gb_in, cfgs).map(|m| m.job_time());
         t.row(
             format!("{gb_in:.0} GB"),
-            vec![
-                ram.job_time(),
-                ll.job_time(),
-                ls.job_time(),
-                ratio(ll.job_time(), ram.job_time()),
-                ratio(ls.job_time(), ll.job_time()),
-            ],
+            vec![ram, ll, ls, ratio(ll, ram), ratio(ls, ll)],
         );
     }
     t.note(format!(
         "Lustre-local / HDFS-RAMDisk grows to {:.1}x (paper: up to 6.5x, growing with size)",
-        ll_ram.last().unwrap()
+        t.column("LL/ram").last().expect("one row per size")
     ));
     t.note(format!(
         "Lustre-shared / Lustre-local up to {:.1}x (paper: up to 3.8x)",
-        ls_ll.iter().cloned().fold(0.0, f64::max)
+        t.column("LS/LL").into_iter().fold(0.0, f64::max)
     ));
     t
 }
@@ -309,27 +216,10 @@ pub fn fig7b(setup: Setup) -> Table {
             "shuffle-ratio",
         ],
     );
-    let spec = setup.cluster();
-    let mut worst = 0.0f64;
     for gb_in in [200.0, 400.0, 800.0] {
-        let gb = GroupBy::new(setup.bytes(gb_in));
-        let ll = run(
-            spec.clone(),
-            setup.cell_cfg(ShuffleStore::LustreLocal),
-            &gb.build(),
-            gb.action(),
-        );
-        let ls = run(
-            spec.clone(),
-            setup.cell_cfg(ShuffleStore::LustreShared),
-            &gb.build(),
-            gb.action(),
-        );
-        let r = ratio(
-            ls.phase_time(Phase::Shuffling),
-            ll.phase_time(Phase::Shuffling),
-        );
-        worst = worst.max(r);
+        let cfgs =
+            [ShuffleStore::LustreLocal, ShuffleStore::LustreShared].map(|s| setup.cell_cfg(s));
+        let [ll, ls] = groupby(setup, gb_in, cfgs);
         t.row(
             format!("{gb_in:.0} GB"),
             vec![
@@ -337,13 +227,17 @@ pub fn fig7b(setup: Setup) -> Table {
                 ll.phase_time(Phase::Shuffling),
                 ls.phase_time(Phase::Storing),
                 ls.phase_time(Phase::Shuffling),
-                r,
+                ratio(
+                    ls.phase_time(Phase::Shuffling),
+                    ll.phase_time(Phase::Shuffling),
+                ),
             ],
         );
     }
     t.note(format!(
-        "storing phases comparable; Lustre-shared shuffling up to {worst:.1}x slower \
-         (paper: up to one order of magnitude)"
+        "storing phases comparable; Lustre-shared shuffling up to {:.1}x slower \
+         (paper: up to one order of magnitude)",
+        t.column("shuffle-ratio").into_iter().fold(0.0, f64::max)
     ));
     t
 }
@@ -359,24 +253,10 @@ pub fn fig8a(setup: Setup) -> Table {
         "GroupBy job time (s): RAMDisk vs SSD intermediate storage",
         &["ramdisk", "ssd", "ssd/ram"],
     );
-    let spec = setup.cluster();
     for gb_in in FIG8_SIZES {
-        let gb = GroupBy::new(setup.bytes(gb_in));
-        let ram = run(
-            spec.clone(),
-            setup.cell_cfg(RAMDISK),
-            &gb.build(),
-            gb.action(),
-        );
-        let ssd = run(spec.clone(), setup.cell_cfg(SSD), &gb.build(), gb.action());
-        t.row(
-            format!("{gb_in:.0} GB"),
-            vec![
-                ram.job_time(),
-                ssd.job_time(),
-                ratio(ssd.job_time(), ram.job_time()),
-            ],
-        );
+        let cfgs = [RAMDISK, SSD].map(|s| setup.cell_cfg(s));
+        let [ram, ssd] = groupby(setup, gb_in, cfgs).map(|m| m.job_time());
+        t.row(format!("{gb_in:.0} GB"), vec![ram, ssd, ratio(ssd, ram)]);
     }
     t.note(
         "paper: comparable up to ~600 GB (page-cache effects), SSD degrades beyond 700 GB"
@@ -392,10 +272,8 @@ pub fn fig8b(setup: Setup) -> Table {
         "GroupBy on SSD: phase dissection (s)",
         &["compute", "storing", "shuffling"],
     );
-    let spec = setup.cluster();
     for gb_in in FIG8_SIZES {
-        let gb = GroupBy::new(setup.bytes(gb_in));
-        let m = run(spec.clone(), setup.cell_cfg(SSD), &gb.build(), gb.action());
+        let [m] = groupby(setup, gb_in, [setup.cell_cfg(SSD)]);
         t.row(
             format!("{gb_in:.0} GB"),
             vec![
@@ -419,10 +297,8 @@ pub fn fig8c(setup: Setup) -> Table {
         "ShuffleMapTask (storing) time spread on SSD (s)",
         &["min", "mean", "max", "max/min"],
     );
-    let spec = setup.cluster();
     for gb_in in [500.0, 900.0, 1200.0, 1500.0] {
-        let gb = GroupBy::new(setup.bytes(gb_in));
-        let m = run(spec.clone(), setup.cell_cfg(SSD), &gb.build(), gb.action());
+        let [m] = groupby(setup, gb_in, [setup.cell_cfg(SSD)]);
         let (min, mean, max) = m.duration_spread(Phase::Storing);
         t.row(
             format!("{gb_in:.0} GB"),
@@ -440,9 +316,7 @@ pub fn fig8d(setup: Setup) -> Table {
         "Storing-task time (s) by launch order, 1.5 TB on SSD",
         &["task-time"],
     );
-    let spec = setup.cluster();
-    let gb = GroupBy::new(setup.bytes(1500.0));
-    let m = run(spec, setup.cell_cfg(SSD), &gb.build(), gb.action());
+    let [m] = groupby(setup, 1500.0, [setup.cell_cfg(SSD)]);
     let mut tasks: Vec<(f64, f64)> = m
         .tasks_in(Phase::Storing)
         .map(|x| (x.launched_at, x.duration()))
@@ -473,27 +347,17 @@ pub fn fig9a(setup: Setup) -> Table {
         "Grep on HDFS: job time (s), delay scheduling vs immediate",
         &["no-delay", "delay", "degradation-%"],
     );
-    let spec = setup.cluster();
-    let mut degs = Vec::new();
     for split_mb in [32.0, 64.0, 128.0] {
-        let grep = Grep::new(setup.bytes(100.0)).with_split(split_mb * MB);
-        let no_delay = EngineConfig {
-            input: InputSource::HdfsRamDisk,
-            scheduler: SchedulerKind::Fifo,
-            ..setup.base()
-        };
-        let f = run(spec.clone(), no_delay, &grep.build(), grep.action());
-        let d = run(spec.clone(), setup.hdfs_cfg(), &grep.build(), grep.action());
-        let deg = -improvement_pct(f.job_time(), d.job_time());
-        degs.push(deg);
+        let cfgs = [setup.hdfs_fifo_cfg(), setup.hdfs_cfg()];
+        let [f, d] = grep(setup, 100.0, split_mb, cfgs).map(|m| m.job_time());
         t.row(
             format!("{split_mb:.0} MB split"),
-            vec![f.job_time(), d.job_time(), deg],
+            vec![f, d, -improvement_pct(f, d)],
         );
     }
     t.note(format!(
         "delay scheduling degrades Grep by {:.1}% at 32 MB (paper: 42.7%)",
-        degs[0]
+        t.column("degradation-%")[0]
     ));
     t
 }
@@ -505,25 +369,25 @@ pub fn fig9b(setup: Setup) -> Table {
         "LR on HDFS: total time (s), delay scheduling vs immediate",
         &["no-delay", "delay", "degradation-%"],
     );
-    let spec = setup.cluster();
-    let mut degs = Vec::new();
     for split_mb in [32.0, 64.0] {
-        let lr = LogisticRegression::new(setup.bytes(48.0)).with_split(split_mb * MB);
         let no_delay = EngineConfig {
-            input: InputSource::HdfsRamDisk,
-            scheduler: SchedulerKind::Fifo,
             input_replication: 2,
-            ..setup.base()
+            ..setup.hdfs_fifo_cfg()
         };
-        let (f, _) = run_lr(spec.clone(), no_delay, &lr);
-        let (d, _) = run_lr(spec.clone(), setup.hdfs_cfg_replicated(), &lr);
-        let deg = -improvement_pct(f, d);
-        degs.push(deg);
-        t.row(format!("{split_mb:.0} MB split"), vec![f, d, deg]);
+        let [f, d] = lr(
+            setup,
+            48.0,
+            split_mb,
+            [no_delay, setup.hdfs_cfg_replicated()],
+        );
+        t.row(
+            format!("{split_mb:.0} MB split"),
+            vec![f, d, -improvement_pct(f, d)],
+        );
     }
     t.note(format!(
         "delay scheduling degrades LR by {:.1}% at 32 MB (paper: 9.9%)",
-        degs[0]
+        t.column("degradation-%")[0]
     ));
     t
 }
@@ -537,13 +401,8 @@ pub fn fig10(setup: Setup) -> Table {
         "Compute-task time (s): local vs remote input data",
         &["min", "mean", "max"],
     );
-    let spec = setup.cluster();
     // FIFO on HDFS yields a mix of local and remote tasks.
-    let cfg = EngineConfig {
-        input: InputSource::HdfsRamDisk,
-        scheduler: SchedulerKind::Fifo,
-        ..setup.base()
-    };
+    let cfg = setup.hdfs_fifo_cfg();
     let mut add = |name: &str, m: &JobMetrics| {
         for (label, local) in [("local", true), ("remote", false)] {
             let durs: Vec<f64> = m
@@ -575,16 +434,16 @@ pub fn fig10(setup: Setup) -> Table {
         |r| r,
     )
     .group_by_key(None, memres_workloads::rates::GROUP_AGG);
-    let m = run(spec.clone(), cfg.clone(), &gb_rdd, Action::Count);
-    add("GroupBy", &m);
-    let grep = Grep::new(setup.bytes(100.0)).with_split(32.0 * MB);
-    let m = run(spec.clone(), cfg.clone(), &grep.build(), grep.action());
+    add(
+        "GroupBy",
+        &run(setup.cluster(), cfg.clone(), &gb_rdd, Action::Count),
+    );
+    let [m] = grep(setup, 100.0, 32.0, [cfg.clone()]);
     add("Grep", &m);
+    // One LR iteration: the first is the one that reads its input.
     let lr = LogisticRegression::new(setup.bytes(100.0)).with_split(32.0 * MB);
     let (points, iter, action) = lr.build();
-    let mut d = Driver::new(spec, cfg);
-    let m = d.run_for_metrics(&iter(&points), action);
-    add("LR", &m);
+    add("LR", &run(setup.cluster(), cfg, &iter(&points), action));
     t.note(
         "paper: enforcing 100% locality provides little gain — input is pipelined          with compute. (Remote tasks here are FIFO's stolen tail tasks, which also          makes them land on lightly loaded nodes.)"
             .to_string(),
@@ -607,10 +466,10 @@ fn fig12(setup: Setup, data: bool) -> Table {
     let mut series: Vec<Vec<f64>> = Vec::new();
     let mut notes = Vec::new();
     for (nodes, tasks) in [(50u32, 2500u32), (100, 5000), (150, 7500)] {
-        let workers = ((nodes as f64 * setup.scale).round() as u32).max(4);
+        let spec = setup.cluster_of(nodes);
+        let workers = spec.workers;
         let per_node_tasks = tasks as f64 / nodes as f64;
         let total = per_node_tasks * workers as f64 * 256.0 * MB;
-        let spec = setup.cluster_n(workers);
         // Fig 12 characterizes the COMPUTE-phase distribution; a small
         // reducer count keeps the (irrelevant) shuffle phase cheap.
         let gb = GroupBy::new(total).with_split(256.0 * MB).with_reducers(64);
@@ -662,6 +521,9 @@ pub fn fig12b(setup: Setup) -> Table {
 
 // ---------------------------------------------------------------- Fig 13
 
+/// The sizes Fig 13a and Fig 14 sweep.
+const OPT_SIZES: [f64; 5] = [400.0, 700.0, 1000.0, 1200.0, 1500.0];
+
 /// ELB vs plain Spark under a storage bottleneck (SSD store).
 pub fn fig13a(setup: Setup) -> Table {
     let mut t = Table::new(
@@ -669,31 +531,23 @@ pub fn fig13a(setup: Setup) -> Table {
         "GroupBy on SSD: Spark vs ELB (s)",
         &["spark", "elb", "improvement-%", "store-spark", "store-elb"],
     );
-    let spec = setup.cluster();
-    let mut improvements = Vec::new();
-    for gb_in in [400.0, 700.0, 1000.0, 1200.0, 1500.0] {
-        let gb = GroupBy::new(setup.bytes(gb_in));
+    for gb_in in OPT_SIZES {
         let base = setup.cell_cfg(SSD);
-        let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action());
-        let elb = run(spec.clone(), base.with_elb(), &gb.build(), gb.action());
-        let imp = improvement_pct(plain.job_time(), elb.job_time());
-        if gb_in >= 1000.0 {
-            improvements.push(imp);
-        }
+        let [plain, elb] = groupby(setup, gb_in, [base.clone(), base.with_elb()]);
         t.row(
             format!("{gb_in:.0} GB"),
             vec![
                 plain.job_time(),
                 elb.job_time(),
-                imp,
+                improvement_pct(plain.job_time(), elb.job_time()),
                 plain.phase_time(Phase::Storing),
                 elb.phase_time(Phase::Storing),
             ],
         );
     }
-    let avg = improvements.iter().sum::<f64>() / improvements.len().max(1) as f64;
     t.note(format!(
-        "ELB improves job time by {avg:.1}% on 1-1.5 TB (paper: 26% average)"
+        "ELB improves job time by {:.1}% on 1-1.5 TB (paper: 26% average)",
+        mean(&column_from(&t, "improvement-%", &OPT_SIZES, 1000.0))
     ));
     t
 }
@@ -711,26 +565,16 @@ pub fn fig13b(setup: Setup) -> Table {
             "shuffle-elb",
         ],
     );
-    let spec = setup.cluster();
-    let mut job_imps = Vec::new();
-    let mut shuffle_imps = Vec::new();
     for gb_in in [400.0, 800.0, 1200.0] {
-        let gb = GroupBy::new(setup.bytes(gb_in));
         let mut base = setup.cell_cfg(RAMDISK);
         base.spark.reducer_max_bytes_in_flight = 128.0 * 1024.0;
-        let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action());
-        let elb = run(spec.clone(), base.with_elb(), &gb.build(), gb.action());
-        job_imps.push(improvement_pct(plain.job_time(), elb.job_time()));
-        shuffle_imps.push(improvement_pct(
-            plain.phase_time(Phase::Shuffling),
-            elb.phase_time(Phase::Shuffling),
-        ));
+        let [plain, elb] = groupby(setup, gb_in, [base.clone(), base.with_elb()]);
         t.row(
             format!("{gb_in:.0} GB"),
             vec![
                 plain.job_time(),
                 elb.job_time(),
-                *job_imps.last().unwrap(),
+                improvement_pct(plain.job_time(), elb.job_time()),
                 plain.phase_time(Phase::Shuffling),
                 elb.phase_time(Phase::Shuffling),
             ],
@@ -738,8 +582,8 @@ pub fn fig13b(setup: Setup) -> Table {
     }
     t.note(format!(
         "job improvement {:.1}% avg (paper: 14.8%); shuffle {:.1}% avg (paper: 29.1%)",
-        job_imps.iter().sum::<f64>() / job_imps.len() as f64,
-        shuffle_imps.iter().sum::<f64>() / shuffle_imps.len() as f64
+        mean(&t.column("improvement-%")),
+        mean(&improvements(&t, "shuffle-spark", "shuffle-elb"))
     ));
     t
 }
@@ -764,33 +608,26 @@ pub fn fig14(setup: Setup) -> (Table, Table) {
             "shuffle-cad",
         ],
     );
-    let spec = setup.cluster();
-    let mut job_imps = Vec::new();
-    let mut store_imps = Vec::new();
-    for gb_in in [400.0, 700.0, 1000.0, 1200.0, 1500.0] {
-        let gb = GroupBy::new(setup.bytes(gb_in));
+    for gb_in in OPT_SIZES {
         let base = setup.cell_cfg(SSD);
-        let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action());
-        let cad = run(spec.clone(), base.with_cad(), &gb.build(), gb.action());
-        let jimp = improvement_pct(plain.job_time(), cad.job_time());
-        let simp = improvement_pct(
-            plain.phase_time(Phase::Storing),
-            cad.phase_time(Phase::Storing),
-        );
-        if gb_in >= 700.0 {
-            job_imps.push(jimp);
-            store_imps.push(simp);
-        }
+        let [plain, cad] = groupby(setup, gb_in, [base.clone(), base.with_cad()]);
         a.row(
             format!("{gb_in:.0} GB"),
-            vec![plain.job_time(), cad.job_time(), jimp],
+            vec![
+                plain.job_time(),
+                cad.job_time(),
+                improvement_pct(plain.job_time(), cad.job_time()),
+            ],
         );
         b.row(
             format!("{gb_in:.0} GB"),
             vec![
                 plain.phase_time(Phase::Storing),
                 cad.phase_time(Phase::Storing),
-                simp,
+                improvement_pct(
+                    plain.phase_time(Phase::Storing),
+                    cad.phase_time(Phase::Storing),
+                ),
                 plain.phase_time(Phase::Shuffling),
                 cad.phase_time(Phase::Shuffling),
             ],
@@ -798,11 +635,11 @@ pub fn fig14(setup: Setup) -> (Table, Table) {
     }
     a.note(format!(
         "CAD improves job time by {:.1}% avg on >=700 GB (paper: 19.8%)",
-        job_imps.iter().sum::<f64>() / job_imps.len().max(1) as f64
+        mean(&column_from(&a, "improvement-%", &OPT_SIZES, 700.0))
     ));
     b.note(format!(
         "CAD accelerates the storing phase by {:.1}% avg (paper: up to 41.2%)",
-        store_imps.iter().sum::<f64>() / store_imps.len().max(1) as f64
+        mean(&column_from(&b, "store-improvement-%", &OPT_SIZES, 700.0))
     ));
     (a, b)
 }
@@ -816,17 +653,15 @@ pub fn ablation_elb_threshold(setup: Setup) -> Table {
         "ELB threshold sweep (GroupBy 1 TB on SSD): job time (s)",
         &["job", "improvement-%"],
     );
-    let spec = setup.cluster();
-    let gb = GroupBy::new(setup.bytes(1000.0));
     let base = setup.cell_cfg(SSD);
-    let plain = run(spec.clone(), base.clone(), &gb.build(), gb.action()).job_time();
+    let [plain] = groupby(setup, 1000.0, [base.clone()]).map(|m| m.job_time());
     t.row("no ELB".to_string(), vec![plain, 0.0]);
-    for threshold in [1.1, 1.25, 1.5, 2.0] {
-        let cfg = EngineConfig {
-            elb: Some(memres_core::ElbConfig { threshold }),
-            ..base.clone()
-        };
-        let m = run(spec.clone(), cfg, &gb.build(), gb.action());
+    let thresholds = [1.1, 1.25, 1.5, 2.0];
+    let cfgs = thresholds.map(|threshold| EngineConfig {
+        elb: Some(memres_core::ElbConfig { threshold }),
+        ..base.clone()
+    });
+    for (threshold, m) in thresholds.iter().zip(groupby(setup, 1000.0, cfgs)) {
         t.row(
             format!("threshold {threshold:.2}"),
             vec![m.job_time(), improvement_pct(plain, m.job_time())],
@@ -843,21 +678,18 @@ pub fn ablation_cad_step(setup: Setup) -> Table {
         "CAD dispatch-interval step sweep (GroupBy 1.2 TB on SSD): storing (s)",
         &["storing", "improvement-%"],
     );
-    let spec = setup.cluster();
-    let gb = GroupBy::new(setup.bytes(1200.0));
     let base = setup.cell_cfg(SSD);
-    let plain =
-        run(spec.clone(), base.clone(), &gb.build(), gb.action()).phase_time(Phase::Storing);
+    let [plain] = groupby(setup, 1200.0, [base.clone()]).map(|m| m.phase_time(Phase::Storing));
     t.row("no CAD".to_string(), vec![plain, 0.0]);
-    for ms in [10u64, 25, 50, 100, 200] {
-        let cfg = EngineConfig {
-            cad: Some(memres_core::CadConfig {
-                step: SimDuration::from_millis(ms),
-                ..Default::default()
-            }),
-            ..base.clone()
-        };
-        let m = run(spec.clone(), cfg, &gb.build(), gb.action());
+    let steps_ms = [10u64, 25, 50, 100, 200];
+    let cfgs = steps_ms.map(|ms| EngineConfig {
+        cad: Some(memres_core::CadConfig {
+            step: SimDuration::from_millis(ms),
+            ..Default::default()
+        }),
+        ..base.clone()
+    });
+    for (ms, m) in steps_ms.iter().zip(groupby(setup, 1200.0, cfgs)) {
         let s = m.phase_time(Phase::Storing);
         t.row(format!("step {ms} ms"), vec![s, improvement_pct(plain, s)]);
     }
@@ -872,20 +704,15 @@ pub fn ablation_delay_wait(setup: Setup) -> Table {
         "Locality-wait sweep (Grep 100 GB, 32 MB splits): job time (s)",
         &["job", "degradation-%"],
     );
-    let spec = setup.cluster();
-    let grep = Grep::new(setup.bytes(100.0)).with_split(32.0 * MB);
-    let fifo = EngineConfig {
-        input: InputSource::HdfsRamDisk,
-        scheduler: SchedulerKind::Fifo,
-        ..setup.base()
-    };
-    let base = run(spec.clone(), fifo.clone(), &grep.build(), grep.action()).job_time();
+    let fifo = setup.hdfs_fifo_cfg();
+    let [base] = grep(setup, 100.0, 32.0, [fifo.clone()]).map(|m| m.job_time());
     t.row("fifo (no wait)".to_string(), vec![base, 0.0]);
-    for secs in [1u64, 3, 5, 10] {
-        let cfg = fifo
-            .clone()
-            .with_delay_scheduling(SimDuration::from_secs(secs));
-        let m = run(spec.clone(), cfg, &grep.build(), grep.action());
+    let waits = [1u64, 3, 5, 10];
+    let cfgs = waits.map(|secs| {
+        fifo.clone()
+            .with_delay_scheduling(SimDuration::from_secs(secs))
+    });
+    for (secs, m) in waits.iter().zip(grep(setup, 100.0, 32.0, cfgs)) {
         t.row(
             format!("wait {secs} s"),
             vec![m.job_time(), -improvement_pct(base, m.job_time())],
@@ -1059,22 +886,23 @@ pub fn baseline_speculation(setup: Setup) -> Table {
         "Imbalanced GroupBy (1 TB, SSD store): plain vs LATE speculation vs ELB",
         &["job", "compute", "storing", "shuffling"],
     );
-    let spec = setup.cluster();
-    let gb = GroupBy::new(setup.bytes(1000.0));
     let base = EngineConfig {
         speed_sigma: 0.35,
         ..setup.cell_cfg(SSD)
     };
-    for (name, cfg) in [
-        ("plain spark", base.clone()),
-        ("LATE speculation", base.clone().with_speculation()),
-        ("ELB", base.clone().with_elb()),
-        (
-            "ELB + speculation",
-            base.clone().with_elb().with_speculation(),
-        ),
-    ] {
-        let m = run(spec.clone(), cfg, &gb.build(), gb.action());
+    let names = [
+        "plain spark",
+        "LATE speculation",
+        "ELB",
+        "ELB + speculation",
+    ];
+    let cfgs = [
+        base.clone(),
+        base.clone().with_speculation(),
+        base.clone().with_elb(),
+        base.with_elb().with_speculation(),
+    ];
+    for (name, m) in names.iter().zip(groupby(setup, 1000.0, cfgs)) {
         t.row(
             name.to_string(),
             vec![

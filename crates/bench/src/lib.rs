@@ -4,15 +4,13 @@
 //! Each returns a [`Table`] whose rows mirror the series the paper plots;
 //! the `repro` binary prints them and EXPERIMENTS.md records paper-vs-
 //! measured shapes. A `scale` parameter shrinks cluster and data sizes
-//! proportionally so the same experiments run as quick smoke tests and
-//! Criterion benches.
+//! proportionally so the same experiments run as quick smoke tests.
 
 pub mod experiments;
 pub mod fuzz;
-pub mod perf;
 pub mod report;
-pub mod scale;
 pub mod tenants;
+pub mod timing;
 pub mod trace;
 
 use std::fmt::Write as _;

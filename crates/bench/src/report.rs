@@ -8,12 +8,11 @@
 //! All report bytes are built here as strings; writing them to disk is the
 //! `repro` binary's job — the workspace's designated I/O seam.
 
-use crate::experiments::Setup;
-use crate::perf;
 use memres_core::prelude::*;
 use memres_des::time::SimDuration;
 use memres_metrics::{diff, export};
 use memres_trace::analyze::attribute;
+use memres_workloads::cells::{self, Setup};
 use std::fmt::Write as _;
 
 /// One metered run of a benchmark cell: the four export artifacts plus the
@@ -39,7 +38,7 @@ pub struct ReportRun {
 /// on every worker one simulated second in — the known-regression fixture
 /// the `repro diff` acceptance check flags (storage-layer attribution).
 pub fn run_cell(setup: Setup, cell: &str, slow_ssd: Option<f64>) -> Option<ReportRun> {
-    let (spec, cfg, gb) = perf::cell(setup, cell)?;
+    let (spec, cfg, gb) = cells::find(cell)?.resolve(setup);
     let mut cfg = cfg.with_metrics().with_trace();
     if let Some(factor) = slow_ssd {
         let mut plan = FaultPlan::new();

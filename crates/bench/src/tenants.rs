@@ -18,13 +18,13 @@
 //! genuinely overlap at every `--scale`: tenant A submits every quarter of an
 //! isolated job time, tenant B with exponential gaps at 30% of it.
 
-use crate::experiments::{Setup, SSD};
 use crate::{improvement_pct, ratio, Table};
 use memres_cluster::ClusterSpec;
 use memres_core::prelude::*;
 use memres_core::{
     ArrivalProcess, FinishedJob, InterJobPolicy, JobFactory, StreamSpec, TenantSlo, TenantSpec,
 };
+use memres_workloads::cells::{Setup, SSD};
 use memres_workloads::{Grep, GroupBy};
 
 /// Jobs per tenant in each stream cell.

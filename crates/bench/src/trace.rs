@@ -2,17 +2,16 @@
 //! with full tracing on, and turn the event log into (a) Perfetto-loadable
 //! timeline files and (b) a critical-path attribution report.
 //!
-//! The cells are the same mid-size Fig 7a / Fig 8a constructions the `bench`
-//! target times (see [`crate::perf::cell`]). All trace bytes are built here
+//! The cells are the rows of `memres_workloads::cells::CELLS`, resolved as
+//! the timed runs resolve them. All trace bytes are built here
 //! as strings; writing them to disk is the `repro` binary's job — the
 //! workspace's designated I/O seam (DESIGN.md §4.11).
 
-use crate::experiments::Setup;
-use crate::perf;
 use memres_core::prelude::*;
 use memres_des::time::SimDuration;
 use memres_trace::analyze::{attribute, stragglers, Attribution};
 use memres_trace::{export, TimedEvent};
+use memres_workloads::cells::{self, Setup};
 use std::fmt::Write as _;
 
 /// One traced run of a benchmark cell.
@@ -40,7 +39,7 @@ impl TraceRun {
 
 /// Run `cell` with full tracing; `None` when the name is not a known cell.
 pub fn run_cell(setup: Setup, cell: &str) -> Option<TraceRun> {
-    let (spec, cfg, gb) = perf::cell(setup, cell)?;
+    let (spec, cfg, gb) = cells::find(cell)?.resolve(setup);
     let cfg = cfg.with_trace();
     let mut d = Driver::new(spec, cfg);
     let m = d.run_for_metrics(&gb.build(), gb.action());
@@ -131,8 +130,9 @@ mod tests {
         // The acceptance bar: on every cell, the attribution buckets sum to
         // the job time (exactly, in integer nanoseconds — stronger than the
         // 1e-6-seconds requirement). `run_cell` itself asserts the equality;
-        // this drives it through all five cells at smoke scale.
-        for name in perf::CELL_NAMES {
+        // this drives it through the five paper cells at smoke scale.
+        let paper = |c: &&cells::Cell| matches!(c.size, cells::Size::Paper { .. });
+        for name in cells::CELLS.iter().filter(paper).map(|c| c.name) {
             let run = run_cell(Setup::smoke(), name).expect("suite cell");
             assert!(
                 run.attribution.job > SimDuration::ZERO,

@@ -5,16 +5,18 @@
 //! dashboards and the `repro diff` parser consume these bytes positionally,
 //! so a format change must fail here, not in a user's monitoring stack.
 
-use memres_bench::experiments::Setup;
-use memres_bench::{perf, report};
+use memres_bench::report;
 use memres_core::prelude::*;
 use memres_des::time::{SimDuration, SimTime};
 use memres_metrics::{export, MetricsConfig, Recorder};
+use memres_workloads::cells::{self, Setup};
 
 /// Run one metered smoke cell pinned to `n` executor threads and return
 /// its (openmetrics, timeseries.csv) bytes.
 fn artifacts_with_threads(cell: &str, n: usize) -> (String, String) {
-    let (spec, cfg, gb) = perf::cell(Setup::smoke(), cell).expect("known cell");
+    let (spec, cfg, gb) = cells::find(cell)
+        .expect("known cell")
+        .resolve(Setup::smoke());
     let cfg = cfg.with_metrics().with_executor_threads(n);
     let mut d = Driver::new(spec, cfg);
     let _ = d.run_for_metrics(&gb.build(), gb.action());

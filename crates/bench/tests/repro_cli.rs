@@ -149,3 +149,81 @@ fn unknown_cell_exits_two() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown cell 'not_a_cell'"));
 }
+
+/// `--scale` is validated like every other number on the command line:
+/// out-of-range values are usage errors (exit 2) before anything runs, not
+/// an assertion deep in `rdd.rs`, an allocation overflow, or a table of
+/// 8 ms jobs with exit 0.
+#[test]
+fn out_of_range_scale_exits_two_before_running_anything() {
+    for bad in ["-1", "nan", "inf", "0"] {
+        let out = repro(&["--scale", bad, "fig8c"]);
+        assert_eq!(out.status.code(), Some(2), "--scale {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--scale takes a float in (0, 100]"),
+            "--scale {bad}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--scale {bad} ran fig8c");
+    }
+}
+
+/// The value of `"key"` in a one-line JSON object of scalars.
+fn json_field<'a>(line: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\": ");
+    let at = line
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {line}"));
+    let rest = &line[at + pat.len()..];
+    rest[..rest.find([',', '}']).expect("value end")].trim_matches('"')
+}
+
+/// The timed path's determinism check: `sim_job_s` and `events` of the six
+/// CI-sized cells (the paper rows at `--smoke`, then `scale_smoke`) against
+/// the checked-in capture, and the one JSON shape both families write.
+#[test]
+fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
+    let dir = std::env::temp_dir().join("memres-repro-timed-cli-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = repro(&["--smoke", "--json", dir.to_str().unwrap(), "bench", "scale"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut pinned = String::new();
+    for target in ["bench", "scale"] {
+        let json = std::fs::read_to_string(dir.join(format!("{target}.json"))).expect("json");
+        assert!(
+            json.contains(&format!("\"target\": \"{target}\"")),
+            "{json}"
+        );
+        for key in ["\"scale\": 0.08", "\"seed\": 1", "\"total_wall_s\": "] {
+            assert!(json.contains(key), "{target}.json lacks {key}: {json}");
+        }
+        for run in json.lines().filter(|l| l.contains("\"name\": ")) {
+            for column in [
+                "wall_s",
+                "events_per_s",
+                "heap_bytes",
+                "user_s",
+                "sys_s",
+                "minor_faults",
+                "dispatch_visits",
+            ] {
+                let v = json_field(run, column);
+                assert!(v.parse::<f64>().is_ok(), "{column} = {v:?} in {run}");
+            }
+            let name = json_field(run, "name");
+            let (sim, events) = (json_field(run, "sim_job_s"), json_field(run, "events"));
+            pinned.push_str(&format!("{name} {sim} {events}\n"));
+        }
+    }
+    assert_eq!(
+        pinned,
+        include_str!("golden/timed_smoke.txt"),
+        "`name sim_job_s events` of `repro --smoke bench scale` moved; a deliberate model \
+         change re-captures tests/golden/timed_smoke.txt in the same commit"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

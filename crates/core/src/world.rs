@@ -1112,6 +1112,13 @@ impl SimWorld {
 impl Model for SimWorld {
     type Event = Ev;
 
+    // One `match` with no catch-all: a new `Ev` variant without an arm is a
+    // compile error (E0004), and clippy (gate stage 4) rejects a `_` or
+    // binding arm that would swallow one.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn handle(&mut self, now: SimTime, event: Ev, out: &mut Outbox<Ev>) {
         match event {
             Ev::NetWake(gen) => {

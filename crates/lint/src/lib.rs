@@ -46,10 +46,10 @@
 //! malformed or unused allow is itself a violation, so escapes cannot rot
 //! silently.
 //!
-//! Cross-file exhaustiveness checks live in [`xfile`]: every `Ev` variant
-//! handled in the engine dispatch, every `TraceEvent` variant carried by
-//! both trace exporters, and every repro cell family smoke-covered by
-//! `scripts/check.sh`.
+//! The one cross-file check lives in [`xfile`]: every repro cell family is
+//! smoke-covered by `scripts/check.sh`. (That every `Ev` variant is
+//! dispatched and every `TraceEvent` variant exported is the compiler's and
+//! clippy's job; see that module.)
 //!
 //! The scanner is a hand-rolled Rust tokenizer (offline, zero
 //! dependencies) feeding a statement/brace-structure pass ([`stmt`]). It
@@ -219,7 +219,7 @@ pub struct Diagnostic {
     pub file: String,
     pub line: u32,
     pub col: u32,
-    /// Rule name (one of [`ALL_RULES`]), a cross-file rule
+    /// Rule name (one of [`ALL_RULES`]), the cross-file rule
     /// ([`xfile::XFILE_RULES`]), or the meta-rules `bad-allow` /
     /// `unused-allow`.
     pub rule: String,

@@ -6,12 +6,12 @@
 //! With no `FILE` operands the whole workspace is scanned (every `.rs` file
 //! under `crates/`, `src/`, and `examples/`; the layer map in
 //! `memres_lint::rules_for` decides which rules govern which file), plus
-//! the cross-file exhaustiveness checks (`memres_lint::xfile`: event
-//! dispatch, trace exporters, cell smokes). With operands, only those
-//! files are scanned — still classified by their workspace-relative path,
-//! so `memres-lint crates/core/src/world.rs` checks the same per-file
-//! rules the full run would; cross-file checks are skipped in that mode
-//! (their subjects are fixed paths, not the operand list).
+//! the cross-file check (`memres_lint::xfile`: cell smokes). With operands,
+//! only those files are scanned — still classified by their
+//! workspace-relative path, so `memres-lint crates/core/src/world.rs`
+//! checks the same per-file rules the full run would; the cross-file check
+//! is skipped in that mode (its subjects are fixed paths, not the operand
+//! list).
 //!
 //! `--json` renders findings as a JSON array (CI artifact); `--github`
 //! additionally emits GitHub Actions `::error` workflow commands so

@@ -42,116 +42,6 @@ fn unmutated_tree_is_clean() {
     assert!(d.is_empty(), "cross-file checks on the real tree: {d:?}");
 }
 
-// ------------------------------------------------- exhaustive-dispatch
-
-/// Removing an `Ev` match arm from the engine dispatch must fire
-/// `exhaustive-dispatch` naming the orphaned variant. The mutation renames
-/// every reference to one variant inside `fn handle` to another existing
-/// variant — exactly what a careless merge produces.
-#[test]
-fn removed_ev_match_arm_fires_exhaustive_dispatch() {
-    let world = read("crates/core/src/world.rs");
-    let handle_at = world.find("fn handle").expect("fn handle in world.rs");
-    // `SpeedResample` has a single dispatch arm; retarget it.
-    let (head, body) = world.split_at(handle_at);
-    assert!(
-        body.contains("Ev::SpeedResample"),
-        "mutation target lost; pick another variant"
-    );
-    let mutated = format!(
-        "{head}{}",
-        body.replace("Ev::SpeedResample", "Ev::Dispatch")
-    );
-    let mut overrides = HashMap::new();
-    overrides.insert("crates/core/src/world.rs", mutated);
-    let d = xfile_with(&overrides);
-    assert!(
-        d.iter()
-            .any(|d| d.rule == xfile::RULE_DISPATCH && d.message.contains("Ev::SpeedResample")),
-        "{d:?}"
-    );
-}
-
-/// A `_ =>` wildcard in the dispatch would swallow future variants; the
-/// rule must reject it even when every current variant is still handled.
-#[test]
-fn wildcard_dispatch_arm_fires_exhaustive_dispatch() {
-    let world = read("crates/core/src/world.rs");
-    let handle_at = world.find("fn handle").expect("fn handle in world.rs");
-    let brace = world[handle_at..].find('{').expect("handle body") + handle_at + 1;
-    let mutated = format!(
-        "{}\n        #[allow(unreachable_patterns)]\n        let _catch = |e: &Ev| match e {{ _ => () }};\n{}",
-        &world[..brace],
-        &world[brace..]
-    );
-    let mut overrides = HashMap::new();
-    overrides.insert("crates/core/src/world.rs", mutated);
-    let d = xfile_with(&overrides);
-    assert!(
-        d.iter()
-            .any(|d| d.rule == xfile::RULE_DISPATCH && d.message.contains("wildcard")),
-        "{d:?}"
-    );
-}
-
-// ---------------------------------------------------- exhaustive-trace
-
-/// Dropping a `TraceEvent` payload arm from the exporter must fire
-/// `exhaustive-trace`: both exporters would silently emit that event with
-/// no fields.
-#[test]
-fn missing_exporter_case_fires_exhaustive_trace() {
-    let export = read("crates/trace/src/export.rs");
-    let payload_at = export.find("fn payload").expect("fn payload in export.rs");
-    let (head, body) = export.split_at(payload_at);
-    // Pick the first variant referenced in the payload dispatch.
-    let vref = body
-        .find("TraceEvent::")
-        .map(|p| {
-            let rest = &body[p + "TraceEvent::".len()..];
-            let end = rest
-                .find(|c: char| !c.is_alphanumeric() && c != '_')
-                .unwrap_or(rest.len());
-            rest[..end].to_string()
-        })
-        .expect("a TraceEvent reference in fn payload");
-    let mutated = format!(
-        "{head}{}",
-        body.replacen(&format!("TraceEvent::{vref}"), "TraceEvent::__Gone", 1)
-    );
-    let mut overrides = HashMap::new();
-    overrides.insert("crates/trace/src/export.rs", mutated);
-    let d = xfile_with(&overrides);
-    assert!(
-        d.iter().any(|d| d.rule == xfile::RULE_TRACE
-            && d.message.contains(&format!("TraceEvent::{vref}"))
-            && d.message.contains("payload")),
-        "mutated away {vref}: {d:?}"
-    );
-}
-
-/// A new enum variant with no exporter arms anywhere must be reported in
-/// both dispatch points.
-#[test]
-fn new_trace_variant_fires_in_both_exporters() {
-    let lib = read("crates/trace/src/lib.rs");
-    let enum_at = lib.find("pub enum TraceEvent").expect("TraceEvent enum");
-    let brace = lib[enum_at..].find('{').expect("enum body") + enum_at + 1;
-    let mutated = format!(
-        "{}\n    PhantomNever {{ node: u32 }},\n{}",
-        &lib[..brace],
-        &lib[brace..]
-    );
-    let mut overrides = HashMap::new();
-    overrides.insert("crates/trace/src/lib.rs", mutated);
-    let d = xfile_with(&overrides);
-    let hits: Vec<_> = d
-        .iter()
-        .filter(|d| d.rule == xfile::RULE_TRACE && d.message.contains("PhantomNever"))
-        .collect();
-    assert_eq!(hits.len(), 2, "kind + payload: {d:?}");
-}
-
 // --------------------------------------------------------- cell-smoke
 
 /// Deleting a repro smoke line from check.sh must fire `cell-smoke` for
@@ -180,6 +70,23 @@ fn dropped_smoke_family_fires_cell_smoke() {
     );
 }
 
+/// Renaming the pinned cell's row in the cell table must fire `cell-smoke`
+/// just the same: the rule reads `crates/workloads/src/cells.rs`.
+#[test]
+fn renamed_cell_row_fires_cell_smoke() {
+    let cells = read("crates/workloads/src/cells.rs");
+    assert!(cells.contains("\"fig7a_400gb_ramdisk\""), "row lost");
+    let mutated = cells.replace("\"fig7a_400gb_ramdisk\"", "\"fig7a_400gb_ram\"");
+    let mut overrides = HashMap::new();
+    overrides.insert("crates/workloads/src/cells.rs", mutated);
+    let d = xfile_with(&overrides);
+    assert!(
+        d.iter()
+            .any(|d| d.rule == xfile::RULE_CELL_SMOKE && d.message.contains("fig7a_400gb_ramdisk")),
+        "{d:?}"
+    );
+}
+
 /// Renaming the pinned byte-determinism cell out from under check.sh must
 /// fire `cell-smoke`.
 #[test]
@@ -197,85 +104,6 @@ fn stale_pinned_cell_fires_cell_smoke() {
     assert!(
         d.iter()
             .any(|d| d.rule == xfile::RULE_CELL_SMOKE && d.message.contains("fig0_nonexistent")),
-        "{d:?}"
-    );
-}
-
-// -------------------------------------------------- exhaustive-metrics
-
-/// Dropping a catalog series from one exporter list must fire
-/// `exhaustive-metrics` naming the dropped series and the blind exporter —
-/// the sampler would keep recording a gauge that silently never ships.
-#[test]
-fn dropped_exporter_series_fires_exhaustive_metrics() {
-    let export = read("crates/metrics/src/export.rs");
-    let csv_at = export.find("CSV_SERIES").expect("CSV_SERIES in export.rs");
-    let (head, body) = export.split_at(csv_at);
-    assert!(
-        body.contains("\"storage_ssd_gc_nodes\""),
-        "mutation target lost; pick another series"
-    );
-    let mutated = format!(
-        "{head}{}",
-        body.replacen("\"storage_ssd_gc_nodes\",", "", 1)
-    );
-    let mut overrides = HashMap::new();
-    overrides.insert("crates/metrics/src/export.rs", mutated);
-    let d = xfile_with(&overrides);
-    assert!(
-        d.iter().any(|d| d.rule == xfile::RULE_METRICS
-            && d.message.contains("storage_ssd_gc_nodes")
-            && d.message.contains("CSV_SERIES")),
-        "{d:?}"
-    );
-}
-
-/// A series added to the catalog but taught to neither exporter must be
-/// reported against both lists.
-#[test]
-fn new_catalog_series_fires_in_both_exporters() {
-    let catalog = read("crates/metrics/src/catalog.rs");
-    let decl = catalog.find("ALL_NAMES").expect("ALL_NAMES in catalog.rs");
-    // Skip past the `=` so the `[&str; N]` type brackets don't match.
-    let eq = catalog[decl..].find('=').expect("array assignment") + decl;
-    let open = catalog[eq..].find('[').expect("array open") + eq + 1;
-    let mutated = format!(
-        "{}\n    \"phantom_never_gauge\",{}",
-        &catalog[..open],
-        &catalog[open..]
-    );
-    let mut overrides = HashMap::new();
-    overrides.insert("crates/metrics/src/catalog.rs", mutated);
-    let d = xfile_with(&overrides);
-    let hits: Vec<_> = d
-        .iter()
-        .filter(|d| d.rule == xfile::RULE_METRICS && d.message.contains("phantom_never_gauge"))
-        .collect();
-    assert_eq!(hits.len(), 2, "OPENMETRICS_SERIES + CSV_SERIES: {d:?}");
-}
-
-/// The reverse drift — an exporter entry with no catalog series behind it —
-/// must fire against the catalog.
-#[test]
-fn orphan_exporter_entry_fires_exhaustive_metrics() {
-    let export = read("crates/metrics/src/export.rs");
-    let decl = export
-        .find("OPENMETRICS_SERIES")
-        .expect("OPENMETRICS_SERIES in export.rs");
-    let eq = export[decl..].find('=').expect("array assignment") + decl;
-    let open = export[eq..].find('[').expect("array open") + eq + 1;
-    let mutated = format!(
-        "{}\n    \"ghost_series\",{}",
-        &export[..open],
-        &export[open..]
-    );
-    let mut overrides = HashMap::new();
-    overrides.insert("crates/metrics/src/export.rs", mutated);
-    let d = xfile_with(&overrides);
-    assert!(
-        d.iter().any(|d| d.rule == xfile::RULE_METRICS
-            && d.message.contains("ghost_series")
-            && d.message.contains("ALL_NAMES")),
         "{d:?}"
     );
 }

@@ -16,6 +16,12 @@ fn us(ns: u64) -> impl fmt::Display {
 }
 
 /// The event's payload as JSON object members (no braces), fixed key order.
+/// One `match` with no catch-all (clippy rejects one), so a new variant
+/// cannot reach either exporter without its fields.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn payload(ev: &TraceEvent) -> impl fmt::Display + '_ {
     fmt::from_fn(move |f| {
         match *ev {

@@ -233,7 +233,13 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable machine name of the variant (events.jsonl `type` field).
+    /// Stable machine name of the variant (events.jsonl `type` field). One
+    /// `match` with no catch-all (clippy rejects one), so a new variant
+    /// cannot be exported without a name.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::JobArrived { .. } => "job_arrived",

@@ -13,7 +13,11 @@
 //! Each benchmark builds either a **synthetic** job (sizes only — used at the
 //! paper's 100 GB–1.5 TB scales) or a **real** job over materialized records
 //! (used by tests and examples to validate engine correctness).
+//!
+//! [`cells`] is the evaluation grid: the `Setup` every experiment scales by
+//! and the table of named GroupBy cells `repro` and the tests resolve.
 
+pub mod cells;
 pub mod datagen;
 
 use memres_core::rdd::{Action, Dataset, Rdd, SizeModel};

@@ -3,9 +3,10 @@
 //! regression net for the characterization results themselves.
 
 use memres_bench::experiments as ex;
+use memres_workloads::cells::Setup;
 
-fn setup() -> ex::Setup {
-    ex::Setup::smoke()
+fn setup() -> Setup {
+    Setup::smoke()
 }
 
 #[test]
