@@ -319,15 +319,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enable metrics sampling at an explicit interval.
-    pub fn with_metrics_interval(mut self, interval: SimDuration) -> Self {
-        self.metrics = Some(memres_metrics::MetricsConfig {
-            interval,
-            ..memres_metrics::MetricsConfig::default()
-        });
-        self
-    }
-
     /// Validate the configuration against a cluster of `workers` nodes.
     /// Returns a descriptive error instead of letting a bad knob panic (or
     /// silently misbehave) deep inside the simulation.
@@ -510,7 +501,13 @@ mod tests {
         );
         let cfg = EngineConfig::default().with_faults(plan);
         assert!(err(cfg, 4).contains("out of range"));
-        let cfg = EngineConfig::default().with_metrics_interval(SimDuration::ZERO);
+        let cfg = EngineConfig {
+            metrics: Some(memres_metrics::MetricsConfig {
+                interval: SimDuration::ZERO,
+                ..memres_metrics::MetricsConfig::default()
+            }),
+            ..EngineConfig::default()
+        };
         assert!(err(cfg, 4).contains("metrics.interval"));
     }
 
@@ -520,7 +517,5 @@ mod tests {
         let cfg = EngineConfig::default().with_metrics();
         assert!(cfg.metrics.is_some());
         cfg.validate(4).expect("default metrics config is valid");
-        let cfg = EngineConfig::default().with_metrics_interval(SimDuration::from_millis(100));
-        assert_eq!(cfg.metrics.unwrap().interval, SimDuration::from_millis(100));
     }
 }

@@ -6,8 +6,6 @@ use crate::metrics::{JobMetrics, Phase};
 use crate::tenancy::{FinishedJob, TenantSlo};
 use memres_des::json::num;
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// Render all task records as CSV (header + one row per task).
 pub fn tasks_csv(metrics: &JobMetrics) -> String {
@@ -32,25 +30,6 @@ pub fn tasks_csv(metrics: &JobMetrics) -> String {
             t.output_bytes,
             t.locality,
             t.queue_delay(),
-        );
-    }
-    out
-}
-
-/// Per-phase roll-up as CSV: phase, wall time, task count, min/mean/max.
-pub fn phases_csv(metrics: &JobMetrics) -> String {
-    let mut out = String::from("phase,wall_time,tasks,min,mean,max\n");
-    for phase in [Phase::Compute, Phase::Storing, Phase::Shuffling] {
-        let (min, mean, max) = metrics.duration_spread(phase);
-        let _ = writeln!(
-            out,
-            "{},{:.6},{},{:.6},{:.6},{:.6}",
-            phase_name(phase),
-            metrics.phase_time(phase),
-            metrics.tasks_in(phase).count(),
-            min,
-            mean,
-            max,
         );
     }
     out
@@ -122,42 +101,6 @@ pub fn job_json(metrics: &JobMetrics) -> String {
     out
 }
 
-/// Recovery counters as long-format CSV (`counter,value`) — the CSV twin of
-/// the `"recovery"` object in [`job_json`]; the two carry the same fields in
-/// the same order.
-pub fn recovery_csv(metrics: &JobMetrics) -> String {
-    let r = &metrics.recovery;
-    let mut out = String::from("counter,value\n");
-    let rows: [(&str, String); 11] = [
-        ("node_crashes", r.node_crashes.to_string()),
-        ("node_restarts", r.node_restarts.to_string()),
-        ("tasks_retried", r.tasks_retried.to_string()),
-        ("failed_fetches", r.failed_fetches.to_string()),
-        ("fetch_retries", r.fetch_retries.to_string()),
-        ("recomputed_partitions", r.recomputed_partitions.to_string()),
-        ("blocks_lost", r.blocks_lost.to_string()),
-        ("blacklisted_nodes", r.blacklisted_nodes.to_string()),
-        ("ssd_degradations", r.ssd_degradations.to_string()),
-        ("wasted_secs", format!("{:.6}", r.wasted_secs)),
-        ("aborted_jobs", r.aborted_jobs.to_string()),
-    ];
-    for (k, v) in rows {
-        let _ = writeln!(out, "{k},{v}");
-    }
-    out
-}
-
-/// Write tasks.csv, phases.csv, recovery.csv and job.json under `dir`.
-pub fn write_all(metrics: &JobMetrics, dir: impl AsRef<Path>) -> io::Result<()> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?; // lint:allow(io): designated export seam — only the bench layer and user tooling call it
-    std::fs::write(dir.join("tasks.csv"), tasks_csv(metrics))?; // lint:allow(io): designated export seam
-    std::fs::write(dir.join("phases.csv"), phases_csv(metrics))?; // lint:allow(io): designated export seam
-    std::fs::write(dir.join("recovery.csv"), recovery_csv(metrics))?; // lint:allow(io): designated export seam
-    std::fs::write(dir.join("job.json"), job_json(metrics))?; // lint:allow(io): designated export seam
-    Ok(())
-}
-
 /// Per-job lifecycle rows of a finished multi-tenant stream (DESIGN.md
 /// §4.14): one row per job in completion order.
 pub fn stream_jobs_csv(jobs: &[FinishedJob]) -> String {
@@ -180,34 +123,10 @@ pub fn stream_jobs_csv(jobs: &[FinishedJob]) -> String {
     out
 }
 
-/// Per-tenant SLO rollup as CSV. `slowdown[t]` is the tenant's mean latency
-/// over its isolated single-job latency; callers without a baseline pass an
-/// empty slice (rendered as 1.0).
-pub fn tenant_slo_csv(slos: &[TenantSlo], names: &[String], slowdown: &[f64]) -> String {
-    let mut out = String::from(
-        "tenant,name,jobs,aborted,mean_queue_delay,mean_latency,p50_latency,p99_latency,\
-         slowdown_vs_isolated\n",
-    );
-    for (i, s) in slos.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6}",
-            s.tenant,
-            names.get(i).map(|n| n.as_str()).unwrap_or(""),
-            s.jobs,
-            s.aborted,
-            s.mean_queue_delay,
-            s.mean_latency,
-            s.p50_latency,
-            s.p99_latency,
-            slowdown.get(i).copied().unwrap_or(1.0),
-        );
-    }
-    out
-}
-
-/// Per-tenant SLO rollup as a JSON array (same fields as
-/// [`tenant_slo_csv`], hand-rolled like every exporter here).
+/// Per-tenant SLO rollup as a JSON array, hand-rolled like every exporter
+/// here. `slowdown[t]` is the tenant's mean latency over its isolated
+/// single-job latency; callers without a baseline pass an empty slice
+/// (rendered as 1.0).
 pub fn tenant_slo_json(slos: &[TenantSlo], names: &[String], slowdown: &[f64]) -> String {
     let mut out = String::from("[");
     for (i, s) in slos.iter().enumerate() {
@@ -325,14 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn phases_csv_rolls_up() {
-        let csv = phases_csv(&sample());
-        assert_eq!(csv.lines().count(), 4); // header + 3 phases
-        let storing = csv.lines().find(|l| l.starts_with("storing")).unwrap();
-        assert!(storing.contains(",1,"), "one storing task: {storing}");
-    }
-
-    #[test]
     fn json_serializes() {
         let j = job_json(&sample());
         // Structurally valid: balanced braces/brackets, expected fields.
@@ -376,15 +287,12 @@ mod tests {
             },
         ];
         let names = vec!["etl".to_string(), "adhoc".to_string()];
-        let csv = tenant_slo_csv(&slos, &names, &[2.0]);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().nth(1).unwrap().starts_with("0,etl,3,1,"));
-        // Missing slowdown entries fall back to 1.0.
-        assert!(csv.lines().nth(2).unwrap().ends_with(",1.000000"));
         let json = tenant_slo_json(&slos, &names, &[2.0]);
         assert_eq!(json.matches('{').count(), 2);
         assert!(json.contains("\"name\": \"adhoc\""));
         assert!(json.contains("\"slowdown_vs_isolated\": 2.0"));
+        // Missing slowdown entries fall back to 1.0.
+        assert!(json.contains("\"slowdown_vs_isolated\": 1.0"));
         assert!(json.contains("\"p99_latency\": 9.0"));
         assert_eq!(tenant_slo_json(&[], &[], &[]), "[]");
     }
@@ -416,21 +324,9 @@ mod tests {
             .starts_with("7,1,1.000000,1.500000,4.000000,0.500000,3.000000,false"));
     }
 
-    #[test]
-    fn write_all_creates_files() {
-        let dir = std::env::temp_dir().join("memres-export-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        write_all(&sample(), &dir).unwrap();
-        for f in ["tasks.csv", "phases.csv", "recovery.csv", "job.json"] {
-            assert!(dir.join(f).exists(), "{f} missing");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// JSON/CSV parity: the per-task CSV columns and the per-task JSON keys
-    /// must carry the same fields, and every recovery counter in the JSON
-    /// must appear in recovery.csv (and vice versa). A field added to one
-    /// exporter but not the other fails here, not in a user's join script.
+    /// must carry the same fields. A field added to one exporter but not the
+    /// other fails here, not in a user's join script.
     #[test]
     fn json_and_csv_task_fields_align() {
         let m = sample();
@@ -455,21 +351,6 @@ mod tests {
             json_keys,
             csv_cols.len(),
             "task JSON carries a field the CSV lacks"
-        );
-
-        let rec_csv = recovery_csv(&m);
-        let rec_json = json.split("\"recovery\": {").nth(1).unwrap();
-        for line in rec_csv.lines().skip(1) {
-            let key = line.split(',').next().unwrap();
-            assert!(
-                rec_json.contains(&format!("\"{key}\":")),
-                "recovery.csv counter {key} missing from JSON"
-            );
-        }
-        assert_eq!(
-            rec_json.matches("\": ").count(),
-            rec_csv.lines().count() - 1,
-            "recovery JSON carries a counter the CSV lacks"
         );
     }
 }

@@ -1,12 +1,11 @@
 //! The gauge catalog: every series the sampler may record, with layer,
 //! unit, and help text (DESIGN.md §4.16).
 //!
-//! The catalog is the single registry the exporters and the diff's layer
-//! attribution key off. The `exhaustive-metrics` cross-file lint
-//! (crates/lint/src/xfile.rs) checks that every name listed in
-//! [`ALL_NAMES`] also appears in both exporter series lists
-//! (`OPENMETRICS_SERIES` and `CSV_SERIES` in `export.rs`), and vice versa —
-//! adding a gauge without teaching both exporters about it fails the gate.
+//! [`CATALOG`] is the single registry: a series exists because it has a row
+//! here, the exporters emit a recorded series by looking its row up (a name
+//! without one is skipped), export order is row order, and the diff's layer
+//! attribution reads the row's `layer`. There is no second list to keep in
+//! step.
 
 /// Static description of one series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,158 +20,186 @@ pub struct SeriesDef {
     pub help: &'static str,
 }
 
-/// Every registered series name. Keep this list in sync with [`def`] and
-/// with the exporter lists in `export.rs` (lint rule `exhaustive-metrics`).
-pub const ALL_NAMES: [&str; 24] = [
-    "engine_events_total",
-    "engine_events_per_sample",
-    "engine_queue_len",
-    "engine_queue_lane",
-    "net_active_flows",
-    "net_rack_up_util",
-    "net_rack_down_util",
-    "net_core_util",
-    "net_lustre_pipe_util",
-    "storage_ram_queue_depth",
-    "storage_ssd_queue_depth",
-    "storage_ssd_dirty_bytes",
-    "storage_ssd_gc_nodes",
-    "storage_ssd_buffer_fill_max",
-    "lustre_mds_backlog",
-    "lustre_client_dirty_bytes",
-    "core_resident_partition_bytes",
-    "core_task_arena_tasks",
-    "core_tasks_pending",
-    "core_busy_slots",
-    "core_resident_jobs",
-    "tenant_queued_jobs",
-    "tenant_running_jobs",
-    "tenant_slo_burn_secs",
+/// Every registered series, in catalog (= export) order.
+pub const CATALOG: [SeriesDef; 24] = [
+    SeriesDef {
+        name: "engine_events_total",
+        layer: "des",
+        unit: "events",
+        label: None,
+        help: "Events processed by the engine so far",
+    },
+    SeriesDef {
+        name: "engine_events_per_sample",
+        layer: "des",
+        unit: "events",
+        label: None,
+        help: "Events processed since the previous sample",
+    },
+    SeriesDef {
+        name: "engine_queue_len",
+        layer: "des",
+        unit: "events",
+        label: None,
+        help: "Events buffered on the calendar",
+    },
+    SeriesDef {
+        name: "engine_queue_lane",
+        layer: "des",
+        unit: "events",
+        label: None,
+        help: "Buffered events due at the current instant (the queue's same-instant lane)",
+    },
+    SeriesDef {
+        name: "net_active_flows",
+        layer: "net",
+        unit: "flows",
+        label: None,
+        help: "Flows with queued bytes in the fabric",
+    },
+    SeriesDef {
+        name: "net_rack_up_util",
+        layer: "net",
+        unit: "ratio",
+        label: Some("rack"),
+        help: "Rack uplink utilization (allocated rate / capacity)",
+    },
+    SeriesDef {
+        name: "net_rack_down_util",
+        layer: "net",
+        unit: "ratio",
+        label: Some("rack"),
+        help: "Rack downlink utilization (allocated rate / capacity)",
+    },
+    SeriesDef {
+        name: "net_core_util",
+        layer: "net",
+        unit: "ratio",
+        label: None,
+        help: "Core fabric link utilization",
+    },
+    SeriesDef {
+        name: "net_lustre_pipe_util",
+        layer: "net",
+        unit: "ratio",
+        label: None,
+        help: "Lustre aggregate pipe utilization",
+    },
+    SeriesDef {
+        name: "storage_ram_queue_depth",
+        layer: "storage",
+        unit: "requests",
+        label: None,
+        help: "In-flight RAMDisk requests summed over nodes",
+    },
+    SeriesDef {
+        name: "storage_ssd_queue_depth",
+        layer: "storage",
+        unit: "requests",
+        label: None,
+        help: "In-flight SSD requests summed over nodes",
+    },
+    SeriesDef {
+        name: "storage_ssd_dirty_bytes",
+        layer: "storage",
+        unit: "bytes",
+        label: None,
+        help: "Dirty page-cache bytes ahead of the SSDs, summed over nodes",
+    },
+    SeriesDef {
+        name: "storage_ssd_gc_nodes",
+        layer: "storage",
+        unit: "nodes",
+        label: None,
+        help: "Nodes whose SSD is garbage-collecting",
+    },
+    SeriesDef {
+        name: "storage_ssd_buffer_fill_max",
+        layer: "storage",
+        unit: "ratio",
+        label: None,
+        help: "Worst SSD write-buffer fill fraction across nodes",
+    },
+    SeriesDef {
+        name: "lustre_mds_backlog",
+        layer: "lustre",
+        unit: "ops",
+        label: None,
+        help: "Queued metadata ops at the MDS",
+    },
+    SeriesDef {
+        name: "lustre_client_dirty_bytes",
+        layer: "lustre",
+        unit: "bytes",
+        label: None,
+        help: "Unflushed client-side Lustre dirty bytes, summed over nodes",
+    },
+    SeriesDef {
+        name: "core_resident_partition_bytes",
+        layer: "core",
+        unit: "bytes",
+        label: None,
+        help: "Cached RDD partition bytes resident in block managers",
+    },
+    SeriesDef {
+        name: "core_task_arena_tasks",
+        layer: "core",
+        unit: "tasks",
+        label: None,
+        help: "Tasks materialized in the arena",
+    },
+    SeriesDef {
+        name: "core_tasks_pending",
+        layer: "core",
+        unit: "tasks",
+        label: None,
+        help: "Tasks waiting for a slot",
+    },
+    SeriesDef {
+        name: "core_busy_slots",
+        layer: "core",
+        unit: "slots",
+        label: None,
+        help: "Occupied executor slots",
+    },
+    SeriesDef {
+        name: "core_resident_jobs",
+        layer: "core",
+        unit: "jobs",
+        label: None,
+        help: "Jobs admitted and not yet finished",
+    },
+    SeriesDef {
+        name: "tenant_queued_jobs",
+        layer: "tenancy",
+        unit: "jobs",
+        label: Some("tenant"),
+        help: "Arrived jobs waiting for admission",
+    },
+    SeriesDef {
+        name: "tenant_running_jobs",
+        layer: "tenancy",
+        unit: "jobs",
+        label: Some("tenant"),
+        help: "Resident jobs of the tenant",
+    },
+    SeriesDef {
+        name: "tenant_slo_burn_secs",
+        layer: "tenancy",
+        unit: "seconds",
+        label: Some("tenant"),
+        help: "Cumulative job latency accrued by the tenant so far",
+    },
 ];
 
 /// Every registered series name, catalog order.
 pub fn all() -> impl Iterator<Item = &'static str> {
-    ALL_NAMES.iter().copied()
+    CATALOG.iter().map(|d| d.name)
 }
 
 /// Look a series definition up by name; `None` for unregistered names.
 pub fn def(name: &str) -> Option<SeriesDef> {
-    let d = |layer, unit, label, help| SeriesDef {
-        name: "",
-        layer,
-        unit,
-        label,
-        help,
-    };
-    let mut found = match name {
-        "engine_events_total" => d(
-            "des",
-            "events",
-            None,
-            "Events processed by the engine so far",
-        ),
-        "engine_events_per_sample" => d(
-            "des",
-            "events",
-            None,
-            "Events processed since the previous sample",
-        ),
-        "engine_queue_len" => d("des", "events", None, "Events buffered on the calendar"),
-        "engine_queue_lane" => d(
-            "des",
-            "events",
-            None,
-            "Buffered events due at the current instant (the queue's same-instant lane)",
-        ),
-        "net_active_flows" => d(
-            "net",
-            "flows",
-            None,
-            "Flows with queued bytes in the fabric",
-        ),
-        "net_rack_up_util" => d(
-            "net",
-            "ratio",
-            Some("rack"),
-            "Rack uplink utilization (allocated rate / capacity)",
-        ),
-        "net_rack_down_util" => d(
-            "net",
-            "ratio",
-            Some("rack"),
-            "Rack downlink utilization (allocated rate / capacity)",
-        ),
-        "net_core_util" => d("net", "ratio", None, "Core fabric link utilization"),
-        "net_lustre_pipe_util" => d("net", "ratio", None, "Lustre aggregate pipe utilization"),
-        "storage_ram_queue_depth" => d(
-            "storage",
-            "requests",
-            None,
-            "In-flight RAMDisk requests summed over nodes",
-        ),
-        "storage_ssd_queue_depth" => d(
-            "storage",
-            "requests",
-            None,
-            "In-flight SSD requests summed over nodes",
-        ),
-        "storage_ssd_dirty_bytes" => d(
-            "storage",
-            "bytes",
-            None,
-            "Dirty page-cache bytes ahead of the SSDs, summed over nodes",
-        ),
-        "storage_ssd_gc_nodes" => d(
-            "storage",
-            "nodes",
-            None,
-            "Nodes whose SSD is garbage-collecting",
-        ),
-        "storage_ssd_buffer_fill_max" => d(
-            "storage",
-            "ratio",
-            None,
-            "Worst SSD write-buffer fill fraction across nodes",
-        ),
-        "lustre_mds_backlog" => d("lustre", "ops", None, "Queued metadata ops at the MDS"),
-        "lustre_client_dirty_bytes" => d(
-            "lustre",
-            "bytes",
-            None,
-            "Unflushed client-side Lustre dirty bytes, summed over nodes",
-        ),
-        "core_resident_partition_bytes" => d(
-            "core",
-            "bytes",
-            None,
-            "Cached RDD partition bytes resident in block managers",
-        ),
-        "core_task_arena_tasks" => d("core", "tasks", None, "Tasks materialized in the arena"),
-        "core_tasks_pending" => d("core", "tasks", None, "Tasks waiting for a slot"),
-        "core_busy_slots" => d("core", "slots", None, "Occupied executor slots"),
-        "core_resident_jobs" => d("core", "jobs", None, "Jobs admitted and not yet finished"),
-        "tenant_queued_jobs" => d(
-            "tenancy",
-            "jobs",
-            Some("tenant"),
-            "Arrived jobs waiting for admission",
-        ),
-        "tenant_running_jobs" => d(
-            "tenancy",
-            "jobs",
-            Some("tenant"),
-            "Resident jobs of the tenant",
-        ),
-        "tenant_slo_burn_secs" => d(
-            "tenancy",
-            "seconds",
-            Some("tenant"),
-            "Cumulative job latency accrued by the tenant so far",
-        ),
-        _ => return None,
-    };
-    found.name = all().find(|&n| n == name)?;
-    Some(found)
+    CATALOG.iter().find(|d| d.name == name).copied()
 }
 
 /// Position of `name` in catalog order (export ordering key).

@@ -2,72 +2,12 @@
 //! long-format CSV, and a self-contained HTML dashboard.
 //!
 //! All three walk [`Recorder::sorted_series`] (catalog order, instances
-//! ascending) and format floats with Rust's shortest-repr `{}` Display, so
+//! ascending), emit the series that have a [`catalog`] row, and format floats with Rust's shortest-repr `{}` Display, so
 //! output is byte-identical whenever the sample sequences are — the
 //! determinism contract the golden tests in `crates/bench` pin down.
 
 use crate::catalog;
 use crate::{Recorder, Series};
-
-/// Series the OpenMetrics exporter knows how to emit. The
-/// `exhaustive-metrics` cross-file lint checks this list against
-/// `catalog::ALL_NAMES` — adding a gauge without listing it here fails the
-/// gate.
-pub const OPENMETRICS_SERIES: [&str; 24] = [
-    "engine_events_total",
-    "engine_events_per_sample",
-    "engine_queue_len",
-    "engine_queue_lane",
-    "net_active_flows",
-    "net_rack_up_util",
-    "net_rack_down_util",
-    "net_core_util",
-    "net_lustre_pipe_util",
-    "storage_ram_queue_depth",
-    "storage_ssd_queue_depth",
-    "storage_ssd_dirty_bytes",
-    "storage_ssd_gc_nodes",
-    "storage_ssd_buffer_fill_max",
-    "lustre_mds_backlog",
-    "lustre_client_dirty_bytes",
-    "core_resident_partition_bytes",
-    "core_task_arena_tasks",
-    "core_tasks_pending",
-    "core_busy_slots",
-    "core_resident_jobs",
-    "tenant_queued_jobs",
-    "tenant_running_jobs",
-    "tenant_slo_burn_secs",
-];
-
-/// Series the CSV exporter knows how to emit (same lint contract as
-/// [`OPENMETRICS_SERIES`]).
-pub const CSV_SERIES: [&str; 24] = [
-    "engine_events_total",
-    "engine_events_per_sample",
-    "engine_queue_len",
-    "engine_queue_lane",
-    "net_active_flows",
-    "net_rack_up_util",
-    "net_rack_down_util",
-    "net_core_util",
-    "net_lustre_pipe_util",
-    "storage_ram_queue_depth",
-    "storage_ssd_queue_depth",
-    "storage_ssd_dirty_bytes",
-    "storage_ssd_gc_nodes",
-    "storage_ssd_buffer_fill_max",
-    "lustre_mds_backlog",
-    "lustre_client_dirty_bytes",
-    "core_resident_partition_bytes",
-    "core_task_arena_tasks",
-    "core_tasks_pending",
-    "core_busy_slots",
-    "core_resident_jobs",
-    "tenant_queued_jobs",
-    "tenant_running_jobs",
-    "tenant_slo_burn_secs",
-];
 
 fn label_of(s: &Series) -> String {
     match (catalog::def(s.name).and_then(|d| d.label), s.instance) {
@@ -86,12 +26,8 @@ pub fn openmetrics(rec: &Recorder) -> String {
     let sorted = rec.sorted_series();
     let mut last_name = "";
     for s in &sorted {
-        if !OPENMETRICS_SERIES.contains(&s.name) {
+        let Some(def) = catalog::def(s.name) else {
             continue;
-        }
-        let def = match catalog::def(s.name) {
-            Some(d) => d,
-            None => continue,
         };
         if s.name != last_name {
             out.push_str(&format!("# HELP memres_{} {}\n", s.name, def.help));
@@ -120,7 +56,7 @@ pub fn openmetrics(rec: &Recorder) -> String {
 pub fn timeseries_csv(rec: &Recorder) -> String {
     let mut out = String::from("series,instance,t_s,value\n");
     for s in rec.sorted_series() {
-        if !CSV_SERIES.contains(&s.name) {
+        if catalog::def(s.name).is_none() {
             continue;
         }
         let inst = s.instance.map(|i| i.to_string()).unwrap_or_default();
@@ -261,13 +197,6 @@ mod tests {
             r.tick();
         }
         r
-    }
-
-    #[test]
-    fn exporter_lists_match_catalog() {
-        let names: Vec<_> = catalog::all().collect();
-        assert_eq!(OPENMETRICS_SERIES.to_vec(), names);
-        assert_eq!(CSV_SERIES.to_vec(), names);
     }
 
     #[test]

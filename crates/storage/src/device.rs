@@ -174,59 +174,6 @@ impl Device for RamDisk {
     }
 }
 
-/// Spinning disk: single spindle, so reads and writes share ONE channel.
-/// Not used by the paper's testbed (Hyperion nodes have no local HDD) but
-/// provided for completeness of the hierarchical-storage story.
-pub struct Hdd {
-    ps: PsResource<(Op, u64)>,
-    gen: Gen,
-    bw: f64,
-}
-
-impl Hdd {
-    pub fn new(bandwidth: f64) -> Self {
-        Hdd {
-            ps: PsResource::new(bandwidth),
-            gen: Gen::default(),
-            bw: bandwidth,
-        }
-    }
-}
-
-impl Device for Hdd {
-    fn submit(&mut self, now: SimTime, op: Op, bytes: f64, tag: u64) {
-        self.ps.add(now, bytes, (op, tag));
-        self.gen.bump();
-    }
-    fn poll(&mut self, now: SimTime) -> Vec<IoDone> {
-        let done: Vec<IoDone> = self
-            .ps
-            .poll(now)
-            .into_iter()
-            .map(|(_, (op, tag))| IoDone { op, tag })
-            .collect();
-        if !done.is_empty() {
-            self.gen.bump();
-        }
-        done
-    }
-    fn next_event(&self) -> Option<SimTime> {
-        self.ps.next_completion()
-    }
-    fn gen(&self) -> Gen {
-        self.gen
-    }
-    fn queue_depth(&self) -> usize {
-        self.ps.load()
-    }
-    fn write_bandwidth(&self) -> f64 {
-        self.bw
-    }
-    fn read_bandwidth(&self) -> f64 {
-        self.bw
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,18 +198,6 @@ mod tests {
         assert_eq!(done.len(), 2);
         for (t, _) in &done {
             assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn hdd_reads_and_writes_interfere() {
-        let mut d = Hdd::new(100.0);
-        d.submit(SimTime::ZERO, Op::Read, 100.0, 1);
-        d.submit(SimTime::ZERO, Op::Write, 100.0, 2);
-        let done = drain(&mut d);
-        // Shared spindle: both take 2 s.
-        for (t, _) in &done {
-            assert!((t.as_secs_f64() - 2.0).abs() < 1e-6);
         }
     }
 

@@ -5,7 +5,6 @@
 //! * [`RamDisk`] — tmpfs at memory bandwidth (the data-centric HDFS backing).
 //! * [`Ssd`] — SATA SSD with a DRAM write buffer, a clean-block pool, and
 //!   pressure-sensitive garbage collection (the §IV-C/§IV-D subject).
-//! * [`Hdd`] — single-spindle disk, for completeness.
 //! * [`LocalFs`] — a write-back page cache mounted over any device; produces
 //!   the cache-plateau behaviour of Fig 8a.
 //!
@@ -16,6 +15,6 @@ pub mod device;
 pub mod fs;
 pub mod ssd;
 
-pub use device::{Device, Hdd, IoDone, Op, RamDisk};
+pub use device::{Device, IoDone, Op, RamDisk};
 pub use fs::{CacheConfig, FileId, FsDone, LocalFs};
 pub use ssd::{Ssd, SsdConfig};

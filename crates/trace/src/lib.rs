@@ -31,9 +31,8 @@ use std::rc::Rc;
 pub enum TraceLevel {
     #[default]
     Off,
-    /// Task/job/scheduler/fault lifecycle only.
-    Lifecycle,
-    /// Everything: flows, DLM locks, SSD GC state transitions.
+    /// Everything: scheduling, tasks, faults, flows, DLM locks, SSD GC state
+    /// transitions.
     Full,
 }
 
@@ -45,12 +44,6 @@ pub struct TraceConfig {
 impl TraceConfig {
     pub fn off() -> TraceConfig {
         TraceConfig::default()
-    }
-
-    pub fn lifecycle() -> TraceConfig {
-        TraceConfig {
-            level: TraceLevel::Lifecycle,
-        }
     }
 
     pub fn full() -> TraceConfig {
@@ -276,22 +269,6 @@ impl TraceEvent {
             TraceEvent::GhostsSpawned { .. } => "ghosts_spawned",
         }
     }
-
-    /// Does this event belong to the cheap `Lifecycle` level (vs `Full`)?
-    fn is_lifecycle(&self) -> bool {
-        !matches!(
-            self,
-            TraceEvent::FlowStart { .. }
-                | TraceEvent::FlowEnd { .. }
-                | TraceEvent::LockAcquire { .. }
-                | TraceEvent::LockRelease { .. }
-                | TraceEvent::LockRevoke { .. }
-                | TraceEvent::GcStart { .. }
-                | TraceEvent::GcEnd { .. }
-                | TraceEvent::BufFull { .. }
-                | TraceEvent::BufDrained { .. }
-        )
-    }
 }
 
 /// One recorded event: simulated instant + emission sequence number. The
@@ -328,9 +305,6 @@ impl TraceSink {
 
     pub fn emit(&mut self, at: SimTime, ev: TraceEvent) {
         if self.level == TraceLevel::Off {
-            return;
-        }
-        if self.level == TraceLevel::Lifecycle && !ev.is_lifecycle() {
             return;
         }
         self.events.push(TimedEvent {
@@ -378,16 +352,6 @@ mod tests {
         assert!(!s.enabled());
         s.emit(SimTime::ZERO, TraceEvent::JobStart { job: 0 });
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn lifecycle_level_drops_substrate_events() {
-        let mut s = TraceSink::new(TraceConfig::lifecycle());
-        s.emit(SimTime::ZERO, TraceEvent::JobStart { job: 0 });
-        s.emit(SimTime::ZERO, TraceEvent::FlowStart { flow: 1 });
-        s.emit(SimTime::ZERO, TraceEvent::GcStart { node: 0 });
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.events()[0].ev.kind(), "job_start");
     }
 
     #[test]
