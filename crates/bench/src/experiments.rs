@@ -4,7 +4,7 @@
 //! and reports the series the corresponding figure plots. `Setup::paper()`
 //! reproduces the full 100-node, TB-scale sweeps; `Setup::smoke()` shrinks
 //! both cluster and data proportionally for tests. Each figure builds its
-//! runs through one helper per benchmark ([`groupby`], [`grep`], [`lr`]) and
+//! runs through one helper per benchmark (`groupby`, `grep`, `lr`) and
 //! computes its notes from the columns of the table it just filled.
 
 use crate::{improvement_pct, ratio, Table};

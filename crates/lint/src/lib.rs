@@ -1481,7 +1481,7 @@ mod tests {
         assert!(r.hash && r.event_past && !r.time_units);
         let r = rules_for("crates/des/src/bytes.rs");
         assert!(!r.time_units);
-        assert!(rules_for("crates/bench/src/perf.rs").is_empty());
+        assert!(rules_for("crates/bench/src/timing.rs").is_empty());
         assert!(rules_for("crates/lint/src/lib.rs").is_empty());
         assert!(rules_for("vendor/rand/src/lib.rs").is_empty());
         assert!(rules_for("crates/core/tests/engine.rs").is_empty());

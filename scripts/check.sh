@@ -6,14 +6,17 @@
 # Gate ordering (cheapest refusal first — DESIGN.md 4.15):
 #   1. cargo fmt        — pure text, no build.
 #   2. memres-lint      — debug build of one dep-free crate; catches the
-#                         determinism/discipline violations (R1–R7 plus the
-#                         cross-file exhaustiveness checks) before the far
-#                         costlier clippy/test/bench stages spin up.
+#                         determinism/discipline violations (the seven
+#                         per-file rules R1–R7 plus the cross-file cell-smoke
+#                         rule) before the far costlier clippy/test/bench
+#                         stages spin up.
 #   3. file sizes       — no file under crates/core/src over 1,500 lines, so
 #                         the engine cannot quietly grow back into one file
 #                         (it was 4,606; DESIGN.md 3.1); prints the crate's
 #                         code-line count for the record.
-#   4. cargo clippy     — full workspace, all targets.
+#   4. cargo clippy     — full workspace, all targets; also where a
+#                         catch-all arm in the event dispatch or a trace
+#                         exporter is refused (#[deny] on those matches).
 #   5. cargo test       — full workspace.
 #   6. smokes           — release-build repro runs per cell family (bench,
 #                         scale, faults, baselines, tenants, trace, report,
@@ -64,20 +67,30 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
+# Both timed families write one JSON shape: {"target", "scale", "seed",
+# "runs": [name + nine columns], "total_wall_s"}.
+timed_json() {
+  test -s "$out/$1.json" || { echo "$1.json missing or empty"; exit 1; }
+  for key in "\"target\": \"$1\"" '"scale": 0.08' '"seed": 1' '"total_wall_s"'; do
+    grep -q "$key" "$out/$1.json" || { echo "$1.json malformed: no $key"; exit 1; }
+  done
+  test "$(grep -c '"name": .*"wall_s": .*"sim_job_s": .*"events": .*"events_per_s": .*"heap_bytes": .*"user_s": .*"sys_s": .*"minor_faults": .*"dispatch_visits": ' "$out/$1.json")" -eq "$2" \
+    || { echo "$1.json: expected $2 runs carrying all nine columns"; exit 1; }
+  if grep -q '"events": 0,' "$out/$1.json"; then echo "$1: a cell processed no events"; exit 1; fi
+}
+
 echo "== bench smoke (JSON) =="
 out="$(mktemp -d)"
 cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" bench >/dev/null
-test -s "$out/bench.json" || { echo "bench.json missing or empty"; exit 1; }
-grep -q '"total_wall_s"' "$out/bench.json" || { echo "bench.json malformed"; exit 1; }
+timed_json bench 5
 echo "ok: $out/bench.json"
 
 echo "== scale smoke (JSON) =="
 # The CI-sized scale cell (192 nodes, past the rack-aggregation threshold)
 # must complete and process events, without rescanning idle nodes.
 cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" scale >/dev/null
-test -s "$out/scale.json" || { echo "scale.json missing or empty"; exit 1; }
+timed_json scale 1
 grep -q '"name": "scale_smoke"' "$out/scale.json" || { echo "scale_smoke did not run"; exit 1; }
-if grep -q '"events": 0,' "$out/scale.json"; then echo "scale_smoke processed no events"; exit 1; fi
 # Dispatch must look at a node or two per event, not rescan the idle ones:
 # on this cell it visits about half a candidate per event, and a visit count
 # above the event count is the 4 M-task cliff coming back (EXPERIMENTS.md
