@@ -52,7 +52,6 @@
 use memres_bench::experiments as ex;
 use memres_bench::{fuzz, report, tenants, timing, trace, Table};
 use memres_workloads::cells::{self, Cell, Setup, Size};
-use std::io::Write;
 
 /// What running a target produces.
 enum Run {
@@ -190,9 +189,7 @@ fn fuzz_main(args: &[String]) -> i32 {
             }
             "--budget" => {
                 i += 1;
-                budget = operand(args, i, "--budget", "an event count")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--budget", "an event count"));
+                budget = number(args, i, "--budget", "an event count", |_| true);
             }
             "--replay" => {
                 i += 1;
@@ -256,10 +253,7 @@ fn fuzz_main(args: &[String]) -> i32 {
         t0.elapsed().as_secs_f64()
     );
     if let Some(dir) = &json_dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
-        let path = format!("{dir}/fuzz.json");
-        std::fs::write(&path, fuzz::to_json(&outcomes, budget)).expect("write fuzz json");
-        eprintln!("wrote {path}");
+        write_artifact(dir, "fuzz.json", &fuzz::to_json(&outcomes, budget));
     }
     if failures > 0 {
         1
@@ -279,9 +273,8 @@ fn diff_main(args: &[String]) -> i32 {
         match args[i].as_str() {
             "--threshold" => {
                 i += 1;
-                threshold = operand(args, i, "--threshold", "a float")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--threshold", "a float"));
+                let in_range = |t: &f64| (0.0..=10.0).contains(t);
+                threshold = number(args, i, "--threshold", "a float in [0, 10]", in_range);
             }
             other => paths.push(other.to_string()),
         }
@@ -295,9 +288,6 @@ fn diff_main(args: &[String]) -> i32 {
             return 2;
         }
     };
-    if !(0.0..=10.0).contains(&threshold) {
-        usage_error("--threshold", "a float in [0, 10]");
-    }
 
     let read = |path: &str| -> String {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -351,6 +341,30 @@ fn usage_error(flag: &str, what: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The operand of `flag` as a number that satisfies `ok`; anything else is a
+/// usage error (exit 2, nothing run). Every number on the command line is
+/// read here, so none reaches the engine unchecked.
+fn number<T: std::str::FromStr>(
+    args: &[String],
+    i: usize,
+    flag: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    match operand(args, i, flag, what).parse() {
+        Ok(v) if ok(&v) => v,
+        _ => usage_error(flag, what),
+    }
+}
+
+/// Write one artifact into the `--json` directory, creating it if need be.
+fn write_artifact(dir: &str, file: &str, bytes: &str) {
+    std::fs::create_dir_all(dir).expect("create json dir");
+    let path = format!("{dir}/{file}");
+    std::fs::write(&path, bytes).expect("write artifact");
+    eprintln!("wrote {path}");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("fuzz") {
@@ -385,31 +399,19 @@ fn main() {
             }
             "--slow-ssd" => {
                 i += 1;
-                let f: f64 = operand(&args, i, "--slow-ssd", "a speed factor in (0, 1]")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--slow-ssd", "a speed factor in (0, 1]"));
-                if !(f > 0.0 && f <= 1.0) {
-                    usage_error("--slow-ssd", "a speed factor in (0, 1]");
-                }
-                slow_ssd = Some(f);
+                let what = "a speed factor in (0, 1]";
+                let in_range = |f: &f64| *f > 0.0 && *f <= 1.0;
+                slow_ssd = Some(number(&args, i, "--slow-ssd", what, in_range));
             }
             "--scale" => {
                 i += 1;
-                // 100 is the scale family's 10,000 nodes; NaN fails both
-                // comparisons.
-                let what = "a float in (0, 100]";
-                setup.scale = operand(&args, i, "--scale", what)
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale", what));
-                if !(setup.scale > 0.0 && setup.scale <= 100.0) {
-                    usage_error("--scale", what);
-                }
+                // 100 is the scale family's 10,000 nodes; NaN is in no range.
+                let in_range = |x: &f64| *x > 0.0 && *x <= 100.0;
+                setup.scale = number(&args, i, "--scale", "a float in (0, 100]", in_range);
             }
             "--seed" => {
                 i += 1;
-                setup.seed = operand(&args, i, "--seed", "an integer")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--seed", "an integer"));
+                setup.seed = number(&args, i, "--seed", "an integer", |_| true);
             }
             "--json" => {
                 i += 1;
@@ -443,11 +445,7 @@ fn main() {
 
     let write_json = |name: &str, json: String| {
         if let Some(dir) = &json_dir {
-            std::fs::create_dir_all(dir).expect("create json dir");
-            let path = format!("{dir}/{name}.json");
-            let mut f = std::fs::File::create(&path).expect("create json file");
-            let _ = writeln!(f, "{json}");
-            eprintln!("wrote {path}");
+            write_artifact(dir, &format!("{name}.json"), &format!("{json}\n"));
         }
     };
     // Time `selected`, print the table and write `<name>.json`.
@@ -496,46 +494,36 @@ fn main() {
 
     for (cmd, cell) in &cell_cmds {
         let start = std::time::Instant::now();
-        if *cmd == "report" {
+        // What the command prints, then what it writes: (file suffix, bytes).
+        let artifacts: Vec<(&str, String)> = if *cmd == "report" {
             let run = report::run_cell(setup, cell, slow_ssd).expect("cell validated above");
             println!(
                 "report {}: {} sampler ticks over {:.3}s simulated job time",
                 run.cell, run.ticks, run.job_s
             );
-            if let Some(dir) = &json_dir {
-                std::fs::create_dir_all(dir).expect("create json dir");
-                for (suffix, bytes) in [
-                    ("openmetrics", &run.openmetrics),
-                    ("timeseries.csv", &run.timeseries_csv),
-                    ("dashboard.html", &run.dashboard_html),
-                    ("attrib.csv", &run.attrib_csv),
-                ] {
-                    let path = format!("{dir}/{cell}.{suffix}");
-                    std::fs::write(&path, bytes).expect("write report artifact");
-                    eprintln!("wrote {path}");
-                }
+            vec![
+                ("openmetrics", run.openmetrics),
+                ("timeseries.csv", run.timeseries_csv),
+                ("dashboard.html", run.dashboard_html),
+                ("attrib.csv", run.attrib_csv),
+            ]
+        } else {
+            let run = trace::run_cell(setup, cell).expect("cell validated above");
+            println!("{}", trace::report(&run, 5));
+            if *cmd == "trace" {
+                // `trace.json` is Chrome trace-event form: load it in Perfetto.
+                vec![
+                    ("trace.json", run.chrome_json()),
+                    ("events.jsonl", run.events_jsonl()),
+                ]
             } else {
-                eprintln!(
-                    "hint: pass --json DIR to write {cell}.openmetrics, \
-                     {cell}.timeseries.csv, {cell}.dashboard.html, {cell}.attrib.csv"
-                );
+                Vec::new()
             }
-            eprintln!("[{cmd} {cell} took {:.1}s]", start.elapsed().as_secs_f64());
-            continue;
-        }
-        let run = trace::run_cell(setup, cell).expect("cell validated above");
-        println!("{}", trace::report(&run, 5));
-        if *cmd == "trace" {
-            if let Some(dir) = &json_dir {
-                std::fs::create_dir_all(dir).expect("create json dir");
-                let tj = format!("{dir}/{cell}.trace.json");
-                std::fs::write(&tj, run.chrome_json()).expect("write trace json");
-                eprintln!("wrote {tj}");
-                let jl = format!("{dir}/{cell}.events.jsonl");
-                std::fs::write(&jl, run.events_jsonl()).expect("write events jsonl");
-                eprintln!("wrote {jl}");
-            } else {
-                eprintln!("hint: pass --json DIR to write {cell}.trace.json (Perfetto) and {cell}.events.jsonl");
+        };
+        for (suffix, bytes) in &artifacts {
+            match &json_dir {
+                Some(dir) => write_artifact(dir, &format!("{cell}.{suffix}"), bytes),
+                None => eprintln!("hint: pass --json DIR to write {cell}.{suffix}"),
             }
         }
         eprintln!("[{cmd} {cell} took {:.1}s]", start.elapsed().as_secs_f64());
