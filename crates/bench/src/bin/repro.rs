@@ -150,7 +150,7 @@ fn valid_target(t: &str) -> bool {
 }
 
 fn usage() -> String {
-    let names = |it: &mut dyn Iterator<Item = &'static str>| it.collect::<Vec<_>>().join(" ");
+    let targets: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
     format!(
         "usage: repro [--smoke] [--scale X] [--seed N] [--json DIR] <target>...\n\
          targets: {} all\n\
@@ -160,8 +160,8 @@ fn usage() -> String {
          \u{20}      repro diff <a> <b> [--threshold X]   (two `repro report --json` dirs)\n\
          \u{20}      repro fuzz --seed-range A..B [--budget N] [--json DIR] [--inject-defect]\n\
          \u{20}      repro fuzz --replay '<spec>'",
-        names(&mut TARGETS.iter().map(|t| t.name)),
-        names(&mut cells::CELLS.iter().map(|c| c.name)),
+        targets.join(" "),
+        cells::CELLS.map(|c| c.name).join(" "),
     )
 }
 
