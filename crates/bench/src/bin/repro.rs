@@ -478,11 +478,10 @@ fn main() {
                 }
             }
             Some((_, Run::Text(f))) => println!("{}", f(setup)),
+            // The table's own name: a table id outlives the arguments.
             Some((name, Run::Timed(select))) => {
-                timed(
-                    name,
-                    cells::CELLS.iter().filter(|c| select(c, smoke)).collect(),
-                );
+                let selected = cells::CELLS.iter().filter(|c| select(c, smoke));
+                timed(name, selected.collect());
             }
             None => {
                 let cell = cells::find(name).expect("validated above: a target or a cell");

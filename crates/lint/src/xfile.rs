@@ -56,33 +56,28 @@ pub fn check_all(load: &mut dyn FnMut(&str) -> Option<String>) -> Vec<Diagnostic
     diags
 }
 
-fn missing_file(file: &str, rule: &str) -> Diagnostic {
-    Diagnostic {
-        file: file.to_string(),
-        line: 1,
-        col: 1,
-        rule: rule.to_string(),
-        message: format!("`{file}` not found — the {rule} check lost its subject"),
-    }
-}
-
-fn diag(file: &str, line: u32, rule: &str, message: String) -> Diagnostic {
+fn diag(file: &str, line: u32, message: String) -> Diagnostic {
     Diagnostic {
         file: file.to_string(),
         line,
         col: 1,
-        rule: rule.to_string(),
+        rule: RULE_CELL_SMOKE.to_string(),
         message,
     }
 }
 
+fn missing_file(file: &str) -> Diagnostic {
+    let lost = format!("`{file}` not found — the {RULE_CELL_SMOKE} check lost its subject");
+    diag(file, 1, lost)
+}
+
 fn check_cell_smoke(load: &mut dyn FnMut(&str) -> Option<String>, diags: &mut Vec<Diagnostic>) {
     let Some(check_sh) = load(CHECK_SH) else {
-        diags.push(missing_file(CHECK_SH, RULE_CELL_SMOKE));
+        diags.push(missing_file(CHECK_SH));
         return;
     };
     let Some(cells_src) = load(CELLS) else {
-        diags.push(missing_file(CELLS, RULE_CELL_SMOKE));
+        diags.push(missing_file(CELLS));
         return;
     };
     // Every family is driven through a `repro` invocation.
@@ -99,7 +94,6 @@ fn check_cell_smoke(load: &mut dyn FnMut(&str) -> Option<String>, diags: &mut Ve
             diags.push(diag(
                 CHECK_SH,
                 1,
-                RULE_CELL_SMOKE,
                 format!(
                     "cell family `{family}` has no `repro … {family}` smoke \
                      invocation in scripts/check.sh"
@@ -115,7 +109,6 @@ fn check_cell_smoke(load: &mut dyn FnMut(&str) -> Option<String>, diags: &mut Ve
         diags.push(diag(
             CELLS,
             1,
-            RULE_CELL_SMOKE,
             format!("`const CELLS` not found in {CELLS}"),
         ));
         return;
@@ -129,7 +122,6 @@ fn check_cell_smoke(load: &mut dyn FnMut(&str) -> Option<String>, diags: &mut Ve
                 diags.push(diag(
                     CHECK_SH,
                     line,
-                    RULE_CELL_SMOKE,
                     format!(
                         "check.sh pins trace cell `{pinned}`, which is not a row of \
                          CELLS in cells.rs — the byte-determinism smoke lost its \
@@ -142,7 +134,6 @@ fn check_cell_smoke(load: &mut dyn FnMut(&str) -> Option<String>, diags: &mut Ve
         diags.push(diag(
             CHECK_SH,
             1,
-            RULE_CELL_SMOKE,
             "check.sh no longer pins a traced cell (`cell=\"…\"`): the \
              byte-determinism smoke is gone"
                 .to_string(),
