@@ -285,22 +285,47 @@ fn bench_fair_share(c: &mut Criterion) {
 }
 
 fn bench_real_shuffle(c: &mut Criterion) {
-    // The real-record path outside `benchmark/`: 1 M generated pairs over
-    // 20 k keys, 16 map partitions hash-partitioned to 8 reducers and
-    // grouped, through `Driver` (UDF chain, partition and aggregation on the
-    // executor pool; the simulated substrates do next to nothing).
-    let records = memres_workloads::datagen::kv_pairs(1_000_000, 20_000, 1);
-    let rdd = Rdd::source(Dataset::from_records(records, 16))
-        .map("genKV", SizeModel::scan(), |r| r)
-        .group_by_key(Some(8), 1e9);
-    c.bench_function("real_shuffle_1m_records", |b| {
-        b.iter(|| {
-            let cfg = EngineConfig::default().homogeneous();
-            let mut driver = Driver::new(memres_cluster::tiny(8), cfg);
-            let (out, _) = driver.run(&rdd, Action::Count);
-            assert_eq!(out.count, 20_000);
+    // The real-record path outside `benchmark/`, through `Driver` (UDF chain,
+    // partition and aggregation on the executor pool; the simulated
+    // substrates do next to nothing): 16 map partitions hash-partitioned to
+    // 8 reducers.
+    let mut case = |name: &str, rdd: Rdd, groups: u64| {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let cfg = EngineConfig::default().homogeneous();
+                let mut driver = Driver::new(memres_cluster::tiny(8), cfg);
+                let (out, _) = driver.run(&rdd, Action::Count);
+                assert_eq!(out.count, groups);
+            })
+        });
+    };
+    let group_pairs = |pairs, keys| {
+        let records = memres_workloads::datagen::kv_pairs(pairs, keys, 1);
+        Rdd::source(Dataset::from_records(records, 16))
+            .map("genKV", SizeModel::scan(), |r| r)
+            .group_by_key(Some(8), 1e9)
+    };
+    case(
+        "real_shuffle_1m_records",
+        group_pairs(1_000_000, 20_000),
+        20_000,
+    );
+    // The pair behind the 16-byte `Value` (EXPERIMENTS.md "PR 20"). Numeric
+    // records are `benchmark/`'s `real_groupby` at a tenth of its size: every
+    // pass over them moves a third fewer bytes. String keys are the control:
+    // their bytes sit one pointer hop further away than under `Arc<str>`,
+    // and a word count hashes and compares them on both sides of the shuffle.
+    case("real_groupby_i64_400k", group_pairs(400_000, 8_000), 8_000);
+    let lines = memres_workloads::datagen::text_lines(100_000, 1);
+    let wordcount = Rdd::source(Dataset::from_records(lines, 16))
+        .flat_map("words", SizeModel::scan(), |(_, line)| {
+            let words = line.as_str().split_whitespace();
+            words.map(|w| (Value::str(w), Value::I64(1))).collect()
         })
-    });
+        .reduce_by_key(Some(8), 1e9, 1.0, |a, b| {
+            Value::I64(a.as_i64() + b.as_i64())
+        });
+    case("real_wordcount_str_100k_lines", wordcount, 20);
 }
 
 fn bench_ssd(c: &mut Criterion) {

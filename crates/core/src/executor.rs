@@ -174,6 +174,13 @@ pub(crate) fn run_narrow_chain(
     let mut records = in_records;
     let mut real: Option<Rows> = data.map(Rows::Shared);
     let mut snaps = Vec::new();
+    // A chain that ends in `partition` takes its output total from the bucket
+    // totals — the same integers, summed per bucket while the rows move —
+    // instead of walking the last step's output once more just to add them.
+    let last = stage.steps.len();
+    let from_buckets = partitioning.is_some()
+        && last > 0
+        && stage.cache_points.iter().all(|(cp_idx, _)| *cp_idx != last);
     for (cp_idx, rdd) in &stage.cache_points {
         if *cp_idx == 0 {
             snaps.push((*rdd, bytes, records, real.as_mut().map(Rows::share)));
@@ -187,7 +194,9 @@ pub(crate) fn run_narrow_chain(
                     Rows::Shared(a) => step.apply_slice(&a),
                     Rows::Owned(v) => step.apply(v),
                 };
-                bytes = out.iter().map(record_bytes).sum::<u64>() as f64;
+                if !(from_buckets && i + 1 == last) {
+                    bytes = out.iter().map(record_bytes).sum::<u64>() as f64;
+                }
                 records = out.len() as u64;
                 real = Some(Rows::Owned(out));
             }
@@ -202,11 +211,15 @@ pub(crate) fn run_narrow_chain(
             }
         }
     }
+    let real = real.map(|rows| rows.finish(partitioning));
+    if let (true, Some(RealOut::Buckets(buckets))) = (from_buckets, &real) {
+        bytes = buckets.iter().map(|b| b.bytes).sum::<u64>() as f64;
+    }
     (
         SimDuration::from_secs_f64(secs),
         bytes,
         records,
-        real.map(|rows| rows.finish(partitioning)),
+        real,
         snaps,
     )
 }
@@ -508,9 +521,19 @@ mod tests {
             for p in 0..producers {
                 let rows = records(&mut rng, (max_rows + p) % (max_rows + 1), kind, keys, skew);
                 let want = partition_oracle(&rows, reducers);
-                // Odd producers go through the shared (cloning) arm.
+                // Odd producers go through the shared (cloning) arm, even
+                // ones through a chain whose last step's output is moved
+                // into the buckets: the chain's reported bytes are the
+                // bucket totals are the per-record sum.
                 let got = if p % 2 == 0 {
-                    partition(Cow::Owned(rows), reducers)
+                    let (_, bytes, n, real, _) = run_narrow_chain(
+                        &identity_stage(vec![]), 1.0, 0, Some(rows.into()), 1.0, Some(reducers),
+                    );
+                    let Some(RealOut::Buckets(got)) = real else { panic!("partitioned output") };
+                    prop_assert_eq!(n as usize, want.iter().map(|(rows, _)| rows.len()).sum::<usize>());
+                    prop_assert_eq!(bytes, got.iter().map(|b| b.bytes).sum::<u64>() as f64);
+                    prop_assert_eq!(bytes, want.iter().flat_map(|(rows, _)| rows).map(record_bytes).sum::<u64>() as f64);
+                    got
                 } else {
                     partition(Cow::Borrowed(&rows), reducers)
                 };
@@ -587,6 +610,36 @@ mod tests {
         let buckets = partition(Cow::Owned(Vec::new()), 3);
         assert_eq!(buckets.len(), 3);
         assert!(buckets.iter().all(|b| b.rows.is_empty() && b.bytes == 0));
+    }
+
+    /// One identity `map` step, so the chain owns its output.
+    fn identity_stage(cache_points: Vec<(usize, RddId)>) -> StagePlan {
+        use crate::rdd::{NarrowKind, NarrowStep, SizeModel};
+        StagePlan {
+            input: crate::dag::StageInput::Cached { rdd: RddId(0) },
+            steps: vec![Arc::new(NarrowStep {
+                name: "id".into(),
+                kind: NarrowKind::Map(Arc::new(|r| r)),
+                size: SizeModel::new(1.0, 1.0, 100.0),
+            })],
+            cache_points,
+            shuffle_out: None,
+        }
+    }
+
+    #[test]
+    fn a_snapshot_of_the_last_step_still_gets_its_bytes() {
+        // A cache point after the last step needs the total before the rows
+        // reach `partition`; the chain must not leave it at the input size.
+        let rows: Arc<[Record]> = (0..10).map(|i| (Value::I64(i), Value::str("v"))).collect();
+        let stage = identity_stage(vec![(1, RddId(7))]);
+        let (_, bytes, _, real, snaps) = run_narrow_chain(&stage, 1.0, 0, Some(rows), 1.0, Some(3));
+        assert_eq!(bytes, 250.0);
+        assert_eq!(snaps[0].1, 250.0);
+        let Some(RealOut::Buckets(b)) = real else {
+            panic!("partitioned output")
+        };
+        assert_eq!(b.iter().map(|b| b.bytes).sum::<u64>(), 250);
     }
 
     #[test]

@@ -10,14 +10,17 @@
 use std::fmt;
 use std::sync::Arc;
 
-/// A dynamically typed datum.
+/// A dynamically typed datum: a tag and at most eight bytes of payload.
+/// Every variable-size variant sits behind one *thin* `Arc`, so a `Value` is
+/// 16 bytes on the host and a clone is at most a count bump (DESIGN.md §4.7).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Null,
     Bool(bool),
     I64(i64),
     F64(f64),
-    Str(Arc<str>),
+    /// `Arc<str>` would be a fat pointer and make every variant 24 bytes.
+    Str(Arc<Box<str>>),
     /// Dense numeric vector (Logistic Regression feature vectors).
     VecF64(Arc<Vec<f64>>),
     /// Heterogeneous list (groupByKey output groups).
@@ -27,9 +30,16 @@ pub enum Value {
 /// A key/value record flowing through the engine.
 pub type Record = (Value, Value);
 
+// Every pass over records is bound by memory traffic: host bytes per record
+// are the engine's resident-set and shuffle cost (EXPERIMENTS.md "PR 20").
+const _: () = assert!(std::mem::size_of::<Value>() == 16 && std::mem::size_of::<Record>() == 32);
+
 impl Value {
+    /// At most one copy of the bytes per string (`&str` to `String`, or a
+    /// `String` trimmed of spare capacity): the boxed string is moved under
+    /// the count, not copied again into a counted block.
     pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Arc::from(s.into().into_boxed_str()))
+        Value::Str(Arc::new(s.into().into_boxed_str()))
     }
 
     pub fn vec(v: Vec<f64>) -> Value {
@@ -77,8 +87,10 @@ impl Value {
         }
     }
 
-    /// In-memory footprint estimate, used to charge simulated I/O for real
-    /// records.
+    /// *Simulated* size: what the model charges I/O, memory and network for
+    /// when this value is a real record. A model constant pinned by
+    /// `benchmark/expected.json`, not the host footprint (an `I64` is 8 here
+    /// and 16 on the host) — it must never follow the host layout.
     pub fn approx_bytes(&self) -> u64 {
         match self {
             Value::Null => 1,
@@ -183,7 +195,7 @@ impl Fnv {
     }
 }
 
-/// Estimated size of a record, for synthetic I/O charging of real data.
+/// Simulated size of a record ([`Value::approx_bytes`] of key plus value).
 pub fn record_bytes(r: &Record) -> u64 {
     r.0.approx_bytes() + r.1.approx_bytes()
 }
@@ -231,6 +243,43 @@ mod tests {
             h.write(&[0]);
             h.finish()
         });
+    }
+
+    #[test]
+    fn stable_hash_known_answers_for_every_variant() {
+        // Captured at d4ee471, when `Str` held an `Arc<str>`: partitioning
+        // and group order follow these, so no representation may move them.
+        let nested = Value::list(vec![
+            Value::str("k"),
+            Value::list(vec![Value::str("a"), Value::list(vec![Value::F64(0.25)])]),
+        ]);
+        let known = [
+            (Value::Null, 0xaf72_e84c_8601_b7df, 1),
+            (Value::Bool(true), 0x3b88_5a07_b4e8_8e77, 1),
+            (Value::I64(-7), 0xab1f_a900_a4e4_6c1b, 8),
+            (Value::F64(2.5), 0x7eda_a197_b937_1936, 8),
+            (Value::str("shuffle"), 0xdf99_6d26_92b2_ec44, 23),
+            (Value::vec(vec![1.0, -0.5]), 0xe16c_31be_29df_ca90, 32),
+            (
+                Value::list(vec![Value::I64(1), Value::Null]),
+                0x496d_9995_3349_d700,
+                25,
+            ),
+            (nested, 0x40d9_d3c8_2e2a_778f, 90),
+        ];
+        for (v, hash, bytes) in known {
+            assert_eq!(v.stable_hash(), hash, "{v:?}");
+            assert_eq!(v.approx_bytes(), bytes, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn equal_strings_from_separate_allocations_are_one_key() {
+        let (a, b) = (Value::str("lustre"), Value::str(String::from("lustre")));
+        assert!(a == b && a.same_key(&b));
+        assert_eq!(a.stable_hash(), b.stable_hash());
+        assert!(a != Value::str("lustrf") && !a.same_key(&Value::str("lustrf")));
+        assert_eq!(format!("{a:?} {a}"), "Str(\"lustre\") \"lustre\"");
     }
 
     #[test]

@@ -154,7 +154,8 @@ fn collect_output_is_pinned_at_every_thread_count() {
     // Digests captured at commit 036a44c (before shuffle partitioning and
     // aggregation moved to the executor pool): the exact `Collect` output
     // of a groupByKey, an order-sensitive reduceByKey and a two-shuffle
-    // pipeline must not move, whatever the pool size.
+    // pipeline — and of a string-keyed word count, captured at d4ee471 —
+    // must not move, whatever the pool size.
     let kv = |parts| {
         Rdd::source(Dataset::from_records(
             datagen::kv_pairs(5000, 97, 11),
@@ -186,6 +187,23 @@ fn collect_output_is_pinned_at_every_thread_count() {
                 .group_by_key(Some(2), 1e9),
             6,
             0x5d8b_98d2_10f9_15c5,
+        ),
+        // `Str` keys through partition -> aggregate -> `Collect`, captured
+        // before the string payload went behind a thin pointer.
+        (
+            "word_count",
+            Rdd::source(Dataset::from_records(datagen::text_lines(300, 7), 6))
+                .flat_map("words", SizeModel::scan(), |(_, line)| {
+                    line.as_str()
+                        .split_whitespace()
+                        .map(|w| (Value::str(w), Value::I64(w.len() as i64)))
+                        .collect()
+                })
+                .reduce_by_key(Some(3), 1e9, 1.0, |a, b| {
+                    Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64()))
+                }),
+            20,
+            0xd059_3fd1_de38_cd95,
         ),
     ];
     for (name, rdd, len, digest) in &jobs {
