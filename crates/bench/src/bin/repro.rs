@@ -49,6 +49,12 @@
 //! it against six independent oracles; failures are shrunk to a minimal
 //! reproducer and printed as a `--replay` line. Exit 1 on any failure.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the measurement layer: reading the host clock and writing artifacts is its job (DESIGN.md 4.10)"
+)]
+
 use memres_bench::experiments as ex;
 use memres_bench::{fuzz, report, tenants, timing, trace, Table};
 use memres_workloads::cells::{self, Cell, Setup, Size};
@@ -115,13 +121,7 @@ const TARGETS: [Target; 27] = [
     }),
     tables("baselines", true, |s| vec![ex::baseline_speculation(s)]),
     tables("faults", true, |s| vec![ex::faults(s)]),
-    tables("tenants", true, |s| {
-        vec![
-            tenants::policies(s),
-            tenants::elb_interleaved(s),
-            tenants::cad_starvation(s),
-        ]
-    }),
+    tables("tenants", true, tenants::tables),
     // Either half of Fig 14 prints both: one sweep fills the two tables.
     tables("fig14a", false, fig14),
     tables("fig14b", false, fig14),

@@ -6,6 +6,12 @@
 //! measured shapes. A `scale` parameter shrinks cluster and data sizes
 //! proportionally so the same experiments run as quick smoke tests.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the measurement layer: reading the host clock and writing artifacts is its job (DESIGN.md 4.10)"
+)]
+
 pub mod experiments;
 pub mod fuzz;
 pub mod report;

@@ -54,7 +54,8 @@ pub fn run_cell(setup: Setup, cell: &str, slow_ssd: Option<f64>) -> Option<Repor
     let m = d.run_for_metrics(&gb.build(), gb.action());
     let events = d.take_trace();
     let attribution = attribute(&events);
-    let rec = d.recorder().expect("with_metrics() was set above"); // lint:allow(panic): enabled two lines up
+    #[expect(clippy::expect_used, reason = "enabled two lines up")]
+    let rec = d.recorder().expect("with_metrics() was set above");
     let attrib_pairs: Vec<(String, f64)> = attribution
         .buckets()
         .iter()

@@ -48,67 +48,82 @@ fn grep_tenant(setup: Setup) -> JobFactory {
     })
 }
 
-/// Shared store/input shape: Lustre input, SSD shuffle store — the
-/// configuration where ELB and CAD matter (Fig 13/14).
-fn base_cfg(setup: Setup) -> EngineConfig {
-    setup.cell_cfg(SSD)
-}
-
-/// Mean isolated job time per tenant under `cfg` — the slowdown
-/// denominator, and what the arrival rates are calibrated from.
-fn isolated_means(spec: &ClusterSpec, cfg: &EngineConfig, tenants: &[JobFactory]) -> Vec<f64> {
-    tenants
-        .iter()
-        .map(|make| {
-            let mut sum = 0.0;
-            for k in 0..JOBS {
-                let (rdd, action) = make(k);
-                let mut d = Driver::new(spec.clone(), cfg.clone());
-                sum += d.run_for_metrics(&rdd, action).job_time();
-            }
-            sum / JOBS as f64
-        })
-        .collect()
-}
-
-/// Run one two-tenant stream; arrivals outpace the isolated job time so
-/// residency overlaps regardless of `--scale`.
-fn run_stream(
-    spec: &ClusterSpec,
-    cfg: &EngineConfig,
-    tenants: &[JobFactory],
-    iso: &[f64],
-    policy: InterJobPolicy,
+/// What every table of the target shares: the cluster, the two tenants,
+/// the base configuration (Lustre input, SSD shuffle store — where ELB and
+/// CAD matter, Fig 13/14) and the isolated calibration under it.
+struct Mix {
+    spec: ClusterSpec,
+    cfg: EngineConfig,
+    tenants: [JobFactory; 2],
+    /// Mean isolated job time per tenant under `cfg` — the slowdown
+    /// denominator, and what the arrival rates are calibrated from. Taken
+    /// once, so every stream sees identical arrival instants.
+    iso: Vec<f64>,
     seed: u64,
-    cap: Option<usize>,
-) -> Vec<FinishedJob> {
-    // Both tenants are calibrated against the LONG tenant's isolated time:
-    // grep jobs must land inside groupby's execution window, or the mix
-    // never contends and every cell degenerates to back-to-back jobs.
-    let ts = vec![
-        TenantSpec::new(
-            "groupby",
-            JOBS,
-            ArrivalProcess::Periodic {
-                period_secs: (iso[0] * 0.25).max(1e-3),
-            },
-            tenants[0].clone(),
-        ),
-        TenantSpec::new(
-            "grep",
-            JOBS,
-            ArrivalProcess::OpenExp {
-                mean_secs: (iso[0] * 0.3).max(1e-3),
-            },
-            tenants[1].clone(),
-        ),
-    ];
-    let mut stream = StreamSpec::new(ts, policy, seed);
-    if let Some(m) = cap {
-        stream = stream.with_max_concurrent(m);
+}
+
+impl Mix {
+    fn new(setup: Setup) -> Mix {
+        let spec = setup.cluster();
+        let cfg = setup.cell_cfg(SSD);
+        let tenants = [groupby_tenant(setup), grep_tenant(setup)];
+        let iso = tenants
+            .iter()
+            .map(|make| {
+                let mut sum = 0.0;
+                for k in 0..JOBS {
+                    let (rdd, action) = make(k);
+                    let mut d = Driver::new(spec.clone(), cfg.clone());
+                    sum += d.run_for_metrics(&rdd, action).job_time();
+                }
+                sum / JOBS as f64
+            })
+            .collect();
+        Mix {
+            spec,
+            cfg,
+            tenants,
+            iso,
+            seed: setup.seed,
+        }
     }
-    let mut d = Driver::new(spec.clone(), cfg.clone());
-    d.run_stream(stream)
+
+    /// Run one two-tenant stream under `cfg`; arrivals outpace the isolated
+    /// job time so residency overlaps regardless of `--scale`.
+    fn stream(
+        &self,
+        cfg: &EngineConfig,
+        policy: InterJobPolicy,
+        cap: Option<usize>,
+    ) -> Vec<FinishedJob> {
+        // Both tenants are calibrated against the LONG tenant's isolated time:
+        // grep jobs must land inside groupby's execution window, or the mix
+        // never contends and every cell degenerates to back-to-back jobs.
+        let ts = vec![
+            TenantSpec::new(
+                "groupby",
+                JOBS,
+                ArrivalProcess::Periodic {
+                    period_secs: (self.iso[0] * 0.25).max(1e-3),
+                },
+                self.tenants[0].clone(),
+            ),
+            TenantSpec::new(
+                "grep",
+                JOBS,
+                ArrivalProcess::OpenExp {
+                    mean_secs: (self.iso[0] * 0.3).max(1e-3),
+                },
+                self.tenants[1].clone(),
+            ),
+        ];
+        let mut stream = StreamSpec::new(ts, policy, self.seed);
+        if let Some(m) = cap {
+            stream = stream.with_max_concurrent(m);
+        }
+        let mut d = Driver::new(self.spec.clone(), cfg.clone());
+        d.run_stream(stream)
+    }
 }
 
 /// Fraction of jobs whose execution window overlapped another resident job.
@@ -123,7 +138,8 @@ fn overlap_fraction(jobs: &[FinishedJob]) -> f64 {
     ratio(overlapping as f64, jobs.len() as f64)
 }
 
-fn slo_rows(t: &mut Table, prefix: &str, jobs: &[FinishedJob], iso: &[f64]) {
+/// One row per tenant of `jobs`' SLOs, which it also returns.
+fn slo_rows(t: &mut Table, prefix: &str, jobs: &[FinishedJob], iso: &[f64]) -> Vec<TenantSlo> {
     let slo = TenantSlo::compute(jobs, iso.len());
     for (name, s) in ["groupby", "grep"].iter().zip(&slo) {
         t.row(
@@ -138,6 +154,7 @@ fn slo_rows(t: &mut Table, prefix: &str, jobs: &[FinishedJob], iso: &[f64]) {
             ],
         );
     }
+    slo
 }
 
 const SLO_COLUMNS: [&str; 6] = [
@@ -149,17 +166,79 @@ const SLO_COLUMNS: [&str; 6] = [
     "aborted_jobs",
 ];
 
+/// The three `repro tenants` tables, from one calibration: per-tenant SLOs
+/// under each inter-job policy, then ELB and CAD off vs on against one
+/// shared FairShare baseline stream.
+pub fn tables(setup: Setup) -> Vec<Table> {
+    let mix = Mix::new(setup);
+    let baseline = mix.stream(&mix.cfg, InterJobPolicy::FairShare, None);
+    // Stream the same mix with one optimization off (the baseline) and on;
+    // `note` reads the verdict off the two streams' SLOs.
+    let on_off = |id: &'static str,
+                  title: &str,
+                  label: &str,
+                  cfg: EngineConfig,
+                  note: fn(&[TenantSlo], &[TenantSlo]) -> String| {
+        let mut t = Table::new(id, title, &SLO_COLUMNS);
+        let on = mix.stream(&cfg, InterJobPolicy::FairShare, None);
+        let off = slo_rows(&mut t, "spark", &baseline, &mix.iso);
+        let on = slo_rows(&mut t, label, &on, &mix.iso);
+        t.note(note(&off, &on));
+        t
+    };
+    vec![
+        policies(&mix),
+        // Does ELB still help the shuffle-heavy tenant when tenants
+        // interleave? The isolated Fig 13 improvement is the reference.
+        on_off(
+            "tenants_elb",
+            "ELB under tenant interleaving: per-tenant SLOs, ELB off vs on",
+            "elb",
+            mix.cfg.clone().with_elb(),
+            |off, on| {
+                format!(
+                    "ELB changes the shuffle-heavy tenant's mean latency by {:.1}% under \
+                     interleaving (Fig 13a isolated reference: ~26%)",
+                    improvement_pct(off[0].mean_latency, on[0].mean_latency)
+                )
+            },
+        ),
+        // Does CAD on one tenant starve the other? CAD throttles tenant A's
+        // storing phase; the grep tenant's p99 and queueing delay say whether
+        // the freed device bandwidth helps it or the backpressure holds its
+        // slots.
+        on_off(
+            "tenants_cad",
+            "CAD under tenant interleaving: per-tenant SLOs, CAD off vs on",
+            "cad",
+            mix.cfg.clone().with_cad(),
+            |off, on| {
+                let p99_delta = improvement_pct(off[1].p99_latency, on[1].p99_latency);
+                let (qd_off, qd_on) = (off[1].mean_queue_delay, on[1].mean_queue_delay);
+                if p99_delta >= -5.0 {
+                    format!(
+                        "no starvation: CAD moves the grep tenant's p99 by {p99_delta:.1}% \
+                         (queueing delay {qd_off:.2}s -> {qd_on:.2}s)"
+                    )
+                } else {
+                    format!(
+                        "starvation signal: CAD inflates the grep tenant's p99 by {:.1}% \
+                         (queueing delay {qd_off:.2}s -> {qd_on:.2}s)",
+                        -p99_delta
+                    )
+                }
+            },
+        ),
+    ]
+}
+
 /// Main `repro tenants` table: per-tenant SLOs under each inter-job policy.
-pub fn policies(setup: Setup) -> Table {
+fn policies(mix: &Mix) -> Table {
     let mut t = Table::new(
         "tenants",
         "Two-tenant stream: per-tenant SLOs by inter-job policy",
         &SLO_COLUMNS,
     );
-    let spec = setup.cluster();
-    let cfg = base_cfg(setup);
-    let tenants = [groupby_tenant(setup), grep_tenant(setup)];
-    let iso = isolated_means(&spec, &cfg, &tenants);
     let mut overlaps = Vec::new();
     for (label, policy) in [
         ("fifo", InterJobPolicy::Fifo),
@@ -174,9 +253,9 @@ pub fn policies(setup: Setup) -> Table {
         // Cap residency at the tenant count: both tenants can hold a job,
         // and a tenant's next arrival queues behind its running one — the
         // queueing-delay column measures real admission waits.
-        let jobs = run_stream(&spec, &cfg, &tenants, &iso, policy, setup.seed, Some(2));
+        let jobs = mix.stream(&mix.cfg, policy, Some(2));
         overlaps.push(overlap_fraction(&jobs));
-        slo_rows(&mut t, label, &jobs, &iso);
+        slo_rows(&mut t, label, &jobs, &mix.iso);
     }
     t.note(format!(
         "{:.0}% of jobs overlapped another resident job (arrivals calibrated \
@@ -185,93 +264,8 @@ pub fn policies(setup: Setup) -> Table {
     ));
     t.note(format!(
         "isolated means: groupby {:.1}s, grep {:.1}s (slowdown denominator)",
-        iso[0], iso[1]
+        mix.iso[0], mix.iso[1]
     ));
-    t
-}
-
-/// Does ELB still help when tenants interleave? Stream the same two-tenant
-/// mix with ELB off/on and compare the shuffle-heavy tenant's latency; the
-/// isolated Fig 13 improvement is the reference point.
-pub fn elb_interleaved(setup: Setup) -> Table {
-    let mut t = Table::new(
-        "tenants_elb",
-        "ELB under tenant interleaving: per-tenant SLOs, ELB off vs on",
-        &SLO_COLUMNS,
-    );
-    let spec = setup.cluster();
-    let tenants = [groupby_tenant(setup), grep_tenant(setup)];
-    let base = base_cfg(setup);
-    // Calibrate arrivals once, from the non-ELB isolated runs, so both
-    // streams see identical arrival instants and differ only in ELB.
-    let iso = isolated_means(&spec, &base, &tenants);
-    let mut mean_gb = Vec::new();
-    for (label, cfg) in [("spark", base.clone()), ("elb", base.with_elb())] {
-        let jobs = run_stream(
-            &spec,
-            &cfg,
-            &tenants,
-            &iso,
-            InterJobPolicy::FairShare,
-            setup.seed,
-            None,
-        );
-        let slo = TenantSlo::compute(&jobs, 2);
-        mean_gb.push(slo[0].mean_latency);
-        slo_rows(&mut t, label, &jobs, &iso);
-    }
-    t.note(format!(
-        "ELB changes the shuffle-heavy tenant's mean latency by {:.1}% under \
-         interleaving (Fig 13a isolated reference: ~26%)",
-        improvement_pct(mean_gb[0], mean_gb[1])
-    ));
-    t
-}
-
-/// Does CAD on one tenant starve the other? CAD throttles tenant A's
-/// storing phase; the grep tenant's p99 and queueing delay say whether the
-/// freed device bandwidth helps it or the backpressure holds its slots.
-pub fn cad_starvation(setup: Setup) -> Table {
-    let mut t = Table::new(
-        "tenants_cad",
-        "CAD under tenant interleaving: per-tenant SLOs, CAD off vs on",
-        &SLO_COLUMNS,
-    );
-    let spec = setup.cluster();
-    let tenants = [groupby_tenant(setup), grep_tenant(setup)];
-    let base = base_cfg(setup);
-    let iso = isolated_means(&spec, &base, &tenants);
-    let mut grep_p99 = Vec::new();
-    let mut grep_qd = Vec::new();
-    for (label, cfg) in [("spark", base.clone()), ("cad", base.with_cad())] {
-        let jobs = run_stream(
-            &spec,
-            &cfg,
-            &tenants,
-            &iso,
-            InterJobPolicy::FairShare,
-            setup.seed,
-            None,
-        );
-        let slo = TenantSlo::compute(&jobs, 2);
-        grep_p99.push(slo[1].p99_latency);
-        grep_qd.push(slo[1].mean_queue_delay);
-        slo_rows(&mut t, label, &jobs, &iso);
-    }
-    let p99_delta = improvement_pct(grep_p99[0], grep_p99[1]);
-    t.note(if p99_delta >= -5.0 {
-        format!(
-            "no starvation: CAD moves the grep tenant's p99 by {p99_delta:.1}% \
-             (queueing delay {:.2}s -> {:.2}s)",
-            grep_qd[0], grep_qd[1]
-        )
-    } else {
-        format!(
-            "starvation signal: CAD inflates the grep tenant's p99 by {:.1}% \
-             (queueing delay {:.2}s -> {:.2}s)",
-            -p99_delta, grep_qd[0], grep_qd[1]
-        )
-    });
     t
 }
 
@@ -280,8 +274,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policies_cell_reports_all_slos_and_overlaps() {
-        let t = policies(Setup::smoke());
+    fn tables_report_all_slos_overlap_and_keep_both_tenants_running() {
+        let tables = tables(Setup::smoke());
+        let [t, on_off @ ..] = tables.as_slice() else {
+            panic!("no tables");
+        };
         // 3 policies x 2 tenants.
         assert_eq!(t.rows.len(), 6);
         assert_eq!(t.column("jobs"), vec![JOBS as f64; 6]);
@@ -298,14 +295,8 @@ mod tests {
             !overlap_note.starts_with("0%"),
             "streams did not overlap: {overlap_note}"
         );
-    }
-
-    #[test]
-    fn elb_and_cad_cells_keep_both_tenants_running() {
-        for t in [
-            elb_interleaved(Setup::smoke()),
-            cad_starvation(Setup::smoke()),
-        ] {
+        assert_eq!(on_off.len(), 2);
+        for t in on_off {
             assert_eq!(t.rows.len(), 4, "{}", t.id);
             assert_eq!(t.column("aborted_jobs"), vec![0.0; 4], "{}", t.id);
             assert!(t.column("p99-lat-s").iter().all(|&v| v > 0.0), "{}", t.id);

@@ -7,6 +7,11 @@
 //! must keep *failing* — they prove the oracles can still see that bug
 //! class.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test of the measurement layer reads its corpus files (DESIGN.md 4.10)"
+)]
+
 use memres_bench::fuzz::{self, FuzzSpec};
 
 const BUDGET: u64 = 20_000_000;

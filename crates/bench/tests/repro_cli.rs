@@ -3,6 +3,11 @@
 //! job aborted, 2 on usage errors. CI scripts branch on these codes, so they
 //! are part of the public interface, not an implementation detail.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test of the measurement layer reads the files it wrote (DESIGN.md 4.10)"
+)]
+
 use std::process::Command;
 
 fn repro(args: &[&str]) -> std::process::Output {

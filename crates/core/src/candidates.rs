@@ -13,7 +13,14 @@
 
 // Node ids are minted by the cluster spec and every set is sized to it at
 // construction; an out-of-range id would be an engine bug.
-#![allow(clippy::indexing_slicing)]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "every set is sized to the cluster spec that mints the node ids"
+)]
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 /// Per-node scheduling state with its candidate index. A node is
 /// *available* — can accept a launch — when it is up, not blacklisted and

@@ -418,7 +418,10 @@ impl EngineConfig {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#[allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 mod tests {
     use super::*;
 

@@ -17,7 +17,14 @@
 // Lineage chains are dense arenas indexed by `RddId`s this module mints
 // root-first; as in world.rs and its `world/` modules, `arr[id]` is the idiom
 // and a miss is an engine bug. The crate-level `indexing_slicing` warning is waived for this file.
-#![allow(clippy::indexing_slicing)]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "lineage arenas indexed by RddIds minted root-first; a miss is an engine bug"
+)]
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::rdd::{Action, Dataset, NarrowStep, Rdd, RddId, RddOp, ShuffleAgg};
 use memres_des::{DetMap, DetSet};
@@ -130,9 +137,13 @@ pub fn build_plan(rdd: &Rdd, action: Action, materialized: &DetSet<RddId>) -> Jo
                 }));
             }
             RddOp::Narrow { step, .. } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "lineage chains are built root-first; a narrow op always follows its parent stage"
+                )]
                 current
                     .as_mut()
-                    .expect("narrow op without upstream stage") // lint:allow(panic): lineage chains are built root-first; a narrow op always follows its parent stage
+                    .expect("narrow op without upstream stage")
                     .steps
                     .push(step.clone());
             }
@@ -143,7 +154,11 @@ pub fn build_plan(rdd: &Rdd, action: Action, materialized: &DetSet<RddId>) -> Jo
                 out_factor,
                 ..
             } => {
-                let mut up = current.take().expect("shuffle without upstream stage"); // lint:allow(panic): lineage chains are built root-first; a shuffle always follows its upstream stage
+                #[expect(
+                    clippy::expect_used,
+                    reason = "lineage chains are built root-first; a shuffle always follows its upstream stage"
+                )]
+                let mut up = current.take().expect("shuffle without upstream stage");
                 up.shuffle_out = Some(*reducers);
                 stages.push(up);
                 current = Some(StagePlan::new(StageInput::Shuffle(ShuffleInSpec {
@@ -176,13 +191,21 @@ pub fn build_plan(rdd: &Rdd, action: Action, materialized: &DetSet<RddId>) -> Jo
                     stages.clear();
                     current = Some(StagePlan::new(StageInput::Cached { rdd: node.id() }));
                 } else {
-                    let cur = current.as_mut().expect("cache without upstream stage"); // lint:allow(panic): lineage chains are built root-first; a cache marker always follows its upstream stage
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "lineage chains are built root-first; a cache marker always follows its upstream stage"
+                    )]
+                    let cur = current.as_mut().expect("cache without upstream stage");
                     cur.cache_points.push((cur.steps.len(), node.id()));
                 }
             }
         }
     }
-    stages.push(current.expect("empty lineage")); // lint:allow(panic): the chain holds at least the root Source node, so a stage is always open
+    #[expect(
+        clippy::expect_used,
+        reason = "the chain holds at least the root Source node, so a stage is always open"
+    )]
+    stages.push(current.expect("empty lineage"));
     JobPlan {
         stages,
         action,

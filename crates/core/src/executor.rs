@@ -17,7 +17,14 @@
 // just computed; an out-of-range access would be a bug here, not a
 // recoverable condition (same waiver, same reason, as `world.rs` and the
 // modules under `world/`).
-#![allow(clippy::indexing_slicing)]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "indices are minted here from lengths just computed; a miss is a bug here"
+)]
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::dag::{JobPlan, StagePlan};
 use crate::rdd::{RddId, ShuffleAgg};
@@ -239,7 +246,10 @@ pub(crate) fn evaluate(pending: &mut [Pending], threads: usize) -> Vec<ChainOut>
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| loop {
-                    // lint:allow(panic): the lock is held only across `next()`, which cannot panic, so no worker ever poisons it
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the lock is held only across `next()`, which cannot panic, so no worker ever poisons it"
+                    )]
                     let next = queue.lock().expect("work queue poisoned").next();
                     let Some((entry, slot)) = next else { break };
                     *slot = Some(entry.eval());
@@ -247,11 +257,15 @@ pub(crate) fn evaluate(pending: &mut [Pending], threads: usize) -> Vec<ChainOut>
             }
         });
     }
-    results
+    #[expect(
+        clippy::expect_used,
+        reason = "the cursor hands out every (entry, slot) pair and a worker that panicked mid-entry has already propagated out of the scope"
+    )]
+    let out = results
         .into_iter()
-        // lint:allow(panic): the cursor hands out every (entry, slot) pair and a worker that panicked mid-entry has already propagated out of the scope
         .map(|r| r.expect("the queue hands out every entry before the scope joins"))
-        .collect()
+        .collect();
+    out
 }
 
 /// One reducer's share of a producer's output.
@@ -342,7 +356,10 @@ impl KeyIndex {
             i = (i + 1) & mask;
         }
         self.groups.push((hash, key.clone()));
-        // lint:allow(panic): 2^32 distinct keys in one reducer would need >190 GB of records
+        #[expect(
+            clippy::expect_used,
+            reason = "2^32 distinct keys in one reducer would need >190 GB of records"
+        )]
         let n = u32::try_from(self.groups.len()).expect("under 2^32 groups per reducer");
         if self.groups.len() * 2 <= self.table.len() {
             self.table[i] = n;

@@ -180,7 +180,10 @@ pub fn durations_from_csv(csv: &str, phase: &str) -> Vec<f64> {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#[allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 mod tests {
     use super::*;
     use crate::metrics::{RecoveryCounters, TaskLocality, TaskMetric};

@@ -17,6 +17,11 @@
 //! Recovery behavior (attempt caps, fetch backoff, blacklisting) is tuned by
 //! [`RecoveryConfig`] on [`EngineConfig`](crate::config::EngineConfig).
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use memres_des::time::SimDuration;
 
 /// One kind of injected fault.
@@ -204,7 +209,10 @@ impl Default for RecoveryConfig {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#[allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 mod tests {
     use super::*;
 

@@ -5,8 +5,6 @@
 //! (Figs 7b, 8b, 13, 14b), task-time spreads (Figs 8c, 8d, 10), and
 //! per-node distributions (Fig 12).
 
-use memres_cluster::NodeId;
-use memres_des::stats::Cdf;
 use memres_des::time::SimTime;
 
 /// Which phase of the MapReduce pipeline a task belongs to (§IV/Fig 4a).
@@ -208,10 +206,6 @@ impl JobMetrics {
         self.tasks.iter().map(|t| t.queue_delay()).sum::<f64>() / self.tasks.len() as f64
     }
 
-    pub fn node_cdf(&self, values: &[f64]) -> Cdf {
-        Cdf::from_values(values)
-    }
-
     /// Fraction of compute tasks that ran node-local.
     pub fn locality_fraction(&self) -> f64 {
         let total = self.tasks_in(Phase::Compute).count();
@@ -297,10 +291,6 @@ impl MetricsSink {
     pub fn active_jobs(&self) -> usize {
         self.active.len()
     }
-}
-
-pub fn node_u32(n: NodeId) -> u32 {
-    n.0
 }
 
 #[cfg(test)]

@@ -390,7 +390,10 @@ impl Action {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#[allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 mod tests {
     use super::*;
 
@@ -466,7 +469,10 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#[allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 mod sugar_tests {
     use super::*;
 

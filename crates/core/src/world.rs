@@ -38,7 +38,14 @@
 // not a recoverable condition. Bounds-checked alternatives at ~190 sites
 // would bury the scheduling logic, so the crate-level `indexing_slicing`
 // warning is waived for this file and its child modules only.
-#![allow(clippy::indexing_slicing)]
+#![allow(
+    clippy::indexing_slicing,
+    reason = "dense arenas indexed by ids this module mints; a miss is an engine bug"
+)]
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::blockmgr::BlockMgr;
 use crate::candidates::Nodes;
@@ -260,7 +267,11 @@ fn parse_threads(var: Option<&str>) -> Option<usize> {
 
 impl SimWorld {
     pub fn new(spec: ClusterSpec, cfg: EngineConfig) -> Self {
-        spec.validate().expect("invalid cluster spec"); // lint:allow(panic): construction-time config validation; fails fast before any simulation starts
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time config validation; fails fast before any simulation starts"
+        )]
+        spec.validate().expect("invalid cluster spec");
         let mut net = FlowNet::new();
         let fabric = Fabric::build(&mut net, &spec);
         let workers = spec.workers as usize;
@@ -410,11 +421,6 @@ impl SimWorld {
         self.finished.drain(..).collect()
     }
 
-    /// Number of jobs currently resident (admitted, not finished).
-    pub fn resident_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Cheap cross-checks of live engine state against independent
     /// reimplementations, for the differential-fuzz harness (DESIGN.md
     /// §4.13): the incremental water-filling allocation vs a from-scratch
@@ -489,12 +495,13 @@ impl SimWorld {
     /// stale-filtered (`completion_is_stale`) before dereferencing, so a
     /// live event implies the owning job is resident.
     #[inline]
+    #[expect(clippy::expect_used, reason = "stale-filtered above")]
     fn job_index_of(&self, task: u32) -> usize {
         let id = self.tasks.job[task as usize];
         self.jobs
             .iter()
             .position(|j| j.id == id)
-            .expect("task of non-resident job") // lint:allow(panic): stale-filtered above
+            .expect("task of non-resident job")
     }
 
     #[inline]
@@ -824,7 +831,11 @@ impl SimWorld {
                 }
                 Work::Reduce { reducer, .. } => {
                     let (_, bytes, records, rows, _) = chain;
-                    let rows = rows.expect("real reduce output"); // lint:allow(panic): Work::Reduce always evaluates to real rows
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Work::Reduce always evaluates to real rows"
+                    )]
+                    let rows = rows.expect("real reduce output");
                     self.park_reduced(job.task, reducer, bytes, records, rows);
                 }
             }
@@ -948,7 +959,11 @@ impl SimWorld {
         // If a speculative copy won, it replaces the original everywhere the
         // job refers to it (storing pins, final-task outputs).
         if self.tasks.is_speculative[task as usize] {
-            let orig = self.tasks.twin[task as usize].expect("duplicate without twin"); // lint:allow(panic): duplicate (speculative) tasks are always created with their twin recorded
+            #[expect(
+                clippy::expect_used,
+                reason = "duplicate (speculative) tasks are always created with their twin recorded"
+            )]
+            let orig = self.tasks.twin[task as usize].expect("duplicate without twin");
             let job = self.job_of_mut(task);
             for slot in job.stage_tasks.iter_mut().chain(job.final_tasks.iter_mut()) {
                 if *slot == orig {

@@ -98,8 +98,11 @@ impl SimWorld {
         rdd: RddId,
         part: u32,
     ) -> (Arc<StagePlan>, RddId) {
+        #[expect(
+            clippy::panic,
+            reason = "unrecoverable by design: a cache below a shuffle has no per-partition lineage; dying loudly beats silently wrong output"
+        )]
         let Some(spec) = plan.recovery.get(&rdd) else {
-            // lint:allow(panic): unrecoverable by design: a cache below a shuffle has no per-partition lineage; dying loudly beats silently wrong output
             panic!(
                 "cached partition {part} of {rdd:?} lost with no lineage recipe — \
                  a cache fed through a shuffle cannot be rebuilt in this model"

@@ -273,16 +273,22 @@ impl JobShuffle {
     }
 
     /// The shuffle this job's fetch stage reads.
+    #[expect(
+        clippy::expect_used,
+        reason = "reached from fetch-task paths only, and a fetch stage starts (`begin_fetch_stage`) by installing the shuffle its predecessor wrote"
+    )]
     fn reading(&mut self) -> &mut ShuffleState {
-        // lint:allow(panic): reached from fetch-task paths only, and a fetch stage starts (`begin_fetch_stage`) by installing the shuffle its predecessor wrote
         self.reading
             .as_mut()
             .expect("fetch without a shuffle to read")
     }
 
     /// The shuffle this job's current stage writes.
+    #[expect(
+        clippy::expect_used,
+        reason = "reached for the producers, store tasks and storing-to-fetch switch of a stage whose plan writes a shuffle, which `open_shuffle` created when the stage started"
+    )]
     fn writing(&mut self) -> &mut ShuffleState {
-        // lint:allow(panic): reached for the producers, store tasks and storing-to-fetch switch of a stage whose plan writes a shuffle, which `open_shuffle` created when the stage started
         self.writing
             .as_mut()
             .expect("producer without a shuffle to write")

@@ -6,8 +6,8 @@
 //! order — and with it float accumulation, task placement, and the exported
 //! metrics — would differ between the two instances. Serializing both runs
 //! through `export::job_json` / `export::tasks_csv` and comparing *bytes*
-//! therefore catches exactly the class of bug `memres-lint` rule R1 exists
-//! to prevent, from the behavioral side.
+//! therefore catches exactly the class of bug rule R1 (`clippy.toml`'s
+//! `disallowed-types`) exists to prevent, from the behavioral side.
 
 use memres_core::export;
 use memres_core::prelude::*;

@@ -2,7 +2,10 @@
 //! parking idle nodes changes how many nodes a `Dispatch` looks at, never
 //! what it launches, where, or when.
 
-#![allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#![allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 
 use memres_cluster::{hyperion, tiny};
 use memres_core::prelude::*;

@@ -1,13 +1,16 @@
 //! End-to-end engine tests: real UDF execution, shuffle correctness across
 //! storage strategies, caching, scheduling policies, and determinism.
 
-#![allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#![allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 
 use memres_cluster::tiny;
 use memres_core::prelude::*;
 use memres_core::world::JobOutput;
 use memres_des::time::SimDuration;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn wordcount_data() -> Vec<Record> {
     let words = ["the", "quick", "brown", "fox", "the", "lazy", "dog", "the"];
@@ -30,7 +33,7 @@ fn wordcount_produces_exact_counts() {
             Value::I64(a.as_i64() + b.as_i64())
         });
     let (out, metrics) = d.run(&rdd, Action::Collect);
-    let counts: HashMap<String, i64> = out
+    let counts: BTreeMap<String, i64> = out
         .records
         .expect("real data collects")
         .into_iter()
@@ -399,7 +402,7 @@ fn rack_aggregation_preserves_results_and_collapses_flows() {
             Value::I64(a.as_i64() + b.as_i64())
         });
     let (out, _) = d_real.run(&rdd, Action::Collect);
-    let counts: HashMap<String, i64> = out
+    let counts: BTreeMap<String, i64> = out
         .records
         .expect("real data collects")
         .into_iter()

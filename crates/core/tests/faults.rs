@@ -9,7 +9,10 @@
 //! shuffle rows at a replacement node, which preserves the multiset of
 //! records but may permute the order of values inside a group.
 
-#![allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#![allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 
 use memres_cluster::tiny;
 use memres_core::export;
@@ -175,7 +178,7 @@ fn run_counted(
 
 /// Tasks of `class` that a `TaskRetried` event names.
 fn retried_of_class(trace: &[TimedEvent], class: TaskClass) -> usize {
-    let of_class: std::collections::HashSet<u32> = trace
+    let of_class: std::collections::BTreeSet<u32> = trace
         .iter()
         .filter_map(|e| match e.ev {
             TraceEvent::TaskLaunched { task, class: c, .. } if c == class => Some(task),

@@ -4,12 +4,15 @@
 //! assert conservation and determinism properties that must hold for every
 //! configuration, not just the calibrated ones.
 
-#![allow(clippy::indexing_slicing)] // terse literal indexing is fine in tests
+#![allow(
+    clippy::indexing_slicing,
+    reason = "terse literal indexing is fine in tests"
+)]
 
 use memres_cluster::tiny;
 use memres_core::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn cfg_for(shuffle_idx: u8, sigma: f64, seed: u64) -> EngineConfig {
     let shuffle = match shuffle_idx % 4 {
@@ -74,7 +77,7 @@ proptest! {
             });
         let mut d = Driver::new(tiny(4), cfg_for(shuffle_idx, sigma, 3));
         let (out, _) = d.run(&rdd, Action::Collect);
-        let counts: HashMap<String, i64> = out
+        let counts: BTreeMap<String, i64> = out
             .records
             .unwrap()
             .into_iter()

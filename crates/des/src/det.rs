@@ -7,7 +7,7 @@
 //! entropy into event order, float-accumulation order, and ultimately the
 //! exported metrics — breaking the engine's core promise that runs are
 //! byte-identical across executor thread counts and seeds (DESIGN.md §4.10,
-//! rule R1; enforced by `memres-lint`).
+//! rule R1; enforced by clippy's `disallowed_types`, see `clippy.toml`).
 //!
 //! ## Iteration-order contract
 //!
@@ -23,7 +23,11 @@
 //! and that index is *never iterated* — iteration always walks the dense
 //! slot vector.
 
-use std::collections::HashMap; // lint:allow(hash-order): the index is only probed by key, never iterated; iteration walks `slots`
+#[expect(
+    clippy::disallowed_types,
+    reason = "the index is only probed by key, never iterated; iteration walks `slots`"
+)]
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Index;
 
@@ -34,14 +38,16 @@ pub struct DetMap<K, V> {
     /// Dense entry storage in deterministic order; the only thing iterated.
     slots: Vec<(K, V)>,
     /// Key → position in `slots`. Probed by key only.
-    index: HashMap<K, usize>, // lint:allow(hash-order): never iterated
+    #[expect(clippy::disallowed_types, reason = "never iterated")]
+    index: HashMap<K, usize>,
 }
 
 impl<K, V> Default for DetMap<K, V> {
     fn default() -> Self {
         DetMap {
             slots: Vec::new(),
-            index: HashMap::new(), // lint:allow(hash-order): never iterated
+            #[expect(clippy::disallowed_types, reason = "never iterated")]
+            index: HashMap::new(),
         }
     }
 }

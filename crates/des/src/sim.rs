@@ -78,12 +78,6 @@ impl<E> Outbox<E> {
         self.now
     }
 
-    /// Opt in or out of the past-time scheduling assertion (see
-    /// [`Simulation::set_strict_schedule`]).
-    pub fn set_strict(&mut self, strict: bool) {
-        self.strict = strict;
-    }
-
     /// Schedule an event at an absolute instant (clamped to `now`: models may
     /// compute "due" times in the past by float rounding; those fire now).
     ///

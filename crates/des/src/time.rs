@@ -77,10 +77,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Time needed to move `work` units through a server of `rate` units/sec.
     pub fn for_work(work: f64, rate: f64) -> Self {
         if work <= 0.0 {

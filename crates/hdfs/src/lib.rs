@@ -235,10 +235,6 @@ impl Hdfs {
         self.files.get(&file).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    pub fn block_size_of(&self, block: BlockId) -> f64 {
-        self.blocks[&block].size
-    }
-
     pub fn locations(&self, block: BlockId) -> &[NodeId] {
         &self.blocks[&block].locations
     }

@@ -1,25 +1,15 @@
-//! # memres-lint — the workspace determinism & discipline linter
+//! # memres-lint — the determinism rules no compiler can state
 //!
 //! The engine promises byte-identical results across executor thread counts
-//! and under seeded fault plans. That promise dies the moment someone
-//! iterates a salted hash map into an event order, reads the host clock
-//! inside the simulation, schedules an event into the past, or leaks a raw
-//! nanosecond count across a crate boundary. `memres-lint` turns those
-//! conventions into machine-checked rules (DESIGN.md §4.10, §4.15):
+//! and under seeded fault plans. Most of what protects that promise is
+//! rustc's and clippy's job (DESIGN.md §4.10): hash-iterated containers, the
+//! host clock, host I/O and bare panics in the kernel are refused at gate
+//! stage 4 through `clippy.toml`, `[workspace.lints.clippy]` and per-file
+//! `#![deny(clippy::unwrap_used, …)]`, with `#[expect(…, reason = "…")]` as
+//! the waiver. `memres-lint` keeps the three rules that need to read names
+//! and statement shapes rather than resolved types:
 //!
-//! * **R1 `hash-order`** — no `HashMap`/`HashSet` in simulation-visible
-//!   crates: hash order is salted per instance and leaks into event order
-//!   and float-accumulation order. Use `memres_des::{DetMap, DetSet}`.
-//! * **R2 `wall-clock`** — no wall-clock or host entropy (`Instant`,
-//!   `SystemTime`, `std::time`, `thread_rng`, …) outside the `bench`
-//!   measurement layer. Simulated time is `SimTime`; randomness is seeded.
-//! * **R3 `io`** — no filesystem or network access (`std::fs`, `std::net`)
-//!   outside the designated `bench` and `scripts` layers.
-//! * **R4 `panic`** — `unwrap()`/`expect()`/`panic!` in the engine kernel
-//!   (recovery/fault paths included) and the fuzz-driven substrate hot paths
-//!   must justify why the invariant holds via a `lint:allow` annotation. The
-//!   guarded set is a list of path prefixes ([`PANIC_GUARDED_PATHS`]).
-//! * **R5 `event-past`** (v2) — every event-scheduling callsite
+//! * **R5 `event-past`** — every event-scheduling callsite
 //!   (`Outbox::at`, `Simulation::schedule`, `queue.push`, flow opens,
 //!   `push_chunk(s)`) must derive its timestamp from `now` *syntactically*:
 //!   the first argument starts with `now`/`self.now`, clamps with
@@ -27,7 +17,7 @@
 //!   `now` earlier in the same function. Anything else needs a justified
 //!   `lint:allow(event-past)`. The dynamic counterpart is the strict-mode
 //!   assert in `memres_des::sim` (on by default in debug builds).
-//! * **R6 `time-units`** (v2) — no raw `.0` escapes of the `SimTime` /
+//! * **R6 `time-units`** — no raw `.0` escapes of the `SimTime` /
 //!   `SimDuration` newtypes (use `as_nanos()`), no time-named fields or
 //!   bindings declared as bare primitives (`deadline_ns: u64`), and no
 //!   `bytes: f64`/`bytes: u64` parameters on `pub fn` boundaries in
@@ -36,28 +26,33 @@
 //!   `.product()`, `.fold()`, `+=` loops) over map iteration
 //!   (`values()`/`keys()`) must be annotated: slice/Vec iteration is
 //!   insertion-ordered by construction, map iteration is only deterministic
-//!   because R1 forces `DetMap` — say so at the accumulation site.
+//!   because the sim crates hold `DetMap`s — say so at the accumulation
+//!   site.
 //!
 //! Escapes use the annotation grammar
 //! `// lint:allow(<rule>): <reason>` — trailing on the offending line, on
 //! the line directly above it, trailing any line of the (possibly
 //! multi-line) statement, or on the line directly above the statement.
-//! Every allow must name a known rule and carry a non-empty reason; a
-//! malformed or unused allow is itself a violation, so escapes cannot rot
-//! silently.
+//! Every allow must name one of these three rules and carry a non-empty
+//! reason; a malformed or unused allow is itself a violation, so escapes
+//! cannot rot silently.
 //!
 //! The one cross-file check lives in [`xfile`]: every repro cell family is
-//! smoke-covered by `scripts/check.sh`. (That every `Ev` variant is
-//! dispatched and every `TraceEvent` variant exported is the compiler's and
-//! clippy's job; see that module.)
+//! smoke-covered by `scripts/check.sh`.
 //!
 //! The scanner is a hand-rolled Rust tokenizer (offline, zero
 //! dependencies) feeding a statement/brace-structure pass ([`stmt`]). It
 //! skips comments, strings and char literals — so prose mentioning
-//! `HashMap` never fires — and skips `#[cfg(test)]` items, `tests/` and
+//! `.sum()` never fires — and skips `#[cfg(test)]` items, `tests/` and
 //! `benches/` trees entirely.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a tool that reads the workspace's source files, not simulation code (DESIGN.md 4.10)"
+)]
+
 use std::fmt::Write as _;
+use std::path::Path;
 
 pub mod lex;
 pub mod stmt;
@@ -69,31 +64,15 @@ use stmt::Structure;
 // ---------------------------------------------------------------- rules
 
 /// Canonical rule names, used in diagnostics and `lint:allow(<rule>)`.
-pub const RULE_HASH: &str = "hash-order";
-pub const RULE_CLOCK: &str = "wall-clock";
-pub const RULE_IO: &str = "io";
-pub const RULE_PANIC: &str = "panic";
 pub const RULE_EVENT_PAST: &str = "event-past";
 pub const RULE_TIME_UNITS: &str = "time-units";
 pub const RULE_FLOAT_ORDER: &str = "float-order";
 
-pub const ALL_RULES: [&str; 7] = [
-    RULE_HASH,
-    RULE_CLOCK,
-    RULE_IO,
-    RULE_PANIC,
-    RULE_EVENT_PAST,
-    RULE_TIME_UNITS,
-    RULE_FLOAT_ORDER,
-];
+pub const ALL_RULES: [&str; 3] = [RULE_EVENT_PAST, RULE_TIME_UNITS, RULE_FLOAT_ORDER];
 
 /// Which rules apply to one file (decided from its workspace-relative path).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuleSet {
-    pub hash: bool,
-    pub clock: bool,
-    pub io: bool,
-    pub panic: bool,
     pub event_past: bool,
     pub time_units: bool,
     pub float_order: bool,
@@ -107,10 +86,6 @@ impl RuleSet {
     /// Every per-file rule, as applied to sim-crate sources.
     pub fn sim() -> RuleSet {
         RuleSet {
-            hash: true,
-            clock: true,
-            io: true,
-            panic: false,
             event_past: true,
             time_units: true,
             float_order: true,
@@ -122,9 +97,9 @@ impl RuleSet {
     }
 }
 
-/// Crates whose code is simulation-visible: anything here that iterates in
-/// hash order perturbs event order and float sums (rule R1).
-pub const SIM_CRATES: [&str; 9] = [
+/// Crates whose code is simulation-visible: a timestamp, a unit or a float
+/// sum that goes wrong here changes simulated results or exported bytes.
+pub const SIM_CRATES: [&str; 10] = [
     "core",
     "des",
     "net",
@@ -134,26 +109,7 @@ pub const SIM_CRATES: [&str; 9] = [
     "cluster",
     "workloads",
     "trace",
-];
-
-/// Workspace-relative path prefixes under which a bare panic turns an
-/// injected fault or a hot-loop bookkeeping slip into a crashed process
-/// (rule R4): the engine kernel of `memres-core` — `world.rs`, every module
-/// under `world/`, and the two that were split out of it earlier — its
-/// fault and planning paths, plus the substrate hot paths the differential
-/// fuzzer drives hardest (flow bookkeeping, device queues, the Lustre
-/// lock/cache state machine). Matching is by prefix, so code that moves to a
-/// new `world/` module stays under the rule without an edit here.
-pub const PANIC_GUARDED_PATHS: [&str; 9] = [
-    "crates/core/src/world.rs",
-    "crates/core/src/world/",
-    "crates/core/src/candidates.rs",
-    "crates/core/src/executor.rs",
-    "crates/core/src/faults.rs",
-    "crates/core/src/dag.rs",
-    "crates/net/src/flow.rs",
-    "crates/storage/src/device.rs",
-    "crates/lustre/src/lib.rs",
+    "metrics",
 ];
 
 /// Files that *define* the time/bytes newtypes: the `.0` accesses inside
@@ -161,55 +117,26 @@ pub const PANIC_GUARDED_PATHS: [&str; 9] = [
 pub const UNIT_DEFINING_FILES: [&str; 2] = ["crates/des/src/time.rs", "crates/des/src/bytes.rs"];
 
 /// Decide which rules govern `rel` (a `/`-separated path relative to the
-/// workspace root). The layer map:
-///
-/// * `vendor/`, `crates/bench/`, `crates/lint/` — exempt (vendored stubs,
-///   the measurement layer that *must* read the host clock and write JSON,
-///   and this tool itself).
-/// * `tests/`, `benches/` anywhere — exempt (test code may index fixtures).
-/// * `crates/<sim>/src/` — R1 + R2 + R3 + R5 + R6 + R7; plus R4 under the
-///   [`PANIC_GUARDED_PATHS`] prefixes; minus R6 for the newtype-defining
-///   files.
-/// * umbrella `src/` and `examples/` — R2 + R3 (not simulation-visible,
-///   but still deterministic-by-default).
+/// workspace root): R5 + R6 + R7 for `crates/<sim>/src/`, minus R6 for the
+/// newtype-defining files; nothing anywhere else (`tests/` and `benches/`
+/// trees, the `bench` and `lint` crates, `vendor/`, the umbrella package).
 pub fn rules_for(rel: &str) -> RuleSet {
     if !rel.ends_with(".rs") {
         return RuleSet::none();
     }
-    if rel.starts_with("vendor/")
-        || rel.starts_with("crates/bench/")
-        || rel.starts_with("crates/lint/")
-        || rel.starts_with("target/")
-    {
+    let Some((krate, tail)) = rel
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+    else {
+        return RuleSet::none();
+    };
+    if !SIM_CRATES.contains(&krate) || !tail.starts_with("src/") {
         return RuleSet::none();
     }
-    if rel.split('/').any(|seg| seg == "tests" || seg == "benches") {
-        return RuleSet::none();
+    RuleSet {
+        time_units: !UNIT_DEFINING_FILES.contains(&rel),
+        ..RuleSet::sim()
     }
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        let (krate, tail) = match rest.split_once('/') {
-            Some(x) => x,
-            None => return RuleSet::none(),
-        };
-        if !tail.starts_with("src/") {
-            return RuleSet::none();
-        }
-        if SIM_CRATES.contains(&krate) {
-            let mut r = RuleSet::sim();
-            r.panic = PANIC_GUARDED_PATHS.iter().any(|p| rel.starts_with(p));
-            r.time_units = !UNIT_DEFINING_FILES.contains(&rel);
-            return r;
-        }
-        return RuleSet::none();
-    }
-    if rel.starts_with("src/") || rel.starts_with("examples/") {
-        return RuleSet {
-            clock: true,
-            io: true,
-            ..RuleSet::none()
-        };
-    }
-    RuleSet::none()
 }
 
 // ---------------------------------------------------------- diagnostics
@@ -288,20 +215,6 @@ pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
 }
 
 // --------------------------------------------------------------- scanner
-
-/// Wall-clock / host-entropy identifiers (rule R2).
-const CLOCK_IDENTS: [&str; 6] = [
-    "Instant",
-    "SystemTime",
-    "UNIX_EPOCH",
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-];
-
-/// Network-type identifiers (rule R3; `std::fs` / `std::net` paths are
-/// matched structurally).
-const NET_IDENTS: [&str; 3] = ["TcpStream", "TcpListener", "UdpSocket"];
 
 /// Identifiers that denote a simulated instant when they escape via `.0`
 /// (rule R6a). Exact names or suffix match — see [`timeish_ident`].
@@ -516,127 +429,6 @@ pub fn scan_source(file: &str, src: &str, rules: RuleSet) -> Vec<Diagnostic> {
         let TokKind::Ident(id) = &tok.kind else {
             continue;
         };
-        if rules.hash && (id == "HashMap" || id == "HashSet") {
-            let d = fire(
-                &mut allows,
-                &structure,
-                &toks,
-                RULE_HASH,
-                i,
-                format!(
-                    "`{id}` in simulation-visible code: hash order is salted per instance \
-                     and leaks into event order; use memres_des::{}",
-                    if id == "HashMap" { "DetMap" } else { "DetSet" }
-                ),
-            );
-            diags.extend(d);
-        }
-        if rules.clock {
-            if CLOCK_IDENTS.contains(&id.as_str()) {
-                let d = fire(
-                    &mut allows,
-                    &structure,
-                    &toks,
-                    RULE_CLOCK,
-                    i,
-                    format!(
-                        "`{id}` reads the host clock/entropy inside deterministic code; \
-                         use SimTime / seeded rngs (measurement belongs in crates/bench)"
-                    ),
-                );
-                diags.extend(d);
-            }
-            // `std :: time` path.
-            if id == "std"
-                && i + 3 < toks.len()
-                && punct_is(&toks[i + 1], ':')
-                && punct_is(&toks[i + 2], ':')
-                && ident_is(&toks[i + 3], "time")
-            {
-                let d = fire(
-                    &mut allows,
-                    &structure,
-                    &toks,
-                    RULE_CLOCK,
-                    i,
-                    "`std::time` in deterministic code; simulated time is memres_des::SimTime"
-                        .to_string(),
-                );
-                diags.extend(d);
-            }
-        }
-        if rules.io {
-            if NET_IDENTS.contains(&id.as_str()) {
-                let d = fire(
-                    &mut allows,
-                    &structure,
-                    &toks,
-                    RULE_IO,
-                    i,
-                    format!("`{id}`: network access outside the bench/scripts layers"),
-                );
-                diags.extend(d);
-            }
-            if id == "std"
-                && i + 3 < toks.len()
-                && punct_is(&toks[i + 1], ':')
-                && punct_is(&toks[i + 2], ':')
-                && (ident_is(&toks[i + 3], "fs") || ident_is(&toks[i + 3], "net"))
-            {
-                let what = match &toks[i + 3].kind {
-                    TokKind::Ident(w) => w.clone(),
-                    _ => unreachable!("guarded by ident_is"),
-                };
-                let d = fire(
-                    &mut allows,
-                    &structure,
-                    &toks,
-                    RULE_IO,
-                    i,
-                    format!(
-                        "`std::{what}` outside the bench/scripts layers: simulation code \
-                         must not touch the host filesystem or network"
-                    ),
-                );
-                diags.extend(d);
-            }
-        }
-        if rules.panic {
-            // `. unwrap (` / `. expect (`
-            if (id == "unwrap" || id == "expect")
-                && i > 0
-                && punct_is(&toks[i - 1], '.')
-                && i + 1 < toks.len()
-                && punct_is(&toks[i + 1], '(')
-            {
-                let d = fire(
-                    &mut allows,
-                    &structure,
-                    &toks,
-                    RULE_PANIC,
-                    i,
-                    format!(
-                        "`.{id}()` on a recovery/fault path: justify the invariant with \
-                         `// lint:allow(panic): <reason>` or handle the None/Err case"
-                    ),
-                );
-                diags.extend(d);
-            }
-            // `panic !`
-            if id == "panic" && i + 1 < toks.len() && punct_is(&toks[i + 1], '!') {
-                let d = fire(
-                    &mut allows,
-                    &structure,
-                    &toks,
-                    RULE_PANIC,
-                    i,
-                    "`panic!` on a recovery/fault path: justify the invariant with \
-                     `// lint:allow(panic): <reason>`"
-                        .to_string(),
-                );
-                diags.extend(d);
-            }
-        }
         // ---- R5: event scheduling must derive its timestamp from `now`.
         if rules.event_past
             && i > 0
@@ -813,7 +605,7 @@ pub fn scan_source(file: &str, src: &str, rules: RuleSet) -> Vec<Diagnostic> {
                         i,
                         format!(
                             "`.{id}()` over map iteration: accumulation order is only \
-                             deterministic because R1 forces DetMap/DetSet — state that \
+                             deterministic because sim crates hold DetMap/DetSet (R1) — state that \
                              with `// lint:allow(float-order): <why the order is fixed>`"
                         ),
                     );
@@ -914,6 +706,58 @@ pub fn scan_source(file: &str, src: &str, rules: RuleSet) -> Vec<Diagnostic> {
     diags
 }
 
+/// Scan `files` (workspace-relative paths under `root`), each under the
+/// rules its path selects. Returns how many files a rule governs, and the
+/// findings; `Err` names a file that could not be read.
+pub fn scan_files(root: &Path, files: &[String]) -> Result<(usize, Vec<Diagnostic>), String> {
+    let mut scanned = 0usize;
+    let mut diags = Vec::new();
+    for rel in files {
+        let rules = rules_for(rel);
+        if rules.is_empty() {
+            continue;
+        }
+        let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
+        scanned += 1;
+        diags.extend(scan_source(rel, &src, rules));
+    }
+    Ok((scanned, diags))
+}
+
+/// The full run: every `.rs` file under `crates/` (sorted, so output is
+/// stable), then the cross-file check against the real tree.
+pub fn scan_workspace(root: &Path) -> Result<(usize, Vec<Diagnostic>), String> {
+    let mut files = Vec::new();
+    walk(&root.join("crates"), root, &mut files);
+    files.sort();
+    let (scanned, mut diags) = scan_files(root, &files)?;
+    diags.extend(xfile::check_all(&mut |rel| {
+        std::fs::read_to_string(root.join(rel)).ok()
+    }));
+    Ok((scanned, diags))
+}
+
+fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if name == "target" || name.starts_with('.') {
+                continue;
+            }
+            walk(&path, root, out);
+        } else if name.ends_with(".rs") {
+            if let Ok(rel) = path.strip_prefix(root) {
+                out.push(rel.to_string_lossy().replace('\\', "/"));
+            }
+        }
+    }
+}
+
 /// Token index span `(start, end)` (exclusive end) of the parenthesized
 /// region opening at `open`.
 fn first_arg_span(toks: &[Tok], open: usize) -> (usize, usize) {
@@ -936,23 +780,6 @@ fn first_arg_span(toks: &[Tok], open: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// v1 rule set (R1–R3) — keeps the v1 fixture expectations exact.
-    fn sim_rules() -> RuleSet {
-        RuleSet {
-            hash: true,
-            clock: true,
-            io: true,
-            ..RuleSet::none()
-        }
-    }
-
-    fn panic_rules() -> RuleSet {
-        RuleSet {
-            panic: true,
-            ..sim_rules()
-        }
-    }
 
     fn only_event_past() -> RuleSet {
         RuleSet {
@@ -978,70 +805,9 @@ mod tests {
     // ------------------------------------------------ known-bad fixtures
 
     #[test]
-    fn bad_hashmap_use_fires() {
-        let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-        let d = scan_source("x.rs", src, sim_rules());
-        assert_eq!(d.len(), 3, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == RULE_HASH));
-        assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn bad_hashset_fires() {
-        let src = "fn f(s: &std::collections::HashSet<u8>) {}\n";
-        let d = scan_source("x.rs", src, sim_rules());
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("DetSet"));
-    }
-
-    #[test]
-    fn bad_instant_and_std_time_fire() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let d = scan_source("x.rs", src, sim_rules());
-        assert!(d.iter().any(|d| d.rule == RULE_CLOCK));
-    }
-
-    #[test]
-    fn bad_entropy_fires() {
-        for src in [
-            "fn f() { let r = rand::rngs::SmallRng::from_entropy(); }\n",
-            "fn f() { let r = rand::thread_rng(); }\n",
-            "fn f() { let t = SystemTime::now(); }\n",
-        ] {
-            let d = scan_source("x.rs", src, sim_rules());
-            assert_eq!(d.len(), 1, "{src}");
-            assert_eq!(d[0].rule, RULE_CLOCK);
-        }
-    }
-
-    #[test]
-    fn bad_fs_and_net_fire() {
-        let src = "fn f() { std::fs::write(\"/tmp/x\", b\"y\").unwrap(); }\n";
-        let d = scan_source("x.rs", src, sim_rules());
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RULE_IO);
-        let src = "use std::net::TcpStream;\n";
-        let d = scan_source("x.rs", src, sim_rules());
-        assert_eq!(d.len(), 2, "path + type ident: {d:?}");
-        assert!(d.iter().all(|d| d.rule == RULE_IO));
-    }
-
-    #[test]
-    fn bad_panic_paths_fire() {
-        let src = "fn f(x: Option<u8>) { x.unwrap(); }\n";
-        let d = scan_source("world.rs", src, panic_rules());
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, RULE_PANIC);
-        let src = "fn f(x: Option<u8>) { x.expect(\"set\"); }\n";
-        assert_eq!(scan_source("w.rs", src, panic_rules()).len(), 1);
-        let src = "fn f() { panic!(\"boom\"); }\n";
-        assert_eq!(scan_source("w.rs", src, panic_rules()).len(), 1);
-    }
-
-    #[test]
     fn bad_allow_without_reason_fires() {
-        let src = "fn f() {} // lint:allow(panic):   \n";
-        let d = scan_source("x.rs", src, sim_rules());
+        let src = "fn f() {} // lint:allow(event-past):   \n";
+        let d = scan_source("x.rs", src, RuleSet::sim());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "bad-allow");
         assert!(d[0].message.contains("empty reason"));
@@ -1049,17 +815,18 @@ mod tests {
 
     #[test]
     fn bad_allow_unknown_rule_fires() {
-        let src = "fn f() {} // lint:allow(everything): because\n";
-        let d = scan_source("x.rs", src, sim_rules());
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "bad-allow");
-        assert!(d[0].message.contains("unknown rule"));
+        // `panic` is clippy's rule (`#[expect(clippy::…)]`), not a name this grammar takes.
+        for rule in ["everything", "panic"] {
+            let src = format!("fn f() {{}} // lint:allow({rule}): because\n");
+            let d = scan_source("x.rs", &src, RuleSet::sim());
+            assert_eq!(d.len(), 1, "{rule}: {d:?}");
+            assert_eq!(d[0].rule, "bad-allow");
+            assert!(d[0].message.contains("unknown rule"));
+        }
     }
 
     #[test]
-    fn bad_allow_knows_v2_rule_names() {
-        // The v2 rules are legal allow targets; the grammar error message
-        // enumerates all seven.
+    fn allow_grammar_knows_every_rule_name() {
         for rule in ALL_RULES {
             let src = format!("// lint:allow({rule}): reason\nfn f() {{}}\n");
             let d = scan_source("x.rs", &src, RuleSet::none());
@@ -1069,8 +836,8 @@ mod tests {
 
     #[test]
     fn unused_allow_fires() {
-        let src = "// lint:allow(hash-order): stale escape\nfn f() {}\n";
-        let d = scan_source("x.rs", src, sim_rules());
+        let src = "// lint:allow(float-order): stale escape\nfn f() {}\n";
+        let d = scan_source("x.rs", src, RuleSet::sim());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "unused-allow");
     }
@@ -1352,50 +1119,35 @@ mod tests {
         // statement: it must be reported stale, not silently absorbed.
         let src = "fn f(&mut self, out: &mut Outbox, now: SimTime) {\n\
                    \x20   out.at(\n\
-                   \x20       now, // lint:allow(hash-order): wrong rule for this statement\n\
+                   \x20       now, // lint:allow(float-order): wrong rule for this statement\n\
                    \x20       Ev::Wake,\n\
                    \x20   );\n\
                    }\n";
-        let d = scan_source("x.rs", src, sim_rules());
+        let d = scan_source("x.rs", src, RuleSet::sim());
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "unused-allow");
     }
 
     #[test]
     fn good_stacked_allows_each_consume_their_own() {
-        let src = "fn f(a: Option<u8>, b: Option<u8>) {\n\
-                   \x20   a.unwrap(); // lint:allow(panic): a is checked by the caller\n\
-                   \x20   b.unwrap(); // lint:allow(panic): b is checked by the caller\n\
+        let src = "fn f(&mut self, out: &mut Outbox, a: SimTime, b: SimTime) {\n\
+                   \x20   out.at(a, Ev::Wake); // lint:allow(event-past): a is clamped by the caller\n\
+                   \x20   out.at(b, Ev::Wake); // lint:allow(event-past): b is clamped by the caller\n\
                    }\n";
-        let d = scan_source("w.rs", src, panic_rules());
+        let d = scan_source("x.rs", src, RuleSet::sim());
         assert!(d.is_empty(), "{d:?}");
     }
 
     // ----------------------------------------------- known-good fixtures
 
     #[test]
-    fn good_detmap_is_clean() {
-        let src = "use memres_des::{DetMap, DetSet};\nfn f() { let m: DetMap<u32, u32> = DetMap::new(); }\n";
-        assert!(scan_source("x.rs", src, sim_rules()).is_empty());
-    }
-
-    #[test]
     fn good_comments_and_strings_never_fire() {
-        let src = "// A HashMap would break determinism; Instant::now too.\n\
-                   /* std::fs::write(\"x\") in a block comment */\n\
-                   fn f() -> &'static str { \"HashMap Instant std::time panic!\" }\n\
-                   fn g() { let s = r#\"HashSet SystemTime\"#; let _ = s; }\n";
-        let d = scan_source("x.rs", src, panic_rules());
+        let src = "// out.at(t, Ev::Wake) would be a raw timestamp; so is now.0.\n\
+                   /* m.values().sum() in a block comment */\n\
+                   fn f() -> &'static str { \"out.at(t, e) m.values().sum() deadline.0\" }\n\
+                   fn g() { let s = r#\"queue.push(t, e) deadline_ns: u64\"#; let _ = s; }\n";
+        let d = scan_source("x.rs", src, RuleSet::sim());
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn good_allowed_line_is_clean_and_allow_is_consumed() {
-        let src = "use std::collections::HashMap; // lint:allow(hash-order): index probed by key, never iterated\n";
-        assert!(scan_source("x.rs", src, sim_rules()).is_empty());
-        let src = "// lint:allow(panic): completions are pre-filtered, job must exist\n\
-                   fn f(x: Option<u8>) { x.unwrap(); }\n";
-        assert!(scan_source("w.rs", src, panic_rules()).is_empty());
     }
 
     #[test]
@@ -1403,19 +1155,21 @@ mod tests {
         let src = "fn prod() {}\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                       use std::collections::HashMap;\n\
                        #[test]\n\
-                       fn t() { let m: HashMap<u8, u8> = HashMap::new(); m.iter(); panic!(); }\n\
+                       fn t(m: &DetMap<u32, f64>, out: &mut Outbox, t: SimTime) -> f64 {\n\
+                           out.at(t, Ev::Wake);\n\
+                           m.values().sum()\n\
+                       }\n\
                    }\n";
-        let d = scan_source("x.rs", src, panic_rules());
+        let d = scan_source("x.rs", src, RuleSet::sim());
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn good_cfg_test_single_item_is_skipped_but_rest_scans() {
-        let src = "#[cfg(test)]\nuse std::collections::HashMap;\n\
-                   fn f(s: &std::collections::HashSet<u8>) {}\n";
-        let d = scan_source("x.rs", src, sim_rules());
+        let src = "#[cfg(test)]\nfn t(m: &DetMap<u32, f64>) -> f64 { m.values().sum() }\n\
+                   fn f(m: &DetMap<u32, f64>) -> f64 { m.values().sum() }\n";
+        let d = scan_source("x.rs", src, RuleSet::sim());
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 3);
     }
@@ -1423,14 +1177,7 @@ mod tests {
     #[test]
     fn good_lifetimes_and_char_literals_lex() {
         let src = "fn f<'a>(x: &'a str) -> char { 'x' }\nfn g() -> char { '\\n' }\n";
-        assert!(scan_source("x.rs", src, panic_rules()).is_empty());
-    }
-
-    #[test]
-    fn good_unwrap_or_variants_do_not_fire() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0).max(x.unwrap_or_default()) }\n";
-        let d = scan_source("w.rs", src, panic_rules());
-        assert!(d.is_empty(), "unwrap_or is not unwrap: {d:?}");
+        assert!(scan_source("x.rs", src, RuleSet::sim()).is_empty());
     }
 
     #[test]
@@ -1438,59 +1185,41 @@ mod tests {
         // `1.max(2)` must lex as Num(1) . max ( Num(2) ) — not swallow the
         // dot into the literal; `0..n` must not glue into one number.
         let src = "fn f(n: u64) -> u64 { let m = 1.max(2); (0..n).sum::<u64>() + m }\n";
-        assert!(scan_source("x.rs", src, sim_rules()).is_empty());
+        assert!(scan_source("x.rs", src, RuleSet::sim()).is_empty());
     }
 
     // --------------------------------------------------- layer map tests
 
     #[test]
     fn rules_scope_by_layer() {
-        let r = rules_for("crates/core/src/world.rs");
-        assert!(r.hash && r.clock && r.io && r.panic);
-        assert!(r.event_past && r.time_units && r.float_order);
-        // R4 follows the engine kernel by path prefix, not by file name.
         for rel in [
+            "crates/core/src/world.rs",
             "crates/core/src/world/sched.rs",
-            "crates/core/src/world/not_written_yet.rs",
-            "crates/core/src/candidates.rs",
-            "crates/core/src/executor.rs",
+            "crates/net/src/flow.rs",
+            "crates/trace/src/analyze.rs",
+            "crates/metrics/src/diff.rs",
         ] {
-            assert!(rules_for(rel).panic, "{rel} must be panic-guarded");
+            assert_eq!(rules_for(rel), RuleSet::sim(), "{rel}");
         }
-        assert!(
-            !rules_for("crates/net/src/world.rs").panic,
-            "by path, not name"
-        );
-        let r = rules_for("crates/core/src/metrics.rs");
-        assert!(r.hash && !r.panic && r.time_units);
-        let r = rules_for("crates/net/src/flow.rs");
-        assert!(r.hash && r.panic);
-        let r = rules_for("crates/storage/src/device.rs");
-        assert!(r.hash && r.panic);
-        let r = rules_for("crates/lustre/src/lib.rs");
-        assert!(r.hash && r.panic);
-        let r = rules_for("crates/net/src/lib.rs");
-        assert!(r.hash && !r.panic, "only flow.rs is panic-guarded in net");
-        let r = rules_for("crates/des/src/det.rs");
-        assert!(r.hash && !r.panic);
-        let r = rules_for("crates/trace/src/analyze.rs");
-        assert!(r.hash && r.clock && r.io && !r.panic);
         // The newtype-defining files keep every rule except R6: their `.0`
         // accesses *are* the implementation.
-        let r = rules_for("crates/des/src/time.rs");
-        assert!(r.hash && r.event_past && !r.time_units);
-        let r = rules_for("crates/des/src/bytes.rs");
-        assert!(!r.time_units);
-        assert!(rules_for("crates/bench/src/timing.rs").is_empty());
-        assert!(rules_for("crates/lint/src/lib.rs").is_empty());
-        assert!(rules_for("vendor/rand/src/lib.rs").is_empty());
-        assert!(rules_for("crates/core/tests/engine.rs").is_empty());
-        assert!(rules_for("tests/correctness.rs").is_empty());
-        let r = rules_for("examples/quickstart.rs");
-        assert!(!r.hash && r.clock && r.io && !r.event_past);
-        let r = rules_for("src/lib.rs");
-        assert!(!r.hash && r.clock && r.io);
-        assert!(rules_for("README.md").is_empty());
+        for rel in UNIT_DEFINING_FILES {
+            let r = rules_for(rel);
+            assert!(r.event_past && r.float_order && !r.time_units, "{rel}");
+        }
+        for rel in [
+            "crates/bench/src/timing.rs",
+            "crates/lint/src/lib.rs",
+            "vendor/rand/src/lib.rs",
+            "crates/core/tests/engine.rs",
+            "crates/core/benches/x.rs",
+            "tests/correctness.rs",
+            "examples/quickstart.rs",
+            "src/lib.rs",
+            "README.md",
+        ] {
+            assert!(rules_for(rel).is_empty(), "{rel}");
+        }
     }
 
     // ------------------------------------------------------ output shapes
@@ -1501,7 +1230,7 @@ mod tests {
             file: "a.rs".to_string(),
             line: 3,
             col: 7,
-            rule: RULE_HASH.to_string(),
+            rule: RULE_FLOAT_ORDER.to_string(),
             message: "say \"no\"".to_string(),
         }];
         let j = diagnostics_json(&d);

@@ -4,14 +4,13 @@
 //!   memres-lint [--json] [--github] [--root DIR] [FILE...]
 //!
 //! With no `FILE` operands the whole workspace is scanned (every `.rs` file
-//! under `crates/`, `src/`, and `examples/`; the layer map in
-//! `memres_lint::rules_for` decides which rules govern which file), plus
-//! the cross-file check (`memres_lint::xfile`: cell smokes). With operands,
-//! only those files are scanned — still classified by their
-//! workspace-relative path, so `memres-lint crates/core/src/world.rs`
-//! checks the same per-file rules the full run would; the cross-file check
-//! is skipped in that mode (its subjects are fixed paths, not the operand
-//! list).
+//! under `crates/`; the layer map in `memres_lint::rules_for` decides which
+//! rules govern which file), plus the cross-file check
+//! (`memres_lint::xfile`: cell smokes). With operands, only those files are
+//! scanned — still classified by their workspace-relative path, so
+//! `memres-lint crates/core/src/world.rs` checks the same per-file rules the
+//! full run would; the cross-file check is skipped in that mode (its
+//! subjects are fixed paths, not the operand list).
 //!
 //! `--json` renders findings as a JSON array (CI artifact); `--github`
 //! additionally emits GitHub Actions `::error` workflow commands so
@@ -19,8 +18,13 @@
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
-use memres_lint::{diagnostics_json, rules_for, scan_source, xfile, Diagnostic};
-use std::path::{Path, PathBuf};
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a tool that reads the workspace's source files, not simulation code (DESIGN.md 4.10)"
+)]
+
+use memres_lint::{diagnostics_json, scan_files, scan_workspace};
+use std::path::PathBuf;
 
 fn usage() -> &'static str {
     "usage: memres-lint [--json] [--github] [--root DIR] [FILE...]"
@@ -46,38 +50,6 @@ fn find_root(explicit: Option<PathBuf>) -> Result<PathBuf, String> {
         }
         if !dir.pop() {
             return Err("no workspace Cargo.toml above the current directory".to_string());
-        }
-    }
-}
-
-/// Every `.rs` file under the scanned trees, workspace-relative with `/`
-/// separators, sorted for stable output.
-fn workspace_files(root: &Path) -> Vec<String> {
-    let mut out = Vec::new();
-    for top in ["crates", "src", "examples"] {
-        walk(&root.join(top), root, &mut out);
-    }
-    out.sort();
-    out
-}
-
-fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            walk(&path, root, out);
-        } else if name.ends_with(".rs") {
-            if let Ok(rel) = path.strip_prefix(root) {
-                out.push(rel.to_string_lossy().replace('\\', "/"));
-            }
         }
     }
 }
@@ -123,32 +95,18 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let whole_workspace = files.is_empty();
-    if whole_workspace {
-        files = workspace_files(&root);
-    }
-
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut scanned = 0usize;
-    for rel in &files {
-        let rules = rules_for(rel);
-        if rules.is_empty() {
-            continue;
+    let result = if files.is_empty() {
+        scan_workspace(&root)
+    } else {
+        scan_files(&root, &files)
+    };
+    let (scanned, diags) = match result {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
-        let src = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {rel}: {e}");
-                std::process::exit(2);
-            }
-        };
-        scanned += 1;
-        diags.extend(scan_source(rel, &src, rules));
-    }
-    if whole_workspace {
-        let mut load = |rel: &str| std::fs::read_to_string(root.join(rel)).ok();
-        diags.extend(xfile::check_all(&mut load));
-    }
+    };
 
     if json {
         print!("{}", diagnostics_json(&diags));

@@ -19,6 +19,11 @@
 //! ([`WritePlan`], [`ReadPlan`]) telling the engine which transfers and
 //! metadata operations to issue.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use memres_cluster::NodeId;
 use memres_des::det::DetMap;
 use memres_des::ps::PsResource;
@@ -275,7 +280,10 @@ impl Lustre {
             return self.write(now, writer, file, Bytes(bytes));
         }
         let free = (self.cfg.client_cache_bytes - self.cache_used(writer)).max(0.0);
-        // lint:allow(panic): contains_key checked at the top of append.
+        #[expect(
+            clippy::expect_used,
+            reason = "contains_key checked at the top of append."
+        )]
         let f = self.files.get_mut(&file).expect("checked above");
         assert_eq!(f.writer, Some(writer), "append by non-writer of {file:?}");
         let cached = bytes.min(free);
@@ -309,11 +317,6 @@ impl Lustre {
             .unwrap_or(0.0)
     }
 
-    /// Dirty bytes of one file (what a revocation would flush).
-    pub fn dirty_of(&self, file: LustreFile) -> f64 {
-        self.files.get(&file).map(|f| f.dirty).unwrap_or(0.0)
-    }
-
     /// Client `reader` reads `bytes` of `file`.
     ///
     /// * Reader == writer (the `Lustre-local` fast path): cached bytes are a
@@ -332,12 +335,15 @@ impl Lustre {
         let ops_lock = self.cfg.ops_lock;
         let ops_revoke = self.cfg.ops_revoke;
         let revoke_latency = self.cfg.revoke_latency;
+        // Readers pass files the engine previously created via
+        // write(); a miss means the map-output registry is corrupt.
+        #[expect(
+            clippy::panic,
+            reason = "files are registered by write() before any read"
+        )]
         let f = self
             .files
             .get_mut(&file)
-            // Readers pass files the engine previously created via
-            // write(); a miss means the map-output registry is corrupt.
-            // lint:allow(panic): files are registered by write() before any read
             .unwrap_or_else(|| panic!("read of unknown {file:?}"));
         assert!(
             bytes <= f.size * (1.0 + 1e-9) + 1.0,

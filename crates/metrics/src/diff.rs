@@ -238,7 +238,7 @@ pub fn diff_runs(
         y.rel
             .abs()
             .partial_cmp(&x.rel.abs())
-            // lint:allow(float-order): |rel| is finite by construction; ties broken by name below
+            // |rel| is finite by construction; ties broken by name below
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| x.series.cmp(&y.series))
             .then_with(|| x.instance.cmp(&y.instance))
@@ -268,7 +268,7 @@ pub fn diff_runs(
     buckets.sort_by(|x, y| {
         y.delta
             .partial_cmp(&x.delta)
-            // lint:allow(float-order): deltas are finite; ties broken by bucket name
+            // deltas are finite; ties broken by bucket name
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| x.bucket.cmp(&y.bucket))
     });

@@ -71,7 +71,7 @@ pub struct Series {
     stride: u64,
     /// Points offered so far (stored or not).
     offered: u64,
-    last: f64,
+    last_value: f64,
 }
 
 impl Series {
@@ -84,13 +84,13 @@ impl Series {
             cap,
             stride: 1,
             offered: 0,
-            last: 0.0,
+            last_value: 0.0,
         }
     }
 
     fn push(&mut self, t: SimTime, v: f64) {
         self.hist.record(v);
-        self.last = v;
+        self.last_value = v;
         if self.offered.is_multiple_of(self.stride) {
             self.points.push((t, v));
             if self.points.len() >= self.cap {
@@ -112,7 +112,7 @@ impl Series {
 
     /// Most recent sample value (0.0 before any sample).
     pub fn last(&self) -> f64 {
-        self.last
+        self.last_value
     }
 
     /// Total samples recorded (before decimation).
@@ -170,7 +170,7 @@ impl Recorder {
             Some(i) => &mut self.series[i],
             None => {
                 self.series.push(Series::new(name, instance, self.cfg.ring));
-                self.series.last_mut().expect("just pushed") // lint:allow(panic): just pushed
+                self.series.last_mut().expect("just pushed")
             }
         };
         s.push(t, v);

@@ -91,14 +91,6 @@ impl Fabric {
         }
     }
 
-    pub fn node_egress(&self, n: NodeId) -> LinkId {
-        self.egress[n.index()]
-    }
-
-    pub fn node_ingress(&self, n: NodeId) -> LinkId {
-        self.ingress[n.index()]
-    }
-
     pub fn lustre_pipe(&self) -> LinkId {
         self.lustre_pipe
     }

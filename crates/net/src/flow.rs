@@ -20,6 +20,11 @@
 //! The active lists hold slots in ascending flow-id order, so every walk has
 //! the iteration order an id-keyed map would give it.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use memres_des::sim::Gen;
 use memres_des::time::{SimTime, NANOS_PER_SEC};
 use memres_des::Bytes;
@@ -537,12 +542,10 @@ impl<T> FlowNet<T> {
         for &(flow, bytes) in chunks {
             let bytes = bytes.get();
             assert!(bytes >= 0.0 && bytes.is_finite());
-            let slot = self
-                .slot(flow)
-                // Callers hold a FlowId from open_flow; close_flow invalidates
-                // it. A miss is engine corruption, not recoverable state.
-                // lint:allow(panic): FlowId handles come from open_flow
-                .expect("push_chunk on unknown flow");
+            // Callers hold a FlowId from open_flow; close_flow invalidates
+            // it. A miss is engine corruption, not recoverable state.
+            #[expect(clippy::expect_used, reason = "FlowId handles come from open_flow")]
+            let slot = self.slot(flow).expect("push_chunk on unknown flow");
             let tag = tag.clone();
             if bytes == 0.0 {
                 self.delivered.push(Delivered { flow, tag });
@@ -674,7 +677,7 @@ impl<T> FlowNet<T> {
                     if need <= budget + 1e-6 {
                         budget = (budget - need).max(0.0);
                         f.ps_drained = f.ps_drained.max(head.bytes);
-                        // lint:allow(panic): front() matched just above.
+                        #[expect(clippy::expect_used, reason = "front() matched just above.")]
                         let c = f.queue.pop_front().expect("front() was Some");
                         self.delivered.push(Delivered {
                             flow: FlowId(f.id),
@@ -703,7 +706,10 @@ impl<T> FlowNet<T> {
                 }
                 budget -= hot.head;
                 let f = &mut self.cold[slot as usize];
-                // lint:allow(panic): an active flow has a queued front chunk, and `head` is its remainder
+                #[expect(
+                    clippy::expect_used,
+                    reason = "an active flow has a queued front chunk, and `head` is its remainder"
+                )]
                 let c = f.queue.pop_front().expect("active flow has a front chunk");
                 self.delivered.push(Delivered {
                     flow: FlowId(f.id),

@@ -5,6 +5,11 @@
 //! is processor-shared per direction — the fluid analogue of many concurrent
 //! I/O streams splitting device bandwidth.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use memres_des::ps::PsResource;
 use memres_des::sim::Gen;
 use memres_des::time::SimTime;

@@ -351,7 +351,10 @@ mod tests {
     /// record each write's latency.
     fn sequential_writes(ssd: &mut Ssd, count: usize, bytes: f64, gap: f64) -> Vec<f64> {
         let mut latencies = Vec::new();
-        #[allow(unused_assignments)]
+        #[allow(
+            unused_assignments,
+            reason = "the last iteration's `now += gap` is never read"
+        )]
         let mut now = SimTime::ZERO;
         for i in 0..count {
             ssd.submit(now, Op::Write, bytes, i as u64);

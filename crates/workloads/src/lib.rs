@@ -250,11 +250,6 @@ pub fn lr_sum_action() -> Action {
     }))
 }
 
-/// A record used in test fixtures.
-pub fn null_record(v: i64) -> Record {
-    (Value::Null, Value::I64(v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,7 +427,10 @@ impl KMeans {
     /// Real Lloyd iterations: returns the cached points and a closure that
     /// builds the assign+aggregate job for the current centroids. The job's
     /// collect returns per-centroid (sum-vector ++ count) records.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the job-builder closure type is spelled once, here"
+    )]
     pub fn build_real(
         &self,
         points: u64,
@@ -511,7 +509,7 @@ mod extra_workload_tests {
     use super::*;
     use memres_cluster::tiny;
     use memres_core::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn wordcount_real_counts_match_reference() {
@@ -519,14 +517,14 @@ mod extra_workload_tests {
         let rdd = wc.build_real(400, 21);
         let mut d = Driver::new(tiny(4), EngineConfig::default().homogeneous());
         let (out, _) = d.run(&rdd, wc.action());
-        let counts: HashMap<String, i64> = out
+        let counts: BTreeMap<String, i64> = out
             .records
             .unwrap()
             .into_iter()
             .map(|(k, v)| (k.as_str().to_string(), v.as_i64()))
             .collect();
         // Reference count computed directly from the generator.
-        let mut reference: HashMap<String, i64> = HashMap::new();
+        let mut reference: BTreeMap<String, i64> = BTreeMap::new();
         for (_, line) in datagen::text_lines(400, 21) {
             for w in line.as_str().split_whitespace() {
                 *reference.entry(w.to_string()).or_insert(0) += 1;

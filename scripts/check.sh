@@ -5,18 +5,23 @@
 #
 # Gate ordering (cheapest refusal first — DESIGN.md 4.15):
 #   1. cargo fmt        — pure text, no build.
-#   2. memres-lint      — debug build of one dep-free crate; catches the
-#                         determinism/discipline violations (the seven
-#                         per-file rules R1–R7 plus the cross-file cell-smoke
-#                         rule) before the far costlier clippy/test/bench
-#                         stages spin up.
+#   2. memres-lint      — debug build of one dep-free crate; refuses what
+#                         only a tokenizer can read (R5 event-past, R6
+#                         time-units, R7 float-order, and the cross-file
+#                         cell-smoke rule) before the far costlier
+#                         clippy/test/bench stages spin up.
 #   3. file sizes       — no file under crates/core/src over 1,500 lines, so
 #                         the engine cannot quietly grow back into one file
 #                         (it was 4,606; DESIGN.md 3.1); prints the crate's
 #                         code-line count for the record.
-#   4. cargo clippy     — full workspace, all targets; also where a
-#                         catch-all arm in the event dispatch or a trace
-#                         exporter is refused (#[deny] on those matches).
+#   4. cargo clippy     — full workspace, all targets; refuses R1 hash
+#                         order, R2 wall clock and R3 host I/O (the lists in
+#                         clippy.toml, denied by [workspace.lints]), R4 bare
+#                         panics in the guarded files (#![deny] at their
+#                         top), a waiver without a reason or without a
+#                         target (#[expect]), and a catch-all arm in the
+#                         event dispatch or a trace exporter (#[deny] on
+#                         those matches). DESIGN.md 4.10.
 #   5. cargo test       — full workspace.
 #   6. smokes           — release-build repro runs per cell family (bench,
 #                         scale, faults, baselines, tenants, trace, report,
@@ -36,7 +41,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== memres-lint (determinism rules, DESIGN.md 4.10 + 4.15) =="
+echo "== memres-lint (R5-R7 + cell-smoke, DESIGN.md 4.15) =="
 # The JSON artifact is kept (and uploaded by CI) even when the run is
 # clean, so tooling always has a machine-readable result to point at.
 lint_json="${LINT_JSON:-target/memres-lint.json}"
@@ -62,7 +67,7 @@ while IFS= read -r f; do
 done < <(find crates/core/src -name '*.rs' | sort)
 echo "ok: crates/core/src is $code_lines code lines, largest file $largest_file ($largest lines)"
 
-echo "== cargo clippy (-D warnings) =="
+echo "== cargo clippy (-D warnings; R1-R4, DESIGN.md 4.10) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (workspace) =="

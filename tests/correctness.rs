@@ -5,9 +5,9 @@
 use memres::cluster::tiny;
 use memres::core::prelude::*;
 use memres::workloads::datagen;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-fn wordcount(cfg: EngineConfig) -> HashMap<String, i64> {
+fn wordcount(cfg: EngineConfig) -> BTreeMap<String, i64> {
     let mut driver = Driver::new(tiny(4), cfg);
     let recs: Vec<Record> = datagen::text_lines(300, 7)
         .into_iter()
@@ -113,7 +113,7 @@ fn multi_shuffle_pipeline_runs_end_to_end() {
     let total: usize = groups.iter().map(|(_, v)| v.as_list().len()).sum();
     assert_eq!(total, 10);
     // Three stages ran: two storing phases recorded.
-    let storing_stages: std::collections::HashSet<u32> =
+    let storing_stages: std::collections::BTreeSet<u32> =
         metrics.tasks_in(Phase::Storing).map(|t| t.stage).collect();
     assert_eq!(
         storing_stages.len(),
