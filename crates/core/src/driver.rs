@@ -119,7 +119,8 @@ impl Driver {
     /// events the live engine state is cross-checked against independent
     /// reimplementations ([`SimWorld::audit_invariants`]) — the fuzz
     /// harness's entry point (DESIGN.md §4.13). `audit_every == 0` disables
-    /// the audits but keeps the non-panicking error paths.
+    /// the audits but keeps the non-panicking error paths. A plan whose input
+    /// the engine cannot place is refused before anything runs.
     pub fn run_audited(
         &mut self,
         rdd: &Rdd,
@@ -127,6 +128,7 @@ impl Driver {
         audit_every: u64,
     ) -> Result<(JobOutput, JobMetrics), String> {
         let plan = self.plan(rdd, action);
+        self.sim.model.check_placeable(&plan)?;
         self.drive("job", audit_every, |world, start, out| {
             world.submit_job(start, plan, out)
         })?;

@@ -254,6 +254,12 @@ impl MetricsSink {
         }
     }
 
+    /// Heap charged to the active jobs' task records (self-profiling).
+    pub fn heap_bytes(&self) -> usize {
+        let records: usize = self.active.iter().map(|m| m.tasks.capacity()).sum();
+        records * std::mem::size_of::<TaskMetric>()
+    }
+
     pub fn record(&mut self, m: TaskMetric) {
         if let Some(jm) = self.job_mut(m.job) {
             jm.tasks.push(m);

@@ -82,7 +82,7 @@ use recovery::Faults;
 use sampler::Sampler;
 use sched::{Cad, DispatchState, JobQueues};
 use shuffle::{JobShuffle, ShuffleService};
-use tasks::{TState, Task, TaskArena, TaskKind};
+use tasks::{TState, Task, TaskArena, TaskKind, NO_TWIN};
 
 /// Network transfer tags.
 #[derive(Clone, Copy, Debug)]
@@ -175,6 +175,14 @@ struct JobRun {
     queues: JobQueues,
 }
 
+impl JobRun {
+    /// Heap charged to this job's own tables (self-profiling).
+    fn heap_bytes(&self) -> usize {
+        let ids = self.stage_tasks.capacity() + self.final_tasks.capacity();
+        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids * std::mem::size_of::<u32>()
+    }
+}
+
 /// Completed-job result.
 #[derive(Clone, Debug)]
 pub struct JobOutput {
@@ -237,6 +245,8 @@ pub struct SimWorld {
     shuffle: ShuffleService,
     /// Dataset placements (`world/input.rs`).
     inputs: Inputs,
+    /// The largest `heap_now` a departing job has seen.
+    heap_high_water: u64,
     /// Fault-plan and abandoned-work bookkeeping (`world/recovery.rs`).
     faults: Faults,
     /// Multi-tenant stream state, `None` for single-job submissions
@@ -334,6 +344,7 @@ impl SimWorld {
             cad: Cad::new(workers),
             dispatch_visits: 0,
             inputs: Inputs::default(),
+            heap_high_water: 0,
             faults: Faults::default(),
             stream: None,
             sampler: Sampler::new(cfg.metrics),
@@ -394,20 +405,25 @@ impl SimWorld {
             .unwrap_or_default()
     }
 
-    /// Rough engine heap footprint: the dense arenas that grow with the job
-    /// (tasks, trace log, shuffle bucket matrices, the flow network's slab
-    /// and chunk queues). Self-profiling only — not a substitute for a real
-    /// allocator hook.
+    /// Rough engine heap footprint at its fullest: the dense structures that
+    /// grow with the job (tasks and the metric records they leave, pending
+    /// queues, trace log, shuffle bucket matrices, the flow network's slab
+    /// and chunk queues), now or at the fullest job departure so far — a
+    /// departed job's share is gone by the time its driver can ask.
+    /// Self-profiling only — not a substitute for a real allocator hook.
     pub fn heap_estimate_bytes(&self) -> u64 {
-        let tasks = self.tasks.heap_bytes();
-        let net = self.net.heap_bytes();
+        self.heap_high_water.max(self.heap_now())
+    }
+
+    fn heap_now(&self) -> u64 {
         let trace = self
             .tracer
             .as_ref()
             .map(|t| t.borrow().len() * std::mem::size_of::<memres_trace::TimedEvent>())
             .unwrap_or(0);
-        let shuffle: usize = self.jobs.iter().map(|j| j.shuffle.heap_bytes()).sum();
-        (tasks + net + trace + shuffle) as u64
+        let jobs: usize = self.jobs.iter().map(JobRun::heap_bytes).sum();
+        let arenas = self.tasks.heap_bytes() + self.metrics.heap_bytes() + self.net.heap_bytes();
+        (arenas + trace + jobs) as u64
     }
 
     /// Pop the oldest completed job (stream mode collects these as they
@@ -726,9 +742,7 @@ impl SimWorld {
                 TaskKind::Compute { part: i as u32 }
             };
             let mut t = Task::new(self.jobs[ji].id, idx as u32, kind, now);
-            if !is_fetch {
-                t.prefs = self.compute_prefs(stage, i as u32);
-            }
+            t.prefs = self.compute_prefs(stage, i as u32);
             self.tasks.push(t);
         }
         let created = first..self.tasks.len() as u32;
@@ -800,7 +814,9 @@ impl SimWorld {
         self.tasks.compute_dur[i] = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
         self.tasks.output_bytes[i] = out_bytes;
         self.tasks.records_est[i] = out_records;
-        self.tasks.records_out[i] = out_data.map(Box::new);
+        if let Some(rows) = out_data {
+            self.tasks.real_out.insert(task, rows);
+        }
         for (rdd, bytes, records, snapshot) in snaps {
             self.blockmgr
                 .insert(rdd, part, node, Bytes(bytes), records, snapshot);
@@ -890,10 +906,11 @@ impl SimWorld {
         {
             return;
         }
-        let finish = if self.tasks.pipelined[i] {
-            (self.tasks.launched_at[i] + self.tasks.compute_dur[i]).max(now)
-        } else {
-            now + self.tasks.compute_dur[i]
+        // Pipelined tasks finish at max(io_done, launch+compute); a fetch
+        // task starts computing only after all its data has landed.
+        let finish = match self.tasks.kind[i] {
+            TaskKind::Fetch { .. } => now + self.tasks.compute_dur[i],
+            _ => (self.tasks.launched_at[i] + self.tasks.compute_dur[i]).max(now),
         };
         self.tasks.finish_scheduled[i] = true;
         out.at(
@@ -919,9 +936,8 @@ impl SimWorld {
         }
         // Speculation: if this task's twin already finished, this copy lost —
         // just release the slot (the real Spark would have killed it).
-        let lost = self.tasks.twin[task as usize]
-            .map(|tw| self.tasks.state[tw as usize] == TState::Done)
-            .unwrap_or(false);
+        let twin = self.tasks.twin[task as usize];
+        let lost = twin != NO_TWIN && self.tasks.state[twin as usize] == TState::Done;
         // An attempt doomed by the fault plan dies at the instant it would
         // have completed: the full duration becomes wasted work and the task
         // re-queues (or the job aborts at the attempt limit).
@@ -959,14 +975,13 @@ impl SimWorld {
         // If a speculative copy won, it replaces the original everywhere the
         // job refers to it (storing pins, final-task outputs).
         if self.tasks.is_speculative[task as usize] {
-            #[expect(
-                clippy::expect_used,
-                reason = "duplicate (speculative) tasks are always created with their twin recorded"
-            )]
-            let orig = self.tasks.twin[task as usize].expect("duplicate without twin");
+            debug_assert_ne!(
+                twin, NO_TWIN,
+                "a duplicate is created with its twin recorded"
+            );
             let job = self.job_of_mut(task);
             for slot in job.stage_tasks.iter_mut().chain(job.final_tasks.iter_mut()) {
-                if *slot == orig {
+                if *slot == twin {
                     *slot = task;
                 }
             }
@@ -1098,7 +1113,7 @@ impl SimWorld {
         for &t in &job.final_tasks {
             let i = t as usize;
             count += self.tasks.records_est[i];
-            if let Some(RealOut::Rows(r)) = self.tasks.records_out[i].as_deref() {
+            if let Some(RealOut::Rows(r)) = self.tasks.real_out.get(&t) {
                 slices.push(r);
             }
         }

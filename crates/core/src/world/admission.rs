@@ -172,6 +172,8 @@ impl SimWorld {
         output: JobOutput,
         out: &mut Outbox<Ev>,
     ) {
+        let held = self.heap_now() + job.heap_bytes() as u64;
+        self.heap_high_water = self.heap_high_water.max(held);
         let metrics = self.metrics.finish_job(job.id, now);
         self.sampler.note_job_latency(job.tenant, job.arrived, now);
         self.finished.push_back(FinishedJob {

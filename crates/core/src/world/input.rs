@@ -5,7 +5,7 @@
 
 use super::{Ev, SimWorld};
 use crate::config::InputSource;
-use crate::dag::{StageInput, StagePlan};
+use crate::dag::{JobPlan, StageInput, StagePlan};
 use crate::executor::{run_narrow_chain, Pending, Work};
 use crate::metrics::TaskLocality;
 use crate::rdd::{Dataset, RddId};
@@ -14,7 +14,7 @@ use memres_cluster::NodeId;
 use memres_des::sim::Outbox;
 use memres_des::time::SimTime;
 use memres_des::{Bytes, DetMap};
-use memres_hdfs::{BlockId, Locality};
+use memres_hdfs::{BlockId, HdfsFile, Locality};
 use memres_lustre::LustreFile;
 use memres_net::Endpoint;
 use memres_storage::FileId;
@@ -23,27 +23,50 @@ use std::sync::Arc;
 /// File-id name spaces on the per-node filesystems / Lustre.
 const HDFS_BLOCK_BASE: u64 = 1 << 40;
 const LUSTRE_INPUT_BASE: u64 = 1 << 42;
+/// Input files one dataset may have on Lustre: each RDD owns this many file
+/// ids above `LUSTRE_INPUT_BASE`, and a larger dataset would run into the
+/// next RDD's.
+const LUSTRE_INPUT_PARTS: u64 = 1 << 24;
 
-struct PlacedPart {
-    bytes: f64,
-    records: u64,
-    /// Shared view of the source partition's records — placing a dataset and
-    /// launching tasks over it never copies record data.
-    data: Option<Arc<[Record]>>,
-    hdfs_block: Option<BlockId>,
-    lustre: Option<LustreFile>,
+/// The Lustre file holding partition `part` of input dataset `rdd`.
+fn lustre_input_file(rdd: RddId, part: u32) -> LustreFile {
+    assert!(
+        (part as u64) < LUSTRE_INPUT_PARTS,
+        "partition {part} of {rdd:?} is past the dataset's Lustre file ids"
+    );
+    LustreFile(LUSTRE_INPUT_BASE + (rdd.0 as u64) * LUSTRE_INPUT_PARTS + part as u64)
+}
+
+/// What holds a placed dataset's bytes.
+enum Backing {
+    /// Generated in memory by the tasks themselves: no storage at all.
+    Generated,
+    /// The blocks of one HDFS file, in partition order, on the nodes'
+    /// RAMDisks.
+    Hdfs(HdfsFile),
+    /// One Lustre file per partition ([`lustre_input_file`]).
+    Lustre,
+}
+
+/// A placed dataset: the partition table it came with (sizes, record counts,
+/// the shared record slices — read in place, never copied) and what placing
+/// it added.
+struct Placed {
+    dataset: Arc<Dataset>,
+    backing: Backing,
 }
 
 /// Dataset placements by source RDD id.
 #[derive(Default)]
 pub(super) struct Inputs {
-    placed: DetMap<RddId, Vec<PlacedPart>>,
+    placed: DetMap<RddId, Placed>,
 }
 
 impl Inputs {
     /// Whether every partition of placed dataset `rdd` carries real records.
     pub(super) fn is_real(&self, rdd: RddId) -> bool {
-        self.placed[&rdd].iter().all(|p| p.data.is_some())
+        let parts = &self.placed[&rdd].dataset.partitions;
+        parts.iter().all(|p| p.data.is_some())
     }
 }
 
@@ -55,83 +78,105 @@ enum IoPlan {
 }
 
 impl SimWorld {
+    /// Why `plan`'s input cannot be placed, if it cannot: a Lustre-backed
+    /// dataset with more partitions than an RDD has input-file ids. The
+    /// driver asks before it submits; a stream's plans are built at admission,
+    /// past any caller that could take an error, and meet the assertion in
+    /// [`lustre_input_file`] instead.
+    pub(crate) fn check_placeable(&self, plan: &JobPlan) -> Result<(), String> {
+        for stage in &plan.stages {
+            let StageInput::Dataset { rdd, dataset } = &stage.input else {
+                continue;
+            };
+            let parts = dataset.partitions.len() as u64;
+            let on_lustre = !dataset.generated && self.cfg.input == InputSource::Lustre;
+            if on_lustre && parts > LUSTRE_INPUT_PARTS {
+                return Err(format!(
+                    "input dataset {rdd:?} has {parts} partitions; Lustre input holds at most \
+                     {LUSTRE_INPUT_PARTS} per dataset"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Place `dataset` on its backing store, once. Returns its partition
     /// count.
     pub(super) fn ensure_placed(&mut self, rdd: RddId, dataset: &Arc<Dataset>) -> usize {
-        if let Some(parts) = self.inputs.placed.get(&rdd) {
-            return parts.len();
+        if let Some(placed) = self.inputs.placed.get(&rdd) {
+            return placed.dataset.partitions.len();
         }
-        let workers = self.spec.workers;
-        // In-memory generated input: no storage backing at all.
-        let backing = (!dataset.generated).then_some(self.cfg.input);
-        let mut hdfs_file = None;
-        let mut parts = Vec::with_capacity(dataset.partitions.len());
-        for (i, p) in dataset.partitions.iter().enumerate() {
-            let mut placed = PlacedPart {
-                bytes: p.bytes,
-                records: p.records,
-                data: p.data.clone(),
-                hdfs_block: None,
-                lustre: None,
-            };
-            match backing {
-                None => {}
-                Some(InputSource::HdfsRamDisk) => {
-                    // Pseudo-random block placement (what an ingested corpus
-                    // looks like): node block counts become Poisson-spread,
-                    // which is what strict locality scheduling then amplifies.
-                    let mut z = (i as u64 ^ self.cfg.seed.rotate_left(32))
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                    z ^= z >> 31;
-                    let primary = NodeId((z % workers as u64) as u32);
-                    let mut locs = vec![primary];
-                    if self.hdfs.config().replication >= 2 && workers > 1 {
-                        let mut r = primary.0;
-                        while r == primary.0 {
-                            z = (z ^ (z >> 29)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-                            r = (z % workers as u64) as u32;
-                        }
-                        locs.push(NodeId(r));
-                    }
-                    locs.dedup();
-                    let file = *hdfs_file.get_or_insert_with(|| self.hdfs.new_file());
-                    let b = self.hdfs.place_block_at(file, Bytes(p.bytes), locs.clone());
-                    for n in locs {
-                        self.ram_fs[n.index()]
-                            .preload(FileId(HDFS_BLOCK_BASE + b.0), Bytes(p.bytes));
-                    }
-                    placed.hdfs_block = Some(b);
+        let backing = match self.cfg.input {
+            // In-memory generated input: no storage backing at all.
+            _ if dataset.generated => Backing::Generated,
+            InputSource::HdfsRamDisk => Backing::Hdfs(self.place_hdfs_blocks(dataset)),
+            InputSource::Lustre => {
+                for (i, p) in dataset.partitions.iter().enumerate() {
+                    self.lustre
+                        .create_external(lustre_input_file(rdd, i as u32), p.bytes);
                 }
-                Some(InputSource::Lustre) => {
-                    let lf = LustreFile(LUSTRE_INPUT_BASE + ((rdd.0 as u64) << 24) + i as u64);
-                    self.lustre.create_external(lf, p.bytes);
-                    placed.lustre = Some(lf);
-                }
+                Backing::Lustre
             }
-            parts.push(placed);
-        }
-        self.inputs.placed.insert(rdd, parts);
-        dataset.partitions.len()
+        };
+        let dataset = dataset.clone();
+        let parts = dataset.partitions.len();
+        self.inputs.placed.insert(rdd, Placed { dataset, backing });
+        parts
     }
 
-    /// Preferred nodes for a compute task: HDFS replicas or the cache home.
-    pub(super) fn compute_prefs(&self, stage: &StagePlan, part: u32) -> Vec<u32> {
+    /// One HDFS block per partition, in partition order, preloaded on the
+    /// RAMDisk of every replica's node.
+    fn place_hdfs_blocks(&mut self, dataset: &Dataset) -> HdfsFile {
+        let workers = self.spec.workers;
+        let file = self.hdfs.new_file();
+        for (i, p) in dataset.partitions.iter().enumerate() {
+            // Pseudo-random block placement (what an ingested corpus
+            // looks like): node block counts become Poisson-spread,
+            // which is what strict locality scheduling then amplifies.
+            let mut z =
+                (i as u64 ^ self.cfg.seed.rotate_left(32)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let primary = NodeId((z % workers as u64) as u32);
+            let mut locs = vec![primary];
+            if self.hdfs.config().replication >= 2 && workers > 1 {
+                let mut r = primary.0;
+                while r == primary.0 {
+                    z = (z ^ (z >> 29)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+                    r = (z % workers as u64) as u32;
+                }
+                locs.push(NodeId(r));
+            }
+            locs.dedup();
+            let b = self.hdfs.place_block_at(file, Bytes(p.bytes), locs.clone());
+            for n in locs {
+                self.ram_fs[n.index()].preload(FileId(HDFS_BLOCK_BASE + b.0), Bytes(p.bytes));
+            }
+        }
+        file
+    }
+
+    /// Preferred nodes for a task of `stage` — HDFS replicas or the cache
+    /// home — as a handle for its `prefs`.
+    pub(super) fn compute_prefs(&mut self, stage: &StagePlan, part: u32) -> u32 {
         match &stage.input {
             StageInput::Dataset { rdd, .. } => {
-                match self.inputs.placed[rdd][part as usize].hdfs_block {
-                    Some(b) => self.hdfs.locations(b).iter().map(|n| n.0).collect(),
+                let nodes = match self.inputs.placed[rdd].backing {
+                    Backing::Hdfs(file) => {
+                        let block = self.hdfs.file_blocks(file)[part as usize];
+                        self.hdfs.locations(block)
+                    }
                     // Lustre input: uniformly distant — no preference (§V-A).
-                    None => Vec::new(),
-                }
+                    Backing::Lustre | Backing::Generated => &[],
+                };
+                self.tasks.add_prefs(nodes.iter().map(|n| n.0))
             }
-            StageInput::Cached { rdd } => self
-                .blockmgr
-                .location(*rdd, part)
-                .map(|n| vec![n])
-                .unwrap_or_default(),
-            StageInput::Shuffle(_) => Vec::new(),
+            StageInput::Cached { rdd } => {
+                let home = self.blockmgr.location(*rdd, part);
+                self.tasks.add_prefs(home.into_iter())
+            }
+            StageInput::Shuffle(_) => 0,
         }
     }
 
@@ -221,12 +266,12 @@ impl SimWorld {
         part: u32,
         node: u32,
     ) -> (f64, u64, Option<Arc<[Record]>>, IoPlan, TaskLocality) {
-        let placed = &self.inputs.placed[&rdd][part as usize];
-        let bytes = placed.bytes;
-        let records = placed.records;
-        let data = placed.data.clone();
-        match (placed.hdfs_block, placed.lustre) {
-            (Some(b), _) => {
+        let placed = &self.inputs.placed[&rdd];
+        let p = &placed.dataset.partitions[part as usize];
+        let (bytes, records, data) = (p.bytes, p.records, p.data.clone());
+        match placed.backing {
+            Backing::Hdfs(file) => {
+                let b = self.hdfs.file_blocks(file)[part as usize];
                 let (mut src, loc) = self.hdfs.preferred_source(NodeId(node), b);
                 let mut locality = match loc {
                     Locality::NodeLocal => TaskLocality::NodeLocal,
@@ -260,15 +305,13 @@ impl SimWorld {
                     locality,
                 )
             }
-            (_, Some(lf)) => (
-                bytes,
-                records,
-                data,
-                IoPlan::LustreRead { file: lf },
-                TaskLocality::Any,
-            ),
+            Backing::Lustre => {
+                let file = lustre_input_file(rdd, part);
+                let io = IoPlan::LustreRead { file };
+                (bytes, records, data, io, TaskLocality::Any)
+            }
             // Generated in memory: no input I/O.
-            _ => (bytes, records, data, IoPlan::None, TaskLocality::Any),
+            Backing::Generated => (bytes, records, data, IoPlan::None, TaskLocality::Any),
         }
     }
 
@@ -306,5 +349,113 @@ impl SimWorld {
                 self.task_transfer(now, task, (src, here), Bytes(bytes), out);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tasks::{Task, TaskKind};
+    use super::*;
+    use crate::config::EngineConfig;
+    use crate::value::Value;
+    use memres_cluster::tiny;
+
+    fn real_dataset(parts: usize) -> Arc<Dataset> {
+        let recs: Vec<Record> = (0..64).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        Arc::new(Dataset::from_records(recs, parts))
+    }
+
+    #[test]
+    fn lustre_input_file_ids_are_pinned() {
+        // Lustre's trace events carry these ids, so the pinned traces of the
+        // Lustre-input cells depend on the formula: it must not drift.
+        assert_eq!(lustre_input_file(RddId(0), 0), LustreFile(1 << 42));
+        assert_eq!(
+            lustre_input_file(RddId(3), 7),
+            LustreFile(4_398_096_842_759)
+        );
+        let last = (1 << 24) - 1;
+        assert_eq!(
+            lustre_input_file(RddId(1), last),
+            LustreFile(lustre_input_file(RddId(2), 0).0 - 1),
+            "an RDD's last id sits right below the next RDD's first"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past the dataset's Lustre file ids")]
+    fn a_partition_past_an_rdds_id_range_never_aliases_the_next_rdd() {
+        lustre_input_file(RddId(1), 1 << 24);
+    }
+
+    #[test]
+    fn placing_keeps_the_datasets_own_partitions_and_happens_once() {
+        let mut w = SimWorld::new(tiny(4), EngineConfig::default());
+        let (rdd, dataset) = (RddId(900_001), real_dataset(4));
+        assert_eq!(w.ensure_placed(rdd, &dataset), 4);
+        assert_eq!(w.ensure_placed(rdd, &dataset), 4);
+        let Backing::Hdfs(file) = w.inputs.placed[&rdd].backing else {
+            panic!("the default input source is HDFS on RAMDisk");
+        };
+        assert_eq!(w.hdfs.file_blocks(file).len(), 4, "one block a partition");
+        assert_eq!(
+            w.hdfs.new_file().0,
+            file.0 + 1,
+            "the second call placed nothing"
+        );
+        assert!(w.inputs.is_real(rdd));
+        for part in 0..4u32 {
+            // The task reads the caller's slice, not a copy of it ...
+            let (bytes, records, data, io, _) = w.dataset_input(rdd, part, 0);
+            let own = &dataset.partitions[part as usize];
+            assert_eq!((bytes, records), (own.bytes, own.records));
+            let (handed, own) = (data.expect("real records"), own.data.as_ref());
+            assert!(Arc::ptr_eq(&handed, own.expect("real records")));
+            // ... from block `part` of the file, on the nodes it prefers.
+            let block = w.hdfs.file_blocks(file)[part as usize];
+            assert!(matches!(io, IoPlan::HdfsRead { block: b, .. } if b == block));
+            let stage = StagePlan {
+                input: StageInput::Dataset {
+                    rdd,
+                    dataset: dataset.clone(),
+                },
+                steps: Vec::new(),
+                cache_points: Vec::new(),
+                shuffle_out: None,
+            };
+            let mut t = Task::new(1, 0, TaskKind::Compute { part }, SimTime::ZERO);
+            t.prefs = w.compute_prefs(&stage, part);
+            w.tasks.push(t);
+            let replicas: Vec<u32> = w.hdfs.locations(block).iter().map(|n| n.0).collect();
+            assert!(!replicas.is_empty());
+            assert_eq!(w.tasks.prefs_of(part), replicas);
+        }
+    }
+
+    #[test]
+    fn lustre_and_generated_inputs_add_no_preference_and_no_table() {
+        let lustre = EngineConfig {
+            input: InputSource::Lustre,
+            ..EngineConfig::default()
+        };
+        let mut w = SimWorld::new(tiny(4), lustre);
+        let (rdd, dataset) = (RddId(900_002), real_dataset(3));
+        assert_eq!(w.ensure_placed(rdd, &dataset), 3);
+        assert!(matches!(w.inputs.placed[&rdd].backing, Backing::Lustre));
+        let (.., io, locality) = w.dataset_input(rdd, 2, 1);
+        let file = lustre_input_file(rdd, 2);
+        assert!(matches!(io, IoPlan::LustreRead { file: f } if f == file));
+        assert_eq!(locality, TaskLocality::Any);
+        let generated = Arc::new(Dataset::generated(1e6, 1e5, 10.0));
+        let gen_rdd = RddId(900_003);
+        w.ensure_placed(gen_rdd, &generated);
+        assert!(matches!(w.dataset_input(gen_rdd, 0, 1).3, IoPlan::None));
+        assert!(!w.inputs.is_real(gen_rdd));
+        let plan = crate::dag::build_plan(
+            &crate::rdd::Rdd::source(Dataset::generated(1e6, 1e5, 10.0)),
+            crate::rdd::Action::Count,
+            &Default::default(),
+        );
+        w.check_placeable(&plan).expect("ten partitions fit");
     }
 }

@@ -182,7 +182,7 @@ impl SimWorld {
             self.tasks.doomed[i] = false;
             self.tasks.pending_io[i] = 0;
             self.tasks.finish_scheduled[i] = false;
-            self.tasks.records_out[i] = None;
+            self.tasks.real_out.remove(&task);
             self.tasks.compute_dur[i] = SimDuration::ZERO;
             self.tasks.queued_at[i] = now;
         }
@@ -203,7 +203,7 @@ impl SimWorld {
         let pin = self.tasks.pin[task as usize];
         if pin == UNPINNED {
             let nodes = &self.nodes;
-            self.tasks.prefs[task as usize].retain(|&n| nodes.usable(n));
+            self.tasks.retain_prefs(task, |n| nodes.usable(n));
         } else if !self.nodes.usable(pin) {
             let Some(repl) = self.nodes.replacement() else {
                 let ji = self.job_index_of(task);
@@ -552,7 +552,71 @@ impl SimWorld {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tasks::{TState, NO_TWIN};
     use super::super::tests::{push_pinned_store, world_with_idle_nodes_parked};
+    use super::super::SimWorld;
+    use crate::config::EngineConfig;
+    use crate::rdd::{Action, Dataset, Rdd};
+    use crate::value::{Record, Value};
+    use memres_cluster::tiny;
+    use memres_des::time::{SimDuration, SimTime};
+
+    #[test]
+    fn a_crash_thins_the_retrys_preferences_and_pins_its_ghosts() {
+        // Two replicas a block, sixteen map tasks over four nodes, a shuffle
+        // behind them so finished map output is worth a ghost.
+        let cfg = EngineConfig {
+            input_replication: 2,
+            ..EngineConfig::default()
+        };
+        let mut w = SimWorld::new(tiny(4), cfg);
+        let recs: Vec<Record> = (0..256).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        let rdd = Rdd::source(Dataset::from_records(recs, 16)).group_by_key(Some(2), 1e9);
+        let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, plan, &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        fn running(w: &SimWorld, node: u32) -> impl Iterator<Item = u32> + '_ {
+            let on_node = move |t: &u32| {
+                w.tasks.state[*t as usize] == TState::Running && w.tasks.node[*t as usize] == node
+            };
+            (0..16u32).filter(on_node)
+        }
+        // The victim: a node with a running task that prefers it and one
+        // other node, and a task it has finished.
+        let (retry, victim) = (0..16u32)
+            .filter(|&t| w.tasks.state[t as usize] == TState::Running)
+            .map(|t| (t, w.tasks.node[t as usize]))
+            .find(|&(t, n)| w.tasks.prefs_of(t).contains(&n) && running(&w, n).count() == 2)
+            .expect("a node-local launch on a full node");
+        assert_eq!(w.tasks.prefs_of(retry).len(), 2);
+        let done = running(&w, victim)
+            .find(|&t| t != retry)
+            .expect("two slots");
+        let job = w.jobs[0].id;
+        let t1 = SimTime::from_secs_f64(1.0);
+        w.tasks.compute_dur[done as usize] = SimDuration::ZERO;
+        w.on_task_finish(t1, done, 0, job, &mut out);
+        let before = w.tasks.len() as u32;
+        w.node_crash(t1, victim, None, &mut out);
+        // The failed attempt is pending again and no longer asks for the
+        // dead node; the other replica is still its preference.
+        assert_eq!(w.tasks.state[retry as usize], TState::Pending);
+        let survivor: Vec<u32> = w.tasks.prefs_of(retry).to_vec();
+        assert_eq!(survivor.len(), 1);
+        assert_ne!(survivor[0], victim);
+        // The finished task's output died with the node: one ghost, pinned
+        // to the replacement, preferring nothing, nobody's twin.
+        let ghost = before;
+        assert_eq!(w.tasks.len() as u32, before + 1);
+        assert!(w.tasks.ghost[ghost as usize]);
+        assert_eq!(w.tasks.kind[ghost as usize], w.tasks.kind[done as usize]);
+        let repl = w.tasks.pin[ghost as usize];
+        assert!(repl != victim && w.nodes.usable(repl));
+        assert!(w.tasks.prefs_of(ghost).is_empty());
+        assert_eq!(w.tasks.twin[ghost as usize], NO_TWIN);
+        w.audit_invariants().expect("queues and counts agree");
+    }
 
     #[test]
     fn work_repinned_onto_a_parked_node_unparks_it() {

@@ -7,7 +7,7 @@
 //! interval (§VI-B, [`Cad`]), LATE speculation (§VIII baseline) and the
 //! two-phase `dispatch` round that applies them over the candidate nodes.
 
-use super::tasks::{TState, Task, TaskArena, TaskKind, UNPINNED};
+use super::tasks::{TState, Task, TaskArena, TaskKind, NO_TWIN, UNPINNED};
 use super::{Ev, JobRun, RunPhase, SimWorld};
 use crate::config::{CadConfig, ElbConfig, SchedulerKind};
 use crate::tenancy::InterJobPolicy;
@@ -16,6 +16,7 @@ use memres_des::stats::LogHistogram;
 use memres_des::time::{SimDuration, SimTime};
 use memres_trace::TraceEvent as TE;
 use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// CAD's controller (§VI-B): one dispatch interval for the cluster, grown
 /// and unwound by the feedback in [`Cad::observe_flush`], and per node the
@@ -148,6 +149,16 @@ impl JobQueues {
         }
     }
 
+    /// Heap charged to the three queues (self-profiling).
+    pub(super) fn heap_bytes(&self) -> usize {
+        let queues = self
+            .prefs_q
+            .iter()
+            .chain([&self.no_pref_q, &self.waiting_q]);
+        let entries: usize = queues.map(VecDeque::capacity).sum();
+        self.prefs_q.capacity() * size_of::<VecDeque<u32>>() + entries * size_of::<u32>()
+    }
+
     /// A stage starts at `now`: the delay clock re-anchors there.
     pub(super) fn begin_stage(&mut self, now: SimTime, speculating: bool) {
         self.last_local_launch = now;
@@ -255,7 +266,8 @@ impl SimWorld {
     pub(super) fn enqueue_pending(&mut self, ji: usize, ids: impl IntoIterator<Item = u32>) {
         let tasks = &self.tasks;
         let q = &mut self.jobs[ji].queues;
-        for id in ids {
+        let mut ids = ids.into_iter();
+        while let Some(id) = ids.next() {
             let pin = tasks.pin[id as usize];
             if pin != UNPINNED {
                 q.prefs_q[pin as usize].push_back(id);
@@ -264,8 +276,12 @@ impl SimWorld {
             }
             // Preferred or not, under FIFO any node may end up running it.
             self.nodes.index_mut().unpark_all();
-            let prefs = &tasks.prefs[id as usize];
+            let prefs = tasks.prefs_of(id);
             if prefs.is_empty() {
+                // The tasks of one call are alike: room for the rest now is
+                // one growth, where doubling up to a stage's worth holds the
+                // old and the new buffer at every step.
+                q.no_pref_q.reserve(1 + ids.size_hint().0);
                 q.no_pref_q.push_back(id);
             } else {
                 for &n in prefs {
@@ -543,7 +559,7 @@ impl SimWorld {
         // Longest-elapsed unduplicated one not on `node`; the first on ties.
         let mut best: Option<(f64, u32)> = None;
         for &(elapsed, tid) in late.iter() {
-            if tasks.twin[tid as usize].is_none()
+            if tasks.twin[tid as usize] == NO_TWIN
                 && tasks.node[tid as usize] != node
                 && best.is_none_or(|(e, _)| elapsed > e)
             {
@@ -557,10 +573,10 @@ impl SimWorld {
         let kind = self.tasks.kind[straggler as usize];
         let stage = self.tasks.stage[straggler as usize];
         let mut t = Task::new(self.tasks.job[straggler as usize], stage, kind, now);
-        t.twin = Some(straggler);
+        t.twin = straggler;
         t.is_speculative = true;
         self.tasks.push(t);
-        self.tasks.twin[straggler as usize] = Some(dup);
+        self.tasks.twin[straggler as usize] = dup;
         self.trace(
             now,
             TE::Speculate {
@@ -858,6 +874,46 @@ mod tests {
             assert_eq!(w.nodes.index().parked(), 0);
             w.audit_invariants().expect("nobody parked");
         }
+    }
+
+    #[test]
+    fn a_speculated_copy_is_twinned_both_ways_and_replaces_the_original_when_it_wins() {
+        let mut w = SimWorld::new(tiny(4), EngineConfig::default().with_speculation());
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, placed_plan(2), &mut out);
+        w.dispatch(SimTime::ZERO, &mut out);
+        assert_eq!((w.tasks.twin[0], w.tasks.twin[1]), (NO_TWIN, NO_TWIN));
+        // Eight quick completions on the books make task 0, still running
+        // at t = 100 s, a straggler for any node but its own.
+        (0..8).for_each(|_| w.jobs[0].queues.record_compute(1.0));
+        let late = SimTime::from_secs_f64(100.0);
+        let elsewhere = (0..4).find(|&n| n != w.tasks.node[0]).expect("four nodes");
+        assert!(w.maybe_speculate(late, 0, elsewhere, &mut [None], &mut out));
+        let dup = 2;
+        assert_eq!((w.tasks.twin[0], w.tasks.twin[dup]), (dup as u32, 0));
+        assert!(w.tasks.is_speculative[dup] && !w.tasks.is_speculative[0]);
+        // The original keeps the replicas it preferred; the copy was placed
+        // by hand and prefers nothing.
+        assert!(!w.tasks.prefs_of(0).is_empty());
+        assert!(w.tasks.prefs_of(dup as u32).is_empty());
+        assert_eq!(w.tasks.node[dup], elsewhere);
+        // One copy each: a twinned task is not speculated again.
+        let third = (0..4).find(|&n| n != w.tasks.node[0] && n != elsewhere);
+        w.maybe_speculate(late, 0, third.expect("four nodes"), &mut [None], &mut out);
+        assert_eq!(w.tasks.twin[0], dup as u32);
+        // The copy finishes first: the job now refers to it, and the
+        // original's late finish only hands its slot back.
+        let job = w.jobs[0].id;
+        w.tasks.compute_dur[dup] = SimDuration::ZERO;
+        w.on_task_finish(late, dup as u32, 0, job, &mut out);
+        assert!(w.jobs[0].stage_tasks.contains(&(dup as u32)));
+        assert!(!w.jobs[0].stage_tasks.contains(&0));
+        let remaining = w.jobs[0].remaining;
+        w.on_task_finish(late, 0, 0, job, &mut out);
+        assert_eq!(
+            w.jobs[0].remaining, remaining,
+            "the loser completes nothing"
+        );
     }
 
     #[test]

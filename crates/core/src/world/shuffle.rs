@@ -577,9 +577,9 @@ impl SimWorld {
         if !has_shuffle {
             return;
         }
-        let real_out = self.tasks.records_out[task as usize].take();
+        let real_out = self.tasks.real_out.remove(&task);
         let sh = &mut self.job_of_mut(task).shuffle;
-        sh.deposit(node, out_bytes, real_out.map(|b| *b));
+        sh.deposit(node, out_bytes, real_out);
     }
 
     /// Freeze serving-side state before the fetch stage starts: store
@@ -858,7 +858,7 @@ impl SimWorld {
         let i = task as usize;
         self.tasks.output_bytes[i] = bytes;
         self.tasks.records_est[i] = records;
-        self.tasks.records_out[i] = Some(Box::new(rows));
+        self.tasks.real_out.insert(task, rows);
     }
 
     /// Persistent fetch flow for `(src, dst, kind)` of the shuffle resident
@@ -1073,7 +1073,7 @@ mod tests {
             .find(|&i| w.tasks.state[i] == TState::Running)
             .expect("dispatch launched the computes");
         let node = w.tasks.node[task] as usize;
-        let Some(RealOut::Buckets(buckets)) = w.tasks.records_out[task].as_deref() else {
+        let Some(RealOut::Buckets(buckets)) = w.tasks.real_out.get(&(task as u32)) else {
             panic!("the flush must leave the output partitioned");
         };
         assert_eq!(buckets.len(), 3);
@@ -1085,7 +1085,7 @@ mod tests {
             .collect();
         assert!(!handles.is_empty());
         w.producer_finished(task as u32, node as u32);
-        assert!(w.tasks.records_out[task].is_none());
+        assert!(!w.tasks.real_out.contains_key(&(task as u32)));
         let sh = w.jobs[0].shuffle.writing();
         let real = sh.node_real.as_ref().expect("real rows");
         for (r, ptr) in handles {

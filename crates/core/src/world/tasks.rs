@@ -5,6 +5,8 @@
 use crate::executor::RealOut;
 use crate::metrics::TaskLocality;
 use memres_des::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+use std::mem::size_of;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum TaskKind {
@@ -22,6 +24,9 @@ pub(super) enum TState {
 
 /// [`Task::pin`] of a task that may run anywhere.
 pub(super) const UNPINNED: u32 = u32::MAX;
+
+/// [`Task::twin`] of a task that was never speculated.
+pub(super) const NO_TWIN: u32 = u32::MAX;
 
 /// The per-task fields, written once, each with the value a freshly queued
 /// task has: [`Task`] holds one of each, and [`TaskArena`] a flat `Vec` of
@@ -50,12 +55,22 @@ macro_rules! task_fields {
         /// in its own flat `Vec` indexed by task id. The hot scheduling scans
         /// (dispatch, crash handling, stale-completion filtering) each touch one or
         /// two fields of many tasks, so at 10⁶ tasks they walk dense homogeneous
-        /// arrays instead of striding over ~130-byte task structs. [`Task`] survives
-        /// as the push-site constructor — the arena scatters it on insert — and
-        /// real-record payloads ([`RealOut`]) are moved, never copied.
+        /// arrays instead of striding over task structs. [`Task`] survives as the
+        /// push-site constructor — the arena scatters it on insert. A column costs
+        /// every task its width, so what few tasks have lives beside the columns:
+        /// placement preferences in `prefs_pool`, real-record payloads in
+        /// `real_out`. The byte table is DESIGN.md §4.12; [`TASK_BYTES`] pins its sum.
         #[derive(Default)]
         pub(super) struct TaskArena {
             $(pub(super) $field: Vec<$ty>,)*
+            /// The preferred nodes of the tasks that have any, back to back: each
+            /// entry is its length, then that many node ids. A task's `prefs` is
+            /// the index of its entry's first id — never 0, where the first
+            /// entry's length sits.
+            prefs_pool: Vec<u32>,
+            /// Real output of an evaluated chain, from its commit to the task's
+            /// finish. Only real-record runs put anything here.
+            pub(super) real_out: BTreeMap<u32, RealOut>,
             /// Tasks currently in `TState::Pending` — dispatch early-exits on zero.
             pending: usize,
             /// Tasks currently in `TState::Running`, by owning job id (job ids are
@@ -81,18 +96,21 @@ macro_rules! task_fields {
 
             pub(super) fn clear(&mut self) {
                 $(self.$field.clear();)*
+                self.prefs_pool.clear();
+                self.real_out.clear();
                 self.pending = 0;
                 self.running.clear();
             }
 
             /// Heap charged to the arena's flat arrays (self-profiling).
             pub(super) fn heap_bytes(&self) -> usize {
-                use std::mem::size_of;
-                let prefs = self.prefs.iter().map(|p| p.capacity() * size_of::<u32>());
-                prefs.sum::<usize>() + self.running.capacity() * size_of::<u32>()
+                (self.prefs_pool.capacity() + self.running.capacity()) * size_of::<u32>()
                     $(+ self.$field.capacity() * size_of::<$ty>())*
             }
         }
+
+        /// What one more task costs the arena, whatever its flavour.
+        pub(super) const TASK_BYTES: usize = 0 $(+ size_of::<$ty>())*;
     };
 }
 
@@ -107,27 +125,21 @@ task_fields! {
     queued_at: SimTime = now,
     launched_at: SimTime = now,
     compute_dur: SimDuration = SimDuration::ZERO,
-    /// Pipelined tasks finish at max(io_done, launch+compute); non-pipelined
-    /// (fetch) tasks start computing only after all their data lands.
-    pipelined: bool = !matches!(kind, TaskKind::Fetch { .. }),
     pending_io: u32 = 0,
     finish_scheduled: bool = false,
     input_bytes: f64 = 0.0,
     output_bytes: f64 = 0.0,
     records_est: u64 = 0,
-    /// Real output of an evaluated chain, from its commit to the task's
-    /// finish (boxed: synthetic tasks pay one null pointer).
-    records_out: Option<Box<RealOut>> = None,
     locality: TaskLocality = TaskLocality::Any,
-    /// Preferred nodes (HDFS replicas / cache location). Empty = any.
-    prefs: Vec<u32> = Vec::new(),
+    /// Handle of the preferred nodes (HDFS replicas / cache location) from
+    /// [`TaskArena::add_prefs`]; read through [`TaskArena::prefs_of`]. 0 = any.
+    prefs: u32 = 0,
     /// The only node a pinned task may run on (storing phase: a flush runs
-    /// where its producer ran), [`UNPINNED`] otherwise. Kept beside `prefs`
-    /// (empty for a pinned task) so the storing phase's one task per
-    /// producer costs no allocation each.
+    /// where its producer ran), [`UNPINNED`] otherwise.
     pin: u32 = UNPINNED,
-    /// Speculative-execution twin (LATE baseline): the other copy's id.
-    twin: Option<u32> = None,
+    /// Speculative-execution twin (LATE baseline): the other copy's id, or
+    /// [`NO_TWIN`].
+    twin: u32 = NO_TWIN,
     /// True for the duplicate copy of a speculated task.
     is_speculative: bool = false,
     /// Attempt number; bumped on every failure so stale completion events
@@ -143,7 +155,50 @@ task_fields! {
     ghost: bool = false,
 }
 
+// The per-task footprint moves only on purpose (DESIGN.md §4.12 has the
+// table); so does the 64-byte metric record each finished task leaves.
+const _: () = assert!(TASK_BYTES == 94);
+const _: () = assert!(size_of::<crate::metrics::TaskMetric>() == 64);
+
 impl TaskArena {
+    /// Record `nodes` as a placement preference; the handle goes in a
+    /// task's `prefs`. No nodes, no entry.
+    pub(super) fn add_prefs(&mut self, nodes: impl ExactSizeIterator<Item = u32>) -> u32 {
+        if nodes.len() == 0 {
+            return 0;
+        }
+        self.prefs_pool.push(nodes.len() as u32);
+        let handle = self.prefs_pool.len() as u32;
+        self.prefs_pool.extend(nodes);
+        handle
+    }
+
+    /// The nodes task `id` prefers; empty = any.
+    pub(super) fn prefs_of(&self, id: u32) -> &[u32] {
+        match self.prefs[id as usize] as usize {
+            0 => &[],
+            h => &self.prefs_pool[h..h + self.prefs_pool[h - 1] as usize],
+        }
+    }
+
+    /// Drop the nodes `keep` rejects from task `id`'s preferences, in place
+    /// and in order.
+    pub(super) fn retain_prefs(&mut self, id: u32, keep: impl Fn(u32) -> bool) {
+        let h = self.prefs[id as usize] as usize;
+        if h == 0 {
+            return;
+        }
+        let mut kept = 0;
+        for i in h..h + self.prefs_pool[h - 1] as usize {
+            let n = self.prefs_pool[i];
+            if keep(n) {
+                self.prefs_pool[h + kept] = n;
+                kept += 1;
+            }
+        }
+        self.prefs_pool[h - 1] = kept as u32;
+    }
+
     #[inline]
     pub(super) fn len(&self) -> usize {
         self.state.len()
@@ -207,7 +262,7 @@ mod tests {
         assert_eq!(a.heap_bytes(), 0);
         a.reserve(2);
         let mut t = Task::new(3, 1, TaskKind::Compute { part: 7 }, SimTime::ZERO);
-        t.prefs = vec![4, 5];
+        t.prefs = a.add_prefs([4, 5].into_iter());
         a.push(t);
         a.push(Task::new(
             3,
@@ -217,15 +272,29 @@ mod tests {
         ));
         assert_eq!((a.len(), a.pending(), a.running(3)), (2, 2, 0));
         assert_eq!(a.kind[0], TaskKind::Compute { part: 7 });
-        assert_eq!((a.pipelined[0], a.pipelined[1]), (true, false));
-        assert_eq!(a.pin[0], UNPINNED);
+        assert_eq!((a.pin[0], a.twin[0]), (UNPINNED, NO_TWIN));
+        assert_eq!((a.prefs_of(0), a.prefs_of(1)), (&[4, 5][..], &[][..]));
         a.set_state(0, TState::Running);
         assert_eq!((a.pending(), a.running(3)), (1, 1));
         a.audit_running(3).expect("count matches the scan");
-        // 2 tasks × 127 bytes over the 23 arrays, the two prefs, and the
-        // running counts of jobs 0..=3.
-        assert_eq!(a.heap_bytes(), 2 * 127 + 2 * 4 + 4 * 4);
+        // 2 tasks × 94 bytes over the 21 arrays, the one preference (its
+        // length and two nodes) and the running counts of jobs 0..=3.
+        let pool = a.prefs_pool.capacity();
+        assert!(pool >= 3);
+        assert_eq!(a.heap_bytes(), 2 * 94 + pool * 4 + 4 * 4);
+        // Preferences shrink in place, in order, down to "any node".
+        a.retain_prefs(0, |n| n != 4);
+        assert_eq!(a.prefs_of(0), [5]);
+        a.retain_prefs(0, |_| false);
+        a.retain_prefs(1, |_| false);
+        assert_eq!((a.prefs_of(0), a.prefs_of(1)), (&[][..], &[][..]));
+        assert_eq!(a.add_prefs([].into_iter()), 0, "no nodes, no entry");
         a.clear();
         assert_eq!((a.len(), a.pending()), (0, 0));
+        assert_eq!(
+            a.add_prefs([9].into_iter()),
+            1,
+            "the pool restarts with the arena"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! The dispatch candidate set (DESIGN.md §4.12), from outside the engine:
 //! parking idle nodes changes how many nodes a `Dispatch` looks at, never
-//! what it launches, where, or when.
+//! what it launches, where, or when. And the other scale term of that
+//! section: what one more task costs the engine's heap.
 
 #![allow(
     clippy::indexing_slicing,
@@ -129,6 +130,29 @@ fn flushes_repinned_by_a_crash_wake_the_idle_replacement() {
 }
 
 /// The paper's GroupBy shape: generated 256 MB splits, one reducer per slot.
+#[test]
+fn a_task_costs_the_heap_under_200_bytes() {
+    // The same Lustre-input GroupBy at 6,000 and at 12,000 producers (as
+    // many store tasks each, 64 reducers both times): the engine's own heap
+    // estimate at job departure grows by the arena columns (94 B), the
+    // metric record each finished task leaves (64 B) and the queue and id
+    // lists a producer sits in — not by a per-partition placement table, a
+    // `Vec` header per task, or anything else that scales with the job.
+    let estimate = |parts: usize| {
+        let mut d = Driver::new(tiny(16), lustre_fifo());
+        let (out, m) = d.run(&groupby(parts, 64), Action::Count);
+        assert!(!out.aborted);
+        assert_eq!(m.tasks.len(), 2 * parts + 64);
+        d.heap_estimate_bytes()
+    };
+    let (small, large) = (estimate(6_000), estimate(12_000));
+    let per_task = (large - small) as f64 / 12_000.0;
+    assert!(
+        (158.0..=200.0).contains(&per_task),
+        "{per_task} bytes per task ({small} -> {large})"
+    );
+}
+
 fn paper_groupby(total_gb: f64) -> Rdd {
     Rdd::source(Dataset::generated(
         total_gb * 1024.0 * MB,

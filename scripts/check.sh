@@ -106,6 +106,14 @@ awk -v visits="$(field dispatch_visits)" -v events="$(field events)" \
   'BEGIN { exit !(visits > 0 && visits <= events) }' \
   || { echo "scale_smoke: $(field dispatch_visits) dispatch visits for $(field events) events"; exit 1; }
 echo "ok: $out/scale.json ($(field dispatch_visits) dispatch visits / $(field events) events)"
+# What a task costs the heap, for the record: the engine's own estimate over
+# the cell's 2 x 1,536 producers + 512 reducers. 392 bytes when PR 22 landed
+# (158 of them per task, the rest the cell's workers x reducers tables); a
+# new per-task column, table or copy shows here. Fails above that + 10 %.
+per_task="$(awk -v heap="$(field heap_bytes)" 'BEGIN { printf "%.1f", heap / 3584 }')"
+awk -v per="$per_task" 'BEGIN { exit !(per > 0 && per <= 431) }' \
+  || { echo "scale_smoke: $per_task heap bytes per task (limit 431)"; exit 1; }
+echo "ok: $(field heap_bytes) heap bytes / 3584 tasks = $per_task per task"
 
 echo "== fault smoke (JSON) =="
 cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" faults >/dev/null
