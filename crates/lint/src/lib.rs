@@ -15,8 +15,8 @@
 //!   the first argument starts with `now`/`self.now`, clamps with
 //!   `.max(now)`, or is a local provably bound from / guarded against
 //!   `now` earlier in the same function. Anything else needs a justified
-//!   `lint:allow(event-past)`. The dynamic counterpart is the strict-mode
-//!   assert in `memres_des::sim` (on by default in debug builds).
+//!   `lint:allow(event-past)`. The dynamic counterpart is the assert in
+//!   `memres_des::sim` (`Outbox::at`, `Simulation::schedule`).
 //! * **R6 `time-units`** — no raw `.0` escapes of the `SimTime` /
 //!   `SimDuration` newtypes (use `as_nanos()`), no time-named fields or
 //!   bindings declared as bare primitives (`deadline_ns: u64`), and no
@@ -97,29 +97,21 @@ impl RuleSet {
     }
 }
 
-/// Crates whose code is simulation-visible: a timestamp, a unit or a float
-/// sum that goes wrong here changes simulated results or exported bytes.
-pub const SIM_CRATES: [&str; 10] = [
-    "core",
-    "des",
-    "net",
-    "storage",
-    "hdfs",
-    "lustre",
-    "cluster",
-    "workloads",
-    "trace",
-    "metrics",
-];
+/// The measurement crates. Every other `crates/*/src` is simulation-visible
+/// — a timestamp, a unit or a float sum that goes wrong there changes
+/// simulated results or exported bytes — so a new crate is covered because
+/// it exists, not because someone remembered to list it.
+pub const MEASUREMENT_CRATES: [&str; 2] = ["bench", "lint"];
 
 /// Files that *define* the time/bytes newtypes: the `.0` accesses inside
 /// them are the implementation, not escapes (rule R6 exemption).
 pub const UNIT_DEFINING_FILES: [&str; 2] = ["crates/des/src/time.rs", "crates/des/src/bytes.rs"];
 
 /// Decide which rules govern `rel` (a `/`-separated path relative to the
-/// workspace root): R5 + R6 + R7 for `crates/<sim>/src/`, minus R6 for the
-/// newtype-defining files; nothing anywhere else (`tests/` and `benches/`
-/// trees, the `bench` and `lint` crates, `vendor/`, the umbrella package).
+/// workspace root): R5 + R6 + R7 for `crates/<any>/src/` outside
+/// [`MEASUREMENT_CRATES`], minus R6 for the newtype-defining files; nothing
+/// anywhere else (`tests/` and `benches/` trees, `vendor/`, the umbrella
+/// package).
 pub fn rules_for(rel: &str) -> RuleSet {
     if !rel.ends_with(".rs") {
         return RuleSet::none();
@@ -130,7 +122,7 @@ pub fn rules_for(rel: &str) -> RuleSet {
     else {
         return RuleSet::none();
     };
-    if !SIM_CRATES.contains(&krate) || !tail.starts_with("src/") {
+    if MEASUREMENT_CRATES.contains(&krate) || !tail.starts_with("src/") {
         return RuleSet::none();
     }
     RuleSet {
@@ -1196,6 +1188,7 @@ mod tests {
             "crates/core/src/world.rs",
             "crates/core/src/world/sched.rs",
             "crates/net/src/flow.rs",
+            "crates/net/src/flow/waterfill.rs",
             "crates/trace/src/analyze.rs",
             "crates/metrics/src/diff.rs",
         ] {

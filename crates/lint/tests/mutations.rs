@@ -13,7 +13,7 @@
     reason = "a test of the tool that reads the workspace's source files (DESIGN.md 4.10)"
 )]
 
-use memres_lint::{rules_for, scan_source, xfile};
+use memres_lint::{rules_for, scan_source, xfile, RuleSet};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -115,29 +115,29 @@ fn stale_pinned_cell_fires_cell_smoke() {
 
 // ---------------------------------------------------------- event-past
 
-/// Stripping the `.max(now)` clamp from a real scheduling site in the
-/// engine must fire `event-past` on that file. (`Simulation::schedule`
-/// would still pass statically — its strict assert `time >= self.now` is a
-/// guard the rule accepts — so the fixture declamps `drain_outbox`, which
-/// has no other proof.)
+/// Stripping the `time >= self.now` guard from the kernel's own scheduling
+/// sites must fire `event-past` on that file: the assert is the only proof
+/// `Simulation::schedule` has that the time it pushes is not in the past
+/// (`Outbox::at` pushes onto a plain `Vec`, which is not a scheduling call).
 #[test]
-fn bare_schedule_timestamp_fires_event_past() {
+fn unguarded_schedule_timestamp_fires_event_past() {
     let rel = "crates/des/src/sim.rs";
     let src = read(rel);
-    let clamped = "self.queue.push(t.max(self.now), e)";
-    assert!(
-        src.contains(clamped),
-        "Simulation::drain_outbox no longer clamps; update this fixture"
+    let guard = "\n            time >= self.now,\n";
+    assert_eq!(
+        src.matches(guard).count(),
+        2,
+        "Outbox::at and Simulation::schedule no longer assert this way; update this fixture"
     );
-    let mutated = src.replacen(clamped, "self.queue.push(t, e)", 1);
+    let mutated = src.replace(guard, "\ntrue,\n");
     let rules = rules_for(rel);
     assert!(rules.event_past, "sim.rs must carry the event-past rule");
     let d = scan_source(rel, &mutated, rules);
     assert!(
         d.iter().any(|d| d.rule == "event-past"),
-        "declamped push must fire: {d:?}"
+        "unguarded push must fire: {d:?}"
     );
-    // And the unmutated file stays clean — the clamp is the whole fix.
+    // And the unmutated file stays clean — the guard is the whole proof.
     let d = scan_source(rel, &src, rules);
     assert!(d.is_empty(), "real sim.rs must lint clean: {d:?}");
 }
@@ -159,4 +159,28 @@ fn deleted_allow_reexposes_event_past() {
         "world.rs has event-past escapes that an allow justifies; deleting \
          them must fire: {d:?}"
     );
+}
+
+// ----------------------------------------------------------- layer map
+
+/// A crate nobody has listed anywhere is simulation code because it exists:
+/// a fabricated file under a new `crates/<name>/src` carries R5-R7, and one
+/// violation of each fires there.
+#[test]
+fn new_crate_is_covered_without_being_listed() {
+    let rel = "crates/newcrate/src/x.rs";
+    let rules = rules_for(rel);
+    assert_eq!(rules, RuleSet::sim());
+    let src = "fn f(&mut self, out: &mut Outbox, t: SimTime) { out.at(t, Ev::Wake); }\n\
+               fn g(deadline: SimTime) -> u64 { deadline.0 }\n\
+               fn h(m: &DetMap<u32, f64>) -> f64 { m.values().sum() }\n";
+    let fired: Vec<String> = scan_source(rel, src, rules)
+        .into_iter()
+        .map(|d| format!("{}:{}", d.line, d.rule))
+        .collect();
+    assert_eq!(fired, ["1:event-past", "2:time-units", "3:float-order"]);
+    // The measurement crates and non-`src` trees of any crate stay exempt.
+    for rel in ["crates/bench/src/x.rs", "crates/newcrate/tests/x.rs"] {
+        assert!(rules_for(rel).is_empty(), "{rel}");
+    }
 }

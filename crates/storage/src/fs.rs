@@ -199,6 +199,12 @@ impl LocalFs {
         self.capacity
     }
 
+    /// Page-cache capacity of this mount in bytes ([`CacheConfig::capacity`]);
+    /// 0 for a mount without one.
+    pub fn page_cache_capacity(&self) -> f64 {
+        self.cache.as_ref().map_or(0.0, |c| c.cfg.capacity)
+    }
+
     pub fn file_size(&self, file: FileId) -> Option<f64> {
         self.files.get(&file).copied()
     }
@@ -493,6 +499,7 @@ mod tests {
     #[test]
     fn cached_write_is_memory_speed() {
         let mut fs = ssd_fs(Some(small_cache()));
+        assert_eq!(fs.page_cache_capacity(), 100.0);
         fs.write(SimTime::ZERO, FileId(1), Bytes(50.0), 1);
         let t = run_until_tag(&mut fs, 1);
         // 50 bytes at mem_bw 10_000/s: ~5ms, far faster than device 100/s.
@@ -561,6 +568,7 @@ mod tests {
     #[test]
     fn no_cache_means_device_speed_writes() {
         let mut fs = LocalFs::new(Box::new(RamDisk::new(100.0, 100.0)), 1e9, None);
+        assert_eq!(fs.page_cache_capacity(), 0.0);
         fs.write(SimTime::ZERO, FileId(1), Bytes(100.0), 7);
         let t = run_until_tag(&mut fs, 7);
         assert!((t.as_secs_f64() - 1.0).abs() < 0.01);

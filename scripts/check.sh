@@ -10,9 +10,10 @@
 #                         time-units, R7 float-order, and the cross-file
 #                         cell-smoke rule) before the far costlier
 #                         clippy/test/bench stages spin up.
-#   3. file sizes       — no file under crates/core/src over 1,500 lines, so
-#                         the engine cannot quietly grow back into one file
-#                         (it was 4,606; DESIGN.md 3.1); prints the crate's
+#   3. file sizes       — no file under any crates/*/src over 1,500 lines, so
+#                         neither the engine (world.rs was 4,606; DESIGN.md
+#                         3.1) nor a substrate (net/flow.rs was 1,935; 4.3)
+#                         can quietly grow back into one file; prints the
 #                         code-line count for the record.
 #   4. cargo clippy     — full workspace, all targets; refuses R1 hash
 #                         order, R2 wall clock and R3 host I/O (the lists in
@@ -23,14 +24,16 @@
 #                         event dispatch or a trace exporter (#[deny] on
 #                         those matches). DESIGN.md 4.10.
 #   5. cargo test       — full workspace.
-#   6. smokes           — release-build repro runs per cell family (bench,
-#                         scale, faults, baselines, tenants, trace, report,
-#                         diff, fuzz): each ran and produced well-formed,
-#                         deterministic output. The cell-smoke lint rule
-#                         cross-checks that this list never silently loses
-#                         a family. One real-data example (quickstart) is
-#                         compared with its checked-in stdout at two
-#                         executor thread counts.
+#   6. smokes           — release-build repro runs per cell family (faults,
+#                         baselines, tenants, trace, report, diff, fuzz):
+#                         each ran and produced well-formed, deterministic
+#                         output. The cell-smoke lint rule cross-checks that
+#                         this list never silently loses a family. (The
+#                         timed families, bench and scale, are pinned by
+#                         crates/bench/tests/repro_cli.rs in stage 5.) One
+#                         real-data example (quickstart) is compared with
+#                         its checked-in stdout at two executor thread
+#                         counts.
 #   7. benchmark smoke  — benchmark/run.sh --quick: one checked run of each
 #                         of the seven benchmark workloads against
 #                         benchmark/expected.json, the only pinned sim-time
@@ -53,7 +56,7 @@ if ! cargo run -q -p memres-lint -- --json > "$lint_json"; then
 fi
 echo "ok: clean ($lint_json)"
 
-echo "== core file sizes (no file over 1,500 lines) =="
+echo "== file sizes (no file under crates/*/src over 1,500 lines) =="
 # Code lines: non-blank, non-comment, above the file's first #[cfg(test)].
 code_lines=0; largest=0; largest_file=""
 while IFS= read -r f; do
@@ -64,8 +67,8 @@ while IFS= read -r f; do
   if [ "$lines" -gt "$largest" ]; then largest="$lines"; largest_file="$f"; fi
   n="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { l = $0; sub(/^[[:space:]]+/, "", l); if (l != "" && l !~ /^\/\//) c++ } END { print c + 0 }' "$f")"
   code_lines=$((code_lines + n))
-done < <(find crates/core/src -name '*.rs' | sort)
-echo "ok: crates/core/src is $code_lines code lines, largest file $largest_file ($largest lines)"
+done < <(find crates/*/src -name '*.rs' | sort)
+echo "ok: crates/*/src is $code_lines code lines, largest file $largest_file ($largest lines)"
 
 echo "== cargo clippy (-D warnings; R1-R4, DESIGN.md 4.10) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -73,47 +76,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
-# Both timed families write one JSON shape: {"target", "scale", "seed",
-# "runs": [name + nine columns], "total_wall_s"}.
-timed_json() {
-  test -s "$out/$1.json" || { echo "$1.json missing or empty"; exit 1; }
-  for key in "\"target\": \"$1\"" '"scale": 0.08' '"seed": 1' '"total_wall_s"'; do
-    grep -q "$key" "$out/$1.json" || { echo "$1.json malformed: no $key"; exit 1; }
-  done
-  test "$(grep -c '"name": .*"wall_s": .*"sim_job_s": .*"events": .*"events_per_s": .*"heap_bytes": .*"user_s": .*"sys_s": .*"minor_faults": .*"dispatch_visits": ' "$out/$1.json")" -eq "$2" \
-    || { echo "$1.json: expected $2 runs carrying all nine columns"; exit 1; }
-  if grep -q '"events": 0,' "$out/$1.json"; then echo "$1: a cell processed no events"; exit 1; fi
-}
-
-echo "== bench smoke (JSON) =="
 out="$(mktemp -d)"
-cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" bench >/dev/null
-timed_json bench 5
-echo "ok: $out/bench.json"
-
-echo "== scale smoke (JSON) =="
-# The CI-sized scale cell (192 nodes, past the rack-aggregation threshold)
-# must complete and process events, without rescanning idle nodes.
-cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" scale >/dev/null
-timed_json scale 1
-grep -q '"name": "scale_smoke"' "$out/scale.json" || { echo "scale_smoke did not run"; exit 1; }
-# Dispatch must look at a node or two per event, not rescan the idle ones:
-# on this cell it visits about half a candidate per event, and a visit count
-# above the event count is the 4 M-task cliff coming back (EXPERIMENTS.md
-# "PR 17") on a cell CI can afford.
-field() { grep '"name": "scale_smoke"' "$out/scale.json" | sed "s/.*\"$1\": \([0-9]*\).*/\1/"; }
-awk -v visits="$(field dispatch_visits)" -v events="$(field events)" \
-  'BEGIN { exit !(visits > 0 && visits <= events) }' \
-  || { echo "scale_smoke: $(field dispatch_visits) dispatch visits for $(field events) events"; exit 1; }
-echo "ok: $out/scale.json ($(field dispatch_visits) dispatch visits / $(field events) events)"
-# What a task costs the heap, for the record: the engine's own estimate over
-# the cell's 2 x 1,536 producers + 512 reducers. 392 bytes when PR 22 landed
-# (158 of them per task, the rest the cell's workers x reducers tables); a
-# new per-task column, table or copy shows here. Fails above that + 10 %.
-per_task="$(awk -v heap="$(field heap_bytes)" 'BEGIN { printf "%.1f", heap / 3584 }')"
-awk -v per="$per_task" 'BEGIN { exit !(per > 0 && per <= 431) }' \
-  || { echo "scale_smoke: $per_task heap bytes per task (limit 431)"; exit 1; }
-echo "ok: $(field heap_bytes) heap bytes / 3584 tasks = $per_task per task"
 
 echo "== fault smoke (JSON) =="
 cargo run -q --release -p memres-bench --bin repro -- --smoke --json "$out" faults >/dev/null
