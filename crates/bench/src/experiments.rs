@@ -567,7 +567,7 @@ pub fn fig13b(setup: Setup) -> Table {
     );
     for gb_in in [400.0, 800.0, 1200.0] {
         let mut base = setup.cell_cfg(RAMDISK);
-        base.spark.reducer_max_bytes_in_flight = 128.0 * 1024.0;
+        base.reducer_max_bytes_in_flight = 128.0 * 1024.0;
         let [plain, elb] = groupby(setup, gb_in, [base.clone(), base.with_elb()]);
         t.row(
             format!("{gb_in:.0} GB"),
@@ -685,7 +685,6 @@ pub fn ablation_cad_step(setup: Setup) -> Table {
     let cfgs = steps_ms.map(|ms| EngineConfig {
         cad: Some(memres_core::CadConfig {
             step: SimDuration::from_millis(ms),
-            ..Default::default()
         }),
         ..base.clone()
     });

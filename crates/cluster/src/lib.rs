@@ -35,9 +35,6 @@ pub struct ClusterSpec {
     pub cores_per_node: u32,
     /// Racks; nodes are striped across racks round-robin.
     pub racks: u16,
-    /// Memory allocated to the framework per node (bytes) — "30 GB per node
-    /// for Spark jobs".
-    pub framework_mem: f64,
     /// RAMDisk capacity per node (bytes) — 32 GB on Hyperion.
     pub ramdisk_capacity: f64,
     /// SSD capacity per node (bytes) — 128 GB on Hyperion.
@@ -92,7 +89,6 @@ impl ClusterSpec {
             ));
         }
         for (name, v) in [
-            ("framework_mem", self.framework_mem),
             ("ramdisk_capacity", self.ramdisk_capacity),
             ("ssd_capacity", self.ssd_capacity),
             ("nic_bandwidth", self.nic_bandwidth),
@@ -129,7 +125,6 @@ pub fn hyperion() -> ClusterSpec {
         workers: 100,
         cores_per_node: 16,
         racks: 2,
-        framework_mem: 30.0 * GB,
         ramdisk_capacity: 32.0 * GB,
         ssd_capacity: 128.0 * GB,
         // IB QDR: 32 Gbps link = 4 GB/s; effective payload a bit lower.
@@ -148,7 +143,6 @@ pub fn tiny(workers: u32) -> ClusterSpec {
         workers,
         cores_per_node: 2,
         racks: 2,
-        framework_mem: 4.0 * GB,
         ramdisk_capacity: 2.0 * GB,
         ssd_capacity: 8.0 * GB,
         nic_bandwidth: 1.0 * GB,

@@ -1,57 +1,14 @@
 //! Engine configuration.
 //!
-//! [`SparkConfig`] mirrors Table I of the paper (the tuned Spark 0.7
-//! parameters on Hyperion); [`EngineConfig`] adds the experiment knobs the
-//! paper varies between sections: input source, shuffle-store strategy,
-//! scheduling policy, and the ELB/CAD optimizations.
+//! [`EngineConfig`] holds what some caller outside tests varies: input
+//! source, shuffle-store strategy, scheduling policy, the ELB/CAD
+//! optimizations and the FetchRequest size §VI-A shrinks. What no caller
+//! varies is a constant beside the code that reads it (census: DESIGN.md
+//! §4.7), Table I's other four rows among them ([`EngineConfig::table1`]).
 
 use crate::faults::{FaultPlan, RecoveryConfig};
 use memres_des::time::SimDuration;
 use memres_des::units::{GB, MB};
-
-/// Table I — key Spark configuration parameters.
-#[derive(Clone, Debug)]
-pub struct SparkConfig {
-    /// `spark.reducer.maxMbInFlight` — also the FetchRequest size; §VI-A
-    /// shrinks this from 1 GB to 128 KB to manufacture a network bottleneck.
-    pub reducer_max_bytes_in_flight: f64,
-    /// `spark.rdd.compress` (paper: false).
-    pub rdd_compress: bool,
-    /// `spark.shuffle.compress` (paper: true).
-    pub shuffle_compress: bool,
-    /// `spark.buffer.size` (paper: 8 MB).
-    pub buffer_size: f64,
-    /// `spark.default.parallelism` — reduce-side task count; "application
-    /// dependent" in the paper, so `None` means: pick from the workload.
-    pub default_parallelism: Option<u32>,
-    /// Compression ratio applied to shuffled bytes when `shuffle_compress`
-    /// (1.0 = incompressible; the paper quotes intermediate sizes post-
-    /// pipeline, so figures use 1.0).
-    pub shuffle_compress_ratio: f64,
-    /// Fixed per-task launch overhead (scheduling, serialization, JVM
-    /// dispatch). This is what makes 32 MB splits slower than 128 MB ones on
-    /// the Lustre configuration (Fig 5a: +15.9% from split-size alone).
-    pub task_overhead: SimDuration,
-    /// Fixed per-request network/RPC overhead expressed as equivalent bytes;
-    /// combined with `reducer_max_bytes_in_flight` it narrows effective
-    /// shuffle bandwidth for small FetchRequests.
-    pub per_request_overhead_bytes: f64,
-}
-
-impl Default for SparkConfig {
-    fn default() -> Self {
-        SparkConfig {
-            reducer_max_bytes_in_flight: 1.0 * GB,
-            rdd_compress: false,
-            shuffle_compress: true,
-            buffer_size: 8.0 * MB,
-            default_parallelism: None,
-            shuffle_compress_ratio: 1.0,
-            task_overhead: SimDuration::from_millis(8),
-            per_request_overhead_bytes: 256.0 * 1024.0,
-        }
-    }
-}
 
 /// Where stage-one tasks read their input from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,42 +74,12 @@ pub struct CadConfig {
     /// Increment added to the dispatch interval on a detected jump
     /// (paper: 50 ms).
     pub step: SimDuration,
-    /// Average-execution-time jump factor that triggers throttling
-    /// (paper: 2×).
-    pub jump_factor: f64,
-    /// Completed-task window used for the running average.
-    pub window: usize,
 }
 
 impl Default for CadConfig {
     fn default() -> Self {
         CadConfig {
             step: SimDuration::from_millis(50),
-            jump_factor: 2.0,
-            window: 32,
-        }
-    }
-}
-
-/// LATE-style speculative execution [Zaharia OSDI'08] — implemented as the
-/// comparison baseline the paper's related work cites: it duplicates slow
-/// *tasks*, which cannot fix the *intermediate data* imbalance ELB targets
-/// ("none of them considers the imbalanced intermediate data distribution",
-/// §VIII).
-#[derive(Clone, Copy, Debug)]
-pub struct SpeculationConfig {
-    /// A running task is a straggler when its elapsed time exceeds
-    /// `multiplier` × the median completed-task duration of its phase.
-    pub multiplier: f64,
-    /// Minimum completed tasks before speculation activates.
-    pub min_completed: usize,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig {
-            multiplier: 1.5,
-            min_completed: 8,
         }
     }
 }
@@ -173,14 +100,20 @@ pub enum Defect {
 /// Everything a simulated run needs.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    pub spark: SparkConfig,
+    /// `spark.reducer.maxMbInFlight` — also the FetchRequest size; §VI-A
+    /// shrinks this from 1 GB to 128 KB to manufacture a network bottleneck.
+    pub reducer_max_bytes_in_flight: f64,
     pub input: InputSource,
     pub shuffle: ShuffleStore,
     pub scheduler: SchedulerKind,
     pub elb: Option<ElbConfig>,
     pub cad: Option<CadConfig>,
-    /// LATE-style speculative execution baseline.
-    pub speculation: Option<SpeculationConfig>,
+    /// LATE-style speculative execution [Zaharia OSDI'08] — the comparison
+    /// baseline the paper's related work cites: it duplicates slow *tasks*,
+    /// which cannot fix the *intermediate data* imbalance ELB targets ("none
+    /// of them considers the imbalanced intermediate data distribution",
+    /// §VIII).
+    pub speculation: bool,
     /// HDFS replication for input datasets. The paper's data-centric
     /// configuration backs HDFS with 32 GB RAMDisks, so replication is kept
     /// at 1 for capacity (they observe a 1.2 TB ceiling); raise it to study
@@ -206,7 +139,7 @@ pub struct EngineConfig {
     /// Structured event tracing (DESIGN.md §4.11). Off by default: the
     /// engine then holds no sink at all and emission sites cost one
     /// `Option` test.
-    pub trace: memres_trace::TraceConfig,
+    pub trace: bool,
     /// Shuffle fetches between a rack pair collapse into one rack-level
     /// aggregate flow when `(workers / racks)^2` — the concurrent per-pair
     /// flow count of an all-to-all shuffle wave — exceeds this threshold
@@ -226,13 +159,13 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            spark: SparkConfig::default(),
+            reducer_max_bytes_in_flight: 1.0 * GB,
             input: InputSource::HdfsRamDisk,
             shuffle: ShuffleStore::Local(StoreDevice::RamDisk),
             scheduler: SchedulerKind::Fifo,
             elb: None,
             cad: None,
-            speculation: None,
+            speculation: false,
             input_replication: 1,
             task_jitter: 0.15,
             speed_sigma: 0.25,
@@ -241,7 +174,7 @@ impl Default for EngineConfig {
             executor_threads: None,
             faults: None,
             recovery: RecoveryConfig::default(),
-            trace: memres_trace::TraceConfig::off(),
+            trace: false,
             rack_agg_threshold: 4096,
             defect: None,
             metrics: None,
@@ -271,7 +204,7 @@ impl EngineConfig {
     }
 
     pub fn with_speculation(mut self) -> Self {
-        self.speculation = Some(SpeculationConfig::default());
+        self.speculation = true;
         self
     }
 
@@ -296,7 +229,7 @@ impl EngineConfig {
 
     /// Record a full structured event trace of the run (DESIGN.md §4.11).
     pub fn with_trace(mut self) -> Self {
-        self.trace = memres_trace::TraceConfig::full();
+        self.trace = true;
         self
     }
 
@@ -353,28 +286,20 @@ impl EngineConfig {
         if self.executor_threads == Some(0) {
             return Err("executor_threads must be at least 1".to_string());
         }
-        if self.spark.reducer_max_bytes_in_flight <= 0.0
-            || !self.spark.reducer_max_bytes_in_flight.is_finite()
+        if self.reducer_max_bytes_in_flight <= 0.0 || !self.reducer_max_bytes_in_flight.is_finite()
         {
             return Err(format!(
-                "spark.reducer_max_bytes_in_flight must be positive and finite, got {}",
-                self.spark.reducer_max_bytes_in_flight
+                "reducer_max_bytes_in_flight must be positive and finite, got {}",
+                self.reducer_max_bytes_in_flight
             ));
         }
-        if self.spark.per_request_overhead_bytes < 0.0
-            || !self.spark.per_request_overhead_bytes.is_finite()
-        {
-            return Err(format!(
-                "spark.per_request_overhead_bytes must be non-negative and finite, got {}",
-                self.spark.per_request_overhead_bytes
-            ));
-        }
-        let ratio = self.spark.shuffle_compress_ratio;
-        if ratio.is_nan() || ratio <= 0.0 || ratio > 1.0 {
-            return Err(format!(
-                "spark.shuffle_compress_ratio must be in (0, 1], got {}",
-                self.spark.shuffle_compress_ratio
-            ));
+        if let Some(elb) = &self.elb {
+            if elb.threshold <= 0.0 || !elb.threshold.is_finite() {
+                return Err(format!(
+                    "elb.threshold must be positive and finite, got {}",
+                    elb.threshold
+                ));
+            }
         }
         if self.recovery.max_task_attempts == 0 {
             return Err("recovery.max_task_attempts must be at least 1".to_string());
@@ -391,27 +316,20 @@ impl EngineConfig {
         Ok(())
     }
 
-    /// Render Table I the way the paper prints it.
+    /// Render Table I the way the paper prints it. Only the first row is
+    /// read by the engine; the other four are the paper's fixed values.
     pub fn table1(&self) -> Vec<(&'static str, String)> {
         vec![
             (
                 "spark.reducer.maxMbInFlight",
-                format!("{:.0}MB", self.spark.reducer_max_bytes_in_flight / MB),
+                format!("{:.0}MB", self.reducer_max_bytes_in_flight / MB),
             ),
-            ("spark.rdd.compress", self.spark.rdd_compress.to_string()),
-            (
-                "spark.shuffle.compress",
-                self.spark.shuffle_compress.to_string(),
-            ),
-            (
-                "spark.buffer.size",
-                format!("{:.0}MB", self.spark.buffer_size / MB),
-            ),
+            ("spark.rdd.compress", "false".to_string()),
+            ("spark.shuffle.compress", "true".to_string()),
+            ("spark.buffer.size", "8MB".to_string()),
             (
                 "spark.default.parallelism",
-                self.spark
-                    .default_parallelism
-                    .map_or("application dependent".to_string(), |p| p.to_string()),
+                "application dependent".to_string(),
             ),
         ]
     }
@@ -491,6 +409,13 @@ mod tests {
         assert!(err(cfg, 4).contains("speed_sigma"));
         let cfg = EngineConfig::default().with_executor_threads(0);
         assert!(err(cfg, 4).contains("executor_threads"));
+        for threshold in [0.0, f64::NAN] {
+            let cfg = EngineConfig {
+                elb: Some(ElbConfig { threshold }),
+                ..EngineConfig::default()
+            };
+            assert!(err(cfg, 4).contains("elb.threshold"));
+        }
         let rec = RecoveryConfig {
             max_task_attempts: 0,
             ..RecoveryConfig::default()

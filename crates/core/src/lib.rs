@@ -48,7 +48,7 @@ pub mod world;
 
 pub use config::{
     CadConfig, Defect, ElbConfig, EngineConfig, InputSource, SchedulerKind, ShuffleStore,
-    SparkConfig, SpeculationConfig, StoreDevice,
+    StoreDevice,
 };
 pub use driver::Driver;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoveryConfig};
@@ -60,20 +60,17 @@ pub use tenancy::{
 pub use value::{Record, Value};
 pub use world::{JobOutput, SimWorld};
 
-// Re-exported so applications configure tracing without naming the trace
-// crate directly.
-pub use memres_trace::{TimedEvent, TraceConfig, TraceEvent, TraceLevel};
+// Re-exported so applications read a trace without naming the trace crate
+// directly.
+pub use memres_trace::{TimedEvent, TraceEvent};
 
 /// Everything a typical application needs.
 pub mod prelude {
-    pub use crate::config::{
-        EngineConfig, InputSource, SchedulerKind, ShuffleStore, SparkConfig, StoreDevice,
-    };
+    pub use crate::config::{EngineConfig, InputSource, SchedulerKind, ShuffleStore, StoreDevice};
     pub use crate::driver::Driver;
     pub use crate::faults::{FaultKind, FaultPlan, RecoveryConfig};
     pub use crate::metrics::{JobMetrics, Phase};
     pub use crate::rdd::{Action, Dataset, Rdd, SizeModel};
     pub use crate::value::{Record, Value};
     pub use crate::world::JobOutput;
-    pub use memres_trace::{TraceConfig, TraceLevel};
 }

@@ -84,6 +84,11 @@ use sched::{Cad, DispatchState, JobQueues};
 use shuffle::{JobShuffle, ShuffleService};
 use tasks::{TState, Task, TaskArena, TaskKind, NO_TWIN};
 
+/// Fixed per-task launch overhead (scheduling, serialization, JVM dispatch).
+/// This is what makes 32 MB splits slower than 128 MB ones on the Lustre
+/// configuration (Fig 5a: +15.9% from split-size alone).
+const TASK_OVERHEAD: SimDuration = SimDuration::from_millis(8);
+
 /// Network transfer tags.
 #[derive(Clone, Copy, Debug)]
 pub enum NetTag {
@@ -337,7 +342,7 @@ impl SimWorld {
             SpeedModel::Homogeneous
         };
         let speeds = SpeedSampler::new(speed_model, spec.workers, cfg.seed);
-        let tracer = cfg.trace.enabled().then(|| memres_trace::shared(cfg.trace));
+        let tracer = cfg.trace.then(memres_trace::shared);
         let mut w = SimWorld {
             nodes: Nodes::new(spec.workers, spec.cores_per_node),
             sched: DispatchState::new(workers),
@@ -761,7 +766,7 @@ impl SimWorld {
             if is_last {
                 job.final_tasks = created.clone().collect();
             }
-            job.queues.begin_stage(now, self.cfg.speculation.is_some());
+            job.queues.begin_stage(now, self.cfg.speculation);
         }
         self.queue_tasks(now, ji, created);
         self.sched.rotate();
@@ -811,7 +816,7 @@ impl SimWorld {
     fn commit_chain(&mut self, task: u32, part: u32, node: u32, chain: ChainOut) {
         let (dur, out_bytes, out_records, out_data, snaps) = chain;
         let i = task as usize;
-        self.tasks.compute_dur[i] = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
+        self.tasks.compute_dur[i] = dur.mul_f64(self.jitter(task)) + TASK_OVERHEAD;
         self.tasks.output_bytes[i] = out_bytes;
         self.tasks.records_est[i] = out_records;
         if let Some(rows) = out_data {

@@ -18,6 +18,18 @@ use memres_trace::TraceEvent as TE;
 use std::collections::VecDeque;
 use std::mem::size_of;
 
+/// Completed-ShuffleMapTask window of CAD's running average.
+const CAD_WINDOW: usize = 32;
+/// Average-execution-time jump over the healthy baseline that triggers
+/// throttling (paper: 2×).
+const CAD_JUMP_FACTOR: f64 = 2.0;
+
+/// LATE: a running task is a straggler when its elapsed time exceeds this
+/// multiple of the median completed-task duration of its stage.
+const LATE_MULTIPLIER: f64 = 1.5;
+/// LATE: completed tasks of the stage before speculation activates.
+const LATE_MIN_COMPLETED: u64 = 8;
+
 /// CAD's controller (§VI-B): one dispatch interval for the cluster, grown
 /// and unwound by the feedback in [`Cad::observe_flush`], and per node the
 /// instant its next ShuffleMapTask may start.
@@ -54,23 +66,23 @@ impl Cad {
 
     /// CAD feedback (§VI-B): watch the running average of completed
     /// ShuffleMapTask times against the *healthy baseline* (the first
-    /// half-full window). While the average sits `jump_factor`× above the
+    /// half-full window). While the average sits [`CAD_JUMP_FACTOR`]× above the
     /// baseline, every further completion adds `step` to the dispatch
     /// interval — integral-controller behaviour that keeps throttling until
     /// the device recovers; when the average falls back toward the baseline
     /// the interval unwinds at the same rate.
     pub(super) fn observe_flush(&mut self, cfg: &CadConfig, secs: f64) {
         self.window.push_back(secs);
-        if self.window.len() > cfg.window {
+        if self.window.len() > CAD_WINDOW {
             self.window.pop_front();
         }
-        if self.window.len() < cfg.window / 2 {
+        if self.window.len() < CAD_WINDOW / 2 {
             return;
         }
         let avg = self.window.iter().sum::<f64>() / self.window.len() as f64;
         match self.ref_avg {
             None => self.ref_avg = Some(avg),
-            Some(baseline) if avg > baseline * cfg.jump_factor => {
+            Some(baseline) if avg > baseline * CAD_JUMP_FACTOR => {
                 // Anti-windup: one healthy task-time of spacing already
                 // drops the write queue to a handful; wider gaps would
                 // idle the device instead of easing GC.
@@ -338,7 +350,7 @@ impl SimWorld {
         matches!(self.cfg.scheduler, SchedulerKind::Fifo)
             && self.cfg.elb.is_none()
             && self.cfg.cad.is_none()
-            && self.cfg.speculation.is_none()
+            && !self.cfg.speculation
     }
 
     /// Inter-job dispatch order (DESIGN.md §4.14). Single-job runs and the
@@ -390,7 +402,7 @@ impl SimWorld {
         // Fast exit: with nothing pending and speculation off, no pass can
         // launch anything (`pending` is always empty between rounds),
         // so the scan below would only re-derive "blocked" for every node.
-        if self.tasks.pending() == 0 && self.cfg.speculation.is_none() {
+        if self.tasks.pending() == 0 && !self.cfg.speculation {
             return;
         }
         let cad_some = self.cfg.cad.is_some();
@@ -414,7 +426,7 @@ impl SimWorld {
         let none_available = self.nodes.index().available() == 0;
         let park = self.visits_are_pure();
         // Per job, its stragglers as of this dispatch (`maybe_speculate`).
-        let speculating = self.cfg.speculation.is_some();
+        let speculating = self.cfg.speculation;
         let mut stragglers = vec![None; if speculating { order.len() } else { 0 }];
         for allow_steal in [false, true] {
             self.sched.round += 1;
@@ -516,7 +528,7 @@ impl SimWorld {
     }
 
     /// LATE-style speculation (baseline, §VIII related work): when a slot
-    /// idles and a running compute task has exceeded `multiplier` × the
+    /// idles and a running compute task has exceeded [`LATE_MULTIPLIER`] × the
     /// median completed duration, launch a duplicate here; first copy wins.
     /// `stragglers[ji]` is the job's tasks past that threshold, found once
     /// per dispatch: nothing finishes during one, and a task it launches has
@@ -529,9 +541,9 @@ impl SimWorld {
         stragglers: &mut [Option<Vec<(f64, u32)>>],
         out: &mut Outbox<Ev>,
     ) -> bool {
-        let Some(spec) = self.cfg.speculation else {
+        if !self.cfg.speculation {
             return false;
-        };
+        }
         let job = &self.jobs[ji];
         if !matches!(job.phase, RunPhase::Stage(_)) {
             return false;
@@ -539,12 +551,12 @@ impl SimWorld {
         let Some(durs) = job.queues.stage_durs.as_ref() else {
             return false;
         };
-        if durs.count() < spec.min_completed as u64 {
+        if durs.count() < LATE_MIN_COMPLETED {
             return false;
         }
         let tasks = &self.tasks;
         let late = stragglers[ji].get_or_insert_with(|| {
-            let threshold = durs.median() * spec.multiplier;
+            let threshold = durs.median() * LATE_MULTIPLIER;
             let elapsed = |tid: u32| now.since(tasks.launched_at[tid as usize]).as_secs_f64();
             job.stage_tasks
                 .iter()
@@ -645,7 +657,7 @@ mod tests {
 
     #[test]
     fn cad_baseline_is_the_first_half_full_window() {
-        let cfg = CadConfig::default(); // window 32, 2x jump, 50 ms step
+        let cfg = CadConfig::default(); // 50 ms step; window 32, 2x jump
         let mut cad = Cad::new(2);
         flushes(&mut cad, &cfg, 15, 1.0);
         assert_eq!(cad.ref_avg, None, "under half a window: no estimate yet");

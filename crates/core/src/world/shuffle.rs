@@ -11,7 +11,7 @@
 //! back. A fourth store is an arm in each of those and nowhere else.
 
 use super::tasks::TaskKind;
-use super::{Ev, JobRun, NetTag, SimWorld};
+use super::{Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
 use crate::config::{Defect, ShuffleStore, StoreDevice};
 use crate::dag::{JobPlan, ShuffleInSpec, StageInput};
 use crate::executor::{run_narrow_chain, Pending, RealOut, Work};
@@ -28,6 +28,11 @@ use std::sync::Arc;
 
 /// File ids of node-local store files and Lustre shuffle files.
 const SHUFFLE_FILE_BASE: u64 = 1 << 41;
+
+/// Fixed per-FetchRequest network/RPC overhead as equivalent bytes; with
+/// `reducer_max_bytes_in_flight` it narrows effective shuffle bandwidth for
+/// small FetchRequests (Fig 13b).
+const PER_REQUEST_OVERHEAD_BYTES: f64 = 256.0 * 1024.0;
 
 /// Deposited intermediate bytes, logically `[node][reducer]`. The dense
 /// matrix is exact and is used whenever real records flow or the matrix is
@@ -406,7 +411,6 @@ impl SimWorld {
     ) -> u32 {
         // Spark guidance: default reduce-side parallelism ~ total cores.
         let reducers = requested
-            .or(self.cfg.spark.default_parallelism)
             .unwrap_or((nparts as u32).min(self.spec.total_slots()))
             .max(1);
         let spec = match &plan.stages[idx + 1].input {
@@ -506,7 +510,7 @@ impl SimWorld {
         let speed = self.speed(node);
         // Partition + Java-serialization cost of the flush (Spark 0.7 era).
         let cpu = SimDuration::from_secs_f64(bytes / (300.0e6 * speed)).mul_f64(self.jitter(task))
-            + self.cfg.spark.task_overhead;
+            + TASK_OVERHEAD;
         {
             let i = task as usize;
             self.tasks.compute_dur[i] = cpu;
@@ -651,20 +655,12 @@ impl SimWorld {
 
     // ---------------- fetch stage ----------------
 
-    /// Wire bytes of `raw` fetched bytes: compressed if configured, then
-    /// inflated by the per-request overhead.
+    /// Wire bytes of `raw` fetched bytes: inflated by the per-request
+    /// overhead. (The paper quotes intermediate sizes post-pipeline, so
+    /// `spark.shuffle.compress` changes no byte count here.)
     fn fetch_wire(&self) -> impl Fn(f64) -> Bytes {
-        let spark = &self.cfg.spark;
-        let (req, oh) = (
-            spark.reducer_max_bytes_in_flight,
-            spark.per_request_overhead_bytes,
-        );
-        let compress = if spark.shuffle_compress {
-            spark.shuffle_compress_ratio
-        } else {
-            1.0
-        };
-        move |raw| inflate_for_requests(Bytes(raw * compress), req, oh)
+        let req = self.cfg.reducer_max_bytes_in_flight;
+        move |raw| inflate_for_requests(Bytes(raw), req, PER_REQUEST_OVERHEAD_BYTES)
     }
 
     pub(super) fn launch_fetch(
@@ -721,7 +717,7 @@ impl SimWorld {
             None,
         );
         dur += chain_dur;
-        let dur = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
+        let dur = dur.mul_f64(self.jitter(task)) + TASK_OVERHEAD;
         {
             let i = task as usize;
             self.tasks.compute_dur[i] = dur;

@@ -61,7 +61,7 @@ impl SimDuration {
         SimDuration(secs_to_nanos(secs))
     }
 
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 

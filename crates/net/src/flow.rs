@@ -654,8 +654,8 @@ mod tests {
 
     #[test]
     fn a_stale_flow_id_reaches_nothing_and_traced_ids_are_what_they_were() {
-        use memres_trace::{TraceConfig, TraceEvent};
-        let sink = memres_trace::shared(TraceConfig::full());
+        use memres_trace::TraceEvent;
+        let sink = memres_trace::shared();
         let mut net: FlowNet<u32> = FlowNet::new();
         net.set_tracer(sink.clone());
         let l = net.add_link(100.0);

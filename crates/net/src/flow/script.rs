@@ -220,12 +220,11 @@ pub(super) fn lockstep(
     push: [Push; 2],
     oracle_retirement: bool,
 ) -> Result<(), TestCaseError> {
-    use memres_trace::TraceConfig;
     let mut scripts = push.map(|p| Script::new(caps, p));
     if oracle_retirement {
         scripts[1].net.index.retire_one_at_a_time();
     }
-    let sinks = [TraceConfig::full(), TraceConfig::full()].map(memres_trace::shared);
+    let sinks = [memres_trace::shared(), memres_trace::shared()];
     for (s, sink) in scripts.iter_mut().zip(&sinks) {
         s.net.set_tracer(sink.clone());
     }

@@ -25,39 +25,6 @@ use memres_des::Bytes;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// How much to record. `Off` must cost near-zero: the engine holds no sink
-/// at all when tracing is off, so the guard is a single `Option` test.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TraceLevel {
-    #[default]
-    Off,
-    /// Everything: scheduling, tasks, faults, flows, DLM locks, SSD GC state
-    /// transitions.
-    Full,
-}
-
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceConfig {
-    pub level: TraceLevel,
-}
-
-impl TraceConfig {
-    pub fn off() -> TraceConfig {
-        TraceConfig::default()
-    }
-
-    pub fn full() -> TraceConfig {
-        TraceConfig {
-            level: TraceLevel::Full,
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.level != TraceLevel::Off
-    }
-}
-
 /// Coarse task classification mirroring `Phase` in memres-core (kept
 /// separate so this crate depends only on memres-des).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -284,29 +251,12 @@ pub struct TimedEvent {
 /// Append-only in-memory event log. No host I/O, no host clocks.
 #[derive(Debug, Default)]
 pub struct TraceSink {
-    level: TraceLevel,
     seq: u64,
     events: Vec<TimedEvent>,
 }
 
 impl TraceSink {
-    pub fn new(cfg: TraceConfig) -> TraceSink {
-        TraceSink {
-            level: cfg.level,
-            seq: 0,
-            events: Vec::new(),
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.level != TraceLevel::Off
-    }
-
     pub fn emit(&mut self, at: SimTime, ev: TraceEvent) {
-        if self.level == TraceLevel::Off {
-            return;
-        }
         self.events.push(TimedEvent {
             at,
             seq: self.seq,
@@ -338,8 +288,8 @@ impl TraceSink {
 /// single-threaded shared cell is sufficient and keeps emission cheap.
 pub type SharedSink = Rc<RefCell<TraceSink>>;
 
-pub fn shared(cfg: TraceConfig) -> SharedSink {
-    Rc::new(RefCell::new(TraceSink::new(cfg)))
+pub fn shared() -> SharedSink {
+    Rc::new(RefCell::new(TraceSink::default()))
 }
 
 #[cfg(test)]
@@ -347,16 +297,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_sink_records_nothing() {
-        let mut s = TraceSink::new(TraceConfig::off());
-        assert!(!s.enabled());
-        s.emit(SimTime::ZERO, TraceEvent::JobStart { job: 0 });
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn full_level_keeps_everything_in_emission_order() {
-        let mut s = TraceSink::new(TraceConfig::full());
+    fn sink_keeps_everything_in_emission_order() {
+        let mut s = TraceSink::default();
         s.emit(
             SimTime::from_secs_f64(1.0),
             TraceEvent::FlowStart { flow: 7 },
