@@ -5,44 +5,59 @@
 //! dashboards and the `repro diff` parser consume these bytes positionally,
 //! so a format change must fail here, not in a user's monitoring stack.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test of the measurement layer reads the files it wrote (DESIGN.md 4.10)"
+)]
+
 use memres_bench::report;
-use memres_core::prelude::*;
 use memres_des::time::{SimDuration, SimTime};
 use memres_metrics::{export, MetricsConfig, Recorder};
-use memres_workloads::cells::{self, Setup};
+use memres_workloads::cells::Setup;
 
-/// Run one metered smoke cell pinned to `n` executor threads and return
-/// its (openmetrics, timeseries.csv) bytes.
-fn artifacts_with_threads(cell: &str, n: usize) -> (String, String) {
-    let (spec, cfg, gb) = cells::find(cell)
-        .expect("known cell")
-        .resolve(Setup::smoke());
-    let cfg = cfg.with_metrics().with_executor_threads(n);
-    let mut d = Driver::new(spec, cfg);
-    let _ = d.run_for_metrics(&gb.build(), gb.action());
-    let rec = d.recorder().expect("metrics enabled");
-    (export::openmetrics(rec), export::timeseries_csv(rec))
+const ARTIFACTS: [&str; 4] = [
+    "openmetrics",
+    "timeseries.csv",
+    "dashboard.html",
+    "attrib.csv",
+];
+
+/// The four artifacts `repro --smoke report <cell>` writes under
+/// `MEMRES_THREADS=<threads>`.
+fn artifacts_with_threads(cell: &str, threads: &str) -> [String; 4] {
+    let dir = std::env::temp_dir().join(format!("memres-report-threads-test-{threads}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .env("MEMRES_THREADS", threads)
+        .args(["--smoke", "--json", dir.to_str().unwrap(), "report", cell])
+        .output()
+        .expect("spawn repro")
+        .status;
+    assert!(status.success());
+    let read = |suffix| std::fs::read_to_string(dir.join(format!("{cell}.{suffix}")));
+    let artifacts = ARTIFACTS.map(|suffix| read(suffix).expect(suffix));
+    let _ = std::fs::remove_dir_all(&dir);
+    artifacts
 }
 
 #[test]
 fn exports_byte_identical_across_thread_counts() {
     // Executor threads only parallelize real-partition UDF wall-clock; the
     // simulated event sequence — and therefore every sampled gauge — must
-    // not notice. 1 thread vs 4 threads: byte-equal artifacts.
-    let (om1, csv1) = artifacts_with_threads("fig7a_400gb_ramdisk", 1);
-    let (om4, csv4) = artifacts_with_threads("fig7a_400gb_ramdisk", 4);
-    assert_eq!(om1, om4, "OpenMetrics bytes differ across thread counts");
-    assert_eq!(
-        csv1, csv4,
-        "timeseries.csv bytes differ across thread counts"
-    );
-    assert!(om1.ends_with("# EOF\n"));
+    // not notice. 1 thread vs 4 threads: byte-equal artifacts, all four.
+    let one = artifacts_with_threads("fig7a_400gb_ramdisk", "1");
+    let four = artifacts_with_threads("fig7a_400gb_ramdisk", "4");
+    for ((a, b), name) in one.iter().zip(&four).zip(ARTIFACTS) {
+        assert!(!a.is_empty(), "{name} is empty");
+        assert_eq!(a, b, "{name} bytes differ across thread counts");
+    }
+    assert!(one[0].ends_with("# EOF\n"));
 }
 
 #[test]
 fn exports_byte_identical_across_double_runs() {
     // Same cell, two fresh processes' worth of state: all four artifacts
-    // byte-equal (the shell-level twin of this check lives in check.sh).
+    // byte-equal.
     let a = report::run_cell(Setup::smoke(), "fig8a_600gb_ssd", None).expect("known cell");
     let b = report::run_cell(Setup::smoke(), "fig8a_600gb_ssd", None).expect("known cell");
     assert_eq!(a.openmetrics, b.openmetrics);

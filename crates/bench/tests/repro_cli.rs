@@ -30,31 +30,58 @@ fn clean_target_exits_zero() {
 
 /// The byte-identity check every behaviour-preserving change runs: the whole
 /// stdout of `repro --smoke all` (every figure table at smoke scale; timings
-/// go to stderr) against the checked-in capture.
+/// go to stderr) against the checked-in capture. With `--json` each table
+/// printed is also written as `<table id>.json`.
 #[test]
 fn smoke_all_stdout_is_pinned() {
     let golden = include_str!("golden/smoke_all.stdout");
-    let out = repro(&["--smoke", "all"]);
+    let dir = std::env::temp_dir().join("memres-repro-smoke-all-cli-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = repro(&["--smoke", "--json", dir.to_str().unwrap(), "all"]);
     assert!(
         out.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    if stdout == golden {
-        return;
+    if stdout != golden {
+        let (got, want) = (stdout.lines(), golden.lines());
+        let line = got.zip(want).take_while(|(g, w)| g == w).count();
+        panic!(
+            "`repro --smoke all` stdout differs from tests/golden/smoke_all.stdout at line {}:\n  \
+             got:  {:?}\n  want: {:?}\n\
+             A deliberate model change re-captures the file in the same commit \
+             (`repro --smoke all > crates/bench/tests/golden/smoke_all.stdout`).",
+            line + 1,
+            stdout.lines().nth(line),
+            golden.lines().nth(line),
+        );
     }
-    let (got, want) = (stdout.lines(), golden.lines());
-    let line = got.zip(want).take_while(|(g, w)| g == w).count();
-    panic!(
-        "`repro --smoke all` stdout differs from tests/golden/smoke_all.stdout at line {}:\n  \
-         got:  {:?}\n  want: {:?}\n\
-         A deliberate model change re-captures the file in the same commit \
-         (`repro --smoke all > crates/bench/tests/golden/smoke_all.stdout`).",
-        line + 1,
-        stdout.lines().nth(line),
-        golden.lines().nth(line),
-    );
+    // One well-formed file per table: its id, its header's columns, one
+    // `label` per row printed, and nothing after the closing brace.
+    let mut lines = golden.lines().peekable();
+    let mut tables = 0;
+    while let Some(line) = lines.next() {
+        let Some((id, _)) = line.strip_prefix("== ").and_then(|l| l.split_once(" — ")) else {
+            continue;
+        };
+        tables += 1;
+        let json = std::fs::read_to_string(dir.join(format!("{id}.json"))).expect(id);
+        assert!(
+            json.starts_with(&format!("{{\n  \"id\": \"{id}\",\n")),
+            "{json}"
+        );
+        assert!(json.ends_with("]\n}\n"), "{json}");
+        for column in lines.next().expect("header").split_whitespace() {
+            assert!(json.contains(&format!("\"{column}\"")), "{id}: {column}");
+        }
+        let rows =
+            std::iter::from_fn(|| lines.next_if(|l| !l.is_empty() && !l.starts_with("  * ")));
+        assert_eq!(json.matches("{\"label\": ").count(), rows.count(), "{id}");
+    }
+    let files = std::fs::read_dir(&dir).expect("json dir").count();
+    assert_eq!((tables, files), (26, 26), "tables printed, files written");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -121,30 +148,56 @@ fn explain_prints_attribution_and_stragglers() {
     assert!(stdout.contains("straggler"), "{stdout}");
 }
 
+/// `trace`, `report` and `diff` through the binary: the files each writes,
+/// and `diff`'s exit code on a self-diff (0) and on the `--slow-ssd`
+/// known-regression fixture (1, attributed to the storage layer).
 #[test]
 fn trace_writes_timeline_files() {
+    let cell = "fig8a_600gb_ssd";
     let dir = std::env::temp_dir().join("memres-repro-trace-cli-test");
+    let slow = dir.join("slow");
     let _ = std::fs::remove_dir_all(&dir);
-    let out = repro(&[
-        "--smoke",
-        "--json",
-        dir.to_str().unwrap(),
-        "trace",
-        "fig8a_600gb_ssd",
-    ]);
+    let (dir_s, slow_s) = (dir.to_str().unwrap(), slow.to_str().unwrap());
+    let out = repro(&["--smoke", "--json", dir_s, "trace", cell, "report", cell]);
     assert!(
         out.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let tj = std::fs::read_to_string(dir.join("fig8a_600gb_ssd.trace.json")).expect("trace.json");
+    let tj = std::fs::read_to_string(dir.join(format!("{cell}.trace.json"))).expect("trace.json");
     assert!(tj.starts_with("{\"traceEvents\":["));
-    let jl = std::fs::read_to_string(dir.join("fig8a_600gb_ssd.events.jsonl")).expect("jsonl");
+    let jl = std::fs::read_to_string(dir.join(format!("{cell}.events.jsonl"))).expect("jsonl");
     assert!(jl
         .lines()
         .next()
         .unwrap_or("")
         .contains("\"type\":\"job_start\""));
+    for suffix in [
+        "openmetrics",
+        "timeseries.csv",
+        "dashboard.html",
+        "attrib.csv",
+    ] {
+        let bytes = std::fs::read(dir.join(format!("{cell}.{suffix}"))).expect(suffix);
+        assert!(!bytes.is_empty(), "{cell}.{suffix} is empty");
+    }
+    let out = repro(&[
+        "--smoke",
+        "--slow-ssd",
+        "0.25",
+        "--json",
+        slow_s,
+        "report",
+        cell,
+    ]);
+    assert!(out.status.success());
+    let out = repro(&["diff", dir_s, dir_s]);
+    assert_eq!(out.status.code(), Some(0), "self-diff claimed a regression");
+    let out = repro(&["diff", dir_s, slow_s]);
+    assert_eq!(out.status.code(), Some(1), "slowed SSDs not flagged");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("verdict: REGRESSED"), "{stdout}");
+    assert!(stdout.contains("layer storage"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

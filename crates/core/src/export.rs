@@ -164,21 +164,6 @@ fn phase_name(p: Phase) -> &'static str {
     }
 }
 
-/// Parse a tasks CSV back into durations per phase (round-trip helper for
-/// external tooling tests).
-pub fn durations_from_csv(csv: &str, phase: &str) -> Vec<f64> {
-    csv.lines()
-        .skip(1)
-        .filter_map(|line| {
-            let cols: Vec<&str> = line.split(',').collect();
-            if cols.len() < 12 || cols.get(2).copied() != Some(phase) {
-                return None;
-            }
-            cols.get(8)?.parse::<f64>().ok()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 #[allow(
     clippy::indexing_slicing,
@@ -236,14 +221,6 @@ mod tests {
         // First task queued at 0.0, launched at 0.5: delay in the last column.
         let row = csv.lines().nth(1).unwrap();
         assert!(row.ends_with(",0.500000"), "{row}");
-    }
-
-    #[test]
-    fn csv_round_trips_durations() {
-        let csv = tasks_csv(&sample());
-        let durs = durations_from_csv(&csv, "compute");
-        assert_eq!(durs.len(), 1);
-        assert!((durs[0] - 2.0).abs() < 1e-9);
     }
 
     #[test]

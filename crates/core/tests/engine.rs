@@ -360,7 +360,14 @@ fn export_round_trip() {
     let mut d = driver(EngineConfig::default().homogeneous());
     let m = d.run_for_metrics(&groupby_synthetic(64.0), Action::Count);
     let csv = memres_core::export::tasks_csv(&m);
-    let durs = memres_core::export::durations_from_csv(&csv, "storing");
+    // Back into durations: column 2 is the phase, column 8 the duration.
+    let durs: Vec<f64> = csv
+        .lines()
+        .skip(1)
+        .map(|line| line.split(',').collect::<Vec<_>>())
+        .filter(|cols| cols[2] == "storing")
+        .map(|cols| cols[8].parse().expect("a duration"))
+        .collect();
     assert_eq!(durs.len(), m.tasks_in(Phase::Storing).count());
     let json = memres_core::export::job_json(&m);
     assert!(json.contains("\"tasks\""));

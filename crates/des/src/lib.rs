@@ -28,7 +28,7 @@ pub use det::{DetMap, DetSet};
 pub use ps::{JobKey, PsResource};
 pub use queue::{EventQueue, QueueStats};
 pub use sim::{EngineStats, Gen, Model, Outbox, Simulation};
-pub use stats::{Cdf, LogHistogram, OnlineStats};
+pub use stats::{Cdf, LogHistogram};
 pub use time::{SimDuration, SimTime};
 
 /// Bytes-per-unit helpers so model parameters read like the paper's units.

@@ -1,80 +1,5 @@
 //! Small statistics toolkit used by the metrics layer and the figure harness:
-//! streaming moments, percentiles, and empirical CDFs.
-
-/// Streaming count/mean/variance/min/max (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-}
+//! percentiles and empirical CDFs.
 
 /// Linear sub-buckets per power-of-two octave (2^[`SUB_SHIFT`]).
 const SUBS: usize = 16;
@@ -326,28 +251,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
     fn log_histogram_quantiles_bound_error() {
         let h = LogHistogram::from_values(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(h.count(), 4);
@@ -426,14 +329,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn online_mean_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-            let mut s = OnlineStats::new();
-            for &x in &xs { s.push(x); }
-            let naive = xs.iter().sum::<f64>() / xs.len() as f64;
-            prop_assert!((s.mean() - naive).abs() < 1e-6 * (1.0 + naive.abs()));
-        }
-
         #[test]
         fn log_histogram_quantile_tracks_exact_order_statistic(
             xs in proptest::collection::vec(1e-6f64..1e6, 1..200),

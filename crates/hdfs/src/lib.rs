@@ -11,6 +11,11 @@
 //! the write pipeline) is orchestrated by the engine using the placement
 //! answers returned here.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use memres_cluster::{split_bytes, ClusterSpec, NodeId};
 use memres_des::{Bytes, DetMap};
 use rand::rngs::SmallRng;
@@ -179,7 +184,7 @@ impl Hdfs {
             let locs = self.place(writer, bytes);
             assert!(!locs.is_empty(), "HDFS cluster out of space");
             let b = self.fresh_block(bytes, locs.clone());
-            self.files.get_mut(&file).expect("fresh file").push(b);
+            self.files.entry(file).or_default().push(b);
             layout.push((b, bytes, locs));
         }
         (file, layout)
@@ -203,7 +208,7 @@ impl Hdfs {
             }
             locs.dedup();
             let b = self.fresh_block(bytes, locs);
-            self.files.get_mut(&file).expect("fresh file").push(b);
+            self.files.entry(file).or_default().push(b);
         }
         file
     }

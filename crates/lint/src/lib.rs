@@ -37,9 +37,6 @@
 //! reason; a malformed or unused allow is itself a violation, so escapes
 //! cannot rot silently.
 //!
-//! The one cross-file check lives in [`xfile`]: every repro cell family is
-//! smoke-covered by `scripts/check.sh`.
-//!
 //! The scanner is a hand-rolled Rust tokenizer (offline, zero
 //! dependencies) feeding a statement/brace-structure pass ([`stmt`]). It
 //! skips comments, strings and char literals — so prose mentioning
@@ -56,7 +53,6 @@ use std::path::Path;
 
 pub mod lex;
 pub mod stmt;
-pub mod xfile;
 
 use lex::{ident_is, num_is, punct_is, Allow, Lexed, Tok, TokKind};
 use stmt::Structure;
@@ -138,8 +134,7 @@ pub struct Diagnostic {
     pub file: String,
     pub line: u32,
     pub col: u32,
-    /// Rule name (one of [`ALL_RULES`]), the cross-file rule
-    /// ([`xfile::XFILE_RULES`]), or the meta-rules `bad-allow` /
+    /// Rule name (one of [`ALL_RULES`]) or the meta-rules `bad-allow` /
     /// `unused-allow`.
     pub rule: String,
     pub message: String,
@@ -717,16 +712,12 @@ pub fn scan_files(root: &Path, files: &[String]) -> Result<(usize, Vec<Diagnosti
 }
 
 /// The full run: every `.rs` file under `crates/` (sorted, so output is
-/// stable), then the cross-file check against the real tree.
+/// stable).
 pub fn scan_workspace(root: &Path) -> Result<(usize, Vec<Diagnostic>), String> {
     let mut files = Vec::new();
     walk(&root.join("crates"), root, &mut files);
     files.sort();
-    let (scanned, mut diags) = scan_files(root, &files)?;
-    diags.extend(xfile::check_all(&mut |rel| {
-        std::fs::read_to_string(root.join(rel)).ok()
-    }));
-    Ok((scanned, diags))
+    scan_files(root, &files)
 }
 
 fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {

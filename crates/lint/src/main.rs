@@ -5,12 +5,10 @@
 //!
 //! With no `FILE` operands the whole workspace is scanned (every `.rs` file
 //! under `crates/`; the layer map in `memres_lint::rules_for` decides which
-//! rules govern which file), plus the cross-file check
-//! (`memres_lint::xfile`: cell smokes). With operands, only those files are
-//! scanned — still classified by their workspace-relative path, so
-//! `memres-lint crates/core/src/world.rs` checks the same per-file rules the
-//! full run would; the cross-file check is skipped in that mode (its
-//! subjects are fixed paths, not the operand list).
+//! rules govern which file). With operands, only those files are scanned —
+//! still classified by their workspace-relative path, so
+//! `memres-lint crates/core/src/world.rs` checks the same rules the full run
+//! would.
 //!
 //! `--json` renders findings as a JSON array (CI artifact); `--github`
 //! additionally emits GitHub Actions `::error` workflow commands so

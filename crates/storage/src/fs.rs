@@ -14,6 +14,11 @@
 //! * Reads are served at memory speed for the resident fraction of a file
 //!   and at device speed for the rest; files are evicted clean-first, LRU.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::device::{Device, IoDone, Op};
 use memres_des::ps::PsResource;
 use memres_des::sim::Gen;
@@ -83,7 +88,13 @@ impl PageCache {
         }
     }
 
+    /// Move `file` to the young end of the LRU. A file with nothing resident
+    /// (written through, or evicted since) has no place in it: `evict_for`
+    /// relies on every entry having a `files` record.
     fn touch(&mut self, file: FileId) {
+        if !self.files.contains_key(&file) {
+            return;
+        }
         if let Some(pos) = self.lru.iter().position(|&f| f == file) {
             self.lru.remove(pos);
         }
@@ -95,6 +106,10 @@ impl PageCache {
         let mut i = 0;
         while self.cfg.capacity - self.resident_total < needed && i < self.lru.len() {
             let file = self.lru[i];
+            #[expect(
+                clippy::expect_used,
+                reason = "touch admits only keys of files, and an entry leaves files (here, drop_file) with its lru slot"
+            )]
             let f = self.files.get_mut(&file).expect("lru entry without file");
             let clean = (f.resident - f.dirty).max(0.0);
             let take = clean.min(needed - (self.cfg.capacity - self.resident_total));
@@ -362,9 +377,10 @@ impl LocalFs {
         let mut chunk = 0.0;
         let mut file = None;
         while chunk < cache.cfg.flush_chunk {
-            let Some(&(f, b)) = cache.flush_queue.front() else {
+            let Some(head) = cache.flush_queue.front_mut() else {
                 break;
             };
+            let (f, b) = *head;
             if file.is_some() && file != Some(f) {
                 break;
             }
@@ -375,7 +391,7 @@ impl LocalFs {
                 cache.flush_queue.pop_front();
             } else {
                 chunk += room;
-                cache.flush_queue.front_mut().unwrap().1 -= room;
+                head.1 -= room;
             }
         }
         if let Some(f) = file {
@@ -411,6 +427,10 @@ impl LocalFs {
                     }
                     self.kick_flusher(now);
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "the device completes only tags sub_tag recorded in subs when they were submitted"
+                )]
                 None => panic!("device completion for unknown sub-op {}", d.tag),
             }
         }
@@ -421,6 +441,10 @@ impl LocalFs {
     }
 
     fn finish_read_part(&mut self, tag: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "read() records a tag's part count as it submits the parts, and it leaves only at zero; in-flight read tags are distinct (the caller's contract)"
+        )]
         let remaining = self.read_join.get_mut(&tag).expect("read join missing");
         *remaining -= 1;
         if *remaining == 0 {
@@ -517,6 +541,20 @@ mod tests {
         // The second write must go through the device (100 bytes competing
         // with the flusher at ~100-400/s): decidedly slower than memory speed.
         assert!(t.as_secs_f64() > 0.2, "took {t}");
+    }
+
+    #[test]
+    fn read_of_a_written_through_file_leaves_no_lru_entry_to_evict() {
+        // File 2 goes to the device and holds no cache pages; reading it must
+        // not enter it in the LRU, or the eviction walk of the next write
+        // meets an entry with nothing behind it (a panic until PR 24).
+        let mut fs = ssd_fs(Some(small_cache()));
+        let t = SimTime::ZERO;
+        fs.write(t, FileId(1), Bytes(100.0), 1);
+        fs.write(t, FileId(2), Bytes(100.0), 2);
+        fs.read(t, FileId(2), Bytes(100.0), 3);
+        fs.write(t, FileId(3), Bytes(100.0), 4);
+        run_until_tag(&mut fs, 4);
     }
 
     #[test]

@@ -219,6 +219,13 @@ fn late_speculation_duplicates_the_pinned_stragglers() {
         })
         .collect();
     assert_eq!(twins, PINNED_TWINS);
+    // Duplicating stragglers must not lengthen the job it is meant to
+    // shorten: the table's own LATE row against its plain one.
+    let t = ex::baseline_speculation(setup());
+    let jobs = t.column("job");
+    let job = |label: &str| jobs[t.rows.iter().position(|(l, _)| l == label).expect(label)];
+    let (late, plain) = (job("LATE speculation"), job("plain spark"));
+    assert!(late > 0.0 && late <= plain, "LATE {late} vs plain {plain}");
 }
 
 const PINNED_TWINS: [(u32, u32); 5] = [(231, 320), (242, 321), (267, 322), (277, 323), (287, 324)];
