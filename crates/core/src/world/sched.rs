@@ -66,8 +66,8 @@ impl Cad {
 
     /// CAD feedback (§VI-B): watch the running average of completed
     /// ShuffleMapTask times against the *healthy baseline* (the first
-    /// half-full window). While the average sits [`CAD_JUMP_FACTOR`]× above the
-    /// baseline, every further completion adds `step` to the dispatch
+    /// half-full window). While the average sits [`CAD_JUMP_FACTOR`]× above
+    /// the baseline, every further completion adds `step` to the dispatch
     /// interval — integral-controller behaviour that keeps throttling until
     /// the device recovers; when the average falls back toward the baseline
     /// the interval unwinds at the same rate.
