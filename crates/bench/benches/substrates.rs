@@ -13,7 +13,7 @@ fn bench_event_queue(c: &mut Criterion) {
         b.iter(|| {
             let mut q = EventQueue::new();
             for i in 0..10_000u64 {
-                q.push(SimTime(i * 7919 % 10_000), i);
+                q.push(SimTime::from_nanos(i * 7919 % 10_000), i);
             }
             while q.pop().is_some() {}
         })
@@ -28,7 +28,10 @@ fn bench_event_queue_1m(c: &mut Criterion) {
         b.iter(|| {
             let mut q = EventQueue::new();
             for i in 0..N {
-                q.push(SimTime(i.wrapping_mul(6364136223846793005) % (N * 64)), i);
+                q.push(
+                    SimTime::from_nanos(i.wrapping_mul(6364136223846793005) % (N * 64)),
+                    i,
+                );
             }
             while q.pop().is_some() {}
         })
@@ -54,7 +57,7 @@ fn bench_event_queue_waves(c: &mut Criterion) {
             }
             let mut handled = 0u64;
             for (w, tasks) in WAVES.into_iter().enumerate() {
-                let finish = SimTime(now.as_nanos() + 3_000_000_000);
+                let finish = SimTime::from_nanos(now.as_nanos() + 3_000_000_000);
                 for i in 0..tasks {
                     q.push(finish, i);
                 }
@@ -67,7 +70,7 @@ fn bench_event_queue_waves(c: &mut Criterion) {
                         q.push(now, u64::MAX); // the finish's Dispatch
                         if tag % 2 == 0 {
                             let wake = 1_000 + tag * 37 + w as u64;
-                            q.push(SimTime(now.as_nanos() + wake), u64::MAX - 1);
+                            q.push(SimTime::from_nanos(now.as_nanos() + wake), u64::MAX - 1);
                         }
                     }
                 }
@@ -333,7 +336,7 @@ fn bench_ssd(c: &mut Criterion) {
         b.iter(|| {
             let mut ssd = Ssd::new(SsdConfig::test_small());
             for i in 0..100u64 {
-                ssd.submit(SimTime(i * 1_000_000), Op::Write, 40.0, i);
+                ssd.submit(SimTime::from_nanos(i * 1_000_000), Op::Write, 40.0, i);
             }
             while let Some(t) = ssd.next_event() {
                 if ssd.poll(t).is_empty() && ssd.queue_depth() == 0 {

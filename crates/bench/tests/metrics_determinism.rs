@@ -74,7 +74,7 @@ fn sample_recorder() -> Recorder {
         ring: 8,
     });
     for (i, t_ms) in [(0u32, 500u64), (1, 1000), (2, 1500)] {
-        let t = SimTime(t_ms * 1_000_000);
+        let t = SimTime::from_nanos(t_ms * 1_000_000);
         rec.sample("core_busy_slots", None, t, f64::from(i) * 2.0);
         rec.sample("net_rack_up_util", Some(0), t, 0.25 + f64::from(i) * 0.5);
         rec.tick();

@@ -28,6 +28,8 @@ pub enum TaskLocality {
     Any,
 }
 
+/// One task attempt; the `*_at` instants are simulated seconds, as the
+/// JSON export reports them.
 #[derive(Clone, Debug)]
 pub struct TaskMetric {
     pub job: u32,
@@ -35,9 +37,9 @@ pub struct TaskMetric {
     pub phase: Phase,
     pub index: u32,
     pub node: u32,
-    pub queued_at: f64, // lint:allow(time-units): metrics report in f64 seconds at the JSON boundary, not simulation state
-    pub launched_at: f64, // lint:allow(time-units): metrics report in f64 seconds at the JSON boundary, not simulation state
-    pub finished_at: f64, // lint:allow(time-units): metrics report in f64 seconds at the JSON boundary, not simulation state
+    pub queued_at: f64,
+    pub launched_at: f64,
+    pub finished_at: f64,
     pub input_bytes: f64,
     pub output_bytes: f64,
     pub locality: TaskLocality,
@@ -98,12 +100,12 @@ impl RecoveryCounters {
     }
 }
 
-/// Completed-job metrics.
+/// Completed-job metrics (the `*_at` instants in simulated seconds).
 #[derive(Clone, Debug, Default)]
 pub struct JobMetrics {
     pub job: u32,
-    pub started_at: f64, // lint:allow(time-units): metrics report in f64 seconds at the JSON boundary, not simulation state
-    pub finished_at: f64, // lint:allow(time-units): metrics report in f64 seconds at the JSON boundary, not simulation state
+    pub started_at: f64,
+    pub finished_at: f64,
     pub tasks: Vec<TaskMetric>,
     /// Fault-recovery activity during this job.
     pub recovery: RecoveryCounters,

@@ -537,10 +537,13 @@ impl SimWorld {
     }
 
     // ---------------- wake plumbing ----------------
+    //
+    // An `arm_*` schedules its subsystem's next completion, which is never
+    // before `now`: a completion due earlier had its own wake, whose poll
+    // moved the subsystem's clock past it (`Outbox::at` asserts this).
 
     fn arm_net(&mut self, out: &mut Outbox<Ev>) {
         if let Some(t) = self.net.next_event() {
-            // lint:allow(event-past): FlowNet::next_event returns completions at/after the subsystem clock, which trails now
             out.at(t, Ev::NetWake(self.net.gen()));
         }
     }
@@ -565,7 +568,6 @@ impl SimWorld {
     fn arm_fs(&self, node: u32, ssd: bool, out: &mut Outbox<Ev>) {
         let fs = self.fs(node, ssd);
         if let Some(t) = fs.next_event() {
-            // lint:allow(event-past): LocalFs::next_event returns device completions at/after the subsystem clock, which trails now
             out.at(
                 t,
                 Ev::FsWake {
@@ -579,7 +581,6 @@ impl SimWorld {
 
     fn arm_lustre(&self, out: &mut Outbox<Ev>) {
         if let Some(t) = self.lustre.next_event() {
-            // lint:allow(event-past): Lustre::next_event returns MDS/OSS completions at/after the subsystem clock, which trails now
             out.at(t, Ev::LustreWake(self.lustre.gen()));
         }
     }
@@ -1148,7 +1149,7 @@ impl Model for SimWorld {
     type Event = Ev;
 
     // One `match` with no catch-all: a new `Ev` variant without an arm is a
-    // compile error (E0004), and clippy (gate stage 4) rejects a `_` or
+    // compile error (E0004), and clippy (gate stage 3) rejects a `_` or
     // binding arm that would swallow one.
     #[deny(
         clippy::wildcard_enum_match_arm,

@@ -452,7 +452,7 @@ impl SimWorld {
                             if let Some((until, arm)) = self.cad.gate(node, now) {
                                 if arm {
                                     self.trace(now, TE::CadGate { node, until });
-                                    // lint:allow(event-past): `Cad::gate` returns `until` only while `now < until`
+                                    // `Cad::gate` returns `until` only while `now < until`.
                                     out.at(until, Ev::DispatchNode { node });
                                 }
                                 continue;
@@ -470,7 +470,7 @@ impl SimWorld {
                                 };
                                 if let Some((until, arm)) = spaced {
                                     if arm {
-                                        // lint:allow(event-past): `Cad::launched` returns `now` plus a positive interval
+                                        // `Cad::launched` returns `now` plus a positive interval.
                                         out.at(until, Ev::DispatchNode { node });
                                     }
                                     // One per interval.
@@ -516,7 +516,7 @@ impl SimWorld {
         }
         self.flush_pending(now, out);
         if let Some(r) = earliest_retry {
-            // lint:allow(event-past): delay-scheduling retry times are queued_at + wait, in the future of the dispatch that set them
+            // A delay-scheduling retry is queued_at + wait, after the pass that set it.
             out.at(r, Ev::Dispatch);
         }
         // Bugfix (DESIGN.md §4.14): with pending work, no available node as

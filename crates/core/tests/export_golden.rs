@@ -90,12 +90,12 @@ fn sample_trace() -> Vec<TimedEvent> {
     use memres_trace::TaskClass;
     vec![
         TimedEvent {
-            at: SimTime(0),
+            at: SimTime::from_nanos(0),
             seq: 0,
             ev: TraceEvent::JobStart { job: 3 },
         },
         TimedEvent {
-            at: SimTime(250),
+            at: SimTime::from_nanos(250),
             seq: 1,
             ev: TraceEvent::TaskLaunched {
                 task: 1,
@@ -107,7 +107,7 @@ fn sample_trace() -> Vec<TimedEvent> {
             },
         },
         TimedEvent {
-            at: SimTime(2_000),
+            at: SimTime::from_nanos(2_000),
             seq: 2,
             ev: TraceEvent::TaskFinished {
                 task: 1,
@@ -118,7 +118,7 @@ fn sample_trace() -> Vec<TimedEvent> {
             },
         },
         TimedEvent {
-            at: SimTime(4_000),
+            at: SimTime::from_nanos(4_000),
             seq: 3,
             ev: TraceEvent::JobEnd {
                 job: 3,

@@ -4,9 +4,8 @@
 //! newtypes; this module does the same for data volumes. Byte counts stay
 //! `f64` internally (bandwidth math divides and scales them constantly), but
 //! a bare `bytes: f64` parameter on a public function is indistinguishable
-//! from a rate, a fraction, or a duration-in-seconds at the callsite. The
-//! `time-units` lint (R6, DESIGN.md §4.15) flags such parameters in
-//! sim-visible crates; [`Bytes`] is the sanctioned carrier.
+//! from a rate, a fraction, or a duration-in-seconds at the callsite;
+//! [`Bytes`] is the carrier that says which it is.
 //!
 //! The newtype is deliberately thin: construct with `Bytes(x)`, unwrap with
 //! [`Bytes::get`] at the point arithmetic starts. It exists to type function

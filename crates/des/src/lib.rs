@@ -75,7 +75,7 @@ mod tests {
 
 /// One `#[expect]` per `clippy.toml` path that no real waiver names (the
 /// three in `det.rs` pin `HashMap`): dropping a line there fails gate stage
-/// 4 as an unfulfilled expectation, so the lists cannot quietly shrink.
+/// 3 as an unfulfilled expectation, so the lists cannot quietly shrink.
 #[cfg(test)]
 mod lint_canaries {
     macro_rules! canaries {

@@ -121,7 +121,7 @@ impl<T> PsResource<T> {
     /// forever): a completion step's survivors are above its larger
     /// tolerance, a partial drain harvests as it goes.
     fn advance(&mut self, now: SimTime) {
-        debug_assert!(now >= self.last, "PsResource clock went backwards");
+        assert!(now >= self.last, "PsResource clock went backwards");
         if self.unharvested {
             self.unharvested = false;
             self.sweep(0.0, DONE, false);
@@ -301,7 +301,6 @@ mod oracle {
             while cur < now && !self.jobs.is_empty() && self.capacity > 0.0 {
                 let n = self.jobs.len() as f64;
                 let per_job_rate = self.capacity / n;
-                // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
                 let min_rem = self
                     .jobs
                     .values()
@@ -401,7 +400,6 @@ mod oracle {
                 return None;
             }
             let n = self.jobs.len() as f64;
-            // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
             let min_rem = self
                 .jobs
                 .values()
@@ -513,6 +511,14 @@ mod tests {
         let done = drain_until_empty(&mut ps);
         assert_eq!(done.len(), 1);
         assert!((done[0].0.as_secs_f64() - 1.25).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "PsResource clock went backwards")]
+    fn past_submit_is_rejected() {
+        let mut ps = PsResource::new(100.0);
+        ps.add(SimTime::from_secs_f64(1.0), 50.0, 1u32);
+        ps.add(SimTime::from_secs_f64(0.5), 50.0, 2u32);
     }
 
     #[test]

@@ -70,12 +70,10 @@ impl<E> Outbox<E> {
     }
 
     /// Schedule an event at an absolute instant. A target before `now` is
-    /// rejected outright — the dynamic counterpart of the `event-past` lint
-    /// (R5, DESIGN.md §4.15): a model whose float arithmetic can land a "due"
-    /// time behind the clock says `time.max(now)` at the site. The PR 8
-    /// `lustre_shared_transfer` bug class (flows opened at future timestamps,
-    /// events landed in the past) fails here immediately instead of
-    /// corrupting a later export.
+    /// rejected outright, in every build (R5, DESIGN.md §4.10): a model whose
+    /// float arithmetic can land a "due" time behind the clock says
+    /// `time.max(now)` at the site. An event landed in the past fails here
+    /// immediately instead of corrupting a later export.
     pub fn at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
@@ -150,7 +148,6 @@ impl<M: Model> Simulation<M> {
     /// simulation's is rejected here.
     pub fn drain_outbox(&mut self, out: Outbox<M::Event>) {
         for (t, e) in out.into_items() {
-            // lint:allow(event-past): `schedule` rejects a time before this simulation's now
             self.schedule(t, e);
         }
     }
@@ -195,7 +192,6 @@ impl<M: Model> Simulation<M> {
         };
         self.model.handle(self.now, event, &mut out);
         for (t, e) in out.items.drain(..) {
-            // lint:allow(event-past): Outbox::at already held every item to the turn's now
             self.queue.push(t, e);
         }
         self.outbox = out.items;

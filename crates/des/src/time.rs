@@ -4,17 +4,28 @@
 //! that event ordering is exact and runs are bit-for-bit reproducible. Floats
 //! appear only at the edges (rates, durations derived from bandwidth math)
 //! and are rounded once, on conversion into [`SimDuration`].
+//!
+//! Both newtypes keep their nanosecond count private to this crate
+//! (DESIGN.md §4.10 R6): elsewhere the integer enters through `from_nanos`
+//! and leaves through `as_nanos`, and rustc refuses any `.0`.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An absolute instant on the simulation clock (nanoseconds since start).
+///
+/// Outside this crate the raw count is out of reach:
+///
+/// ```compile_fail,E0616
+/// let t = memres_des::SimTime::from_nanos(1_500);
+/// let ns: u64 = t.0;
+/// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(pub u64);
+pub struct SimTime(pub(crate) u64);
 
 /// A span of simulated time (nanoseconds).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(pub u64);
+pub struct SimDuration(pub(crate) u64);
 
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
@@ -37,9 +48,8 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// The raw nanosecond count. This is the sanctioned escape hatch the
-    /// `time-units` lint (R6, DESIGN.md §4.15) steers `.0` accesses toward:
-    /// every place the integer leaves the newtype is greppable by name.
+    /// The raw nanosecond count: every place the integer leaves the newtype
+    /// is greppable by name.
     pub fn as_nanos(self) -> u64 {
         self.0
     }

@@ -520,7 +520,6 @@ impl Lustre {
 
     /// Dirty bytes a client currently has pinned (diagnostic/test hook).
     pub fn client_dirty(&self, client: NodeId) -> f64 {
-        // lint:allow(float-order): DetMap::values() iterates in insertion order (R1), so this sum is deterministic
         self.files
             .values()
             .filter(|f| f.writer == Some(client))

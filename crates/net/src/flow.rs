@@ -315,7 +315,7 @@ impl<T> FlowNet<T> {
     /// span a zero-length interval — `settle` here therefore recomputes
     /// before any time actually passes on them.
     fn advance(&mut self, now: SimTime) {
-        debug_assert!(now >= self.last, "FlowNet clock went backwards");
+        assert!(now >= self.last, "FlowNet clock went backwards");
         let dt = now.since(self.last).as_secs_f64();
         self.last = now;
         if dt <= 0.0 {
@@ -509,6 +509,15 @@ mod tests {
         net.push_chunk(SimTime::ZERO, f, Bytes(100.0), 2u32);
         let pending = net.close_flow(SimTime::from_secs_f64(0.1), f);
         assert_eq!(pending, vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowNet clock went backwards")]
+    fn past_push_chunk_is_rejected() {
+        let mut net = FlowNet::new();
+        let l = net.add_link(100.0);
+        let f = net.open_flow(SimTime::from_secs_f64(1.0), vec![l], false);
+        net.push_chunk(SimTime::from_secs_f64(0.5), f, Bytes(50.0), 1u32);
     }
 
     #[test]

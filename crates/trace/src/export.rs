@@ -1,7 +1,7 @@
 //! Trace serialization: `events.jsonl` and Chrome trace-event JSON
 //! (Perfetto-loadable). Pure string builders — writing the bytes to disk is
 //! the bench layer's job (the workspace's designated I/O seam), so this
-//! crate stays free of host I/O and passes the determinism linter untouched.
+//! crate stays free of host I/O (R3, DESIGN.md §4.10).
 //! Every event is written straight into one pre-sized buffer.
 
 use crate::analyze::{attempts, Outcome};
@@ -229,12 +229,12 @@ mod tests {
     fn sample() -> Vec<TimedEvent> {
         vec![
             TimedEvent {
-                at: SimTime(0),
+                at: SimTime::from_nanos(0),
                 seq: 0,
                 ev: TraceEvent::JobStart { job: 1 },
             },
             TimedEvent {
-                at: SimTime(1_500),
+                at: SimTime::from_nanos(1_500),
                 seq: 1,
                 ev: TraceEvent::TaskLaunched {
                     task: 3,
@@ -246,7 +246,7 @@ mod tests {
                 },
             },
             TimedEvent {
-                at: SimTime(9_000),
+                at: SimTime::from_nanos(9_000),
                 seq: 2,
                 ev: TraceEvent::TaskFinished {
                     task: 3,
@@ -257,7 +257,7 @@ mod tests {
                 },
             },
             TimedEvent {
-                at: SimTime(9_000),
+                at: SimTime::from_nanos(9_000),
                 seq: 3,
                 ev: TraceEvent::FlowEnd {
                     flow: 7,

@@ -45,8 +45,8 @@ impl TaskClass {
 }
 
 /// The event taxonomy. Payloads are plain integers plus the unit newtypes
-/// ([`SimTime`]/[`SimDuration`]/[`Bytes`], per the `time-units` rule R6 in
-/// DESIGN.md §4.15), chosen so the whole record serializes without any
+/// ([`SimTime`]/[`SimDuration`]/[`Bytes`], per rule R6 in DESIGN.md
+/// §4.10), chosen so the whole record serializes without any
 /// host-dependent state. The exporters unwrap to raw nanoseconds at the
 /// serialization boundary, so the JSON schema (`*_ns` keys) is unchanged.
 #[derive(Clone, Debug, PartialEq)]

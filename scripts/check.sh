@@ -5,16 +5,12 @@
 #
 # Gate ordering (cheapest refusal first — DESIGN.md 4.15):
 #   1. cargo fmt        — pure text, no build.
-#   2. memres-lint      — debug build of one dep-free crate; refuses what
-#                         only a tokenizer can read (R5 event-past, R6
-#                         time-units, R7 float-order) before the far costlier
-#                         clippy/test/bench stages spin up.
-#   3. file sizes       — no file under any crates/*/src over 1,500 lines, so
+#   2. file sizes       — no file under any crates/*/src over 1,500 lines, so
 #                         neither the engine (world.rs was 4,606; DESIGN.md
 #                         3.1) nor a substrate (net/flow.rs was 1,935; 4.3)
 #                         can quietly grow back into one file; prints the
 #                         code-line count for the record.
-#   4. cargo clippy     — full workspace, all targets; refuses R1 hash
+#   3. cargo clippy     — full workspace, all targets; refuses R1 hash
 #                         order, R2 wall clock and R3 host I/O (the lists in
 #                         clippy.toml, denied by [workspace.lints]), R4 bare
 #                         panics in the guarded files (#![deny] at their
@@ -22,35 +18,26 @@
 #                         target (#[expect]), and a catch-all arm in the
 #                         event dispatch or a trace exporter (#[deny] on
 #                         those matches). DESIGN.md 4.10.
-#   5. cargo test       — full workspace. Every repro surface (figure tables
+#   4. cargo test       — full workspace. Every repro surface (figure tables
 #                         and their JSON, trace, report, diff, fuzz teeth,
 #                         the timed families) is asserted here, by the tests
 #                         DESIGN.md 4.15 maps each retired shell smoke to.
-#   6. quickstart       — the one real-data example, compared with its
+#   5. quickstart       — the one real-data example, compared with its
 #                         checked-in stdout at two MEMRES_THREADS values.
-#   7. fuzz sweep       — 64 seeds through the six oracles; cargo test
+#   6. fuzz sweep       — 64 seeds through the six oracles; cargo test
 #                         replays only the checked-in corpus.
-#   8. benchmark smoke  — benchmark/run.sh --quick: one checked run of each
+#   7. benchmark smoke  — benchmark/run.sh --quick: one checked run of each
 #                         of the seven benchmark workloads against
 #                         benchmark/expected.json, the only pinned sim-time
 #                         baseline.
+# R5 (nothing scheduled or advanced before now) and R6 (no raw nanoseconds
+# outside memres-des) have no stage: every build holds the private time
+# fields, every run the clock asserts (DESIGN.md 4.10).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
-
-echo "== memres-lint (R5-R7, DESIGN.md 4.15) =="
-# The JSON artifact is kept (and uploaded by CI) even when the run is
-# clean, so tooling always has a machine-readable result to point at.
-lint_json="${LINT_JSON:-target/memres-lint.json}"
-mkdir -p "$(dirname "$lint_json")"
-if ! cargo run -q -p memres-lint -- --json > "$lint_json"; then
-  echo "memres-lint found violations (JSON copy: $lint_json):"
-  cargo run -q -p memres-lint || true
-  exit 1
-fi
-echo "ok: clean ($lint_json)"
 
 echo "== file sizes (no file under crates/*/src over 1,500 lines) =="
 # Code lines: non-blank, non-comment, above the file's first #[cfg(test)].
