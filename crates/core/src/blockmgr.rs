@@ -12,7 +12,8 @@
 
 use crate::rdd::RddId;
 use crate::value::Record;
-use memres_des::{Bytes, DetMap, DetSet};
+use memres_des::Bytes;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// (bytes, records, data, home node) of one cached partition.
@@ -28,18 +29,53 @@ pub struct CachedPart {
     pub data: Option<Arc<[Record]>>,
 }
 
+/// One slot per partition of a cached RDD; `None` until materialized.
+type Slots = Vec<Option<CachedPart>>;
+
 #[derive(Default)]
 pub struct BlockMgr {
-    entries: DetMap<RddId, Vec<Option<CachedPart>>>,
-    /// Bytes cached per node (framework-memory accounting).
-    node_used: DetMap<u32, f64>,
+    /// Slots per cached RDD, in declare order: `drop_node` subtracts from
+    /// `node_used` in this order. A job caches a handful of RDDs, so lookup
+    /// is a linear search.
+    entries: Vec<(RddId, Slots)>,
+    /// Bytes cached per node (framework-memory accounting), grown on first
+    /// touch.
+    node_used: Vec<f64>,
+}
+
+/// `rdd`'s slots, appended to `entries` on first touch.
+fn slots(entries: &mut Vec<(RddId, Slots)>, rdd: RddId) -> &mut Slots {
+    if !entries.iter().any(|(r, _)| *r == rdd) {
+        entries.push((rdd, Vec::new()));
+    }
+    let (_, parts) = entries
+        .iter_mut()
+        .find(|(r, _)| *r == rdd)
+        .expect("appended above");
+    parts
+}
+
+/// `node`'s cached bytes, the table grown on first touch.
+fn used(node_used: &mut Vec<f64>, node: u32) -> &mut f64 {
+    let i = node as usize;
+    if node_used.len() <= i {
+        node_used.resize(i + 1, 0.0);
+    }
+    node_used.get_mut(i).expect("grown above")
 }
 
 impl BlockMgr {
+    fn parts(&self, rdd: RddId) -> Option<&Slots> {
+        self.entries
+            .iter()
+            .find(|(r, _)| *r == rdd)
+            .map(|(_, parts)| parts)
+    }
+
     /// Declare an RDD's partition count (so `materialized` can tell a
     /// fully-cached RDD from a partially-cached one).
     pub fn declare(&mut self, rdd: RddId, partitions: u32) {
-        let parts = self.entries.entry(rdd).or_default();
+        let parts = slots(&mut self.entries, rdd);
         if parts.len() < partitions as usize {
             parts.resize(partitions as usize, None);
         }
@@ -55,7 +91,7 @@ impl BlockMgr {
         data: Option<Arc<[Record]>>,
     ) {
         let bytes = bytes.get();
-        let parts = self.entries.entry(rdd).or_default();
+        let parts = slots(&mut self.entries, rdd);
         if parts.len() <= part as usize {
             parts.resize(part as usize + 1, None);
         }
@@ -63,7 +99,7 @@ impl BlockMgr {
             .get_mut(part as usize)
             .expect("slot exists: resized above");
         if let Some(old) = slot {
-            *self.node_used.entry(old.node).or_insert(0.0) -= old.bytes;
+            *used(&mut self.node_used, old.node) -= old.bytes;
         }
         *slot = Some(CachedPart {
             node,
@@ -71,21 +107,21 @@ impl BlockMgr {
             records,
             data,
         });
-        *self.node_used.entry(node).or_insert(0.0) += bytes;
+        *used(&mut self.node_used, node) += bytes;
     }
 
     /// RDDs whose every partition is materialized (usable for lineage
     /// truncation).
-    pub fn materialized(&self) -> DetSet<RddId> {
+    pub fn materialized(&self) -> BTreeSet<RddId> {
         self.entries
             .iter()
             .filter(|(_, parts)| !parts.is_empty() && parts.iter().all(Option::is_some))
-            .map(|(&rdd, _)| rdd)
+            .map(|&(rdd, _)| rdd)
             .collect()
     }
 
     pub fn partition_count(&self, rdd: RddId) -> usize {
-        self.entries.get(&rdd).map(|p| p.len()).unwrap_or(0)
+        self.parts(rdd).map_or(0, Vec::len)
     }
 
     /// (bytes, records, data, home node) of a cached partition.
@@ -98,8 +134,7 @@ impl BlockMgr {
     /// never materialized or was lost (node crash, executor memory loss) —
     /// the scheduler's cue to recompute it from lineage.
     pub fn try_partition(&self, rdd: RddId, part: u32) -> Option<PartitionView> {
-        self.entries
-            .get(&rdd)
+        self.parts(rdd)
             .and_then(|parts| parts.get(part as usize))
             .and_then(Option::as_ref)
             .map(|p| (p.bytes, p.records, p.data.clone(), p.node))
@@ -111,12 +146,12 @@ impl BlockMgr {
     /// lost `(rdd, part)` pairs, sorted for determinism.
     pub fn drop_node(&mut self, node: u32) -> Vec<(RddId, u32)> {
         let mut lost = Vec::new();
-        for (&rdd, parts) in self.entries.iter_mut() {
+        for (rdd, parts) in &mut self.entries {
             for (i, slot) in parts.iter_mut().enumerate() {
                 if slot.as_ref().is_some_and(|p| p.node == node) {
                     let p = slot.take().unwrap();
-                    *self.node_used.entry(p.node).or_insert(0.0) -= p.bytes;
-                    lost.push((rdd, i as u32));
+                    *used(&mut self.node_used, p.node) -= p.bytes;
+                    lost.push((*rdd, i as u32));
                 }
             }
         }
@@ -125,8 +160,7 @@ impl BlockMgr {
     }
 
     pub fn location(&self, rdd: RddId, part: u32) -> Option<u32> {
-        self.entries
-            .get(&rdd)
+        self.parts(rdd)
             .and_then(|parts| parts.get(part as usize))
             .and_then(Option::as_ref)
             .map(|p| p.node)
@@ -134,22 +168,12 @@ impl BlockMgr {
 
     /// Whether the cached RDD holds real (materialized-records) data.
     pub fn is_real(&self, rdd: RddId) -> bool {
-        self.entries
-            .get(&rdd)
-            .map(|parts| parts.iter().flatten().all(|p| p.data.is_some()))
-            .unwrap_or(false)
+        self.parts(rdd)
+            .is_some_and(|parts| parts.iter().flatten().all(|p| p.data.is_some()))
     }
 
     pub fn bytes_on(&self, node: u32) -> f64 {
-        self.node_used.get(&node).copied().unwrap_or(0.0)
-    }
-
-    pub fn evict(&mut self, rdd: RddId) {
-        if let Some(parts) = self.entries.remove(&rdd) {
-            for p in parts.into_iter().flatten() {
-                *self.node_used.entry(p.node).or_insert(0.0) -= p.bytes;
-            }
-        }
+        self.node_used.get(node as usize).copied().unwrap_or(0.0)
     }
 }
 
@@ -175,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn accounting_and_eviction() {
+    fn accounting() {
         let mut bm = BlockMgr::default();
         bm.insert(RddId(1), 0, 0, Bytes(100.0), 1, None);
         bm.insert(RddId(1), 1, 0, Bytes(50.0), 1, None);
@@ -184,9 +208,6 @@ mod tests {
         bm.insert(RddId(1), 0, 1, Bytes(80.0), 1, None);
         assert_eq!(bm.bytes_on(0), 50.0);
         assert_eq!(bm.bytes_on(1), 80.0);
-        bm.evict(RddId(1));
-        assert_eq!(bm.bytes_on(0), 0.0);
-        assert_eq!(bm.partition_count(RddId(1)), 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::rdd::{Action, Dataset, NarrowStep, Rdd, RddId, RddOp, ShuffleAgg};
-use memres_des::{DetMap, DetSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Shuffle parameters feeding a downstream stage.
@@ -99,12 +99,12 @@ pub struct JobPlan {
     /// truncated at, keyed by cached RDD. Only shuffle-free (Dataset-rooted)
     /// prefixes are recoverable per-partition; a cache downstream of a
     /// shuffle has no such recipe and its loss is unrecoverable.
-    pub recovery: DetMap<RddId, RecoverySpec>,
+    pub recovery: BTreeMap<RddId, RecoverySpec>,
 }
 
 /// Build a [`JobPlan`] for `action` on `rdd`. `materialized` is the set of
 /// cache points the block managers already hold.
-pub fn build_plan(rdd: &Rdd, action: Action, materialized: &DetSet<RddId>) -> JobPlan {
+pub fn build_plan(rdd: &Rdd, action: Action, materialized: &BTreeSet<RddId>) -> JobPlan {
     // Root-to-leaf chain (the engine supports linear lineages; branching
     // DAGs — joins/unions — are out of the reproduction's scope).
     let mut chain: Vec<Rdd> = Vec::new();
@@ -126,7 +126,7 @@ pub fn build_plan(rdd: &Rdd, action: Action, materialized: &DetSet<RddId>) -> Jo
 
     let mut stages: Vec<StagePlan> = Vec::new();
     let mut current: Option<StagePlan> = None;
-    let mut recovery: DetMap<RddId, RecoverySpec> = DetMap::new();
+    let mut recovery = BTreeMap::new();
     for node in &chain {
         match &node.0.op {
             RddOp::Source(ds) => {
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn map_only_job_is_single_stage() {
         let rdd = src().map("m", SizeModel::scan(), |r| r);
-        let plan = build_plan(&rdd, Action::Count, &DetSet::new());
+        let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 1);
         assert_eq!(plan.stages[0].steps.len(), 1);
         assert!(!plan.stages[0].has_shuffle_output());
@@ -265,7 +265,7 @@ mod tests {
         let rdd = src()
             .map("genKV", SizeModel::scan(), |r| r)
             .group_by_key(Some(8), 1e9);
-        let plan = build_plan(&rdd, Action::Count, &DetSet::new());
+        let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 2);
         assert!(plan.stages[0].has_shuffle_output());
         assert_eq!(plan.stages[0].shuffle_out, Some(Some(8)));
@@ -282,7 +282,7 @@ mod tests {
             .flat_map("flatMap", SizeModel::scan(), |r| vec![r])
             .group_by_key(None, 1e9)
             .map("map", SizeModel::scan(), |r| r);
-        let plan = build_plan(&rdd, Action::Collect, &DetSet::new());
+        let plan = build_plan(&rdd, Action::Collect, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 2);
         assert_eq!(plan.stages[0].steps.len(), 2);
         assert_eq!(plan.stages[1].steps.len(), 1);
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn unmaterialized_cache_records_a_cache_point() {
         let rdd = src().map("parse", SizeModel::scan(), |r| r).cache();
-        let plan = build_plan(&rdd, Action::Count, &DetSet::new());
+        let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 1);
         assert_eq!(plan.stages[0].cache_points.len(), 1);
         assert_eq!(plan.stages[0].cache_points[0].0, 1);
@@ -301,7 +301,7 @@ mod tests {
     fn materialized_cache_truncates_lineage() {
         let cached = src().map("parse", SizeModel::scan(), |r| r).cache();
         let rdd = cached.map("gradient", SizeModel::scan(), |r| r);
-        let mut mat = DetSet::new();
+        let mut mat = BTreeSet::new();
         mat.insert(cached.id());
         let plan = build_plan(&rdd, Action::Reduce(Arc::new(|a, _| a)), &mat);
         assert_eq!(plan.stages.len(), 1);
@@ -315,7 +315,7 @@ mod tests {
     fn truncation_records_recovery_spec() {
         let cached = src().map("parse", SizeModel::scan(), |r| r).cache();
         let rdd = cached.map("gradient", SizeModel::scan(), |r| r);
-        let mut mat = DetSet::new();
+        let mut mat = BTreeSet::new();
         mat.insert(cached.id());
         let plan = build_plan(&rdd, Action::Count, &mat);
         let spec = plan
@@ -328,7 +328,7 @@ mod tests {
         // A cache downstream of a shuffle is not per-partition recoverable.
         let cached2 = src().group_by_key(Some(4), 1e9).cache();
         let rdd2 = cached2.map("m", SizeModel::scan(), |r| r);
-        let mut mat2 = DetSet::new();
+        let mut mat2 = BTreeSet::new();
         mat2.insert(cached2.id());
         let plan2 = build_plan(&rdd2, Action::Count, &mat2);
         assert!(plan2.recovery.is_empty());
@@ -339,7 +339,7 @@ mod tests {
         let rdd = src()
             .flat_map("flatMap", SizeModel::scan(), |r| vec![r])
             .group_by_key(None, 1e9);
-        let plan = build_plan(&rdd, Action::Count, &DetSet::new());
+        let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         let s = render_plan(&plan);
         assert!(s.contains("Stage 1"));
         assert!(s.contains("Stage 2"));
@@ -353,7 +353,7 @@ mod tests {
             .group_by_key(Some(4), 1e9)
             .map("m", SizeModel::scan(), |r| r)
             .group_by_key(Some(2), 1e9);
-        let plan = build_plan(&rdd, Action::Count, &DetSet::new());
+        let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 3);
         assert!(plan.stages[0].has_shuffle_output());
         assert!(plan.stages[1].has_shuffle_output());

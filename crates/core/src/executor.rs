@@ -305,11 +305,10 @@ fn partition(rows: Cow<'_, [Record]>, reducers: u32) -> Vec<Bucket> {
     buckets
 }
 
-/// Insertion-ordered key index, `memres_des::DetMap`-style: a dense group
-/// vector in first-appearance order (the only thing ever iterated) plus an
-/// open-addressing probe table into it. Keys are probed by a caller-supplied
-/// hash and confirmed by [`Value::same_key`], so two keys whose hashes
-/// collide stay two groups.
+/// Insertion-ordered key index: a dense group vector in first-appearance
+/// order (the only thing ever iterated) plus an open-addressing probe table
+/// into it. Keys are probed by a caller-supplied hash and confirmed by
+/// [`Value::same_key`], so two keys whose hashes collide stay two groups.
 struct KeyIndex {
     /// `(hash, key)` per group.
     groups: Vec<(u64, Value)>,

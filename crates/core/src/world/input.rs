@@ -13,11 +13,12 @@ use crate::value::Record;
 use memres_cluster::NodeId;
 use memres_des::sim::Outbox;
 use memres_des::time::SimTime;
-use memres_des::{Bytes, DetMap};
+use memres_des::Bytes;
 use memres_hdfs::{BlockId, HdfsFile, Locality};
 use memres_lustre::LustreFile;
 use memres_net::Endpoint;
 use memres_storage::FileId;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// File-id name spaces on the per-node filesystems / Lustre.
@@ -59,7 +60,7 @@ struct Placed {
 /// Dataset placements by source RDD id.
 #[derive(Default)]
 pub(super) struct Inputs {
-    placed: DetMap<RddId, Placed>,
+    placed: BTreeMap<RddId, Placed>,
 }
 
 impl Inputs {

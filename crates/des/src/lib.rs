@@ -10,12 +10,11 @@
 //!   insertion order, so runs are bit-for-bit reproducible.
 //! * Components that must retract scheduled events use the *stale-event*
 //!   idiom with [`Gen`] generation counters instead of calendar surgery.
-//! * Simulation-visible keyed state lives in [`DetMap`]/[`DetSet`] —
-//!   insertion-ordered containers whose iteration order is a pure function
-//!   of the operation sequence, never of hash salts (DESIGN.md §4.10 R1).
+//! * Simulation-visible keyed state is a `Vec` indexed by a dense id or a
+//!   `BTreeMap`/`BTreeSet`: no container iterates in hash order (DESIGN.md
+//!   §4.10 R1).
 
 pub mod bytes;
-pub mod det;
 pub mod json;
 pub mod ps;
 pub mod queue;
@@ -24,7 +23,6 @@ pub mod stats;
 pub mod time;
 
 pub use bytes::Bytes;
-pub use det::{DetMap, DetSet};
 pub use ps::{JobKey, PsResource};
 pub use queue::{EventQueue, QueueStats};
 pub use sim::{EngineStats, Gen, Model, Outbox, Simulation};
@@ -73,9 +71,9 @@ mod tests {
     }
 }
 
-/// One `#[expect]` per `clippy.toml` path that no real waiver names (the
-/// three in `det.rs` pin `HashMap`): dropping a line there fails gate stage
-/// 3 as an unfulfilled expectation, so the lists cannot quietly shrink.
+/// One `#[expect]` per `clippy.toml` path: dropping a line there fails gate
+/// stage 3 as an unfulfilled expectation, so the lists cannot quietly
+/// shrink.
 #[cfg(test)]
 mod lint_canaries {
     macro_rules! canaries {
@@ -88,7 +86,8 @@ mod lint_canaries {
     }
     use std::{collections, fs, net, time};
     canaries!(disallowed_types:
-        None::<collections::HashSet<()>>, None::<time::Instant>, None::<time::SystemTime>,
+        None::<collections::HashMap<(), ()>>, None::<collections::HashSet<()>>,
+        None::<time::Instant>, None::<time::SystemTime>,
         None::<fs::File>, None::<fs::OpenOptions>,
         None::<net::TcpStream>, None::<net::TcpListener>, None::<net::UdpSocket>,
     );

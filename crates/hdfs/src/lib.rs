@@ -17,7 +17,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use memres_cluster::{split_bytes, ClusterSpec, NodeId};
-use memres_des::{Bytes, DetMap};
+use memres_des::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,16 +60,15 @@ struct BlockInfo {
     locations: Vec<NodeId>,
 }
 
-/// NameNode state: files → blocks → replica locations.
+/// NameNode state: files → blocks → replica locations. Ids are minted
+/// densely and nothing is deleted, so both tables are indexed by id.
 pub struct Hdfs {
     cfg: HdfsConfig,
     cluster: ClusterSpec,
-    blocks: DetMap<BlockId, BlockInfo>,
-    files: DetMap<HdfsFile, Vec<BlockId>>,
+    blocks: Vec<BlockInfo>,
+    files: Vec<Vec<BlockId>>,
     node_used: Vec<f64>,
     node_capacity: f64,
-    next_block: u64,
-    next_file: u64,
     rng: SmallRng,
 }
 
@@ -79,12 +78,10 @@ impl Hdfs {
         Hdfs {
             cfg,
             cluster,
-            blocks: DetMap::new(),
-            files: DetMap::new(),
+            blocks: Vec::new(),
+            files: Vec::new(),
             node_used: vec![0.0; workers],
             node_capacity,
-            next_block: 0,
-            next_file: 0,
             rng: SmallRng::seed_from_u64(seed ^ 0x0d15_f00d),
         }
     }
@@ -94,19 +91,17 @@ impl Hdfs {
     }
 
     fn fresh_file(&mut self) -> HdfsFile {
-        let f = HdfsFile(self.next_file);
-        self.next_file += 1;
-        self.files.insert(f, Vec::new());
+        let f = HdfsFile(self.files.len() as u64);
+        self.files.push(Vec::new());
         f
     }
 
     fn fresh_block(&mut self, size: f64, locations: Vec<NodeId>) -> BlockId {
-        let id = BlockId(self.next_block);
-        self.next_block += 1;
+        let id = BlockId(self.blocks.len() as u64);
         for &n in &locations {
             self.node_used[n.index()] += size;
         }
-        self.blocks.insert(id, BlockInfo { size, locations });
+        self.blocks.push(BlockInfo { size, locations });
         id
     }
 
@@ -184,7 +179,7 @@ impl Hdfs {
             let locs = self.place(writer, bytes);
             assert!(!locs.is_empty(), "HDFS cluster out of space");
             let b = self.fresh_block(bytes, locs.clone());
-            self.files.entry(file).or_default().push(b);
+            self.files[file.0 as usize].push(b);
             layout.push((b, bytes, locs));
         }
         (file, layout)
@@ -208,13 +203,14 @@ impl Hdfs {
             }
             locs.dedup();
             let b = self.fresh_block(bytes, locs);
-            self.files.entry(file).or_default().push(b);
+            self.files[file.0 as usize].push(b);
         }
         file
     }
 
-    /// Register a block at explicit locations (input layout control for the
-    /// experiment harness). Returns its id.
+    /// Register a block of `file` (from [`Hdfs::new_file`]) at explicit
+    /// locations (input layout control for the experiment harness). Returns
+    /// its id.
     pub fn place_block_at(
         &mut self,
         file: HdfsFile,
@@ -227,7 +223,7 @@ impl Hdfs {
             assert!(n.0 < self.cluster.workers, "unknown node {n:?}");
         }
         let b = self.fresh_block(bytes, locations);
-        self.files.entry(file).or_default().push(b);
+        self.files[file.0 as usize].push(b);
         b
     }
 
@@ -237,17 +233,17 @@ impl Hdfs {
     }
 
     pub fn file_blocks(&self, file: HdfsFile) -> &[BlockId] {
-        self.files.get(&file).map(|v| v.as_slice()).unwrap_or(&[])
+        self.files.get(file.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     pub fn locations(&self, block: BlockId) -> &[NodeId] {
-        &self.blocks[&block].locations
+        &self.blocks[block.0 as usize].locations
     }
 
     pub fn file_size(&self, file: HdfsFile) -> f64 {
         self.file_blocks(file)
             .iter()
-            .map(|b| self.blocks[b].size)
+            .map(|b| self.blocks[b.0 as usize].size)
             .sum()
     }
 
@@ -278,18 +274,6 @@ impl Hdfs {
 
     pub fn node_used(&self, node: NodeId) -> f64 {
         self.node_used[node.index()]
-    }
-
-    pub fn delete_file(&mut self, file: HdfsFile) {
-        if let Some(blocks) = self.files.remove(&file) {
-            for b in blocks {
-                if let Some(info) = self.blocks.remove(&b) {
-                    for n in info.locations {
-                        self.node_used[n.index()] -= info.size;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -400,16 +384,6 @@ mod tests {
             result.is_err(),
             "placement should fail when all nodes are full"
         );
-    }
-
-    #[test]
-    fn delete_releases_space() {
-        let mut h = hdfs(1);
-        let (f, _) = h.create_file(Some(NodeId(0)), 100.0);
-        assert!(h.node_used(NodeId(0)) > 0.0);
-        h.delete_file(f);
-        assert_eq!(h.node_used(NodeId(0)), 0.0);
-        assert!(h.file_blocks(f).is_empty());
     }
 
     #[test]

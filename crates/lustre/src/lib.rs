@@ -25,11 +25,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use memres_cluster::NodeId;
-use memres_des::det::DetMap;
 use memres_des::ps::PsResource;
 use memres_des::sim::Gen;
 use memres_des::time::{SimDuration, SimTime};
 use memres_des::Bytes;
+use std::collections::BTreeMap;
 
 /// A file stored in Lustre.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,9 +149,12 @@ pub struct ReadPlan {
 pub struct Lustre {
     cfg: LustreConfig,
     mds: PsResource<u64>,
-    files: DetMap<LustreFile, LFile>,
-    /// Dirty + clean cached bytes per client (for the grant limit).
-    client_cache_used: DetMap<NodeId, f64>,
+    /// `client_dirty` and `audit_unlocked` read it in file-id order,
+    /// independent of deletion history.
+    files: BTreeMap<LustreFile, LFile>,
+    /// Dirty + clean cached bytes per client (for the grant limit), indexed
+    /// by node and grown on first touch.
+    client_cache_used: Vec<f64>,
     gen: Gen,
     /// Optional trace sink: DLM lock grants, revocations and releases are
     /// reported to it (DESIGN.md §4.11). `None` costs nothing.
@@ -164,8 +167,8 @@ impl Lustre {
         Lustre {
             cfg,
             mds,
-            files: DetMap::new(),
-            client_cache_used: DetMap::new(),
+            files: BTreeMap::new(),
+            client_cache_used: Vec::new(),
             gen: Gen::default(),
             tracer: None,
         }
@@ -214,7 +217,24 @@ impl Lustre {
     }
 
     fn cache_used(&self, client: NodeId) -> f64 {
-        self.client_cache_used.get(&client).copied().unwrap_or(0.0)
+        self.client_cache_used
+            .get(client.index())
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    fn cache_used_mut(&mut self, client: NodeId) -> &mut f64 {
+        let i = client.index();
+        if self.client_cache_used.len() <= i {
+            self.client_cache_used.resize(i + 1, 0.0);
+        }
+        &mut self.client_cache_used[i]
+    }
+
+    /// Return `bytes` of `client`'s grant.
+    fn release(&mut self, client: NodeId, bytes: f64) {
+        let used = self.cache_used_mut(client);
+        *used = (*used - bytes).max(0.0);
     }
 
     /// Client `writer` writes a new file of `bytes`. Returns the movement
@@ -239,7 +259,7 @@ impl Lustre {
         let free = (self.cfg.client_cache_bytes - self.cache_used(writer)).max(0.0);
         let cached = bytes.min(free);
         let oss = bytes - cached;
-        *self.client_cache_used.entry(writer).or_insert(0.0) += cached;
+        *self.cache_used_mut(writer) += cached;
         self.files.insert(
             file,
             LFile {
@@ -291,7 +311,7 @@ impl Lustre {
         f.size += bytes;
         f.cached += cached;
         f.dirty += cached;
-        *self.client_cache_used.entry(writer).or_insert(0.0) += cached;
+        *self.cache_used_mut(writer) += cached;
         self.trace(
             now,
             memres_trace::TraceEvent::LockAcquire {
@@ -376,8 +396,7 @@ impl Lustre {
                 f.cached = 0.0;
                 f.dirty = 0.0;
                 if released > 0.0 {
-                    let used = self.client_cache_used.entry(w).or_insert(0.0);
-                    *used = (*used - released).max(0.0);
+                    self.release(w, released);
                 }
                 ReadPlan {
                     cache_hit_bytes: 0.0,
@@ -434,8 +453,7 @@ impl Lustre {
         let writer = f.writer;
         if released > 0.0 {
             if let Some(w) = writer {
-                let used = self.client_cache_used.entry(w).or_insert(0.0);
-                *used = (*used - released).max(0.0);
+                self.release(w, released);
             }
             self.gen.bump();
         }
@@ -456,8 +474,7 @@ impl Lustre {
     pub fn delete(&mut self, file: LustreFile) {
         if let Some(f) = self.files.remove(&file) {
             if let (Some(w), true) = (f.writer, f.cached > 0.0) {
-                let used = self.client_cache_used.entry(w).or_insert(0.0);
-                *used = (*used - f.cached).max(0.0);
+                self.release(w, f.cached);
             }
             self.gen.bump();
         }
@@ -624,6 +641,30 @@ mod tests {
         let plan = l.write(SimTime::ZERO, NodeId(0), LustreFile(2), Bytes(1000.0));
         assert_eq!(plan.cached_bytes, 1000.0);
         assert_eq!(l.file_size(LustreFile(1)), None);
+    }
+
+    #[test]
+    fn files_are_read_in_id_order_whatever_was_deleted() {
+        let mut l = Lustre::new(LustreConfig {
+            client_cache_bytes: 1e300,
+            ..LustreConfig::test_small()
+        });
+        let write = |l: &mut Lustre, id, bytes| {
+            l.write(SimTime::ZERO, NodeId(0), LustreFile(id), Bytes(bytes));
+        };
+        for (id, bytes) in [(1, 5.0), (2, 1.0), (3, 1.0), (4, 1e16)] {
+            write(&mut l, id, bytes);
+        }
+        // Deleting file 1 must not move file 4 ahead of files 2 and 3: the
+        // ulp at 1e16 is 2, so the small addends survive only when summed
+        // first.
+        l.delete(LustreFile(1));
+        write(&mut l, 5, 1.0);
+        let id_order = [1.0, 1.0, 1e16, 1.0].into_iter().sum::<f64>();
+        assert_eq!(id_order, 1e16 + 4.0);
+        assert_eq!(l.client_dirty(NodeId(0)).to_bits(), id_order.to_bits());
+        let err = l.audit_unlocked().expect_err("files 2–5 are locked");
+        assert!(err.starts_with("LustreFile(2) "), "{err}");
     }
 
     #[test]

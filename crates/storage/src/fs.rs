@@ -23,8 +23,8 @@ use crate::device::{Device, IoDone, Op};
 use memres_des::ps::PsResource;
 use memres_des::sim::Gen;
 use memres_des::time::SimTime;
-use memres_des::{Bytes, DetMap};
-use std::collections::VecDeque;
+use memres_des::Bytes;
+use std::collections::{BTreeMap, VecDeque};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
@@ -65,7 +65,7 @@ struct CachedFile {
 
 struct PageCache {
     cfg: CacheConfig,
-    files: DetMap<FileId, CachedFile>,
+    files: BTreeMap<FileId, CachedFile>,
     lru: VecDeque<FileId>,
     resident_total: f64,
     dirty_total: f64,
@@ -79,7 +79,7 @@ impl PageCache {
     fn new(cfg: CacheConfig) -> Self {
         PageCache {
             cfg,
-            files: DetMap::new(),
+            files: BTreeMap::new(),
             lru: VecDeque::new(),
             resident_total: 0.0,
             dirty_total: 0.0,
@@ -174,12 +174,12 @@ pub struct LocalFs {
     mem: PsResource<(u64, Op)>,
     capacity: f64,
     used: f64,
-    files: DetMap<FileId, f64>,
+    files: BTreeMap<FileId, f64>,
     /// Device-tag -> suboperation bookkeeping.
-    subs: DetMap<u64, SubOp>,
+    subs: BTreeMap<u64, SubOp>,
     next_sub: u64,
     /// user read tag -> outstanding part count.
-    read_join: DetMap<u64, u8>,
+    read_join: BTreeMap<u64, u8>,
     done: Vec<FsDone>,
     gen: Gen,
 }
@@ -193,10 +193,10 @@ impl LocalFs {
             mem: PsResource::new(mem_bw),
             capacity,
             used: 0.0,
-            files: DetMap::new(),
-            subs: DetMap::new(),
+            files: BTreeMap::new(),
+            subs: BTreeMap::new(),
             next_sub: 0,
-            read_join: DetMap::new(),
+            read_join: BTreeMap::new(),
             done: Vec::new(),
             gen: Gen::default(),
         }
