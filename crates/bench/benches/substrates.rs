@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrate hot paths: event queue, dispatch
 //! candidate set, processor sharing, max-min fair allocation, SSD fluid
-//! model.
+//! model, trace export.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memres_core::prelude::*;
@@ -347,6 +347,25 @@ fn bench_ssd(c: &mut Criterion) {
     });
 }
 
+/// The trace plane's export cost outside `benchmark/`: the paper-scale
+/// RAMDisk cell is traced once (34,404 events), then each iteration renders
+/// `events.jsonl` and the Chrome trace from the same event log.
+fn bench_trace_export(c: &mut Criterion) {
+    use memres_trace::export::{chrome_trace_json, events_jsonl};
+    let run = memres_bench::trace::run_cell(
+        memres_workloads::cells::Setup::paper(),
+        "fig7a_400gb_ramdisk",
+    )
+    .expect("known cell");
+    c.bench_function("trace_export_fig7a_ramdisk", |b| {
+        b.iter(|| {
+            let jsonl = events_jsonl(&run.events);
+            let chrome = chrome_trace_json(&run.events);
+            criterion::black_box(jsonl.len() + chrome.len())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
@@ -357,6 +376,7 @@ criterion_group!(
     bench_flownet,
     bench_fair_share,
     bench_real_shuffle,
-    bench_ssd
+    bench_ssd,
+    bench_trace_export
 );
 criterion_main!(benches);

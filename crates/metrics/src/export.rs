@@ -2,12 +2,16 @@
 //! long-format CSV, and a self-contained HTML dashboard.
 //!
 //! All three walk [`Recorder::sorted_series`] (catalog order, instances
-//! ascending), emit the series that have a [`catalog`] row, and format floats with Rust's shortest-repr `{}` Display, so
-//! output is byte-identical whenever the sample sequences are — the
-//! determinism contract the golden tests in `crates/bench` pin down.
+//! ascending), emit the series that have a [`catalog`] row, and render
+//! floats as Rust's shortest-repr `{}` Display does, so output is
+//! byte-identical whenever the sample sequences are — the determinism
+//! contract the golden tests in `crates/bench` pin down. The two text
+//! exports append to one [`Writer`] (`Writer::f64` is those `Display`
+//! bytes); the dashboard is built with `format!`.
 
 use crate::catalog;
 use crate::{Recorder, Series};
+use memres_des::json::Writer;
 
 fn label_of(s: &Series) -> String {
     match (catalog::def(s.name).and_then(|d| d.label), s.instance) {
@@ -22,49 +26,46 @@ fn label_of(s: &Series) -> String {
 /// terminator. Every gauge is exported as a `gauge` family named
 /// `memres_<series>`.
 pub fn openmetrics(rec: &Recorder) -> String {
-    let mut out = String::new();
-    let sorted = rec.sorted_series();
+    let mut w = Writer::default();
     let mut last_name = "";
-    for s in &sorted {
+    for s in rec.sorted_series() {
         let Some(def) = catalog::def(s.name) else {
             continue;
         };
         if s.name != last_name {
-            out.push_str(&format!("# HELP memres_{} {}\n", s.name, def.help));
-            out.push_str(&format!("# TYPE memres_{} gauge\n", s.name));
-            out.push_str(&format!("# UNIT memres_{} {}\n", s.name, def.unit));
+            w.str("# HELP memres_").str(s.name).str(" ").str(def.help);
+            w.str("\n# TYPE memres_").str(s.name).str(" gauge");
+            w.str("\n# UNIT memres_").str(s.name).str(" ").str(def.unit);
+            w.str("\n");
             last_name = s.name;
         }
         let label = label_of(s);
         for &(t, v) in s.points() {
-            out.push_str(&format!(
-                "memres_{}{} {} {}\n",
-                s.name,
-                label,
-                v,
-                t.as_secs_f64()
-            ));
+            w.str("memres_").str(s.name).str(&label).str(" ");
+            w.f64(v).str(" ").f64(t.as_secs_f64()).str("\n");
         }
     }
-    out.push_str("# EOF\n");
-    out
+    w.str("# EOF\n");
+    w.into_string()
 }
 
 /// Long-format CSV: `series,instance,t_s,value`, catalog order, instance
 /// column empty for unlabeled series. This is the interchange format
 /// `diff` parses back.
 pub fn timeseries_csv(rec: &Recorder) -> String {
-    let mut out = String::from("series,instance,t_s,value\n");
+    let mut w = Writer::default();
+    w.str("series,instance,t_s,value\n");
     for s in rec.sorted_series() {
         if catalog::def(s.name).is_none() {
             continue;
         }
         let inst = s.instance.map(|i| i.to_string()).unwrap_or_default();
         for &(t, v) in s.points() {
-            out.push_str(&format!("{},{},{},{}\n", s.name, inst, t.as_secs_f64(), v));
+            w.str(s.name).str(",").str(&inst).str(",");
+            w.f64(t.as_secs_f64()).str(",").f64(v).str("\n");
         }
     }
-    out
+    w.into_string()
 }
 
 fn svg_sparkline(s: &Series, w: f64, h: f64) -> String {

@@ -45,61 +45,48 @@ impl Attempt {
 /// Reconstruct every task attempt interval from the event log. Attempts
 /// still open at the end of the log are closed at the last event time.
 pub fn attempts(events: &[TimedEvent]) -> Vec<Attempt> {
-    let mut open: BTreeMap<(u32, u32), (SimTime, u32, TaskClass, bool)> = BTreeMap::new();
+    let mut open = OpenAttempts::new(events.len());
     let mut done: Vec<Attempt> = Vec::new();
     let mut last = SimTime::ZERO;
     for e in events {
         last = last.max(e.at);
-        match e.ev {
+        let (task, attempt, outcome) = match e.ev {
             TraceEvent::TaskLaunched {
                 task,
                 node,
                 class,
                 attempt,
-                speculative,
                 ..
             } => {
-                open.insert((task, attempt), (e.at, node, class, speculative));
+                open.insert(task, attempt, (e.at, node, class));
+                continue;
             }
             TraceEvent::TaskFinished {
                 task,
                 attempt,
-                ghost,
+                ghost: true,
                 ..
-            } => {
-                if let Some((start, node, class, _)) = open.remove(&(task, attempt)) {
-                    done.push(Attempt {
-                        task,
-                        class,
-                        node,
-                        attempt,
-                        start,
-                        end: e.at,
-                        outcome: if ghost {
-                            Outcome::Ghost
-                        } else {
-                            Outcome::Completed
-                        },
-                    });
-                }
-            }
-            TraceEvent::TaskRetried { task, attempt, .. } => {
-                if let Some((start, node, class, _)) = open.remove(&(task, attempt)) {
-                    done.push(Attempt {
-                        task,
-                        class,
-                        node,
-                        attempt,
-                        start,
-                        end: e.at,
-                        outcome: Outcome::Failed,
-                    });
-                }
-            }
-            _ => {}
+            } => (task, attempt, Outcome::Ghost),
+            TraceEvent::TaskFinished { task, attempt, .. } => (task, attempt, Outcome::Completed),
+            TraceEvent::TaskRetried { task, attempt, .. } => (task, attempt, Outcome::Failed),
+            _ => continue,
+        };
+        if let Some((start, node, class)) = open.remove(task, attempt) {
+            done.push(Attempt {
+                task,
+                class,
+                node,
+                attempt,
+                start,
+                end: e.at,
+                outcome,
+            });
         }
     }
-    for ((task, attempt), (start, node, class, _)) in open {
+    // Still-open keys are distinct, so the stable sort below orders them
+    // whatever order they come in; pushed after `done`, they still follow a
+    // closed attempt of the same key and start.
+    for ((task, attempt), (start, node, class)) in open.drain() {
         done.push(Attempt {
             task,
             class,
@@ -112,6 +99,79 @@ pub fn attempts(events: &[TimedEvent]) -> Vec<Attempt> {
     }
     done.sort_by_key(|a| (a.start, a.task, a.attempt));
     done
+}
+
+/// An open attempt's launch: instant, node and class.
+type Launch = (SimTime, u32, TaskClass);
+
+/// The launched, not yet closed attempts, keyed `(task, attempt)` with a
+/// map's semantics (a launch of an open key replaces it). A task has one
+/// attempt open at a time, bar a recovery relaunch, so the first sits in a
+/// slot indexed by task id and any other in `rest`. Task ids are dense
+/// arena indices, below the event count in a real trace; an id at or past
+/// it goes to `rest` too, so a stray id costs no table.
+struct OpenAttempts {
+    slots: Vec<Option<(u32, Launch)>>,
+    rest: BTreeMap<(u32, u32), Launch>,
+    dense: usize,
+}
+
+impl OpenAttempts {
+    fn new(events: usize) -> Self {
+        OpenAttempts {
+            slots: Vec::new(),
+            rest: BTreeMap::new(),
+            dense: events,
+        }
+    }
+
+    fn slot(&mut self, task: u32) -> Option<&mut Option<(u32, Launch)>> {
+        let i = task as usize;
+        if i >= self.dense {
+            return None;
+        }
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots.get_mut(i)
+    }
+
+    fn insert(&mut self, task: u32, attempt: u32, launch: Launch) {
+        if let Some(held) = self.rest.get_mut(&(task, attempt)) {
+            *held = launch;
+            return;
+        }
+        match self.slot(task) {
+            Some(slot @ None) => *slot = Some((attempt, launch)),
+            Some(Some((a, held))) if *a == attempt => *held = launch,
+            _ => {
+                self.rest.insert((task, attempt), launch);
+            }
+        }
+    }
+
+    fn remove(&mut self, task: u32, attempt: u32) -> Option<Launch> {
+        if let Some(slot) = self.slot(task) {
+            if let Some((a, launch)) = *slot {
+                if a == attempt {
+                    *slot = None;
+                    return Some(launch);
+                }
+            }
+        }
+        self.rest.remove(&(task, attempt))
+    }
+
+    fn drain(self) -> impl Iterator<Item = ((u32, u32), Launch)> {
+        let slotted = self
+            .slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(task, slot)| {
+                slot.map(|(attempt, launch)| ((task as u32, attempt), launch))
+            });
+        slotted.chain(self.rest)
+    }
 }
 
 /// End-to-end job-time attribution. All values are integer-nanosecond
@@ -459,5 +519,125 @@ mod tests {
         let att = attribute(&[]);
         assert_eq!(att.job, SimDuration::ZERO);
         assert_eq!(att.sum(), SimDuration::ZERO);
+    }
+
+    /// `attempts` as it was written on one `BTreeMap`: the reference for
+    /// the slot table's order and overwrite-on-relaunch semantics.
+    fn attempts_by_map(events: &[TimedEvent]) -> Vec<Attempt> {
+        let mut open: BTreeMap<(u32, u32), (SimTime, u32, TaskClass)> = BTreeMap::new();
+        let mut done: Vec<Attempt> = Vec::new();
+        let mut last = SimTime::ZERO;
+        for e in events {
+            last = last.max(e.at);
+            let (task, attempt, outcome) = match e.ev {
+                TraceEvent::TaskLaunched {
+                    task,
+                    node,
+                    class,
+                    attempt,
+                    ..
+                } => {
+                    open.insert((task, attempt), (e.at, node, class));
+                    continue;
+                }
+                TraceEvent::TaskFinished {
+                    task,
+                    attempt,
+                    ghost,
+                    ..
+                } => (
+                    task,
+                    attempt,
+                    if ghost {
+                        Outcome::Ghost
+                    } else {
+                        Outcome::Completed
+                    },
+                ),
+                TraceEvent::TaskRetried { task, attempt, .. } => (task, attempt, Outcome::Failed),
+                _ => continue,
+            };
+            if let Some((start, node, class)) = open.remove(&(task, attempt)) {
+                let end = e.at;
+                done.push(Attempt {
+                    task,
+                    class,
+                    node,
+                    attempt,
+                    start,
+                    end,
+                    outcome,
+                });
+            }
+        }
+        for ((task, attempt), (start, node, class)) in open {
+            let (end, outcome) = (last.max(start), Outcome::Completed);
+            done.push(Attempt {
+                task,
+                class,
+                node,
+                attempt,
+                start,
+                end,
+                outcome,
+            });
+        }
+        done.sort_by_key(|a| (a.start, a.task, a.attempt));
+        done
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 1024,
+            ..Default::default()
+        })]
+
+        /// Few tasks, attempts and instants, so relaunches of an open key,
+        /// a second open attempt of one task, closes of nothing and ties
+        /// all happen; ids past the event count take the overflow path.
+        #[test]
+        fn attempts_match_the_map_version(
+            rows in proptest::collection::vec((0u8..4, 0u32..8, 0u32..3, 0u64..6, 0u32..3), 0..64),
+        ) {
+            let events: Vec<TimedEvent> = rows
+                .iter()
+                .enumerate()
+                .map(|(seq, &(kind, task, attempt, at, node))| {
+                    let task = match task {
+                        6 => u32::MAX,
+                        7 => 64,
+                        t => t,
+                    };
+                    let class = [TaskClass::Compute, TaskClass::Store, TaskClass::Fetch][node as usize];
+                    let event = match kind {
+                        0 => TraceEvent::TaskLaunched {
+                            task,
+                            node,
+                            class,
+                            attempt,
+                            queue_delay: SimDuration::ZERO,
+                            speculative: false,
+                        },
+                        1 => TraceEvent::TaskFinished {
+                            task,
+                            node,
+                            class,
+                            attempt,
+                            ghost: node == 2,
+                        },
+                        2 => TraceEvent::TaskRetried {
+                            task,
+                            node,
+                            attempt,
+                            wasted: SimDuration::ZERO,
+                            backoff: SimDuration::ZERO,
+                        },
+                        _ => TraceEvent::GcStart { node },
+                    };
+                    ev(at * 10, seq as u64, event)
+                })
+                .collect();
+            proptest::prop_assert_eq!(attempts(&events), attempts_by_map(&events));
+        }
     }
 }

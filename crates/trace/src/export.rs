@@ -2,18 +2,25 @@
 //! (Perfetto-loadable). Pure string builders — writing the bytes to disk is
 //! the bench layer's job (the workspace's designated I/O seam), so this
 //! crate stays free of host I/O (R3, DESIGN.md §4.10).
-//! Every event is written straight into one pre-sized buffer.
+//!
+//! Both exports append every row to one [`Writer`] sized up front for the
+//! paper cells, pushing fixed pieces and numbers directly: no `core::fmt`
+//! except for a fractional byte count. The `fmt` renderings they replaced
+//! are kept as the test-only `oracle`, and a proptest holds the two
+//! byte-equal.
 
 use crate::analyze::{attempts, Outcome};
 use crate::{TimedEvent, TraceEvent};
-use memres_des::json::Num;
-use std::fmt::{self, Write as _};
+use memres_des::json::Writer;
 
-/// Microsecond timestamp with fixed 3-decimal nanosecond fraction — integer
-/// math only, so the rendering is byte-stable everywhere.
-fn us(ns: u64) -> impl fmt::Display {
-    fmt::from_fn(move |f| write!(f, "{}.{:03}", ns / 1_000, ns % 1_000))
-}
+#[cfg(test)]
+mod oracle;
+
+/// Bytes reserved per event. The paper cells write 96–104 B a line of
+/// `events.jsonl` and 106–121 B of Chrome trace per event, so neither
+/// buffer regrows on them.
+const JSONL_ROW: usize = 112;
+const CHROME_ROW: usize = 128;
 
 /// The event's payload as JSON object members (no braces), fixed key order.
 /// One `match` with no catch-all (clippy rejects one), so a new variant
@@ -22,113 +29,142 @@ fn us(ns: u64) -> impl fmt::Display {
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
 )]
-fn payload(ev: &TraceEvent) -> impl fmt::Display + '_ {
-    fmt::from_fn(move |f| {
-        match *ev {
-            TraceEvent::JobArrived { job, tenant } | TraceEvent::JobAdmitted { job, tenant } => {
-                write!(f, "\"job\":{job},\"tenant\":{tenant}")
-            }
-            TraceEvent::JobStart { job } => write!(f, "\"job\":{job}"),
-            TraceEvent::JobEnd { job, aborted } => {
-                write!(f, "\"job\":{job},\"aborted\":{aborted}")
-            }
-            TraceEvent::StageStart { stage, tasks } => {
-                write!(f, "\"stage\":{stage},\"tasks\":{tasks}")
-            }
-            TraceEvent::TaskQueued {
-                task,
-                stage,
-                class,
-                attempt,
-            } => write!(
-                f,
-                "\"task\":{task},\"stage\":{stage},\"class\":\"{}\",\"attempt\":{attempt}",
-                class.name()
-            ),
-            TraceEvent::TaskLaunched {
-                task,
-                node,
-                class,
-                attempt,
-                queue_delay,
-                speculative,
-            } => write!(
-                f,
-                "\"task\":{task},\"node\":{node},\"class\":\"{}\",\"attempt\":{attempt},\"queue_delay_ns\":{},\"speculative\":{speculative}",
-                class.name(),
-                queue_delay.as_nanos()
-            ),
-            TraceEvent::TaskFinished {
-                task,
-                node,
-                class,
-                attempt,
-                ghost,
-            } => write!(
-                f,
-                "\"task\":{task},\"node\":{node},\"class\":\"{}\",\"attempt\":{attempt},\"ghost\":{ghost}",
-                class.name()
-            ),
-            TraceEvent::TaskRetried {
-                task,
-                node,
-                attempt,
-                wasted,
-                backoff,
-            } => write!(
-                f,
-                "\"task\":{task},\"node\":{node},\"attempt\":{attempt},\"wasted_ns\":{},\"backoff_ns\":{}",
-                wasted.as_nanos(),
-                backoff.as_nanos()
-            ),
-            TraceEvent::DelayWait { node, until } => {
-                write!(f, "\"node\":{node},\"until_ns\":{}", until.as_nanos())
-            }
-            TraceEvent::ElbDecline { node } => write!(f, "\"node\":{node}"),
-            TraceEvent::CadGate { node, until } => {
-                write!(f, "\"node\":{node},\"until_ns\":{}", until.as_nanos())
-            }
-            TraceEvent::Speculate { task, twin } => write!(f, "\"task\":{task},\"twin\":{twin}"),
-            TraceEvent::FlowStart { flow } => write!(f, "\"flow\":{flow}"),
-            TraceEvent::FlowEnd { flow, bytes, dur } => write!(
-                f,
-                "\"flow\":{flow},\"bytes\":{},\"dur_ns\":{}",
-                Num(bytes.get()),
-                dur.as_nanos()
-            ),
-            TraceEvent::LockAcquire { file, client } => {
-                write!(f, "\"file\":{file},\"client\":{client}")
-            }
-            TraceEvent::LockRelease { file } => write!(f, "\"file\":{file}"),
-            TraceEvent::LockRevoke { file, dirty_bytes } => write!(
-                f,
-                "\"file\":{file},\"dirty_bytes\":{}",
-                Num(dirty_bytes.get())
-            ),
-            TraceEvent::LockWaitStart { task } => write!(f, "\"task\":{task}"),
-            TraceEvent::LockWaitEnd { task } => write!(f, "\"task\":{task}"),
-            TraceEvent::LockWaitFor { task, dur } => {
-                write!(f, "\"task\":{task},\"dur_ns\":{}", dur.as_nanos())
-            }
-            TraceEvent::GcStart { node }
-            | TraceEvent::GcEnd { node }
-            | TraceEvent::BufFull { node }
-            | TraceEvent::BufDrained { node } => write!(f, "\"node\":{node}"),
-            TraceEvent::FaultInjected { kind, node } => {
-                write!(f, "\"fault\":\"{kind}\",\"node\":{node}")
-            }
-            TraceEvent::NodeDown { node }
-            | TraceEvent::NodeUp { node }
-            | TraceEvent::Blacklisted { node } => write!(f, "\"node\":{node}"),
-            TraceEvent::BlocksLost { node, blocks } => {
-                write!(f, "\"node\":{node},\"blocks\":{blocks}")
-            }
-            TraceEvent::Rehost { from, to } => write!(f, "\"from\":{from},\"to\":{to}"),
-            TraceEvent::GhostsSpawned { node, count } => {
-                write!(f, "\"node\":{node},\"count\":{count}")
-            }
+fn payload(w: &mut Writer, ev: &TraceEvent) {
+    match *ev {
+        TraceEvent::JobArrived { job, tenant } | TraceEvent::JobAdmitted { job, tenant } => {
+            w.str("\"job\":").u32(job).str(",\"tenant\":").u32(tenant)
         }
-    })
+        TraceEvent::JobStart { job } => w.str("\"job\":").u32(job),
+        TraceEvent::JobEnd { job, aborted } => w
+            .str("\"job\":")
+            .u32(job)
+            .str(",\"aborted\":")
+            .bool(aborted),
+        TraceEvent::StageStart { stage, tasks } => {
+            w.str("\"stage\":").u32(stage).str(",\"tasks\":").u32(tasks)
+        }
+        TraceEvent::TaskQueued {
+            task,
+            stage,
+            class,
+            attempt,
+        } => w
+            .str("\"task\":")
+            .u32(task)
+            .str(",\"stage\":")
+            .u32(stage)
+            .str(",\"class\":\"")
+            .str(class.name())
+            .str("\",\"attempt\":")
+            .u32(attempt),
+        TraceEvent::TaskLaunched {
+            task,
+            node,
+            class,
+            attempt,
+            queue_delay,
+            speculative,
+        } => w
+            .str("\"task\":")
+            .u32(task)
+            .str(",\"node\":")
+            .u32(node)
+            .str(",\"class\":\"")
+            .str(class.name())
+            .str("\",\"attempt\":")
+            .u32(attempt)
+            .str(",\"queue_delay_ns\":")
+            .u64(queue_delay.as_nanos())
+            .str(",\"speculative\":")
+            .bool(speculative),
+        TraceEvent::TaskFinished {
+            task,
+            node,
+            class,
+            attempt,
+            ghost,
+        } => w
+            .str("\"task\":")
+            .u32(task)
+            .str(",\"node\":")
+            .u32(node)
+            .str(",\"class\":\"")
+            .str(class.name())
+            .str("\",\"attempt\":")
+            .u32(attempt)
+            .str(",\"ghost\":")
+            .bool(ghost),
+        TraceEvent::TaskRetried {
+            task,
+            node,
+            attempt,
+            wasted,
+            backoff,
+        } => w
+            .str("\"task\":")
+            .u32(task)
+            .str(",\"node\":")
+            .u32(node)
+            .str(",\"attempt\":")
+            .u32(attempt)
+            .str(",\"wasted_ns\":")
+            .u64(wasted.as_nanos())
+            .str(",\"backoff_ns\":")
+            .u64(backoff.as_nanos()),
+        TraceEvent::DelayWait { node, until } | TraceEvent::CadGate { node, until } => w
+            .str("\"node\":")
+            .u32(node)
+            .str(",\"until_ns\":")
+            .u64(until.as_nanos()),
+        TraceEvent::Speculate { task, twin } => {
+            w.str("\"task\":").u32(task).str(",\"twin\":").u32(twin)
+        }
+        TraceEvent::FlowStart { flow } => w.str("\"flow\":").u64(flow),
+        TraceEvent::FlowEnd { flow, bytes, dur } => w
+            .str("\"flow\":")
+            .u64(flow)
+            .str(",\"bytes\":")
+            .num(bytes.get())
+            .str(",\"dur_ns\":")
+            .u64(dur.as_nanos()),
+        TraceEvent::LockAcquire { file, client } => {
+            w.str("\"file\":").u64(file).str(",\"client\":").u32(client)
+        }
+        TraceEvent::LockRelease { file } => w.str("\"file\":").u64(file),
+        TraceEvent::LockRevoke { file, dirty_bytes } => w
+            .str("\"file\":")
+            .u64(file)
+            .str(",\"dirty_bytes\":")
+            .num(dirty_bytes.get()),
+        TraceEvent::LockWaitStart { task } | TraceEvent::LockWaitEnd { task } => {
+            w.str("\"task\":").u32(task)
+        }
+        TraceEvent::LockWaitFor { task, dur } => w
+            .str("\"task\":")
+            .u32(task)
+            .str(",\"dur_ns\":")
+            .u64(dur.as_nanos()),
+        TraceEvent::ElbDecline { node }
+        | TraceEvent::GcStart { node }
+        | TraceEvent::GcEnd { node }
+        | TraceEvent::BufFull { node }
+        | TraceEvent::BufDrained { node }
+        | TraceEvent::NodeDown { node }
+        | TraceEvent::NodeUp { node }
+        | TraceEvent::Blacklisted { node } => w.str("\"node\":").u32(node),
+        TraceEvent::FaultInjected { kind, node } => w
+            .str("\"fault\":\"")
+            .str(kind)
+            .str("\",\"node\":")
+            .u32(node),
+        TraceEvent::BlocksLost { node, blocks } => {
+            w.str("\"node\":").u32(node).str(",\"blocks\":").u64(blocks)
+        }
+        TraceEvent::Rehost { from, to } => w.str("\"from\":").u32(from).str(",\"to\":").u32(to),
+        TraceEvent::GhostsSpawned { node, count } => {
+            w.str("\"node\":").u32(node).str(",\"count\":").u32(count)
+        }
+    };
 }
 
 /// Node lane an event renders on in the timeline (0 when not node-scoped).
@@ -157,27 +193,28 @@ fn lane(ev: &TraceEvent) -> u32 {
 /// One JSON object per line, in emission order: the compact machine-readable
 /// form consumed by downstream tooling and the determinism tests.
 pub fn events_jsonl(events: &[TimedEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
+    let mut w = Writer::with_capacity(events.len() * JSONL_ROW);
     for e in events {
-        // Writing to a `String` cannot fail.
-        let _ = writeln!(
-            out,
-            "{{\"at_ns\":{},\"seq\":{},\"type\":\"{}\",{}}}",
-            e.at.as_nanos(),
-            e.seq,
-            e.ev.kind(),
-            payload(&e.ev)
-        );
+        w.str("{\"at_ns\":")
+            .u64(e.at.as_nanos())
+            .str(",\"seq\":")
+            .u64(e.seq)
+            .str(",\"type\":\"")
+            .str(e.ev.kind())
+            .str("\",");
+        payload(&mut w, &e.ev);
+        w.str("}\n");
     }
-    out
+    w.into_string()
 }
 
 /// Chrome trace-event JSON (the `{"traceEvents":[...]}` object form), ready
 /// for Perfetto / `chrome://tracing`. Task attempts become complete ("X")
 /// events on a per-node lane; everything else becomes an instant ("i").
+/// Timestamps are microseconds with a fixed three-digit fraction.
 pub fn chrome_trace_json(events: &[TimedEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 128 + 64);
-    out.push_str("{\"traceEvents\":[");
+    let mut w = Writer::with_capacity(events.len() * CHROME_ROW + 64);
+    w.str("{\"traceEvents\":[");
     // Rows are joined by ",\n": each row opens with the separator.
     let mut sep = "\n";
     for a in attempts(events) {
@@ -186,16 +223,21 @@ pub fn chrome_trace_json(events: &[TimedEvent]) -> String {
             Outcome::Failed => ".failed",
             Outcome::Ghost => ".ghost",
         };
-        let _ = write!(
-            out,
-            "{sep}{{\"name\":\"{}{outcome}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"task\":{},\"attempt\":{}}}}}",
-            a.class.name(),
-            us(a.start.as_nanos()),
-            us(a.dur().as_nanos()),
-            a.node,
-            a.task,
-            a.attempt
-        );
+        w.str(sep)
+            .str("{\"name\":\"")
+            .str(a.class.name())
+            .str(outcome)
+            .str("\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":")
+            .us(a.start.as_nanos())
+            .str(",\"dur\":")
+            .us(a.dur().as_nanos())
+            .str(",\"pid\":0,\"tid\":")
+            .u32(a.node)
+            .str(",\"args\":{\"task\":")
+            .u32(a.task)
+            .str(",\"attempt\":")
+            .u32(a.attempt)
+            .str("}}");
         sep = ",\n";
     }
     for e in events {
@@ -205,18 +247,20 @@ pub fn chrome_trace_json(events: &[TimedEvent]) -> String {
         ) {
             continue; // rendered as the "X" rows above
         }
-        let _ = write!(
-            out,
-            "{sep}{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{{}}}}}",
-            e.ev.kind(),
-            us(e.at.as_nanos()),
-            lane(&e.ev),
-            payload(&e.ev)
-        );
+        w.str(sep)
+            .str("{\"name\":\"")
+            .str(e.ev.kind())
+            .str("\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":")
+            .us(e.at.as_nanos())
+            .str(",\"pid\":0,\"tid\":")
+            .u32(lane(&e.ev))
+            .str(",\"s\":\"t\",\"args\":{");
+        payload(&mut w, &e.ev);
+        w.str("}}");
         sep = ",\n";
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    w.str("\n],\"displayTimeUnit\":\"ms\"}\n");
+    w.into_string()
 }
 
 #[cfg(test)]
@@ -297,11 +341,187 @@ mod tests {
         assert!(!s.contains("\"name\":\"task_launched\""));
     }
 
+    /// Ids and counts at every digit-count edge, with the widest values.
+    const EDGES: [u64; 7] = [0, 9, 10, 99, 100, u32::MAX as u64, u64::MAX];
+
+    /// Byte counts on both sides of every rendering rule: integral below
+    /// 2⁵³, exactly 2⁵³, integral above, negative zero, fractions, huge,
+    /// and not finite.
+    const FLOATS: [f64; 10] = [
+        4_503_599_627_370_497.0,
+        9_007_199_254_740_992.0,
+        1_152_921_504_606_846_976.0,
+        -0.0,
+        0.1,
+        1e-7,
+        1e300,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// An edge value for the low picks, else `x` cut to a random width.
+    fn id(x: u64) -> u64 {
+        let pick = (x % 16) as usize;
+        EDGES.get(pick).copied().unwrap_or(x >> (x % 64))
+    }
+
+    fn float(x: u64) -> Bytes {
+        let pick = (x % 16) as usize;
+        Bytes(FLOATS.get(pick).copied().unwrap_or(match pick % 3 {
+            0 => (x >> 11) as f64,
+            1 => (x % 100_000) as f64,
+            _ => f64::from_bits(x),
+        }))
+    }
+
+    /// Variant `v` of [`TraceEvent`] (all 32, in declaration order) with
+    /// its fields drawn from `a` and `b`.
+    fn event(v: usize, a: u64, b: u64) -> TraceEvent {
+        let (n, m) = (id(a) as u32, id(b) as u32);
+        let class = [TaskClass::Compute, TaskClass::Store, TaskClass::Fetch][(b % 3) as usize];
+        let ns = |x: u64| SimDuration::from_nanos(id(x));
+        match v % 32 {
+            0 => TraceEvent::JobArrived { job: n, tenant: m },
+            1 => TraceEvent::JobAdmitted { job: n, tenant: m },
+            2 => TraceEvent::JobStart { job: n },
+            3 => TraceEvent::JobEnd {
+                job: n,
+                aborted: b.is_multiple_of(2),
+            },
+            4 => TraceEvent::StageStart { stage: n, tasks: m },
+            5 => TraceEvent::TaskQueued {
+                task: n,
+                stage: m,
+                class,
+                attempt: m,
+            },
+            6 => TraceEvent::TaskLaunched {
+                task: n % 4,
+                node: m,
+                class,
+                attempt: (b % 2) as u32,
+                queue_delay: ns(b),
+                speculative: b.is_multiple_of(5),
+            },
+            7 => TraceEvent::TaskFinished {
+                task: n % 4,
+                node: m,
+                class,
+                attempt: (b % 2) as u32,
+                ghost: b.is_multiple_of(3),
+            },
+            8 => TraceEvent::TaskRetried {
+                task: n % 4,
+                node: m,
+                attempt: (b % 2) as u32,
+                wasted: ns(a),
+                backoff: ns(b),
+            },
+            9 => TraceEvent::DelayWait {
+                node: n,
+                until: SimTime::from_nanos(id(b)),
+            },
+            10 => TraceEvent::ElbDecline { node: n },
+            11 => TraceEvent::CadGate {
+                node: n,
+                until: SimTime::from_nanos(id(b)),
+            },
+            12 => TraceEvent::Speculate { task: n, twin: m },
+            13 => TraceEvent::FlowStart { flow: id(a) },
+            14 => TraceEvent::FlowEnd {
+                flow: id(a),
+                bytes: float(b),
+                dur: ns(a ^ b),
+            },
+            15 => TraceEvent::LockAcquire {
+                file: id(a),
+                client: m,
+            },
+            16 => TraceEvent::LockRelease { file: id(a) },
+            17 => TraceEvent::LockRevoke {
+                file: id(a),
+                dirty_bytes: float(b),
+            },
+            18 => TraceEvent::LockWaitStart { task: n },
+            19 => TraceEvent::LockWaitEnd { task: n },
+            20 => TraceEvent::LockWaitFor {
+                task: n,
+                dur: ns(b),
+            },
+            21 => TraceEvent::GcStart { node: n },
+            22 => TraceEvent::GcEnd { node: n },
+            23 => TraceEvent::BufFull { node: n },
+            24 => TraceEvent::BufDrained { node: n },
+            25 => TraceEvent::FaultInjected {
+                kind: ["node_crash", "task_fail"][(b % 2) as usize],
+                node: n,
+            },
+            26 => TraceEvent::NodeDown { node: n },
+            27 => TraceEvent::NodeUp { node: n },
+            28 => TraceEvent::Blacklisted { node: n },
+            29 => TraceEvent::BlocksLost {
+                node: n,
+                blocks: id(b),
+            },
+            30 => TraceEvent::Rehost { from: n, to: m },
+            _ => TraceEvent::GhostsSpawned { node: n, count: m },
+        }
+    }
+
+    fn assert_matches_oracle(events: &[TimedEvent]) {
+        assert_eq!(events_jsonl(events), oracle::events_jsonl(events));
+        assert_eq!(chrome_trace_json(events), oracle::chrome_trace_json(events));
+    }
+
+    /// Every variant, every edge id and float, and every `ns % 1000` class
+    /// of timestamp, in one trace.
     #[test]
-    fn timestamps_render_with_fixed_nanosecond_fraction() {
-        assert_eq!(us(0).to_string(), "0.000");
-        assert_eq!(us(999).to_string(), "0.999");
-        assert_eq!(us(1_000).to_string(), "1.000");
-        assert_eq!(us(1_234_567).to_string(), "1234.567");
+    fn exports_match_the_fmt_oracle_on_every_edge() {
+        let events: Vec<TimedEvent> = (0..32 * 1000u64)
+            .map(|i| {
+                // Each variant meets every `k`: every pick of `id` and
+                // `float`, and the timestamp class `k`.
+                let k = i / 32;
+                TimedEvent {
+                    at: SimTime::from_nanos(k * 1_001),
+                    seq: id(i),
+                    ev: event(i as usize, k, 3 * k + 1),
+                }
+            })
+            .collect();
+        assert_matches_oracle(&events);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 512,
+            ..Default::default()
+        })]
+
+        /// Random traces: launches, finishes and retries of four tasks
+        /// collide, so the Chrome export pairs attempts of every outcome.
+        #[test]
+        fn exports_match_the_fmt_oracle(
+            rows in proptest::collection::vec(
+                (0usize..32, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                1..96,
+            ),
+        ) {
+            let events: Vec<TimedEvent> = rows
+                .iter()
+                .enumerate()
+                .map(|(seq, &(v, a, b, at))| TimedEvent {
+                    at: SimTime::from_nanos(at >> (at % 64)),
+                    seq: seq as u64,
+                    ev: event(v, a, b),
+                })
+                .collect();
+            proptest::prop_assert_eq!(events_jsonl(&events), oracle::events_jsonl(&events));
+            proptest::prop_assert_eq!(
+                chrome_trace_json(&events),
+                oracle::chrome_trace_json(&events)
+            );
+        }
     }
 }
