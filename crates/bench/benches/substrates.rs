@@ -302,12 +302,11 @@ fn bench_real_shuffle(c: &mut Criterion) {
             })
         });
     };
-    let group_pairs = |pairs, keys| {
+    let gen_pairs = |pairs, keys| {
         let records = memres_workloads::datagen::kv_pairs(pairs, keys, 1);
-        Rdd::source(Dataset::from_records(records, 16))
-            .map("genKV", SizeModel::scan(), |r| r)
-            .group_by_key(Some(8), 1e9)
+        Rdd::source(Dataset::from_records(records, 16)).map("genKV", SizeModel::scan(), |r| r)
     };
+    let group_pairs = |pairs, keys| gen_pairs(pairs, keys).group_by_key(Some(8), 1e9);
     case(
         "real_shuffle_1m_records",
         group_pairs(1_000_000, 20_000),
@@ -319,6 +318,11 @@ fn bench_real_shuffle(c: &mut Criterion) {
     // their bytes sit one pointer hop further away than under `Arc<str>`,
     // and a word count hashes and compares them on both sides of the shuffle.
     case("real_groupby_i64_400k", group_pairs(400_000, 8_000), 8_000);
+    // The same records folded per key: the reduce side's numeric fold path.
+    let sum = gen_pairs(400_000, 8_000).reduce_by_key(Some(8), 1e9, 1.0, |a, b| {
+        Value::I64(a.as_i64() + b.as_i64())
+    });
+    case("real_reduce_by_key_i64_400k", sum, 8_000);
     let lines = memres_workloads::datagen::text_lines(100_000, 1);
     let wordcount = Rdd::source(Dataset::from_records(lines, 16))
         .flat_map("words", SizeModel::scan(), |(_, line)| {

@@ -10,8 +10,11 @@
 //! task's UDF chain ([`run_narrow_chain`]) and a reducer's aggregation of
 //! its fetched segments ([`aggregate`]); either ends by hash-partitioning
 //! its output ([`partition`]) when it feeds a real shuffle. Each record is
-//! hashed once and moved once per side of the shuffle, and every output
-//! `Vec` is allocated at its exact final capacity.
+//! stable-hashed once on the map side; the reduce side probes by a cheaper
+//! hash and stable-hashes once per group. Both sides read their input by
+//! reference (the reduce side one segment at a time), clone what they keep
+//! out of it, and free each input buffer whole once its pass is done. Every
+//! output `Vec` is allocated at its exact final capacity.
 
 // Bucket, group and table indices are minted in this module from lengths it
 // just computed; an out-of-range access would be a bug here, not a
@@ -30,7 +33,6 @@ use crate::dag::{JobPlan, StagePlan};
 use crate::rdd::{RddId, ShuffleAgg};
 use crate::value::{record_bytes, Record, Value};
 use memres_des::time::SimDuration;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Real rows a chain leaves behind.
@@ -95,8 +97,9 @@ enum Rows {
 }
 
 impl Rows {
-    /// A shared view for a cache snapshot; an owned vector becomes shared in
-    /// place, so later snapshots and the output reuse the one allocation.
+    /// A shared view for a cache snapshot. An owned vector is copied once
+    /// into a new counted block (`Arc<[T]>::from(Vec<T>)`) and freed; later
+    /// snapshots and the output share that block.
     fn share(&mut self) -> Arc<[Record]> {
         let shared = match std::mem::replace(self, Rows::Owned(Vec::new())) {
             Rows::Shared(a) => a,
@@ -107,12 +110,12 @@ impl Rows {
     }
 
     /// The evaluation's real output: hash-partitioned when it feeds a real
-    /// shuffle (owned rows are moved into their buckets, shared ones cloned),
-    /// a shared slice otherwise.
+    /// shuffle (rows are cloned into their buckets and an owned vector is
+    /// then freed whole), a shared slice otherwise.
     fn finish(self, partitioning: Option<u32>) -> RealOut {
         match (partitioning, self) {
-            (Some(r), Rows::Owned(v)) => RealOut::Buckets(partition(Cow::Owned(v), r)),
-            (Some(r), Rows::Shared(a)) => RealOut::Buckets(partition(Cow::Borrowed(&a), r)),
+            (Some(r), Rows::Owned(v)) => RealOut::Buckets(partition(&v, r)),
+            (Some(r), Rows::Shared(a)) => RealOut::Buckets(partition(&a, r)),
             (None, Rows::Owned(v)) => RealOut::Rows(v.into()),
             (None, Rows::Shared(a)) => RealOut::Rows(a),
         }
@@ -166,8 +169,9 @@ impl Pending {
 /// no steps passes the input `Arc` straight through (placement, caching and
 /// task output all share one allocation), every cache snapshot is a
 /// reference bump of the value at that point, and a step's own output is
-/// moved — into the next step, and at the end into the shuffle buckets when
-/// `partitioning` names the produced shuffle's reducer count.
+/// moved into the next step. When `partitioning` names the produced
+/// shuffle's reducer count, the last rows are cloned into the shuffle
+/// buckets and an owned vector is freed whole.
 pub(crate) fn run_narrow_chain(
     stage: &StagePlan,
     in_bytes: f64,
@@ -276,8 +280,9 @@ pub(crate) struct Bucket {
 }
 
 /// Hash-partition `rows` over `reducers` buckets, preserving row order
-/// inside each bucket. Owned rows are moved, borrowed (shared) rows cloned.
-fn partition(rows: Cow<'_, [Record]>, reducers: u32) -> Vec<Bucket> {
+/// inside each bucket. Every row is cloned from the borrowed slice: a copy
+/// for the scalar variants, a count bump for the rest.
+fn partition(rows: &[Record], reducers: u32) -> Vec<Bucket> {
     let dest: Vec<u32> = rows
         .iter()
         .map(|(k, _)| (k.stable_hash() % reducers as u64) as u32)
@@ -293,24 +298,38 @@ fn partition(rows: Cow<'_, [Record]>, reducers: u32) -> Vec<Bucket> {
             bytes: 0,
         })
         .collect();
-    let mut fill = |rec: Record, d: u32| {
+    for (rec, &d) in rows.iter().zip(&dest) {
         let b = &mut buckets[d as usize];
-        b.bytes += record_bytes(&rec);
-        b.rows.push(rec);
-    };
-    match rows {
-        Cow::Owned(v) => v.into_iter().zip(dest).for_each(|(r, d)| fill(r, d)),
-        Cow::Borrowed(s) => s.iter().zip(dest).for_each(|(r, d)| fill(r.clone(), d)),
+        b.bytes += record_bytes(rec);
+        b.rows.push(rec.clone());
     }
     buckets
 }
 
+/// `KeyIndex`'s probe hash: a function of the encoding [`Value::same_key`]
+/// compares. `I64` and `F64` keys are their bits, each XORed with its own
+/// variant constant so an integer and a float with equal bits probe apart;
+/// every other variant is its `stable_hash`.
+fn probe(key: &Value) -> u64 {
+    match key {
+        Value::I64(x) => *x as u64 ^ PROBE_I64,
+        Value::F64(x) => x.to_bits() ^ PROBE_F64,
+        other => other.stable_hash(),
+    }
+}
+
+const PROBE_I64: u64 = 0x2545_f491_4f6c_dd1d;
+const PROBE_F64: u64 = 0x7f4a_7c15_9e37_79b9;
+
 /// Insertion-ordered key index: a dense group vector in first-appearance
 /// order (the only thing ever iterated) plus an open-addressing probe table
-/// into it. Keys are probed by a caller-supplied hash and confirmed by
-/// [`Value::same_key`], so two keys whose hashes collide stay two groups.
+/// into it. Keys are probed by a caller-supplied probe hash ([`probe`] in
+/// production) and confirmed by [`Value::same_key`], so two keys whose
+/// probes collide stay two groups. The probe only places keys; output order
+/// comes from a separate hash, computed once per group (see
+/// [`aggregate`]).
 struct KeyIndex {
-    /// `(hash, key)` per group.
+    /// `(probe hash, key)` per group.
     groups: Vec<(u64, Value)>,
     /// `group + 1` per occupied slot, 0 when empty; power-of-two length.
     table: Vec<u32>,
@@ -325,8 +344,9 @@ impl KeyIndex {
     }
 
     /// First probe slot of `hash`. Multiplicative mixing takes the *high*
-    /// bits: every key of one reducer shares `hash % reducers`, so the low
-    /// bits of a bucket's hashes carry almost no information.
+    /// bits: a probe hash may be a key's raw bits (small integers leave the
+    /// high bits constant) or its `stable_hash` (every key of one reducer
+    /// shares `hash % reducers`, so the low bits say almost nothing).
     fn home(&self, hash: u64) -> usize {
         let bits = self.table.len().trailing_zeros();
         (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
@@ -375,63 +395,76 @@ impl KeyIndex {
     }
 }
 
-/// Aggregate one reducer's fetched `segments`, consumed in gather order
-/// (segment by segment, rows in order) without concatenating them. Returns
-/// the groups in ascending `stable_hash` order — first appearance breaking
-/// ties — and the `record_bytes` total of that output.
+/// Aggregate one reducer's fetched `segments`, read in gather order
+/// (segment by segment, rows in order) without concatenating them; each
+/// value is cloned out and the segments are freed whole after the pass.
+/// Returns the groups in ascending `stable_hash` order — first appearance
+/// breaking ties — and the `record_bytes` total of that output.
 fn aggregate(agg: &ShuffleAgg, segments: Vec<Vec<Record>>) -> (Vec<Record>, u64) {
-    aggregate_with(agg, segments, Value::stable_hash)
+    aggregate_with(agg, segments, probe, Value::stable_hash)
 }
 
+/// [`aggregate`] with the probe hash and the order hash as parameters, so
+/// tests can make either collide on every key.
 fn aggregate_with(
     agg: &ShuffleAgg,
     segments: Vec<Vec<Record>>,
-    hash: impl Fn(&Value) -> u64,
+    probe: impl Fn(&Value) -> u64,
+    order: impl Fn(&Value) -> u64,
 ) -> (Vec<Record>, u64) {
     let mut index = KeyIndex::new();
     let (values, value_bytes): (Vec<Value>, u64) = match agg {
         ShuffleAgg::ReduceByKey(f) => {
             // Left fold per key in gather order, straight into the group.
             let mut acc: Vec<Value> = Vec::new();
-            for (k, v) in segments.into_iter().flatten() {
-                let g = index.group_of(hash(&k), &k);
-                if g == acc.len() {
-                    acc.push(v);
-                } else {
-                    let a = std::mem::replace(&mut acc[g], Value::Null);
-                    acc[g] = f(a, v);
+            for seg in &segments {
+                for (k, v) in seg {
+                    let g = index.group_of(probe(k), k);
+                    if g == acc.len() {
+                        acc.push(v.clone());
+                    } else {
+                        let a = std::mem::replace(&mut acc[g], Value::Null);
+                        acc[g] = f(a, v.clone());
+                    }
                 }
             }
             let bytes = acc.iter().map(Value::approx_bytes).sum();
             (acc, bytes)
         }
         ShuffleAgg::GroupByKey => {
-            // Count pass (the one hash per record), then fill exact lists.
+            // Count pass (the one probe per record), then fill exact lists.
             let mut group: Vec<u32> = Vec::with_capacity(segments.iter().map(Vec::len).sum());
             let mut counts: Vec<usize> = Vec::new();
-            for (k, _) in segments.iter().flatten() {
-                let g = index.group_of(hash(k), k);
-                if g == counts.len() {
-                    counts.push(0);
+            for seg in &segments {
+                for (k, _) in seg {
+                    let g = index.group_of(probe(k), k);
+                    if g == counts.len() {
+                        counts.push(0);
+                    }
+                    counts[g] += 1;
+                    group.push(g as u32);
                 }
-                counts[g] += 1;
-                group.push(g as u32);
             }
             let mut lists: Vec<Vec<Value>> = counts.into_iter().map(Vec::with_capacity).collect();
             let mut bytes = 16 * lists.len() as u64;
-            for ((_, v), g) in segments.into_iter().flatten().zip(group) {
-                bytes += v.approx_bytes();
-                lists[g as usize].push(v);
+            let mut at = 0;
+            for seg in &segments {
+                for ((_, v), &g) in seg.iter().zip(&group[at..]) {
+                    bytes += v.approx_bytes();
+                    lists[g as usize].push(v.clone());
+                }
+                at += seg.len();
             }
             (lists.into_iter().map(Value::list).collect(), bytes)
         }
     };
+    drop(segments);
     let key_bytes: u64 = index.groups.iter().map(|(_, k)| k.approx_bytes()).sum();
     let mut out: Vec<(u64, Record)> = index
         .groups
         .into_iter()
         .zip(values)
-        .map(|((h, k), v)| (h, (k, v)))
+        .map(|((_, k), v)| (order(&k), (k, v)))
         .collect();
     // Stable: equal hashes keep first-appearance order.
     out.sort_by_key(|&(h, _)| h);
@@ -493,11 +526,42 @@ mod tests {
     }
 
     fn key(kind: u8, k: u64) -> Value {
-        match kind % 3 {
+        match kind % 4 {
             0 => Value::I64(k as i64 - 7),
             1 => Value::str(format!("key-{k}")),
-            _ => Value::F64(k as f64 * 0.25 - 2.0),
+            2 => Value::F64(k as f64 * 0.25 - 2.0),
+            _ => edge_key(k),
         }
+    }
+
+    /// Mixed `I64`/`F64` keys at the probe's edges: NaN, both zeros, the
+    /// `i64` extremes and [`probe_twins`], between ordinary integers.
+    fn edge_key(k: u64) -> Value {
+        match k % 8 {
+            0 => Value::F64(f64::NAN),
+            1 => Value::F64(-0.0),
+            2 => Value::F64(0.0),
+            3 => Value::I64(i64::MIN),
+            4 => Value::I64(i64::MAX),
+            5 => probe_twins().0,
+            6 => probe_twins().1,
+            _ => Value::I64(k as i64),
+        }
+    }
+
+    /// An `I64` and an `F64` key with one probe value.
+    fn probe_twins() -> (Value, Value) {
+        let bits = 42 ^ PROBE_I64 ^ PROBE_F64;
+        (Value::I64(42), Value::F64(f64::from_bits(bits)))
+    }
+
+    /// Record-wise equality by [`Value::same_key`], under which a NaN key
+    /// equals itself.
+    fn same(a: &[Record], b: &[Record]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.0.same_key(&y.0) && x.1.same_key(&y.1))
     }
 
     /// `n` records over `keys` distinct keys; `skew` > 1 piles them onto
@@ -523,7 +587,7 @@ mod tests {
         /// list, fold order and output bytes, for every reducer.
         #[test]
         fn partition_and_aggregate_match_the_oracles(
-            kind in 0u8..3,
+            kind in 0u8..4,
             keys in 1u64..40,
             skew in 1i32..4,
             reducers in 1u32..=7,
@@ -537,10 +601,10 @@ mod tests {
             for p in 0..producers {
                 let rows = records(&mut rng, (max_rows + p) % (max_rows + 1), kind, keys, skew);
                 let want = partition_oracle(&rows, reducers);
-                // Odd producers go through the shared (cloning) arm, even
-                // ones through a chain whose last step's output is moved
-                // into the buckets: the chain's reported bytes are the
-                // bucket totals are the per-record sum.
+                // Odd producers partition a borrowed slice directly, even
+                // ones through a chain whose last step's owned output is
+                // cloned into the buckets: the chain's reported bytes are
+                // the bucket totals are the per-record sum.
                 let got = if p % 2 == 0 {
                     let (_, bytes, n, real, _) = run_narrow_chain(
                         &identity_stage(vec![]), 1.0, 0, Some(rows.into()), 1.0, Some(reducers),
@@ -551,11 +615,11 @@ mod tests {
                     prop_assert_eq!(bytes, want.iter().flat_map(|(rows, _)| rows).map(record_bytes).sum::<u64>() as f64);
                     got
                 } else {
-                    partition(Cow::Borrowed(&rows), reducers)
+                    partition(&rows, reducers)
                 };
                 prop_assert_eq!(got.len(), want.len());
                 for (r, (b, (rows, bytes))) in got.into_iter().zip(want).enumerate() {
-                    prop_assert_eq!(&b.rows, &rows);
+                    prop_assert!(same(&b.rows, &rows), "{:?} != {:?}", b.rows, rows);
                     prop_assert_eq!(b.rows.capacity(), rows.len());
                     prop_assert_eq!(b.bytes as f64, bytes);
                     gathered[r].extend(rows);
@@ -567,7 +631,7 @@ mod tests {
                     let want = apply_agg_oracle(&agg, flat.clone());
                     let (got, bytes) = aggregate(&agg, segs.clone());
                     prop_assert_eq!(bytes, want.iter().map(record_bytes).sum::<u64>());
-                    prop_assert_eq!(got, want);
+                    prop_assert!(same(&got, &want), "{got:?} != {want:?}");
                 }
             }
         }
@@ -576,32 +640,81 @@ mod tests {
     #[test]
     fn colliding_hashes_keep_distinct_keys_apart() {
         // Regression: grouping by `stable_hash` alone folded every key whose
-        // 64-bit hash collided under the first one seen. With a constant
-        // hash *all* keys collide: N keys must still give N groups, in
-        // first-appearance order (the tie-break among equal hashes).
+        // 64-bit hash collided under the first one seen. Twice over N keys:
+        // a constant *probe* puts them all on one probe chain, and
+        // `same_key` must still give N groups in `stable_hash` order; a
+        // constant *order* hash ties every group, and first appearance must
+        // break every tie.
         let n = 40i64;
         let rows: Vec<Record> = (0..3 * n)
             .map(|i| (Value::I64((i * 7) % n), Value::I64(i)))
             .collect();
         let first_seen: Vec<Value> = rows.iter().take(n as usize).map(|r| r.0.clone()).collect();
+        let mut by_hash = first_seen.clone();
+        by_hash.sort_by_key(Value::stable_hash);
         let segments = vec![rows[..50].to_vec(), rows[50..].to_vec()];
-        let (grouped, bytes) = aggregate_with(&ShuffleAgg::GroupByKey, segments.clone(), |_| 9);
-        let keys: Vec<Value> = grouped.iter().map(|r| r.0.clone()).collect();
-        assert_eq!(keys, first_seen);
-        assert_eq!(bytes, grouped.iter().map(record_bytes).sum::<u64>());
-        for (k, vs) in &grouped {
-            let want: Vec<Value> = rows
-                .iter()
-                .filter(|r| r.0 == *k)
-                .map(|r| r.1.clone())
-                .collect();
-            assert_eq!(vs.as_list(), want, "values of {k} in gather order");
+        type Hash = fn(&Value) -> u64;
+        let constant: Hash = |_| 9;
+        let cases: [(Hash, Hash, Vec<Value>); 2] = [
+            (constant, Value::stable_hash, by_hash),
+            (probe, constant, first_seen),
+        ];
+        for (probe_hash, order_hash, want_keys) in cases {
+            let (grouped, bytes) = aggregate_with(
+                &ShuffleAgg::GroupByKey,
+                segments.clone(),
+                probe_hash,
+                order_hash,
+            );
+            let keys: Vec<Value> = grouped.iter().map(|r| r.0.clone()).collect();
+            assert_eq!(keys, want_keys);
+            assert_eq!(bytes, grouped.iter().map(record_bytes).sum::<u64>());
+            for (k, vs) in &grouped {
+                let want: Vec<Value> = rows
+                    .iter()
+                    .filter(|r| r.0 == *k)
+                    .map(|r| r.1.clone())
+                    .collect();
+                assert_eq!(vs.as_list(), want, "values of {k} in gather order");
+            }
+            let (reduced, _) = aggregate_with(&fold(), segments.clone(), probe_hash, order_hash);
+            let keys: Vec<Value> = reduced.into_iter().map(|r| r.0).collect();
+            assert_eq!(keys, want_keys);
         }
-        let (reduced, _) = aggregate_with(&fold(), segments, |_| 9);
-        assert_eq!(reduced.len(), n as usize);
-        // The real hash gives the same groups, merely reordered.
-        let (real, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows]);
-        assert_eq!(real.len(), n as usize);
+    }
+
+    #[test]
+    fn probe_is_the_key_bits_tagged_by_variant() {
+        // Keys equal under `same_key` probe alike: NaN is one key, the zeros
+        // are two.
+        assert_eq!(probe(&Value::F64(f64::NAN)), probe(&Value::F64(f64::NAN)));
+        assert_ne!(probe(&Value::F64(0.0)), probe(&Value::F64(-0.0)));
+        // An integer and a float with the same bits probe apart...
+        for x in [0, 1, 42, -1, i64::MIN, i64::MAX] {
+            let f = Value::F64(f64::from_bits(x as u64));
+            assert_ne!(probe(&Value::I64(x)), probe(&f), "{x}");
+        }
+        // ...so the proptest's twins share a probe value only by
+        // construction, and `group_of`'s confirm keeps them apart.
+        let (i, f) = probe_twins();
+        assert_eq!(probe(&i), probe(&f));
+        let rows = vec![
+            (i.clone(), Value::I64(1)),
+            (f, Value::I64(2)),
+            (i, Value::I64(3)),
+        ];
+        let (out, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows]);
+        assert_eq!(out.len(), 2);
+        // Every other variant probes by its `stable_hash`.
+        for v in [
+            Value::Null,
+            Value::Bool(true),
+            Value::str("k"),
+            Value::vec(vec![0.5]),
+            Value::list(vec![Value::I64(1)]),
+        ] {
+            assert_eq!(probe(&v), v.stable_hash(), "{v:?}");
+        }
     }
 
     #[test]
@@ -623,7 +736,7 @@ mod tests {
         let (out, bytes) = aggregate(&ShuffleAgg::GroupByKey, vec![Vec::new(), Vec::new()]);
         assert!(out.is_empty());
         assert_eq!(bytes, 0);
-        let buckets = partition(Cow::Owned(Vec::new()), 3);
+        let buckets = partition(&[], 3);
         assert_eq!(buckets.len(), 3);
         assert!(buckets.iter().all(|b| b.rows.is_empty() && b.bytes == 0));
     }

@@ -150,6 +150,87 @@ fn collect_digest(records: &[Record]) -> u64 {
 }
 
 #[test]
+fn collect_output_follows_the_aggregation_contract() {
+    // DESIGN §4.7 *Aggregation*, on one reducer: groups come in ascending
+    // `stable_hash` order, first appearance in gather order breaking ties; a
+    // group's values come in gather order (node ascending, then deposit
+    // order, then row order). `ab` and `a4b` are distinct keys with one FNV
+    // encoding (`List` has no length prefix, `Str` no terminator), so their
+    // hashes tie; `x` hashes below both.
+    let ab = Value::list(vec![Value::str("a"), Value::str("b")]);
+    let a4b = Value::list(vec![Value::str("a\u{4}b")]);
+    let x = Value::I64(7);
+    assert_eq!(ab.stable_hash(), a4b.stable_hash());
+    assert!(x.stable_hash() < ab.stable_hash());
+    // Record i holds value i; round-robin puts rows i and i + 5 in map
+    // partition i % 5.
+    let keys = [&x, &a4b, &ab, &ab, &x, &x, &a4b, &x, &ab, &a4b];
+    let recs: Vec<Record> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| ((*k).clone(), Value::I64(i as i64)))
+        .collect();
+    let rdd = Rdd::source(Dataset::from_records(recs, 5)).group_by_key(Some(1), 1e9);
+    let cfg = EngineConfig::default().homogeneous();
+    let (out, metrics) = Driver::new(tiny(4), cfg).run(&rdd, Action::Collect);
+    // Gather order: partitions 0, 4 and 2 sit alone on nodes 0, 1 and 2;
+    // 1 and 3 share node 3, where 1 deposits first.
+    let mut deposits: Vec<(u32, f64, u32)> = metrics
+        .tasks_in(Phase::Storing)
+        .map(|t| (t.node, t.finished_at, t.index))
+        .collect();
+    deposits.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    let gather: Vec<u32> = deposits.iter().map(|d| d.2).collect();
+    assert_eq!(gather, [0, 4, 2, 1, 3]);
+    // So `a4b` (row 9, partition 4) is seen before `ab` (row 2, partition 2)
+    // although `ab` comes first in the input.
+    let list = |vs: &[i64]| Value::list(vs.iter().map(|&v| Value::I64(v)).collect());
+    let want = vec![
+        (x, list(&[0, 5, 4, 7])),
+        (a4b, list(&[9, 1, 6])),
+        (ab, list(&[2, 3, 8])),
+    ];
+    assert_eq!(out.records.expect("real job collects"), want);
+}
+
+/// `n` pairs over `F64` keys at the edges of the bit encoding: NaN with two
+/// payloads, `0.0` and `-0.0`, three subnormals, and a few ordinary values.
+fn edge_float_pairs(n: i64) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let k = match i % 11 {
+                0 => f64::NAN,
+                1 => f64::from_bits(0xfff8_0000_0000_0001),
+                2 => 0.0,
+                3 => -0.0,
+                4 => f64::from_bits(1),
+                5 => -f64::MIN_POSITIVE / 4.0,
+                6 => f64::MIN_POSITIVE * 0.75,
+                _ => (i % 23) as f64 * 0.5 - 3.0,
+            };
+            (Value::F64(k), Value::I64(i))
+        })
+        .collect()
+}
+
+/// `n` pairs over 113 `I64` keys spread across the whole `i64` range,
+/// `i64::MIN`, `i64::MAX`, `0` and `-1` among them.
+fn wide_int_pairs(n: u64) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let k = match i * 7 % 113 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => 0,
+                3 => -1,
+                j => j.wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64,
+            };
+            (Value::I64(k), Value::I64(i as i64))
+        })
+        .collect()
+}
+
+#[test]
 fn collect_output_is_pinned_at_every_thread_count() {
     // Digests captured at commit 036a44c (before shuffle partitioning and
     // aggregation moved to the executor pool): the exact `Collect` output
@@ -204,6 +285,28 @@ fn collect_output_is_pinned_at_every_thread_count() {
                 }),
             20,
             0xd059_3fd1_de38_cd95,
+        ),
+        // The reduce side's probe hash reads `F64` and `I64` keys by their
+        // bits; these two, captured at 4b49611, pin it end to end. NaN
+        // (two payloads), both zeros and subnormals are distinct bit
+        // patterns, so each is its own group.
+        (
+            "group_by_key_f64_edges",
+            Rdd::source(Dataset::from_records(edge_float_pairs(3000), 5))
+                .group_by_key(Some(4), 1e9),
+            29,
+            0xa745_4ed0_f60e_f5b4,
+        ),
+        (
+            "reduce_by_key_i64_full_range",
+            Rdd::source(Dataset::from_records(wide_int_pairs(4000), 6)).reduce_by_key(
+                Some(5),
+                1e9,
+                1.0,
+                |a, b| Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64())),
+            ),
+            113,
+            0x708c_24ca_0f8e_2a20,
         ),
     ];
     for (name, rdd, len, digest) in &jobs {
