@@ -43,8 +43,8 @@
 //! threshold (default 5%).
 //!
 //! `fuzz` is the differential fuzzer (DESIGN.md §4.13):
-//!   repro fuzz --seed-range A..B [--budget N] [--json DIR] [--inject-defect]
-//!   repro fuzz --replay '<spec>'
+//!   `repro fuzz --seed-range A..B [--budget N] [--json DIR] [--inject-defect]`
+//!   `repro fuzz --replay '<spec>'`
 //! Each seed deterministically generates a config/workload point and checks
 //! it against six independent oracles; failures are shrunk to a minimal
 //! reproducer and printed as a `--replay` line. Exit 1 on any failure.
@@ -315,7 +315,7 @@ fn diff_main(args: &[String]) -> i32 {
     }
     let mut regressed = false;
     for cell in &cells {
-        let d = report::diff_reports(
+        let d = memres_metrics::diff::diff_runs(
             &format!("{a}/{cell}"),
             &read(&format!("{a}/{cell}.timeseries.csv")),
             &read(&format!("{a}/{cell}.attrib.csv")),

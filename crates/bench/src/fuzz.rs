@@ -18,8 +18,9 @@
 //!    window exactly (`sum_ns == job_ns`).
 //! 4. **fault-equiv** — a faulted run that completes produces output equal
 //!    to the fault-free run (lineage recovery is lossless).
-//! 5. **export-determinism** — `job_json`/`tasks_csv` are byte-identical
-//!    across 1-vs-N executor threads.
+//! 5. **thread-determinism** — the clean run's `JobMetrics` render to the
+//!    same `Debug` string across 1-vs-N executor threads (every field, each
+//!    `f64` in its shortest round-trip form).
 //! 6. **stream-isolation / stream-conserve** — a two-tenant job stream
 //!    derived from the same spec (DESIGN.md §4.14) retires every arrival,
 //!    each job's output equals its isolated single-job run (concurrent
@@ -36,7 +37,6 @@
 //! *failing* (the oracles still catch that class of bug).
 
 use memres_cluster::ClusterSpec;
-use memres_core::export;
 use memres_core::prelude::*;
 use memres_core::{
     ArrivalProcess, Defect, FinishedJob, InterJobPolicy, StreamSpec, TenantSpec, TimedEvent,
@@ -618,16 +618,15 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
         }
     }
 
-    // Oracle 5: exports are byte-identical across executor-thread counts.
-    let base_json = export::job_json(&clean_m);
-    let base_csv = export::tasks_csv(&clean_m);
-    for (what, v) in export_variants(spec) {
+    // Oracle 5: the metrics are identical across executor-thread counts.
+    let base = format!("{clean_m:?}");
+    for (what, v) in thread_variants(spec) {
         let (_, m, _) = run_spec(&v, budget, None)
-            .map_err(|e| Failure::new("export-determinism", format!("{what}: {e}")))?;
-        if export::job_json(&m) != base_json || export::tasks_csv(&m) != base_csv {
+            .map_err(|e| Failure::new("thread-determinism", format!("{what}: {e}")))?;
+        if format!("{m:?}") != base {
             return Err(Failure::new(
-                "export-determinism",
-                format!("{what}: exports differ"),
+                "thread-determinism",
+                format!("{what}: metrics differ"),
             ));
         }
     }
@@ -688,9 +687,9 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
 }
 
 /// Oracle 5's re-runs of `spec`, each of which must reproduce the clean
-/// run's exports byte for byte. Never empty, or the oracle is vacuous: the
+/// run's metrics exactly. Never empty, or the oracle is vacuous: the
 /// executor-thread count always has another side to flip to (1 → 4, N → 1).
-fn export_variants(spec: &FuzzSpec) -> Vec<(&'static str, FuzzSpec)> {
+fn thread_variants(spec: &FuzzSpec) -> Vec<(&'static str, FuzzSpec)> {
     let mut flipped = spec.clone();
     flipped.threads = if spec.threads == 1 { 4 } else { 1 };
     vec![("1-vs-N executor threads", flipped)]
@@ -885,11 +884,11 @@ mod tests {
     }
 
     #[test]
-    fn export_determinism_always_has_a_variant_to_compare() {
+    fn thread_determinism_always_has_a_variant_to_compare() {
         for threads in 1..=4 {
             let mut spec = FuzzSpec::generate(3);
             spec.threads = threads;
-            let variants = export_variants(&spec);
+            let variants = thread_variants(&spec);
             assert!(
                 !variants.is_empty(),
                 "oracle 5 vacuous at threads={threads}"

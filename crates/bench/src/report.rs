@@ -10,7 +10,7 @@
 
 use memres_core::prelude::*;
 use memres_des::time::SimDuration;
-use memres_metrics::{diff, export};
+use memres_metrics::export;
 use memres_trace::analyze::attribute;
 use memres_workloads::cells::{self, Setup};
 use std::fmt::Write as _;
@@ -78,24 +78,10 @@ pub fn run_cell(setup: Setup, cell: &str, slow_ssd: Option<f64>) -> Option<Repor
     })
 }
 
-/// Diff two report exports (timeseries + attribution CSVs) into the ranked
-/// regression report. Thin naming wrapper over [`diff::diff_runs`] so the
-/// binary and the shell gate share one code path.
-pub fn diff_reports(
-    name_a: &str,
-    ts_a: &str,
-    attrib_a: &str,
-    name_b: &str,
-    ts_b: &str,
-    attrib_b: &str,
-    threshold: f64,
-) -> diff::DiffReport {
-    diff::diff_runs(name_a, ts_a, attrib_a, name_b, ts_b, attrib_b, threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memres_metrics::diff::diff_runs;
 
     #[test]
     fn unknown_cell_is_rejected() {
@@ -122,7 +108,7 @@ mod tests {
     fn self_diff_is_clean() {
         // A run diffed against itself: zero regressions, zero moved series.
         let run = run_cell(Setup::smoke(), "fig7a_400gb_ramdisk", None).expect("known cell");
-        let d = diff_reports(
+        let d = diff_runs(
             "a",
             &run.timeseries_csv,
             &run.attrib_csv,
@@ -149,7 +135,7 @@ mod tests {
             slow.job_s,
             base.job_s
         );
-        let d = diff_reports(
+        let d = diff_runs(
             "base",
             &base.timeseries_csv,
             &base.attrib_csv,

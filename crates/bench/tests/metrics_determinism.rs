@@ -12,6 +12,7 @@
 
 use memres_bench::report;
 use memres_des::time::{SimDuration, SimTime};
+use memres_metrics::diff::diff_runs;
 use memres_metrics::{export, MetricsConfig, Recorder};
 use memres_workloads::cells::Setup;
 
@@ -130,12 +131,12 @@ fn csv_golden_round_trips_through_diff() {
     let rec = sample_recorder();
     let csv = export::timeseries_csv(&rec);
     let attrib = "bucket,seconds\njob,2\ncompute,2\n";
-    let clean = report::diff_reports("a", &csv, attrib, "b", &csv, attrib, 0.05);
+    let clean = diff_runs("a", &csv, attrib, "b", &csv, attrib, 0.05);
     assert!(!clean.regressed());
     assert!(clean.series.iter().all(|s| s.first_divergence_s.is_none()));
 
     let doubled = csv.replace("core_busy_slots,,1,2", "core_busy_slots,,1,9");
-    let dirty = report::diff_reports("a", &csv, attrib, "b", &doubled, attrib, 0.05);
+    let dirty = diff_runs("a", &csv, attrib, "b", &doubled, attrib, 0.05);
     let moved: Vec<_> = dirty
         .series
         .iter()

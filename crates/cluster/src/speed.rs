@@ -26,17 +26,6 @@ pub enum SpeedModel {
     Fluctuating { sigma: f64, period_secs: f64 },
 }
 
-impl SpeedModel {
-    /// The paper-calibrated default: moderate dispersion that yields the
-    /// ~2× head-to-tail workload difference of Fig 12.
-    pub fn paper_default() -> Self {
-        SpeedModel::Fluctuating {
-            sigma: 0.25,
-            period_secs: 30.0,
-        }
-    }
-}
-
 /// Materialized per-node speed factors, resampled on demand.
 pub struct SpeedSampler {
     model: SpeedModel,
@@ -120,6 +109,13 @@ impl SpeedSampler {
 mod tests {
     use super::*;
 
+    /// Moderate dispersion: the ~2× head-to-tail workload difference of
+    /// Fig 12.
+    const FLUCTUATING: SpeedModel = SpeedModel::Fluctuating {
+        sigma: 0.25,
+        period_secs: 30.0,
+    };
+
     #[test]
     fn homogeneous_is_all_ones() {
         let s = SpeedSampler::new(SpeedModel::Homogeneous, 10, 1);
@@ -153,7 +149,7 @@ mod tests {
 
     #[test]
     fn fluctuating_changes_on_resample() {
-        let mut s = SpeedSampler::new(SpeedModel::paper_default(), 50, 9);
+        let mut s = SpeedSampler::new(FLUCTUATING, 50, 9);
         let before = s.factors().to_vec();
         s.resample();
         assert_ne!(before, s.factors());
@@ -162,9 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_dispersion_gives_load_skew_headroom() {
+    fn fluctuating_dispersion_gives_load_skew_headroom() {
         // The mechanism behind Fig 12 needs a meaningful fast/slow spread.
-        let s = SpeedSampler::new(SpeedModel::paper_default(), 100, 3);
+        let s = SpeedSampler::new(FLUCTUATING, 100, 3);
         let max = s.factors().iter().cloned().fold(0.0, f64::max);
         let min = s.factors().iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max / min > 1.5, "spread too small: {max}/{min}");
@@ -172,8 +168,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = SpeedSampler::new(SpeedModel::paper_default(), 20, 1);
-        let b = SpeedSampler::new(SpeedModel::paper_default(), 20, 2);
+        let a = SpeedSampler::new(FLUCTUATING, 20, 1);
+        let b = SpeedSampler::new(FLUCTUATING, 20, 2);
         assert_ne!(a.factors(), b.factors());
     }
 }

@@ -38,7 +38,6 @@ pub mod config;
 pub mod dag;
 pub mod driver;
 mod executor;
-pub mod export;
 pub mod faults;
 pub mod metrics;
 pub mod rdd;

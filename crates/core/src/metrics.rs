@@ -28,8 +28,7 @@ pub enum TaskLocality {
     Any,
 }
 
-/// One task attempt; the `*_at` instants are simulated seconds, as the
-/// JSON export reports them.
+/// One task attempt; the `*_at` instants are simulated seconds.
 #[derive(Clone, Debug)]
 pub struct TaskMetric {
     pub job: u32,
@@ -48,11 +47,6 @@ pub struct TaskMetric {
 impl TaskMetric {
     pub fn duration(&self) -> f64 {
         self.finished_at - self.launched_at
-    }
-
-    /// Time spent waiting in the scheduler queue before launch.
-    pub fn queue_delay(&self) -> f64 {
-        self.launched_at - self.queued_at
     }
 }
 
@@ -194,20 +188,6 @@ impl JobMetrics {
         v
     }
 
-    /// Queue delays (seconds waiting for a slot) of a phase's tasks.
-    pub fn queue_delays(&self, phase: Phase) -> Vec<f64> {
-        self.tasks_in(phase).map(|t| t.queue_delay()).collect()
-    }
-
-    /// Mean queue delay across every task of the job (0.0 when empty) — the
-    /// scheduler-pressure rollup surfaced in job.json and tasks.csv.
-    pub fn mean_queue_delay(&self) -> f64 {
-        if self.tasks.is_empty() {
-            return 0.0;
-        }
-        self.tasks.iter().map(|t| t.queue_delay()).sum::<f64>() / self.tasks.len() as f64
-    }
-
     /// Fraction of compute tasks that ran node-local.
     pub fn locality_fraction(&self) -> f64 {
         let total = self.tasks_in(Phase::Compute).count();
@@ -294,11 +274,6 @@ impl MetricsSink {
         m.finished_at = now.as_secs_f64();
         m
     }
-
-    /// Number of jobs currently collecting metrics.
-    pub fn active_jobs(&self) -> usize {
-        self.active.len()
-    }
 }
 
 #[cfg(test)]
@@ -362,24 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_rollup() {
-        let mut a = mk(Phase::Compute, 0, 2.0, 3.0, 0.0);
-        a.queued_at = 0.0; // waited 2 s for a slot
-        let b = mk(Phase::Storing, 1, 3.0, 4.0, 0.0); // launched instantly
-        let jm = JobMetrics {
-            job: 0,
-            started_at: 0.0,
-            finished_at: 4.0,
-            tasks: vec![a, b],
-            recovery: RecoveryCounters::default(),
-        };
-        assert_eq!(jm.queue_delays(Phase::Compute), vec![2.0]);
-        assert_eq!(jm.queue_delays(Phase::Storing), vec![0.0]);
-        assert!((jm.mean_queue_delay() - 1.0).abs() < 1e-12);
-        assert_eq!(JobMetrics::default().mean_queue_delay(), 0.0);
-    }
-
-    #[test]
     fn locality_fraction_counts_compute_only() {
         let mut a = mk(Phase::Compute, 0, 0.0, 1.0, 0.0);
         a.locality = TaskLocality::NodeLocal;
@@ -407,7 +364,6 @@ mod tests {
         assert_eq!(jm.job, 3);
         assert_eq!(jm.tasks.len(), 1);
         assert!((jm.job_time() - 4.0).abs() < 1e-12);
-        assert_eq!(sink.active_jobs(), 0);
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl StreamState {
 }
 
 impl SimWorld {
-    /// Begin a multi-tenant job stream (see [`StreamState::start`] for when
+    /// Begin a multi-tenant job stream (see `StreamState::start` for when
     /// its jobs arrive). Admission is FIFO under `max_concurrent`; the
     /// configured [`InterJobPolicy`] orders *dispatch*, not admission.
     pub fn start_stream(&mut self, now: SimTime, spec: StreamSpec, out: &mut Outbox<Ev>) {

@@ -3,13 +3,13 @@
 //! Two engines built from scratch in the same process get differently-salted
 //! `RandomState`s for every `std::collections` hash table they (or their
 //! dependencies) hold. If any simulation-visible code iterated one, event
-//! order — and with it float accumulation, task placement, and the exported
-//! metrics — would differ between the two instances. Serializing both runs
-//! through `export::job_json` / `export::tasks_csv` and comparing *bytes*
-//! therefore catches exactly the class of bug rule R1 (`clippy.toml`'s
-//! `disallowed-types`) exists to prevent, from the behavioral side.
+//! order — and with it float accumulation, task placement, and the recorded
+//! metrics — would differ between the two instances. Rendering both runs'
+//! `JobMetrics` with `Debug` (every field, each `f64` in its shortest
+//! round-trip form) and comparing the strings therefore catches exactly the
+//! class of bug rule R1 (`clippy.toml`'s `disallowed-types`) exists to
+//! prevent, from the behavioral side.
 
-use memres_core::export;
 use memres_core::prelude::*;
 use memres_des::time::SimDuration;
 
@@ -27,32 +27,27 @@ fn workload() -> (Rdd, Action) {
     (rdd, Action::Count)
 }
 
-/// One fresh engine, end to end, rendered to export bytes. The lineage graph
-/// is rebuilt per run on purpose: shared `Rdd` handles would hide any
-/// instance-keyed nondeterminism.
-fn run_once(cfg: EngineConfig) -> (u64, String, String) {
+/// One fresh engine, end to end, its metrics rendered with `Debug`. The
+/// lineage graph is rebuilt per run on purpose: shared `Rdd` handles would
+/// hide any instance-keyed nondeterminism.
+fn run_once(cfg: EngineConfig) -> (u64, String) {
     let (rdd, action) = workload();
     let mut d = Driver::new(memres_cluster::tiny(6), cfg);
     let (out, metrics) = d.run(&rdd, action);
-    (
-        out.count,
-        export::job_json(&metrics),
-        export::tasks_csv(&metrics),
-    )
+    (out.count, format!("{metrics:?}"))
 }
 
 #[test]
-fn double_run_exports_are_byte_identical() {
+fn double_run_metrics_are_identical() {
     let cfg = || EngineConfig::default().homogeneous();
-    let (count_a, json_a, csv_a) = run_once(cfg());
-    let (count_b, json_b, csv_b) = run_once(cfg());
+    let (count_a, metrics_a) = run_once(cfg());
+    let (count_b, metrics_b) = run_once(cfg());
     assert_eq!(count_a, count_b);
     assert_eq!(count_a, 37, "one output group per distinct word");
     assert_eq!(
-        json_a, json_b,
-        "job.json must be byte-identical across runs"
+        metrics_a, metrics_b,
+        "metrics must be identical across runs"
     );
-    assert_eq!(csv_a, csv_b, "tasks.csv must be byte-identical across runs");
 }
 
 /// One fresh *traced* engine run, rendered to the two trace export forms.
@@ -107,30 +102,41 @@ fn trace_bytes_identical_across_executor_threads_and_runs() {
 
 #[test]
 fn tracing_does_not_change_simulated_outcomes() {
-    // Turning the tracer on must be pure observation: the exported metrics
-    // (job.json / tasks.csv) are byte-identical with tracing off and on.
+    // Turning the tracer on must be pure observation: the job's metrics are
+    // identical with tracing off and on.
     let base = || EngineConfig::default().homogeneous();
-    let (count_off, json_off, csv_off) = run_once(base());
-    let (count_on, json_on, csv_on) = run_once(base().with_trace());
+    let (count_off, metrics_off) = run_once(base());
+    let (count_on, metrics_on) = run_once(base().with_trace());
     assert_eq!(count_off, count_on);
-    assert_eq!(json_off, json_on, "tracing must not perturb job.json");
-    assert_eq!(csv_off, csv_on, "tracing must not perturb tasks.csv");
+    assert_eq!(
+        metrics_off, metrics_on,
+        "tracing must not perturb the metrics"
+    );
 }
 
 #[test]
 fn double_run_is_deterministic_under_faults_and_threads() {
     // Recovery paths reshuffle task placement and re-host lost partitions;
     // executor threads race UDF completion on the host. Neither is allowed
-    // to leak into simulated outcomes.
-    let cfg = || {
+    // to leak into simulated outcomes: two runs on a pool and one on a
+    // single thread record the same metrics.
+    let cfg = |threads| {
         EngineConfig::default()
             .homogeneous()
-            .with_executor_threads(4)
+            .with_executor_threads(threads)
             .with_faults(FaultPlan::seeded(7, 6, 3, SimDuration::from_secs(60)))
     };
-    let (count_a, json_a, csv_a) = run_once(cfg());
-    let (count_b, json_b, csv_b) = run_once(cfg());
+    let (count_a, metrics_a) = run_once(cfg(4));
+    let (count_b, metrics_b) = run_once(cfg(4));
+    let (count_1, metrics_1) = run_once(cfg(1));
     assert_eq!(count_a, count_b);
-    assert_eq!(json_a, json_b, "faulted job.json must be byte-identical");
-    assert_eq!(csv_a, csv_b, "faulted tasks.csv must be byte-identical");
+    assert_eq!(count_a, count_1);
+    assert_eq!(
+        metrics_a, metrics_b,
+        "faulted metrics must be identical across runs"
+    );
+    assert_eq!(
+        metrics_a, metrics_1,
+        "faulted metrics must not depend on executor thread count"
+    );
 }

@@ -1,90 +1,13 @@
-//! Golden tests for the export seams: the exact field order and formatting
-//! of tasks.csv / job.json, and of the trace exports (events.jsonl, Chrome
-//! trace-event JSON). Downstream tooling parses these files positionally,
-//! so a column reorder or a float-format change is a breaking interface
-//! change — it must show up here as a failing diff, not in a user's plot
-//! script.
+//! Golden tests for the trace exports (events.jsonl, Chrome trace-event
+//! JSON): their exact field order and formatting. Downstream tooling parses
+//! these files, so a field reorder or a number-format change is a breaking
+//! interface change — it must show up here as a failing diff, not in a
+//! user's plot script.
 
-use memres_core::export;
-use memres_core::metrics::{JobMetrics, RecoveryCounters, TaskLocality, TaskMetric};
 use memres_core::prelude::*;
 use memres_des::time::{SimDuration, SimTime};
 use memres_trace::analyze::attribute;
 use memres_trace::{export as texport, TimedEvent, TraceEvent};
-
-fn sample_metrics() -> JobMetrics {
-    JobMetrics {
-        job: 3,
-        started_at: 0.0,
-        finished_at: 4.0,
-        tasks: vec![TaskMetric {
-            job: 3,
-            stage: 0,
-            phase: Phase::Compute,
-            index: 1,
-            node: 2,
-            queued_at: 0.25,
-            launched_at: 0.5,
-            finished_at: 2.0,
-            input_bytes: 1024.0,
-            output_bytes: 512.0,
-            locality: TaskLocality::NodeLocal,
-        }],
-        recovery: RecoveryCounters::default(),
-    }
-}
-
-#[test]
-fn tasks_csv_golden() {
-    let csv = export::tasks_csv(&sample_metrics());
-    let expected = "\
-job,stage,phase,index,node,queued_at,launched_at,finished_at,duration,\
-input_bytes,output_bytes,locality,queue_delay\n\
-3,0,compute,1,2,0.250000,0.500000,2.000000,1.500000,1024,512,NodeLocal,0.250000\n";
-    assert_eq!(csv, expected, "tasks.csv field order/format changed");
-}
-
-#[test]
-fn job_json_golden() {
-    let json = export::job_json(&sample_metrics());
-    let expected = r#"{
-  "job": 3,
-  "started_at": 0.0,
-  "finished_at": 4.0,
-  "queue_delay_mean": 0.25,
-  "tasks": [
-    {
-      "job": 3,
-      "stage": 0,
-      "phase": "Compute",
-      "index": 1,
-      "node": 2,
-      "queued_at": 0.25,
-      "launched_at": 0.5,
-      "finished_at": 2.0,
-      "duration": 1.5,
-      "input_bytes": 1024.0,
-      "output_bytes": 512.0,
-      "locality": "NodeLocal",
-      "queue_delay": 0.25
-    }
-  ],
-  "recovery": {
-    "node_crashes": 0,
-    "node_restarts": 0,
-    "tasks_retried": 0,
-    "failed_fetches": 0,
-    "fetch_retries": 0,
-    "recomputed_partitions": 0,
-    "blocks_lost": 0,
-    "blacklisted_nodes": 0,
-    "ssd_degradations": 0,
-    "wasted_secs": 0.0,
-    "aborted_jobs": 0
-  }
-}"#;
-    assert_eq!(json, expected, "job.json field order/format changed");
-}
 
 fn sample_trace() -> Vec<TimedEvent> {
     use memres_trace::TaskClass;

@@ -15,7 +15,6 @@
 )]
 
 use memres_cluster::tiny;
-use memres_core::export;
 use memres_core::prelude::*;
 use memres_des::time::SimDuration;
 use memres_trace::{TaskClass, TimedEvent, TraceEvent};
@@ -278,7 +277,7 @@ fn faulted_runs_are_byte_identical_across_executor_threads() {
                 restart: None,
             },
         );
-    let mut jsons = Vec::new();
+    let mut rendered = Vec::new();
     for threads in [1, 4] {
         let cfg = base_cfg()
             .with_faults(plan.clone())
@@ -286,10 +285,10 @@ fn faulted_runs_are_byte_identical_across_executor_threads() {
         let (out, m) = run_with(cfg);
         assert!(!out.aborted);
         assert!(m.recovery.any(), "faults must have fired: {:?}", m.recovery);
-        jsons.push(export::job_json(&m));
+        rendered.push(format!("{m:?}"));
     }
     assert_eq!(
-        jsons[0], jsons[1],
+        rendered[0], rendered[1],
         "same seed + same fault plan must replay byte-identically"
     );
 }
@@ -358,6 +357,44 @@ fn attempt_limit_exhaustion_aborts_the_job() {
     assert_eq!(out.count, 0);
     assert_eq!(m.recovery.aborted_jobs, 1);
     assert_eq!(m.recovery.tasks_retried, 1);
+}
+
+#[test]
+fn a_blamed_node_is_blacklisted_and_launches_nothing_after() {
+    let (clean, _) = run_with(base_cfg());
+    let plan = FaultPlan::new().after(SimDuration::ZERO, FaultKind::TaskFail { nth_launch: 1 });
+    let cfg = base_cfg()
+        .with_faults(plan)
+        .with_recovery(RecoveryConfig {
+            blacklist_after: 1,
+            ..RecoveryConfig::default()
+        })
+        .with_trace();
+    let mut d = Driver::new(tiny(4), cfg);
+    let (out, m) = d.run(&groupby_job(), Action::Count);
+    let trace = d.take_trace();
+    assert_eq!(m.recovery.blacklisted_nodes, 1, "{:?}", m.recovery);
+    assert_eq!(m.recovery.tasks_retried, 1, "{:?}", m.recovery);
+
+    let blacklisted: Vec<(usize, u32)> = trace
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| match e.ev {
+            TraceEvent::Blacklisted { node } => Some((i, node)),
+            _ => None,
+        })
+        .collect();
+    let [(at, node)] = blacklisted[..] else {
+        panic!("one blacklisted event, found {blacklisted:?}");
+    };
+    let launched_there = trace[at..]
+        .iter()
+        .filter(|e| matches!(e.ev, TraceEvent::TaskLaunched { node: n, .. } if n == node))
+        .count();
+    assert_eq!(launched_there, 0, "node {node} got work after blacklisting");
+
+    assert!(!out.aborted);
+    assert_eq!(out.count, clean.count, "blacklisting changed the output");
 }
 
 #[test]

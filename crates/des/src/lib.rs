@@ -40,35 +40,6 @@ pub mod units {
     pub const MB_U: u64 = 1024 * 1024;
     pub const GB_U: u64 = 1024 * 1024 * 1024;
     pub const TB_U: u64 = 1024 * GB_U;
-
-    /// Pretty-print a byte count the way the paper labels its x-axes.
-    pub fn human_bytes(b: f64) -> String {
-        if b >= TB {
-            format!("{:.1} TB", b / TB)
-        } else if b >= GB {
-            format!("{:.0} GB", b / GB)
-        } else if b >= MB {
-            format!("{:.0} MB", b / MB)
-        } else if b >= KB {
-            format!("{:.0} KB", b / KB)
-        } else {
-            format!("{b:.0} B")
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::units::*;
-
-    #[test]
-    fn human_bytes_formats() {
-        assert_eq!(human_bytes(512.0), "512 B");
-        assert_eq!(human_bytes(2.0 * KB), "2 KB");
-        assert_eq!(human_bytes(128.0 * MB), "128 MB");
-        assert_eq!(human_bytes(47.0 * GB), "47 GB");
-        assert_eq!(human_bytes(1.5 * TB), "1.5 TB");
-    }
 }
 
 /// One `#[expect]` per `clippy.toml` path: dropping a line there fails gate

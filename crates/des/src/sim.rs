@@ -211,17 +211,6 @@ impl<M: Model> Simulation<M> {
         while self.step() {}
         self.now
     }
-
-    /// Run until the calendar drains or the clock passes `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.now
-    }
 }
 
 /// The event budget (`max_steps`) was exhausted before the calendar drained.
@@ -284,15 +273,6 @@ mod tests {
         assert_eq!(sim.model.fired[0], (SimTime::from_secs_f64(2.0), 3));
         assert_eq!(sim.model.fired[3], (SimTime::from_secs_f64(5.0), 0));
         assert_eq!(sim.steps(), 4);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulation::new(Countdown { fired: vec![] });
-        sim.schedule(SimTime::ZERO, Ev::Tick(100));
-        sim.run_until(SimTime::from_secs_f64(3.5));
-        // Ticks at t=0,1,2,3 fire; t=4 does not.
-        assert_eq!(sim.model.fired.len(), 4);
     }
 
     /// A model that schedules one deliberately past-time event.

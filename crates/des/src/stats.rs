@@ -160,26 +160,6 @@ impl LogHistogram {
         }
         h
     }
-
-    /// Non-empty buckets as `(upper_edge, count)` pairs, ascending — the
-    /// dashboard's histogram rendering and the diff report read these.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(idx, &c)| {
-                let upper = if idx == 0 {
-                    0.0
-                } else {
-                    let e = MIN_EXP + ((idx - 1) / SUBS) as i32;
-                    let s = (idx - 1) % SUBS;
-                    pow2(e) * (1.0 + (s + 1) as f64 / SUBS as f64)
-                };
-                (upper, c)
-            })
-            .collect()
-    }
 }
 
 /// Empirical CDF: sorted (value, cumulative fraction) points suitable for
@@ -206,24 +186,6 @@ impl Cdf {
         &self.points
     }
 
-    /// Fraction of samples <= x.
-    pub fn fraction_at(&self, x: f64) -> f64 {
-        match self
-            .points
-            .binary_search_by(|p| p.0.partial_cmp(&x).unwrap())
-        {
-            Ok(mut i) => {
-                // step to the last equal value
-                while i + 1 < self.points.len() && self.points[i + 1].0 <= x {
-                    i += 1;
-                }
-                self.points[i].1
-            }
-            Err(0) => 0.0,
-            Err(i) => self.points[i - 1].1,
-        }
-    }
-
     /// Smallest value v with CDF(v) >= q.
     pub fn value_at(&self, q: f64) -> f64 {
         for &(x, f) in &self.points {
@@ -232,17 +194,6 @@ impl Cdf {
             }
         }
         self.points.last().map(|p| p.0).unwrap_or(0.0)
-    }
-
-    /// Downsample to at most `n` points for compact printing.
-    pub fn sampled(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.points.len() <= n || n < 2 {
-            return self.points.clone();
-        }
-        let step = (self.points.len() - 1) as f64 / (n - 1) as f64;
-        (0..n)
-            .map(|i| self.points[(i as f64 * step).round() as usize])
-            .collect()
     }
 }
 
@@ -290,18 +241,16 @@ mod tests {
             (5.0..5.25).contains(&q),
             "representative {q} outside bucket"
         );
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets.len(), 1);
-        assert!((buckets[0].0 - 5.25).abs() < 1e-12);
-        assert_eq!(buckets[0].1, 1);
+        let idx = LogHistogram::bucket_of(5.0);
+        assert_eq!(h.counts[idx], 1);
+        assert_eq!(LogHistogram::bucket_of(5.2499), idx);
+        assert_eq!(LogHistogram::bucket_of(5.25), idx + 1);
+        assert_eq!(LogHistogram::bucket_of(4.9999), idx - 1);
     }
 
     #[test]
-    fn cdf_fraction_and_quantile() {
+    fn cdf_quantile() {
         let c = Cdf::from_values(&[10.0, 20.0, 30.0, 40.0]);
-        assert_eq!(c.fraction_at(5.0), 0.0);
-        assert_eq!(c.fraction_at(20.0), 0.5);
-        assert_eq!(c.fraction_at(100.0), 1.0);
         assert_eq!(c.value_at(0.25), 10.0);
         assert_eq!(c.value_at(1.0), 40.0);
     }
@@ -309,17 +258,8 @@ mod tests {
     #[test]
     fn cdf_handles_duplicates() {
         let c = Cdf::from_values(&[1.0, 1.0, 1.0, 2.0]);
-        assert_eq!(c.fraction_at(1.0), 0.75);
-    }
-
-    #[test]
-    fn cdf_sampled_keeps_ends() {
-        let vals: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let c = Cdf::from_values(&vals);
-        let s = c.sampled(11);
-        assert_eq!(s.len(), 11);
-        assert_eq!(s[0].0, 0.0);
-        assert_eq!(s[10].0, 999.0);
+        assert_eq!(c.value_at(0.75), 1.0);
+        assert_eq!(c.value_at(0.76), 2.0);
     }
 }
 

@@ -87,15 +87,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Time needed to move `work` units through a server of `rate` units/sec.
-    pub fn for_work(work: f64, rate: f64) -> Self {
-        if work <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        assert!(rate > 0.0, "rate must be positive (got {rate})");
-        SimDuration::from_secs_f64(work / rate)
-    }
-
     pub fn mul_f64(self, k: f64) -> Self {
         assert!(k >= 0.0);
         SimDuration((self.0 as f64 * k).round() as u64)
@@ -203,20 +194,6 @@ mod tests {
         );
         // saturating on reversed order
         assert_eq!(SimTime::ZERO.since(t), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn for_work_basic() {
-        // 1 GB over 1 GB/s = 1 s
-        let d = SimDuration::for_work(1e9, 1e9);
-        assert_eq!(d, SimDuration::from_secs(1));
-        assert_eq!(SimDuration::for_work(0.0, 1.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic]
-    fn for_work_rejects_zero_rate() {
-        let _ = SimDuration::for_work(1.0, 0.0);
     }
 
     #[test]

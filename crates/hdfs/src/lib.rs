@@ -185,29 +185,6 @@ impl Hdfs {
         (file, layout)
     }
 
-    /// Load a balanced input dataset: blocks spread round-robin so every
-    /// DataNode holds an equal share (how a well-ingested corpus looks).
-    pub fn load_balanced_dataset(&mut self, total_bytes: f64) -> HdfsFile {
-        let file = self.fresh_file();
-        let nblocks = ((total_bytes / self.cfg.block_size).ceil() as u32).max(1);
-        let sizes = split_bytes(total_bytes.round() as u64, nblocks);
-        let workers = self.cluster.workers;
-        let start = self.rng.gen_range(0..workers);
-        for (i, sz) in sizes.into_iter().enumerate() {
-            let bytes = sz as f64;
-            let mut locs = vec![NodeId((start + i as u32) % workers)];
-            for r in 1..self.cfg.replication {
-                locs.push(NodeId(
-                    (start + i as u32 + r * (workers / 2).max(1)) % workers,
-                ));
-            }
-            locs.dedup();
-            let b = self.fresh_block(bytes, locs);
-            self.files[file.0 as usize].push(b);
-        }
-        file
-    }
-
     /// Register a block of `file` (from [`Hdfs::new_file`]) at explicit
     /// locations (input layout control for the experiment harness). Returns
     /// its id.
@@ -270,10 +247,6 @@ impl Hdfs {
             return (n, Locality::RackLocal);
         }
         (locs[0], Locality::Remote)
-    }
-
-    pub fn node_used(&self, node: NodeId) -> f64 {
-        self.node_used[node.index()]
     }
 }
 
@@ -348,17 +321,6 @@ mod tests {
         let (src, loc) = h.preferred_source(NodeId(4), b);
         assert_eq!(src, NodeId(2));
         assert_eq!(loc, Locality::RackLocal);
-    }
-
-    #[test]
-    fn balanced_dataset_spreads_evenly() {
-        let mut h = hdfs(1);
-        let f = h.load_balanced_dataset(800.0);
-        assert_eq!(h.file_blocks(f).len(), 8);
-        // Every node holds exactly one 100-byte block.
-        for n in 0..8 {
-            assert!((h.node_used(NodeId(n)) - 100.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! a public operation consults its parts. The four decisions underneath each
 //! have one owner in a child module, a struct whose fields only that module
 //! can touch (map: DESIGN.md §4.3): where a flow's state lives
-//! ([`slab`]), which flows are active and in what order ([`index`]), what
-//! rate each gets ([`waterfill`]) and how a queue drains ([`drain`]).
+//! (`slab`), which flows are active and in what order (`index`), what
+//! rate each gets (`waterfill`) and how a queue drains (`drain`).
 
 // R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
 // bookkeeping slip into a crashed process; each one left carries an

@@ -35,29 +35,6 @@ pub fn kv_pairs(pairs: u64, cardinality: u64, seed: u64) -> Vec<Record> {
         .collect()
 }
 
-/// KV pairs with Zipf-skewed keys (exponent `s`), for imbalance studies.
-pub fn kv_pairs_zipf(pairs: u64, cardinality: u64, s: f64, seed: u64) -> Vec<Record> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x21bf);
-    // Precompute CDF.
-    let weights: Vec<f64> = (1..=cardinality)
-        .map(|k| 1.0 / (k as f64).powf(s))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut cdf = Vec::with_capacity(cardinality as usize);
-    let mut acc = 0.0;
-    for w in &weights {
-        acc += w / total;
-        cdf.push(acc);
-    }
-    (0..pairs)
-        .map(|_| {
-            let u: f64 = rng.gen();
-            let k = cdf.partition_point(|&c| c < u) as i64;
-            (Value::I64(k), Value::I64(rng.gen_range(0..1_000_000)))
-        })
-        .collect()
-}
-
 /// Labeled points for logistic regression: features ~ U(-1,1), labels from a
 /// planted weight vector with alternating signs [1, -1, 1, -1, ...].
 pub fn labeled_points(points: u64, dims: usize, seed: u64) -> Vec<Record> {
@@ -98,14 +75,6 @@ mod tests {
             seen[k.as_i64() as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn zipf_skews_towards_small_keys() {
-        let recs = kv_pairs_zipf(10_000, 100, 1.2, 5);
-        let head = recs.iter().filter(|(k, _)| k.as_i64() == 0).count();
-        let tail = recs.iter().filter(|(k, _)| k.as_i64() == 99).count();
-        assert!(head > tail * 5, "head={head} tail={tail}");
     }
 
     #[test]

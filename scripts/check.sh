@@ -17,7 +17,10 @@
 #                         top), a waiver without a reason or without a
 #                         target (#[expect]), and a catch-all arm in the
 #                         event dispatch or a trace exporter (#[deny] on
-#                         those matches). DESIGN.md 4.10.
+#                         those matches). DESIGN.md 4.10. Then cargo doc
+#                         with -D warnings, so a doc link to a deleted or
+#                         private item fails too (~4 s on 2 vCPUs after
+#                         clippy has built the dependencies).
 #   4. cargo test       — full workspace. Every repro surface (figure tables
 #                         and their JSON, trace, report, diff, fuzz teeth,
 #                         the timed families) is asserted here, by the tests
@@ -56,6 +59,9 @@ echo "ok: crates/*/src is $code_lines code lines, largest file $largest_file ($l
 echo "== cargo clippy (-D warnings; R1-R4, DESIGN.md 4.10) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (-D warnings: no broken or private doc links) =="
+RUSTDOCFLAGS='-D warnings' cargo doc -q --workspace --no-deps
+
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
@@ -79,7 +85,7 @@ echo "ok: examples/golden/quickstart.txt (pinned, thread-invariant)"
 echo "== differential fuzz smoke (64 seeds, DESIGN.md 4.13) =="
 # Every seed deterministically generates a topology/workload/config point
 # and must pass all six oracles (waterfill, conservation, attribution,
-# fault-equivalence, export determinism, multi-tenant stream isolation).
+# fault-equivalence, thread determinism, multi-tenant stream isolation).
 # Failures print a minimized `repro fuzz --replay` line — check it into
 # crates/bench/fuzz_corpus/.
 cargo run -q --release -p memres-bench --bin repro -- fuzz --seed-range 0..64 --json "$out"
