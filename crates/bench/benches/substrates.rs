@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrate hot paths: event queue, dispatch
-//! candidate set, processor sharing, max-min fair allocation, SSD fluid
-//! model, trace export.
+//! candidate set, reducer launches, local filesystem, processor sharing,
+//! max-min fair allocation, SSD fluid model, trace export.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memres_core::prelude::*;
@@ -100,6 +100,54 @@ fn bench_dispatch_storing_tail(c: &mut Criterion) {
             assert!(!out.aborted);
             let visits = driver.world().dispatch_visits;
             assert!(visits <= 8 * m.tasks.len() as u64, "{visits} visits");
+        })
+    });
+}
+
+/// Reducer launches on an aggregated `Uniform` shuffle: 1,024 nodes in 8
+/// racks ((1,024 / 8)² > 4,096 flows per rack pair), 16,384 reducers
+/// (1,024 × 16,384 > 2²⁰ bucket entries) behind 256 small producers, so the
+/// job is eight waves of fetch launches and each launch reads the per-rack
+/// fold of all 1,024 nodes' deposits.
+fn bench_fetch_launch_uniform(c: &mut Criterion) {
+    const MB: f64 = 1024.0 * 1024.0;
+    let spec = memres_cluster::ClusterSpec {
+        racks: 8,
+        ..memres_cluster::tiny(1_024)
+    };
+    let job = Rdd::source(Dataset::generated(256.0 * 4.0 * MB, 4.0 * MB, 100.0))
+        .map("genKV", SizeModel::new(1.0, 1.0, 200e6), |r| r)
+        .group_by_key(Some(16_384), 400e6);
+    c.bench_function("fetch_launch_wave_uniform_1k_nodes", |b| {
+        b.iter(|| {
+            let cfg = EngineConfig::default().homogeneous();
+            let (out, m) = Driver::new(spec.clone(), cfg).run(&job, Action::Count);
+            assert!(!out.aborted);
+            assert_eq!(m.tasks_in(Phase::Shuffling).count(), 16_384);
+        })
+    });
+}
+
+/// LocalFs on a RAMDisk without a page cache: every write is a device
+/// sub-operation. 100,000 writes, 16 in flight, each completion polled.
+fn bench_localfs(c: &mut Criterion) {
+    use memres_storage::{FileId, LocalFs, RamDisk};
+    const OPS: u64 = 100_000;
+    c.bench_function("localfs_write_poll_100k", |b| {
+        b.iter(|| {
+            let mut fs = LocalFs::new(Box::new(RamDisk::new(4e9, 4e9)), 1e15, None);
+            let (mut now, mut done) = (SimTime::ZERO, 0);
+            for tag in 0..OPS {
+                fs.write(now, FileId(tag % 64), Bytes(1e6 + tag as f64), tag);
+                if tag >= 16 {
+                    now = fs.next_event().expect("16 writes in flight");
+                    done += fs.poll(now).len();
+                }
+            }
+            while let Some(t) = fs.next_event() {
+                done += fs.poll(t).len();
+            }
+            assert_eq!(done as u64, OPS);
         })
     });
 }
@@ -376,6 +424,8 @@ criterion_group!(
     bench_event_queue_1m,
     bench_event_queue_waves,
     bench_dispatch_storing_tail,
+    bench_fetch_launch_uniform,
+    bench_localfs,
     bench_ps,
     bench_flownet,
     bench_fair_share,

@@ -120,6 +120,27 @@ impl ShuffleBuckets {
         }
     }
 
+    /// `reducer`'s bytes into `out` per source rack, with the part of them
+    /// the nodes' server caches hold (`cached_frac`, one per node): rack by
+    /// rack, each rack's members (node `i` is in rack `i % racks`) in node
+    /// order.
+    fn fold_racks(
+        &self,
+        reducer: usize,
+        racks: usize,
+        cached_frac: &[f64],
+        out: &mut Vec<(f64, f64)>,
+    ) {
+        out.clear();
+        out.extend((0..racks).map(|rack| {
+            let members = (rack..cached_frac.len()).step_by(racks);
+            members.fold((0.0, 0.0), |(bytes, cached), i| {
+                let b = self.get(i, reducer);
+                (bytes + b, cached + b * cached_frac[i])
+            })
+        }));
+    }
+
     fn heap_bytes(&self) -> usize {
         match self {
             ShuffleBuckets::Dense { m, .. } => {
@@ -170,6 +191,11 @@ struct ShuffleState {
     lustre_files: Vec<Option<LustreFile>>,
     /// Cached fraction per source node file at fetch start (Lustre-local).
     cached_frac: Vec<f64>,
+    /// Aggregated `Uniform` shuffle: what every reducer pulls from each
+    /// source rack, `(bytes, cached bytes)` — the same row for all of them,
+    /// since each node's deposit splits evenly. Folded by the first launch,
+    /// emptied whenever re-hosting changes a deposit or a cached fraction.
+    rack_fold: Vec<(f64, f64)>,
     /// Lustre-shared: outstanding revocation flushes gating all fetches.
     flush_pending: usize,
     flush_done: bool,
@@ -206,6 +232,7 @@ impl ShuffleState {
             local_files: vec![None; workers],
             lustre_files: vec![None; workers],
             cached_frac: vec![0.0; workers],
+            rack_fold: Vec::new(),
             flush_pending: 0,
             flush_done: false,
             waiting_for_flush: Vec::new(),
@@ -228,6 +255,29 @@ impl ShuffleState {
         }
         self.local_files[dead] = None;
         self.cached_frac[dead] = 0.0;
+        self.rack_fold.clear();
+    }
+
+    /// What `reducer` pulls from each source — a rack when `aggregated`, a
+    /// node otherwise — into `out` as `(bytes, cached)`. For a rack, `cached`
+    /// is the part of its bytes its members' server caches hold; for a node,
+    /// it is the node's cached fraction. Only Lustre-local reads `cached`.
+    fn sources(&mut self, reducer: u32, racks: usize, out: &mut Vec<(f64, f64)>) {
+        let (reducer, frac) = (reducer as usize, &self.cached_frac);
+        if !self.aggregated {
+            out.clear();
+            let nodes = frac.iter().enumerate();
+            out.extend(nodes.map(|(i, &f)| (self.buckets.get(i, reducer), f)));
+        } else if let ShuffleBuckets::Dense { .. } = self.buckets {
+            self.buckets.fold_racks(reducer, racks, frac, out);
+        } else {
+            if self.rack_fold.is_empty() {
+                let fold = &mut self.rack_fold;
+                self.buckets.fold_racks(reducer, racks, frac, fold);
+            }
+            out.clear();
+            out.extend_from_slice(&self.rack_fold);
+        }
     }
 }
 
@@ -329,6 +379,9 @@ pub(super) struct ShuffleService {
     /// path served from that node's store.
     read_links: Vec<LinkId>,
     next_file: u64,
+    /// Scratch of `launch_fetch`: what one reducer pulls from each source
+    /// (`ShuffleState::sources`).
+    fetch_sources: Vec<(f64, f64)>,
     /// Scratch of `launch_fetch`: the `(flow, wire bytes)` pairs of one
     /// reducer launch, handed to the network in one `push_chunks`.
     fetch_chunks: Vec<(FlowId, Bytes)>,
@@ -340,6 +393,7 @@ impl ShuffleService {
         ShuffleService {
             read_links: (0..workers).map(|_| net.add_link(read_bw)).collect(),
             next_file: SHUFFLE_FILE_BASE,
+            fetch_sources: Vec::new(),
             fetch_chunks: Vec::new(),
         }
     }
@@ -680,29 +734,19 @@ impl SimWorld {
 
         // Bucket sizes and shuffle spec. Above the rack-aggregation
         // threshold, per-node deposits fold into per-source-rack totals and
-        // the fetch rides one aggregate flow per rack pair (indexed by rack
-        // in `per_source`); below it, exact per-node flows as always.
-        let racks = self.spec.racks as usize;
+        // the fetch rides one aggregate flow per rack pair (`sources` is
+        // indexed by rack); below it, exact per-node flows as always.
+        let mut sources = std::mem::take(&mut self.shuffle.fetch_sources);
         let sh = self.jobs[ji].shuffle.reading();
-        let per_source: Vec<f64> = if sh.aggregated {
-            let mut rack_bytes = vec![0.0; racks];
-            for i in 0..workers as usize {
-                rack_bytes[i % racks] += sh.buckets.get(i, reducer as usize);
+        sh.sources(reducer, self.spec.racks as usize, &mut sources);
+        if sh.aggregated && self.cfg.defect == Some(Defect::DropAggBytes) {
+            // Injected defect (fuzz-oracle demo, DESIGN.md §4.13): lose the
+            // last rack's fold entirely.
+            if let Some((b, _)) = sources.last_mut() {
+                *b = 0.0;
             }
-            if self.cfg.defect == Some(Defect::DropAggBytes) {
-                // Injected defect (fuzz-oracle demo, DESIGN.md §4.13):
-                // lose the last rack's fold entirely.
-                if let Some(b) = rack_bytes.last_mut() {
-                    *b = 0.0;
-                }
-            }
-            rack_bytes
-        } else {
-            (0..workers as usize)
-                .map(|i| sh.buckets.get(i, reducer as usize))
-                .collect()
-        };
-        let total: f64 = per_source.iter().sum();
+        }
+        let total: f64 = sources.iter().map(|&(b, _)| b).sum();
         let (agg_rate, out_factor, aggregated) =
             (sh.spec.fetch_rate, sh.spec.out_factor, sh.aggregated);
 
@@ -730,7 +774,7 @@ impl SimWorld {
             ShuffleStore::Local(_) | ShuffleStore::LustreLocal => {
                 let lustre_local = matches!(self.cfg.shuffle, ShuffleStore::LustreLocal);
                 // Flow endpoints are racks when aggregated, nodes otherwise
-                // (`per_source` is indexed the same way).
+                // (`sources` is indexed the same way).
                 let dst = if aggregated {
                     self.fabric.rack_index(NodeId(node)) as u32
                 } else {
@@ -740,29 +784,22 @@ impl SimWorld {
                 let inflate = self.fetch_wire();
                 let mut chunks = std::mem::take(&mut self.shuffle.fetch_chunks);
                 chunks.clear();
-                for (src, &b) in per_source.iter().enumerate() {
+                for (src, &(b, cached)) in sources.iter().enumerate() {
                     if b <= 0.0 {
                         continue;
                     }
                     // Wire bytes served from the source's store or server
-                    // page cache (kind 0) and from the OSSes (kind 1).
+                    // page cache (kind 0) and from the OSSes (kind 1). A rack
+                    // total splits by its members' cached bytes, a node's
+                    // wire bytes by its cached fraction.
                     let (cached, oss) = if !lustre_local {
                         (inflate(b), Bytes::ZERO)
+                    } else if aggregated {
+                        (inflate(cached), inflate(b - cached))
                     } else {
-                        let sh = self.jobs[ji].shuffle.reading();
-                        if aggregated {
-                            // Split the rack total by the byte-weighted
-                            // cached share of its member nodes.
-                            let cached_raw = (src..workers as usize)
-                                .step_by(racks)
-                                .map(|i| sh.buckets.get(i, reducer as usize) * sh.cached_frac[i])
-                                .sum::<f64>();
-                            (inflate(cached_raw), inflate(b - cached_raw))
-                        } else {
-                            let wire = inflate(b);
-                            let cached = wire * sh.cached_frac[src];
-                            (cached, wire - cached)
-                        }
+                        let wire = inflate(b);
+                        let cached = wire * cached;
+                        (cached, wire - cached)
                     };
                     for (kind, wire) in [(0u8, cached), (1, oss)] {
                         if wire.is_positive() {
@@ -787,6 +824,7 @@ impl SimWorld {
                 self.submit_mds(now, task, ops, out);
             }
         }
+        self.shuffle.fetch_sources = sources;
         self.maybe_schedule_finish(now, task, out);
     }
 
@@ -1006,7 +1044,10 @@ impl SimWorld {
             }
             match sh.reading.as_mut() {
                 Some(reading) if local_store => reading.move_rows(dead, repl),
-                Some(reading) => reading.cached_frac[dead] = 0.0,
+                Some(reading) => {
+                    reading.cached_frac[dead] = 0.0;
+                    reading.rack_fold.clear();
+                }
                 None => {}
             }
             sh.intermediate[repl] += sh.intermediate[dead];

@@ -397,6 +397,65 @@ fn a_blamed_node_is_blacklisted_and_launches_nothing_after() {
     assert_eq!(out.count, clean.count, "blacklisting changed the output");
 }
 
+/// The cheapest cell whose shuffle is both rack-aggregated ((1,024 / 8)² =
+/// 16,384 flows per rack pair > 4,096) and past the dense-matrix limit
+/// (1,024 × 1,040 > 2²⁰ entries), so its buckets are `Uniform` and every
+/// reducer launch reads one per-rack fold: 2,048 synthetic producers on
+/// 2,048 slots, 1,040 reducers. Node 5 crashes in the middle of the fetch
+/// stage. Every running reducer pulls from it, so all of them retry after
+/// the re-host, and each retry reads a fold taken after the crash: its rows
+/// moved to node 0, in another rack (RAMDisk), or its server cache died
+/// (Lustre-local). Returns `(events, sim_job_s, FNV-1a of the metrics)`.
+fn uniform_shuffle_crash_mid_fetch(shuffle: ShuffleStore) -> (u64, f64, u64) {
+    const MB: f64 = 1024.0 * 1024.0;
+    let job = Rdd::source(Dataset::generated(2_048.0 * 4.0 * MB, 4.0 * MB, 100.0))
+        .map("genKV", SizeModel::new(1.0, 1.0, 200e6), |r| r)
+        .group_by_key(Some(1_040), 400e6);
+    let spec = memres_cluster::ClusterSpec {
+        racks: 8,
+        ..tiny(1_024)
+    };
+    let cfg = EngineConfig {
+        shuffle,
+        ..base_cfg()
+    };
+    let (clean, cm) = Driver::new(spec.clone(), cfg.clone()).run(&job, Action::Count);
+    assert!(!clean.aborted);
+    let mid_fetch = SimDuration::from_secs_f64(cm.job_time() * shuffle_mid_frac(&cm));
+    let crash = FaultKind::NodeCrash {
+        node: 5,
+        restart: None,
+    };
+    let plan = FaultPlan::new().after(mid_fetch, crash);
+    let mut d = Driver::new(spec, cfg.with_faults(plan));
+    let (out, m) = d.run(&job, Action::Count);
+    assert!(!out.aborted);
+    assert_eq!(out.count, clean.count);
+    assert_eq!(m.recovery.node_crashes, 1);
+    assert!(
+        m.recovery.failed_fetches >= 1,
+        "the crash must land in the fetch stage: {:?}",
+        m.recovery
+    );
+    let fnv1a = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let digest = format!("{m:?}").bytes().fold(0xcbf2_9ce4_8422_2325, fnv1a);
+    (d.engine_steps(), m.job_time(), digest)
+}
+
+#[test]
+fn a_crash_mid_fetch_of_a_uniform_aggregated_shuffle_is_pinned() {
+    // Pinned from the per-launch fold, before launches shared one.
+    let ramdisk = ShuffleStore::Local(StoreDevice::RamDisk);
+    assert_eq!(
+        uniform_shuffle_crash_mid_fetch(ramdisk),
+        (16_494, 0.539519119, 13_338_259_307_533_692_440)
+    );
+    assert_eq!(
+        uniform_shuffle_crash_mid_fetch(ShuffleStore::LustreLocal),
+        (16_496, 1.345809973, 3_985_181_396_720_997_608)
+    );
+}
+
 #[test]
 fn try_new_rejects_invalid_configs() {
     let bad_plan = FaultPlan::new().after(

@@ -157,6 +157,48 @@ impl PageCache {
     }
 }
 
+/// Device tag → sub-operation. Tags are minted in order, so the ledger is
+/// the run of slots from `base`, the oldest tag still outstanding (the next
+/// to mint when none is): a completion empties its slot and the empty slots
+/// at the front go, so the length is bounded by the ops submitted since the
+/// oldest outstanding one.
+struct Ledger<T> {
+    slots: VecDeque<Option<T>>,
+    base: u64,
+}
+
+impl<T> Ledger<T> {
+    fn new() -> Self {
+        Ledger {
+            slots: VecDeque::new(),
+            base: 0,
+        }
+    }
+
+    /// Record `op` under the next tag, which is returned.
+    fn mint(&mut self, op: T) -> u64 {
+        self.slots.push_back(Some(op));
+        self.base + self.slots.len() as u64 - 1
+    }
+
+    /// Take the op recorded under `tag`: `None` if it was never minted or
+    /// was taken already.
+    fn take(&mut self, tag: u64) -> Option<T> {
+        let slot = usize::try_from(tag.checked_sub(self.base)?).ok()?;
+        let op = self.slots.get_mut(slot)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        op
+    }
+
+    /// The outstanding ops, oldest first.
+    fn live(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+}
+
 enum SubOp {
     /// Whole user write that went write-through on the device.
     UserWrite { tag: u64 },
@@ -176,8 +218,7 @@ pub struct LocalFs {
     used: f64,
     files: BTreeMap<FileId, f64>,
     /// Device-tag -> suboperation bookkeeping.
-    subs: BTreeMap<u64, SubOp>,
-    next_sub: u64,
+    subs: Ledger<SubOp>,
     /// user read tag -> outstanding part count.
     read_join: BTreeMap<u64, u8>,
     done: Vec<FsDone>,
@@ -194,8 +235,7 @@ impl LocalFs {
             capacity,
             used: 0.0,
             files: BTreeMap::new(),
-            subs: BTreeMap::new(),
-            next_sub: 0,
+            subs: Ledger::new(),
             read_join: BTreeMap::new(),
             done: Vec::new(),
             gen: Gen::default(),
@@ -233,13 +273,6 @@ impl LocalFs {
         self.device.queue_depth()
     }
 
-    fn sub_tag(&mut self, op: SubOp) -> u64 {
-        let t = self.next_sub;
-        self.next_sub += 1;
-        self.subs.insert(t, op);
-        t
-    }
-
     /// Append `bytes` to `file`. Completion arrives via [`LocalFs::poll`].
     ///
     /// Capacity is enforced: writes beyond capacity panic, because callers
@@ -268,12 +301,12 @@ impl LocalFs {
                     self.kick_flusher(now);
                 } else {
                     // Write-through under cache pressure.
-                    let st = self.sub_tag(SubOp::UserWrite { tag });
+                    let st = self.subs.mint(SubOp::UserWrite { tag });
                     self.device.submit(now, Op::Write, bytes, st);
                 }
             }
             None => {
-                let st = self.sub_tag(SubOp::UserWrite { tag });
+                let st = self.subs.mint(SubOp::UserWrite { tag });
                 self.device.submit(now, Op::Write, bytes, st);
             }
         }
@@ -304,7 +337,7 @@ impl LocalFs {
             parts += 1;
         }
         if miss > 0.0 {
-            let st = self.sub_tag(SubOp::UserReadPart { tag });
+            let st = self.subs.mint(SubOp::UserReadPart { tag });
             self.device.submit(now, Op::Read, miss, st);
             parts += 1;
         }
@@ -396,7 +429,7 @@ impl LocalFs {
         }
         if let Some(f) = file {
             cache.flush_inflight = Some((f, chunk));
-            let st = self.sub_tag(SubOp::Flush);
+            let st = self.subs.mint(SubOp::Flush);
             self.device.submit(now, Op::Write, chunk, st);
         }
     }
@@ -413,7 +446,7 @@ impl LocalFs {
         // Device completions.
         let io: Vec<IoDone> = self.device.poll(now);
         for d in io {
-            match self.subs.remove(&d.tag) {
+            match self.subs.take(d.tag) {
                 Some(SubOp::UserWrite { tag }) => self.done.push(FsDone { tag, op: Op::Write }),
                 Some(SubOp::UserReadPart { tag }) => self.finish_read_part(tag),
                 Some(SubOp::Flush) => {
@@ -429,7 +462,7 @@ impl LocalFs {
                 }
                 #[expect(
                     clippy::panic,
-                    reason = "the device completes only tags sub_tag recorded in subs when they were submitted"
+                    reason = "the device completes each tag once, and only tags the ledger minted when they were submitted, so the slot is still live"
                 )]
                 None => panic!("device completion for unknown sub-op {}", d.tag),
             }
@@ -472,9 +505,9 @@ impl LocalFs {
     /// cache's own write-back.
     pub fn audit_idle(&self) -> Result<(), String> {
         let is_flush = |s: &&SubOp| matches!(s, SubOp::Flush);
-        let flushing = self.subs.values().filter(is_flush).count();
+        let flushing = self.subs.live().filter(is_flush).count();
         let (mem, dev) = (self.mem.load(), self.device.queue_depth());
-        let users = self.subs.len() - flushing + self.read_join.len() + self.done.len();
+        let users = self.subs.live().count() - flushing + self.read_join.len() + self.done.len();
         if mem == 0 && self.mem.next_completion().is_none() && users == 0 && dev == flushing {
             return Ok(());
         }
@@ -679,5 +712,62 @@ mod tests {
         run_until_tag(&mut fs, 1);
         fs.read(SimTime::from_secs_f64(1.0), FileId(1), Bytes(0.0), 2);
         run_until_tag(&mut fs, 2);
+    }
+
+    mod ledger {
+        use super::super::Ledger;
+        use proptest::prelude::*;
+        use proptest::sample::Index;
+        use std::collections::BTreeMap;
+
+        /// After every step the ledger holds what the model holds, oldest
+        /// first, in exactly the slots from the oldest outstanding tag to
+        /// the next to mint.
+        fn agrees(ledger: &Ledger<u64>, model: &BTreeMap<u64, u64>, next: u64) -> bool {
+            let oldest = model.keys().next().copied().unwrap_or(next);
+            ledger.live().eq(model.values()) && ledger.slots.len() as u64 == next - oldest
+        }
+
+        proptest! {
+            /// Submits and completions in any order: step 0 mints, 1 takes
+            /// an outstanding tag, 2 takes any tag up to two past the next
+            /// (never minted, or taken already, reads `None` like the
+            /// model); then every op still outstanding completes.
+            #[test]
+            fn ledger_matches_a_btreemap(
+                steps in proptest::collection::vec((0u8..3, any::<Index>()), 1..300),
+                drain in proptest::collection::vec(any::<Index>(), 300),
+            ) {
+                let (mut ledger, mut model, mut next) = (Ledger::new(), BTreeMap::new(), 0u64);
+                for (i, (kind, pick)) in steps.into_iter().enumerate() {
+                    let op = i as u64 * 7;
+                    match kind {
+                        0 => {
+                            prop_assert_eq!(ledger.mint(op), next);
+                            model.insert(next, op);
+                            next += 1;
+                        }
+                        1 if !model.is_empty() => {
+                            let tag = *model.keys().nth(pick.index(model.len())).unwrap();
+                            prop_assert_eq!(ledger.take(tag), model.remove(&tag));
+                        }
+                        _ => {
+                            let tag = pick.index(next as usize + 2) as u64;
+                            prop_assert_eq!(ledger.take(tag), model.remove(&tag));
+                        }
+                    }
+                    prop_assert!(agrees(&ledger, &model, next), "{model:?} vs {:?}", ledger.slots);
+                }
+                for pick in drain {
+                    if model.is_empty() {
+                        break;
+                    }
+                    let tag = *model.keys().nth(pick.index(model.len())).unwrap();
+                    prop_assert_eq!(ledger.take(tag), model.remove(&tag));
+                    prop_assert!(agrees(&ledger, &model, next), "{model:?} vs {:?}", ledger.slots);
+                }
+                prop_assert!(ledger.slots.is_empty() && ledger.base == next);
+            }
+        }
     }
 }
