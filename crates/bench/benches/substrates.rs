@@ -21,7 +21,7 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 /// 1e6-event push/pop through the event queue. Pushes use a pseudo-random
-/// spread over a wide horizon: every one goes through the ordered tier.
+/// spread over a wide horizon: every one goes through a bucket.
 fn bench_event_queue_1m(c: &mut Criterion) {
     const N: u64 = 1_000_000;
     c.bench_function("queue_push_pop_1m", |b| {
@@ -76,6 +76,41 @@ fn bench_event_queue_waves(c: &mut Criterion) {
                 }
             }
             assert_eq!(handled, 100_000);
+        })
+    });
+}
+
+/// The classic hold model, as the benchmark's `des.probe.queue_ns_per_op`
+/// runs it: 16,384 standing events at uniformly random times within a
+/// second, and every iteration 100,000 pop-then-push operations, each
+/// rescheduling the popped event 1 ns to 1 s later — no push joins the
+/// same-instant lane.
+fn bench_event_queue_hold(c: &mut Criterion) {
+    const POPULATION: u64 = 16_384;
+    const HOLDS: usize = 100_000;
+    const SECOND: u64 = 1_000_000_000;
+    let mut state = 1u64;
+    let mut next = move || {
+        // A 64-bit LCG's high bits: uniform enough for a hold model.
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 32
+    };
+    let mut q = EventQueue::new();
+    for i in 0..POPULATION {
+        q.push(SimTime::from_nanos(next() % SECOND), i);
+    }
+    c.bench_function("queue_hold_16k", |b| {
+        b.iter(|| {
+            for _ in 0..HOLDS {
+                let (at, tag) = q.pop().expect("the hold model keeps its population");
+                q.push(
+                    SimTime::from_nanos(at.as_nanos() + 1 + next() % SECOND),
+                    tag,
+                );
+            }
+            q.len()
         })
     });
 }
@@ -423,6 +458,7 @@ criterion_group!(
     bench_event_queue,
     bench_event_queue_1m,
     bench_event_queue_waves,
+    bench_event_queue_hold,
     bench_dispatch_storing_tail,
     bench_fetch_launch_uniform,
     bench_localfs,

@@ -2,67 +2,61 @@
 //!
 //! [`EventQueue`] pops in exactly ascending `(time, seq)` order — events
 //! scheduled at the same instant pop in insertion order, which keeps
-//! simulations deterministic — from two tiers sized to the traffic a
-//! simulation produces. The **same-instant lane** is a plain FIFO of events
-//! pushed at exactly the time of the last pop (`Outbox::immediately`: two
-//! fifths or more of all pushes), which need no ordering structure and
-//! store no key; the **ordered tier**, a `BinaryHeap` keyed on
-//! `(time, seq)`, takes the rest. A heap, not a bucketed calendar queue,
-//! whose O(1) is for evenly spread times: this traffic comes in task waves
-//! that swing the length by three orders of magnitude, and on recorded
-//! push/pop sequences the heap behind the lane costs half of what a
-//! self-resizing calendar does (DESIGN.md §4.1).
+//! simulations deterministic. Times are monotone: a push earlier than the
+//! last pop panics, in every build, which is the contract `Outbox::at` and
+//! `Simulation::schedule` already enforce against the clock. That makes the
+//! queue a monotone radix heap (Ahuja, Mehlhorn, Orlin, Tarjan 1990) keyed
+//! on the last popped time `last`:
 //!
-//! Times need not be monotone: a push earlier than the last pop is legal
-//! (the simulation loop clamps to `now`; the queue does not rely on it).
-//! `proptests::matches_heap_oracle` checks every operation against a plain
-//! heap without a lane.
+//! * **the lane** is a plain FIFO of the entries at exactly `last`; events
+//!   pushed at the instant just popped (`Outbox::immediately`: two fifths
+//!   or more of all pushes) join it and store no key;
+//! * **bucket `b`** holds the entries whose time first differs from `last`
+//!   in bit `b`, in push order, with its minimum time kept at push. Every
+//!   entry of a lower bucket is earlier than every entry of a higher one, and
+//!   `FAR_FUTURE` (`u64::MAX`) lands in bucket 63.
+//!
+//! A push is one `ilog2` and one `Vec::push`. A pop serves the lane; when
+//! it is empty, the lowest non-empty bucket is emptied: `last` moves to its
+//! minimum, whose entries open the lane, and the rest drop into the buckets
+//! below, which are all empty. No sequence number is stored: a
+//! redistribution only fills empty buckets and keeps relative order, and
+//! every later push is a later sequence number, so every bucket and the
+//! lane stay in push order. `proptests::matches_heap_oracle` checks every
+//! operation against a plain `BinaryHeap` over `(time, seq)` (DESIGN.md
+//! §4.1).
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
+/// A bucket emptied by a redistribution keeps its buffer only up to this
+/// capacity (in entries). Small buckets — a few timers and wake-ups — refill
+/// at once and would reallocate every time; a task wave's buffer would sit
+/// idle beside the lane that now holds the same wave. Keeping every buffer
+/// raised the benchmark's `peak_heap_mb` by 8 % on `scale_1k_100k`; freeing
+/// every one made the queue about 1.5× slower on recorded simulator traffic
+/// (DESIGN.md §4.1).
+const KEEP_CAPACITY: usize = 64;
 
 /// Time-ordered event queue. Invariants:
 ///
-/// * every `lane` entry's time is `lane_time`, and the lane is in push
-///   order;
-/// * every `ordered` entry at `lane_time` was pushed before the lane's
-///   first entry (an empty lane may open at any time — nothing already
-///   buffered can be younger than it — and while it holds entries a push at
-///   `lane_time` can only join it), so on a tie the ordered tier pops first;
-/// * while the lane is empty, `lane_time` is the time of the last pop.
+/// * every `lane` entry's time is `last`, the lane is in push order, and
+///   its first `moved` entries came out of a redistribution;
+/// * every entry of `buckets[b]` is later than `last` and first differs
+///   from it in bit `b`; `mins[b]` is its smallest time (`u64::MAX` while
+///   empty), and bit `b` of `mask` is set iff it holds entries;
+/// * `last` is the time of the last pop (zero before the first).
 pub struct EventQueue<E> {
-    ordered: BinaryHeap<Entry<E>>,
     lane: VecDeque<E>,
-    lane_time: SimTime,
-    /// Pushes that went through the ordered tier (the lane served the rest),
-    /// which makes it the FIFO tie-break of the next one. Public as a test
-    /// hook in the style of `FlowNet::next_scans`.
-    pub ordered_pushes: u64,
+    moved: usize,
+    buckets: [Vec<(u64, E)>; 64],
+    mins: [u64; 64],
+    mask: u64,
+    bucketed: usize,
+    last: u64,
+    /// Entries taken out of a bucket by a redistribution (lane pushes never
+    /// count). Public as a test hook in the style of `FlowNet::next_scans`.
+    pub redistributed: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -74,111 +68,121 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            ordered: BinaryHeap::new(),
             lane: VecDeque::new(),
-            lane_time: SimTime::ZERO,
-            ordered_pushes: 0,
+            moved: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; 64],
+            mask: 0,
+            bucketed: 0,
+            last: 0,
+            redistributed: 0,
         }
     }
 
+    /// Queue `event` at `time`, which must not precede the last pop.
     pub fn push(&mut self, time: SimTime, event: E) {
-        if time == self.lane_time {
+        assert!(
+            time.0 >= self.last,
+            "event pushed before the last pop: {time:?} precedes {:?}",
+            SimTime(self.last)
+        );
+        if time.0 == self.last {
             self.lane.push_back(event);
-            return;
+        } else {
+            self.file(time.0, event);
         }
-        self.ordered.push(Entry {
-            time,
-            seq: self.ordered_pushes,
-            event,
-        });
-        self.ordered_pushes += 1;
+    }
+
+    /// Append a later-than-`last` entry to its bucket.
+    fn file(&mut self, t: u64, event: E) {
+        let b = (t ^ self.last).ilog2() as usize;
+        self.buckets[b].push((t, event));
+        self.mins[b] = self.mins[b].min(t);
+        self.mask |= 1 << b;
+        self.bucketed += 1;
     }
 
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // On a tie the ordered tier goes first: its entry is the older push.
-        let ordered_first = |e: &Entry<E>| e.time <= self.lane_time;
-        if !self.lane.is_empty() && !self.ordered.peek().is_some_and(ordered_first) {
-            return self.lane.pop_front().map(|e| (self.lane_time, e));
-        }
-        let e = self.ordered.pop()?;
         if self.lane.is_empty() {
-            self.lane_time = e.time;
+            self.redistribute()?;
         }
-        Some((e.time, e.event))
+        self.moved = self.moved.saturating_sub(1);
+        self.lane.pop_front().map(|e| (SimTime(self.last), e))
+    }
+
+    /// Empty the lowest non-empty bucket into the empty lane and the empty
+    /// buckets below it; `None` if every bucket is empty.
+    fn redistribute(&mut self) -> Option<()> {
+        if self.mask == 0 {
+            return None;
+        }
+        let b = self.mask.trailing_zeros() as usize;
+        let last = std::mem::replace(&mut self.mins[b], u64::MAX);
+        self.last = last;
+        self.mask &= !(1 << b);
+        let mut entries = std::mem::take(&mut self.buckets[b]);
+        self.bucketed -= entries.len();
+        self.redistributed += entries.len() as u64;
+        for (t, event) in entries.drain(..) {
+            if t == last {
+                self.lane.push_back(event);
+            } else {
+                self.file(t, event);
+            }
+        }
+        self.moved = self.lane.len();
+        if entries.capacity() <= KEEP_CAPACITY {
+            self.buckets[b] = entries;
+        }
+        Some(())
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        let lane = (!self.lane.is_empty()).then_some(self.lane_time);
-        lane.into_iter()
-            .chain(self.ordered.peek().map(|e| e.time))
-            .min()
+        if !self.lane.is_empty() {
+            return Some(SimTime(self.last));
+        }
+        (self.mask != 0).then(|| SimTime(self.mins[self.mask.trailing_zeros() as usize]))
     }
 
     pub fn len(&self) -> usize {
-        self.ordered.len() + self.lane.len()
+        self.lane.len() + self.bucketed
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ordered.is_empty() && self.lane.is_empty()
+        self.len() == 0
     }
 
     /// Give back the capacity a past peak left behind (between jobs: a
     /// handful of timers in buffers sized for the last job's widest wave).
     pub fn shrink_to_fit(&mut self) {
-        self.ordered.shrink_to_fit();
         self.lane.shrink_to_fit();
+        self.buckets.iter_mut().for_each(Vec::shrink_to_fit);
     }
 
-    /// How the buffered events split between the tiers (DESIGN.md §4.16).
+    /// How the buffered events split at the current instant (DESIGN.md
+    /// §4.16).
     pub fn stats(&self) -> QueueStats {
+        let lane = self.lane.len() - self.moved;
         QueueStats {
-            lane: self.lane.len(),
-            ordered: self.ordered.len(),
+            lane,
+            ordered: self.len() - lane,
         }
+    }
+
+    /// The largest buffer a bucket holds (the lane aside).
+    #[cfg(test)]
+    fn max_bucket_capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).max().unwrap_or(0)
     }
 }
 
-/// Events waiting in each tier (`lane + ordered == len()`).
+/// Events waiting (`lane + ordered == len()`): `lane` counts those pushed at
+/// the instant of the last pop after the clock reached it, `ordered` the
+/// rest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     pub lane: usize,
     pub ordered: usize,
-}
-
-/// The reference the queue is differentially tested against: a plain
-/// `BinaryHeap` over `(time, seq)`-ordered entries, no lane.
-#[cfg(test)]
-struct HeapOracle<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-}
-
-#[cfg(test)]
-impl<E> HeapOracle<E> {
-    fn new() -> Self {
-        HeapOracle {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]
@@ -230,6 +234,9 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime(i as u64 * 1_000_000), i)));
         }
         assert_eq!(q.pop(), Some((SimTime::FAR_FUTURE, u32::MAX)));
+        // The clock may stand at the end of time; the instant still queues.
+        q.push(SimTime::FAR_FUTURE, 7);
+        assert_eq!(q.pop(), Some((SimTime::FAR_FUTURE, 7)));
     }
 
     #[test]
@@ -249,27 +256,21 @@ mod tests {
     }
 
     #[test]
-    fn backward_push_after_pops_still_orders() {
+    #[should_panic(expected = "event pushed before the last pop")]
+    fn backward_push_is_rejected() {
         let mut q = EventQueue::new();
-        for i in 0..100u64 {
-            q.push(SimTime(1_000_000 + i), i);
-        }
-        for _ in 0..50 {
-            q.pop();
-        }
-        // Earlier than everything popped so far (legal per the contract).
-        q.push(SimTime(3), 999);
-        assert_eq!(q.pop(), Some((SimTime(3), 999)));
-        assert_eq!(q.pop(), Some((SimTime(1_000_050), 50)));
+        q.push(SimTime(100), "first");
+        assert_eq!(q.pop(), Some((SimTime(100), "first")));
+        q.push(SimTime(99), "early");
     }
 
     #[test]
-    fn same_instant_pushes_do_no_ordered_tier_work() {
+    fn same_instant_pushes_do_no_bucket_work() {
         let mut q = EventQueue::new();
         q.push(SimTime(10), 0u32);
         q.push(SimTime(20), 1);
         assert_eq!(q.pop(), Some((SimTime(10), 0)));
-        assert_eq!(q.ordered_pushes, 2);
+        assert_eq!(q.redistributed, 1);
         // `Outbox::immediately` traffic: pushed at exactly the instant just
         // popped, drained before the clock moves.
         for i in 100..1_100 {
@@ -299,11 +300,12 @@ mod tests {
             ordered: 1,
         };
         assert_eq!(
-            (q.ordered_pushes, q.stats()),
-            (2, ordered),
-            "the lane touched the ordered tier"
+            (q.redistributed, q.stats()),
+            (1, ordered),
+            "the lane touched a bucket"
         );
         assert_eq!(q.pop(), Some((SimTime(20), 1)));
+        assert_eq!(q.redistributed, 2);
     }
 
     #[test]
@@ -330,24 +332,26 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// A 16 k-entry wave at spread future times fills buckets of thousands;
+    /// once it has drained, none of them keeps a buffer above the policy's.
     #[test]
-    fn backward_push_while_the_lane_holds_entries() {
+    fn drained_buckets_keep_no_wave_sized_buffer() {
+        const WAVE: u64 = 16_384;
         let mut q = EventQueue::new();
-        q.push(SimTime(100), "first");
-        assert_eq!(q.pop(), Some((SimTime(100), "first")));
-        q.push(SimTime(100), "lane-1");
-        // Earlier than the last pop, with the lane occupied: it must come
-        // out first, and the lane must keep collecting its own instant
-        // afterwards (not the earlier one) or "late" would overtake "lane-2".
-        q.push(SimTime(40), "early");
-        assert_eq!(q.peek_time(), Some(SimTime(40)));
-        assert_eq!(q.pop(), Some((SimTime(40), "early")));
-        q.push(SimTime(100), "lane-2");
-        q.push(SimTime(40), "late");
-        assert_eq!(q.pop(), Some((SimTime(40), "late")));
-        assert_eq!(q.pop(), Some((SimTime(100), "lane-1")));
-        assert_eq!(q.pop(), Some((SimTime(100), "lane-2")));
-        assert_eq!(q.pop(), None);
+        for i in 0..WAVE {
+            q.push(SimTime(1 + i * 7919 % (1 << 20)), i);
+        }
+        assert!(q.max_bucket_capacity() >= WAVE as usize / 4);
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, WAVE);
+        assert!(
+            q.max_bucket_capacity() <= KEEP_CAPACITY,
+            "a drained bucket kept {} entries of capacity",
+            q.max_bucket_capacity()
+        );
     }
 }
 
@@ -355,25 +359,66 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference the queue is differentially tested against: a plain
+    /// `BinaryHeap` over `(time, seq)`, no buckets. Each entry also records
+    /// whether it was pushed at the instant of the last pop, which is what
+    /// `QueueStats::lane` counts.
+    #[derive(Default)]
+    struct HeapOracle {
+        heap: BinaryHeap<Reverse<(SimTime, u64, bool, u64)>>,
+        seq: u64,
+        last_pop: SimTime,
+        lane: usize,
+    }
+
+    impl HeapOracle {
+        fn push(&mut self, time: SimTime, event: u64) {
+            let in_lane = time == self.last_pop;
+            self.lane += usize::from(in_lane);
+            self.heap.push(Reverse((time, self.seq, in_lane, event)));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let Reverse((time, _, in_lane, event)) = self.heap.pop()?;
+            self.lane -= usize::from(in_lane);
+            self.last_pop = time;
+            Some((time, event))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse(e)| e.0)
+        }
+    }
 
     /// The queue under test and the oracle, fed the same operations; every
-    /// operation checks that they still agree on `len` and `peek_time`.
+    /// operation checks that they still agree on `len`, `peek_time` and
+    /// `stats`.
+    #[derive(Default)]
     struct Pair {
         q: EventQueue<u64>,
-        oracle: HeapOracle<u64>,
+        oracle: HeapOracle,
         tag: u64,
-        last_pop: SimTime,
     }
 
     impl Pair {
         fn agree(&self) -> Result<(), String> {
             let (q, oracle) = (&self.q, &self.oracle);
             let s = q.stats();
-            if q.len() != oracle.len()
-                || q.is_empty() != (oracle.len() == 0)
-                || s.lane + s.ordered != oracle.len()
+            let len = oracle.heap.len();
+            if q.len() != len
+                || q.is_empty() != (len == 0)
+                || s.lane + s.ordered != len
+                || s.lane != oracle.lane
             {
-                return Err(format!("len {} ({s:?}) vs {}", q.len(), oracle.len()));
+                return Err(format!(
+                    "len {} ({s:?}) vs {len} (lane {})",
+                    q.len(),
+                    oracle.lane
+                ));
             }
             if q.peek_time() != oracle.peek_time() {
                 return Err(format!(
@@ -397,24 +442,20 @@ mod proptests {
             if got != want {
                 return Err(format!("popped {got:?}, the oracle {want:?}"));
             }
-            if let Some((t, _)) = got {
-                self.last_pop = t;
-            }
             self.agree()
         }
 
-        /// One generated operation: the traffic a simulation produces.
+        /// One generated operation: the traffic a simulation produces. Every
+        /// push is at or after the last pop, as the queue's contract asks.
         fn apply(&mut self, kind: u8, a: u64, b: u64) -> Result<(), String> {
-            let last = self.last_pop.as_nanos();
+            let last = self.oracle.last_pop.as_nanos();
+            let after = |d: u64| SimTime(last.saturating_add(d));
             match kind {
                 // A handler's `immediately` burst at the instant just popped
                 // (into an empty lane, or behind one that is not).
                 0 | 1 => (0..1 + b % 6).try_for_each(|_| self.push(SimTime(last))),
                 // A task wave: thousands of completions at one future time.
-                2 => {
-                    let at = SimTime(last.saturating_add(1 + a * 1_000));
-                    (0..b).try_for_each(|_| self.push(at))
-                }
+                2 => (0..b).try_for_each(|_| self.push(after(1 + a * 1_000))),
                 // Drain to near-empty; the operations after it refill.
                 3 => {
                     while self.q.len() > (b % 17) as usize {
@@ -422,15 +463,14 @@ mod proptests {
                     }
                     Ok(())
                 }
-                // Earlier than the last pop: legal per the queue contract,
-                // also while the lane holds entries.
-                4 => self.push(SimTime(last.saturating_sub(1 + a))),
+                // A nanosecond or two after the last pop: the lowest buckets.
+                4 => self.push(after(a % 3)),
                 5 => self.push(SimTime::FAR_FUTURE),
-                // Random times across regimes: same-instant storms,
-                // microsecond clusters, far-future outliers.
-                6 => self.push(SimTime(a / 100)),
-                7 => self.push(SimTime(a * 1_000_003)),
-                8 => self.push(SimTime(a.saturating_mul(u64::MAX / 5_000))),
+                // Times across regimes: same-instant storms, microsecond
+                // clusters, far-future outliers.
+                6 => self.push(after(a / 100)),
+                7 => self.push(after(a * 1_000_003)),
+                8 => self.push(after(a.saturating_mul(u64::MAX / 5_000))),
                 _ => (0..1 + b % 4).try_for_each(|_| self.pop()),
             }
         }
@@ -458,19 +498,14 @@ mod proptests {
         }
 
         /// Differential: the queue pops in exactly the order of the
-        /// `BinaryHeap` oracle, with `len` and `peek_time` agreeing after
-        /// every operation, on interleaved streams of [`Pair::apply`]'s
-        /// operations.
+        /// `BinaryHeap` oracle, with `len`, `peek_time` and `stats().lane`
+        /// agreeing after every operation, on interleaved streams of
+        /// [`Pair::apply`]'s operations.
         #[test]
         fn matches_heap_oracle(
             ops in proptest::collection::vec((0u8..10, 0u64..5_000, 0u64..4_000), 1..120)
         ) {
-            let mut pair = Pair {
-                q: EventQueue::new(),
-                oracle: HeapOracle::new(),
-                tag: 0,
-                last_pop: SimTime::ZERO,
-            };
+            let mut pair = Pair::default();
             for (i, &(kind, a, b)) in ops.iter().enumerate() {
                 let r = pair.apply(kind, a, b);
                 prop_assert!(r.is_ok(), "op {i} {:?}: {r:?}", (kind, a, b));
@@ -480,7 +515,7 @@ mod proptests {
                 prop_assert!(r.is_ok(), "final drain: {r:?}");
             }
             prop_assert_eq!(pair.q.pop(), None);
-            prop_assert_eq!(pair.oracle.len(), 0);
+            prop_assert!(pair.oracle.heap.is_empty());
         }
     }
 }
