@@ -139,11 +139,10 @@ fn bench_dispatch_storing_tail(c: &mut Criterion) {
     });
 }
 
-/// Reducer launches on an aggregated `Uniform` shuffle: 1,024 nodes in 8
-/// racks ((1,024 / 8)² > 4,096 flows per rack pair), 16,384 reducers
-/// (1,024 × 16,384 > 2²⁰ bucket entries) behind 256 small producers, so the
-/// job is eight waves of fetch launches and each launch reads the per-rack
-/// fold of all 1,024 nodes' deposits.
+/// Reducer launches on an aggregated synthetic shuffle: 1,024 nodes in 8
+/// racks ((1,024 / 8)² > 4,096 flows per rack pair), 16,384 reducers behind
+/// 256 small producers, so the job is eight waves of fetch launches and
+/// each launch reads the per-rack fold of all 1,024 nodes' shares.
 fn bench_fetch_launch_uniform(c: &mut Criterion) {
     const MB: f64 = 1024.0 * 1024.0;
     let spec = memres_cluster::ClusterSpec {

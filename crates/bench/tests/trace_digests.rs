@@ -9,15 +9,10 @@
 //! wrote every field through `core::fmt`.
 
 use memres_core::prelude::*;
+use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
 use memres_trace::export::{chrome_trace_json, events_jsonl};
 use memres_workloads::cells::{self, Setup};
-
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Both exports of `cell` traced at smoke scale: their digests, and the
 /// count of each event kind in `kinds`.
@@ -34,7 +29,7 @@ fn digests(cell: &str, faults: FaultPlan, kinds: &[&str]) -> (u64, u64, Vec<usiz
         .iter()
         .map(|k| jsonl.matches(&format!("\"type\":\"{k}\"")).count())
         .collect();
-    (fnv1a(&jsonl), fnv1a(&chrome_trace_json(&events)), counts)
+    (fnv1a(&jsonl), fnv1a(chrome_trace_json(&events)), counts)
 }
 
 #[test]

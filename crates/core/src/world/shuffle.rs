@@ -34,128 +34,10 @@ const SHUFFLE_FILE_BASE: u64 = 1 << 41;
 /// small FetchRequests (Fig 13b).
 const PER_REQUEST_OVERHEAD_BYTES: f64 = 256.0 * 1024.0;
 
-/// Deposited intermediate bytes, logically `[node][reducer]`. The dense
-/// matrix is exact and is used whenever real records flow or the matrix is
-/// small (paper cells: at most 2^20 entries, always dense, bit-identical to
-/// the historical `Vec<Vec<f64>>`). Huge synthetic shuffles switch to the
-/// uniform variant: hash partitioning spreads each producer's output evenly
-/// across reducers, so a per-node total loses nothing while cutting
-/// O(workers x reducers) heap to O(workers).
-enum ShuffleBuckets {
-    Dense {
-        reducers: u32,
-        m: Vec<Vec<f64>>,
-    },
-    Uniform {
-        reducers: u32,
-        node_totals: Vec<f64>,
-    },
-}
-
-impl ShuffleBuckets {
-    /// Largest node x reducer product that still gets the dense matrix.
-    const DENSE_LIMIT: usize = 1 << 20;
-
-    fn new(workers: usize, reducers: u32, real: bool) -> Self {
-        if real || workers.saturating_mul(reducers as usize) <= Self::DENSE_LIMIT {
-            ShuffleBuckets::Dense {
-                reducers,
-                m: vec![vec![0.0; reducers as usize]; workers],
-            }
-        } else {
-            ShuffleBuckets::Uniform {
-                reducers,
-                node_totals: vec![0.0; workers],
-            }
-        }
-    }
-
-    fn get(&self, node: usize, reducer: usize) -> f64 {
-        match self {
-            ShuffleBuckets::Dense { m, .. } => m[node][reducer],
-            ShuffleBuckets::Uniform {
-                reducers,
-                node_totals,
-            } => node_totals[node] / *reducers as f64,
-        }
-    }
-
-    /// Targeted deposit. Real-record hashing only happens in the dense arm
-    /// (the constructor forces dense when `real`); the uniform arm folds the
-    /// bytes into the node total, preserving conservation.
-    fn add(&mut self, node: usize, reducer: usize, bytes: f64) {
-        match self {
-            ShuffleBuckets::Dense { m, .. } => m[node][reducer] += bytes,
-            ShuffleBuckets::Uniform { node_totals, .. } => node_totals[node] += bytes,
-        }
-    }
-
-    /// Deposit `total` bytes spread evenly over every reducer (synthetic
-    /// producers model hash partitioning as a perfectly even split).
-    fn add_uniform(&mut self, node: usize, total: f64) {
-        match self {
-            ShuffleBuckets::Dense { reducers, m } => {
-                let per = total / *reducers as f64;
-                for b in m[node].iter_mut() {
-                    *b += per;
-                }
-            }
-            ShuffleBuckets::Uniform { node_totals, .. } => node_totals[node] += total,
-        }
-    }
-
-    /// Recovery re-hosting: move every deposited byte of `dead` onto `repl`.
-    fn move_node(&mut self, dead: usize, repl: usize) {
-        match self {
-            ShuffleBuckets::Dense { reducers, m } => {
-                let row = std::mem::replace(&mut m[dead], vec![0.0; *reducers as usize]);
-                for (b, bytes) in row.into_iter().enumerate() {
-                    m[repl][b] += bytes;
-                }
-            }
-            ShuffleBuckets::Uniform { node_totals, .. } => {
-                let moved = std::mem::take(&mut node_totals[dead]);
-                node_totals[repl] += moved;
-            }
-        }
-    }
-
-    /// `reducer`'s bytes into `out` per source rack, with the part of them
-    /// the nodes' server caches hold (`cached_frac`, one per node): rack by
-    /// rack, each rack's members (node `i` is in rack `i % racks`) in node
-    /// order.
-    fn fold_racks(
-        &self,
-        reducer: usize,
-        racks: usize,
-        cached_frac: &[f64],
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        out.clear();
-        out.extend((0..racks).map(|rack| {
-            let members = (rack..cached_frac.len()).step_by(racks);
-            members.fold((0.0, 0.0), |(bytes, cached), i| {
-                let b = self.get(i, reducer);
-                (bytes + b, cached + b * cached_frac[i])
-            })
-        }));
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            ShuffleBuckets::Dense { m, .. } => {
-                m.iter().map(|r| r.capacity() * 8).sum::<usize>()
-                    + m.capacity() * std::mem::size_of::<Vec<f64>>()
-            }
-            ShuffleBuckets::Uniform { node_totals, .. } => node_totals.capacity() * 8,
-        }
-    }
-}
-
-/// Where one reducer's real aggregation stands (see `ShuffleState::reduced`).
+/// Where one reducer's real aggregation stands (see `Deposits::Real`).
 enum Reduced {
-    /// No attempt of this reducer has launched; its segments still sit in
-    /// `node_real`.
+    /// No attempt of this reducer has launched; its segments are still
+    /// deposited.
     Unlaunched,
     /// Evaluation is queued for this round's flush — or the result has been
     /// consumed by the attempt that finished.
@@ -163,6 +45,68 @@ enum Reduced {
     /// Evaluated: (output bytes, output records, output rows), parked until
     /// an attempt finishes. A retry finds it here and reuses it.
     Parked(f64, u64, RealOut),
+}
+
+/// What a shuffle holds, fixed at creation by whether records flow.
+enum Deposits {
+    /// No record flows: hash partitioning is modelled as a perfectly even
+    /// split, so every reducer pulls the same bytes from a node.
+    Synthetic {
+        /// node → the bytes each reducer pulls from it: every deposit there
+        /// divided by the reducer count, summed in deposit order.
+        share: Vec<f64>,
+        /// Aggregated: the `(bytes, cached bytes)` every reducer pulls from
+        /// each source rack. Folded by the first launch, emptied whenever
+        /// re-hosting changes a share or a cached fraction.
+        rack_fold: Vec<(f64, f64)>,
+    },
+    /// Real records, hash-partitioned and so possibly skewed.
+    Real {
+        /// [node][reducer] → intermediate bytes deposited.
+        bytes: Vec<Vec<f64>>,
+        /// node → reducer → the segments deposited there, one per finished
+        /// producer, each still the producer's own bucket allocation. A
+        /// reducer gathers them node ascending, deposit order within a node.
+        segments: Vec<Vec<Vec<Vec<Record>>>>,
+        /// Aggregation per reducer: evaluated once, at the reducer's first
+        /// launch; consumed once, at its successful finish.
+        reduced: Vec<Reduced>,
+    },
+}
+
+impl Deposits {
+    /// Bytes `reducer` pulls from `node`.
+    fn get(&self, node: usize, reducer: usize) -> f64 {
+        match self {
+            Deposits::Synthetic { share, .. } => share[node],
+            Deposits::Real { bytes, .. } => bytes[node][reducer],
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Deposits::Synthetic { share, .. } => share.capacity() * 8,
+            Deposits::Real { bytes, .. } => {
+                bytes.iter().map(|r| r.capacity() * 8).sum::<usize>()
+                    + bytes.capacity() * std::mem::size_of::<Vec<f64>>()
+            }
+        }
+    }
+}
+
+/// What one reducer pulls from each source rack into `out`, with the part of
+/// it the nodes' server caches hold (`frac`, one per node), given what it
+/// pulls from each node (`pulls`): rack by rack, each rack's members (node
+/// `i` is in rack `i % racks`) in node order.
+fn fold_racks(racks: usize, frac: &[f64], pulls: impl Fn(usize) -> f64, out: &mut Vec<(f64, f64)>) {
+    out.clear();
+    out.extend((0..racks).map(|rack| {
+        let members = (rack..frac.len()).step_by(racks);
+        members.fold((0.0, 0.0), |(bytes, cached), i| {
+            let b = pulls(i);
+            (bytes + b, cached + b * frac[i])
+        })
+    }));
 }
 
 /// [`ShuffleState::fetch_flows`] entry of a `(src, dst, kind)` no fetch has
@@ -173,29 +117,15 @@ const UNOPENED: FlowId = FlowId(u64::MAX);
 struct ShuffleState {
     reducers: u32,
     spec: ShuffleInSpec,
-    /// [node][reducer] → intermediate bytes deposited.
-    buckets: ShuffleBuckets,
+    deposits: Deposits,
     /// Fetches ride rack-pair aggregate flows instead of per-node flows
     /// (decided once at creation from `EngineConfig::rack_agg_threshold`).
     aggregated: bool,
-    /// Materialized buckets (real-data jobs): node → reducer → the
-    /// *segments* deposited there, one per finished producer, each still the
-    /// producer's own bucket allocation. A reducer gathers them node
-    /// ascending, deposit order within a node.
-    node_real: Option<Vec<Vec<Vec<Vec<Record>>>>>,
-    /// Real aggregation per reducer: evaluated once, at the reducer's first
-    /// launch; consumed once, at its successful finish.
-    reduced: Vec<Reduced>,
     /// Per-node aggregated store file ids.
     local_files: Vec<Option<FileId>>,
     lustre_files: Vec<Option<LustreFile>>,
     /// Cached fraction per source node file at fetch start (Lustre-local).
     cached_frac: Vec<f64>,
-    /// Aggregated `Uniform` shuffle: what every reducer pulls from each
-    /// source rack, `(bytes, cached bytes)` — the same row for all of them,
-    /// since each node's deposit splits evenly. Folded by the first launch,
-    /// emptied whenever re-hosting changes a deposit or a cached fraction.
-    rack_fold: Vec<(f64, f64)>,
     /// Lustre-shared: outstanding revocation flushes gating all fetches.
     flush_pending: usize,
     flush_done: bool,
@@ -220,23 +150,60 @@ impl ShuffleState {
         real: bool,
         racks: Option<usize>,
     ) -> Self {
+        let r = reducers as usize;
         ShuffleState {
             reducers,
             spec,
-            buckets: ShuffleBuckets::new(workers, reducers, real),
+            deposits: if real {
+                Deposits::Real {
+                    bytes: vec![vec![0.0; r]; workers],
+                    segments: vec![vec![Vec::new(); r]; workers],
+                    reduced: (0..r).map(|_| Reduced::Unlaunched).collect(),
+                }
+            } else {
+                Deposits::Synthetic {
+                    share: vec![0.0; workers],
+                    rack_fold: Vec::new(),
+                }
+            },
             aggregated: racks.is_some(),
-            node_real: real.then(|| vec![vec![Vec::new(); reducers as usize]; workers]),
-            reduced: (0..if real { reducers } else { 0 })
-                .map(|_| Reduced::Unlaunched)
-                .collect(),
             local_files: vec![None; workers],
             lustre_files: vec![None; workers],
             cached_frac: vec![0.0; workers],
-            rack_fold: Vec::new(),
             flush_pending: 0,
             flush_done: false,
             waiting_for_flush: Vec::new(),
             fetch_flows: vec![Vec::new(); 2 * racks.unwrap_or(workers)],
+        }
+    }
+
+    fn is_real(&self) -> bool {
+        matches!(self.deposits, Deposits::Real { .. })
+    }
+
+    /// A producer finished at `node` with `total` bytes of output (`real`:
+    /// its rows, already hash-partitioned).
+    fn deposit(&mut self, node: usize, total: f64, real: Option<RealOut>) {
+        let per = total / self.reducers as f64;
+        match &mut self.deposits {
+            Deposits::Synthetic { share, .. } => share[node] += per,
+            Deposits::Real {
+                bytes, segments, ..
+            } => match real {
+                // O(reducers): each bucket — already partitioned, sized and
+                // summed on the pool — lands as one segment, by handle. Its
+                // byte total is an integer sum, so adding it once equals the
+                // per-record `f64` accumulation it replaces bit for bit.
+                Some(RealOut::Buckets(buckets)) => {
+                    for (r, bucket) in buckets.into_iter().enumerate() {
+                        bytes[node][r] += bucket.bytes as f64;
+                        if !bucket.rows.is_empty() {
+                            segments[node][r].push(bucket.rows);
+                        }
+                    }
+                }
+                _ => bytes[node].iter_mut().for_each(|b| *b += per),
+            },
         }
     }
 
@@ -245,17 +212,32 @@ impl ShuffleState {
     /// dead node's store file is forgotten, so relaunched fetches read from
     /// the replacement.
     fn move_rows(&mut self, dead: usize, repl: usize) {
-        self.buckets.move_node(dead, repl);
-        if let Some(real) = self.node_real.as_mut() {
-            let moved =
-                std::mem::replace(&mut real[dead], vec![Vec::new(); self.reducers as usize]);
-            for (b, mut recs) in moved.into_iter().enumerate() {
-                real[repl][b].append(&mut recs);
+        let r = self.reducers as usize;
+        match &mut self.deposits {
+            Deposits::Synthetic { share, .. } => share[repl] += std::mem::take(&mut share[dead]),
+            Deposits::Real {
+                bytes, segments, ..
+            } => {
+                let row = std::mem::replace(&mut bytes[dead], vec![0.0; r]);
+                for (b, moved) in bytes[repl].iter_mut().zip(row) {
+                    *b += moved;
+                }
+                let rows = std::mem::replace(&mut segments[dead], vec![Vec::new(); r]);
+                for (s, mut moved) in segments[repl].iter_mut().zip(rows) {
+                    s.append(&mut moved);
+                }
             }
         }
         self.local_files[dead] = None;
-        self.cached_frac[dead] = 0.0;
-        self.rack_fold.clear();
+        self.lose_cache(dead);
+    }
+
+    /// `node`'s server cache is gone: its bytes refetch from the OSSes.
+    fn lose_cache(&mut self, node: usize) {
+        self.cached_frac[node] = 0.0;
+        if let Deposits::Synthetic { rack_fold, .. } = &mut self.deposits {
+            rack_fold.clear();
+        }
     }
 
     /// What `reducer` pulls from each source — a rack when `aggregated`, a
@@ -264,19 +246,18 @@ impl ShuffleState {
     /// it is the node's cached fraction. Only Lustre-local reads `cached`.
     fn sources(&mut self, reducer: u32, racks: usize, out: &mut Vec<(f64, f64)>) {
         let (reducer, frac) = (reducer as usize, &self.cached_frac);
-        if !self.aggregated {
-            out.clear();
-            let nodes = frac.iter().enumerate();
-            out.extend(nodes.map(|(i, &f)| (self.buckets.get(i, reducer), f)));
-        } else if let ShuffleBuckets::Dense { .. } = self.buckets {
-            self.buckets.fold_racks(reducer, racks, frac, out);
-        } else {
-            if self.rack_fold.is_empty() {
-                let fold = &mut self.rack_fold;
-                self.buckets.fold_racks(reducer, racks, frac, fold);
+        match &mut self.deposits {
+            d if !self.aggregated => {
+                out.clear();
+                out.extend((0..frac.len()).map(|i| (d.get(i, reducer), frac[i])));
             }
-            out.clear();
-            out.extend_from_slice(&self.rack_fold);
+            Deposits::Real { bytes, .. } => fold_racks(racks, frac, |i| bytes[i][reducer], out),
+            Deposits::Synthetic { share, rack_fold } => {
+                if rack_fold.is_empty() {
+                    fold_racks(racks, frac, |i| share[i], rack_fold);
+                }
+                out.clone_from(rack_fold);
+            }
         }
     }
 }
@@ -314,17 +295,17 @@ impl JobShuffle {
         self.writing.is_some()
     }
 
-    /// Heap of the live bucket matrix (self-profiling).
+    /// Heap of the live shuffle's byte accounting (self-profiling).
     pub(super) fn heap_bytes(&self) -> usize {
         let live = self.writing.as_ref().or(self.reading.as_ref());
-        live.map_or(0, |s| s.buckets.heap_bytes())
+        live.map_or(0, |s| s.deposits.heap_bytes())
     }
 
     /// Whether `reducer` of the shuffle being read pulls bytes from `src`.
     pub(super) fn fetches_from(&self, src: u32, reducer: u32) -> bool {
         let (src, reducer) = (src as usize, reducer as usize);
         let reading = self.reading.as_ref();
-        reading.is_some_and(|sh| sh.buckets.get(src, reducer) > 0.0)
+        reading.is_some_and(|sh| sh.deposits.get(src, reducer) > 0.0)
     }
 
     /// The shuffle this job's fetch stage reads.
@@ -349,26 +330,11 @@ impl JobShuffle {
             .expect("producer without a shuffle to write")
     }
 
-    /// A producer finished at `node` with `bytes` of output for the shuffle
-    /// being written (`real`: its rows, already hash-partitioned).
+    /// A producer finished at `node` with `bytes` of output: counted in
+    /// `intermediate`, and deposited into the shuffle being written.
     pub(super) fn deposit(&mut self, node: u32, bytes: f64, real: Option<RealOut>) {
         self.intermediate[node as usize] += bytes;
-        let sh = self.writing();
-        match (real, &mut sh.node_real) {
-            // O(reducers): each bucket — already partitioned, sized and
-            // summed on the pool — lands as one segment, by handle. Its byte
-            // total is an integer sum, so adding it once equals the
-            // per-record `f64` accumulation it replaces bit for bit.
-            (Some(RealOut::Buckets(buckets)), Some(rows)) => {
-                for (r, bucket) in buckets.into_iter().enumerate() {
-                    sh.buckets.add(node as usize, r, bucket.bytes as f64);
-                    if !bucket.rows.is_empty() {
-                        rows[node as usize][r].push(bucket.rows);
-                    }
-                }
-            }
-            _ => sh.buckets.add_uniform(node as usize, bytes),
-        }
+        self.writing().deposit(node as usize, bytes, real);
     }
 }
 
@@ -448,7 +414,7 @@ impl SimWorld {
     /// job is producing a shuffle that carries real rows.
     pub(super) fn real_partitioning(&self, task: u32) -> Option<u32> {
         let sh = self.job_of(task).shuffle.writing.as_ref()?;
-        sh.node_real.is_some().then_some(sh.reducers)
+        sh.is_real().then_some(sh.reducers)
     }
 
     // ---------------- a shuffle's life ----------------
@@ -474,7 +440,7 @@ impl SimWorld {
         let real = match &plan.stages[idx].input {
             StageInput::Dataset { rdd, .. } => self.inputs.is_real(*rdd),
             StageInput::Cached { rdd } => self.blockmgr.is_real(*rdd),
-            StageInput::Shuffle(_) => self.jobs[ji].shuffle.reading().node_real.is_some(),
+            StageInput::Shuffle(_) => self.jobs[ji].shuffle.reading().is_real(),
         };
         let workers = self.spec.workers as usize;
         // Rack aggregation kicks in when the per-rack-pair concurrent
@@ -828,22 +794,25 @@ impl SimWorld {
         self.maybe_schedule_finish(now, task, out);
     }
 
-    /// Real rows: the first launch of `reducer` takes its segments out of
-    /// `node_real` in gather order (the shuffle barrier guarantees they are
-    /// complete) and queues their aggregation for this round's flush. A
+    /// Real rows: the first launch of `reducer` takes its deposited segments
+    /// in gather order (the shuffle barrier guarantees they are complete)
+    /// and queues their aggregation for this round's flush. A
     /// retry finds the result parked and queues nothing, so the aggregation
     /// runs once per reducer however many attempts it takes.
     fn queue_reduce(&mut self, task: u32, reducer: u32, plan: &Arc<JobPlan>, stage: usize) {
         let sh = self.job_of_mut(task).shuffle.reading();
-        let Some(real) = sh.node_real.as_mut() else {
+        let Deposits::Real {
+            segments, reduced, ..
+        } = &mut sh.deposits
+        else {
             return; // synthetic shuffle: sizes only
         };
-        let slot = &mut sh.reduced[reducer as usize];
+        let slot = &mut reduced[reducer as usize];
         if !matches!(slot, Reduced::Unlaunched) {
             return;
         }
         *slot = Reduced::Taken;
-        let segments = real
+        let segments = segments
             .iter_mut()
             .flat_map(|node| std::mem::take(&mut node[reducer as usize]))
             .collect();
@@ -873,7 +842,10 @@ impl SimWorld {
         rows: RealOut,
     ) {
         let sh = self.job_of_mut(task).shuffle.reading();
-        sh.reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
+        let Deposits::Real { reduced, .. } = &mut sh.deposits else {
+            unreachable!("only a real shuffle queues an aggregation");
+        };
+        reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
     }
 
     /// Hand a finishing fetch task its reducer's parked aggregation. The
@@ -882,9 +854,10 @@ impl SimWorld {
     /// size-model `output_bytes` set at launch.
     pub(super) fn adopt_reduced(&mut self, task: u32, reducer: u32) {
         let sh = self.job_of_mut(task).shuffle.reading();
-        let Some(slot) = sh.reduced.get_mut(reducer as usize) else {
+        let Deposits::Real { reduced, .. } = &mut sh.deposits else {
             return; // synthetic shuffle: sizes only
         };
+        let slot = &mut reduced[reducer as usize];
         let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
             unreachable!("fetch task finished before its reducer was evaluated");
         };
@@ -1044,10 +1017,7 @@ impl SimWorld {
             }
             match sh.reading.as_mut() {
                 Some(reading) if local_store => reading.move_rows(dead, repl),
-                Some(reading) => {
-                    reading.cached_frac[dead] = 0.0;
-                    reading.rack_fold.clear();
-                }
+                Some(reading) => reading.lose_cache(dead),
                 None => {}
             }
             sh.intermediate[repl] += sh.intermediate[dead];
@@ -1090,6 +1060,65 @@ mod tests {
     }
 
     #[test]
+    fn a_synthetic_share_reads_as_the_dense_matrix_bit_for_bit() {
+        // The reference is the matrix synthetic shuffles once kept, here
+        // above 2^20 cells: deposits split evenly over a node's row, a
+        // re-host adds the dead row into the replacement's, a launch folds
+        // its column per rack. One share per node must read the same bits
+        // through uneven deposits, a re-host and a lost server cache.
+        let (workers, reducers, racks) = (1_100, 1_000, 8);
+        let spec = ShuffleInSpec {
+            agg: crate::rdd::ShuffleAgg::GroupByKey,
+            fetch_rate: 1.0,
+            out_factor: 1.0,
+        };
+        let mut sh = ShuffleState::new(reducers, spec, workers, false, Some(racks));
+        let mut dense = vec![vec![0.0f64; reducers as usize]; workers];
+        // Three deposits a node, interleaved; every seventh node gets none.
+        for k in (0..3 * workers).filter(|k| k * 37 % workers % 7 != 3) {
+            let (node, total) = (k * 37 % workers, (k * 7_919 % 1_013) as f64 * 1_234.567);
+            sh.deposit(node, total, None);
+            let per = total / reducers as f64;
+            dense[node].iter_mut().for_each(|c| *c += per);
+        }
+        let check = |sh: &mut ShuffleState, dense: &[Vec<f64>], frac: &[f64]| {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for aggregated in [false, true] {
+                sh.aggregated = aggregated;
+                for r in 0..reducers {
+                    sh.sources(r, racks, &mut got);
+                    let r = r as usize;
+                    if aggregated {
+                        fold_racks(racks, frac, |i| dense[i][r], &mut want);
+                    } else {
+                        want = (0..workers).map(|i| (dense[i][r], frac[i])).collect();
+                    }
+                    // No NaN or -0.0 can arise, so `==` is bit equality.
+                    assert_eq!(got, want, "reducer {r}, {aggregated}");
+                }
+            }
+        };
+        // Lustre-local: cached fractions frozen at fetch start.
+        let mut frac: Vec<f64> = (0..workers).map(|i| (i % 10) as f64 / 9.0).collect();
+        sh.cached_frac.clone_from(&frac);
+        check(&mut sh, &dense, &frac);
+        // Node 5 crashes after the rack fold was taken: its row moves to
+        // node 0 and its server cache is lost.
+        let row = std::mem::replace(&mut dense[5], vec![0.0; reducers as usize]);
+        for (c, moved) in dense[0].iter_mut().zip(row) {
+            *c += moved;
+        }
+        frac[5] = 0.0;
+        sh.move_rows(5, 0);
+        check(&mut sh, &dense, &frac);
+        // Node 99's rows stay on Lustre; only its server cache is lost.
+        frac[99] = 0.0;
+        sh.lose_cache(99);
+        check(&mut sh, &dense, &frac);
+        assert_eq!(sh.deposits.heap_bytes(), workers * 8);
+    }
+
+    #[test]
     fn real_producer_finish_moves_bucket_handles() {
         // The kernel thread never touches a record: once the dispatch round
         // has flushed, a running real compute task holds its output already
@@ -1122,10 +1151,11 @@ mod tests {
         assert!(!handles.is_empty());
         w.producer_finished(task as u32, node as u32);
         assert!(!w.tasks.real_out.contains_key(&(task as u32)));
-        let sh = w.jobs[0].shuffle.writing();
-        let real = sh.node_real.as_ref().expect("real rows");
+        let Deposits::Real { segments, .. } = &w.jobs[0].shuffle.writing().deposits else {
+            panic!("a real job writes a real shuffle");
+        };
         for (r, ptr) in handles {
-            let segment = real[node][r].last().expect("one segment per bucket");
+            let segment = segments[node][r].last().expect("one segment per bucket");
             assert_eq!(segment.as_ptr(), ptr, "bucket {r} was copied, not moved");
         }
     }

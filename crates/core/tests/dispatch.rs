@@ -10,6 +10,7 @@
 
 use memres_cluster::{hyperion, tiny};
 use memres_core::prelude::*;
+use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
 use memres_des::units::MB;
 
@@ -170,10 +171,7 @@ fn trace_digest(cfg: EngineConfig, job: &Rdd, marker: &str) -> (u64, usize) {
     let (out, _) = d.run(job, Action::Count);
     assert!(!out.aborted);
     let jsonl = memres_trace::export::events_jsonl(&d.take_trace());
-    let digest = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    (digest, jsonl.matches(marker).count())
+    (fnv1a(&jsonl), jsonl.matches(marker).count())
 }
 
 #[test]

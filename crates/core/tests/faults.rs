@@ -16,6 +16,7 @@
 
 use memres_cluster::tiny;
 use memres_core::prelude::*;
+use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
 use memres_trace::{TaskClass, TimedEvent, TraceEvent};
 
@@ -397,11 +398,10 @@ fn a_blamed_node_is_blacklisted_and_launches_nothing_after() {
     assert_eq!(out.count, clean.count, "blacklisting changed the output");
 }
 
-/// The cheapest cell whose shuffle is both rack-aggregated ((1,024 / 8)² =
-/// 16,384 flows per rack pair > 4,096) and past the dense-matrix limit
-/// (1,024 × 1,040 > 2²⁰ entries), so its buckets are `Uniform` and every
-/// reducer launch reads one per-rack fold: 2,048 synthetic producers on
-/// 2,048 slots, 1,040 reducers. Node 5 crashes in the middle of the fetch
+/// A synthetic shuffle that is rack-aggregated ((1,024 / 8)² = 16,384 flows
+/// per rack pair > 4,096), so it keeps one share per node and every reducer
+/// launch reads one per-rack fold: 2,048 synthetic producers on 2,048
+/// slots, 1,040 reducers. Node 5 crashes in the middle of the fetch
 /// stage. Every running reducer pulls from it, so all of them retry after
 /// the re-host, and each retry reads a fold taken after the crash: its rows
 /// moved to node 0, in another rack (RAMDisk), or its server cache died
@@ -437,9 +437,7 @@ fn uniform_shuffle_crash_mid_fetch(shuffle: ShuffleStore) -> (u64, f64, u64) {
         "the crash must land in the fetch stage: {:?}",
         m.recovery
     );
-    let fnv1a = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    let digest = format!("{m:?}").bytes().fold(0xcbf2_9ce4_8422_2325, fnv1a);
-    (d.engine_steps(), m.job_time(), digest)
+    (d.engine_steps(), m.job_time(), fnv1a(format!("{m:?}")))
 }
 
 #[test]
