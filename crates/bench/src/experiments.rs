@@ -838,7 +838,7 @@ pub fn faults(setup: Setup) -> Table {
 }
 
 /// Negative control for the recovery machinery: doom every task launch so
-/// one task exhausts `max_task_attempts` and the job *must* abort. Exercised
+/// one task exhausts its four attempts and the job *must* abort. Exercised
 /// by the `faults-abort` repro target, whose non-zero exit code CI asserts —
 /// an abort that slipped through as exit 0 would let a silently-failing run
 /// pass the reproduction gate.
@@ -853,7 +853,7 @@ pub fn faults_abort(setup: Setup) -> Table {
     let gb = GroupBy::new(bytes).with_split(bytes / 8.0).with_reducers(4);
     let rdd = gb.build_real(20_000, 500, setup.seed);
     // Dooming launches 1..=10_000 covers every retry of every task at this
-    // scale, so the first task to burn through `max_task_attempts` aborts
+    // scale, so the first task to burn through its four attempts aborts
     // the job deterministically.
     let mut plan = FaultPlan::new();
     for nth in 1..=10_000u64 {

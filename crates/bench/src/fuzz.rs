@@ -41,6 +41,7 @@ use memres_core::prelude::*;
 use memres_core::{
     ArrivalProcess, Defect, FinishedJob, InterJobPolicy, StreamSpec, TenantSpec, TimedEvent,
 };
+use memres_des::splitmix64;
 use memres_des::time::SimDuration;
 use memres_des::units::MB;
 use memres_workloads::{Grep, GroupBy, WordCount};
@@ -59,31 +60,66 @@ fn stream_data_seed(seed: u64, t: u32, k: u32) -> u64 {
 /// fail loudly instead of silently re-interpreting.
 const SPEC_VERSION: &str = "v1";
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreKind {
-    Ram,
-    Ssd,
-    LustreLocal,
-    LustreShared,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InputKind {
-    Hdfs,
-    Lustre,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedKind {
-    Fifo,
-    Delay,
-}
-
+/// The workload a spec runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkloadKind {
     GroupBy,
     Grep,
     WordCount,
+}
+
+/// One enum axis of the spec: each value with its replay-line name, in the
+/// order [`FuzzSpec::generate`] draws them. `generate`, `encode`, `parse`
+/// and `config` all read the same table.
+type Axis<T> = [(&'static str, T)];
+
+const STORES: &Axis<ShuffleStore> = &[
+    ("ram", ShuffleStore::Local(StoreDevice::RamDisk)),
+    ("ssd", ShuffleStore::Local(StoreDevice::Ssd)),
+    ("lustre-local", ShuffleStore::LustreLocal),
+    ("lustre-shared", ShuffleStore::LustreShared),
+];
+
+const INPUTS: &Axis<InputSource> = &[
+    ("hdfs", InputSource::HdfsRamDisk),
+    ("lustre", InputSource::Lustre),
+];
+
+/// Drawn as "delay one time in three": index 1 when `next() % 3 == 0`.
+const SCHEDS: &Axis<SchedulerKind> = &[
+    ("fifo", SchedulerKind::Fifo),
+    (
+        "delay",
+        SchedulerKind::Delay {
+            wait: SimDuration::from_secs(1),
+        },
+    ),
+];
+
+const WORKLOADS: &Axis<WorkloadKind> = &[
+    ("groupby", WorkloadKind::GroupBy),
+    ("grep", WorkloadKind::Grep),
+    ("wordcount", WorkloadKind::WordCount),
+];
+
+/// The value an axis draw selects (`draw` is taken modulo the axis length).
+fn drawn<T: Copy>(axis: &Axis<T>, draw: u64) -> T {
+    let (_, v) = axis[(draw % axis.len() as u64) as usize];
+    v
+}
+
+/// The replay-line name of `v` (`?`, which no parse accepts, for a value
+/// outside the axis).
+fn name_of<T: PartialEq>(axis: &Axis<T>, v: &T) -> &'static str {
+    axis.iter()
+        .find(|(_, x)| x == v)
+        .map_or("?", |&(name, _)| name)
+}
+
+/// The value named `name` on the axis `what`.
+fn named<T: Copy>(axis: &Axis<T>, what: &str, name: &str) -> Result<T, String> {
+    let found = axis.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v);
+    found.ok_or_else(|| format!("unknown {what} '{name}'"))
 }
 
 /// One point in the engine's configuration space, plus the workload run on
@@ -95,9 +131,9 @@ pub struct FuzzSpec {
     pub workers: u32,
     pub racks: u16,
     pub cores: u32,
-    pub store: StoreKind,
-    pub input: InputKind,
-    pub sched: SchedKind,
+    pub store: ShuffleStore,
+    pub input: InputSource,
+    pub sched: SchedulerKind,
     /// `rack_agg_threshold` (`u32::MAX` encodes as `off`).
     pub agg: u32,
     pub threads: u32,
@@ -115,14 +151,6 @@ pub struct FuzzSpec {
     pub faults: u32,
     /// Deliberate engine defect (oracle demonstrations only).
     pub defect: bool,
-}
-
-fn splitmix64(s: &mut u64) -> u64 {
-    *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *s;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl FuzzSpec {
@@ -150,22 +178,9 @@ impl FuzzSpec {
             workers,
             racks,
             cores: 2 + (next() % 3) as u32,
-            store: match next() % 4 {
-                0 => StoreKind::Ram,
-                1 => StoreKind::Ssd,
-                2 => StoreKind::LustreLocal,
-                _ => StoreKind::LustreShared,
-            },
-            input: if next() % 2 == 0 {
-                InputKind::Hdfs
-            } else {
-                InputKind::Lustre
-            },
-            sched: if next() % 3 == 0 {
-                SchedKind::Delay
-            } else {
-                SchedKind::Fifo
-            },
+            store: drawn(STORES, next()),
+            input: drawn(INPUTS, next()),
+            sched: drawn(SCHEDS, (next() % 3 == 0) as u64),
             agg,
             threads: {
                 // One draw discarded: it fed the retired `legacy` queue axis,
@@ -177,11 +192,7 @@ impl FuzzSpec {
             elb: next() % 4 == 0,
             cad: next() % 4 == 0,
             jitter_pct: (next() % 30) as u32,
-            wl: match next() % 3 {
-                0 => WorkloadKind::GroupBy,
-                1 => WorkloadKind::Grep,
-                _ => WorkloadKind::WordCount,
-            },
+            wl: drawn(WORKLOADS, next()),
             rows: 200 + next() % 1400,
             keys: 5 + next() % 90,
             parts: 2 + (next() % 12) as u32,
@@ -223,16 +234,9 @@ impl FuzzSpec {
     /// the harness attaches it only to the faulted comparison run).
     pub fn config(&self) -> EngineConfig {
         let mut cfg = EngineConfig {
-            input: match self.input {
-                InputKind::Hdfs => InputSource::HdfsRamDisk,
-                InputKind::Lustre => InputSource::Lustre,
-            },
-            shuffle: match self.store {
-                StoreKind::Ram => ShuffleStore::Local(StoreDevice::RamDisk),
-                StoreKind::Ssd => ShuffleStore::Local(StoreDevice::Ssd),
-                StoreKind::LustreLocal => ShuffleStore::LustreLocal,
-                StoreKind::LustreShared => ShuffleStore::LustreShared,
-            },
+            input: self.input,
+            shuffle: self.store,
+            scheduler: self.sched,
             task_jitter: self.jitter_pct as f64 / 100.0,
             seed: self.seed,
             rack_agg_threshold: self.agg,
@@ -240,9 +244,6 @@ impl FuzzSpec {
         }
         .homogeneous()
         .with_executor_threads(self.threads as usize);
-        if let SchedKind::Delay = self.sched {
-            cfg = cfg.with_delay_scheduling(SimDuration::from_secs(1));
-        }
         if self.trace {
             cfg = cfg.with_trace();
         }
@@ -350,20 +351,9 @@ impl FuzzSpec {
             self.workers,
             self.racks,
             self.cores,
-            match self.store {
-                StoreKind::Ram => "ram",
-                StoreKind::Ssd => "ssd",
-                StoreKind::LustreLocal => "lustre-local",
-                StoreKind::LustreShared => "lustre-shared",
-            },
-            match self.input {
-                InputKind::Hdfs => "hdfs",
-                InputKind::Lustre => "lustre",
-            },
-            match self.sched {
-                SchedKind::Fifo => "fifo",
-                SchedKind::Delay => "delay",
-            },
+            name_of(STORES, &self.store),
+            name_of(INPUTS, &self.input),
+            name_of(SCHEDS, &self.sched),
             if self.agg == u32::MAX {
                 "off".to_string()
             } else {
@@ -374,11 +364,7 @@ impl FuzzSpec {
             self.elb as u8,
             self.cad as u8,
             self.jitter_pct,
-            match self.wl {
-                WorkloadKind::GroupBy => "groupby",
-                WorkloadKind::Grep => "grep",
-                WorkloadKind::WordCount => "wordcount",
-            },
+            name_of(WORKLOADS, &self.wl),
             self.rows,
             self.keys,
             self.parts,
@@ -421,29 +407,9 @@ impl FuzzSpec {
                 "workers" => spec.workers = intval()? as u32,
                 "racks" => spec.racks = intval()? as u16,
                 "cores" => spec.cores = intval()? as u32,
-                "store" => {
-                    spec.store = match val {
-                        "ram" => StoreKind::Ram,
-                        "ssd" => StoreKind::Ssd,
-                        "lustre-local" => StoreKind::LustreLocal,
-                        "lustre-shared" => StoreKind::LustreShared,
-                        _ => return Err(format!("unknown store '{val}'")),
-                    }
-                }
-                "input" => {
-                    spec.input = match val {
-                        "hdfs" => InputKind::Hdfs,
-                        "lustre" => InputKind::Lustre,
-                        _ => return Err(format!("unknown input '{val}'")),
-                    }
-                }
-                "sched" => {
-                    spec.sched = match val {
-                        "fifo" => SchedKind::Fifo,
-                        "delay" => SchedKind::Delay,
-                        _ => return Err(format!("unknown sched '{val}'")),
-                    }
-                }
+                "store" => spec.store = named(STORES, key, val)?,
+                "input" => spec.input = named(INPUTS, key, val)?,
+                "sched" => spec.sched = named(SCHEDS, key, val)?,
                 "agg" => {
                     spec.agg = if val == "off" {
                         u32::MAX
@@ -456,14 +422,7 @@ impl FuzzSpec {
                 "elb" => spec.elb = boolval()?,
                 "cad" => spec.cad = boolval()?,
                 "jitter" => spec.jitter_pct = intval()? as u32,
-                "wl" => {
-                    spec.wl = match val {
-                        "groupby" => WorkloadKind::GroupBy,
-                        "grep" => WorkloadKind::Grep,
-                        "wordcount" => WorkloadKind::WordCount,
-                        _ => return Err(format!("unknown workload '{val}'")),
-                    }
-                }
+                "wl" => spec.wl = named(WORKLOADS, "workload", val)?,
                 "rows" => spec.rows = intval()?,
                 "keys" => spec.keys = intval()?,
                 "parts" => spec.parts = intval()? as u32,
@@ -721,9 +680,9 @@ fn shrink_candidates(spec: &FuzzSpec) -> Vec<FuzzSpec> {
     push(&|s| s.trace = false);
     push(&|s| s.elb = false);
     push(&|s| s.cad = false);
-    push(&|s| s.sched = SchedKind::Fifo);
-    push(&|s| s.store = StoreKind::Ram);
-    push(&|s| s.input = InputKind::Hdfs);
+    push(&|s| s.sched = SchedulerKind::Fifo);
+    push(&|s| s.store = ShuffleStore::Local(StoreDevice::RamDisk));
+    push(&|s| s.input = InputSource::HdfsRamDisk);
     out
 }
 
@@ -910,7 +869,7 @@ mod tests {
         assert!(specs.iter().any(|s| s.wl == WorkloadKind::GroupBy));
         assert!(specs.iter().any(|s| s.wl == WorkloadKind::Grep));
         assert!(specs.iter().any(|s| s.wl == WorkloadKind::WordCount));
-        assert!(specs.iter().any(|s| s.store == StoreKind::LustreShared));
+        assert!(specs.iter().any(|s| s.store == ShuffleStore::LustreShared));
         assert!(specs.iter().any(|s| s.threads > 1));
     }
 }

@@ -13,6 +13,7 @@
 )]
 
 use memres_bench::fuzz::{self, FuzzSpec};
+use memres_core::prelude::{InputSource, SchedulerKind, ShuffleStore, StoreDevice};
 
 const BUDGET: u64 = 20_000_000;
 
@@ -110,9 +111,9 @@ fn conservation_holds_across_the_rack_agg_boundary() {
         s.workers = 12;
         s.racks = 2;
         s.cores = 2;
-        s.store = fuzz::StoreKind::Ram;
-        s.input = fuzz::InputKind::Hdfs;
-        s.sched = fuzz::SchedKind::Fifo;
+        s.store = ShuffleStore::Local(StoreDevice::RamDisk);
+        s.input = InputSource::HdfsRamDisk;
+        s.sched = SchedulerKind::Fifo;
         s.threads = 1;
         s.trace = false;
         s.elb = false;

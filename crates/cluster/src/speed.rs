@@ -16,11 +16,6 @@ use rand::{Rng, SeedableRng};
 pub enum SpeedModel {
     /// All nodes run at exactly 1.0× — the idealized homogeneous cluster.
     Homogeneous,
-    /// Factors drawn uniformly from `[lo, hi]` once at startup.
-    Uniform { lo: f64, hi: f64 },
-    /// A fraction of nodes is slowed (background interference); the rest run
-    /// at full speed. `slow_frac` in `[0, 1]`, `slow_factor` < 1.
-    TwoClass { slow_frac: f64, slow_factor: f64 },
     /// Lognormal-ish dispersion around 1.0 resampled every `period_secs`,
     /// modeling time-varying workload skew. `sigma` controls spread.
     Fluctuating { sigma: f64, period_secs: f64 },
@@ -55,33 +50,9 @@ impl SpeedSampler {
     /// Redraw all factors (called at startup and, for `Fluctuating`, on the
     /// resample period).
     pub fn resample(&mut self) {
-        let n = self.factors.len();
         match self.model {
             SpeedModel::Homogeneous => {
                 self.factors.iter_mut().for_each(|f| *f = 1.0);
-            }
-            SpeedModel::Uniform { lo, hi } => {
-                assert!(lo > 0.0 && hi >= lo);
-                for f in &mut self.factors {
-                    *f = self.rng.gen_range(lo..=hi);
-                }
-            }
-            SpeedModel::TwoClass {
-                slow_frac,
-                slow_factor,
-            } => {
-                assert!((0.0..=1.0).contains(&slow_frac) && slow_factor > 0.0);
-                let slow_count = ((n as f64) * slow_frac).round() as usize;
-                // Deterministic choice of which nodes are slow: the tail of a
-                // seeded shuffle, so reruns are stable.
-                let mut idx: Vec<usize> = (0..n).collect();
-                for i in (1..n).rev() {
-                    let j = self.rng.gen_range(0..=i);
-                    idx.swap(i, j);
-                }
-                for (k, &i) in idx.iter().enumerate() {
-                    self.factors[i] = if k < slow_count { slow_factor } else { 1.0 };
-                }
             }
             SpeedModel::Fluctuating { sigma, .. } => {
                 assert!(sigma >= 0.0);
@@ -121,30 +92,6 @@ mod tests {
         let s = SpeedSampler::new(SpeedModel::Homogeneous, 10, 1);
         assert!(s.factors().iter().all(|&f| f == 1.0));
         assert_eq!(s.resample_period(), None);
-    }
-
-    #[test]
-    fn uniform_within_bounds_and_deterministic() {
-        let a = SpeedSampler::new(SpeedModel::Uniform { lo: 0.5, hi: 1.5 }, 100, 42);
-        let b = SpeedSampler::new(SpeedModel::Uniform { lo: 0.5, hi: 1.5 }, 100, 42);
-        assert_eq!(a.factors(), b.factors());
-        assert!(a.factors().iter().all(|&f| (0.5..=1.5).contains(&f)));
-        // Not all identical.
-        assert!(a.factors().windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn two_class_has_expected_slow_count() {
-        let s = SpeedSampler::new(
-            SpeedModel::TwoClass {
-                slow_frac: 0.3,
-                slow_factor: 0.5,
-            },
-            100,
-            7,
-        );
-        let slow = s.factors().iter().filter(|&&f| f == 0.5).count();
-        assert_eq!(slow, 30);
     }
 
     #[test]

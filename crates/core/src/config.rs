@@ -6,7 +6,7 @@
 //! varies is a constant beside the code that reads it (census: DESIGN.md
 //! §4.7), Table I's other four rows among them ([`EngineConfig::table1`]).
 
-use crate::faults::{FaultPlan, RecoveryConfig};
+use crate::faults::FaultPlan;
 use memres_des::time::SimDuration;
 use memres_des::units::{GB, MB};
 
@@ -134,8 +134,6 @@ pub struct EngineConfig {
     pub executor_threads: Option<usize>,
     /// Deterministic fault schedule (DESIGN.md §4.9). `None` = happy path.
     pub faults: Option<FaultPlan>,
-    /// Retry/backoff/blacklist policy for the recovery engine.
-    pub recovery: RecoveryConfig,
     /// Structured event tracing (DESIGN.md §4.11). Off by default: the
     /// engine then holds no sink at all and emission sites cost one
     /// `Option` test.
@@ -173,7 +171,6 @@ impl Default for EngineConfig {
             seed: 1,
             executor_threads: None,
             faults: None,
-            recovery: RecoveryConfig::default(),
             trace: false,
             rack_agg_threshold: 4096,
             defect: None,
@@ -218,12 +215,6 @@ impl EngineConfig {
     /// Attach a deterministic fault schedule to the run.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Override the recovery policy (attempt caps, backoff, blacklisting).
-    pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -300,12 +291,6 @@ impl EngineConfig {
                     elb.threshold
                 ));
             }
-        }
-        if self.recovery.max_task_attempts == 0 {
-            return Err("recovery.max_task_attempts must be at least 1".to_string());
-        }
-        if self.recovery.blacklist_after == 0 {
-            return Err("recovery.blacklist_after must be at least 1".to_string());
         }
         if let Some(plan) = &self.faults {
             plan.validate(workers)?;
@@ -416,12 +401,6 @@ mod tests {
             };
             assert!(err(cfg, 4).contains("elb.threshold"));
         }
-        let rec = RecoveryConfig {
-            max_task_attempts: 0,
-            ..RecoveryConfig::default()
-        };
-        let cfg = EngineConfig::default().with_recovery(rec);
-        assert!(err(cfg, 4).contains("max_task_attempts"));
         // Fault plans are validated against the cluster size too.
         let plan = FaultPlan::new().after(
             SimDuration::from_secs(1),

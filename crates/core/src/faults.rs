@@ -14,14 +14,16 @@
 //! [`FaultPlan::seeded`] derives a pseudo-random plan from a seed *up
 //! front*, so the schedule itself is reproducible.
 //!
-//! Recovery behavior (attempt caps, fetch backoff, blacklisting) is tuned by
-//! [`RecoveryConfig`] on [`EngineConfig`](crate::config::EngineConfig).
+//! Recovery behavior (attempt caps, fetch backoff, blacklisting) is fixed at
+//! Spark's defaults, three constants beside their one reader in
+//! `world/recovery.rs`.
 
 // R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
 // bookkeeping slip into a crashed process; each one left carries an
 // `#[expect(…, reason)]` saying why its invariant holds.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use memres_des::splitmix64;
 use memres_des::time::SimDuration;
 
 /// One kind of injected fault.
@@ -153,14 +155,7 @@ impl FaultPlan {
     /// produce the same plan.
     pub fn seeded(seed: u64, workers: u32, events: usize, horizon: SimDuration) -> Self {
         let mut s = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = move || -> u64 {
-            // splitmix64 — same generator family the engine uses for jitter.
-            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = move || splitmix64(&mut s);
         let mut plan = FaultPlan::new();
         for _ in 0..events {
             let frac = (next() >> 11) as f64 / (1u64 << 53) as f64;
@@ -181,30 +176,6 @@ impl FaultPlan {
             plan.events.push(FaultEvent { after, kind });
         }
         plan
-    }
-}
-
-/// Knobs for the recovery engine (capped retries, backoff, blacklisting).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RecoveryConfig {
-    /// A task that fails this many times aborts the whole job
-    /// (Spark's `spark.task.maxFailures`).
-    pub max_task_attempts: u32,
-    /// Base delay before retrying a failed shuffle fetch; doubles per
-    /// attempt (exponential backoff, capped by `max_task_attempts`).
-    pub fetch_backoff: SimDuration,
-    /// A node attributed this many task-level failures is blacklisted:
-    /// no further task launches, pinned work is re-homed.
-    pub blacklist_after: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_task_attempts: 4,
-            fetch_backoff: SimDuration::from_millis(200),
-            blacklist_after: 3,
-        }
     }
 }
 

@@ -50,7 +50,7 @@ pub use config::{
     StoreDevice,
 };
 pub use driver::Driver;
-pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoveryConfig};
+pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{JobMetrics, Phase, RecoveryCounters, TaskLocality, TaskMetric};
 pub use rdd::{Action, Dataset, Rdd, RddId, SizeModel};
 pub use tenancy::{
@@ -67,7 +67,7 @@ pub use memres_trace::{TimedEvent, TraceEvent};
 pub mod prelude {
     pub use crate::config::{EngineConfig, InputSource, SchedulerKind, ShuffleStore, StoreDevice};
     pub use crate::driver::Driver;
-    pub use crate::faults::{FaultKind, FaultPlan, RecoveryConfig};
+    pub use crate::faults::{FaultKind, FaultPlan};
     pub use crate::metrics::{JobMetrics, Phase};
     pub use crate::rdd::{Action, Dataset, Rdd, SizeModel};
     pub use crate::value::{Record, Value};

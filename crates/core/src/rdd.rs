@@ -247,33 +247,6 @@ impl Rdd {
     ) -> Rdd {
         self.map(name, size, move |(k, v)| (k, f(v)))
     }
-
-    /// Keep only the keys (values become `Null`).
-    pub fn keys(&self) -> Rdd {
-        self.map("keys", SizeModel::new(0.5, 1.0, 2.0e9), |(k, _)| {
-            (k, Value::Null)
-        })
-    }
-
-    /// Keep only the values (keys become `Null`).
-    pub fn values(&self) -> Rdd {
-        self.map("values", SizeModel::new(0.5, 1.0, 2.0e9), |(_, v)| {
-            (Value::Null, v)
-        })
-    }
-
-    /// Distinct keys, via a shuffle (reduceByKey keeping one value).
-    pub fn distinct_keys(&self, reducers: Option<u32>) -> Rdd {
-        self.reduce_by_key(reducers, 1.0e9, 0.1, |a, _| a)
-    }
-
-    /// Per-key occurrence counts — the wordcount kernel.
-    pub fn count_by_key(&self, reducers: Option<u32>) -> Rdd {
-        self.map("ones", SizeModel::scan(), |(k, _)| (k, Value::I64(1)))
-            .reduce_by_key(reducers, 1.0e9, 0.3, |a, b| {
-                Value::I64(a.as_i64() + b.as_i64())
-            })
-    }
 }
 
 /// A partition of input data: sizes always, records when materialized.
@@ -475,24 +448,5 @@ mod sugar_tests {
         let out = step.apply(vec![(Value::str("k"), Value::I64(1))]);
         assert_eq!(out[0].0.as_str(), "k");
         assert_eq!(out[0].1.as_i64(), 2);
-    }
-
-    #[test]
-    fn sugar_builds_expected_shapes() {
-        let src = Rdd::source(Dataset::synthetic(100.0, 10.0, 1.0));
-        assert!(matches!(src.keys().0.op, RddOp::Narrow { .. }));
-        assert!(matches!(src.values().0.op, RddOp::Narrow { .. }));
-        assert!(matches!(
-            src.distinct_keys(Some(2)).0.op,
-            RddOp::Shuffle { .. }
-        ));
-        // count_by_key = map + reduceByKey.
-        let cbk = src.count_by_key(None);
-        match &cbk.0.op {
-            RddOp::Shuffle { parent, .. } => {
-                assert!(matches!(parent.0.op, RddOp::Narrow { .. }))
-            }
-            _ => panic!("count_by_key must end in a shuffle"),
-        }
     }
 }

@@ -15,96 +15,52 @@
 use crate::metrics::JobMetrics;
 use crate::rdd::{Action, Rdd};
 use crate::world::JobOutput;
+use memres_des::splitmix64;
 use memres_des::time::{SimDuration, SimTime};
 use std::sync::Arc;
 
-/// How a tenant's jobs arrive.
+/// How a tenant's jobs arrive. Both processes are open loop: every arrival
+/// is a pure function of `(seed, tenant, k)`, independent of job
+/// completions, so load keeps coming even when the cluster falls behind.
 #[derive(Clone, Debug)]
 pub enum ArrivalProcess {
-    /// Open loop: exponential inter-arrival gaps with the given mean, drawn
-    /// from the stream seed (a Poisson arrival stream). Arrivals are
-    /// independent of job completions — load keeps coming even when the
-    /// cluster falls behind.
+    /// Exponential inter-arrival gaps with the given mean, drawn from the
+    /// stream seed (a Poisson arrival stream).
     OpenExp { mean_secs: f64 },
-    /// Open loop with a fixed inter-arrival period.
+    /// A fixed inter-arrival period.
     Periodic { period_secs: f64 },
-    /// Closed loop: the first job arrives at stream start; each subsequent
-    /// job arrives `think_secs` after the tenant's previous job finishes.
-    Closed { think_secs: f64 },
-    /// Trace-driven: explicit arrival offsets (seconds from stream start),
-    /// one per job. Extra configured jobs beyond the trace length never
-    /// arrive.
-    Trace(Vec<f64>),
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Uniform draw in [0,1) from (seed, tenant, k) — the same hash-to-unit
 /// construction the task jitter uses, so arrival streams are pure functions
 /// of the stream seed.
 fn unit(seed: u64, tenant: u32, k: u32) -> f64 {
-    let h = splitmix64(seed ^ ((tenant as u64) << 40) ^ ((k as u64) << 8));
+    let mut state = seed ^ ((tenant as u64) << 40) ^ ((k as u64) << 8);
+    let h = splitmix64(&mut state);
     ((h >> 11) as f64) / ((1u64 << 53) as f64)
 }
 
 impl ArrivalProcess {
-    /// Gap between arrival `k-1` (stream start for `k == 0`) and arrival `k`
-    /// for open-loop processes. `None` for closed-loop gaps after the first
-    /// (those are measured from job completion, see [`ArrivalProcess::think`])
-    /// and for trace-driven processes (absolute offsets, see
-    /// [`ArrivalProcess::trace_offset`]).
-    pub fn open_gap(&self, seed: u64, tenant: u32, k: u32) -> Option<SimDuration> {
+    /// Gap between arrival `k-1` (stream start for `k == 0`) and arrival `k`.
+    pub fn open_gap(&self, seed: u64, tenant: u32, k: u32) -> SimDuration {
         match self {
             ArrivalProcess::OpenExp { mean_secs } => {
                 let u = unit(seed, tenant, k).min(1.0 - 1e-12);
-                Some(SimDuration::from_secs_f64(-mean_secs * (1.0 - u).ln()))
+                SimDuration::from_secs_f64(-mean_secs * (1.0 - u).ln())
             }
-            ArrivalProcess::Periodic { period_secs } => {
-                Some(SimDuration::from_secs_f64(*period_secs))
-            }
-            ArrivalProcess::Closed { .. } => (k == 0).then_some(SimDuration::ZERO),
-            ArrivalProcess::Trace(_) => None,
+            ArrivalProcess::Periodic { period_secs } => SimDuration::from_secs_f64(*period_secs),
         }
     }
 
-    /// Absolute offset of arrival `k` from stream start (trace-driven only).
-    pub fn trace_offset(&self, k: u32) -> Option<SimDuration> {
-        match self {
-            ArrivalProcess::Trace(ts) => ts
-                .get(k as usize)
-                .map(|&s| SimDuration::from_secs_f64(s.max(0.0))),
-            _ => None,
-        }
-    }
-
-    /// Offsets from stream start of the arrivals known when the stream
-    /// starts, in arrival order: every one of an open-loop tenant's `jobs`
-    /// (cumulative gaps), as many as a trace holds, and a closed-loop
-    /// tenant's first (its later ones chain off departures, see
-    /// [`ArrivalProcess::think`]).
+    /// Offsets from stream start of a tenant's `jobs` arrivals (cumulative
+    /// gaps), in arrival order: all of them are known when the stream starts.
     pub fn upfront_offsets(&self, seed: u64, tenant: u32, jobs: u32) -> Vec<SimDuration> {
-        if let ArrivalProcess::Trace(_) = self {
-            return (0..jobs).map_while(|k| self.trace_offset(k)).collect();
-        }
-        let gaps = (0..jobs).map_while(|k| self.open_gap(seed, tenant, k));
+        let gaps = (0..jobs).map(|k| self.open_gap(seed, tenant, k));
         gaps.scan(SimDuration::ZERO, |at, gap| {
             *at += gap;
             Some(*at)
         })
         .collect()
-    }
-
-    /// Closed-loop think time (completion → next arrival), if any.
-    pub fn think(&self) -> Option<SimDuration> {
-        match self {
-            ArrivalProcess::Closed { think_secs } => Some(SimDuration::from_secs_f64(*think_secs)),
-            _ => None,
-        }
     }
 }
 
@@ -186,14 +142,7 @@ impl StreamSpec {
     }
 
     pub fn total_jobs(&self) -> u32 {
-        self.tenants
-            .iter()
-            .map(|t| match &t.arrival {
-                // A trace shorter than `jobs` truncates the stream.
-                ArrivalProcess::Trace(ts) => t.jobs.min(ts.len() as u32),
-                _ => t.jobs,
-            })
-            .sum()
+        self.tenants.iter().map(|t| t.jobs).sum()
     }
 }
 
@@ -277,8 +226,8 @@ mod tests {
     fn open_exp_gaps_are_deterministic_and_positive() {
         let p = ArrivalProcess::OpenExp { mean_secs: 10.0 };
         for k in 0..64 {
-            let a = p.open_gap(7, 0, k).unwrap();
-            let b = p.open_gap(7, 0, k).unwrap();
+            let a = p.open_gap(7, 0, k);
+            let b = p.open_gap(7, 0, k);
             assert_eq!(a, b, "gap must be a pure function of (seed, tenant, k)");
             assert!(a >= SimDuration::ZERO);
         }
@@ -287,31 +236,13 @@ mod tests {
         assert_ne!(p.open_gap(7, 0, 3), p.open_gap(7, 1, 3));
         // The empirical mean lands near the configured one.
         let n = 4096;
-        let sum: f64 = (0..n)
-            .map(|k| p.open_gap(7, 0, k).unwrap().as_secs_f64())
-            .sum();
+        let sum: f64 = (0..n).map(|k| p.open_gap(7, 0, k).as_secs_f64()).sum();
         let mean = sum / n as f64;
         assert!((5.0..20.0).contains(&mean), "mean {mean} far from 10");
     }
 
     #[test]
-    fn closed_loop_first_arrival_is_immediate_then_thinks() {
-        let p = ArrivalProcess::Closed { think_secs: 4.0 };
-        assert_eq!(p.open_gap(1, 0, 0), Some(SimDuration::ZERO));
-        assert_eq!(p.open_gap(1, 0, 1), None);
-        assert_eq!(p.think(), Some(SimDuration::from_secs_f64(4.0)));
-    }
-
-    #[test]
-    fn trace_offsets_index_and_truncate() {
-        let p = ArrivalProcess::Trace(vec![0.0, 2.5]);
-        assert_eq!(p.trace_offset(1), Some(SimDuration::from_secs_f64(2.5)));
-        assert_eq!(p.trace_offset(2), None);
-        assert_eq!(p.open_gap(1, 0, 0), None);
-    }
-
-    #[test]
-    fn upfront_offsets_are_what_each_process_knows_at_stream_start() {
+    fn upfront_offsets_are_the_cumulative_gaps() {
         let secs = SimDuration::from_secs_f64;
         let periodic = ArrivalProcess::Periodic { period_secs: 2.0 };
         assert_eq!(
@@ -319,19 +250,13 @@ mod tests {
             [secs(2.0), secs(4.0), secs(6.0)]
         );
         let open = ArrivalProcess::OpenExp { mean_secs: 10.0 };
-        let gap = |k| open.open_gap(7, 1, k).unwrap();
+        let gap = |k| open.open_gap(7, 1, k);
         assert_eq!(
             open.upfront_offsets(7, 1, 3),
             [gap(0), gap(0) + gap(1), gap(0) + gap(1) + gap(2)]
         );
-        // Closed loop: the first only; nothing for a tenant with no jobs.
-        let closed = ArrivalProcess::Closed { think_secs: 4.0 };
-        assert_eq!(closed.upfront_offsets(1, 0, 5), [SimDuration::ZERO]);
-        assert!(closed.upfront_offsets(1, 0, 0).is_empty());
-        // A trace shorter than `jobs` truncates; a longer one is cut at `jobs`.
-        let trace = ArrivalProcess::Trace(vec![0.0, 2.5, 9.0]);
-        assert_eq!(trace.upfront_offsets(1, 0, 5).len(), 3);
-        assert_eq!(trace.upfront_offsets(1, 0, 2), [secs(0.0), secs(2.5)]);
+        // Nothing for a tenant with no jobs.
+        assert!(periodic.upfront_offsets(1, 0, 0).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Admission (DESIGN.md §4.14): how a job arrives at, enters and leaves the
 //! resident set. Single-job submissions enter through `SimWorld::admit_job`
 //! directly; a multi-tenant stream feeds it from [`StreamState`] — seeded
-//! arrivals, FIFO admission under a residency cap, closed-loop chaining at
-//! departure — and every job, finished or aborted, leaves through
+//! arrivals, all known when the stream starts, and FIFO admission under a
+//! residency cap — and every job, finished or aborted, leaves through
 //! `job_departed`.
 
 use super::{Ev, JobOutput, JobRun, SimWorld};
@@ -25,34 +25,25 @@ struct PendingAdmission {
 /// Multi-tenant stream bookkeeping (DESIGN.md §4.14).
 pub(super) struct StreamState {
     spec: StreamSpec,
-    /// Arrivals scheduled (or chained, for closed-loop) but not yet fired.
+    /// Arrivals scheduled but not yet fired.
     outstanding_arrivals: usize,
     /// Arrived jobs waiting for an admission slot, FIFO.
     queued: VecDeque<PendingAdmission>,
-    /// Per-tenant count of arrivals scheduled so far (closed-loop tenants
-    /// chain the next one at job departure).
-    fired: Vec<u32>,
 }
 
 impl StreamState {
-    /// Begin `spec`: its state, and the arrivals known now as `(offset from
-    /// stream start, tenant, k)` in scheduling order. Open-loop and trace
-    /// arrivals are all known upfront; closed-loop tenants fire their first
-    /// arrival immediately and chain the next one `think` after each job
-    /// departs.
+    /// Begin `spec`: its state, and every arrival as `(offset from stream
+    /// start, tenant, k)` in scheduling order.
     fn start(spec: StreamSpec) -> (Self, Vec<(SimDuration, u32, u32)>) {
         let mut upfront = Vec::new();
-        let mut fired = Vec::with_capacity(spec.tenants.len());
         for (tenant, ts) in (0u32..).zip(&spec.tenants) {
             let offsets = ts.arrival.upfront_offsets(spec.seed, tenant, ts.jobs);
-            fired.push(offsets.len() as u32);
             upfront.extend((0u32..).zip(offsets).map(|(k, off)| (off, tenant, k)));
         }
         let stream = StreamState {
             spec,
             outstanding_arrivals: upfront.len(),
             queued: VecDeque::new(),
-            fired,
         };
         (stream, upfront)
     }
@@ -77,19 +68,6 @@ impl StreamState {
         let pa = self.queued.pop_front()?;
         let make = self.spec.tenants[pa.tenant as usize].make.clone();
         Some((pa, make))
-    }
-
-    /// A job of `tenant` finished or aborted: a closed-loop tenant with jobs
-    /// left chains its next arrival, `(think time, k)`.
-    fn departed(&mut self, tenant: u32) -> Option<(SimDuration, u32)> {
-        let ts = &self.spec.tenants[tenant as usize];
-        let think = ts.arrival.think()?;
-        let k = self.fired[tenant as usize];
-        (k < ts.jobs).then(|| {
-            self.fired[tenant as usize] += 1;
-            self.outstanding_arrivals += 1;
-            (think, k)
-        })
     }
 
     /// True when no further jobs can arrive or be admitted.
@@ -163,8 +141,8 @@ impl SimWorld {
 
     /// The end of every job's life, finished or aborted (`job` is already
     /// out of the resident set): hand `output` and the job's metrics to the
-    /// driver, chain the owning tenant's next closed-loop arrival, pull in
-    /// queued admissions, and settle whether the run is over.
+    /// driver, pull in queued admissions, and settle whether the run is
+    /// over.
     pub(super) fn job_departed(
         &mut self,
         now: SimTime,
@@ -187,10 +165,6 @@ impl SimWorld {
         });
         if self.jobs.is_empty() {
             self.tasks.clear();
-        }
-        let tenant = job.tenant;
-        if let Some((think, k)) = self.stream.as_mut().and_then(|s| s.departed(tenant)) {
-            out.at(now + think, Ev::JobArrival { tenant, k });
         }
         self.try_admissions(now, out);
         self.job_done = self.jobs.is_empty() && self.stream.as_ref().is_none_or(|s| s.drained());
@@ -259,38 +233,14 @@ mod tests {
         assert_eq!(admitted(&mut s, 1), Some(2));
         assert_eq!(admitted(&mut s, 2), None, "at the cap: job 3 waits");
         assert!(!s.drained());
-        assert_eq!(s.departed(0), None, "open-loop tenants chain nothing");
         assert_eq!(admitted(&mut s, 1), Some(3), "a departure makes room");
         assert!(s.drained(), "nothing outstanding, nothing queued");
     }
 
     #[test]
-    fn closed_loop_chaining_stops_at_the_tenants_job_count() {
-        let think = SimDuration::from_secs(4);
-        let closed = ArrivalProcess::Closed { think_secs: 4.0 };
-        let (mut s, upfront) = StreamState::start(stream(vec![tenant(3, closed.clone())]));
-        assert_eq!(upfront, vec![(SimDuration::ZERO, 0, 0)], "only the first");
-        let mut id = 0;
-        let mut run_one = |s: &mut StreamState, k: u32| {
-            id += 1;
-            s.arrived(id, 0, k, SimTime::ZERO);
-            assert!(!s.drained(), "job {k} is queued");
-            assert!(s.admit_next(0).is_some());
-        };
-        run_one(&mut s, 0);
-        assert!(
-            s.drained(),
-            "between a closed-loop job's admission and its departure"
-        );
-        assert_eq!(s.departed(0), Some((think, 1)));
-        assert!(!s.drained(), "the chained arrival is outstanding");
-        run_one(&mut s, 1);
-        assert_eq!(s.departed(0), Some((think, 2)));
-        run_one(&mut s, 2);
-        assert_eq!(s.departed(0), None, "three jobs configured, three fired");
-        assert!(s.drained());
-        // A tenant with no jobs fires nothing at all.
-        let (s, upfront) = StreamState::start(stream(vec![tenant(0, closed)]));
+    fn a_tenant_with_no_jobs_fires_nothing() {
+        let periodic = ArrivalProcess::Periodic { period_secs: 1.0 };
+        let (s, upfront) = StreamState::start(stream(vec![tenant(0, periodic)]));
         assert!(upfront.is_empty() && s.drained());
     }
 }

@@ -13,7 +13,7 @@ use crate::value::Record;
 use memres_cluster::NodeId;
 use memres_des::sim::Outbox;
 use memres_des::time::SimTime;
-use memres_des::Bytes;
+use memres_des::{splitmix64, Bytes};
 use memres_hdfs::{BlockId, HdfsFile, Locality};
 use memres_lustre::LustreFile;
 use memres_net::Endpoint;
@@ -134,11 +134,7 @@ impl SimWorld {
             // Pseudo-random block placement (what an ingested corpus
             // looks like): node block counts become Poisson-spread,
             // which is what strict locality scheduling then amplifies.
-            let mut z =
-                (i as u64 ^ self.cfg.seed.rotate_left(32)).wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
+            let mut z = splitmix64(&mut (i as u64 ^ self.cfg.seed.rotate_left(32)));
             let primary = NodeId((z % workers as u64) as u32);
             let mut locs = vec![primary];
             if self.hdfs.config().replication >= 2 && workers > 1 {

@@ -16,6 +16,15 @@ use memres_des::time::{SimDuration, SimTime};
 use memres_trace::TraceEvent as TE;
 use std::sync::Arc;
 
+/// A task that fails this many times aborts its job (Spark's
+/// `spark.task.maxFailures`).
+const MAX_TASK_ATTEMPTS: u32 = 4;
+/// Base delay before retrying a failed shuffle fetch; it doubles per attempt.
+const FETCH_BACKOFF: SimDuration = SimDuration::from_millis(200);
+/// A node blamed for this many task failures is blacklisted: it launches
+/// nothing more, and pinned work is re-homed.
+const BLACKLIST_AFTER: u32 = 3;
+
 /// Fault-plan and abandoned-work bookkeeping.
 #[derive(Default)]
 pub(super) struct Faults {
@@ -186,17 +195,21 @@ impl SimWorld {
             self.tasks.compute_dur[i] = SimDuration::ZERO;
             self.tasks.queued_at[i] = now;
         }
-        if self.tasks.attempt[task as usize] >= self.cfg.recovery.max_task_attempts {
+        if self.tasks.attempt[task as usize] >= MAX_TASK_ATTEMPTS {
             let ji = self.job_index_of(task);
             self.abort_job(now, ji, out);
             return;
         }
-        if attribute && self.nodes.blame(node, self.cfg.recovery.blacklist_after) {
+        if attribute && self.nodes.blame(node, BLACKLIST_AFTER) {
             if let Some(rec) = self.metrics.recovery(self.tasks.job[task as usize]) {
                 rec.blacklisted_nodes += 1;
             }
             self.trace(now, TE::Blacklisted { node });
-            self.repin_pinned_off(node);
+            let Some(repl) = self.nodes.replacement() else {
+                self.abort_all_jobs(now, out);
+                return;
+            };
+            self.repin_pinned_off(node, repl);
         }
         // Drop dead/blacklisted nodes from the task's preferences; a pinned
         // task left with nowhere to go re-pins to the replacement.
@@ -236,14 +249,11 @@ impl SimWorld {
         }
     }
 
-    /// Re-pin pending pinned tasks away from a dead/blacklisted node and
-    /// queue them there. Their queue entries on the old node are left
-    /// behind; dispatch never visits that node, and `pick` tolerates
+    /// Re-pin pending pinned tasks away from a dead/blacklisted node to
+    /// `repl` and queue them there. Their queue entries on the old node are
+    /// left behind; dispatch never visits that node, and `pick` tolerates
     /// duplicates.
-    fn repin_pinned_off(&mut self, node: u32) {
-        let Some(repl) = self.nodes.replacement() else {
-            return;
-        };
+    fn repin_pinned_off(&mut self, node: u32, repl: u32) {
         let mut moved = Vec::new();
         for i in 0..self.tasks.len() {
             if self.tasks.state[i] == TState::Pending && self.tasks.pin[i] == node {
@@ -254,6 +264,14 @@ impl SimWorld {
         for id in moved {
             let ji = self.job_index_of(id);
             self.enqueue_pending(ji, [id]);
+        }
+    }
+
+    /// No usable node is left (crashed or blacklisted): every resident job
+    /// dies with the cluster.
+    fn abort_all_jobs(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
+        while !self.jobs.is_empty() {
+            self.abort_job(now, 0, out);
         }
     }
 
@@ -359,13 +377,10 @@ impl SimWorld {
             return;
         }
         let Some(repl) = self.nodes.replacement() else {
-            // No live node left: every resident job dies with the cluster.
-            while !self.jobs.is_empty() {
-                self.abort_job(now, 0, out);
-            }
+            self.abort_all_jobs(now, out);
             return;
         };
-        self.repin_pinned_off(node);
+        self.repin_pinned_off(node, repl);
         // Fetch tasks mid-pull from the dead node retry with backoff (the
         // shared Lustre store serves every byte from the OSSes — nothing to
         // retry there beyond the reducers that died with the node).
@@ -426,11 +441,7 @@ impl SimWorld {
                 continue;
             }
             let att = self.tasks.attempt[id as usize].min(8);
-            let backoff = self
-                .cfg
-                .recovery
-                .fetch_backoff
-                .mul_f64(2f64.powi(att as i32));
+            let backoff = FETCH_BACKOFF.mul_f64(2f64.powi(att as i32));
             if let Some(rec) = self.metrics.recovery(self.tasks.job[id as usize]) {
                 rec.failed_fetches += 1;
                 rec.fetch_retries += 1;
@@ -634,7 +645,8 @@ mod tests {
         let id = push_pinned_store(&mut w, victim);
         w.nodes.index_mut().park(0);
         w.nodes.crash(victim);
-        w.repin_pinned_off(victim);
+        let repl = w.nodes.replacement().expect("node 0 is up");
+        w.repin_pinned_off(victim, repl);
         assert_eq!(w.tasks.pin[id as usize], 0, "re-pinned to the replacement");
         assert!(w.nodes.index().is_live(0), "the replacement node must wake");
         w.audit_invariants().expect("no parked node has work");

@@ -346,36 +346,34 @@ fn crash_recomputes_lost_cached_partitions_from_lineage() {
     );
 }
 
+/// A plan that dooms task launches `1..=n`.
+fn doom_launches(n: u64) -> FaultPlan {
+    (1..=n).fold(FaultPlan::new(), |plan, nth_launch| {
+        plan.after(SimDuration::ZERO, FaultKind::TaskFail { nth_launch })
+    })
+}
+
 #[test]
 fn attempt_limit_exhaustion_aborts_the_job() {
-    let plan = FaultPlan::new().after(SimDuration::ZERO, FaultKind::TaskFail { nth_launch: 1 });
-    let cfg = base_cfg().with_faults(plan).with_recovery(RecoveryConfig {
-        max_task_attempts: 1,
-        ..RecoveryConfig::default()
-    });
-    let (out, m) = run_with(cfg);
-    assert!(out.aborted, "one allowed attempt + one failure must abort");
+    // One producer: launches 1..=4 are its four attempts, and the fourth
+    // failure exhausts Spark's default budget.
+    let mut d = Driver::new(tiny(4), base_cfg().with_faults(doom_launches(4)));
+    let (out, m) = d.run(&groupby_job_over(1, 2e6), Action::Count);
+    assert!(out.aborted, "four failed attempts must abort");
     assert_eq!(out.count, 0);
     assert_eq!(m.recovery.aborted_jobs, 1);
-    assert_eq!(m.recovery.tasks_retried, 1);
+    assert_eq!(m.recovery.tasks_retried, 4);
 }
 
 #[test]
 fn a_blamed_node_is_blacklisted_and_launches_nothing_after() {
     let (clean, _) = run_with(base_cfg());
-    let plan = FaultPlan::new().after(SimDuration::ZERO, FaultKind::TaskFail { nth_launch: 1 });
-    let cfg = base_cfg()
-        .with_faults(plan)
-        .with_recovery(RecoveryConfig {
-            blacklist_after: 1,
-            ..RecoveryConfig::default()
-        })
-        .with_trace();
+    let cfg = base_cfg().with_faults(doom_launches(9)).with_trace();
     let mut d = Driver::new(tiny(4), cfg);
     let (out, m) = d.run(&groupby_job(), Action::Count);
     let trace = d.take_trace();
     assert_eq!(m.recovery.blacklisted_nodes, 1, "{:?}", m.recovery);
-    assert_eq!(m.recovery.tasks_retried, 1, "{:?}", m.recovery);
+    assert_eq!(m.recovery.tasks_retried, 9, "{:?}", m.recovery);
 
     let blacklisted: Vec<(usize, u32)> = trace
         .iter()
@@ -396,6 +394,16 @@ fn a_blamed_node_is_blacklisted_and_launches_nothing_after() {
 
     assert!(!out.aborted);
     assert_eq!(out.count, clean.count, "blacklisting changed the output");
+}
+
+#[test]
+fn blacklisting_the_last_usable_node_aborts_instead_of_draining() {
+    // Thirteen doomed launches blame every node three times before any
+    // task fails four times: the last blacklisting leaves nowhere to run.
+    let (out, m) = run_with(base_cfg().with_faults(doom_launches(13)));
+    assert!(out.aborted, "{:?}", m.recovery);
+    assert_eq!(m.recovery.blacklisted_nodes, 4, "{:?}", m.recovery);
+    assert_eq!(m.recovery.aborted_jobs, 1, "{:?}", m.recovery);
 }
 
 /// A synthetic shuffle that is rack-aggregated ((1,024 / 8)² = 16,384 flows
@@ -467,17 +475,6 @@ fn try_new_rejects_invalid_configs() {
         .err()
         .expect("out-of-range fault node must be rejected");
     assert!(err.contains("out of range"), "{err}");
-
-    let err = Driver::try_new(
-        tiny(4),
-        EngineConfig::default().with_recovery(RecoveryConfig {
-            max_task_attempts: 0,
-            ..RecoveryConfig::default()
-        }),
-    )
-    .err()
-    .expect("zero attempt budget must be rejected");
-    assert!(err.contains("max_task_attempts"), "{err}");
 
     assert!(Driver::try_new(tiny(4), EngineConfig::default()).is_ok());
 }

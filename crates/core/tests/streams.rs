@@ -155,8 +155,7 @@ fn stream_replay_is_byte_identical_across_threads() {
 #[test]
 fn capacity_policy_and_admission_cap_honour_guarantees() {
     // A max_concurrent cap forces queueing (visible queue delay) and the
-    // capacity policy keeps serving both tenants; closed-loop arrivals
-    // chain off completions so the stream still drains fully.
+    // capacity policy keeps serving both tenants until the stream drains.
     let spec = StreamSpec::new(
         vec![
             TenantSpec::new(
@@ -168,7 +167,7 @@ fn capacity_policy_and_admission_cap_honour_guarantees() {
             TenantSpec::new(
                 "scan",
                 2,
-                ArrivalProcess::Closed { think_secs: 0.5 },
+                ArrivalProcess::Periodic { period_secs: 0.5 },
                 Arc::new(scan_reduce),
             ),
         ],
@@ -197,20 +196,6 @@ fn capacity_policy_and_admission_cap_honour_guarantees() {
             }
         }
     }
-    // Trace-driven arrivals also drain (truncated to the trace length).
-    let spec = StreamSpec::new(
-        vec![TenantSpec::new(
-            "scan",
-            5,
-            ArrivalProcess::Trace(vec![0.0, 0.25]),
-            Arc::new(scan_reduce),
-        )],
-        InterJobPolicy::Fifo,
-        1,
-    );
-    let mut d = Driver::new(memres_cluster::tiny(4), base_cfg());
-    let finished = d.run_stream(spec);
-    assert_eq!(finished.len(), 2, "trace shorter than `jobs` truncates");
 }
 
 #[test]
@@ -365,7 +350,7 @@ fn lustre_shared_flush_progress_is_credited_to_the_job_that_owns_it() {
     // swapped the gates: the small job's reducers left the lock wait at the
     // instant the big job's flows ended, and the big job's at the small's.
     let tenant = |name: &str, at: f64, gb: f64| {
-        let arrival = ArrivalProcess::Trace(vec![at]);
+        let arrival = ArrivalProcess::Periodic { period_secs: at };
         TenantSpec::new(name, 1, arrival, synthetic_groupby(gb))
     };
     let spec = StreamSpec::new(

@@ -79,7 +79,7 @@ impl SimDuration {
         SimDuration(us * 1_000)
     }
 
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
     }
 
