@@ -3,9 +3,8 @@
 //! Every figure in the paper's evaluation is a view over these records:
 //! job execution times (Figs 5, 7a, 8a, 9, 13a, 14a), phase dissections
 //! (Figs 7b, 8b, 13, 14b), task-time spreads (Figs 8c, 8d, 10), and
-//! per-node distributions (Fig 12).
-
-use memres_des::time::SimTime;
+//! per-node distributions (Fig 12). A resident job's records live in its
+//! `JobRun` (`world.rs`) until it departs.
 
 /// Which phase of the MapReduce pipeline a task belongs to (§IV/Fig 4a).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -152,7 +151,24 @@ impl JobMetrics {
     /// collecting any out-of-range node id, so bad records are visible in
     /// the rollup instead of silently dropped (and assert in debug builds).
     pub fn tasks_per_node(&self, phase: Phase, workers: u32) -> Vec<u32> {
-        let mut v = vec![0u32; workers as usize + 1];
+        self.per_node(phase, workers, |_| 1)
+    }
+
+    /// Intermediate bytes deposited per node by compute tasks (Fig 12b).
+    /// Same shape as [`JobMetrics::tasks_per_node`]: trailing overflow
+    /// bucket for out-of-range node ids.
+    pub fn intermediate_per_node(&self, workers: u32) -> Vec<f64> {
+        self.per_node(Phase::Compute, workers, |t| t.output_bytes)
+    }
+
+    /// `value` of each task of `phase` summed per node, in record order.
+    fn per_node<T: Copy + Default + std::ops::AddAssign>(
+        &self,
+        phase: Phase,
+        workers: u32,
+        value: impl Fn(&TaskMetric) -> T,
+    ) -> Vec<T> {
+        let mut v = vec![T::default(); workers as usize + 1];
         for t in self.tasks_in(phase) {
             debug_assert!(
                 (t.node as usize) < workers as usize,
@@ -162,27 +178,7 @@ impl JobMetrics {
             );
             let slot = (t.node as usize).min(workers as usize);
             if let Some(n) = v.get_mut(slot) {
-                *n += 1;
-            }
-        }
-        v
-    }
-
-    /// Intermediate bytes deposited per node by compute tasks (Fig 12b).
-    /// Same shape as [`JobMetrics::tasks_per_node`]: trailing overflow
-    /// bucket for out-of-range node ids.
-    pub fn intermediate_per_node(&self, workers: u32) -> Vec<f64> {
-        let mut v = vec![0.0; workers as usize + 1];
-        for t in self.tasks_in(Phase::Compute) {
-            debug_assert!(
-                (t.node as usize) < workers as usize,
-                "task node {} out of range for {} workers",
-                t.node,
-                workers
-            );
-            let slot = (t.node as usize).min(workers as usize);
-            if let Some(n) = v.get_mut(slot) {
-                *n += t.output_bytes;
+                *n += value(t);
             }
         }
         v
@@ -199,80 +195,6 @@ impl JobMetrics {
             .filter(|t| t.locality == TaskLocality::NodeLocal)
             .count();
         local as f64 / total as f64
-    }
-}
-
-/// Collects task records during a run. Multi-job aware (DESIGN.md §4.14):
-/// every concurrently resident job owns an in-progress [`JobMetrics`]; task
-/// events route by job id, and cluster-wide faults broadcast to every active
-/// job (each resident job experienced the crash). Events referring to a job
-/// that already departed drop silently — the same observable behaviour the
-/// old single-slot sink had between jobs.
-#[derive(Default)]
-pub struct MetricsSink {
-    active: Vec<JobMetrics>,
-}
-
-impl MetricsSink {
-    pub fn begin_job(&mut self, job: u32, now: SimTime) {
-        self.active.push(JobMetrics {
-            job,
-            started_at: now.as_secs_f64(),
-            finished_at: now.as_secs_f64(),
-            tasks: Vec::new(),
-            recovery: RecoveryCounters::default(),
-        });
-    }
-
-    fn job_mut(&mut self, job: u32) -> Option<&mut JobMetrics> {
-        self.active.iter_mut().find(|m| m.job == job)
-    }
-
-    /// Make room for `n` more task records of `job`: the engine creates a
-    /// stage's tasks together, and each that finishes leaves one record.
-    pub fn reserve(&mut self, job: u32, n: usize) {
-        if let Some(jm) = self.job_mut(job) {
-            jm.tasks.reserve_exact(n);
-        }
-    }
-
-    /// Heap charged to the active jobs' task records (self-profiling).
-    pub fn heap_bytes(&self) -> usize {
-        let records: usize = self.active.iter().map(|m| m.tasks.capacity()).sum();
-        records * std::mem::size_of::<TaskMetric>()
-    }
-
-    pub fn record(&mut self, m: TaskMetric) {
-        if let Some(jm) = self.job_mut(m.job) {
-            jm.tasks.push(m);
-        }
-    }
-
-    /// Recovery counters of one active job, for task-attributed events
-    /// (retries, blacklisting, recomputes). `None` if the job departed.
-    pub fn recovery(&mut self, job: u32) -> Option<&mut RecoveryCounters> {
-        self.job_mut(job).map(|m| &mut m.recovery)
-    }
-
-    /// Apply a cluster-wide recovery event (node crash/restart, block loss,
-    /// SSD degradation) to every active job.
-    pub fn recovery_all(&mut self, f: impl Fn(&mut RecoveryCounters)) {
-        for m in self.active.iter_mut() {
-            f(&mut m.recovery);
-        }
-    }
-
-    /// Close out `job`'s metrics and remove it from the active set.
-    pub fn finish_job(&mut self, job: u32, now: SimTime) -> JobMetrics {
-        let mut m = match self.active.iter().position(|m| m.job == job) {
-            Some(i) => self.active.remove(i),
-            None => JobMetrics {
-                job,
-                ..JobMetrics::default()
-            },
-        };
-        m.finished_at = now.as_secs_f64();
-        m
     }
 }
 
@@ -299,7 +221,6 @@ mod tests {
     #[test]
     fn phase_time_spans_first_launch_to_last_finish() {
         let jm = JobMetrics {
-            job: 0,
             started_at: 0.0,
             finished_at: 10.0,
             tasks: vec![
@@ -307,7 +228,7 @@ mod tests {
                 mk(Phase::Compute, 1, 2.0, 6.0, 20.0),
                 mk(Phase::Storing, 0, 6.0, 9.0, 0.0),
             ],
-            recovery: RecoveryCounters::default(),
+            ..JobMetrics::default()
         };
         assert!((jm.phase_time(Phase::Compute) - 5.0).abs() < 1e-12);
         assert!((jm.phase_time(Phase::Storing) - 3.0).abs() < 1e-12);
@@ -318,7 +239,6 @@ mod tests {
     #[test]
     fn spreads_and_distributions() {
         let jm = JobMetrics {
-            job: 0,
             started_at: 0.0,
             finished_at: 1.0,
             tasks: vec![
@@ -326,7 +246,7 @@ mod tests {
                 mk(Phase::Compute, 0, 0.0, 2.0, 5.0),
                 mk(Phase::Compute, 1, 0.0, 4.0, 30.0),
             ],
-            recovery: RecoveryCounters::default(),
+            ..JobMetrics::default()
         };
         let (min, mean, max) = jm.duration_spread(Phase::Compute);
         assert_eq!((min, max), (1.0, 4.0));
@@ -344,53 +264,11 @@ mod tests {
         let mut c = mk(Phase::Shuffling, 0, 0.0, 1.0, 0.0);
         c.locality = TaskLocality::NodeLocal;
         let jm = JobMetrics {
-            job: 0,
             started_at: 0.0,
             finished_at: 1.0,
             tasks: vec![a, b, c],
-            recovery: RecoveryCounters::default(),
+            ..JobMetrics::default()
         };
         assert!((jm.locality_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sink_lifecycle() {
-        let mut sink = MetricsSink::default();
-        sink.begin_job(3, SimTime::from_secs_f64(1.0));
-        let mut m = mk(Phase::Compute, 0, 1.0, 2.0, 0.0);
-        m.job = 3;
-        sink.record(m);
-        let jm = sink.finish_job(3, SimTime::from_secs_f64(5.0));
-        assert_eq!(jm.job, 3);
-        assert_eq!(jm.tasks.len(), 1);
-        assert!((jm.job_time() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sink_routes_by_job_and_broadcasts_faults() {
-        let mut sink = MetricsSink::default();
-        sink.begin_job(1, SimTime::ZERO);
-        sink.begin_job(2, SimTime::from_secs_f64(1.0));
-        let mut m = mk(Phase::Compute, 0, 1.0, 2.0, 0.0);
-        m.job = 2;
-        sink.record(m);
-        // Task event belonging to a departed job drops silently.
-        let mut stale = mk(Phase::Compute, 0, 1.0, 2.0, 0.0);
-        stale.job = 9;
-        sink.record(stale);
-        if let Some(rec) = sink.recovery(1) {
-            rec.tasks_retried += 1;
-        }
-        sink.recovery_all(|r| r.node_crashes += 1);
-        let a = sink.finish_job(1, SimTime::from_secs_f64(2.0));
-        let b = sink.finish_job(2, SimTime::from_secs_f64(3.0));
-        assert_eq!(a.tasks.len(), 0);
-        assert_eq!(b.tasks.len(), 1);
-        assert_eq!(a.recovery.tasks_retried, 1);
-        assert_eq!(b.recovery.tasks_retried, 0);
-        assert_eq!(a.recovery.node_crashes, 1);
-        assert_eq!(b.recovery.node_crashes, 1);
-        // Finishing an unknown job yields an empty record, not a panic.
-        assert_eq!(sink.finish_job(9, SimTime::ZERO).tasks.len(), 0);
     }
 }

@@ -52,7 +52,7 @@ use crate::candidates::Nodes;
 use crate::config::EngineConfig;
 use crate::dag::{JobPlan, StageInput};
 use crate::executor::{evaluate, ChainOut, Pending, RealOut, Work};
-use crate::metrics::{MetricsSink, Phase, TaskLocality, TaskMetric};
+use crate::metrics::{JobMetrics, RecoveryCounters, TaskLocality, TaskMetric};
 use crate::rdd::Action;
 use crate::tenancy::FinishedJob;
 use crate::value::{Record, Value};
@@ -66,6 +66,7 @@ use memres_net::{Endpoint, Fabric, FlowNet};
 use memres_storage::{CacheConfig, LocalFs, RamDisk, Ssd, SsdConfig};
 use memres_trace::TraceEvent as TE;
 use std::collections::VecDeque;
+use std::mem::size_of;
 use std::sync::Arc;
 
 mod admission;
@@ -178,13 +179,28 @@ struct JobRun {
     final_tasks: Vec<u32>,
     /// Pending-task queues and scheduling clocks.
     queues: JobQueues,
+    /// The records of the tasks finished so far and the recovery counters,
+    /// handed to the driver when the job departs.
+    metrics: JobMetrics,
 }
 
 impl JobRun {
-    /// Heap charged to this job's own tables (self-profiling).
+    /// Heap charged to this job's own tables and task records
+    /// (self-profiling).
     fn heap_bytes(&self) -> usize {
-        let ids = self.stage_tasks.capacity() + self.final_tasks.capacity();
-        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids * std::mem::size_of::<u32>()
+        let ids = (self.stage_tasks.capacity() + self.final_tasks.capacity()) * size_of::<u32>();
+        let records = self.metrics.tasks.capacity() * size_of::<TaskMetric>();
+        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids + records
+    }
+
+    /// A speculative copy `task` won: it replaces its `twin` everywhere the
+    /// job refers to it (storing pins, final-task outputs).
+    fn replace_task(&mut self, twin: u32, task: u32) {
+        for slot in self.stage_tasks.iter_mut().chain(&mut self.final_tasks) {
+            if *slot == twin {
+                *slot = task;
+            }
+        }
     }
 }
 
@@ -200,18 +216,17 @@ pub struct JobOutput {
 }
 
 pub struct SimWorld {
-    pub spec: ClusterSpec,
+    spec: ClusterSpec,
     pub cfg: EngineConfig,
     pub net: FlowNet<NetTag>,
-    pub fabric: Fabric,
+    fabric: Fabric,
     /// Per-node RAMDisk mount (HDFS blocks + RAMDisk shuffle store).
     ram_fs: Vec<LocalFs>,
     /// Per-node SSD mount (SSD shuffle store).
     ssd_fs: Vec<LocalFs>,
     pub lustre: Lustre,
-    pub hdfs: Hdfs,
+    hdfs: Hdfs,
     speeds: SpeedSampler,
-    pub metrics: MetricsSink,
     pub blockmgr: BlockMgr,
 
     tasks: TaskArena,
@@ -367,7 +382,6 @@ impl SimWorld {
             lustre,
             hdfs,
             speeds,
-            metrics: MetricsSink::default(),
             tasks: TaskArena::default(),
             jobs: Vec::new(),
             job_seq: 0,
@@ -394,14 +408,6 @@ impl SimWorld {
         }
     }
 
-    fn trace_class(kind: TaskKind) -> memres_trace::TaskClass {
-        match kind {
-            TaskKind::Compute { .. } => memres_trace::TaskClass::Compute,
-            TaskKind::Store { .. } => memres_trace::TaskClass::Store,
-            TaskKind::Fetch { .. } => memres_trace::TaskClass::Fetch,
-        }
-    }
-
     /// Drain the recorded trace (empty when tracing is off).
     pub fn take_trace(&mut self) -> Vec<memres_trace::TimedEvent> {
         self.tracer
@@ -424,10 +430,10 @@ impl SimWorld {
         let trace = self
             .tracer
             .as_ref()
-            .map(|t| t.borrow().len() * std::mem::size_of::<memres_trace::TimedEvent>())
+            .map(|t| t.borrow().len() * size_of::<memres_trace::TimedEvent>())
             .unwrap_or(0);
         let jobs: usize = self.jobs.iter().map(JobRun::heap_bytes).sum();
-        let arenas = self.tasks.heap_bytes() + self.metrics.heap_bytes() + self.net.heap_bytes();
+        let arenas = self.tasks.heap_bytes() + self.net.heap_bytes();
         (arenas + trace + jobs) as u64
     }
 
@@ -534,6 +540,21 @@ impl SimWorld {
     fn job_of_mut(&mut self, task: u32) -> &mut JobRun {
         let ji = self.job_index_of(task);
         &mut self.jobs[ji]
+    }
+
+    /// Recovery counters of resident job `job`, for task-attributed events
+    /// (retries, blacklisting, recomputes); `None` once it has departed.
+    fn recovery_of(&mut self, job: u32) -> Option<&mut RecoveryCounters> {
+        let run = self.jobs.iter_mut().find(|j| j.id == job)?;
+        Some(&mut run.metrics.recovery)
+    }
+
+    /// Apply a cluster-wide recovery event (node crash or restart, block
+    /// loss, SSD degradation) to every resident job: each experienced it.
+    fn recovery_all(&mut self, f: impl Fn(&mut RecoveryCounters)) {
+        self.jobs
+            .iter_mut()
+            .for_each(|j| f(&mut j.metrics.recovery));
     }
 
     // ---------------- wake plumbing ----------------
@@ -687,7 +708,6 @@ impl SimWorld {
         self.arm_faults(now, out);
         self.arm_metrics(out);
         self.job_done = false;
-        self.metrics.begin_job(id, now);
         self.trace(now, TE::JobStart { job: id });
         if self.jobs.is_empty() {
             self.cad.reset();
@@ -705,6 +725,12 @@ impl SimWorld {
             shuffle: JobShuffle::new(workers),
             final_tasks: Vec::new(),
             queues: JobQueues::new(workers, now),
+            metrics: JobMetrics {
+                job: id,
+                started_at: now.as_secs_f64(),
+                finished_at: now.as_secs_f64(),
+                ..JobMetrics::default()
+            },
         });
         let ji = self.jobs.len() - 1;
         self.start_stage(now, ji, 0, out);
@@ -739,7 +765,7 @@ impl SimWorld {
         let is_fetch = matches!(stage.input, StageInput::Shuffle(_));
         // Room for the followers too, now, while the arrays are small, is one
         // growth instead of three that each copy everything before them.
-        self.reserve_tasks(self.jobs[ji].id, nparts + followers);
+        self.reserve_tasks(ji, nparts + followers);
         let first = self.tasks.len() as u32;
         for i in 0..nparts {
             let kind = if is_fetch {
@@ -774,12 +800,12 @@ impl SimWorld {
         out.immediately(Ev::Dispatch);
     }
 
-    /// Make room for the `n` tasks `job` is about to create, in the arena
-    /// and in the job's metrics: each array grows once, to exactly what it
-    /// needs, instead of doubling its way there.
-    fn reserve_tasks(&mut self, job: u32, n: usize) {
+    /// Make room for the `n` tasks job `ji` is about to create, in the
+    /// arena and in the job's metrics: each array grows once, to exactly
+    /// what it needs, instead of doubling its way there.
+    fn reserve_tasks(&mut self, ji: usize, n: usize) {
         self.tasks.reserve(n);
-        self.metrics.reserve(job, n);
+        self.jobs[ji].metrics.tasks.reserve_exact(n);
     }
 
     // ---------------- task launch ----------------
@@ -798,7 +824,7 @@ impl SimWorld {
             TE::TaskLaunched {
                 task,
                 node,
-                class: Self::trace_class(self.tasks.kind[i]),
+                class: self.tasks.kind[i].class(),
                 attempt: self.tasks.attempt[i],
                 queue_delay: now.since(self.tasks.queued_at[i]),
                 speculative: self.tasks.is_speculative[i],
@@ -940,27 +966,20 @@ impl SimWorld {
         if self.completion_is_stale(task, attempt, job) {
             return;
         }
+        let i = task as usize;
         // Speculation: if this task's twin already finished, this copy lost —
         // just release the slot (the real Spark would have killed it).
-        let twin = self.tasks.twin[task as usize];
+        let twin = self.tasks.twin[i];
         let lost = twin != NO_TWIN && self.tasks.state[twin as usize] == TState::Done;
         // An attempt doomed by the fault plan dies at the instant it would
         // have completed: the full duration becomes wasted work and the task
         // re-queues (or the job aborts at the attempt limit).
-        if !lost && self.tasks.doomed[task as usize] {
+        if !lost && self.tasks.doomed[i] {
             self.fail_task(now, task, SimDuration::ZERO, true, out);
             return;
         }
-        let (node, stage, kind, ghost) = {
-            let i = task as usize;
-            self.tasks.set_state(task, TState::Done);
-            (
-                self.tasks.node[i],
-                self.tasks.stage[i],
-                self.tasks.kind[i],
-                self.tasks.ghost[i],
-            )
-        };
+        let (node, kind, ghost) = (self.tasks.node[i], self.tasks.kind[i], self.tasks.ghost[i]);
+        self.tasks.set_state(task, TState::Done);
         self.nodes.free_slot(node);
         // The losing speculation copy: its whole duration was duplicated
         // work, so the trace marks it ghost (retry-waste in attribution).
@@ -969,7 +988,7 @@ impl SimWorld {
             TE::TaskFinished {
                 task,
                 node,
-                class: Self::trace_class(kind),
+                class: kind.class(),
                 attempt,
                 ghost: ghost || lost,
             },
@@ -978,52 +997,20 @@ impl SimWorld {
             out.immediately(Ev::Dispatch);
             return;
         }
-        // If a speculative copy won, it replaces the original everywhere the
-        // job refers to it (storing pins, final-task outputs).
-        if self.tasks.is_speculative[task as usize] {
+        let ji = self.job_index_of(task);
+        let ran = now.since(self.tasks.launched_at[i]);
+        let job = &mut self.jobs[ji];
+        if self.tasks.is_speculative[i] {
             debug_assert_ne!(
                 twin, NO_TWIN,
                 "a duplicate is created with its twin recorded"
             );
-            let job = self.job_of_mut(task);
-            for slot in job.stage_tasks.iter_mut().chain(job.final_tasks.iter_mut()) {
-                if *slot == twin {
-                    *slot = task;
-                }
-            }
+            job.replace_task(twin, task);
         }
-        let ran = now.since(self.tasks.launched_at[task as usize]);
         if matches!(kind, TaskKind::Compute { .. }) {
-            let queues = &mut self.job_of_mut(task).queues;
-            queues.record_compute(ran.as_secs_f64());
+            job.queues.record_compute(ran.as_secs_f64());
         }
-
-        let phase = match kind {
-            TaskKind::Compute { .. } => Phase::Compute,
-            TaskKind::Store { .. } => Phase::Storing,
-            TaskKind::Fetch { .. } => Phase::Shuffling,
-        };
-        {
-            let i = task as usize;
-            let index = match kind {
-                TaskKind::Compute { part } => part,
-                TaskKind::Store { producer } => producer,
-                TaskKind::Fetch { reducer } => reducer,
-            };
-            self.metrics.record(TaskMetric {
-                job: self.tasks.job[i],
-                stage,
-                phase,
-                index,
-                node,
-                queued_at: self.tasks.queued_at[i].as_secs_f64(),
-                launched_at: self.tasks.launched_at[i].as_secs_f64(),
-                finished_at: now.as_secs_f64(),
-                input_bytes: self.tasks.input_bytes[i],
-                output_bytes: self.tasks.output_bytes[i],
-                locality: self.tasks.locality[i],
-            });
-        }
+        job.metrics.tasks.push(self.tasks.metric(task, now));
 
         // Ghosts charge time for redone work but deposit nothing — the lost
         // rows were already re-hosted when their node crashed.
@@ -1041,7 +1028,6 @@ impl SimWorld {
             _ => {}
         }
 
-        let ji = self.job_index_of(task);
         let job = &mut self.jobs[ji];
         job.remaining -= 1;
         if job.remaining == 0 {
@@ -1072,7 +1058,7 @@ impl SimWorld {
     fn start_storing(&mut self, now: SimTime, ji: usize, stage_idx: usize, out: &mut Outbox<Ev>) {
         let producers = self.jobs[ji].stage_tasks.clone();
         let job_id = self.jobs[ji].id;
-        self.reserve_tasks(job_id, producers.len());
+        self.reserve_tasks(ji, producers.len());
         let first = self.tasks.len() as u32;
         for &p in &producers {
             // A flush is pinned to its producer's node; if that node died or
@@ -1141,7 +1127,7 @@ impl SimWorld {
             reduced,
             aborted: false,
         };
-        self.job_departed(now, &job, output, out);
+        self.job_departed(now, job, output, out);
     }
 }
 

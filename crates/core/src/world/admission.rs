@@ -146,14 +146,14 @@ impl SimWorld {
     pub(super) fn job_departed(
         &mut self,
         now: SimTime,
-        job: &JobRun,
+        mut job: JobRun,
         output: JobOutput,
         out: &mut Outbox<Ev>,
     ) {
         let held = self.heap_now() + job.heap_bytes() as u64;
         self.heap_high_water = self.heap_high_water.max(held);
-        let metrics = self.metrics.finish_job(job.id, now);
         self.sampler.note_job_latency(job.tenant, job.arrived, now);
+        job.metrics.finished_at = now.as_secs_f64();
         self.finished.push_back(FinishedJob {
             id: job.id,
             tenant: job.tenant,
@@ -161,7 +161,7 @@ impl SimWorld {
             admitted: job.admitted,
             finished: now,
             output,
-            metrics,
+            metrics: job.metrics,
         });
         if self.jobs.is_empty() {
             self.tasks.clear();

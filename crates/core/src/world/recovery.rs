@@ -117,9 +117,7 @@ impl SimWorld {
                  a cache fed through a shuffle cannot be rebuilt in this model"
             );
         };
-        if let Some(r) = self.metrics.recovery(self.tasks.job[task as usize]) {
-            r.recomputed_partitions += 1;
-        }
+        self.job_of_mut(task).metrics.recovery.recomputed_partitions += 1;
         // Combined chain: recipe steps, the cache point, then the stage's
         // own steps (stage cache points shift past the recipe prefix).
         let prefix = spec.steps.len();
@@ -157,11 +155,9 @@ impl SimWorld {
     ) {
         self.faults.abandon_io();
         let node = self.tasks.node[task as usize];
-        let wasted = now
-            .since(self.tasks.launched_at[task as usize])
-            .as_secs_f64();
-        if let Some(rec) = self.metrics.recovery(self.tasks.job[task as usize]) {
-            rec.wasted_secs += wasted;
+        let wasted = now.since(self.tasks.launched_at[task as usize]);
+        if let Some(rec) = self.recovery_of(self.tasks.job[task as usize]) {
+            rec.wasted_secs += wasted.as_secs_f64();
             rec.tasks_retried += 1;
         }
         self.trace(
@@ -170,7 +166,7 @@ impl SimWorld {
                 task,
                 node,
                 attempt: self.tasks.attempt[task as usize],
-                wasted: now.since(self.tasks.launched_at[task as usize]),
+                wasted,
                 backoff,
             },
         );
@@ -201,7 +197,7 @@ impl SimWorld {
             return;
         }
         if attribute && self.nodes.blame(node, BLACKLIST_AFTER) {
-            if let Some(rec) = self.metrics.recovery(self.tasks.job[task as usize]) {
+            if let Some(rec) = self.recovery_of(self.tasks.job[task as usize]) {
                 rec.blacklisted_nodes += 1;
             }
             self.trace(now, TE::Blacklisted { node });
@@ -280,9 +276,7 @@ impl SimWorld {
     /// Other resident jobs keep running.
     pub(super) fn abort_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
         let id = self.jobs[ji].id;
-        if let Some(rec) = self.metrics.recovery(id) {
-            rec.aborted_jobs += 1;
-        }
+        self.jobs[ji].metrics.recovery.aborted_jobs += 1;
         self.trace(
             now,
             TE::JobEnd {
@@ -322,7 +316,7 @@ impl SimWorld {
             reduced: None,
             aborted: true,
         };
-        self.job_departed(now, &job, output, out);
+        self.job_departed(now, job, output, out);
     }
 
     /// A node dies: its slots, running work, cached partitions and (for a
@@ -341,18 +335,17 @@ impl SimWorld {
         if !self.nodes.is_up(node) {
             return;
         }
-        self.metrics.recovery_all(|r| r.node_crashes += 1);
+        self.recovery_all(|r| r.node_crashes += 1);
         self.nodes.crash(node);
         self.trace(now, TE::NodeDown { node });
-        let lost = self.blockmgr.drop_node(node);
-        let n_lost = lost.len() as u64;
-        self.metrics.recovery_all(|r| r.blocks_lost += n_lost);
-        if !lost.is_empty() {
+        let n_lost = self.blockmgr.drop_node(node).len() as u64;
+        self.recovery_all(|r| r.blocks_lost += n_lost);
+        if n_lost > 0 {
             self.trace(
                 now,
                 TE::BlocksLost {
                     node,
-                    blocks: lost.len() as u64,
+                    blocks: n_lost,
                 },
             );
         }
@@ -413,7 +406,7 @@ impl SimWorld {
             return;
         };
         if was_down {
-            self.metrics.recovery_all(|r| r.node_restarts += 1);
+            self.recovery_all(|r| r.node_restarts += 1);
         }
         self.trace(now, TE::NodeUp { node });
         self.sched.take_starved();
@@ -442,7 +435,7 @@ impl SimWorld {
             }
             let att = self.tasks.attempt[id as usize].min(8);
             let backoff = FETCH_BACKOFF.mul_f64(2f64.powi(att as i32));
-            if let Some(rec) = self.metrics.recovery(self.tasks.job[id as usize]) {
+            if let Some(rec) = self.recovery_of(self.tasks.job[id as usize]) {
                 rec.failed_fetches += 1;
                 rec.fetch_retries += 1;
             }
@@ -497,13 +490,11 @@ impl SimWorld {
         if ghosts.is_empty() {
             return;
         }
-        self.reserve_tasks(job_id, ghosts.len());
+        self.reserve_tasks(ji, ghosts.len());
         let created = self.tasks.len() as u32..(self.tasks.len() + ghosts.len()) as u32;
         for (stage, kind) in ghosts {
             if matches!(kind, TaskKind::Compute { .. }) {
-                if let Some(rec) = self.metrics.recovery(job_id) {
-                    rec.recomputed_partitions += 1;
-                }
+                self.jobs[ji].metrics.recovery.recomputed_partitions += 1;
             }
             let mut t = Task::new(job_id, stage, kind, now);
             t.pin = repl;
@@ -544,12 +535,11 @@ impl SimWorld {
             FaultKind::BlockLoss { node } => {
                 // Executor memory loss: cached partitions evaporate, the
                 // node itself keeps running. Lineage rebuilds them on demand.
-                let lost = self.blockmgr.drop_node(node);
-                let n_lost = lost.len() as u64;
-                self.metrics.recovery_all(|r| r.blocks_lost += n_lost);
+                let n_lost = self.blockmgr.drop_node(node).len() as u64;
+                self.recovery_all(|r| r.blocks_lost += n_lost);
             }
             FaultKind::SsdDegrade { node, factor } => {
-                self.metrics.recovery_all(|r| r.ssd_degradations += 1);
+                self.recovery_all(|r| r.ssd_degradations += 1);
                 self.ssd_fs[node as usize].degrade_device(now, factor);
                 self.arm_fs(node, true, out);
                 self.sync_ssd_read_link(now, node, true, out);

@@ -318,7 +318,7 @@ impl SimWorld {
             TE::TaskQueued {
                 task,
                 stage: self.tasks.stage[i],
-                class: Self::trace_class(self.tasks.kind[i]),
+                class: self.tasks.kind[i].class(),
                 attempt: self.tasks.attempt[i],
             },
         );

@@ -3,8 +3,9 @@
 //! ([`TaskArena`], DESIGN.md §4.12).
 
 use crate::executor::RealOut;
-use crate::metrics::TaskLocality;
+use crate::metrics::{Phase, TaskLocality, TaskMetric};
 use memres_des::time::{SimDuration, SimTime};
+use memres_trace::TaskClass;
 use std::collections::BTreeMap;
 use std::mem::size_of;
 
@@ -13,6 +14,35 @@ pub(super) enum TaskKind {
     Compute { part: u32 },
     Store { producer: u32 },
     Fetch { reducer: u32 },
+}
+
+impl TaskKind {
+    /// The pipeline phase a task of this kind runs in (§IV, Fig 4a).
+    pub(super) fn phase(self) -> Phase {
+        match self {
+            TaskKind::Compute { .. } => Phase::Compute,
+            TaskKind::Store { .. } => Phase::Storing,
+            TaskKind::Fetch { .. } => Phase::Shuffling,
+        }
+    }
+
+    /// The partition, producer or reducer this task stands for.
+    pub(super) fn index(self) -> u32 {
+        match self {
+            TaskKind::Compute { part } => part,
+            TaskKind::Store { producer } => producer,
+            TaskKind::Fetch { reducer } => reducer,
+        }
+    }
+
+    /// The trace's name for this kind.
+    pub(super) fn class(self) -> TaskClass {
+        match self {
+            TaskKind::Compute { .. } => TaskClass::Compute,
+            TaskKind::Store { .. } => TaskClass::Store,
+            TaskKind::Fetch { .. } => TaskClass::Fetch,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,9 +188,27 @@ task_fields! {
 // The per-task footprint moves only on purpose (DESIGN.md §4.12 has the
 // table); so does the 64-byte metric record each finished task leaves.
 const _: () = assert!(TASK_BYTES == 94);
-const _: () = assert!(size_of::<crate::metrics::TaskMetric>() == 64);
+const _: () = assert!(size_of::<TaskMetric>() == 64);
 
 impl TaskArena {
+    /// The record task `id` leaves when it finishes at `now`.
+    pub(super) fn metric(&self, id: u32, now: SimTime) -> TaskMetric {
+        let i = id as usize;
+        TaskMetric {
+            job: self.job[i],
+            stage: self.stage[i],
+            phase: self.kind[i].phase(),
+            index: self.kind[i].index(),
+            node: self.node[i],
+            queued_at: self.queued_at[i].as_secs_f64(),
+            launched_at: self.launched_at[i].as_secs_f64(),
+            finished_at: now.as_secs_f64(),
+            input_bytes: self.input_bytes[i],
+            output_bytes: self.output_bytes[i],
+            locality: self.locality[i],
+        }
+    }
+
     /// Record `nodes` as a placement preference; the handle goes in a
     /// task's `prefs`. No nodes, no entry.
     pub(super) fn add_prefs(&mut self, nodes: impl ExactSizeIterator<Item = u32>) -> u32 {

@@ -31,10 +31,8 @@ fn workload() -> (Rdd, Action) {
 /// lineage graph is rebuilt per run on purpose: shared `Rdd` handles would
 /// hide any instance-keyed nondeterminism.
 fn run_once(cfg: EngineConfig) -> (u64, String) {
-    let (rdd, action) = workload();
-    let mut d = Driver::new(memres_cluster::tiny(6), cfg);
-    let (out, metrics) = d.run(&rdd, action);
-    (out.count, format!("{metrics:?}"))
+    let (count, metrics, ..) = observe(cfg);
+    (count, format!("{metrics:?}"))
 }
 
 #[test]
@@ -102,16 +100,60 @@ fn trace_bytes_identical_across_executor_threads_and_runs() {
 
 #[test]
 fn tracing_does_not_change_simulated_outcomes() {
-    // Turning the tracer on must be pure observation: the job's metrics are
-    // identical with tracing off and on.
-    let base = || EngineConfig::default().homogeneous();
-    let (count_off, metrics_off) = run_once(base());
-    let (count_on, metrics_on) = run_once(base().with_trace());
-    assert_eq!(count_off, count_on);
-    assert_eq!(
-        metrics_off, metrics_on,
-        "tracing must not perturb the metrics"
-    );
+    // Observers are free: the tracer and the metrics sampler, alone or
+    // together, with or without faults, leave the output and the job's
+    // metrics as the unobserved run has them, and add no event but the
+    // sampler's ticks. The job runs ~25 ms: the sampler ticks every
+    // millisecond, and the plan spreads its faults over 80 ms, so a crash,
+    // its restart, retries and failed fetches land inside the job.
+    let sampled = |cfg| EngineConfig {
+        metrics: Some(memres_metrics::MetricsConfig {
+            interval: SimDuration::from_millis(1),
+            ..Default::default()
+        }),
+        ..cfg
+    };
+    for faults in [
+        None,
+        Some(FaultPlan::seeded(7, 6, 3, SimDuration::from_millis(80))),
+    ] {
+        let faulted = faults.is_some();
+        let base = EngineConfig {
+            faults,
+            ..EngineConfig::default().homogeneous()
+        };
+        let (count, metrics, steps, _) = observe(base.clone());
+        assert_eq!(metrics.recovery.any(), faulted, "the plan's faults land");
+        let fingerprint = format!("{metrics:?}");
+        let observed = [
+            ("trace", base.clone().with_trace()),
+            ("metrics", sampled(base.clone())),
+            ("trace + metrics", sampled(base.with_trace())),
+        ];
+        for (name, cfg) in observed {
+            let sampling = cfg.metrics.is_some();
+            let (o_count, o_metrics, o_steps, ticks) = observe(cfg);
+            let at = format!("{name}, faulted: {faulted}");
+            assert_eq!(o_count, count, "{at}: the output moved");
+            assert_eq!(
+                format!("{o_metrics:?}"),
+                fingerprint,
+                "{at}: the metrics moved"
+            );
+            assert_eq!(ticks > 20, sampling, "{at}: who samples");
+            assert_eq!(o_steps, steps + ticks, "{at}: events beyond the ticks");
+        }
+    }
+}
+
+/// One fresh engine run: its output count, its metrics, the events it
+/// processed and the metrics sampler's ticks.
+fn observe(cfg: EngineConfig) -> (u64, JobMetrics, u64, u64) {
+    let (rdd, action) = workload();
+    let mut d = Driver::new(memres_cluster::tiny(6), cfg);
+    let (out, metrics) = d.run(&rdd, action);
+    let ticks = d.recorder().map_or(0, |r| r.ticks());
+    (out.count, metrics, d.engine_steps(), ticks)
 }
 
 #[test]
@@ -119,13 +161,16 @@ fn double_run_is_deterministic_under_faults_and_threads() {
     // Recovery paths reshuffle task placement and re-host lost partitions;
     // executor threads race UDF completion on the host. Neither is allowed
     // to leak into simulated outcomes: two runs on a pool and one on a
-    // single thread record the same metrics.
+    // single thread record the same metrics. The job runs ~25 ms; the plan
+    // spreads its faults over 80 ms, so a crash, retries and failed fetches
+    // land inside it.
     let cfg = |threads| {
         EngineConfig::default()
             .homogeneous()
             .with_executor_threads(threads)
-            .with_faults(FaultPlan::seeded(7, 6, 3, SimDuration::from_secs(60)))
+            .with_faults(FaultPlan::seeded(7, 6, 3, SimDuration::from_millis(80)))
     };
+    assert!(observe(cfg(1)).1.recovery.any(), "the plan's faults land");
     let (count_a, metrics_a) = run_once(cfg(4));
     let (count_b, metrics_b) = run_once(cfg(4));
     let (count_1, metrics_1) = run_once(cfg(1));

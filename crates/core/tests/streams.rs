@@ -14,7 +14,7 @@ use memres_core::prelude::*;
 use memres_core::{
     ArrivalProcess, FinishedJob, InterJobPolicy, JobFactory, StreamSpec, TenantSlo, TenantSpec,
 };
-use memres_des::time::SimDuration;
+use memres_des::time::{SimDuration, SimTime};
 use memres_trace::TraceEvent;
 use std::sync::Arc;
 
@@ -251,6 +251,30 @@ fn heavy_groupby(k: u32) -> (Rdd, Action) {
     (rdd, Action::Count)
 }
 
+/// Two `heavy_groupby` tenants of two jobs each, periodic arrivals,
+/// FairShare: jobs overlap, so dispatch chooses between resident jobs.
+fn two_tenant_fair_share() -> StreamSpec {
+    let tenant = |name, period_secs| {
+        let arrival = ArrivalProcess::Periodic { period_secs };
+        TenantSpec::new(name, 2, arrival, Arc::new(heavy_groupby))
+    };
+    StreamSpec::new(
+        vec![tenant("a", 0.05), tenant("b", 0.07)],
+        InterJobPolicy::FairShare,
+        5,
+    )
+}
+
+/// Skewed node speeds with speculation on: stragglers get twins.
+fn skewed_speculative() -> EngineConfig {
+    EngineConfig {
+        speed_sigma: 0.6,
+        seed: 4,
+        ..EngineConfig::default()
+    }
+    .with_speculation()
+}
+
 #[test]
 fn fair_share_order_survives_retries_twins_and_a_crash() {
     // The fair-share order reads per-job running counts kept at
@@ -260,35 +284,8 @@ fn fair_share_order_survives_retries_twins_and_a_crash() {
     // that exercises every state transition: doomed attempts re-queued,
     // speculation twins launched and lost, a node crash failing its running
     // tasks.
-    let spec = || {
-        StreamSpec::new(
-            vec![
-                TenantSpec::new(
-                    "a",
-                    2,
-                    ArrivalProcess::Periodic { period_secs: 0.05 },
-                    Arc::new(heavy_groupby),
-                ),
-                TenantSpec::new(
-                    "b",
-                    2,
-                    ArrivalProcess::Periodic { period_secs: 0.07 },
-                    Arc::new(heavy_groupby),
-                ),
-            ],
-            InterJobPolicy::FairShare,
-            5,
-        )
-    };
-    let cfg = || {
-        EngineConfig {
-            speed_sigma: 0.6,
-            seed: 4,
-            ..EngineConfig::default()
-        }
-        .with_speculation()
-        .with_trace()
-    };
+    let spec = two_tenant_fair_share;
+    let cfg = || skewed_speculative().with_trace();
     let mut clean = Driver::new(memres_cluster::tiny(4), cfg());
     let finished = clean.run_stream_audited(spec(), 1).expect("clean stream");
     let horizon = finished
@@ -320,6 +317,61 @@ fn fair_share_order_survives_retries_twins_and_a_crash() {
     assert!(finished.iter().any(|a| finished
         .iter()
         .any(|b| b.id != a.id && b.admitted < a.finished && a.admitted < b.finished)));
+}
+
+#[test]
+fn recovery_counts_route_to_their_job_and_a_crash_to_every_resident_one() {
+    // Each resident job keeps its own recovery counters: a task's retry
+    // counts in the job that owns it, and a node crash counts in every job
+    // resident when it happens, and in no other.
+    let run = |cfg| {
+        let mut d = Driver::new(memres_cluster::tiny(4), cfg);
+        let finished = d.run_stream_audited(two_tenant_fair_share(), 1);
+        (finished.expect("audited stream"), d.take_trace())
+    };
+    let (clean, _) = run(skewed_speculative());
+    let secs = |j: &FinishedJob| j.finished.as_secs_f64();
+    let first = clean.iter().map(secs).fold(f64::INFINITY, f64::min);
+    let last = clean.iter().map(secs).fold(0.0, f64::max);
+    let plan = FaultPlan::new()
+        .after(SimDuration::ZERO, FaultKind::TaskFail { nth_launch: 5 })
+        .after(
+            SimDuration::from_secs_f64((first + last) / 2.0),
+            FaultKind::NodeCrash {
+                node: 1,
+                restart: Some(SimDuration::from_secs_f64(last * 0.2)),
+            },
+        );
+    let faulted = || skewed_speculative().with_faults(plan.clone());
+    let (finished, trace) = run(faulted().with_trace().with_metrics());
+    assert_eq!(finished.len(), 4);
+
+    let at = |want: fn(&TraceEvent) -> bool| -> Vec<SimTime> {
+        trace.iter().filter(|e| want(&e.ev)).map(|e| e.at).collect()
+    };
+    let crashes = at(|e| matches!(e, TraceEvent::NodeDown { .. }));
+    let [crash] = crashes[..] else {
+        panic!("one crash, got {crashes:?}");
+    };
+    let (mut hit, mut retried) = (0, 0);
+    for j in &finished {
+        let resident = j.admitted <= crash && crash < j.finished;
+        assert_eq!(
+            j.metrics.recovery.node_crashes,
+            u64::from(resident),
+            "job {}",
+            j.id
+        );
+        hit += usize::from(resident);
+        retried += j.metrics.recovery.tasks_retried as usize;
+    }
+    assert!(0 < hit && hit < 4, "{hit} of 4 jobs saw the crash");
+    let traced = at(|e| matches!(e, TraceEvent::TaskRetried { .. })).len();
+    assert!(traced > 0);
+    assert_eq!(retried, traced, "every retry counts in exactly one job");
+
+    let (unobserved, _) = run(faulted());
+    assert_eq!(format!("{finished:?}"), format!("{unobserved:?}"));
 }
 
 /// A synthetic GroupBy over `gb` GB of generated input, 8 reducers.
