@@ -134,7 +134,7 @@ fn bench_dispatch_storing_tail(c: &mut Criterion) {
             let (out, m) = driver.run(&gb.build(), gb.action());
             assert!(!out.aborted);
             let visits = driver.world().dispatch_visits;
-            assert!(visits <= 8 * m.tasks.len() as u64, "{visits} visits");
+            assert!(visits <= 8 * m.tasks().len() as u64, "{visits} visits");
         })
     });
 }

@@ -495,17 +495,15 @@ fn run_spec(
 /// Valid for fault-free, speculation-off runs (ghost attempts and killed
 /// speculative copies deposit partial bytes by design).
 pub fn check_conservation(m: &JobMetrics) -> Result<(), String> {
-    let max_stage = m.tasks.iter().map(|t| t.stage).max().unwrap_or(0);
+    let max_stage = m.tasks().map(|t| t.stage).max().unwrap_or(0);
     for s in 1..=max_stage {
         let fetched: f64 = m
-            .tasks
-            .iter()
+            .tasks()
             .filter(|t| t.stage == s && t.phase == Phase::Shuffling)
             .map(|t| t.input_bytes)
             .sum();
         let has_fetch = m
-            .tasks
-            .iter()
+            .tasks()
             .any(|t| t.stage == s && t.phase == Phase::Shuffling);
         if !has_fetch {
             continue;
@@ -514,8 +512,7 @@ pub fn check_conservation(m: &JobMetrics) -> Result<(), String> {
         // iterative jobs); Store tasks mirror their producer's bytes and
         // must not be double-counted.
         let produced: f64 = m
-            .tasks
-            .iter()
+            .tasks()
             .filter(|t| t.stage + 1 == s && t.phase != Phase::Storing)
             .map(|t| t.output_bytes)
             .sum();

@@ -85,7 +85,7 @@ pub fn run(cell: &Cell, setup: Setup) -> Record {
     } = cell.size
     {
         assert_eq!(
-            m.tasks.len() as u64,
+            m.tasks().len() as u64,
             2 * producers + u64::from(reducers),
             "{} ran a different number of tasks than its row states",
             cell.name

@@ -3,8 +3,13 @@
 //! Every figure in the paper's evaluation is a view over these records:
 //! job execution times (Figs 5, 7a, 8a, 9, 13a, 14a), phase dissections
 //! (Figs 7b, 8b, 13, 14b), task-time spreads (Figs 8c, 8d, 10), and
-//! per-node distributions (Fig 12). A resident job's records live in its
-//! `JobRun` (`world.rs`) until it departs.
+//! per-node distributions (Fig 12). A task's record is its own row of the
+//! task arena (`world/tasks.rs`), kept there while its job is resident, with
+//! the job's finish-order list saying which rows are records; a departing
+//! job takes its rows out as a `TaskTable` inside its [`JobMetrics`],
+//! read back as [`TaskMetric`] rows.
+
+use crate::world::TaskTable;
 
 /// Which phase of the MapReduce pipeline a task belongs to (§IV/Fig 4a).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -27,7 +32,8 @@ pub enum TaskLocality {
     Any,
 }
 
-/// One task attempt; the `*_at` instants are simulated seconds.
+/// One task attempt, as [`JobMetrics::tasks`] yields it; the `*_at` instants
+/// are simulated seconds.
 #[derive(Clone, Debug)]
 pub struct TaskMetric {
     pub job: u32,
@@ -99,7 +105,10 @@ pub struct JobMetrics {
     pub job: u32,
     pub started_at: f64,
     pub finished_at: f64,
-    pub tasks: Vec<TaskMetric>,
+    /// The finished task attempts' records, read through
+    /// [`JobMetrics::tasks`]; `Debug` prints them as a list of
+    /// [`TaskMetric`]s.
+    pub(crate) tasks: TaskTable,
     /// Fault-recovery activity during this job.
     pub recovery: RecoveryCounters,
 }
@@ -109,8 +118,14 @@ impl JobMetrics {
         self.finished_at - self.started_at
     }
 
-    pub fn tasks_in(&self, phase: Phase) -> impl Iterator<Item = &TaskMetric> {
-        self.tasks.iter().filter(move |t| t.phase == phase)
+    /// The records of the job's finished task attempts, in finish order
+    /// (a losing speculative twin leaves none).
+    pub fn tasks(&self) -> impl ExactSizeIterator<Item = TaskMetric> + '_ {
+        self.tasks.rows()
+    }
+
+    pub fn tasks_in(&self, phase: Phase) -> impl Iterator<Item = TaskMetric> + '_ {
+        self.tasks().filter(move |t| t.phase == phase)
     }
 
     /// Wall-clock span of a phase: first launch to last finish, summed over
@@ -178,7 +193,7 @@ impl JobMetrics {
             );
             let slot = (t.node as usize).min(workers as usize);
             if let Some(n) = v.get_mut(slot) {
-                *n += value(t);
+                *n += value(&t);
             }
         }
         v
@@ -223,11 +238,11 @@ mod tests {
         let jm = JobMetrics {
             started_at: 0.0,
             finished_at: 10.0,
-            tasks: vec![
+            tasks: TaskTable::from_rows([
                 mk(Phase::Compute, 0, 1.0, 3.0, 10.0),
                 mk(Phase::Compute, 1, 2.0, 6.0, 20.0),
                 mk(Phase::Storing, 0, 6.0, 9.0, 0.0),
-            ],
+            ]),
             ..JobMetrics::default()
         };
         assert!((jm.phase_time(Phase::Compute) - 5.0).abs() < 1e-12);
@@ -241,11 +256,11 @@ mod tests {
         let jm = JobMetrics {
             started_at: 0.0,
             finished_at: 1.0,
-            tasks: vec![
+            tasks: TaskTable::from_rows([
                 mk(Phase::Compute, 0, 0.0, 1.0, 5.0),
                 mk(Phase::Compute, 0, 0.0, 2.0, 5.0),
                 mk(Phase::Compute, 1, 0.0, 4.0, 30.0),
-            ],
+            ]),
             ..JobMetrics::default()
         };
         let (min, mean, max) = jm.duration_spread(Phase::Compute);
@@ -266,7 +281,7 @@ mod tests {
         let jm = JobMetrics {
             started_at: 0.0,
             finished_at: 1.0,
-            tasks: vec![a, b, c],
+            tasks: TaskTable::from_rows([a, b, c]),
             ..JobMetrics::default()
         };
         assert!((jm.locality_fraction() - 0.5).abs() < 1e-12);

@@ -52,7 +52,7 @@ use crate::candidates::Nodes;
 use crate::config::EngineConfig;
 use crate::dag::{JobPlan, StageInput};
 use crate::executor::{evaluate, ChainOut, Pending, RealOut, Work};
-use crate::metrics::{JobMetrics, RecoveryCounters, TaskLocality, TaskMetric};
+use crate::metrics::{JobMetrics, RecoveryCounters, TaskLocality};
 use crate::rdd::Action;
 use crate::tenancy::FinishedJob;
 use crate::value::{Record, Value};
@@ -83,7 +83,8 @@ use recovery::Faults;
 use sampler::Sampler;
 use sched::{Cad, DispatchState, JobQueues};
 use shuffle::{JobShuffle, ShuffleService};
-use tasks::{TState, Task, TaskArena, TaskKind, NO_TWIN};
+pub(crate) use tasks::TaskTable;
+use tasks::{Flag, TState, Task, TaskArena, TaskKind, NO_TWIN};
 
 /// Fixed per-task launch overhead (scheduling, serialization, JVM dispatch).
 /// This is what makes 32 MB splits slower than 128 MB ones on the Lustre
@@ -179,18 +180,21 @@ struct JobRun {
     final_tasks: Vec<u32>,
     /// Pending-task queues and scheduling clocks.
     queues: JobQueues,
-    /// The records of the tasks finished so far and the recovery counters,
-    /// handed to the driver when the job departs.
+    /// The tasks finished so far, in finish order: which arena rows are the
+    /// job's task records, taken out with them when it departs.
+    finish_order: Vec<u32>,
+    /// The recovery counters, and the task records once the job departs,
+    /// handed to the driver then.
     metrics: JobMetrics,
 }
 
 impl JobRun {
-    /// Heap charged to this job's own tables and task records
-    /// (self-profiling).
+    /// Heap charged to this job's own tables and task id lists
+    /// (self-profiling); its records are the arena's rows.
     fn heap_bytes(&self) -> usize {
-        let ids = (self.stage_tasks.capacity() + self.final_tasks.capacity()) * size_of::<u32>();
-        let records = self.metrics.tasks.capacity() * size_of::<TaskMetric>();
-        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids + records
+        let lists = [&self.stage_tasks, &self.final_tasks, &self.finish_order];
+        let ids: usize = lists.iter().map(|l| l.capacity() * size_of::<u32>()).sum();
+        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids
     }
 
     /// A speculative copy `task` won: it replaces its `twin` everywhere the
@@ -417,10 +421,11 @@ impl SimWorld {
     }
 
     /// Rough engine heap footprint at its fullest: the dense structures that
-    /// grow with the job (tasks and the metric records they leave, pending
-    /// queues, trace log, shuffle bucket matrices, the flow network's slab
-    /// and chunk queues), now or at the fullest job departure so far — a
-    /// departed job's share is gone by the time its driver can ask.
+    /// grow with the job (the task arena, whose rows are the tasks' records,
+    /// and each job's finish-order list, pending queues, trace log, shuffle
+    /// bucket matrices, the flow network's slab and chunk queues), now or at
+    /// the fullest job departure so far — a departed job's share is gone by
+    /// the time its driver can ask.
     /// Self-profiling only — not a substitute for a real allocator hook.
     pub fn heap_estimate_bytes(&self) -> u64 {
         self.heap_high_water.max(self.heap_now())
@@ -725,6 +730,7 @@ impl SimWorld {
             shuffle: JobShuffle::new(workers),
             final_tasks: Vec::new(),
             queues: JobQueues::new(workers, now),
+            finish_order: Vec::new(),
             metrics: JobMetrics {
                 job: id,
                 started_at: now.as_secs_f64(),
@@ -801,11 +807,11 @@ impl SimWorld {
     }
 
     /// Make room for the `n` tasks job `ji` is about to create, in the
-    /// arena and in the job's metrics: each array grows once, to exactly
-    /// what it needs, instead of doubling its way there.
+    /// arena and in the job's finish-order list: each array grows once, to
+    /// exactly what it needs, instead of doubling its way there.
     fn reserve_tasks(&mut self, ji: usize, n: usize) {
         self.tasks.reserve(n);
-        self.jobs[ji].metrics.tasks.reserve_exact(n);
+        self.jobs[ji].finish_order.reserve_exact(n);
     }
 
     // ---------------- task launch ----------------
@@ -818,7 +824,7 @@ impl SimWorld {
         self.tasks.set_state(task, TState::Running);
         self.tasks.node[i] = node;
         self.tasks.launched_at[i] = now;
-        self.tasks.doomed[i] = doomed;
+        self.tasks.set_flag(task, Flag::Doomed, doomed);
         self.trace(
             now,
             TE::TaskLaunched {
@@ -827,7 +833,7 @@ impl SimWorld {
                 class: self.tasks.kind[i].class(),
                 attempt: self.tasks.attempt[i],
                 queue_delay: now.since(self.tasks.queued_at[i]),
-                speculative: self.tasks.is_speculative[i],
+                speculative: self.tasks.flag(task, Flag::Speculative),
             },
         );
         match self.tasks.kind[i] {
@@ -933,7 +939,7 @@ impl SimWorld {
         let job = self.tasks.job[task as usize];
         let i = task as usize;
         if self.tasks.state[i] != TState::Running
-            || self.tasks.finish_scheduled[i]
+            || self.tasks.flag(task, Flag::FinishScheduled)
             || self.tasks.pending_io[i] > 0
         {
             return;
@@ -944,7 +950,7 @@ impl SimWorld {
             TaskKind::Fetch { .. } => now + self.tasks.compute_dur[i],
             _ => (self.tasks.launched_at[i] + self.tasks.compute_dur[i]).max(now),
         };
-        self.tasks.finish_scheduled[i] = true;
+        self.tasks.set_flag(task, Flag::FinishScheduled, true);
         out.at(
             finish,
             Ev::TaskFinish {
@@ -974,11 +980,12 @@ impl SimWorld {
         // An attempt doomed by the fault plan dies at the instant it would
         // have completed: the full duration becomes wasted work and the task
         // re-queues (or the job aborts at the attempt limit).
-        if !lost && self.tasks.doomed[i] {
+        if !lost && self.tasks.flag(task, Flag::Doomed) {
             self.fail_task(now, task, SimDuration::ZERO, true, out);
             return;
         }
-        let (node, kind, ghost) = (self.tasks.node[i], self.tasks.kind[i], self.tasks.ghost[i]);
+        let (node, kind) = (self.tasks.node[i], self.tasks.kind[i]);
+        let ghost = self.tasks.flag(task, Flag::Ghost);
         self.tasks.set_state(task, TState::Done);
         self.nodes.free_slot(node);
         // The losing speculation copy: its whole duration was duplicated
@@ -1000,7 +1007,7 @@ impl SimWorld {
         let ji = self.job_index_of(task);
         let ran = now.since(self.tasks.launched_at[i]);
         let job = &mut self.jobs[ji];
-        if self.tasks.is_speculative[i] {
+        if self.tasks.flag(task, Flag::Speculative) {
             debug_assert_ne!(
                 twin, NO_TWIN,
                 "a duplicate is created with its twin recorded"
@@ -1010,7 +1017,8 @@ impl SimWorld {
         if matches!(kind, TaskKind::Compute { .. }) {
             job.queues.record_compute(ran.as_secs_f64());
         }
-        job.metrics.tasks.push(self.tasks.metric(task, now));
+        self.tasks.finished_at[i] = now;
+        job.finish_order.push(task);
 
         // Ghosts charge time for redone work but deposit nothing — the lost
         // rows were already re-hosted when their node crashed.
@@ -1081,6 +1089,7 @@ impl SimWorld {
         let job = &mut self.jobs[ji];
         job.phase = RunPhase::Storing(stage_idx);
         job.remaining = producers.len();
+        job.queues.shrink();
         self.queue_tasks(now, ji, first..self.tasks.len() as u32);
         out.immediately(Ev::Dispatch);
     }

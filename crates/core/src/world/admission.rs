@@ -140,9 +140,11 @@ impl SimWorld {
     }
 
     /// The end of every job's life, finished or aborted (`job` is already
-    /// out of the resident set): hand `output` and the job's metrics to the
-    /// driver, pull in queued admissions, and settle whether the run is
-    /// over.
+    /// out of the resident set): take its task records out of the arena —
+    /// the record columns whole when it had the arena to itself, else its
+    /// own rows, copied in finish order —, hand `output` and the job's
+    /// metrics to the driver, pull in queued admissions, and settle whether
+    /// the run is over.
     pub(super) fn job_departed(
         &mut self,
         now: SimTime,
@@ -154,6 +156,18 @@ impl SimWorld {
         self.heap_high_water = self.heap_high_water.max(held);
         self.sampler.note_job_latency(job.tenant, job.arrived, now);
         job.metrics.finished_at = now.as_secs_f64();
+        let order = std::mem::take(&mut job.finish_order);
+        job.metrics.tasks = if !self.jobs.is_empty() {
+            self.tasks.gather_records(&order)
+        } else {
+            // The last resident job empties the arena.
+            let arena = std::mem::take(&mut self.tasks);
+            if arena.job.iter().all(|&j| j == job.id) {
+                arena.into_records(order)
+            } else {
+                arena.gather_records(&order)
+            }
+        };
         self.finished.push_back(FinishedJob {
             id: job.id,
             tenant: job.tenant,
@@ -163,9 +177,6 @@ impl SimWorld {
             output,
             metrics: job.metrics,
         });
-        if self.jobs.is_empty() {
-            self.tasks.clear();
-        }
         self.try_admissions(now, out);
         self.job_done = self.jobs.is_empty() && self.stream.as_ref().is_none_or(|s| s.drained());
         if self.job_done {

@@ -6,7 +6,7 @@
 //! tasks), a job's abort, and the lineage recipe that rebuilds a lost
 //! cached partition (`recovery_stage`).
 
-use super::tasks::{TState, Task, TaskKind, UNPINNED};
+use super::tasks::{Flag, TState, Task, TaskKind, UNPINNED};
 use super::{Ev, JobOutput, RunPhase, SimWorld};
 use crate::dag::{JobPlan, StageInput, StagePlan};
 use crate::faults::FaultKind;
@@ -184,9 +184,9 @@ impl SimWorld {
             self.nodes.index_mut().unpark_all();
             self.tasks.node[i] = u32::MAX;
             self.tasks.attempt[i] += 1;
-            self.tasks.doomed[i] = false;
+            self.tasks.set_flag(task, Flag::Doomed, false);
             self.tasks.pending_io[i] = 0;
-            self.tasks.finish_scheduled[i] = false;
+            self.tasks.set_flag(task, Flag::FinishScheduled, false);
             self.tasks.real_out.remove(&task);
             self.tasks.compute_dur[i] = SimDuration::ZERO;
             self.tasks.queued_at[i] = now;
@@ -498,7 +498,7 @@ impl SimWorld {
             }
             let mut t = Task::new(job_id, stage, kind, now);
             t.pin = repl;
-            t.ghost = true;
+            t.flags = Flag::Ghost as u8;
             self.tasks.push(t);
         }
         self.trace(
@@ -553,7 +553,7 @@ impl SimWorld {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tasks::{TState, NO_TWIN};
+    use super::super::tasks::{Flag, TState, NO_TWIN};
     use super::super::tests::{push_pinned_store, world_with_idle_nodes_parked};
     use super::super::SimWorld;
     use crate::config::EngineConfig;
@@ -610,7 +610,7 @@ mod tests {
         // to the replacement, preferring nothing, nobody's twin.
         let ghost = before;
         assert_eq!(w.tasks.len() as u32, before + 1);
-        assert!(w.tasks.ghost[ghost as usize]);
+        assert!(w.tasks.flag(ghost, Flag::Ghost));
         assert_eq!(w.tasks.kind[ghost as usize], w.tasks.kind[done as usize]);
         let repl = w.tasks.pin[ghost as usize];
         assert!(repl != victim && w.nodes.usable(repl));

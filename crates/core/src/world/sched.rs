@@ -7,7 +7,7 @@
 //! interval (§VI-B, [`Cad`]), LATE speculation (§VIII baseline) and the
 //! two-phase `dispatch` round that applies them over the candidate nodes.
 
-use super::tasks::{TState, Task, TaskArena, TaskKind, NO_TWIN, UNPINNED};
+use super::tasks::{Flag, TState, Task, TaskArena, TaskKind, NO_TWIN, UNPINNED};
 use super::{Ev, JobRun, RunPhase, SimWorld};
 use crate::config::{CadConfig, ElbConfig, SchedulerKind};
 use crate::tenancy::InterJobPolicy;
@@ -171,10 +171,23 @@ impl JobQueues {
         self.prefs_q.capacity() * size_of::<VecDeque<u32>>() + entries * size_of::<u32>()
     }
 
-    /// A stage starts at `now`: the delay clock re-anchors there.
+    /// A stage starts at `now`: the delay clock re-anchors there, and the
+    /// queues give back the room the previous phase took.
     pub(super) fn begin_stage(&mut self, now: SimTime, speculating: bool) {
         self.last_local_launch = now;
         self.stage_durs = speculating.then(LogHistogram::new);
+        self.shrink();
+    }
+
+    /// Shrink every queue to what it holds. A phase drains its queues but
+    /// leaves their buffers behind: 16 MB of `no_pref_q` after a 4 M-task
+    /// stage, and a 512-entry `prefs_q` per node after its store tasks,
+    /// which the next phase does not need.
+    pub(super) fn shrink(&mut self) {
+        let queues = self.prefs_q.iter_mut();
+        queues
+            .chain([&mut self.no_pref_q, &mut self.waiting_q])
+            .for_each(VecDeque::shrink_to_fit);
     }
 
     /// A compute task of the current stage ran for `secs`.
@@ -586,7 +599,7 @@ impl SimWorld {
         let stage = self.tasks.stage[straggler as usize];
         let mut t = Task::new(self.tasks.job[straggler as usize], stage, kind, now);
         t.twin = straggler;
-        t.is_speculative = true;
+        t.flags = Flag::Speculative as u8;
         self.tasks.push(t);
         self.tasks.twin[straggler as usize] = dup;
         self.trace(
@@ -903,7 +916,7 @@ mod tests {
         assert!(w.maybe_speculate(late, 0, elsewhere, &mut [None], &mut out));
         let dup = 2;
         assert_eq!((w.tasks.twin[0], w.tasks.twin[dup]), (dup as u32, 0));
-        assert!(w.tasks.is_speculative[dup] && !w.tasks.is_speculative[0]);
+        assert!(w.tasks.flag(dup as u32, Flag::Speculative) && !w.tasks.flag(0, Flag::Speculative));
         // The original keeps the replicas it preferred; the copy was placed
         // by hand and prefers nothing.
         assert!(!w.tasks.prefs_of(0).is_empty());

@@ -526,7 +526,7 @@ impl SimWorld {
         producer: u32,
         out: &mut Outbox<Ev>,
     ) {
-        let bytes = self.tasks.output_bytes[producer as usize];
+        let bytes = self.tasks.out_bytes(producer);
         let speed = self.speed(node);
         // Partition + Java-serialization cost of the flush (Spark 0.7 era).
         let cpu = SimDuration::from_secs_f64(bytes / (300.0e6 * speed)).mul_f64(self.jitter(task))
@@ -594,7 +594,7 @@ impl SimWorld {
 
     /// A task that may deposit intermediate data for a produced shuffle.
     pub(super) fn producer_finished(&mut self, task: u32, node: u32) {
-        let out_bytes = self.tasks.output_bytes[task as usize];
+        let out_bytes = self.tasks.out_bytes(task);
         let stage_idx = self.tasks.stage[task as usize] as usize;
         let has_shuffle = self.job_of(task).plan.stages[stage_idx].has_shuffle_output();
         if !has_shuffle {
@@ -848,10 +848,10 @@ impl SimWorld {
         reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
     }
 
-    /// Hand a finishing fetch task its reducer's parked aggregation. The
-    /// three fields are written here, after the task's metric was recorded,
-    /// because that record (and every export built on it) pins the
-    /// size-model `output_bytes` set at launch.
+    /// Hand a finishing fetch task its reducer's parked aggregation. Its
+    /// size goes beside the rows, in `reduced_bytes`, not over
+    /// `output_bytes`: the task's record (and every export built on it)
+    /// pins the size-model estimate set at launch.
     pub(super) fn adopt_reduced(&mut self, task: u32, reducer: u32) {
         let sh = self.job_of_mut(task).shuffle.reading();
         let Deposits::Real { reduced, .. } = &mut sh.deposits else {
@@ -862,7 +862,7 @@ impl SimWorld {
             unreachable!("fetch task finished before its reducer was evaluated");
         };
         let i = task as usize;
-        self.tasks.output_bytes[i] = bytes;
+        self.tasks.reduced_bytes.insert(task, bytes);
         self.tasks.records_est[i] = records;
         self.tasks.real_out.insert(task, rows);
     }

@@ -1,12 +1,14 @@
 //! Tasks: what one is ([`TaskKind`], [`TState`]), the push-site record
-//! ([`Task`]) and the struct-of-arrays arena every task lives in
-//! ([`TaskArena`], DESIGN.md §4.12).
+//! ([`Task`]), the struct-of-arrays arena every task lives in ([`TaskArena`],
+//! DESIGN.md §4.12) and the table of records a departing job takes out of it
+//! ([`TaskTable`]).
 
 use crate::executor::RealOut;
 use crate::metrics::{Phase, TaskLocality, TaskMetric};
 use memres_des::time::{SimDuration, SimTime};
 use memres_trace::TaskClass;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::mem::size_of;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,16 +60,43 @@ pub(super) const UNPINNED: u32 = u32::MAX;
 /// [`Task::twin`] of a task that was never speculated.
 pub(super) const NO_TWIN: u32 = u32::MAX;
 
+/// One bit of a task's `flags` byte, read and written through
+/// [`TaskArena::flag`] and [`TaskArena::set_flag`].
+#[derive(Clone, Copy)]
+pub(super) enum Flag {
+    /// The attempt's `TaskFinish` is in the calendar.
+    FinishScheduled = 1,
+    /// The duplicate copy of a speculated task (LATE baseline).
+    Speculative = 2,
+    /// The injected-fault engine marked the running attempt to fail at the
+    /// moment it would have finished (the whole duration becomes wasted
+    /// work). Set at launch, cleared when the attempt fails; completions of
+    /// earlier attempts never get as far as reading it.
+    Doomed = 4,
+    /// Recovery ghost: charges compute/IO time for redone work after a node
+    /// crash but deposits nothing (the lost rows were already re-hosted).
+    Ghost = 8,
+}
+
 /// The per-task fields, written once, each with the value a freshly queued
 /// task has: [`Task`] holds one of each, and [`TaskArena`] a flat `Vec` of
 /// each with the whole-arena operations that must touch every array
-/// (`reserve`, `push`, `clear`, `heap_bytes`).
+/// (`reserve`, `push`, `heap_bytes`). The `record` fields are also what a
+/// finished task leaves: [`TaskTable`] holds those columns alone, and a
+/// departing job takes them out of the arena (`into_records`,
+/// `gather_records`).
 macro_rules! task_fields {
     (
         fn new($($arg:ident: $argty:ty),*);
-        $($(#[$doc:meta])* $field:ident: $ty:ty = $fresh:expr,)*
+        record {
+            $($(#[$rdoc:meta])* $rfield:ident: $rty:ty = $rfresh:expr,)*
+        }
+        run {
+            $($(#[$doc:meta])* $field:ident: $ty:ty = $fresh:expr,)*
+        }
     ) => {
         pub(super) struct Task {
+            $($(#[$rdoc])* pub(super) $rfield: $rty,)*
             $($(#[$doc])* pub(super) $field: $ty,)*
         }
 
@@ -75,9 +104,9 @@ macro_rules! task_fields {
             /// A freshly queued task of `kind`: pending, unplaced, first
             /// attempt, no placement preference. The one `Task` literal —
             /// push sites set only the fields their flavour changes
-            /// (prefs/pin, twin, ghost).
+            /// (prefs/pin, twin, flags).
             pub(super) fn new($($arg: $argty),*) -> Task {
-                Task { $($field: $fresh,)* }
+                Task { $($rfield: $rfresh,)* $($field: $fresh,)* }
             }
         }
 
@@ -89,9 +118,11 @@ macro_rules! task_fields {
         /// push-site constructor — the arena scatters it on insert. A column costs
         /// every task its width, so what few tasks have lives beside the columns:
         /// placement preferences in `prefs_pool`, real-record payloads in
-        /// `real_out`. The byte table is DESIGN.md §4.12; [`TASK_BYTES`] pins its sum.
+        /// `real_out` and the sizes real reducers adopt in `reduced_bytes`. The
+        /// byte table is DESIGN.md §4.12; [`TASK_BYTES`] pins its sum.
         #[derive(Default)]
         pub(super) struct TaskArena {
+            $(pub(super) $rfield: Vec<$rty>,)*
             $(pub(super) $field: Vec<$ty>,)*
             /// The preferred nodes of the tasks that have any, back to back: each
             /// entry is its length, then that many node ids. A task's `prefs` is
@@ -101,6 +132,11 @@ macro_rules! task_fields {
             /// Real output of an evaluated chain, from its commit to the task's
             /// finish. Only real-record runs put anything here.
             pub(super) real_out: BTreeMap<u32, RealOut>,
+            /// The size of a real reducer's aggregation, adopted when its fetch
+            /// task finishes: what the reducer deposits and its flush stores,
+            /// read through [`TaskArena::out_bytes`]. The task's record keeps
+            /// the launch-time estimate in `output_bytes`.
+            pub(super) reduced_bytes: BTreeMap<u32, f64>,
             /// Tasks currently in `TState::Pending` — dispatch early-exits on zero.
             pending: usize,
             /// Tasks currently in `TState::Running`, by owning job id (job ids are
@@ -112,6 +148,7 @@ macro_rules! task_fields {
             /// Make room for `n` more tasks: a stage grows each array once, to
             /// exactly what it needs, instead of doubling its way there.
             pub(super) fn reserve(&mut self, n: usize) {
+                $(self.$rfield.reserve_exact(n);)*
                 $(self.$field.reserve_exact(n);)*
             }
 
@@ -120,93 +157,179 @@ macro_rules! task_fields {
                 if self.running.len() <= t.job as usize {
                     self.running.resize(t.job as usize + 1, 0);
                 }
+                $(self.$rfield.push(t.$rfield);)*
                 $(self.$field.push(t.$field);)*
                 self.pending += 1;
-            }
-
-            pub(super) fn clear(&mut self) {
-                $(self.$field.clear();)*
-                self.prefs_pool.clear();
-                self.real_out.clear();
-                self.pending = 0;
-                self.running.clear();
             }
 
             /// Heap charged to the arena's flat arrays (self-profiling).
             pub(super) fn heap_bytes(&self) -> usize {
                 (self.prefs_pool.capacity() + self.running.capacity()) * size_of::<u32>()
+                    $(+ self.$rfield.capacity() * size_of::<$rty>())*
                     $(+ self.$field.capacity() * size_of::<$ty>())*
+            }
+
+            /// The whole arena's record columns, moved out without a copy, with
+            /// `order` (task ids, in finish order) saying which rows are
+            /// records; the run-time columns are dropped.
+            pub(super) fn into_records(self, order: Vec<u32>) -> TaskTable {
+                TaskTable {
+                    $($rfield: self.$rfield,)*
+                    order: Some(order),
+                }
+            }
+
+            /// Copies of the record rows of tasks `order`, in that order.
+            pub(super) fn gather_records(&self, order: &[u32]) -> TaskTable {
+                TaskTable {
+                    $($rfield: order.iter().map(|&i| self.$rfield[i as usize]).collect(),)*
+                    order: None,
+                }
             }
         }
 
+        /// A departed job's task records, one row per finished attempt, as
+        /// struct-of-arrays columns of the arena's own types. Read as
+        /// [`TaskMetric`] rows ([`TaskTable::rows`]); `Debug` prints that list
+        /// of rows, the form a `Vec<TaskMetric>` had.
+        #[derive(Clone, Default)]
+        pub(crate) struct TaskTable {
+            $($rfield: Vec<$rty>,)*
+            /// Row `k` is column entry `order[k]` when the columns are a whole
+            /// arena ([`TaskArena::into_records`]); `None` when they hold the
+            /// rows in finish order themselves.
+            order: Option<Vec<u32>>,
+        }
+
         /// What one more task costs the arena, whatever its flavour.
-        pub(super) const TASK_BYTES: usize = 0 $(+ size_of::<$ty>())*;
+        pub(super) const TASK_BYTES: usize = 0
+            $(+ size_of::<$rty>())*
+            $(+ size_of::<$ty>())*;
     };
 }
 
 task_fields! {
     fn new(job: u32, stage: u32, kind: TaskKind, now: SimTime);
-    /// Owning job id (multi-tenant streams keep several jobs resident).
-    job: u32 = job,
-    stage: u32 = stage,
-    kind: TaskKind = kind,
-    state: TState = TState::Pending,
-    node: u32 = u32::MAX,
-    queued_at: SimTime = now,
-    launched_at: SimTime = now,
-    compute_dur: SimDuration = SimDuration::ZERO,
-    pending_io: u32 = 0,
-    finish_scheduled: bool = false,
-    input_bytes: f64 = 0.0,
-    output_bytes: f64 = 0.0,
-    records_est: u64 = 0,
-    locality: TaskLocality = TaskLocality::Any,
-    /// Handle of the preferred nodes (HDFS replicas / cache location) from
-    /// [`TaskArena::add_prefs`]; read through [`TaskArena::prefs_of`]. 0 = any.
-    prefs: u32 = 0,
-    /// The only node a pinned task may run on (storing phase: a flush runs
-    /// where its producer ran), [`UNPINNED`] otherwise.
-    pin: u32 = UNPINNED,
-    /// Speculative-execution twin (LATE baseline): the other copy's id, or
-    /// [`NO_TWIN`].
-    twin: u32 = NO_TWIN,
-    /// True for the duplicate copy of a speculated task.
-    is_speculative: bool = false,
-    /// Attempt number; bumped on every failure so stale completion events
-    /// from an earlier attempt are dropped.
-    attempt: u32 = 0,
-    /// The injected-fault engine marked the running attempt to fail at the
-    /// moment it would have finished (the whole duration becomes wasted
-    /// work). Set at launch, cleared when the attempt fails; completions of
-    /// earlier attempts never get as far as reading it.
-    doomed: bool = false,
-    /// Recovery ghost: charges compute/IO time for redone work after a node
-    /// crash but deposits nothing (the lost rows were already re-hosted).
-    ghost: bool = false,
+    record {
+        /// Owning job id (multi-tenant streams keep several jobs resident).
+        job: u32 = job,
+        stage: u32 = stage,
+        kind: TaskKind = kind,
+        node: u32 = u32::MAX,
+        queued_at: SimTime = now,
+        launched_at: SimTime = now,
+        /// Written once, when the attempt that counts finishes.
+        finished_at: SimTime = now,
+        input_bytes: f64 = 0.0,
+        /// The size model's output at launch (a real reducer's adopted size
+        /// is in `reduced_bytes`).
+        output_bytes: f64 = 0.0,
+        locality: TaskLocality = TaskLocality::Any,
+    }
+    run {
+        state: TState = TState::Pending,
+        compute_dur: SimDuration = SimDuration::ZERO,
+        pending_io: u32 = 0,
+        records_est: u64 = 0,
+        /// Handle of the preferred nodes (HDFS replicas / cache location) from
+        /// [`TaskArena::add_prefs`]; read through [`TaskArena::prefs_of`]. 0 = any.
+        prefs: u32 = 0,
+        /// The only node a pinned task may run on (storing phase: a flush runs
+        /// where its producer ran), [`UNPINNED`] otherwise.
+        pin: u32 = UNPINNED,
+        /// Speculative-execution twin (LATE baseline): the other copy's id, or
+        /// [`NO_TWIN`].
+        twin: u32 = NO_TWIN,
+        /// Attempt number; bumped on every failure so stale completion events
+        /// from an earlier attempt are dropped.
+        attempt: u32 = 0,
+        /// [`Flag`] bits.
+        flags: u8 = 0,
+    }
 }
 
 // The per-task footprint moves only on purpose (DESIGN.md §4.12 has the
-// table); so does the 64-byte metric record each finished task leaves.
-const _: () = assert!(TASK_BYTES == 94);
-const _: () = assert!(size_of::<TaskMetric>() == 64);
+// table).
+const _: () = assert!(TASK_BYTES == 99);
+
+impl TaskTable {
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.order.as_ref().map_or(self.job.len(), Vec::len)
+    }
+
+    /// The records, in finish order.
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = TaskMetric> + '_ {
+        (0..self.len()).map(|k| {
+            let i = self.order.as_ref().map_or(k, |o| o[k] as usize);
+            TaskMetric {
+                job: self.job[i],
+                stage: self.stage[i],
+                phase: self.kind[i].phase(),
+                index: self.kind[i].index(),
+                node: self.node[i],
+                queued_at: self.queued_at[i].as_secs_f64(),
+                launched_at: self.launched_at[i].as_secs_f64(),
+                finished_at: self.finished_at[i].as_secs_f64(),
+                input_bytes: self.input_bytes[i],
+                output_bytes: self.output_bytes[i],
+                locality: self.locality[i],
+            }
+        })
+    }
+
+    /// A table holding `rows`, in order (the inverse of [`TaskTable::rows`]).
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: impl IntoIterator<Item = TaskMetric>) -> TaskTable {
+        let mut arena = TaskArena::default();
+        for r in rows {
+            let kind = match r.phase {
+                Phase::Compute => TaskKind::Compute { part: r.index },
+                Phase::Storing => TaskKind::Store { producer: r.index },
+                Phase::Shuffling => TaskKind::Fetch { reducer: r.index },
+            };
+            let at = SimTime::from_secs_f64;
+            let mut t = Task::new(r.job, r.stage, kind, at(r.queued_at));
+            t.node = r.node;
+            t.launched_at = at(r.launched_at);
+            t.finished_at = at(r.finished_at);
+            t.input_bytes = r.input_bytes;
+            t.output_bytes = r.output_bytes;
+            t.locality = r.locality;
+            arena.push(t);
+        }
+        let all: Vec<u32> = (0..arena.len() as u32).collect();
+        arena.gather_records(&all)
+    }
+}
+
+impl fmt::Debug for TaskTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.rows()).finish()
+    }
+}
 
 impl TaskArena {
-    /// The record task `id` leaves when it finishes at `now`.
-    pub(super) fn metric(&self, id: u32, now: SimTime) -> TaskMetric {
-        let i = id as usize;
-        TaskMetric {
-            job: self.job[i],
-            stage: self.stage[i],
-            phase: self.kind[i].phase(),
-            index: self.kind[i].index(),
-            node: self.node[i],
-            queued_at: self.queued_at[i].as_secs_f64(),
-            launched_at: self.launched_at[i].as_secs_f64(),
-            finished_at: now.as_secs_f64(),
-            input_bytes: self.input_bytes[i],
-            output_bytes: self.output_bytes[i],
-            locality: self.locality[i],
-        }
+    #[inline]
+    pub(super) fn flag(&self, id: u32, f: Flag) -> bool {
+        self.flags[id as usize] & f as u8 != 0
+    }
+
+    #[inline]
+    pub(super) fn set_flag(&mut self, id: u32, f: Flag, on: bool) {
+        let bits = &mut self.flags[id as usize];
+        *bits = if on {
+            *bits | f as u8
+        } else {
+            *bits & !(f as u8)
+        };
+    }
+
+    /// The bytes task `id` produced: a real reducer's adopted size, else
+    /// its `output_bytes`.
+    pub(super) fn out_bytes(&self, id: u32) -> f64 {
+        let adopted = self.reduced_bytes.get(&id).copied();
+        adopted.unwrap_or(self.output_bytes[id as usize])
     }
 
     /// Record `nodes` as a placement preference; the handle goes in a
@@ -325,11 +448,11 @@ mod tests {
         a.set_state(0, TState::Running);
         assert_eq!((a.pending(), a.running(3)), (1, 1));
         a.audit_running(3).expect("count matches the scan");
-        // 2 tasks × 94 bytes over the 21 arrays, the one preference (its
+        // 2 tasks × 99 bytes over the 19 arrays, the one preference (its
         // length and two nodes) and the running counts of jobs 0..=3.
         let pool = a.prefs_pool.capacity();
         assert!(pool >= 3);
-        assert_eq!(a.heap_bytes(), 2 * 94 + pool * 4 + 4 * 4);
+        assert_eq!(a.heap_bytes(), 2 * 99 + pool * 4 + 4 * 4);
         // Preferences shrink in place, in order, down to "any node".
         a.retain_prefs(0, |n| n != 4);
         assert_eq!(a.prefs_of(0), [5]);
@@ -337,12 +460,24 @@ mod tests {
         a.retain_prefs(1, |_| false);
         assert_eq!((a.prefs_of(0), a.prefs_of(1)), (&[][..], &[][..]));
         assert_eq!(a.add_prefs([].into_iter()), 0, "no nodes, no entry");
-        a.clear();
-        assert_eq!((a.len(), a.pending()), (0, 0));
-        assert_eq!(
-            a.add_prefs([9].into_iter()),
-            1,
-            "the pool restarts with the arena"
-        );
+        // The flags are four independent bits of one byte.
+        a.set_flag(1, Flag::Ghost, true);
+        a.set_flag(1, Flag::Doomed, true);
+        a.set_flag(1, Flag::Ghost, false);
+        assert!(a.flag(1, Flag::Doomed) && !a.flag(1, Flag::Ghost));
+        assert!(!a.flag(0, Flag::Doomed), "a neighbour's bits stay put");
+        // A real reducer's adopted size shadows its estimate for the readers
+        // of what it produced, not in its record.
+        a.output_bytes[1] = 10.0;
+        a.reduced_bytes.insert(1, 4.0);
+        assert_eq!((a.out_bytes(0), a.out_bytes(1)), (0.0, 4.0));
+        // The records leave in finish order, gathered or moved out whole.
+        a.finished_at[1] = SimTime::from_nanos(5);
+        let gathered = format!("{:?}", a.gather_records(&[1]));
+        assert!(gathered.starts_with("[TaskMetric { job: 3, stage: 1, phase: Shuffling,"));
+        assert!(gathered.contains("finished_at: 5e-9, input_bytes: 0.0, output_bytes: 10.0,"));
+        let moved = a.into_records(vec![1]);
+        assert_eq!(moved.len(), 1);
+        assert_eq!(format!("{moved:?}"), gathered);
     }
 }

@@ -10,8 +10,13 @@
 //! class of bug rule R1 (`clippy.toml`'s `disallowed-types`) exists to
 //! prevent, from the behavioral side.
 
+mod common;
+
+use common::{heavy_groupby, skewed_speculative, two_tenant_fair_share};
 use memres_core::prelude::*;
+use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
+use memres_trace::TraceEvent;
 
 /// A shuffle-heavy wordcount over enough partitions that placement, fetch
 /// scheduling, and aggregation order all get exercised.
@@ -184,4 +189,131 @@ fn double_run_is_deterministic_under_faults_and_threads() {
         metrics_a, metrics_1,
         "faulted metrics must not depend on executor thread count"
     );
+}
+
+/// Real records through two chained shuffles: the first shuffle's reducers
+/// are the second's producers, so each flushes the size its aggregation
+/// actually had, while its record keeps the size model's launch estimate.
+fn two_shuffles() -> (Rdd, Action) {
+    let recs: Vec<Record> = (0..400)
+        .map(|i| (Value::I64(i % 23), Value::I64(i)))
+        .collect();
+    let rdd = Rdd::source(Dataset::from_records(recs, 6))
+        .group_by_key(Some(4), 1e9)
+        .map("size-key", SizeModel::scan(), |(_, v)| {
+            (Value::I64(v.as_list().len() as i64), Value::I64(1))
+        })
+        .reduce_by_key(Some(3), 1e9, 1.0, |a, b| {
+            Value::I64(a.as_i64() + b.as_i64())
+        });
+    (rdd, Action::Collect)
+}
+
+#[test]
+fn a_real_reducer_records_its_estimate_and_flushes_its_adopted_size() {
+    let (rdd, action) = two_shuffles();
+    let mut d = Driver::new(
+        memres_cluster::tiny(4),
+        EngineConfig::default().homogeneous(),
+    );
+    let (out, m) = d.run(&rdd, action);
+    let groups = out.records.expect("real records collect");
+    let counts: Vec<(i64, i64)> = groups
+        .iter()
+        .map(|(k, v)| (k.as_i64(), v.as_i64()))
+        .collect();
+    assert_eq!(counts, [(17, 14), (18, 9)], "23 keys by group size");
+    // Stage 1's reducers feed the second shuffle: their flushes store the
+    // adopted aggregation sizes, their own records the estimates.
+    let stage1 = |phase| -> f64 {
+        let rows = m.tasks_in(phase).filter(|t| t.stage == 1);
+        rows.map(|t| t.output_bytes).sum()
+    };
+    assert_eq!(
+        (stage1(Phase::Storing), stage1(Phase::Shuffling)),
+        (368.0, 6400.0)
+    );
+    assert_eq!(
+        fnv1a(format!("{m:?}")),
+        0xcee5_0499_d452_c940,
+        "the metrics of the two-shuffle real job moved"
+    );
+}
+
+/// The job record as it was before its tasks became a view over the task
+/// arena: a `Vec` of rows under the derived `Debug` every digest in the
+/// repository was taken over.
+mod old {
+    use memres_core::{RecoveryCounters, TaskMetric};
+
+    #[derive(Debug)]
+    #[expect(dead_code, reason = "its fields are read by `Debug` alone")]
+    pub struct JobMetrics {
+        pub job: u32,
+        pub started_at: f64,
+        pub finished_at: f64,
+        pub tasks: Vec<TaskMetric>,
+        pub recovery: RecoveryCounters,
+    }
+}
+
+/// `m` prints, plain and pretty, as the old record built from its rows.
+fn assert_prints_as_the_old_record(m: &JobMetrics, what: &str) {
+    let old = old::JobMetrics {
+        job: m.job,
+        started_at: m.started_at,
+        finished_at: m.finished_at,
+        tasks: m.tasks().collect(),
+        recovery: m.recovery,
+    };
+    assert!(!old.tasks.is_empty(), "{what}: no records");
+    assert_eq!(format!("{m:?}"), format!("{old:?}"), "{what}");
+    assert_eq!(format!("{m:#?}"), format!("{old:#?}"), "{what}");
+}
+
+/// The quickstart example's word count.
+fn quickstart() -> (Rdd, Action) {
+    let words = "the quick brown fox jumps over the lazy dog the fox";
+    let records: Vec<Record> = words
+        .split_whitespace()
+        .map(|w| (Value::Null, Value::str(w)))
+        .collect();
+    let rdd = Rdd::source(Dataset::from_records(records, 4))
+        .map("kv", SizeModel::scan(), |(_, word)| (word, Value::I64(1)))
+        .reduce_by_key(Some(2), 1e9, 1.0, |a, b| {
+            Value::I64(a.as_i64() + b.as_i64())
+        });
+    (rdd, Action::Collect)
+}
+
+#[test]
+fn the_record_view_prints_as_the_record_it_replaced() {
+    let homogeneous = || EngineConfig::default().homogeneous();
+    let run = |nodes, cfg, (rdd, action): (Rdd, Action)| {
+        let mut d = Driver::new(memres_cluster::tiny(nodes), cfg);
+        let (_, m) = d.run(&rdd, action);
+        (m, d.take_trace())
+    };
+    let (m, _) = run(4, homogeneous(), quickstart());
+    assert_prints_as_the_old_record(&m, "quickstart");
+    let faulted =
+        homogeneous().with_faults(FaultPlan::seeded(7, 6, 3, SimDuration::from_millis(80)));
+    let (m, _) = run(6, faulted, workload());
+    assert!(m.recovery.any(), "the plan's faults land");
+    assert_prints_as_the_old_record(&m, "seeded faults");
+    // Losing twins leave no row: the records are the non-ghost finishes.
+    let (m, trace) = run(4, skewed_speculative().with_trace(), heavy_groupby(0));
+    let finishes = |ghost: bool| {
+        let hit = |e: &&memres_core::TimedEvent| matches!(e.ev, TraceEvent::TaskFinished { ghost: g, .. } if g == ghost);
+        trace.iter().filter(hit).count()
+    };
+    assert!(finishes(true) > 0, "a speculative twin lost");
+    assert_eq!(m.tasks().len(), finishes(false));
+    assert_prints_as_the_old_record(&m, "skewed speculative");
+    let mut d = Driver::new(memres_cluster::tiny(4), homogeneous());
+    for j in d.run_stream(two_tenant_fair_share()) {
+        assert_prints_as_the_old_record(&j.metrics, &format!("stream job {}", j.id));
+    }
+    let (m, _) = run(4, homogeneous(), two_shuffles());
+    assert_prints_as_the_old_record(&m, "two real shuffles");
 }

@@ -49,14 +49,14 @@ fn storing_tail_visits_grow_with_launches_not_with_idle_nodes() {
         .run_audited(&groupby(parts, 64), Action::Count, 1_009)
         .expect("audited run");
     assert!(!out.aborted);
-    assert_eq!(m.tasks.len(), 2 * parts + 64);
+    assert_eq!(m.tasks().len(), 2 * parts + 64);
     // Fault-free: every task launched once and finished once.
-    let launches_and_finishes = 2 * m.tasks.len() as u64;
+    let launches_and_finishes = 2 * m.tasks().len() as u64;
     let visits = d.world().dispatch_visits;
     assert!(
         visits <= 4 * launches_and_finishes,
         "{visits} candidate visits for {} tasks: dispatch is rescanning idle nodes",
-        m.tasks.len()
+        m.tasks().len()
     );
     // The tail is real: the first node to run out of flushes idles for a
     // good part of the phase while the last one works through its own.
@@ -132,24 +132,25 @@ fn flushes_repinned_by_a_crash_wake_the_idle_replacement() {
 
 /// The paper's GroupBy shape: generated 256 MB splits, one reducer per slot.
 #[test]
-fn a_task_costs_the_heap_under_200_bytes() {
+fn a_task_costs_the_heap_under_120_bytes() {
     // The same Lustre-input GroupBy at 6,000 and at 12,000 producers (as
     // many store tasks each, 64 reducers both times): the engine's own heap
-    // estimate at job departure grows by the arena columns (94 B), the
-    // metric record each finished task leaves (64 B) and the queue and id
-    // lists a producer sits in — not by a per-partition placement table, a
-    // `Vec` header per task, or anything else that scales with the job.
+    // estimate at job departure grows by the arena columns (99 B, its
+    // record among them), the finish-order entry each finished task leaves
+    // (4 B) and the queue and id lists a producer sits in — not by a second
+    // copy of the record, a per-partition placement table, a `Vec` header
+    // per task, or anything else that scales with the job.
     let estimate = |parts: usize| {
         let mut d = Driver::new(tiny(16), lustre_fifo());
         let (out, m) = d.run(&groupby(parts, 64), Action::Count);
         assert!(!out.aborted);
-        assert_eq!(m.tasks.len(), 2 * parts + 64);
+        assert_eq!(m.tasks().len(), 2 * parts + 64);
         d.heap_estimate_bytes()
     };
     let (small, large) = (estimate(6_000), estimate(12_000));
     let per_task = (large - small) as f64 / 12_000.0;
     assert!(
-        (158.0..=200.0).contains(&per_task),
+        (103.0..=120.0).contains(&per_task),
         "{per_task} bytes per task ({small} -> {large})"
     );
 }

@@ -120,14 +120,14 @@ proptest! {
         let cores = spec.cores_per_node as usize;
         let mut d = Driver::new(spec, cfg_for(shuffle_idx, sigma, 5));
         let m = d.run_for_metrics(&rdd, Action::Count);
-        for t in &m.tasks {
+        for t in m.tasks() {
             prop_assert!(t.finished_at >= t.launched_at);
             prop_assert!(t.launched_at >= t.queued_at);
         }
         // Slot check: sweep events per node.
         for node in 0..4u32 {
             let mut events: Vec<(f64, i32)> = Vec::new();
-            for t in m.tasks.iter().filter(|t| t.node == node) {
+            for t in m.tasks().filter(|t| t.node == node) {
                 events.push((t.launched_at, 1));
                 events.push((t.finished_at, -1));
             }

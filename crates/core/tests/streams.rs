@@ -10,12 +10,15 @@
 //!    across executor-thread counts and event-queue implementations,
 //!    extending the single-job determinism suite to concurrent DAGs.
 
+mod common;
+
+use common::{skewed_speculative, two_tenant_fair_share};
 use memres_core::prelude::*;
 use memres_core::{
     ArrivalProcess, FinishedJob, InterJobPolicy, JobFactory, StreamSpec, TenantSlo, TenantSpec,
 };
 use memres_des::time::{SimDuration, SimTime};
-use memres_trace::TraceEvent;
+use memres_trace::{TaskClass, TraceEvent};
 use std::sync::Arc;
 
 /// Tenant A: a shuffle-heavy wordcount, parameterized by `k` so each job in
@@ -239,42 +242,6 @@ fn departed_jobs_give_their_fetch_flows_back() {
     );
 }
 
-/// Three waves of compute-bound tasks per job, so slow nodes' last-wave
-/// tasks straggle past idle slots and get speculated.
-fn heavy_groupby(k: u32) -> (Rdd, Action) {
-    let recs: Vec<Record> = (0..2000)
-        .map(|i| (Value::I64((i * 31 + k as i64) % 53), Value::I64(i)))
-        .collect();
-    let rdd = Rdd::source(Dataset::from_records(recs, 24))
-        .map("work", SizeModel::new(1.0, 1.0, 2e4), |r| r)
-        .group_by_key(Some(4), 1e9);
-    (rdd, Action::Count)
-}
-
-/// Two `heavy_groupby` tenants of two jobs each, periodic arrivals,
-/// FairShare: jobs overlap, so dispatch chooses between resident jobs.
-fn two_tenant_fair_share() -> StreamSpec {
-    let tenant = |name, period_secs| {
-        let arrival = ArrivalProcess::Periodic { period_secs };
-        TenantSpec::new(name, 2, arrival, Arc::new(heavy_groupby))
-    };
-    StreamSpec::new(
-        vec![tenant("a", 0.05), tenant("b", 0.07)],
-        InterJobPolicy::FairShare,
-        5,
-    )
-}
-
-/// Skewed node speeds with speculation on: stragglers get twins.
-fn skewed_speculative() -> EngineConfig {
-    EngineConfig {
-        speed_sigma: 0.6,
-        seed: 4,
-        ..EngineConfig::default()
-    }
-    .with_speculation()
-}
-
 #[test]
 fn fair_share_order_survives_retries_twins_and_a_crash() {
     // The fair-share order reads per-job running counts kept at
@@ -484,4 +451,53 @@ fn lustre_shared_flush_progress_is_credited_to_the_job_that_owns_it() {
         flush_end(small) < flush_end(big),
         "the small job's gate opens strictly before the big job's flush completes"
     );
+}
+
+#[test]
+fn each_departed_job_takes_exactly_its_own_task_records() {
+    // Jobs overlap, so most depart while another stays resident and copy
+    // their own rows out of the shared arena; the last one leaves an arena
+    // that also holds its predecessors' rows. Each table must hold its job's
+    // records and nobody else's: every row names the job, and together the
+    // tables are the trace's non-ghost `TaskFinished` events — one row per
+    // finish, none for a speculative twin that lost.
+    let mut d = Driver::new(memres_cluster::tiny(4), skewed_speculative().with_trace());
+    let finished = d
+        .run_stream_audited(two_tenant_fair_share(), 1)
+        .expect("audited stream");
+    assert_eq!(finished.len(), 4);
+    let trace = d.take_trace();
+    let key = |at: f64, node: u32, phase: Phase| (at.to_bits(), node, phase as u8);
+    let mut traced = Vec::new();
+    let mut lost = 0;
+    for e in &trace {
+        if let TraceEvent::TaskFinished {
+            node, class, ghost, ..
+        } = e.ev
+        {
+            if ghost {
+                lost += 1;
+                continue;
+            }
+            let phase = match class {
+                TaskClass::Compute => Phase::Compute,
+                TaskClass::Store => Phase::Storing,
+                TaskClass::Fetch => Phase::Shuffling,
+            };
+            traced.push(key(e.at.as_secs_f64(), node, phase));
+        }
+    }
+    assert!(lost > 0, "a speculative twin lost and left no row");
+    let mut rows = Vec::new();
+    for j in &finished {
+        assert!(j.metrics.tasks().len() > 0, "job {}", j.id);
+        for t in j.metrics.tasks() {
+            assert_eq!(t.job, j.id, "job {} holds a row of job {}", j.id, t.job);
+            rows.push(key(t.finished_at, t.node, t.phase));
+        }
+    }
+    assert_eq!(rows.len(), traced.len(), "one row per non-ghost finish");
+    rows.sort_unstable();
+    traced.sort_unstable();
+    assert_eq!(rows, traced);
 }
