@@ -286,15 +286,14 @@ fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
                 let (visits, events) = (num("dispatch_visits"), num("events"));
                 assert!(visits > 0.0 && visits <= events, "{run}");
                 // What a task costs the heap: the engine's own estimate over
-                // the cell's 2 x 1,536 producers + 512 reducers. 113.9 bytes
-                // since the arena became the task record (99 arena bytes
-                // and a 4-byte finish-order entry per task, the rest the
-                // cell's queues and workers x reducers tables); a new
-                // per-task column, table or copy shows here. Fails above
-                // that + 10 %.
+                // the cell's 2 x 1,536 producers + 512 reducers. 97.0 bytes:
+                // 81 arena bytes and a 4-byte finish-order entry per task,
+                // an 8-byte count per reducer, the rest the cell's queues
+                // and workers x reducers tables; a new per-task column,
+                // table or copy shows here. Fails above that + 10 %.
                 let per_task = num("heap_bytes") / 3584.0;
                 assert!(
-                    per_task > 0.0 && per_task <= 125.0,
+                    per_task > 0.0 && per_task <= 107.0,
                     "{per_task} bytes: {run}"
                 );
             }

@@ -84,7 +84,7 @@ use sampler::Sampler;
 use sched::{Cad, DispatchState, JobQueues};
 use shuffle::{JobShuffle, ShuffleService};
 pub(crate) use tasks::TaskTable;
-use tasks::{Flag, TState, Task, TaskArena, TaskKind, NO_TWIN};
+use tasks::{Flag, TState, Task, TaskArena, TaskKind};
 
 /// Fixed per-task launch overhead (scheduling, serialization, JVM dispatch).
 /// This is what makes 32 MB splits slower than 128 MB ones on the Lustre
@@ -178,6 +178,9 @@ struct JobRun {
     /// The shuffles this job reads and writes, and what it deposited where.
     shuffle: JobShuffle,
     final_tasks: Vec<u32>,
+    /// The records each final-stage partition produced, by partition: the
+    /// job's output count is their sum.
+    final_records: Vec<u64>,
     /// Pending-task queues and scheduling clocks.
     queues: JobQueues,
     /// The tasks finished so far, in finish order: which arena rows are the
@@ -194,7 +197,8 @@ impl JobRun {
     fn heap_bytes(&self) -> usize {
         let lists = [&self.stage_tasks, &self.final_tasks, &self.finish_order];
         let ids: usize = lists.iter().map(|l| l.capacity() * size_of::<u32>()).sum();
-        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids
+        let counts = self.final_records.capacity() * size_of::<u64>();
+        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids + counts
     }
 
     /// A speculative copy `task` won: it replaces its `twin` everywhere the
@@ -684,7 +688,7 @@ impl SimWorld {
     fn net_tag(&self, task: u32) -> NetTag {
         NetTag::TaskIo {
             task,
-            attempt: self.tasks.attempt[task as usize],
+            attempt: u32::from(self.tasks.attempt[task as usize]),
             job: self.tasks.job[task as usize],
         }
     }
@@ -729,6 +733,7 @@ impl SimWorld {
             stage_tasks: Vec::new(),
             shuffle: JobShuffle::new(workers),
             final_tasks: Vec::new(),
+            final_records: Vec::new(),
             queues: JobQueues::new(workers, now),
             finish_order: Vec::new(),
             metrics: JobMetrics {
@@ -798,6 +803,7 @@ impl SimWorld {
             job.stage_tasks = created.clone().collect();
             if is_last {
                 job.final_tasks = created.clone().collect();
+                job.final_records = vec![0; created.len()];
             }
             job.queues.begin_stage(now, self.cfg.speculation);
         }
@@ -830,13 +836,13 @@ impl SimWorld {
             TE::TaskLaunched {
                 task,
                 node,
-                class: self.tasks.kind[i].class(),
-                attempt: self.tasks.attempt[i],
+                class: self.tasks.kind(task).class(),
+                attempt: u32::from(self.tasks.attempt[i]),
                 queue_delay: now.since(self.tasks.queued_at[i]),
                 speculative: self.tasks.flag(task, Flag::Speculative),
             },
         );
-        match self.tasks.kind[i] {
+        match self.tasks.kind(task) {
             TaskKind::Compute { part } => self.launch_compute(now, task, node, part, out),
             TaskKind::Store { producer } => self.launch_store(now, task, node, producer, out),
             TaskKind::Fetch { reducer } => self.launch_fetch(now, task, node, reducer, out),
@@ -851,7 +857,7 @@ impl SimWorld {
         let i = task as usize;
         self.tasks.compute_dur[i] = dur.mul_f64(self.jitter(task)) + TASK_OVERHEAD;
         self.tasks.output_bytes[i] = out_bytes;
-        self.tasks.records_est[i] = out_records;
+        self.note_final_records(task, out_records);
         if let Some(rows) = out_data {
             self.tasks.real_out.insert(task, rows);
         }
@@ -859,6 +865,25 @@ impl SimWorld {
             self.blockmgr
                 .insert(rdd, part, node, Bytes(bytes), records, snapshot);
         }
+    }
+
+    /// Keep the records task `task` produced when it belongs to its job's
+    /// last stage: the job's output count is their sum. Speculation only
+    /// copies compute tasks, and a copy computes its partition's count
+    /// again, so the partition indexes the entry.
+    fn note_final_records(&mut self, task: u32, records: u64) {
+        let i = task as usize;
+        let (stage, index) = (self.tasks.stage[i], self.tasks.index[i]);
+        let job = self.job_of_mut(task);
+        if stage as usize + 1 != job.plan.stages.len() {
+            return;
+        }
+        let slot = &mut job.final_records[index as usize];
+        debug_assert!(
+            *slot == 0 || *slot == records,
+            "task {task} rewrites partition {index}'s count {slot} as {records}"
+        );
+        *slot = records;
     }
 
     /// Evaluate the record-level work captured this dispatch round and commit
@@ -910,7 +935,8 @@ impl SimWorld {
         if job & 0xffff != self.tasks.job[i] & 0xffff {
             return true;
         }
-        self.tasks.state[i] != TState::Running || self.tasks.attempt[i] & 0xffff != attempt & 0xffff
+        self.tasks.state[i] != TState::Running
+            || u32::from(self.tasks.attempt[i]) != attempt & 0xffff
     }
 
     fn task_io_done(
@@ -946,7 +972,7 @@ impl SimWorld {
         }
         // Pipelined tasks finish at max(io_done, launch+compute); a fetch
         // task starts computing only after all its data has landed.
-        let finish = match self.tasks.kind[i] {
+        let finish = match self.tasks.kind(task) {
             TaskKind::Fetch { .. } => now + self.tasks.compute_dur[i],
             _ => (self.tasks.launched_at[i] + self.tasks.compute_dur[i]).max(now),
         };
@@ -955,7 +981,7 @@ impl SimWorld {
             finish,
             Ev::TaskFinish {
                 task,
-                attempt: self.tasks.attempt[i],
+                attempt: u32::from(self.tasks.attempt[i]),
                 job,
             },
         );
@@ -975,8 +1001,8 @@ impl SimWorld {
         let i = task as usize;
         // Speculation: if this task's twin already finished, this copy lost —
         // just release the slot (the real Spark would have killed it).
-        let twin = self.tasks.twin[i];
-        let lost = twin != NO_TWIN && self.tasks.state[twin as usize] == TState::Done;
+        let twin = self.tasks.twin(task);
+        let lost = twin.is_some_and(|t| self.tasks.state[t as usize] == TState::Done);
         // An attempt doomed by the fault plan dies at the instant it would
         // have completed: the full duration becomes wasted work and the task
         // re-queues (or the job aborts at the attempt limit).
@@ -984,7 +1010,7 @@ impl SimWorld {
             self.fail_task(now, task, SimDuration::ZERO, true, out);
             return;
         }
-        let (node, kind) = (self.tasks.node[i], self.tasks.kind[i]);
+        let (node, kind) = (self.tasks.node[i], self.tasks.kind(task));
         let ghost = self.tasks.flag(task, Flag::Ghost);
         self.tasks.set_state(task, TState::Done);
         self.nodes.free_slot(node);
@@ -1007,11 +1033,7 @@ impl SimWorld {
         let ji = self.job_index_of(task);
         let ran = now.since(self.tasks.launched_at[i]);
         let job = &mut self.jobs[ji];
-        if self.tasks.flag(task, Flag::Speculative) {
-            debug_assert_ne!(
-                twin, NO_TWIN,
-                "a duplicate is created with its twin recorded"
-            );
+        if let Some(twin) = twin.filter(|_| self.tasks.flag(task, Flag::Speculative)) {
             job.replace_task(twin, task);
         }
         if matches!(kind, TaskKind::Compute { .. }) {
@@ -1109,11 +1131,9 @@ impl SimWorld {
         );
         // The final tasks' shared output slices, in task order; only
         // `Collect` copies records out of them.
-        let mut count = 0u64;
+        let count: u64 = job.final_records.iter().sum();
         let mut slices: Vec<&[Record]> = Vec::new();
         for &t in &job.final_tasks {
-            let i = t as usize;
-            count += self.tasks.records_est[i];
             if let Some(RealOut::Rows(r)) = self.tasks.real_out.get(&t) {
                 slices.push(r);
             }

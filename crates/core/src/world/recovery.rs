@@ -19,6 +19,8 @@ use std::sync::Arc;
 /// A task that fails this many times aborts its job (Spark's
 /// `spark.task.maxFailures`).
 const MAX_TASK_ATTEMPTS: u32 = 4;
+// A task's `attempt` column is a byte: it never counts past the limit.
+const _: () = assert!(MAX_TASK_ATTEMPTS <= u8::MAX as u32);
 /// Base delay before retrying a failed shuffle fetch; it doubles per attempt.
 const FETCH_BACKOFF: SimDuration = SimDuration::from_millis(200);
 /// A node blamed for this many task failures is blacklisted: it launches
@@ -165,14 +167,14 @@ impl SimWorld {
             TE::TaskRetried {
                 task,
                 node,
-                attempt: self.tasks.attempt[task as usize],
+                attempt: u32::from(self.tasks.attempt[task as usize]),
                 wasted,
                 backoff,
             },
         );
         if self.nodes.is_up(node) {
             self.nodes.free_slot(node);
-            if matches!(self.tasks.kind[task as usize], TaskKind::Store { .. }) {
+            if matches!(self.tasks.kind(task), TaskKind::Store { .. }) {
                 self.abandon_store_output(task, node);
             }
         }
@@ -191,7 +193,7 @@ impl SimWorld {
             self.tasks.compute_dur[i] = SimDuration::ZERO;
             self.tasks.queued_at[i] = now;
         }
-        if self.tasks.attempt[task as usize] >= MAX_TASK_ATTEMPTS {
+        if u32::from(self.tasks.attempt[task as usize]) >= MAX_TASK_ATTEMPTS {
             let ji = self.job_index_of(task);
             self.abort_job(now, ji, out);
             return;
@@ -418,7 +420,7 @@ impl SimWorld {
         let victims: Vec<u32> = (0..self.tasks.len())
             .filter(|&i| {
                 self.tasks.state[i] == TState::Running
-                    && matches!(self.tasks.kind[i], TaskKind::Fetch { reducer }
+                    && matches!(self.tasks.kind(i as u32), TaskKind::Fetch { reducer }
                         if self
                             .jobs
                             .iter()
@@ -477,12 +479,13 @@ impl SimWorld {
             {
                 continue;
             }
-            match self.tasks.kind[i] {
+            let kind = self.tasks.kind(i as u32);
+            match kind {
                 TaskKind::Compute { .. } if Some(self.tasks.stage[i]) == producing_stage => {
-                    ghosts.push((self.tasks.stage[i], self.tasks.kind[i]));
+                    ghosts.push((self.tasks.stage[i], kind));
                 }
                 TaskKind::Store { .. } if has_shuffle_out && local_store => {
-                    ghosts.push((self.tasks.stage[i], self.tasks.kind[i]));
+                    ghosts.push((self.tasks.stage[i], kind));
                 }
                 _ => {}
             }
@@ -553,7 +556,7 @@ impl SimWorld {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tasks::{Flag, TState, NO_TWIN};
+    use super::super::tasks::{Flag, TState};
     use super::super::tests::{push_pinned_store, world_with_idle_nodes_parked};
     use super::super::SimWorld;
     use crate::config::EngineConfig;
@@ -611,11 +614,11 @@ mod tests {
         let ghost = before;
         assert_eq!(w.tasks.len() as u32, before + 1);
         assert!(w.tasks.flag(ghost, Flag::Ghost));
-        assert_eq!(w.tasks.kind[ghost as usize], w.tasks.kind[done as usize]);
+        assert_eq!(w.tasks.kind(ghost), w.tasks.kind(done));
         let repl = w.tasks.pin[ghost as usize];
         assert!(repl != victim && w.nodes.usable(repl));
         assert!(w.tasks.prefs_of(ghost).is_empty());
-        assert_eq!(w.tasks.twin[ghost as usize], NO_TWIN);
+        assert_eq!(w.tasks.twin(ghost), None);
         w.audit_invariants().expect("queues and counts agree");
     }
 

@@ -7,7 +7,7 @@
 //! interval (§VI-B, [`Cad`]), LATE speculation (§VIII baseline) and the
 //! two-phase `dispatch` round that applies them over the candidate nodes.
 
-use super::tasks::{Flag, TState, Task, TaskArena, TaskKind, NO_TWIN, UNPINNED};
+use super::tasks::{Flag, TState, Task, TaskArena, TaskKind, UNPINNED};
 use super::{Ev, JobRun, RunPhase, SimWorld};
 use crate::config::{CadConfig, ElbConfig, SchedulerKind};
 use crate::tenancy::InterJobPolicy;
@@ -331,8 +331,8 @@ impl SimWorld {
             TE::TaskQueued {
                 task,
                 stage: self.tasks.stage[i],
-                class: self.tasks.kind[i].class(),
-                attempt: self.tasks.attempt[i],
+                class: self.tasks.kind(task).class(),
+                attempt: u32::from(self.tasks.attempt[i]),
             },
         );
     }
@@ -575,7 +575,7 @@ impl SimWorld {
                 .iter()
                 .filter(|&&tid| {
                     tasks.state[tid as usize] == TState::Running
-                        && matches!(tasks.kind[tid as usize], TaskKind::Compute { .. })
+                        && matches!(tasks.kind(tid), TaskKind::Compute { .. })
                 })
                 .map(|&tid| (elapsed(tid), tid))
                 .filter(|&(elapsed, _)| elapsed > threshold)
@@ -584,7 +584,7 @@ impl SimWorld {
         // Longest-elapsed unduplicated one not on `node`; the first on ties.
         let mut best: Option<(f64, u32)> = None;
         for &(elapsed, tid) in late.iter() {
-            if tasks.twin[tid as usize] == NO_TWIN
+            if tasks.twin(tid).is_none()
                 && tasks.node[tid as usize] != node
                 && best.is_none_or(|(e, _)| elapsed > e)
             {
@@ -595,13 +595,12 @@ impl SimWorld {
             return false;
         };
         let dup = self.tasks.len() as u32;
-        let kind = self.tasks.kind[straggler as usize];
+        let kind = self.tasks.kind(straggler);
         let stage = self.tasks.stage[straggler as usize];
         let mut t = Task::new(self.tasks.job[straggler as usize], stage, kind, now);
-        t.twin = straggler;
         t.flags = Flag::Speculative as u8;
         self.tasks.push(t);
-        self.tasks.twin[straggler as usize] = dup;
+        self.tasks.set_twins(straggler, dup);
         self.trace(
             now,
             TE::Speculate {
@@ -907,7 +906,7 @@ mod tests {
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, placed_plan(2), &mut out);
         w.dispatch(SimTime::ZERO, &mut out);
-        assert_eq!((w.tasks.twin[0], w.tasks.twin[1]), (NO_TWIN, NO_TWIN));
+        assert_eq!((w.tasks.twin(0), w.tasks.twin(1)), (None, None));
         // Eight quick completions on the books make task 0, still running
         // at t = 100 s, a straggler for any node but its own.
         (0..8).for_each(|_| w.jobs[0].queues.record_compute(1.0));
@@ -915,7 +914,10 @@ mod tests {
         let elsewhere = (0..4).find(|&n| n != w.tasks.node[0]).expect("four nodes");
         assert!(w.maybe_speculate(late, 0, elsewhere, &mut [None], &mut out));
         let dup = 2;
-        assert_eq!((w.tasks.twin[0], w.tasks.twin[dup]), (dup as u32, 0));
+        assert_eq!(
+            (w.tasks.twin(0), w.tasks.twin(dup as u32)),
+            (Some(dup as u32), Some(0))
+        );
         assert!(w.tasks.flag(dup as u32, Flag::Speculative) && !w.tasks.flag(0, Flag::Speculative));
         // The original keeps the replicas it preferred; the copy was placed
         // by hand and prefers nothing.
@@ -925,7 +927,7 @@ mod tests {
         // One copy each: a twinned task is not speculated again.
         let third = (0..4).find(|&n| n != w.tasks.node[0] && n != elsewhere);
         w.maybe_speculate(late, 0, third.expect("four nodes"), &mut [None], &mut out);
-        assert_eq!(w.tasks.twin[0], dup as u32);
+        assert_eq!(w.tasks.twin(0), Some(dup as u32));
         // The copy finishes first: the job now refers to it, and the
         // original's late finish only hands its slot back.
         let job = w.jobs[0].id;

@@ -713,8 +713,12 @@ impl SimWorld {
             }
         }
         let total: f64 = sources.iter().map(|&(b, _)| b).sum();
-        let (agg_rate, out_factor, aggregated) =
-            (sh.spec.fetch_rate, sh.spec.out_factor, sh.aggregated);
+        let (agg_rate, out_factor, aggregated, real) = (
+            sh.spec.fetch_rate,
+            sh.spec.out_factor,
+            sh.aggregated,
+            sh.is_real(),
+        );
 
         let speed = self.speed(node);
         let mut dur = SimDuration::from_secs_f64(total / (agg_rate * speed));
@@ -733,7 +737,11 @@ impl SimWorld {
             self.tasks.compute_dur[i] = dur;
             self.tasks.input_bytes[i] = total;
             self.tasks.output_bytes[i] = out_bytes;
-            self.tasks.records_est[i] = out_records;
+        }
+        // A real reducer's count is its aggregation's, adopted when it
+        // finishes.
+        if !real {
+            self.note_final_records(task, out_records);
         }
 
         match self.cfg.shuffle {
@@ -861,9 +869,8 @@ impl SimWorld {
         let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
             unreachable!("fetch task finished before its reducer was evaluated");
         };
-        let i = task as usize;
         self.tasks.reduced_bytes.insert(task, bytes);
-        self.tasks.records_est[i] = records;
+        self.note_final_records(task, records);
         self.tasks.real_out.insert(task, rows);
     }
 
@@ -925,7 +932,7 @@ impl SimWorld {
     /// fetch task it is the MDS storm finishing: the OSS read may start once
     /// the mass flush has finished too.
     pub(super) fn lustre_shared_gate(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
-        let fetch = matches!(self.tasks.kind[task as usize], TaskKind::Fetch { .. });
+        let fetch = matches!(self.tasks.kind(task), TaskKind::Fetch { .. });
         if self.fetches_pull_from_nodes() || !fetch {
             return;
         }
@@ -957,7 +964,7 @@ impl SimWorld {
             start,
             Ev::LustreSharedRead {
                 task,
-                attempt: self.tasks.attempt[task as usize],
+                attempt: u32::from(self.tasks.attempt[task as usize]),
                 job: self.tasks.job[task as usize],
             },
         );

@@ -19,6 +19,16 @@ pub(super) enum TaskKind {
 }
 
 impl TaskKind {
+    /// The kind of a task of `phase` standing for `index` (the inverse of
+    /// [`TaskKind::phase`] and [`TaskKind::index`]).
+    pub(super) fn new(phase: Phase, index: u32) -> TaskKind {
+        match phase {
+            Phase::Compute => TaskKind::Compute { part: index },
+            Phase::Storing => TaskKind::Store { producer: index },
+            Phase::Shuffling => TaskKind::Fetch { reducer: index },
+        }
+    }
+
     /// The pipeline phase a task of this kind runs in (§IV, Fig 4a).
     pub(super) fn phase(self) -> Phase {
         match self {
@@ -56,9 +66,6 @@ pub(super) enum TState {
 
 /// [`Task::pin`] of a task that may run anywhere.
 pub(super) const UNPINNED: u32 = u32::MAX;
-
-/// [`Task::twin`] of a task that was never speculated.
-pub(super) const NO_TWIN: u32 = u32::MAX;
 
 /// One bit of a task's `flags` byte, read and written through
 /// [`TaskArena::flag`] and [`TaskArena::set_flag`].
@@ -118,7 +125,9 @@ macro_rules! task_fields {
         /// push-site constructor — the arena scatters it on insert. A column costs
         /// every task its width, so what few tasks have lives beside the columns:
         /// placement preferences in `prefs_pool`, real-record payloads in
-        /// `real_out` and the sizes real reducers adopt in `reduced_bytes`. The
+        /// `real_out`, the sizes real reducers adopt in `reduced_bytes` and
+        /// speculation's pairs in `twins` (a final stage's record counts are
+        /// the job's, `JobRun::final_records`). The
         /// byte table is DESIGN.md §4.12; [`TASK_BYTES`] pins its sum.
         #[derive(Default)]
         pub(super) struct TaskArena {
@@ -137,6 +146,10 @@ macro_rules! task_fields {
             /// read through [`TaskArena::out_bytes`]. The task's record keeps
             /// the launch-time estimate in `output_bytes`.
             pub(super) reduced_bytes: BTreeMap<u32, f64>,
+            /// Speculative-execution twins (LATE baseline): each copy of a
+            /// speculated pair maps to the other. Read through
+            /// [`TaskArena::twin`].
+            twins: BTreeMap<u32, u32>,
             /// Tasks currently in `TState::Pending` — dispatch early-exits on zero.
             pending: usize,
             /// Tasks currently in `TState::Running`, by owning job id (job ids are
@@ -162,9 +175,11 @@ macro_rules! task_fields {
                 self.pending += 1;
             }
 
-            /// Heap charged to the arena's flat arrays (self-profiling).
+            /// Heap charged to the arena's flat arrays and twin pairs
+            /// (self-profiling).
             pub(super) fn heap_bytes(&self) -> usize {
-                (self.prefs_pool.capacity() + self.running.capacity()) * size_of::<u32>()
+                (self.prefs_pool.capacity() + self.running.capacity() + 2 * self.twins.len())
+                    * size_of::<u32>()
                     $(+ self.$rfield.capacity() * size_of::<$rty>())*
                     $(+ self.$field.capacity() * size_of::<$ty>())*
             }
@@ -214,7 +229,10 @@ task_fields! {
         /// Owning job id (multi-tenant streams keep several jobs resident).
         job: u32 = job,
         stage: u32 = stage,
-        kind: TaskKind = kind,
+        /// The two halves of the task's [`TaskKind`], read whole through
+        /// [`TaskArena::kind`].
+        phase: Phase = kind.phase(),
+        index: u32 = kind.index(),
         node: u32 = u32::MAX,
         queued_at: SimTime = now,
         launched_at: SimTime = now,
@@ -230,19 +248,16 @@ task_fields! {
         state: TState = TState::Pending,
         compute_dur: SimDuration = SimDuration::ZERO,
         pending_io: u32 = 0,
-        records_est: u64 = 0,
         /// Handle of the preferred nodes (HDFS replicas / cache location) from
         /// [`TaskArena::add_prefs`]; read through [`TaskArena::prefs_of`]. 0 = any.
         prefs: u32 = 0,
         /// The only node a pinned task may run on (storing phase: a flush runs
         /// where its producer ran), [`UNPINNED`] otherwise.
         pin: u32 = UNPINNED,
-        /// Speculative-execution twin (LATE baseline): the other copy's id, or
-        /// [`NO_TWIN`].
-        twin: u32 = NO_TWIN,
         /// Attempt number; bumped on every failure so stale completion events
-        /// from an earlier attempt are dropped.
-        attempt: u32 = 0,
+        /// from an earlier attempt are dropped. A task that reaches
+        /// `MAX_TASK_ATTEMPTS` aborts its job, so a byte holds it.
+        attempt: u8 = 0,
         /// [`Flag`] bits.
         flags: u8 = 0,
     }
@@ -250,7 +265,7 @@ task_fields! {
 
 // The per-task footprint moves only on purpose (DESIGN.md §4.12 has the
 // table).
-const _: () = assert!(TASK_BYTES == 99);
+const _: () = assert!(TASK_BYTES == 81);
 
 impl TaskTable {
     /// Number of records.
@@ -265,8 +280,8 @@ impl TaskTable {
             TaskMetric {
                 job: self.job[i],
                 stage: self.stage[i],
-                phase: self.kind[i].phase(),
-                index: self.kind[i].index(),
+                phase: self.phase[i],
+                index: self.index[i],
                 node: self.node[i],
                 queued_at: self.queued_at[i].as_secs_f64(),
                 launched_at: self.launched_at[i].as_secs_f64(),
@@ -283,12 +298,8 @@ impl TaskTable {
     pub(crate) fn from_rows(rows: impl IntoIterator<Item = TaskMetric>) -> TaskTable {
         let mut arena = TaskArena::default();
         for r in rows {
-            let kind = match r.phase {
-                Phase::Compute => TaskKind::Compute { part: r.index },
-                Phase::Storing => TaskKind::Store { producer: r.index },
-                Phase::Shuffling => TaskKind::Fetch { reducer: r.index },
-            };
             let at = SimTime::from_secs_f64;
+            let kind = TaskKind::new(r.phase, r.index);
             let mut t = Task::new(r.job, r.stage, kind, at(r.queued_at));
             t.node = r.node;
             t.launched_at = at(r.launched_at);
@@ -323,6 +334,27 @@ impl TaskArena {
         } else {
             *bits & !(f as u8)
         };
+    }
+
+    /// Task `id`'s kind, rebuilt from its `phase` and `index` columns.
+    #[inline]
+    pub(super) fn kind(&self, id: u32) -> TaskKind {
+        TaskKind::new(self.phase[id as usize], self.index[id as usize])
+    }
+
+    /// The other copy of task `id` if it was speculated (LATE baseline).
+    #[inline]
+    pub(super) fn twin(&self, id: u32) -> Option<u32> {
+        if self.twins.is_empty() {
+            return None;
+        }
+        self.twins.get(&id).copied()
+    }
+
+    /// Record `a` and `b` as the two copies of one speculated task.
+    pub(super) fn set_twins(&mut self, a: u32, b: u32) {
+        self.twins.insert(a, b);
+        self.twins.insert(b, a);
     }
 
     /// The bytes task `id` produced: a real reducer's adopted size, else
@@ -442,17 +474,35 @@ mod tests {
             SimTime::ZERO,
         ));
         assert_eq!((a.len(), a.pending(), a.running(3)), (2, 2, 0));
-        assert_eq!(a.kind[0], TaskKind::Compute { part: 7 });
-        assert_eq!((a.pin[0], a.twin[0]), (UNPINNED, NO_TWIN));
+        assert_eq!(a.pin[0], UNPINNED);
+        // A kind is stored as its phase and index, and read back whole.
+        for kind in [
+            TaskKind::Compute { part: 7 },
+            TaskKind::Store { producer: 8 },
+            TaskKind::Fetch { reducer: u32::MAX },
+        ] {
+            let mut k = TaskArena::default();
+            k.push(Task::new(0, 0, kind, SimTime::ZERO));
+            assert_eq!((k.phase[0], k.index[0]), (kind.phase(), kind.index()));
+            assert_eq!(k.kind(0), kind);
+        }
         assert_eq!((a.prefs_of(0), a.prefs_of(1)), (&[4, 5][..], &[][..]));
         a.set_state(0, TState::Running);
         assert_eq!((a.pending(), a.running(3)), (1, 1));
         a.audit_running(3).expect("count matches the scan");
-        // 2 tasks × 99 bytes over the 19 arrays, the one preference (its
+        // 2 tasks × 81 bytes over the 18 arrays, the one preference (its
         // length and two nodes) and the running counts of jobs 0..=3.
         let pool = a.prefs_pool.capacity();
         assert!(pool >= 3);
-        assert_eq!(a.heap_bytes(), 2 * 99 + pool * 4 + 4 * 4);
+        assert_eq!(a.heap_bytes(), 2 * 81 + pool * 4 + 4 * 4);
+        // A speculated pair reads its twin both ways and charges the arena
+        // two entries of two ids; every other task has none.
+        assert_eq!((a.twin(0), a.twin(1)), (None, None));
+        a.push(Task::new(3, 1, a.kind(0), SimTime::ZERO));
+        let unpaired = a.heap_bytes();
+        a.set_twins(0, 2);
+        assert_eq!((a.twin(0), a.twin(1), a.twin(2)), (Some(2), None, Some(0)));
+        assert_eq!(a.heap_bytes(), unpaired + 2 * 2 * 4);
         // Preferences shrink in place, in order, down to "any node".
         a.retain_prefs(0, |n| n != 4);
         assert_eq!(a.prefs_of(0), [5]);

@@ -317,3 +317,70 @@ fn the_record_view_prints_as_the_record_it_replaced() {
     let (m, _) = run(4, homogeneous(), two_shuffles());
     assert_prints_as_the_old_record(&m, "two real shuffles");
 }
+
+/// Map-only `Count` over synthetic partitions: every task is a final-stage
+/// compute task, and on skewed nodes some straggle long enough for a twin.
+fn synthetic_map_only() -> (Rdd, Action) {
+    let rdd = Rdd::source(Dataset::synthetic(24.0 * 4e6, 4e6, 100.0)).map(
+        "work",
+        SizeModel::new(1.0, 0.5, 2e7),
+        |r| r,
+    );
+    (rdd, Action::Count)
+}
+
+/// Synthetic GroupBy whose fetch tasks, its final stage, start early and
+/// run long: a seeded crash and fetch failure land among them.
+fn synthetic_groupby() -> (Rdd, Action) {
+    let rdd = Rdd::source(Dataset::synthetic(12.0 * 2e5, 2e5, 100.0))
+        .map("gen", SizeModel::new(1.0, 1.0, 2e8), |r| r)
+        .group_by_key(Some(6), 4e6);
+    (rdd, Action::Count)
+}
+
+#[test]
+fn the_count_and_the_record_hold_wherever_final_counts_are_written() {
+    // A job's count is the sum of its final-stage tasks' record counts,
+    // written by a compute task's chain, a fetch task's launch and a real
+    // reducer's adoption. Each pin was taken when every task kept its own
+    // count; the job's record is pinned by the FNV of its `Debug`.
+    let run = |nodes, cfg: EngineConfig, (rdd, action): (Rdd, Action)| {
+        let mut d = Driver::new(memres_cluster::tiny(nodes), cfg.with_trace());
+        let (out, m) = d.run(&rdd, action);
+        (out.count, fnv1a(format!("{m:?}")), m, d.take_trace())
+    };
+    // Final-stage compute tasks and their twins both write their
+    // partition's count.
+    let (count, digest, _, trace) = run(4, skewed_speculative(), synthetic_map_only());
+    let twins = trace
+        .iter()
+        .filter(|e| matches!(e.ev, TraceEvent::Speculate { .. }))
+        .count();
+    assert!(twins > 0, "a final-stage task is speculated");
+    assert_eq!(
+        (count, digest),
+        (480_000, 0x6784_8b4c_fcf4_79cd),
+        "map-only under speculation"
+    );
+    // Final-stage fetch tasks are retried and write their count again.
+    let faulted = EngineConfig::default()
+        .homogeneous()
+        .with_faults(FaultPlan::seeded(7, 6, 3, SimDuration::from_millis(80)));
+    let (count, digest, m, _) = run(6, faulted, synthetic_groupby());
+    assert!(
+        m.recovery.fetch_retries > 0,
+        "a final-stage fetch is retried"
+    );
+    assert_eq!(
+        (count, digest),
+        (37_500, 0x7a71_67b3_95a2_4a2d),
+        "GroupBy under seeded faults"
+    );
+    // Real reducers adopt their aggregation's count.
+    let (count, digest, ..) = run(4, EngineConfig::default().homogeneous(), two_shuffles());
+    assert_eq!(
+        (count, digest),
+        (2, 0xcee5_0499_d452_c940),
+        "two real shuffles"
+    );
+}
