@@ -26,7 +26,10 @@ const ARTIFACTS: [&str; 4] = [
 /// The four artifacts `repro --smoke report <cell>` writes under
 /// `MEMRES_THREADS=<threads>`.
 fn artifacts_with_threads(cell: &str, threads: &str) -> [String; 4] {
-    let dir = std::env::temp_dir().join(format!("memres-report-threads-test-{threads}"));
+    let dir = std::env::temp_dir().join(format!(
+        "memres-report-threads-test-{threads}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let status = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
         .env("MEMRES_THREADS", threads)

@@ -8,13 +8,39 @@
     reason = "a test of the measurement layer reads the files it wrote (DESIGN.md 4.10)"
 )]
 
+#[path = "pins/mod.rs"]
+mod pins;
+
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("spawn repro")
+}
+
+/// A scratch directory of this process: concurrent test runs from two
+/// checkouts must not remove each other's files.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+const SMOKE_ALL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/smoke_all.stdout");
+
+/// `repro --smoke --json <dir> all`: every figure table at smoke scale.
+fn smoke_all(dir: &std::path::Path) -> String {
+    let out = repro(&["--smoke", "--json", dir.to_str().unwrap(), "all"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
 #[test]
@@ -35,23 +61,16 @@ fn clean_target_exits_zero() {
 #[test]
 fn smoke_all_stdout_is_pinned() {
     let golden = include_str!("golden/smoke_all.stdout");
-    let dir = std::env::temp_dir().join("memres-repro-smoke-all-cli-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = repro(&["--smoke", "--json", dir.to_str().unwrap(), "all"]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let dir = temp_dir("memres-repro-smoke-all-cli-test");
+    let stdout = smoke_all(&dir);
     if stdout != golden {
         let (got, want) = (stdout.lines(), golden.lines());
         let line = got.zip(want).take_while(|(g, w)| g == w).count();
         panic!(
             "`repro --smoke all` stdout differs from tests/golden/smoke_all.stdout at line {}:\n  \
              got:  {:?}\n  want: {:?}\n\
-             A deliberate model change re-captures the file in the same commit \
-             (`repro --smoke all > crates/bench/tests/golden/smoke_all.stdout`).",
+             A deliberate model change re-captures the file, and every pin, in the same \
+             commit (`cargo test --workspace --release -- --ignored bless`).",
             line + 1,
             stdout.lines().nth(line),
             golden.lines().nth(line),
@@ -154,9 +173,8 @@ fn explain_prints_attribution_and_stragglers() {
 #[test]
 fn trace_writes_timeline_files() {
     let cell = "fig8a_600gb_ssd";
-    let dir = std::env::temp_dir().join("memres-repro-trace-cli-test");
+    let dir = temp_dir("memres-repro-trace-cli-test");
     let slow = dir.join("slow");
-    let _ = std::fs::remove_dir_all(&dir);
     let (dir_s, slow_s) = (dir.to_str().unwrap(), slow.to_str().unwrap());
     let out = repro(&["--smoke", "--json", dir_s, "trace", cell, "report", cell]);
     assert!(
@@ -236,23 +254,105 @@ fn json_field<'a>(line: &'a str, key: &str) -> &'a str {
     rest[..rest.find([',', '}']).expect("value end")].trim_matches('"')
 }
 
+/// The JSON files `repro <flags> --json <dir> <targets>` writes, one per
+/// target, each run once per process.
+fn timed(
+    flags: &[&str],
+    targets: &[&str],
+    cache: &'static OnceLock<Vec<String>>,
+) -> &'static [String] {
+    cache.get_or_init(|| {
+        let dir = temp_dir(&format!(
+            "memres-repro-timed-{}-cli-test",
+            targets.join("-")
+        ));
+        let args = [flags, &["--json", dir.to_str().unwrap()], targets].concat();
+        let out = repro(&args);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let json = targets
+            .iter()
+            .map(|t| std::fs::read_to_string(dir.join(format!("{t}.json"))).expect("json"))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        json
+    })
+}
+
+/// `repro --smoke bench scale`: the five paper rows at smoke scale, then
+/// `scale_smoke`.
+fn timed_smoke() -> &'static [String] {
+    static JSON: OnceLock<Vec<String>> = OnceLock::new();
+    timed(&["--smoke"], &["bench", "scale"], &JSON)
+}
+
+/// The two smaller `repro scale` cells at full size, in one invocation.
+fn scale_cells() -> &'static [String] {
+    static JSON: OnceLock<Vec<String>> = OnceLock::new();
+    timed(&[], &["scale_1k_100k", "scale_4k_1m"], &JSON)
+}
+
+/// The run line of `cell` among `json`'s.
+fn run_of<'a>(json: &'a [String], cell: &str) -> &'a str {
+    json.iter()
+        .flat_map(|j| j.lines())
+        .find(|l| l.contains(&format!("\"name\": \"{cell}\"")))
+        .unwrap_or_else(|| panic!("no run {cell}"))
+}
+
+/// The columns of a timed run that do not depend on the host.
+fn simulated(run: &str, columns: &[&'static str]) -> Vec<pins::Pin> {
+    let num = |column| json_field(run, column).parse::<f64>().expect("a number");
+    columns
+        .iter()
+        .map(|&column| match column {
+            "sim_job_s" => pins::sim_s(column, num(column)),
+            "heap_bytes" => pins::bytes(column, num(column)),
+            _ => pins::count(column, num(column) as u64),
+        })
+        .collect()
+}
+
+/// The six CI-sized cells: the paper rows at `--smoke`, then `scale_smoke`.
+const SMOKE_CELLS: [&str; 6] = [
+    "fig7a_400gb_ramdisk",
+    "fig7a_400gb_lustre_local",
+    "fig7a_400gb_lustre_shared",
+    "fig8a_600gb_ramdisk",
+    "fig8a_600gb_ssd",
+    "scale_smoke",
+];
+
+fn smoke_cell(cell: &'static str) -> Vec<pins::Pin> {
+    simulated(run_of(timed_smoke(), cell), &["sim_job_s", "events"])
+}
+
+fn scale_cell(cell: &'static str) -> Vec<pins::Pin> {
+    let columns = ["sim_job_s", "events", "heap_bytes", "dispatch_visits"];
+    simulated(run_of(scale_cells(), cell), &columns)
+}
+
+const CASES: &[pins::Case] = &[
+    ("fig7a_400gb_ramdisk", smoke_cell),
+    ("fig7a_400gb_lustre_local", smoke_cell),
+    ("fig7a_400gb_lustre_shared", smoke_cell),
+    ("fig8a_600gb_ramdisk", smoke_cell),
+    ("fig8a_600gb_ssd", smoke_cell),
+    ("scale_smoke", smoke_cell),
+    ("scale_1k_100k", scale_cell),
+    ("scale_4k_1m", scale_cell),
+];
+
 /// The timed path's determinism check: `sim_job_s` and `events` of the six
-/// CI-sized cells (the paper rows at `--smoke`, then `scale_smoke`) against
-/// the checked-in capture, the one JSON shape both families write, and the
+/// CI-sized cells are pins; the one JSON shape both families write, and the
 /// two numeric bounds of the scale cell (dispatch visits, heap per task).
 #[test]
 fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
-    let dir = std::env::temp_dir().join("memres-repro-timed-cli-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = repro(&["--smoke", "--json", dir.to_str().unwrap(), "bench", "scale"]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let mut pinned = String::new();
-    for target in ["bench", "scale"] {
-        let json = std::fs::read_to_string(dir.join(format!("{target}.json"))).expect("json");
+    let mut cells = Vec::new();
+    for (target, json) in ["bench", "scale"].into_iter().zip(timed_smoke()) {
         assert!(
             json.contains(&format!("\"target\": \"{target}\"")),
             "{json}"
@@ -273,10 +373,8 @@ fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
                 let v = json_field(run, column);
                 assert!(v.parse::<f64>().is_ok(), "{column} = {v:?} in {run}");
             }
-            let name = json_field(run, "name");
-            let (sim, events) = (json_field(run, "sim_job_s"), json_field(run, "events"));
-            pinned.push_str(&format!("{name} {sim} {events}\n"));
-            if name == "scale_smoke" {
+            cells.push(json_field(run, "name"));
+            if json_field(run, "name") == "scale_smoke" {
                 let num = |column| json_field(run, column).parse::<f64>().expect("a number");
                 // Dispatch must look at a node or two per event, not rescan
                 // the idle ones: it visits about half a candidate per event
@@ -300,10 +398,39 @@ fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
         }
     }
     assert_eq!(
-        pinned,
-        include_str!("golden/timed_smoke.txt"),
-        "`name sim_job_s events` of `repro --smoke bench scale` moved; a deliberate model \
-         change re-captures tests/golden/timed_smoke.txt in the same commit"
+        cells, SMOKE_CELLS,
+        "the runs of `repro --smoke bench scale`"
     );
+    pins::check(pins::named(CASES, &SMOKE_CELLS));
+}
+
+/// `repro scale`'s non-timing columns of its two smaller cells, which
+/// neither `repro all` nor the smoke cells reach: a shuffle above 2^20
+/// node x reducer cells and 1,000+ nodes.
+#[test]
+fn scale_cells_are_pinned() {
+    pins::check(pins::named(CASES, &["scale_1k_100k", "scale_4k_1m"]));
+}
+
+pins::tests!(CASES);
+
+/// `bless`'s twin for the one whole-file golden: re-captures
+/// `smoke_all.stdout`.
+#[test]
+#[ignore = "re-pins: cargo test --workspace --release -- --ignored bless"]
+fn bless_smoke_all() {
+    let dir = temp_dir("memres-repro-smoke-all-bless");
+    let stdout = smoke_all(&dir);
     let _ = std::fs::remove_dir_all(&dir);
+    let golden = std::fs::read_to_string(SMOKE_ALL).expect("the golden");
+    if stdout == golden {
+        pins::say("crates/bench/tests/golden/smoke_all.stdout: unchanged\n");
+    } else {
+        let moved = stdout.lines().zip(golden.lines()).filter(|(a, b)| a != b);
+        std::fs::write(SMOKE_ALL, &stdout).expect("rewrite the golden");
+        pins::say(&format!(
+            "crates/bench/tests/golden/smoke_all.stdout: rewritten, {} lines moved\n",
+            moved.count()
+        ));
+    }
 }

@@ -11,10 +11,11 @@
 //! prevent, from the behavioral side.
 
 mod common;
+#[path = "../../bench/tests/pins/mod.rs"]
+mod pins;
 
 use common::{heavy_groupby, skewed_speculative, two_tenant_fair_share};
 use memres_core::prelude::*;
-use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
 use memres_trace::TraceEvent;
 
@@ -211,33 +212,36 @@ fn two_shuffles() -> (Rdd, Action) {
 
 #[test]
 fn a_real_reducer_records_its_estimate_and_flushes_its_adopted_size() {
+    pins::check(pins::named(CASES, &["two_shuffles"]));
+}
+
+/// Pins of the two-shuffle real job, which asserts its groups: stage 1's
+/// reducers feed the second shuffle, so their flushes store the adopted
+/// aggregation sizes and their own records the estimates.
+fn two_shuffles_pins() -> Vec<pins::Pin> {
     let (rdd, action) = two_shuffles();
     let mut d = Driver::new(
         memres_cluster::tiny(4),
         EngineConfig::default().homogeneous(),
     );
     let (out, m) = d.run(&rdd, action);
+    // Real reducers adopt their aggregation's count.
+    assert_eq!(out.count, 2, "two real shuffles");
     let groups = out.records.expect("real records collect");
     let counts: Vec<(i64, i64)> = groups
         .iter()
         .map(|(k, v)| (k.as_i64(), v.as_i64()))
         .collect();
     assert_eq!(counts, [(17, 14), (18, 9)], "23 keys by group size");
-    // Stage 1's reducers feed the second shuffle: their flushes store the
-    // adopted aggregation sizes, their own records the estimates.
     let stage1 = |phase| -> f64 {
         let rows = m.tasks_in(phase).filter(|t| t.stage == 1);
         rows.map(|t| t.output_bytes).sum()
     };
-    assert_eq!(
-        (stage1(Phase::Storing), stage1(Phase::Shuffling)),
-        (368.0, 6400.0)
-    );
-    assert_eq!(
-        fnv1a(format!("{m:?}")),
-        0xcee5_0499_d452_c940,
-        "the metrics of the two-shuffle real job moved"
-    );
+    vec![
+        pins::bytes("stage1_storing", stage1(Phase::Storing)),
+        pins::bytes("stage1_shuffling", stage1(Phase::Shuffling)),
+        pins::debug_fnv("metrics", &m),
+    ]
 }
 
 /// The job record as it was before its tasks became a view over the task
@@ -338,49 +342,58 @@ fn synthetic_groupby() -> (Rdd, Action) {
     (rdd, Action::Count)
 }
 
+/// One fresh traced run: its output count, its metrics and its trace.
+fn run_traced_metrics(
+    nodes: u32,
+    cfg: EngineConfig,
+    (rdd, action): (Rdd, Action),
+) -> (u64, JobMetrics, Vec<memres_core::TimedEvent>) {
+    let mut d = Driver::new(memres_cluster::tiny(nodes), cfg.with_trace());
+    let (out, m) = d.run(&rdd, action);
+    (out.count, m, d.take_trace())
+}
+
+const CASES: &[pins::Case] = &[
+    // Final-stage compute tasks and their twins both write their
+    // partition's count.
+    ("map_only_speculated", |_| {
+        let (count, m, trace) = run_traced_metrics(4, skewed_speculative(), synthetic_map_only());
+        let twins = trace
+            .iter()
+            .filter(|e| matches!(e.ev, TraceEvent::Speculate { .. }))
+            .count();
+        assert!(twins > 0, "a final-stage task is speculated");
+        assert_eq!(count, 480_000, "map-only under speculation");
+        vec![pins::debug_fnv("metrics", &m)]
+    }),
+    // Final-stage fetch tasks are retried and write their count again.
+    ("groupby_seeded_faults", |_| {
+        let faulted = EngineConfig::default()
+            .homogeneous()
+            .with_faults(FaultPlan::seeded(7, 6, 3, SimDuration::from_millis(80)));
+        let (count, m, _) = run_traced_metrics(6, faulted, synthetic_groupby());
+        assert!(
+            m.recovery.fetch_retries > 0,
+            "a final-stage fetch is retried"
+        );
+        assert_eq!(count, 37_500, "GroupBy under seeded faults");
+        vec![pins::debug_fnv("metrics", &m)]
+    }),
+    ("two_shuffles", |_| two_shuffles_pins()),
+];
+
 #[test]
 fn the_count_and_the_record_hold_wherever_final_counts_are_written() {
     // A job's count is the sum of its final-stage tasks' record counts,
     // written by a compute task's chain, a fetch task's launch and a real
-    // reducer's adoption. Each pin was taken when every task kept its own
-    // count; the job's record is pinned by the FNV of its `Debug`.
-    let run = |nodes, cfg: EngineConfig, (rdd, action): (Rdd, Action)| {
-        let mut d = Driver::new(memres_cluster::tiny(nodes), cfg.with_trace());
-        let (out, m) = d.run(&rdd, action);
-        (out.count, fnv1a(format!("{m:?}")), m, d.take_trace())
-    };
-    // Final-stage compute tasks and their twins both write their
-    // partition's count.
-    let (count, digest, _, trace) = run(4, skewed_speculative(), synthetic_map_only());
-    let twins = trace
-        .iter()
-        .filter(|e| matches!(e.ev, TraceEvent::Speculate { .. }))
-        .count();
-    assert!(twins > 0, "a final-stage task is speculated");
-    assert_eq!(
-        (count, digest),
-        (480_000, 0x6784_8b4c_fcf4_79cd),
-        "map-only under speculation"
-    );
-    // Final-stage fetch tasks are retried and write their count again.
-    let faulted = EngineConfig::default()
-        .homogeneous()
-        .with_faults(FaultPlan::seeded(7, 6, 3, SimDuration::from_millis(80)));
-    let (count, digest, m, _) = run(6, faulted, synthetic_groupby());
-    assert!(
-        m.recovery.fetch_retries > 0,
-        "a final-stage fetch is retried"
-    );
-    assert_eq!(
-        (count, digest),
-        (37_500, 0x7a71_67b3_95a2_4a2d),
-        "GroupBy under seeded faults"
-    );
-    // Real reducers adopt their aggregation's count.
-    let (count, digest, ..) = run(4, EngineConfig::default().homogeneous(), two_shuffles());
-    assert_eq!(
-        (count, digest),
-        (2, 0xcee5_0499_d452_c940),
-        "two real shuffles"
-    );
+    // reducer's adoption (the `two_shuffles` case, which
+    // `a_real_reducer_records_its_estimate_and_flushes_its_adopted_size`
+    // checks). Each pin was taken when every task kept its own count; the
+    // job's record is pinned by the FNV of its `Debug`.
+    pins::check(pins::named(
+        CASES,
+        &["map_only_speculated", "groupby_seeded_faults"],
+    ));
 }
+
+pins::tests!(CASES);

@@ -8,9 +8,11 @@
     reason = "terse literal indexing is fine in tests"
 )]
 
+#[path = "../../bench/tests/pins/mod.rs"]
+mod pins;
+
 use memres_cluster::{hyperion, tiny};
 use memres_core::prelude::*;
-use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
 use memres_des::units::MB;
 
@@ -165,15 +167,47 @@ fn paper_groupby(total_gb: f64) -> Rdd {
     .group_by_key(None, 1.0e9)
 }
 
-/// FNV-1a over the JSONL event log — every event, field and timestamp of
-/// the run feeds it — and how often `marker` occurs in the log.
-fn trace_digest(cfg: EngineConfig, job: &Rdd, marker: &str) -> (u64, usize) {
+/// The JSONL event log of `job` under `cfg` on eight Hyperion workers —
+/// every event, field and timestamp of the run — and how often it holds a
+/// `marker` event.
+fn traced(cfg: EngineConfig, job: &Rdd, marker: &'static str) -> Vec<pins::Pin> {
     let mut d = Driver::new(hyperion().scaled_workers(8), cfg.with_trace());
     let (out, _) = d.run(job, Action::Count);
     assert!(!out.aborted);
-    let jsonl = memres_trace::export::events_jsonl(&d.take_trace());
-    (fnv1a(&jsonl), jsonl.matches(marker).count())
+    pins::jsonl(
+        &memres_trace::export::events_jsonl(&d.take_trace()),
+        &[marker],
+    )
 }
+
+fn ssd() -> EngineConfig {
+    EngineConfig {
+        shuffle: ShuffleStore::Local(StoreDevice::Ssd),
+        ..lustre_fifo()
+    }
+}
+
+/// Three waves of synthetic producers on eight workers' 16 slots each.
+fn placed() -> Rdd {
+    groupby(8 * 16 * 3, 48)
+}
+
+#[rustfmt::skip]
+const CASES: &[pins::Case] = &[
+    ("fifo", |_| traced(lustre_fifo(), &paper_groupby(40.0), "task_launched")),
+    ("fifo_ssd", |_| traced(ssd(), &paper_groupby(120.0), "task_launched")),
+    ("fifo_hdfs", |_| traced(EngineConfig::default(), &placed(), "task_launched")),
+    ("elb", |_| traced(ssd().with_elb(), &paper_groupby(40.0), "elb_decline")),
+    ("cad", |_| traced(ssd().with_cad(), &paper_groupby(120.0), "task_launched")),
+    ("delay", |_| {
+        let delay = EngineConfig::default().with_delay_scheduling(SimDuration::from_millis(300));
+        traced(delay, &placed(), "delay_wait")
+    }),
+    ("speculation", |_| {
+        let skewed = EngineConfig { speed_sigma: 0.35, ..ssd() };
+        traced(skewed.with_speculation(), &paper_groupby(40.0), "speculate")
+    }),
+];
 
 #[test]
 fn traces_are_pinned_with_and_without_the_mechanisms_that_forbid_parking() {
@@ -186,36 +220,7 @@ fn traces_are_pinned_with_and_without_the_mechanisms_that_forbid_parking() {
     // at work in its run; CAD leaves no event of its own at this size, but
     // spaces the flushes out: same job, same store, and its log is not
     // `fifo_ssd`'s.
-    let wait = SimDuration::from_millis(300);
-    let ssd = EngineConfig {
-        shuffle: ShuffleStore::Local(StoreDevice::Ssd),
-        ..lustre_fifo()
-    };
-    let skewed = EngineConfig {
-        speed_sigma: 0.35,
-        ..ssd.clone()
-    };
-    let delay = EngineConfig::default().with_delay_scheduling(wait);
-    let (small, large) = (paper_groupby(40.0), paper_groupby(120.0));
-    let placed = groupby(8 * 16 * 3, 48);
-    #[rustfmt::skip]
-    let cases: Vec<(&str, EngineConfig, &Rdd, &str, u64, usize)> = vec![
-        ("fifo", lustre_fifo(), &small, "task_launched", 0x1520_9dde_4359_3e8c, 448),
-        ("fifo_ssd", ssd.clone(), &large, "task_launched", 0x88e1_864b_5ffe_c76d, 1088),
-        ("fifo_hdfs", EngineConfig::default(), &placed, "task_launched", 0x9c6c_7dcf_e9e5_3c60, 816),
-        ("elb", ssd.clone().with_elb(), &small, "elb_decline", 0x9282_3c25_6526_5a8e, 362),
-        ("cad", ssd.with_cad(), &large, "task_launched", 0x283c_0de3_e8db_634a, 1088),
-        ("delay", delay, &placed, "delay_wait", 0x53ff_beaa_b576_9ab3, 1069),
-        ("speculation", skewed.with_speculation(), &small, "speculate", 0x1851_d8d6_279e_c5f7, 7),
-    ];
-    for (name, cfg, job, marker, digest, count) in cases {
-        let got = trace_digest(cfg, job, marker);
-        assert_eq!(
-            got,
-            (digest, count),
-            "{name}: trace moved (got {:#018x}, {} x {marker})",
-            got.0,
-            got.1
-        );
-    }
+    pins::check(CASES);
 }
+
+pins::tests!(CASES);

@@ -14,9 +14,11 @@
     reason = "terse literal indexing is fine in tests"
 )]
 
+#[path = "../../bench/tests/pins/mod.rs"]
+mod pins;
+
 use memres_cluster::tiny;
 use memres_core::prelude::*;
-use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
 use memres_trace::{TaskClass, TimedEvent, TraceEvent};
 
@@ -413,8 +415,8 @@ fn blacklisting_the_last_usable_node_aborts_instead_of_draining() {
 /// stage. Every running reducer pulls from it, so all of them retry after
 /// the re-host, and each retry reads a fold taken after the crash: its rows
 /// moved to node 0, in another rack (RAMDisk), or its server cache died
-/// (Lustre-local). Returns `(events, sim_job_s, FNV-1a of the metrics)`.
-fn uniform_shuffle_crash_mid_fetch(shuffle: ShuffleStore) -> (u64, f64, u64) {
+/// (Lustre-local). Pins the events, `sim_job_s` and the metrics' digest.
+fn uniform_shuffle_crash_mid_fetch(shuffle: ShuffleStore) -> Vec<pins::Pin> {
     const MB: f64 = 1024.0 * 1024.0;
     let job = Rdd::source(Dataset::generated(2_048.0 * 4.0 * MB, 4.0 * MB, 100.0))
         .map("genKV", SizeModel::new(1.0, 1.0, 200e6), |r| r)
@@ -445,22 +447,29 @@ fn uniform_shuffle_crash_mid_fetch(shuffle: ShuffleStore) -> (u64, f64, u64) {
         "the crash must land in the fetch stage: {:?}",
         m.recovery
     );
-    (d.engine_steps(), m.job_time(), fnv1a(format!("{m:?}")))
+    vec![
+        pins::count("events", d.engine_steps()),
+        pins::sim_s("sim_job_s", m.job_time()),
+        pins::debug_fnv("metrics", &m),
+    ]
 }
+
+const CASES: &[pins::Case] = &[
+    ("ramdisk_crash_mid_fetch", |_| {
+        uniform_shuffle_crash_mid_fetch(ShuffleStore::Local(StoreDevice::RamDisk))
+    }),
+    ("lustre_local_crash_mid_fetch", |_| {
+        uniform_shuffle_crash_mid_fetch(ShuffleStore::LustreLocal)
+    }),
+];
 
 #[test]
 fn a_crash_mid_fetch_of_a_uniform_aggregated_shuffle_is_pinned() {
     // Pinned from the per-launch fold, before launches shared one.
-    let ramdisk = ShuffleStore::Local(StoreDevice::RamDisk);
-    assert_eq!(
-        uniform_shuffle_crash_mid_fetch(ramdisk),
-        (16_494, 0.539519119, 13_338_259_307_533_692_440)
-    );
-    assert_eq!(
-        uniform_shuffle_crash_mid_fetch(ShuffleStore::LustreLocal),
-        (16_496, 1.345809973, 3_985_181_396_720_997_608)
-    );
+    pins::check(CASES);
 }
+
+pins::tests!(CASES);
 
 #[test]
 fn try_new_rejects_invalid_configs() {

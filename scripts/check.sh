@@ -25,14 +25,19 @@
 #                         and their JSON, trace, report, diff, fuzz teeth,
 #                         the timed families) is asserted here, by the tests
 #                         DESIGN.md 4.15 maps each retired shell smoke to.
+#                         Every pinned simulated value (digests, counts,
+#                         sim_job_s) is a row of
+#                         crates/bench/tests/golden/pins.tsv; a model change
+#                         re-pins them all with
+#                         cargo test --workspace --release -- --ignored bless
 #   5. quickstart       — the one real-data example, compared with its
 #                         checked-in stdout at two MEMRES_THREADS values.
 #   6. fuzz sweep       — 64 seeds through the six oracles; cargo test
 #                         replays only the checked-in corpus.
 #   7. benchmark smoke  — benchmark/run.sh --quick: one checked run of each
 #                         of the seven benchmark workloads against
-#                         benchmark/expected.json, the only pinned sim-time
-#                         baseline.
+#                         benchmark/expected.json, the full-scale sim-time
+#                         baseline (pins.tsv holds the smoke and scale ones).
 # R5 (nothing scheduled or advanced before now) and R6 (no raw nanoseconds
 # outside memres-des) have no stage: every build holds the private time
 # fields, every run the clock asserts (DESIGN.md 4.10).

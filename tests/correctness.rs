@@ -2,6 +2,9 @@
 //! matter which simulated storage architecture, scheduler, or optimization
 //! executes them — performance models may change timing, never answers.
 
+#[path = "../crates/bench/tests/pins/mod.rs"]
+mod pins;
+
 use memres::cluster::tiny;
 use memres::core::prelude::*;
 use memres::workloads::datagen;
@@ -230,98 +233,94 @@ fn wide_int_pairs(n: u64) -> Vec<Record> {
         .collect()
 }
 
-#[test]
-fn collect_output_is_pinned_at_every_thread_count() {
-    // Digests captured at commit 036a44c (before shuffle partitioning and
-    // aggregation moved to the executor pool): the exact `Collect` output
-    // of a groupByKey, an order-sensitive reduceByKey and a two-shuffle
-    // pipeline — and of a string-keyed word count, captured at d4ee471 —
-    // must not move, whatever the pool size.
-    let kv = |parts| {
-        Rdd::source(Dataset::from_records(
-            datagen::kv_pairs(5000, 97, 11),
-            parts,
-        ))
-    };
-    let jobs: Vec<(&str, Rdd, usize, u64)> = vec![
-        (
-            "group_by_key",
-            kv(7).group_by_key(Some(5), 1e9),
-            97,
-            0xde6c_50c3_557f_4118,
-        ),
-        (
-            "reduce_by_key",
-            kv(6).reduce_by_key(Some(4), 1e9, 1.0, |a, b| {
-                Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64()))
-            }),
-            97,
-            0xc8a4_d198_827a_cd3b,
-        ),
-        (
-            "two_shuffles",
-            Rdd::source(Dataset::from_records(datagen::kv_pairs(200, 10, 5), 4))
-                .group_by_key(Some(4), 1e9)
-                .map("size-key", SizeModel::scan(), |(_, v)| {
-                    (Value::I64(v.as_list().len() as i64), Value::I64(1))
-                })
-                .group_by_key(Some(2), 1e9),
-            6,
-            0x5d8b_98d2_10f9_15c5,
-        ),
-        // `Str` keys through partition -> aggregate -> `Collect`, captured
-        // before the string payload went behind a thin pointer.
-        (
-            "word_count",
-            Rdd::source(Dataset::from_records(datagen::text_lines(300, 7), 6))
-                .flat_map("words", SizeModel::scan(), |(_, line)| {
-                    line.as_str()
-                        .split_whitespace()
-                        .map(|w| (Value::str(w), Value::I64(w.len() as i64)))
-                        .collect()
-                })
-                .reduce_by_key(Some(3), 1e9, 1.0, |a, b| {
-                    Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64()))
-                }),
-            20,
-            0xd059_3fd1_de38_cd95,
-        ),
-        // The reduce side's probe hash reads `F64` and `I64` keys by their
-        // bits; these two, captured at 4b49611, pin it end to end. NaN
-        // (two payloads), both zeros and subnormals are distinct bit
-        // patterns, so each is its own group.
-        (
-            "group_by_key_f64_edges",
-            Rdd::source(Dataset::from_records(edge_float_pairs(3000), 5))
-                .group_by_key(Some(4), 1e9),
-            29,
-            0xa745_4ed0_f60e_f5b4,
-        ),
-        (
-            "reduce_by_key_i64_full_range",
-            Rdd::source(Dataset::from_records(wide_int_pairs(4000), 6)).reduce_by_key(
-                Some(5),
-                1e9,
-                1.0,
-                |a, b| Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64())),
-            ),
-            113,
-            0x708c_24ca_0f8e_2a20,
-        ),
-    ];
-    for (name, rdd, len, digest) in &jobs {
-        for threads in [1, 2, 4] {
+/// `kv_pairs(5000, 97, 11)` over `parts` partitions.
+fn kv(parts: usize) -> Rdd {
+    Rdd::source(Dataset::from_records(
+        datagen::kv_pairs(5000, 97, 11),
+        parts,
+    ))
+}
+
+/// The order-sensitive fold `reduce_by_key` cases share.
+fn fold(a: Value, b: Value) -> Value {
+    Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64()))
+}
+
+/// `rdd`'s `Collect` output at 1, 2 and 4 executor threads: `groups`
+/// groups each time, and one digest, pinned as `collect`.
+fn collect_at_every_thread_count(case: &str, rdd: Rdd, groups: usize) -> Vec<pins::Pin> {
+    [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
             let cfg = EngineConfig::default()
                 .homogeneous()
                 .with_executor_threads(threads);
-            let (out, _) = Driver::new(tiny(4), cfg).run(rdd, Action::Collect);
+            let (out, _) = Driver::new(tiny(4), cfg).run(&rdd, Action::Collect);
             let recs = out.records.expect("real job collects");
-            assert_eq!(recs.len(), *len, "{name} at {threads} threads");
-            assert_eq!(
-                collect_digest(&recs),
-                *digest,
-                "{name} at {threads} threads: Collect output moved"
-            );
-        }
-    }
+            assert_eq!(recs.len(), groups, "{case} at {threads} threads");
+            pins::fnv("collect", collect_digest(&recs))
+        })
+        .collect()
 }
+
+// Digests captured at commit 036a44c (before shuffle partitioning and
+// aggregation moved to the executor pool): the exact `Collect` output of a
+// groupByKey, an order-sensitive reduceByKey and a two-shuffle pipeline —
+// and of a string-keyed word count, captured at d4ee471 — must not move,
+// whatever the pool size.
+const CASES: &[pins::Case] = &[
+    ("group_by_key", |case| {
+        collect_at_every_thread_count(case, kv(7).group_by_key(Some(5), 1e9), 97)
+    }),
+    ("reduce_by_key", |case| {
+        let rdd = kv(6).reduce_by_key(Some(4), 1e9, 1.0, fold);
+        collect_at_every_thread_count(case, rdd, 97)
+    }),
+    ("two_shuffles", |case| {
+        let rdd = Rdd::source(Dataset::from_records(datagen::kv_pairs(200, 10, 5), 4))
+            .group_by_key(Some(4), 1e9)
+            .map("size-key", SizeModel::scan(), |(_, v)| {
+                (Value::I64(v.as_list().len() as i64), Value::I64(1))
+            })
+            .group_by_key(Some(2), 1e9);
+        collect_at_every_thread_count(case, rdd, 6)
+    }),
+    // `Str` keys through partition -> aggregate -> `Collect`, captured
+    // before the string payload went behind a thin pointer.
+    ("word_count", |case| {
+        let rdd = Rdd::source(Dataset::from_records(datagen::text_lines(300, 7), 6))
+            .flat_map("words", SizeModel::scan(), |(_, line)| {
+                line.as_str()
+                    .split_whitespace()
+                    .map(|w| (Value::str(w), Value::I64(w.len() as i64)))
+                    .collect()
+            })
+            .reduce_by_key(Some(3), 1e9, 1.0, fold);
+        collect_at_every_thread_count(case, rdd, 20)
+    }),
+    // The reduce side's probe hash reads `F64` and `I64` keys by their
+    // bits; these two, captured at 4b49611, pin it end to end. NaN (two
+    // payloads), both zeros and subnormals are distinct bit patterns, so
+    // each is its own group.
+    ("group_by_key_f64_edges", |case| {
+        let rdd = Rdd::source(Dataset::from_records(edge_float_pairs(3000), 5))
+            .group_by_key(Some(4), 1e9);
+        collect_at_every_thread_count(case, rdd, 29)
+    }),
+    ("reduce_by_key_i64_full_range", |case| {
+        let rdd = Rdd::source(Dataset::from_records(wide_int_pairs(4000), 6)).reduce_by_key(
+            Some(5),
+            1e9,
+            1.0,
+            fold,
+        );
+        collect_at_every_thread_count(case, rdd, 113)
+    }),
+];
+
+#[test]
+fn collect_output_is_pinned_at_every_thread_count() {
+    pins::check(CASES);
+}
+
+pins::tests!(CASES);

@@ -2,6 +2,9 @@
 //! scale reproduction of every experiment. These are the repository's
 //! regression net for the characterization results themselves.
 
+#[path = "../crates/bench/tests/pins/mod.rs"]
+mod pins;
+
 use memres_bench::experiments as ex;
 use memres_workloads::cells::Setup;
 
@@ -187,8 +190,7 @@ fn table1_and_plans_render() {
     assert!(plans.contains("Logistic Regression"));
 }
 
-#[test]
-fn late_speculation_duplicates_the_pinned_stragglers() {
+const CASES: &[pins::Case] = &[("late_speculation", |_| {
     // The LATE row of `repro baselines` at smoke scale, traced: which tasks
     // get a twin, and in which order, is pinned from the engine that rebuilt
     // the median from every completed duration and scanned every task of the
@@ -218,7 +220,14 @@ fn late_speculation_duplicates_the_pinned_stragglers() {
             _ => None,
         })
         .collect();
-    assert_eq!(twins, PINNED_TWINS);
+    // Shown with a failure: the digest alone does not say which task moved.
+    eprintln!("(task, twin): {twins:?}");
+    vec![pins::debug_fnv("twins", &twins)]
+})];
+
+#[test]
+fn late_speculation_duplicates_the_pinned_stragglers() {
+    pins::check(CASES);
     // Duplicating stragglers must not lengthen the job it is meant to
     // shorten: the table's own LATE row against its plain one.
     let t = ex::baseline_speculation(setup());
@@ -228,4 +237,4 @@ fn late_speculation_duplicates_the_pinned_stragglers() {
     assert!(late > 0.0 && late <= plain, "LATE {late} vs plain {plain}");
 }
 
-const PINNED_TWINS: [(u32, u32); 5] = [(231, 320), (242, 321), (267, 322), (277, 323), (287, 324)];
+pins::tests!(CASES);
