@@ -434,13 +434,15 @@ fn bench_ssd(c: &mut Criterion) {
 }
 
 /// The trace plane's export cost outside `benchmark/`: the paper-scale
-/// RAMDisk cell is traced once (34,404 events), then each iteration renders
-/// `events.jsonl` and the Chrome trace from the same event log.
+/// RAMDisk cell is observed once (`repro trace`'s run: 34,404 events), then
+/// each iteration renders `events.jsonl` and the Chrome trace from the same
+/// event log.
 fn bench_trace_export(c: &mut Criterion) {
     use memres_trace::export::{chrome_trace_json, events_jsonl};
-    let run = memres_bench::trace::run_cell(
+    let run = memres_bench::observe::run_cell(
         memres_workloads::cells::Setup::paper(),
         "fig7a_400gb_ramdisk",
+        FaultPlan::new(),
     )
     .expect("known cell");
     c.bench_function("trace_export_fig7a_ramdisk", |b| {

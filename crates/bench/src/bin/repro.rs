@@ -24,18 +24,19 @@
 //! and `DIR/<cell>.json`. These are single-shot quick looks — the repeated,
 //! bounded performance record is `benchmark/`. None is part of `all`.
 //!
-//! `trace <cell>` re-runs one cell with full event tracing and, with
-//! `--json DIR`, writes `DIR/<cell>.trace.json` (Chrome trace-event form,
-//! loadable in Perfetto) plus `DIR/<cell>.events.jsonl` (compact log).
-//! `explain <cell>` prints the critical-path attribution table and the
-//! top straggler attempts instead (see DESIGN.md §4.11).
-//!
-//! `report <cell>` re-runs one cell with the sim-time periodic
-//! sampler on (DESIGN.md §4.16) and, with `--json DIR`, writes
-//! `DIR/<cell>.openmetrics`, `DIR/<cell>.timeseries.csv`,
-//! `DIR/<cell>.dashboard.html` and `DIR/<cell>.attrib.csv`. All four are
-//! byte-deterministic. `--slow-ssd F` injects an SSD degradation (speed
-//! factor F) one simulated second in — the known-regression fixture.
+//! `trace <cell>`, `explain <cell>` and `report <cell>` re-run one cell
+//! with full event tracing and the sim-time periodic sampler on
+//! (DESIGN.md §4.11, §4.16), once however many of them name it. `explain`
+//! prints the critical-path attribution table and the top straggler
+//! attempts. `trace` prints the same and, with `--json DIR`, writes
+//! `DIR/<cell>.trace.json` (Chrome trace-event form, loadable in Perfetto)
+//! plus `DIR/<cell>.events.jsonl` (compact log). `report` prints the
+//! sampler's tick count and writes `DIR/<cell>.openmetrics`,
+//! `DIR/<cell>.timeseries.csv`, `DIR/<cell>.dashboard.html` and
+//! `DIR/<cell>.attrib.csv`. Every artifact is byte-deterministic.
+//! `--slow-ssd F` injects an SSD degradation (speed factor F) one
+//! simulated second into every cell command's run — the known-regression
+//! fixture; without a cell command it is a usage error.
 //!
 //! `diff <a> <b> [--threshold X]` joins two `report` output directories
 //! into a ranked regression report (time-series join + critical-path
@@ -56,8 +57,10 @@
 )]
 
 use memres_bench::experiments as ex;
-use memres_bench::{fuzz, report, tenants, timing, trace, Table};
+use memres_bench::{fuzz, observe, tenants, timing, Table};
+use memres_core::prelude::FaultPlan;
 use memres_workloads::cells::{self, Cell, Setup, Size};
+use std::collections::HashMap;
 
 /// What running a target produces.
 enum Run {
@@ -155,7 +158,7 @@ fn usage() -> String {
         "usage: repro [--smoke] [--scale X] [--seed N] [--json DIR] <target>...\n\
          targets: {} all\n\
          \u{20}        <cell> (time that cell alone)\n\
-         \u{20}        trace <cell> | explain <cell> | report <cell> [--slow-ssd F],\n\
+         \u{20}        trace <cell> | explain <cell> | report <cell>, each [--slow-ssd F],\n\
          \u{20}        cell one of: {}\n\
          \u{20}      repro diff <a> <b> [--threshold X]   (two `repro report --json` dirs)\n\
          \u{20}      repro fuzz --seed-range A..B [--budget N] [--json DIR] [--inject-defect]\n\
@@ -421,6 +424,11 @@ fn main() {
         }
         i += 1;
     }
+    if slow_ssd.is_some() && cell_cmds.is_empty() {
+        eprintln!("error: --slow-ssd applies to trace, explain and report <cell> only");
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    }
     if targets.is_empty() && cell_cmds.is_empty() {
         eprintln!("{}", usage());
         std::process::exit(2);
@@ -491,39 +499,28 @@ fn main() {
         eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f64());
     }
 
-    for (cmd, cell) in &cell_cmds {
+    // One observed run per cell, however many commands name it; it is
+    // dropped after the last of them.
+    let mut observed: HashMap<&str, observe::Observed> = HashMap::new();
+    for (at, &(cmd, cell)) in cell_cmds.iter().enumerate() {
         let start = std::time::Instant::now();
+        let run = observed.entry(cell).or_insert_with(|| {
+            let faults = slow_ssd.map_or_else(FaultPlan::new, |f| {
+                observe::slow_ssd(setup, cell, f).expect("cell validated above")
+            });
+            observe::run_cell(setup, cell, faults).expect("cell validated above")
+        });
         // What the command prints, then what it writes: (file suffix, bytes).
-        let artifacts: Vec<(&str, String)> = if *cmd == "report" {
-            let run = report::run_cell(setup, cell, slow_ssd).expect("cell validated above");
-            println!(
-                "report {}: {} sampler ticks over {:.3}s simulated job time",
-                run.cell, run.ticks, run.job_s
-            );
-            vec![
-                ("openmetrics", run.openmetrics),
-                ("timeseries.csv", run.timeseries_csv),
-                ("dashboard.html", run.dashboard_html),
-                ("attrib.csv", run.attrib_csv),
-            ]
-        } else {
-            let run = trace::run_cell(setup, cell).expect("cell validated above");
-            println!("{}", trace::report(&run, 5));
-            if *cmd == "trace" {
-                // `trace.json` is Chrome trace-event form: load it in Perfetto.
-                vec![
-                    ("trace.json", run.chrome_json()),
-                    ("events.jsonl", run.events_jsonl()),
-                ]
-            } else {
-                Vec::new()
-            }
-        };
+        let (text, artifacts) = run.command(cmd);
+        println!("{text}");
         for (suffix, bytes) in &artifacts {
             match &json_dir {
                 Some(dir) => write_artifact(dir, &format!("{cell}.{suffix}"), bytes),
                 None => eprintln!("hint: pass --json DIR to write {cell}.{suffix}"),
             }
+        }
+        if !cell_cmds[at + 1..].iter().any(|&(_, c)| c == cell) {
+            observed.remove(cell);
         }
         eprintln!("[{cmd} {cell} took {:.1}s]", start.elapsed().as_secs_f64());
     }

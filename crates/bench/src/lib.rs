@@ -14,10 +14,9 @@
 
 pub mod experiments;
 pub mod fuzz;
-pub mod report;
+pub mod observe;
 pub mod tenants;
 pub mod timing;
-pub mod trace;
 
 use std::fmt::Write as _;
 

@@ -10,7 +10,8 @@
     reason = "a test of the measurement layer reads the files it wrote (DESIGN.md 4.10)"
 )]
 
-use memres_bench::report;
+use memres_bench::observe;
+use memres_core::prelude::FaultPlan;
 use memres_des::time::{SimDuration, SimTime};
 use memres_metrics::diff::diff_runs;
 use memres_metrics::{export, MetricsConfig, Recorder};
@@ -62,12 +63,9 @@ fn exports_byte_identical_across_thread_counts() {
 fn exports_byte_identical_across_double_runs() {
     // Same cell, two fresh processes' worth of state: all four artifacts
     // byte-equal.
-    let a = report::run_cell(Setup::smoke(), "fig8a_600gb_ssd", None).expect("known cell");
-    let b = report::run_cell(Setup::smoke(), "fig8a_600gb_ssd", None).expect("known cell");
-    assert_eq!(a.openmetrics, b.openmetrics);
-    assert_eq!(a.timeseries_csv, b.timeseries_csv);
-    assert_eq!(a.dashboard_html, b.dashboard_html);
-    assert_eq!(a.attrib_csv, b.attrib_csv);
+    let run = || observe::run_cell(Setup::smoke(), "fig8a_600gb_ssd", FaultPlan::new());
+    let (a, b) = (run().expect("known cell"), run().expect("known cell"));
+    assert_eq!(a.command("report"), b.command("report"));
 }
 
 /// A hand-fed recorder with two series (one labeled) — small enough to pin

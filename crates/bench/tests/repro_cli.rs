@@ -219,6 +219,56 @@ fn trace_writes_timeline_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `trace X explain X report X` is one observed run of X, and prints what
+/// the three commands print alone, in command order.
+#[test]
+fn cell_commands_print_as_they_do_alone() {
+    let cell = "fig7a_400gb_lustre_shared";
+    let stdout = |args: &[&str]| {
+        let out = repro(&[&["--smoke"], args].concat());
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let alone: String = ["trace", "explain", "report"]
+        .iter()
+        .map(|cmd| stdout(&[cmd, cell]))
+        .collect();
+    let together = stdout(&["trace", cell, "explain", cell, "report", cell]);
+    assert_eq!(together, alone);
+}
+
+/// `--slow-ssd F` degrades the run of every cell command, and is a usage
+/// error (exit 2, nothing run) without one.
+#[test]
+fn slow_ssd_degrades_every_cell_command() {
+    let cell = "fig8a_600gb_ssd";
+    let dir = temp_dir("memres-repro-slow-ssd-cli-test");
+    let events = |flags: &[&str], sub: &str| {
+        let at = dir.join(sub);
+        let json = ["--json", at.to_str().unwrap(), "trace", cell];
+        let out = repro(&[&["--smoke"], flags, &json].concat());
+        assert!(out.status.success(), "{flags:?}");
+        let jsonl = std::fs::read_to_string(at.join(format!("{cell}.events.jsonl")));
+        (jsonl.expect("events.jsonl"), out.stdout)
+    };
+    let (healthy, healthy_stdout) = events(&[], "healthy");
+    let (slow, slow_stdout) = events(&["--slow-ssd", "0.25"], "slow");
+    assert!(slow.contains("\"ssd_degrade\""), "no fault in the trace");
+    assert_ne!(healthy, slow, "--slow-ssd left the trace healthy");
+    assert_ne!(
+        healthy_stdout, slow_stdout,
+        "--slow-ssd left explain healthy"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let out = repro(&["--smoke", "--slow-ssd", "0.5", "fig5a"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--slow-ssd"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
+    assert!(out.stdout.is_empty(), "fig5a ran");
+}
+
 #[test]
 fn unknown_cell_exits_two() {
     let out = repro(&["--smoke", "explain", "not_a_cell"]);

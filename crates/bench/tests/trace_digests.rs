@@ -1,6 +1,7 @@
 //! The trace exports of three real runs, pinned by digest: every event,
 //! field and timestamp of `events.jsonl` and of the Chrome trace feeds a
 //! 64-bit FNV-1a, so any byte the exporters write differently fails here.
+//! The runs are `repro trace`'s own (`observe::run_cell`, sampler on).
 //! The cells cover what the four-event goldens in
 //! `core/tests/export_golden.rs` do not: shuffle flows with fractional
 //! byte counts (RAMDisk), Lustre DLM lock traffic (Lustre-shared), and SSD
@@ -12,11 +13,11 @@
 #[path = "pins/mod.rs"]
 mod pins;
 
+use memres_bench::observe;
 use memres_core::prelude::*;
 use memres_core::value::fnv1a;
 use memres_des::time::SimDuration;
-use memres_trace::export::{chrome_trace_json, events_jsonl};
-use memres_workloads::cells::{self, Setup};
+use memres_workloads::cells::Setup;
 
 const CASES: &[pins::Case] = &[
     ("ramdisk", |_| {
@@ -45,18 +46,16 @@ const CASES: &[pins::Case] = &[
     }),
 ];
 
-/// Both exports of `cell` traced at smoke scale: their digests, and the
+/// Both exports of `cell` observed at smoke scale: their digests, and the
 /// count of each event kind in `kinds`.
 fn exports(cell: &str, faults: FaultPlan, kinds: &[&'static str]) -> Vec<pins::Pin> {
-    let (spec, cfg, gb) = cells::find(cell)
-        .expect("known cell")
-        .resolve(Setup::smoke());
-    let mut d = Driver::new(spec, cfg.with_faults(faults).with_trace());
-    let (out, _) = d.run(&gb.build(), gb.action());
-    assert!(!out.aborted, "{cell} aborted");
-    let events = d.take_trace();
-    let mut pins = pins::jsonl(&events_jsonl(&events), kinds);
-    pins.push(pins::fnv("chrome", fnv1a(chrome_trace_json(&events))));
+    let run = observe::run_cell(Setup::smoke(), cell, faults).expect("known cell");
+    let (_, files) = run.command("trace");
+    let [(_, chrome), (_, jsonl)] = &files[..] else {
+        panic!("trace writes two files")
+    };
+    let mut pins = pins::jsonl(jsonl, kinds);
+    pins.push(pins::fnv("chrome", fnv1a(chrome)));
     pins
 }
 

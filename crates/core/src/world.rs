@@ -752,10 +752,17 @@ impl SimWorld {
         let stage = &plan.stages[idx];
         let is_last = idx + 1 == plan.stages.len();
 
-        // Resolve partition count + place datasets.
-        let nparts = match &stage.input {
-            StageInput::Dataset { rdd, dataset } => self.ensure_placed(*rdd, dataset),
-            StageInput::Cached { rdd } => self.blockmgr.partition_count(*rdd),
+        // Resolve the partition count and whether the input holds real
+        // records (the shuffle it writes does then), placing datasets.
+        let (nparts, real) = match &stage.input {
+            StageInput::Dataset { rdd, dataset } => {
+                let n = self.ensure_placed(*rdd, dataset);
+                (n, self.inputs.is_real(*rdd))
+            }
+            StageInput::Cached { rdd } => (
+                self.blockmgr.partition_count(*rdd),
+                self.blockmgr.is_real(*rdd),
+            ),
             StageInput::Shuffle(_) => self.begin_fetch_stage(now, ji, out),
         };
         assert!(nparts > 0, "stage with zero partitions");
@@ -764,7 +771,7 @@ impl SimWorld {
         // followed by one store task per task of this stage and then by the
         // shuffle's reducers.
         let followers = stage.shuffle_out.map_or(0, |requested| {
-            nparts + self.open_shuffle(ji, &plan, idx, nparts, requested) as usize
+            nparts + self.open_shuffle(ji, &plan, idx, nparts, requested, real) as usize
         });
 
         // Declare cache points so partially-cached RDDs are not reused.

@@ -419,8 +419,9 @@ impl SimWorld {
 
     // ---------------- a shuffle's life ----------------
 
-    /// Stage `idx` of job `ji` writes a shuffle over `nparts` producers:
-    /// create its state. Returns the reducer count.
+    /// Stage `idx` of job `ji` writes a shuffle over `nparts` producers,
+    /// of real records when `real`: create its state. Returns the reducer
+    /// count.
     pub(super) fn open_shuffle(
         &mut self,
         ji: usize,
@@ -428,6 +429,7 @@ impl SimWorld {
         idx: usize,
         nparts: usize,
         requested: Option<u32>,
+        real: bool,
     ) -> u32 {
         // Spark guidance: default reduce-side parallelism ~ total cores.
         let reducers = requested
@@ -436,11 +438,6 @@ impl SimWorld {
         let spec = match &plan.stages[idx + 1].input {
             StageInput::Shuffle(s) => s.clone(),
             _ => unreachable!("stage after a shuffle output must consume it"),
-        };
-        let real = match &plan.stages[idx].input {
-            StageInput::Dataset { rdd, .. } => self.inputs.is_real(*rdd),
-            StageInput::Cached { rdd } => self.blockmgr.is_real(*rdd),
-            StageInput::Shuffle(_) => self.jobs[ji].shuffle.reading().is_real(),
         };
         let workers = self.spec.workers as usize;
         // Rack aggregation kicks in when the per-rack-pair concurrent
@@ -462,20 +459,22 @@ impl SimWorld {
 
     /// A fetch stage of job `ji` starts: the shuffle it produced moves into
     /// consuming position, and the one consumed by the stage that produced
-    /// it is done with. Returns the reducer count.
+    /// it is done with. Returns the reducer count and whether the shuffle
+    /// holds real records.
     pub(super) fn begin_fetch_stage(
         &mut self,
         now: SimTime,
         ji: usize,
         out: &mut Outbox<Ev>,
-    ) -> usize {
+    ) -> (usize, bool) {
         let sh = &mut self.jobs[ji].shuffle;
         let produced = sh.writing.take();
         assert!(produced.is_some(), "fetch stage without produced shuffle");
         if let Some(consumed) = std::mem::replace(&mut sh.reading, produced) {
             self.release_fetch_flows(now, &consumed, out);
         }
-        self.jobs[ji].shuffle.reading().reducers as usize
+        let reading = self.jobs[ji].shuffle.reading();
+        (reading.reducers as usize, reading.is_real())
     }
 
     /// Give back the persistent fetch flows of a shuffle nothing will read

@@ -109,7 +109,8 @@ fn tracing_does_not_change_simulated_outcomes() {
     // Observers are free: the tracer and the metrics sampler, alone or
     // together, with or without faults, leave the output and the job's
     // metrics as the unobserved run has them, and add no event but the
-    // sampler's ticks. The job runs ~25 ms: the sampler ticks every
+    // sampler's ticks. Nor does the sampler move the trace: `repro trace`
+    // records it with the sampler on. The job runs ~25 ms: the sampler ticks every
     // millisecond, and the plan spreads its faults over 80 ms, so a crash,
     // its restart, retries and failed fetches land inside the job.
     let sampled = |cfg| EngineConfig {
@@ -128,7 +129,7 @@ fn tracing_does_not_change_simulated_outcomes() {
             faults,
             ..EngineConfig::default().homogeneous()
         };
-        let (count, metrics, steps, _) = observe(base.clone());
+        let (count, metrics, steps, _, _) = observe(base.clone());
         assert_eq!(metrics.recovery.any(), faulted, "the plan's faults land");
         let fingerprint = format!("{metrics:?}");
         let observed = [
@@ -136,9 +137,10 @@ fn tracing_does_not_change_simulated_outcomes() {
             ("metrics", sampled(base.clone())),
             ("trace + metrics", sampled(base.with_trace())),
         ];
+        let mut traced = Vec::new();
         for (name, cfg) in observed {
             let sampling = cfg.metrics.is_some();
-            let (o_count, o_metrics, o_steps, ticks) = observe(cfg);
+            let (o_count, o_metrics, o_steps, ticks, trace) = observe(cfg);
             let at = format!("{name}, faulted: {faulted}");
             assert_eq!(o_count, count, "{at}: the output moved");
             assert_eq!(
@@ -148,18 +150,24 @@ fn tracing_does_not_change_simulated_outcomes() {
             );
             assert_eq!(ticks > 20, sampling, "{at}: who samples");
             assert_eq!(o_steps, steps + ticks, "{at}: events beyond the ticks");
+            match name {
+                "trace" => traced = trace,
+                "trace + metrics" => assert!(trace == traced, "{at}: the trace moved"),
+                _ => assert!(trace.is_empty(), "{at}: traced untraced"),
+            }
         }
+        assert!(!traced.is_empty(), "faulted: {faulted}: nothing traced");
     }
 }
 
 /// One fresh engine run: its output count, its metrics, the events it
-/// processed and the metrics sampler's ticks.
-fn observe(cfg: EngineConfig) -> (u64, JobMetrics, u64, u64) {
+/// processed, the metrics sampler's ticks and the trace.
+fn observe(cfg: EngineConfig) -> (u64, JobMetrics, u64, u64, Vec<memres_core::TimedEvent>) {
     let (rdd, action) = workload();
     let mut d = Driver::new(memres_cluster::tiny(6), cfg);
     let (out, metrics) = d.run(&rdd, action);
     let ticks = d.recorder().map_or(0, |r| r.ticks());
-    (out.count, metrics, d.engine_steps(), ticks)
+    (out.count, metrics, d.engine_steps(), ticks, d.take_trace())
 }
 
 #[test]
