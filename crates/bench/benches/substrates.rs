@@ -373,13 +373,14 @@ fn bench_real_shuffle(c: &mut Criterion) {
     // The real-record path outside `benchmark/`, through `Driver` (UDF chain,
     // partition and aggregation on the executor pool; the simulated
     // substrates do next to nothing): 16 map partitions hash-partitioned to
-    // 8 reducers.
-    let mut case = |name: &str, rdd: Rdd, groups: u64| {
+    // 8 reducers. Each job ends in `count`, so its final groups are counted,
+    // never built; a `_collect` case keeps them.
+    let mut case = |name: &str, rdd: Rdd, action: Action, groups: u64| {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let cfg = EngineConfig::default().homogeneous();
                 let mut driver = Driver::new(memres_cluster::tiny(8), cfg);
-                let (out, _) = driver.run(&rdd, Action::Count);
+                let (out, _) = driver.run(&rdd, action.clone());
                 assert_eq!(out.count, groups);
             })
         });
@@ -392,6 +393,7 @@ fn bench_real_shuffle(c: &mut Criterion) {
     case(
         "real_shuffle_1m_records",
         group_pairs(1_000_000, 20_000),
+        Action::Count,
         20_000,
     );
     // The pair behind the 16-byte `Value` (EXPERIMENTS.md "PR 20"). Numeric
@@ -399,12 +401,26 @@ fn bench_real_shuffle(c: &mut Criterion) {
     // pass over them moves a third fewer bytes. String keys are the control:
     // their bytes sit one pointer hop further away than under `Arc<str>`,
     // and a word count hashes and compares them on both sides of the shuffle.
-    case("real_groupby_i64_400k", group_pairs(400_000, 8_000), 8_000);
+    let groupby = group_pairs(400_000, 8_000);
+    case(
+        "real_groupby_i64_400k",
+        groupby.clone(),
+        Action::Count,
+        8_000,
+    );
+    // The same lineage under `collect`: the list fill, the order sort and
+    // the free of the groups that `count` skips.
+    case(
+        "real_groupby_i64_400k_collect",
+        groupby,
+        Action::Collect,
+        8_000,
+    );
     // The same records folded per key: the reduce side's numeric fold path.
     let sum = gen_pairs(400_000, 8_000).reduce_by_key(Some(8), 1e9, 1.0, |a, b| {
         Value::I64(a.as_i64() + b.as_i64())
     });
-    case("real_reduce_by_key_i64_400k", sum, 8_000);
+    case("real_reduce_by_key_i64_400k", sum, Action::Count, 8_000);
     let lines = memres_workloads::datagen::text_lines(100_000, 1);
     let wordcount = Rdd::source(Dataset::from_records(lines, 16))
         .flat_map("words", SizeModel::scan(), |(_, line)| {
@@ -414,7 +430,12 @@ fn bench_real_shuffle(c: &mut Criterion) {
         .reduce_by_key(Some(8), 1e9, 1.0, |a, b| {
             Value::I64(a.as_i64() + b.as_i64())
         });
-    case("real_wordcount_str_100k_lines", wordcount, 20);
+    case(
+        "real_wordcount_str_100k_lines",
+        wordcount,
+        Action::Count,
+        20,
+    );
 }
 
 fn bench_ssd(c: &mut Criterion) {

@@ -1,15 +1,18 @@
 //! The executor: everything that touches a record.
 //!
 //! The world (`world.rs` and its `world/` modules) is the simulation's single
-//! kernel thread and its rule is that it never hashes, clones, moves or
-//! aggregates a record. Whatever does is
+//! kernel thread and its rule is that it never hashes, clones, moves, frees
+//! or aggregates a record. Whatever does is
 //! captured at task launch as a [`Pending`] entry and evaluated here — a
 //! pure function of the entry, so [`evaluate`] may spread a dispatch round's
 //! entries over a host-thread pool — and the world only commits the handles
 //! that come back, in launch order. Two kinds of work exist: a compute
 //! task's UDF chain ([`run_narrow_chain`]) and a reducer's aggregation of
-//! its fetched segments ([`aggregate`]); either ends by hash-partitioning
-//! its output ([`partition`]) when it feeds a real shuffle. Each record is
+//! its fetched segments ([`aggregate`]). What becomes of the output rows
+//! depends on their [`Reader`]: the next shuffle's are hash-partitioned
+//! ([`partition`]), the rows a `Collect` or `Reduce` action reads are kept as
+//! one shared slice, and rows nobody reads are freed on the worker — a
+//! reduce with no step after it never builds them. Each record is
 //! stable-hashed once on the map side; the reduce side probes by a cheaper
 //! hash and stable-hashes once per group. Both sides read their input by
 //! reference (the reduce side one segment at a time), clone what they keep
@@ -37,7 +40,7 @@ use std::sync::Arc;
 
 /// Real rows a chain leaves behind.
 pub(crate) enum RealOut {
-    /// A shared slice: final-stage output, or input passed straight through.
+    /// A shared slice: the final-stage output an action reads.
     Rows(Arc<[Record]>),
     /// Hash-partitioned for the produced shuffle, one bucket per reducer.
     Buckets(Vec<Bucket>),
@@ -52,10 +55,21 @@ pub(crate) struct Pending {
     pub task: u32,
     pub plan: Arc<JobPlan>,
     pub stage: usize,
-    /// Reducer count of the produced shuffle when it carries real rows: the
-    /// evaluation ends by hash-partitioning its own output.
-    pub partition: Option<u32>,
+    pub reader: Reader,
     pub work: Work,
+}
+
+/// Who reads the rows an evaluation produces.
+#[derive(Clone, Copy)]
+pub(crate) enum Reader {
+    /// The produced shuffle, over this many reducers: the evaluation ends
+    /// by hash-partitioning its own output.
+    Shuffle(u32),
+    /// The job's action (`Collect`, `Reduce`) reads the final stage's rows.
+    Action,
+    /// Nobody (a `Count` job's final stage): the evaluation returns the
+    /// rows' records and bytes and keeps no row.
+    Nobody,
 }
 
 pub(crate) enum Work {
@@ -71,8 +85,10 @@ pub(crate) enum Work {
         /// instead of `plan.stages[stage]` (see `recovery_stage`).
         stage_override: Option<Arc<StagePlan>>,
     },
-    /// A reducer's aggregation of its fetched segments (taken out of
-    /// `node_real` in gather order) followed by the stage's narrow steps.
+    /// A reducer's aggregation of its fetched segments (taken out of the
+    /// shuffle's `Deposits::Real` in gather order) followed by the stage's
+    /// narrow steps. With no step and no reader it only counts its groups
+    /// and their bytes.
     Reduce {
         reducer: u32,
         agg: ShuffleAgg,
@@ -109,15 +125,17 @@ impl Rows {
         shared
     }
 
-    /// The evaluation's real output: hash-partitioned when it feeds a real
+    /// The evaluation's real output for `reader`: hash-partitioned for a
     /// shuffle (rows are cloned into their buckets and an owned vector is
-    /// then freed whole), a shared slice otherwise.
-    fn finish(self, partitioning: Option<u32>) -> RealOut {
-        match (partitioning, self) {
-            (Some(r), Rows::Owned(v)) => RealOut::Buckets(partition(&v, r)),
-            (Some(r), Rows::Shared(a)) => RealOut::Buckets(partition(&a, r)),
-            (None, Rows::Owned(v)) => RealOut::Rows(v.into()),
-            (None, Rows::Shared(a)) => RealOut::Rows(a),
+    /// then freed whole), a shared slice for an action, and nothing — the
+    /// rows freed here, on the worker — when nobody reads them.
+    fn finish(self, reader: Reader) -> Option<RealOut> {
+        match (reader, self) {
+            (Reader::Shuffle(r), Rows::Owned(v)) => Some(RealOut::Buckets(partition(&v, r))),
+            (Reader::Shuffle(r), Rows::Shared(a)) => Some(RealOut::Buckets(partition(&a, r))),
+            (Reader::Action, Rows::Owned(v)) => Some(RealOut::Rows(v.into())),
+            (Reader::Action, Rows::Shared(a)) => Some(RealOut::Rows(a)),
+            (Reader::Nobody, _) => None,
         }
     }
 }
@@ -140,23 +158,24 @@ impl Pending {
                 *in_records,
                 Some(data.clone()),
                 *speed,
-                self.partition,
+                self.reader,
             ),
             Work::Reduce { agg, segments, .. } => {
-                let (mut rows, mut bytes) = aggregate(agg, std::mem::take(segments));
-                for step in &stage.steps {
-                    rows = step.apply(rows);
+                // Groups nobody reads and no step transforms are only counted.
+                let keep = !matches!(self.reader, Reader::Nobody) || !stage.steps.is_empty();
+                let (rows, mut records, mut bytes) = aggregate(agg, std::mem::take(segments), keep);
+                let mut real = None;
+                if let Some(mut rows) = rows {
+                    for step in &stage.steps {
+                        rows = step.apply(rows);
+                    }
+                    if !stage.steps.is_empty() {
+                        bytes = rows.iter().map(record_bytes).sum();
+                    }
+                    records = rows.len() as u64;
+                    real = Rows::Owned(rows).finish(self.reader);
                 }
-                if !stage.steps.is_empty() {
-                    bytes = rows.iter().map(record_bytes).sum();
-                }
-                (
-                    SimDuration::ZERO,
-                    bytes as f64,
-                    rows.len() as u64,
-                    Some(Rows::Owned(rows).finish(self.partition)),
-                    Vec::new(),
-                )
+                (SimDuration::ZERO, bytes as f64, records, real, Vec::new())
             }
         }
     }
@@ -169,16 +188,16 @@ impl Pending {
 /// no steps passes the input `Arc` straight through (placement, caching and
 /// task output all share one allocation), every cache snapshot is a
 /// reference bump of the value at that point, and a step's own output is
-/// moved into the next step. When `partitioning` names the produced
-/// shuffle's reducer count, the last rows are cloned into the shuffle
-/// buckets and an owned vector is freed whole.
+/// moved into the next step. When the `reader` is the produced shuffle, the
+/// last rows are cloned into the shuffle buckets and an owned vector is
+/// freed whole; when it is nobody, they are freed here.
 pub(crate) fn run_narrow_chain(
     stage: &StagePlan,
     in_bytes: f64,
     in_records: u64,
     data: Option<Arc<[Record]>>,
     speed: f64,
-    partitioning: Option<u32>,
+    reader: Reader,
 ) -> ChainOut {
     let mut secs = 0.0;
     let mut bytes = in_bytes;
@@ -189,7 +208,7 @@ pub(crate) fn run_narrow_chain(
     // totals — the same integers, summed per bucket while the rows move —
     // instead of walking the last step's output once more just to add them.
     let last = stage.steps.len();
-    let from_buckets = partitioning.is_some()
+    let from_buckets = matches!(reader, Reader::Shuffle(_))
         && last > 0
         && stage.cache_points.iter().all(|(cp_idx, _)| *cp_idx != last);
     for (cp_idx, rdd) in &stage.cache_points {
@@ -222,7 +241,7 @@ pub(crate) fn run_narrow_chain(
             }
         }
     }
-    let real = real.map(|rows| rows.finish(partitioning));
+    let real = real.and_then(|rows| rows.finish(reader));
     if let (true, Some(RealOut::Buckets(buckets))) = (from_buckets, &real) {
         bytes = buckets.iter().map(|b| b.bytes).sum::<u64>() as f64;
     }
@@ -395,13 +414,18 @@ impl KeyIndex {
     }
 }
 
+/// What [`aggregate`] returns: the groups when kept, their number, and the
+/// `record_bytes` total of the groups.
+type Aggregated = (Option<Vec<Record>>, u64, u64);
+
 /// Aggregate one reducer's fetched `segments`, read in gather order
 /// (segment by segment, rows in order) without concatenating them; each
 /// value is cloned out and the segments are freed whole after the pass.
 /// Returns the groups in ascending `stable_hash` order — first appearance
-/// breaking ties — and the `record_bytes` total of that output.
-fn aggregate(agg: &ShuffleAgg, segments: Vec<Vec<Record>>) -> (Vec<Record>, u64) {
-    aggregate_with(agg, segments, probe, Value::stable_hash)
+/// breaking ties — when `keep`; without it, only their number and bytes,
+/// and a `GroupByKey` stops after its count pass.
+fn aggregate(agg: &ShuffleAgg, segments: Vec<Vec<Record>>, keep: bool) -> Aggregated {
+    aggregate_with(agg, segments, keep, probe, Value::stable_hash)
 }
 
 /// [`aggregate`] with the probe hash and the order hash as parameters, so
@@ -409,9 +433,10 @@ fn aggregate(agg: &ShuffleAgg, segments: Vec<Vec<Record>>) -> (Vec<Record>, u64)
 fn aggregate_with(
     agg: &ShuffleAgg,
     segments: Vec<Vec<Record>>,
+    keep: bool,
     probe: impl Fn(&Value) -> u64,
     order: impl Fn(&Value) -> u64,
-) -> (Vec<Record>, u64) {
+) -> Aggregated {
     let mut index = KeyIndex::new();
     let (values, value_bytes): (Vec<Value>, u64) = match agg {
         ShuffleAgg::ReduceByKey(f) => {
@@ -432,34 +457,52 @@ fn aggregate_with(
             (acc, bytes)
         }
         ShuffleAgg::GroupByKey => {
-            // Count pass (the one probe per record), then fill exact lists.
-            let mut group: Vec<u32> = Vec::with_capacity(segments.iter().map(Vec::len).sum());
+            // Count pass (the one probe per record, summing the value bytes),
+            // then, when kept, fill exact lists.
+            let n = if keep {
+                segments.iter().map(Vec::len).sum()
+            } else {
+                0
+            };
+            let mut group: Vec<u32> = Vec::with_capacity(n);
             let mut counts: Vec<usize> = Vec::new();
+            let mut bytes = 0;
             for seg in &segments {
-                for (k, _) in seg {
+                for (k, v) in seg {
                     let g = index.group_of(probe(k), k);
-                    if g == counts.len() {
-                        counts.push(0);
-                    }
-                    counts[g] += 1;
-                    group.push(g as u32);
-                }
-            }
-            let mut lists: Vec<Vec<Value>> = counts.into_iter().map(Vec::with_capacity).collect();
-            let mut bytes = 16 * lists.len() as u64;
-            let mut at = 0;
-            for seg in &segments {
-                for ((_, v), &g) in seg.iter().zip(&group[at..]) {
                     bytes += v.approx_bytes();
-                    lists[g as usize].push(v.clone());
+                    if keep {
+                        if g == counts.len() {
+                            counts.push(0);
+                        }
+                        counts[g] += 1;
+                        group.push(g as u32);
+                    }
                 }
-                at += seg.len();
             }
-            (lists.into_iter().map(Value::list).collect(), bytes)
+            bytes += 16 * index.groups.len() as u64;
+            if !keep {
+                (Vec::new(), bytes)
+            } else {
+                let mut lists: Vec<Vec<Value>> =
+                    counts.into_iter().map(Vec::with_capacity).collect();
+                let mut at = 0;
+                for seg in &segments {
+                    for ((_, v), &g) in seg.iter().zip(&group[at..]) {
+                        lists[g as usize].push(v.clone());
+                    }
+                    at += seg.len();
+                }
+                (lists.into_iter().map(Value::list).collect(), bytes)
+            }
         }
     };
     drop(segments);
     let key_bytes: u64 = index.groups.iter().map(|(_, k)| k.approx_bytes()).sum();
+    let (groups, bytes) = (index.groups.len() as u64, key_bytes + value_bytes);
+    if !keep {
+        return (None, groups, bytes);
+    }
     let mut out: Vec<(u64, Record)> = index
         .groups
         .into_iter()
@@ -469,8 +512,9 @@ fn aggregate_with(
     // Stable: equal hashes keep first-appearance order.
     out.sort_by_key(|&(h, _)| h);
     (
-        out.into_iter().map(|(_, rec)| rec).collect(),
-        key_bytes + value_bytes,
+        Some(out.into_iter().map(|(_, rec)| rec).collect()),
+        groups,
+        bytes,
     )
 }
 
@@ -607,7 +651,7 @@ mod tests {
                 // the bucket totals are the per-record sum.
                 let got = if p % 2 == 0 {
                     let (_, bytes, n, real, _) = run_narrow_chain(
-                        &identity_stage(vec![]), 1.0, 0, Some(rows.into()), 1.0, Some(reducers),
+                        &identity_stage(vec![]), 1.0, 0, Some(rows.into()), 1.0, Reader::Shuffle(reducers),
                     );
                     let Some(RealOut::Buckets(got)) = real else { panic!("partitioned output") };
                     prop_assert_eq!(n as usize, want.iter().map(|(rows, _)| rows.len()).sum::<usize>());
@@ -629,12 +673,46 @@ mod tests {
             for (segs, flat) in segments.into_iter().zip(gathered) {
                 for agg in [ShuffleAgg::GroupByKey, fold()] {
                     let want = apply_agg_oracle(&agg, flat.clone());
-                    let (got, bytes) = aggregate(&agg, segs.clone());
+                    let (got, groups, bytes) = aggregate(&agg, segs.clone(), true);
+                    let got = got.expect("kept groups");
+                    prop_assert_eq!(groups, got.len() as u64);
                     prop_assert_eq!(bytes, want.iter().map(record_bytes).sum::<u64>());
                     prop_assert!(same(&got, &want), "{got:?} != {want:?}");
+                    // The evaluation a pool worker runs: an action gets the
+                    // same groups, and with no reader the same records and
+                    // bytes come back without a row.
+                    let (_, action_bytes, n, real, _) = final_reduce(&agg, segs.clone(), Reader::Action);
+                    let Some(RealOut::Rows(kept)) = real else { panic!("an action keeps its rows") };
+                    prop_assert!(same(&kept, &want), "{kept:?} != {want:?}");
+                    prop_assert_eq!((n, action_bytes), (got.len() as u64, bytes as f64));
+                    let (_, counted_bytes, n, real, _) = final_reduce(&agg, segs.clone(), Reader::Nobody);
+                    prop_assert!(real.is_none(), "rows nobody reads are not returned");
+                    prop_assert_eq!((n, counted_bytes), (got.len() as u64, bytes as f64));
                 }
             }
         }
+    }
+
+    /// A reducer's evaluation as a pool worker runs it, in the final stage
+    /// of a `group_by_key` job (no step after the aggregation).
+    fn final_reduce(agg: &ShuffleAgg, segments: Vec<Vec<Record>>, reader: Reader) -> ChainOut {
+        use crate::rdd::{Action, Dataset, Rdd};
+        let rdd = Rdd::source(Dataset::from_records(Vec::new(), 1)).group_by_key(Some(1), 1e9);
+        let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
+        assert!(plan.stages[1].steps.is_empty());
+        let work = Work::Reduce {
+            reducer: 0,
+            agg: agg.clone(),
+            segments,
+        };
+        Pending {
+            task: 0,
+            plan: Arc::new(plan),
+            stage: 1,
+            reader,
+            work,
+        }
+        .eval()
     }
 
     #[test]
@@ -644,7 +722,8 @@ mod tests {
         // a constant *probe* puts them all on one probe chain, and
         // `same_key` must still give N groups in `stable_hash` order; a
         // constant *order* hash ties every group, and first appearance must
-        // break every tie.
+        // break every tie. A reduce nobody reads counts the same N groups and
+        // bytes without building them.
         let n = 40i64;
         let rows: Vec<Record> = (0..3 * n)
             .map(|i| (Value::I64((i * 7) % n), Value::I64(i)))
@@ -660,15 +739,21 @@ mod tests {
             (probe, constant, first_seen),
         ];
         for (probe_hash, order_hash, want_keys) in cases {
-            let (grouped, bytes) = aggregate_with(
-                &ShuffleAgg::GroupByKey,
-                segments.clone(),
-                probe_hash,
-                order_hash,
-            );
+            let group = |keep| {
+                aggregate_with(
+                    &ShuffleAgg::GroupByKey,
+                    segments.clone(),
+                    keep,
+                    probe_hash,
+                    order_hash,
+                )
+            };
+            let (grouped, _, bytes) = group(true);
+            let grouped = grouped.expect("kept groups");
             let keys: Vec<Value> = grouped.iter().map(|r| r.0.clone()).collect();
             assert_eq!(keys, want_keys);
             assert_eq!(bytes, grouped.iter().map(record_bytes).sum::<u64>());
+            assert_eq!(group(false), (None, n as u64, bytes));
             for (k, vs) in &grouped {
                 let want: Vec<Value> = rows
                     .iter()
@@ -677,8 +762,9 @@ mod tests {
                     .collect();
                 assert_eq!(vs.as_list(), want, "values of {k} in gather order");
             }
-            let (reduced, _) = aggregate_with(&fold(), segments.clone(), probe_hash, order_hash);
-            let keys: Vec<Value> = reduced.into_iter().map(|r| r.0).collect();
+            let (reduced, _, _) =
+                aggregate_with(&fold(), segments.clone(), true, probe_hash, order_hash);
+            let keys: Vec<Value> = reduced.into_iter().flatten().map(|r| r.0).collect();
             assert_eq!(keys, want_keys);
         }
     }
@@ -703,8 +789,8 @@ mod tests {
             (f, Value::I64(2)),
             (i, Value::I64(3)),
         ];
-        let (out, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows]);
-        assert_eq!(out.len(), 2);
+        let (_, groups, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows], true);
+        assert_eq!(groups, 2);
         // Every other variant probes by its `stable_hash`.
         for v in [
             Value::Null,
@@ -727,15 +813,15 @@ mod tests {
             (Value::F64(f64::NAN), Value::I64(3)),
             (Value::F64(-0.0), Value::I64(4)),
         ];
-        let (out, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows]);
-        assert_eq!(out.len(), 3);
+        let (_, groups, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows], true);
+        assert_eq!(groups, 3);
     }
 
     #[test]
     fn empty_inputs() {
-        let (out, bytes) = aggregate(&ShuffleAgg::GroupByKey, vec![Vec::new(), Vec::new()]);
-        assert!(out.is_empty());
-        assert_eq!(bytes, 0);
+        let (out, groups, bytes) =
+            aggregate(&ShuffleAgg::GroupByKey, vec![Vec::new(), Vec::new()], true);
+        assert_eq!((out, groups, bytes), (Some(Vec::new()), 0, 0));
         let buckets = partition(&[], 3);
         assert_eq!(buckets.len(), 3);
         assert!(buckets.iter().all(|b| b.rows.is_empty() && b.bytes == 0));
@@ -762,7 +848,8 @@ mod tests {
         // reach `partition`; the chain must not leave it at the input size.
         let rows: Arc<[Record]> = (0..10).map(|i| (Value::I64(i), Value::str("v"))).collect();
         let stage = identity_stage(vec![(1, RddId(7))]);
-        let (_, bytes, _, real, snaps) = run_narrow_chain(&stage, 1.0, 0, Some(rows), 1.0, Some(3));
+        let (_, bytes, _, real, snaps) =
+            run_narrow_chain(&stage, 1.0, 0, Some(rows), 1.0, Reader::Shuffle(3));
         assert_eq!(bytes, 250.0);
         assert_eq!(snaps[0].1, 250.0);
         let Some(RealOut::Buckets(b)) = real else {
@@ -794,7 +881,7 @@ mod tests {
             shuffle_out: None,
         };
         let (dur, bytes, records, real, snaps) =
-            run_narrow_chain(&stage, 1000.0, 10, None, 1.0, None);
+            run_narrow_chain(&stage, 1000.0, 10, None, 1.0, Reader::Nobody);
         assert!((bytes - 1000.0).abs() < 1e-9, "0.5 then 2.0 round-trips");
         assert_eq!(records, 10);
         assert!(real.is_none());

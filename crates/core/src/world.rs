@@ -917,11 +917,6 @@ impl SimWorld {
                 }
                 Work::Reduce { reducer, .. } => {
                     let (_, bytes, records, rows, _) = chain;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "Work::Reduce always evaluates to real rows"
-                    )]
-                    let rows = rows.expect("real reduce output");
                     self.park_reduced(job.task, reducer, bytes, records, rows);
                 }
             }
@@ -1123,6 +1118,17 @@ impl SimWorld {
         out.immediately(Ev::Dispatch);
     }
 
+    /// The final tasks' shared output slices, in task order, when every one
+    /// kept real rows (only the final stage of a job whose action reads
+    /// rows keeps any).
+    fn final_rows(&self, job: &JobRun) -> Option<Vec<&[Record]>> {
+        let rows = |t| match self.tasks.real_out.get(t) {
+            Some(RealOut::Rows(r)) => Some(&r[..]),
+            _ => None,
+        };
+        job.final_tasks.iter().map(rows).collect()
+    }
+
     fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
         let job = self.jobs.remove(ji);
         if self.tasks.running(job.id) > 0 {
@@ -1136,25 +1142,18 @@ impl SimWorld {
                 aborted: false,
             },
         );
-        // The final tasks' shared output slices, in task order; only
-        // `Collect` copies records out of them.
+        // The output count is the final partitions' record counts, real or
+        // not; only an action that reads rows looks at them.
         let count: u64 = job.final_records.iter().sum();
-        let mut slices: Vec<&[Record]> = Vec::new();
-        for &t in &job.final_tasks {
-            if let Some(RealOut::Rows(r)) = self.tasks.real_out.get(&t) {
-                slices.push(r);
-            }
-        }
-        let have_real = slices.len() == job.final_tasks.len();
-        let real_count = slices.iter().map(|s| s.len() as u64).sum();
-        let shown = if have_real { real_count } else { count };
-        let (count, records, reduced) = match &job.plan.action {
-            Action::Count => (shown, None, None),
-            Action::Collect => (shown, have_real.then(|| slices.concat()), None),
+        let (records, reduced) = match &job.plan.action {
+            Action::Count => (None, None),
+            Action::Collect => (self.final_rows(&job).map(|s| s.concat()), None),
             Action::Reduce(f) => {
-                let values = slices.iter().flat_map(|s| s.iter()).map(|(_, v)| v.clone());
-                let fold = || values.reduce(|a, b| f(a, b)).unwrap_or(Value::Null);
-                (count, None, have_real.then(fold))
+                let fold = |slices: Vec<&[Record]>| {
+                    let values = slices.into_iter().flatten().map(|(_, v)| v.clone());
+                    values.reduce(|a, b| f(a, b)).unwrap_or(Value::Null)
+                };
+                (None, self.final_rows(&job).map(fold))
             }
         };
         let output = JobOutput {

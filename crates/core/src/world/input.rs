@@ -6,7 +6,7 @@
 use super::{Ev, SimWorld};
 use crate::config::InputSource;
 use crate::dag::{JobPlan, StageInput, StagePlan};
-use crate::executor::{run_narrow_chain, Pending, Work};
+use crate::executor::{run_narrow_chain, Pending, Reader, Work};
 use crate::metrics::TaskLocality;
 use crate::rdd::{Dataset, RddId};
 use crate::value::Record;
@@ -223,12 +223,12 @@ impl SimWorld {
             // output) is a pure function of the shared input — defer it so
             // the dispatch round can evaluate all such work on the worker
             // pool, then commit in launch order.
-            let partition = self.real_partitioning(task);
+            let reader = self.real_reader(task);
             self.pending.push(Pending {
                 task,
                 plan: plan.clone(),
                 stage: stage_idx,
-                partition,
+                reader,
                 work: Work::Chain {
                     part,
                     node,
@@ -242,7 +242,7 @@ impl SimWorld {
         } else {
             // Synthetic partition: size-model arithmetic only, run inline.
             let stage = stage_override.as_deref().unwrap_or(stage);
-            let chain = run_narrow_chain(stage, in_bytes, in_records, None, speed, None);
+            let chain = run_narrow_chain(stage, in_bytes, in_records, None, speed, Reader::Nobody);
             self.commit_chain(task, part, node, chain);
         }
 

@@ -14,7 +14,8 @@ use super::tasks::TaskKind;
 use super::{Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
 use crate::config::{Defect, ShuffleStore, StoreDevice};
 use crate::dag::{JobPlan, ShuffleInSpec, StageInput};
-use crate::executor::{run_narrow_chain, Pending, RealOut, Work};
+use crate::executor::{run_narrow_chain, Pending, Reader, RealOut, Work};
+use crate::rdd::Action;
 use crate::value::Record;
 use memres_cluster::NodeId;
 use memres_des::sim::Outbox;
@@ -42,9 +43,10 @@ enum Reduced {
     /// Evaluation is queued for this round's flush — or the result has been
     /// consumed by the attempt that finished.
     Taken,
-    /// Evaluated: (output bytes, output records, output rows), parked until
-    /// an attempt finishes. A retry finds it here and reuses it.
-    Parked(f64, u64, RealOut),
+    /// Evaluated: (output bytes, output records, output rows if anyone
+    /// reads them), parked until an attempt finishes. A retry finds it here
+    /// and reuses it.
+    Parked(f64, u64, Option<RealOut>),
 }
 
 /// What a shuffle holds, fixed at creation by whether records flow.
@@ -410,11 +412,21 @@ impl SimWorld {
         }
     }
 
-    /// Reducer count to hash-partition `task`'s output over: set when its
-    /// job is producing a shuffle that carries real rows.
-    pub(super) fn real_partitioning(&self, task: u32) -> Option<u32> {
-        let sh = self.job_of(task).shuffle.writing.as_ref()?;
-        sh.is_real().then_some(sh.reducers)
+    /// Who reads `task`'s real rows: the shuffle its job is producing, when
+    /// that carries real rows; else the job's action, when `task` is in the
+    /// final stage and the action reads rows; else nobody.
+    pub(super) fn real_reader(&self, task: u32) -> Reader {
+        let job = self.job_of(task);
+        if let Some(sh) = job.shuffle.writing.as_ref().filter(|sh| sh.is_real()) {
+            return Reader::Shuffle(sh.reducers);
+        }
+        let last = self.tasks.stage[task as usize] as usize + 1 == job.plan.stages.len();
+        let read = matches!(job.plan.action, Action::Collect | Action::Reduce(_));
+        if last && read {
+            Reader::Action
+        } else {
+            Reader::Nobody
+        }
     }
 
     // ---------------- a shuffle's life ----------------
@@ -727,7 +739,7 @@ impl SimWorld {
             ((total / 64.0).max(1.0)) as u64,
             None,
             speed,
-            None,
+            Reader::Nobody,
         );
         dur += chain_dur;
         let dur = dur.mul_f64(self.jitter(task)) + TASK_OVERHEAD;
@@ -824,12 +836,12 @@ impl SimWorld {
             .flat_map(|node| std::mem::take(&mut node[reducer as usize]))
             .collect();
         let agg = sh.spec.agg.clone();
-        let partition = self.real_partitioning(task);
+        let reader = self.real_reader(task);
         self.pending.push(Pending {
             task,
             plan: plan.clone(),
             stage,
-            partition,
+            reader,
             work: Work::Reduce {
                 reducer,
                 agg,
@@ -846,7 +858,7 @@ impl SimWorld {
         reducer: u32,
         bytes: f64,
         records: u64,
-        rows: RealOut,
+        rows: Option<RealOut>,
     ) {
         let sh = self.job_of_mut(task).shuffle.reading();
         let Deposits::Real { reduced, .. } = &mut sh.deposits else {
@@ -870,7 +882,9 @@ impl SimWorld {
         };
         self.tasks.reduced_bytes.insert(task, bytes);
         self.note_final_records(task, records);
-        self.tasks.real_out.insert(task, rows);
+        if let Some(rows) = rows {
+            self.tasks.real_out.insert(task, rows);
+        }
     }
 
     /// Persistent fetch flow for `(src, dst, kind)` of the shuffle resident
@@ -1038,7 +1052,6 @@ mod tests {
     use super::super::tests::world;
     use super::*;
     use crate::config::EngineConfig;
-    use crate::rdd::Action;
     use crate::value::Value;
     use memres_cluster::tiny;
     use memres_storage::{Ssd, SsdConfig};

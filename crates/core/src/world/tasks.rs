@@ -138,8 +138,12 @@ macro_rules! task_fields {
             /// the index of its entry's first id — never 0, where the first
             /// entry's length sits.
             prefs_pool: Vec<u32>,
-            /// Real output of an evaluated chain, from its commit to the task's
-            /// finish. Only real-record runs put anything here.
+            /// Real output of an evaluated chain or reduce that has a reader:
+            /// a producer's buckets, from the commit to its finish, when
+            /// `producer_finished` deposits them; a final task's rows for a
+            /// `Collect` or `Reduce` action, until the last resident job
+            /// departs and takes the arena. Only real-record runs put anything
+            /// here, and a `Count` job's final stage puts nothing.
             pub(super) real_out: BTreeMap<u32, RealOut>,
             /// The size of a real reducer's aggregation, adopted when its fetch
             /// task finishes: what the reducer deposits and its flush stores,

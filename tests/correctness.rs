@@ -140,6 +140,63 @@ fn deterministic_end_to_end() {
     assert_eq!(run(), run());
 }
 
+#[test]
+fn the_action_does_not_change_the_simulation() {
+    // A `Count` job's final stage keeps no row (a reduce with no step after
+    // it only counts its groups), while `Collect` keeps every one. The
+    // simulation must not tell the two apart at any pool size: every task
+    // record, byte total and time is the same, and the count is the number
+    // of rows `Collect` returns.
+    let gb = memres::workloads::GroupBy::new(2.0e9).with_reducers(6);
+    let grep = memres::workloads::Grep::new(2.0e8).with_split(2.5e7);
+    let words = Rdd::source(Dataset::from_records(datagen::text_lines(300, 7), 6))
+        .flat_map("words", SizeModel::scan(), |(_, line)| {
+            line.as_str()
+                .split_whitespace()
+                .map(|w| (Value::str(w), Value::I64(1)))
+                .collect()
+        })
+        .reduce_by_key(Some(3), 1e9, 1.0, |a, b| {
+            Value::I64(a.as_i64() + b.as_i64())
+        });
+    let sizes = kv(5)
+        .group_by_key(Some(4), 1e9)
+        .map("size", SizeModel::scan(), |(k, v)| {
+            (k, Value::I64(v.as_list().len() as i64))
+        });
+    let evens = kv(4).filter("even", SizeModel::scan(), |r| r.1.as_i64() % 2 == 0);
+    let jobs = [
+        ("group_by_i64", gb.build_real(3000, 41, 2)),
+        ("grep_str_keys", grep.build_real(400, "fox", 3)),
+        ("word_count", words),
+        ("group_then_map", sizes),
+        ("one_stage_filter", evens),
+    ];
+    for (name, rdd) in jobs {
+        let run = |action: Action, threads| {
+            let cfg = EngineConfig::default().with_executor_threads(threads);
+            Driver::new(tiny(4), cfg).run(&rdd, action)
+        };
+        let (counted, m) = run(Action::Count, 1);
+        let want = format!("{m:?}");
+        assert!(counted.records.is_none(), "{name}: `Count` returns no rows");
+        for threads in [1, 4] {
+            let (collected, m) = run(Action::Collect, threads);
+            assert_eq!(
+                format!("{m:?}"),
+                want,
+                "{name}: Collect at {threads} threads"
+            );
+            let rows = collected.records.expect("real job collects");
+            assert!(!rows.is_empty(), "{name}: the job has output");
+            assert_eq!(counted.count, rows.len() as u64, "{name}");
+            let (again, m) = run(Action::Count, threads);
+            assert_eq!(format!("{m:?}"), want, "{name}: Count at {threads} threads");
+            assert_eq!(again.count, counted.count, "{name}");
+        }
+    }
+}
+
 /// Order-sensitive digest of a collected output: group order, value order
 /// inside every list and every folded value all feed it.
 fn collect_digest(records: &[Record]) -> u64 {
