@@ -91,15 +91,43 @@ use tasks::{Flag, TState, Task, TaskArena, TaskKind};
 /// configuration (Fig 5a: +15.9% from split-size alone).
 const TASK_OVERHEAD: SimDuration = SimDuration::from_millis(8);
 
-/// Network transfer tags.
-#[derive(Clone, Copy, Debug)]
-pub enum NetTag {
-    /// Transfer that counts toward a task's outstanding I/O. `attempt` and
-    /// `job` let completions of failed attempts / finished jobs drain as
-    /// no-ops instead of corrupting a relaunched task.
-    TaskIo { task: u32, attempt: u32, job: u32 },
-    /// Lustre-shared revocation flush chunk of job `job`'s mass flush.
-    Flush { job: u32 },
+/// What a network chunk carries back: the packed I/O tag of the task that
+/// waits for it (`SimWorld::io_tag`, the value `LocalFs` and Lustre carry
+/// too), or `flush_tag` of a job's Lustre-shared revocation flush. Eight
+/// bytes, so a queued chunk is 16 (DESIGN.md §4.3).
+pub type NetTag = u64;
+
+/// The task bits of a flush tag. No task has this id: the arena stops below
+/// it (`TaskArena::push`), so no task's tag decodes as a flush.
+const FLUSH_TASK: u32 = u32::MAX;
+
+/// The net tag of job `job`'s mass-flush chunks: the task bits all ones and
+/// the whole job id above them.
+fn flush_tag(job: u32) -> NetTag {
+    u64::from(FLUSH_TASK) | u64::from(job) << 32
+}
+
+/// The job whose flush `tag` is, or `None` for a task's I/O tag.
+fn flushed_job(tag: NetTag) -> Option<u32> {
+    (tag as u32 == FLUSH_TASK).then_some((tag >> 32) as u32)
+}
+
+/// Pack (task, attempt, job) into an I/O tag. 16 bits each for attempt and
+/// job: enough to tell any live completion from a stale one (a tag only
+/// collides after 65536 wrapped attempts *while* the original request is
+/// still in flight, which cannot happen), and all `completion_is_stale`
+/// compares.
+fn pack_io_tag(task: u32, attempt: u32, job: u32) -> u64 {
+    u64::from(task) | (u64::from(attempt) & 0xffff) << 32 | (u64::from(job) & 0xffff) << 48
+}
+
+/// `(task, attempt, job)` of an I/O tag, attempt and job to 16 bits.
+fn unpack_io_tag(tag: u64) -> (u32, u32, u32) {
+    (
+        tag as u32,
+        ((tag >> 32) & 0xffff) as u32,
+        ((tag >> 48) & 0xffff) as u32,
+    )
 }
 
 /// Events of the simulated world.
@@ -634,7 +662,7 @@ impl SimWorld {
         out: &mut Outbox<Ev>,
     ) {
         self.tasks.pending_io[task as usize] += 1;
-        self.send_once(now, src, dst, bytes, self.net_tag(task));
+        self.send_once(now, src, dst, bytes, self.io_tag(task));
         self.arm_net(out);
     }
 
@@ -664,33 +692,12 @@ impl SimWorld {
 
     // ---------------- completion-identity tags ----------------
 
-    /// Pack (task, attempt, job) into an opaque device/Lustre tag. 16 bits
-    /// each for attempt and job: enough to tell any live completion from a
-    /// stale one (a tag only collides after 65536 wrapped attempts *while*
-    /// the original request is still in flight, which cannot happen).
+    /// The I/O tag of `task`'s current attempt: what its device, Lustre and
+    /// network requests carry back (see [`pack_io_tag`]).
     #[inline]
     fn io_tag(&self, task: u32) -> u64 {
-        task as u64
-            | ((self.tasks.attempt[task as usize] as u64 & 0xffff) << 32)
-            | ((self.tasks.job[task as usize] as u64 & 0xffff) << 48)
-    }
-
-    fn unpack_io_tag(tag: u64) -> (u32, u32, u32) {
-        (
-            tag as u32,
-            ((tag >> 32) & 0xffff) as u32,
-            ((tag >> 48) & 0xffff) as u32,
-        )
-    }
-
-    /// The network-side equivalent of [`SimWorld::io_tag`].
-    #[inline]
-    fn net_tag(&self, task: u32) -> NetTag {
-        NetTag::TaskIo {
-            task,
-            attempt: u32::from(self.tasks.attempt[task as usize]),
-            job: self.tasks.job[task as usize],
-        }
+        let i = task as usize;
+        pack_io_tag(task, u32::from(self.tasks.attempt[i]), self.tasks.job[i])
     }
 
     // ---------------- job lifecycle ----------------
@@ -752,18 +759,23 @@ impl SimWorld {
         let stage = &plan.stages[idx];
         let is_last = idx + 1 == plan.stages.len();
 
-        // Resolve the partition count and whether the input holds real
-        // records (the shuffle it writes does then), placing datasets.
-        let (nparts, real) = match &stage.input {
+        // Resolve the partition count, whether the input holds real records
+        // (the shuffle it writes does then) and whether its tasks fetch,
+        // placing datasets.
+        let (nparts, real, is_fetch) = match &stage.input {
             StageInput::Dataset { rdd, dataset } => {
                 let n = self.ensure_placed(*rdd, dataset);
-                (n, self.inputs.is_real(*rdd))
+                (n, self.inputs.is_real(*rdd), false)
             }
             StageInput::Cached { rdd } => (
                 self.blockmgr.partition_count(*rdd),
                 self.blockmgr.is_real(*rdd),
+                false,
             ),
-            StageInput::Shuffle(_) => self.begin_fetch_stage(now, ji, out),
+            StageInput::Shuffle(_) => {
+                let (n, real) = self.begin_fetch_stage(now, ji, out);
+                (n, real, true)
+            }
         };
         assert!(nparts > 0, "stage with zero partitions");
 
@@ -779,10 +791,9 @@ impl SimWorld {
             self.blockmgr.declare(*rdd, nparts as u32);
         }
 
-        // Create the stage's tasks.
-        let is_fetch = matches!(stage.input, StageInput::Shuffle(_));
-        // Room for the followers too, now, while the arrays are small, is one
-        // growth instead of three that each copy everything before them.
+        // Create the stage's tasks. Room for the followers too, now, while
+        // the arrays are small, is one growth instead of three that each
+        // copy everything before them.
         self.reserve_tasks(ji, nparts + followers);
         let first = self.tasks.len() as u32;
         for i in 0..nparts {
@@ -1186,11 +1197,11 @@ impl Model for SimWorld {
                 // Flush chunks are credited after the task I/O of the same poll.
                 let mut flushed = Vec::new();
                 for d in delivered {
-                    match d.tag {
-                        NetTag::TaskIo { task, attempt, job } => {
-                            self.task_io_done(now, task, attempt, job, out)
-                        }
-                        NetTag::Flush { job } => flushed.push(job),
+                    if let Some(job) = flushed_job(d.tag) {
+                        flushed.push(job);
+                    } else {
+                        let (task, attempt, job) = unpack_io_tag(d.tag);
+                        self.task_io_done(now, task, attempt, job, out);
                     }
                 }
                 for job in flushed {
@@ -1204,7 +1215,7 @@ impl Model for SimWorld {
                 }
                 let done = self.fs_mut(node, ssd).poll(now);
                 for d in done {
-                    let (task, attempt, job) = Self::unpack_io_tag(d.tag);
+                    let (task, attempt, job) = unpack_io_tag(d.tag);
                     self.task_io_done(now, task, attempt, job, out);
                 }
                 self.arm_fs(node, ssd, out);
@@ -1218,7 +1229,7 @@ impl Model for SimWorld {
                 }
                 let done = self.lustre.poll(now);
                 for tag in done {
-                    let (task, attempt, job) = Self::unpack_io_tag(tag);
+                    let (task, attempt, job) = unpack_io_tag(tag);
                     // Guard before indexing: a stale completion may refer to
                     // a task of an already-finished (or aborted) job.
                     if self.completion_is_stale(task, attempt, job) {
@@ -1311,6 +1322,55 @@ mod tests {
         }
         // Different tasks get different jitter (not a constant).
         assert_ne!(w.jitter(1), w.jitter(2));
+    }
+
+    #[test]
+    fn net_tags_pack_into_eight_bytes_and_decode_at_the_edges() {
+        assert_eq!(size_of::<memres_net::flow::Delivered<NetTag>>(), 16);
+        let tasks = [0, 1, 0xffff, 0x1_0000, u32::MAX - 1];
+        let attempts = [0, 3, 0xffff, 0x1_0000, 0x1_0003];
+        let jobs = [0, 1, 0xffff, 0x1_0000, 0x1_2345, u32::MAX - 1, u32::MAX];
+        for task in tasks {
+            for attempt in attempts {
+                for job in jobs {
+                    let tag = pack_io_tag(task, attempt, job);
+                    // Attempt and job wrap at 16 bits; no task tag is a flush.
+                    let want = (task, attempt & 0xffff, job & 0xffff);
+                    assert_eq!(unpack_io_tag(tag), want);
+                    assert_eq!(flushed_job(tag), None, "task {task} read as a flush");
+                }
+            }
+        }
+        for job in jobs {
+            assert_eq!(flushed_job(flush_tag(job)), Some(job), "the whole job id");
+        }
+    }
+
+    #[test]
+    fn the_stale_check_reads_a_packed_tag_as_it_read_the_full_ids() {
+        // The enum tag carried the attempt and the whole job id; the packed
+        // tag keeps 16 bits of each, which is all the check compares.
+        let mut w = world_with_idle_nodes_parked();
+        let task = (0..w.tasks.len() as u32)
+            .find(|&t| w.tasks.state[t as usize] == TState::Running)
+            .expect("both tasks run");
+        for job in [w.tasks.job[task as usize], 0x1_0001, u32::MAX - 1] {
+            w.tasks.job[task as usize] = job;
+            let attempt = u32::from(w.tasks.attempt[task as usize]);
+            let unpacked = |(t, a, j)| w.completion_is_stale(t, a, j);
+            for (t, a, j) in [
+                (task, attempt, job),
+                (task, attempt + 1, job),
+                (task, attempt + 0x1_0000, job),
+                (task, attempt, job.wrapping_add(1)),
+                (task, attempt, job.wrapping_add(0x1_0000)),
+                (task + 1_000, attempt, job),
+            ] {
+                let full = w.completion_is_stale(t, a, j);
+                assert_eq!(unpacked(unpack_io_tag(pack_io_tag(t, a, j))), full);
+            }
+            assert!(!unpacked(unpack_io_tag(w.io_tag(task))), "the live tag");
+        }
     }
 
     #[test]

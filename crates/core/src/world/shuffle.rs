@@ -11,7 +11,7 @@
 //! back. A fourth store is an arm in each of those and nowhere else.
 
 use super::tasks::TaskKind;
-use super::{Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
+use super::{flush_tag, Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
 use crate::config::{Defect, ShuffleStore, StoreDevice};
 use crate::dag::{JobPlan, ShuffleInSpec, StageInput};
 use crate::executor::{run_narrow_chain, Pending, Reader, RealOut, Work};
@@ -471,8 +471,12 @@ impl SimWorld {
 
     /// A fetch stage of job `ji` starts: the shuffle it produced moves into
     /// consuming position, and the one consumed by the stage that produced
-    /// it is done with. Returns the reducer count and whether the shuffle
-    /// holds real records.
+    /// it is done with. The net makes room, once, for every fetch flow the
+    /// stage can open: reducers land on at most `min(reducers, endpoints)`
+    /// destinations, each pulling from every source endpoint over each
+    /// serving kind the store has (the store or cache, and for Lustre-local
+    /// the OSSes; Lustre-shared reads ride one-shot flows). Returns the
+    /// reducer count and whether the shuffle holds real records.
     pub(super) fn begin_fetch_stage(
         &mut self,
         now: SimTime,
@@ -486,7 +490,16 @@ impl SimWorld {
             self.release_fetch_flows(now, &consumed, out);
         }
         let reading = self.jobs[ji].shuffle.reading();
-        (reading.reducers as usize, reading.is_real())
+        let (reducers, real) = (reading.reducers as usize, reading.is_real());
+        let endpoints = reading.fetch_flows.len() / 2;
+        let kinds = match self.cfg.shuffle {
+            ShuffleStore::Local(_) => 1,
+            ShuffleStore::LustreLocal => 2,
+            ShuffleStore::LustreShared => 0,
+        };
+        self.net
+            .reserve_flows(reducers.min(endpoints) * endpoints * kinds);
+        (reducers, real)
     }
 
     /// Give back the persistent fetch flows of a shuffle nothing will read
@@ -649,7 +662,7 @@ impl SimWorld {
                         pending += 1;
                         let wire = dirty / self.lustre.config().write_efficiency;
                         let src = Endpoint::Node(NodeId(n as u32));
-                        let tag = NetTag::Flush { job };
+                        let tag = flush_tag(job);
                         self.send_once(now, src, Endpoint::Lustre, Bytes(wire), tag);
                     }
                 }
@@ -765,7 +778,7 @@ impl SimWorld {
                 } else {
                     node
                 };
-                let tag = self.net_tag(task);
+                let tag = self.io_tag(task);
                 let inflate = self.fetch_wire();
                 let mut chunks = std::mem::take(&mut self.shuffle.fetch_chunks);
                 chunks.clear();
@@ -988,7 +1001,7 @@ impl SimWorld {
         let node = self.tasks.node[task as usize];
         let wire = self.fetch_wire()(self.tasks.input_bytes[task as usize]);
         let dst = Endpoint::Node(NodeId(node));
-        self.send_once(now, Endpoint::Lustre, dst, wire, self.net_tag(task));
+        self.send_once(now, Endpoint::Lustre, dst, wire, self.io_tag(task));
         self.arm_net(out);
     }
 
@@ -1183,7 +1196,9 @@ mod tests {
     fn fetch_flow_rows_exist_only_for_destinations_that_launched_a_reducer() {
         // Aggregation off at 1,000 nodes: the table is indexed by node pairs
         // and must grow one `workers`-long row per (destination, kind) a
-        // reducer actually lands on — never workers² entries up front.
+        // reducer actually lands on — never workers² entries up front. Nor
+        // does the net's slab: three reducers reach at most three
+        // destinations, so the fetch stage reserves 3 × 1,000 slots.
         use crate::rdd::{Dataset, Rdd, SizeModel};
         let workers = 1000;
         let cfg = EngineConfig::default().with_rack_agg_threshold(u32::MAX);
@@ -1195,7 +1210,8 @@ mod tests {
         let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, plan, &mut out);
-        w.jobs[0].shuffle.reading = w.jobs[0].shuffle.writing.take();
+        assert_eq!(w.begin_fetch_stage(SimTime::ZERO, 0, &mut out), (3, true));
+        assert_eq!(w.net.slab_capacity(), 3 * workers as usize);
         let table = |w: &SimWorld| {
             let sh = w.jobs[0].shuffle.reading.as_ref();
             let rows = &sh.expect("moved above").fetch_flows;
@@ -1214,5 +1230,6 @@ mod tests {
         );
         assert_eq!(table(&w), (2 * workers as usize, vec![a, b, c]));
         assert_eq!(w.net.open_flows(), 3);
+        assert_eq!(w.net.slab_capacity(), 3 * workers as usize);
     }
 }

@@ -171,6 +171,8 @@ macro_rules! task_fields {
 
             pub(super) fn push(&mut self, t: Task) {
                 debug_assert_eq!(t.state, TState::Pending, "tasks are born pending");
+                // Id `u32::MAX` is the task bits of a flush tag (`FLUSH_TASK`).
+                assert!(self.state.len() < u32::MAX as usize, "task arena full");
                 if self.running.len() <= t.job as usize {
                     self.running.resize(t.job as usize + 1, 0);
                 }

@@ -564,3 +564,39 @@ fn a_departed_jobs_lustre_shuffle_files_do_not_slow_the_next_job() {
         );
     }
 }
+
+#[test]
+fn a_lustre_local_fetch_stage_opens_its_flows_inside_one_reservation() {
+    // Six two-core workers and eight reducers, with more intermediate data
+    // than the Lustre client caches hold: reducers land on all six nodes,
+    // each pulling from six sources over both serving kinds (cache and
+    // OSS). The fetch stage reserves those 72 slots once (the twelve task
+    // slots of the stages before it open far fewer flows), and every one
+    // of them is active at the peak. Growing by doubling would reach 128.
+    use memres_core::world::SimWorld;
+    use memres_des::{Outbox, SimTime, Simulation};
+    let spec = tiny(6);
+    let cfg = EngineConfig {
+        shuffle: ShuffleStore::LustreLocal,
+        ..EngineConfig::default()
+    }
+    .homogeneous();
+    let rdd = groupby_synthetic(16384.0);
+    let plan = Driver::new(spec.clone(), cfg.clone()).plan(&rdd, Action::Count);
+    let mut sim = Simulation::new(SimWorld::new(spec, cfg));
+    let mut out = Outbox::standalone(SimTime::ZERO);
+    sim.model.submit_job(SimTime::ZERO, plan, &mut out);
+    sim.drain_outbox(out);
+    let mut flows_peak = 0;
+    while !sim.model.job_done {
+        assert!(sim.step(), "drained before the job finished");
+        flows_peak = flows_peak.max(sim.model.net.active_flows());
+    }
+    let net = &sim.model.net;
+    assert_eq!(
+        net.slab_capacity(),
+        6 * 6 * 2,
+        "the slab grew past its reservation"
+    );
+    assert_eq!((net.slab_len(), flows_peak), (72, 72));
+}

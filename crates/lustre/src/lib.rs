@@ -296,15 +296,10 @@ impl Lustre {
     ) -> WritePlan {
         let bytes = bytes.get();
         assert!(bytes >= 0.0);
-        if !self.files.contains_key(&file) {
-            return self.write(now, writer, file, Bytes(bytes));
-        }
         let free = (self.cfg.client_cache_bytes - self.cache_used(writer)).max(0.0);
-        #[expect(
-            clippy::expect_used,
-            reason = "contains_key checked at the top of append."
-        )]
-        let f = self.files.get_mut(&file).expect("checked above");
+        let Some(f) = self.files.get_mut(&file) else {
+            return self.write(now, writer, file, Bytes(bytes));
+        };
         assert_eq!(f.writer, Some(writer), "append by non-writer of {file:?}");
         let cached = bytes.min(free);
         let oss = bytes - cached;

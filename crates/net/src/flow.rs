@@ -161,12 +161,17 @@ impl<T> FlowNet<T> {
         self.links[link.0 as usize]
     }
 
+    /// Re-rate `link`. The rates go stale only if an active flow crosses it:
+    /// on an idle link no rate can move, so no recompute is owed.
     pub fn set_link_capacity(&mut self, now: SimTime, link: LinkId, capacity: f64) {
         assert!(capacity > 0.0 && capacity.is_finite());
         self.advance(now);
-        if (self.links[link.0 as usize] - capacity).abs() > f64::EPSILON {
-            self.links[link.0 as usize] = capacity;
-            self.dirty = true;
+        let l = link.0 as usize;
+        if (self.links[l] - capacity).abs() > f64::EPSILON {
+            self.links[l] = capacity;
+            if !self.index.on_links()[l].is_empty() {
+                self.dirty = true;
+            }
             self.gen.bump();
         }
     }
@@ -268,6 +273,14 @@ impl<T> FlowNet<T> {
         }
     }
 
+    /// Make room for `flows` more open flows at once, when the caller knows
+    /// how many it can open (a fetch stage: one per source, destination and
+    /// serving kind). Free slots count toward it; the slab then grows once,
+    /// to exactly that, not by doubling its way there.
+    pub fn reserve_flows(&mut self, flows: usize) {
+        self.slab.reserve(flows);
+    }
+
     /// Drop a flow and any undelivered chunks (returns their tags). Closing
     /// an idle flow only gives its slot back: nothing the clock, a rate or an
     /// armed wake depends on changes, so it neither advances nor bumps the
@@ -307,6 +320,12 @@ impl<T> FlowNet<T> {
     /// Slots in the slab: the most flows ever open at once.
     pub fn slab_len(&self) -> usize {
         self.slab.len()
+    }
+
+    /// Slots the slab holds before it must grow: what
+    /// [`FlowNet::reserve_flows`] sized, or what doubling reached.
+    pub fn slab_capacity(&self) -> usize {
+        self.slab.capacity()
     }
 
     /// Advance fluid state to `now`, harvesting chunk completions along the
@@ -561,6 +580,35 @@ mod tests {
             base + 1,
             "same-instant arrivals must coalesce"
         );
+    }
+
+    #[test]
+    fn re_rating_an_idle_link_owes_no_recompute() {
+        // No active flow crosses `idle`, so no rate can move: the new
+        // capacity is stored and published, and nothing is recomputed until
+        // a flow wakes on the link — which then fills it at the new rate.
+        let mut net: FlowNet<u32> = FlowNet::new();
+        let busy = net.add_link(100.0);
+        let idle = net.add_link(100.0);
+        let f = net.open_flow(SimTime::ZERO, vec![busy], false);
+        net.push_chunk(SimTime::ZERO, f, Bytes(100.0), 1);
+        assert_eq!(net.flow_rate(f), Some(100.0));
+        let (before, gen) = (net.recomputes, net.gen());
+        let t = SimTime::from_secs_f64(0.25);
+        net.set_link_capacity(t, idle, 40.0);
+        assert_ne!(net.gen(), gen, "a capacity change is published");
+        assert_eq!(net.flow_rate(f), Some(100.0));
+        assert_eq!(net.recomputes, before, "an idle link forced a recompute");
+        let g = net.open_flow(t, vec![idle], true);
+        net.push_chunk(t, g, Bytes(20.0), 2);
+        assert_eq!(net.flow_rate(g), Some(40.0));
+        assert_eq!(net.recomputes, before + 1);
+        // Re-rating it while `g` crosses it does force one.
+        net.set_link_capacity(t, idle, 80.0);
+        assert_eq!(net.flow_rate(g), Some(80.0));
+        assert_eq!(net.recomputes, before + 2);
+        net.audit_waterfill()
+            .expect("rates and memo agree with a rebuild");
     }
 
     /// Ask, apply `op`, ask again: did the second `next_event` have to

@@ -233,6 +233,17 @@ impl<T> Slab<T> {
         FlowId(id)
     }
 
+    /// Room for `flows` more open flows: the free slots take the first ones,
+    /// and the three slot vectors grow once, to exactly the rest. Ids are
+    /// never reused, so the id table makes room for all of them.
+    pub(super) fn reserve(&mut self, flows: usize) {
+        let more = flows.saturating_sub(self.free.len());
+        self.hot.reserve_exact(more);
+        self.paths.reserve_exact(more);
+        self.cold.reserve_exact(more);
+        self.slot_of.reserve_exact(flows);
+    }
+
     /// Slot of an open flow.
     pub(super) fn slot(&self, flow: FlowId) -> Option<u32> {
         let slot = *self.slot_of.get(usize::try_from(flow.0).ok()?)?;
@@ -250,6 +261,11 @@ impl<T> Slab<T> {
     /// Slots in the slab: the most flows ever open at once.
     pub(super) fn len(&self) -> usize {
         self.hot.len()
+    }
+
+    /// Slots the slab holds before it must grow.
+    pub(super) fn capacity(&self) -> usize {
+        self.hot.capacity()
     }
 
     /// Flows open right now, idle ones included.
@@ -368,6 +384,11 @@ mod tests {
         // the map it replaced: `peak_heap_mb` is a bounded metric).
         assert_eq!((size_of::<Hot>(), size_of::<Path>()), (24, 32));
         assert_eq!(size_of::<Cold<u32>>(), 64);
+        // The engine's tag is one packed `u64`, so a queued chunk and a
+        // delivery are 16 B each.
+        use super::super::Delivered;
+        assert_eq!(size_of::<Chunk<u64>>(), 16);
+        assert_eq!(size_of::<Delivered<u64>>(), 16);
         let mut slab: Slab<u32> = Slab::new();
         let short = slab.alloc(SimTime::ZERO, links(INLINE_PATH as u32), false, true);
         let inline_only = slab.heap_bytes();
