@@ -10,6 +10,12 @@
 //! builder truncates lineage at materialized caches, and the scheduler gives
 //! cached partitions a placement preference for their home node.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use crate::rdd::RddId;
 use crate::value::Record;
 use memres_des::Bytes;
@@ -43,25 +49,18 @@ pub struct BlockMgr {
     node_used: Vec<f64>,
 }
 
-/// `rdd`'s slots, appended to `entries` on first touch.
-fn slots(entries: &mut Vec<(RddId, Slots)>, rdd: RddId) -> &mut Slots {
-    if !entries.iter().any(|(r, _)| *r == rdd) {
-        entries.push((rdd, Vec::new()));
-    }
-    let (_, parts) = entries
-        .iter_mut()
-        .find(|(r, _)| *r == rdd)
-        .expect("appended above");
-    parts
-}
-
-/// `node`'s cached bytes, the table grown on first touch.
-fn used(node_used: &mut Vec<f64>, node: u32) -> &mut f64 {
+/// Add `delta` to `node`'s cached bytes, the table grown on first touch.
+fn charge(node_used: &mut Vec<f64>, node: u32, delta: f64) {
     let i = node as usize;
-    if node_used.len() <= i {
-        node_used.resize(i + 1, 0.0);
+    match node_used.get_mut(i) {
+        Some(used) => *used += delta,
+        None => {
+            // First touch: zeros up to `node`, whose slot is a zero plus
+            // `delta` (`0.0 + -0.0` is `+0.0`, so not plain `delta`).
+            node_used.resize(i, 0.0);
+            node_used.push(0.0 + delta);
+        }
     }
-    node_used.get_mut(i).expect("grown above")
 }
 
 impl BlockMgr {
@@ -75,9 +74,11 @@ impl BlockMgr {
     /// Declare an RDD's partition count (so `materialized` can tell a
     /// fully-cached RDD from a partially-cached one).
     pub fn declare(&mut self, rdd: RddId, partitions: u32) {
-        let parts = slots(&mut self.entries, rdd);
-        if parts.len() < partitions as usize {
-            parts.resize(partitions as usize, None);
+        let n = partitions as usize;
+        match self.entries.iter_mut().find(|(r, _)| *r == rdd) {
+            Some((_, parts)) if parts.len() < n => parts.resize(n, None),
+            Some(_) => {}
+            None => self.entries.push((rdd, vec![None; n])),
         }
     }
 
@@ -91,15 +92,20 @@ impl BlockMgr {
         data: Option<Arc<[Record]>>,
     ) {
         let bytes = bytes.get();
-        let parts = slots(&mut self.entries, rdd);
-        if parts.len() <= part as usize {
-            parts.resize(part as usize + 1, None);
-        }
-        let slot = parts
-            .get_mut(part as usize)
-            .expect("slot exists: resized above");
+        let parts = match self.entries.iter_mut().find(|(r, _)| *r == rdd) {
+            Some((_, parts)) => parts,
+            None => &mut self.entries.push_mut((rdd, Vec::new())).1,
+        };
+        let p = part as usize;
+        let slot = match parts.get_mut(p) {
+            Some(slot) => slot,
+            None => {
+                parts.resize(p, None);
+                parts.push_mut(None)
+            }
+        };
         if let Some(old) = slot {
-            *used(&mut self.node_used, old.node) -= old.bytes;
+            charge(&mut self.node_used, old.node, -old.bytes);
         }
         *slot = Some(CachedPart {
             node,
@@ -107,7 +113,7 @@ impl BlockMgr {
             records,
             data,
         });
-        *used(&mut self.node_used, node) += bytes;
+        charge(&mut self.node_used, node, bytes);
     }
 
     /// RDDs whose every partition is materialized (usable for lineage
@@ -124,15 +130,9 @@ impl BlockMgr {
         self.parts(rdd).map_or(0, Vec::len)
     }
 
-    /// (bytes, records, data, home node) of a cached partition.
-    pub fn partition(&self, rdd: RddId, part: u32) -> PartitionView {
-        self.try_partition(rdd, part)
-            .unwrap_or_else(|| panic!("partition {part} of cached {rdd:?} not materialized"))
-    }
-
-    /// Non-panicking [`partition`](Self::partition): `None` when the slot was
-    /// never materialized or was lost (node crash, executor memory loss) —
-    /// the scheduler's cue to recompute it from lineage.
+    /// (bytes, records, data, home node) of a cached partition: `None` when
+    /// the slot was never materialized or was lost (node crash, executor
+    /// memory loss) — the scheduler's cue to recompute it from lineage.
     pub fn try_partition(&self, rdd: RddId, part: u32) -> Option<PartitionView> {
         self.parts(rdd)
             .and_then(|parts| parts.get(part as usize))
@@ -148,9 +148,8 @@ impl BlockMgr {
         let mut lost = Vec::new();
         for (rdd, parts) in &mut self.entries {
             for (i, slot) in parts.iter_mut().enumerate() {
-                if slot.as_ref().is_some_and(|p| p.node == node) {
-                    let p = slot.take().unwrap();
-                    *used(&mut self.node_used, p.node) -= p.bytes;
+                if let Some(p) = slot.take_if(|p| p.node == node) {
+                    charge(&mut self.node_used, p.node, -p.bytes);
                     lost.push((*rdd, i as u32));
                 }
             }
@@ -193,7 +192,7 @@ mod tests {
         bm.insert(rdd, 1, 4, Bytes(50.0), 5, None);
         assert!(bm.materialized().contains(&rdd));
         assert_eq!(bm.location(rdd, 1), Some(4));
-        let (b, r, d, n) = bm.partition(rdd, 0);
+        let (b, r, d, n) = bm.try_partition(rdd, 0).expect("materialized");
         assert_eq!((b, r, n), (100.0, 10, 3));
         assert!(d.is_none());
     }
@@ -218,13 +217,6 @@ mod tests {
         assert!(bm.is_real(RddId(2)));
         bm.insert(RddId(2), 1, 0, Bytes(10.0), 1, None);
         assert!(!bm.is_real(RddId(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "not materialized")]
-    fn missing_partition_panics() {
-        let bm = BlockMgr::default();
-        bm.partition(RddId(9), 0);
     }
 
     #[test]

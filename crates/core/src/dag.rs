@@ -24,15 +24,19 @@
 // R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
 // bookkeeping slip into a crashed process; each one left carries an
 // `#[expect(…, reason)]` saying why its invariant holds.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::rdd::{Action, Dataset, NarrowStep, Rdd, RddId, RddOp, ShuffleAgg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Shuffle parameters feeding a downstream stage.
+/// A shuffle, carried by the stage that writes it: how many reducers were
+/// asked for, and what its fetch stage does with what it pulls.
 #[derive(Clone)]
-pub struct ShuffleInSpec {
+pub struct ShuffleSpec {
+    /// `None`: as many as the cluster has slots (Spark's default).
+    pub reducers: Option<u32>,
     pub agg: ShuffleAgg,
     pub fetch_rate: f64,
     pub out_factor: f64,
@@ -45,8 +49,9 @@ pub enum StageInput {
     Dataset { rdd: RddId, dataset: Arc<Dataset> },
     /// Partitions materialized by a previous job's cache point.
     Cached { rdd: RddId },
-    /// Shuffled output of the previous stage in this plan.
-    Shuffle(ShuffleInSpec),
+    /// The shuffle the previous stage in this plan writes
+    /// ([`StagePlan::shuffle_out`]).
+    Shuffle,
 }
 
 /// One stage: input, a pipelined chain of narrow steps, optional cache
@@ -57,8 +62,8 @@ pub struct StagePlan {
     /// `(after_step_index, rdd)` — snapshot the pipeline state after that
     /// many steps and register it with the block managers under `rdd`.
     pub cache_points: Vec<(usize, RddId)>,
-    /// `Some(requested_reducers)` when this stage ends at a shuffle write.
-    pub shuffle_out: Option<Option<u32>>,
+    /// The shuffle this stage ends by writing, which the next stage reads.
+    pub shuffle_out: Option<ShuffleSpec>,
 }
 
 impl StagePlan {
@@ -105,107 +110,10 @@ pub struct JobPlan {
 /// Build a [`JobPlan`] for `action` on `rdd`. `materialized` is the set of
 /// cache points the block managers already hold.
 pub fn build_plan(rdd: &Rdd, action: Action, materialized: &BTreeSet<RddId>) -> JobPlan {
-    // Root-to-leaf chain (the engine supports linear lineages; branching
-    // DAGs — joins/unions — are out of the reproduction's scope).
-    let mut chain: Vec<Rdd> = Vec::new();
-    let mut cur = rdd.clone();
-    loop {
-        chain.push(cur.clone());
-        let parent = match &cur.0.op {
-            RddOp::Source(_) => None,
-            RddOp::Narrow { parent, .. } => Some(parent.clone()),
-            RddOp::Shuffle { parent, .. } => Some(parent.clone()),
-            RddOp::Cache { parent } => Some(parent.clone()),
-        };
-        match parent {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    chain.reverse();
-
-    let mut stages: Vec<StagePlan> = Vec::new();
-    let mut current: Option<StagePlan> = None;
+    let mut stages = Vec::new();
     let mut recovery = BTreeMap::new();
-    for node in &chain {
-        match &node.0.op {
-            RddOp::Source(ds) => {
-                assert!(current.is_none(), "source must be the lineage root");
-                current = Some(StagePlan::new(StageInput::Dataset {
-                    rdd: node.id(),
-                    dataset: ds.clone(),
-                }));
-            }
-            RddOp::Narrow { step, .. } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "lineage chains are built root-first; a narrow op always follows its parent stage"
-                )]
-                current
-                    .as_mut()
-                    .expect("narrow op without upstream stage")
-                    .steps
-                    .push(step.clone());
-            }
-            RddOp::Shuffle {
-                agg,
-                reducers,
-                fetch_rate,
-                out_factor,
-                ..
-            } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "lineage chains are built root-first; a shuffle always follows its upstream stage"
-                )]
-                let mut up = current.take().expect("shuffle without upstream stage");
-                up.shuffle_out = Some(*reducers);
-                stages.push(up);
-                current = Some(StagePlan::new(StageInput::Shuffle(ShuffleInSpec {
-                    agg: agg.clone(),
-                    fetch_rate: *fetch_rate,
-                    out_factor: *out_factor,
-                })));
-            }
-            RddOp::Cache { .. } => {
-                if materialized.contains(&node.id()) {
-                    // Record the lineage-recovery recipe before truncating,
-                    // when the cache's prefix is shuffle-free.
-                    if let Some(StagePlan {
-                        input: StageInput::Dataset { rdd: src, dataset },
-                        steps,
-                        ..
-                    }) = &current
-                    {
-                        recovery.insert(
-                            node.id(),
-                            RecoverySpec {
-                                source: *src,
-                                dataset: dataset.clone(),
-                                steps: steps.clone(),
-                                cache_step: steps.len(),
-                            },
-                        );
-                    }
-                    // Truncate: restart the plan from the cached partitions.
-                    stages.clear();
-                    current = Some(StagePlan::new(StageInput::Cached { rdd: node.id() }));
-                } else {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "lineage chains are built root-first; a cache marker always follows its upstream stage"
-                    )]
-                    let cur = current.as_mut().expect("cache without upstream stage");
-                    cur.cache_points.push((cur.steps.len(), node.id()));
-                }
-            }
-        }
-    }
-    #[expect(
-        clippy::expect_used,
-        reason = "the chain holds at least the root Source node, so a stage is always open"
-    )]
-    stages.push(current.expect("empty lineage"));
+    let last = open_stage(rdd, materialized, &mut stages, &mut recovery);
+    stages.push(last);
     JobPlan {
         stages,
         action,
@@ -213,17 +121,82 @@ pub fn build_plan(rdd: &Rdd, action: Action, materialized: &BTreeSet<RddId>) -> 
     }
 }
 
+/// Plan the lineage that ends at `node`: recurse to its `Source` and build
+/// the stages on the way back, so every stage before the one `node` belongs
+/// to lands in `stages` root-first, and that stage, still open, is
+/// returned. The engine supports linear lineages; branching DAGs (joins,
+/// unions) are out of the reproduction's scope.
+fn open_stage(
+    node: &Rdd,
+    materialized: &BTreeSet<RddId>,
+    stages: &mut Vec<StagePlan>,
+    recovery: &mut BTreeMap<RddId, RecoverySpec>,
+) -> StagePlan {
+    match &node.0.op {
+        RddOp::Source(ds) => StagePlan::new(StageInput::Dataset {
+            rdd: node.id(),
+            dataset: ds.clone(),
+        }),
+        RddOp::Narrow { parent, step } => {
+            let mut stage = open_stage(parent, materialized, stages, recovery);
+            stage.steps.push(step.clone());
+            stage
+        }
+        RddOp::Shuffle {
+            parent,
+            agg,
+            reducers,
+            fetch_rate,
+            out_factor,
+        } => {
+            let mut up = open_stage(parent, materialized, stages, recovery);
+            up.shuffle_out = Some(ShuffleSpec {
+                reducers: *reducers,
+                agg: agg.clone(),
+                fetch_rate: *fetch_rate,
+                out_factor: *out_factor,
+            });
+            stages.push(up);
+            StagePlan::new(StageInput::Shuffle)
+        }
+        RddOp::Cache { parent } => {
+            let mut stage = open_stage(parent, materialized, stages, recovery);
+            if !materialized.contains(&node.id()) {
+                stage.cache_points.push((stage.steps.len(), node.id()));
+                return stage;
+            }
+            // Record the lineage-recovery recipe before truncating, when the
+            // cache's prefix is shuffle-free.
+            if let StageInput::Dataset { rdd, dataset } = stage.input {
+                let cache_step = stage.steps.len();
+                let spec = RecoverySpec {
+                    source: rdd,
+                    dataset,
+                    steps: stage.steps,
+                    cache_step,
+                };
+                recovery.insert(node.id(), spec);
+            }
+            // Truncate: restart the plan from the cached partitions.
+            stages.clear();
+            StagePlan::new(StageInput::Cached { rdd: node.id() })
+        }
+    }
+}
+
 /// Render the execution plan the way the paper's Fig 4 draws them.
 pub fn render_plan(plan: &JobPlan) -> String {
     let mut out = String::new();
-    for (i, stage) in plan.stages.iter().enumerate() {
+    // The shuffle a stage reads is the one the stage before it writes.
+    let reads = std::iter::once(None).chain(plan.stages.iter().map(|s| s.shuffle_out.as_ref()));
+    for (i, (stage, read)) in plan.stages.iter().zip(reads).enumerate() {
         out.push_str(&format!("Stage {} [", i + 1));
         let input = match &stage.input {
             StageInput::Dataset { dataset, .. } => {
                 format!("read {} partitions", dataset.partitions.len())
             }
             StageInput::Cached { rdd } => format!("cached RDD #{}", rdd.0),
-            StageInput::Shuffle(s) => format!("fetch+{}", s.agg.name()),
+            StageInput::Shuffle => format!("fetch+{}", read.map_or("?", |s| s.agg.name())),
         };
         out.push_str(&input);
         for step in &stage.steps {
@@ -268,8 +241,12 @@ mod tests {
         let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 2);
         assert!(plan.stages[0].has_shuffle_output());
-        assert_eq!(plan.stages[0].shuffle_out, Some(Some(8)));
-        assert!(matches!(plan.stages[1].input, StageInput::Shuffle(_)));
+        let spec = plan.stages[0]
+            .shuffle_out
+            .as_ref()
+            .expect("writes the shuffle");
+        assert_eq!(spec.reducers, Some(8));
+        assert!(matches!(plan.stages[1].input, StageInput::Shuffle));
         assert!(!plan.stages[1].has_shuffle_output());
     }
 

@@ -4,6 +4,12 @@
 //! cluster state, so cached RDDs persist across jobs — exactly how the LR
 //! benchmark reuses its parsed input across iterations.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use crate::config::EngineConfig;
 use crate::dag::{build_plan, render_plan, JobPlan};
 use crate::metrics::JobMetrics;
@@ -18,6 +24,13 @@ pub struct Driver {
     sim: Simulation<SimWorld>,
 }
 
+/// The panicking entry points, each the twin of one that returns its error
+/// ([`Driver::try_new`], [`Driver::run_audited`],
+/// [`Driver::run_stream_audited`]) and panics with that error.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking twins: each non-panicking twin returns the same error"
+)]
 impl Driver {
     /// Build a driver, panicking on an invalid configuration. Prefer
     /// [`Driver::try_new`] where the config comes from user input.
@@ -28,6 +41,26 @@ impl Driver {
         }
     }
 
+    /// Run `action` on `rdd` to completion; returns the result and the
+    /// job's task-level metrics. Panics where [`Driver::run_audited`] errs.
+    pub fn run(&mut self, rdd: &Rdd, action: Action) -> (JobOutput, JobMetrics) {
+        self.run_audited(rdd, action, 0)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Run a multi-tenant job stream to completion: seed the arrival
+    /// process, drive the simulation until every arrival has been admitted,
+    /// executed and retired, and return the finished jobs in completion
+    /// order. Feed the result to [`crate::tenancy::TenantSlo::compute`] for
+    /// per-tenant queueing-delay / latency / slowdown summaries. Panics
+    /// where [`Driver::run_stream_audited`] errs.
+    pub fn run_stream(&mut self, spec: StreamSpec) -> Vec<FinishedJob> {
+        self.run_stream_audited(spec, 0)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+impl Driver {
     /// Build a driver after validating `cfg` against the cluster shape;
     /// returns a descriptive error instead of simulating a nonsense cluster.
     pub fn try_new(spec: ClusterSpec, cfg: EngineConfig) -> Result<Driver, String> {
@@ -63,24 +96,6 @@ impl Driver {
     /// Pretty-print the execution plan (paper Fig 3/4 style).
     pub fn explain(&self, rdd: &Rdd, action: Action) -> String {
         render_plan(&self.plan(rdd, action))
-    }
-
-    /// Run `action` on `rdd` to completion; returns the result and the
-    /// job's task-level metrics. Panics where [`Driver::run_audited`] errs.
-    pub fn run(&mut self, rdd: &Rdd, action: Action) -> (JobOutput, JobMetrics) {
-        self.run_audited(rdd, action, 0)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run a multi-tenant job stream to completion: seed the arrival
-    /// process, drive the simulation until every arrival has been admitted,
-    /// executed and retired, and return the finished jobs in completion
-    /// order. Feed the result to [`crate::tenancy::TenantSlo::compute`] for
-    /// per-tenant queueing-delay / latency / slowdown summaries. Panics
-    /// where [`Driver::run_stream_audited`] errs.
-    pub fn run_stream(&mut self, spec: StreamSpec) -> Vec<FinishedJob> {
-        self.run_stream_audited(spec, 0)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Convenience: run and return only the metrics.

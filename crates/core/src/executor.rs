@@ -30,13 +30,14 @@
 // R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
 // bookkeeping slip into a crashed process; each one left carries an
 // `#[expect(…, reason)]` saying why its invariant holds.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::dag::{JobPlan, StagePlan};
 use crate::rdd::{RddId, ShuffleAgg};
 use crate::value::{record_bytes, Record, Value};
 use memres_des::time::SimDuration;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Real rows a chain leaves behind.
 pub(crate) enum RealOut {
@@ -255,40 +256,59 @@ pub(crate) fn run_narrow_chain(
 }
 
 /// Evaluate every entry — on `threads` scoped workers when that is more
-/// than one — and return the results in entry order. One shared cursor hands
-/// each worker a disjoint (entry, result slot) pair; a UDF panic on a worker
-/// propagates out of the scope when it joins.
+/// than one — and return the results in entry order. Work is handed out as
+/// it is asked for, so a worker that draws cheap entries draws more: a
+/// worker asks the scope's thread for its next entry by sending it the
+/// sending half of a one-entry channel, and keeps `(index, result)` pairs
+/// until it is joined. No lock is shared, so none can be poisoned; a UDF
+/// panic on a worker ends that worker's asking, and its join re-raises it.
 pub(crate) fn evaluate(pending: &mut [Pending], threads: usize) -> Vec<ChainOut> {
-    let mut results: Vec<Option<ChainOut>> = pending.iter().map(|_| None).collect();
     if threads <= 1 {
-        for (entry, slot) in pending.iter_mut().zip(&mut results) {
-            *slot = Some(entry.eval());
-        }
-    } else {
-        let queue = std::sync::Mutex::new(pending.iter_mut().zip(&mut results));
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the lock is held only across `next()`, which cannot panic, so no worker ever poisons it"
-                    )]
-                    let next = queue.lock().expect("work queue poisoned").next();
-                    let Some((entry, slot)) = next else { break };
-                    *slot = Some(entry.eval());
-                });
-            }
-        });
+        return pending.iter_mut().map(Pending::eval).collect();
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "the cursor hands out every (entry, slot) pair and a worker that panicked mid-entry has already propagated out of the scope"
-    )]
-    let out = results
-        .into_iter()
-        .map(|r| r.expect("the queue hands out every entry before the scope joins"))
-        .collect();
-    out
+    let mut done = Vec::with_capacity(pending.len());
+    std::thread::scope(|s| {
+        let (ask, asks) = mpsc::channel();
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let ask = ask.clone();
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        let (give, take) = mpsc::sync_channel::<(usize, &mut Pending)>(1);
+                        if ask.send(give).is_err() {
+                            return out;
+                        }
+                        let Ok((i, entry)) = take.recv() else {
+                            return out;
+                        };
+                        out.push((i, entry.eval()));
+                    }
+                })
+            })
+            .collect();
+        // Only workers ask, so this loop ends when the entries run out or
+        // every worker has panicked; dropping the queue of asks then ends
+        // each live worker's wait.
+        drop(ask);
+        for (give, entry) in asks.iter().zip(pending.iter_mut().enumerate()) {
+            // An asker waits for its reply, so this is not refused; were it
+            // refused, the entry would be evaluated here rather than lost.
+            if let Err(mpsc::SendError((i, entry))) = give.send(entry) {
+                done.push((i, entry.eval()));
+            }
+        }
+        drop(asks);
+        for worker in workers {
+            done.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// One reducer's share of a producer's output.
@@ -713,6 +733,82 @@ mod tests {
             work,
         }
         .eval()
+    }
+
+    /// One `Collect` compute entry per length in `lens`: entry `e` maps
+    /// `lens[e]` records keyed `e` through `udf`.
+    fn chain_entries(lens: &[usize], udf: fn(Record) -> Record) -> Vec<Pending> {
+        use crate::rdd::{Action, Dataset, Rdd, SizeModel};
+        let rdd =
+            Rdd::source(Dataset::from_records(Vec::new(), 1)).map("udf", SizeModel::scan(), udf);
+        let plan = Arc::new(crate::dag::build_plan(
+            &rdd,
+            Action::Collect,
+            &Default::default(),
+        ));
+        let entry = |(e, &len): (usize, &usize)| {
+            let data: Arc<[Record]> = (0..len)
+                .map(|v| (Value::I64(e as i64), Value::I64(v as i64)))
+                .collect();
+            let work = Work::Chain {
+                part: e as u32,
+                node: 0,
+                in_bytes: data.iter().map(record_bytes).sum::<u64>() as f64,
+                in_records: len as u64,
+                data,
+                speed: 1.0,
+                stage_override: None,
+            };
+            Pending {
+                task: e as u32,
+                plan: plan.clone(),
+                stage: 0,
+                reader: Reader::Action,
+                work,
+            }
+        };
+        lens.iter().enumerate().map(entry).collect()
+    }
+
+    /// Uneven entries, from empty to thousands of records, in no order.
+    const UNEVEN: [usize; 9] = [3000, 0, 7, 1200, 1, 40, 2500, 13, 600];
+
+    #[test]
+    fn the_pool_returns_every_result_in_entry_order_at_any_size() {
+        let double: fn(Record) -> Record = |(k, v)| (k, Value::I64(2 * v.as_i64()));
+        let render = |threads: usize| -> Vec<(SimDuration, f64, u64, Vec<Record>)> {
+            let mut entries = chain_entries(&UNEVEN, double);
+            let results = evaluate(&mut entries, threads);
+            assert_eq!(results.len(), UNEVEN.len(), "{threads} threads");
+            let rows = |real| match real {
+                Some(RealOut::Rows(rows)) => rows.to_vec(),
+                _ => panic!("an action keeps its rows"),
+            };
+            results
+                .into_iter()
+                .map(|(dur, bytes, n, real, _)| (dur, bytes, n, rows(real)))
+                .collect()
+        };
+        let one = render(1);
+        for (e, (_, _, n, rows)) in one.iter().enumerate() {
+            assert_eq!(*n as usize, UNEVEN[e]);
+            assert!(
+                rows.iter().all(|(k, _)| *k == Value::I64(e as i64)),
+                "entry {e}"
+            );
+        }
+        assert_eq!(render(2), one);
+        assert_eq!(render(3), one);
+    }
+
+    #[test]
+    #[should_panic(expected = "a failing UDF")]
+    fn a_udf_panic_on_a_worker_reaches_the_caller() {
+        let failing: fn(Record) -> Record = |(k, v)| {
+            assert!(k != Value::I64(3), "a failing UDF");
+            (k, v)
+        };
+        evaluate(&mut chain_entries(&UNEVEN, failing), 2);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 // R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
 // bookkeeping slip into a crashed process; each one left carries an
 // `#[expect(…, reason)]` saying why its invariant holds.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use memres_des::splitmix64;
 use memres_des::time::SimDuration;

@@ -15,6 +15,12 @@
 //! correctness is testable while its performance experiments run at the
 //! paper's data scales.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use crate::value::{Record, Value};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -305,11 +311,11 @@ impl Dataset {
         let mut parts: Vec<Vec<Record>> = (0..partitions)
             .map(|_| Vec::with_capacity(per_part))
             .collect();
-        for (i, r) in records.into_iter().enumerate() {
-            parts
-                .get_mut(i % partitions)
-                .expect("in range: modulo by partitions")
-                .push(r);
+        let mut records = records.into_iter();
+        while !records.as_slice().is_empty() {
+            for (part, r) in parts.iter_mut().zip(records.by_ref()) {
+                part.push(r);
+            }
         }
         Dataset {
             partitions: parts
@@ -437,13 +443,13 @@ mod sugar_tests {
 
     #[test]
     fn map_values_preserves_keys() {
-        let step = match &Rdd::source(Dataset::synthetic(1.0, 1.0, 1.0))
-            .map_values("inc", SizeModel::scan(), |v| Value::I64(v.as_i64() + 1))
-            .0
-            .op
-        {
-            RddOp::Narrow { step, .. } => step.clone(),
-            _ => unreachable!(),
+        let rdd = Rdd::source(Dataset::synthetic(1.0, 1.0, 1.0)).map_values(
+            "inc",
+            SizeModel::scan(),
+            |v| Value::I64(v.as_i64() + 1),
+        );
+        let RddOp::Narrow { step, .. } = &rdd.0.op else {
+            panic!("map_values is a narrow step")
         };
         let out = step.apply(vec![(Value::str("k"), Value::I64(1))]);
         assert_eq!(out[0].0.as_str(), "k");

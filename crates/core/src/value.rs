@@ -7,6 +7,12 @@
 //! `(key, value)` pair of [`Value`]s. Typed convenience constructors and
 //! accessors keep application code readable.
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use std::fmt;
 use std::sync::Arc;
 
@@ -34,22 +40,14 @@ pub type Record = (Value, Value);
 // are the engine's resident-set and shuffle cost (EXPERIMENTS.md "PR 20").
 const _: () = assert!(std::mem::size_of::<Value>() == 16 && std::mem::size_of::<Record>() == 32);
 
+/// The typed accessors user functions read records with. Each panics on
+/// another variant, as a failed downcast does: the mismatch is a bug in the
+/// user function, which no engine state can repair.
+#[expect(
+    clippy::panic,
+    reason = "UDF accessors: a variant the user function did not expect is that function's bug, reported as a failed downcast is"
+)]
 impl Value {
-    /// At most one copy of the bytes per string (`&str` to `String`, or a
-    /// `String` trimmed of spare capacity): the boxed string is moved under
-    /// the count, not copied again into a counted block.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Arc::new(s.into().into_boxed_str()))
-    }
-
-    pub fn vec(v: Vec<f64>) -> Value {
-        Value::VecF64(Arc::new(v))
-    }
-
-    pub fn list(v: Vec<Value>) -> Value {
-        Value::List(Arc::new(v))
-    }
-
     pub fn as_i64(&self) -> i64 {
         match self {
             Value::I64(x) => *x,
@@ -85,6 +83,23 @@ impl Value {
             Value::List(v) => v,
             other => panic!("expected List, got {other:?}"),
         }
+    }
+}
+
+impl Value {
+    /// At most one copy of the bytes per string (`&str` to `String`, or a
+    /// `String` trimmed of spare capacity): the boxed string is moved under
+    /// the count, not copied again into a counted block.
+    pub fn str(s: impl Into<String>) -> Value {
+        Value::Str(Arc::new(s.into().into_boxed_str()))
+    }
+
+    pub fn vec(v: Vec<f64>) -> Value {
+        Value::VecF64(Arc::new(v))
+    }
+
+    pub fn list(v: Vec<Value>) -> Value {
+        Value::List(Arc::new(v))
     }
 
     /// *Simulated* size: what the model charges I/O, memory and network for

@@ -45,7 +45,8 @@
 // R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
 // bookkeeping slip into a crashed process; each one left carries an
 // `#[expect(…, reason)]` saying why its invariant holds.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::blockmgr::BlockMgr;
 use crate::candidates::Nodes;
@@ -772,7 +773,7 @@ impl SimWorld {
                 self.blockmgr.is_real(*rdd),
                 false,
             ),
-            StageInput::Shuffle(_) => {
+            StageInput::Shuffle => {
                 let (n, real) = self.begin_fetch_stage(now, ji, out);
                 (n, real, true)
             }
@@ -782,8 +783,8 @@ impl SimWorld {
         // Create the produced-shuffle state if this stage writes one. It is
         // followed by one store task per task of this stage and then by the
         // shuffle's reducers.
-        let followers = stage.shuffle_out.map_or(0, |requested| {
-            nparts + self.open_shuffle(ji, &plan, idx, nparts, requested, real) as usize
+        let followers = stage.shuffle_out.as_ref().map_or(0, |spec| {
+            nparts + self.open_shuffle(ji, spec, nparts, real) as usize
         });
 
         // Declare cache points so partially-cached RDDs are not reused.

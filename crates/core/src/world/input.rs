@@ -173,7 +173,7 @@ impl SimWorld {
                 let home = self.blockmgr.location(*rdd, part);
                 self.tasks.add_prefs(home.into_iter())
             }
-            StageInput::Shuffle(_) => 0,
+            StageInput::Shuffle => 0,
         }
     }
 
@@ -194,6 +194,10 @@ impl SimWorld {
         // task reads the original dataset partition again and evaluates the
         // recovery stage in place of its own.
         let mut stage_override = None;
+        #[expect(
+            clippy::unreachable,
+            reason = "start_stage makes every task of a shuffle-reading stage a Fetch task, which launches by launch_fetch"
+        )]
         let (in_bytes, in_records, data, io_plan, locality) = match &stage.input {
             StageInput::Dataset { rdd, .. } => self.dataset_input(*rdd, part, node),
             StageInput::Cached { rdd } => match self.blockmgr.try_partition(*rdd, part) {
@@ -211,7 +215,7 @@ impl SimWorld {
                     self.dataset_input(source, part, node)
                 }
             },
-            StageInput::Shuffle(_) => unreachable!("fetch tasks use launch_fetch"),
+            StageInput::Shuffle => unreachable!("fetch tasks use launch_fetch"),
         };
 
         let speed = self.speed(node);

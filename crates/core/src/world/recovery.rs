@@ -135,7 +135,7 @@ impl SimWorld {
             },
             steps,
             cache_points,
-            shuffle_out: stage.shuffle_out,
+            shuffle_out: stage.shuffle_out.clone(),
         };
         (Arc::new(rec_stage), spec.source)
     }
@@ -458,9 +458,7 @@ impl SimWorld {
                 RunPhase::Stage(idx) => {
                     if job.plan.stages[idx].has_shuffle_output() {
                         Some(idx as u32)
-                    } else if matches!(job.plan.stages[idx].input, StageInput::Shuffle(_))
-                        && idx > 0
-                    {
+                    } else if matches!(job.plan.stages[idx].input, StageInput::Shuffle) && idx > 0 {
                         // Fetch phase: the consumed rows came from stage idx-1.
                         Some(idx as u32 - 1)
                     } else {

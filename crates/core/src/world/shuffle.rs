@@ -13,7 +13,7 @@
 use super::tasks::TaskKind;
 use super::{flush_tag, Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
 use crate::config::{Defect, ShuffleStore, StoreDevice};
-use crate::dag::{JobPlan, ShuffleInSpec, StageInput};
+use crate::dag::{JobPlan, ShuffleSpec};
 use crate::executor::{run_narrow_chain, Pending, Reader, RealOut, Work};
 use crate::rdd::Action;
 use crate::value::Record;
@@ -118,7 +118,7 @@ const UNOPENED: FlowId = FlowId(u64::MAX);
 /// Intermediate-data state between a producing stage and its fetch stage.
 struct ShuffleState {
     reducers: u32,
-    spec: ShuffleInSpec,
+    spec: ShuffleSpec,
     deposits: Deposits,
     /// Fetches ride rack-pair aggregate flows instead of per-node flows
     /// (decided once at creation from `EngineConfig::rack_agg_threshold`).
@@ -147,7 +147,7 @@ impl ShuffleState {
     /// `racks` is `Some` when fetches ride rack-pair aggregate flows.
     fn new(
         reducers: u32,
-        spec: ShuffleInSpec,
+        spec: ShuffleSpec,
         workers: usize,
         real: bool,
         racks: Option<usize>,
@@ -431,26 +431,21 @@ impl SimWorld {
 
     // ---------------- a shuffle's life ----------------
 
-    /// Stage `idx` of job `ji` writes a shuffle over `nparts` producers,
-    /// of real records when `real`: create its state. Returns the reducer
-    /// count.
+    /// Job `ji`'s current stage writes the shuffle `spec` over `nparts`
+    /// producers, of real records when `real`: create its state. Returns the
+    /// reducer count.
     pub(super) fn open_shuffle(
         &mut self,
         ji: usize,
-        plan: &JobPlan,
-        idx: usize,
+        spec: &ShuffleSpec,
         nparts: usize,
-        requested: Option<u32>,
         real: bool,
     ) -> u32 {
         // Spark guidance: default reduce-side parallelism ~ total cores.
-        let reducers = requested
+        let reducers = spec
+            .reducers
             .unwrap_or((nparts as u32).min(self.spec.total_slots()))
             .max(1);
-        let spec = match &plan.stages[idx + 1].input {
-            StageInput::Shuffle(s) => s.clone(),
-            _ => unreachable!("stage after a shuffle output must consume it"),
-        };
         let workers = self.spec.workers as usize;
         // Rack aggregation kicks in when the per-rack-pair concurrent
         // flow count (per_rack producers x per_rack consumers) exceeds
@@ -464,8 +459,8 @@ impl SimWorld {
                 && per_rack * per_rack > self.cfg.rack_agg_threshold as u64
         };
         let racks = aggregated.then_some(self.spec.racks as usize);
-        self.jobs[ji].shuffle.writing =
-            Some(ShuffleState::new(reducers, spec, workers, real, racks));
+        let state = ShuffleState::new(reducers, spec.clone(), workers, real, racks);
+        self.jobs[ji].shuffle.writing = Some(state);
         reducers
     }
 
@@ -874,7 +869,12 @@ impl SimWorld {
         rows: Option<RealOut>,
     ) {
         let sh = self.job_of_mut(task).shuffle.reading();
-        let Deposits::Real { reduced, .. } = &mut sh.deposits else {
+        #[expect(
+            clippy::unreachable,
+            reason = "the pool returns only the Reduce work queue_reduce queued, and it queues none for a synthetic shuffle"
+        )]
+        let Deposits::Real { reduced, .. } = &mut sh.deposits
+        else {
             unreachable!("only a real shuffle queues an aggregation");
         };
         reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
@@ -890,6 +890,10 @@ impl SimWorld {
             return; // synthetic shuffle: sizes only
         };
         let slot = &mut reduced[reducer as usize];
+        #[expect(
+            clippy::unreachable,
+            reason = "a reducer's first launch queues its aggregation, its dispatch round's flush parks the result before any attempt can finish, and a reducer finishes once"
+        )]
         let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
             unreachable!("fetch task finished before its reducer was evaluated");
         };
@@ -1099,7 +1103,8 @@ mod tests {
         // its column per rack. One share per node must read the same bits
         // through uneven deposits, a re-host and a lost server cache.
         let (workers, reducers, racks) = (1_100, 1_000, 8);
-        let spec = ShuffleInSpec {
+        let spec = ShuffleSpec {
+            reducers: Some(reducers),
             agg: crate::rdd::ShuffleAgg::GroupByKey,
             fetch_rate: 1.0,
             out_factor: 1.0,

@@ -14,6 +14,12 @@
 //!   `BTreeMap`/`BTreeSet`: no container iterates in hash order (DESIGN.md
 //!   §4.10 R1).
 
+// R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
+// bookkeeping slip into a crashed process; each one left carries an
+// `#[expect(…, reason)]` saying why its invariant holds.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 pub mod bytes;
 pub mod json;
 pub mod ps;

@@ -161,6 +161,10 @@ impl<M: Model> Simulation<M> {
     /// Process a single event. Returns `false` when the calendar is empty.
     /// Panics if the `max_steps` budget is exhausted; harnesses that must
     /// survive runaway models use [`Simulation::try_step`] instead.
+    #[expect(
+        clippy::panic,
+        reason = "the documented panicking twin of `try_step`, which reports the same budget as an `Err`"
+    )]
     pub fn step(&mut self) -> bool {
         match self.try_step() {
             Ok(progressed) => progressed,

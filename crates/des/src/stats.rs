@@ -137,14 +137,14 @@ impl LogHistogram {
             return 0.0;
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
+        // The rank-th sample's bucket is the first whose running count
+        // reaches `rank`: its index is the number of buckets before it.
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        let before = self.counts.iter().take_while(|&&c| {
             seen += c;
-            if seen >= rank {
-                return Self::representative(idx);
-            }
-        }
-        unreachable!("total counted above")
+            seen < rank
+        });
+        Self::representative(before.count())
     }
 
     pub fn median(&self) -> f64 {
@@ -170,8 +170,14 @@ pub struct Cdf {
 }
 
 impl Cdf {
+    /// The CDF of `values`. Panics on a NaN, which has no place in an
+    /// order.
     pub fn from_values(values: &[f64]) -> Self {
         let mut v: Vec<f64> = values.to_vec();
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: a NaN input panics, and every caller passes durations or byte counts"
+        )]
         v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in CDF input"));
         let n = v.len() as f64;
         let points = v

@@ -58,20 +58,19 @@ fn drain_shared<T>(
 ) -> bool {
     let flow = cold.id();
     let (queue, ps_drained) = cold.members_mut();
-    while let Some(head) = queue.front() {
-        let k = queue.len() as f64;
+    while let Some(head) = queue.pop_front() {
+        let k = (queue.len() + 1) as f64;
         let need = (head.bytes() - *ps_drained).max(0.0) * k;
         // Tolerance: a member whose remainder is within rounding
         // noise of the budget counts as delivered.
         if need <= budget + 1e-6 {
             budget = (budget - need).max(0.0);
             *ps_drained = ps_drained.max(head.bytes());
-            #[expect(clippy::expect_used, reason = "front() matched just above.")]
-            let c = queue.pop_front().expect("front() was Some");
-            let tag = c.into_tag();
+            let tag = head.into_tag();
             delivered.push(Delivered { flow, tag });
         } else {
             *ps_drained += budget / k;
+            queue.push_front(head);
             break;
         }
     }
@@ -86,34 +85,24 @@ fn drain_fifo<T>(
     mut budget: f64,
     delivered: &mut Vec<Delivered<T>>,
 ) -> bool {
+    let flow = cold.id();
+    let (queue, _) = cold.members_mut();
     while budget > 0.0 {
         // Tolerance: a chunk whose remainder is within rounding noise
         // of the budget counts as delivered.
         if hot.head() > budget + 1e-6 {
             *hot.head_mut() -= budget;
-            break;
+            return false;
         }
         budget -= hot.head();
-        #[expect(
-            clippy::expect_used,
-            reason = "an active flow has a queued front chunk, and `head` is its remainder"
-        )]
-        let c = cold
-            .members_mut()
-            .0
-            .pop_front()
-            .expect("active flow has a front chunk");
+        let Some(c) = queue.pop_front() else { break };
         delivered.push(Delivered {
-            flow: cold.id(),
+            flow,
             tag: c.into_tag(),
         });
-        let Some(front) = cold.members_mut().0.front() else {
-            *hot.head_mut() = 0.0;
-            return true;
-        };
-        *hot.head_mut() = front.bytes();
+        *hot.head_mut() = queue.front().map_or(0.0, Chunk::bytes);
     }
-    false
+    queue.is_empty()
 }
 
 #[derive(Default)]

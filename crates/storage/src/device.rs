@@ -8,7 +8,8 @@
 // R4 (DESIGN.md 4.10): a bare panic here turns an injected fault or a
 // bookkeeping slip into a crashed process; each one left carries an
 // `#[expect(…, reason)]` saying why its invariant holds.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use memres_des::ps::PsResource;
 use memres_des::sim::Gen;

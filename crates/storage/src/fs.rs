@@ -65,8 +65,9 @@ struct CachedFile {
 
 struct PageCache {
     cfg: CacheConfig,
-    files: BTreeMap<FileId, CachedFile>,
-    lru: VecDeque<FileId>,
+    /// The files with cached pages, least recently used first: the one
+    /// record of a file is its place in the LRU.
+    files: VecDeque<(FileId, CachedFile)>,
     resident_total: f64,
     dirty_total: f64,
     /// FIFO of dirty segments awaiting flush.
@@ -79,8 +80,7 @@ impl PageCache {
     fn new(cfg: CacheConfig) -> Self {
         PageCache {
             cfg,
-            files: BTreeMap::new(),
-            lru: VecDeque::new(),
+            files: VecDeque::new(),
             resident_total: 0.0,
             dirty_total: 0.0,
             flush_queue: VecDeque::new(),
@@ -88,29 +88,25 @@ impl PageCache {
         }
     }
 
+    /// Take `file`'s record out of the LRU, if it has pages cached.
+    fn take(&mut self, file: FileId) -> Option<(FileId, CachedFile)> {
+        let pos = self.files.iter().position(|(f, _)| *f == file)?;
+        self.files.remove(pos)
+    }
+
     /// Move `file` to the young end of the LRU. A file with nothing resident
-    /// (written through, or evicted since) has no place in it: `evict_for`
-    /// relies on every entry having a `files` record.
+    /// (written through, or evicted since) has no place in it.
     fn touch(&mut self, file: FileId) {
-        if !self.files.contains_key(&file) {
-            return;
+        if let Some(entry) = self.take(file) {
+            self.files.push_back(entry);
         }
-        if let Some(pos) = self.lru.iter().position(|&f| f == file) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(file);
     }
 
     /// Evict clean bytes (LRU) until `needed` bytes are free, best-effort.
     fn evict_for(&mut self, needed: f64) {
         let mut i = 0;
-        while self.cfg.capacity - self.resident_total < needed && i < self.lru.len() {
-            let file = self.lru[i];
-            #[expect(
-                clippy::expect_used,
-                reason = "touch admits only keys of files, and an entry leaves files (here, drop_file) with its lru slot"
-            )]
-            let f = self.files.get_mut(&file).expect("lru entry without file");
+        while self.cfg.capacity - self.resident_total < needed && i < self.files.len() {
+            let (_, f) = &mut self.files[i];
             let clean = (f.resident - f.dirty).max(0.0);
             let take = clean.min(needed - (self.cfg.capacity - self.resident_total));
             if take > 0.0 {
@@ -118,8 +114,7 @@ impl PageCache {
                 self.resident_total -= take;
             }
             if f.resident <= 1e-6 && f.dirty <= 1e-6 {
-                self.files.remove(&file);
-                self.lru.remove(i);
+                self.files.remove(i);
             } else {
                 i += 1;
             }
@@ -131,26 +126,24 @@ impl PageCache {
     }
 
     fn resident_of(&self, file: FileId) -> f64 {
-        self.files.get(&file).map_or(0.0, |f| f.resident)
+        let found = self.files.iter().find(|(f, _)| *f == file);
+        found.map_or(0.0, |(_, c)| c.resident)
     }
 
     fn absorb_write(&mut self, file: FileId, bytes: f64) {
-        let f = self.files.entry(file).or_default();
+        let (_, mut f) = self.take(file).unwrap_or((file, CachedFile::default()));
         f.resident += bytes;
         f.dirty += bytes;
+        self.files.push_back((file, f));
         self.resident_total += bytes;
         self.dirty_total += bytes;
         self.flush_queue.push_back((file, bytes));
-        self.touch(file);
     }
 
     fn drop_file(&mut self, file: FileId) {
-        if let Some(f) = self.files.remove(&file) {
+        if let Some((_, f)) = self.take(file) {
             self.resident_total -= f.resident;
             self.dirty_total -= f.dirty;
-            if let Some(pos) = self.lru.iter().position(|&x| x == file) {
-                self.lru.remove(pos);
-            }
         }
         self.flush_queue.retain(|&(fid, _)| fid != file);
         // An in-flight flush for the file is left to finish harmlessly.
@@ -453,7 +446,8 @@ impl LocalFs {
                     if let Some(cache) = &mut self.cache {
                         if let Some((file, bytes)) = cache.flush_inflight.take() {
                             cache.dirty_total = (cache.dirty_total - bytes).max(0.0);
-                            if let Some(f) = cache.files.get_mut(&file) {
+                            let mut files = cache.files.iter_mut();
+                            if let Some((_, f)) = files.find(|(id, _)| *id == file) {
                                 f.dirty = (f.dirty - bytes).max(0.0);
                             }
                         }

@@ -9,7 +9,9 @@
 #                         neither the engine (world.rs was 4,606; DESIGN.md
 #                         3.1) nor a substrate (net/flow.rs was 1,935; 4.3)
 #                         can quietly grow back into one file; prints the
-#                         code-line count for the record.
+#                         code-line count and the R4 waiver count (the
+#                         #[expect]s of a panic lint, DESIGN.md 4.10) for
+#                         the record.
 #   3. cargo clippy     — full workspace, all targets; refuses R1 hash
 #                         order, R2 wall clock and R3 host I/O (the lists in
 #                         clippy.toml, denied by [workspace.lints]), R4 bare
@@ -59,7 +61,13 @@ while IFS= read -r f; do
   n="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { l = $0; sub(/^[[:space:]]+/, "", l); if (l != "" && l !~ /^\/\//) c++ } END { print c + 0 }' "$f")"
   code_lines=$((code_lines + n))
 done < <(find crates/*/src -name '*.rs' | sort)
-echo "ok: crates/*/src is $code_lines code lines, largest file $largest_file ($largest lines)"
+# R4 waivers: #[expect(...)] attributes, one line or several, naming a panic lint.
+waivers="$(find crates/*/src -name '*.rs' | sort | xargs cat | awk '
+  /#\[expect\(/ { open = 1; attr = "" }
+  open { attr = attr $0 }
+  open && /\)\]/ { if (attr ~ /clippy::(unwrap_used|expect_used|panic|unreachable)[,)]/) n++; open = 0 }
+  END { print n + 0 }')"
+echo "ok: crates/*/src is $code_lines code lines and $waivers R4 waivers, largest file $largest_file ($largest lines)"
 
 echo "== cargo clippy (-D warnings; R1-R4, DESIGN.md 4.10) =="
 cargo clippy --workspace --all-targets -- -D warnings
