@@ -4,9 +4,11 @@
 //! and reports the series the corresponding figure plots. `Setup::paper()`
 //! reproduces the full 100-node, TB-scale sweeps; `Setup::smoke()` shrinks
 //! both cluster and data proportionally for tests. Each figure builds its
-//! runs through one helper per benchmark (`groupby`, `grep`, `lr`) and
-//! computes its notes from the columns of the table it just filled.
+//! runs through one helper per benchmark (`groupby`, `grep`, `lr`),
+//! records its headlines (`crate::claims`) from the columns of the table it
+//! just filled, and prints them in its notes beside the paper's numbers.
 
+use crate::claims::paper;
 use crate::{improvement_pct, ratio, Table};
 use memres_cluster::ClusterSpec;
 use memres_core::prelude::*;
@@ -55,6 +57,23 @@ fn lr<const N: usize>(setup: Setup, gb: f64, split_mb: f64, cfgs: [EngineConfig;
 
 fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len().max(1) as f64
+}
+
+fn max(xs: &[f64]) -> f64 {
+    xs.iter().cloned().fold(0.0, f64::max)
+}
+
+fn min(xs: &[f64]) -> f64 {
+    xs.iter().cloned().fold(f64::INFINITY, f64::min)
+}
+
+fn last(xs: &[f64]) -> f64 {
+    xs[xs.len() - 1]
+}
+
+/// How far a column grows over the sweep: its last row over its first.
+fn growth(xs: &[f64]) -> f64 {
+    last(xs) / xs[0]
 }
 
 /// `column` of the rows whose size (the figure's `sizes`, in row order) is
@@ -130,13 +149,21 @@ pub fn fig5a(setup: Setup) -> Table {
         }
         t.row(format!("{gb_in:.0} GB"), vals);
     }
+    let (ratios, splits) = (
+        t.column("ratio-32"),
+        improvements(&t, "lustre-32", "lustre-128"),
+    );
+    let lustre = t.headline("fig5a.ratio-32", mean(&ratios));
+    t.headline("fig5a.ratio-32-min", min(&ratios));
+    let split = t.headline("fig5a.split-gain", mean(&splits));
+    t.headline("fig5a.split-gain-min", min(&splits));
     t.note(format!(
-        "Lustre/HDFS at 32 MB split: {:.1}x (paper: up to 5.7x)",
-        mean(&t.column("ratio-32"))
+        "Lustre/HDFS at 32 MB split: {lustre:.1}x (paper: up to {}x)",
+        paper("fig5a.ratio-32")
     ));
     t.note(format!(
-        "Lustre 32->128 MB split improvement: {:.1}% (paper: 15.9%)",
-        mean(&improvements(&t, "lustre-32", "lustre-128"))
+        "Lustre 32->128 MB split improvement: {split:.1}% (paper: {}%)",
+        paper("fig5a.split-gain")
     ));
     t
 }
@@ -156,9 +183,13 @@ pub fn fig5b(setup: Setup) -> Table {
         let [h, l] = lr(setup, gb_in, 32.0, cfgs);
         t.row(format!("{gb_in:.0} GB"), vec![h, l, improvement_pct(h, l)]);
     }
+    let gains = t.column("lustre-gain-%");
+    let gain = t.headline("fig5b.lustre-gain", mean(&gains));
+    t.headline("fig5b.gain-min", min(&gains));
+    t.headline("fig5b.gain-max", max(&gains));
     t.note(format!(
-        "Lustre outperforms HDFS(+delay scheduling) by {:.1}% (paper: 12.7%)",
-        mean(&t.column("lustre-gain-%"))
+        "Lustre outperforms HDFS(+delay scheduling) by {gain:.1}% (paper: {}%)",
+        paper("fig5b.lustre-gain")
     ));
     t
 }
@@ -192,13 +223,18 @@ pub fn fig7a(setup: Setup) -> Table {
             vec![ram, ll, ls, ratio(ll, ram), ratio(ls, ll)],
         );
     }
+    let (ll_ram, ls_ll) = (t.column("LL/ram"), t.column("LS/LL"));
+    let local = t.headline("fig7a.ll/ram", last(&ll_ram));
+    t.headline("fig7a.ll/ram-growth", growth(&ll_ram));
+    let shared = t.headline("fig7a.ls/ll", max(&ls_ll));
+    t.headline("fig7a.ls/ll-min", min(&ls_ll));
     t.note(format!(
-        "Lustre-local / HDFS-RAMDisk grows to {:.1}x (paper: up to 6.5x, growing with size)",
-        t.column("LL/ram").last().expect("one row per size")
+        "Lustre-local / HDFS-RAMDisk grows to {local:.1}x (paper: up to {}x, growing with size)",
+        paper("fig7a.ll/ram")
     ));
     t.note(format!(
-        "Lustre-shared / Lustre-local up to {:.1}x (paper: up to 3.8x)",
-        t.column("LS/LL").into_iter().fold(0.0, f64::max)
+        "Lustre-shared / Lustre-local up to {shared:.1}x (paper: up to {}x)",
+        paper("fig7a.ls/ll")
     ));
     t
 }
@@ -234,10 +270,10 @@ pub fn fig7b(setup: Setup) -> Table {
             ],
         );
     }
+    let shuffle = t.headline("fig7b.shuffle-ratio", max(&t.column("shuffle-ratio")));
     t.note(format!(
-        "storing phases comparable; Lustre-shared shuffling up to {:.1}x slower \
-         (paper: up to one order of magnitude)",
-        t.column("shuffle-ratio").into_iter().fold(0.0, f64::max)
+        "storing phases comparable; Lustre-shared shuffling up to {shuffle:.1}x slower \
+         (paper: up to one order of magnitude)"
     ));
     t
 }
@@ -258,10 +294,23 @@ pub fn fig8a(setup: Setup) -> Table {
         let [ram, ssd] = groupby(setup, gb_in, cfgs).map(|m| m.job_time());
         t.row(format!("{gb_in:.0} GB"), vec![ram, ssd, ratio(ssd, ram)]);
     }
-    t.note(
-        "paper: comparable up to ~600 GB (page-cache effects), SSD degrades beyond 700 GB"
-            .to_string(),
+    let ssd_ram = t.column("ssd/ram");
+    let by_size = || FIG8_SIZES.into_iter().zip(ssd_ram.iter().copied());
+    // Parity lasts while SSD keeps within 1.3x of RAMDisk (0 GB: not even
+    // at the first size); degradation starts at the first size past 2x.
+    let parity = by_size().take_while(|&(_, r)| r < 1.3).last();
+    t.headline("fig8a.parity-until-gb", parity.map_or(0.0, |(gb, _)| gb));
+    let degraded = by_size().find(|&(_, r)| r > 2.0);
+    t.headline(
+        "fig8a.degraded-from-gb",
+        degraded.map_or(f64::NAN, |(gb, _)| gb),
     );
+    t.headline("fig8a.ssd/ram", last(&ssd_ram));
+    t.note(format!(
+        "paper: comparable up to ~{} GB (page-cache effects), SSD degrades beyond {} GB",
+        paper("fig8a.parity-until-gb"),
+        paper("fig8a.degraded-from-gb")
+    ));
     t
 }
 
@@ -305,7 +354,13 @@ pub fn fig8c(setup: Setup) -> Table {
             vec![min, mean, max, ratio(max, min)],
         );
     }
-    t.note("paper: gap widens to ~18x at 1.5 TB".to_string());
+    let spread = t.column("max/min");
+    t.headline("fig8c.max/min", last(&spread));
+    t.headline("fig8c.spread-growth", growth(&spread));
+    t.note(format!(
+        "paper: gap widens to ~{}x at 1.5 TB",
+        paper("fig8c.max/min")
+    ));
     t
 }
 
@@ -355,9 +410,10 @@ pub fn fig9a(setup: Setup) -> Table {
             vec![f, d, -improvement_pct(f, d)],
         );
     }
+    let grep = t.headline("fig9a.degradation-32", t.column("degradation-%")[0]);
     t.note(format!(
-        "delay scheduling degrades Grep by {:.1}% at 32 MB (paper: 42.7%)",
-        t.column("degradation-%")[0]
+        "delay scheduling degrades Grep by {grep:.1}% at 32 MB (paper: {}%)",
+        paper("fig9a.degradation-32")
     ));
     t
 }
@@ -385,9 +441,12 @@ pub fn fig9b(setup: Setup) -> Table {
             vec![f, d, -improvement_pct(f, d)],
         );
     }
+    let degradations = t.column("degradation-%");
+    let lr = t.headline("fig9b.degradation-32", degradations[0]);
+    t.headline("fig9b.degradation-min", min(&degradations));
     t.note(format!(
-        "delay scheduling degrades LR by {:.1}% at 32 MB (paper: 9.9%)",
-        t.column("degradation-%")[0]
+        "delay scheduling degrades LR by {lr:.1}% at 32 MB (paper: {}%)",
+        paper("fig9b.degradation-32")
     ));
     t
 }
@@ -444,8 +503,15 @@ pub fn fig10(setup: Setup) -> Table {
     let lr = LogisticRegression::new(setup.bytes(100.0)).with_split(32.0 * MB);
     let (points, iter, action) = lr.build();
     add("LR", &run(setup.cluster(), cfg, &iter(&points), action));
+    // Rows pair up as (local, remote); a class with no tasks reads 0.
+    let means = t.column("mean");
+    let both = means.chunks(2).filter(|p| p[0] > 0.0 && p[1] > 0.0);
+    let remote_local = both.map(|p| p[1] / p[0]).fold(f64::NAN, f64::max);
+    t.headline("fig10.remote/local", remote_local);
     t.note(
-        "paper: enforcing 100% locality provides little gain — input is pipelined          with compute. (Remote tasks here are FIFO's stolen tail tasks, which also          makes them land on lightly loaded nodes.)"
+        "paper: enforcing 100% locality provides little gain — input is pipelined \
+         with compute. (Remote tasks here are FIFO's stolen tail tasks, which also \
+         makes them land on lightly loaded nodes.)"
             .to_string(),
     );
     t
@@ -464,6 +530,7 @@ fn fig12(setup: Setup, data: bool) -> Table {
     let mut t = Table::new(id, title, &["n50", "n100", "n150"]);
     // Paper: 2500 tasks on 50 nodes, 5000 on 100, 7500 on 150; 256 MB split.
     let mut series: Vec<Vec<f64>> = Vec::new();
+    let mut head_tail = Vec::new();
     let mut notes = Vec::new();
     for (nodes, tasks) in [(50u32, 2500u32), (100, 5000), (150, 7500)] {
         let spec = setup.cluster_of(nodes);
@@ -496,6 +563,7 @@ fn fig12(setup: Setup, data: bool) -> Table {
         let head = cdf.value_at(0.05).max(1e-9);
         let tail = cdf.value_at(0.95);
         notes.push(format!("{nodes} nodes: p95/p5 = {:.2}", tail / head));
+        head_tail.push(tail / head);
         series.push((0..=10).map(|q| cdf.value_at(q as f64 / 10.0)).collect());
     }
     for q in 0..=10 {
@@ -504,10 +572,20 @@ fn fig12(setup: Setup, data: bool) -> Table {
             series.iter().map(|s| s[q]).collect(),
         );
     }
+    // Every task writes the same bytes, so the data CDF is the task CDF in
+    // GB and one of the two carries the claims.
+    if data {
+        t.headline("fig12b.p95/p5", head_tail[1]);
+        let p90_p10 = series.iter().map(|s| s[9] / s[1].max(1e-9));
+        t.headline("fig12b.p90/p10-min", min(&p90_p10.collect::<Vec<_>>()));
+    }
     for n in notes {
         t.note(n);
     }
-    t.note("paper: ~2x workload difference between head and tail nodes".to_string());
+    t.note(format!(
+        "paper: ~{}x workload difference between head and tail nodes",
+        paper("fig12b.p95/p5")
+    ));
     t
 }
 
@@ -545,9 +623,15 @@ pub fn fig13a(setup: Setup) -> Table {
             ],
         );
     }
+    let gains = t.column("improvement-%");
+    let elb = t.headline(
+        "fig13a.elb-gain",
+        mean(&column_from(&t, "improvement-%", &OPT_SIZES, 1000.0)),
+    );
+    t.headline("fig13a.elb-gain-largest", last(&gains));
     t.note(format!(
-        "ELB improves job time by {:.1}% on 1-1.5 TB (paper: 26% average)",
-        mean(&column_from(&t, "improvement-%", &OPT_SIZES, 1000.0))
+        "ELB improves job time by {elb:.1}% on 1-1.5 TB (paper: {}% average)",
+        paper("fig13a.elb-gain")
     ));
     t
 }
@@ -580,10 +664,15 @@ pub fn fig13b(setup: Setup) -> Table {
             ],
         );
     }
+    let job = t.headline("fig13b.elb-gain", mean(&t.column("improvement-%")));
+    let shuffle = t.headline(
+        "fig13b.shuffle-gain",
+        mean(&improvements(&t, "shuffle-spark", "shuffle-elb")),
+    );
     t.note(format!(
-        "job improvement {:.1}% avg (paper: 14.8%); shuffle {:.1}% avg (paper: 29.1%)",
-        mean(&t.column("improvement-%")),
-        mean(&improvements(&t, "shuffle-spark", "shuffle-elb"))
+        "job improvement {job:.1}% avg (paper: {}%); shuffle {shuffle:.1}% avg (paper: {}%)",
+        paper("fig13b.elb-gain"),
+        paper("fig13b.shuffle-gain")
     ));
     t
 }
@@ -633,13 +722,24 @@ pub fn fig14(setup: Setup) -> (Table, Table) {
             ],
         );
     }
+    let (jobs, stores) = (a.column("improvement-%"), b.column("store-improvement-%"));
+    let job = a.headline(
+        "fig14a.cad-gain",
+        mean(&column_from(&a, "improvement-%", &OPT_SIZES, 700.0)),
+    );
+    a.headline("fig14a.cad-gain-largest", last(&jobs));
+    let store = b.headline(
+        "fig14b.store-gain",
+        mean(&column_from(&b, "store-improvement-%", &OPT_SIZES, 700.0)),
+    );
+    b.headline("fig14b.store-gain-largest", last(&stores));
     a.note(format!(
-        "CAD improves job time by {:.1}% avg on >=700 GB (paper: 19.8%)",
-        mean(&column_from(&a, "improvement-%", &OPT_SIZES, 700.0))
+        "CAD improves job time by {job:.1}% avg on >=700 GB (paper: {}%)",
+        paper("fig14a.cad-gain")
     ));
     b.note(format!(
-        "CAD accelerates the storing phase by {:.1}% avg (paper: up to 41.2%)",
-        mean(&column_from(&b, "store-improvement-%", &OPT_SIZES, 700.0))
+        "CAD accelerates the storing phase by {store:.1}% avg (paper: up to {}%)",
+        paper("fig14b.store-gain")
     ));
     (a, b)
 }

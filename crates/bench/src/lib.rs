@@ -2,8 +2,10 @@
 //!
 //! One experiment function per table/figure of the IPDPS'14 evaluation.
 //! Each returns a [`Table`] whose rows mirror the series the paper plots;
-//! the `repro` binary prints them and EXPERIMENTS.md records paper-vs-
-//! measured shapes. A `scale` parameter shrinks cluster and data sizes
+//! the `repro` binary prints them. What the reproduction claims about the
+//! paper is [`claims`]: one row per headline, checked at smoke scale by
+//! `tests/shapes.rs` and rendered into EXPERIMENTS.md's summary at full
+//! scale. A `scale` parameter shrinks cluster and data sizes
 //! proportionally so the same experiments run as quick smoke tests.
 
 #![allow(
@@ -12,6 +14,7 @@
     reason = "the measurement layer: reading the host clock and writing artifacts is its job (DESIGN.md 4.10)"
 )]
 
+pub mod claims;
 pub mod experiments;
 pub mod fuzz;
 pub mod observe;
@@ -26,9 +29,12 @@ pub struct Table {
     pub title: String,
     pub columns: Vec<String>,
     pub rows: Vec<(String, Vec<f64>)>,
-    /// Headline observations, printed under the table and asserted on by
-    /// integration tests (shape checks).
+    /// Observations printed under the table, each number in them a
+    /// headline or a paper value from [`claims`].
     pub notes: Vec<String>,
+    /// The values this table claims about the paper, by [`claims::CLAIMS`]
+    /// id. Neither [`Table::render`] nor [`Table::to_json`] writes them.
+    pub headlines: Vec<(&'static str, f64)>,
 }
 
 impl Table {
@@ -39,6 +45,7 @@ impl Table {
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            headlines: Vec::new(),
         }
     }
 
@@ -49,6 +56,13 @@ impl Table {
 
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
+    }
+
+    /// Records the value of claim `id` and returns it, for the note that
+    /// prints it.
+    pub fn headline(&mut self, id: &'static str, value: f64) -> f64 {
+        self.headlines.push((id, value));
+        value
     }
 
     /// Column values by header name.

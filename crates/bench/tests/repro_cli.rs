@@ -76,6 +76,12 @@ fn smoke_all_stdout_is_pinned() {
             golden.lines().nth(line),
         );
     }
+    // A note is prose: a string literal that lost a line continuation
+    // shows as a run of spaces.
+    let notes = golden.lines().filter_map(|l| l.strip_prefix("  * "));
+    for note in notes {
+        assert!(!note.contains("  "), "two spaces in a note: {note:?}");
+    }
     // One well-formed file per table: its id, its header's columns, one
     // `label` per row printed, and nothing after the closing brace.
     let mut lines = golden.lines().peekable();

@@ -29,9 +29,15 @@
 #                         DESIGN.md 4.15 maps each retired shell smoke to.
 #                         Every pinned simulated value (digests, counts,
 #                         sim_job_s) is a row of
-#                         crates/bench/tests/golden/pins.tsv; a model change
-#                         re-pins them all with
+#                         crates/bench/tests/golden/pins.tsv; every claim
+#                         about the paper is a row of
+#                         crates/bench/src/claims.rs, whose smoke bands
+#                         tests/shapes.rs checks. A model change re-pins them
+#                         all, and re-renders EXPERIMENTS.md's scorecard
+#                         block from the claims at full scale, with
 #                         cargo test --workspace --release -- --ignored bless
+#                         whose pin delta and moved verdicts are the
+#                         change's artifact.
 #   5. quickstart       — the one real-data example, compared with its
 #                         checked-in stdout at two MEMRES_THREADS values.
 #   6. fuzz sweep       — 64 seeds through the six oracles; cargo test
