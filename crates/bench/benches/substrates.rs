@@ -396,7 +396,7 @@ fn bench_real_shuffle(c: &mut Criterion) {
         Action::Count,
         20_000,
     );
-    // The pair behind the 16-byte `Value` (EXPERIMENTS.md "PR 20"). Numeric
+    // The pair behind the 16-byte `Value` (CHANGES.md, PR 20). Numeric
     // records are `benchmark/`'s `real_groupby` at a tenth of its size: every
     // pass over them moves a third fewer bytes. String keys are the control:
     // their bytes sit one pointer hop further away than under `Arc<str>`,

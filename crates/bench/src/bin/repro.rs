@@ -56,100 +56,14 @@
     reason = "the measurement layer: reading the host clock and writing artifacts is its job (DESIGN.md 4.10)"
 )]
 
-use memres_bench::experiments as ex;
-use memres_bench::{fuzz, observe, tenants, timing, Table};
+use memres_bench::targets::{self, Run, TARGETS};
+use memres_bench::{fuzz, observe, timing};
 use memres_core::prelude::FaultPlan;
-use memres_workloads::cells::{self, Cell, Setup, Size};
+use memres_workloads::cells::{self, Cell, Setup};
 use std::collections::HashMap;
 
-/// What running a target produces.
-enum Run {
-    /// Figure tables, printed and (with `--json`) written one file each.
-    Tables(fn(Setup) -> Vec<Table>),
-    Text(fn(Setup) -> String),
-    /// Timed runs of the cells this selects; the flag is whether `--smoke`
-    /// was given.
-    Timed(fn(&Cell, bool) -> bool),
-}
-
-struct Target {
-    name: &'static str,
-    /// Whether `all` runs it (the timed targets and the negative control
-    /// are opt-in).
-    in_all: bool,
-    run: Run,
-}
-
-const fn tables(name: &'static str, in_all: bool, f: fn(Setup) -> Vec<Table>) -> Target {
-    let run = Run::Tables(f);
-    Target { name, in_all, run }
-}
-
-fn fig14(setup: Setup) -> Vec<Table> {
-    let (a, b) = ex::fig14(setup);
-    vec![a, b]
-}
-
-/// Every runnable target, in `all` order; `all`, validation, `usage()` and
-/// dispatch all read this table.
-const TARGETS: [Target; 27] = [
-    tables("table1", true, |_| vec![ex::table1()]),
-    Target {
-        name: "plans",
-        in_all: true,
-        run: Run::Text(ex::plans),
-    },
-    tables("fig5a", true, |s| vec![ex::fig5a(s)]),
-    tables("fig5b", true, |s| vec![ex::fig5b(s)]),
-    tables("fig7a", true, |s| vec![ex::fig7a(s)]),
-    tables("fig7b", true, |s| vec![ex::fig7b(s)]),
-    tables("fig8a", true, |s| vec![ex::fig8a(s)]),
-    tables("fig8b", true, |s| vec![ex::fig8b(s)]),
-    tables("fig8c", true, |s| vec![ex::fig8c(s)]),
-    tables("fig8d", true, |s| vec![ex::fig8d(s)]),
-    tables("fig9a", true, |s| vec![ex::fig9a(s)]),
-    tables("fig9b", true, |s| vec![ex::fig9b(s)]),
-    tables("fig10", true, |s| vec![ex::fig10(s)]),
-    tables("fig12a", true, |s| vec![ex::fig12a(s)]),
-    tables("fig12b", true, |s| vec![ex::fig12b(s)]),
-    tables("fig13a", true, |s| vec![ex::fig13a(s)]),
-    tables("fig13b", true, |s| vec![ex::fig13b(s)]),
-    tables("fig14", true, fig14),
-    tables("ablations", true, |s| {
-        vec![
-            ex::ablation_elb_threshold(s),
-            ex::ablation_cad_step(s),
-            ex::ablation_delay_wait(s),
-        ]
-    }),
-    tables("baselines", true, |s| vec![ex::baseline_speculation(s)]),
-    tables("faults", true, |s| vec![ex::faults(s)]),
-    tables("tenants", true, tenants::tables),
-    // Either half of Fig 14 prints both: one sweep fills the two tables.
-    tables("fig14a", false, fig14),
-    tables("fig14b", false, fig14),
-    tables("faults-abort", false, |s| vec![ex::faults_abort(s)]),
-    Target {
-        name: "bench",
-        in_all: false,
-        run: Run::Timed(|c, _| matches!(c.size, Size::Paper { .. })),
-    },
-    Target {
-        name: "scale",
-        in_all: false,
-        // The family (`--smoke`: only the CI-sized cell).
-        run: Run::Timed(|c, smoke| {
-            matches!(c.size, Size::Fixed { .. }) && (c.name == cells::SCALE_SMOKE) == smoke
-        }),
-    },
-];
-
-fn find_target(name: &str) -> Option<&'static Target> {
-    TARGETS.iter().find(|t| t.name == name)
-}
-
 fn valid_target(t: &str) -> bool {
-    t == "all" || find_target(t).is_some() || cells::find(t).is_some()
+    t == "all" || targets::find(t).is_some() || cells::find(t).is_some()
 }
 
 fn usage() -> String {
@@ -444,11 +358,7 @@ fn main() {
         std::process::exit(2);
     }
     if targets.contains(&"all") {
-        targets = TARGETS
-            .iter()
-            .filter(|t| t.in_all)
-            .map(|t| t.name)
-            .collect();
+        targets = targets::all().map(|t| t.name).collect();
     }
 
     let write_json = |name: &str, json: String| {
@@ -475,26 +385,22 @@ fn main() {
 
     for name in &targets {
         let start = std::time::Instant::now();
-        match find_target(name).map(|t| (t.name, &t.run)) {
-            Some((_, Run::Tables(f))) => {
-                for t in f(setup) {
-                    println!("{}", t.render());
-                    write_json(t.id, t.to_json());
-                    job_aborted |= t
-                        .try_column("aborted_jobs")
-                        .is_some_and(|col| col.iter().any(|&v| v > 0.0));
-                }
+        let target = targets::find(name);
+        if let Some(printed) = target.and_then(|t| t.print(setup)) {
+            print!("{}", printed.text);
+            for t in printed.tables {
+                write_json(t.id, t.to_json());
+                job_aborted |= t
+                    .try_column("aborted_jobs")
+                    .is_some_and(|col| col.iter().any(|&v| v > 0.0));
             }
-            Some((_, Run::Text(f))) => println!("{}", f(setup)),
+        } else if let Some((name, Run::Timed(select))) = target.map(|t| (t.name, &t.run)) {
             // The table's own name: a table id outlives the arguments.
-            Some((name, Run::Timed(select))) => {
-                let selected = cells::CELLS.iter().filter(|c| select(c, smoke));
-                timed(name, selected.collect());
-            }
-            None => {
-                let cell = cells::find(name).expect("validated above: a target or a cell");
-                timed(cell.name, vec![cell]);
-            }
+            let selected = cells::CELLS.iter().filter(|c| select(c, smoke));
+            timed(name, selected.collect());
+        } else {
+            let cell = cells::find(name).expect("validated above: a target or a cell");
+            timed(cell.name, vec![cell]);
         }
         eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f64());
     }
@@ -558,7 +464,7 @@ mod tests {
             );
         }
         assert!(valid_target("all"));
-        assert_eq!(TARGETS.iter().filter(|t| t.in_all).count(), 22);
+        assert_eq!(targets::all().count(), 22);
         for t in [
             "fig5", "figure5a", "fault", "", "tables", "benchh", "scale_2k",
         ] {

@@ -9,12 +9,12 @@
 //! from there:
 //! - `tests/shapes.rs` runs each figure at `Setup::smoke()` and
 //!   [`check_smoke`]s its table;
-//! - EXPERIMENTS.md's summary is [`render`] over [`tables`] at
-//!   `Setup::paper()`, rewritten with every pin by
+//! - EXPERIMENTS.md's summary is [`render`] over the tables of one
+//!   full-scale run of the `all` targets ([`crate::targets::all`]),
+//!   rewritten with every pin by
 //!   `cargo test --workspace --release -- --ignored bless`.
 
-use crate::{experiments as ex, Table};
-use memres_workloads::cells::Setup;
+use crate::Table;
 
 const INF: f64 = f64::INFINITY;
 
@@ -165,27 +165,6 @@ pub const CLAIMS: &[Claim] = &[
           "CAD accelerates storing", GAIN, (6.0, INF)),
 ];
 
-/// Every table that records a headline, at `setup`, in [`CLAIMS`]' order.
-pub fn tables(setup: Setup) -> Vec<Table> {
-    let figures = [
-        ex::fig5a,
-        ex::fig5b,
-        ex::fig7a,
-        ex::fig7b,
-        ex::fig8a,
-        ex::fig8c,
-        ex::fig9a,
-        ex::fig9b,
-        ex::fig10,
-        ex::fig12b,
-        ex::fig13a,
-        ex::fig13b,
-    ];
-    let (fig14a, fig14b) = ex::fig14(setup);
-    let tables = figures.iter().map(|figure| figure(setup));
-    tables.chain([fig14a, fig14b]).collect()
-}
-
 /// The paper's number of claim `id`, for the note that prints it.
 pub fn paper(id: &str) -> f64 {
     let claim = CLAIMS.iter().find(|c| c.id == id);
@@ -289,19 +268,17 @@ pub fn stated(claim: &Claim) -> String {
     format!("| `{id}` | {what} | {says} | {band} |")
 }
 
-/// The scorecard of full-scale `tables` ([`tables`]) as a markdown table:
-/// one row per claim, in [`CLAIMS`]' order, with the measured value, its
-/// ratio to the paper's and its verdict. Panics on any claim without one
-/// value, or headline without a claim.
-pub fn render(tables: &[Table]) -> String {
+/// The scorecard of full-scale `tables` as a markdown table: one row per
+/// claim, in [`CLAIMS`]' order, with the measured value, its ratio to the
+/// paper's and its verdict. A table no claim names adds no row. Panics on
+/// any claim without one value, or headline without a claim.
+pub fn render<'a>(tables: impl IntoIterator<Item = &'a Table>) -> String {
     let (values, problems) = measured(tables);
     assert!(problems.is_empty(), "{}", problems.join("\n"));
     let mut out = HEADER.to_string();
     for claim in CLAIMS {
         let value = values.iter().find(|(c, _)| c.id == claim.id);
-        let (_, value) = value.unwrap_or_else(|| panic!("{}: no table recorded it", claim.id));
-        // A zero gain of −0.0 prints as 0.
-        let value = value + 0.0;
+        let &(_, value) = value.unwrap_or_else(|| panic!("{}: no table recorded it", claim.id));
         let ratio = claim
             .paper
             .map_or("—".to_string(), |p| format!("{:.2}", value / p));

@@ -9,7 +9,7 @@
 //! just filled, and prints them in its notes beside the paper's numbers.
 
 use crate::claims::paper;
-use crate::{improvement_pct, ratio, Table};
+use crate::{improvement_pct, ratio, slowdown_pct, Table};
 use memres_cluster::ClusterSpec;
 use memres_core::prelude::*;
 use memres_des::stats::Cdf;
@@ -407,7 +407,7 @@ pub fn fig9a(setup: Setup) -> Table {
         let [f, d] = grep(setup, 100.0, split_mb, cfgs).map(|m| m.job_time());
         t.row(
             format!("{split_mb:.0} MB split"),
-            vec![f, d, -improvement_pct(f, d)],
+            vec![f, d, slowdown_pct(f, d)],
         );
     }
     let grep = t.headline("fig9a.degradation-32", t.column("degradation-%")[0]);
@@ -438,7 +438,7 @@ pub fn fig9b(setup: Setup) -> Table {
         );
         t.row(
             format!("{split_mb:.0} MB split"),
-            vec![f, d, -improvement_pct(f, d)],
+            vec![f, d, slowdown_pct(f, d)],
         );
     }
     let degradations = t.column("degradation-%");
@@ -679,8 +679,9 @@ pub fn fig13b(setup: Setup) -> Table {
 
 // ---------------------------------------------------------------- Fig 14
 
-/// CAD vs plain Spark on the SSD store.
-pub fn fig14(setup: Setup) -> (Table, Table) {
+/// CAD vs plain Spark on the SSD store: Fig 14a's job times and Fig 14b's
+/// phase dissection, from one sweep.
+pub fn fig14(setup: Setup) -> Vec<Table> {
     let mut a = Table::new(
         "fig14a",
         "GroupBy on SSD: Spark vs CAD job time (s)",
@@ -741,7 +742,7 @@ pub fn fig14(setup: Setup) -> (Table, Table) {
         "CAD accelerates the storing phase by {store:.1}% avg (paper: up to {}%)",
         paper("fig14b.store-gain")
     ));
-    (a, b)
+    vec![a, b]
 }
 
 // ------------------------------------------------------------- Ablations
@@ -814,7 +815,7 @@ pub fn ablation_delay_wait(setup: Setup) -> Table {
     for (secs, m) in waits.iter().zip(grep(setup, 100.0, 32.0, cfgs)) {
         t.row(
             format!("wait {secs} s"),
-            vec![m.job_time(), -improvement_pct(base, m.job_time())],
+            vec![m.job_time(), slowdown_pct(base, m.job_time())],
         );
     }
     t.note("short jobs never outlast the wait: degradation saturates".to_string());

@@ -2,11 +2,12 @@
 //!
 //! One experiment function per table/figure of the IPDPS'14 evaluation.
 //! Each returns a [`Table`] whose rows mirror the series the paper plots;
-//! the `repro` binary prints them. What the reproduction claims about the
-//! paper is [`claims`]: one row per headline, checked at smoke scale by
-//! `tests/shapes.rs` and rendered into EXPERIMENTS.md's summary at full
-//! scale. A `scale` parameter shrinks cluster and data sizes
-//! proportionally so the same experiments run as quick smoke tests.
+//! [`targets`] is the one list of what the `repro` binary prints, and
+//! EXPERIMENTS.md is one full-scale run of it. What the reproduction
+//! claims about the paper is [`claims`]: one row per headline, checked at
+//! smoke scale by `tests/shapes.rs` and rendered into EXPERIMENTS.md's
+//! summary at full scale. A `scale` parameter shrinks cluster and data
+//! sizes proportionally so the same experiments run as quick smoke tests.
 
 #![allow(
     clippy::disallowed_types,
@@ -18,6 +19,7 @@ pub mod claims;
 pub mod experiments;
 pub mod fuzz;
 pub mod observe;
+pub mod targets;
 pub mod tenants;
 pub mod timing;
 
@@ -167,6 +169,16 @@ pub fn improvement_pct(base: f64, new: f64) -> f64 {
     }
 }
 
+/// Percent slowdown of `new` against `base` (positive = slower): the
+/// negated [`improvement_pct`], but `+0.0`, not `-0.0`, when the two agree.
+pub fn slowdown_pct(base: f64, new: f64) -> f64 {
+    if base <= 0.0 {
+        0.0
+    } else {
+        (new - base) / base * 100.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,6 +215,20 @@ mod tests {
         assert!((ratio(6.0, 2.0) - 3.0).abs() < 1e-12);
         assert!(ratio(1.0, 0.0).is_nan());
         assert!((improvement_pct(10.0, 7.4) - 26.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_slowdown_of_nothing_is_positive_zero() {
+        let bits = |v: f64| v.to_bits();
+        assert_eq!(bits(slowdown_pct(7.937, 7.937)), bits(0.0));
+        // IEEE subtraction is exactly antisymmetric: a − b = −(b − a).
+        for (base, new) in [(10.0, 7.4), (7.4, 10.0), (3.0, 3.0 + 1e-12), (0.1, 0.3)] {
+            assert_eq!(
+                bits(slowdown_pct(base, new)),
+                bits(-improvement_pct(base, new)),
+                "{base} {new}"
+            );
+        }
     }
 
     #[test]

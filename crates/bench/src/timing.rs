@@ -9,8 +9,8 @@
 //! third of the 4 M-task cell is the kernel faulting the task arena in,
 //! invisible in `wall_s` alone), and how many candidate nodes `dispatch`
 //! visited. Single-shot and smoke-able: a quick look, not a record — the
-//! repository's performance record is `benchmark/` (see EXPERIMENTS.md
-//! "Performance").
+//! repository's performance record is `benchmark/` (see benchmark/README.md
+//! and EXPERIMENTS.md "Timing the simulator").
 
 use crate::Table;
 use memres_core::prelude::*;

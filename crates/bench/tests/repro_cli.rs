@@ -435,7 +435,7 @@ fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
                 // Dispatch must look at a node or two per event, not rescan
                 // the idle ones: it visits about half a candidate per event
                 // here, and a visit count above the event count is the
-                // 4 M-task cliff coming back (EXPERIMENTS.md "PR 17") on a
+                // 4 M-task cliff coming back (CHANGES.md, PR 17) on a
                 // cell CI can afford.
                 let (visits, events) = (num("dispatch_visits"), num("events"));
                 assert!(visits > 0.0 && visits <= events, "{run}");

@@ -37,7 +37,7 @@ pub enum Value {
 pub type Record = (Value, Value);
 
 // Every pass over records is bound by memory traffic: host bytes per record
-// are the engine's resident-set and shuffle cost (EXPERIMENTS.md "PR 20").
+// are the engine's resident-set and shuffle cost (CHANGES.md, PR 20).
 const _: () = assert!(std::mem::size_of::<Value>() == 16 && std::mem::size_of::<Record>() == 32);
 
 /// The typed accessors user functions read records with. Each panics on

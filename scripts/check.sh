@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the full test suite, and a smoke run of
-# the machine-readable performance benchmark (see EXPERIMENTS.md
-# "Performance"). Everything here must pass before a change lands.
+# the machine-readable performance benchmark (see benchmark/README.md).
+# Everything here must pass before a change lands.
 #
 # Gate ordering (cheapest refusal first — DESIGN.md 4.15):
 #   1. cargo fmt        — pure text, no build.
@@ -33,11 +33,14 @@
 #                         about the paper is a row of
 #                         crates/bench/src/claims.rs, whose smoke bands
 #                         tests/shapes.rs checks. A model change re-pins them
-#                         all, and re-renders EXPERIMENTS.md's scorecard
-#                         block from the claims at full scale, with
+#                         all, and re-renders EXPERIMENTS.md from one
+#                         full-scale run of the `all` targets (the list in
+#                         crates/bench/src/targets.rs) — its scorecard and
+#                         one block per target — with
 #                         cargo test --workspace --release -- --ignored bless
-#                         whose pin delta and moved verdicts are the
-#                         change's artifact.
+#                         whose pin delta, moved verdicts and rewritten
+#                         blocks (`EXPERIMENTS.md: N of 22 repro blocks
+#                         rewritten`) are the change's artifact.
 #   5. quickstart       — the one real-data example, compared with its
 #                         checked-in stdout at two MEMRES_THREADS values.
 #   6. fuzz sweep       — 64 seeds through the six oracles; cargo test

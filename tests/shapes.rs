@@ -5,7 +5,7 @@
 //! band a smoke run keeps, checked here on the table the figure returns.
 //! Two checks no headline expresses stay code: `table1_and_plans_render`
 //! and `late_speculation_duplicates_the_pinned_stragglers`. EXPERIMENTS.md's
-//! summary is the same rows at full scale, rewritten by `bless_scorecard`.
+//! summary is the same rows at full scale (`tests/docs.rs`).
 
 #[path = "../crates/bench/tests/pins/mod.rs"]
 mod pins;
@@ -76,9 +76,9 @@ fn fig13b_elb_helps_under_network_bottleneck() {
 
 #[test]
 fn fig14_cad_accelerates_storing() {
-    let (a, b) = ex::fig14(setup());
-    claims::check_smoke(&a);
-    claims::check_smoke(&b);
+    for t in ex::fig14(setup()) {
+        claims::check_smoke(&t);
+    }
 }
 
 #[test]
@@ -139,108 +139,3 @@ fn late_speculation_duplicates_the_pinned_stragglers() {
 }
 
 pins::tests!(CASES);
-
-/// Where EXPERIMENTS.md's summary starts and ends: the lines between are
-/// `claims::render` of the full-scale tables, and nothing else.
-const SCORECARD: [&str; 2] = [
-    "<!-- scorecard: generated by `cargo test --workspace --release -- --ignored bless` from crates/bench/src/claims.rs -->",
-    "<!-- scorecard: end -->",
-];
-
-/// The lines of `doc` between the scorecard's markers.
-fn scorecard(doc: &str) -> Vec<&str> {
-    let lines: Vec<&str> = doc.lines().collect();
-    let at = |marker: &str| {
-        let found = lines.iter().position(|l| *l == marker);
-        found.unwrap_or_else(|| panic!("EXPERIMENTS.md has no line {marker}"))
-    };
-    lines[at(SCORECARD[0]) + 1..at(SCORECARD[1])].to_vec()
-}
-
-/// EXPERIMENTS.md's summary lists exactly the claims, in order, with the
-/// paper values and bands `CLAIMS` holds: a hand edit of the block, or a
-/// claim changed without a bless, fails here.
-#[test]
-fn scorecard_lists_every_claim() {
-    let block = scorecard(include_str!("../EXPERIMENTS.md"));
-    let header: Vec<&str> = claims::HEADER.lines().collect();
-    let stated = claims::CLAIMS
-        .iter()
-        .map(|c| format!("{} ", claims::stated(c)));
-    let want: Vec<String> = header.iter().map(|h| h.to_string()).chain(stated).collect();
-    let bless = "re-render it with `cargo test --workspace --release -- --ignored bless`";
-    for (i, (line, want)) in block.iter().zip(&want).enumerate() {
-        let holds = if i < header.len() {
-            line == want
-        } else {
-            line.starts_with(want.as_str())
-        };
-        assert!(
-            holds,
-            "EXPERIMENTS.md's scorecard line\n  {line}\nshould start\n  {want}\n{bless}"
-        );
-    }
-    assert_eq!(
-        block.len(),
-        want.len(),
-        "EXPERIMENTS.md's scorecard lines; {bless}"
-    );
-}
-
-/// Re-renders EXPERIMENTS.md's summary from the full-scale tables and
-/// prints each verdict that moved.
-#[test]
-#[ignore = "re-pins: cargo test --workspace --release -- --ignored bless"]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "bless reads and rewrites a checked-in document"
-)]
-fn bless_scorecard() {
-    let block = claims::render(&claims::tables(Setup::paper()));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
-    let doc = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
-    // A row's cells: claim, what is measured, paper, band, measured,
-    // ratio, verdict.
-    let rows = |lines: Vec<&str>| -> Vec<Vec<String>> {
-        let rows = lines.into_iter().filter(|l| l.starts_with("| `"));
-        let cells = rows.map(|r| {
-            r.trim_matches('|')
-                .split(" | ")
-                .map(|c| c.trim().to_string())
-        });
-        cells.map(|c| c.collect()).collect()
-    };
-    let (old, new) = (rows(scorecard(&doc)), rows(block.lines().collect()));
-    let moved: Vec<String> = new
-        .iter()
-        .filter(|row| !old.iter().any(|o| o[0] == row[0] && o[6] == row[6]))
-        .map(|row| {
-            let was = old
-                .iter()
-                .find(|o| o[0] == row[0])
-                .map_or("—", |o| o[6].as_str());
-            format!(
-                "| {} | {was} | {} | {} | {} |",
-                row[0], row[6], row[4], row[5]
-            )
-        })
-        .collect();
-    let begin = doc
-        .find(SCORECARD[0])
-        .expect("the scorecard's first marker");
-    let end = doc.find(SCORECARD[1]).expect("the scorecard's last marker");
-    let rewritten = format!("{}{}\n{block}{}", &doc[..begin], SCORECARD[0], &doc[end..]);
-    if rewritten != doc {
-        std::fs::write(path, &rewritten).expect("write EXPERIMENTS.md");
-    }
-    let mut out = format!(
-        "EXPERIMENTS.md scorecard: {} verdicts moved of {} rows\n",
-        moved.len(),
-        new.len()
-    );
-    if !moved.is_empty() {
-        out += "| claim | old | new | measured | ratio |\n|---|---|---|--:|--:|\n";
-        out += &(moved.join("\n") + "\n");
-    }
-    pins::say(&out);
-}
