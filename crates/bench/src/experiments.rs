@@ -871,6 +871,15 @@ pub fn faults(setup: Setup) -> Table {
             .fold(0.0, f64::max);
         (start + end) * 0.5 - cm.started_at
     };
+    // The node the crash takes down and the fetch failure blames: one that
+    // holds intermediate data when they fire. With 32 producers on a
+    // 100-node cluster a fixed id may host none, and the fault then
+    // disturbs nothing.
+    let busy = cm
+        .tasks_in(Phase::Storing)
+        .map(|x| x.node)
+        .next()
+        .unwrap_or(0);
     let plans: Vec<(&str, FaultPlan)> = vec![
         ("clean", FaultPlan::new()),
         (
@@ -882,7 +891,7 @@ pub fn faults(setup: Setup) -> Table {
             FaultPlan::new().after(
                 SimDuration::from_secs_f64(horizon * 0.4),
                 FaultKind::NodeCrash {
-                    node: 1,
+                    node: busy,
                     restart: Some(SimDuration::from_secs_f64(horizon * 0.2)),
                 },
             ),
@@ -891,7 +900,7 @@ pub fn faults(setup: Setup) -> Table {
             "fetch-failure",
             FaultPlan::new().after(
                 SimDuration::from_secs_f64(shuffle_mid),
-                FaultKind::FetchFail { src: 0 },
+                FaultKind::FetchFail { src: busy },
             ),
         ),
         (

@@ -18,6 +18,7 @@
 //! genuinely overlap at every `--scale`: tenant A submits every quarter of an
 //! isolated job time, tenant B with exponential gaps at 30% of it.
 
+use crate::claims::paper;
 use crate::{improvement_pct, ratio, Table};
 use memres_cluster::ClusterSpec;
 use memres_core::prelude::*;
@@ -198,8 +199,9 @@ pub fn tables(setup: Setup) -> Vec<Table> {
             |off, on| {
                 format!(
                     "ELB changes the shuffle-heavy tenant's mean latency by {:.1}% under \
-                     interleaving (Fig 13a isolated reference: ~26%)",
-                    improvement_pct(off[0].mean_latency, on[0].mean_latency)
+                     interleaving (Fig 13a isolated reference: ~{}%)",
+                    improvement_pct(off[0].mean_latency, on[0].mean_latency),
+                    paper("fig13a.elb-gain")
                 )
             },
         ),

@@ -187,6 +187,17 @@ fn open_stage(
 /// Render the execution plan the way the paper's Fig 4 draws them.
 pub fn render_plan(plan: &JobPlan) -> String {
     let mut out = String::new();
+    // An RDD is named by its first mention here (1 first), not by its id:
+    // ids come from a process-wide counter, and the text must not depend on
+    // how many RDDs the process built before this plan.
+    let mut named: Vec<RddId> = Vec::new();
+    let mut name = |rdd: RddId| match named.iter().position(|&r| r == rdd) {
+        Some(i) => i + 1,
+        None => {
+            named.push(rdd);
+            named.len()
+        }
+    };
     // The shuffle a stage reads is the one the stage before it writes.
     let reads = std::iter::once(None).chain(plan.stages.iter().map(|s| s.shuffle_out.as_ref()));
     for (i, (stage, read)) in plan.stages.iter().zip(reads).enumerate() {
@@ -195,7 +206,7 @@ pub fn render_plan(plan: &JobPlan) -> String {
             StageInput::Dataset { dataset, .. } => {
                 format!("read {} partitions", dataset.partitions.len())
             }
-            StageInput::Cached { rdd } => format!("cached RDD #{}", rdd.0),
+            StageInput::Cached { rdd } => format!("cached RDD #{}", name(*rdd)),
             StageInput::Shuffle => format!("fetch+{}", read.map_or("?", |s| s.agg.name())),
         };
         out.push_str(&input);
@@ -203,7 +214,7 @@ pub fn render_plan(plan: &JobPlan) -> String {
             out.push_str(&format!(" -> {}", step.name));
         }
         for (idx, rdd) in &stage.cache_points {
-            out.push_str(&format!(" (cache#{} after {} steps)", rdd.0, idx));
+            out.push_str(&format!(" (cache#{} after {} steps)", name(*rdd), idx));
         }
         if stage.has_shuffle_output() {
             out.push_str(" -> ShuffleMapTasks (store)");

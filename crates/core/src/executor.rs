@@ -91,7 +91,6 @@ pub(crate) enum Work {
     /// narrow steps. With no step and no reader it only counts its groups
     /// and their bytes.
     Reduce {
-        reducer: u32,
         agg: ShuffleAgg,
         segments: Vec<Vec<Record>>,
     },
@@ -721,7 +720,6 @@ mod tests {
         let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
         assert!(plan.stages[1].steps.is_empty());
         let work = Work::Reduce {
-            reducer: 0,
             agg: agg.clone(),
             segments,
         };

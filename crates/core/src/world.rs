@@ -206,7 +206,6 @@ struct JobRun {
     stage_tasks: Vec<u32>,
     /// The shuffles this job reads and writes, and what it deposited where.
     shuffle: JobShuffle,
-    final_tasks: Vec<u32>,
     /// The records each final-stage partition produced, by partition: the
     /// job's output count is their sum.
     final_records: Vec<u64>,
@@ -224,16 +223,16 @@ impl JobRun {
     /// Heap charged to this job's own tables and task id lists
     /// (self-profiling); its records are the arena's rows.
     fn heap_bytes(&self) -> usize {
-        let lists = [&self.stage_tasks, &self.final_tasks, &self.finish_order];
+        let lists = [&self.stage_tasks, &self.finish_order];
         let ids: usize = lists.iter().map(|l| l.capacity() * size_of::<u32>()).sum();
         let counts = self.final_records.capacity() * size_of::<u64>();
         self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids + counts
     }
 
-    /// A speculative copy `task` won: it replaces its `twin` everywhere the
-    /// job refers to it (storing pins, final-task outputs).
+    /// A speculative copy `task` won: it replaces its `twin` among the
+    /// stage's tasks (storing pins, final-task outputs).
     fn replace_task(&mut self, twin: u32, task: u32) {
-        for slot in self.stage_tasks.iter_mut().chain(&mut self.final_tasks) {
+        for slot in &mut self.stage_tasks {
             if *slot == twin {
                 *slot = task;
             }
@@ -740,7 +739,6 @@ impl SimWorld {
             remaining: 0,
             stage_tasks: Vec::new(),
             shuffle: JobShuffle::new(workers),
-            final_tasks: Vec::new(),
             final_records: Vec::new(),
             queues: JobQueues::new(workers, now),
             finish_order: Vec::new(),
@@ -821,7 +819,6 @@ impl SimWorld {
             job.remaining = created.len();
             job.stage_tasks = created.clone().collect();
             if is_last {
-                job.final_tasks = created.clone().collect();
                 job.final_records = vec![0; created.len()];
             }
             job.queues.begin_stage(now, self.cfg.speculation);
@@ -861,11 +858,21 @@ impl SimWorld {
                 speculative: self.tasks.flag(task, Flag::Speculative),
             },
         );
-        match self.tasks.kind(task) {
-            TaskKind::Compute { part } => self.launch_compute(now, task, node, part, out),
-            TaskKind::Store { producer } => self.launch_store(now, task, node, producer, out),
-            TaskKind::Fetch { reducer } => self.launch_fetch(now, task, node, reducer, out),
+        if let TaskKind::Store { producer } = self.tasks.kind(task) {
+            self.launch_store(now, task, node, producer, out);
+            return;
         }
+        // A compute or fetch task: its stage's input says which, and what
+        // a compute task reads.
+        let plan = self.job_of(task).plan.clone();
+        let stage = self.tasks.stage[i] as usize;
+        let part = self.tasks.index[i];
+        let input = match &plan.stages[stage].input {
+            StageInput::Shuffle => return self.launch_fetch(now, task, node, (&plan, stage), out),
+            StageInput::Dataset { rdd, .. } => (self.dataset_input(*rdd, part, node), None),
+            StageInput::Cached { rdd } => self.cached_input(task, (&plan, stage), *rdd, part, node),
+        };
+        self.launch_compute(now, task, node, (&plan, stage), input, out);
     }
 
     /// Write one evaluated chain into the task arena and insert its cache
@@ -910,7 +917,7 @@ impl SimWorld {
     ///
     /// Determinism does not depend on the thread count: placement decisions
     /// already happened sequentially, evaluating a [`Pending`] entry is a pure
-    /// function of it, and commits (task fields, cache-snapshot inserts, parked
+    /// function of it, and commits (task fields, cache-snapshot inserts,
     /// reducer results, finish events) are applied in the exact order the
     /// tasks were launched. `MEMRES_THREADS=1` and a 16-thread pool produce
     /// byte-identical metrics.
@@ -927,9 +934,16 @@ impl SimWorld {
                     self.commit_chain(job.task, part, node, chain);
                     self.maybe_schedule_finish(now, job.task, out);
                 }
-                Work::Reduce { reducer, .. } => {
+                Work::Reduce { .. } => {
+                    // The reducer's size goes beside its rows, not over
+                    // `output_bytes`: the task's record (and every export
+                    // built on it) pins the estimate set at launch.
                     let (_, bytes, records, rows, _) = chain;
-                    self.park_reduced(job.task, reducer, bytes, records, rows);
+                    self.tasks.reduced_bytes.insert(job.task, bytes);
+                    self.note_final_records(job.task, records);
+                    if let Some(rows) = rows {
+                        self.tasks.real_out.insert(job.task, rows);
+                    }
                 }
             }
         }
@@ -1059,15 +1073,13 @@ impl SimWorld {
         // Ghosts charge time for redone work but deposit nothing — the lost
         // rows were already re-hosted when their node crashed.
         match kind {
-            TaskKind::Compute { .. } if !ghost => self.producer_finished(task, node),
+            TaskKind::Compute { .. } | TaskKind::Fetch { .. } if !ghost => {
+                self.producer_finished(task, node);
+            }
             TaskKind::Store { .. } => {
                 if let Some(cad) = &self.cfg.cad {
                     self.cad.observe_flush(cad, ran.as_secs_f64());
                 }
-            }
-            TaskKind::Fetch { reducer } if !ghost => {
-                self.adopt_reduced(task, reducer);
-                self.producer_finished(task, node);
             }
             _ => {}
         }
@@ -1130,15 +1142,16 @@ impl SimWorld {
         out.immediately(Ev::Dispatch);
     }
 
-    /// The final tasks' shared output slices, in task order, when every one
-    /// kept real rows (only the final stage of a job whose action reads
-    /// rows keeps any).
-    fn final_rows(&self, job: &JobRun) -> Option<Vec<&[Record]>> {
-        let rows = |t| match self.tasks.real_out.get(t) {
-            Some(RealOut::Rows(r)) => Some(&r[..]),
+    /// Take the final tasks' shared output slices out of `real_out`, in task
+    /// order, when every one kept real rows (only the final stage of a job
+    /// whose action reads rows keeps any). `job` is departing: its current
+    /// stage is the final one.
+    fn take_final_rows(&mut self, job: &JobRun) -> Option<Vec<Arc<[Record]>>> {
+        let rows = |t| match self.tasks.real_out.remove(t) {
+            Some(RealOut::Rows(r)) => Some(r),
             _ => None,
         };
-        job.final_tasks.iter().map(rows).collect()
+        job.stage_tasks.iter().map(rows).collect()
     }
 
     fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
@@ -1159,13 +1172,13 @@ impl SimWorld {
         let count: u64 = job.final_records.iter().sum();
         let (records, reduced) = match &job.plan.action {
             Action::Count => (None, None),
-            Action::Collect => (self.final_rows(&job).map(|s| s.concat()), None),
+            Action::Collect => (self.take_final_rows(&job).map(|s| s.concat()), None),
             Action::Reduce(f) => {
-                let fold = |slices: Vec<&[Record]>| {
-                    let values = slices.into_iter().flatten().map(|(_, v)| v.clone());
+                let fold = |slices: Vec<Arc<[Record]>>| {
+                    let values = slices.iter().flat_map(|s| s.iter()).map(|(_, v)| v.clone());
                     values.reduce(|a, b| f(a, b)).unwrap_or(Value::Null)
                 };
-                (None, self.final_rows(&job).map(fold))
+                (None, self.take_final_rows(&job).map(fold))
             }
         };
         let output = JobOutput {

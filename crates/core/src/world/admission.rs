@@ -156,6 +156,7 @@ impl SimWorld {
         self.heap_high_water = self.heap_high_water.max(held);
         self.sampler.note_job_latency(job.tenant, job.arrived, now);
         job.metrics.finished_at = now.as_secs_f64();
+        self.tasks.forget_outputs(job.id);
         let order = std::mem::take(&mut job.finish_order);
         job.metrics.tasks = if !self.jobs.is_empty() {
             self.tasks.gather_records(&order)
@@ -208,8 +209,11 @@ impl SimWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
     use crate::rdd::{Action, Dataset, Rdd};
     use crate::tenancy::{ArrivalProcess, TenantSpec};
+    use crate::value::Value;
+    use memres_des::sim::{Outbox, Simulation};
 
     fn tenant(jobs: u32, arrival: ArrivalProcess) -> TenantSpec {
         let make: JobFactory = Arc::new(|_| {
@@ -246,6 +250,55 @@ mod tests {
         assert!(!s.drained());
         assert_eq!(admitted(&mut s, 1), Some(3), "a departure makes room");
         assert!(s.drained(), "nothing outstanding, nothing queued");
+    }
+
+    #[test]
+    fn a_departing_job_takes_its_output_entries_along() {
+        // A real Collect and a larger synthetic job arrive together; the
+        // second is still resident when the first departs, so the arena
+        // stays, and the first job's side-table entries must leave with it.
+        let collect: JobFactory = Arc::new(|_| {
+            let recs = (0..512)
+                .map(|i| (Value::I64(i % 64), Value::I64(i)))
+                .collect();
+            let rdd = Rdd::source(Dataset::from_records(recs, 4)).group_by_key(Some(4), 1e9);
+            (rdd, Action::Collect)
+        });
+        let big: JobFactory = Arc::new(|_| {
+            let rdd = Rdd::source(Dataset::generated(1e10, 1e8, 10.0));
+            (rdd, Action::Count)
+        });
+        let together = ArrivalProcess::Periodic { period_secs: 1.0 };
+        let spec = stream(vec![
+            TenantSpec::new("collect", 1, together.clone(), collect),
+            TenantSpec::new("big", 1, together, big),
+        ]);
+        let world = SimWorld::new(memres_cluster::tiny(4), EngineConfig::default());
+        let mut sim = Simulation::new(world);
+        let mut out = Outbox::standalone(SimTime::ZERO);
+        sim.model.start_stream(SimTime::ZERO, spec, &mut out);
+        sim.drain_outbox(out);
+        // Only the real job puts anything in the side tables.
+        let mut held = 0;
+        while sim.model.finished.is_empty() {
+            assert!(sim.step(), "the stream ran dry");
+            held = held.max(sim.model.tasks.reduced_bytes.len());
+        }
+        let w = &sim.model;
+        let first = &w.finished[0];
+        let rows = first.output.records.as_ref();
+        assert!(
+            rows.is_some_and(|r| r.len() == 64),
+            "the Collect's 64 groups"
+        );
+        assert_eq!(held, 4, "each reducer committed its aggregation");
+        assert!(!w.jobs.is_empty(), "the synthetic job is still resident");
+        let of_first = |t: &u32| w.tasks.job[*t as usize] == first.id;
+        assert!(!w.tasks.real_out.keys().any(of_first), "rows left behind");
+        assert!(
+            !w.tasks.reduced_bytes.keys().any(of_first),
+            "sizes left behind"
+        );
     }
 
     #[test]

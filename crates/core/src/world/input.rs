@@ -24,18 +24,21 @@ use std::sync::Arc;
 /// File-id name spaces on the per-node filesystems / Lustre.
 const HDFS_BLOCK_BASE: u64 = 1 << 40;
 const LUSTRE_INPUT_BASE: u64 = 1 << 42;
-/// Input files one dataset may have on Lustre: each RDD owns this many file
-/// ids above `LUSTRE_INPUT_BASE`, and a larger dataset would run into the
-/// next RDD's.
+/// Input files one dataset may have on Lustre: each placed dataset owns this
+/// many file ids above `LUSTRE_INPUT_BASE`, and a larger dataset would run
+/// into the next one's.
 const LUSTRE_INPUT_PARTS: u64 = 1 << 24;
 
-/// The Lustre file holding partition `part` of input dataset `rdd`.
-fn lustre_input_file(rdd: RddId, part: u32) -> LustreFile {
+/// The Lustre file holding partition `part` of the input dataset this world
+/// placed `slot`-th (0 first). Numbered by placement, not by RDD id, so the
+/// ids (which Lustre's trace events carry) do not depend on how many RDDs
+/// the process built before.
+fn lustre_input_file(slot: u32, part: u32) -> LustreFile {
     assert!(
         (part as u64) < LUSTRE_INPUT_PARTS,
-        "partition {part} of {rdd:?} is past the dataset's Lustre file ids"
+        "partition {part} of input dataset {slot} is past the dataset's Lustre file ids"
     );
-    LustreFile(LUSTRE_INPUT_BASE + (rdd.0 as u64) * LUSTRE_INPUT_PARTS + part as u64)
+    LustreFile(LUSTRE_INPUT_BASE + (slot as u64) * LUSTRE_INPUT_PARTS + part as u64)
 }
 
 /// What holds a placed dataset's bytes.
@@ -45,8 +48,9 @@ enum Backing {
     /// The blocks of one HDFS file, in partition order, on the nodes'
     /// RAMDisks.
     Hdfs(HdfsFile),
-    /// One Lustre file per partition ([`lustre_input_file`]).
-    Lustre,
+    /// One Lustre file per partition, under the dataset's placement slot
+    /// ([`lustre_input_file`]).
+    Lustre { slot: u32 },
 }
 
 /// A placed dataset: the partition table it came with (sizes, record counts,
@@ -71,7 +75,11 @@ impl Inputs {
     }
 }
 
-enum IoPlan {
+/// What a compute task reads: bytes, records, the shared rows when they
+/// are real, the I/O that brings them, and the locality it achieved.
+pub(super) type Input = (f64, u64, Option<Arc<[Record]>>, IoPlan, TaskLocality);
+
+pub(super) enum IoPlan {
     None,
     HdfsRead { block: BlockId, src: NodeId },
     LustreRead { file: LustreFile },
@@ -80,7 +88,7 @@ enum IoPlan {
 
 impl SimWorld {
     /// Why `plan`'s input cannot be placed, if it cannot: a Lustre-backed
-    /// dataset with more partitions than an RDD has input-file ids. The
+    /// dataset with more partitions than one dataset has input-file ids. The
     /// driver asks before it submits; a stream's plans are built at admission,
     /// past any caller that could take an error, and meet the assertion in
     /// [`lustre_input_file`] instead.
@@ -112,11 +120,12 @@ impl SimWorld {
             _ if dataset.generated => Backing::Generated,
             InputSource::HdfsRamDisk => Backing::Hdfs(self.place_hdfs_blocks(dataset)),
             InputSource::Lustre => {
+                let slot = self.inputs.placed.len() as u32;
                 for (i, p) in dataset.partitions.iter().enumerate() {
                     self.lustre
-                        .create_external(lustre_input_file(rdd, i as u32), p.bytes);
+                        .create_external(lustre_input_file(slot, i as u32), p.bytes);
                 }
-                Backing::Lustre
+                Backing::Lustre { slot }
             }
         };
         let dataset = dataset.clone();
@@ -165,7 +174,7 @@ impl SimWorld {
                         self.hdfs.locations(block)
                     }
                     // Lustre input: uniformly distant — no preference (§V-A).
-                    Backing::Lustre | Backing::Generated => &[],
+                    Backing::Lustre { .. } | Backing::Generated => &[],
                 };
                 self.tasks.add_prefs(nodes.iter().map(|n| n.0))
             }
@@ -177,46 +186,47 @@ impl SimWorld {
         }
     }
 
+    /// What partition `part` of cached `rdd` gives `task` (of stage
+    /// `stage` of `plan`) on `node`: the cached copy, local or over the
+    /// network. A cached partition lost with its node is rebuilt from
+    /// lineage: the task reads the original dataset partition again and
+    /// evaluates the recovery stage, returned beside it, in place of its own.
+    pub(super) fn cached_input(
+        &mut self,
+        task: u32,
+        (plan, stage): (&JobPlan, usize),
+        rdd: RddId,
+        part: u32,
+        node: u32,
+    ) -> (Input, Option<Arc<StagePlan>>) {
+        let Some((bytes, records, data, home)) = self.blockmgr.try_partition(rdd, part) else {
+            let (rec_stage, source) =
+                self.recovery_stage(task, plan, &plan.stages[stage], rdd, part);
+            return (self.dataset_input(source, part, node), Some(rec_stage));
+        };
+        let (io, locality) = if home == node {
+            (IoPlan::None, TaskLocality::NodeLocal)
+        } else {
+            (IoPlan::NetOnly { src: home, bytes }, TaskLocality::Remote)
+        };
+        ((bytes, records, data, io, locality), None)
+    }
+
+    /// Launch compute task `task` of stage `stage_idx` of `plan` on `node`
+    /// over its resolved input (`stage_override`: the recovery stage to
+    /// evaluate instead, see [`SimWorld::cached_input`]).
     pub(super) fn launch_compute(
         &mut self,
         now: SimTime,
         task: u32,
         node: u32,
-        part: u32,
+        (plan, stage_idx): (&Arc<JobPlan>, usize),
+        (input, stage_override): (Input, Option<Arc<StagePlan>>),
         out: &mut Outbox<Ev>,
     ) {
-        let plan = self.job_of(task).plan.clone();
-        let stage_idx = self.tasks.stage[task as usize] as usize;
+        let part = self.tasks.index[task as usize];
         let stage = &plan.stages[stage_idx];
-
-        // Resolve input: bytes, records, data, the I/O to issue, locality.
-        // A cached partition lost with its node is rebuilt from lineage: the
-        // task reads the original dataset partition again and evaluates the
-        // recovery stage in place of its own.
-        let mut stage_override = None;
-        #[expect(
-            clippy::unreachable,
-            reason = "start_stage makes every task of a shuffle-reading stage a Fetch task, which launches by launch_fetch"
-        )]
-        let (in_bytes, in_records, data, io_plan, locality) = match &stage.input {
-            StageInput::Dataset { rdd, .. } => self.dataset_input(*rdd, part, node),
-            StageInput::Cached { rdd } => match self.blockmgr.try_partition(*rdd, part) {
-                Some((bytes, records, data, home)) => {
-                    let (io, locality) = if home == node {
-                        (IoPlan::None, TaskLocality::NodeLocal)
-                    } else {
-                        (IoPlan::NetOnly { src: home, bytes }, TaskLocality::Remote)
-                    };
-                    (bytes, records, data, io, locality)
-                }
-                None => {
-                    let (rec_stage, source) = self.recovery_stage(task, &plan, stage, *rdd, part);
-                    stage_override = Some(rec_stage);
-                    self.dataset_input(source, part, node)
-                }
-            },
-            StageInput::Shuffle => unreachable!("fetch tasks use launch_fetch"),
-        };
+        let (in_bytes, in_records, data, io_plan, locality) = input;
 
         let speed = self.speed(node);
         let deferred = data.is_some();
@@ -261,12 +271,7 @@ impl SimWorld {
 
     /// Input description for a dataset-rooted compute task (also used when
     /// rebuilding a lost cached partition from lineage).
-    fn dataset_input(
-        &self,
-        rdd: RddId,
-        part: u32,
-        node: u32,
-    ) -> (f64, u64, Option<Arc<[Record]>>, IoPlan, TaskLocality) {
+    pub(super) fn dataset_input(&self, rdd: RddId, part: u32, node: u32) -> Input {
         let placed = &self.inputs.placed[&rdd];
         let p = &placed.dataset.partitions[part as usize];
         let (bytes, records, data) = (p.bytes, p.records, p.data.clone());
@@ -306,8 +311,8 @@ impl SimWorld {
                     locality,
                 )
             }
-            Backing::Lustre => {
-                let file = lustre_input_file(rdd, part);
+            Backing::Lustre { slot } => {
+                let file = lustre_input_file(slot, part);
                 let io = IoPlan::LustreRead { file };
                 (bytes, records, data, io, TaskLocality::Any)
             }
@@ -370,23 +375,20 @@ mod tests {
     fn lustre_input_file_ids_are_pinned() {
         // Lustre's trace events carry these ids, so the pinned traces of the
         // Lustre-input cells depend on the formula: it must not drift.
-        assert_eq!(lustre_input_file(RddId(0), 0), LustreFile(1 << 42));
-        assert_eq!(
-            lustre_input_file(RddId(3), 7),
-            LustreFile(4_398_096_842_759)
-        );
+        assert_eq!(lustre_input_file(0, 0), LustreFile(1 << 42));
+        assert_eq!(lustre_input_file(3, 7), LustreFile(4_398_096_842_759));
         let last = (1 << 24) - 1;
         assert_eq!(
-            lustre_input_file(RddId(1), last),
-            LustreFile(lustre_input_file(RddId(2), 0).0 - 1),
-            "an RDD's last id sits right below the next RDD's first"
+            lustre_input_file(1, last),
+            LustreFile(lustre_input_file(2, 0).0 - 1),
+            "a dataset's last id sits right below the next dataset's first"
         );
     }
 
     #[test]
     #[should_panic(expected = "past the dataset's Lustre file ids")]
-    fn a_partition_past_an_rdds_id_range_never_aliases_the_next_rdd() {
-        lustre_input_file(RddId(1), 1 << 24);
+    fn a_partition_past_a_datasets_id_range_never_aliases_the_next_one() {
+        lustre_input_file(1, 1 << 24);
     }
 
     #[test]
@@ -442,9 +444,13 @@ mod tests {
         let mut w = SimWorld::new(tiny(4), lustre);
         let (rdd, dataset) = (RddId(900_002), real_dataset(3));
         assert_eq!(w.ensure_placed(rdd, &dataset), 3);
-        assert!(matches!(w.inputs.placed[&rdd].backing, Backing::Lustre));
+        // The world's first placement: slot 0, whatever the RDD's id.
+        assert!(matches!(
+            w.inputs.placed[&rdd].backing,
+            Backing::Lustre { slot: 0 }
+        ));
         let (.., io, locality) = w.dataset_input(rdd, 2, 1);
-        let file = lustre_input_file(rdd, 2);
+        let file = lustre_input_file(0, 2);
         assert!(matches!(io, IoPlan::LustreRead { file: f } if f == file));
         assert_eq!(locality, TaskLocality::Any);
         let generated = Arc::new(Dataset::generated(1e6, 1e5, 10.0));

@@ -189,7 +189,12 @@ impl SimWorld {
             self.tasks.set_flag(task, Flag::Doomed, false);
             self.tasks.pending_io[i] = 0;
             self.tasks.set_flag(task, Flag::FinishScheduled, false);
-            self.tasks.real_out.remove(&task);
+            // A compute retry evaluates its chain again; a fetch task keeps
+            // the aggregation its first launch committed, which its retry
+            // reuses (`queue_reduce`).
+            if !matches!(self.tasks.kind(task), TaskKind::Fetch { .. }) {
+                self.tasks.real_out.remove(&task);
+            }
             self.tasks.compute_dur[i] = SimDuration::ZERO;
             self.tasks.queued_at[i] = now;
         }

@@ -35,20 +35,6 @@ const SHUFFLE_FILE_BASE: u64 = 1 << 41;
 /// small FetchRequests (Fig 13b).
 const PER_REQUEST_OVERHEAD_BYTES: f64 = 256.0 * 1024.0;
 
-/// Where one reducer's real aggregation stands (see `Deposits::Real`).
-enum Reduced {
-    /// No attempt of this reducer has launched; its segments are still
-    /// deposited.
-    Unlaunched,
-    /// Evaluation is queued for this round's flush — or the result has been
-    /// consumed by the attempt that finished.
-    Taken,
-    /// Evaluated: (output bytes, output records, output rows if anyone
-    /// reads them), parked until an attempt finishes. A retry finds it here
-    /// and reuses it.
-    Parked(f64, u64, Option<RealOut>),
-}
-
 /// What a shuffle holds, fixed at creation by whether records flow.
 enum Deposits {
     /// No record flows: hash partitioning is modelled as a perfectly even
@@ -70,9 +56,6 @@ enum Deposits {
         /// producer, each still the producer's own bucket allocation. A
         /// reducer gathers them node ascending, deposit order within a node.
         segments: Vec<Vec<Vec<Vec<Record>>>>,
-        /// Aggregation per reducer: evaluated once, at the reducer's first
-        /// launch; consumed once, at its successful finish.
-        reduced: Vec<Reduced>,
     },
 }
 
@@ -160,7 +143,6 @@ impl ShuffleState {
                 Deposits::Real {
                     bytes: vec![vec![0.0; r]; workers],
                     segments: vec![vec![Vec::new(); r]; workers],
-                    reduced: (0..r).map(|_| Reduced::Unlaunched).collect(),
                 }
             } else {
                 Deposits::Synthetic {
@@ -702,20 +684,22 @@ impl SimWorld {
         move |raw| inflate_for_requests(Bytes(raw), req, PER_REQUEST_OVERHEAD_BYTES)
     }
 
+    /// Launch fetch task `task` of stage `stage_idx` of `plan` on `node`: it
+    /// pulls what its reducer was dealt, then aggregates it and runs the
+    /// stage's chain.
     pub(super) fn launch_fetch(
         &mut self,
         now: SimTime,
         task: u32,
         node: u32,
-        reducer: u32,
+        (plan, stage_idx): (&Arc<JobPlan>, usize),
         out: &mut Outbox<Ev>,
     ) {
         let workers = self.spec.workers;
         let ji = self.job_index_of(task);
-        let plan = self.jobs[ji].plan.clone();
-        let stage_idx = self.tasks.stage[task as usize] as usize;
+        let reducer = self.tasks.index[task as usize];
         let stage = &plan.stages[stage_idx];
-        self.queue_reduce(task, reducer, &plan, stage_idx);
+        self.queue_reduce(task, reducer, plan, stage_idx);
 
         // Bucket sizes and shuffle spec. Above the rack-aggregation
         // threshold, per-node deposits fold into per-source-rack totals and
@@ -757,8 +741,8 @@ impl SimWorld {
             self.tasks.input_bytes[i] = total;
             self.tasks.output_bytes[i] = out_bytes;
         }
-        // A real reducer's count is its aggregation's, adopted when it
-        // finishes.
+        // A real reducer's count is its aggregation's, which the flush
+        // commits.
         if !real {
             self.note_final_records(task, out_records);
         }
@@ -823,22 +807,19 @@ impl SimWorld {
 
     /// Real rows: the first launch of `reducer` takes its deposited segments
     /// in gather order (the shuffle barrier guarantees they are complete)
-    /// and queues their aggregation for this round's flush. A
-    /// retry finds the result parked and queues nothing, so the aggregation
-    /// runs once per reducer however many attempts it takes.
+    /// and queues their aggregation for this round's flush, which commits
+    /// it to `task`'s row like any chain. Every launch happens in a dispatch
+    /// round, which ends in that flush, so a retry (the same task, a later
+    /// attempt) finds the result committed and queues nothing: the
+    /// aggregation runs once per reducer however many attempts it takes.
     fn queue_reduce(&mut self, task: u32, reducer: u32, plan: &Arc<JobPlan>, stage: usize) {
-        let sh = self.job_of_mut(task).shuffle.reading();
-        let Deposits::Real {
-            segments, reduced, ..
-        } = &mut sh.deposits
-        else {
-            return; // synthetic shuffle: sizes only
-        };
-        let slot = &mut reduced[reducer as usize];
-        if !matches!(slot, Reduced::Unlaunched) {
+        if self.tasks.reduced_bytes.contains_key(&task) {
             return;
         }
-        *slot = Reduced::Taken;
+        let sh = self.job_of_mut(task).shuffle.reading();
+        let Deposits::Real { segments, .. } = &mut sh.deposits else {
+            return; // synthetic shuffle: sizes only
+        };
         let segments = segments
             .iter_mut()
             .flat_map(|node| std::mem::take(&mut node[reducer as usize]))
@@ -850,58 +831,8 @@ impl SimWorld {
             plan: plan.clone(),
             stage,
             reader,
-            work: Work::Reduce {
-                reducer,
-                agg,
-                segments,
-            },
+            work: Work::Reduce { agg, segments },
         });
-    }
-
-    /// The aggregation queued by `queue_reduce` came back from the pool:
-    /// park it until an attempt of `task`'s reducer finishes.
-    pub(super) fn park_reduced(
-        &mut self,
-        task: u32,
-        reducer: u32,
-        bytes: f64,
-        records: u64,
-        rows: Option<RealOut>,
-    ) {
-        let sh = self.job_of_mut(task).shuffle.reading();
-        #[expect(
-            clippy::unreachable,
-            reason = "the pool returns only the Reduce work queue_reduce queued, and it queues none for a synthetic shuffle"
-        )]
-        let Deposits::Real { reduced, .. } = &mut sh.deposits
-        else {
-            unreachable!("only a real shuffle queues an aggregation");
-        };
-        reduced[reducer as usize] = Reduced::Parked(bytes, records, rows);
-    }
-
-    /// Hand a finishing fetch task its reducer's parked aggregation. Its
-    /// size goes beside the rows, in `reduced_bytes`, not over
-    /// `output_bytes`: the task's record (and every export built on it)
-    /// pins the size-model estimate set at launch.
-    pub(super) fn adopt_reduced(&mut self, task: u32, reducer: u32) {
-        let sh = self.job_of_mut(task).shuffle.reading();
-        let Deposits::Real { reduced, .. } = &mut sh.deposits else {
-            return; // synthetic shuffle: sizes only
-        };
-        let slot = &mut reduced[reducer as usize];
-        #[expect(
-            clippy::unreachable,
-            reason = "a reducer's first launch queues its aggregation, its dispatch round's flush parks the result before any attempt can finish, and a reducer finishes once"
-        )]
-        let Reduced::Parked(bytes, records, rows) = std::mem::replace(slot, Reduced::Taken) else {
-            unreachable!("fetch task finished before its reducer was evaluated");
-        };
-        self.tasks.reduced_bytes.insert(task, bytes);
-        self.note_final_records(task, records);
-        if let Some(rows) = rows {
-            self.tasks.real_out.insert(task, rows);
-        }
     }
 
     /// Persistent fetch flow for `(src, dst, kind)` of the shuffle resident

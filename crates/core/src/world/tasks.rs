@@ -125,10 +125,10 @@ macro_rules! task_fields {
         /// push-site constructor — the arena scatters it on insert. A column costs
         /// every task its width, so what few tasks have lives beside the columns:
         /// placement preferences in `prefs_pool`, real-record payloads in
-        /// `real_out`, the sizes real reducers adopt in `reduced_bytes` and
-        /// speculation's pairs in `twins` (a final stage's record counts are
-        /// the job's, `JobRun::final_records`). The
-        /// byte table is DESIGN.md §4.12; [`TASK_BYTES`] pins its sum.
+        /// `real_out`, the sizes of real reducers' aggregations in
+        /// `reduced_bytes` and speculation's pairs in `twins` (a final stage's
+        /// record counts are the job's, `JobRun::final_records`). The byte
+        /// table is DESIGN.md §4.12; [`TASK_BYTES`] pins its sum.
         #[derive(Default)]
         pub(super) struct TaskArena {
             $(pub(super) $rfield: Vec<$rty>,)*
@@ -138,17 +138,20 @@ macro_rules! task_fields {
             /// the index of its entry's first id — never 0, where the first
             /// entry's length sits.
             prefs_pool: Vec<u32>,
-            /// Real output of an evaluated chain or reduce that has a reader:
-            /// a producer's buckets, from the commit to its finish, when
-            /// `producer_finished` deposits them; a final task's rows for a
-            /// `Collect` or `Reduce` action, until the last resident job
-            /// departs and takes the arena. Only real-record runs put anything
-            /// here, and a `Count` job's final stage puts nothing.
+            /// Real output of an evaluated chain or reduce that has a reader,
+            /// committed by the dispatch round's flush: a producer's buckets,
+            /// until `producer_finished` deposits them at its finish; a final
+            /// task's rows for a `Collect` or `Reduce` action, until its job
+            /// departs and `finish_job` takes them. Only real-record runs put
+            /// anything here, and a `Count` job's final stage puts nothing.
+            /// A departing job takes every entry of its tasks with it
+            /// ([`TaskArena::forget_outputs`]).
             pub(super) real_out: BTreeMap<u32, RealOut>,
-            /// The size of a real reducer's aggregation, adopted when its fetch
-            /// task finishes: what the reducer deposits and its flush stores,
-            /// read through [`TaskArena::out_bytes`]. The task's record keeps
-            /// the launch-time estimate in `output_bytes`.
+            /// The size of a real reducer's aggregation, committed by the
+            /// flush after its fetch task's first launch and kept across its
+            /// retries: what the reducer deposits and its flush stores, read
+            /// through [`TaskArena::out_bytes`]. The task's record keeps the
+            /// launch-time estimate in `output_bytes`. Gone with its job.
             pub(super) reduced_bytes: BTreeMap<u32, f64>,
             /// Speculative-execution twins (LATE baseline): each copy of a
             /// speculated pair maps to the other. Read through
@@ -245,8 +248,8 @@ task_fields! {
         /// Written once, when the attempt that counts finishes.
         finished_at: SimTime = now,
         input_bytes: f64 = 0.0,
-        /// The size model's output at launch (a real reducer's adopted size
-        /// is in `reduced_bytes`).
+        /// The size model's output at launch (a real reducer's aggregated
+        /// size is in `reduced_bytes`).
         output_bytes: f64 = 0.0,
         locality: TaskLocality = TaskLocality::Any,
     }
@@ -363,11 +366,20 @@ impl TaskArena {
         self.twins.insert(b, a);
     }
 
-    /// The bytes task `id` produced: a real reducer's adopted size, else
+    /// The bytes task `id` produced: a real reducer's aggregated size, else
     /// its `output_bytes`.
     pub(super) fn out_bytes(&self, id: u32) -> f64 {
-        let adopted = self.reduced_bytes.get(&id).copied();
-        adopted.unwrap_or(self.output_bytes[id as usize])
+        let reduced = self.reduced_bytes.get(&id).copied();
+        reduced.unwrap_or(self.output_bytes[id as usize])
+    }
+
+    /// Drop job `job`'s entries in the output side tables (`real_out`,
+    /// `reduced_bytes`) — whatever a finished, failed or losing speculative
+    /// attempt left there — as the job departs.
+    pub(super) fn forget_outputs(&mut self, job: u32) {
+        let of_job = |t: &u32| self.job[*t as usize] == job;
+        self.real_out.retain(|t, _| !of_job(t));
+        self.reduced_bytes.retain(|t, _| !of_job(t));
     }
 
     /// Record `nodes` as a placement preference; the handle goes in a

@@ -82,6 +82,25 @@ fn fig14_cad_accelerates_storing() {
 }
 
 #[test]
+fn faults_disturb_work_at_every_scale() {
+    // The crash and the fetch failure name a node that held intermediate
+    // data in the clean run, so each retries work at full scale too, where
+    // 32 producers leave most of the 100 nodes empty.
+    for setup in [Setup::smoke(), Setup::paper()] {
+        let t = ex::faults(setup);
+        let retried = t.column("tasks_retried");
+        for label in ["node-crash+restart", "fetch-failure"] {
+            let row = t.rows.iter().position(|(l, _)| l == label).expect(label);
+            let scale = setup.scale;
+            assert!(
+                retried[row] >= 1.0,
+                "{label} retried nothing at scale {scale}"
+            );
+        }
+    }
+}
+
+#[test]
 fn table1_and_plans_render() {
     let t = ex::table1();
     assert_eq!(t.rows.len(), 5);
@@ -89,6 +108,49 @@ fn table1_and_plans_render() {
     assert!(plans.contains("GroupBy"));
     assert!(plans.contains("ShuffleMapTasks"));
     assert!(plans.contains("Logistic Regression"));
+}
+
+#[test]
+fn output_does_not_depend_on_rdds_built_before() {
+    // RDD ids come from a process-wide counter. The plan text and the
+    // Lustre input-file ids a trace carries number RDDs within the plan and
+    // the world instead, so a call after a thousand throwaway RDDs prints
+    // what the first call did.
+    use memres::core::{Dataset, Driver, EngineConfig, InputSource, Rdd, TraceEvent};
+    use memres::workloads::Grep;
+    let lustre_input_trace = || {
+        let cfg = EngineConfig {
+            input: InputSource::Lustre,
+            ..EngineConfig::default()
+        }
+        .with_trace();
+        let grep = Grep::new(setup().bytes(100.0));
+        let mut d = Driver::new(setup().cluster(), cfg);
+        d.run(&grep.build(), grep.action());
+        d.take_trace()
+    };
+    let (plans, trace) = (ex::plans(setup()), lustre_input_trace());
+    assert!(plans.contains("cache#1 "), "{plans}");
+    let locks = |trace: &[memres::core::TimedEvent]| {
+        let files = trace.iter().filter_map(|e| match e.ev {
+            TraceEvent::LockAcquire { file, .. } => Some(file),
+            _ => None,
+        });
+        files.collect::<Vec<u64>>()
+    };
+    assert!(!locks(&trace).is_empty(), "the input reads take locks");
+    for _ in 0..1000 {
+        Rdd::source(Dataset::synthetic(1.0, 1.0, 1.0));
+    }
+    assert_eq!(ex::plans(setup()), plans);
+    let again = lustre_input_trace();
+    let (before, after) = (locks(&trace), locks(&again));
+    let (first, then) = (before.first(), after.first());
+    assert!(
+        after == before,
+        "input file ids moved: {first:?}, then {then:?}"
+    );
+    assert!(again == trace, "the traces differ beyond their file ids");
 }
 
 const CASES: &[pins::Case] = &[("late_speculation", |_| {
