@@ -373,8 +373,11 @@ fn bench_real_shuffle(c: &mut Criterion) {
     // The real-record path outside `benchmark/`, through `Driver` (UDF chain,
     // partition and aggregation on the executor pool; the simulated
     // substrates do next to nothing): 16 map partitions hash-partitioned to
-    // 8 reducers. Each job ends in `count`, so its final groups are counted,
-    // never built; a `_collect` case keeps them.
+    // 8 reducers. A bucket is a key and a value column, unboxed while all
+    // its values are `I64`: 16 host bytes a numeric record in the shuffle,
+    // 24 a word-count record (a boxed `Str` key, an unboxed count). Each job
+    // ends in `count`, so its final groups are counted, never built; a
+    // `_collect` case keeps them.
     let mut case = |name: &str, rdd: Rdd, action: Action, groups: u64| {
         c.bench_function(name, |b| {
             b.iter(|| {

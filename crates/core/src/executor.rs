@@ -12,12 +12,15 @@
 //! depends on their [`Reader`]: the next shuffle's are hash-partitioned
 //! ([`partition`]), the rows a `Collect` or `Reduce` action reads are kept as
 //! one shared slice, and rows nobody reads are freed on the worker — a
-//! reduce with no step after it never builds them. Each record is
+//! reduce with no step after it never builds them. Rows are `Record`s
+//! everywhere but inside the shuffle, where each bucket is a [`Segment`] of
+//! a key column and a value column that store `I64`s unboxed. Each record is
 //! stable-hashed once on the map side; the reduce side probes by a cheaper
 //! hash and stable-hashes once per group. Both sides read their input by
-//! reference (the reduce side one segment at a time), clone what they keep
-//! out of it, and free each input buffer whole once its pass is done. Every
-//! output `Vec` is allocated at its exact final capacity.
+//! reference (the reduce side one segment at a time, through
+//! [`Segment::rows`]), clone what they keep out of it, and free each input
+//! buffer whole once its pass is done. Every output `Vec` is allocated at
+//! its exact final capacity.
 
 // Bucket, group and table indices are minted in this module from lengths it
 // just computed; an out-of-range access would be a bug here, not a
@@ -37,6 +40,7 @@ use crate::dag::{JobPlan, StagePlan};
 use crate::rdd::{RddId, ShuffleAgg};
 use crate::value::{record_bytes, Record, Value};
 use memres_des::time::SimDuration;
+use std::borrow::Cow;
 use std::sync::{mpsc, Arc};
 
 /// Real rows a chain leaves behind.
@@ -92,7 +96,7 @@ pub(crate) enum Work {
     /// and their bytes.
     Reduce {
         agg: ShuffleAgg,
-        segments: Vec<Vec<Record>>,
+        segments: Vec<Segment>,
     },
 }
 
@@ -312,14 +316,104 @@ pub(crate) fn evaluate(pending: &mut [Pending], threads: usize) -> Vec<ChainOut>
 
 /// One reducer's share of a producer's output.
 pub(crate) struct Bucket {
-    pub rows: Vec<Record>,
-    /// `record_bytes` total of `rows`.
+    pub segment: Segment,
+    /// `record_bytes` total of `segment`'s rows.
     pub bytes: u64,
 }
 
+/// Rows inside the shuffle: a column of keys and a column of values, read
+/// back row by row in order by [`Segment::rows`].
+#[derive(Clone)]
+pub(crate) struct Segment {
+    keys: Column,
+    values: Column,
+}
+
+/// One side of a [`Segment`]: unboxed `i64`s (8 bytes each) for as long as
+/// every value it has received is an `I64`, and `Value`s (16 bytes each)
+/// from the first one that is not.
+#[derive(Clone)]
+enum Column {
+    I64(Vec<i64>),
+    Boxed(Vec<Value>),
+}
+
+impl Column {
+    fn with_capacity(n: usize) -> Column {
+        Column::I64(Vec::with_capacity(n))
+    }
+
+    /// Appends a clone of `v`. The first value that is not an `I64` boxes
+    /// every `i64` held so far as a `Value::I64`, in order, into a vector of
+    /// the same capacity, and the `i64`s are freed.
+    fn push(&mut self, v: &Value) {
+        match (&mut *self, v) {
+            (Column::I64(xs), Value::I64(x)) => xs.push(*x),
+            (Column::Boxed(vs), v) => vs.push(v.clone()),
+            (Column::I64(xs), v) => {
+                let mut boxed = Vec::with_capacity(xs.capacity());
+                boxed.extend(xs.iter().map(|&x| Value::I64(x)));
+                boxed.push(v.clone());
+                *self = Column::Boxed(boxed);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::I64(xs) => xs.len(),
+            Column::Boxed(vs) => vs.len(),
+        }
+    }
+
+    /// Every value in order: an `i64` lent as a `Value::I64` built on the
+    /// spot, a boxed one by reference.
+    fn iter(&self) -> impl Iterator<Item = Cow<'_, Value>> {
+        let (ints, boxed): (&[i64], &[Value]) = match self {
+            Column::I64(xs) => (xs, &[]),
+            Column::Boxed(vs) => (&[], vs),
+        };
+        let ints = ints.iter().map(|&x| Cow::Owned(Value::I64(x)));
+        ints.chain(boxed.iter().map(Cow::Borrowed))
+    }
+}
+
+impl Segment {
+    fn with_capacity(n: usize) -> Segment {
+        Segment {
+            keys: Column::with_capacity(n),
+            values: Column::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, (k, v): &Record) {
+        self.keys.push(k);
+        self.values.push(v);
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lends every row of `segments` to `f` as `(key, value)`, in gather
+    /// order: segment by segment, rows in order.
+    fn rows(segments: &[Segment], mut f: impl FnMut(&Value, &Value)) {
+        for seg in segments {
+            for (k, v) in seg.keys.iter().zip(seg.values.iter()) {
+                f(&k, &v);
+            }
+        }
+    }
+}
+
 /// Hash-partition `rows` over `reducers` buckets, preserving row order
-/// inside each bucket. Every row is cloned from the borrowed slice: a copy
-/// for the scalar variants, a count bump for the rest.
+/// inside each bucket. Every row is copied out of the borrowed slice into
+/// its bucket's columns: an `I64` as its `i64`, any other value as a clone
+/// (a copy for the scalar variants, a count bump for the rest).
 fn partition(rows: &[Record], reducers: u32) -> Vec<Bucket> {
     let dest: Vec<u32> = rows
         .iter()
@@ -332,14 +426,14 @@ fn partition(rows: &[Record], reducers: u32) -> Vec<Bucket> {
     let mut buckets: Vec<Bucket> = counts
         .into_iter()
         .map(|n| Bucket {
-            rows: Vec::with_capacity(n),
+            segment: Segment::with_capacity(n),
             bytes: 0,
         })
         .collect();
     for (rec, &d) in rows.iter().zip(&dest) {
         let b = &mut buckets[d as usize];
         b.bytes += record_bytes(rec);
-        b.rows.push(rec.clone());
+        b.segment.push(rec);
     }
     buckets
 }
@@ -438,12 +532,12 @@ impl KeyIndex {
 type Aggregated = (Option<Vec<Record>>, u64, u64);
 
 /// Aggregate one reducer's fetched `segments`, read in gather order
-/// (segment by segment, rows in order) without concatenating them; each
-/// value is cloned out and the segments are freed whole after the pass.
+/// ([`Segment::rows`]) without concatenating them; each value is cloned
+/// out and the segments are freed whole after the pass.
 /// Returns the groups in ascending `stable_hash` order — first appearance
 /// breaking ties — when `keep`; without it, only their number and bytes,
 /// and a `GroupByKey` stops after its count pass.
-fn aggregate(agg: &ShuffleAgg, segments: Vec<Vec<Record>>, keep: bool) -> Aggregated {
+fn aggregate(agg: &ShuffleAgg, segments: Vec<Segment>, keep: bool) -> Aggregated {
     aggregate_with(agg, segments, keep, probe, Value::stable_hash)
 }
 
@@ -451,7 +545,7 @@ fn aggregate(agg: &ShuffleAgg, segments: Vec<Vec<Record>>, keep: bool) -> Aggreg
 /// tests can make either collide on every key.
 fn aggregate_with(
     agg: &ShuffleAgg,
-    segments: Vec<Vec<Record>>,
+    segments: Vec<Segment>,
     keep: bool,
     probe: impl Fn(&Value) -> u64,
     order: impl Fn(&Value) -> u64,
@@ -461,17 +555,15 @@ fn aggregate_with(
         ShuffleAgg::ReduceByKey(f) => {
             // Left fold per key in gather order, straight into the group.
             let mut acc: Vec<Value> = Vec::new();
-            for seg in &segments {
-                for (k, v) in seg {
-                    let g = index.group_of(probe(k), k);
-                    if g == acc.len() {
-                        acc.push(v.clone());
-                    } else {
-                        let a = std::mem::replace(&mut acc[g], Value::Null);
-                        acc[g] = f(a, v.clone());
-                    }
+            Segment::rows(&segments, |k, v| {
+                let g = index.group_of(probe(k), k);
+                if g == acc.len() {
+                    acc.push(v.clone());
+                } else {
+                    let a = std::mem::replace(&mut acc[g], Value::Null);
+                    acc[g] = f(a, v.clone());
                 }
-            }
+            });
             let bytes = acc.iter().map(Value::approx_bytes).sum();
             (acc, bytes)
         }
@@ -479,26 +571,24 @@ fn aggregate_with(
             // Count pass (the one probe per record, summing the value bytes),
             // then, when kept, fill exact lists.
             let n = if keep {
-                segments.iter().map(Vec::len).sum()
+                segments.iter().map(Segment::len).sum()
             } else {
                 0
             };
             let mut group: Vec<u32> = Vec::with_capacity(n);
             let mut counts: Vec<usize> = Vec::new();
             let mut bytes = 0;
-            for seg in &segments {
-                for (k, v) in seg {
-                    let g = index.group_of(probe(k), k);
-                    bytes += v.approx_bytes();
-                    if keep {
-                        if g == counts.len() {
-                            counts.push(0);
-                        }
-                        counts[g] += 1;
-                        group.push(g as u32);
+            Segment::rows(&segments, |k, v| {
+                let g = index.group_of(probe(k), k);
+                bytes += v.approx_bytes();
+                if keep {
+                    if g == counts.len() {
+                        counts.push(0);
                     }
+                    counts[g] += 1;
+                    group.push(g as u32);
                 }
-            }
+            });
             bytes += 16 * index.groups.len() as u64;
             if !keep {
                 (Vec::new(), bytes)
@@ -506,12 +596,10 @@ fn aggregate_with(
                 let mut lists: Vec<Vec<Value>> =
                     counts.into_iter().map(Vec::with_capacity).collect();
                 let mut at = 0;
-                for seg in &segments {
-                    for ((_, v), &g) in seg.iter().zip(&group[at..]) {
-                        lists[g as usize].push(v.clone());
-                    }
-                    at += seg.len();
-                }
+                Segment::rows(&segments, |_, v| {
+                    lists[group[at] as usize].push(v.clone());
+                    at += 1;
+                });
                 (lists.into_iter().map(Value::list).collect(), bytes)
             }
         }
@@ -581,19 +669,83 @@ mod tests {
         out
     }
 
-    /// Order-sensitive fold, so any change of fold order shows.
+    impl Segment {
+        /// The addresses of the key and the value column's allocations.
+        pub(crate) fn heap_addrs(&self) -> [usize; 2] {
+            [&self.keys, &self.values].map(|c| match c {
+                Column::I64(xs) => xs.as_ptr() as usize,
+                Column::Boxed(vs) => vs.as_ptr() as usize,
+            })
+        }
+
+        /// Host bytes of the two columns' capacity.
+        fn capacity_bytes(&self) -> usize {
+            [&self.keys, &self.values]
+                .map(|c| match c {
+                    Column::I64(xs) => xs.capacity() * std::mem::size_of::<i64>(),
+                    Column::Boxed(vs) => vs.capacity() * std::mem::size_of::<Value>(),
+                })
+                .iter()
+                .sum()
+        }
+
+        /// The rows as [`Segment::rows`] lends them.
+        fn to_rows(&self) -> Vec<Record> {
+            let mut out = Vec::new();
+            Segment::rows(std::slice::from_ref(self), |k, v| {
+                out.push((k.clone(), v.clone()))
+            });
+            out
+        }
+    }
+
+    /// `rows` as one segment, pushed row by row.
+    fn seg(rows: &[Record]) -> Segment {
+        let mut s = Segment::with_capacity(rows.len());
+        rows.iter().for_each(|r| s.push(r));
+        s
+    }
+
+    /// Order-sensitive fold, so any change of fold order shows. A value
+    /// that is not an integer enters as its `stable_hash`.
     fn fold() -> ShuffleAgg {
-        ShuffleAgg::ReduceByKey(Arc::new(|a, b| {
-            Value::I64(a.as_i64().wrapping_mul(31).wrapping_add(b.as_i64()))
+        let int = |v: Value| match v {
+            Value::I64(x) => x,
+            other => other.stable_hash() as i64,
+        };
+        ShuffleAgg::ReduceByKey(Arc::new(move |a, b| {
+            Value::I64(int(a).wrapping_mul(31).wrapping_add(int(b)))
         }))
     }
 
-    fn key(kind: u8, k: u64) -> Value {
-        match kind % 4 {
+    /// Kinds 0–3 give every key one variant; kind 4 gives mostly `I64`s
+    /// and, by `draw`, now and then a `Str`, an `F64`, NaN, `-0.0` or
+    /// `Null` after them, so a bucket's key column boxes mid-way.
+    fn key(kind: u8, k: u64, draw: u64) -> Value {
+        match kind {
             0 => Value::I64(k as i64 - 7),
             1 => Value::str(format!("key-{k}")),
             2 => Value::F64(k as f64 * 0.25 - 2.0),
-            _ => edge_key(k),
+            3 => edge_key(k),
+            _ => match draw % 12 {
+                0 => key(1, k, 0),
+                1 => key(2, k, 0),
+                2 => Value::F64(f64::NAN),
+                3 => Value::F64(-0.0),
+                4 => Value::Null,
+                _ => key(0, k, 0),
+            },
+        }
+    }
+
+    /// An `I64` value, or with `mixed` now and then (by `x`) a `Str`, an
+    /// `F64` or a `Null` among them.
+    fn value(x: u64, mixed: bool) -> Value {
+        match (mixed, x % 16) {
+            (true, 0) => Value::str(format!("v{x}")),
+            (true, 1) => Value::F64(x as f64),
+            (true, 2) => Value::Null,
+            _ => Value::I64(x as i64),
         }
     }
 
@@ -627,9 +779,17 @@ mod tests {
                 .all(|(x, y)| x.0.same_key(&y.0) && x.1.same_key(&y.1))
     }
 
-    /// `n` records over `keys` distinct keys; `skew` > 1 piles them onto
-    /// the low keys.
-    fn records(rng: &mut u64, n: usize, kind: u8, keys: u64, skew: i32) -> Vec<Record> {
+    /// `n` records over `keys` distinct keys of `kind` (see [`key`]);
+    /// `skew` > 1 piles them onto the low keys. `mixed` values are mostly
+    /// `I64`s (see [`value`]).
+    fn records(
+        rng: &mut u64,
+        n: usize,
+        kind: u8,
+        mixed: bool,
+        keys: u64,
+        skew: i32,
+    ) -> Vec<Record> {
         (0..n)
             .map(|_| {
                 *rng = rng
@@ -637,7 +797,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let u = (*rng >> 11) as f64 / (1u64 << 53) as f64;
                 let k = (u.powi(skew) * keys as f64) as u64;
-                (key(kind, k), Value::I64((*rng >> 40) as i64))
+                (key(kind, k, *rng >> 20), value(*rng >> 40, mixed))
             })
             .collect()
     }
@@ -647,10 +807,13 @@ mod tests {
 
         /// Partition + aggregate against the pre-PR-14 oracles: bucket rows
         /// and byte totals, then group order, value order inside every
-        /// list, fold order and output bytes, for every reducer.
+        /// list, fold order and output bytes, for every reducer. Kind 4 and
+        /// `mixed` values put unboxed and boxed columns side by side in a
+        /// reducer's segments, and box a column mid-bucket.
         #[test]
         fn partition_and_aggregate_match_the_oracles(
-            kind in 0u8..4,
+            kind in 0u8..5,
+            mixed in any::<bool>(),
             keys in 1u64..40,
             skew in 1i32..4,
             reducers in 1u32..=7,
@@ -659,10 +822,10 @@ mod tests {
             seed in 0u64..1_000_000,
         ) {
             let mut rng = seed;
-            let mut segments: Vec<Vec<Vec<Record>>> = vec![Vec::new(); reducers as usize];
+            let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); reducers as usize];
             let mut gathered: Vec<Vec<Record>> = vec![Vec::new(); reducers as usize];
             for p in 0..producers {
-                let rows = records(&mut rng, (max_rows + p) % (max_rows + 1), kind, keys, skew);
+                let rows = records(&mut rng, (max_rows + p) % (max_rows + 1), kind, mixed, keys, skew);
                 let want = partition_oracle(&rows, reducers);
                 // Odd producers partition a borrowed slice directly, even
                 // ones through a chain whose last step's owned output is
@@ -682,11 +845,18 @@ mod tests {
                 };
                 prop_assert_eq!(got.len(), want.len());
                 for (r, (b, (rows, bytes))) in got.into_iter().zip(want).enumerate() {
-                    prop_assert!(same(&b.rows, &rows), "{:?} != {:?}", b.rows, rows);
-                    prop_assert_eq!(b.rows.capacity(), rows.len());
+                    let got = b.segment.to_rows();
+                    prop_assert!(same(&got, &rows), "{:?} != {:?}", got, rows);
+                    // A column is unboxed (8 B a value) iff all its values
+                    // are `I64`s, and holds exactly the bucket.
+                    let width = |side: fn(&Record) -> &Value| {
+                        if rows.iter().all(|r| matches!(side(r), Value::I64(_))) { 8 } else { 16 }
+                    };
+                    let per_row = width(|r| &r.0) + width(|r| &r.1);
+                    prop_assert_eq!(b.segment.capacity_bytes(), per_row * rows.len());
                     prop_assert_eq!(b.bytes as f64, bytes);
                     gathered[r].extend(rows);
-                    segments[r].push(b.rows);
+                    segments[r].push(b.segment);
                 }
             }
             for (segs, flat) in segments.into_iter().zip(gathered) {
@@ -714,7 +884,7 @@ mod tests {
 
     /// A reducer's evaluation as a pool worker runs it, in the final stage
     /// of a `group_by_key` job (no step after the aggregation).
-    fn final_reduce(agg: &ShuffleAgg, segments: Vec<Vec<Record>>, reader: Reader) -> ChainOut {
+    fn final_reduce(agg: &ShuffleAgg, segments: Vec<Segment>, reader: Reader) -> ChainOut {
         use crate::rdd::{Action, Dataset, Rdd};
         let rdd = Rdd::source(Dataset::from_records(Vec::new(), 1)).group_by_key(Some(1), 1e9);
         let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
@@ -825,7 +995,7 @@ mod tests {
         let first_seen: Vec<Value> = rows.iter().take(n as usize).map(|r| r.0.clone()).collect();
         let mut by_hash = first_seen.clone();
         by_hash.sort_by_key(Value::stable_hash);
-        let segments = vec![rows[..50].to_vec(), rows[50..].to_vec()];
+        let segments = vec![seg(&rows[..50]), seg(&rows[50..])];
         type Hash = fn(&Value) -> u64;
         let constant: Hash = |_| 9;
         let cases: [(Hash, Hash, Vec<Value>); 2] = [
@@ -883,7 +1053,7 @@ mod tests {
             (f, Value::I64(2)),
             (i, Value::I64(3)),
         ];
-        let (_, groups, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows], true);
+        let (_, groups, _) = aggregate(&ShuffleAgg::GroupByKey, vec![seg(&rows)], true);
         assert_eq!(groups, 2);
         // Every other variant probes by its `stable_hash`.
         for v in [
@@ -907,18 +1077,43 @@ mod tests {
             (Value::F64(f64::NAN), Value::I64(3)),
             (Value::F64(-0.0), Value::I64(4)),
         ];
-        let (_, groups, _) = aggregate(&ShuffleAgg::GroupByKey, vec![rows], true);
+        let (_, groups, _) = aggregate(&ShuffleAgg::GroupByKey, vec![seg(&rows)], true);
         assert_eq!(groups, 3);
     }
 
     #[test]
     fn empty_inputs() {
         let (out, groups, bytes) =
-            aggregate(&ShuffleAgg::GroupByKey, vec![Vec::new(), Vec::new()], true);
+            aggregate(&ShuffleAgg::GroupByKey, vec![seg(&[]), seg(&[])], true);
         assert_eq!((out, groups, bytes), (Some(Vec::new()), 0, 0));
         let buckets = partition(&[], 3);
         assert_eq!(buckets.len(), 3);
-        assert!(buckets.iter().all(|b| b.rows.is_empty() && b.bytes == 0));
+        assert!(buckets.iter().all(|b| b.segment.is_empty() && b.bytes == 0));
+    }
+
+    #[test]
+    fn a_bucket_holds_eight_bytes_per_i64_and_sixteen_per_other_value() {
+        let n = 1000;
+        let ints: Vec<Record> = (0..n).map(|i| (Value::I64(i), Value::I64(-i))).collect();
+        let words: Vec<Record> = (0..n)
+            .map(|i| (Value::str(format!("w{}", i % 7)), Value::I64(i)))
+            .collect();
+        for (rows, per_row) in [(&ints, 16), (&words, 24)] {
+            let b = partition(rows, 1).remove(0);
+            assert_eq!(b.segment.capacity_bytes(), per_row * n as usize);
+            assert!(same(&b.segment.to_rows(), rows));
+        }
+        // A `Str` key and a `Str` value after 700 and 900 `I64`s: each
+        // column boxes every `i64` it held, in order, as a `Value::I64`,
+        // into a vector that still fits the whole bucket.
+        let mut late = ints.clone();
+        late[700].0 = Value::str("late key");
+        late[900].1 = Value::str("late value");
+        let b = partition(&late, 1).remove(0);
+        assert!(matches!(b.segment.keys, Column::Boxed(_)));
+        assert!(matches!(b.segment.values, Column::Boxed(_)));
+        assert_eq!(b.segment.capacity_bytes(), 32 * n as usize);
+        assert_eq!(b.segment.to_rows(), late);
     }
 
     /// One identity `map` step, so the chain owns its output.

@@ -14,9 +14,8 @@ use super::tasks::TaskKind;
 use super::{flush_tag, Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
 use crate::config::{Defect, ShuffleStore, StoreDevice};
 use crate::dag::{JobPlan, ShuffleSpec};
-use crate::executor::{run_narrow_chain, Pending, Reader, RealOut, Work};
+use crate::executor::{run_narrow_chain, Pending, Reader, RealOut, Segment, Work};
 use crate::rdd::Action;
-use crate::value::Record;
 use memres_cluster::NodeId;
 use memres_des::sim::Outbox;
 use memres_des::time::{SimDuration, SimTime};
@@ -53,9 +52,9 @@ enum Deposits {
         /// [node][reducer] → intermediate bytes deposited.
         bytes: Vec<Vec<f64>>,
         /// node → reducer → the segments deposited there, one per finished
-        /// producer, each still the producer's own bucket allocation. A
+        /// producer, each still the producer's own bucket allocations. A
         /// reducer gathers them node ascending, deposit order within a node.
-        segments: Vec<Vec<Vec<Vec<Record>>>>,
+        segments: Vec<Vec<Vec<Segment>>>,
     },
 }
 
@@ -181,8 +180,8 @@ impl ShuffleState {
                 Some(RealOut::Buckets(buckets)) => {
                     for (r, bucket) in buckets.into_iter().enumerate() {
                         bytes[node][r] += bucket.bytes as f64;
-                        if !bucket.rows.is_empty() {
-                            segments[node][r].push(bucket.rows);
+                        if !bucket.segment.is_empty() {
+                            segments[node][r].push(bucket.segment);
                         }
                     }
                 }
@@ -1000,7 +999,7 @@ mod tests {
     use super::super::tests::world;
     use super::*;
     use crate::config::EngineConfig;
-    use crate::value::Value;
+    use crate::value::{Record, Value};
     use memres_cluster::tiny;
     use memres_storage::{Ssd, SsdConfig};
 
@@ -1091,7 +1090,8 @@ mod tests {
         // The kernel thread never touches a record: once the dispatch round
         // has flushed, a running real compute task holds its output already
         // hash-partitioned, and finishing it hands those very allocations
-        // to the shuffle as segments — O(reducers) moves, no copy.
+        // (a key and a value column per bucket) to the shuffle as segments —
+        // O(reducers) moves, no copy.
         use crate::rdd::{Dataset, Rdd, SizeModel};
         let recs: Vec<Record> = (0..256).map(|i| (Value::I64(i), Value::I64(i))).collect();
         let rdd = Rdd::source(Dataset::from_records(recs, 4))
@@ -1110,11 +1110,11 @@ mod tests {
             panic!("the flush must leave the output partitioned");
         };
         assert_eq!(buckets.len(), 3);
-        let handles: Vec<(usize, *const Record)> = buckets
+        let handles: Vec<(usize, [usize; 2])> = buckets
             .iter()
             .enumerate()
-            .filter(|(_, b)| !b.rows.is_empty())
-            .map(|(r, b)| (r, b.rows.as_ptr()))
+            .filter(|(_, b)| !b.segment.is_empty())
+            .map(|(r, b)| (r, b.segment.heap_addrs()))
             .collect();
         assert!(!handles.is_empty());
         w.producer_finished(task as u32, node as u32);
@@ -1122,9 +1122,13 @@ mod tests {
         let Deposits::Real { segments, .. } = &w.jobs[0].shuffle.writing().deposits else {
             panic!("a real job writes a real shuffle");
         };
-        for (r, ptr) in handles {
+        for (r, addrs) in handles {
             let segment = segments[node][r].last().expect("one segment per bucket");
-            assert_eq!(segment.as_ptr(), ptr, "bucket {r} was copied, not moved");
+            assert_eq!(
+                segment.heap_addrs(),
+                addrs,
+                "bucket {r} was copied, not moved"
+            );
         }
     }
 

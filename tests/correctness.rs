@@ -290,6 +290,23 @@ fn wide_int_pairs(n: u64) -> Vec<Record> {
         .collect()
 }
 
+/// `n` pairs over 31 `I64` keys, except that every fourth record (the
+/// first partition of four, round-robin) carries now and then an `F64` key,
+/// a `Str` key or a `Str` value.
+fn mixed_pairs(n: i64) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let (k, v) = (Value::I64(i % 31), Value::I64(i));
+            match (i % 4, i / 4 % 40) {
+                (0, 7) => (Value::F64(i as f64 * 0.5), v),
+                (0, 19) => (Value::str(format!("k{}", i % 3)), v),
+                (0, 29) => (k, Value::str(format!("v{i}"))),
+                _ => (k, v),
+            }
+        })
+        .collect()
+}
+
 /// `kv_pairs(5000, 97, 11)` over `parts` partitions.
 fn kv(parts: usize) -> Rdd {
     Rdd::source(Dataset::from_records(
@@ -372,6 +389,14 @@ const CASES: &[pins::Case] = &[
             fold,
         );
         collect_at_every_thread_count(case, rdd, 113)
+    }),
+    // One partition mixes a few `F64` and `Str` keys and `Str` values into
+    // its `I64` pairs, so one reducer gathers segments of both layouts a
+    // shuffle bucket can take (DESIGN §4.7).
+    ("group_by_key_mixed_columns", |case| {
+        let rdd =
+            Rdd::source(Dataset::from_records(mixed_pairs(2000), 4)).group_by_key(Some(3), 1e9);
+        collect_at_every_thread_count(case, rdd, 47)
     }),
 ];
 

@@ -7,6 +7,8 @@
 //!   DESIGN.md section by its number, and a section of either document by
 //!   its quoted title. Each citation must name a heading that exists, so
 //!   rewriting a document cannot leave a comment pointing at nothing.
+//! - A `` `path.rs::item` `` citation in README, DESIGN, EXPERIMENTS or the
+//!   verify skill names a source file that defines `item`.
 //! - DESIGN.md §4.10's waiver table names every R4 waiver in the sources.
 
 #![allow(
@@ -369,6 +371,114 @@ fn citations_parse_numbers_lists_and_titles() {
     assert_eq!(h[0], ("5".to_string(), "Experiment index".to_string()));
     assert_eq!(h[1].0, "4.11");
     assert_eq!(h[2], (String::new(), "History".to_string()));
+}
+
+/// The documents whose `` `path.rs::item` `` citations must resolve.
+const ITEM_CITERS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// Where a cited `path.rs` may live.
+const SOURCES: [&str; 4] = ["crates", "src", "tests", "examples"];
+
+/// Each `` `path.rs::item` `` in `text` as `(path, item)`. A citation
+/// broken across lines after its `::` reads whole.
+fn item_citations(text: &str) -> Vec<(&str, &str)> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    for (at, sep) in text.match_indices(".rs::") {
+        let head = &text[..at + 3];
+        let path = &head[head.trim_end_matches(is_path).len()..];
+        let tail = text[at + sep.len()..].trim_start();
+        let item = &tail[..tail.find(|c| !is_ident(c)).unwrap_or(tail.len())];
+        let quoted =
+            head[..head.len() - path.len()].ends_with('`') && tail[item.len()..].starts_with('`');
+        if quoted && !item.is_empty() {
+            found.push((path, item));
+        }
+    }
+    found
+}
+
+/// Whether `src` defines `item`: a `fn`, type, constant, module or macro
+/// of that name.
+fn defines(src: &str, item: &str) -> bool {
+    let kinds = [
+        "fn",
+        "struct",
+        "enum",
+        "type",
+        "trait",
+        "const",
+        "static",
+        "mod",
+        "macro_rules!",
+    ];
+    kinds.iter().any(|kind| {
+        let def = format!("{kind} {item}");
+        let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        src.match_indices(&def)
+            .any(|(i, _)| !src[i + def.len()..].starts_with(ident))
+    })
+}
+
+/// Every `` `path.rs::item` `` a document cites names a source file whose
+/// path ends with `path` and which defines `item`, so a renamed or moved
+/// test or function cannot leave the docs pointing at nothing.
+#[test]
+fn every_cited_item_exists() {
+    let mut sources = Vec::new();
+    for dir in SOURCES {
+        files(&Path::new(ROOT).join(dir), &mut sources);
+    }
+    let sources: Vec<(String, String)> = sources
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .filter_map(|p| {
+            let rel = p.strip_prefix(ROOT).ok()?.to_str()?.to_string();
+            Some((rel, std::fs::read_to_string(p).ok()?))
+        })
+        .collect();
+    let (mut checked, mut broken) = (0, Vec::new());
+    for doc in ITEM_CITERS {
+        let text = std::fs::read_to_string(Path::new(ROOT).join(doc)).expect(doc);
+        for (path, item) in item_citations(&text) {
+            checked += 1;
+            let suffix = format!("/{path}");
+            let resolves = sources
+                .iter()
+                .any(|(rel, src)| (rel == path || rel.ends_with(&suffix)) && defines(src, item));
+            if !resolves {
+                broken.push(format!("{doc}: {path}::{item}"));
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "citations of items no source file defines:\n{}",
+        broken.join("\n")
+    );
+    assert!(checked >= 15, "only {checked} item citations found");
+}
+
+#[test]
+fn item_citations_parse_paths_items_and_line_breaks() {
+    let text = "see `tests/docs.rs::bless` and `repro_cli.rs::\n  scale_cells_are_pinned`, \
+                not `a.rs::` nor tests/x.rs::y nor `b.rs::c d`";
+    assert_eq!(
+        item_citations(text),
+        [
+            ("tests/docs.rs", "bless"),
+            ("repro_cli.rs", "scale_cells_are_pinned")
+        ]
+    );
+    assert!(defines("fn bless() {}\n", "bless"));
+    assert!(!defines("fn blessed() {}\n", "bless"));
+    assert!(defines("pub(crate) const N: u8 = 1;", "N"));
 }
 
 /// The panic lints whose waivers are R4's (DESIGN.md §4.10).

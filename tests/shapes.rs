@@ -83,13 +83,13 @@ fn fig14_cad_accelerates_storing() {
 
 #[test]
 fn faults_disturb_work_at_every_scale() {
-    // The crash and the fetch failure name a node that held intermediate
-    // data in the clean run, so each retries work at full scale too, where
-    // 32 producers leave most of the 100 nodes empty.
+    // The crash, the fetch failure and the seeded plan's events name nodes
+    // that held intermediate data in the clean run, so each retries work at
+    // full scale too, where 32 producers leave most of the 100 nodes empty.
     for setup in [Setup::smoke(), Setup::paper()] {
         let t = ex::faults(setup);
         let retried = t.column("tasks_retried");
-        for label in ["node-crash+restart", "fetch-failure"] {
+        for label in ["node-crash+restart", "fetch-failure", "seeded-mix"] {
             let row = t.rows.iter().position(|(l, _)| l == label).expect(label);
             let scale = setup.scale;
             assert!(
