@@ -374,8 +374,9 @@ fn bench_real_shuffle(c: &mut Criterion) {
     // partition and aggregation on the executor pool; the simulated
     // substrates do next to nothing): 16 map partitions hash-partitioned to
     // 8 reducers. A bucket is a key and a value column, unboxed while all
-    // its values are `I64`: 16 host bytes a numeric record in the shuffle,
-    // 24 a word-count record (a boxed `Str` key, an unboxed count). Each job
+    // its values are `I64`, in 4 bytes each while they fit in 32 bits: 8
+    // host bytes a numeric record in the shuffle, 20 a word-count record (a
+    // boxed `Str` key, a narrow count). Each job
     // ends in `count`, so its final groups are counted, never built; a
     // `_collect` case keeps them.
     let mut case = |name: &str, rdd: Rdd, action: Action, groups: u64| {

@@ -14,9 +14,11 @@
 //! one shared slice, and rows nobody reads are freed on the worker — a
 //! reduce with no step after it never builds them. Rows are `Record`s
 //! everywhere but inside the shuffle, where each bucket is a [`Segment`] of
-//! a key column and a value column that store `I64`s unboxed. Each record is
-//! stable-hashed once on the map side; the reduce side probes by a cheaper
-//! hash and stable-hashes once per group. Both sides read their input by
+//! a key column and a value column that store `I64`s unboxed: 4 bytes a
+//! value while every one fits in 32 bits, 8 while every one is an `I64`, 16
+//! (a boxed `Value`) otherwise. Each record is stable-hashed once on the map
+//! side; the reduce side probes by a cheaper hash and stable-hashes once per
+//! group. Both sides read their input by
 //! reference (the reduce side one segment at a time, through
 //! [`Segment::rows`]), clone what they keep out of it, and free each input
 //! buffer whole once its pass is done. Every output `Vec` is allocated at
@@ -329,53 +331,71 @@ pub(crate) struct Segment {
     values: Column,
 }
 
-/// One side of a [`Segment`]: unboxed `i64`s (8 bytes each) for as long as
-/// every value it has received is an `I64`, and `Value`s (16 bytes each)
-/// from the first one that is not.
+/// One side of a [`Segment`], a ladder that only widens: `i32`s (4 bytes
+/// each) while every value it has received is an `I64` that fits in 32
+/// bits, `i64`s (8 bytes) while every one is an `I64`, and `Value`s (16
+/// bytes) from the first one that is not.
 #[derive(Clone)]
 enum Column {
+    I32(Vec<i32>),
     I64(Vec<i64>),
     Boxed(Vec<Value>),
 }
 
 impl Column {
     fn with_capacity(n: usize) -> Column {
-        Column::I64(Vec::with_capacity(n))
+        Column::I32(Vec::with_capacity(n))
     }
 
-    /// Appends a clone of `v`. The first value that is not an `I64` boxes
-    /// every `i64` held so far as a `Value::I64`, in order, into a vector of
-    /// the same capacity, and the `i64`s are freed.
+    /// Appends a clone of `v`, first moving up the ladder when its rung
+    /// cannot hold it: the first `I64` beyond 32 bits widens every `i32`
+    /// held so far to an `i64`, and the first value that is not an `I64`
+    /// boxes every integer held so far as a `Value::I64`, in order, into a
+    /// vector of the same capacity; the old vector is freed.
     fn push(&mut self, v: &Value) {
         match (&mut *self, v) {
-            (Column::I64(xs), Value::I64(x)) => xs.push(*x),
+            (Column::I32(xs), &Value::I64(x)) => match i32::try_from(x) {
+                Ok(x) => xs.push(x),
+                Err(_) => *self = Column::I64(climb(xs, i64::from, x)),
+            },
+            (Column::I64(xs), &Value::I64(x)) => xs.push(x),
             (Column::Boxed(vs), v) => vs.push(v.clone()),
-            (Column::I64(xs), v) => {
-                let mut boxed = Vec::with_capacity(xs.capacity());
-                boxed.extend(xs.iter().map(|&x| Value::I64(x)));
-                boxed.push(v.clone());
-                *self = Column::Boxed(boxed);
+            (Column::I32(xs), v) => {
+                *self = Column::Boxed(climb(xs, |x| Value::I64(i64::from(x)), v.clone()));
             }
+            (Column::I64(xs), v) => *self = Column::Boxed(climb(xs, Value::I64, v.clone())),
         }
     }
 
     fn len(&self) -> usize {
         match self {
+            Column::I32(xs) => xs.len(),
             Column::I64(xs) => xs.len(),
             Column::Boxed(vs) => vs.len(),
         }
     }
 
-    /// Every value in order: an `i64` lent as a `Value::I64` built on the
+    /// Every value in order: an integer lent as a `Value::I64` built on the
     /// spot, a boxed one by reference.
     fn iter(&self) -> impl Iterator<Item = Cow<'_, Value>> {
-        let (ints, boxed): (&[i64], &[Value]) = match self {
-            Column::I64(xs) => (xs, &[]),
-            Column::Boxed(vs) => (&[], vs),
+        let (narrow, wide, boxed): (&[i32], &[i64], &[Value]) = match self {
+            Column::I32(xs) => (xs, &[], &[]),
+            Column::I64(xs) => (&[], xs, &[]),
+            Column::Boxed(vs) => (&[], &[], vs),
         };
-        let ints = ints.iter().map(|&x| Cow::Owned(Value::I64(x)));
-        ints.chain(boxed.iter().map(Cow::Borrowed))
+        let narrow = narrow.iter().map(|&x| Cow::Owned(Value::I64(i64::from(x))));
+        let wide = wide.iter().map(|&x| Cow::Owned(Value::I64(x)));
+        narrow.chain(wide).chain(boxed.iter().map(Cow::Borrowed))
     }
+}
+
+/// `held` converted by `up`, in order, then `next`, in a vector of
+/// `held`'s capacity: a [`Column`]'s move up one rung or two.
+fn climb<T: Copy, U>(held: &Vec<T>, up: impl Fn(T) -> U, next: U) -> Vec<U> {
+    let mut out = Vec::with_capacity(held.capacity());
+    out.extend(held.iter().map(|&x| up(x)));
+    out.push(next);
+    out
 }
 
 impl Segment {
@@ -412,8 +432,8 @@ impl Segment {
 
 /// Hash-partition `rows` over `reducers` buckets, preserving row order
 /// inside each bucket. Every row is copied out of the borrowed slice into
-/// its bucket's columns: an `I64` as its `i64`, any other value as a clone
-/// (a copy for the scalar variants, a count bump for the rest).
+/// its bucket's columns: an `I64` as an `i32` or an `i64`, any other value
+/// as a clone (a copy for the scalar variants, a count bump for the rest).
 fn partition(rows: &[Record], reducers: u32) -> Vec<Bucket> {
     let dest: Vec<u32> = rows
         .iter()
@@ -673,6 +693,7 @@ mod tests {
         /// The addresses of the key and the value column's allocations.
         pub(crate) fn heap_addrs(&self) -> [usize; 2] {
             [&self.keys, &self.values].map(|c| match c {
+                Column::I32(xs) => xs.as_ptr() as usize,
                 Column::I64(xs) => xs.as_ptr() as usize,
                 Column::Boxed(vs) => vs.as_ptr() as usize,
             })
@@ -680,10 +701,14 @@ mod tests {
 
         /// Host bytes of the two columns' capacity.
         fn capacity_bytes(&self) -> usize {
+            fn bytes<T>(v: &Vec<T>) -> usize {
+                v.capacity() * std::mem::size_of::<T>()
+            }
             [&self.keys, &self.values]
                 .map(|c| match c {
-                    Column::I64(xs) => xs.capacity() * std::mem::size_of::<i64>(),
-                    Column::Boxed(vs) => vs.capacity() * std::mem::size_of::<Value>(),
+                    Column::I32(xs) => bytes(xs),
+                    Column::I64(xs) => bytes(xs),
+                    Column::Boxed(vs) => bytes(vs),
                 })
                 .iter()
                 .sum()
@@ -718,33 +743,45 @@ mod tests {
         }))
     }
 
-    /// Kinds 0–3 give every key one variant; kind 4 gives mostly `I64`s
-    /// and, by `draw`, now and then a `Str`, an `F64`, NaN, `-0.0` or
-    /// `Null` after them, so a bucket's key column boxes mid-way.
+    /// Kinds 0–3 give every key one variant; kinds 4 and 5 give mostly
+    /// small `I64`s and, by `draw`, now and then one beyond 32 bits ([`wide`]),
+    /// so a bucket's key column widens mid-way; kind 5 also now and then a
+    /// `Str`, an `F64`, NaN, `-0.0` or `Null`, so it boxes too.
     fn key(kind: u8, k: u64, draw: u64) -> Value {
-        match kind {
-            0 => Value::I64(k as i64 - 7),
-            1 => Value::str(format!("key-{k}")),
-            2 => Value::F64(k as f64 * 0.25 - 2.0),
-            3 => edge_key(k),
-            _ => match draw % 12 {
-                0 => key(1, k, 0),
-                1 => key(2, k, 0),
-                2 => Value::F64(f64::NAN),
-                3 => Value::F64(-0.0),
-                4 => Value::Null,
-                _ => key(0, k, 0),
-            },
+        match (kind, draw % 16) {
+            (0, _) => Value::I64(k as i64 - 7),
+            (1, _) => Value::str(format!("key-{k}")),
+            (2, _) => Value::F64(k as f64 * 0.25 - 2.0),
+            (3, _) => edge_key(k),
+            (_, 0 | 1) => wide(k),
+            (5, 2) => key(1, k, 0),
+            (5, 3) => key(2, k, 0),
+            (5, 4) => Value::F64(f64::NAN),
+            (5, 5) => Value::F64(-0.0),
+            (5, 6) => Value::Null,
+            _ => key(0, k, 0),
         }
     }
 
-    /// An `I64` value, or with `mixed` now and then (by `x`) a `Str`, an
-    /// `F64` or a `Null` among them.
-    fn value(x: u64, mixed: bool) -> Value {
-        match (mixed, x % 16) {
-            (true, 0) => Value::str(format!("v{x}")),
-            (true, 1) => Value::F64(x as f64),
-            (true, 2) => Value::Null,
+    /// An `I64` just beyond 32 bits or at the end of 64, by `x`.
+    fn wide(x: u64) -> Value {
+        let edges = [
+            i64::from(i32::MAX) + 1,
+            i64::from(i32::MIN) - 1,
+            i64::MIN,
+            i64::MAX,
+        ];
+        Value::I64(edges[(x % 4) as usize])
+    }
+
+    /// A small `I64` value; from `rung` 1 on, now and then (by `x`) one
+    /// beyond 32 bits, and at `rung` 2 also a `Str`, an `F64` or a `Null`.
+    fn value(x: u64, rung: u8) -> Value {
+        match (rung, x % 16) {
+            (1.., 3) => wide(x / 16),
+            (2, 0) => Value::str(format!("v{x}")),
+            (2, 1) => Value::F64(x as f64),
+            (2, 2) => Value::Null,
             _ => Value::I64(x as i64),
         }
     }
@@ -780,16 +817,9 @@ mod tests {
     }
 
     /// `n` records over `keys` distinct keys of `kind` (see [`key`]);
-    /// `skew` > 1 piles them onto the low keys. `mixed` values are mostly
-    /// `I64`s (see [`value`]).
-    fn records(
-        rng: &mut u64,
-        n: usize,
-        kind: u8,
-        mixed: bool,
-        keys: u64,
-        skew: i32,
-    ) -> Vec<Record> {
+    /// `skew` > 1 piles them onto the low keys. Values reach up to `rung`
+    /// (see [`value`]).
+    fn records(rng: &mut u64, n: usize, kind: u8, rung: u8, keys: u64, skew: i32) -> Vec<Record> {
         (0..n)
             .map(|_| {
                 *rng = rng
@@ -797,7 +827,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let u = (*rng >> 11) as f64 / (1u64 << 53) as f64;
                 let k = (u.powi(skew) * keys as f64) as u64;
-                (key(kind, k, *rng >> 20), value(*rng >> 40, mixed))
+                (key(kind, k, *rng >> 20), value(*rng >> 40, rung))
             })
             .collect()
     }
@@ -807,13 +837,14 @@ mod tests {
 
         /// Partition + aggregate against the pre-PR-14 oracles: bucket rows
         /// and byte totals, then group order, value order inside every
-        /// list, fold order and output bytes, for every reducer. Kind 4 and
-        /// `mixed` values put unboxed and boxed columns side by side in a
-        /// reducer's segments, and box a column mid-bucket.
+        /// list, fold order and output bytes, for every reducer. Kinds 4
+        /// and 5 and values of rung 1 and 2 put narrow, wide and boxed
+        /// columns side by side in a reducer's segments, and move a column
+        /// up the ladder mid-bucket.
         #[test]
         fn partition_and_aggregate_match_the_oracles(
-            kind in 0u8..5,
-            mixed in any::<bool>(),
+            kind in 0u8..6,
+            rung in 0u8..3,
             keys in 1u64..40,
             skew in 1i32..4,
             reducers in 1u32..=7,
@@ -825,7 +856,7 @@ mod tests {
             let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); reducers as usize];
             let mut gathered: Vec<Vec<Record>> = vec![Vec::new(); reducers as usize];
             for p in 0..producers {
-                let rows = records(&mut rng, (max_rows + p) % (max_rows + 1), kind, mixed, keys, skew);
+                let rows = records(&mut rng, (max_rows + p) % (max_rows + 1), kind, rung, keys, skew);
                 let want = partition_oracle(&rows, reducers);
                 // Odd producers partition a borrowed slice directly, even
                 // ones through a chain whose last step's owned output is
@@ -847,10 +878,19 @@ mod tests {
                 for (r, (b, (rows, bytes))) in got.into_iter().zip(want).enumerate() {
                     let got = b.segment.to_rows();
                     prop_assert!(same(&got, &rows), "{:?} != {:?}", got, rows);
-                    // A column is unboxed (8 B a value) iff all its values
-                    // are `I64`s, and holds exactly the bucket.
+                    // A column holds 4 B a value iff all its values are
+                    // `I64`s that fit in 32 bits, 8 B iff all are `I64`s,
+                    // else 16 B, and holds exactly the bucket.
                     let width = |side: fn(&Record) -> &Value| {
-                        if rows.iter().all(|r| matches!(side(r), Value::I64(_))) { 8 } else { 16 }
+                        let ints: Option<Vec<i64>> = rows
+                            .iter()
+                            .map(|r| match side(r) { Value::I64(x) => Some(*x), _ => None })
+                            .collect();
+                        match ints {
+                            Some(xs) if xs.iter().all(|&x| i32::try_from(x).is_ok()) => 4,
+                            Some(_) => 8,
+                            None => 16,
+                        }
                     };
                     let per_row = width(|r| &r.0) + width(|r| &r.1);
                     prop_assert_eq!(b.segment.capacity_bytes(), per_row * rows.len());
@@ -1092,21 +1132,43 @@ mod tests {
     }
 
     #[test]
-    fn a_bucket_holds_eight_bytes_per_i64_and_sixteen_per_other_value() {
+    fn a_bucket_holds_four_eight_or_sixteen_bytes_per_value() {
         let n = 1000;
-        let ints: Vec<Record> = (0..n).map(|i| (Value::I64(i), Value::I64(-i))).collect();
+        let small: Vec<Record> = (0..n).map(|i| (Value::I64(i), Value::I64(-i))).collect();
+        let wide: Vec<Record> = (0..n)
+            .map(|i| (Value::I64(i64::MAX - i), Value::I64(i64::MIN + i)))
+            .collect();
         let words: Vec<Record> = (0..n)
             .map(|i| (Value::str(format!("w{}", i % 7)), Value::I64(i)))
             .collect();
-        for (rows, per_row) in [(&ints, 16), (&words, 24)] {
+        for (rows, per_row) in [(&small, 8), (&wide, 16), (&words, 20)] {
             let b = partition(rows, 1).remove(0);
             assert_eq!(b.segment.capacity_bytes(), per_row * n as usize);
             assert!(same(&b.segment.to_rows(), rows));
         }
-        // A `Str` key and a `Str` value after 700 and 900 `I64`s: each
-        // column boxes every `i64` it held, in order, as a `Value::I64`,
-        // into a vector that still fits the whole bucket.
-        let mut late = ints.clone();
+        // The ends of `i32` stay narrow.
+        let ends: Vec<Record> = (0..n)
+            .map(|i| {
+                let end = if i % 2 == 0 { i32::MIN } else { i32::MAX };
+                (Value::I64(i), Value::I64(end.into()))
+            })
+            .collect();
+        let b = partition(&ends, 1).remove(0);
+        assert!(matches!(b.segment.values, Column::I32(_)));
+        assert_eq!(b.segment.capacity_bytes(), 8 * n as usize);
+        assert_eq!(b.segment.to_rows(), ends);
+        // A wide value after 700 narrow ones widens every `i32` the column
+        // held, in order, into a vector that still fits the whole bucket.
+        let mut late = small.clone();
+        late[700].1 = Value::I64(i64::from(i32::MAX) + 1);
+        let b = partition(&late, 1).remove(0);
+        assert!(matches!(b.segment.keys, Column::I32(_)));
+        assert!(matches!(b.segment.values, Column::I64(_)));
+        assert_eq!(b.segment.capacity_bytes(), 12 * n as usize);
+        assert_eq!(b.segment.to_rows(), late);
+        // A `Str` key after 700 narrow keys boxes them straight from `I32`,
+        // each as a `Value::I64`; a `Str` value after 900 values, wide since
+        // the 701st, boxes them from `I64`.
         late[700].0 = Value::str("late key");
         late[900].1 = Value::str("late value");
         let b = partition(&late, 1).remove(0);

@@ -39,8 +39,9 @@ pub type Record = (Value, Value);
 // Every pass over records is bound by memory traffic: host bytes per record
 // are the engine's resident-set and shuffle cost (CHANGES.md, PR 20).
 // Rows outside the shuffle are 32 bytes; inside it each bucket is two
-// columns (`executor::Segment`) that hold an `I64` unboxed in 8 bytes, so an
-// all-`I64` record is deposited in 16.
+// columns (`executor::Segment`) that hold an `I64` unboxed, in 4 bytes while
+// it fits in 32 bits and in 8 beyond, so a record of small `I64`s is
+// deposited in 8.
 const _: () = assert!(std::mem::size_of::<Value>() == 16 && std::mem::size_of::<Record>() == 32);
 
 /// The typed accessors user functions read records with. Each panics on

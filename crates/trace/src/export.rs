@@ -191,7 +191,8 @@ fn lane(ev: &TraceEvent) -> u32 {
 }
 
 /// One JSON object per line, in emission order: the compact machine-readable
-/// form consumed by downstream tooling and the determinism tests.
+/// form consumed by downstream tooling and the determinism tests. Returned
+/// at its exact size: the reserve overshoots most rows.
 pub fn events_jsonl(events: &[TimedEvent]) -> String {
     let mut w = Writer::with_capacity(events.len() * JSONL_ROW);
     for e in events {
@@ -205,7 +206,9 @@ pub fn events_jsonl(events: &[TimedEvent]) -> String {
         payload(&mut w, &e.ev);
         w.str("}\n");
     }
-    w.into_string()
+    let mut s = w.into_string();
+    s.shrink_to_fit();
+    s
 }
 
 /// Chrome trace-event JSON (the `{"traceEvents":[...]}` object form), ready
@@ -315,6 +318,7 @@ mod tests {
     #[test]
     fn jsonl_is_one_object_per_line_in_order() {
         let s = events_jsonl(&sample());
+        assert_eq!(s.capacity(), s.len());
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(

@@ -277,9 +277,13 @@ impl TraceSink {
         &self.events
     }
 
-    /// Drain the log (sequence numbering continues across takes).
+    /// Drain the log (sequence numbering continues across takes), at its
+    /// exact size: the slack of a vector grown by doubling is freed here, not
+    /// held while the caller renders it.
     pub fn take(&mut self) -> Vec<TimedEvent> {
-        std::mem::take(&mut self.events)
+        let mut events = std::mem::take(&mut self.events);
+        events.shrink_to_fit();
+        events
     }
 }
 
@@ -309,6 +313,7 @@ mod tests {
         );
         let evs = s.take();
         assert_eq!(evs.len(), 2);
+        assert_eq!(evs.capacity(), evs.len());
         assert_eq!(evs[0].seq, 0);
         assert_eq!(evs[1].seq, 1);
         assert!(s.is_empty());

@@ -5,7 +5,10 @@
 # page-fault count (`getrusage` as it exits: on the scale cells a third of
 # the time is the kernel faulting memory in, which no sample names), then,
 # per function, the share of samples it is the leaf of (self) and the share
-# it is anywhere on the stack of (inclusive).
+# it is anywhere on the stack of (inclusive). A sample is charged to the
+# symbol whose extent (`nm -S`) holds it; one that lands outside every sized
+# symbol counts in a `[<object> unsymbolized]` row instead of the symbol
+# before it.
 #
 #   scripts/profile.sh [--hz N] [--top N] [--grep REGEX] [--callers REGEX] -- COMMAND [ARGS...]
 #   scripts/profile.sh -- benchmark/target/release/memres-benchmark \
@@ -123,27 +126,53 @@ for line in open(path):
         dropped = True
 syms = {}
 def table(obj):
+    # `nm -S` lines: "addr size kind name", or "addr kind name" for a symbol
+    # with no size (a size of 0 counts as none). Of symbols at one address
+    # the largest is kept.
     if obj not in syms:
-        out = subprocess.run(["nm", "-C", "--defined-only", obj], capture_output=True, text=True).stdout
-        rows = sorted((int(a, 16), name) for a, kind, name in
-                      (l.split(None, 2) for l in out.splitlines() if len(l.split(None, 2)) == 3)
-                      if kind in "tTwW")
-        syms[obj] = ([a for a, _ in rows], [n.strip() for _, n in rows])
+        out = subprocess.run(["nm", "-C", "-S", "--defined-only", obj],
+                             capture_output=True, text=True).stdout
+        rows = {}
+        for l in out.splitlines():
+            f = l.split(None, 2)
+            if len(f) < 3:
+                continue
+            if len(f[1]) == 1:
+                addr, size, (kind, name) = f[0], None, f[1:]
+            else:
+                g = f[2].split(None, 1)
+                if len(g) < 2:
+                    continue
+                addr, size, (kind, name) = f[0], int(f[1], 16) or None, g
+            a = int(addr, 16)
+            if kind in "tTwW" and (a not in rows or (size or 0) > (rows[a][0] or 0)):
+                rows[a] = (size, name.strip())
+        addrs = sorted(rows)
+        syms[obj] = (addrs, [rows[a] for a in addrs])
     return syms[obj]
 def resolve(pc):
+    # A pc goes to the symbol whose [addr, addr + size) holds it, and one
+    # past the end of the symbol before it (padding, code no symbol covers)
+    # to the object's unsymbolized row. An unsized symbol takes every pc up
+    # to the next symbol.
     for lo, hi, obj in maps:
         if lo <= pc < hi:
-            addrs, names = table(obj)
-            i = bisect.bisect_right(addrs, pc - base[obj]) - 1
-            return names[i] if i >= 0 else "[%s]" % obj.rsplit("/", 1)[-1]
+            addrs, rows = table(obj)
+            off = pc - base[obj]
+            i = bisect.bisect_right(addrs, off) - 1
+            if i >= 0 and (rows[i][0] is None or off < addrs[i] + rows[i][0]):
+                return rows[i][1]
+            return "[%s unsymbolized]" % obj.rsplit("/", 1)[-1]
     return "[unmapped]"
 cache = {}
-name = lambda pc: cache.setdefault(pc, resolve(pc - 1))  # return address -> call site
+name = lambda pc: cache.setdefault(pc, resolve(pc))
 self_, incl, callers = collections.Counter(), collections.Counter(), collections.Counter()
 for stack in samples:
     if not stack:
         continue
-    names = [name(pc) for pc in stack]
+    # The leaf is the interrupted instruction itself; every frame above it
+    # is a return address, so its call is the byte before.
+    names = [name(stack[0])] + [name(pc - 1) for pc in stack[1:]]
     self_[names[0]] += 1
     for n in set(names):
         incl[n] += 1

@@ -307,6 +307,26 @@ fn mixed_pairs(n: i64) -> Vec<Record> {
         .collect()
 }
 
+/// `n` pairs of small `I64`s over 37 keys, except that the first of four
+/// partitions (round-robin) carries now and then a key or a value beyond
+/// ±2³¹ and the second now and then a `Str` value, so a reducer gathers
+/// segments of all three column layouts a shuffle bucket can take.
+fn widening_pairs(n: i64) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let (k, v) = (Value::I64(i % 37), Value::I64(i));
+            match (i % 4, i / 4 % 50) {
+                (0, 7) => (Value::I64(i64::from(i32::MAX) + 1), v),
+                (0, 19) => (Value::I64(i64::from(i32::MIN) - 1), v),
+                (0, 29) => (k, Value::I64(i64::MAX - i)),
+                (0, 41) => (k, Value::I64(i64::MIN + i)),
+                (1, 13 | 37) => (k, Value::str(format!("v{i}"))),
+                _ => (k, v),
+            }
+        })
+        .collect()
+}
+
 /// `kv_pairs(5000, 97, 11)` over `parts` partitions.
 fn kv(parts: usize) -> Rdd {
     Rdd::source(Dataset::from_records(
@@ -397,6 +417,13 @@ const CASES: &[pins::Case] = &[
         let rdd =
             Rdd::source(Dataset::from_records(mixed_pairs(2000), 4)).group_by_key(Some(3), 1e9);
         collect_at_every_thread_count(case, rdd, 47)
+    }),
+    // Small `I64`s, a few beyond ±2³¹ and a few `Str` values: one reducer
+    // gathers narrow, wide and boxed segments (DESIGN §4.7).
+    ("group_by_key_widening_columns", |case| {
+        let rdd =
+            Rdd::source(Dataset::from_records(widening_pairs(2000), 4)).group_by_key(Some(3), 1e9);
+        collect_at_every_thread_count(case, rdd, 39)
     }),
 ];
 
