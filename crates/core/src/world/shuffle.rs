@@ -997,6 +997,7 @@ impl SimWorld {
 mod tests {
     use super::super::tasks::TState;
     use super::super::tests::world;
+    use super::super::RunPhase;
     use super::*;
     use crate::config::EngineConfig;
     use crate::value::{Record, Value};
@@ -1171,5 +1172,52 @@ mod tests {
         assert_eq!(table(&w), (2 * workers as usize, vec![a, b, c]));
         assert_eq!(w.net.open_flows(), 3);
         assert_eq!(w.net.slab_capacity(), 3 * workers as usize);
+    }
+
+    #[test]
+    fn a_read_shuffles_fetch_flows_close_when_the_next_fetch_stage_begins() {
+        // Stage 1 reads the first shuffle and writes the second. Its fetch
+        // flows outlive the stage: idle, they stay open through stage 1's
+        // storing phase, and the event that begins stage 2 closes exactly
+        // the ones its reducers opened. (Closing a flow that still carries a
+        // failed attempt's chunks moves the net, so the instant is pinned.)
+        use crate::rdd::{Dataset, Rdd, SizeModel};
+        use memres_des::sim::Simulation;
+        let cfg = EngineConfig::default().with_rack_agg_threshold(u32::MAX);
+        let mut sim = Simulation::new(SimWorld::new(tiny(4), cfg));
+        let recs: Vec<Record> = (0..256).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        let rdd = Rdd::source(Dataset::from_records(recs, 4))
+            .group_by_key(Some(3), 1e9)
+            .map("id", SizeModel::scan(), |r| r)
+            .group_by_key(Some(2), 1e9);
+        let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        sim.model.submit_job(SimTime::ZERO, plan, &mut out);
+        sim.drain_outbox(out);
+        let opened =
+            |flows: &[Vec<FlowId>]| flows.iter().flatten().filter(|&&f| f != UNOPENED).count();
+        // (open flows, opened entries of the first shuffle's table) in the
+        // last event of stage 1's storing phase.
+        let mut storing = None;
+        let mut began = false;
+        while !began && sim.step() {
+            let w = &sim.model;
+            match w.jobs[0].phase {
+                RunPhase::Storing(1) => {
+                    let sh = w.jobs[0].shuffle.reading.as_ref().expect("stage 1 read");
+                    let n = opened(&sh.fetch_flows);
+                    assert!(n > 0, "stage 1's reducers fetched over the network");
+                    assert_eq!(w.net.open_flows(), n, "idle, and still open");
+                    storing = Some((w.net.open_flows(), n));
+                }
+                RunPhase::Stage(2) => {
+                    let (open, n) = storing.expect("stage 2 follows stage 1's storing");
+                    assert_eq!(w.net.open_flows(), open - n, "closed as stage 2 begins");
+                    began = true;
+                }
+                _ => {}
+            }
+        }
+        assert!(began, "the job reached stage 2");
     }
 }
