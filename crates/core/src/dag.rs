@@ -75,10 +75,6 @@ impl StagePlan {
             shuffle_out: None,
         }
     }
-
-    pub fn has_shuffle_output(&self) -> bool {
-        self.shuffle_out.is_some()
-    }
 }
 
 /// How to rebuild one lost partition of a materialized cache: re-read its
@@ -216,7 +212,7 @@ pub fn render_plan(plan: &JobPlan) -> String {
         for (idx, rdd) in &stage.cache_points {
             out.push_str(&format!(" (cache#{} after {} steps)", name(*rdd), idx));
         }
-        if stage.has_shuffle_output() {
+        if stage.shuffle_out.is_some() {
             out.push_str(" -> ShuffleMapTasks (store)");
         }
         out.push_str("]\n");
@@ -240,7 +236,7 @@ mod tests {
         let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 1);
         assert_eq!(plan.stages[0].steps.len(), 1);
-        assert!(!plan.stages[0].has_shuffle_output());
+        assert!(plan.stages[0].shuffle_out.is_none());
     }
 
     #[test]
@@ -251,14 +247,14 @@ mod tests {
             .group_by_key(Some(8), 1e9);
         let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 2);
-        assert!(plan.stages[0].has_shuffle_output());
+        assert!(plan.stages[0].shuffle_out.is_some());
         let spec = plan.stages[0]
             .shuffle_out
             .as_ref()
             .expect("writes the shuffle");
         assert_eq!(spec.reducers, Some(8));
         assert!(matches!(plan.stages[1].input, StageInput::Shuffle));
-        assert!(!plan.stages[1].has_shuffle_output());
+        assert!(plan.stages[1].shuffle_out.is_none());
     }
 
     #[test]
@@ -343,8 +339,8 @@ mod tests {
             .group_by_key(Some(2), 1e9);
         let plan = build_plan(&rdd, Action::Count, &BTreeSet::new());
         assert_eq!(plan.stages.len(), 3);
-        assert!(plan.stages[0].has_shuffle_output());
-        assert!(plan.stages[1].has_shuffle_output());
-        assert!(!plan.stages[2].has_shuffle_output());
+        assert!(plan.stages[0].shuffle_out.is_some());
+        assert!(plan.stages[1].shuffle_out.is_some());
+        assert!(plan.stages[2].shuffle_out.is_none());
     }
 }

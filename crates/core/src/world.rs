@@ -21,9 +21,11 @@
 //!
 //! This file holds the world itself — [`Ev`], [`NetTag`], `JobRun`,
 //! [`SimWorld`] and its construction, the wake and transfer plumbing, a
-//! job's life-cycle, task launch and completion, the invariant audit and the
+//! job's admission, task launch and completion, the invariant audit and the
 //! event dispatch (`handle`). Each decision the engine makes lives in a
-//! child module that owns its state (DESIGN.md §3.1): `tasks` (the task
+//! child module that owns its state (DESIGN.md §3.1): `phase` (the phase
+//! machine: a job's stages and storing phases, each holding the shuffles it
+//! reads and writes), `tasks` (the task
 //! arena), `sched` (which task a free slot gets: delay scheduling, ELB, CAD,
 //! LATE, the inter-job order), `shuffle` (the §IV-B design space: where
 //! intermediate data lives and how reducers get it), `recovery` (how a
@@ -52,9 +54,8 @@ use crate::blockmgr::BlockMgr;
 use crate::candidates::Nodes;
 use crate::config::EngineConfig;
 use crate::dag::{JobPlan, StageInput};
-use crate::executor::{evaluate, ChainOut, Pending, RealOut, Work};
-use crate::metrics::{JobMetrics, RecoveryCounters, TaskLocality};
-use crate::rdd::Action;
+use crate::executor::{evaluate, ChainOut, Pending, Work};
+use crate::metrics::{JobMetrics, RecoveryCounters};
 use crate::tenancy::FinishedJob;
 use crate::value::{Record, Value};
 use memres_cluster::{ClusterSpec, NodeId, SpeedModel, SpeedSampler};
@@ -72,6 +73,7 @@ use std::sync::Arc;
 
 mod admission;
 mod input;
+mod phase;
 mod recovery;
 mod sampler;
 mod sched;
@@ -80,12 +82,13 @@ mod tasks;
 
 use admission::StreamState;
 use input::Inputs;
+use phase::RunPhase;
 use recovery::Faults;
 use sampler::Sampler;
 use sched::{Cad, DispatchState, JobQueues};
-use shuffle::{JobShuffle, ShuffleService};
+use shuffle::{JobShuffle, ShuffleService, ShuffleState};
 pub(crate) use tasks::TaskTable;
-use tasks::{Flag, TState, Task, TaskArena, TaskKind};
+use tasks::{Flag, TState, TaskArena, TaskKind};
 
 /// Fixed per-task launch overhead (scheduling, serialization, JVM dispatch).
 /// This is what makes 32 MB splits slower than 128 MB ones on the Lustre
@@ -185,12 +188,6 @@ pub enum Ev {
     MetricsSample,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RunPhase {
-    Stage(usize),
-    Storing(usize),
-}
-
 struct JobRun {
     /// Job id (minted from `job_seq` at arrival/submission).
     id: u32,
@@ -199,12 +196,16 @@ struct JobRun {
     arrived: SimTime,
     admitted: SimTime,
     plan: Arc<JobPlan>,
+    /// The stage running, or flushing its outputs.
+    stage: usize,
+    /// Where that stage is in its pipeline, with the shuffles it works on.
     phase: RunPhase,
     remaining: usize,
     /// Tasks of the currently running stage (the storing phase flushes their
     /// outputs).
     stage_tasks: Vec<u32>,
-    /// The shuffles this job reads and writes, and what it deposited where.
+    /// What the job's shuffles deposited where, and the Lustre files they
+    /// wrote (the shuffles themselves live in `phase`).
     shuffle: JobShuffle,
     /// The records each final-stage partition produced, by partition: the
     /// job's output count is their sum.
@@ -226,7 +227,10 @@ impl JobRun {
         let lists = [&self.stage_tasks, &self.finish_order];
         let ids: usize = lists.iter().map(|l| l.capacity() * size_of::<u32>()).sum();
         let counts = self.final_records.capacity() * size_of::<u64>();
-        self.shuffle.heap_bytes() + self.queues.heap_bytes() + ids + counts
+        // The live shuffle's byte accounting: the one being written, else
+        // the one being read.
+        let live = self.phase.writing().or(self.phase.reading());
+        live.map_or(0, ShuffleState::heap_bytes) + self.queues.heap_bytes() + ids + counts
     }
 
     /// A speculative copy `task` won: it replaces its `twin` among the
@@ -735,7 +739,8 @@ impl SimWorld {
             arrived,
             admitted: now,
             plan,
-            phase: RunPhase::Stage(0),
+            stage: 0,
+            phase: RunPhase::BARE,
             remaining: 0,
             stage_tasks: Vec::new(),
             shuffle: JobShuffle::new(workers),
@@ -750,90 +755,7 @@ impl SimWorld {
             },
         });
         let ji = self.jobs.len() - 1;
-        self.start_stage(now, ji, 0, out);
-    }
-
-    fn start_stage(&mut self, now: SimTime, ji: usize, idx: usize, out: &mut Outbox<Ev>) {
-        let plan = self.jobs[ji].plan.clone();
-        let stage = &plan.stages[idx];
-        let is_last = idx + 1 == plan.stages.len();
-
-        // Resolve the partition count, whether the input holds real records
-        // (the shuffle it writes does then) and whether its tasks fetch,
-        // placing datasets.
-        let (nparts, real, is_fetch) = match &stage.input {
-            StageInput::Dataset { rdd, dataset } => {
-                let n = self.ensure_placed(*rdd, dataset);
-                (n, self.inputs.is_real(*rdd), false)
-            }
-            StageInput::Cached { rdd } => (
-                self.blockmgr.partition_count(*rdd),
-                self.blockmgr.is_real(*rdd),
-                false,
-            ),
-            StageInput::Shuffle => {
-                let (n, real) = self.begin_fetch_stage(now, ji, out);
-                (n, real, true)
-            }
-        };
-        assert!(nparts > 0, "stage with zero partitions");
-
-        // Create the produced-shuffle state if this stage writes one. It is
-        // followed by one store task per task of this stage and then by the
-        // shuffle's reducers.
-        let followers = stage.shuffle_out.as_ref().map_or(0, |spec| {
-            nparts + self.open_shuffle(ji, spec, nparts, real) as usize
-        });
-
-        // Declare cache points so partially-cached RDDs are not reused.
-        for (_, rdd) in &stage.cache_points {
-            self.blockmgr.declare(*rdd, nparts as u32);
-        }
-
-        // Create the stage's tasks. Room for the followers too, now, while
-        // the arrays are small, is one growth instead of three that each
-        // copy everything before them.
-        self.reserve_tasks(ji, nparts + followers);
-        let first = self.tasks.len() as u32;
-        for i in 0..nparts {
-            let kind = if is_fetch {
-                TaskKind::Fetch { reducer: i as u32 }
-            } else {
-                TaskKind::Compute { part: i as u32 }
-            };
-            let mut t = Task::new(self.jobs[ji].id, idx as u32, kind, now);
-            t.prefs = self.compute_prefs(stage, i as u32);
-            self.tasks.push(t);
-        }
-        let created = first..self.tasks.len() as u32;
-        self.trace(
-            now,
-            TE::StageStart {
-                stage: idx as u32,
-                tasks: created.len() as u32,
-            },
-        );
-        {
-            let job = &mut self.jobs[ji];
-            job.phase = RunPhase::Stage(idx);
-            job.remaining = created.len();
-            job.stage_tasks = created.clone().collect();
-            if is_last {
-                job.final_records = vec![0; created.len()];
-            }
-            job.queues.begin_stage(now, self.cfg.speculation);
-        }
-        self.queue_tasks(now, ji, created);
-        self.sched.rotate();
-        out.immediately(Ev::Dispatch);
-    }
-
-    /// Make room for the `n` tasks job `ji` is about to create, in the
-    /// arena and in the job's finish-order list: each array grows once, to
-    /// exactly what it needs, instead of doubling its way there.
-    fn reserve_tasks(&mut self, ji: usize, n: usize) {
-        self.tasks.reserve(n);
-        self.jobs[ji].finish_order.reserve_exact(n);
+        self.start_stage(now, ji, 0, None, out);
     }
 
     // ---------------- task launch ----------------
@@ -1074,7 +996,7 @@ impl SimWorld {
         // rows were already re-hosted when their node crashed.
         match kind {
             TaskKind::Compute { .. } | TaskKind::Fetch { .. } if !ghost => {
-                self.producer_finished(task, node);
+                self.producer_finished(ji, task, node);
             }
             TaskKind::Store { .. } => {
                 if let Some(cad) = &self.cfg.cad {
@@ -1091,103 +1013,6 @@ impl SimWorld {
         } else {
             out.immediately(Ev::Dispatch);
         }
-    }
-
-    fn advance_phase(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
-        let phase = self.jobs[ji].phase;
-        match phase {
-            RunPhase::Stage(idx) => {
-                let has_shuffle = self.jobs[ji].plan.stages[idx].has_shuffle_output();
-                if has_shuffle {
-                    self.start_storing(now, ji, idx, out);
-                } else {
-                    self.finish_job(now, ji, out);
-                }
-            }
-            RunPhase::Storing(idx) => {
-                self.prepare_fetch_serving(now, ji, out);
-                self.start_stage(now, ji, idx + 1, out);
-            }
-        }
-    }
-
-    fn start_storing(&mut self, now: SimTime, ji: usize, stage_idx: usize, out: &mut Outbox<Ev>) {
-        let producers = self.jobs[ji].stage_tasks.clone();
-        let job_id = self.jobs[ji].id;
-        self.reserve_tasks(ji, producers.len());
-        let first = self.tasks.len() as u32;
-        for &p in &producers {
-            // A flush is pinned to its producer's node; if that node died or
-            // was blacklisted since, the re-hosted rows flush at the
-            // replacement instead.
-            let mut node = self.tasks.node[p as usize];
-            if !self.nodes.usable(node) {
-                let Some(repl) = self.nodes.replacement() else {
-                    self.abort_job(now, ji, out);
-                    return;
-                };
-                node = repl;
-            }
-            let kind = TaskKind::Store { producer: p };
-            let mut t = Task::new(job_id, stage_idx as u32, kind, now);
-            t.locality = TaskLocality::NodeLocal;
-            t.pin = node;
-            self.tasks.push(t);
-        }
-        let job = &mut self.jobs[ji];
-        job.phase = RunPhase::Storing(stage_idx);
-        job.remaining = producers.len();
-        job.queues.shrink();
-        self.queue_tasks(now, ji, first..self.tasks.len() as u32);
-        out.immediately(Ev::Dispatch);
-    }
-
-    /// Take the final tasks' shared output slices out of `real_out`, in task
-    /// order, when every one kept real rows (only the final stage of a job
-    /// whose action reads rows keeps any). `job` is departing: its current
-    /// stage is the final one.
-    fn take_final_rows(&mut self, job: &JobRun) -> Option<Vec<Arc<[Record]>>> {
-        let rows = |t| match self.tasks.real_out.remove(t) {
-            Some(RealOut::Rows(r)) => Some(r),
-            _ => None,
-        };
-        job.stage_tasks.iter().map(rows).collect()
-    }
-
-    fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
-        let job = self.jobs.remove(ji);
-        if self.tasks.running(job.id) > 0 {
-            self.faults.abandon_io();
-        }
-        self.release_shuffle_state(now, &job, out);
-        self.trace(
-            now,
-            TE::JobEnd {
-                job: job.id,
-                aborted: false,
-            },
-        );
-        // The output count is the final partitions' record counts, real or
-        // not; only an action that reads rows looks at them.
-        let count: u64 = job.final_records.iter().sum();
-        let (records, reduced) = match &job.plan.action {
-            Action::Count => (None, None),
-            Action::Collect => (self.take_final_rows(&job).map(|s| s.concat()), None),
-            Action::Reduce(f) => {
-                let fold = |slices: Vec<Arc<[Record]>>| {
-                    let values = slices.iter().flat_map(|s| s.iter()).map(|(_, v)| v.clone());
-                    values.reduce(|a, b| f(a, b)).unwrap_or(Value::Null)
-                };
-                (None, self.take_final_rows(&job).map(fold))
-            }
-        };
-        let output = JobOutput {
-            count,
-            records,
-            reduced,
-            aborted: false,
-        };
-        self.job_departed(now, job, output, out);
     }
 }
 
@@ -1428,7 +1253,7 @@ mod tests {
     pub(super) fn push_pinned_store(w: &mut SimWorld, node: u32) -> u32 {
         let id = w.tasks.len() as u32;
         let kind = TaskKind::Store { producer: 0 };
-        let mut t = Task::new(w.jobs[0].id, 0, kind, SimTime::ZERO);
+        let mut t = tasks::Task::new(w.jobs[0].id, 0, kind, SimTime::ZERO);
         t.pin = node;
         w.tasks.push(t);
         w.jobs[0].remaining += 1;

@@ -237,7 +237,7 @@ impl SimWorld {
             // output) is a pure function of the shared input — defer it so
             // the dispatch round can evaluate all such work on the worker
             // pool, then commit in launch order.
-            let reader = self.real_reader(task);
+            let reader = self.job_of(task).real_reader(stage_idx);
             self.pending.push(Pending {
                 task,
                 plan: plan.clone(),

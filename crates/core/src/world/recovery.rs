@@ -7,7 +7,7 @@
 //! cached partition (`recovery_stage`).
 
 use super::tasks::{Flag, TState, Task, TaskKind, UNPINNED};
-use super::{Ev, JobOutput, RunPhase, SimWorld};
+use super::{Ev, JobOutput, SimWorld};
 use crate::dag::{JobPlan, StageInput, StagePlan};
 use crate::faults::FaultKind;
 use crate::rdd::RddId;
@@ -293,7 +293,7 @@ impl SimWorld {
         );
         self.faults.abandon_io();
         let job = self.jobs.remove(ji);
-        self.release_shuffle_state(now, &job, out);
+        self.release_shuffles(now, &job, out);
         // Retire the aborted job's tasks. Running ones hand their slot back
         // (the stale-completion filter drops their in-flight IO); queue
         // entries die with the JobRun.
@@ -430,7 +430,8 @@ impl SimWorld {
                             .jobs
                             .iter()
                             .find(|j| j.id == self.tasks.job[i])
-                            .is_some_and(|j| j.shuffle.fetches_from(src, reducer)))
+                            .and_then(|j| j.phase.reading())
+                            .is_some_and(|sh| sh.pulls_from(src, reducer)))
             })
             .map(|i| i as u32)
             .collect();
@@ -456,23 +457,14 @@ impl SimWorld {
     /// tasks when the store died with the node.
     fn spawn_crash_ghosts(&mut self, now: SimTime, ji: usize, node: u32, repl: u32) {
         let local_store = self.store_is_node_local();
-        let job_id = self.jobs[ji].id;
-        let (producing_stage, has_shuffle_out) = {
-            let job = &self.jobs[ji];
-            let producing = match job.phase {
-                RunPhase::Stage(idx) => {
-                    if job.plan.stages[idx].has_shuffle_output() {
-                        Some(idx as u32)
-                    } else if matches!(job.plan.stages[idx].input, StageInput::Shuffle) && idx > 0 {
-                        // Fetch phase: the consumed rows came from stage idx-1.
-                        Some(idx as u32 - 1)
-                    } else {
-                        None
-                    }
-                }
-                RunPhase::Storing(idx) => Some(idx as u32),
-            };
-            (producing, job.shuffle.is_writing())
+        let job = &self.jobs[ji];
+        let (job_id, idx) = (job.id, job.stage as u32);
+        let has_shuffle_out = job.phase.writing().is_some();
+        let producing_stage = match (has_shuffle_out, job.phase.reading()) {
+            (true, _) => Some(idx),
+            // Final fetch stage: the consumed rows came from stage idx-1.
+            (false, Some(_)) => Some(idx - 1),
+            (false, None) => None,
         };
         let mut ghosts: Vec<(u32, TaskKind)> = Vec::new();
         for i in 0..self.tasks.len() {

@@ -344,10 +344,7 @@ impl SimWorld {
         let Some(elb) = self.cfg.elb else {
             return false;
         };
-        let depositing = match job.phase {
-            RunPhase::Stage(idx) => job.plan.stages[idx].has_shuffle_output(),
-            _ => false,
-        };
+        let depositing = matches!(&job.phase, RunPhase::Stage { writing, .. } if writing.is_some());
         depositing && elb_over_threshold(elb, job.shuffle.intermediate(), node)
     }
 
@@ -456,7 +453,7 @@ impl SimWorld {
                     let mut node_launched = false;
                     for &ji in &order {
                         let job = &self.jobs[ji];
-                        let cad_on = cad_some && matches!(job.phase, RunPhase::Storing(_));
+                        let cad_on = cad_some && matches!(job.phase, RunPhase::Storing { .. });
                         if self.elb_declines(job, node) {
                             self.trace(now, TE::ElbDecline { node });
                             continue; // another job may still use this node
@@ -558,7 +555,7 @@ impl SimWorld {
             return false;
         }
         let job = &self.jobs[ji];
-        if !matches!(job.phase, RunPhase::Stage(_)) {
+        if !matches!(job.phase, RunPhase::Stage { .. }) {
             return false;
         }
         let Some(durs) = job.queues.stage_durs.as_ref() else {
@@ -783,7 +780,7 @@ mod tests {
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, plan, &mut out);
         for (node, bytes) in [100.0, 10.0, 10.0, 10.0].into_iter().enumerate() {
-            w.jobs[0].shuffle.deposit(node as u32, bytes, None);
+            w.jobs[0].shuffle.add_intermediate(node as u32, bytes);
         }
         assert!(
             w.elb_declines(&w.jobs[0], 0),

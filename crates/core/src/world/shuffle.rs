@@ -5,11 +5,12 @@
 //! Lustre with node-local files, or Lustre shared — and every branch on it
 //! is here: the flush of a producer's output (`launch_store`), the freeze of
 //! serving-side state between the storing phase and the fetch stage
-//! (`prepare_fetch_serving`), a reducer's fetch (`launch_fetch`, and for
+//! (`begin_fetch_stage`), a reducer's fetch (`launch_fetch`, and for
 //! Lustre-shared the MDS gate, the mass-flush gate and the deferred OSS
 //! read), what a node crash takes with it, and what a departing job gives
 //! back. A fourth store is an arm in each of those and nowhere else.
 
+use super::phase::RunPhase;
 use super::tasks::TaskKind;
 use super::{flush_tag, Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
 use crate::config::{Defect, ShuffleStore, StoreDevice};
@@ -21,7 +22,7 @@ use memres_des::sim::Outbox;
 use memres_des::time::{SimDuration, SimTime};
 use memres_des::Bytes;
 use memres_lustre::LustreFile;
-use memres_net::{inflate_for_requests, Endpoint, FlowId, FlowNet, LinkId};
+use memres_net::{inflate_for_requests, Endpoint, Fabric, FlowId, FlowNet, LinkId};
 use memres_storage::{FileId, LocalFs};
 use memres_trace::TraceEvent as TE;
 use std::sync::Arc;
@@ -97,8 +98,9 @@ fn fold_racks(racks: usize, frac: &[f64], pulls: impl Fn(usize) -> f64, out: &mu
 /// used yet.
 const UNOPENED: FlowId = FlowId(u64::MAX);
 
-/// Intermediate-data state between a producing stage and its fetch stage.
-struct ShuffleState {
+/// Intermediate-data state between a producing stage and its fetch stage,
+/// held by the phase that works on it (`world/phase.rs`).
+pub(super) struct ShuffleState {
     reducers: u32,
     spec: ShuffleSpec,
     deposits: Deposits,
@@ -160,8 +162,22 @@ impl ShuffleState {
         }
     }
 
-    fn is_real(&self) -> bool {
+    pub(super) fn reducers(&self) -> u32 {
+        self.reducers
+    }
+
+    pub(super) fn is_real(&self) -> bool {
         matches!(self.deposits, Deposits::Real { .. })
+    }
+
+    /// Heap of the byte accounting (self-profiling).
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.deposits.heap_bytes()
+    }
+
+    /// Whether `reducer` pulls bytes from `src`.
+    pub(super) fn pulls_from(&self, src: u32, reducer: u32) -> bool {
+        self.deposits.get(src as usize, reducer as usize) > 0.0
     }
 
     /// A producer finished at `node` with `total` bytes of output (`real`:
@@ -243,15 +259,65 @@ impl ShuffleState {
             }
         }
     }
+
+    /// Persistent fetch flow for `(src, dst, kind)`: one indexed load once
+    /// opened, opened on first use over `links` (the net, the fabric, and
+    /// each node's store read link). Kind 0 is served by the source's store
+    /// (or Lustre server page cache), kind 1 by the OSSes through the Lustre
+    /// pipe ("repetitive data movement"). In an aggregated shuffle `src` and
+    /// `dst` are racks and the flow is processor-shared: concurrent reducers
+    /// behind it split its bandwidth evenly — the split the collapsed
+    /// per-node flows would converge to under water-filling. A shuffle is
+    /// aggregated or not for its whole life, so its table is indexed one way
+    /// throughout. A node-to-node flow reserves room for `cores` chunks.
+    fn fetch_flow(
+        &mut self,
+        now: SimTime,
+        (net, fabric, read_links): (&mut FlowNet<NetTag>, &Fabric, &[LinkId]),
+        cores: usize,
+        (src, dst, kind): (u32, u32, u8),
+    ) -> FlowId {
+        let endpoints = self.fetch_flows.len() / 2;
+        let row = &mut self.fetch_flows[dst as usize * 2 + kind as usize];
+        if row.is_empty() {
+            row.resize(endpoints, UNOPENED);
+        }
+        let entry = &mut row[src as usize];
+        if *entry != UNOPENED {
+            return *entry;
+        }
+        *entry = if self.aggregated {
+            let mut path = fabric.rack_aggregate_path(src as usize, dst as usize);
+            if kind == 1 {
+                path.insert(0, fabric.lustre_pipe());
+            }
+            path.dedup();
+            net.open_shared_flow(now, path, false)
+        } else {
+            // The serving side (store read bandwidth, or the Lustre pipe),
+            // then the server and destination NICs across the fabric.
+            let mut path = vec![if kind == 0 {
+                read_links[src as usize]
+            } else {
+                fabric.lustre_pipe()
+            }];
+            path.extend(fabric.path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))));
+            path.dedup();
+            let flow = net.open_flow(now, path, false);
+            // A node-to-node flow queues one chunk per reducer running on
+            // the destination node (a capacity hint: a retry can queue behind
+            // a failed attempt's). Rack-aggregated flows serve a whole rack
+            // and are left to grow.
+            net.reserve_chunks(flow, cores);
+            flow
+        };
+        *entry
+    }
 }
 
-/// One job's shuffles: the one its current stage reads, the one it writes,
-/// and what it has deposited where.
+/// What one job's shuffles leave beyond the phase that holds them: what it
+/// has deposited where, and the Lustre files it wrote.
 pub(super) struct JobShuffle {
-    /// Shuffle feeding the current fetch stage.
-    reading: Option<ShuffleState>,
-    /// Shuffle being produced by the current stage.
-    writing: Option<ShuffleState>,
     /// Per-node intermediate bytes deposited by this job (ELB signal).
     intermediate: Vec<f64>,
     /// Every Lustre shuffle file this job has written, deleted when it
@@ -262,8 +328,6 @@ pub(super) struct JobShuffle {
 impl JobShuffle {
     pub(super) fn new(workers: usize) -> Self {
         JobShuffle {
-            reading: None,
-            writing: None,
             intermediate: vec![0.0; workers],
             lustre_files: Vec::new(),
         }
@@ -274,50 +338,28 @@ impl JobShuffle {
         &self.intermediate
     }
 
-    pub(super) fn is_writing(&self) -> bool {
-        self.writing.is_some()
-    }
-
-    /// Heap of the live shuffle's byte accounting (self-profiling).
-    pub(super) fn heap_bytes(&self) -> usize {
-        let live = self.writing.as_ref().or(self.reading.as_ref());
-        live.map_or(0, |s| s.deposits.heap_bytes())
-    }
-
-    /// Whether `reducer` of the shuffle being read pulls bytes from `src`.
-    pub(super) fn fetches_from(&self, src: u32, reducer: u32) -> bool {
-        let (src, reducer) = (src as usize, reducer as usize);
-        let reading = self.reading.as_ref();
-        reading.is_some_and(|sh| sh.deposits.get(src, reducer) > 0.0)
-    }
-
-    /// The shuffle this job's fetch stage reads.
-    #[expect(
-        clippy::expect_used,
-        reason = "reached from fetch-task paths only, and a fetch stage starts (`begin_fetch_stage`) by installing the shuffle its predecessor wrote"
-    )]
-    fn reading(&mut self) -> &mut ShuffleState {
-        self.reading
-            .as_mut()
-            .expect("fetch without a shuffle to read")
-    }
-
-    /// The shuffle this job's current stage writes.
-    #[expect(
-        clippy::expect_used,
-        reason = "reached for the producers, store tasks and storing-to-fetch switch of a stage whose plan writes a shuffle, which `open_shuffle` created when the stage started"
-    )]
-    fn writing(&mut self) -> &mut ShuffleState {
-        self.writing
-            .as_mut()
-            .expect("producer without a shuffle to write")
-    }
-
-    /// A producer finished at `node` with `bytes` of output: counted in
-    /// `intermediate`, and deposited into the shuffle being written.
-    pub(super) fn deposit(&mut self, node: u32, bytes: f64, real: Option<RealOut>) {
+    /// A producer finished at `node` with `bytes` of output.
+    pub(super) fn add_intermediate(&mut self, node: u32, bytes: f64) {
         self.intermediate[node as usize] += bytes;
-        self.writing().deposit(node as usize, bytes, real);
+    }
+}
+
+impl JobRun {
+    /// Who reads the real rows a task of stage `stage` produces: the shuffle
+    /// this job's phase writes, when that carries real rows; else the job's
+    /// action, when `stage` is the final one and the action reads rows; else
+    /// nobody.
+    pub(super) fn real_reader(&self, stage: usize) -> Reader {
+        if let Some(sh) = self.phase.writing().filter(|sh| sh.is_real()) {
+            return Reader::Shuffle(sh.reducers);
+        }
+        let last = stage + 1 == self.plan.stages.len();
+        let read = matches!(self.plan.action, Action::Collect | Action::Reduce(_));
+        if last && read {
+            Reader::Action
+        } else {
+            Reader::Nobody
+        }
     }
 }
 
@@ -393,35 +435,16 @@ impl SimWorld {
         }
     }
 
-    /// Who reads `task`'s real rows: the shuffle its job is producing, when
-    /// that carries real rows; else the job's action, when `task` is in the
-    /// final stage and the action reads rows; else nobody.
-    pub(super) fn real_reader(&self, task: u32) -> Reader {
-        let job = self.job_of(task);
-        if let Some(sh) = job.shuffle.writing.as_ref().filter(|sh| sh.is_real()) {
-            return Reader::Shuffle(sh.reducers);
-        }
-        let last = self.tasks.stage[task as usize] as usize + 1 == job.plan.stages.len();
-        let read = matches!(job.plan.action, Action::Collect | Action::Reduce(_));
-        if last && read {
-            Reader::Action
-        } else {
-            Reader::Nobody
-        }
-    }
-
     // ---------------- a shuffle's life ----------------
 
-    /// Job `ji`'s current stage writes the shuffle `spec` over `nparts`
-    /// producers, of real records when `real`: create its state. Returns the
-    /// reducer count.
+    /// A stage writes the shuffle `spec` over `nparts` producers, of real
+    /// records when `real`: its state, for the stage's phase to hold.
     pub(super) fn open_shuffle(
         &mut self,
-        ji: usize,
         spec: &ShuffleSpec,
         nparts: usize,
         real: bool,
-    ) -> u32 {
+    ) -> ShuffleState {
         // Spark guidance: default reduce-side parallelism ~ total cores.
         let reducers = spec
             .reducers
@@ -440,50 +463,79 @@ impl SimWorld {
                 && per_rack * per_rack > self.cfg.rack_agg_threshold as u64
         };
         let racks = aggregated.then_some(self.spec.racks as usize);
-        let state = ShuffleState::new(reducers, spec.clone(), workers, real, racks);
-        self.jobs[ji].shuffle.writing = Some(state);
-        reducers
+        ShuffleState::new(reducers, spec.clone(), workers, real, racks)
     }
 
-    /// A fetch stage of job `ji` starts: the shuffle it produced moves into
-    /// consuming position, and the one consumed by the stage that produced
-    /// it is done with. The net makes room, once, for every fetch flow the
-    /// stage can open: reducers land on at most `min(reducers, endpoints)`
-    /// destinations, each pulling from every source endpoint over each
-    /// serving kind the store has (the store or cache, and for Lustre-local
-    /// the OSSes; Lustre-shared reads ride one-shot flows). Returns the
-    /// reducer count and whether the shuffle holds real records.
+    /// Job `job`'s fetch stage begins reading `sh`, the shuffle its storing
+    /// phase just flushed. Serving-side state freezes: store read-link
+    /// capacities (LocalStore), cached fractions (Lustre-local), the mass
+    /// revocation flush (Lustre-shared). The fetch flows of the shuffle the
+    /// stage before read (`spent`) close. And the net makes room, once, for
+    /// every fetch flow the stage can open: reducers land on at most
+    /// `min(reducers, endpoints)` destinations, each pulling from every
+    /// source endpoint over each serving kind the store has (the store or
+    /// cache, and for Lustre-local the OSSes; Lustre-shared reads ride
+    /// one-shot flows).
     pub(super) fn begin_fetch_stage(
         &mut self,
         now: SimTime,
-        ji: usize,
+        job: u32,
+        sh: &mut ShuffleState,
+        spent: Option<ShuffleState>,
         out: &mut Outbox<Ev>,
-    ) -> (usize, bool) {
-        let sh = &mut self.jobs[ji].shuffle;
-        let produced = sh.writing.take();
-        assert!(produced.is_some(), "fetch stage without produced shuffle");
-        if let Some(consumed) = std::mem::replace(&mut sh.reading, produced) {
-            self.release_fetch_flows(now, &consumed, out);
-        }
-        let reading = self.jobs[ji].shuffle.reading();
-        let (reducers, real) = (reading.reducers as usize, reading.is_real());
-        let endpoints = reading.fetch_flows.len() / 2;
+    ) {
+        let workers = self.spec.workers;
         let kinds = match self.cfg.shuffle {
-            ShuffleStore::Local(_) => 1,
-            ShuffleStore::LustreLocal => 2,
-            ShuffleStore::LustreShared => 0,
+            ShuffleStore::Local(dev) => {
+                for n in 0..workers {
+                    let bw = effective_read_bw(self.fs(n, dev == StoreDevice::Ssd), dev);
+                    let link = self.shuffle.read_links[n as usize];
+                    self.net.set_link_capacity(now, link, bw.max(1.0));
+                }
+                self.net.end_batch();
+                self.arm_net(out);
+                1
+            }
+            ShuffleStore::LustreLocal => {
+                for (frac, file) in sh.cached_frac.iter_mut().zip(&sh.lustre_files) {
+                    *frac = file.map_or(0.0, |lf| self.lustre.cached_fraction(lf));
+                }
+                2
+            }
+            ShuffleStore::LustreShared => {
+                // "Forcing all the intermediate data to be flushed to the
+                // OSSes around the same time" — revoke every node file now.
+                let mut pending = 0;
+                for (n, lf) in sh.lustre_files.iter().enumerate() {
+                    let dirty = lf.map_or(0.0, |lf| self.lustre.revoke(now, lf));
+                    if dirty > 0.0 {
+                        pending += 1;
+                        let wire = dirty / self.lustre.config().write_efficiency;
+                        let src = Endpoint::Node(NodeId(n as u32));
+                        let tag = flush_tag(job);
+                        self.send_once(now, src, Endpoint::Lustre, Bytes(wire), tag);
+                    }
+                }
+                sh.flush_pending = pending;
+                sh.flush_done = pending == 0;
+                self.arm_net(out);
+                0
+            }
         };
+        if let Some(spent) = spent {
+            self.release_fetch_flows(now, &spent, out);
+        }
+        let endpoints = sh.fetch_flows.len() / 2;
         self.net
-            .reserve_flows(reducers.min(endpoints) * endpoints * kinds);
-        (reducers, real)
+            .reserve_flows((sh.reducers as usize).min(endpoints) * endpoints * kinds);
     }
 
     /// Give back the persistent fetch flows of a shuffle nothing will read
-    /// again: its fetch stage is over, or its job is leaving. They are idle
-    /// unless a failed or aborted attempt left chunks in flight, and closing
-    /// an idle flow only frees its slot; closing one that still carries
-    /// chunks drops them and retires the armed `NetWake`, so the net is
-    /// re-armed here.
+    /// again: the next fetch stage has begun, or its job is leaving. They
+    /// are idle unless a failed or aborted attempt left chunks in flight,
+    /// and closing an idle flow only frees its slot; closing one that still
+    /// carries chunks drops them and retires the armed `NetWake`, so the net
+    /// is re-armed here.
     fn release_fetch_flows(&mut self, now: SimTime, sh: &ShuffleState, out: &mut Outbox<Ev>) {
         let armed = self.net.gen();
         for &f in sh.fetch_flows.iter().flatten().filter(|&&f| f != UNOPENED) {
@@ -495,17 +547,15 @@ impl SimWorld {
     }
 
     /// A departing job gives back what its shuffles hold in the substrates:
-    /// the fetch flows of the one it was reading, and every Lustre file it
-    /// wrote — deleting one releases its writer's DLM lock and the client
-    /// cache it pins. A delete retires the armed `LustreWake`, so the MDS is
-    /// re-armed for the other residents.
-    pub(super) fn release_shuffle_state(
-        &mut self,
-        now: SimTime,
-        job: &JobRun,
-        out: &mut Outbox<Ev>,
-    ) {
-        if let Some(sh) = &job.shuffle.reading {
+    /// the fetch flows its phase holds open (of the shuffle it was reading,
+    /// or of the one its storing stage read), and every Lustre file it wrote
+    /// — deleting one releases its writer's DLM lock and the client cache it
+    /// pins. A delete retires the armed `LustreWake`, so the MDS is re-armed
+    /// for the other residents.
+    pub(super) fn release_shuffles(&mut self, now: SimTime, job: &JobRun, out: &mut Outbox<Ev>) {
+        let (RunPhase::Stage { reading: held, .. } | RunPhase::Storing { spent: held, .. }) =
+            &job.phase;
+        if let Some(sh) = held {
             self.release_fetch_flows(now, sh, out);
         }
         if !job.shuffle.lustre_files.is_empty() {
@@ -539,9 +589,14 @@ impl SimWorld {
         }
         let ji = self.job_index_of(task);
         let (job, svc) = (&mut self.jobs[ji], &mut self.shuffle);
+        // A flush (a re-flush ghost too) records its file in the shuffle
+        // being written; a phase that writes none launches no flush.
+        let Some(sh) = job.phase.writing_mut() else {
+            return;
+        };
         match self.cfg.shuffle {
             ShuffleStore::Local(dev) => {
-                let files = &mut job.shuffle.writing().local_files;
+                let files = &mut sh.local_files;
                 let file = *files[node as usize].get_or_insert_with(|| FileId(svc.mint_file()));
                 if bytes > 0.0 {
                     let ssd = dev == StoreDevice::Ssd;
@@ -558,13 +613,12 @@ impl SimWorld {
                 }
             }
             ShuffleStore::LustreLocal | ShuffleStore::LustreShared => {
-                let sh = &mut job.shuffle;
-                let file = match sh.writing().lustre_files[node as usize] {
+                let file = match sh.lustre_files[node as usize] {
                     Some(f) => f,
                     None => {
                         let f = LustreFile(svc.mint_file());
-                        sh.writing().lustre_files[node as usize] = Some(f);
-                        sh.lustre_files.push(f);
+                        sh.lustre_files[node as usize] = Some(f);
+                        job.shuffle.lustre_files.push(f);
                         f
                     }
                 };
@@ -584,7 +638,7 @@ impl SimWorld {
         let ShuffleStore::Local(dev) = self.cfg.shuffle else {
             return;
         };
-        let sh = self.job_of(task).shuffle.writing.as_ref();
+        let sh = self.job_of(task).phase.writing();
         if let Some(file) = sh.and_then(|sh| sh.local_files[node as usize]) {
             let bytes = self.tasks.output_bytes[task as usize];
             self.fs_mut(node, dev == StoreDevice::Ssd)
@@ -592,62 +646,16 @@ impl SimWorld {
         }
     }
 
-    /// A task that may deposit intermediate data for a produced shuffle.
-    pub(super) fn producer_finished(&mut self, task: u32, node: u32) {
-        let out_bytes = self.tasks.out_bytes(task);
-        let stage_idx = self.tasks.stage[task as usize] as usize;
-        let has_shuffle = self.job_of(task).plan.stages[stage_idx].has_shuffle_output();
-        if !has_shuffle {
+    /// Task `task` of resident job `ji` finished at `node`: when its stage
+    /// writes a shuffle, its output is deposited there.
+    pub(super) fn producer_finished(&mut self, ji: usize, task: u32, node: u32) {
+        let job = &mut self.jobs[ji];
+        let Some(sh) = job.phase.writing_mut() else {
             return;
-        }
-        let real_out = self.tasks.real_out.remove(&task);
-        let sh = &mut self.job_of_mut(task).shuffle;
-        sh.deposit(node, out_bytes, real_out);
-    }
-
-    /// Freeze serving-side state before the fetch stage starts: store
-    /// read-link capacities (LocalStore), cached fractions (Lustre-local),
-    /// and the mass revocation flush (Lustre-shared).
-    pub(super) fn prepare_fetch_serving(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
-        let workers = self.spec.workers;
-        match self.cfg.shuffle {
-            ShuffleStore::Local(dev) => {
-                for n in 0..workers {
-                    let bw = effective_read_bw(self.fs(n, dev == StoreDevice::Ssd), dev);
-                    let link = self.shuffle.read_links[n as usize];
-                    self.net.set_link_capacity(now, link, bw.max(1.0));
-                }
-                self.net.end_batch();
-                self.arm_net(out);
-            }
-            ShuffleStore::LustreLocal => {
-                let sh = self.jobs[ji].shuffle.writing();
-                for (frac, file) in sh.cached_frac.iter_mut().zip(&sh.lustre_files) {
-                    *frac = file.map_or(0.0, |lf| self.lustre.cached_fraction(lf));
-                }
-            }
-            ShuffleStore::LustreShared => {
-                // "Forcing all the intermediate data to be flushed to the
-                // OSSes around the same time" — revoke every node file now.
-                let job = self.jobs[ji].id;
-                let files = self.jobs[ji].shuffle.writing().lustre_files.clone();
-                let mut pending = 0;
-                for (n, lf) in files.iter().enumerate() {
-                    let dirty = lf.map_or(0.0, |lf| self.lustre.revoke(now, lf));
-                    if dirty > 0.0 {
-                        pending += 1;
-                        let wire = dirty / self.lustre.config().write_efficiency;
-                        let src = Endpoint::Node(NodeId(n as u32));
-                        let tag = flush_tag(job);
-                        self.send_once(now, src, Endpoint::Lustre, Bytes(wire), tag);
-                    }
-                }
-                let sh = self.jobs[ji].shuffle.writing();
-                sh.flush_pending = pending;
-                sh.flush_done = pending == 0;
-                self.arm_net(out);
-            }
-        }
+        };
+        let out_bytes = self.tasks.out_bytes(task);
+        job.shuffle.add_intermediate(node, out_bytes);
+        sh.deposit(node as usize, out_bytes, self.tasks.real_out.remove(&task));
     }
 
     /// Keep `node`'s store-serving link in sync with its SSD (GC state, an
@@ -694,18 +702,46 @@ impl SimWorld {
         (plan, stage_idx): (&Arc<JobPlan>, usize),
         out: &mut Outbox<Ev>,
     ) {
-        let workers = self.spec.workers;
         let ji = self.job_index_of(task);
         let reducer = self.tasks.index[task as usize];
-        let stage = &plan.stages[stage_idx];
-        self.queue_reduce(task, reducer, plan, stage_idx);
+        let (speed, jitter, tag) = (self.speed(node), self.jitter(task), self.io_tag(task));
+        let inflate = self.fetch_wire();
+        let job = &mut self.jobs[ji];
+        let reader = job.real_reader(stage_idx);
+        // A fetch task launches in the stage that reads its shuffle.
+        let Some(sh) = job.phase.reading_mut() else {
+            return;
+        };
+        // Real rows: the first launch of `reducer` takes its deposited
+        // segments in gather order (the shuffle barrier guarantees they are
+        // complete) and queues their aggregation for this round's flush,
+        // which commits it to `task`'s row like any chain. Every launch
+        // happens in a dispatch round, which ends in that flush, so a retry
+        // (the same task, a later attempt) finds the result committed and
+        // queues nothing: the aggregation runs once per reducer however many
+        // attempts it takes. A synthetic shuffle has sizes only.
+        if !self.tasks.reduced_bytes.contains_key(&task) {
+            if let Deposits::Real { segments, .. } = &mut sh.deposits {
+                let segments = segments
+                    .iter_mut()
+                    .flat_map(|node| std::mem::take(&mut node[reducer as usize]))
+                    .collect();
+                let agg = sh.spec.agg.clone();
+                self.pending.push(Pending {
+                    task,
+                    plan: plan.clone(),
+                    stage: stage_idx,
+                    reader,
+                    work: Work::Reduce { agg, segments },
+                });
+            }
+        }
 
         // Bucket sizes and shuffle spec. Above the rack-aggregation
         // threshold, per-node deposits fold into per-source-rack totals and
         // the fetch rides one aggregate flow per rack pair (`sources` is
         // indexed by rack); below it, exact per-node flows as always.
         let mut sources = std::mem::take(&mut self.shuffle.fetch_sources);
-        let sh = self.jobs[ji].shuffle.reading();
         sh.sources(reducer, self.spec.racks as usize, &mut sources);
         if sh.aggregated && self.cfg.defect == Some(Defect::DropAggBytes) {
             // Injected defect (fuzz-oracle demo, DESIGN.md §4.13): lose the
@@ -715,17 +751,12 @@ impl SimWorld {
             }
         }
         let total: f64 = sources.iter().map(|&(b, _)| b).sum();
-        let (agg_rate, out_factor, aggregated, real) = (
-            sh.spec.fetch_rate,
-            sh.spec.out_factor,
-            sh.aggregated,
-            sh.is_real(),
-        );
+        let (agg_rate, out_factor) = (sh.spec.fetch_rate, sh.spec.out_factor);
+        let (aggregated, real) = (sh.aggregated, sh.is_real());
 
-        let speed = self.speed(node);
         let mut dur = SimDuration::from_secs_f64(total / (agg_rate * speed));
         let (chain_dur, out_bytes, out_records, _, _) = run_narrow_chain(
-            stage,
+            &plan.stages[stage_idx],
             total * out_factor,
             ((total / 64.0).max(1.0)) as u64,
             None,
@@ -733,17 +764,12 @@ impl SimWorld {
             Reader::Nobody,
         );
         dur += chain_dur;
-        let dur = dur.mul_f64(self.jitter(task)) + TASK_OVERHEAD;
+        let dur = dur.mul_f64(jitter) + TASK_OVERHEAD;
         {
             let i = task as usize;
             self.tasks.compute_dur[i] = dur;
             self.tasks.input_bytes[i] = total;
             self.tasks.output_bytes[i] = out_bytes;
-        }
-        // A real reducer's count is its aggregation's, which the flush
-        // commits.
-        if !real {
-            self.note_final_records(task, out_records);
         }
 
         match self.cfg.shuffle {
@@ -756,8 +782,7 @@ impl SimWorld {
                 } else {
                     node
                 };
-                let tag = self.io_tag(task);
-                let inflate = self.fetch_wire();
+                let cores = self.spec.cores_per_node as usize;
                 let mut chunks = std::mem::take(&mut self.shuffle.fetch_chunks);
                 chunks.clear();
                 for (src, &(b, cached)) in sources.iter().enumerate() {
@@ -780,7 +805,9 @@ impl SimWorld {
                     for (kind, wire) in [(0u8, cached), (1, oss)] {
                         if wire.is_positive() {
                             self.tasks.pending_io[task as usize] += 1;
-                            chunks.push((self.fetch_flow(now, ji, src as u32, dst, kind), wire));
+                            let links = (&mut self.net, &self.fabric, &self.shuffle.read_links[..]);
+                            let flow = sh.fetch_flow(now, links, cores, (src as u32, dst, kind));
+                            chunks.push((flow, wire));
                         }
                     }
                 }
@@ -794,96 +821,19 @@ impl SimWorld {
                 // revocation bookkeeping share; then an OSS read gated on the
                 // mass flush (see `lustre_shared_transfer`), counted now so
                 // the MDS completion alone cannot finish the task.
-                let ops = workers as f64 * self.lustre.config().ops_lock
+                let ops = self.spec.workers as f64 * self.lustre.config().ops_lock
                     + self.lustre.config().ops_revoke;
                 self.tasks.pending_io[task as usize] += 1;
                 self.submit_mds(now, task, ops, out);
             }
         }
+        // A real reducer's count is its aggregation's, which the flush
+        // commits.
+        if !real {
+            self.note_final_records(task, out_records);
+        }
         self.shuffle.fetch_sources = sources;
         self.maybe_schedule_finish(now, task, out);
-    }
-
-    /// Real rows: the first launch of `reducer` takes its deposited segments
-    /// in gather order (the shuffle barrier guarantees they are complete)
-    /// and queues their aggregation for this round's flush, which commits
-    /// it to `task`'s row like any chain. Every launch happens in a dispatch
-    /// round, which ends in that flush, so a retry (the same task, a later
-    /// attempt) finds the result committed and queues nothing: the
-    /// aggregation runs once per reducer however many attempts it takes.
-    fn queue_reduce(&mut self, task: u32, reducer: u32, plan: &Arc<JobPlan>, stage: usize) {
-        if self.tasks.reduced_bytes.contains_key(&task) {
-            return;
-        }
-        let sh = self.job_of_mut(task).shuffle.reading();
-        let Deposits::Real { segments, .. } = &mut sh.deposits else {
-            return; // synthetic shuffle: sizes only
-        };
-        let segments = segments
-            .iter_mut()
-            .flat_map(|node| std::mem::take(&mut node[reducer as usize]))
-            .collect();
-        let agg = sh.spec.agg.clone();
-        let reader = self.real_reader(task);
-        self.pending.push(Pending {
-            task,
-            plan: plan.clone(),
-            stage,
-            reader,
-            work: Work::Reduce { agg, segments },
-        });
-    }
-
-    /// Persistent fetch flow for `(src, dst, kind)` of the shuffle resident
-    /// job `ji` is reading: one indexed load once opened, opened on first
-    /// use. Kind 0 is served by the source's store (or Lustre server page
-    /// cache), kind 1 by the OSSes through the Lustre pipe ("repetitive data
-    /// movement"). In an aggregated shuffle `src` and `dst` are racks and the
-    /// flow is processor-shared: concurrent reducers behind it split its
-    /// bandwidth evenly — the split the collapsed per-node flows would
-    /// converge to under water-filling. A shuffle is aggregated or not for
-    /// its whole life, so its table is indexed one way throughout.
-    fn fetch_flow(&mut self, now: SimTime, ji: usize, src: u32, dst: u32, kind: u8) -> FlowId {
-        let sh = self.jobs[ji].shuffle.reading();
-        let endpoints = sh.fetch_flows.len() / 2;
-        let row = &mut sh.fetch_flows[dst as usize * 2 + kind as usize];
-        if row.is_empty() {
-            row.resize(endpoints, UNOPENED);
-        }
-        let entry = &mut row[src as usize];
-        if *entry != UNOPENED {
-            return *entry;
-        }
-        *entry = if sh.aggregated {
-            let mut path = self.fabric.rack_aggregate_path(src as usize, dst as usize);
-            if kind == 1 {
-                path.insert(0, self.fabric.lustre_pipe());
-            }
-            path.dedup();
-            self.net.open_shared_flow(now, path, false)
-        } else {
-            // The serving side (store read bandwidth, or the Lustre pipe),
-            // then the server and destination NICs across the fabric.
-            let mut path = vec![if kind == 0 {
-                self.shuffle.read_links[src as usize]
-            } else {
-                self.fabric.lustre_pipe()
-            }];
-            path.extend(
-                self.fabric
-                    .path(Endpoint::Node(NodeId(src)), Endpoint::Node(NodeId(dst))),
-            );
-            path.dedup();
-            let flow = self.net.open_flow(now, path, false);
-            // A node-to-node flow queues one chunk per reducer running on
-            // the destination node (a capacity hint: a retry can queue behind
-            // a failed attempt's). Rack-aggregated flows serve a whole rack
-            // and are left to grow.
-            self.net
-                .reserve_chunks(flow, self.spec.cores_per_node as usize);
-            flow
-        };
-        *entry
     }
 
     // ---------------- Lustre-shared: the two gates and the read ----------------
@@ -896,13 +846,14 @@ impl SimWorld {
         if self.fetches_pull_from_nodes() || !fetch {
             return;
         }
-        let ji = self.job_index_of(task);
-        if self.jobs[ji].shuffle.reading().flush_done {
+        let Some(sh) = self.job_of_mut(task).phase.reading_mut() else {
+            return;
+        };
+        if sh.flush_done {
             self.lustre_shared_transfer(now, task, out);
         } else {
-            self.trace(now, TE::LockWaitStart { task });
-            let sh = self.jobs[ji].shuffle.reading();
             sh.waiting_for_flush.push(task);
+            self.trace(now, TE::LockWaitStart { task });
         }
     }
 
@@ -943,17 +894,11 @@ impl SimWorld {
     /// one opens the gate its reducers wait at. A chunk that outlives its
     /// job (aborted mid-flush) is nobody's progress.
     pub(super) fn on_flush_progress(&mut self, now: SimTime, owner: u32, out: &mut Outbox<Ev>) {
-        let Some(job) = self.jobs.iter_mut().find(|j| j.id == owner) else {
-            return;
-        };
         // The flush starts as the storing phase ends and the fetch stage
         // starts in the same event, so the flushed shuffle is being read.
-        let Some(sh) = job
-            .shuffle
-            .reading
-            .as_mut()
-            .filter(|sh| sh.flush_pending > 0)
-        else {
+        let owned = self.jobs.iter_mut().find(|j| j.id == owner);
+        let flushed = owned.and_then(|j| j.phase.reading_mut());
+        let Some(sh) = flushed.filter(|sh| sh.flush_pending > 0) else {
             return;
         };
         sh.flush_pending -= 1;
@@ -978,15 +923,22 @@ impl SimWorld {
         let local_store = self.store_is_node_local();
         let (dead, repl) = (dead as usize, repl as usize);
         for job in &mut self.jobs {
-            let sh = &mut job.shuffle;
-            if let Some(writing) = sh.writing.as_mut() {
+            // A storing phase's spent shuffle is read no more.
+            let (reading, writing) = match &mut job.phase {
+                RunPhase::Stage {
+                    reading, writing, ..
+                } => (reading.as_mut(), writing.as_mut()),
+                RunPhase::Storing { writing, .. } => (None, Some(writing)),
+            };
+            if let Some(writing) = writing {
                 writing.move_rows(dead, repl);
             }
-            match sh.reading.as_mut() {
+            match reading {
                 Some(reading) if local_store => reading.move_rows(dead, repl),
                 Some(reading) => reading.lose_cache(dead),
                 None => {}
             }
+            let sh = &mut job.shuffle;
             sh.intermediate[repl] += sh.intermediate[dead];
             sh.intermediate[dead] = 0.0;
         }
@@ -1118,9 +1070,13 @@ mod tests {
             .map(|(r, b)| (r, b.segment.heap_addrs()))
             .collect();
         assert!(!handles.is_empty());
-        w.producer_finished(task as u32, node as u32);
+        w.producer_finished(0, task as u32, node as u32);
         assert!(!w.tasks.real_out.contains_key(&(task as u32)));
-        let Deposits::Real { segments, .. } = &w.jobs[0].shuffle.writing().deposits else {
+        let sh = w.jobs[0]
+            .phase
+            .writing()
+            .expect("stage 0 writes the shuffle");
+        let Deposits::Real { segments, .. } = &sh.deposits else {
             panic!("a real job writes a real shuffle");
         };
         for (r, addrs) in handles {
@@ -1151,25 +1107,30 @@ mod tests {
         let plan = crate::dag::build_plan(&rdd, Action::Count, &Default::default());
         let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
         w.submit_job(SimTime::ZERO, plan, &mut out);
-        assert_eq!(w.begin_fetch_stage(SimTime::ZERO, 0, &mut out), (3, true));
+        let RunPhase::Stage {
+            writing: Some(mut sh),
+            ..
+        } = std::mem::replace(&mut w.jobs[0].phase, RunPhase::BARE)
+        else {
+            panic!("stage 0 writes the shuffle");
+        };
+        w.begin_fetch_stage(SimTime::ZERO, 1, &mut sh, None, &mut out);
+        assert_eq!((sh.reducers(), sh.is_real()), (3, true));
         assert_eq!(w.net.slab_capacity(), 3 * workers as usize);
-        let table = |w: &SimWorld| {
-            let sh = w.jobs[0].shuffle.reading.as_ref();
-            let rows = &sh.expect("moved above").fetch_flows;
-            let entries: Vec<FlowId> = rows.iter().flatten().copied().collect();
+        let table = |sh: &ShuffleState| {
+            let entries: Vec<FlowId> = sh.fetch_flows.iter().flatten().copied().collect();
             let opened = entries.iter().copied().filter(|&f| f != UNOPENED).collect();
             (entries.len(), opened)
         };
-        assert_eq!(table(&w), (0, Vec::new()));
-        let a = w.fetch_flow(SimTime::ZERO, 0, 3, 7, 0);
-        let b = w.fetch_flow(SimTime::ZERO, 0, 5, 7, 0);
-        let c = w.fetch_flow(SimTime::ZERO, 0, 3, 9, 1);
-        assert_eq!(
-            w.fetch_flow(SimTime::ZERO, 0, 3, 7, 0),
-            a,
-            "persistent: opened once"
-        );
-        assert_eq!(table(&w), (2 * workers as usize, vec![a, b, c]));
+        assert_eq!(table(&sh), (0, Vec::new()));
+        let cores = w.spec.cores_per_node as usize;
+        let mut flow = |ends| {
+            let links = (&mut w.net, &w.fabric, &w.shuffle.read_links[..]);
+            sh.fetch_flow(SimTime::ZERO, links, cores, ends)
+        };
+        let (a, b, c) = (flow((3, 7, 0)), flow((5, 7, 0)), flow((3, 9, 1)));
+        assert_eq!(flow((3, 7, 0)), a, "persistent: opened once");
+        assert_eq!(table(&sh), (2 * workers as usize, vec![a, b, c]));
         assert_eq!(w.net.open_flows(), 3);
         assert_eq!(w.net.slab_capacity(), 3 * workers as usize);
     }
@@ -1202,15 +1163,20 @@ mod tests {
         let mut began = false;
         while !began && sim.step() {
             let w = &sim.model;
-            match w.jobs[0].phase {
-                RunPhase::Storing(1) => {
-                    let sh = w.jobs[0].shuffle.reading.as_ref().expect("stage 1 read");
+            let job = &w.jobs[0];
+            match (job.stage, &job.phase) {
+                (
+                    1,
+                    RunPhase::Storing {
+                        spent: Some(sh), ..
+                    },
+                ) => {
                     let n = opened(&sh.fetch_flows);
                     assert!(n > 0, "stage 1's reducers fetched over the network");
                     assert_eq!(w.net.open_flows(), n, "idle, and still open");
                     storing = Some((w.net.open_flows(), n));
                 }
-                RunPhase::Stage(2) => {
+                (2, RunPhase::Stage { .. }) => {
                     let (open, n) = storing.expect("stage 2 follows stage 1's storing");
                     assert_eq!(w.net.open_flows(), open - n, "closed as stage 2 begins");
                     began = true;
