@@ -1136,12 +1136,13 @@ mod tests {
     }
 
     #[test]
-    fn a_read_shuffles_fetch_flows_close_when_the_next_fetch_stage_begins() {
-        // Stage 1 reads the first shuffle and writes the second. Its fetch
-        // flows outlive the stage: idle, they stay open through stage 1's
-        // storing phase, and the event that begins stage 2 closes exactly
-        // the ones its reducers opened. (Closing a flow that still carries a
-        // failed attempt's chunks moves the net, so the instant is pinned.)
+    fn a_middle_stage_counts_the_shuffle_it_writes_and_frees_the_one_it_read_late() {
+        // Stage 1 reads the first shuffle and writes the second. While it
+        // runs, the job's heap counts the one being written. Its fetch flows
+        // outlive the stage: idle, they stay open through stage 1's storing
+        // phase, and the event that begins stage 2 closes exactly the ones
+        // its reducers opened. (Closing a flow that still carries a failed
+        // attempt's chunks moves the net, so the instant is pinned.)
         use crate::rdd::{Dataset, Rdd, SizeModel};
         use memres_des::sim::Simulation;
         let cfg = EngineConfig::default().with_rack_agg_threshold(u32::MAX);
@@ -1160,11 +1161,25 @@ mod tests {
         // (open flows, opened entries of the first shuffle's table) in the
         // last event of stage 1's storing phase.
         let mut storing = None;
-        let mut began = false;
+        let (mut counted, mut began) = (false, false);
         while !began && sim.step() {
             let w = &sim.model;
             let job = &w.jobs[0];
             match (job.stage, &job.phase) {
+                (
+                    1,
+                    RunPhase::Stage {
+                        reading: Some(read),
+                        writing: Some(written),
+                    },
+                ) => {
+                    let ids = job.stage_tasks.capacity() + job.finish_order.capacity();
+                    let counts = job.final_records.capacity() * 8;
+                    let rest = job.queues.heap_bytes() + ids * 4 + counts;
+                    assert_ne!(read.heap_bytes(), written.heap_bytes());
+                    assert_eq!(job.heap_bytes(), rest + written.heap_bytes());
+                    counted = true;
+                }
                 (
                     1,
                     RunPhase::Storing {
@@ -1184,6 +1199,6 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(began, "the job reached stage 2");
+        assert!(counted && began, "the job ran stage 1 and reached stage 2");
     }
 }

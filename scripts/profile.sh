@@ -8,7 +8,8 @@
 # it is anywhere on the stack of (inclusive). A sample is charged to the
 # symbol whose extent (`nm -S`) holds it; one that lands outside every sized
 # symbol counts in a `[<object> unsymbolized]` row instead of the symbol
-# before it.
+# before it. An object with no symbol table (a stripped libc) is resolved
+# against its dynamic symbols (`nm -D`), which name the functions it exports.
 #
 #   scripts/profile.sh [--hz N] [--top N] [--grep REGEX] [--callers REGEX] -- COMMAND [ARGS...]
 #   scripts/profile.sh -- benchmark/target/release/memres-benchmark \
@@ -128,25 +129,30 @@ syms = {}
 def table(obj):
     # `nm -S` lines: "addr size kind name", or "addr kind name" for a symbol
     # with no size (a size of 0 counts as none). Of symbols at one address
-    # the largest is kept.
+    # the largest is kept. A stripped object (a distribution's libc) lists
+    # no symbols; its dynamic ones (`nm -D`, names without their `@VERSION`)
+    # name what it exports, and the rest of its code stays unsymbolized.
     if obj not in syms:
-        out = subprocess.run(["nm", "-C", "-S", "--defined-only", obj],
-                             capture_output=True, text=True).stdout
         rows = {}
-        for l in out.splitlines():
-            f = l.split(None, 2)
-            if len(f) < 3:
-                continue
-            if len(f[1]) == 1:
-                addr, size, (kind, name) = f[0], None, f[1:]
-            else:
-                g = f[2].split(None, 1)
-                if len(g) < 2:
+        for dynamic in ([], ["-D"]):
+            if rows:
+                break
+            out = subprocess.run(["nm", "-C", "-S", *dynamic, "--defined-only", obj],
+                                 capture_output=True, text=True).stdout
+            for l in out.splitlines():
+                f = l.split(None, 2)
+                if len(f) < 3:
                     continue
-                addr, size, (kind, name) = f[0], int(f[1], 16) or None, g
-            a = int(addr, 16)
-            if kind in "tTwW" and (a not in rows or (size or 0) > (rows[a][0] or 0)):
-                rows[a] = (size, name.strip())
+                if len(f[1]) == 1:
+                    addr, size, (kind, name) = f[0], None, f[1:]
+                else:
+                    g = f[2].split(None, 1)
+                    if len(g) < 2:
+                        continue
+                    addr, size, (kind, name) = f[0], int(f[1], 16) or None, g
+                a = int(addr, 16)
+                if kind in "tTwW" and (a not in rows or (size or 0) > (rows[a][0] or 0)):
+                    rows[a] = (size, name.strip().split("@")[0] if dynamic else name.strip())
         addrs = sorted(rows)
         syms[obj] = (addrs, [rows[a] for a in addrs])
     return syms[obj]

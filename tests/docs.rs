@@ -9,6 +9,7 @@
 //!   rewriting a document cannot leave a comment pointing at nothing.
 //! - A `` `path.rs::item` `` citation in README, DESIGN, EXPERIMENTS or the
 //!   verify skill names a source file that defines `item`.
+//! - DESIGN.md §3.1's module map has a row for every file of the world.
 //! - DESIGN.md §4.10's waiver table names every R4 waiver in the sources.
 
 #![allow(
@@ -479,6 +480,57 @@ fn item_citations_parse_paths_items_and_line_breaks() {
     assert!(defines("fn bless() {}\n", "bless"));
     assert!(!defines("fn blessed() {}\n", "bless"));
     assert!(defines("pub(crate) const N: u8 = 1;", "N"));
+}
+
+/// The file names in the first column of DESIGN.md §3.1's module table, in
+/// order: every backquoted name of a cell that lists several.
+fn module_table(design: &str) -> Vec<&str> {
+    let start = design.find("### 3.1 ").expect("DESIGN.md has §3.1");
+    let end = design[start + 1..]
+        .find("\n#")
+        .map_or(design.len(), |e| start + 1 + e);
+    let header = "| module | state it owns |";
+    let rows = design[start..end]
+        .lines()
+        .skip_while(|l| !l.starts_with(header))
+        .skip(2);
+    rows.take_while(|l| l.starts_with('|'))
+        .filter_map(|row| row.split('|').nth(1))
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .collect()
+}
+
+/// DESIGN.md §3.1's module table has a row for `world.rs` and one for each
+/// file under `crates/core/src/world/`, and none for a file that is not
+/// there: a new seam, or one folded away, updates the map with it.
+#[test]
+fn the_module_map_lists_every_world_file() {
+    let mut paths = Vec::new();
+    files(&Path::new(ROOT).join("crates/core/src/world"), &mut paths);
+    let mut on_disk: Vec<String> = paths
+        .iter()
+        .filter_map(|p| Some(format!("world/{}", p.file_name()?.to_str()?)))
+        .chain(["world.rs".to_string()])
+        .collect();
+    on_disk.sort();
+    let design = std::fs::read_to_string(Path::new(ROOT).join("DESIGN.md")).expect("DESIGN.md");
+    let mut listed: Vec<&str> = module_table(&design)
+        .into_iter()
+        .filter(|f| *f == "world.rs" || f.starts_with("world/"))
+        .collect();
+    listed.sort_unstable();
+    assert_eq!(
+        listed, on_disk,
+        "DESIGN.md §3.1's rows for the world, against crates/core/src/world/"
+    );
+}
+
+#[test]
+fn module_table_rows_parse_every_name_of_the_first_cell() {
+    let design = "### 3.1 Map\n\n| module | state it owns | arms | implements |\n\
+                  |---|---|---|---|\n| `world.rs` | `SimWorld` | all | `handle` |\n\
+                  | `a.rs`, `b.rs` | — | — | y |\n\n## 4. Next\n| `c.rs` | x |\n";
+    assert_eq!(module_table(design), ["world.rs", "a.rs", "b.rs"]);
 }
 
 /// The panic lints whose waivers are R4's (DESIGN.md §4.10).
