@@ -40,6 +40,9 @@ pub struct Record {
     /// Candidate nodes `dispatch` looked for work on
     /// (`SimWorld::dispatch_visits`).
     pub dispatch_visits: u64,
+    /// Max–min water-filling passes the flow network ran
+    /// (`FlowNet::recomputes`).
+    pub net_recomputes: u64,
 }
 
 impl Record {
@@ -101,6 +104,7 @@ pub fn run(cell: &Cell, setup: Setup) -> Record {
         sys_s: (sys1 - sys0) as f64 / 100.0,
         minor_faults: faults1 - faults0,
         dispatch_visits: d.world().dispatch_visits,
+        net_recomputes: d.world().net.recomputes,
     }
 }
 
@@ -119,6 +123,7 @@ pub fn table(id: &'static str, records: &[Record]) -> Table {
             "sys_s",
             "minor_faults",
             "dispatch_visits",
+            "net_recomputes",
         ],
     );
     for r in records {
@@ -134,6 +139,7 @@ pub fn table(id: &'static str, records: &[Record]) -> Table {
                 r.sys_s,
                 r.minor_faults as f64,
                 r.dispatch_visits as f64,
+                r.net_recomputes as f64,
             ],
         );
     }
@@ -143,7 +149,7 @@ pub fn table(id: &'static str, records: &[Record]) -> Table {
 }
 
 /// Machine-readable record: `{"target", "scale", "seed", "runs": [...],
-/// "total_wall_s"}`, each run its name plus the nine columns.
+/// "total_wall_s"}`, each run its name plus the ten columns.
 pub fn to_json(target: &str, setup: Setup, records: &[Record]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"target\": \"{}\",", escape(target));
@@ -158,7 +164,7 @@ pub fn to_json(target: &str, setup: Setup, records: &[Record]) -> String {
             out,
             "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \
              \"events_per_s\": {}, \"heap_bytes\": {}, \"user_s\": {}, \"sys_s\": {}, \
-             \"minor_faults\": {}, \"dispatch_visits\": {}}}",
+             \"minor_faults\": {}, \"dispatch_visits\": {}, \"net_recomputes\": {}}}",
             escape(r.name),
             num(r.wall_s),
             num(r.sim_s),
@@ -168,7 +174,8 @@ pub fn to_json(target: &str, setup: Setup, records: &[Record]) -> String {
             num(r.user_s),
             num(r.sys_s),
             r.minor_faults,
-            r.dispatch_visits
+            r.dispatch_visits,
+            r.net_recomputes
         );
     }
     if !records.is_empty() {
@@ -196,6 +203,7 @@ mod tests {
             sys_s: 0.125,
             minor_faults: 77,
             dispatch_visits: 4321,
+            net_recomputes: 56,
         }
     }
 
@@ -215,7 +223,8 @@ mod tests {
         assert!(j.contains(
             "{\"name\": \"a\", \"wall_s\": 0.25, \"sim_job_s\": 100.0, \"events\": 1000, \
              \"events_per_s\": 4000.0, \"heap_bytes\": 2097152, \"user_s\": 0.25, \
-             \"sys_s\": 0.125, \"minor_faults\": 77, \"dispatch_visits\": 4321}"
+             \"sys_s\": 0.125, \"minor_faults\": 77, \"dispatch_visits\": 4321, \
+             \"net_recomputes\": 56}"
         ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         let t = table("bench", &recs);
@@ -224,6 +233,7 @@ mod tests {
         assert_eq!(t.column("heap_mb"), vec![2.0, 1024.0 / (1024.0 * 1024.0)]);
         assert_eq!(t.column("sys_s"), vec![0.125; 2]);
         assert_eq!(t.column("dispatch_visits"), vec![4321.0; 2]);
+        assert_eq!(t.column("net_recomputes"), vec![56.0; 2]);
     }
 
     #[test]

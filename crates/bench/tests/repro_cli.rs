@@ -383,11 +383,18 @@ const SMOKE_CELLS: [&str; 6] = [
 ];
 
 fn smoke_cell(cell: &'static str) -> Vec<pins::Pin> {
-    simulated(run_of(timed_smoke(), cell), &["sim_job_s", "events"])
+    let columns = ["sim_job_s", "events", "net_recomputes"];
+    simulated(run_of(timed_smoke(), cell), &columns)
 }
 
 fn scale_cell(cell: &'static str) -> Vec<pins::Pin> {
-    let columns = ["sim_job_s", "events", "heap_bytes", "dispatch_visits"];
+    let columns = [
+        "sim_job_s",
+        "events",
+        "heap_bytes",
+        "dispatch_visits",
+        "net_recomputes",
+    ];
     simulated(run_of(scale_cells(), cell), &columns)
 }
 
@@ -402,9 +409,10 @@ const CASES: &[pins::Case] = &[
     ("scale_4k_1m", scale_cell),
 ];
 
-/// The timed path's determinism check: `sim_job_s` and `events` of the six
-/// CI-sized cells are pins; the one JSON shape both families write, and the
-/// two numeric bounds of the scale cell (dispatch visits, heap per task).
+/// The timed path's determinism check: `sim_job_s`, `events` and
+/// `net_recomputes` of the six CI-sized cells are pins; the one JSON shape
+/// both families write, and the two numeric bounds of the scale cell
+/// (dispatch visits, heap per task).
 #[test]
 fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
     let mut cells = Vec::new();
@@ -425,6 +433,7 @@ fn timed_smoke_runs_are_pinned_and_share_one_json_shape() {
                 "sys_s",
                 "minor_faults",
                 "dispatch_visits",
+                "net_recomputes",
             ] {
                 let v = json_field(run, column);
                 assert!(v.parse::<f64>().is_ok(), "{column} = {v:?} in {run}");
