@@ -238,11 +238,12 @@ fn bench_flownet(c: &mut Criterion) {
             assert_eq!(n, 200);
         })
     });
-    // The paper cells' reducer launch wave: 1,600 fetch launches at one
-    // instant on 100 nodes, each queueing a chunk towards every source and
-    // then asking for the next completion, as `launch_fetch` + `arm_net` do.
-    // The first 100 launches open the 10,000 persistent pair flows; the other
-    // 1,500 only queue behind them. Then the whole shuffle drains.
+    // The paper cells' reducer launch wave: 1,600 fetch launches in one
+    // event turn on 100 nodes, each queueing a chunk towards every source,
+    // then one ask for the next completion at the turn's end, as
+    // `launch_fetch` + `arm_net` + `stamp_net_wakes` do. The first 100
+    // launches open the 10,000 persistent pair flows; the other 1,500 only
+    // queue behind them. Then the whole shuffle drains.
     c.bench_function("flownet_fetch_wave_100x100", |b| {
         const NODES: usize = 100;
         b.iter(|| {
@@ -265,9 +266,8 @@ fn bench_flownet(c: &mut Criterion) {
                     let bytes = Bytes(1e6 + 1e3 * src as f64);
                     net.push_chunk(SimTime::ZERO, f, bytes, reducer as u32);
                 }
-                net.end_batch();
-                criterion::black_box(net.next_event());
             }
+            criterion::black_box(net.next_event());
             let mut n = 0;
             while let Some(t) = net.next_event() {
                 n += net.poll(t).len();
@@ -277,9 +277,9 @@ fn bench_flownet(c: &mut Criterion) {
     });
     // One reducer launch by name: 200 chunks under one tag, one towards each
     // of a destination's persistent fetch flows (100 sources x store and OSS
-    // side), handed over in one `push_chunks` and settled by `end_batch`. The
-    // first of the 16 launches wakes the 200 flows, the others queue behind
-    // them.
+    // side), handed over in one `push_chunks` and settled by the one
+    // `next_event` of its turn. The first of the 16 launches wakes the 200
+    // flows, the others queue behind them.
     c.bench_function("flownet_fetch_launch_200_chunks", |b| {
         const SOURCES: usize = 100;
         b.iter(|| {
@@ -299,7 +299,6 @@ fn bench_flownet(c: &mut Criterion) {
                 .collect();
             for reducer in 0..16 {
                 net.push_chunks(SimTime::ZERO, reducer, &chunks);
-                net.end_batch();
                 criterion::black_box(net.next_event());
             }
             let mut n = 0;

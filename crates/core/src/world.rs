@@ -604,9 +604,31 @@ impl SimWorld {
     // before `now`: a completion due earlier had its own wake, whose poll
     // moved the subsystem's clock past it (`Outbox::at` asserts this).
 
+    //
+    // The net is the exception: its next completion depends on every
+    // mutation of the turn, and answering it costs a water-fill. So
+    // `arm_net` defers its wake at its place in the outbox, and the turn's
+    // end (`stamp_net_wakes`) fills once and stamps every wake armed in the
+    // turn with that one answer (DESIGN.md §4.3). A wake whose generation a
+    // later mutation of the turn superseded is still scheduled, so the
+    // event count stays what it was when each arm filled on its own; its
+    // pop is a no-op.
+
     fn arm_net(&mut self, out: &mut Outbox<Ev>) {
-        if let Some(t) = self.net.next_event() {
-            out.at(t, Ev::NetWake(self.net.gen()));
+        // Every active flow gets a positive rate, so this is
+        // `next_event().is_some()` without the fill.
+        if self.net.active_flows() > 0 {
+            out.defer(Ev::NetWake(self.net.gen()));
+        }
+    }
+
+    /// Close an event turn: one `next_event` answers every `NetWake` the
+    /// turn armed. A superseded one pops at the same instant as the live
+    /// one, or at `now` if the net went idle. Every public entry point that
+    /// takes an outbox ends here, before the outbox reaches the calendar.
+    fn stamp_net_wakes(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
+        if out.deferred() > 0 {
+            out.stamp_deferred(self.net.next_event().unwrap_or(now));
         }
     }
 
@@ -712,6 +734,7 @@ impl SimWorld {
         self.job_seq += 1;
         let id = self.job_seq;
         self.admit_job(now, id, 0, now, Arc::new(plan), out);
+        self.stamp_net_wakes(now, out);
     }
 
     /// Install a job into the resident set and start its first stage.
@@ -1014,11 +1037,8 @@ impl SimWorld {
             out.immediately(Ev::Dispatch);
         }
     }
-}
 
-impl Model for SimWorld {
-    type Event = Ev;
-
+    /// What one event does, before its turn closes.
     // One `match` with no catch-all: a new `Ev` variant without an arm is a
     // compile error (E0004), and clippy (gate stage 3) rejects a `_` or
     // binding arm that would swallow one.
@@ -1026,7 +1046,7 @@ impl Model for SimWorld {
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants
     )]
-    fn handle(&mut self, now: SimTime, event: Ev, out: &mut Outbox<Ev>) {
+    fn on_event(&mut self, now: SimTime, event: Ev, out: &mut Outbox<Ev>) {
         match event {
             Ev::NetWake(gen) => {
                 if !gen.is_current(self.net.gen()) {
@@ -1114,6 +1134,15 @@ impl Model for SimWorld {
             Ev::MetricsSample => self.sample_metrics(now, out),
         }
     }
+}
+
+impl Model for SimWorld {
+    type Event = Ev;
+
+    fn handle(&mut self, now: SimTime, event: Ev, out: &mut Outbox<Ev>) {
+        self.on_event(now, event, out);
+        self.stamp_net_wakes(now, out);
+    }
 
     fn wants_engine_stats(&self) -> bool {
         self.recorder().is_some()
@@ -1146,6 +1175,64 @@ mod tests {
         let cfg = EngineConfig::default().with_executor_threads(3);
         assert_eq!(resolve_executor_threads(&cfg), 3);
         assert!(resolve_executor_threads(&EngineConfig::default()) >= 1);
+    }
+
+    #[test]
+    fn a_fetch_wave_fills_once_and_its_superseded_wakes_pop_as_no_ops() {
+        // Every reducer launches in one turn, each queueing chunks towards
+        // every source and arming a `NetWake`. The turn costs one water-fill
+        // yet still schedules one wake per launch, so the event count is
+        // what it was when each arm filled on its own; every wake but the
+        // last launch's is superseded when it pops.
+        use crate::rdd::{Dataset, Rdd};
+        use crate::value::{Record, Value};
+        use memres_des::EventQueue;
+        let cfg = EngineConfig::default().with_rack_agg_threshold(u32::MAX);
+        let mut w = SimWorld::new(tiny(4), cfg);
+        let recs: Vec<Record> = (0..256).map(|i| (Value::I64(i), Value::I64(i))).collect();
+        let rdd = Rdd::source(Dataset::from_records(recs, 4)).group_by_key(Some(8), 1e9);
+        let plan = crate::dag::build_plan(&rdd, crate::rdd::Action::Count, &Default::default());
+        let mut queue = EventQueue::new();
+        let mut out = Outbox::standalone(SimTime::ZERO);
+        w.submit_job(SimTime::ZERO, plan, &mut out);
+        out.into_items()
+            .into_iter()
+            .for_each(|(t, e)| queue.push(t, e));
+        let fetching = |w: &SimWorld| {
+            let running = |&t: &u32| w.tasks.state[t as usize] == TState::Running;
+            let fetch = |&t: &u32| matches!(w.tasks.kind(t), TaskKind::Fetch { .. });
+            (0..w.tasks.len() as u32)
+                .filter(running)
+                .filter(fetch)
+                .count()
+        };
+        // The wave's wakes, and how many of them popped stale and live.
+        let (mut wave, mut stale, mut live) = (Vec::new(), 0, 0);
+        while !w.job_done {
+            let (now, ev) = queue.pop().expect("the job finishes");
+            match ev {
+                Ev::NetWake(gen) if wave.contains(&gen) && gen.is_current(w.net.gen()) => live += 1,
+                Ev::NetWake(gen) if wave.contains(&gen) => stale += 1,
+                _ => {}
+            }
+            let (running, fills) = (fetching(&w), w.net.recomputes);
+            let mut out = Outbox::standalone(now);
+            w.handle(now, ev, &mut out);
+            let items = out.into_items();
+            let launched = fetching(&w).saturating_sub(running);
+            if wave.is_empty() && launched > 1 {
+                assert_eq!(launched, 8, "the whole stage launches in one turn");
+                assert_eq!(w.net.recomputes - fills, 1, "one fill for the turn");
+                let wake = |(_, e): &(SimTime, Ev)| match e {
+                    Ev::NetWake(gen) => Some(*gen),
+                    _ => None,
+                };
+                wave = items.iter().filter_map(wake).collect();
+                assert_eq!(wave.len(), launched, "one wake per launch");
+            }
+            items.into_iter().for_each(|(t, e)| queue.push(t, e));
+        }
+        assert_eq!((stale, live), (7, 1), "only the last launch's wake is live");
     }
 
     #[test]

@@ -95,6 +95,7 @@ impl SimWorld {
             self.arm_metrics(out);
         }
         self.stream = Some(stream);
+        self.stamp_net_wakes(now, out);
     }
 
     pub(super) fn on_job_arrival(

@@ -492,7 +492,6 @@ impl SimWorld {
                     let link = self.shuffle.read_links[n as usize];
                     self.net.set_link_capacity(now, link, bw.max(1.0));
                 }
-                self.net.end_batch();
                 self.arm_net(out);
                 1
             }
@@ -813,7 +812,6 @@ impl SimWorld {
                 }
                 self.net.push_chunks(now, tag, &chunks);
                 self.shuffle.fetch_chunks = chunks;
-                self.net.end_batch();
                 self.arm_net(out);
             }
             ShuffleStore::LustreShared => {

@@ -45,9 +45,19 @@ pub trait Model {
 }
 
 /// Collector for events scheduled while handling the current event.
+///
+/// An event may also be *deferred*: pushed now, at its place among the
+/// turn's events, and given its instant later in the same turn by
+/// [`Outbox::stamp_deferred`]. A model whose wake instant depends on the
+/// whole turn's mutations (the flow network's next completion) defers each
+/// wake and answers all of them with one computation at the turn's end.
+/// Every path that hands the outbox to the calendar checks that nothing is
+/// left unstamped.
 pub struct Outbox<E> {
     now: SimTime,
     items: Vec<(SimTime, E)>,
+    /// Positions in `items` of the deferred events not yet stamped.
+    deferred: Vec<usize>,
 }
 
 impl<E> Outbox<E> {
@@ -57,11 +67,14 @@ impl<E> Outbox<E> {
         Outbox {
             now,
             items: Vec::new(),
+            deferred: Vec::new(),
         }
     }
 
-    /// Drain the collected events (standalone use).
+    /// Drain the collected events (standalone use). Panics if a deferred
+    /// event is still unstamped.
     pub fn into_items(self) -> Vec<(SimTime, E)> {
+        self.assert_stamped();
         self.items
     }
 
@@ -93,6 +106,42 @@ impl<E> Outbox<E> {
     pub fn immediately(&mut self, event: E) {
         self.items.push((self.now, event));
     }
+
+    /// Schedule an event whose instant is not known yet. It keeps this push
+    /// position: among the events of the instant it is stamped with, it
+    /// pops where one scheduled here at that instant would.
+    pub fn defer(&mut self, event: E) {
+        self.deferred.push(self.items.len());
+        self.items.push((SimTime::FAR_FUTURE, event));
+    }
+
+    /// Deferred events not yet stamped.
+    pub fn deferred(&self) -> usize {
+        self.deferred.len()
+    }
+
+    /// Give every deferred event the instant `time`, which like
+    /// [`Outbox::at`]'s target may not precede `now` (R5).
+    pub fn stamp_deferred(&mut self, time: SimTime) {
+        assert!(
+            time >= self.now,
+            "deferred event stamped in the past: {time:?} precedes now {:?}",
+            self.now
+        );
+        for i in self.deferred.drain(..) {
+            self.items[i].0 = time;
+        }
+    }
+
+    /// A deferred event that reaches the calendar unstamped would fire at
+    /// [`SimTime::FAR_FUTURE`]: the model forgot to close its turn.
+    fn assert_stamped(&self) {
+        assert!(
+            self.deferred.is_empty(),
+            "{} deferred event(s) reached the calendar unstamped",
+            self.deferred.len()
+        );
+    }
 }
 
 /// A discrete-event simulation: event calendar + model + clock.
@@ -101,8 +150,8 @@ pub struct Simulation<M: Model> {
     queue: EventQueue<M::Event>,
     now: SimTime,
     steps: u64,
-    /// The outbox buffer, kept between events so a turn allocates nothing.
-    outbox: Vec<(SimTime, M::Event)>,
+    /// The outbox, kept between events so a turn allocates nothing.
+    out: Outbox<M::Event>,
     /// Hard cap on processed events; guards against runaway event storms.
     pub max_steps: u64,
 }
@@ -114,7 +163,7 @@ impl<M: Model> Simulation<M> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             steps: 0,
-            outbox: Vec::new(),
+            out: Outbox::standalone(SimTime::ZERO),
             max_steps: u64::MAX,
         }
     }
@@ -189,15 +238,12 @@ impl<M: Model> Simulation<M> {
                 max_steps: self.max_steps,
             });
         }
-        let mut out = Outbox {
-            now: self.now,
-            items: std::mem::take(&mut self.outbox),
-        };
-        self.model.handle(self.now, event, &mut out);
-        for (t, e) in out.items.drain(..) {
+        self.out.now = self.now;
+        self.model.handle(self.now, event, &mut self.out);
+        self.out.assert_stamped();
+        for (t, e) in self.out.items.drain(..) {
             self.queue.push(t, e);
         }
-        self.outbox = out.items;
         if self.model.wants_engine_stats() {
             let stats = EngineStats {
                 steps: self.steps,
@@ -308,6 +354,76 @@ mod tests {
         assert!(sim.step());
         // The clock now sits at t=5s; direct past-time scheduling trips too.
         sim.schedule(SimTime::from_secs_f64(1.0), false);
+    }
+
+    /// Each `true` event defers a wake, then schedules `Other` at the same
+    /// instant the turn will stamp the wake with (when `stamp` holds).
+    struct Deferring {
+        stamp: bool,
+        got: Vec<(SimTime, &'static str)>,
+    }
+    impl Model for Deferring {
+        type Event = &'static str;
+        fn handle(&mut self, now: SimTime, ev: &'static str, out: &mut Outbox<&'static str>) {
+            self.got.push((now, ev));
+            if ev == "start" {
+                let due = now + SimDuration::from_secs(2);
+                out.defer("wake");
+                out.at(due, "other");
+                assert_eq!(out.deferred(), 1);
+                if self.stamp {
+                    out.stamp_deferred(due);
+                    assert_eq!(out.deferred(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_deferred_event_pops_at_its_stamp_in_push_order() {
+        let mut sim = Simulation::new(Deferring {
+            stamp: true,
+            got: vec![],
+        });
+        sim.schedule(SimTime::from_secs_f64(1.0), "start");
+        sim.run();
+        let at = SimTime::from_secs_f64(3.0);
+        assert_eq!(
+            sim.model.got,
+            vec![
+                (SimTime::from_secs_f64(1.0), "start"),
+                (at, "wake"),
+                (at, "other")
+            ],
+            "the wake was pushed first, so it pops first at the shared instant"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reached the calendar unstamped")]
+    fn an_unstamped_deferred_event_is_rejected() {
+        let mut sim = Simulation::new(Deferring {
+            stamp: false,
+            got: vec![],
+        });
+        sim.schedule(SimTime::ZERO, "start");
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "reached the calendar unstamped")]
+    fn an_unstamped_standalone_outbox_is_rejected() {
+        let mut out = Outbox::standalone(SimTime::ZERO);
+        out.defer(());
+        let _ = out.into_items();
+    }
+
+    #[test]
+    #[should_panic(expected = "deferred event stamped in the past")]
+    fn a_past_stamp_is_rejected() {
+        let mut out = Outbox::standalone(SimTime::from_secs_f64(1.0));
+        out.defer(());
+        out.stamp_deferred(SimTime::ZERO);
     }
 
     #[test]

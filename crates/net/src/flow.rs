@@ -122,18 +122,6 @@ impl<T> FlowNet<T> {
         self.tracer = Some(sink);
     }
 
-    /// Close a burst of flow operations (the engine calls this after each
-    /// fetch-task launch, which queues chunks towards a hundred sources):
-    /// recomputation is lazy, so the burst settles here in one recompute and
-    /// is published with one generation bump, which is what retires the
-    /// `NetWake` armed before it.
-    pub fn end_batch(&mut self) {
-        if self.dirty {
-            self.settle();
-            self.gen.bump();
-        }
-    }
-
     /// Recompute rates if any mutation since the last pass changed the
     /// active-flow set or a capacity.
     fn settle(&mut self) {

@@ -273,9 +273,11 @@ mod tests {
         /// sequence over FIFO and shared, auto-close and persistent flows:
         /// `next_event` — asked after every event, so it answers from the
         /// memo whenever the event left one standing — equals a from-scratch
-        /// scan bit for bit; the incremental pass's rates equal
-        /// [`reference_rates`] over the flows the script's own record says
-        /// are active to within 1e-9; every one of them is positive (work
+        /// scan bit for bit, and is `Some` exactly when a flow is active
+        /// (what the engine arms a wake on without filling); the
+        /// incremental pass's rates equal [`reference_rates`] over the flows
+        /// the script's own record says are active to within 1e-9; every one
+        /// of them is positive (work
         /// conservation at the flow level); and the rates crossing each link
         /// sum to at most its capacity. Left alone afterwards, the net
         /// delivers every chunk still queued.
@@ -289,6 +291,11 @@ mod tests {
                 s.apply(op);
                 let memoised = s.net.next_event();
                 prop_assert_eq!(memoised, s.net.scan_next(), "stale next-completion memo");
+                prop_assert_eq!(
+                    memoised.is_some(),
+                    s.net.active_flows() > 0,
+                    "a next completion exactly when a flow is active"
+                );
                 let (flows, paths) = s.active();
                 let want = reference_rates(s.caps(), &paths);
                 let mut used = vec![0.0f64; s.caps().len()];
