@@ -603,16 +603,13 @@ impl SimWorld {
     // An `arm_*` schedules its subsystem's next completion, which is never
     // before `now`: a completion due earlier had its own wake, whose poll
     // moved the subsystem's clock past it (`Outbox::at` asserts this).
-
     //
     // The net is the exception: its next completion depends on every
-    // mutation of the turn, and answering it costs a water-fill. So
-    // `arm_net` defers its wake at its place in the outbox, and the turn's
-    // end (`stamp_net_wakes`) fills once and stamps every wake armed in the
-    // turn with that one answer (DESIGN.md §4.3). A wake whose generation a
-    // later mutation of the turn superseded is still scheduled, so the
-    // event count stays what it was when each arm filled on its own; its
-    // pop is a no-op.
+    // mutation of the turn, and answering it costs a water-fill, so its
+    // wakes are deferred and the turn's end answers them all with one fill
+    // (DESIGN.md §4.3). A wake a later mutation of the turn superseded is
+    // still scheduled, so the event count stays what it was when each arm
+    // filled on its own; its pop is a no-op.
 
     fn arm_net(&mut self, out: &mut Outbox<Ev>) {
         // Every active flow gets a positive rate, so this is
@@ -623,9 +620,9 @@ impl SimWorld {
     }
 
     /// Close an event turn: one `next_event` answers every `NetWake` the
-    /// turn armed. A superseded one pops at the same instant as the live
-    /// one, or at `now` if the net went idle. Every public entry point that
-    /// takes an outbox ends here, before the outbox reaches the calendar.
+    /// turn armed, superseded ones included (`now` if the net went idle).
+    /// Every public entry point that takes an outbox ends here, before the
+    /// outbox reaches the calendar.
     fn stamp_net_wakes(&mut self, now: SimTime, out: &mut Outbox<Ev>) {
         if out.deferred() > 0 {
             out.stamp_deferred(self.net.next_event().unwrap_or(now));

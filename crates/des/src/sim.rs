@@ -356,8 +356,8 @@ mod tests {
         sim.schedule(SimTime::from_secs_f64(1.0), false);
     }
 
-    /// Each `true` event defers a wake, then schedules `Other` at the same
-    /// instant the turn will stamp the wake with (when `stamp` holds).
+    /// The `start` event defers a `wake`, then schedules `other` at the
+    /// instant the turn stamps the wake with (unless `stamp` is off).
     struct Deferring {
         stamp: bool,
         got: Vec<(SimTime, &'static str)>,
