@@ -106,8 +106,8 @@ impl ClusterSpec {
         Ok(())
     }
 
-    /// Scale the cluster down, preserving relative capacities — used by tests
-    /// and quick benches so model behaviour is identical in shape.
+    /// Resize to `workers` nodes, scaling Lustre's bandwidth, MDS rate and
+    /// OSS count with it so model behaviour keeps its shape (tests, scale cells).
     pub fn scaled_workers(mut self, workers: u32) -> Self {
         let ratio = workers as f64 / self.workers as f64;
         self.workers = workers;

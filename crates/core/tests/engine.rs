@@ -377,6 +377,8 @@ fn rack_aggregation_preserves_results_and_collapses_flows() {
     let (out_exact, m_exact) = d_exact.run(&wl, Action::Count);
 
     assert_eq!(out_agg.count, out_exact.count);
+    assert!(!out_agg.aborted);
+    assert_eq!(m_agg.tasks_in(Phase::Shuffling).count(), 8); // a fetch a reducer
     assert!(m_agg.phase_time(Phase::Shuffling) > 0.0);
     assert!(m_exact.phase_time(Phase::Shuffling) > 0.0);
     // Real-record jobs keep exact per-bucket accounting under aggregation.

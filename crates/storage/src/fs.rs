@@ -640,6 +640,25 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_writes_each_complete_once() {
+        // Uncached RAMDisk writes, 16 in flight, each a device sub-op.
+        let mut fs = LocalFs::new(Box::new(RamDisk::new(4e9, 4e9)), 1e15, None);
+        let (mut now, mut done) = (SimTime::ZERO, Vec::new());
+        for tag in 0..256 {
+            fs.write(now, FileId(tag % 64), Bytes(1e6 + tag as f64), tag);
+            if tag >= 16 {
+                now = fs.next_event().expect("16 writes in flight");
+                done.extend(fs.poll(now).into_iter().map(|d| d.tag));
+            }
+        }
+        while let Some(t) = fs.next_event() {
+            done.extend(fs.poll(t).into_iter().map(|d| d.tag));
+        }
+        done.sort_unstable();
+        assert!(done.into_iter().eq(0..256));
+    }
+
+    #[test]
     fn delete_frees_space() {
         let mut fs = LocalFs::new(Box::new(RamDisk::new(100.0, 100.0)), 150.0, None);
         fs.write(SimTime::ZERO, FileId(1), Bytes(100.0), 1);

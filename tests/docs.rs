@@ -8,7 +8,8 @@
 //!   its quoted title. Each citation must name a heading that exists, so
 //!   rewriting a document cannot leave a comment pointing at nothing.
 //! - A `` `path.rs::item` `` citation in README, DESIGN, EXPERIMENTS or the
-//!   verify skill names a source file that defines `item`.
+//!   verify skill names a source file that defines `item`; a bare
+//!   `` `path.rs` `` one names a file that exists.
 //! - DESIGN.md §3.1's module map has a row for every file of the world.
 //! - DESIGN.md §4.10's waiver table names every R4 waiver in the sources.
 
@@ -388,21 +389,33 @@ const SOURCES: [&str; 4] = ["crates", "src", "tests", "examples"];
 /// Each `` `path.rs::item` `` in `text` as `(path, item)`. A citation
 /// broken across lines after its `::` reads whole.
 fn item_citations(text: &str) -> Vec<(&str, &str)> {
-    let is_path = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
     let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let mut found = Vec::new();
     for (at, sep) in text.match_indices(".rs::") {
-        let head = &text[..at + 3];
-        let path = &head[head.trim_end_matches(is_path).len()..];
         let tail = text[at + sep.len()..].trim_start();
         let item = &tail[..tail.find(|c| !is_ident(c)).unwrap_or(tail.len())];
-        let quoted =
-            head[..head.len() - path.len()].ends_with('`') && tail[item.len()..].starts_with('`');
-        if quoted && !item.is_empty() {
+        let closed = !item.is_empty() && tail[item.len()..].starts_with('`');
+        if let Some(path) = quoted_path(text, at + 3).filter(|_| closed) {
             found.push((path, item));
         }
     }
     found
+}
+
+/// Each bare `` `path.rs` `` in `text`: a code span that is one file path.
+fn file_citations(text: &str) -> Vec<&str> {
+    let ends = text.match_indices(".rs`").map(|(at, _)| at + 3);
+    ends.filter_map(|end| quoted_path(text, end)).collect()
+}
+
+/// The path of a `.rs` file that `text[..end]` ends with, if a code span
+/// opens right before it.
+fn quoted_path(text: &str, end: usize) -> Option<&str> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_./-".contains(c);
+    let head = &text[..end];
+    let path = &head[head.trim_end_matches(is_path).len()..];
+    let quoted = head[..end - path.len()].ends_with('`');
+    (quoted && path.len() > ".rs".len()).then_some(path)
 }
 
 /// Whether `src` defines `item`: a `fn`, type, constant, module or macro
@@ -428,48 +441,60 @@ fn defines(src: &str, item: &str) -> bool {
 }
 
 /// Every `` `path.rs::item` `` a document cites names a source file whose
-/// path ends with `path` and which defines `item`, so a renamed or moved
-/// test or function cannot leave the docs pointing at nothing.
+/// path ends with `path` (whole components) and which defines `item`, so a
+/// renamed or moved test or function cannot leave the docs pointing at
+/// nothing.
 #[test]
 fn every_cited_item_exists() {
     let mut sources = Vec::new();
     for dir in SOURCES {
         files(&Path::new(ROOT).join(dir), &mut sources);
     }
-    let sources: Vec<(String, String)> = sources
-        .iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .filter_map(|p| {
-            let rel = p.strip_prefix(ROOT).ok()?.to_str()?.to_string();
-            Some((rel, std::fs::read_to_string(p).ok()?))
-        })
-        .collect();
     let (mut checked, mut broken) = (0, Vec::new());
     for doc in ITEM_CITERS {
         let text = std::fs::read_to_string(Path::new(ROOT).join(doc)).expect(doc);
         for (path, item) in item_citations(&text) {
             checked += 1;
-            let suffix = format!("/{path}");
-            let resolves = sources
-                .iter()
-                .any(|(rel, src)| (rel == path || rel.ends_with(&suffix)) && defines(src, item));
-            if !resolves {
+            let defined = |f: &PathBuf| std::fs::read_to_string(f).is_ok_and(|s| defines(&s, item));
+            if !sources.iter().any(|f| f.ends_with(path) && defined(f)) {
                 broken.push(format!("{doc}: {path}::{item}"));
             }
         }
     }
-    assert!(
-        broken.is_empty(),
-        "citations of items no source file defines:\n{}",
-        broken.join("\n")
-    );
+    let broken = broken.join("\n");
+    assert!(broken.is_empty(), "cited items no file defines:\n{broken}");
     assert!(checked >= 15, "only {checked} item citations found");
+}
+
+/// Every bare `` `path.rs` `` a document cites names a file under the
+/// sources or `benchmark/src` by the same suffix rule, so a deleted or
+/// moved file leaves no citation behind.
+#[test]
+fn every_cited_file_exists() {
+    let mut files_at = Vec::new();
+    for dir in SOURCES.iter().chain(&["benchmark/src"]) {
+        files(&Path::new(ROOT).join(dir), &mut files_at);
+    }
+    let (mut checked, mut broken) = (0, Vec::new());
+    for doc in ITEM_CITERS {
+        let text = std::fs::read_to_string(Path::new(ROOT).join(doc)).expect(doc);
+        for path in file_citations(&text) {
+            checked += 1;
+            if !files_at.iter().any(|f| f.ends_with(path)) {
+                broken.push(format!("{doc}: {path}"));
+            }
+        }
+    }
+    let broken = broken.join("\n");
+    assert!(broken.is_empty(), "cited files that are missing:\n{broken}");
+    assert!(checked >= 100, "only {checked} file citations found");
 }
 
 #[test]
 fn item_citations_parse_paths_items_and_line_breaks() {
     let text = "see `tests/docs.rs::bless` and `repro_cli.rs::\n  scale_cells_are_pinned`, \
-                not `a.rs::` nor tests/x.rs::y nor `b.rs::c d`";
+                not `a.rs::` nor tests/x.rs::y nor `b.rs::c d`; \
+                files `net/src/flow.rs` and `x.rs`, not `.rs`, `world/*.rs` nor y.rs`";
     assert_eq!(
         item_citations(text),
         [
@@ -477,6 +502,7 @@ fn item_citations_parse_paths_items_and_line_breaks() {
             ("repro_cli.rs", "scale_cells_are_pinned")
         ]
     );
+    assert_eq!(file_citations(text), ["net/src/flow.rs", "x.rs"]);
     assert!(defines("fn bless() {}\n", "bless"));
     assert!(!defines("fn blessed() {}\n", "bless"));
     assert!(defines("pub(crate) const N: u8 = 1;", "N"));
