@@ -166,3 +166,26 @@ fn clean_seeds_pass_all_oracles() {
         }
     }
 }
+
+/// One live wake per woken substrate, audited after every event. In seed
+/// 12's two-tenant Lustre-shared stream, a fetch stage's mass-flush
+/// `Lustre::revoke` used to bump the MDS generation while an MDS request
+/// was in flight, so the only `LustreWake` on the calendar was superseded
+/// and none was re-armed (first at t = 0.095669 s). A later `submit_mds`
+/// re-armed it in time, so no simulated value moved; `fuzz::check` audits
+/// only every 2,048 events and missed it.
+#[test]
+fn every_busy_substrate_holds_a_live_wake_after_every_event() {
+    let spec = FuzzSpec::parse(
+        "v1 seed=12 workers=12 racks=3 cores=4 store=lustre-shared input=lustre sched=fifo \
+         agg=4096 threads=1 trace=1 elb=1 cad=0 jitter=21 wl=grep rows=560 keys=33 parts=4 \
+         reducers=8 faults=0 defect=0",
+    )
+    .expect("a valid spec line");
+    let mut d = memres_core::Driver::new(spec.cluster(), spec.config());
+    d.set_max_steps(BUDGET);
+    let finished = d
+        .run_stream_audited(spec.stream(), 1)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(finished.len(), 4, "the stream retires every job");
+}

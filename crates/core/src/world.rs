@@ -188,6 +188,38 @@ pub enum Ev {
     MetricsSample,
 }
 
+/// A substrate the world wakes: the key of its one live wake.
+#[derive(Clone, Copy, Debug)]
+enum Substrate {
+    Net,
+    Fs { node: u32, ssd: bool },
+    Lustre,
+}
+
+impl Substrate {
+    /// Its slot in `SimWorld::armed`: the net, Lustre, then two mounts a node.
+    fn slot(self) -> usize {
+        match self {
+            Substrate::Net => 0,
+            Substrate::Lustre => 1,
+            Substrate::Fs { node, ssd } => 2 + 2 * node as usize + usize::from(ssd),
+        }
+    }
+}
+
+impl Ev {
+    /// The substrate a wake event wakes and the generation it was armed at.
+    #[inline]
+    fn woken(&self) -> Option<(Substrate, Gen)> {
+        match *self {
+            Ev::NetWake(gen) => Some((Substrate::Net, gen)),
+            Ev::FsWake { node, ssd, gen } => Some((Substrate::Fs { node, ssd }, gen)),
+            Ev::LustreWake(gen) => Some((Substrate::Lustre, gen)),
+            _ => None,
+        }
+    }
+}
+
 struct JobRun {
     /// Job id (minted from `job_seq` at arrival/submission).
     id: u32,
@@ -265,6 +297,9 @@ pub struct SimWorld {
     /// Per-node SSD mount (SSD shuffle store).
     ssd_fs: Vec<LocalFs>,
     pub lustre: Lustre,
+    /// The generation each substrate's last wake was armed at, by
+    /// `Substrate::slot`; `audit_wakes` holds a busy substrate to it.
+    armed: Vec<Gen>,
     hdfs: Hdfs,
     speeds: SpeedSampler,
     pub blockmgr: BlockMgr,
@@ -420,6 +455,7 @@ impl SimWorld {
             ram_fs,
             ssd_fs,
             lustre,
+            armed: vec![Gen::default(); 2 + 2 * workers],
             hdfs,
             speeds,
             tasks: TaskArena::default(),
@@ -496,7 +532,8 @@ impl SimWorld {
     /// memoised next completion vs a fresh scan, its active indexes vs a
     /// rebuild from the slab, every resident job's running-task count vs an
     /// arena scan, and the dispatch candidate set vs the nodes and queues it
-    /// summarises; with no job resident, the quiescence oracle.
+    /// summarises; with no job resident, the quiescence oracle; last, one
+    /// live wake per busy substrate.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
         let tasks = &self.tasks;
         self.jobs
@@ -512,7 +549,26 @@ impl SimWorld {
                 .judge_drained(self.audit_drained())
                 .map_err(|e| format!("no job resident, but {e}"))?;
         }
-        Ok(())
+        self.audit_wakes()
+    }
+
+    /// One live wake per woken substrate: one with a next completion was
+    /// last armed at its current generation.
+    fn audit_wakes(&self) -> Result<(), String> {
+        let mounts = (0..self.ram_fs.len() as u32)
+            .flat_map(|node| [false, true].map(|ssd| Substrate::Fs { node, ssd }));
+        let mut subs = [Substrate::Net, Substrate::Lustre]
+            .into_iter()
+            .chain(mounts);
+        subs.try_for_each(|sub| {
+            let (gen, armed) = (self.gen_of(sub), self.armed[sub.slot()]);
+            if self.wake_for(sub, gen).is_some() && !armed.is_current(gen) {
+                return Err(format!(
+                    "{sub:?} is busy at {gen:?} but its last wake was armed at {armed:?}"
+                ));
+            }
+            Ok(())
+        })
     }
 
     /// Quiescence oracle (DESIGN.md §4.13), what departed jobs must not hold
@@ -600,9 +656,10 @@ impl SimWorld {
 
     // ---------------- wake plumbing ----------------
     //
-    // An `arm_*` schedules its subsystem's next completion, which is never
-    // before `now`: a completion due earlier had its own wake, whose poll
-    // moved the subsystem's clock past it (`Outbox::at` asserts this).
+    // One live wake per `Substrate`, the last `arm` recorded: a substrate
+    // bumps only where its next completion can move. A completion is never
+    // before `now`: one due earlier had its own wake, whose poll moved the
+    // substrate's clock past it (`Outbox::at` asserts this).
     //
     // The net is the exception: its next completion depends on every
     // mutation of the turn, and answering it costs a water-fill, so its
@@ -611,12 +668,44 @@ impl SimWorld {
     // still scheduled, so the event count stays what it was when each arm
     // filled on its own; its pop is a no-op.
 
-    fn arm_net(&mut self, out: &mut Outbox<Ev>) {
-        // Every active flow gets a positive rate, so this is
-        // `next_event().is_some()` without the fill.
-        if self.net.active_flows() > 0 {
-            out.defer(Ev::NetWake(self.net.gen()));
+    #[inline]
+    fn gen_of(&self, sub: Substrate) -> Gen {
+        match sub {
+            Substrate::Net => self.net.gen(),
+            Substrate::Fs { node, ssd } => self.fs(node, ssd).gen(),
+            Substrate::Lustre => self.lustre.gen(),
         }
+    }
+
+    /// `sub`'s wake at `gen` and its instant (none for the net's, which the
+    /// turn's end stamps), or `None` when `sub` has no next completion.
+    #[inline]
+    fn wake_for(&self, sub: Substrate, gen: Gen) -> Option<(Ev, Option<SimTime>)> {
+        match sub {
+            // Every active flow gets a positive rate, so this is
+            // `next_event().is_some()` without the fill.
+            Substrate::Net => (self.net.active_flows() > 0).then_some((Ev::NetWake(gen), None)),
+            Substrate::Fs { node, ssd } => self
+                .fs(node, ssd)
+                .next_event()
+                .map(|t| (Ev::FsWake { node, ssd, gen }, Some(t))),
+            Substrate::Lustre => self
+                .lustre
+                .next_event()
+                .map(|t| (Ev::LustreWake(gen), Some(t))),
+        }
+    }
+
+    /// Schedule `sub`'s next completion, if it has one.
+    #[inline]
+    fn arm(&mut self, sub: Substrate, out: &mut Outbox<Ev>) {
+        let gen = self.gen_of(sub);
+        match self.wake_for(sub, gen) {
+            Some((wake, Some(t))) => out.at(t, wake),
+            Some((wake, None)) => out.defer(wake),
+            None => return,
+        }
+        self.armed[sub.slot()] = gen;
     }
 
     /// Close an event turn: one `next_event` answers every `NetWake` the
@@ -646,26 +735,6 @@ impl SimWorld {
         &mut mounts[node as usize]
     }
 
-    fn arm_fs(&self, node: u32, ssd: bool, out: &mut Outbox<Ev>) {
-        let fs = self.fs(node, ssd);
-        if let Some(t) = fs.next_event() {
-            out.at(
-                t,
-                Ev::FsWake {
-                    node,
-                    ssd,
-                    gen: fs.gen(),
-                },
-            );
-        }
-    }
-
-    fn arm_lustre(&self, out: &mut Outbox<Ev>) {
-        if let Some(t) = self.lustre.next_event() {
-            out.at(t, Ev::LustreWake(self.lustre.gen()));
-        }
-    }
-
     // ---------------- one-shot transfers ----------------
 
     /// A one-shot transfer: an auto-close flow from `src` to `dst` carrying
@@ -686,14 +755,14 @@ impl SimWorld {
     ) {
         self.tasks.pending_io[task as usize] += 1;
         self.send_once(now, src, dst, bytes, self.io_tag(task));
-        self.arm_net(out);
+        self.arm(Substrate::Net, out);
     }
 
     /// Metadata operations at the Lustre MDS that `task` waits for.
     fn submit_mds(&mut self, now: SimTime, task: u32, ops: f64, out: &mut Outbox<Ev>) {
         self.tasks.pending_io[task as usize] += 1;
         self.lustre.submit_mds(now, ops, self.io_tag(task));
-        self.arm_lustre(out);
+        self.arm(Substrate::Lustre, out);
     }
 
     /// One Lustre read or write of `task`: its metadata ops at the MDS, then
@@ -909,6 +978,7 @@ impl SimWorld {
             || u32::from(self.tasks.attempt[i]) != attempt & 0xffff
     }
 
+    /// Count one I/O completion of `task`: false, counting nothing, if stale.
     fn task_io_done(
         &mut self,
         now: SimTime,
@@ -916,9 +986,9 @@ impl SimWorld {
         attempt: u32,
         job: u32,
         out: &mut Outbox<Ev>,
-    ) {
+    ) -> bool {
         if self.completion_is_stale(task, attempt, job) {
-            return;
+            return false;
         }
         let i = task as usize;
         debug_assert!(
@@ -929,6 +999,7 @@ impl SimWorld {
         if self.tasks.pending_io[i] == 0 {
             self.maybe_schedule_finish(now, task, out);
         }
+        true
     }
 
     fn maybe_schedule_finish(&mut self, now: SimTime, task: u32, out: &mut Outbox<Ev>) {
@@ -1044,11 +1115,14 @@ impl SimWorld {
         clippy::match_wildcard_for_single_variants
     )]
     fn on_event(&mut self, now: SimTime, event: Ev, out: &mut Outbox<Ev>) {
+        // A superseded wake is a no-op: its substrate was re-armed since.
+        if let Some((sub, gen)) = event.woken() {
+            if !gen.is_current(self.gen_of(sub)) {
+                return;
+            }
+        }
         match event {
-            Ev::NetWake(gen) => {
-                if !gen.is_current(self.net.gen()) {
-                    return;
-                }
+            Ev::NetWake(_) => {
                 let delivered = self.net.poll(now);
                 // Flush chunks are credited after the task I/O of the same poll.
                 let mut flushed = Vec::new();
@@ -1063,38 +1137,28 @@ impl SimWorld {
                 for job in flushed {
                     self.on_flush_progress(now, job, out);
                 }
-                self.arm_net(out);
+                self.arm(Substrate::Net, out);
             }
-            Ev::FsWake { node, ssd, gen } => {
-                if !gen.is_current(self.fs(node, ssd).gen()) {
-                    return;
-                }
+            Ev::FsWake { node, ssd, .. } => {
                 let done = self.fs_mut(node, ssd).poll(now);
                 for d in done {
                     let (task, attempt, job) = unpack_io_tag(d.tag);
                     self.task_io_done(now, task, attempt, job, out);
                 }
-                self.arm_fs(node, ssd, out);
+                self.arm(Substrate::Fs { node, ssd }, out);
                 if ssd {
                     self.sync_ssd_read_link(now, node, false, out);
                 }
             }
-            Ev::LustreWake(gen) => {
-                if !gen.is_current(self.lustre.gen()) {
-                    return;
-                }
+            Ev::LustreWake(_) => {
                 let done = self.lustre.poll(now);
                 for tag in done {
                     let (task, attempt, job) = unpack_io_tag(tag);
-                    // Guard before indexing: a stale completion may refer to
-                    // a task of an already-finished (or aborted) job.
-                    if self.completion_is_stale(task, attempt, job) {
-                        continue;
+                    if self.task_io_done(now, task, attempt, job, out) {
+                        self.lustre_shared_gate(now, task, out);
                     }
-                    self.task_io_done(now, task, attempt, job, out);
-                    self.lustre_shared_gate(now, task, out);
                 }
-                self.arm_lustre(out);
+                self.arm(Substrate::Lustre, out);
             }
             Ev::TaskFinish { task, attempt, job } => {
                 self.on_task_finish(now, task, attempt, job, out)

@@ -3,7 +3,7 @@
 //! prefers and what it reads from where (paper §V: input locality), and the
 //! launch of a compute task over it.
 
-use super::{Ev, SimWorld};
+use super::{Ev, SimWorld, Substrate};
 use crate::config::InputSource;
 use crate::dag::{JobPlan, StageInput, StagePlan};
 use crate::executor::{run_narrow_chain, Pending, Reader, Work};
@@ -339,7 +339,7 @@ impl SimWorld {
                 let tag = self.io_tag(task);
                 self.tasks.pending_io[task as usize] += 1;
                 self.ram_fs[node as usize].read(now, file, Bytes(in_bytes), tag);
-                self.arm_fs(node, false, out);
+                self.arm(Substrate::Fs { node, ssd: false }, out);
             }
             IoPlan::HdfsRead { src, .. } => {
                 self.task_transfer(now, task, (Endpoint::Node(src), here), Bytes(in_bytes), out);

@@ -7,7 +7,7 @@
 //! cached partition (`recovery_stage`).
 
 use super::tasks::{Flag, TState, Task, TaskKind, UNPINNED};
-use super::{Ev, JobOutput, SimWorld};
+use super::{Ev, JobOutput, SimWorld, Substrate};
 use crate::dag::{JobPlan, StageInput, StagePlan};
 use crate::faults::FaultKind;
 use crate::rdd::RddId;
@@ -539,7 +539,7 @@ impl SimWorld {
             FaultKind::SsdDegrade { node, factor } => {
                 self.recovery_all(|r| r.ssd_degradations += 1);
                 self.ssd_fs[node as usize].degrade_device(now, factor);
-                self.arm_fs(node, true, out);
+                self.arm(Substrate::Fs { node, ssd: true }, out);
                 self.sync_ssd_read_link(now, node, true, out);
             }
             FaultKind::FetchFail { src } => self.fail_fetches_from(now, src, out),

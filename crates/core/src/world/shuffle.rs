@@ -12,7 +12,7 @@
 
 use super::phase::RunPhase;
 use super::tasks::TaskKind;
-use super::{flush_tag, Ev, JobRun, NetTag, SimWorld, TASK_OVERHEAD};
+use super::{flush_tag, Ev, JobRun, NetTag, SimWorld, Substrate, TASK_OVERHEAD};
 use crate::config::{Defect, ShuffleStore, StoreDevice};
 use crate::dag::{JobPlan, ShuffleSpec};
 use crate::executor::{run_narrow_chain, Pending, Reader, RealOut, Segment, Work};
@@ -492,7 +492,7 @@ impl SimWorld {
                     let link = self.shuffle.read_links[n as usize];
                     self.net.set_link_capacity(now, link, bw.max(1.0));
                 }
-                self.arm_net(out);
+                self.arm(Substrate::Net, out);
                 1
             }
             ShuffleStore::LustreLocal => {
@@ -517,7 +517,7 @@ impl SimWorld {
                 }
                 sh.flush_pending = pending;
                 sh.flush_done = pending == 0;
-                self.arm_net(out);
+                self.arm(Substrate::Net, out);
                 0
             }
         };
@@ -541,7 +541,7 @@ impl SimWorld {
             self.net.close_flow(now, f);
         }
         if self.net.gen() != armed {
-            self.arm_net(out);
+            self.arm(Substrate::Net, out);
         }
     }
 
@@ -561,7 +561,7 @@ impl SimWorld {
             for &f in &job.shuffle.lustre_files {
                 self.lustre.delete(f);
             }
-            self.arm_lustre(out);
+            self.arm(Substrate::Lustre, out);
         }
     }
 
@@ -608,7 +608,7 @@ impl SimWorld {
                     );
                     fs.write(now, file, Bytes(bytes), tag);
                     self.tasks.pending_io[task as usize] += 1;
-                    self.arm_fs(node, ssd, out);
+                    self.arm(Substrate::Fs { node, ssd }, out);
                 }
             }
             ShuffleStore::LustreLocal | ShuffleStore::LustreShared => {
@@ -676,7 +676,7 @@ impl SimWorld {
         let cur = self.net.link_capacity(link);
         if force || (bw - cur).abs() / cur > 0.05 {
             self.net.set_link_capacity(now, link, bw.max(1.0));
-            self.arm_net(out);
+            self.arm(Substrate::Net, out);
         }
     }
 
@@ -812,7 +812,7 @@ impl SimWorld {
                 }
                 self.net.push_chunks(now, tag, &chunks);
                 self.shuffle.fetch_chunks = chunks;
-                self.arm_net(out);
+                self.arm(Substrate::Net, out);
             }
             ShuffleStore::LustreShared => {
                 // Metadata storm: per-file lock ops at the MDS, plus the
@@ -885,7 +885,7 @@ impl SimWorld {
         let wire = self.fetch_wire()(self.tasks.input_bytes[task as usize]);
         let dst = Endpoint::Node(NodeId(node));
         self.send_once(now, Endpoint::Lustre, dst, wire, self.io_tag(task));
-        self.arm_net(out);
+        self.arm(Substrate::Net, out);
     }
 
     /// One chunk of job `owner`'s mass flush reached the OSSes; the last

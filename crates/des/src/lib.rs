@@ -29,7 +29,7 @@ pub mod stats;
 pub mod time;
 
 pub use bytes::Bytes;
-pub use ps::{JobKey, PsResource};
+pub use ps::PsResource;
 pub use queue::{EventQueue, QueueStats};
 pub use sim::{EngineStats, Gen, Model, Outbox, Simulation};
 pub use stats::{Cdf, LogHistogram};

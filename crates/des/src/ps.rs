@@ -6,24 +6,19 @@
 //! the storage devices, the Lustre OSS pool and MDS, and CPU-ish servers.
 //!
 //! Ownership pattern: the resource is passive. After any mutating call
-//! (`add`, `cancel`, `set_capacity`, `poll`), the owner re-reads
-//! `next_completion()` + `gen()` and schedules a wake event; stale wakes are
-//! dropped by comparing generations.
+//! (`add`, `set_capacity`, `poll`), the owner re-reads `next_completion()`
+//! and schedules a wake. The resource keeps no generation: the owner's
+//! [`Gen`](crate::sim::Gen), bumped only where that owner's next completion
+//! can move, tells its live wake from a superseded one (DESIGN.md §4.1).
 //!
 //! Eager and dense (DESIGN.md §4.1): a clock move subtracts the drained work
 //! from every job in one pass per completion step; a call at the instant the
 //! server already stands at touches no job, so a same-instant storm is O(1)
 //! per call.
 
-use crate::sim::Gen;
 use crate::time::{SimTime, NANOS_PER_SEC};
 
-/// Handle to a job inside a [`PsResource`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobKey(pub u64);
-
 struct Job<T> {
-    key: u64,
     remaining: f64,
     tag: T,
 }
@@ -33,8 +28,7 @@ const DONE: f64 = 1e-9;
 
 pub struct PsResource<T> {
     capacity: f64,
-    /// In-flight jobs in ascending key order: keys only ascend, so `add` is
-    /// a push.
+    /// In-flight jobs in submission order.
     jobs: Vec<Job<T>>,
     /// Smallest `remaining` in `jobs` (`INFINITY` when empty); `f64::min` is
     /// exact, so kept incrementally it has the bits a fold would give.
@@ -42,10 +36,8 @@ pub struct PsResource<T> {
     /// A job at or below [`DONE`] may sit in `jobs`: every pass harvests
     /// those, so only an `add` of `0 < work <= DONE` leaves one behind.
     unharvested: bool,
-    next_key: u64,
     last: SimTime,
-    gen: Gen,
-    completed: Vec<(JobKey, T)>,
+    completed: Vec<T>,
     /// Total work completed since construction (for utilization accounting).
     pub work_done: f64,
     /// Passes over the job list so far (for perf assertions in tests): one
@@ -61,17 +53,11 @@ impl<T> PsResource<T> {
             jobs: Vec::new(),
             min_remaining: f64::INFINITY,
             unharvested: false,
-            next_key: 0,
             last: SimTime::ZERO,
-            gen: Gen::default(),
             completed: Vec::new(),
             work_done: 0.0,
             sweeps: 0,
         }
-    }
-
-    pub fn gen(&self) -> Gen {
-        self.gen
     }
 
     pub fn capacity(&self) -> f64 {
@@ -85,11 +71,11 @@ impl<T> PsResource<T> {
 
     /// Outstanding (unfinished) work across all jobs.
     pub fn backlog(&self) -> f64 {
-        // Ascending key order: a fixed accumulation order.
+        // Submission order: a fixed accumulation order.
         self.jobs.iter().map(|j| j.remaining).sum()
     }
 
-    /// The one pass, in key order: drain `drained` from every job and account
+    /// The one pass, in submission order: drain `drained` from every job and account
     /// it, move the jobs left at or below `limit` to the completed list, note
     /// the smallest remainder among the rest. A completion step (`residue`)
     /// also credits a finished job's rounding leftover as work done.
@@ -110,7 +96,7 @@ impl<T> PsResource<T> {
             }
             done
         });
-        self.completed.extend(done.map(|j| (JobKey(j.key), j.tag)));
+        self.completed.extend(done.map(|j| j.tag));
         self.min_remaining = min;
     }
 
@@ -146,36 +132,19 @@ impl<T> PsResource<T> {
     }
 
     /// Submit `work` units. Zero-work jobs complete immediately.
-    pub fn add(&mut self, now: SimTime, work: f64, tag: T) -> JobKey {
+    pub fn add(&mut self, now: SimTime, work: f64, tag: T) {
         assert!(work >= 0.0 && work.is_finite());
         self.advance(now);
-        self.gen.bump();
-        let key = JobKey(self.next_key);
-        self.next_key += 1;
         if work == 0.0 {
-            self.completed.push((key, tag));
+            self.completed.push(tag);
         } else {
             self.unharvested |= work <= DONE;
             self.min_remaining = self.min_remaining.min(work);
             self.jobs.push(Job {
-                key: key.0,
                 remaining: work,
                 tag,
             });
         }
-        key
-    }
-
-    /// Remove a job before completion; returns its tag if it was in flight.
-    pub fn cancel(&mut self, now: SimTime, key: JobKey) -> Option<T> {
-        self.advance(now);
-        let at = self.jobs.binary_search_by_key(&key.0, |j| j.key).ok()?;
-        let j = self.jobs.remove(at);
-        if j.remaining <= self.min_remaining {
-            self.sweep(0.0, DONE, false); // drains nothing: finds the new minimum
-        }
-        self.gen.bump();
-        Some(j.tag)
     }
 
     /// Change the shared capacity (e.g. SSD entering garbage collection).
@@ -184,16 +153,12 @@ impl<T> PsResource<T> {
         self.advance(now);
         if (capacity - self.capacity).abs() > f64::EPSILON {
             self.capacity = capacity;
-            self.gen.bump();
         }
     }
 
     /// Advance to `now` and drain the completions that are due.
-    pub fn poll(&mut self, now: SimTime) -> Vec<(JobKey, T)> {
+    pub fn poll(&mut self, now: SimTime) -> Vec<T> {
         self.advance(now);
-        if !self.completed.is_empty() {
-            self.gen.bump();
-        }
         std::mem::take(&mut self.completed)
     }
 
@@ -223,11 +188,11 @@ fn add_secs(t: SimTime, secs: f64) -> SimTime {
 
 #[cfg(test)]
 mod oracle {
-    //! The `BTreeMap` server the dense one replaced, kept verbatim as the
+    //! The `BTreeMap` server the dense one replaced, kept as the
     //! differential oracle of `dense_ps_matches_btreemap_oracle`: a harvest
     //! sweep before and after every advance, a `min` fold per step and per
     //! `next_completion`, a key `Vec` and a `get_mut`/`remove` per job.
-    use super::{add_secs, Gen, JobKey, SimTime};
+    use super::{add_secs, SimTime};
     use std::collections::BTreeMap;
 
     struct Job<T> {
@@ -240,8 +205,7 @@ mod oracle {
         jobs: BTreeMap<u64, Job<T>>,
         next_key: u64,
         last: SimTime,
-        gen: Gen,
-        pub completed: Vec<(JobKey, T)>,
+        pub completed: Vec<T>,
         /// Total work completed since construction (for utilization accounting).
         pub work_done: f64,
     }
@@ -254,14 +218,9 @@ mod oracle {
                 jobs: BTreeMap::new(),
                 next_key: 0,
                 last: SimTime::ZERO,
-                gen: Gen::default(),
                 completed: Vec::new(),
                 work_done: 0.0,
             }
-        }
-
-        pub fn gen(&self) -> Gen {
-            self.gen
         }
 
         /// Number of in-flight jobs.
@@ -287,7 +246,7 @@ mod oracle {
                 .collect();
             for k in done {
                 let j = self.jobs.remove(&k).expect("job vanished");
-                self.completed.push((JobKey(k), j.tag));
+                self.completed.push(j.tag);
             }
         }
 
@@ -322,7 +281,7 @@ mod oracle {
                         if done {
                             let j = self.jobs.remove(&k).unwrap();
                             self.work_done += drained + j.remaining.max(0.0);
-                            self.completed.push((JobKey(k), j.tag));
+                            self.completed.push(j.tag);
                         } else {
                             self.work_done += drained;
                         }
@@ -342,32 +301,22 @@ mod oracle {
         }
 
         /// Submit `work` units. Zero-work jobs complete immediately.
-        pub fn add(&mut self, now: SimTime, work: f64, tag: T) -> JobKey {
+        pub fn add(&mut self, now: SimTime, work: f64, tag: T) {
             assert!(work >= 0.0 && work.is_finite());
             self.advance(now);
-            self.gen.bump();
-            let key = JobKey(self.next_key);
+            let key = self.next_key;
             self.next_key += 1;
             if work == 0.0 {
-                self.completed.push((key, tag));
+                self.completed.push(tag);
             } else {
                 self.jobs.insert(
-                    key.0,
+                    key,
                     Job {
                         remaining: work,
                         tag,
                     },
                 );
             }
-            key
-        }
-
-        /// Remove a job before completion; returns its tag if it was in flight.
-        pub fn cancel(&mut self, now: SimTime, key: JobKey) -> Option<T> {
-            self.advance(now);
-            let j = self.jobs.remove(&key.0)?;
-            self.gen.bump();
-            Some(j.tag)
         }
 
         /// Change the shared capacity (e.g. SSD entering garbage collection).
@@ -376,16 +325,12 @@ mod oracle {
             self.advance(now);
             if (capacity - self.capacity).abs() > f64::EPSILON {
                 self.capacity = capacity;
-                self.gen.bump();
             }
         }
 
         /// Advance to `now` and drain the completions that are due.
-        pub fn poll(&mut self, now: SimTime) -> Vec<(JobKey, T)> {
+        pub fn poll(&mut self, now: SimTime) -> Vec<T> {
             self.advance(now);
-            if !self.completed.is_empty() {
-                self.gen.bump();
-            }
             std::mem::take(&mut self.completed)
         }
 
@@ -417,7 +362,7 @@ mod tests {
     fn drain_until_empty(ps: &mut PsResource<u32>) -> Vec<(SimTime, u32)> {
         let mut out = Vec::new();
         while let Some(t) = ps.next_completion() {
-            for (_, tag) in ps.poll(t) {
+            for tag in ps.poll(t) {
                 out.push((t, tag));
             }
         }
@@ -496,21 +441,7 @@ mod tests {
     fn zero_work_completes_immediately() {
         let mut ps = PsResource::new(10.0);
         ps.add(SimTime::ZERO, 0.0, 7u32);
-        let got = ps.poll(SimTime::ZERO);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, 7);
-    }
-
-    #[test]
-    fn cancel_removes_job_and_speeds_up_other() {
-        let mut ps = PsResource::new(100.0);
-        let a = ps.add(SimTime::ZERO, 100.0, 1u32);
-        ps.add(SimTime::ZERO, 100.0, 2u32);
-        // Cancel job 1 at t=0.5 (each has 75 left); job 2 then runs at 100/s.
-        assert_eq!(ps.cancel(SimTime::from_secs_f64(0.5), a), Some(1));
-        let done = drain_until_empty(&mut ps);
-        assert_eq!(done.len(), 1);
-        assert!((done[0].0.as_secs_f64() - 1.25).abs() < 1e-6);
+        assert_eq!(ps.poll(SimTime::ZERO), [7]);
     }
 
     #[test]
@@ -519,14 +450,6 @@ mod tests {
         let mut ps = PsResource::new(100.0);
         ps.add(SimTime::from_secs_f64(1.0), 50.0, 1u32);
         ps.add(SimTime::from_secs_f64(0.5), 50.0, 2u32);
-    }
-
-    #[test]
-    fn gen_bumps_on_mutation() {
-        let mut ps = PsResource::new(1.0);
-        let g0 = ps.gen();
-        ps.add(SimTime::ZERO, 1.0, 0u32);
-        assert_ne!(ps.gen(), g0);
     }
 
     #[test]
@@ -557,25 +480,25 @@ mod proptests {
 
     proptest! {
         /// The dense server is the `BTreeMap` one, to the bit: after EVERY op
-        /// of a random add / cancel / set_capacity (0 and back) / poll /
+        /// of a random add / set_capacity (0 and back) / poll /
         /// next_completion sequence — repeated instants, equal works, zero
         /// works, works in `(0, 1e-9]`, polls at and just before the announced
         /// completion — both hold the same undelivered completions in the
-        /// same order, announce the same next completion, and agree on `gen`,
+        /// same order, announce the same next completion, and agree on
         /// `load`, `backlog` and `work_done`.
         #[test]
         fn dense_ps_matches_btreemap_oracle(
             cap0 in 1.0f64..50.0,
             ops in proptest::collection::vec(
-                (0u8..12, 0u8..8, 1e-3f64..100.0, 0.0f64..2.0, any::<proptest::sample::Index>()),
+                (0u8..10, 0u8..8, 1e-3f64..100.0, 0.0f64..2.0),
                 1..80,
             ),
         ) {
             let mut ps = PsResource::new(cap0);
             let mut oracle = super::oracle::BTreePs::new(cap0);
             let mut now = SimTime::ZERO;
-            let mut keys = 0u64;
-            for (kind, shape, x, dt, pick) in &ops {
+            let mut tags = 0u64;
+            for (kind, shape, x, dt) in &ops {
                 // Two ops in three land on the instant of the one before.
                 if shape % 3 == 0 {
                     now += crate::time::SimDuration::from_secs_f64(*dt);
@@ -588,19 +511,16 @@ mod proptests {
                             2 | 3 => 10.0,  // ties
                             _ => *x,
                         };
-                        prop_assert_eq!(ps.add(now, work, keys), oracle.add(now, work, keys));
-                        keys += 1;
+                        ps.add(now, work, tags);
+                        oracle.add(now, work, tags);
+                        tags += 1;
                     }
-                    5 | 6 if keys > 0 => {
-                        let key = JobKey(pick.index(keys as usize) as u64);
-                        prop_assert_eq!(ps.cancel(now, key), oracle.cancel(now, key));
-                    }
-                    7 | 8 => {
+                    5 | 6 => {
                         let cap = if *shape < 3 { 0.0 } else { *x };
                         ps.set_capacity(now, cap);
                         oracle.set_capacity(now, cap);
                     }
-                    9 => prop_assert_eq!(ps.poll(now), oracle.poll(now)),
+                    7 => prop_assert_eq!(ps.poll(now), oracle.poll(now)),
                     _ => {
                         // Step to the announced completion, as the owner's
                         // wake event does — or one nanosecond short of it,
@@ -608,14 +528,13 @@ mod proptests {
                         // harvest threshold.
                         if let Some(at) = ps.next_completion() {
                             let short = SimTime::from_nanos(at.as_nanos().saturating_sub(1));
-                            now = if *kind == 11 { short.max(now) } else { at };
+                            now = if *kind == 9 { short.max(now) } else { at };
                             prop_assert_eq!(ps.poll(now), oracle.poll(now));
                         }
                     }
                 }
                 prop_assert_eq!(&ps.completed, &oracle.completed);
                 prop_assert_eq!(ps.next_completion(), oracle.next_completion());
-                prop_assert_eq!(ps.gen(), oracle.gen());
                 prop_assert_eq!(ps.load(), oracle.load());
                 prop_assert_eq!(ps.backlog().to_bits(), oracle.backlog().to_bits());
                 prop_assert_eq!(ps.work_done.to_bits(), oracle.work_done.to_bits());
@@ -659,7 +578,7 @@ mod proptests {
             }
             let mut finished: Vec<u32> = Vec::new();
             while let Some(t) = ps.next_completion() {
-                finished.extend(ps.poll(t).into_iter().map(|(_, tag)| tag));
+                finished.extend(ps.poll(t));
             }
             prop_assert_eq!(finished.len(), works.len());
             for pair in finished.windows(2) {

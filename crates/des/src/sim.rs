@@ -2,11 +2,12 @@
 //!
 //! A simulation is a [`Model`] (all mutable world state) plus an event
 //! calendar. The model's `handle` receives one event at a time together with
-//! an [`Outbox`] through which it schedules follow-up events. Components that
-//! must *cancel* previously scheduled events (fair-share recomputation in the
-//! network, queue changes in storage devices) use the stale-event idiom
-//! instead: they stamp events with a [`Gen`] generation counter and ignore
-//! events whose generation no longer matches.
+//! an [`Outbox`] through which it schedules follow-up events. A component
+//! whose next completion moves (the flow network's fair shares, a mount's
+//! queue, the Lustre MDS) does not cancel the wake it scheduled: it keeps a
+//! [`Gen`] generation counter, stamps each wake with it and bumps it only
+//! where the next completion can move, so its last wake is its one live
+//! wake and the model drops any wake whose generation no longer matches.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -270,16 +271,16 @@ pub struct BudgetExhausted {
 
 /// Generation counter for the stale-event idiom.
 ///
-/// A component that may need to "cancel" an in-flight event bumps its
-/// generation on every state change; events carry the generation current at
-/// scheduling time, and the handler drops events whose generation is stale.
+/// A component that may need to "cancel" an in-flight wake bumps its
+/// generation on every change that can move its next completion, and on no
+/// other; wakes carry the generation current at scheduling time, and the
+/// handler drops those whose generation is stale.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Gen(pub u64);
 
 impl Gen {
-    pub fn bump(&mut self) -> Gen {
+    pub fn bump(&mut self) {
         self.0 += 1;
-        *self
     }
 
     pub fn is_current(self, other: Gen) -> bool {

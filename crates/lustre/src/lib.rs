@@ -156,6 +156,8 @@ pub struct Lustre {
     /// Dirty + clean cached bytes per client (for the grant limit), indexed
     /// by node and grown on first touch.
     client_cache_used: Vec<f64>,
+    /// Bumped only where the MDS's next completion can move (`submit_mds`,
+    /// a `poll` that delivers) and by `delete`.
     gen: Gen,
     /// Optional trace sink: DLM lock grants, revocations and releases are
     /// reported to it (DESIGN.md §4.11). `None` costs nothing.
@@ -277,7 +279,6 @@ impl Lustre {
                 client: writer.0,
             },
         );
-        self.gen.bump();
         WritePlan {
             cached_bytes: cached,
             oss_bytes: oss,
@@ -315,7 +316,6 @@ impl Lustre {
                 client: writer.0,
             },
         );
-        self.gen.bump();
         WritePlan {
             cached_bytes: cached,
             oss_bytes: oss,
@@ -430,7 +430,6 @@ impl Lustre {
                 client: reader.0,
             },
         );
-        self.gen.bump();
         plan
     }
 
@@ -451,7 +450,6 @@ impl Lustre {
             if let Some(w) = writer {
                 self.release(w, released);
             }
-            self.gen.bump();
         }
         if released > 0.0 || dirty > 0.0 {
             self.trace(
@@ -487,7 +485,7 @@ impl Lustre {
     }
 
     pub fn poll(&mut self, now: SimTime) -> Vec<u64> {
-        let done: Vec<u64> = self.mds.poll(now).into_iter().map(|(_, t)| t).collect();
+        let done = self.mds.poll(now);
         if !done.is_empty() {
             self.gen.bump();
         }

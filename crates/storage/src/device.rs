@@ -12,7 +12,6 @@
 #![deny(clippy::panic, clippy::unreachable)]
 
 use memres_des::ps::PsResource;
-use memres_des::sim::Gen;
 use memres_des::time::SimTime;
 use memres_des::Bytes;
 
@@ -38,12 +37,8 @@ pub trait Device {
     /// Next instant at which internal state changes (completion or model
     /// tick), or `None` when fully idle.
     fn next_event(&self) -> Option<SimTime>;
-    /// Generation for the stale-wake idiom.
-    fn gen(&self) -> Gen;
     /// Queue depth (in-flight requests), used by congestion observers.
     fn queue_depth(&self) -> usize;
-    /// Peak sequential write bandwidth (for sizing decisions).
-    fn write_bandwidth(&self) -> f64;
     /// Peak sequential read bandwidth.
     fn read_bandwidth(&self) -> f64;
     /// Read bandwidth given current internal state (e.g. SSD GC); defaults
@@ -75,7 +70,6 @@ pub trait Device {
 pub(crate) struct DualChannel {
     pub read: PsResource<u64>,
     pub write: PsResource<u64>,
-    gen: Gen,
 }
 
 impl DualChannel {
@@ -83,7 +77,6 @@ impl DualChannel {
         DualChannel {
             read: PsResource::new(read_bw),
             write: PsResource::new(write_bw),
-            gen: Gen::default(),
         }
     }
 
@@ -93,7 +86,6 @@ impl DualChannel {
             Op::Read => self.read.add(now, bytes, tag),
             Op::Write => self.write.add(now, bytes, tag),
         };
-        self.gen.bump();
     }
 
     pub fn poll(&mut self, now: SimTime) -> Vec<IoDone> {
@@ -101,17 +93,14 @@ impl DualChannel {
             .read
             .poll(now)
             .into_iter()
-            .map(|(_, tag)| IoDone { op: Op::Read, tag })
+            .map(|tag| IoDone { op: Op::Read, tag })
             .collect();
         out.extend(
             self.write
                 .poll(now)
                 .into_iter()
-                .map(|(_, tag)| IoDone { op: Op::Write, tag }),
+                .map(|tag| IoDone { op: Op::Write, tag }),
         );
-        if !out.is_empty() {
-            self.gen.bump();
-        }
         out
     }
 
@@ -120,10 +109,6 @@ impl DualChannel {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    pub fn gen(&self) -> Gen {
-        self.gen
     }
 
     pub fn queue_depth(&self) -> usize {
@@ -137,7 +122,6 @@ impl DualChannel {
 pub struct RamDisk {
     ch: DualChannel,
     read_bw: f64,
-    write_bw: f64,
 }
 
 impl RamDisk {
@@ -145,7 +129,6 @@ impl RamDisk {
         RamDisk {
             ch: DualChannel::new(read_bw, write_bw),
             read_bw,
-            write_bw,
         }
     }
 
@@ -166,14 +149,8 @@ impl Device for RamDisk {
     fn next_event(&self) -> Option<SimTime> {
         self.ch.next_event()
     }
-    fn gen(&self) -> Gen {
-        self.ch.gen()
-    }
     fn queue_depth(&self) -> usize {
         self.ch.queue_depth()
-    }
-    fn write_bandwidth(&self) -> f64 {
-        self.write_bw
     }
     fn read_bandwidth(&self) -> f64 {
         self.read_bw
@@ -216,17 +193,5 @@ mod tests {
         assert_eq!(d.queue_depth(), 2);
         drain(&mut d);
         assert_eq!(d.queue_depth(), 0);
-    }
-
-    #[test]
-    fn gen_bumps_on_submit_and_completion() {
-        let mut d = RamDisk::new(10.0, 10.0);
-        let g0 = d.gen();
-        d.submit(SimTime::ZERO, Op::Write, 10.0, 1);
-        let g1 = d.gen();
-        assert_ne!(g0, g1);
-        let t = d.next_event().unwrap();
-        d.poll(t);
-        assert_ne!(d.gen(), g1);
     }
 }

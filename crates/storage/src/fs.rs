@@ -215,6 +215,8 @@ pub struct LocalFs {
     /// user read tag -> outstanding part count.
     read_join: BTreeMap<u64, u8>,
     done: Vec<FsDone>,
+    /// Bumped only where [`LocalFs::next_event`] can move: `write`, `read`,
+    /// `degrade_device`, a `poll` that delivers.
     gen: Gen,
 }
 
@@ -357,7 +359,6 @@ impl LocalFs {
             if let Some(cache) = &mut self.cache {
                 cache.drop_file(file);
             }
-            self.gen.bump();
         }
     }
 
@@ -377,7 +378,6 @@ impl LocalFs {
                     cache.drop_file(file);
                 }
             }
-            self.gen.bump();
         }
     }
 
@@ -430,7 +430,7 @@ impl LocalFs {
     /// Advance to `now`, returning completed user operations.
     pub fn poll(&mut self, now: SimTime) -> Vec<FsDone> {
         // Memory-speed completions.
-        for (_, (tag, op)) in self.mem.poll(now) {
+        for (tag, op) in self.mem.poll(now) {
             match op {
                 Op::Write => self.done.push(FsDone { tag, op: Op::Write }),
                 Op::Read => self.finish_read_part(tag),

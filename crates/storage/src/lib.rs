@@ -9,7 +9,7 @@
 //!   the cache-plateau behaviour of Fig 8a.
 //!
 //! Everything follows the polled-component idiom of `memres-des`: mutate,
-//! then ask `next_event()`/`gen()` and schedule a wake.
+//! then ask `next_event()` and schedule a wake.
 
 pub mod device;
 pub mod fs;

@@ -15,7 +15,6 @@
 //! pool) on a fixed model tick.
 
 use crate::device::{Device, DualChannel, IoDone, Op};
-use memres_des::sim::Gen;
 use memres_des::time::{SimDuration, SimTime};
 use memres_des::Bytes;
 
@@ -100,7 +99,6 @@ pub struct Ssd {
     /// Host-write bytes accepted as of the last tick (for inflow deltas).
     accepted_marker: f64,
     next_tick: SimTime,
-    gen: Gen,
     /// Trace sink plus the node id to stamp on events (DESIGN.md §4.11).
     tracer: Option<(u32, memres_trace::SharedSink)>,
     /// Last observed GC-active state, for edge-triggered GcStart/GcEnd.
@@ -120,7 +118,6 @@ impl Ssd {
             clean_bytes: clean,
             accepted_marker: 0.0,
             next_tick: SimTime::ZERO,
-            gen: Gen::default(),
             tracer: None,
             gc_traced: false,
             buf_traced: false,
@@ -210,7 +207,6 @@ impl Ssd {
             self.cfg.read_bw
         };
         self.ch.read.set_capacity(now, read_bw);
-        self.gen.bump();
     }
 
     /// Edge-triggered GC / buffer-fill trace events (called once per tick).
@@ -261,16 +257,11 @@ impl Device for Ssd {
             self.next_tick = now + self.cfg.tick;
         }
         self.ch.submit(now, op, Bytes(bytes), tag);
-        self.gen.bump();
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<IoDone> {
         self.catch_up_ticks(now);
-        let done = self.ch.poll(now);
-        if !done.is_empty() {
-            self.gen.bump();
-        }
-        done
+        self.ch.poll(now)
     }
 
     fn next_event(&self) -> Option<SimTime> {
@@ -282,16 +273,8 @@ impl Device for Ssd {
         }
     }
 
-    fn gen(&self) -> Gen {
-        self.gen
-    }
-
     fn queue_depth(&self) -> usize {
         self.ch.queue_depth()
-    }
-
-    fn write_bandwidth(&self) -> f64 {
-        self.cfg.write_bw_clean
     }
 
     fn read_bandwidth(&self) -> f64 {
@@ -335,7 +318,6 @@ impl Device for Ssd {
         self.ch
             .read
             .set_capacity(now, self.current_read_bandwidth().max(1.0));
-        self.gen.bump();
     }
 
     fn set_tracer(&mut self, node: u32, sink: memres_trace::SharedSink) {
@@ -474,6 +456,6 @@ mod tests {
             (slow - base * 2.0).abs() < base * 0.1,
             "halved bandwidth should double latency: base={base:.3}s slow={slow:.3}s"
         );
-        assert!((degraded.write_bandwidth() - 50.0).abs() < 1e-9);
+        assert!((degraded.cfg.write_bw_clean - 50.0).abs() < 1e-9);
     }
 }
